@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz chaos bench bench-smoke serve clean ci cover differential shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e
+.PHONY: all build test race vet fuzz chaos bench bench-smoke serve clean ci cover differential shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e sched benchmark-module
 
 all: build vet test
 
 # Everything CI runs, in one target, so local and CI results agree.
-ci: build vet test race differential cover shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e fuzz chaos bench-smoke
+ci: build vet test race sched differential cover shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e fuzz chaos bench-smoke benchmark-module
 
 build:
 	$(GO) build ./...
@@ -25,10 +25,24 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Scheduling-dependence check: the hot-vs-paged and serial-vs-parallel suites
+# assert identical QueryStats, so every counter must come out the same on
+# one, two and eight Ps (a fetch-twice race in the per-query record cache
+# once passed on one core and failed on two).
+sched:
+	$(GO) test -cpu 1,2,8 -run 'TestHot|TestParallel' -count=1 ./internal/prix
+
+# The driver's benchmark is a nested module (benchmark/go.mod) that `go test
+# ./...` does not reach: vet and short-test it here, so a change to an
+# exported signature it uses fails CI rather than the next benchmark run.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
 # Short fuzz passes over the parsing/encoding boundaries: the query parser
 # (the service boundary), the docstore record decoder (the corruption
 # boundary), the trace/slow-log JSON encoder (the ?trace=1 boundary) and the
-# dynamic labeler's range-allocation invariants (the insert boundary).
+# dynamic labeler's range-allocation invariants (the insert boundary); and the
+# hot lists' binary-searched range scans against a naive filter.
 fuzz:
 	$(GO) test ./internal/twig -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 30s
 	$(GO) test ./internal/docstore -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime 30s
@@ -36,6 +50,8 @@ fuzz:
 	$(GO) test ./internal/vtrie -run FuzzDynamicLabeler -fuzz FuzzDynamicLabeler -fuzztime 30s
 	$(GO) test ./internal/mvcc -run FuzzSeqDiffPatch -fuzz FuzzSeqDiffPatch -fuzztime 30s
 	$(GO) test ./internal/prix -run FuzzAsOfVersionMap -fuzz FuzzAsOfVersionMap -fuzztime 30s
+	$(GO) test ./internal/hot -run FuzzPostingsScan -fuzz FuzzPostingsScan -fuzztime 30s
+	$(GO) test ./internal/hot -run FuzzDocIDsScan -fuzz FuzzDocIDsScan -fuzztime 30s
 
 # The oracle-backed differential suite: every engine (PRIX serial/parallel,
 # MatchExhaustive, TwigStack, TwigStackXB, ViST) against the brute-force
@@ -92,13 +108,15 @@ compact-e2e:
 	$(GO) test -race ./internal/compact -count=1
 	$(GO) test -race ./internal/server -run 'TestCompactEndpoint' -count=1
 
-# Compressed hot tier end to end, under the race detector: the byte-identity
-# differential (hot vs uncompressed twin across every query shape, serial and
+# Hot tier end to end, under the race detector: the byte-identity
+# differential (hot vs paged twin across every query shape, serial and
 # parallel, with a zero-physical-reads check on a resident corpus), the
 # dynamic write path racing queries against tier invalidations, eviction
-# under budget pressure, and the server's /stats//metrics residency surface.
+# under budget pressure, the pooled query scratch under 8 concurrent
+# resident queries (ten rounds), and the server's /stats//metrics surface.
 hot-e2e:
 	$(GO) test -race ./internal/prix -run 'TestHot' -count=1
+	$(GO) test -race ./internal/prix -run 'TestScratchIsolation' -count=10
 	$(GO) test -race ./internal/hot -count=1
 	$(GO) test -race ./internal/server -run 'TestHotTierSurfaces' -count=1
 
@@ -129,10 +147,12 @@ bench:
 
 # Fast parallel-pipeline check: the serial-vs-parallel comparison on one
 # bundled dataset (the table asserts identical match counts, so it doubles
-# as a differential test), plus one iteration of the in-package benchmark.
+# as a differential test), plus one iteration of the in-package benchmarks
+# (the resident-path ones assert their hit and match counts).
 bench-smoke:
 	$(GO) run ./cmd/prixbench -table parallel -datasets SWISSPROT
-	$(GO) test ./internal/prix -run XXX -bench UnorderedArrangements -benchtime 1x
+	$(GO) test ./internal/prix -run XXX -bench 'UnorderedArrangements|MatchResident' -benchtime 1x -benchmem
+	$(GO) test ./internal/hot -run XXX -bench 'PostingsSeek|DocIDsSeek|SummaryRefine' -benchtime 1x -benchmem
 
 serve:
 	$(GO) run ./cmd/prixbench -table serving

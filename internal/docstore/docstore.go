@@ -262,16 +262,34 @@ func DecodeStructure(data []byte) (*Record, error) {
 	return r, nil
 }
 
+// Nodes returns n, the node count of the (possibly extended) tree.
+func (r *Record) Nodes() int32 { return r.NumNodes }
+
 // ParentOf returns the postorder number of node post's parent, or 0 for the
-// root. It is the NPS lookup N_T[i] used by the wildcard chase of §4.5.
+// root and for numbers outside the tree. It is the NPS lookup N_T[i] of
+// Algorithm 2 and of the wildcard chase of §4.5.
 func (r *Record) ParentOf(post int32) int32 {
-	if post < 1 || post > r.NumNodes {
-		return 0
-	}
-	if post == r.NumNodes {
+	if post < 1 || int(post) > len(r.NPS) {
 		return 0
 	}
 	return r.NPS[post-1]
+}
+
+// LabelOf resolves the label symbol of node post: leaves from the leaf
+// list, internal nodes from the first LPS position whose NPS entry is the
+// node (Example 6's "search LPS/NPS" step).
+func (r *Record) LabelOf(post int32) (vtrie.Symbol, bool) {
+	for _, l := range r.Leaves {
+		if l.Post == post {
+			return l.Sym, true
+		}
+	}
+	for i, v := range r.NPS {
+		if v == post {
+			return r.LPS[i], true
+		}
+	}
+	return 0, false
 }
 
 // dirEntry locates a record in the heap.

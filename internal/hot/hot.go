@@ -1,204 +1,129 @@
-// Package hot is the compressed in-memory hot tier: delta+varint posting
-// lists mirroring the Trie-Symbol and Docid B+-trees, and succinct
-// per-document structure summaries (balanced-parentheses shape plus packed
-// labels) mirroring docstore records. Both shrink the common read path —
-// the Algorithm 1 descent and the Algorithm 2 fetch — to memory-resident
-// decoding, so hot queries touch no pager pages for those stages. The tier
-// is strictly a cache: every structure is built from (and verified against)
+// Package hot is the in-memory hot tier: flat posting lists mirroring the
+// Trie-Symbol and Docid B+-trees, and bit-packed per-document structure
+// summaries (parent pointers plus labels) mirroring docstore records. Both
+// shrink the common read path — the Algorithm 1 descent and the Algorithm 2
+// fetch — to in-place reads of resident memory: a range scan binary-searches
+// raw keys and a refinement step reads one packed field, so hot queries
+// touch no pager pages and decode nothing for those stages. The tier is
+// strictly a cache: every structure is built from (and verified against)
 // the authoritative B+-tree/docstore image, evicted LRU under a byte
 // budget, and invalidated by writers, so results stay byte-identical to
-// the uncompressed path.
+// the paged path.
 package hot
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
+	"unsafe"
 )
 
-// blockEntries is how many entries share one block of a compressed list;
-// the block index holds one raw first-key per block, bounding the sequential
-// decode a range scan must do to reach its lower bound.
-const blockEntries = 128
+// Entry widths of the two flat lists. Every entry leads with its raw 64-bit
+// Left key, little-endian, so a scan reaches its lower bound by binary
+// search over the entries themselves — no block index, nothing to decode on
+// the way. (Delta+varint blocks were 14.7 B per posting on the benchmark
+// corpus; raw is 20 B, and the lists are clipped to size at Build.)
+const (
+	postingSize = 8 + 8 + 4 // Left, Right, Level
+	docIDSize   = 8 + 4     // Left, DocID
+)
 
-// blockRef locates one block: the raw LeftPos of its first entry and its
-// byte offset into the data buffer.
-type blockRef struct {
-	firstLeft uint64
-	off       uint32
-}
-
-// startBlock returns the index of the block a scan with lower bound lo must
-// start decoding at. Equal keys can run across block boundaries, so the
-// scan starts one block before the first block whose first key reaches lo.
-func startBlock(refs []blockRef, lo uint64) int {
-	i := sort.Search(len(refs), func(b int) bool { return refs[b].firstLeft >= lo })
-	if i > 0 {
-		i--
+// seek returns the index of the first stride-wide entry of data whose Left
+// key is >= lo (> lo when loIncl is false); entries are sorted by Left.
+func seek(data []byte, stride int, lo uint64, loIncl bool) int {
+	i, j := 0, len(data)/stride
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if k := binary.LittleEndian.Uint64(data[h*stride:]); k < lo || (k == lo && !loIncl) {
+			i = h + 1
+		} else {
+			j = h
+		}
 	}
 	return i
 }
 
-// inRange applies B+-tree Scan bound semantics to one key.
-func inRange(k, lo, hi uint64, loIncl, hiIncl bool) (ok, past bool) {
-	if k > hi || (k == hi && !hiIncl) {
-		return false, true
-	}
-	if k < lo || (k == lo && !loIncl) {
-		return false, false
-	}
-	return true, false
-}
-
-// Postings is an immutable compressed Trie-Symbol posting list: entries
-// (Left, Right, Level) in exactly the order the source B+-tree's Scan
-// visits them (ascending Left, duplicates in insertion order). Entries are
-// delta+varint coded per block: Left as a delta from its predecessor,
-// Right as its span above Left, Level raw.
-type Postings struct {
-	data []byte
-	refs []blockRef
-	n    int
-}
+// Postings is an immutable Trie-Symbol posting list: entries (Left, Right,
+// Level) in exactly the order the source B+-tree's Scan visits them
+// (ascending Left, duplicates in insertion order).
+type Postings struct{ data []byte }
 
 // PostingsBuilder accumulates entries in scan order.
-type PostingsBuilder struct {
-	data     []byte
-	refs     []blockRef
-	n        int
-	prevLeft uint64
-}
+type PostingsBuilder struct{ data []byte }
 
 // NewPostingsBuilder returns an empty builder.
 func NewPostingsBuilder() *PostingsBuilder { return &PostingsBuilder{} }
 
 // Add appends one posting. Calls must arrive in B+-tree Scan order.
 func (b *PostingsBuilder) Add(left, right uint64, level uint32) {
-	if b.n%blockEntries == 0 {
-		b.refs = append(b.refs, blockRef{firstLeft: left, off: uint32(len(b.data))})
-		b.prevLeft = left
-	}
-	b.data = binary.AppendUvarint(b.data, left-b.prevLeft)
-	b.data = binary.AppendUvarint(b.data, right-left)
-	b.data = binary.AppendUvarint(b.data, uint64(level))
-	b.prevLeft = left
-	b.n++
+	b.data = binary.LittleEndian.AppendUint64(b.data, left)
+	b.data = binary.LittleEndian.AppendUint64(b.data, right)
+	b.data = binary.LittleEndian.AppendUint32(b.data, level)
 }
 
 // Len returns the number of entries added so far.
-func (b *PostingsBuilder) Len() int { return b.n }
+func (b *PostingsBuilder) Len() int { return len(b.data) / postingSize }
 
-// Build freezes the builder into an immutable list.
-func (b *PostingsBuilder) Build() *Postings {
-	return &Postings{data: b.data, refs: b.refs, n: b.n}
-}
+// Build freezes the builder into an immutable list, clipped to size.
+func (b *PostingsBuilder) Build() *Postings { return &Postings{data: slices.Clone(b.data)} }
 
 // Len returns the number of entries.
-func (p *Postings) Len() int { return p.n }
+func (p *Postings) Len() int { return len(p.data) / postingSize }
 
-// SizeBytes approximates the list's memory footprint.
-func (p *Postings) SizeBytes() int { return len(p.data) + len(p.refs)*12 + 48 }
+// SizeBytes is the list's memory footprint: header plus backing array.
+func (p *Postings) SizeBytes() int { return int(unsafe.Sizeof(*p)) + cap(p.data) }
 
 // Scan visits entries with Left in the given bounds, in list order,
 // mirroring btree.Tree.Scan semantics. fn returning false stops the scan.
 func (p *Postings) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left, right uint64, level uint32) bool) {
-	if p.n == 0 {
-		return
-	}
-	bi := startBlock(p.refs, lo)
-	off := int(p.refs[bi].off)
-	left := p.refs[bi].firstLeft
-	first := true
-	for i := bi * blockEntries; i < p.n; i++ {
-		if i%blockEntries == 0 && !first {
-			left = p.refs[i/blockEntries].firstLeft
-		}
-		first = false
-		d, w := binary.Uvarint(p.data[off:])
-		off += w
-		span, w := binary.Uvarint(p.data[off:])
-		off += w
-		lvl, w := binary.Uvarint(p.data[off:])
-		off += w
-		left += d
-		ok, past := inRange(left, lo, hi, loIncl, hiIncl)
-		if past {
+	for off := seek(p.data, postingSize, lo, loIncl) * postingSize; off < len(p.data); off += postingSize {
+		e := p.data[off : off+postingSize]
+		left := binary.LittleEndian.Uint64(e)
+		if left > hi || (left == hi && !hiIncl) {
 			return
 		}
-		if ok && !fn(left, left+span, uint32(lvl)) {
+		if !fn(left, binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint32(e[16:])) {
 			return
 		}
 	}
 }
 
-// DocIDs is an immutable compressed Docid-index list: (Left, DocID) pairs
-// in B+-tree Scan order.
-type DocIDs struct {
-	data []byte
-	refs []blockRef
-	n    int
-}
+// DocIDs is an immutable Docid-index list: (Left, DocID) pairs in B+-tree
+// Scan order.
+type DocIDs struct{ data []byte }
 
 // DocIDsBuilder accumulates docid entries in scan order.
-type DocIDsBuilder struct {
-	data     []byte
-	refs     []blockRef
-	n        int
-	prevLeft uint64
-}
+type DocIDsBuilder struct{ data []byte }
 
 // NewDocIDsBuilder returns an empty builder.
 func NewDocIDsBuilder() *DocIDsBuilder { return &DocIDsBuilder{} }
 
 // Add appends one (Left, DocID) entry in B+-tree Scan order.
 func (b *DocIDsBuilder) Add(left uint64, docID uint32) {
-	if b.n%blockEntries == 0 {
-		b.refs = append(b.refs, blockRef{firstLeft: left, off: uint32(len(b.data))})
-		b.prevLeft = left
-	}
-	b.data = binary.AppendUvarint(b.data, left-b.prevLeft)
-	b.data = binary.AppendUvarint(b.data, uint64(docID))
-	b.prevLeft = left
-	b.n++
+	b.data = binary.LittleEndian.AppendUint64(b.data, left)
+	b.data = binary.LittleEndian.AppendUint32(b.data, docID)
 }
 
 // Len returns the number of entries added so far.
-func (b *DocIDsBuilder) Len() int { return b.n }
+func (b *DocIDsBuilder) Len() int { return len(b.data) / docIDSize }
 
-// Build freezes the builder into an immutable list.
-func (b *DocIDsBuilder) Build() *DocIDs {
-	return &DocIDs{data: b.data, refs: b.refs, n: b.n}
-}
+// Build freezes the builder into an immutable list, clipped to size.
+func (b *DocIDsBuilder) Build() *DocIDs { return &DocIDs{data: slices.Clone(b.data)} }
 
 // Len returns the number of entries.
-func (d *DocIDs) Len() int { return d.n }
+func (d *DocIDs) Len() int { return len(d.data) / docIDSize }
 
-// SizeBytes approximates the list's memory footprint.
-func (d *DocIDs) SizeBytes() int { return len(d.data) + len(d.refs)*12 + 48 }
+// SizeBytes is the list's memory footprint: header plus backing array.
+func (d *DocIDs) SizeBytes() int { return int(unsafe.Sizeof(*d)) + cap(d.data) }
 
 // Scan visits entries with Left in the given bounds, in list order.
 func (d *DocIDs) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left uint64, docID uint32) bool) {
-	if d.n == 0 {
-		return
-	}
-	bi := startBlock(d.refs, lo)
-	off := int(d.refs[bi].off)
-	left := d.refs[bi].firstLeft
-	first := true
-	for i := bi * blockEntries; i < d.n; i++ {
-		if i%blockEntries == 0 && !first {
-			left = d.refs[i/blockEntries].firstLeft
-		}
-		first = false
-		delta, w := binary.Uvarint(d.data[off:])
-		off += w
-		id, w := binary.Uvarint(d.data[off:])
-		off += w
-		left += delta
-		ok, past := inRange(left, lo, hi, loIncl, hiIncl)
-		if past {
+	for off := seek(d.data, docIDSize, lo, loIncl) * docIDSize; off < len(d.data); off += docIDSize {
+		e := d.data[off : off+docIDSize]
+		left := binary.LittleEndian.Uint64(e)
+		if left > hi || (left == hi && !hiIncl) {
 			return
 		}
-		if ok && !fn(left, uint32(id)) {
+		if !fn(left, binary.LittleEndian.Uint32(e[8:])) {
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/docstore"
 	"repro/internal/vtrie"
@@ -238,23 +239,25 @@ type fakeSized int
 func (f fakeSized) SizeBytes() int { return int(f) }
 
 func TestTierBudgetAndLRU(t *testing.T) {
+	ka, kb, kc, kd, ke := Key{KindSummary, 0}, Key{KindSummary, 1}, Key{KindPostings, 0}, Key{KindPostings, 1}, Key{KindDocIDs, 0}
+	khuge := Key{KindSummary, 9}
 	tr := NewTier(100)
 	if tr.Budget() != 100 {
 		t.Fatal("budget")
 	}
-	if !tr.Add("a", fakeSized(40)) || !tr.Add("b", fakeSized(40)) {
+	if !tr.Add(ka, fakeSized(40)) || !tr.Add(kb, fakeSized(40)) {
 		t.Fatal("admission under budget failed")
 	}
-	if _, ok := tr.Get("a"); !ok { // a becomes MRU
+	if _, ok := tr.Get(ka); !ok { // a becomes MRU
 		t.Fatal("a missing")
 	}
-	if !tr.Add("c", fakeSized(40)) { // evicts b (LRU)
+	if !tr.Add(kc, fakeSized(40)) { // evicts b (LRU)
 		t.Fatal("c rejected")
 	}
-	if _, ok := tr.Get("b"); ok {
+	if _, ok := tr.Get(kb); ok {
 		t.Fatal("b survived eviction")
 	}
-	if _, ok := tr.Get("a"); !ok {
+	if _, ok := tr.Get(ka); !ok {
 		t.Fatal("a evicted out of LRU order")
 	}
 	st := tr.Stats()
@@ -265,29 +268,305 @@ func TestTierBudgetAndLRU(t *testing.T) {
 		t.Fatalf("hit accounting %+v", st)
 	}
 	// Oversized item rejected outright.
-	if tr.Add("huge", fakeSized(101)) {
+	if tr.Add(khuge, fakeSized(101)) {
 		t.Fatal("oversized admitted")
 	}
 	// TryAdd never evicts.
-	if tr.TryAdd("d", fakeSized(40)) {
+	if tr.TryAdd(kd, fakeSized(40)) {
 		t.Fatal("TryAdd evicted")
 	}
-	if tr.TryAdd("e", fakeSized(10)) == false {
+	if tr.TryAdd(ke, fakeSized(10)) == false {
 		t.Fatal("TryAdd rejected a fitting item")
 	}
 	// Replacement frees the old size.
-	if !tr.Add("a", fakeSized(10)) {
+	if !tr.Add(ka, fakeSized(10)) {
 		t.Fatal("replace failed")
 	}
 	if tr.Bytes() != 60 {
 		t.Fatalf("bytes after replace = %d", tr.Bytes())
 	}
-	tr.Invalidate("a")
-	if _, ok := tr.Get("a"); ok {
+	tr.Invalidate(ka)
+	if _, ok := tr.Get(ka); ok {
 		t.Fatal("a survived Invalidate")
 	}
 	tr.InvalidateAll()
 	if tr.Len() != 0 || tr.Bytes() != 0 {
 		t.Fatal("InvalidateAll left residue")
+	}
+}
+
+// fuzzList turns fuzz bytes into a sorted posting list with duplicate-key
+// runs (a zero step repeats the previous Left) and four scan bounds.
+func fuzzList(data []byte) (entries []tripleEntry, lo, hi uint64, loIncl, hiIncl bool) {
+	if len(data) < 4 {
+		return nil, 0, 0, true, true
+	}
+	loIncl, hiIncl = data[0]&1 == 0, data[0]&2 == 0
+	left := uint64(data[1]) << (data[0] >> 2) // small and huge key spaces
+	for i, b := range data[4:] {
+		left += uint64(b % 4)
+		entries = append(entries, tripleEntry{left: left, right: left + uint64(b), level: uint32(i)})
+	}
+	span := left + 2
+	lo = uint64(data[2]) * span / 255
+	hi = lo + uint64(data[3])*span/255
+	if data[0]&0x80 != 0 {
+		hi = math.MaxUint64
+	}
+	return entries, lo, hi, loIncl, hiIncl
+}
+
+// FuzzPostingsScan checks Scan against the naive filter on random sorted
+// lists with duplicate runs, random bounds and both inclusivities.
+func FuzzPostingsScan(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 255, 1, 0, 0, 2, 0, 3})
+	f.Add([]byte{3, 9, 128, 10, 0, 0, 0, 0, 1, 1, 0, 0})
+	f.Add([]byte{0x81, 255, 255, 255, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, lo, hi, loIncl, hiIncl := fuzzList(data)
+		b := NewPostingsBuilder()
+		for _, e := range entries {
+			b.Add(e.left, e.right, e.level)
+		}
+		var got []tripleEntry
+		b.Build().Scan(lo, hi, loIncl, hiIncl, func(l, r uint64, lvl uint32) bool {
+			got = append(got, tripleEntry{l, r, lvl})
+			return true
+		})
+		want := refScan(entries, lo, hi, loIncl, hiIncl)
+		if len(got) != len(want) {
+			t.Fatalf("scan %d..%d incl(%v,%v) over %d entries: %d hits, want %d", lo, hi, loIncl, hiIncl, len(entries), len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("hit %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// FuzzDocIDsScan is FuzzPostingsScan for the docid list.
+func FuzzDocIDsScan(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 255, 1, 0, 0, 2, 0, 3})
+	f.Add([]byte{0x82, 1, 7, 7, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, lo, hi, loIncl, hiIncl := fuzzList(data)
+		b := NewDocIDsBuilder()
+		for _, e := range entries {
+			b.Add(e.left, e.level)
+		}
+		var got []tripleEntry
+		b.Build().Scan(lo, hi, loIncl, hiIncl, func(l uint64, id uint32) bool {
+			got = append(got, tripleEntry{left: l, level: id})
+			return true
+		})
+		want := refScan(entries, lo, hi, loIncl, hiIncl)
+		if len(got) != len(want) {
+			t.Fatalf("scan %d..%d incl(%v,%v) over %d entries: %d hits, want %d", lo, hi, loIncl, hiIncl, len(entries), len(got), len(want))
+		}
+		for i := range got {
+			if got[i].left != want[i].left || got[i].level != want[i].level {
+				t.Fatalf("hit %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// randomRecord draws a random tree of n nodes in postorder (every parent
+// numbered after its children) with labels below maxSym.
+func randomRecord(rng *rand.Rand, docID uint32, n int, maxSym uint32) *docstore.Record {
+	rec := &docstore.Record{DocID: docID, NumNodes: int32(n)}
+	labels := make([]vtrie.Symbol, n+1)
+	for i := range labels {
+		labels[i] = vtrie.Symbol(rng.Int63n(int64(maxSym) + 1))
+	}
+	internal := make([]bool, n+1)
+	for i := 1; i < n; i++ {
+		p := i + 1 + rng.Intn(min(n-i, 4))
+		rec.NPS = append(rec.NPS, int32(p))
+		rec.LPS = append(rec.LPS, labels[p])
+		internal[p] = true
+	}
+	for i := 1; i <= n; i++ {
+		if !internal[i] {
+			rec.Leaves = append(rec.Leaves, docstore.Leaf{Post: int32(i), Sym: labels[i]})
+		}
+	}
+	return rec
+}
+
+// checkNavigation asserts the summary answers Nodes, ParentOf and LabelOf
+// exactly like the record, for every node and for numbers outside the tree.
+func checkNavigation(t *testing.T, s *Summary, rec *docstore.Record) {
+	t.Helper()
+	if s.Nodes() != rec.Nodes() {
+		t.Fatalf("doc %d: Nodes = %d, want %d", rec.DocID, s.Nodes(), rec.Nodes())
+	}
+	for post := int32(-1); post <= rec.NumNodes+2; post++ {
+		if got, want := s.ParentOf(post), rec.ParentOf(post); got != want {
+			t.Fatalf("doc %d: ParentOf(%d) = %d, want %d", rec.DocID, post, got, want)
+		}
+		gotSym, gotOK := s.LabelOf(post)
+		wantSym, wantOK := rec.LabelOf(post)
+		if gotSym != wantSym || gotOK != wantOK {
+			t.Fatalf("doc %d: LabelOf(%d) = %d,%v, want %d,%v", rec.DocID, post, gotSym, gotOK, wantSym, wantOK)
+		}
+	}
+}
+
+// TestSummaryNavigation pins the O(1) accessors against the record on
+// random trees whose packed fields straddle word boundaries at every
+// alignment (label widths 1 to 32 bits), and the admission path: a record
+// the vector cannot reproduce is rejected, never approximated.
+func TestSummaryNavigation(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(300)
+		maxSym := uint32(1)<<uint(rng.Intn(32)) - 1 + uint32(rng.Intn(2))
+		rec := randomRecord(rng, uint32(trial), n, maxSym)
+		s := NewSummary(rec)
+		if s == nil {
+			t.Fatalf("trial %d: valid tree of %d nodes not admitted", trial, n)
+		}
+		checkNavigation(t, s, rec)
+		if n < 3 {
+			continue
+		}
+		// Damage one field the round trip must notice.
+		bad := *rec
+		switch trial % 3 {
+		case 0: // a leaf missing from the leaf list
+			bad.Leaves = bad.Leaves[1:]
+		case 1: // an LPS entry disagreeing with its node's other occurrences
+			bad.LPS = append([]vtrie.Symbol(nil), rec.LPS...)
+			bad.LPS[0]++
+			bad.Leaves = append([]docstore.Leaf{{Post: bad.NPS[0], Sym: rec.LPS[0]}}, rec.Leaves...)
+		case 2: // a parent pointing below its child
+			bad.NPS = append([]int32(nil), rec.NPS...)
+			bad.NPS[n-2] = 1
+		}
+		if NewSummary(&bad) != nil {
+			t.Fatalf("trial %d: damaged record (case %d) admitted", trial, trial%3)
+		}
+	}
+}
+
+// TestSizeBytesIsTheRealFootprint checks each structure charges the tier
+// its struct header plus its whole backing array (the byte budget used to
+// under-count block headers), that Build clips builder slack away, and that
+// the tier's total is the sum of what it holds.
+func TestSizeBytesIsTheRealFootprint(t *testing.T) {
+	const n = 1000
+	pb, db := NewPostingsBuilder(), NewDocIDsBuilder()
+	for i := 0; i < n; i++ {
+		pb.Add(uint64(i), uint64(i+1), 1)
+		db.Add(uint64(i), uint32(i))
+	}
+	p, d := pb.Build(), db.Build()
+	s := NewSummary(randomRecord(rand.New(rand.NewSource(1)), 0, 50, 1000))
+	sizes := []struct {
+		name           string
+		got, hdr, body int
+		slack          int
+	}{
+		{"postings", p.SizeBytes(), int(unsafe.Sizeof(Postings{})), n * postingSize, cap(p.data) - len(p.data)},
+		{"docids", d.SizeBytes(), int(unsafe.Sizeof(DocIDs{})), n * docIDSize, cap(d.data) - len(d.data)},
+		{"summary", s.SizeBytes(), int(unsafe.Sizeof(Summary{})), len(s.words) * int(unsafe.Sizeof(uint64(0))), (cap(s.words) - len(s.words)) * 8},
+	}
+	tier := NewTier(1 << 20)
+	total := 0
+	for i, sz := range sizes {
+		if sz.got != sz.hdr+sz.body+sz.slack {
+			t.Errorf("%s: SizeBytes = %d, want header %d + body %d + slack %d", sz.name, sz.got, sz.hdr, sz.body, sz.slack)
+		}
+		// Clipped: at most one allocator size class of slack (12.5%).
+		if sz.slack*8 > sz.body {
+			t.Errorf("%s: %d slack bytes on a %d-byte body", sz.name, sz.slack, sz.body)
+		}
+		total += sz.got
+		tier.Add(Key{Kind: Kind(i)}, []Sized{p, d, s}[i])
+	}
+	if tier.Bytes() != int64(total) {
+		t.Errorf("tier holds %d bytes, structures sum to %d", tier.Bytes(), total)
+	}
+}
+
+// seekList is a 4,096-entry list with Lefts 8 apart, and 512 scan lower
+// bounds spread over it; each scan covers 3 entries, the descent's typical
+// narrow range.
+func seekList() (lefts []uint64, los []uint64) {
+	for i := 0; i < 4096; i++ {
+		lefts = append(lefts, uint64(i)*8+1<<40)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 512; i++ {
+		los = append(los, lefts[rng.Intn(len(lefts)-4)]-1)
+	}
+	return lefts, los
+}
+
+func BenchmarkPostingsSeek(b *testing.B) {
+	lefts, los := seekList()
+	pb := NewPostingsBuilder()
+	for i, l := range lefts {
+		pb.Add(l, l+7, uint32(i%40))
+	}
+	p := pb.Build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		lo := los[i%len(los)]
+		p.Scan(lo, lo+24, false, true, func(uint64, uint64, uint32) bool { hits++; return true })
+	}
+	if hits != 3*b.N {
+		b.Fatalf("%d hits over %d scans", hits, b.N)
+	}
+}
+
+func BenchmarkDocIDsSeek(b *testing.B) {
+	lefts, los := seekList()
+	db := NewDocIDsBuilder()
+	for i, l := range lefts {
+		db.Add(l, uint32(i))
+	}
+	d := db.Build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		lo := los[i%len(los)]
+		d.Scan(lo, lo+24, false, true, func(uint64, uint32) bool { hits++; return true })
+	}
+	if hits != 3*b.N {
+		b.Fatalf("%d hits over %d scans", hits, b.N)
+	}
+}
+
+// BenchmarkSummaryRefine is Algorithm 2's access pattern on a resident
+// 20-node path document (the deepest shape, so the longest chases): a chase
+// to the root from each of five matched positions, and three labels.
+func BenchmarkSummaryRefine(b *testing.B) {
+	syms := make([]vtrie.Symbol, 20)
+	for i := range syms {
+		syms[i] = vtrie.Symbol(1000*i + 7)
+	}
+	s := NewSummary(chainRecord(0, 20, syms))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink int32
+	for i := 0; i < b.N; i++ {
+		for post := int32(1); post <= 5; post++ {
+			for cur := s.ParentOf(post); cur != 0; cur = s.ParentOf(cur) {
+				sink += cur
+			}
+		}
+		for post := int32(6); post <= 8; post++ {
+			sym, _ := s.LabelOf(post)
+			sink += int32(sym)
+		}
+	}
+	if sink == 0 {
+		b.Fatal("nothing navigated")
 	}
 }

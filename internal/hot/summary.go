@@ -2,33 +2,68 @@ package hot
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/docstore"
 	"repro/internal/vtrie"
 )
 
-// Summary is a succinct encoding of one document's refinement data: the
-// tree shape as 2n balanced-parentheses bits (children visited in ascending
-// postorder, so the DFS re-derives the original numbering) and one packed
-// label per node. NPS, LPS and the leaf list all decode from those two
-// vectors, replacing the docstore record fetch for hot-resident documents.
+// Summary is a bit-packed encoding of one document's refinement data: one
+// field per node holding its parent's postorder number (bits.Len(n) bits,
+// 0 for the root) and its label (bits.Len(max symbol) bits). Nodes,
+// ParentOf and LabelOf each read one field with two shifts and a mask, so
+// Algorithm 2 navigates a resident document in place; NPS, LPS and the leaf
+// list all derive from the same vector (Record). On 20-node documents the
+// parent field costs about 8 B more than 2n balanced-parentheses bits would,
+// and in exchange needs no rank/select directory and no decode.
 //
 // NewSummary round-trips the encoding against the source record and admits
-// nothing on any mismatch, so a decoded Summary is behaviourally identical
-// to the record it replaced — the tier can never change query results.
+// nothing on any mismatch, so a Summary is behaviourally identical to the
+// record it replaced — the tier can never change query results.
 type Summary struct {
 	docID  uint32
 	n      int32
-	bp     []uint64 // 2n shape bits, MSB-first within a word
-	packed []uint64 // n labels at width bits each
-	width  uint8
+	pw, lw uint8    // parent and label field widths; pw+lw <= 63
+	words  []uint64 // node post's field starts at bit (post-1)*(pw+lw), LSB-first
 }
 
 // DocID returns the document the summary encodes.
 func (s *Summary) DocID() uint32 { return s.docID }
 
-// SizeBytes approximates the summary's memory footprint.
-func (s *Summary) SizeBytes() int { return len(s.bp)*8 + len(s.packed)*8 + 48 }
+// SizeBytes is the summary's memory footprint: header plus backing array.
+func (s *Summary) SizeBytes() int { return int(unsafe.Sizeof(*s)) + cap(s.words)*8 }
+
+// Nodes returns n, the node count of the encoded tree.
+func (s *Summary) Nodes() int32 { return s.n }
+
+// ParentOf returns the postorder number of node post's parent, or 0 for the
+// root and for numbers outside the tree (docstore.Record.ParentOf's contract).
+func (s *Summary) ParentOf(post int32) int32 {
+	if post < 1 || post > s.n {
+		return 0
+	}
+	return int32(s.field(post) & (1<<s.pw - 1))
+}
+
+// LabelOf returns the label symbol of node post; false outside the tree.
+func (s *Summary) LabelOf(post int32) (vtrie.Symbol, bool) {
+	if post < 1 || post > s.n {
+		return 0, false
+	}
+	return vtrie.Symbol(s.field(post) >> s.pw), true
+}
+
+// field extracts node post's packed (label<<pw | parent) field.
+func (s *Summary) field(post int32) uint64 {
+	w := uint(s.pw) + uint(s.lw)
+	bit := uint(post-1) * w
+	i, sh := bit>>6, bit&63
+	x := s.words[i] >> sh
+	if sh+w > 64 {
+		x |= s.words[i+1] << (64 - sh)
+	}
+	return x & (1<<w - 1)
+}
 
 // NewSummary encodes rec, returning nil when the record is not expressible
 // (structural damage) or when the decoded image differs from the source in
@@ -42,18 +77,6 @@ func NewSummary(rec *docstore.Record) *Summary {
 	if n < 1 || len(rec.NPS) != n-1 || len(rec.LPS) != n-1 {
 		return nil
 	}
-	// parent[i] is the postorder number of node i's parent; postorder
-	// numbers a parent after its children, so parent[i] > i must hold.
-	parent := make([]int32, n+1)
-	children := make([][]int32, n+1)
-	for i := 1; i < n; i++ {
-		p := rec.NPS[i-1]
-		if p <= int32(i) || p > int32(n) {
-			return nil
-		}
-		parent[i] = p
-		children[p] = append(children[p], int32(i))
-	}
 	// One label per node: internal nodes from the LPS (their label appears
 	// wherever they act as a parent), leaves from the leaf list. Conflicts
 	// mean a damaged record; unlabeled nodes keep 0 and the round-trip
@@ -61,18 +84,15 @@ func NewSummary(rec *docstore.Record) *Summary {
 	labels := make([]vtrie.Symbol, n+1)
 	labeled := make([]bool, n+1)
 	setLabel := func(post int32, sym vtrie.Symbol) bool {
-		if post < 1 || post > int32(n) {
+		if post < 1 || post > int32(n) || (labeled[post] && labels[post] != sym) {
 			return false
 		}
-		if labeled[post] && labels[post] != sym {
-			return false
-		}
-		labels[post] = sym
-		labeled[post] = true
+		labels[post], labeled[post] = sym, true
 		return true
 	}
 	for i := 1; i < n; i++ {
-		if !setLabel(rec.NPS[i-1], rec.LPS[i-1]) {
+		// Postorder numbers a parent after its children.
+		if p := rec.NPS[i-1]; p <= int32(i) || !setLabel(p, rec.LPS[i-1]) {
 			return nil
 		}
 	}
@@ -82,58 +102,28 @@ func NewSummary(rec *docstore.Record) *Summary {
 		}
 	}
 	var maxSym vtrie.Symbol
-	for post := 1; post <= n; post++ {
-		if labels[post] > maxSym {
-			maxSym = labels[post]
-		}
-	}
-	width := uint8(bits.Len32(uint32(maxSym)))
-	if width == 0 {
-		width = 1
+	for _, sym := range labels {
+		maxSym = max(maxSym, sym)
 	}
 	s := &Summary{
-		docID:  rec.DocID,
-		n:      rec.NumNodes,
-		bp:     make([]uint64, (2*n+63)/64),
-		packed: make([]uint64, (n*int(width)+63)/64),
-		width:  width,
+		docID: rec.DocID,
+		n:     rec.NumNodes,
+		pw:    uint8(bits.Len32(uint32(n))),
+		lw:    uint8(bits.Len32(uint32(maxSym))),
 	}
-	// Balanced parentheses by iterative DFS from the root (node n), children
-	// ascending: '(' on entry, ')' on exit. The DFS must visit exactly n
-	// nodes or the parent array was not a tree.
-	bit := 0
-	setBit := func(open bool) {
-		if open {
-			s.bp[bit/64] |= 1 << uint(63-bit%64)
-		}
-		bit++
-	}
-	type frame struct {
-		node int32
-		next int
-	}
-	stack := []frame{{node: int32(n)}}
-	setBit(true)
-	visited := 1
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		kids := children[f.node]
-		if f.next < len(kids) {
-			c := kids[f.next]
-			f.next++
-			setBit(true)
-			visited++
-			stack = append(stack, frame{node: c})
-			continue
-		}
-		setBit(false)
-		stack = stack[:len(stack)-1]
-	}
-	if visited != n || bit != 2*n {
-		return nil
-	}
+	w := uint(s.pw) + uint(s.lw)
+	s.words = make([]uint64, (uint(n)*w+63)/64)
 	for post := 1; post <= n; post++ {
-		s.putLabel(post, labels[post])
+		f := uint64(labels[post]) << s.pw
+		if post < n {
+			f |= uint64(rec.NPS[post-1])
+		}
+		bit := uint(post-1) * w
+		i, sh := bit>>6, bit&63
+		s.words[i] |= f << sh
+		if sh+w > 64 {
+			s.words[i+1] |= f >> (64 - sh)
+		}
 	}
 	if !s.matches(rec) {
 		return nil
@@ -141,81 +131,28 @@ func NewSummary(rec *docstore.Record) *Summary {
 	return s
 }
 
-// putLabel packs the label of node post (1-based) into the label vector.
-func (s *Summary) putLabel(post int, sym vtrie.Symbol) {
-	w := int(s.width)
-	start := (post - 1) * w
-	for b := 0; b < w; b++ {
-		if sym&(1<<uint(w-1-b)) != 0 {
-			i := start + b
-			s.packed[i/64] |= 1 << uint(63-i%64)
-		}
-	}
-}
-
-// label unpacks the label of node post (1-based).
-func (s *Summary) label(post int) vtrie.Symbol {
-	w := int(s.width)
-	start := (post - 1) * w
-	var sym vtrie.Symbol
-	for b := 0; b < w; b++ {
-		i := start + b
-		sym <<= 1
-		if s.packed[i/64]&(1<<uint(63-i%64)) != 0 {
-			sym |= 1
-		}
-	}
-	return sym
-}
-
 // Record decodes the summary back into a fresh docstore record. The result
 // is freshly allocated on every call; callers may treat it exactly like a
 // record read from the store.
 func (s *Summary) Record() *docstore.Record {
-	n := int(s.n)
-	// Walk the parentheses: preorder ids index the temporary arrays, the
-	// close bit assigns postorder numbers, and the open-time stack gives
-	// each node its parent's preorder id.
-	parentPre := make([]int32, n)
-	postOf := make([]int32, n)
-	preOf := make([]int32, n+1)
-	kids := make([]int32, n)
-	stack := make([]int32, 0, 64)
-	pre := int32(0)
-	post := int32(0)
-	for bit := 0; bit < 2*n; bit++ {
-		if s.bp[bit/64]&(1<<uint(63-bit%64)) != 0 {
-			id := pre
-			pre++
-			if len(stack) > 0 {
-				parentPre[id] = stack[len(stack)-1]
-				kids[stack[len(stack)-1]]++
-			} else {
-				parentPre[id] = -1
-			}
-			stack = append(stack, id)
-		} else {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			post++
-			postOf[id] = post
-			preOf[post] = id
-		}
-	}
+	n := s.n
 	rec := &docstore.Record{
 		DocID:    s.docID,
-		NumNodes: s.n,
+		NumNodes: n,
 		NPS:      make([]int32, n-1),
 		LPS:      make([]vtrie.Symbol, n-1),
 	}
-	for p := 1; p < n; p++ {
-		pp := postOf[parentPre[preOf[p]]]
+	internal := make([]bool, n+1)
+	for p := int32(1); p < n; p++ {
+		pp := s.ParentOf(p)
 		rec.NPS[p-1] = pp
-		rec.LPS[p-1] = s.label(int(pp))
+		rec.LPS[p-1], _ = s.LabelOf(pp)
+		internal[pp] = true
 	}
-	for p := 1; p <= n; p++ {
-		if kids[preOf[p]] == 0 {
-			rec.Leaves = append(rec.Leaves, docstore.Leaf{Post: int32(p), Sym: s.label(p)})
+	for p := int32(1); p <= n; p++ {
+		if !internal[p] {
+			sym, _ := s.LabelOf(p)
+			rec.Leaves = append(rec.Leaves, docstore.Leaf{Post: p, Sym: sym})
 		}
 	}
 	return rec

@@ -9,6 +9,22 @@ import (
 // Sized is anything the tier can hold; all three hot structures satisfy it.
 type Sized interface{ SizeBytes() int }
 
+// Kind says which structure a Key names.
+type Kind uint8
+
+const (
+	KindPostings Kind = iota // ID is the Trie-Symbol tree's symbol
+	KindDocIDs               // the one Docid list; ID is 0
+	KindSummary              // ID is the docid
+)
+
+// Key names one resident structure. It is comparable, so the engine builds
+// it per lookup without allocating.
+type Key struct {
+	Kind Kind
+	ID   uint32
+}
+
 // Tier is the budgeted cache: posting lists, docid lists and document
 // summaries share one byte budget with LRU demotion. All methods are safe
 // for concurrent use; readers under the engine's query locks and writers
@@ -18,8 +34,8 @@ type Tier struct {
 	mu     sync.Mutex
 	budget int64
 	bytes  int64
-	items  map[string]*list.Element // value: *tierEntry
-	lru    *list.List               // front = most recently used
+	items  map[Key]*list.Element // value: *tierEntry
+	lru    *list.List            // front = most recently used
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -27,14 +43,14 @@ type Tier struct {
 }
 
 type tierEntry struct {
-	key  string
+	key  Key
 	size int64
 	val  Sized
 }
 
 // NewTier returns a tier with the given byte budget (> 0).
 func NewTier(budget int64) *Tier {
-	return &Tier{budget: budget, items: map[string]*list.Element{}, lru: list.New()}
+	return &Tier{budget: budget, items: map[Key]*list.Element{}, lru: list.New()}
 }
 
 // Budget returns the configured byte cap.
@@ -55,7 +71,7 @@ func (t *Tier) Len() int {
 }
 
 // Get returns the item under key, marking it most recently used.
-func (t *Tier) Get(key string) (Sized, bool) {
+func (t *Tier) Get(key Key) (Sized, bool) {
 	t.mu.Lock()
 	el, ok := t.items[key]
 	if ok {
@@ -73,14 +89,14 @@ func (t *Tier) Get(key string) (Sized, bool) {
 // Add admits v under key, evicting least-recently-used items until it
 // fits. An item larger than the whole budget is rejected. A key already
 // resident is replaced.
-func (t *Tier) Add(key string, v Sized) bool { return t.add(key, v, true) }
+func (t *Tier) Add(key Key, v Sized) bool { return t.add(key, v, true) }
 
 // TryAdd admits v only if it fits without evicting anything. Preload uses
 // it so filling the tier in priority order stops at the budget instead of
 // demoting what was just loaded.
-func (t *Tier) TryAdd(key string, v Sized) bool { return t.add(key, v, false) }
+func (t *Tier) TryAdd(key Key, v Sized) bool { return t.add(key, v, false) }
 
-func (t *Tier) add(key string, v Sized, evict bool) bool {
+func (t *Tier) add(key Key, v Sized, evict bool) bool {
 	size := int64(v.SizeBytes())
 	if size > t.budget {
 		return false
@@ -112,7 +128,7 @@ func (t *Tier) add(key string, v Sized, evict bool) bool {
 }
 
 // Invalidate drops the item under key, if resident.
-func (t *Tier) Invalidate(key string) {
+func (t *Tier) Invalidate(key Key) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if el, ok := t.items[key]; ok {
@@ -126,7 +142,7 @@ func (t *Tier) Invalidate(key string) {
 func (t *Tier) InvalidateAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.items = map[string]*list.Element{}
+	t.items = map[Key]*list.Element{}
 	t.lru.Init()
 	t.bytes = 0
 }

@@ -1,7 +1,6 @@
 package prix
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -11,26 +10,27 @@ import (
 	"repro/internal/vtrie"
 )
 
-// This file wires the compressed in-memory hot tier (internal/hot) into the
-// query path. With Options.HotBudget > 0 the index keeps, under one LRU byte
-// budget:
+// This file wires the in-memory hot tier (internal/hot) into the query path.
+// With Options.HotBudget > 0 the index keeps, under one LRU byte budget:
 //
-//   - one compressed posting list per Trie-Symbol tree, serving the
-//     Algorithm 1 range scans without touching the forest;
-//   - the compressed Docid list, serving the terminal docid scans;
-//   - one succinct structure summary per document, serving the Algorithm 2
-//     record fetch without touching the document store.
+//   - one flat posting list per Trie-Symbol tree, serving the Algorithm 1
+//     range scans without touching the forest;
+//   - the flat Docid list, serving the terminal docid scans;
+//   - one bit-packed structure summary per document, which Algorithm 2
+//     navigates in place instead of fetching the record from the store.
 //
 // Everything in the tier is a verified cache of the authoritative B+-tree /
 // docstore image: lists replay the source tree's Scan order entry for
 // entry, summaries are round-trip-checked at admission, and every writer
 // (dynamic insert, record rewrite, forest rebuild) invalidates what it
-// touches — so results are byte-identical to the uncompressed path at every
+// touches — so results are byte-identical to the paged path at every
 // parallelism setting. Quarantined documents are re-checked on every hot
 // record hit and bypass the tier.
 //
 // Tier reads and lazy builds happen under repairMu.RLock; every structural
-// writer holds repairMu.Lock, so a build always snapshots a stable image.
+// writer holds repairMu.Lock, so a build always snapshots a stable image —
+// which is also why a query may resolve its lists once (compile) and keep
+// the pointers for its whole run.
 
 // hotState owns the tier plus admission bookkeeping. The rejected set
 // remembers keys whose built structure exceeded the whole budget, so a
@@ -39,22 +39,22 @@ import (
 type hotState struct {
 	tier     *hot.Tier
 	mu       sync.Mutex
-	rejected map[string]bool
+	rejected map[hot.Key]bool
 }
 
-func (h *hotState) skipBuild(key string) bool {
+func (h *hotState) skipBuild(key hot.Key) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.rejected[key]
 }
 
-func (h *hotState) markRejected(key string) {
+func (h *hotState) markRejected(key hot.Key) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.rejected[key] = true
 }
 
-func (h *hotState) invalidate(key string) {
+func (h *hotState) invalidate(key hot.Key) {
 	h.tier.Invalidate(key)
 	h.mu.Lock()
 	delete(h.rejected, key)
@@ -64,21 +64,20 @@ func (h *hotState) invalidate(key string) {
 func (h *hotState) invalidateAll() {
 	h.tier.InvalidateAll()
 	h.mu.Lock()
-	h.rejected = map[string]bool{}
+	h.rejected = map[hot.Key]bool{}
 	h.mu.Unlock()
 }
 
-// Tier keys: posting lists share the forest tree's name ("s<sym>", "docid")
-// under "t:", record summaries use "r:<docid>".
-func treeKey(name string) string   { return "t:" + name }
-func recKey(docID uint32) string   { return fmt.Sprintf("r:%d", docID) }
-func (ix *Index) docidKey() string { return treeKey(docidTreeName) }
-func symKey(s vtrie.Symbol) string { return treeKey(symTreeName(s)) }
+// Tier keys: comparable structs, built per lookup without allocating.
+var docidKey = hot.Key{Kind: hot.KindDocIDs}
+
+func symKey(s vtrie.Symbol) hot.Key { return hot.Key{Kind: hot.KindPostings, ID: uint32(s)} }
+func recKey(docID uint32) hot.Key   { return hot.Key{Kind: hot.KindSummary, ID: docID} }
 
 // initHot creates the tier when the options enable it.
 func (ix *Index) initHot() {
 	if ix.opts.HotBudget > 0 {
-		ix.hot = &hotState{tier: hot.NewTier(ix.opts.HotBudget), rejected: map[string]bool{}}
+		ix.hot = &hotState{tier: hot.NewTier(ix.opts.HotBudget), rejected: map[hot.Key]bool{}}
 	}
 }
 
@@ -100,7 +99,7 @@ func (ix *Index) HotStats() HotStats {
 // HotStats proxies the underlying index's tier snapshot.
 func (di *DynamicIndex) HotStats() HotStats { return di.ix.HotStats() }
 
-// buildHotPostings compresses one Trie-Symbol tree by replaying its full
+// buildHotPostings flattens one Trie-Symbol tree by replaying its full
 // Scan; entry order is exactly the tree's, so a hot Scan emits what the
 // tree's Scan would.
 func buildHotPostings(tree *btree.Tree) (*hot.Postings, error) {
@@ -116,7 +115,7 @@ func buildHotPostings(tree *btree.Tree) (*hot.Postings, error) {
 	return b.Build(), nil
 }
 
-// buildHotDocIDs compresses the Docid tree the same way.
+// buildHotDocIDs flattens the Docid tree the same way.
 func buildHotDocIDs(tree *btree.Tree) (*hot.DocIDs, error) {
 	b := hot.NewDocIDsBuilder()
 	err := tree.Scan(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(k, v []byte) bool {
@@ -132,7 +131,7 @@ func buildHotDocIDs(tree *btree.Tree) (*hot.DocIDs, error) {
 	return b.Build(), nil
 }
 
-// hotPostings returns the compressed list for one Trie-Symbol tree, building
+// hotPostings returns the resident list for one Trie-Symbol tree, building
 // and admitting it on a miss. nil means the scan must go to the tree (tier
 // disabled, list over budget, or a build I/O error the tree path will
 // surface itself).
@@ -163,7 +162,7 @@ func (ix *Index) hotDocIDs() *hot.DocIDs {
 	if ix.hot == nil || ix.docid == nil {
 		return nil
 	}
-	key := ix.docidKey()
+	key := docidKey
 	if v, ok := ix.hot.tier.Get(key); ok {
 		return v.(*hot.DocIDs)
 	}
@@ -195,7 +194,7 @@ func (ix *Index) hotSummary(docID uint32) *hot.Summary {
 }
 
 // admitHotRecord tries to cache a just-fetched record as a summary. A
-// record the succinct encoding cannot reproduce exactly is simply not
+// record the packed encoding cannot reproduce exactly is simply not
 // admitted (NewSummary returns nil after its round-trip check).
 func (ix *Index) admitHotRecord(rec *docstore.Record) {
 	if ix.hot == nil || rec == nil {
@@ -215,7 +214,7 @@ func (ix *Index) admitHotRecord(rec *docstore.Record) {
 	}
 }
 
-// hotInvalidateTree drops one symbol tree's compressed list (a posting was
+// hotInvalidateTree drops one symbol tree's resident list (a posting was
 // inserted).
 func (ix *Index) hotInvalidateTree(s vtrie.Symbol) {
 	if ix.hot != nil {
@@ -223,10 +222,10 @@ func (ix *Index) hotInvalidateTree(s vtrie.Symbol) {
 	}
 }
 
-// hotInvalidateDocid drops the compressed docid list.
+// hotInvalidateDocid drops the resident docid list.
 func (ix *Index) hotInvalidateDocid() {
 	if ix.hot != nil {
-		ix.hot.invalidate(ix.docidKey())
+		ix.hot.invalidate(docidKey)
 	}
 }
 
@@ -255,9 +254,9 @@ func (ix *Index) PreloadHot() {
 		return
 	}
 	if ix.docid != nil {
-		if _, ok := ix.hot.tier.Get(ix.docidKey()); !ok {
+		if _, ok := ix.hot.tier.Get(docidKey); !ok {
 			if d, err := buildHotDocIDs(ix.docid); err == nil {
-				if !ix.hot.tier.TryAdd(ix.docidKey(), d) {
+				if !ix.hot.tier.TryAdd(docidKey, d) {
 					return
 				}
 			}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/datagen"
+	"repro/internal/hot"
 	"repro/internal/mvcc"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
@@ -367,6 +369,47 @@ func TestHotInvalidateMutations(t *testing.T) {
 		v := hot.VersionStats().Current
 		if got, want := counts(hot, v), counts(cold, v); !reflect.DeepEqual(got, want) {
 			t.Errorf("after %s AS OF %d: hot %v, cold %v", step.name, v, got, want)
+		}
+	}
+}
+
+// TestHotSummaryNavigatesLikeRecord holds refinement's two docShape
+// implementations against each other on every document of the three
+// generated datasets, as stored by an EPIndex (the extended trees are the
+// larger ones): the packed summary must be admitted and must answer Nodes,
+// ParentOf and LabelOf — for every node and for numbers outside the tree —
+// exactly as the decoded record does.
+func TestHotSummaryNavigatesLikeRecord(t *testing.T) {
+	for _, name := range datagen.Names() {
+		ds, err := datagen.ByName(name, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := build(t, true, ds.Docs...)
+		for id := 0; id < ix.NumDocs(); id++ {
+			rec, err := ix.store.Get(uint32(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := hot.NewSummary(rec)
+			if sum == nil {
+				t.Fatalf("%s doc %d: not admitted", name, id)
+			}
+			var a, b docShape = sum, rec
+			if a.Nodes() != b.Nodes() {
+				t.Fatalf("%s doc %d: Nodes %d vs %d", name, id, a.Nodes(), b.Nodes())
+			}
+			for post := int32(-1); post <= rec.NumNodes+1; post++ {
+				as, aok := a.LabelOf(post)
+				bs, bok := b.LabelOf(post)
+				if a.ParentOf(post) != b.ParentOf(post) || as != bs || aok != bok {
+					t.Fatalf("%s doc %d node %d: summary (%d, %d, %v) vs record (%d, %d, %v)",
+						name, id, post, a.ParentOf(post), as, aok, b.ParentOf(post), bs, bok)
+				}
+			}
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package prix
 import (
 	"fmt"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -39,11 +40,11 @@ type Options struct {
 	// wrappers here so a PowerClock can cut power inside the merge phase of
 	// a streaming build; nil means plain OS files.
 	OpenFile func(path string) (pager.File, error)
-	// HotBudget, when positive, enables the compressed in-memory hot tier
-	// (internal/hot) with that many bytes: delta-coded posting lists and
-	// succinct per-document structure summaries serve the common read path
+	// HotBudget, when positive, enables the in-memory hot tier
+	// (internal/hot) with that many bytes: flat posting lists and
+	// bit-packed per-document structure summaries serve the common read path
 	// without touching the buffer pools, demoted LRU under the budget.
-	// Results are byte-identical to the uncompressed path. 0 disables it.
+	// Results are byte-identical to the paged path. 0 disables it.
 	HotBudget int64
 }
 
@@ -144,7 +145,7 @@ type Index struct {
 	// scrubber operating on the shared *Index needs no knowledge of the
 	// dynamic wrapper.
 	repairMu sync.RWMutex
-	// hot is the compressed in-memory tier (nil when Options.HotBudget is
+	// hot is the in-memory hot tier (nil when Options.HotBudget is
 	// 0). See hot.go for the caching and invalidation contract.
 	hot *hotState
 	// versions is the MVCC version map (nil until the first mutation or an
@@ -175,7 +176,7 @@ func LookupSymbol(dict *docstore.Dict, label string, isValue bool) (vtrie.Symbol
 }
 
 // symTreeName returns the forest tree name of a Trie-Symbol index.
-func symTreeName(s vtrie.Symbol) string { return fmt.Sprintf("s%d", s) }
+func symTreeName(s vtrie.Symbol) string { return "s" + strconv.FormatUint(uint64(s), 10) }
 
 // docidTreeName is the forest tree name of the Docid index.
 const docidTreeName = "docid"

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/btree"
 	"repro/internal/docstore"
+	"repro/internal/hot"
+	"repro/internal/mvcc"
 	"repro/internal/obs"
 	"repro/internal/prufer"
 	"repro/internal/twig"
@@ -54,11 +57,11 @@ type QueryStats struct {
 	// memoizing record cache instead of the store.
 	RecordCacheHits int
 	// HotPostingHits counts Algorithm 1 range scans (trie and docid) served
-	// from the compressed hot tier instead of a B+-tree. Each such scan is
+	// from the hot tier instead of a B+-tree. Each such scan is
 	// still counted in RangeQueries, so hot and cold runs report identical
 	// RangeQueries.
 	HotPostingHits int
-	// HotRecordHits counts record fetches decoded from a hot structure
+	// HotRecordHits counts record fetches served by a resident hot structure
 	// summary instead of the document store; still counted in RecordFetches.
 	HotRecordHits int
 	// Elapsed is wall-clock query time.
@@ -306,17 +309,6 @@ func lessInt32s(a, b []int32) bool {
 	return len(a) < len(b)
 }
 
-func imageSetKey(m Match) string {
-	imgs := append([]int32(nil), m.Images...)
-	sort.Slice(imgs, func(i, j int) bool { return imgs[i] < imgs[j] })
-	b := make([]byte, 0, 4+len(imgs)*5)
-	b = append(b, byte(m.DocID), byte(m.DocID>>8), byte(m.DocID>>16), byte(m.DocID>>24))
-	for _, v := range imgs {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), ',')
-	}
-	return string(b)
-}
-
 // plan is a query compiled against this index's dictionary.
 type plan struct {
 	pat *twig.Pattern
@@ -331,6 +323,11 @@ type plan struct {
 	lastOcc []bool
 	// prune[i] describes the Theorem 4 rule for the pair (i-1, i).
 	prune []pruneRule
+	// levels[i] is where level i's range queries go and docids where the
+	// terminal docid scans go, resolved once per query: the index is
+	// read-locked for the whole Match, so the pointers stay valid.
+	levels []levelSource
+	docids docidSource
 	// leaves lists query leaves for the refinement-by-leaf phase.
 	leaves []docstore.Leaf
 	// dummy[p-1] marks extended-pattern dummy nodes (excluded from the
@@ -344,8 +341,34 @@ type plan struct {
 }
 
 type pruneRule struct {
-	kind byte // 0 none, 1 child rule, 2 ancestor rule
-	sym  vtrie.Symbol
+	kind   byte  // 0 none, 1 child rule, 2 ancestor rule
+	maxGap int64 // MaxGap of the symbol the rule bounds
+}
+
+// pruned applies the Theorem 4 rule to the data gap between two
+// consecutive matched positions.
+func (r pruneRule) pruned(gap int64) bool {
+	return (r.kind == 1 && gap > r.maxGap+1) || (r.kind == 2 && gap >= r.maxGap)
+}
+
+// levelSource is one query level's posting source: the Trie-Symbol tree
+// (nil when the symbol heads no sequence position) and, when resident, its
+// hot list, which then serves every range query of the level.
+type levelSource struct {
+	tree *btree.Tree
+	hot  *hot.Postings
+}
+
+// docidSource is the Docid index and, when resident, its hot list.
+type docidSource struct {
+	tree *btree.Tree
+	hot  *hot.DocIDs
+}
+
+// hit is one posting a level's range query returned.
+type hit struct {
+	left, right uint64
+	level       uint32
 }
 
 // compile prepares the query against the index. A nil plan with no error
@@ -383,6 +406,7 @@ func (ix *Index) compile(q *twig.Query) (*plan, error) {
 	}
 	p.syms = make([]vtrie.Symbol, pat.Seq.Len())
 	p.npsQ = make([]int32, pat.Seq.Len())
+	p.levels = make([]levelSource, pat.Seq.Len())
 	for i := 0; i < pat.Seq.Len(); i++ {
 		parent := pat.Doc.Node(pat.Seq.Numbers[i])
 		sym, ok := LookupSymbol(dict, parent.Label, parent.IsValue)
@@ -391,7 +415,11 @@ func (ix *Index) compile(q *twig.Query) (*plan, error) {
 		}
 		p.syms[i] = sym
 		p.npsQ[i] = int32(pat.Seq.Numbers[i])
+		if tree := ix.forest.Lookup(symTreeName(sym)); tree != nil {
+			p.levels[i] = levelSource{tree: tree, hot: ix.hotPostings(sym, tree)}
+		}
 	}
+	p.docids = docidSource{tree: ix.docid, hot: ix.hotDocIDs()}
 	p.lastOcc = make([]bool, len(p.npsQ))
 	for i := range p.npsQ {
 		last := true
@@ -422,11 +450,11 @@ func (ix *Index) compile(q *twig.Query) (*plan, error) {
 			// most MaxGap(A)+1 in the data. a's own edge must be exact:
 			// under a wildcard edge the matched position is a proxy
 			// deletion that can trail arbitrarily far behind.
-			p.prune[i] = pruneRule{kind: 1, sym: p.syms[i-1]}
+			p.prune[i] = pruneRule{kind: 1, maxGap: ix.maxGap[p.syms[i-1]]}
 		case a != int(p.npsQ[i]) && aNode.Left < bNode.Left && bNode.Right < aNode.Right:
 			// Case 2: a is a proper ancestor of b; the pair stays
 			// strictly inside a's image's children span.
-			p.prune[i] = pruneRule{kind: 2, sym: p.syms[i-1]}
+			p.prune[i] = pruneRule{kind: 2, maxGap: ix.maxGap[p.syms[i-1]]}
 		}
 	}
 	for _, n := range pat.Doc.Nodes {
@@ -448,9 +476,9 @@ func (ix *Index) compile(q *twig.Query) (*plan, error) {
 // matchOrdered runs filtering + refinement for one (arranged) query.
 // workers > 1 decouples the two algorithms into the pipelined path
 // (parallel.go); 1 is the exact legacy inline path. fetch, when non-nil,
-// replaces Index.getRecord as the record source — the arrangement fan-out
-// passes a query-wide memoizing cache so a record shared by candidates of
-// several arrangements is fetched and decoded once. nil keeps the legacy
+// replaces Index.shapeFetcher as the document source — the arrangement
+// fan-out passes a query-wide memoizing cache so a document shared by
+// candidates of several arrangements is fetched once. nil keeps the legacy
 // fetch-per-candidate behaviour (and lets the pipelined path build its own
 // per-query cache).
 func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStats,
@@ -468,14 +496,15 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 		return ix.matchPipelined(p, opts, stats, workers, fetch, sp)
 	}
 	if fetch == nil {
-		fetch = ix.recordFetcher(opts.AsOf)
+		fetch = ix.shapeFetcher(opts.AsOf)
 	}
 	var out []Match
 	// Wildcard edges make the matched subsequence a proxy witness: one
 	// embedding can be witnessed by several position lists, so matches
 	// are deduplicated by their canonical image tuple.
 	seen := map[string]bool{}
-	S := make([]int32, len(p.syms))
+	sc := getScratch(len(p.syms))
+	defer putScratch(sc)
 	// The serial path interleaves refinement inside the descent's emit
 	// callback, so descent time is derived: the filter loop's wall time
 	// minus the time spent inside emits (which the refine span accounts
@@ -484,15 +513,15 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 	rsp := sp.Child("refine")
 	var emitNS int64
 	f0 := fsp.Start()
-	err = ix.findSubsequence(p, opts, stats, 0, 0, vtrie.MaxRange, S, func(docID uint32) error {
+	err = ix.findSubsequence(p, &opts, stats, sc, 0, 0, vtrie.MaxRange, func(docID uint32) error {
 		e0 := rsp.Start()
 		stats.Candidates++
-		m, ok, err := ix.refine(p, docID, S, stats, fetch, rsp)
+		m, ok, err := ix.refine(p, docID, sc.S, sc.N, stats, fetch, rsp)
 		if err == nil && ok {
 			d0 := rsp.Start()
-			k := embeddingKey(m)
-			if !seen[k] {
-				seen[k] = true
+			sc.key = appendKey(sc.key[:0], m.DocID, m.Images)
+			if !seen[string(sc.key)] {
+				seen[string(sc.key)] = true
 				out = append(out, m)
 			}
 			rsp.Stage(obs.StageReduce, d0)
@@ -511,165 +540,263 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 	return out, nil
 }
 
+// scratch is the per-descent working memory: one hit buffer per query level
+// (reused by sibling recursions at that level), the matched positions S,
+// refinement's N, and dedup-key bytes. A scratch belongs to exactly one
+// goroutine's descent from getScratch to putScratch — the serial Match, or
+// one spawned branch of the pipelined descent — and nothing that outlives
+// that window may alias it: refine copies S into a surviving Match, the
+// pipeline copies S per candidate, and map keys are copied by the insert.
+type scratch struct {
+	hits [][]hit
+	S, N []int32
+	key  []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch takes a scratch sized for a query of the given sequence length.
+func getScratch(levels int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	for len(sc.hits) < levels {
+		sc.hits = append(sc.hits, nil)
+	}
+	if cap(sc.S) < levels {
+		sc.S, sc.N = make([]int32, levels), make([]int32, levels)
+	}
+	sc.S, sc.N = sc.S[:levels], sc.N[:levels]
+	return sc
+}
+
+func putScratch(sc *scratch) { scratchPool.Put(sc) }
+
+// scanLevel is Algorithm 1's range query (ql, qr] at query level i, the one
+// place a hot list and a B+-tree are told apart: it fills sc.hits[i] and
+// returns it. par > 1 (the pipelined descent) warms a paged range first.
+func scanLevel(p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, par int, sp *obs.Span) ([]hit, error) {
+	src := p.levels[i]
+	hits := sc.hits[i][:0]
+	if src.tree == nil {
+		return hits, nil
+	}
+	stats.RangeQueries++
+	var err error
+	if src.hot != nil {
+		stats.HotPostingHits++
+		src.hot.Scan(ql, qr, false, true, func(l, r uint64, lvl uint32) bool {
+			hits = append(hits, hit{left: l, right: r, level: lvl})
+			return true
+		})
+	} else {
+		lo, hi := btree.KeyUint64(ql), btree.KeyUint64(qr)
+		prefetch(src.tree, lo, hi, false, par, sp)
+		err = src.tree.Scan(lo, hi, false, true, func(k, v []byte) bool {
+			r, lvl := decodePosting(v)
+			hits = append(hits, hit{left: btree.Uint64Key(k), right: r, level: lvl})
+			return true
+		})
+	}
+	sc.hits[i] = hits // keep the grown buffer for the level's next range query
+	return hits, err
+}
+
+// scanDocIDs is scanLevel's docid twin: the terminal range query
+// [left, right] over the Docid index, calling emit for every document
+// visible at opts.AsOf whose sequence ends in the range.
+func (ix *Index) scanDocIDs(p *plan, opts *MatchOptions, left, right uint64, stats *QueryStats,
+	par int, sp *obs.Span, emit func(docID uint32) error) error {
+	stats.RangeQueries++
+	var emitErr error
+	visit := func(term uint64, id uint32) bool {
+		if !ix.visibleAt(id, term, opts.AsOf) {
+			return true
+		}
+		emitErr = emit(id)
+		return emitErr == nil
+	}
+	if p.docids.hot != nil {
+		stats.HotPostingHits++
+		p.docids.hot.Scan(left, right, true, true, visit)
+		return emitErr
+	}
+	lo, hi := btree.KeyUint64(left), btree.KeyUint64(right)
+	prefetch(p.docids.tree, lo, hi, true, par, sp)
+	err := p.docids.tree.Scan(lo, hi, true, true, func(k, v []byte) bool {
+		// Tombstones and other non-entry values ride in the same tree; live
+		// docid entries are exactly 4 bytes.
+		return len(v) != 4 || visit(btree.Uint64Key(k), decodeDocID(v))
+	})
+	if err != nil {
+		return err
+	}
+	return emitErr
+}
+
+// prefetch is the pipelined descent's readahead: a cold Scan discovers each
+// next leaf only from the previous one, a serial chain of device waits;
+// warming the in-range leaves from the internal nodes first turns that
+// chain into min(par, leaves) concurrent reads. The serial path (par <= 1)
+// skips it.
+func prefetch(tree *btree.Tree, lo, hi []byte, loIncl bool, par int, sp *obs.Span) {
+	if par <= 1 {
+		return
+	}
+	p0 := sp.Start()
+	warmed := tree.Prefetch(lo, hi, loIncl, par)
+	sp.Stage(obs.StagePrefetch, p0)
+	if warmed > 0 {
+		sp.AddInt("prefetched_pages", int64(warmed))
+	}
+}
+
 // findSubsequence is Algorithm 1: a range query per query-sequence element,
 // descending through the virtual trie.
-func (ix *Index) findSubsequence(p *plan, opts MatchOptions, stats *QueryStats,
-	i int, ql, qr uint64, S []int32, emit func(docID uint32) error) error {
+func (ix *Index) findSubsequence(p *plan, opts *MatchOptions, stats *QueryStats, sc *scratch,
+	i int, ql, qr uint64, emit func(docID uint32) error) error {
 	// Cancellation is observed between range queries: every recursion level
 	// issues at least one, so a deadline cuts a slow wildcard scan off
 	// without leaving any shared state behind (the index is read-only).
 	if err := opts.context().Err(); err != nil {
 		return fmt.Errorf("prix: match canceled: %w", err)
 	}
-	tree := ix.forest.Lookup(symTreeName(p.syms[i]))
-	if tree == nil {
-		return nil
-	}
-	stats.RangeQueries++
-	type hit struct {
-		left, right uint64
-		level       uint32
-	}
-	var hits []hit
-	if hp := ix.hotPostings(p.syms[i], tree); hp != nil {
-		stats.HotPostingHits++
-		hp.Scan(ql, qr, false, true, func(l, r uint64, lvl uint32) bool {
-			hits = append(hits, hit{left: l, right: r, level: lvl})
-			return true
-		})
-	} else if err := tree.Scan(btree.KeyUint64(ql), btree.KeyUint64(qr), false, true, func(k, v []byte) bool {
-		r, lvl := decodePosting(v)
-		hits = append(hits, hit{left: btree.Uint64Key(k), right: r, level: lvl})
-		return true
-	}); err != nil {
+	hits, err := scanLevel(p, i, ql, qr, stats, sc, 1, nil)
+	if err != nil {
 		return err
 	}
+	S := sc.S
 	for _, h := range hits {
 		S[i] = int32(h.level)
-		if i > 0 && !opts.DisableMaxGap {
-			if rule := p.prune[i]; rule.kind != 0 {
-				gap := int64(S[i] - S[i-1])
-				mg := ix.maxGap[rule.sym]
-				if (rule.kind == 1 && gap > mg+1) || (rule.kind == 2 && gap >= mg) {
-					stats.TriePathsPruned++
-					continue
-				}
-			}
+		if i > 0 && !opts.DisableMaxGap && p.prune[i].pruned(int64(S[i]-S[i-1])) {
+			stats.TriePathsPruned++
+			continue
 		}
 		if i == len(p.syms)-1 {
 			// Fetch documents whose sequences end at or below this node.
-			stats.RangeQueries++
-			var emitErr error
-			var scanErr error
-			if hd := ix.hotDocIDs(); hd != nil {
-				stats.HotPostingHits++
-				hd.Scan(h.left, h.right, true, true, func(term uint64, id uint32) bool {
-					if !ix.visibleAt(id, term, opts.AsOf) {
-						return true
-					}
-					if e := emit(id); e != nil {
-						emitErr = e
-						return false
-					}
-					return true
-				})
-			} else {
-				scanErr = ix.docid.Scan(btree.KeyUint64(h.left), btree.KeyUint64(h.right), true, true,
-					func(k, v []byte) bool {
-						// Tombstones and other non-entry values ride in the
-						// same tree; live docid entries are exactly 4 bytes.
-						if len(v) != 4 {
-							return true
-						}
-						id := decodeDocID(v)
-						if !ix.visibleAt(id, btree.Uint64Key(k), opts.AsOf) {
-							return true
-						}
-						if e := emit(id); e != nil {
-							emitErr = e
-							return false
-						}
-						return true
-					})
-			}
-			if scanErr != nil {
-				return scanErr
-			}
-			if emitErr != nil {
-				return emitErr
-			}
+			err = ix.scanDocIDs(p, opts, h.left, h.right, stats, 1, nil, emit)
 		} else {
-			if err := ix.findSubsequence(p, opts, stats, i+1, h.left, h.right, S, emit); err != nil {
-				return err
-			}
+			err = ix.findSubsequence(p, opts, stats, sc, i+1, h.left, h.right, emit)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// getRecord reads a document record for query processing, implementing the
-// graceful-degradation contract: quarantined documents are skipped and
-// documents whose records prove corrupt are quarantined on the spot and
-// skipped (nil record, nil error, stats.Degraded set). Transient faults
-// propagate so callers can retry.
-func (ix *Index) getRecord(docID uint32, stats *QueryStats) (*docstore.Record, error) {
-	stats.RecordFetches++
-	if s := ix.hotSummary(docID); s != nil {
-		// Quarantine is re-checked on every hit so a document degraded
-		// after admission (by a concurrent query's corruption discovery)
-		// is skipped exactly like the uncompressed path skips it.
-		if !ix.store.IsQuarantined(docID) {
-			stats.HotRecordHits++
-			return s.Record(), nil
+// fetchAsOf resolves the image of docID visible at asOf (0 = latest) for
+// query processing: a resident hot summary, else the record from the store
+// (the current one, or the superseded image an interval points back to).
+// It implements the graceful-degradation contract: quarantined documents
+// are skipped, and documents whose records prove corrupt are quarantined on
+// the spot and skipped (nil, nil, nil with stats.Degraded set; an
+// unreadable old image degrades the read without quarantining the document
+// — its current image may be perfectly healthy). Documents not visible at
+// asOf return nil too. Transient faults propagate so callers can retry.
+func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats) (*hot.Summary, *docstore.Record, error) {
+	var oldLoc mvcc.Loc
+	if ix.versions != nil {
+		iv, ok := ix.versions.At(docID, asOf)
+		if !ok {
+			return nil, nil, nil
 		}
-		ix.hotInvalidateDoc(docID)
-		stats.Degraded = true
-		return nil, nil
+		oldLoc = iv.Loc
 	}
-	rec, err := ix.store.Get(docID)
+	stats.RecordFetches++
+	var rec *docstore.Record
+	var err error
+	if oldLoc.Zero() {
+		if s := ix.hotSummary(docID); s != nil {
+			// Quarantine is re-checked on every hit so a document degraded
+			// after admission (by a concurrent query's corruption discovery)
+			// is skipped exactly like the paged path skips it.
+			if !ix.store.IsQuarantined(docID) {
+				stats.HotRecordHits++
+				return s, nil, nil
+			}
+			ix.hotInvalidateDoc(docID)
+			stats.Degraded = true
+			return nil, nil, nil
+		}
+		if rec, err = ix.store.Get(docID); err == nil {
+			ix.admitHotRecord(rec)
+			return nil, rec, nil
+		}
+	} else if rec, err = ix.store.GetAtLoc(docID, toStoreLoc(oldLoc)); err == nil {
+		return nil, rec, nil
+	}
 	switch {
-	case err == nil:
-		ix.admitHotRecord(rec)
-		return rec, nil
 	case errors.Is(err, docstore.ErrQuarantined):
 		stats.Degraded = true
-		return nil, nil
+		return nil, nil, nil
 	case IsCorruption(err):
-		ix.store.Quarantine(docID)
-		ix.hotInvalidateDoc(docID)
+		if oldLoc.Zero() {
+			ix.store.Quarantine(docID)
+			ix.hotInvalidateDoc(docID)
+		}
 		stats.Degraded = true
-		return nil, nil
-	default:
-		return nil, err
+		return nil, nil, nil
 	}
+	return nil, nil, err
+}
+
+// getRecordAsOf is fetchAsOf for the paths that read whole records (the
+// single-node scan, the exhaustive fallback, reconstruction): a resident
+// summary is decoded back into a record.
+func (ix *Index) getRecordAsOf(docID uint32, asOf uint64, stats *QueryStats) (*docstore.Record, error) {
+	s, rec, err := ix.fetchAsOf(docID, asOf, stats)
+	if s != nil {
+		return s.Record(), nil
+	}
+	return rec, err
 }
 
 // Quarantined returns the docids currently quarantined in the document
 // store (ascending; empty when healthy).
 func (ix *Index) Quarantined() []uint32 { return ix.store.Quarantined() }
 
-// recordSource fetches one document record for refinement. The serial path
-// passes Index.getRecord; the pipelined path passes a per-query memoizing
-// cache so a record shared by many candidates is fetched once.
-type recordSource func(docID uint32, stats *QueryStats) (*docstore.Record, error)
+// docShape is what Algorithm 2 reads of a data tree. A *docstore.Record
+// answers from its decoded NPS/LPS/leaf lists and a resident *hot.Summary
+// from its packed vector in place, so a hot record hit decodes nothing.
+type docShape interface {
+	Nodes() int32
+	ParentOf(post int32) int32 // 0 for the root and for numbers outside the tree
+	LabelOf(post int32) (vtrie.Symbol, bool)
+}
+
+// recordSource fetches one document's shape for refinement; a nil shape
+// with a nil error means "skip this document". The serial path passes
+// shapeFetcher's fetch-per-candidate source, the pipelined path a per-query
+// memoizing cache so a document shared by many candidates is fetched once.
+type recordSource func(docID uint32, stats *QueryStats) (docShape, error)
+
+// shapeFetcher adapts fetchAsOf to the recordSource shape.
+func (ix *Index) shapeFetcher(asOf uint64) recordSource {
+	return func(docID uint32, stats *QueryStats) (docShape, error) {
+		s, rec, err := ix.fetchAsOf(docID, asOf, stats)
+		switch {
+		case s != nil:
+			return s, nil
+		case rec != nil:
+			return rec, nil
+		}
+		return nil, err
+	}
+}
 
 // refine is Algorithm 2: connectedness (with the §4.5 wildcard chase), gap
 // consistency, frequency consistency and leaf matching. Each phase is
 // charged to its own stage on sp (nil-safe): fetch, connect, structure,
-// leaves.
-func (ix *Index) refine(p *plan, docID uint32, S []int32, stats *QueryStats,
+// leaves. S is read and N is scratch; a surviving Match owns fresh copies.
+func (ix *Index) refine(p *plan, docID uint32, S, N []int32, stats *QueryStats,
 	fetch recordSource, sp *obs.Span) (Match, bool, error) {
 	t0 := sp.Start()
-	rec, err := fetch(docID, stats)
+	doc, err := fetch(docID, stats)
 	sp.Stage(obs.StageFetch, t0)
-	if err != nil {
+	if err != nil || doc == nil {
 		return Match{}, false, err
 	}
-	if rec == nil {
-		return Match{}, false, nil
-	}
 	t1 := sp.Start()
-	N, maxN, ok := refineConnect(p, rec, S)
+	maxN, ok := refineConnect(p, doc, S, N)
 	sp.Stage(obs.StageConnect, t1)
 	if !ok {
 		return Match{}, false, nil
@@ -681,27 +808,21 @@ func (ix *Index) refine(p *plan, docID uint32, S []int32, stats *QueryStats,
 		return Match{}, false, nil
 	}
 	t3 := sp.Start()
-	m, ok := refineLeaves(p, rec, docID, S, N, maxN)
+	m, ok := refineLeaves(p, doc, docID, S, N, maxN)
 	sp.Stage(obs.StageLeaves, t3)
 	return m, ok, nil
 }
 
-// refineConnect builds N from S (bounds-checked) and applies refinement by
-// connectedness; a false return rejects the candidate.
-func refineConnect(p *plan, rec *docstore.Record, S []int32) (N []int32, maxN int32, ok bool) {
+// refineConnect fills N from S (N[i] = N_D[S_i], rejecting positions outside
+// the sequence) and applies refinement by connectedness; a false return
+// rejects the candidate.
+func refineConnect(p *plan, doc docShape, S, N []int32) (maxN int32, ok bool) {
 	n := len(S)
-	N = make([]int32, n) // N[i] = N_D[S_i]
 	for i := 0; i < n; i++ {
-		if int(S[i]) > len(rec.NPS) {
-			return nil, 0, false
+		if N[i] = doc.ParentOf(S[i]); N[i] == 0 {
+			return 0, false
 		}
-		N[i] = rec.NPS[S[i]-1]
-	}
-	maxN = N[0]
-	for _, v := range N {
-		if v > maxN {
-			maxN = v
-		}
+		maxN = max(maxN, N[i])
 	}
 	// Refinement by connectedness (Algorithm 2 lines 1-4, with wildcard
 	// edges chased through the data NPS as in §4.5). At the last
@@ -718,15 +839,15 @@ func refineConnect(p *plan, rec *docstore.Record, S []int32) (N []int32, maxN in
 		// If position i is not also the last occurrence on the query
 		// side the candidate would fail frequency consistency anyway.
 		if !p.lastOcc[i] {
-			return nil, 0, false
+			return 0, false
 		}
 		if i+1 >= n {
-			return nil, 0, false
+			return 0, false
 		}
 		edge := p.edges[p.npsQ[i]-1]
 		if edge.Exact() {
 			if S[i+1] != N[i] {
-				return nil, 0, false
+				return 0, false
 			}
 			continue
 		}
@@ -734,7 +855,7 @@ func refineConnect(p *plan, rec *docstore.Record, S []int32) (N []int32, maxN in
 		cur := N[i]
 		okChase := false
 		for cur != 0 {
-			cur = rec.ParentOf(cur)
+			cur = doc.ParentOf(cur)
 			steps++
 			if edge.Max != twig.Unbounded && steps > edge.Max {
 				break
@@ -745,10 +866,10 @@ func refineConnect(p *plan, rec *docstore.Record, S []int32) (N []int32, maxN in
 			}
 		}
 		if !okChase {
-			return nil, 0, false
+			return 0, false
 		}
 	}
-	return N, maxN, true
+	return maxN, true
 }
 
 // refineStructure is refinement by structure: gap consistency
@@ -779,13 +900,13 @@ func refineStructure(p *plan, N []int32) bool {
 
 // refineLeaves is the tail of Algorithm 2: root placement, refinement by
 // matching leaf nodes (§4.4), and building the canonical embedding.
-func refineLeaves(p *plan, rec *docstore.Record, docID uint32, S, N []int32, maxN int32) (Match, bool) {
+func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32) (Match, bool) {
 	// Root placement: anchored queries must map the root onto the
 	// document root; leading stars constrain the root image's depth.
 	if p.anchored || p.rootEdge.Min > 1 {
-		depth := rootDepth(rec, maxN)
+		depth := rootDepth(doc, maxN)
 		if p.anchored {
-			if maxN != rec.NumNodes || p.rootEdge.Min != depth {
+			if maxN != doc.Nodes() || p.rootEdge.Min != depth {
 				return Match{}, false
 			}
 		} else if depth < p.rootEdge.Min ||
@@ -799,16 +920,19 @@ func refineLeaves(p *plan, rec *docstore.Record, docID uint32, S, N []int32, max
 	// dummy children added under every data leaf, so the check still
 	// works uniformly (and is cheap).
 	for _, leaf := range p.leaves {
-		img := S[leaf.Post-1]
-		sym, ok := labelOf(rec, img)
+		sym, ok := doc.LabelOf(S[leaf.Post-1])
 		if !ok || sym != leaf.Sym {
 			return Match{}, false
 		}
 	}
-	// Canonical embedding: internal query nodes take their image from N
-	// (well defined by frequency consistency); leaves take the matched
-	// deletion itself (their edges are exact by construction).
-	images := make([]int32, p.m)
+	// The candidate survived: only now does it get memory of its own, one
+	// block holding Positions (a copy of S) then Images. Canonical
+	// embedding: internal query nodes take their image from N (well defined
+	// by frequency consistency); leaves take the matched deletion itself
+	// (their edges are exact by construction).
+	buf := make([]int32, len(S)+p.m)
+	positions, images := buf[:len(S):len(S)], buf[len(S):]
+	copy(positions, S)
 	for i, q := range p.npsQ {
 		if images[q-1] == 0 {
 			images[q-1] = N[i]
@@ -819,22 +943,7 @@ func refineLeaves(p *plan, rec *docstore.Record, docID uint32, S, N []int32, max
 			images[q-1] = S[q-1]
 		}
 	}
-	return Match{
-		DocID:     docID,
-		Positions: append([]int32(nil), S...),
-		Images:    images,
-		Root:      maxN,
-	}, true
-}
-
-// embeddingKey renders a match's canonical embedding as a map key.
-func embeddingKey(m Match) string {
-	b := make([]byte, 0, 4+len(m.Images)*5)
-	b = append(b, byte(m.DocID), byte(m.DocID>>8), byte(m.DocID>>16), byte(m.DocID>>24))
-	for _, v := range m.Images {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), ',')
-	}
-	return string(b)
+	return Match{DocID: docID, Positions: positions, Images: images, Root: maxN}, true
 }
 
 // isLastOccurrence reports whether N[i] does not occur after index i.
@@ -848,33 +957,12 @@ func isLastOccurrence(N []int32, i int) bool {
 }
 
 // rootDepth returns the level (root = 1) of the node numbered post.
-func rootDepth(rec *docstore.Record, post int32) int {
+func rootDepth(doc docShape, post int32) int {
 	depth := 1
-	for cur := post; cur != rec.NumNodes; {
-		cur = rec.ParentOf(cur)
-		if cur == 0 {
-			break
-		}
+	for cur := doc.ParentOf(post); cur != 0; cur = doc.ParentOf(cur) {
 		depth++
 	}
 	return depth
-}
-
-// labelOf resolves the label symbol of data node `post`: leaves from the
-// leaf list, internal nodes from the first LPS position whose NPS entry is
-// the node (Example 6's "search LPS/NPS" step).
-func labelOf(rec *docstore.Record, post int32) (vtrie.Symbol, bool) {
-	for _, l := range rec.Leaves {
-		if l.Post == post {
-			return l.Sym, true
-		}
-	}
-	for i, v := range rec.NPS {
-		if v == post {
-			return rec.LPS[i], true
-		}
-	}
-	return 0, false
 }
 
 func abs64(v int64) int64 {

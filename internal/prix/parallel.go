@@ -2,14 +2,14 @@ package prix
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/btree"
-	"repro/internal/docstore"
 	"repro/internal/obs"
 	"repro/internal/twig"
 	"repro/internal/vtrie"
@@ -74,13 +74,17 @@ func (ix *Index) matchArrangements(queries []*twig.Query, opts MatchOptions, sta
 	t0 := sp.Start()
 	seen := map[string]bool{}
 	var out []Match
+	var imgs []int32
+	var key []byte
 	for _, ms := range perArrangement {
 		for _, m := range ms {
-			k := imageSetKey(m)
-			if seen[k] {
+			imgs = append(imgs[:0], m.Images...)
+			slices.Sort(imgs)
+			key = appendKey(key[:0], m.DocID, imgs)
+			if seen[string(key)] {
 				continue
 			}
-			seen[k] = true
+			seen[string(key)] = true
 			out = append(out, m)
 		}
 	}
@@ -197,15 +201,14 @@ type candEntry struct {
 	bestOrd string
 }
 
-// encodePath renders a descent path (one hit index per trie level plus the
-// docid-scan ordinal) as a fixed-width big-endian string, so lexicographic
+// appendPath renders a descent path (one hit index per trie level plus the
+// docid-scan ordinal) as fixed-width big-endian bytes, so lexicographic
 // comparison equals the serial depth-first emission order.
-func encodePath(path []int32) string {
-	b := make([]byte, 0, len(path)*4)
+func appendPath(b []byte, path []int32) []byte {
 	for _, v := range path {
-		b = append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+		b = binary.BigEndian.AppendUint32(b, uint32(v))
 	}
-	return string(b)
+	return b
 }
 
 // descent fans the Algorithm 1 trie walk out across a bounded worker pool.
@@ -232,9 +235,11 @@ type descent struct {
 // run walks every subtree and blocks until the spawned branches join,
 // merging their stats into stats. The returned error prefers a real
 // failure over the cancellations (and refinement aborts) it caused.
-func (d *descent) run(stats *QueryStats, S []int32) error {
+func (d *descent) run(stats *QueryStats) error {
 	w0 := d.sp.Start()
-	root := d.step(stats, d.sp, 0, 0, vtrie.MaxRange, S, make([]int32, 0, len(d.p.syms)+1))
+	sc := getScratch(len(d.p.syms))
+	root := d.step(stats, d.sp, sc, 0, 0, vtrie.MaxRange, make([]int32, 0, len(d.p.syms)+1))
+	putScratch(sc)
 	d.closeBranch(d.sp, w0) // before wg.Wait: the join is pipeline idle, not walking
 	d.wg.Wait()
 	for _, ks := range d.kids {
@@ -274,161 +279,85 @@ func isSecondaryErr(err error) bool {
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// step mirrors Index.findSubsequence exactly — one range query per level,
-// MaxGap pruning, docid scan at the last level — but hands whole hit
-// subtrees to free workers instead of always recursing inline. Spawning
-// only moves work between goroutines; the path tags keep the reduction
-// order fixed.
-func (d *descent) step(stats *QueryStats, sp *obs.Span, i int, ql, qr uint64, S, path []int32) error {
+// step mirrors Index.findSubsequence exactly — the same scanLevel range
+// query per level, MaxGap pruning, scanDocIDs at the last level — but hands
+// whole hit subtrees to free workers instead of always recursing inline.
+// Spawning only moves work between goroutines; the path tags keep the
+// reduction order fixed.
+func (d *descent) step(stats *QueryStats, sp *obs.Span, sc *scratch, i int, ql, qr uint64, path []int32) error {
 	if err := d.opts.context().Err(); err != nil {
 		return fmt.Errorf("prix: match canceled: %w", err)
 	}
-	tree := d.ix.forest.Lookup(symTreeName(d.p.syms[i]))
-	if tree == nil {
-		return nil
+	hits, err := scanLevel(d.p, i, ql, qr, stats, sc, d.par, sp)
+	if err != nil {
+		return err
 	}
-	stats.RangeQueries++
-	type hit struct {
-		left, right uint64
-		level       uint32
-	}
-	var hits []hit
-	if hp := d.ix.hotPostings(d.p.syms[i], tree); hp != nil {
-		// A hot list is decoded from memory: no pages to prefetch.
-		stats.HotPostingHits++
-		hp.Scan(ql, qr, false, true, func(l, r uint64, lvl uint32) bool {
-			hits = append(hits, hit{left: l, right: r, level: lvl})
-			return true
-		})
-	} else {
-		// Readahead: a cold Scan discovers each next leaf only from the
-		// previous one, a serial chain of device waits; warming the in-range
-		// leaves from the internal nodes first turns that chain into
-		// min(par, leaves) concurrent reads.
-		p0 := sp.Start()
-		warmed := tree.Prefetch(btree.KeyUint64(ql), btree.KeyUint64(qr), false, d.par)
-		sp.Stage(obs.StagePrefetch, p0)
-		if warmed > 0 {
-			sp.AddInt("prefetched_pages", int64(warmed))
+	S := sc.S
+	last := i == len(d.p.syms)-1
+	for hi, h := range hits {
+		S[i] = int32(h.level)
+		if i > 0 && !d.opts.DisableMaxGap && d.p.prune[i].pruned(int64(S[i]-S[i-1])) {
+			stats.TriePathsPruned++
+			continue
 		}
-		err := tree.Scan(btree.KeyUint64(ql), btree.KeyUint64(qr), false, true, func(k, v []byte) bool {
-			r, lvl := decodePosting(v)
-			hits = append(hits, hit{left: btree.Uint64Key(k), right: r, level: lvl})
-			return true
-		})
+		if last {
+			ord := int32(0)
+			err = d.ix.scanDocIDs(d.p, &d.opts, h.left, h.right, stats, d.par, sp, func(id uint32) error {
+				e := d.emit(append(path, int32(hi), ord), id, S, stats, sp)
+				ord++
+				return e
+			})
+		} else if !d.spawn(i, hi, h, S, path) {
+			err = d.step(stats, sp, sc, i+1, h.left, h.right, append(path, int32(hi)))
+		}
 		if err != nil {
 			return err
 		}
 	}
-	last := i == len(d.p.syms)-1
-	for hi, h := range hits {
-		S[i] = int32(h.level)
-		if i > 0 && !d.opts.DisableMaxGap {
-			if rule := d.p.prune[i]; rule.kind != 0 {
-				gap := int64(S[i] - S[i-1])
-				mg := d.ix.maxGap[rule.sym]
-				if (rule.kind == 1 && gap > mg+1) || (rule.kind == 2 && gap >= mg) {
-					stats.TriePathsPruned++
-					continue
-				}
-			}
-		}
-		if last {
-			stats.RangeQueries++
-			ord := int32(0)
-			var emitErr error
-			var scanErr error
-			if hd := d.ix.hotDocIDs(); hd != nil {
-				stats.HotPostingHits++
-				hd.Scan(h.left, h.right, true, true, func(term uint64, id uint32) bool {
-					if !d.ix.visibleAt(id, term, d.opts.AsOf) {
-						return true
-					}
-					if e := d.emit(append(path, int32(hi), ord), id, S, stats, sp); e != nil {
-						emitErr = e
-						return false
-					}
-					ord++
-					return true
-				})
-			} else {
-				p0 := sp.Start()
-				warmed := d.ix.docid.Prefetch(btree.KeyUint64(h.left), btree.KeyUint64(h.right), true, d.par)
-				sp.Stage(obs.StagePrefetch, p0)
-				if warmed > 0 {
-					sp.AddInt("prefetched_pages", int64(warmed))
-				}
-				scanErr = d.ix.docid.Scan(btree.KeyUint64(h.left), btree.KeyUint64(h.right), true, true,
-					func(k, v []byte) bool {
-						if len(v) != 4 { // tombstone or foreign value
-							return true
-						}
-						id := decodeDocID(v)
-						if !d.ix.visibleAt(id, btree.Uint64Key(k), d.opts.AsOf) {
-							return true
-						}
-						if e := d.emit(append(path, int32(hi), ord), id, S, stats, sp); e != nil {
-							emitErr = e
-							return false
-						}
-						ord++
-						return true
-					})
-			}
-			if scanErr != nil {
-				return scanErr
-			}
-			if emitErr != nil {
-				return emitErr
-			}
-			continue
-		}
-		spawned := false
-		select {
-		case d.sem <- struct{}{}:
-			// A worker is free: hand it this hit's whole subtree, with
-			// copies of the S prefix and path (the inline loop keeps
-			// mutating the originals).
-			branchS := make([]int32, len(S))
-			copy(branchS, S[:i+1])
-			branchPath := append(append(make([]int32, 0, cap(path)), path...), int32(hi))
-			ks := &QueryStats{}
-			d.mu.Lock()
-			d.kids = append(d.kids, ks)
-			slot := len(d.errs)
-			d.errs = append(d.errs, nil)
-			d.mu.Unlock()
-			// Branch spans attach flat under the filter span, keyed by the
-			// descent path — lexicographic key order is exactly the serial
-			// emission order, so traces read deterministically no matter
-			// which branches happened to find free workers.
-			var bsp *obs.Span
-			if d.sp != nil {
-				bsp = d.sp.ChildKeyed("branch", fmt.Sprintf("%x", encodePath(branchPath)))
-			}
-			d.wg.Add(1)
-			go func() {
-				defer d.wg.Done()
-				defer func() { <-d.sem }()
-				b0 := bsp.Start()
-				err := d.step(ks, bsp, i+1, h.left, h.right, branchS, branchPath)
-				d.closeBranch(bsp, b0)
-				if err != nil {
-					d.mu.Lock()
-					d.errs[slot] = err
-					d.mu.Unlock()
-				}
-			}()
-			spawned = true
-		default:
-		}
-		if !spawned {
-			if err := d.step(stats, sp, i+1, h.left, h.right, S, append(path, int32(hi))); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
+}
+
+// spawn hands hit hi's whole subtree below level i to a free worker, if
+// there is one, with its own scratch (seeded with the S prefix) and a copy
+// of the path — the inline loop keeps mutating the originals.
+func (d *descent) spawn(i, hi int, h hit, S, path []int32) bool {
+	select {
+	case d.sem <- struct{}{}:
+	default:
+		return false
+	}
+	bsc := getScratch(len(S))
+	copy(bsc.S, S[:i+1])
+	branchPath := append(append(make([]int32, 0, cap(path)), path...), int32(hi))
+	ks := &QueryStats{}
+	d.mu.Lock()
+	d.kids = append(d.kids, ks)
+	slot := len(d.errs)
+	d.errs = append(d.errs, nil)
+	d.mu.Unlock()
+	// Branch spans attach flat under the filter span, keyed by the descent
+	// path — lexicographic key order is exactly the serial emission order,
+	// so traces read deterministically no matter which branches happened to
+	// find free workers.
+	var bsp *obs.Span
+	if d.sp != nil {
+		bsp = d.sp.ChildKeyed("branch", fmt.Sprintf("%x", appendPath(nil, branchPath)))
+	}
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		defer func() { <-d.sem }()
+		defer putScratch(bsc)
+		b0 := bsp.Start()
+		err := d.step(ks, bsp, bsc, i+1, h.left, h.right, branchPath)
+		d.closeBranch(bsp, b0)
+		if err != nil {
+			d.mu.Lock()
+			d.errs[slot] = err
+			d.mu.Unlock()
+		}
+	}()
+	return true
 }
 
 // matchPipelined is matchOrdered with Algorithm 1 and Algorithm 2
@@ -468,6 +397,7 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 		go func(w int) {
 			defer wg.Done()
 			wsp := wspans[w]
+			N := make([]int32, len(p.syms))
 			for {
 				t0 := wsp.Start()
 				c, open := <-ch
@@ -475,7 +405,7 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 				if !open {
 					break
 				}
-				m, ok, err := ix.refine(p, c.docID, c.S, &wstats[w], fetch, wsp)
+				m, ok, err := ix.refine(p, c.docID, c.S, N, &wstats[w], fetch, wsp)
 				if err != nil {
 					abortOnce.Do(func() { workerErr = err; close(abort) })
 					continue // keep draining so the producers never block
@@ -487,28 +417,31 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 			wsp.End()
 		}(w)
 	}
+	// seenMu guards the dedup map and the two key buffers, so a repeated
+	// emission builds its keys and compares them without allocating.
 	var seenMu sync.Mutex
 	seen := map[string]*candEntry{}
+	var key, ord []byte
 	d := &descent{
 		ix: ix, p: p, opts: opts, par: workers,
 		sem: make(chan struct{}, workers-1),
 		sp:  fsp,
 		emit: func(path []int32, docID uint32, S []int32, wstats *QueryStats, bsp *obs.Span) error {
 			wstats.Candidates++
-			k := candidateKey(docID, S)
-			ord := encodePath(path)
 			seenMu.Lock()
-			if e, ok := seen[k]; ok {
+			key = appendKey(key[:0], docID, S)
+			ord = appendPath(ord[:0], path)
+			if e, ok := seen[string(key)]; ok {
 				// Already scheduled for refinement; only remember the
 				// earliest emission position for the reduction.
-				if ord < e.bestOrd {
-					e.bestOrd = ord
+				if string(ord) < e.bestOrd {
+					e.bestOrd = string(ord)
 				}
 				seenMu.Unlock()
 				return nil
 			}
-			e := &candEntry{bestOrd: ord}
-			seen[k] = e
+			e := &candEntry{bestOrd: string(ord)}
+			seen[string(key)] = e
 			seenMu.Unlock()
 			c := candidate{entry: e, docID: docID, S: append([]int32(nil), S...)}
 			t0 := bsp.Start()
@@ -522,7 +455,7 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 			}
 		},
 	}
-	perr := d.run(stats, make([]int32, len(p.syms)))
+	perr := d.run(stats)
 	close(ch)
 	wg.Wait()
 	fsp.End()
@@ -548,9 +481,9 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 	seenEmb := map[string]bool{}
 	var out []Match
 	for _, r := range all {
-		k := embeddingKey(r.m)
-		if !seenEmb[k] {
-			seenEmb[k] = true
+		key = appendKey(key[:0], r.m.DocID, r.m.Images)
+		if !seenEmb[string(key)] {
+			seenEmb[string(key)] = true
 			out = append(out, r.m)
 		}
 	}
@@ -558,56 +491,61 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 	return out, nil
 }
 
-// candidateKey renders a (document, subsequence) tuple as a map key.
-func candidateKey(docID uint32, S []int32) string {
-	b := make([]byte, 0, 4+len(S)*4)
-	b = append(b, byte(docID), byte(docID>>8), byte(docID>>16), byte(docID>>24))
-	for _, v := range S {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// appendKey renders a document id plus a position (or image) list as
+// map-key bytes: the candidate, embedding and image-set dedup keys.
+func appendKey(b []byte, docID uint32, vals []int32) []byte {
+	b = binary.LittleEndian.AppendUint32(b, docID)
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
-	return string(b)
+	return b
 }
 
-// recordCache memoizes record fetches within one pipelined query, so a
-// record many candidates refine against crosses the docstore (and, cold,
-// the disk) once. Outcomes are cached — including the quarantined "skip"
-// outcome, which re-marks Degraded on every hitting worker's stats —
-// but transient errors are not, so a retry can still succeed.
+// recordCache memoizes document fetches within one pipelined query, so a
+// document many candidates refine against crosses the docstore (and, cold,
+// the disk) exactly once: the first caller for a docid fetches under that
+// entry's lock and every concurrent caller for the same docid waits on it,
+// which makes RecordFetches/RecordCacheHits independent of scheduling.
+// Outcomes are cached — including the quarantined "skip" outcome, which
+// re-marks Degraded on every hitting worker's stats — but transient errors
+// are not, so the next caller retries.
 type recordCache struct {
 	fetch recordSource
 	mu    sync.Mutex
-	m     map[uint32]cachedRecord
+	m     map[uint32]*cachedShape
 }
 
-type cachedRecord struct {
-	rec      *docstore.Record
-	degraded bool
+type cachedShape struct {
+	mu   sync.Mutex // held across the fetch; orders waiters behind it
+	done bool
+	doc  docShape // nil: skip the document (quarantined or not visible)
 }
 
 func newRecordCache(ix *Index, asOf uint64) *recordCache {
-	return &recordCache{fetch: ix.recordFetcher(asOf), m: map[uint32]cachedRecord{}}
+	return &recordCache{fetch: ix.shapeFetcher(asOf), m: map[uint32]*cachedShape{}}
 }
 
-func (c *recordCache) get(docID uint32, stats *QueryStats) (*docstore.Record, error) {
+func (c *recordCache) get(docID uint32, stats *QueryStats) (docShape, error) {
 	c.mu.Lock()
-	e, ok := c.m[docID]
+	e := c.m[docID]
+	if e == nil {
+		e = &cachedShape{}
+		c.m[docID] = e
+	}
 	c.mu.Unlock()
-	if ok {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.done {
 		stats.RecordCacheHits++
-		if e.degraded {
+		if e.doc == nil {
 			stats.Degraded = true
 		}
-		return e.rec, nil
+		return e.doc, nil
 	}
-	// Two workers missing the same doc at once both fetch (harmless: the
-	// store is internally synchronized); the cache keeps whichever lands
-	// last. Holding the mutex across the fetch would serialize the pool.
-	rec, err := c.fetch(docID, stats)
+	doc, err := c.fetch(docID, stats)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	c.m[docID] = cachedRecord{rec: rec, degraded: rec == nil}
-	c.mu.Unlock()
-	return rec, nil
+	e.doc, e.done = doc, true
+	return doc, nil
 }

@@ -301,35 +301,6 @@ func (ix *Index) docVisibleAt(docID uint32, asOf uint64) bool {
 	return ok
 }
 
-// getRecordAsOf resolves the record image visible at asOf: the current
-// record when the covering interval is open (or carries no back-pointer),
-// the superseded image at its heap location otherwise. An unreadable old
-// image degrades the read (nil, nil + stats.Degraded) without quarantining
-// the document — its current image may be perfectly healthy.
-func (ix *Index) getRecordAsOf(docID uint32, asOf uint64, stats *QueryStats) (*docstore.Record, error) {
-	if ix.versions == nil {
-		return ix.getRecord(docID, stats)
-	}
-	iv, ok := ix.versions.At(docID, asOf)
-	if !ok {
-		return nil, nil
-	}
-	if iv.Loc.Zero() {
-		return ix.getRecord(docID, stats)
-	}
-	stats.RecordFetches++
-	rec, err := ix.store.GetAtLoc(docID, toStoreLoc(iv.Loc))
-	switch {
-	case err == nil:
-		return rec, nil
-	case IsCorruption(err):
-		stats.Degraded = true
-		return nil, nil
-	default:
-		return nil, err
-	}
-}
-
 // intervalLPS resolves the label sequence of the record image an interval
 // describes: the superseded image at its back-pointer when one is recorded,
 // the current record otherwise (open intervals, and deletes, leave the
@@ -348,18 +319,6 @@ func (ix *Index) intervalLPS(docID uint32, iv mvcc.Interval) ([]vtrie.Symbol, bo
 		return nil, false
 	}
 	return rec.LPS, true
-}
-
-// recordFetcher adapts getRecordAsOf to the recordSource shape the
-// refinement paths consume. asOf == 0 with no version map short-circuits to
-// the plain hot-tier-aware fetch.
-func (ix *Index) recordFetcher(asOf uint64) recordSource {
-	if ix.versions == nil {
-		return ix.getRecord
-	}
-	return func(docID uint32, stats *QueryStats) (*docstore.Record, error) {
-		return ix.getRecordAsOf(docID, asOf, stats)
-	}
 }
 
 // forest-side helpers ----------------------------------------------------------
