@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz chaos bench bench-smoke serve clean ci cover differential shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e sched benchmark-module
+.PHONY: all build test race vet fuzz chaos bench bench-smoke serve clean ci cover differential shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e sched benchmark-module size
 
 all: build vet test
 
 # Everything CI runs, in one target, so local and CI results agree.
-ci: build vet test race sched differential cover shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e fuzz chaos bench-smoke benchmark-module
+ci: build vet test race sched differential cover shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e fuzz chaos bench-smoke benchmark-module size
 
 build:
 	$(GO) build ./...
@@ -41,8 +41,9 @@ benchmark-module:
 # Short fuzz passes over the parsing/encoding boundaries: the query parser
 # (the service boundary), the docstore record decoder (the corruption
 # boundary), the trace/slow-log JSON encoder (the ?trace=1 boundary) and the
-# dynamic labeler's range-allocation invariants (the insert boundary); and the
-# hot lists' binary-searched range scans against a naive filter.
+# dynamic labeler's range-allocation invariants (the insert boundary); the
+# hot lists' binary-searched range scans against a naive filter; and the
+# B+-tree's in-place leaf edits against a sorted-slice model.
 fuzz:
 	$(GO) test ./internal/twig -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 30s
 	$(GO) test ./internal/docstore -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime 30s
@@ -52,6 +53,7 @@ fuzz:
 	$(GO) test ./internal/prix -run FuzzAsOfVersionMap -fuzz FuzzAsOfVersionMap -fuzztime 30s
 	$(GO) test ./internal/hot -run FuzzPostingsScan -fuzz FuzzPostingsScan -fuzztime 30s
 	$(GO) test ./internal/hot -run FuzzDocIDsScan -fuzz FuzzDocIDsScan -fuzztime 30s
+	$(GO) test ./internal/btree -run FuzzLeafOps -fuzz FuzzLeafOps -fuzztime 30s
 
 # The oracle-backed differential suite: every engine (PRIX serial/parallel,
 # MatchExhaustive, TwigStack, TwigStackXB, ViST) against the brute-force
@@ -148,11 +150,25 @@ bench:
 # Fast parallel-pipeline check: the serial-vs-parallel comparison on one
 # bundled dataset (the table asserts identical match counts, so it doubles
 # as a differential test), plus one iteration of the in-package benchmarks
-# (the resident-path ones assert their hit and match counts).
+# (the resident- and paged-path ones assert their hit and match counts), the
+# pool's pin on a hit and on a miss, and a leaf edit on a full page.
 bench-smoke:
 	$(GO) run ./cmd/prixbench -table parallel -datasets SWISSPROT
-	$(GO) test ./internal/prix -run XXX -bench 'UnorderedArrangements|MatchResident' -benchtime 1x -benchmem
+	$(GO) test ./internal/prix -run XXX -bench 'UnorderedArrangements|MatchResident|MatchPaged' -benchtime 1x -benchmem
 	$(GO) test ./internal/hot -run XXX -bench 'PostingsSeek|DocIDsSeek|SummaryRefine' -benchtime 1x -benchmem
+	$(GO) test ./internal/pager -run XXX -bench 'PoolGet' -benchtime 1x -benchmem
+	$(GO) test ./internal/btree -run XXX -bench 'LeafInsertFullPage' -benchtime 1x -benchmem
+
+# Index size: seq.idx must stay within 6x the XML on the three generated
+# corpora, and prixcheck's size report (bytes per file; entries, height,
+# pages per level and leaf fill per tree; bytes per XML byte) is printed for a
+# freshly loaded one.
+size:
+	$(GO) test ./internal/prix -run 'TestIndexSizeBound' -count=1
+	rm -rf .size_idx
+	$(GO) run ./cmd/prixload -out .size_idx -dataset swissprot -scale 1 -extended
+	$(GO) run ./cmd/prixcheck .size_idx
+	rm -rf .size_idx
 
 serve:
 	$(GO) run ./cmd/prixbench -table serving

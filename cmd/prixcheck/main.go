@@ -11,7 +11,13 @@
 //   - on a versioned index, the MVCC version map: internal interval
 //     invariants, every docid-tree tombstone matched by a closed interval
 //     (and vice versa), and every superseded-record back-pointer resolving
-//     to a decodable image.
+//     to a decodable image;
+//   - the recovered images open as an index: a directory written in the
+//     old one-tree-per-symbol postings layout is reported here.
+//
+// It ends with a size report: bytes per file, and per forest tree its
+// entries, height, pages per level and leaf fill, plus the directory's bytes
+// per byte of the documents serialised back to XML.
 //
 // With -repair, a corrupt index is opened for real (journal recovery runs
 // against the files) and one scrub repair pass heals what the index's
@@ -25,11 +31,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"repro/internal/btree"
 	"repro/internal/compact"
@@ -117,6 +125,7 @@ func run(dir string, verbose bool) int {
 	}
 	if forest != nil && docs != nil {
 		checkVersions(forest, docs, verbose, report)
+		sizeReport(dir, forest, docs, report)
 	}
 
 	switch worst {
@@ -283,10 +292,12 @@ func checkVersions(forestMem, docsMem *pager.MemFile, verbose bool, report func(
 	if err != nil {
 		return
 	}
-	docid, err := forest.Tree("docid")
-	if err != nil {
-		// An index built before the docid tree existed cannot be versioned;
-		// a versioned one missing it is already flagged by checkForest.
+	// Lookup, not Tree: Tree would create the missing tree and the index
+	// would check as clean but empty.
+	docid := forest.Lookup("docid")
+	if docid == nil {
+		fmt.Println("versions: versioned index has no docid tree")
+		report(exitCorrupt)
 		return
 	}
 	tombs := map[uint32]uint64{}
@@ -353,6 +364,64 @@ func checkVersions(forestMem, docsMem *pager.MemFile, verbose bool, report func(
 	}
 	fmt.Printf("versions: %d documents at version %d, %d tombstones, %d superseded images, invariants ok\n",
 		len(m.Docs), m.Counter, len(tombs), locs)
+}
+
+// sizeReport opens the recovered images as an index — the step that refuses a
+// directory in the old per-symbol layout — and prints what its bytes are
+// spent on. It runs last: Open may complete a pending mutation on the copies.
+func sizeReport(dir string, forestMem, docsMem *pager.MemFile, report func(int)) {
+	ix, err := prix.Open(dir, prix.Options{OpenFile: func(path string) (pager.File, error) {
+		switch filepath.Base(path) {
+		case prix.ForestFileName:
+			return forestMem, nil
+		case prix.DocsFileName:
+			return docsMem, nil
+		}
+		return pager.NewMemFile(), nil // journals: the copies are rolled back already
+	}})
+	if err != nil {
+		if errors.Is(err, prix.ErrOldLayout) {
+			fmt.Printf("layout: %v\n", err)
+		} else {
+			fmt.Printf("index does not open: %v\n", err)
+		}
+		report(exitCorrupt)
+		return
+	}
+	defer ix.Close()
+
+	var total int64
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if info, err := e.Info(); err == nil && info.Mode().IsRegular() {
+			fmt.Printf("size: %-9s %10d bytes\n", e.Name(), info.Size())
+			total += info.Size()
+		}
+	}
+	forest := ix.Forest()
+	for _, name := range forest.Names() {
+		sh, err := forest.Lookup(name).Shape()
+		if err != nil {
+			fmt.Printf("size: tree %q: %v\n", name, err)
+			continue
+		}
+		levels := make([]string, len(sh.Pages))
+		for i, n := range sh.Pages {
+			levels[i] = fmt.Sprint(n)
+		}
+		fmt.Printf("size: tree %-6q %8d entries, height %d, pages %s (root..leaves), leaf fill %.1f%%\n",
+			name, sh.Entries, len(sh.Pages), strings.Join(levels, "/"), 100*sh.LeafFill)
+	}
+	var xml int64
+	for id := 0; id < ix.NumDocs(); id++ {
+		if doc, err := ix.ReconstructDocument(uint32(id)); err == nil {
+			xml += doc.XMLSize()
+		}
+	}
+	if xml > 0 {
+		fmt.Printf("size: directory %d bytes = %.2f per byte of XML (%d documents, %d bytes serialised)\n",
+			total, float64(total)/float64(xml), ix.NumDocs(), xml)
+	}
 }
 
 // checkDocs opens the document store over the recovered image and decodes

@@ -3,8 +3,10 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/docstore"
 	"repro/internal/pager"
 	"repro/internal/prix"
 	"repro/internal/xmltree"
@@ -71,5 +73,98 @@ func TestTornTrailingPageExitsCorrupt(t *testing.T) {
 func TestMissingDirExitsUnreadable(t *testing.T) {
 	if got := run(filepath.Join(t.TempDir(), "nope"), false); got != exitUnreadable {
 		t.Errorf("run = %d, want %d", got, exitUnreadable)
+	}
+}
+
+// runCaptured is run with its report collected from standard output.
+func runCaptured(t *testing.T, dir string) (int, string) {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = out
+	status := run(dir, true)
+	os.Stdout = saved
+	out.Close()
+	text, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, string(text)
+}
+
+func TestCleanIndexPrintsSizeReport(t *testing.T) {
+	status, out := runCaptured(t, buildIndexDir(t))
+	if status != exitClean {
+		t.Fatalf("run = %d, want %d", status, exitClean)
+	}
+	for _, want := range []string{`size: seq.idx`, `size: tree "post"`, `size: tree "docid"`, `size: tree "nps"`, `leaf fill`, `per byte of XML (2 documents`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// A directory from before the single postings tree has no layout stamp. Its
+// pages and trees are sound, so only the layout line can say what is wrong.
+func TestOldLayoutExitsCorrupt(t *testing.T) {
+	dir := buildIndexDir(t)
+	f, err := pager.OpenOSFile(filepath.Join(dir, "docs.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := pager.NewBufferPool(f, 64)
+	store, err := docstore.Open(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetStat("layout", 0)
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	status, out := runCaptured(t, dir)
+	if status != exitCorrupt || !strings.Contains(out, "rebuild with prixload") {
+		t.Errorf("run = %d, want %d with a rebuild hint:\n%s", status, exitCorrupt, out)
+	}
+}
+
+// A versioned index whose forest lost the Docid index must be reported by the
+// version cross-check; Forest.Tree there would create the tree and find
+// nothing wrong with its zero tombstones.
+func TestVersionedIndexWithoutDocidTree(t *testing.T) {
+	dir := t.TempDir()
+	docs := []*xmltree.Document{
+		xmltree.MustFromSExpr(0, `(a (b (c)))`),
+		xmltree.MustFromSExpr(1, `(a (d (e)))`),
+	}
+	di, err := prix.NewDynamicIndex(docs, prix.Options{Dir: dir}, prix.DynamicOptions{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	forest := di.Index().Forest()
+	forest.Reset()
+	if _, err := forest.Tree("post"); err != nil {
+		t.Fatal(err)
+	}
+	if err := forest.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	status, out := runCaptured(t, dir)
+	if status != exitCorrupt || !strings.Contains(out, "versions: versioned index has no docid tree") {
+		t.Errorf("run = %d, want %d naming the missing docid tree:\n%s", status, exitCorrupt, out)
 	}
 }

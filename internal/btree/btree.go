@@ -8,8 +8,9 @@
 // allowed and kept in insertion order. Nodes live in the payload of
 // pager pages (pager.PageDataSize bytes; the pager owns a per-page
 // integrity header on top) and travel through the buffer pool, so every
-// traversal is accounted in the pool's physical-read counter. Reads binary-search pages in place through
-// a slot directory; only the write path materialises pages into memory.
+// traversal is accounted in the pool's physical-read counter. Reads
+// binary-search pages in place through a slot directory, and leaf inserts
+// and deletes edit them in place; only splits materialise pages into memory.
 package btree
 
 import (
@@ -26,7 +27,7 @@ const (
 	leafNode     = byte(1)
 	internalNode = byte(2)
 
-	headerSize   = 7 // kind(1) + numKeys(2) + extra(4)
+	headerSize   = 9 // kind(1) + numKeys(2) + extra(4) + cellStart(2)
 	slotSize     = 2 // per-cell offset
 	leafCellHdr  = 4 // keyLen(2) + valLen(2)
 	innerCellHdr = 6 // keyLen(2) + child(4)
@@ -50,7 +51,7 @@ func (t *Tree) Name() string { return t.name }
 // Len returns the number of entries in the tree.
 func (t *Tree) Len() uint64 { return t.count }
 
-// decoded page representations (write path only) -------------------------------
+// decoded page representations (splits and bulk-built internal nodes) ----------
 
 type leafCell struct {
 	key, val []byte
@@ -68,24 +69,22 @@ type nodePage struct {
 	inner []innerCell
 }
 
+// decodePage materialises a node. Its cells alias one private copy of the
+// page, so the caller may re-encode over the page it decoded from.
 func decodePage(data []byte) (*nodePage, error) {
+	data = append([]byte(nil), data...)
 	n := &nodePage{kind: pageKind(data), extra: pageExtra(data)}
 	num := pageNumKeys(data)
 	switch n.kind {
 	case leafNode:
-		n.leaf = make([]leafCell, 0, num)
-		for i := 0; i < num; i++ {
-			k, v := leafCellAt(data, i)
-			n.leaf = append(n.leaf, leafCell{
-				key: append([]byte(nil), k...),
-				val: append([]byte(nil), v...),
-			})
+		n.leaf = make([]leafCell, num, num+1)
+		for i := range n.leaf {
+			n.leaf[i].key, n.leaf[i].val = leafCellAt(data, i)
 		}
 	case internalNode:
-		n.inner = make([]innerCell, 0, num)
-		for i := 0; i < num; i++ {
-			k, child := innerCellAt(data, i)
-			n.inner = append(n.inner, innerCell{key: append([]byte(nil), k...), child: child})
+		n.inner = make([]innerCell, num, num+1)
+		for i := range n.inner {
+			n.inner[i].key, n.inner[i].child = innerCellAt(data, i)
 		}
 	default:
 		return nil, fmt.Errorf("btree: unknown node kind %d", n.kind)
@@ -104,33 +103,24 @@ func (n *nodePage) size() int {
 	return sz
 }
 
+// encode writes the node over data with cell i below cell i-1, the layout
+// ascending in-place inserts produce too.
 func (n *nodePage) encode(data []byte) {
-	for i := range data {
-		data[i] = 0
-	}
+	clear(data)
 	data[0] = n.kind
 	binary.LittleEndian.PutUint32(data[3:7], n.extra)
-	num := len(n.leaf) + len(n.inner)
-	binary.LittleEndian.PutUint16(data[1:3], uint16(num))
-	off := headerSize + slotSize*num
-	switch n.kind {
-	case leafNode:
-		for i, c := range n.leaf {
-			binary.LittleEndian.PutUint16(data[headerSize+slotSize*i:], uint16(off))
-			binary.LittleEndian.PutUint16(data[off:off+2], uint16(len(c.key)))
-			binary.LittleEndian.PutUint16(data[off+2:off+4], uint16(len(c.val)))
-			off += leafCellHdr
-			off += copy(data[off:], c.key)
-			off += copy(data[off:], c.val)
-		}
-	case internalNode:
-		for i, c := range n.inner {
-			binary.LittleEndian.PutUint16(data[headerSize+slotSize*i:], uint16(off))
-			binary.LittleEndian.PutUint16(data[off:off+2], uint16(len(c.key)))
-			binary.LittleEndian.PutUint32(data[off+2:off+6], uint32(c.child))
-			off += innerCellHdr
-			off += copy(data[off:], c.key)
-		}
+	off := len(data)
+	for i, c := range n.inner {
+		off -= innerCellHdr + len(c.key)
+		binary.LittleEndian.PutUint16(data[headerSize+slotSize*i:], uint16(off))
+		binary.LittleEndian.PutUint16(data[off:off+2], uint16(len(c.key)))
+		binary.LittleEndian.PutUint32(data[off+2:off+6], uint32(c.child))
+		copy(data[off+innerCellHdr:], c.key)
+	}
+	binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.inner)))
+	binary.LittleEndian.PutUint16(data[7:9], uint16(off))
+	for i, c := range n.leaf {
+		leafInsertAt(data, i, c.key, c.val)
 	}
 }
 
@@ -223,12 +213,12 @@ func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]byte, pager.PageID
 		if n.size() <= pager.PageDataSize {
 			return nil, pager.InvalidPage, t.writeNode(id, n)
 		}
-		mid := len(n.inner) / 2
+		mid := splitIndex(len(n.inner), func(i int) int { return slotSize + innerCellHdr + len(n.inner[i].key) })
 		up := n.inner[mid]
 		right := &nodePage{
 			kind:  internalNode,
 			extra: uint32(up.child),
-			inner: append([]innerCell(nil), n.inner[mid+1:]...),
+			inner: n.inner[mid+1:],
 		}
 		n.inner = n.inner[:mid]
 		rid, err := t.allocNode(right)
@@ -240,22 +230,31 @@ func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]byte, pager.PageID
 		}
 		return up.key, rid, nil
 	}
-	// Leaf: decode, insert after all equal keys (stable duplicates).
+	// Leaf: insert after all equal keys (stable duplicates), in place while
+	// the cell fits.
+	pos := leafUpperBound(p.Data, key)
+	if slotSize+leafCellHdr+len(key)+len(val) <= pageFree(p.Data) {
+		leafInsertAt(p.Data, pos, key, val)
+		p.Unpin(true)
+		return nil, pager.InvalidPage, nil
+	}
 	n, err := decodePage(p.Data)
 	p.Unpin(false)
 	if err != nil {
 		return nil, pager.InvalidPage, err
 	}
-	pos := upperBoundLeaf(n.leaf, key)
 	n.leaf = append(n.leaf, leafCell{})
 	copy(n.leaf[pos+1:], n.leaf[pos:])
-	n.leaf[pos] = leafCell{key: append([]byte(nil), key...), val: append([]byte(nil), val...)}
-	if n.size() <= pager.PageDataSize {
-		return nil, pager.InvalidPage, t.writeNode(id, n)
+	n.leaf[pos] = leafCell{key: key, val: val}
+	// Split: move the upper half to a fresh right sibling. An append to the
+	// last leaf moves only the new entry, so ascending loads (docid-ordered
+	// sidecar chunks, Left-ordered postings) leave full leaves behind
+	// instead of half-empty ones.
+	mid := splitIndex(len(n.leaf), func(i int) int { return slotSize + leafCellHdr + len(n.leaf[i].key) + len(n.leaf[i].val) })
+	if pos == len(n.leaf)-1 && n.extra == 0 {
+		mid = pos
 	}
-	// Split: move the upper half to a fresh right sibling.
-	mid := len(n.leaf) / 2
-	right := &nodePage{kind: leafNode, extra: n.extra, leaf: append([]leafCell(nil), n.leaf[mid:]...)}
+	right := &nodePage{kind: leafNode, extra: n.extra, leaf: n.leaf[mid:]}
 	n.leaf = n.leaf[:mid]
 	rid, err := t.allocNode(right)
 	if err != nil {
@@ -268,34 +267,20 @@ func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]byte, pager.PageID
 	return right.leaf[0].key, rid, nil
 }
 
-// upperBoundLeaf returns the first index whose key is strictly greater than
-// key (insertion point after duplicates) in a decoded leaf.
-func upperBoundLeaf(cells []leafCell, key []byte) int {
-	lo, hi := 0, len(cells)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(cells[mid].key, key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// splitIndex cuts n cells of the given sizes where the left part reaches half
+// of the bytes, leaving at least one cell on each side. Cutting by count
+// instead could put more than a page of large cells on one side.
+func splitIndex(n int, size func(i int) int) int {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += size(i)
 	}
-	return lo
-}
-
-// lowerBoundLeaf returns the first index whose key is >= key in a decoded
-// leaf.
-func lowerBoundLeaf(cells []leafCell, key []byte) int {
-	lo, hi := 0, len(cells)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(cells[mid].key, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	mid, left := 0, 0
+	for mid < n-1 && left < total/2 {
+		left += size(mid)
+		mid++
 	}
-	return lo
+	return mid
 }
 
 // Get returns all values stored under exactly key, in insertion order.
@@ -436,7 +421,7 @@ func (t *Tree) Prefetch(lo, hi []byte, loIncl bool, par int) int {
 
 // scanLeaves iterates leaf pages starting at the pinned page p (ownership
 // of the pin transfers to scanLeaves).
-func (t *Tree) scanLeaves(p *pager.Page, lo, hi []byte, loIncl, hiIncl bool, fn func(k, v []byte) bool) error {
+func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl bool, fn func(k, v []byte) bool) error {
 	for {
 		data := p.Data
 		start := 0
@@ -495,49 +480,68 @@ func (t *Tree) Delete(key, val []byte) (bool, error) {
 			id = next
 			continue
 		}
-		p.Unpin(false)
 		for {
-			n, err := t.readNode(id)
-			if err != nil {
-				return false, err
-			}
-			for i := lowerBoundLeaf(n.leaf, key); i < len(n.leaf); i++ {
-				if !bytes.Equal(n.leaf[i].key, key) {
+			data := p.Data
+			for i, num := leafLowerBound(data, key), pageNumKeys(data); i < num; i++ {
+				k, v := leafCellAt(data, i)
+				if !bytes.Equal(k, key) {
+					p.Unpin(false)
 					return false, nil
 				}
-				if val == nil || bytes.Equal(n.leaf[i].val, val) {
-					n.leaf = append(n.leaf[:i], n.leaf[i+1:]...)
-					if err := t.writeNode(id, n); err != nil {
-						return false, err
-					}
+				if val == nil || bytes.Equal(v, val) {
+					leafDeleteAt(data, i)
+					p.Unpin(true)
 					t.count--
 					t.forest.markDirty(t)
 					return true, nil
 				}
 			}
-			if n.extra == 0 {
+			next := pageExtra(data)
+			p.Unpin(false)
+			if next == 0 {
 				return false, nil
 			}
-			id = pager.PageID(n.extra)
+			if p, err = t.forest.bp.Get(pager.PageID(next)); err != nil {
+				return false, err
+			}
 		}
 	}
 }
 
-// Height returns the number of levels in the tree (1 = a single leaf).
-func (t *Tree) Height() (int, error) {
-	h := 1
-	id := t.root
-	for {
-		p, err := t.forest.bp.Get(id)
-		if err != nil {
-			return 0, err
-		}
-		if pageKind(p.Data) == leafNode {
+// Shape is a tree's footprint: Pages counts the pages of each level, root
+// first and leaves last (so its length is the height), and LeafFill is the
+// used share of the leaves' payload bytes.
+type Shape struct {
+	Entries  uint64
+	Pages    []int
+	LeafFill float64
+}
+
+// Shape walks the tree level by level. It trusts the pages it reads, so run
+// it on a tree that Check has passed.
+func (t *Tree) Shape() (Shape, error) {
+	s := Shape{Entries: t.count}
+	for level := []pager.PageID{t.root}; ; {
+		var next []pager.PageID
+		used := 0
+		for _, id := range level {
+			p, err := t.forest.bp.Get(id)
+			if err != nil {
+				return s, err
+			}
+			if pageKind(p.Data) == internalNode {
+				for i := 0; i <= pageNumKeys(p.Data); i++ {
+					next = append(next, pageChildAt(p.Data, i))
+				}
+			}
+			used += len(p.Data) - pageFree(p.Data)
 			p.Unpin(false)
-			return h, nil
 		}
-		h++
-		id = pageChildAt(p.Data, 0)
-		p.Unpin(false)
+		s.Pages = append(s.Pages, len(level))
+		if len(next) == 0 {
+			s.LeafFill = float64(used) / float64(len(level)*pager.PageDataSize)
+			return s, nil
+		}
+		level = next
 	}
 }

@@ -102,8 +102,8 @@ func TestSortedIterationMatchesModel(t *testing.T) {
 			t.Fatalf("scan[%d] = %s, want %s", i, got[i], model[i])
 		}
 	}
-	if h, _ := tr.Height(); h < 2 {
-		t.Errorf("expected multi-level tree, height = %d", h)
+	if s, _ := tr.Shape(); len(s.Pages) < 2 {
+		t.Errorf("expected multi-level tree, height = %d", len(s.Pages))
 	}
 }
 

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -30,24 +31,17 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 		page  pager.PageID
 	}
 
-	var (
-		leaves  []childRef
-		cur     []leafCell
-		curSize = headerSize
-		curID   = t.root
-		prev    []byte
-		total   uint64
-	)
-	// flushLeaf writes the current leaf with its next-pointer and records it
-	// for the parent level.
-	flushLeaf := func(nextID pager.PageID) error {
-		n := &nodePage{kind: leafNode, extra: uint32(nextID), leaf: cur}
-		if err := t.writeNode(curID, n); err != nil {
-			return err
-		}
-		leaves = append(leaves, childRef{first: cur[0].key, page: curID})
-		return nil
+	// The leaf being filled stays pinned and takes its cells in place.
+	p, err := t.forest.bp.Get(t.root)
+	if err != nil {
+		return err
 	}
+	defer func() { p.Unpin(true) }()
+	var (
+		leaves []childRef
+		prev   []byte
+		total  uint64
+	)
 	for {
 		key, val, err := next()
 		if err == io.EOF {
@@ -59,38 +53,29 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 		if len(key)+len(val) > MaxEntrySize {
 			return fmt.Errorf("btree: entry of %d bytes exceeds MaxEntrySize %d", len(key)+len(val), MaxEntrySize)
 		}
-		if prev != nil && bytes.Compare(prev, key) > 0 {
+		if total > 0 && bytes.Compare(prev, key) > 0 {
 			return fmt.Errorf("btree: BulkLoad keys out of order (%x after %x)", key, prev)
 		}
-		cell := leafCell{
-			key: append([]byte(nil), key...),
-			val: append([]byte(nil), val...),
-		}
-		prev = cell.key
-		cost := slotSize + leafCellHdr + len(key) + len(val)
-		if curSize+cost > pager.PageDataSize {
-			// Seal the current leaf; its next-pointer needs the successor's
-			// page id, so allocate that first (placeholder contents, filled
-			// in when the successor itself seals).
-			nid, err := t.allocNode(&nodePage{kind: leafNode})
+		prev = append(prev[:0], key...)
+		if slotSize+leafCellHdr+len(key)+len(val) > pageFree(p.Data) {
+			// Seal the full leaf by pointing it at a fresh successor.
+			np, err := t.forest.bp.NewPage()
 			if err != nil {
 				return err
 			}
-			if err := flushLeaf(nid); err != nil {
-				return err
-			}
-			curID, cur, curSize = nid, nil, headerSize
+			(&nodePage{kind: leafNode}).encode(np.Data)
+			binary.LittleEndian.PutUint32(p.Data[3:7], uint32(np.ID))
+			p.Unpin(true)
+			p = np
 		}
-		cur = append(cur, cell)
-		curSize += cost
+		if pageNumKeys(p.Data) == 0 {
+			leaves = append(leaves, childRef{first: append([]byte(nil), key...), page: p.ID})
+		}
+		leafInsertAt(p.Data, pageNumKeys(p.Data), key, val)
 		total++
 	}
 	if total == 0 {
 		return nil // the empty root leaf is already a valid empty tree
-	}
-	// Zero terminates the leaf chain (page 0 is the forest meta page).
-	if err := flushLeaf(0); err != nil {
-		return err
 	}
 
 	// Build internal levels bottom-up until one node spans the whole level.

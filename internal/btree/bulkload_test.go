@@ -109,8 +109,9 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 		}
 	}
 
-	bh, _ := bulk.Height()
-	ih, _ := ins.Height()
+	bs, _ := bulk.Shape()
+	is, _ := ins.Shape()
+	bh, ih := len(bs.Pages), len(is.Pages)
 	if bh > ih {
 		t.Fatalf("bulk height %d exceeds insert height %d", bh, ih)
 	}

@@ -7,18 +7,23 @@ import (
 	"repro/internal/pager"
 )
 
-// On-page format (v2, with a slot directory so searches touch only the
-// cells they compare against instead of decoding whole pages):
+// On-page format (v3, a slotted page: the slot directory grows up from the
+// header, the cell heap grows down from the end of the page, and the bytes
+// between them are free and zero):
 //
-//	header:  kind(1) numKeys(2) extra(4)
+//	header:  kind(1) numKeys(2) extra(4) cellStart(2)
 //	slots:   numKeys × uint16 cell offsets (from page start), in key order
+//	free:    zeroes
 //	cells:   leaf:  keyLen(2) valLen(2) key val
 //	         inner: keyLen(2) child(4) key
 //
 // extra is the next-leaf page id on leaves and the leftmost child on
-// internal nodes. The write path still materialises pages into nodePage
-// values (insertion reshuffles cells anyway); the read path uses the
-// accessors below directly on pinned page bytes, copying nothing.
+// internal nodes; cellStart is the offset of the lowest cell. The read path
+// uses the accessors below directly on pinned page bytes, copying nothing,
+// and so do leaf Insert and Delete: a new cell is appended below cellStart
+// and its slot shifted in, a deleted cell's gap is closed by moving the
+// cells below it up — memmove only, whatever the physical cell order. Only
+// a split (and the separator insert above it) materialises a nodePage.
 
 // pageKind returns the node kind byte.
 func pageKind(data []byte) byte { return data[0] }
@@ -28,6 +33,15 @@ func pageNumKeys(data []byte) int { return int(binary.LittleEndian.Uint16(data[1
 
 // pageExtra returns the extra field (next leaf / leftmost child).
 func pageExtra(data []byte) uint32 { return binary.LittleEndian.Uint32(data[3:7]) }
+
+// pageCellStart returns the offset of the lowest cell (the page length on an
+// empty node).
+func pageCellStart(data []byte) int { return int(binary.LittleEndian.Uint16(data[7:9])) }
+
+// pageFree returns the bytes left between the slot directory and the cells.
+func pageFree(data []byte) int {
+	return pageCellStart(data) - headerSize - slotSize*pageNumKeys(data)
+}
 
 func slotOffset(data []byte, i int) int {
 	return int(binary.LittleEndian.Uint16(data[headerSize+2*i : headerSize+2*i+2]))
@@ -40,6 +54,44 @@ func leafCellAt(data []byte, i int) (key, val []byte) {
 	vl := int(binary.LittleEndian.Uint16(data[off+2 : off+4]))
 	off += leafCellHdr
 	return data[off : off+kl], data[off+kl : off+kl+vl]
+}
+
+// leafInsertAt writes (key, val) in place as the pos-th cell of a leaf that
+// has leafCellHdr+slotSize+len(key)+len(val) bytes free.
+func leafInsertAt(data []byte, pos int, key, val []byte) {
+	num := pageNumKeys(data)
+	off := pageCellStart(data) - leafCellHdr - len(key) - len(val)
+	binary.LittleEndian.PutUint16(data[off:], uint16(len(key)))
+	binary.LittleEndian.PutUint16(data[off+2:], uint16(len(val)))
+	copy(data[off+leafCellHdr:], key)
+	copy(data[off+leafCellHdr+len(key):], val)
+	slots := data[headerSize : headerSize+slotSize*(num+1)]
+	copy(slots[slotSize*(pos+1):], slots[slotSize*pos:])
+	binary.LittleEndian.PutUint16(slots[slotSize*pos:], uint16(off))
+	binary.LittleEndian.PutUint16(data[1:3], uint16(num+1))
+	binary.LittleEndian.PutUint16(data[7:9], uint16(off))
+}
+
+// leafDeleteAt removes the pos-th cell of a leaf in place, closing its gap
+// in the cell heap and zeroing what it frees.
+func leafDeleteAt(data []byte, pos int) {
+	num := pageNumKeys(data)
+	off := slotOffset(data, pos)
+	k, v := leafCellAt(data, pos)
+	size := leafCellHdr + len(k) + len(v)
+	start := pageCellStart(data)
+	copy(data[start+size:off+size], data[start:off])
+	clear(data[start : start+size])
+	slots := data[headerSize : headerSize+slotSize*num]
+	copy(slots[slotSize*pos:], slots[slotSize*(pos+1):])
+	clear(slots[slotSize*(num-1):])
+	for i := 0; i < num-1; i++ {
+		if o := slotOffset(data, i); o < off {
+			binary.LittleEndian.PutUint16(slots[slotSize*i:], uint16(o+size))
+		}
+	}
+	binary.LittleEndian.PutUint16(data[1:3], uint16(num-1))
+	binary.LittleEndian.PutUint16(data[7:9], uint16(start+size))
 }
 
 // innerCellAt returns the i-th internal cell's key and child page id,

@@ -759,7 +759,7 @@ func (s *Store) Stat(name string) (int64, bool) {
 // meta serialisation -----------------------------------------------------------
 
 // Flush persists the directory, dictionary, catalogs and stats, then writes
-// all pages back. The meta payload lives in pages appended at flush time;
+// all pages back. The meta payload lives in a run of pages of its own;
 // page 0 records where it starts.
 func (s *Store) Flush() error {
 	s.mu.Lock()
@@ -829,22 +829,30 @@ func (s *Store) Flush() error {
 		}
 	}
 	payload := buf.Bytes()
-	// Write the payload across fresh pages.
-	first := pager.InvalidPage
-	for off := 0; off < len(payload); off += pager.PageDataSize {
-		p, err := s.bp.NewPage()
-		if err != nil {
+	// Write the payload over the previous meta region while it still fits —
+	// the journal makes the overwrite atomic — and across fresh pages at the
+	// tail once it has outgrown it (or a page of it no longer reads), leaving
+	// the old region as sweepable garbage. Appending on every flush grew the
+	// file by the whole dictionary per commit.
+	need := (len(payload) + pager.PageDataSize - 1) / pager.PageDataSize
+	first := s.metaFirst
+	reuse := first != pager.InvalidPage && need <= (s.metaLen+pager.PageDataSize-1)/pager.PageDataSize
+	for i := 0; i < need; i++ {
+		var p pager.Page
+		var err error
+		if reuse {
+			if p, err = s.bp.Get(first + pager.PageID(i)); err != nil {
+				reuse, i = false, -1 // start over on fresh pages
+				continue
+			}
+		} else if p, err = s.bp.NewPage(); err != nil {
 			s.mu.Unlock()
 			return err
-		}
-		if first == pager.InvalidPage {
+		} else if i == 0 {
 			first = p.ID
 		}
-		end := off + pager.PageDataSize
-		if end > len(payload) {
-			end = len(payload)
-		}
-		copy(p.Data, payload[off:end])
+		clear(p.Data)
+		copy(p.Data, payload[i*pager.PageDataSize:])
 		p.Unpin(true)
 	}
 	// Header in page 0.
@@ -859,11 +867,13 @@ func (s *Store) Flush() error {
 	p.Unpin(true)
 	s.metaFirst = first
 	s.metaLen = len(payload)
-	// The meta pages now occupy the file tail, so a record appended later
-	// that started on the old partially-filled page and spilled would land
-	// on non-contiguous pages — and records must span contiguous page ids
+	// Fresh meta pages occupy the file tail, so a record appended later that
+	// started on the old partially-filled page and spilled would land on
+	// non-contiguous pages — and records must span contiguous page ids
 	// (readRecord walks page+1). Force the next append onto a fresh page.
-	s.curPage = pager.InvalidPage
+	if !reuse {
+		s.curPage = pager.InvalidPage
+	}
 	s.mu.Unlock()
 	return s.bp.FlushAll()
 }

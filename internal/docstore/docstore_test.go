@@ -346,3 +346,79 @@ func TestAppendAfterFlushStaysContiguous(t *testing.T) {
 		}
 	}
 }
+
+// Flush rewrites the meta payload over the run of pages the previous flush
+// used while it still fits, so committing again costs no file growth; a
+// payload that outgrows the run moves to the tail once, and the store reads
+// back identically either way — including records appended between flushes on
+// the page that was open before them.
+func TestFlushReusesMetaRegion(t *testing.T) {
+	bp := pager.NewBufferPool(pager.NewMemFile(), 64)
+	s, err := NewStore(bp, &Dict{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var want []*Record
+	put := func(n int) {
+		for i := 0; i < n; i++ {
+			r := randomRecord(rng, uint32(len(want)), 10+rng.Intn(20))
+			if err := s.Put(r); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, r)
+		}
+	}
+	put(8)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The first flush put its run at the tail, so the next record opens a
+	// fresh page; from there on the file must not grow.
+	put(1)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	pages := bp.File().NumPages()
+	for i := 0; i < 20; i++ {
+		s.SetStat("round", int64(i))
+		put(1) // lands on the append page the flushes leave open
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := bp.File().NumPages(); got != pages {
+		t.Errorf("20 small commits grew the file from %d to %d pages", pages, got)
+	}
+	// Outgrow the one-page run: the payload relocates, once.
+	for i := 0; i < 600; i++ {
+		s.Dict().Intern(fmt.Sprintf("a-rather-long-label-%04d", i))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	grown := bp.File().NumPages()
+	if grown <= pages {
+		t.Fatalf("a %d-label dictionary still fits %d pages", s.Dict().Len(), pages)
+	}
+	put(3)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := bp.File().NumPages(); got > grown+1 {
+		t.Errorf("commit after relocation grew the file from %d to %d pages", grown, got)
+	}
+	re, err := Open(pager.NewBufferPool(bp.File(), 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := re.Stat("round"); v != 19 || re.Dict().Len() != s.Dict().Len() {
+		t.Errorf("reopened store: round %d, %d labels; want 19, %d", v, re.Dict().Len(), s.Dict().Len())
+	}
+	for i, w := range want {
+		got, err := re.Get(uint32(i))
+		if err != nil || !reflect.DeepEqual(got, w) {
+			t.Fatalf("record %d after reopen: %v", i, err)
+		}
+	}
+}

@@ -8,7 +8,6 @@
 package pager
 
 import (
-	"container/list"
 	"fmt"
 	"io"
 	"os"
@@ -280,7 +279,9 @@ func (s Stats) Hits() uint64 { return s.LogicalReads - s.PhysicalReads }
 // Page is a pinned buffer-pool frame. Data aliases the frame's buffer, so
 // it is valid only until Unpin; mutate it only if you pass dirty=true.
 // Data is the page's payload (PageDataSize bytes): the physical integrity
-// header is the pool's business and never visible to callers.
+// header is the pool's business and never visible to callers. Get and
+// NewPage return the handle by value so a pin costs no heap object; keep it
+// in one variable, because Unpin's double-release check lives in the handle.
 type Page struct {
 	ID   PageID
 	Data []byte
@@ -304,7 +305,10 @@ type frame struct {
 	data  [PageSize]byte
 	pins  int
 	dirty bool
-	elem  *list.Element // position in the LRU list when unpinned
+	// prev and next link the frame into the pool's LRU list while it is
+	// unpinned (queued); next alone chains the free list.
+	prev, next *frame
+	queued     bool
 	// loading is non-nil while the frame's content is being read from the
 	// file (outside the pool mutex); it is closed when the read completes.
 	// Concurrent Gets for the page pin the frame and wait on it instead of
@@ -329,8 +333,14 @@ type BufferPool struct {
 	file     File
 	capacity int
 	frames   map[PageID]*frame
-	lru      *list.List // front = most recently used; holds unpinned frames only
-	stats    counters
+	// mru and lru are the ends of the intrusive list of unpinned frames:
+	// unpin pushes at mru, eviction takes lru — exact LRU, so which pages a
+	// query finds resident (and its physical read count) is deterministic.
+	mru, lru *frame
+	// free chains frames whose page was evicted or dropped; the next miss
+	// reuses one instead of allocating 8 KiB.
+	free  *frame
+	stats counters
 
 	// readDelay (nanoseconds) is an injected per-physical-read latency,
 	// simulating the seek-dominated device of the paper's 2004 evaluation.
@@ -359,7 +369,6 @@ func NewBufferPool(file File, capacity int) *BufferPool {
 		file:     file,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame, capacity),
-		lru:      list.New(),
 	}
 }
 
@@ -427,7 +436,7 @@ func (bp *BufferPool) Contains(id PageID) bool {
 // physical read, counted once) while Gets for other pages proceed — page
 // waits from different workers overlap instead of serializing behind one
 // lock.
-func (bp *BufferPool) Get(id PageID) (*Page, error) {
+func (bp *BufferPool) Get(id PageID) (Page, error) {
 	bp.mu.Lock()
 	bp.stats.logicalReads.Add(1)
 	if fr, ok := bp.frames[id]; ok {
@@ -441,16 +450,16 @@ func (bp *BufferPool) Get(id PageID) (*Page, error) {
 			if fr.loadErr != nil {
 				// The loader already removed the failed frame from the
 				// pool; the pin dies with it.
-				return nil, fr.loadErr
+				return Page{}, fr.loadErr
 			}
 		}
-		return &Page{ID: id, Data: fr.data[PageHeaderSize:], fr: fr, bp: bp}, nil
+		return bp.page(fr), nil
 	}
 	bp.stats.physicalReads.Add(1)
 	fr, err := bp.newFrameLocked(id)
 	if err != nil {
 		bp.mu.Unlock()
-		return nil, err
+		return Page{}, err
 	}
 	fr.loading = make(chan struct{})
 	bp.mu.Unlock()
@@ -466,9 +475,13 @@ func (bp *BufferPool) Get(id PageID) (*Page, error) {
 	fr.loading = nil
 	bp.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return Page{}, err
 	}
-	return &Page{ID: id, Data: fr.data[PageHeaderSize:], fr: fr, bp: bp}, nil
+	return bp.page(fr), nil
+}
+
+func (bp *BufferPool) page(fr *frame) Page {
+	return Page{ID: fr.id, Data: fr.data[PageHeaderSize:], fr: fr, bp: bp}
 }
 
 // readFrame performs the physical read and integrity check for a loading
@@ -488,25 +501,25 @@ func (bp *BufferPool) readFrame(id PageID, fr *frame) error {
 }
 
 // NewPage allocates a fresh zeroed page in the file and returns it pinned.
-func (bp *BufferPool) NewPage() (*Page, error) {
+func (bp *BufferPool) NewPage() (Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	// Open the transaction before the allocation hits the file, so a crash
 	// right after Allocate still truncates the orphan page away.
 	if err := bp.beginTxnLocked(); err != nil {
-		return nil, err
+		return Page{}, err
 	}
 	id, err := bp.file.Allocate()
 	if err != nil {
-		return nil, err
+		return Page{}, err
 	}
 	bp.stats.allocations.Add(1)
 	fr, err := bp.newFrameLocked(id)
 	if err != nil {
-		return nil, err
+		return Page{}, err
 	}
 	fr.dirty = true
-	return &Page{ID: id, Data: fr.data[PageHeaderSize:], fr: fr, bp: bp}, nil
+	return bp.page(fr), nil
 }
 
 // beginTxnLocked opens the journal transaction if one is not already open.
@@ -548,33 +561,74 @@ func (bp *BufferPool) writeFrameLocked(fr *frame) error {
 	return nil
 }
 
-// newFrameLocked finds room for a new pinned frame, evicting if needed.
+// newFrameLocked finds room for a new pinned, zeroed frame, evicting the
+// least recently unpinned one if the pool is full. The victim's frame (or
+// one a Drop freed earlier) is reused for the incoming page.
 func (bp *BufferPool) newFrameLocked(id PageID) (*frame, error) {
 	for len(bp.frames) >= bp.capacity {
-		victim := bp.lru.Back()
-		if victim == nil {
+		vf := bp.lru
+		if vf == nil {
 			return nil, fmt.Errorf("pager: buffer pool exhausted: all %d frames pinned", bp.capacity)
 		}
-		vf := victim.Value.(*frame)
 		if vf.dirty {
 			if err := bp.writeFrameLocked(vf); err != nil {
 				return nil, err
 			}
 		}
-		bp.lru.Remove(victim)
-		delete(bp.frames, vf.id)
+		bp.dropLocked(vf)
 		bp.stats.evictions.Add(1)
 	}
-	fr := &frame{id: id, pins: 1}
+	fr := bp.free
+	if fr == nil {
+		fr = new(frame)
+	} else {
+		bp.free = fr.next
+		*fr = frame{}
+	}
+	fr.id, fr.pins = id, 1
 	bp.frames[id] = fr
 	return fr, nil
 }
 
-func (bp *BufferPool) pinLocked(fr *frame) {
-	if fr.pins == 0 && fr.elem != nil {
-		bp.lru.Remove(fr.elem)
-		fr.elem = nil
+// dropLocked removes an unpinned frame from the pool and parks it on the
+// free list. Nothing can still reference it: only pins hand out frames.
+func (bp *BufferPool) dropLocked(fr *frame) {
+	bp.unqueueLocked(fr)
+	delete(bp.frames, fr.id)
+	fr.next = bp.free
+	bp.free = fr
+}
+
+// queueLocked makes an unpinned frame the most recently used.
+func (bp *BufferPool) queueLocked(fr *frame) {
+	fr.prev, fr.next, fr.queued = nil, bp.mru, true
+	if bp.mru != nil {
+		bp.mru.prev = fr
+	} else {
+		bp.lru = fr
 	}
+	bp.mru = fr
+}
+
+func (bp *BufferPool) unqueueLocked(fr *frame) {
+	if !fr.queued {
+		return
+	}
+	if fr.prev != nil {
+		fr.prev.next = fr.next
+	} else {
+		bp.mru = fr.next
+	}
+	if fr.next != nil {
+		fr.next.prev = fr.prev
+	} else {
+		bp.lru = fr.prev
+	}
+	fr.prev, fr.next, fr.queued = nil, nil, false
+}
+
+func (bp *BufferPool) pinLocked(fr *frame) {
+	bp.unqueueLocked(fr)
 	fr.pins++
 }
 
@@ -587,7 +641,7 @@ func (bp *BufferPool) unpin(fr *frame, dirty bool) {
 	fr.dirty = fr.dirty || dirty
 	fr.pins--
 	if fr.pins == 0 {
-		fr.elem = bp.lru.PushFront(fr)
+		bp.queueLocked(fr)
 	}
 }
 
@@ -709,7 +763,7 @@ func (bp *BufferPool) RepairPage(id PageID, allowZero bool) (bool, error) {
 	}
 	fr.dirty = true
 	fr.pins = 0
-	fr.elem = bp.lru.PushFront(fr)
+	bp.queueLocked(fr)
 	return true, nil
 }
 
@@ -722,12 +776,11 @@ func (bp *BufferPool) DropClean() int {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	n := 0
-	for id, fr := range bp.frames {
+	for _, fr := range bp.frames {
 		if fr.pins > 0 || fr.dirty {
 			continue
 		}
-		bp.lru.Remove(fr.elem)
-		delete(bp.frames, id)
+		bp.dropLocked(fr)
 		n++
 	}
 	return n
@@ -748,7 +801,8 @@ func (bp *BufferPool) DropAll() error {
 			return fmt.Errorf("pager: DropAll with page %d still pinned", fr.id)
 		}
 	}
-	bp.frames = make(map[PageID]*frame, bp.capacity)
-	bp.lru.Init()
+	for _, fr := range bp.frames {
+		bp.dropLocked(fr)
+	}
 	return nil
 }

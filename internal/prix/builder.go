@@ -77,6 +77,9 @@ func newEmptyIndex(opts Options) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{opts: opts, forest: forest, store: store, maxGap: map[vtrie.Symbol]int64{}}
+	if err := ix.openTrees(); err != nil {
+		return nil, err
+	}
 	ix.initHot()
 	return ix, nil
 }
@@ -99,17 +102,6 @@ func (b *Builder) Add(doc *xmltree.Document) error {
 func (b *Builder) NumAdded() int { return int(b.nextID) }
 
 // Finalize labels the virtual trie, writes all index structures and returns
-// the queryable Index. The builder cannot be reused afterwards.
-func (b *Builder) Finalize() (*Index, error) {
-	if b.done {
-		return nil, fmt.Errorf("prix: Finalize called twice")
-	}
-	if b.buildEr != nil {
-		return nil, fmt.Errorf("prix: Finalize after failed Add: %w", b.buildEr)
-	}
-	b.done = true
-	if err := b.ix.finish(b.trie, &b.stats); err != nil {
-		return nil, err
-	}
-	return b.ix, nil
-}
+// the queryable Index: FinalizeBulk with its sorted chunks kept in memory.
+// The builder cannot be reused afterwards.
+func (b *Builder) Finalize() (*Index, error) { return b.FinalizeBulk(BulkOptions{}) }

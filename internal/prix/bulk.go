@@ -43,14 +43,12 @@ func (bo *BulkOptions) budget() int64 {
 	return bo.MemBudget
 }
 
-// FinalizeBulk is Finalize with bulk-loaded trees: it labels the trie,
-// spills the postings as sorted runs under the memory budget, and k-way
-// merges them into bottom-up-built B+-trees instead of per-posting Insert
-// descents. The resulting index answers queries identically to a
-// Finalize-built one; only the trees' page layout differs (packed leaves).
-// Given the same AddSeq stream and options the produced files are
-// byte-identical, which is what lets a crash-interrupted streaming ingest
-// re-run this phase from scratch and converge on the same index.
+// FinalizeBulk labels the trie, spills the postings as sorted runs under the
+// memory budget, and k-way merges them into bottom-up-built B+-trees with
+// packed leaves (no per-posting Insert descents). Given the same AddSeq
+// stream the produced files are byte-identical whatever the budget or
+// spiller, which is what lets a crash-interrupted streaming ingest re-run
+// this phase from scratch and converge on the same index.
 func (b *Builder) FinalizeBulk(bo BulkOptions) (*Index, error) {
 	if b.done {
 		return nil, fmt.Errorf("prix: Finalize called twice")
@@ -97,109 +95,121 @@ type bulkDocid struct {
 	docid uint32
 }
 
-// finishBulk is finish with the emit→insert loop replaced by the external
-// sort + bulk load.
-func (ix *Index) finishBulk(builder *vtrie.Builder, bs *buildStats, bo BulkOptions) error {
-	builder.Label()
-	if err := builder.Validate(); err != nil {
-		return fmt.Errorf("prix: trie labeling: %w", err)
-	}
-	docid, err := ix.forest.Tree(docidTreeName)
-	if err != nil {
-		return err
-	}
-	ix.docid = docid
+// bulkSorter is the one emit path of every build and rebuild: it buffers
+// postings and docid entries, spills them as sorted chunks whenever the
+// budget fills, and load merges the chunks into the (empty) postings and
+// Docid trees with one BulkLoad each.
+type bulkSorter struct {
+	ix          *Index
+	spill       Spiller
+	budget      int64
+	posts       []bulkPosting
+	docids      []bulkDocid
+	postChunks  []string
+	docidChunks []string
+	buffered    int64
+}
 
+func (ix *Index) newBulkSorter(bo BulkOptions) *bulkSorter {
 	spill := bo.Spill
 	if spill == nil {
 		spill = newMemSpiller()
 	}
-	budget := bo.budget()
+	return &bulkSorter{ix: ix, spill: spill, budget: bo.budget()}
+}
 
-	// Emit pass: Emit walks the trie in DFS preorder, so postings arrive in
-	// strictly increasing Left order and each buffered chunk only needs a
-	// sort by symbol (ties keep Left order because Left is unique). Docid
-	// entries are already globally sorted by Left, so their chunks merge by
-	// plain concatenation.
-	var (
-		posts       []bulkPosting
-		docids      []bulkDocid
-		postChunks  []string
-		docidChunks []string
-		buffered    int64
-	)
-	flushChunks := func() error {
-		if len(posts) > 0 {
-			sort.Slice(posts, func(i, j int) bool {
-				if posts[i].sym != posts[j].sym {
-					return posts[i].sym < posts[j].sym
-				}
-				return posts[i].left < posts[j].left
-			})
-			name := fmt.Sprintf("post-%04d.run", len(postChunks))
-			if err := writePostChunk(spill, name, posts); err != nil {
-				return err
-			}
-			postChunks = append(postChunks, name)
-			posts = posts[:0]
-		}
-		if len(docids) > 0 {
-			name := fmt.Sprintf("docid-%04d.run", len(docidChunks))
-			if err := writeDocidChunk(spill, name, docids); err != nil {
-				return err
-			}
-			docidChunks = append(docidChunks, name)
-			docids = docids[:0]
-		}
-		buffered = 0
-		return nil
+func (bs *bulkSorter) addPosting(p vtrie.Posting) error {
+	bs.ix.posted.add(p.Symbol)
+	bs.posts = append(bs.posts, bulkPosting{sym: p.Symbol, left: p.Left, right: p.Right, level: p.Level})
+	return bs.grow(postRecSize)
+}
+
+func (bs *bulkSorter) addDocid(left uint64, docid uint32) error {
+	bs.docids = append(bs.docids, bulkDocid{left: left, docid: docid})
+	return bs.grow(docidRecSize)
+}
+
+func (bs *bulkSorter) grow(n int64) error {
+	if bs.buffered += n; bs.buffered >= bs.budget {
+		return bs.flush()
 	}
-	err = builder.Emit(func(p vtrie.Posting, docs []uint32) error {
-		posts = append(posts, bulkPosting{sym: p.Symbol, left: p.Left, right: p.Right, level: p.Level})
-		buffered += postRecSize
-		for _, d := range docs {
-			docids = append(docids, bulkDocid{left: p.Left, docid: d})
-			buffered += docidRecSize
+	return nil
+}
+
+// flush sorts and spills what is buffered. A static build's docid entries
+// arrive sorted already (DFS emit order); a dynamic labeler's do not.
+func (bs *bulkSorter) flush() error {
+	if len(bs.posts) > 0 {
+		sort.Slice(bs.posts, func(i, j int) bool {
+			if bs.posts[i].sym != bs.posts[j].sym {
+				return bs.posts[i].sym < bs.posts[j].sym
+			}
+			return bs.posts[i].left < bs.posts[j].left
+		})
+		name := fmt.Sprintf("post-%04d.run", len(bs.postChunks))
+		if err := writePostChunk(bs.spill, name, bs.posts); err != nil {
+			return err
 		}
-		if buffered >= budget {
-			return flushChunks()
+		bs.postChunks = append(bs.postChunks, name)
+		bs.posts = bs.posts[:0]
+	}
+	if len(bs.docids) > 0 {
+		sort.Slice(bs.docids, func(i, j int) bool {
+			if bs.docids[i].left != bs.docids[j].left {
+				return bs.docids[i].left < bs.docids[j].left
+			}
+			return bs.docids[i].docid < bs.docids[j].docid
+		})
+		name := fmt.Sprintf("docid-%04d.run", len(bs.docidChunks))
+		if err := writeDocidChunk(bs.spill, name, bs.docids); err != nil {
+			return err
 		}
-		return nil
+		bs.docidChunks = append(bs.docidChunks, name)
+		bs.docids = bs.docids[:0]
+	}
+	bs.buffered = 0
+	return nil
+}
+
+// load spills the tail and bulk-loads both trees from the merged chunks. The
+// merged posting stream is already in (symbol, LeftPos) key order.
+func (bs *bulkSorter) load() error {
+	if err := bs.flush(); err != nil {
+		return err
+	}
+	err := mergeLoad(bs.ix.postings, bs.spill, bs.postChunks, postRecSize, func(rec []byte) ([]byte, []byte) {
+		return rec[:12], encodePosting(binary.BigEndian.Uint64(rec[12:20]), binary.BigEndian.Uint32(rec[20:24]))
 	})
 	if err != nil {
 		return err
 	}
-	if err := flushChunks(); err != nil {
+	err = mergeLoad(bs.ix.docid, bs.spill, bs.docidChunks, docidRecSize, func(rec []byte) ([]byte, []byte) {
+		return rec[:8], encodeDocID(binary.BigEndian.Uint32(rec[8:12]))
+	})
+	if err != nil {
 		return err
 	}
-
-	// Merge pass: per-symbol segments of the k-way-merged posting stream
-	// bulk-load one tree each; symbols come out ascending, so tree creation
-	// order (and with it page allocation) is deterministic.
-	if err := ix.bulkLoadPostings(spill, postChunks); err != nil {
-		return err
-	}
-	if err := ix.bulkLoadDocids(spill, docidChunks); err != nil {
-		return err
-	}
-	for _, name := range append(postChunks, docidChunks...) {
-		if err := spill.Remove(name); err != nil {
+	for _, name := range append(bs.postChunks, bs.docidChunks...) {
+		if err := bs.spill.Remove(name); err != nil {
 			return err
 		}
 	}
+	return nil
+}
 
-	ix.store.SetCatalog("maxgap", ix.maxGap)
+// finishBulk labels the trie, writes all postings through the sorter and
+// persists the store.
+func (ix *Index) finishBulk(builder *vtrie.Builder, bs *buildStats, bo BulkOptions) error {
+	if err := ix.emitTrie(builder, bo); err != nil {
+		return err
+	}
+	ix.stageCatalogs()
 	ix.store.SetStat("elements", bs.elements)
 	ix.store.SetStat("values", bs.values)
 	ix.store.SetStat("maxdepth", bs.maxDepth)
 	ix.store.SetStat("seqlen", bs.seqLen)
 	ix.store.SetStat("trienodes", int64(builder.Nodes()))
 	ix.store.SetStat("sequences", int64(builder.Sequences()))
-	extended := int64(0)
-	if ix.opts.Extended {
-		extended = 1
-	}
-	ix.store.SetStat("extended", extended)
 	if err := ix.store.Flush(); err != nil {
 		return err
 	}
@@ -208,6 +218,32 @@ func (ix *Index) finishBulk(builder *vtrie.Builder, bs *buildStats, bo BulkOptio
 	}
 	ix.PreloadHot()
 	return nil
+}
+
+// emitTrie labels the trie exactly and bulk-loads its postings, plus the
+// docid entries of each sequence's terminal node, into the empty trees.
+// Shared by the initial build and the static forest rebuild.
+func (ix *Index) emitTrie(builder *vtrie.Builder, bo BulkOptions) error {
+	builder.Label()
+	if err := builder.Validate(); err != nil {
+		return fmt.Errorf("prix: trie labeling: %w", err)
+	}
+	sorter := ix.newBulkSorter(bo)
+	err := builder.Emit(func(p vtrie.Posting, docs []uint32) error {
+		if err := sorter.addPosting(p); err != nil {
+			return err
+		}
+		for _, d := range docs {
+			if err := sorter.addDocid(p.Left, d); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return sorter.load()
 }
 
 func writePostChunk(spill Spiller, name string, posts []bulkPosting) error {
@@ -308,7 +344,11 @@ func (h *postHeap) Pop() interface{} {
 	return x
 }
 
-func (ix *Index) bulkLoadPostings(spill Spiller, chunks []string) (err error) {
+// mergeLoad k-way merges sorted chunks of fixed-size records — ordered by
+// their first 12 bytes, a posting's (symbol, left) or a docid entry's whole
+// (left, docid) — into one BulkLoad of an empty tree; entry splits a record
+// into its tree key and value.
+func mergeLoad(t *btree.Tree, spill Spiller, chunks []string, recSize int, entry func(rec []byte) (key, val []byte)) (err error) {
 	var h postHeap
 	defer func() {
 		for _, cr := range h {
@@ -318,106 +358,33 @@ func (ix *Index) bulkLoadPostings(spill Spiller, chunks []string) (err error) {
 		}
 	}()
 	for _, name := range chunks {
-		cr, err := openChunk(spill, name, postRecSize)
+		cr, err := openChunk(spill, name, recSize)
 		if err != nil {
 			return err
-		}
-		if cr.done {
-			if err := cr.close(); err != nil {
-				return err
-			}
-			continue
 		}
 		h = append(h, cr)
 	}
 	heap.Init(&h)
-	// pop yields the globally next record or ok=false at exhaustion.
-	var cur [postRecSize]byte
-	pop := func() (bool, error) {
+	cur := make([]byte, recSize)
+	return t.BulkLoad(func() ([]byte, []byte, error) {
 		for len(h) > 0 {
 			cr := h[0]
 			if cr.done {
 				heap.Pop(&h)
 				if err := cr.close(); err != nil {
-					return false, err
+					return nil, nil, err
 				}
 				continue
 			}
-			copy(cur[:], cr.head)
-			if err := cr.advance(); err != nil {
-				return false, err
-			}
-			heap.Fix(&h, 0)
-			return true, nil
-		}
-		return false, nil
-	}
-	ok, err := pop()
-	if err != nil {
-		return err
-	}
-	for ok {
-		sym := vtrie.Symbol(binary.BigEndian.Uint32(cur[0:4]))
-		t, terr := ix.forest.Tree(symTreeName(sym))
-		if terr != nil {
-			return terr
-		}
-		var ferr error
-		terr = t.BulkLoad(func() ([]byte, []byte, error) {
-			if !ok || vtrie.Symbol(binary.BigEndian.Uint32(cur[0:4])) != sym {
-				return nil, nil, io.EOF
-			}
-			key := btree.KeyUint64(binary.BigEndian.Uint64(cur[4:12]))
-			val := encodePosting(binary.BigEndian.Uint64(cur[12:20]), binary.BigEndian.Uint32(cur[20:24]))
-			ok, ferr = pop()
-			if ferr != nil {
-				return nil, nil, ferr
-			}
-			return key, val, nil
-		})
-		if terr != nil {
-			return terr
-		}
-	}
-	return nil
-}
-
-func (ix *Index) bulkLoadDocids(spill Spiller, chunks []string) error {
-	var (
-		cr  *chunkReader
-		idx int
-	)
-	defer func() {
-		if cr != nil {
-			cr.close()
-		}
-	}()
-	return ix.docid.BulkLoad(func() ([]byte, []byte, error) {
-		for {
-			if cr == nil {
-				if idx >= len(chunks) {
-					return nil, nil, io.EOF
-				}
-				var err error
-				if cr, err = openChunk(spill, chunks[idx], docidRecSize); err != nil {
-					return nil, nil, err
-				}
-				idx++
-			}
-			if cr.done {
-				if err := cr.close(); err != nil {
-					return nil, nil, err
-				}
-				cr = nil
-				continue
-			}
-			key := btree.KeyUint64(binary.BigEndian.Uint64(cr.head[0:8]))
-			val := encodeDocID(binary.BigEndian.Uint32(cr.head[8:12]))
+			copy(cur, cr.head)
 			if err := cr.advance(); err != nil {
 				return nil, nil, err
 			}
+			heap.Fix(&h, 0)
+			key, val := entry(cur)
 			return key, val, nil
 		}
+		return nil, nil, io.EOF
 	})
 }
 

@@ -27,7 +27,6 @@ type DynamicIndex struct {
 	mu      sync.RWMutex
 	ix      *Index
 	labeler *vtrie.DynamicLabeler
-	trees   map[vtrie.Symbol]*btree.Tree
 	nextID  uint32
 	// alpha and spread remember the labeler tuning so RepairForest can
 	// build a replacement labeler with the same parameters.
@@ -69,13 +68,9 @@ func NewDynamicIndex(initial []*xmltree.Document, opts Options, dopts DynamicOpt
 	di := &DynamicIndex{
 		ix:       ix,
 		labeler:  vtrie.NewDynamicLabeler(dopts.Alpha, dopts.Spread),
-		trees:    map[vtrie.Symbol]*btree.Tree{},
 		alpha:    dopts.Alpha,
 		spread:   dopts.Spread,
 		prepared: len(initial),
-	}
-	if di.ix.docid, err = ix.forest.Tree(docidTreeName); err != nil {
-		return nil, err
 	}
 	// Preparatory pass over the initial documents' sequences (the id
 	// passed here is irrelevant: no state is stored during Prepare).
@@ -91,10 +86,7 @@ func NewDynamicIndex(initial []*xmltree.Document, opts Options, dopts DynamicOpt
 	di.labeler.Finalize()
 	// The prepared prefix trie's postings must be written once; Add only
 	// reports nodes it creates below (or beside) the prefix.
-	err = di.labeler.EmitPrefix(func(p vtrie.Posting) error {
-		return di.writePosting(p)
-	})
-	if err != nil {
+	if err := di.labeler.EmitPrefix(ix.insertPosting); err != nil {
 		return nil, err
 	}
 	for _, doc := range initial {
@@ -151,7 +143,7 @@ func (di *DynamicIndex) insertLocked(doc *xmltree.Document) error {
 		return fmt.Errorf("prix: dynamic insert of document %d: %w", id, err)
 	}
 	for _, p := range created {
-		if err := di.writePosting(p); err != nil {
+		if err := di.ix.insertPosting(p); err != nil {
 			return err
 		}
 	}
@@ -191,23 +183,6 @@ func (di *DynamicIndex) recordInsertVersion(id uint32, terminal uint64, labeled 
 	}
 	m.Docs[id] = []mvcc.Interval{iv}
 	di.ix.persistVersionsLocked()
-}
-
-// writePosting inserts one trie-node posting into its Trie-Symbol tree.
-func (di *DynamicIndex) writePosting(p vtrie.Posting) error {
-	t, ok := di.trees[p.Symbol]
-	if !ok {
-		var err error
-		if t, err = di.ix.forest.Tree(symTreeName(p.Symbol)); err != nil {
-			return err
-		}
-		di.trees[p.Symbol] = t
-	}
-	if err := t.Insert(btree.KeyUint64(p.Left), encodePosting(p.Right, p.Level)); err != nil {
-		return err
-	}
-	di.ix.hotInvalidateTree(p.Symbol)
-	return nil
 }
 
 // Index returns the underlying index. Direct use is unsynchronized: callers
@@ -301,8 +276,7 @@ func (di *DynamicIndex) RepairForest() ([]uint32, error) {
 			}
 		}
 		lab.Finalize()
-		di.trees = map[vtrie.Symbol]*btree.Tree{}
-		if err := lab.EmitPrefix(di.writePosting); err != nil {
+		if err := lab.EmitPrefix(di.ix.insertPosting); err != nil {
 			return err
 		}
 		for _, rec := range recs {
@@ -314,7 +288,7 @@ func (di *DynamicIndex) RepairForest() ([]uint32, error) {
 				return fmt.Errorf("prix: dynamic relabel of document %d: %w", rec.DocID, err)
 			}
 			for _, p := range created {
-				if err := di.writePosting(p); err != nil {
+				if err := di.ix.insertPosting(p); err != nil {
 					return err
 				}
 			}
@@ -337,17 +311,12 @@ func (di *DynamicIndex) Close() error {
 	return di.ix.Close()
 }
 
-// Flush persists all structures, including the MaxGap catalog accumulated
-// so far.
+// Flush persists all structures, including the MaxGap catalog and the
+// posted-symbol set accumulated so far.
 func (di *DynamicIndex) Flush() error {
 	di.mu.Lock()
 	defer di.mu.Unlock()
-	di.ix.store.SetCatalog("maxgap", di.ix.maxGap)
-	ext := int64(0)
-	if di.ix.opts.Extended {
-		ext = 1
-	}
-	di.ix.store.SetStat("extended", ext)
+	di.ix.stageCatalogs()
 	di.ix.store.SetStat("sequences", int64(di.labeler.Sequences()))
 	// The labeler replay parameters: their presence marks the on-disk index
 	// as dynamic (reopenable via OpenDynamic).

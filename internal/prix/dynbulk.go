@@ -1,13 +1,9 @@
 package prix
 
 import (
-	"container/heap"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 
-	"repro/internal/btree"
 	"repro/internal/vtrie"
 )
 
@@ -49,7 +45,6 @@ func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 	di := &DynamicIndex{
 		ix:       ix,
 		labeler:  vtrie.NewDynamicLabeler(int(alpha), uint64(spread)),
-		trees:    map[vtrie.Symbol]*btree.Tree{},
 		alpha:    int(alpha),
 		spread:   uint64(spread),
 		prepared: int(prepared),
@@ -181,7 +176,7 @@ func (di *DynamicIndex) replayVersioned(n, prep int) error {
 // pass (so the whole collection pre-allocates scopes and the rebuild cannot
 // underflow short of spread exhaustion), then the postings are spilled as
 // sorted runs under bo's memory budget and k-way merged into bulk-loaded
-// B+-trees, exactly like FinalizeBulk's external sort.
+// B+-trees by FinalizeBulk's own bulkSorter.
 //
 // source is invoked twice and must yield the identical stream both times,
 // in ascending dense docid order (0, 1, 2, ...). Given the same stream and
@@ -211,7 +206,6 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, source fun
 	di := &DynamicIndex{
 		ix:      ix,
 		labeler: lab,
-		trees:   map[vtrie.Symbol]*btree.Tree{},
 		alpha:   dopts.Alpha,
 		spread:  dopts.Spread,
 	}
@@ -237,73 +231,11 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, source fun
 	lab.Finalize()
 	total := next
 
-	// Mirror finishBulk: the docid tree is created first so page allocation
-	// (and with it the final file bytes) is deterministic.
-	docid, err := ix.forest.Tree(docidTreeName)
-	if err != nil {
-		return nil, err
-	}
-	ix.docid = docid
-
-	spill := bo.Spill
-	if spill == nil {
-		spill = newMemSpiller()
-	}
-	budget := bo.budget()
-	var (
-		posts       []bulkPosting
-		docids      []bulkDocid
-		postChunks  []string
-		docidChunks []string
-		buffered    int64
-	)
-	flushChunks := func() error {
-		if len(posts) > 0 {
-			sort.Slice(posts, func(i, j int) bool {
-				if posts[i].sym != posts[j].sym {
-					return posts[i].sym < posts[j].sym
-				}
-				return posts[i].left < posts[j].left
-			})
-			name := fmt.Sprintf("post-%04d.run", len(postChunks))
-			if err := writePostChunk(spill, name, posts); err != nil {
-				return err
-			}
-			postChunks = append(postChunks, name)
-			posts = posts[:0]
-		}
-		if len(docids) > 0 {
-			// Unlike the static DFS emit, dynamically assigned terminal Lefts
-			// are not globally sorted in docid order, so docid chunks are
-			// sorted here and heap-merged below instead of concatenated.
-			sort.Slice(docids, func(i, j int) bool {
-				if docids[i].left != docids[j].left {
-					return docids[i].left < docids[j].left
-				}
-				return docids[i].docid < docids[j].docid
-			})
-			name := fmt.Sprintf("docid-%04d.run", len(docidChunks))
-			if err := writeDocidChunk(spill, name, docids); err != nil {
-				return err
-			}
-			docidChunks = append(docidChunks, name)
-			docids = docids[:0]
-		}
-		buffered = 0
-		return nil
-	}
-	addPost := func(p vtrie.Posting) error {
-		posts = append(posts, bulkPosting{sym: p.Symbol, left: p.Left, right: p.Right, level: p.Level})
-		buffered += postRecSize
-		if buffered >= budget {
-			return flushChunks()
-		}
-		return nil
-	}
+	sorter := ix.newBulkSorter(bo)
 
 	// The prepared prefix trie's postings are written once, like
 	// NewDynamicIndex does through EmitPrefix.
-	if err := lab.EmitPrefix(addPost); err != nil {
+	if err := lab.EmitPrefix(sorter.addPosting); err != nil {
 		return nil, err
 	}
 
@@ -333,16 +265,12 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, source fun
 			return fmt.Errorf("prix: bulk dynamic label of document %d: %w", ds.DocID, err)
 		}
 		for _, p := range created {
-			if err := addPost(p); err != nil {
+			if err := sorter.addPosting(p); err != nil {
 				return err
 			}
 		}
-		docids = append(docids, bulkDocid{left: terminal.Left, docid: ds.DocID})
-		buffered += docidRecSize
-		if buffered >= budget {
-			if err := flushChunks(); err != nil {
-				return err
-			}
+		if err := sorter.addDocid(terminal.Left, ds.DocID); err != nil {
+			return err
 		}
 		if err := ix.store.Put(rec); err != nil {
 			return err
@@ -355,33 +283,16 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, source fun
 	if next != total {
 		return nil, fmt.Errorf("prix: bulk dynamic source replayed %d docs, prepared %d", next, total)
 	}
-	if err := flushChunks(); err != nil {
+	if err := sorter.load(); err != nil {
 		return nil, err
 	}
 
-	if err := ix.bulkLoadPostings(spill, postChunks); err != nil {
-		return nil, err
-	}
-	if err := ix.bulkLoadDocidsMerged(spill, docidChunks); err != nil {
-		return nil, err
-	}
-	for _, name := range append(postChunks, docidChunks...) {
-		if err := spill.Remove(name); err != nil {
-			return nil, err
-		}
-	}
-
-	ix.store.SetCatalog("maxgap", ix.maxGap)
+	ix.stageCatalogs()
 	ix.store.SetStat("elements", bs.elements)
 	ix.store.SetStat("values", bs.values)
 	ix.store.SetStat("maxdepth", bs.maxDepth)
 	ix.store.SetStat("seqlen", bs.seqLen)
 	ix.store.SetStat("sequences", int64(lab.Sequences()))
-	extended := int64(0)
-	if ix.opts.Extended {
-		extended = 1
-	}
-	ix.store.SetStat("extended", extended)
 	ix.store.SetStat("alpha", int64(dopts.Alpha))
 	ix.store.SetStat("spread", int64(dopts.Spread))
 	ix.store.SetStat("prepared", int64(total))
@@ -395,54 +306,4 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, source fun
 	di.nextID = total
 	ix.PreloadHot()
 	return di, nil
-}
-
-// bulkLoadDocidsMerged is bulkLoadDocids for chunks that are each sorted by
-// (left, docid) but not globally ordered: a k-way heap merge over the
-// 12-byte records. postHeap's comparator already orders by the first 12
-// bytes of the head, which for a docid record is the whole (left, docid)
-// key, so it is reused as-is.
-func (ix *Index) bulkLoadDocidsMerged(spill Spiller, chunks []string) (err error) {
-	var h postHeap
-	defer func() {
-		for _, cr := range h {
-			if cerr := cr.close(); err == nil {
-				err = cerr
-			}
-		}
-	}()
-	for _, name := range chunks {
-		cr, err := openChunk(spill, name, docidRecSize)
-		if err != nil {
-			return err
-		}
-		if cr.done {
-			if err := cr.close(); err != nil {
-				return err
-			}
-			continue
-		}
-		h = append(h, cr)
-	}
-	heap.Init(&h)
-	return ix.docid.BulkLoad(func() ([]byte, []byte, error) {
-		for len(h) > 0 {
-			cr := h[0]
-			if cr.done {
-				heap.Pop(&h)
-				if err := cr.close(); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
-			key := btree.KeyUint64(binary.BigEndian.Uint64(cr.head[0:8]))
-			val := encodeDocID(binary.BigEndian.Uint32(cr.head[8:12]))
-			if err := cr.advance(); err != nil {
-				return nil, nil, err
-			}
-			heap.Fix(&h, 0)
-			return key, val, nil
-		}
-		return nil, nil, io.EOF
-	})
 }

@@ -13,8 +13,9 @@ import (
 // This file wires the in-memory hot tier (internal/hot) into the query path.
 // With Options.HotBudget > 0 the index keeps, under one LRU byte budget:
 //
-//   - one flat posting list per Trie-Symbol tree, serving the Algorithm 1
-//     range scans without touching the forest;
+//   - one flat posting list per symbol (its key-prefix range of the
+//     postings tree), serving the Algorithm 1 range scans without touching
+//     the forest;
 //   - the flat Docid list, serving the terminal docid scans;
 //   - one bit-packed structure summary per document, which Algorithm 2
 //     navigates in place instead of fetching the record from the store.
@@ -99,14 +100,16 @@ func (ix *Index) HotStats() HotStats {
 // HotStats proxies the underlying index's tier snapshot.
 func (di *DynamicIndex) HotStats() HotStats { return di.ix.HotStats() }
 
-// buildHotPostings flattens one Trie-Symbol tree by replaying its full
-// Scan; entry order is exactly the tree's, so a hot Scan emits what the
-// tree's Scan would.
-func buildHotPostings(tree *btree.Tree) (*hot.Postings, error) {
+// buildHotPostings flattens one symbol's postings by replaying the Scan of
+// its whole key-prefix range; entry order is exactly the tree's, so a hot
+// Scan emits what the tree's Scan would.
+func (ix *Index) buildHotPostings(s vtrie.Symbol) (*hot.Postings, error) {
 	b := hot.NewPostingsBuilder()
-	err := tree.Scan(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(k, v []byte) bool {
+	lo, hi := postingKey(s, 0), postingKey(s, math.MaxUint64)
+	err := ix.postings.Scan(lo[:], hi[:], true, true, func(k, v []byte) bool {
+		_, left := decodePostingKey(k)
 		r, lvl := decodePosting(v)
-		b.Add(btree.Uint64Key(k), r, lvl)
+		b.Add(left, r, lvl)
 		return true
 	})
 	if err != nil {
@@ -131,11 +134,11 @@ func buildHotDocIDs(tree *btree.Tree) (*hot.DocIDs, error) {
 	return b.Build(), nil
 }
 
-// hotPostings returns the resident list for one Trie-Symbol tree, building
-// and admitting it on a miss. nil means the scan must go to the tree (tier
+// hotPostings returns the resident list of one symbol, building and
+// admitting it on a miss. nil means the scan must go to the tree (tier
 // disabled, list over budget, or a build I/O error the tree path will
 // surface itself).
-func (ix *Index) hotPostings(s vtrie.Symbol, tree *btree.Tree) *hot.Postings {
+func (ix *Index) hotPostings(s vtrie.Symbol) *hot.Postings {
 	if ix.hot == nil {
 		return nil
 	}
@@ -146,7 +149,7 @@ func (ix *Index) hotPostings(s vtrie.Symbol, tree *btree.Tree) *hot.Postings {
 	if ix.hot.skipBuild(key) {
 		return nil
 	}
-	p, err := buildHotPostings(tree)
+	p, err := ix.buildHotPostings(s)
 	if err != nil {
 		return nil
 	}
@@ -214,7 +217,7 @@ func (ix *Index) admitHotRecord(rec *docstore.Record) {
 	}
 }
 
-// hotInvalidateTree drops one symbol tree's resident list (a posting was
+// hotInvalidateTree drops one symbol's resident list (a posting was
 // inserted).
 func (ix *Index) hotInvalidateTree(s vtrie.Symbol) {
 	if ix.hot != nil {
@@ -244,7 +247,7 @@ func (ix *Index) hotInvalidateAll() {
 }
 
 // PreloadHot fills the tier in priority order — the docid list, then every
-// Trie-Symbol list ascending, then document summaries ascending — without
+// symbol's posting list ascending, then document summaries ascending — without
 // evicting anything already loaded; each phase stops at the first structure
 // that no longer fits. Open and the builders call it automatically; it is a
 // no-op without a tier. Callers that own the index exclusively may call it
@@ -262,21 +265,36 @@ func (ix *Index) PreloadHot() {
 			}
 		}
 	}
-	for s := vtrie.Symbol(0); int(s) < ix.store.Dict().Len(); s++ {
-		tree := ix.forest.Lookup(symTreeName(s))
-		if tree == nil {
-			continue
+	// One pass over the postings tree, cut into a list wherever the key's
+	// symbol prefix changes.
+	var (
+		b    *hot.PostingsBuilder
+		cur  vtrie.Symbol
+		full bool
+	)
+	admit := func() bool {
+		if b == nil {
+			return true
 		}
-		if _, ok := ix.hot.tier.Get(symKey(s)); ok {
-			continue
+		if _, ok := ix.hot.tier.Get(symKey(cur)); ok {
+			return true
 		}
-		p, err := buildHotPostings(tree)
-		if err != nil {
-			continue
+		return ix.hot.tier.TryAdd(symKey(cur), b.Build())
+	}
+	ix.postings.Scan(nil, nil, true, true, func(k, v []byte) bool {
+		sym, left := decodePostingKey(k)
+		if b == nil || sym != cur {
+			if full = !admit(); full {
+				return false
+			}
+			b, cur = hot.NewPostingsBuilder(), sym
 		}
-		if !ix.hot.tier.TryAdd(symKey(s), p) {
-			break
-		}
+		r, lvl := decodePosting(v)
+		b.Add(left, r, lvl)
+		return true
+	})
+	if !full {
+		admit()
 	}
 	for id := 0; id < ix.store.NumDocs(); id++ {
 		docID := uint32(id)

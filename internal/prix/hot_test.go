@@ -366,9 +366,13 @@ func TestHotInvalidateMutations(t *testing.T) {
 				t.Errorf("after %s pass %d: hot %v, cold %v", step.name, pass, got, want)
 			}
 		}
+		// AS OF the mutation and AS OF the state before it (0 on the first
+		// step reads the latest again).
 		v := hot.VersionStats().Current
-		if got, want := counts(hot, v), counts(cold, v); !reflect.DeepEqual(got, want) {
-			t.Errorf("after %s AS OF %d: hot %v, cold %v", step.name, v, got, want)
+		for _, asOf := range []uint64{v - 1, v} {
+			if got, want := counts(hot, asOf), counts(cold, asOf); !reflect.DeepEqual(got, want) {
+				t.Errorf("after %s AS OF %d: hot %v, cold %v", step.name, asOf, got, want)
+			}
 		}
 	}
 }

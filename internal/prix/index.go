@@ -5,14 +5,15 @@
 // An Index is either an RPIndex (Regular-Prüfer sequences, §3.2) or an
 // EPIndex (Extended-Prüfer sequences, §5.6, recommended for queries with
 // values). Indexes persist as two page files — a B+-tree forest holding the
-// Trie-Symbol and Docid indexes, and a document store holding per-document
+// postings tree (every Trie-Symbol index under one composite key), the Docid
+// index and the structure sidecar, and a document store holding per-document
 // NPS/LPS/leaf data — or live in memory for tests.
 package prix
 
 import (
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -135,8 +136,16 @@ type Index struct {
 	opts   Options
 	forest *btree.Forest
 	store  *docstore.Store
-	docid  *btree.Tree
-	maxGap map[vtrie.Symbol]int64
+	// postings holds every Trie-Symbol index (§5.2) in one tree keyed
+	// symbol ‖ LeftPos, so a symbol's list is a key-prefix range and small
+	// lists share leaves; docid is the Docid index.
+	postings *btree.Tree
+	docid    *btree.Tree
+	maxGap   map[vtrie.Symbol]int64
+	// posted marks the symbols that have ever headed a posting, kept beside
+	// the MaxGap catalog: a query level over an unmarked symbol is empty
+	// without a range query to prove it.
+	posted symSet
 	// repairMu serializes structural repair (record rewrites, forest
 	// rebuilds, orphan sweeps — the writers) against everything that reads
 	// index structures: queries, verification and snapshots take it in read
@@ -175,11 +184,101 @@ func LookupSymbol(dict *docstore.Dict, label string, isValue bool) (vtrie.Symbol
 	return dict.Lookup(label)
 }
 
-// symTreeName returns the forest tree name of a Trie-Symbol index.
-func symTreeName(s vtrie.Symbol) string { return "s" + strconv.FormatUint(uint64(s), 10) }
+// Forest tree names. The structure sidecar's is structTreeName (repair.go).
+const (
+	postingsTreeName = "post"
+	docidTreeName    = "docid"
+)
 
-// docidTreeName is the forest tree name of the Docid index.
-const docidTreeName = "docid"
+// postingsLayout is stamped into the store's stats (layoutStatName) by every
+// build. 2 is the single postings tree; directories written before it (one
+// tree per symbol) carry no stamp and are refused with ErrOldLayout.
+const (
+	postingsLayout = 2
+	layoutStatName = "layout"
+)
+
+// Store names of the MaxGap catalog and the posted-symbol set.
+const (
+	maxGapCatalogKey = "maxgap"
+	postedBlobName   = "posted"
+)
+
+// openTrees binds the postings and Docid trees, creating them in a fresh (or
+// just reset) forest.
+func (ix *Index) openTrees() (err error) {
+	if ix.postings, err = ix.forest.Tree(postingsTreeName); err != nil {
+		return err
+	}
+	ix.docid, err = ix.forest.Tree(docidTreeName)
+	return err
+}
+
+// loadCatalogs is stageCatalogs read back on Open, plus the tree bindings. A
+// directory without the layout stamp or the postings tree is refused.
+func (ix *Index) loadCatalogs() error {
+	if ext, _ := ix.store.Stat("extended"); (ext == 1) != ix.opts.Extended {
+		ix.opts.Extended = ext == 1
+	}
+	ix.postings = ix.forest.Lookup(postingsTreeName)
+	if layout, _ := ix.store.Stat(layoutStatName); layout != postingsLayout || ix.postings == nil {
+		return ErrOldLayout
+	}
+	if ix.docid = ix.forest.Lookup(docidTreeName); ix.docid == nil {
+		return fmt.Errorf("no docid index")
+	}
+	ix.maxGap = map[vtrie.Symbol]int64{}
+	for k, v := range ix.store.Catalog(maxGapCatalogKey) {
+		ix.maxGap[k] = v
+	}
+	ix.posted = decodeSymSet(ix.store.Blob(postedBlobName))
+	return nil
+}
+
+// stageCatalogs hands the store what every persisted index carries beside its
+// records: the MaxGap catalog, the posted-symbol set, the sequence flavor and
+// the layout stamp. The caller's store Flush persists them.
+func (ix *Index) stageCatalogs() {
+	ix.store.SetCatalog(maxGapCatalogKey, ix.maxGap)
+	ix.store.SetBlob(postedBlobName, ix.posted.encode())
+	extended := int64(0)
+	if ix.opts.Extended {
+		extended = 1
+	}
+	ix.store.SetStat("extended", extended)
+	ix.store.SetStat(layoutStatName, postingsLayout)
+}
+
+// symSet is a bitset over dictionary symbols.
+type symSet []uint64
+
+func (s symSet) has(sym vtrie.Symbol) bool {
+	w := int(sym >> 6)
+	return w < len(s) && s[w]&(1<<(sym&63)) != 0
+}
+
+func (s *symSet) add(sym vtrie.Symbol) {
+	for int(sym>>6) >= len(*s) {
+		*s = append(*s, 0)
+	}
+	(*s)[sym>>6] |= 1 << (sym & 63)
+}
+
+func (s symSet) encode() []byte {
+	out := make([]byte, 8*len(s))
+	for i, w := range s {
+		binary.LittleEndian.PutUint64(out[8*i:], w)
+	}
+	return out
+}
+
+func decodeSymSet(b []byte) symSet {
+	s := make(symSet, len(b)/8)
+	for i := range s {
+		s[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return s
+}
 
 // Build constructs an index over the documents. Document IDs are assigned
 // sequentially from 0 in slice order, ignoring the IDs already present.
@@ -213,42 +312,6 @@ func (ix *Index) addDocument(builder *vtrie.Builder, id uint32, doc *xmltree.Doc
 	return ix.addSeq(builder, id, ds, bs)
 }
 
-// finish labels the trie, writes all postings and persists the store.
-func (ix *Index) finish(builder *vtrie.Builder, bs *buildStats) error {
-	builder.Label()
-	if err := builder.Validate(); err != nil {
-		return fmt.Errorf("prix: trie labeling: %w", err)
-	}
-	docid, err := ix.forest.Tree(docidTreeName)
-	if err != nil {
-		return err
-	}
-	ix.docid = docid
-	if err := ix.emitTrie(builder); err != nil {
-		return err
-	}
-	ix.store.SetCatalog("maxgap", ix.maxGap)
-	ix.store.SetStat("elements", bs.elements)
-	ix.store.SetStat("values", bs.values)
-	ix.store.SetStat("maxdepth", bs.maxDepth)
-	ix.store.SetStat("seqlen", bs.seqLen)
-	ix.store.SetStat("trienodes", int64(builder.Nodes()))
-	ix.store.SetStat("sequences", int64(builder.Sequences()))
-	extended := int64(0)
-	if ix.opts.Extended {
-		extended = 1
-	}
-	ix.store.SetStat("extended", extended)
-	if err := ix.store.Flush(); err != nil {
-		return err
-	}
-	if err := ix.forest.Flush(); err != nil {
-		return err
-	}
-	ix.PreloadHot()
-	return nil
-}
-
 // Open loads a previously built on-disk index. Any commit a crash
 // interrupted is rolled back from the sidecar journals first, and every
 // page read from disk is checksum-verified.
@@ -274,16 +337,9 @@ func Open(dir string, opts Options) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{opts: opts, forest: forest, store: store}
-	if ext, _ := store.Stat("extended"); (ext == 1) != opts.Extended {
-		ix.opts.Extended = ext == 1
-	}
-	ix.docid = forest.Lookup(docidTreeName)
-	if ix.docid == nil {
-		return nil, fmt.Errorf("prix: %s has no docid index", dir)
-	}
-	ix.maxGap = map[vtrie.Symbol]int64{}
-	for k, v := range store.Catalog("maxgap") {
-		ix.maxGap[k] = v
+	if err := ix.loadCatalogs(); err != nil {
+		ix.Close()
+		return nil, fmt.Errorf("prix: %s: %w", dir, err)
 	}
 	if err := ix.loadVersions(); err != nil {
 		return nil, err
@@ -370,6 +426,40 @@ func (ix *Index) SetReadDelay(d time.Duration) {
 func (ix *Index) PagesRead() uint64 {
 	return ix.forest.BufferPool().Stats().PhysicalReads +
 		ix.store.BufferPool().Stats().PhysicalReads
+}
+
+// postingKey is the postings tree's key: big-endian symbol ‖ LeftPos, so byte
+// order is (symbol, LeftPos) order and one symbol's list is one key range.
+func postingKey(sym vtrie.Symbol, left uint64) (k [12]byte) {
+	binary.BigEndian.PutUint32(k[:4], uint32(sym))
+	binary.BigEndian.PutUint64(k[4:], left)
+	return k
+}
+
+func decodePostingKey(k []byte) (vtrie.Symbol, uint64) {
+	return vtrie.Symbol(binary.BigEndian.Uint32(k[:4])), binary.BigEndian.Uint64(k[4:12])
+}
+
+// insertPosting writes one trie-node posting on the dynamic paths (insert,
+// update, mutation recovery, dynamic rebuild); builds bulk-load instead.
+func (ix *Index) insertPosting(p vtrie.Posting) error {
+	key := postingKey(p.Symbol, p.Left)
+	if err := ix.postings.Insert(key[:], encodePosting(p.Right, p.Level)); err != nil {
+		return err
+	}
+	ix.markPosted(p.Symbol)
+	ix.hotInvalidateTree(p.Symbol)
+	return nil
+}
+
+// markPosted records that sym heads a posting. A symbol's first posting also
+// stages the set for the next store flush, so a mutation's own commits carry
+// it: a reopened index must never short-circuit a symbol the tree holds.
+func (ix *Index) markPosted(sym vtrie.Symbol) {
+	if !ix.posted.has(sym) {
+		ix.posted.add(sym)
+		ix.store.SetBlob(postedBlobName, ix.posted.encode())
+	}
 }
 
 func encodePosting(right uint64, level uint32) []byte {

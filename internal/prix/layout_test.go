@@ -1,0 +1,296 @@
+package prix
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/twig"
+	"repro/internal/vtrie"
+	"repro/internal/xmltree"
+)
+
+// Tests of the single postings tree: key-prefix ranges at their boundaries,
+// the one build path, the size it buys, the layout stamp, and the posted set
+// that keeps empty levels free.
+
+// levelScan runs one Algorithm-1 range query (ql, qr] for sym exactly as a
+// query level would, hot list or paged tree, serial or with readahead.
+func levelScan(t *testing.T, ix *Index, sym vtrie.Symbol, ql, qr uint64, par int) []hit {
+	t.Helper()
+	p := &plan{levels: []levelSource{{tree: ix.postings, sym: sym, hot: ix.hotPostings(sym)}}}
+	sc := getScratch(1)
+	defer putScratch(sc)
+	hits, err := scanLevel(p, 0, ql, qr, &QueryStats{}, sc, par, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]hit(nil), hits...)
+}
+
+// One symbol's list is a key-prefix range, so the neighbours in key order are
+// other symbols' entries: (s, MaxUint64) sits directly before (s+1, 0). Every
+// symbol of a real corpus — the first interned, the last, each adjacent pair
+// — plus planted postings at LeftPos 0 and MaxUint64 must scan to exactly the
+// model's answer, the same from the hot list and the paged tree, serial and
+// with the pipelined descent's prefetch.
+func TestPostingRangesAtPrefixBoundaries(t *testing.T) {
+	docs := parallelCorpus()
+	cold := build(t, true, docs...)
+	hotIx := buildHot(t, true, 16<<20, docs...)
+	defer cold.Close()
+	defer hotIx.Close()
+	last := vtrie.Symbol(cold.store.Dict().Len() - 1)
+	for _, ix := range []*Index{cold, hotIx} {
+		for _, sym := range []vtrie.Symbol{0, 1, 2, last - 1, last} {
+			for _, left := range []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64} {
+				if err := ix.insertPosting(vtrie.Posting{Symbol: sym, Left: left, Right: left, Level: 99}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	model := map[vtrie.Symbol][]hit{}
+	err := cold.postings.Scan(nil, nil, true, true, func(k, v []byte) bool {
+		sym, left := decodePostingKey(k)
+		right, level := decodePosting(v)
+		model[sym] = append(model[sym], hit{left, right, level})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted := 0
+	for sym := vtrie.Symbol(0); sym <= last; sym++ {
+		if cold.posted.has(sym) {
+			posted++
+		}
+	}
+	if len(model) != posted {
+		t.Fatalf("%d symbols have postings, posted set says %d", len(model), posted)
+	}
+	for sym := vtrie.Symbol(0); sym <= last; sym++ {
+		ranges := [][2]uint64{{0, math.MaxUint64}, {0, 0}, {0, 1}, {math.MaxUint64 - 1, math.MaxUint64}, {math.MaxUint64, math.MaxUint64}}
+		for _, h := range model[sym] {
+			ranges = append(ranges, [2]uint64{h.left, h.right})
+			if h.left > 0 {
+				ranges = append(ranges, [2]uint64{h.left - 1, h.left})
+			}
+		}
+		for _, r := range ranges {
+			var want []hit
+			for _, h := range model[sym] {
+				if r[0] < h.left && h.left <= r[1] {
+					want = append(want, h)
+				}
+			}
+			for _, par := range []int{1, 4} {
+				if got := levelScan(t, cold, sym, r[0], r[1], par); !reflect.DeepEqual(got, want) {
+					t.Fatalf("paged sym %d (%d, %d] par %d: %d hits, model %d", sym, r[0], r[1], par, len(got), len(want))
+				}
+				if got := levelScan(t, hotIx, sym, r[0], r[1], par); !reflect.DeepEqual(got, want) {
+					t.Fatalf("hot sym %d (%d, %d] par %d: %d hits, model %d", sym, r[0], r[1], par, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// Finalize is FinalizeBulk with its chunks in memory, so an Add-built index
+// and an AddSeq stream merged from many tiny spilled chunks are the same
+// files byte for byte.
+func TestFinalizeEqualsFinalizeBulk(t *testing.T) {
+	ds := datagen.DBLP(1, 42)
+	base := t.TempDir()
+	plain, err := Build(ds.Docs, Options{Extended: true, Dir: filepath.Join(base, "a")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBuilder(Options{Extended: true, Dir: filepath.Join(base, "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, doc := range ds.Docs {
+		seq, err := Transform(uint32(i), doc, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddSeq(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk, err := b.FinalizeBulk(BulkOptions{MemBudget: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []*Index{plain, bulk} {
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{ForestFileName, DocsFileName} {
+		a, err := os.ReadFile(filepath.Join(base, "a", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(base, "b", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between Finalize (%d bytes) and FinalizeBulk (%d bytes)", name, len(a), len(b))
+		}
+	}
+}
+
+// With one tree per symbol every EPIndex value symbol cost a page: seq.idx
+// was ~80x the XML on these corpora. One dense tree with packed leaves must
+// stay under 6x.
+func TestIndexSizeBound(t *testing.T) {
+	for _, ds := range []*datagen.Dataset{datagen.DBLP(1, 1), datagen.SwissProt(1, 1), datagen.Treebank(1, 1)} {
+		dir := t.TempDir()
+		ix, err := Build(ds.Docs, Options{Extended: true, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(filepath.Join(dir, ForestFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		xml := ds.Summarize().XMLBytes
+		if ratio := float64(info.Size()) / float64(xml); ratio > 6 {
+			t.Errorf("%s: %s is %d bytes for %d bytes of XML (%.1fx, want <= 6x)", ds.Name, ForestFileName, info.Size(), xml, ratio)
+		}
+	}
+}
+
+// A directory in the per-symbol layout has no layout stamp and no postings
+// tree. Both are reproduced here from a fresh build; each must fail Open and
+// OpenDynamic with ErrOldLayout, not open as an index that matches nothing.
+func TestOldLayoutRefused(t *testing.T) {
+	tamper := map[string]func(ix *Index){
+		"no stamp": func(ix *Index) {
+			ix.store.SetStat(layoutStatName, 0)
+		},
+		"no postings tree": func(ix *Index) {
+			ix.forest.Reset()
+			for _, name := range []string{docidTreeName, structTreeName, "s0", "s1"} {
+				if _, err := ix.forest.Tree(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for name, damage := range tamper {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			di, err := NewDynamicIndex(parallelCorpus()[:6], Options{Extended: true, Dir: dir}, DynamicOptions{Alpha: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := di.Flush(); err != nil { // stamps the layout
+				t.Fatal(err)
+			}
+			damage(di.ix)
+			if err := di.ix.store.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := di.ix.forest.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := di.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir, Options{}); !errors.Is(err, ErrOldLayout) {
+				t.Errorf("Open = %v, want ErrOldLayout", err)
+			}
+			if _, err := OpenDynamic(dir, Options{}); !errors.Is(err, ErrOldLayout) {
+				t.Errorf("OpenDynamic = %v, want ErrOldLayout", err)
+			}
+		})
+	}
+}
+
+// A query level whose symbol heads no posting is known empty from the posted
+// set: it issues no range query (the per-symbol layout knew from the missing
+// tree). The set must survive a reopen, and a symbol first posted by an
+// Update must be in it after that mutation's own commits — without a Flush —
+// or the reopened index would skip a list the tree holds.
+func TestUnpostedLevelIssuesNoRangeQuery(t *testing.T) {
+	dir := t.TempDir()
+	docs := []*xmltree.Document{
+		xmltree.MustFromSExpr(0, `(a (b (c)))`),
+		xmltree.MustFromSExpr(1, `(a (c))`),
+	}
+	di, err := NewDynamicIndex(docs, Options{Dir: dir}, DynamicOptions{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(di *DynamicIndex, src string, wantMatches int, wantRangeQueries bool) {
+		t.Helper()
+		ms, stats, err := di.Match(twig.MustParse(src), MatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != wantMatches || (stats.RangeQueries > 0) != wantRangeQueries {
+			t.Errorf("%s: %d matches, %d range queries; want %d matches, range queries: %v",
+				src, len(ms), stats.RangeQueries, wantMatches, wantRangeQueries)
+		}
+	}
+	// c only ever labels leaves of a Regular-Prüfer tree: in the dictionary,
+	// never in an LPS.
+	check(di, `//c/b`, 0, false)
+	check(di, `//b/c`, 1, true)
+	if _, err := di.Update(1, xmltree.MustFromSExpr(1, `(a (c (b)))`)); err != nil {
+		t.Fatal(err)
+	}
+	check(di, `//c/b`, 1, true)
+	if err := di.Close(); err != nil { // no Flush: the Update's commits alone
+		t.Fatal(err)
+	}
+	di, err = OpenDynamic(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	check(di, `//c/b`, 1, true)
+	check(di, `//b/a`, 0, true)
+	if sym, ok := LookupSymbol(di.ix.store.Dict(), "b", false); !ok || !di.ix.posted.has(sym) {
+		t.Error("posted set lost b across the reopen")
+	}
+}
+
+// BenchmarkMatchPaged is BenchmarkMatchResident without the tier: the two
+// planted SWISSPROT twigs with real descents (Q5, Q6) through a warm 64-page
+// pool, where every range query pins pages of the one postings tree.
+func BenchmarkMatchPaged(b *testing.B) {
+	ds := datagen.SwissProt(1, 1)
+	ix, err := Build(ds.Docs, Options{Extended: true, BufferPoolPages: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	for _, qs := range ds.Queries[1:3] {
+		q := qs.Query()
+		b.Run(qs.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ms, _, err := ix.Match(q, residentOpts)
+				if err != nil || len(ms) != qs.Want {
+					b.Fatalf("matches = %d, %v; want %d", len(ms), err, qs.Want)
+				}
+			}
+		})
+	}
+}

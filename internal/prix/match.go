@@ -351,11 +351,13 @@ func (r pruneRule) pruned(gap int64) bool {
 	return (r.kind == 1 && gap > r.maxGap+1) || (r.kind == 2 && gap >= r.maxGap)
 }
 
-// levelSource is one query level's posting source: the Trie-Symbol tree
-// (nil when the symbol heads no sequence position) and, when resident, its
-// hot list, which then serves every range query of the level.
+// levelSource is one query level's posting source: the symbol's key-prefix
+// range of the postings tree (tree is nil when the symbol heads no sequence
+// position, known from the posted set without a probe) and, when resident,
+// its hot list, which then serves every range query of the level.
 type levelSource struct {
 	tree *btree.Tree
+	sym  vtrie.Symbol
 	hot  *hot.Postings
 }
 
@@ -415,8 +417,8 @@ func (ix *Index) compile(q *twig.Query) (*plan, error) {
 		}
 		p.syms[i] = sym
 		p.npsQ[i] = int32(pat.Seq.Numbers[i])
-		if tree := ix.forest.Lookup(symTreeName(sym)); tree != nil {
-			p.levels[i] = levelSource{tree: tree, hot: ix.hotPostings(sym, tree)}
+		if ix.posted.has(sym) {
+			p.levels[i] = levelSource{tree: ix.postings, sym: sym, hot: ix.hotPostings(sym)}
 		}
 	}
 	p.docids = docidSource{tree: ix.docid, hot: ix.hotDocIDs()}
@@ -588,11 +590,12 @@ func scanLevel(p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, pa
 			return true
 		})
 	} else {
-		lo, hi := btree.KeyUint64(ql), btree.KeyUint64(qr)
-		prefetch(src.tree, lo, hi, false, par, sp)
-		err = src.tree.Scan(lo, hi, false, true, func(k, v []byte) bool {
+		lo, hi := postingKey(src.sym, ql), postingKey(src.sym, qr)
+		prefetch(src.tree, lo[:], hi[:], false, par, sp)
+		err = src.tree.Scan(lo[:], hi[:], false, true, func(k, v []byte) bool {
+			_, left := decodePostingKey(k)
 			r, lvl := decodePosting(v)
-			hits = append(hits, hit{left: btree.Uint64Key(k), right: r, level: lvl})
+			hits = append(hits, hit{left: left, right: r, level: lvl})
 			return true
 		})
 	}

@@ -14,7 +14,7 @@ import (
 
 // Online repair exploits the redundancy PRIX builds in by construction: a
 // document is stored twice, once as its record (NPS + LPS + leaves, §4.3)
-// and once as its path through the virtual trie (Trie-Symbol postings +
+// and once as its path through the virtual trie (postings-tree entries +
 // Docid entry + the structure sidecar). By the one-to-one correspondence of
 // §3.1 either copy determines the document, so when one side is damaged the
 // other rebuilds it:
@@ -288,16 +288,14 @@ func structureMatches(rec, srec *docstore.Record) error {
 func (ix *Index) walkPostings(rec *docstore.Record) (uint64, error) {
 	curL, curR := uint64(0), vtrie.MaxRange
 	for i, sym := range rec.LPS {
-		tree := ix.forest.Lookup(symTreeName(sym))
-		if tree == nil {
-			return 0, fmt.Errorf("no Trie-Symbol tree for symbol %d at level %d", sym, i+1)
-		}
 		type hit struct{ left, right uint64 }
 		var found []hit
-		err := tree.Scan(btree.KeyUint64(curL), btree.KeyUint64(curR), false, true, func(k, v []byte) bool {
+		lo, hi := postingKey(sym, curL), postingKey(sym, curR)
+		err := ix.postings.Scan(lo[:], hi[:], false, true, func(k, v []byte) bool {
 			right, level := decodePosting(v)
 			if int(level) == i+1 {
-				found = append(found, hit{btree.Uint64Key(k), right})
+				_, left := decodePostingKey(k)
+				found = append(found, hit{left, right})
 			}
 			return len(found) <= 1
 		})
@@ -468,47 +466,38 @@ func (ix *Index) terminalLeftOf(docID uint32) (uint64, error) {
 
 // pathSymbolsTo recovers the LPS of the document terminating at LeftPos
 // left. Because every child's LeftPos strictly exceeds its parent's and
-// LeftPos values are unique trie-wide, the postings with key < left and
+// LeftPos values are unique trie-wide, the postings with LeftPos < left and
 // right >= left are exactly the terminal's strict ancestors, and the
-// posting keyed left is the terminal itself — one per level 1..n.
+// posting at left is the terminal itself — one per level 1..n. Ancestors
+// carry arbitrary symbols, so this is one pass over the whole postings tree.
 func (ix *Index) pathSymbolsTo(left uint64, n int) ([]vtrie.Symbol, error) {
 	lps := make([]vtrie.Symbol, n)
 	filled := make([]bool, n)
-	for _, name := range ix.forest.Names() {
-		var sym vtrie.Symbol
-		if _, err := fmt.Sscanf(name, "s%d", &sym); err != nil || symTreeName(sym) != name {
-			continue
+	var walkErr error
+	err := ix.postings.Scan(nil, nil, true, true, func(k, v []byte) bool {
+		sym, kl := decodePostingKey(k)
+		right, level := decodePosting(v)
+		if kl > left || (kl != left && right < left) {
+			return true // later in the trie, or a disjoint subtree: not an ancestor
 		}
-		tree := ix.forest.Lookup(name)
-		var walkErr error
-		err := tree.Scan(btree.KeyUint64(0), btree.KeyUint64(left), true, true, func(k, v []byte) bool {
-			kl := btree.Uint64Key(k)
-			right, level := decodePosting(v)
-			if kl != left && right < left {
-				return true // disjoint subtree, not an ancestor
-			}
-			if level < 1 || int(level) > n {
-				walkErr = fmt.Errorf("path node at %d has level %d outside 1..%d", kl, level, n)
-				return false
-			}
-			if filled[level-1] {
-				walkErr = fmt.Errorf("two path nodes claim level %d", level)
-				return false
-			}
-			if kl == left && int(level) != n {
-				walkErr = fmt.Errorf("terminal at %d has level %d, want %d", kl, level, n)
-				return false
-			}
+		switch {
+		case level < 1 || int(level) > n:
+			walkErr = fmt.Errorf("path node at %d has level %d outside 1..%d", kl, level, n)
+		case filled[level-1]:
+			walkErr = fmt.Errorf("two path nodes claim level %d", level)
+		case kl == left && int(level) != n:
+			walkErr = fmt.Errorf("terminal at %d has level %d, want %d", kl, level, n)
+		default:
 			lps[level-1] = sym
 			filled[level-1] = true
-			return true
-		})
-		if err != nil {
-			return nil, err
 		}
-		if walkErr != nil {
-			return nil, walkErr
-		}
+		return walkErr == nil
+	})
+	if err == nil {
+		err = walkErr
+	}
+	if err != nil {
+		return nil, err
 	}
 	for i, ok := range filled {
 		if !ok {
@@ -520,7 +509,7 @@ func (ix *Index) pathSymbolsTo(left uint64, n int) ([]vtrie.Symbol, error) {
 
 // forest rebuild ---------------------------------------------------------------
 
-// RepairForest rebuilds the whole forest — Trie-Symbol trees, Docid index
+// RepairForest rebuilds the whole forest — postings tree, Docid index
 // and structure sidecar — from the surviving document records, using exact
 // labeling. Documents whose records are damaged are quarantined and
 // reported; they need RestoreSnapshot. After the rebuild commits, orphaned
@@ -557,11 +546,9 @@ func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) err
 		recs = append(recs, rec)
 	}
 	ix.forest.Reset()
-	docid, err := ix.forest.Tree(docidTreeName)
-	if err != nil {
+	if err := ix.openTrees(); err != nil {
 		return nil, err
 	}
-	ix.docid = docid
 	if err := writeTrie(recs); err != nil {
 		return nil, fmt.Errorf("prix: forest rebuild failed (close without flushing; the journal restores the last committed image): %w", err)
 	}
@@ -598,7 +585,8 @@ func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) err
 }
 
 // emitExactRebuild is the static-index trie writer for rebuildForestLocked:
-// a fresh exact-labeled trie over all surviving sequences, as Build uses.
+// a fresh exact-labeled trie over all surviving sequences, bulk-loaded as
+// Build does.
 func (ix *Index) emitExactRebuild(recs []*docstore.Record) error {
 	builder := vtrie.NewBuilder()
 	for _, rec := range recs {
@@ -609,37 +597,7 @@ func (ix *Index) emitExactRebuild(recs []*docstore.Record) error {
 			return err
 		}
 	}
-	builder.Label()
-	if err := builder.Validate(); err != nil {
-		return fmt.Errorf("prix: trie labeling: %w", err)
-	}
-	return ix.emitTrie(builder)
-}
-
-// emitTrie writes every posting of a labeled trie into the forest plus the
-// docid entries of each sequence's terminal node. Shared by the initial
-// build and forest rebuild.
-func (ix *Index) emitTrie(builder *vtrie.Builder) error {
-	trees := map[vtrie.Symbol]*btree.Tree{}
-	return builder.Emit(func(p vtrie.Posting, docs []uint32) error {
-		t, ok := trees[p.Symbol]
-		if !ok {
-			var err error
-			if t, err = ix.forest.Tree(symTreeName(p.Symbol)); err != nil {
-				return err
-			}
-			trees[p.Symbol] = t
-		}
-		if err := t.Insert(btree.KeyUint64(p.Left), encodePosting(p.Right, p.Level)); err != nil {
-			return err
-		}
-		for _, d := range docs {
-			if err := ix.docid.Insert(btree.KeyUint64(p.Left), encodeDocID(d)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return ix.emitTrie(builder, BulkOptions{})
 }
 
 // page sweeps ------------------------------------------------------------------

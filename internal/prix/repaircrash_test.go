@@ -132,13 +132,12 @@ func openCrashIndex(docsF, docsJ, forestF, forestJ pager.File, fresh bool) (*Ind
 	if err != nil {
 		return nil, err
 	}
-	if !fresh {
-		ix.docid = forest.Lookup(docidTreeName)
-		if ix.docid == nil {
-			return nil, fmt.Errorf("no docid index")
-		}
+	if fresh {
+		err = ix.openTrees()
+	} else {
+		err = ix.loadCatalogs()
 	}
-	return ix, nil
+	return ix, err
 }
 
 // runRepairSteps opens the index and performs the repair as a sequence of

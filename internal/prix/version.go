@@ -362,25 +362,18 @@ func (ix *Index) recoverPending() error {
 		}
 	case mvcc.PendUpdate:
 		for _, c := range p.Created {
-			tree, err := ix.forest.Tree(symTreeName(vtrie.Symbol(c.Sym)))
+			post := vtrie.Posting{Symbol: vtrie.Symbol(c.Sym), Left: c.Left, Right: c.Right, Level: c.Level}
+			key := postingKey(post.Symbol, post.Left)
+			vals, err := ix.postings.Get(key[:])
 			if err != nil {
 				return err
 			}
-			key := btree.KeyUint64(c.Left)
-			want := encodePosting(c.Right, c.Level)
-			vals, err := tree.Get(key)
-			if err != nil {
-				return err
-			}
-			present := false
-			for _, v := range vals {
-				if bytes.Equal(v, want) {
-					present = true
-					break
-				}
-			}
-			if !present {
-				if err := tree.Insert(key, want); err != nil {
+			// LeftPos is unique trie-wide, so any entry under the key is this
+			// posting, written before the cut — whose commit C, the one that
+			// carries the posted set, did not happen.
+			ix.markPosted(post.Symbol)
+			if len(vals) == 0 {
+				if err := ix.insertPosting(post); err != nil {
 					return err
 				}
 			}
@@ -671,7 +664,7 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 	}
 
 	for _, p := range created {
-		if err := di.writePosting(p); err != nil {
+		if err := di.ix.insertPosting(p); err != nil {
 			return nil, err
 		}
 	}

@@ -84,10 +84,12 @@ func intsEqual(a, b []int) bool {
 
 // versionCrashBaseline builds the swept index: the corpus plus one update,
 // so the version map already exists and the pre-mutation state has an
-// addressable version of its own.
+// addressable version of its own. 26 documents, so the postings tree spans
+// several leaves: with one leaf, the forest half of a commit would be a single
+// page and the sweep would cross no multi-page commit at all.
 func versionCrashBaseline(t *testing.T, dir string) {
 	t.Helper()
-	docs := parallelCorpus()[:12]
+	docs := parallelCorpus()[:26]
 	di, err := NewDynamicIndex(docs, Options{
 		Dir:             dir,
 		Extended:        true,
@@ -134,7 +136,9 @@ func TestVersionCrashSweepMutations(t *testing.T) {
 		}
 	}
 
-	updated := variantDoc(parallelCorpus()[4], 3)
+	// A 30-node replacement, so the update's new trie path lands postings in
+	// most leaves of the postings tree.
+	updated := variantDoc(parallelCorpus()[20], 3)
 	muts := []struct {
 		name string
 		run  func(di *DynamicIndex) error

@@ -144,7 +144,13 @@ func vcBuildLayout(t *testing.T, root string, docs []*xmltree.Document) {
 
 func TestVersionCrashSweepSharded(t *testing.T) {
 	base := t.TempDir()
-	docs := corpus()[:14]
+	// Two copies of the corpus, the second relabelled, so each shard's
+	// postings tree spans several leaves and one update commit dirties most
+	// of them (with one leaf per shard the sweep would cross a single page).
+	docs := corpus()
+	for _, d := range corpus() {
+		docs = append(docs, vcVariant(d))
+	}
 	pristine := filepath.Join(base, "pristine")
 	vcBuildLayout(t, pristine, docs)
 
@@ -158,7 +164,7 @@ func TestVersionCrashSweepSharded(t *testing.T) {
 		{"delete", func(di *prix.DynamicIndex) error { _, err := di.Delete(3); return err }},
 		{"update", func(di *prix.DynamicIndex) error {
 			parts := Partition(docs, 2)
-			_, err := di.Update(1, vcVariant(parts[0][1]))
+			_, err := di.Update(1, vcVariant(parts[0][len(parts[0])-1]))
 			return err
 		}},
 	}
