@@ -42,11 +42,14 @@ benchmark-module:
 # (the service boundary), the docstore record decoder (the corruption
 # boundary), the trace/slow-log JSON encoder (the ?trace=1 boundary) and the
 # dynamic labeler's range-allocation invariants (the insert boundary); the
-# hot lists' binary-searched range scans against a naive filter; and the
-# B+-tree's in-place leaf edits against a sorted-slice model.
+# hot lists' binary-searched range scans against a naive filter; the
+# B+-tree's in-place leaf edits against a sorted-slice model; and the docstore
+# meta's header fields, chain pointers and block counts as Open reads them
+# from a corrupt file.
 fuzz:
 	$(GO) test ./internal/twig -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 30s
 	$(GO) test ./internal/docstore -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime 30s
+	$(GO) test ./internal/docstore -run FuzzOpenMeta -fuzz FuzzOpenMeta -fuzztime 30s
 	$(GO) test ./internal/obs -run FuzzSpanJSON -fuzz FuzzSpanJSON -fuzztime 30s
 	$(GO) test ./internal/vtrie -run FuzzDynamicLabeler -fuzz FuzzDynamicLabeler -fuzztime 30s
 	$(GO) test ./internal/mvcc -run FuzzSeqDiffPatch -fuzz FuzzSeqDiffPatch -fuzztime 30s
@@ -136,11 +139,13 @@ versions-e2e:
 	$(GO) test -race ./internal/mvcc -count=1
 
 # Chaos stage: fault-injection and self-healing end to end. Power-cut sweeps
-# across every write point of a commit and of an online repair, bit-flip
-# corruption that must be scrub-detected and auto-repaired under live
-# queries, and snapshot restore for the unrepairable cases.
+# across every write point of a commit, of a sectioned store flush and of an
+# online repair, bit-flip corruption that must be scrub-detected and
+# auto-repaired under live queries, and snapshot restore for the unrepairable
+# cases.
 chaos:
-	$(GO) test ./internal/pager -run 'Crash|Torn|Fault' -count=1
+	$(GO) test ./internal/pager -run 'Crash|Torn|Fault|Trim' -count=1
+	$(GO) test ./internal/docstore -run 'Crash|Unreadable' -count=1
 	$(GO) test ./internal/prix -run 'Crash|BitFlip|Repair|Snapshot' -count=1
 	$(GO) test -race ./internal/scrub -count=1
 
@@ -151,10 +156,14 @@ bench:
 # bundled dataset (the table asserts identical match counts, so it doubles
 # as a differential test), plus one iteration of the in-package benchmarks
 # (the resident- and paged-path ones assert their hit and match counts), the
-# pool's pin on a hit and on a miss, and a leaf edit on a full page.
+# pool's pin on a hit and on a miss, a leaf edit on a full page, and the write
+# path's two: one re-pointed document flushed on a 5,000-document store, and
+# one Update committed on a 3,000-document EPIndex over real files (pages and
+# syncs per commit reported).
 bench-smoke:
 	$(GO) run ./cmd/prixbench -table parallel -datasets SWISSPROT
-	$(GO) test ./internal/prix -run XXX -bench 'UnorderedArrangements|MatchResident|MatchPaged' -benchtime 1x -benchmem
+	$(GO) test ./internal/prix -run XXX -bench 'UnorderedArrangements|MatchResident|MatchPaged|CommitUpdate' -benchtime 1x -benchmem
+	$(GO) test ./internal/docstore -run XXX -bench 'StoreFlushOneDoc' -benchtime 1x -benchmem
 	$(GO) test ./internal/hot -run XXX -bench 'PostingsSeek|DocIDsSeek|SummaryRefine' -benchtime 1x -benchmem
 	$(GO) test ./internal/pager -run XXX -bench 'PoolGet' -benchtime 1x -benchmem
 	$(GO) test ./internal/btree -run XXX -bench 'LeafInsertFullPage' -benchtime 1x -benchmem

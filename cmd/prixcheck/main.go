@@ -15,9 +15,11 @@
 //   - the recovered images open as an index: a directory written in the
 //     old one-tree-per-symbol postings layout is reported here.
 //
-// It ends with a size report: bytes per file, and per forest tree its
-// entries, height, pages per level and leaf fill, plus the directory's bytes
-// per byte of the documents serialised back to XML.
+// It ends with a size report: bytes per file (journals included); docs.db by
+// meta section (pages, bytes, fill) and by what its pages hold (header, meta,
+// record, unreferenced); per forest tree its entries, height, pages per level
+// and leaf fill; and the directory's bytes per byte of the documents
+// serialised back to XML.
 //
 // With -repair, a corrupt index is opened for real (journal recovery runs
 // against the files) and one scrub repair pass heals what the index's
@@ -398,6 +400,23 @@ func sizeReport(dir string, forestMem, docsMem *pager.MemFile, report func(int))
 			total += info.Size()
 		}
 	}
+	// docs.db by what its pages hold. A page nothing references — bytes of
+	// rewritten records, a replaced chain page — is what a repair sweep may
+	// zero and a compaction reclaims.
+	store := ix.Store()
+	meta, unreferenced := 0, 0
+	for _, sec := range store.MetaSections() {
+		fmt.Printf("size: docs.db %-10s %4d pages, %8d bytes, fill %.1f%%\n",
+			sec.Name, sec.Pages, sec.Bytes, 100*float64(sec.Bytes)/float64(sec.Pages*pager.PageSize))
+		meta += sec.Pages
+	}
+	for id := uint32(1); id < docsMem.NumPages(); id++ {
+		if !store.PageReferenced(pager.PageID(id)) {
+			unreferenced++
+		}
+	}
+	fmt.Printf("size: docs.db pages: 1 header, %d meta, %d record, %d unreferenced\n",
+		meta, int(docsMem.NumPages())-1-meta-unreferenced, unreferenced)
 	forest := ix.Forest()
 	for _, name := range forest.Names() {
 		sh, err := forest.Lookup(name).Shape()

@@ -100,7 +100,8 @@ func TestCleanIndexPrintsSizeReport(t *testing.T) {
 	if status != exitClean {
 		t.Fatalf("run = %d, want %d", status, exitClean)
 	}
-	for _, want := range []string{`size: seq.idx`, `size: tree "post"`, `size: tree "docid"`, `size: tree "nps"`, `leaf fill`, `per byte of XML (2 documents`} {
+	for _, want := range []string{`size: seq.idx`, `size: docs.jnl`, `size: docs.db dictionary`, `size: docs.db directory`, `size: docs.db catalogs`,
+		`size: docs.db pages: 1 header, 3 meta`, `0 unreferenced`, `size: tree "post"`, `size: tree "docid"`, `size: tree "nps"`, `leaf fill`, `per byte of XML (2 documents`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report lacks %q:\n%s", want, out)
 		}

@@ -5,7 +5,9 @@
 // shared with the virtual trie and the MaxGap catalog of §5.4.
 //
 // Records live in a heap of pager pages and are read back through the
-// buffer pool, so refinement I/O is accounted exactly like index I/O.
+// buffer pool, so refinement I/O is accounted exactly like index I/O. The
+// dictionary, the record directory and the catalogs live in page chains of
+// their own (meta.go), each flushed only when it changed.
 package docstore
 
 import (
@@ -14,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -121,66 +125,84 @@ func (r *Record) encode(buf *bytes.Buffer) {
 	}
 }
 
-func decodeRecord(data []byte) (*Record, error) {
+func decodeRecord(data []byte) (*Record, error) { return decode(data, "decode", true) }
+
+// decode parses a record encoding, or with lps false its structural half,
+// reading varints straight off data. what names the encoding in errors.
+func decode(data []byte, what string, lps bool) (*Record, error) {
 	r := &Record{}
-	br := bytes.NewReader(data)
-	get := func() (uint64, error) { return binary.ReadUvarint(br) }
-	v, err := get()
+	v, data, err := uvarint(data)
 	if err != nil {
-		return nil, fmt.Errorf("docstore: decode docID: %w", err)
+		return nil, fmt.Errorf("docstore: %s docID: %w", what, err)
 	}
 	r.DocID = uint32(v)
-	if v, err = get(); err != nil {
-		return nil, fmt.Errorf("docstore: decode numNodes: %w", err)
+	if v, data, err = uvarint(data); err != nil {
+		return nil, fmt.Errorf("docstore: %s numNodes: %w", what, err)
 	}
 	r.NumNodes = int32(v)
-	n, err := get()
+	n, data, err := uvarint(data)
 	if err != nil {
-		return nil, fmt.Errorf("docstore: decode len: %w", err)
+		return nil, fmt.Errorf("docstore: %s len: %w", what, err)
 	}
 	// NPS and LPS each hold n varints of at least one byte, so a length
 	// that exceeds the remaining bytes is corrupt — reject it before
 	// allocating (a flipped length byte must not over-allocate).
-	if n > uint64(br.Len()) {
-		return nil, fmt.Errorf("docstore: decode len %d exceeds %d remaining bytes", n, br.Len())
+	if n > uint64(len(data)) {
+		return nil, fmt.Errorf("docstore: %s len %d exceeds %d remaining bytes", what, n, len(data))
 	}
 	if n > 0 {
 		r.NPS = make([]int32, n)
-		r.LPS = make([]vtrie.Symbol, n)
+		if lps {
+			r.LPS = make([]vtrie.Symbol, n)
+		}
 	}
 	for i := range r.NPS {
-		if v, err = get(); err != nil {
-			return nil, fmt.Errorf("docstore: decode NPS[%d]: %w", i, err)
+		if v, data, err = uvarint(data); err != nil {
+			return nil, fmt.Errorf("docstore: %s NPS[%d]: %w", what, i, err)
 		}
 		r.NPS[i] = int32(v)
 	}
 	for i := range r.LPS {
-		if v, err = get(); err != nil {
-			return nil, fmt.Errorf("docstore: decode LPS[%d]: %w", i, err)
+		if v, data, err = uvarint(data); err != nil {
+			return nil, fmt.Errorf("docstore: %s LPS[%d]: %w", what, i, err)
 		}
 		r.LPS[i] = vtrie.Symbol(v)
 	}
-	if v, err = get(); err != nil {
-		return nil, fmt.Errorf("docstore: decode leaf count: %w", err)
+	if v, data, err = uvarint(data); err != nil {
+		return nil, fmt.Errorf("docstore: %s leaf count: %w", what, err)
 	}
 	// Each leaf is two varints, at least two bytes.
-	if v > uint64(br.Len())/2 {
-		return nil, fmt.Errorf("docstore: decode leaf count %d exceeds %d remaining bytes", v, br.Len())
+	if v > uint64(len(data))/2 {
+		return nil, fmt.Errorf("docstore: %s leaf count %d exceeds %d remaining bytes", what, v, len(data))
 	}
 	if v > 0 {
 		r.Leaves = make([]Leaf, v)
 	}
 	for i := range r.Leaves {
-		if v, err = get(); err != nil {
-			return nil, fmt.Errorf("docstore: decode leaf post: %w", err)
+		if v, data, err = uvarint(data); err != nil {
+			return nil, fmt.Errorf("docstore: %s leaf post: %w", what, err)
 		}
 		r.Leaves[i].Post = int32(v)
-		if v, err = get(); err != nil {
-			return nil, fmt.Errorf("docstore: decode leaf sym: %w", err)
+		if v, data, err = uvarint(data); err != nil {
+			return nil, fmt.Errorf("docstore: %s leaf sym: %w", what, err)
 		}
 		r.Leaves[i].Sym = vtrie.Symbol(v)
 	}
 	return r, nil
+}
+
+var errVarintOverflow = errors.New("varint overflows 64 bits")
+
+// uvarint decodes one varint off the front of b and returns the rest.
+func uvarint(b []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(b)
+	if n == 0 {
+		return 0, b, io.ErrUnexpectedEOF
+	}
+	if n < 0 {
+		return 0, b, errVarintOverflow
+	}
+	return v, b[n:], nil
 }
 
 // EncodeStructure serializes the record's structural half — DocID,
@@ -209,58 +231,7 @@ func (r *Record) EncodeStructure() []byte {
 
 // DecodeStructure parses an EncodeStructure payload. The returned record
 // has a nil LPS; the caller recovers it from the trie postings.
-func DecodeStructure(data []byte) (*Record, error) {
-	r := &Record{}
-	br := bytes.NewReader(data)
-	get := func() (uint64, error) { return binary.ReadUvarint(br) }
-	v, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("docstore: structure docID: %w", err)
-	}
-	r.DocID = uint32(v)
-	if v, err = get(); err != nil {
-		return nil, fmt.Errorf("docstore: structure numNodes: %w", err)
-	}
-	r.NumNodes = int32(v)
-	n, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("docstore: structure len: %w", err)
-	}
-	// Same over-allocation guard as decodeRecord: a corrupt length must not
-	// allocate more than the payload can hold.
-	if n > uint64(br.Len()) {
-		return nil, fmt.Errorf("docstore: structure len %d exceeds %d remaining bytes", n, br.Len())
-	}
-	if n > 0 {
-		r.NPS = make([]int32, n)
-	}
-	for i := range r.NPS {
-		if v, err = get(); err != nil {
-			return nil, fmt.Errorf("docstore: structure NPS[%d]: %w", i, err)
-		}
-		r.NPS[i] = int32(v)
-	}
-	if v, err = get(); err != nil {
-		return nil, fmt.Errorf("docstore: structure leaf count: %w", err)
-	}
-	if v > uint64(br.Len())/2 {
-		return nil, fmt.Errorf("docstore: structure leaf count %d exceeds %d remaining bytes", v, br.Len())
-	}
-	if v > 0 {
-		r.Leaves = make([]Leaf, v)
-	}
-	for i := range r.Leaves {
-		if v, err = get(); err != nil {
-			return nil, fmt.Errorf("docstore: structure leaf post: %w", err)
-		}
-		r.Leaves[i].Post = int32(v)
-		if v, err = get(); err != nil {
-			return nil, fmt.Errorf("docstore: structure leaf sym: %w", err)
-		}
-		r.Leaves[i].Sym = vtrie.Symbol(v)
-	}
-	return r, nil
-}
+func DecodeStructure(data []byte) (*Record, error) { return decode(data, "structure", false) }
 
 // Nodes returns n, the node count of the (possibly extended) tree.
 func (r *Record) Nodes() int32 { return r.NumNodes }
@@ -325,8 +296,7 @@ type Store struct {
 	// Stats holds named dataset statistics (Table 2 feed).
 	stats map[string]int64
 	// blobs holds named opaque payloads persisted with the meta (the MVCC
-	// version map lives here, keyed "mvcc"). Stores flushed before blobs
-	// existed simply have none — the section is only decoded when present.
+	// version map lives here, keyed "mvcc").
 	blobs map[string][]byte
 	// extraRefs, when set, is consulted by PageReferenced so pages holding
 	// superseded-but-retained record images are not treated as garbage.
@@ -339,11 +309,7 @@ type Store struct {
 	curPage pager.PageID
 	curOff  int
 
-	// metaFirst/metaLen locate the meta payload written by the last Flush
-	// (or found by Open), so PageReferenced can tell live meta pages from
-	// orphaned ones.
-	metaFirst pager.PageID
-	metaLen   int
+	meta metaState
 }
 
 // ErrQuarantined wraps every Get of a quarantined document, so callers can
@@ -356,8 +322,6 @@ var ErrQuarantined = errors.New("docstore: document quarantined")
 // pager.ErrCorrupt.
 var ErrBadRecord = errors.New("docstore: bad record")
 
-var storeMagic = []byte("PRIXDOC1")
-
 // NewStore initialises an empty store over an empty page file.
 func NewStore(bp *pager.BufferPool, dict *Dict) (*Store, error) {
 	if bp.File().NumPages() != 0 {
@@ -365,11 +329,10 @@ func NewStore(bp *pager.BufferPool, dict *Dict) (*Store, error) {
 	}
 	s := &Store{
 		bp: bp, dict: dict,
-		catalogs:  map[string]map[vtrie.Symbol]int64{},
-		stats:     map[string]int64{},
-		blobs:     map[string][]byte{},
-		curPage:   pager.InvalidPage,
-		metaFirst: pager.InvalidPage,
+		catalogs: map[string]map[vtrie.Symbol]int64{},
+		stats:    map[string]int64{},
+		blobs:    map[string][]byte{},
+		curPage:  pager.InvalidPage,
 	}
 	// Page 0 is reserved for the meta header written by Flush.
 	p, err := bp.NewPage()
@@ -426,7 +389,7 @@ func (s *Store) Rewrite(rec *Record) error {
 	if err != nil {
 		return err
 	}
-	s.dir[rec.DocID] = entry
+	s.setEntryLocked(rec.DocID, entry)
 	return nil
 }
 
@@ -446,7 +409,7 @@ func (s *Store) RewriteKeepOld(rec *Record) (Loc, error) {
 	if err != nil {
 		return Loc{}, err
 	}
-	s.dir[rec.DocID] = entry
+	s.setEntryLocked(rec.DocID, entry)
 	return Loc{Page: old.page, Off: old.offset, Len: old.length}, nil
 }
 
@@ -518,27 +481,38 @@ func (s *Store) Get(docID uint32) (*Record, error) {
 }
 
 func (s *Store) readRecord(docID uint32, e dirEntry) (*Record, error) {
-	data := make([]byte, 0, e.length)
 	page, off := e.page, int(e.offset)
-	for uint32(len(data)) < e.length {
-		if off >= pager.PageDataSize {
-			return nil, fmt.Errorf("docstore: document %d: directory offset %d out of page: %w", docID, off, ErrBadRecord)
-		}
-		p, err := s.bp.Get(page)
-		if err != nil {
-			return nil, err
-		}
-		need := int(e.length) - len(data)
-		avail := pager.PageDataSize - off
-		if need < avail {
-			avail = need
-		}
-		data = append(data, p.Data[off:off+avail]...)
-		p.Unpin(false)
-		page++
-		off = 0
+	if off >= pager.PageDataSize && e.length > 0 {
+		return nil, fmt.Errorf("docstore: document %d: directory offset %d out of page: %w", docID, off, ErrBadRecord)
 	}
-	rec, err := decodeRecord(data)
+	var rec *Record
+	var err error
+	if e.length > 0 && int(e.length) <= pager.PageDataSize-off {
+		// The record lies within one page: decode it where it is pinned.
+		p, gerr := s.bp.Get(page)
+		if gerr != nil {
+			return nil, gerr
+		}
+		rec, err = decodeRecord(p.Data[off : off+int(e.length)])
+		p.Unpin(false)
+	} else {
+		// A spanning record is copied out; a corrupt directory length must not
+		// size that copy beyond what the file can hold.
+		if end := uint64(page)*pager.PageDataSize + uint64(off) + uint64(e.length); end > uint64(s.bp.File().NumPages())*pager.PageDataSize {
+			return nil, fmt.Errorf("docstore: document %d: %d bytes from page %d run past the file: %w", docID, e.length, page, ErrBadRecord)
+		}
+		data := make([]byte, 0, e.length)
+		for ; uint32(len(data)) < e.length; page, off = page+1, 0 {
+			p, gerr := s.bp.Get(page)
+			if gerr != nil {
+				return nil, gerr
+			}
+			avail := min(int(e.length)-len(data), pager.PageDataSize-off)
+			data = append(data, p.Data[off:off+avail]...)
+			p.Unpin(false)
+		}
+		rec, err = decodeRecord(data)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("docstore: document %d: %w: %v", docID, ErrBadRecord, err)
 	}
@@ -655,18 +629,18 @@ func (s *Store) DocsOnPage(id pager.PageID) []uint32 {
 }
 
 // PageReferenced reports whether page id holds live store data: the header
-// page, the current meta chain, any record's bytes, or the open append
-// cursor page. Unreferenced pages are garbage (orphaned meta chains, bytes
-// of rewritten records) and may be zeroed by a repair sweep.
+// page, a meta section's chain, any record's bytes, or the open append
+// cursor page. Unreferenced pages are garbage (bytes of rewritten records,
+// a chain page replaced because it no longer read) and may be zeroed by a
+// repair sweep.
 func (s *Store) PageReferenced(id pager.PageID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id == 0 || id == s.curPage {
 		return true
 	}
-	if s.metaFirst != pager.InvalidPage {
-		metaPages := pager.PageID((s.metaLen + pager.PageDataSize - 1) / pager.PageDataSize)
-		if s.metaFirst <= id && id < s.metaFirst+metaPages {
+	for i := range s.meta.sections {
+		if slices.Contains(s.meta.sections[i].pages, id) {
 			return true
 		}
 	}
@@ -697,18 +671,21 @@ func (s *Store) SetExtraRefs(fn func(pager.PageID) bool) {
 }
 
 // SetBlob stores a named opaque payload persisted by Flush. A nil or empty
-// payload deletes the entry.
+// payload deletes the entry. Like SetCatalog and SetStat it marks the
+// catalogs section for the next Flush only when it changes what is stored.
 func (s *Store) SetBlob(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.blobs == nil {
-		s.blobs = map[string][]byte{}
+	old, ok := s.blobs[name]
+	if ok && bytes.Equal(old, data) || !ok && len(data) == 0 {
+		return // unchanged: the section stays clean
 	}
+	s.meta.smallDirty = true
 	if len(data) == 0 {
 		delete(s.blobs, name)
 		return
 	}
-	s.blobs[name] = append([]byte(nil), data...)
+	s.blobs[name] = append(old[:0], data...)
 }
 
 // Blob returns a named payload (nil if absent). The returned slice is a copy.
@@ -726,10 +703,12 @@ func (s *Store) Blob(name string) []byte {
 func (s *Store) SetCatalog(name string, m map[vtrie.Symbol]int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := make(map[vtrie.Symbol]int64, len(m))
-	for k, v := range m {
-		cp[k] = v
+	if old, ok := s.catalogs[name]; ok && maps.Equal(old, m) {
+		return
 	}
+	s.meta.smallDirty = true
+	cp := make(map[vtrie.Symbol]int64, len(m))
+	maps.Copy(cp, m)
 	s.catalogs[name] = cp
 }
 
@@ -745,6 +724,10 @@ func (s *Store) Catalog(name string) map[vtrie.Symbol]int64 {
 func (s *Store) SetStat(name string, v int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if old, ok := s.stats[name]; ok && old == v {
+		return
+	}
+	s.meta.smallDirty = true
 	s.stats[name] = v
 }
 
@@ -754,277 +737,4 @@ func (s *Store) Stat(name string) (int64, bool) {
 	defer s.mu.Unlock()
 	v, ok := s.stats[name]
 	return v, ok
-}
-
-// meta serialisation -----------------------------------------------------------
-
-// Flush persists the directory, dictionary, catalogs and stats, then writes
-// all pages back. The meta payload lives in a run of pages of its own;
-// page 0 records where it starts.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	putStr := func(x string) { put(uint64(len(x))); buf.WriteString(x) }
-	// Directory.
-	put(uint64(len(s.dir)))
-	for _, e := range s.dir {
-		put(uint64(e.page))
-		put(uint64(e.offset))
-		put(uint64(e.length))
-	}
-	// Dictionary.
-	s.dict.mu.Lock()
-	put(uint64(len(s.dict.names)))
-	for _, n := range s.dict.names {
-		putStr(n)
-	}
-	s.dict.mu.Unlock()
-	// Catalogs, sorted for determinism.
-	catNames := make([]string, 0, len(s.catalogs))
-	for n := range s.catalogs {
-		catNames = append(catNames, n)
-	}
-	sort.Strings(catNames)
-	put(uint64(len(catNames)))
-	for _, n := range catNames {
-		putStr(n)
-		m := s.catalogs[n]
-		syms := make([]vtrie.Symbol, 0, len(m))
-		for k := range m {
-			syms = append(syms, k)
-		}
-		sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-		put(uint64(len(syms)))
-		for _, k := range syms {
-			put(uint64(k))
-			put(uint64(m[k]))
-		}
-	}
-	// Stats.
-	statNames := make([]string, 0, len(s.stats))
-	for n := range s.stats {
-		statNames = append(statNames, n)
-	}
-	sort.Strings(statNames)
-	put(uint64(len(statNames)))
-	for _, n := range statNames {
-		putStr(n)
-		put(uint64(s.stats[n]))
-	}
-	// Blobs, sorted for determinism. Written only when present so stores
-	// without blobs keep the pre-blob meta layout byte-for-byte.
-	if len(s.blobs) > 0 {
-		blobNames := make([]string, 0, len(s.blobs))
-		for n := range s.blobs {
-			blobNames = append(blobNames, n)
-		}
-		sort.Strings(blobNames)
-		put(uint64(len(blobNames)))
-		for _, n := range blobNames {
-			putStr(n)
-			put(uint64(len(s.blobs[n])))
-			buf.Write(s.blobs[n])
-		}
-	}
-	payload := buf.Bytes()
-	// Write the payload over the previous meta region while it still fits —
-	// the journal makes the overwrite atomic — and across fresh pages at the
-	// tail once it has outgrown it (or a page of it no longer reads), leaving
-	// the old region as sweepable garbage. Appending on every flush grew the
-	// file by the whole dictionary per commit.
-	need := (len(payload) + pager.PageDataSize - 1) / pager.PageDataSize
-	first := s.metaFirst
-	reuse := first != pager.InvalidPage && need <= (s.metaLen+pager.PageDataSize-1)/pager.PageDataSize
-	for i := 0; i < need; i++ {
-		var p pager.Page
-		var err error
-		if reuse {
-			if p, err = s.bp.Get(first + pager.PageID(i)); err != nil {
-				reuse, i = false, -1 // start over on fresh pages
-				continue
-			}
-		} else if p, err = s.bp.NewPage(); err != nil {
-			s.mu.Unlock()
-			return err
-		} else if i == 0 {
-			first = p.ID
-		}
-		clear(p.Data)
-		copy(p.Data, payload[i*pager.PageDataSize:])
-		p.Unpin(true)
-	}
-	// Header in page 0.
-	p, err := s.bp.Get(0)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	copy(p.Data, storeMagic)
-	binary.LittleEndian.PutUint32(p.Data[8:12], uint32(first))
-	binary.LittleEndian.PutUint64(p.Data[12:20], uint64(len(payload)))
-	p.Unpin(true)
-	s.metaFirst = first
-	s.metaLen = len(payload)
-	// Fresh meta pages occupy the file tail, so a record appended later that
-	// started on the old partially-filled page and spilled would land on
-	// non-contiguous pages — and records must span contiguous page ids
-	// (readRecord walks page+1). Force the next append onto a fresh page.
-	if !reuse {
-		s.curPage = pager.InvalidPage
-	}
-	s.mu.Unlock()
-	return s.bp.FlushAll()
-}
-
-// Open loads a store previously persisted by Flush.
-func Open(bp *pager.BufferPool) (*Store, error) {
-	s := &Store{
-		bp: bp, dict: &Dict{},
-		catalogs:  map[string]map[vtrie.Symbol]int64{},
-		stats:     map[string]int64{},
-		blobs:     map[string][]byte{},
-		curPage:   pager.InvalidPage,
-		metaFirst: pager.InvalidPage,
-	}
-	p, err := bp.Get(0)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(p.Data[:8], storeMagic) {
-		p.Unpin(false)
-		return nil, fmt.Errorf("docstore: page 0 is not a docstore header")
-	}
-	first := pager.PageID(binary.LittleEndian.Uint32(p.Data[8:12]))
-	length := int(binary.LittleEndian.Uint64(p.Data[12:20]))
-	p.Unpin(false)
-	if first == pager.InvalidPage {
-		return nil, fmt.Errorf("docstore: store was never flushed")
-	}
-	s.metaFirst = first
-	s.metaLen = length
-	payload := make([]byte, 0, length)
-	for page := first; len(payload) < length; page++ {
-		p, err := bp.Get(page)
-		if err != nil {
-			return nil, err
-		}
-		need := length - len(payload)
-		if need > pager.PageDataSize {
-			need = pager.PageDataSize
-		}
-		payload = append(payload, p.Data[:need]...)
-		p.Unpin(false)
-	}
-	br := bytes.NewReader(payload)
-	get := func() (uint64, error) { return binary.ReadUvarint(br) }
-	getStr := func() (string, error) {
-		n, err := get()
-		if err != nil {
-			return "", err
-		}
-		if n > uint64(br.Len()) {
-			return "", fmt.Errorf("docstore: string of %d bytes exceeds %d remaining", n, br.Len())
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	n, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("docstore: meta: %w", err)
-	}
-	// Every directory entry is three varints, at least three bytes.
-	if n > uint64(br.Len())/3 {
-		return nil, fmt.Errorf("docstore: meta directory of %d entries exceeds %d remaining bytes", n, br.Len())
-	}
-	s.dir = make([]dirEntry, n)
-	for i := range s.dir {
-		pg, err1 := get()
-		of, err2 := get()
-		ln, err3 := get()
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("docstore: meta directory truncated at %d", i)
-		}
-		s.dir[i] = dirEntry{page: pager.PageID(pg), offset: uint16(of), length: uint32(ln)}
-	}
-	if n, err = get(); err != nil {
-		return nil, fmt.Errorf("docstore: meta dict: %w", err)
-	}
-	for i := uint64(0); i < n; i++ {
-		name, err := getStr()
-		if err != nil {
-			return nil, fmt.Errorf("docstore: meta dict entry %d: %w", i, err)
-		}
-		s.dict.Intern(name)
-	}
-	if n, err = get(); err != nil {
-		return nil, fmt.Errorf("docstore: meta catalogs: %w", err)
-	}
-	for i := uint64(0); i < n; i++ {
-		name, err := getStr()
-		if err != nil {
-			return nil, err
-		}
-		sz, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if sz > uint64(br.Len())/2 {
-			return nil, fmt.Errorf("docstore: catalog %s of %d entries exceeds %d remaining bytes", name, sz, br.Len())
-		}
-		m := make(map[vtrie.Symbol]int64, sz)
-		for j := uint64(0); j < sz; j++ {
-			k, err1 := get()
-			v, err2 := get()
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("docstore: catalog %s truncated", name)
-			}
-			m[vtrie.Symbol(k)] = int64(v)
-		}
-		s.catalogs[name] = m
-	}
-	if n, err = get(); err != nil {
-		return nil, fmt.Errorf("docstore: meta stats: %w", err)
-	}
-	for i := uint64(0); i < n; i++ {
-		name, err := getStr()
-		if err != nil {
-			return nil, err
-		}
-		v, err := get()
-		if err != nil {
-			return nil, err
-		}
-		s.stats[name] = int64(v)
-	}
-	// Blob section — present only in stores flushed by versions that had
-	// blobs to write, so decode it iff bytes remain.
-	if br.Len() > 0 {
-		if n, err = get(); err != nil {
-			return nil, fmt.Errorf("docstore: meta blobs: %w", err)
-		}
-		for i := uint64(0); i < n; i++ {
-			name, err := getStr()
-			if err != nil {
-				return nil, fmt.Errorf("docstore: meta blob %d name: %w", i, err)
-			}
-			sz, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("docstore: meta blob %s size: %w", name, err)
-			}
-			if sz > uint64(br.Len()) {
-				return nil, fmt.Errorf("docstore: blob %s of %d bytes exceeds %d remaining", name, sz, br.Len())
-			}
-			b := make([]byte, sz)
-			if _, err := io.ReadFull(br, b); err != nil {
-				return nil, fmt.Errorf("docstore: meta blob %s: %w", name, err)
-			}
-			s.blobs[name] = b
-		}
-	}
-	return s, nil
 }

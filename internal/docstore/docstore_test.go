@@ -303,10 +303,10 @@ func TestQuarantinedSortedDeduped(t *testing.T) {
 }
 
 // Records must occupy contiguous pages (readRecord walks page+1), but Flush
-// appends meta pages at the file tail. A record appended after a Flush that
-// continued on the pre-flush partial page and spilled would therefore land on
-// non-contiguous pages and read back as garbage. Regression: interleave
-// flushes with appends, including one spanning append per round.
+// extends a meta chain by a page at the file tail. A record appended after
+// such a Flush that continued on the pre-flush partial page and spilled would
+// land on non-contiguous pages and read back as garbage. Regression:
+// interleave flushes with appends, including one spanning append per round.
 func TestAppendAfterFlushStaysContiguous(t *testing.T) {
 	s := newStore(t)
 	rng := rand.New(rand.NewSource(3))
@@ -347,10 +347,10 @@ func TestAppendAfterFlushStaysContiguous(t *testing.T) {
 	}
 }
 
-// Flush rewrites the meta payload over the run of pages the previous flush
-// used while it still fits, so committing again costs no file growth; a
-// payload that outgrows the run moves to the tail once, and the store reads
-// back identically either way — including records appended between flushes on
+// Flush writes each meta section over the chain pages it already has, so
+// committing again costs no file growth; a section that outgrows its chain
+// takes pages at the tail for the growth alone, and the store reads back
+// identically either way — including records appended between flushes on
 // the page that was open before them.
 func TestFlushReusesMetaRegion(t *testing.T) {
 	bp := pager.NewBufferPool(pager.NewMemFile(), 64)
@@ -373,7 +373,7 @@ func TestFlushReusesMetaRegion(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// The first flush put its run at the tail, so the next record opens a
+	// The first flush put its chains at the tail, so the next record opens a
 	// fresh page; from there on the file must not grow.
 	put(1)
 	if err := s.Flush(); err != nil {
@@ -390,7 +390,7 @@ func TestFlushReusesMetaRegion(t *testing.T) {
 	if got := bp.File().NumPages(); got != pages {
 		t.Errorf("20 small commits grew the file from %d to %d pages", pages, got)
 	}
-	// Outgrow the one-page run: the payload relocates, once.
+	// Outgrow the dictionary's one page: its chain grows, the rest stays put.
 	for i := 0; i < 600; i++ {
 		s.Dict().Intern(fmt.Sprintf("a-rather-long-label-%04d", i))
 	}
@@ -406,7 +406,7 @@ func TestFlushReusesMetaRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := bp.File().NumPages(); got > grown+1 {
-		t.Errorf("commit after relocation grew the file from %d to %d pages", grown, got)
+		t.Errorf("commit after the growth grew the file from %d to %d pages", grown, got)
 	}
 	re, err := Open(pager.NewBufferPool(bp.File(), 64))
 	if err != nil {

@@ -2,9 +2,12 @@ package docstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/pager"
 	"repro/internal/vtrie"
 )
 
@@ -79,4 +82,60 @@ func TestDecodeRecordRejectsOversizedLengths(t *testing.T) {
 	if _, err := decodeRecord(data); err == nil {
 		t.Fatal("oversized leaf count accepted")
 	}
+}
+
+// FuzzOpenMeta overwrites four bytes anywhere in a flushed store — the fuzzer
+// soon finds the header's heads, chain lengths, stream lengths and counts, the
+// chain pointers and the directory block counts — re-seals the page so the
+// checksum passes, and opens the result. Open must answer with an error or a
+// store whose records can all be asked for: no panic, no hang on a chain that
+// loops or runs off the file, no allocation sized by a corrupt length.
+func FuzzOpenMeta(f *testing.F) {
+	main := pager.NewMemFile()
+	s := bigStore(f, main, pager.NewMemFile(), 2000, 800)
+	img := memImage(f, main)
+	secs := s.meta.sections
+	f.Add(uint16(0), uint16(8), uint32(0))                                           // dictionary head: none
+	f.Add(uint16(0), uint16(8), uint32(secs[secDir].pages[0]))                       // dictionary head on the directory chain
+	f.Add(uint16(0), uint16(12), uint32(1<<31))                                      // chain length
+	f.Add(uint16(0), uint16(16), uint32(1<<30))                                      // stream length
+	f.Add(uint16(0), uint16(8+16*numSections), uint32(1<<31))                        // document count
+	f.Add(uint16(0), uint16(8+16*numSections+4), uint32(1<<31))                      // name count
+	f.Add(uint16(secs[secDict].pages[1]), uint16(0), uint32(secs[secDict].pages[0])) // a cycle
+	f.Add(uint16(secs[secDict].pages[0]), uint16(0), uint32(len(img)+7))             // a pointer off the file
+	f.Add(uint16(secs[secDir].pages[0]), uint16(chainHeader), uint32(0xffff))        // block count
+	f.Add(uint16(secs[secSmall].pages[0]), uint16(chainHeader), uint32(1<<31))       // catalog count
+
+	f.Fuzz(func(t *testing.T, page, off uint16, val uint32) {
+		id := int(page) % len(img)
+		at := pager.PageHeaderSize + int(off)%(pager.PageDataSize-4)
+		mem := pager.NewMemFile()
+		for i, src := range img {
+			if _, err := mem.Allocate(); err != nil {
+				t.Fatal(err)
+			}
+			buf := bytes.Clone(src)
+			if i == id {
+				binary.LittleEndian.PutUint32(buf[at:], val)
+				pager.SealPage(pager.PageID(i), buf)
+			}
+			if err := mem.WritePage(pager.PageID(i), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		re, err := Open(pager.NewBufferPool(mem, 64))
+		runtime.ReadMemStats(&after)
+		// The whole file is under 1 MB; the pool's frames, the dictionary and
+		// the directory account for about as much again.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Fatalf("Open allocated %d bytes over a %d-page file (err %v)", grew, len(img), err)
+		}
+		if err != nil {
+			return
+		}
+		re.Verify()
+		re.MetaSections()
+	})
 }

@@ -96,6 +96,9 @@ type Map struct {
 	MutOps    uint64 // deletes+updates (not inserts); compaction drift check
 	Pending   *PendingOp
 	Docs      map[uint32][]Interval
+	// encoded is the size of the last encoding; the next one, rarely more
+	// than an interval longer, is appended into a buffer sized from it.
+	encoded int
 }
 
 // NewMap returns an empty version map with counters initialized.
@@ -205,7 +208,8 @@ const mapMagic = "MVC1"
 
 // Encode renders the map deterministically (documents ascending).
 func (m *Map) Encode() []byte {
-	buf := []byte(mapMagic)
+	buf := make([]byte, 0, m.encoded+m.encoded/8+64)
+	buf = append(buf, mapMagic...)
 	buf = binary.AppendUvarint(buf, m.Counter)
 	buf = binary.AppendUvarint(buf, m.NextLabel)
 	buf = binary.AppendUvarint(buf, m.MutOps)
@@ -250,6 +254,7 @@ func (m *Map) Encode() []byte {
 			buf = binary.AppendUvarint(buf, uint64(iv.Loc.Len))
 		}
 	}
+	m.encoded = len(buf)
 	return buf
 }
 
@@ -316,6 +321,7 @@ func DecodeMap(b []byte) (*Map, error) {
 	if err := m.Check(); err != nil {
 		return nil, err
 	}
+	m.encoded = len(b)
 	return m, nil
 }
 

@@ -44,6 +44,12 @@ type Journal struct {
 	nextRec PageID // next record header page (records start at page 1)
 	orig    uint32 // main-file page count at Begin
 	synced  bool   // no appended record is awaiting a sync
+	// used is the page count of the last committed transaction (header and
+	// records); trim cuts the file back to it.
+	used uint32
+	// page is where header and record-header pages are built; allocated by
+	// the first write (File.WritePage implementations copy) and reused.
+	page *[PageSize]byte
 }
 
 var (
@@ -100,7 +106,7 @@ func (j *Journal) writeHeader(h journalHeader) error {
 	if err := ensurePages(j.f, 1); err != nil {
 		return err
 	}
-	var page [PageSize]byte
+	page := j.scratchPage()
 	copy(page[:8], journalMagic)
 	page[8] = journalVersion
 	if h.active {
@@ -113,6 +119,16 @@ func (j *Journal) writeHeader(h journalHeader) error {
 		return fmt.Errorf("pager: journal header: %w", err)
 	}
 	return j.f.Sync()
+}
+
+// scratchPage returns the journal's zeroed scratch page.
+func (j *Journal) scratchPage() *[PageSize]byte {
+	if j.page == nil {
+		j.page = new([PageSize]byte)
+	} else {
+		clear(j.page[:])
+	}
+	return j.page
 }
 
 // readHeader returns the header and whether it is valid.
@@ -194,7 +210,7 @@ func (j *Journal) Append(id PageID, image []byte) error {
 	if err := j.f.WritePage(j.nextRec+1, image); err != nil {
 		return err
 	}
-	var hdr [PageSize]byte
+	hdr := j.scratchPage()
 	copy(hdr[:8], recordMagic)
 	putU64(hdr[8:16], j.seq)
 	putU32(hdr[16:20], uint32(id))
@@ -234,9 +250,26 @@ func (j *Journal) Commit() error {
 	if err := j.writeHeader(journalHeader{seq: j.seq, orig: j.orig, active: false}); err != nil {
 		return err
 	}
+	j.used = uint32(j.nextRec)
 	j.active = false
 	j.nextRec = 1
 	j.synced = true
+	return nil
+}
+
+// trim cuts the journal back to the pages the last committed transaction
+// used when the file is more than twice that, so one large transaction does
+// not pin its size for good. Any cut is safe: the header is durably inactive,
+// and an inactive journal's records are never read.
+func (j *Journal) trim() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.active || j.used == 0 || j.f.NumPages() <= 2*j.used {
+		return nil
+	}
+	if err := j.f.Truncate(j.used); err != nil {
+		return fmt.Errorf("pager: journal trim: %w", err)
+	}
 	return nil
 }
 

@@ -8,9 +8,11 @@
 package pager
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -357,6 +359,12 @@ type BufferPool struct {
 	// journaled tracks pages whose before-image is already in the journal
 	// for the open transaction.
 	journaled map[PageID]bool
+	// before is the page a before-image is read into on its way to the
+	// journal, and flushing the dirty frames of the flush in progress; both
+	// are allocated by the first journaled write and reused, so a commit
+	// allocates nothing in steady state.
+	before   *[PageSize]byte
+	flushing []*frame
 }
 
 // NewBufferPool wraps file with a pool of the given capacity (in pages).
@@ -531,6 +539,30 @@ func (bp *BufferPool) beginTxnLocked() error {
 	return bp.journal.Begin(bp.committedPages)
 }
 
+// journalBeforeLocked appends the on-disk image of fr's page to the journal,
+// opening the transaction if need be, unless the page was allocated by the
+// open transaction or is journaled already. The record is durable only after
+// the journal's next Sync.
+func (bp *BufferPool) journalBeforeLocked(fr *frame) error {
+	if uint32(fr.id) >= bp.committedPages || bp.journaled[fr.id] {
+		return nil
+	}
+	if err := bp.beginTxnLocked(); err != nil {
+		return err
+	}
+	if bp.before == nil {
+		bp.before = new([PageSize]byte)
+	}
+	if err := bp.file.ReadPage(fr.id, bp.before[:]); err != nil {
+		return err
+	}
+	if err := bp.journal.Append(fr.id, bp.before[:]); err != nil {
+		return err
+	}
+	bp.journaled[fr.id] = true
+	return nil
+}
+
 // writeFrameLocked seals and writes one frame back to the file, journaling
 // the page's before-image first when the atomic-commit protocol is on.
 func (bp *BufferPool) writeFrameLocked(fr *frame) error {
@@ -538,15 +570,8 @@ func (bp *BufferPool) writeFrameLocked(fr *frame) error {
 		if err := bp.beginTxnLocked(); err != nil {
 			return err
 		}
-		if uint32(fr.id) < bp.committedPages && !bp.journaled[fr.id] {
-			var before [PageSize]byte
-			if err := bp.file.ReadPage(fr.id, before[:]); err != nil {
-				return err
-			}
-			if err := bp.journal.Append(fr.id, before[:]); err != nil {
-				return err
-			}
-			bp.journaled[fr.id] = true
+		if err := bp.journalBeforeLocked(fr); err != nil {
+			return err
 		}
 		// The before-image must be durable before the overwrite starts.
 		if err := bp.journal.Sync(); err != nil {
@@ -662,33 +687,29 @@ func (bp *BufferPool) FlushAll() error {
 }
 
 func (bp *BufferPool) flushAllLocked() error {
+	// Ascending page id, not map order: a crash-sweep ordinal then names the
+	// same write on every run.
+	dirty := bp.flushing[:0]
+	for _, fr := range bp.frames {
+		if fr.dirty {
+			dirty = append(dirty, fr)
+		}
+	}
+	slices.SortFunc(dirty, func(a, b *frame) int { return cmp.Compare(a.id, b.id) })
+	bp.flushing = dirty
 	// Journal every needed before-image up front so one sync covers all of
 	// them (writeFrameLocked then finds them journaled and synced).
 	if bp.journal != nil {
-		for _, fr := range bp.frames {
-			if !fr.dirty || uint32(fr.id) >= bp.committedPages || bp.journaled[fr.id] {
-				continue
-			}
-			if err := bp.beginTxnLocked(); err != nil {
+		for _, fr := range dirty {
+			if err := bp.journalBeforeLocked(fr); err != nil {
 				return err
 			}
-			var before [PageSize]byte
-			if err := bp.file.ReadPage(fr.id, before[:]); err != nil {
-				return err
-			}
-			if err := bp.journal.Append(fr.id, before[:]); err != nil {
-				return err
-			}
-			bp.journaled[fr.id] = true
 		}
 		if err := bp.journal.Sync(); err != nil {
 			return err
 		}
 	}
-	for _, fr := range bp.frames {
-		if !fr.dirty {
-			continue
-		}
+	for _, fr := range dirty {
 		if err := bp.writeFrameLocked(fr); err != nil {
 			return err
 		}
@@ -702,7 +723,9 @@ func (bp *BufferPool) flushAllLocked() error {
 			return err
 		}
 		bp.committedPages = bp.file.NumPages()
-		bp.journaled = make(map[PageID]bool)
+		clear(bp.journaled)
+		// The commit is durable; a failed trim only leaves the journal long.
+		return bp.journal.trim()
 	}
 	return nil
 }
@@ -733,7 +756,7 @@ func (bp *BufferPool) Close() error {
 // is marked dirty so the next flush re-seals and rewrites the disk copy
 // from it. Otherwise, when allowZero is set, a zeroed frame is staged: the
 // page then verifies clean but carries no data, which is only sound for
-// pages nothing references (orphans left behind by meta-chain rewrites or a
+// pages nothing references (orphans left behind by record rewrites or a
 // forest rebuild). It reports whether a repair was staged; the caller
 // commits it with FlushAll, so the rewrite rides the same journaled
 // atomic-commit protocol as every other write.

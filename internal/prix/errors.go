@@ -10,10 +10,11 @@ import (
 	"repro/internal/xmltree"
 )
 
-// ErrOldLayout reports a directory written before the single postings tree
-// (one B+-tree per Trie-Symbol index, no layout stamp). There is no reader
-// for that layout: rebuild the index with prixload.
-var ErrOldLayout = errors.New("prix: index uses the per-symbol postings layout; rebuild with prixload")
+// ErrOldLayout reports a directory written in an on-disk layout this build
+// has no reader for: before the single postings tree (one B+-tree per
+// Trie-Symbol index, no layout stamp), or with the document store's meta as
+// one run of pages (docstore.ErrOldLayout). Rebuild the index with prixload.
+var ErrOldLayout = errors.New("prix: index uses an older on-disk layout; rebuild with prixload")
 
 // ErrorClass partitions query and storage errors by what the caller should
 // do about them.

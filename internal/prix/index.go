@@ -12,6 +12,7 @@ package prix
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -334,6 +335,11 @@ func Open(dir string, opts Options) (*Index, error) {
 	}
 	store, err := docstore.Open(docsBP)
 	if err != nil {
+		forestBP.Close()
+		docsBP.Close()
+		if errors.Is(err, docstore.ErrOldLayout) {
+			return nil, fmt.Errorf("prix: %s: %w (%v)", dir, ErrOldLayout, err)
+		}
 		return nil, err
 	}
 	ix := &Index{opts: opts, forest: forest, store: store}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/pager"
 	"repro/internal/twig"
 	"repro/internal/vtrie"
 	"repro/internal/xmltree"
@@ -216,6 +217,44 @@ func TestOldLayoutRefused(t *testing.T) {
 				t.Errorf("OpenDynamic = %v, want ErrOldLayout", err)
 			}
 		})
+	}
+}
+
+// A docs.db written before the sectioned meta carries the magic PRIXDOC1 and
+// one re-encoded run of meta pages this build has no reader for. The magic is
+// what Open goes by: stamped onto a fresh store, it must surface as
+// ErrOldLayout, not as a corrupt header.
+func TestOldStoreMagicRefused(t *testing.T) {
+	dir := t.TempDir()
+	di, err := NewDynamicIndex(parallelCorpus()[:6], Options{Extended: true, Dir: dir}, DynamicOptions{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := pager.OpenOSFile(filepath.Join(dir, DocsFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := pager.NewBufferPool(f, 4)
+	p, err := bp.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(p.Data, "PRIXDOC1")
+	p.Unpin(true)
+	if err := bp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrOldLayout) {
+		t.Errorf("Open = %v, want ErrOldLayout", err)
+	}
+	if _, err := OpenDynamic(dir, Options{}); !errors.Is(err, ErrOldLayout) {
+		t.Errorf("OpenDynamic = %v, want ErrOldLayout", err)
 	}
 }
 

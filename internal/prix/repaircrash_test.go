@@ -9,6 +9,7 @@ import (
 	"repro/internal/docstore"
 	"repro/internal/pager"
 	"repro/internal/vtrie"
+	"repro/internal/xmltree"
 )
 
 // The crash-sweep-over-repair property: a power cut at ANY write point of an
@@ -75,7 +76,13 @@ func crashIndexImages(t *testing.T) [4][][]byte {
 		t.Fatal(err)
 	}
 	b := &Builder{ix: ix, trie: vtrie.NewBuilder()}
-	for _, doc := range degradedDocs() {
+	// Five records on the flipped page, so five repair commits: since a store
+	// flush writes only the pages it changed, three no longer span the write
+	// ordinals this sweep used to cover.
+	docs := append(degradedDocs(),
+		xmltree.MustFromSExpr(3, `(a (b (e)))`),
+		xmltree.MustFromSExpr(4, `(a (d (c)))`))
+	for _, doc := range docs {
 		if err := b.Add(doc); err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,9 @@ func (ix *Index) loadVersions() error {
 }
 
 // persistVersionsLocked stages the current map into the docstore blob; the
-// caller's next store flush commits it. Held under repairMu (write).
+// caller's next store flush commits it. An encoding identical to the stored
+// blob stages nothing (SetBlob compares), so that flush leaves the catalogs
+// section alone. Held under repairMu (write).
 func (ix *Index) persistVersionsLocked() {
 	if ix.versions == nil {
 		ix.store.SetBlob(VersionsBlobName, nil)
