@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz chaos bench bench-smoke serve clean ci cover differential shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e sched benchmark-module size
+.PHONY: all build test race vet fuzz chaos bench bench-smoke serve clean ci cover differential shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e sched benchmark-module size allocs
 
 all: build vet test
 
 # Everything CI runs, in one target, so local and CI results agree.
-ci: build vet test race sched differential cover shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e fuzz chaos bench-smoke benchmark-module size
+ci: build vet test allocs race sched differential cover shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e fuzz chaos bench-smoke benchmark-module size
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,15 @@ vet:
 # once passed on one core and failed on two).
 sched:
 	$(GO) test -cpu 1,2,8 -run 'TestHot|TestParallel' -count=1 ./internal/prix
+
+# Every allocation guard (tests named *Allocs, each an AllocsPerRun bound): a
+# page pin hit or missed, a journaled flush, an in-place leaf edit, a record
+# decoded into a sized destination, a Match resident, paged and pipelined, the
+# pipelined record cache, a trace, the nil span API, a canonical query string.
+# -count=1 so a cached pass never stands in for a run; an allocation regression
+# then fails a named test here before it reaches the benchmark's allocs_op.
+allocs:
+	$(GO) test -count=1 -run 'Allocs' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig
 
 # The driver's benchmark is a nested module (benchmark/go.mod) that `go test
 # ./...` does not reach: vet and short-test it here, so a change to an
@@ -159,7 +168,8 @@ bench:
 # pool's pin on a hit and on a miss, a leaf edit on a full page, and the write
 # path's two: one re-pointed document flushed on a 5,000-document store, and
 # one Update committed on a 3,000-document EPIndex over real files (pages and
-# syncs per commit reported).
+# syncs per commit reported); and POST /query through the server's handler,
+# paged and resident (-benchmem: the request shell plus the engine).
 bench-smoke:
 	$(GO) run ./cmd/prixbench -table parallel -datasets SWISSPROT
 	$(GO) test ./internal/prix -run XXX -bench 'UnorderedArrangements|MatchResident|MatchPaged|CommitUpdate' -benchtime 1x -benchmem
@@ -167,6 +177,7 @@ bench-smoke:
 	$(GO) test ./internal/hot -run XXX -bench 'PostingsSeek|DocIDsSeek|SummaryRefine' -benchtime 1x -benchmem
 	$(GO) test ./internal/pager -run XXX -bench 'PoolGet' -benchtime 1x -benchmem
 	$(GO) test ./internal/btree -run XXX -bench 'LeafInsertFullPage' -benchtime 1x -benchmem
+	$(GO) test ./internal/server -run XXX -bench 'ServeQueryCold|ServeQueryHot' -benchtime 1x -benchmem
 
 # Index size: seq.idx must stay within 6x the XML on the three generated
 # corpora, and prixcheck's size report (bytes per file; entries, height,

@@ -125,70 +125,92 @@ func (r *Record) encode(buf *bytes.Buffer) {
 	}
 }
 
-func decodeRecord(data []byte) (*Record, error) { return decode(data, "decode", true) }
+// reset empties the record, keeping the capacity of its slices.
+func (r *Record) reset() {
+	r.DocID, r.NumNodes = 0, 0
+	r.NPS, r.LPS, r.Leaves = r.NPS[:0], r.LPS[:0], r.Leaves[:0]
+}
 
-// decode parses a record encoding, or with lps false its structural half,
-// reading varints straight off data. what names the encoding in errors.
-func decode(data []byte, what string, lps bool) (*Record, error) {
-	r := &Record{}
+// resize returns s with length n, reusing its backing array when that is
+// large enough. A zero n keeps s's own (possibly nil) empty slice, so a fresh
+// Record decodes to the same value it always did.
+func resize[T any](s []T, n uint64) []T {
+	if n <= uint64(cap(s)) {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// decode parses a record encoding into r — or with lps false its structural
+// half, leaving r.LPS empty — reading varints straight off data and reusing
+// the capacity of r's slices; what names the encoding in errors. Every
+// length is checked against the bytes that remain before anything is sized
+// by it. On error r is left empty, never half filled.
+func (r *Record) decode(data []byte, what string, lps bool) error {
+	err := r.decodeFields(data, what, lps)
+	if err != nil {
+		r.reset()
+	}
+	return err
+}
+
+func (r *Record) decodeFields(data []byte, what string, lps bool) error {
 	v, data, err := uvarint(data)
 	if err != nil {
-		return nil, fmt.Errorf("docstore: %s docID: %w", what, err)
+		return fmt.Errorf("docstore: %s docID: %w", what, err)
 	}
 	r.DocID = uint32(v)
 	if v, data, err = uvarint(data); err != nil {
-		return nil, fmt.Errorf("docstore: %s numNodes: %w", what, err)
+		return fmt.Errorf("docstore: %s numNodes: %w", what, err)
 	}
 	r.NumNodes = int32(v)
 	n, data, err := uvarint(data)
 	if err != nil {
-		return nil, fmt.Errorf("docstore: %s len: %w", what, err)
+		return fmt.Errorf("docstore: %s len: %w", what, err)
 	}
 	// NPS and LPS each hold n varints of at least one byte, so a length
 	// that exceeds the remaining bytes is corrupt — reject it before
 	// allocating (a flipped length byte must not over-allocate).
 	if n > uint64(len(data)) {
-		return nil, fmt.Errorf("docstore: %s len %d exceeds %d remaining bytes", what, n, len(data))
+		return fmt.Errorf("docstore: %s len %d exceeds %d remaining bytes", what, n, len(data))
 	}
-	if n > 0 {
-		r.NPS = make([]int32, n)
-		if lps {
-			r.LPS = make([]vtrie.Symbol, n)
-		}
+	r.NPS = resize(r.NPS, n)
+	if lps {
+		r.LPS = resize(r.LPS, n)
+	} else {
+		r.LPS = r.LPS[:0]
 	}
 	for i := range r.NPS {
 		if v, data, err = uvarint(data); err != nil {
-			return nil, fmt.Errorf("docstore: %s NPS[%d]: %w", what, i, err)
+			return fmt.Errorf("docstore: %s NPS[%d]: %w", what, i, err)
 		}
 		r.NPS[i] = int32(v)
 	}
 	for i := range r.LPS {
 		if v, data, err = uvarint(data); err != nil {
-			return nil, fmt.Errorf("docstore: %s LPS[%d]: %w", what, i, err)
+			return fmt.Errorf("docstore: %s LPS[%d]: %w", what, i, err)
 		}
 		r.LPS[i] = vtrie.Symbol(v)
 	}
 	if v, data, err = uvarint(data); err != nil {
-		return nil, fmt.Errorf("docstore: %s leaf count: %w", what, err)
+		return fmt.Errorf("docstore: %s leaf count: %w", what, err)
 	}
 	// Each leaf is two varints, at least two bytes.
 	if v > uint64(len(data))/2 {
-		return nil, fmt.Errorf("docstore: %s leaf count %d exceeds %d remaining bytes", what, v, len(data))
+		return fmt.Errorf("docstore: %s leaf count %d exceeds %d remaining bytes", what, v, len(data))
 	}
-	if v > 0 {
-		r.Leaves = make([]Leaf, v)
-	}
+	r.Leaves = resize(r.Leaves, v)
 	for i := range r.Leaves {
 		if v, data, err = uvarint(data); err != nil {
-			return nil, fmt.Errorf("docstore: %s leaf post: %w", what, err)
+			return fmt.Errorf("docstore: %s leaf post: %w", what, err)
 		}
 		r.Leaves[i].Post = int32(v)
 		if v, data, err = uvarint(data); err != nil {
-			return nil, fmt.Errorf("docstore: %s leaf sym: %w", what, err)
+			return fmt.Errorf("docstore: %s leaf sym: %w", what, err)
 		}
 		r.Leaves[i].Sym = vtrie.Symbol(v)
 	}
-	return r, nil
+	return nil
 }
 
 var errVarintOverflow = errors.New("varint overflows 64 bits")
@@ -231,7 +253,13 @@ func (r *Record) EncodeStructure() []byte {
 
 // DecodeStructure parses an EncodeStructure payload. The returned record
 // has a nil LPS; the caller recovers it from the trie postings.
-func DecodeStructure(data []byte) (*Record, error) { return decode(data, "structure", false) }
+func DecodeStructure(data []byte) (*Record, error) {
+	r := new(Record)
+	if err := r.decode(data, "structure", false); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
 
 // Nodes returns n, the node count of the (possibly extended) tree.
 func (r *Record) Nodes() int32 { return r.NumNodes }
@@ -466,57 +494,69 @@ func (s *Store) appendRecordLocked(rec *Record) (dirEntry, error) {
 // Get reads the record for docID. Quarantined documents return an error
 // wrapping ErrQuarantined without touching the disk.
 func (s *Store) Get(docID uint32) (*Record, error) {
+	rec := new(Record)
+	if err := s.GetInto(rec, docID); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// GetInto is Get decoding into rec, a record the caller owns: the capacity of
+// its NPS, LPS and Leaves is reused, so a caller that needs each record only
+// until the next one (Algorithm 2 refining candidate after candidate) reads
+// them all through one Record without allocating. On error rec is empty.
+func (s *Store) GetInto(rec *Record, docID uint32) error {
 	s.mu.Lock()
 	if int(docID) >= len(s.dir) {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("docstore: no record for document %d", docID)
+		return fmt.Errorf("docstore: no record for document %d", docID)
 	}
 	if s.quarantined[docID] {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("docstore: document %d: %w", docID, ErrQuarantined)
+		return fmt.Errorf("docstore: document %d: %w", docID, ErrQuarantined)
 	}
 	e := s.dir[docID]
 	s.mu.Unlock()
-	return s.readRecord(docID, e)
+	return s.readRecord(rec, docID, e)
 }
 
-func (s *Store) readRecord(docID uint32, e dirEntry) (*Record, error) {
+// readRecord decodes the record stored at e into rec.
+func (s *Store) readRecord(rec *Record, docID uint32, e dirEntry) error {
 	page, off := e.page, int(e.offset)
 	if off >= pager.PageDataSize && e.length > 0 {
-		return nil, fmt.Errorf("docstore: document %d: directory offset %d out of page: %w", docID, off, ErrBadRecord)
+		return fmt.Errorf("docstore: document %d: directory offset %d out of page: %w", docID, off, ErrBadRecord)
 	}
-	var rec *Record
 	var err error
 	if e.length > 0 && int(e.length) <= pager.PageDataSize-off {
 		// The record lies within one page: decode it where it is pinned.
 		p, gerr := s.bp.Get(page)
 		if gerr != nil {
-			return nil, gerr
+			return gerr
 		}
-		rec, err = decodeRecord(p.Data[off : off+int(e.length)])
+		err = rec.decode(p.Data[off:off+int(e.length)], "decode", true)
 		p.Unpin(false)
 	} else {
 		// A spanning record is copied out; a corrupt directory length must not
 		// size that copy beyond what the file can hold.
 		if end := uint64(page)*pager.PageDataSize + uint64(off) + uint64(e.length); end > uint64(s.bp.File().NumPages())*pager.PageDataSize {
-			return nil, fmt.Errorf("docstore: document %d: %d bytes from page %d run past the file: %w", docID, e.length, page, ErrBadRecord)
+			return fmt.Errorf("docstore: document %d: %d bytes from page %d run past the file: %w", docID, e.length, page, ErrBadRecord)
 		}
 		data := make([]byte, 0, e.length)
 		for ; uint32(len(data)) < e.length; page, off = page+1, 0 {
 			p, gerr := s.bp.Get(page)
 			if gerr != nil {
-				return nil, gerr
+				return gerr
 			}
 			avail := min(int(e.length)-len(data), pager.PageDataSize-off)
 			data = append(data, p.Data[off:off+avail]...)
 			p.Unpin(false)
 		}
-		rec, err = decodeRecord(data)
+		err = rec.decode(data, "decode", true)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("docstore: document %d: %w: %v", docID, ErrBadRecord, err)
+		return fmt.Errorf("docstore: document %d: %w: %v", docID, ErrBadRecord, err)
 	}
-	return rec, nil
+	return nil
 }
 
 // GetAtLoc reads a record image at an explicit heap location — a superseded
@@ -525,7 +565,16 @@ func (s *Store) readRecord(docID uint32, e dirEntry) (*Record, error) {
 // reported to the caller, who degrades the read rather than quarantining the
 // (healthy) current image.
 func (s *Store) GetAtLoc(docID uint32, loc Loc) (*Record, error) {
-	return s.readRecord(docID, dirEntry{page: loc.Page, offset: loc.Off, length: loc.Len})
+	rec := new(Record)
+	if err := s.GetAtLocInto(rec, docID, loc); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// GetAtLocInto is GetAtLoc decoding into the caller's rec, like GetInto.
+func (s *Store) GetAtLocInto(rec *Record, docID uint32, loc Loc) error {
+	return s.readRecord(rec, docID, dirEntry{page: loc.Page, offset: loc.Off, length: loc.Len})
 }
 
 // GetAny reads the record for docID ignoring quarantine. The verification
@@ -540,7 +589,11 @@ func (s *Store) GetAny(docID uint32) (*Record, error) {
 	}
 	e := s.dir[docID]
 	s.mu.Unlock()
-	return s.readRecord(docID, e)
+	rec := new(Record)
+	if err := s.readRecord(rec, docID, e); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
 // Quarantine marks docID as damaged: subsequent Gets fail fast with
@@ -594,8 +647,9 @@ func (s *Store) Verify() map[uint32]error {
 	dir := append([]dirEntry(nil), s.dir...)
 	s.mu.Unlock()
 	bad := make(map[uint32]error)
+	var rec Record
 	for id, e := range dir {
-		if _, err := s.readRecord(uint32(id), e); err != nil {
+		if err := s.readRecord(&rec, uint32(id), e); err != nil {
 			bad[uint32(id)] = err
 		}
 	}

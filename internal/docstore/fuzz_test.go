@@ -5,49 +5,118 @@ import (
 	"encoding/binary"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/pager"
 	"repro/internal/vtrie"
 )
 
+// decodeFresh decodes data into a new Record, as Get does.
+func decodeFresh(data []byte) (*Record, error) {
+	r := new(Record)
+	if err := r.decode(data, "decode", true); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// sameRecord compares two decoded records by content: a reused destination
+// holds empty slices where a fresh one holds nil ones.
+func sameRecord(a, b *Record) bool {
+	return a.DocID == b.DocID && a.NumNodes == b.NumNodes &&
+		slices.Equal(a.NPS, b.NPS) && slices.Equal(a.LPS, b.LPS) && slices.Equal(a.Leaves, b.Leaves)
+}
+
 // FuzzDecodeRecord feeds arbitrary (and mutated-valid, via the seeds) bytes
 // to the record decoder. The properties: it never panics, it never
 // allocates slices beyond what the input length can justify (a flipped
-// length varint must not turn into a giant make), and a valid encoding
-// round-trips.
+// length varint must not turn into a giant make), a valid encoding
+// round-trips, and decoding into a destination some earlier record left
+// dirty — a longer one, a shorter one, a failed decode — gives what a fresh
+// decode gives: the same record or the same error, an empty destination on
+// error, and no growth the input does not justify.
 func FuzzDecodeRecord(f *testing.F) {
-	seed := func(r *Record) {
+	long := &Record{DocID: 99, NumNodes: 41, Leaves: make([]Leaf, 23)}
+	for i := 0; i < 40; i++ {
+		long.NPS, long.LPS = append(long.NPS, 41), append(long.LPS, vtrie.Symbol(1000+i))
+	}
+	short := &Record{DocID: 3, NumNodes: 2, NPS: []int32{2}, LPS: []vtrie.Symbol{5}, Leaves: []Leaf{{Post: 1, Sym: 6}}}
+	enc := func(r *Record) []byte {
 		var buf bytes.Buffer
 		r.encode(&buf)
-		f.Add(buf.Bytes())
+		return buf.Bytes()
 	}
-	seed(&Record{DocID: 0, NumNodes: 1})
-	seed(&Record{
+	longEnc, shortEnc := enc(long), enc(short)
+	f.Add(enc(&Record{DocID: 0, NumNodes: 1}))
+	f.Add(enc(&Record{
 		DocID:    7,
 		NumNodes: 4,
 		NPS:      []int32{4, 4, 4},
 		LPS:      []vtrie.Symbol{1, 2, 1},
 		Leaves:   []Leaf{{Post: 1, Sym: 2}, {Post: 2, Sym: 3}},
-	})
+	}))
+	f.Add(longEnc)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{1, 2, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) // NPS length 2^40
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeRecord(data)
-		if err != nil {
-			return // rejected: fine, as long as it did not panic
+		rec, err := decodeFresh(data)
+		if err == nil {
+			// Accepted: allocation must be justified by the input size. Each
+			// NPS/LPS element and each leaf consumed at least one varint byte.
+			if len(rec.NPS) > len(data) || len(rec.Leaves) > len(data) {
+				t.Fatalf("decoded %d NPS / %d leaves from %d input bytes",
+					len(rec.NPS), len(rec.Leaves), len(data))
+			}
+			if len(rec.NPS) != len(rec.LPS) {
+				t.Fatalf("NPS/LPS length mismatch: %d vs %d", len(rec.NPS), len(rec.LPS))
+			}
 		}
-		// Accepted: allocation must be justified by the input size. Each
-		// NPS/LPS element and each leaf consumed at least one varint byte.
-		if len(rec.NPS) > len(data) || len(rec.Leaves) > len(data) {
-			t.Fatalf("decoded %d NPS / %d leaves from %d input bytes",
-				len(rec.NPS), len(rec.Leaves), len(data))
-		}
-		if len(rec.NPS) != len(rec.LPS) {
-			t.Fatalf("NPS/LPS length mismatch: %d vs %d", len(rec.NPS), len(rec.LPS))
+		// The same bytes into dirty destinations.
+		for _, prime := range [][]byte{longEnc, shortEnc, {0xff}} {
+			var dst Record
+			dst.decode(longEnc, "decode", true) // capacity for the failed-decode case to keep
+			dst.decode(prime, "decode", true)
+			capBefore := cap(dst.NPS) + cap(dst.LPS) + cap(dst.Leaves)
+			derr := dst.decode(data, "decode", true)
+			if (derr == nil) != (err == nil) || derr != nil && derr.Error() != err.Error() {
+				t.Fatalf("dirty destination: error %v, fresh decode %v", derr, err)
+			}
+			if derr != nil {
+				if dst.DocID != 0 || dst.NumNodes != 0 || len(dst.NPS)+len(dst.LPS)+len(dst.Leaves) != 0 {
+					t.Fatalf("failed decode left a half-filled record: %+v", dst)
+				}
+			} else if !sameRecord(&dst, rec) {
+				t.Fatalf("dirty destination decoded %+v, fresh decode %+v", dst, rec)
+			}
+			if grew := cap(dst.NPS) + cap(dst.LPS) + cap(dst.Leaves) - capBefore; grew > 3*len(data) {
+				t.Fatalf("decode of %d bytes grew the destination by %d elements", len(data), grew)
+			}
 		}
 	})
+}
+
+// TestDecodeIntoAllocs: once a destination has the capacity, decoding record
+// after record into it allocates nothing.
+func TestDecodeIntoAllocs(t *testing.T) {
+	var big, small bytes.Buffer
+	(&Record{DocID: 1, NumNodes: 6, NPS: []int32{6, 6, 5, 5, 6}, LPS: []vtrie.Symbol{1, 1, 2, 2, 1},
+		Leaves: []Leaf{{Post: 1, Sym: 3}, {Post: 2, Sym: 4}, {Post: 3, Sym: 5}}}).encode(&big)
+	(&Record{DocID: 2, NumNodes: 2, NPS: []int32{2}, LPS: []vtrie.Symbol{1}, Leaves: []Leaf{{Post: 1, Sym: 3}}}).encode(&small)
+	var dst Record
+	run := func() {
+		for _, enc := range [][]byte{big.Bytes(), small.Bytes()} {
+			if err := dst.decode(enc, "decode", true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	if got := testing.AllocsPerRun(50, run); got != 0 {
+		t.Errorf("decode into a sized destination allocates %.0f objects per run, want 0", got)
+	}
 }
 
 func TestDecodeRecordRoundTrip(t *testing.T) {
@@ -60,7 +129,7 @@ func TestDecodeRecordRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	in.encode(&buf)
-	out, err := decodeRecord(buf.Bytes())
+	out, err := decodeFresh(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +143,12 @@ func TestDecodeRecordRoundTrip(t *testing.T) {
 func TestDecodeRecordRejectsOversizedLengths(t *testing.T) {
 	// docID=1, numNodes=2, then claimed NPS length 2^40.
 	data := []byte{1, 2, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
-	if _, err := decodeRecord(data); err == nil {
+	if _, err := decodeFresh(data); err == nil {
 		t.Fatal("oversized NPS length accepted")
 	}
 	// Valid empty NPS/LPS, then oversized leaf count.
 	data = []byte{1, 2, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
-	if _, err := decodeRecord(data); err == nil {
+	if _, err := decodeFresh(data); err == nil {
 		t.Fatal("oversized leaf count accepted")
 	}
 }

@@ -60,7 +60,7 @@ func (s *Span) tree() *SpanJSON {
 		j.Attrs = make(map[string]any, len(s.attrs))
 		for _, a := range s.attrs {
 			if a.isStr {
-				j.Attrs[a.key] = a.str
+				j.Attrs[a.key] = a.text()
 			} else {
 				j.Attrs[a.key] = a.num
 			}

@@ -21,6 +21,7 @@
 package obs
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -101,15 +102,37 @@ type IOFunc func() (physical, logical uint64)
 // no-ops from there.
 type Trace struct {
 	start time.Time
-	mu    sync.Mutex // guards child creation and tree reads
+	mu    sync.Mutex // guards span and attribute-slot creation and tree reads
 	root  *Span
+	// A serial query's whole tree — root, match, filter, refine, and the
+	// match span's attributes — lives in the trace's own allocation; spans
+	// and attributes beyond these come from the heap one by one.
+	spans  [inlineSpans]Span
+	nspans int
+	attrs  [inlineAttrs]attr
+	nattrs int
 }
+
+const (
+	inlineSpans = 4
+	inlineAttrs = 8
+)
 
 // NewTrace starts a trace rooted at a span with the given name.
 func NewTrace(name string) *Trace {
 	t := &Trace{start: time.Now()}
-	t.root = &Span{t: t, name: name, endNS: -1}
+	t.root = t.newSpanLocked()
+	*t.root = Span{t: t, name: name, endNS: -1}
 	return t
+}
+
+// newSpanLocked hands out the next inline span, or a heap one after those.
+func (t *Trace) newSpanLocked() *Span {
+	if t.nspans == len(t.spans) {
+		return new(Span)
+	}
+	t.nspans++
+	return &t.spans[t.nspans-1]
 }
 
 // Root returns the root span (nil on a nil trace).
@@ -187,8 +210,17 @@ const maxAttrs = 16
 type attr struct {
 	key   string
 	str   string
+	val   fmt.Stringer // a string attribute rendered only when it is read
 	num   int64
 	isStr bool
+}
+
+// text is a string attribute's value.
+func (a *attr) text() string {
+	if a.val != nil {
+		return a.val.String()
+	}
+	return a.str
 }
 
 // Span is one timed node of the trace tree. All methods are nil-safe
@@ -209,6 +241,7 @@ type Span struct {
 	counts   [NumStages]int64
 	attrs    []attr
 	children []*Span
+	kids     [2]*Span // children's first backing array
 }
 
 // Now returns nanoseconds since the trace began, 0 on a nil span (no
@@ -289,11 +322,17 @@ func (s *Span) child(name, key string, io IOFunc) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{t: s.t, name: name, key: key, io: io, startNS: s.t.nowNS(), endNS: -1}
+	start := s.t.nowNS()
+	var phys, logi uint64
 	if io != nil {
-		c.phys0, c.logi0 = io()
+		phys, logi = io()
 	}
 	s.t.mu.Lock()
+	c := s.t.newSpanLocked()
+	*c = Span{t: s.t, name: name, key: key, io: io, startNS: start, endNS: -1, phys0: phys, logi0: logi}
+	if s.children == nil {
+		s.children = s.kids[:0]
+	}
 	s.children = append(s.children, c)
 	s.t.mu.Unlock()
 	return c
@@ -313,34 +352,24 @@ func (s *Span) End() {
 
 // SetStr sets a string attribute (replacing an existing key; dropped
 // beyond the bag bound).
-func (s *Span) SetStr(key, v string) {
-	if s == nil {
-		return
-	}
-	for i := range s.attrs {
-		if s.attrs[i].key == key {
-			s.attrs[i] = attr{key: key, str: v, isStr: true}
-			return
-		}
-	}
-	if len(s.attrs) < maxAttrs {
-		s.attrs = append(s.attrs, attr{key: key, str: v, isStr: true})
-	}
-}
+func (s *Span) SetStr(key, v string) { s.set(attr{key: key, str: v, isStr: true}) }
+
+// SetStringer sets a string attribute whose value is v.String(), called
+// only when the attribute is read (Str, Tree): a query that nobody asks to
+// see rendered is never rendered. v must not change after the call.
+func (s *Span) SetStringer(key string, v fmt.Stringer) { s.set(attr{key: key, val: v, isStr: true}) }
 
 // SetInt sets an integer attribute.
-func (s *Span) SetInt(key string, v int64) {
+func (s *Span) SetInt(key string, v int64) { s.set(attr{key: key, num: v}) }
+
+func (s *Span) set(a attr) {
 	if s == nil {
 		return
 	}
-	for i := range s.attrs {
-		if s.attrs[i].key == key {
-			s.attrs[i] = attr{key: key, num: v}
-			return
-		}
-	}
-	if len(s.attrs) < maxAttrs {
-		s.attrs = append(s.attrs, attr{key: key, num: v})
+	if i := s.find(a.key); i >= 0 {
+		s.attrs[i] = a
+	} else {
+		s.add(a)
 	}
 }
 
@@ -349,15 +378,36 @@ func (s *Span) AddInt(key string, v int64) {
 	if s == nil {
 		return
 	}
+	if i := s.find(key); i >= 0 {
+		s.attrs[i].num += v
+	} else {
+		s.add(attr{key: key, num: v})
+	}
+}
+
+func (s *Span) find(key string) int {
 	for i := range s.attrs {
 		if s.attrs[i].key == key {
-			s.attrs[i].num += v
-			return
+			return i
 		}
 	}
-	if len(s.attrs) < maxAttrs {
-		s.attrs = append(s.attrs, attr{key: key, num: v})
+	return -1
+}
+
+// add appends a new attribute. A span's first one claims what is left of
+// the trace's inline slots as its backing array; append moves to the heap
+// past that.
+func (s *Span) add(a attr) {
+	if len(s.attrs) >= maxAttrs {
+		return
 	}
+	if s.attrs == nil {
+		s.t.mu.Lock()
+		s.attrs = s.t.attrs[s.t.nattrs:s.t.nattrs:len(s.t.attrs)]
+		s.t.nattrs = len(s.t.attrs)
+		s.t.mu.Unlock()
+	}
+	s.attrs = append(s.attrs, a)
 }
 
 // Name returns the span's name ("" on nil).
@@ -431,7 +481,7 @@ func (s *Span) Str(key string) (string, bool) {
 	}
 	for i := range s.attrs {
 		if s.attrs[i].key == key && s.attrs[i].isStr {
-			return s.attrs[i].str, true
+			return s.attrs[i].text(), true
 		}
 	}
 	return "", false

@@ -23,6 +23,7 @@ func TestNilAPIZeroAllocs(t *testing.T) {
 		k := c.ChildKeyed("worker", "000")
 		k.SetInt("n", 1)
 		k.SetStr("q", "//a")
+		k.SetStringer("q", time.Second)
 		k.AddInt("pages", 3)
 		_ = k.Now()
 		_ = k.StageNS(StageReduce)
@@ -147,6 +148,81 @@ func TestAttrBagBounded(t *testing.T) {
 	if v, _ := sp.Int("a"); v != 100 {
 		t.Errorf("AddInt: a = %d", v)
 	}
+}
+
+// stringer counts how often it is rendered.
+type stringer struct{ calls *int }
+
+func (s stringer) String() string { *s.calls++; return "//a[./b]" }
+
+// buildQueryTrace lays out the tree of one serial query: root, match with
+// its eight attributes, filter, refine, and extra further spans under refine.
+func buildQueryTrace(query func(sp *Span), extra int) *Trace {
+	tr := NewTrace("query")
+	m := tr.Root().ChildKeyed("match", "ep")
+	query(m)
+	m.Child("filter").End()
+	r := m.Child("refine")
+	for i := 0; i < extra; i++ {
+		r.ChildKeyed("worker", string(rune('a'+i))).SetInt("n", int64(i))
+	}
+	r.End()
+	for i, k := range []string{"range_queries", "pruned", "candidates", "matches", "record_fetches", "record_cache_hits", "degraded"} {
+		m.SetInt(k, int64(i))
+	}
+	m.End()
+	tr.Finish()
+	return tr
+}
+
+// TestTraceTreeAllocs: a serial query's whole span tree — four spans, the
+// match span's eight attributes, the child lists — lives in the Trace's own
+// allocation, and the query attribute is not rendered unless the tree is.
+// Spans and attributes past the inline slots still work (they come from the
+// heap), and a tree built either way encodes to the same bytes, whether the
+// query attribute was set as a string or as a value rendered on demand.
+func TestTraceTreeAllocs(t *testing.T) {
+	calls := 0
+	lazy := func(sp *Span) { sp.SetStringer("query", stringer{&calls}) }
+	if n := testing.AllocsPerRun(100, func() { buildQueryTrace(lazy, 0) }); n > 1 {
+		t.Errorf("a serial query's trace costs %.0f objects, want 1", n)
+	}
+	if calls != 0 {
+		t.Errorf("the query attribute was rendered %d times with no reader", calls)
+	}
+	eager := func(sp *Span) { sp.SetStr("query", "//a[./b]") }
+	for _, extra := range []int{0, 5} {
+		a, err := json.Marshal(zeroTimes(buildQueryTrace(lazy, extra).Tree()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(zeroTimes(buildQueryTrace(eager, extra).Tree()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("extra=%d: trees differ\n%s\n%s", extra, a, b)
+		}
+		if want := 4 + extra; bytes.Count(a, []byte(`"name"`)) != want {
+			t.Errorf("extra=%d: %d spans encoded, want %d: %s", extra, bytes.Count(a, []byte(`"name"`)), want, a)
+		}
+	}
+	if calls == 0 {
+		t.Error("Tree never rendered the query attribute")
+	}
+	tr := buildQueryTrace(lazy, 0)
+	if q, ok := tr.Root().Children()[0].Str("query"); !ok || q != "//a[./b]" {
+		t.Errorf("Str(query) = %q, %v", q, ok)
+	}
+}
+
+// zeroTimes strips the clock from a tree so two builds compare equal.
+func zeroTimes(j *SpanJSON) *SpanJSON {
+	j.StartNS, j.DurNS = 0, 0
+	for _, c := range j.Children {
+		zeroTimes(c)
+	}
+	return j
 }
 
 // TestFinishClosesOpenSpans: spans left open (error paths) get end times

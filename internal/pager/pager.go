@@ -311,14 +311,17 @@ type frame struct {
 	// unpinned (queued); next alone chains the free list.
 	prev, next *frame
 	queued     bool
-	// loading is non-nil while the frame's content is being read from the
-	// file (outside the pool mutex); it is closed when the read completes.
-	// Concurrent Gets for the page pin the frame and wait on it instead of
-	// issuing a second physical read. A loading frame is always pinned, so
-	// it can never be an eviction victim and is never dirty.
-	loading chan struct{}
+	// loading is set while the frame's content is being read from the file
+	// (outside the pool mutex), and loaded is held at one for that long.
+	// Concurrent Gets for the page pin the frame and wait on loaded instead
+	// of issuing a second physical read. A loading frame is always pinned,
+	// so it can never be an eviction victim and is never dirty; and because
+	// every waiter holds a pin until its Wait has returned, the frame — and
+	// with it the WaitGroup — is not reused for another page before then.
+	loading bool
+	loaded  sync.WaitGroup
 	// loadErr records a failed load for the waiters; the loader removes the
-	// frame from the pool before closing loading.
+	// frame from the pool before releasing loaded.
 	loadErr error
 }
 
@@ -424,7 +427,7 @@ func (bp *BufferPool) ReadCounts() (physical, logical uint64) {
 func (bp *BufferPool) SetReadDelay(d time.Duration) { bp.readDelay.Store(int64(d)) }
 
 // Contains reports whether the page is resident (a frame still loading
-// counts: a Get would wait on its channel, not the device). Readahead uses
+// counts: a Get would wait for the load, not the device). Readahead uses
 // it to skip pages that need no warming; the answer can go stale the
 // moment the lock drops, which only costs the caller a cheap duplicate
 // Get.
@@ -451,10 +454,10 @@ func (bp *BufferPool) Get(id PageID) (Page, error) {
 		bp.pinLocked(fr)
 		loading := fr.loading
 		bp.mu.Unlock()
-		if loading != nil {
-			<-loading
-			// The close happens after the loader's writes, so reading
-			// loadErr (and, on success, the frame data) is ordered.
+		if loading {
+			fr.loaded.Wait()
+			// Done happens after the loader's writes, so reading loadErr
+			// (and, on success, the frame data) is ordered.
 			if fr.loadErr != nil {
 				// The loader already removed the failed frame from the
 				// pool; the pin dies with it.
@@ -469,7 +472,8 @@ func (bp *BufferPool) Get(id PageID) (Page, error) {
 		bp.mu.Unlock()
 		return Page{}, err
 	}
-	fr.loading = make(chan struct{})
+	fr.loading = true
+	fr.loaded.Add(1)
 	bp.mu.Unlock()
 
 	err = bp.readFrame(id, fr)
@@ -479,8 +483,8 @@ func (bp *BufferPool) Get(id PageID) (Page, error) {
 		fr.loadErr = err
 		delete(bp.frames, id)
 	}
-	close(fr.loading)
-	fr.loading = nil
+	fr.loading = false
+	fr.loaded.Done()
 	bp.mu.Unlock()
 	if err != nil {
 		return Page{}, err
@@ -767,7 +771,7 @@ func (bp *BufferPool) RepairPage(id PageID, allowZero bool) (bool, error) {
 		return false, fmt.Errorf("pager: repair of unallocated page %d (have %d)", id, bp.file.NumPages())
 	}
 	if fr, ok := bp.frames[id]; ok {
-		if fr.loading != nil {
+		if fr.loading {
 			// A reader is mid-load on this page (possible only when repair
 			// runs without excluding queries): its content is not yet
 			// verified, and staging a second frame would alias the page.

@@ -77,6 +77,7 @@ func newEmptyIndex(opts Options) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{opts: opts, forest: forest, store: store, maxGap: map[vtrie.Symbol]int64{}}
+	ix.io = ix.ioCounts
 	if err := ix.openTrees(); err != nil {
 		return nil, err
 	}

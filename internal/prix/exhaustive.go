@@ -14,19 +14,20 @@ import (
 // without an admissible subsequence position. Queries outside this class
 // are answered exactly by Match.
 func RiskOfFalseDismissal(q *twig.Query) bool {
-	wildcardBranches := 0
-	var walk func(n *twig.Node)
-	walk = func(n *twig.Node) {
-		for _, c := range n.Children {
-			if !c.Edge.Exact() {
-				wildcardBranches++
-			}
-			walk(c)
-		}
-	}
-	walk(q.Root)
 	// The leading // is harmless: the root needs no proxy position.
-	return wildcardBranches >= 2
+	return wildcardBranches(q.Root) >= 2
+}
+
+// wildcardBranches counts the non-exact edges below n.
+func wildcardBranches(n *twig.Node) int {
+	count := 0
+	for _, c := range n.Children {
+		if !c.Edge.Exact() {
+			count++
+		}
+		count += wildcardBranches(c)
+	}
+	return count
 }
 
 // MatchExhaustive guarantees completeness for every query, including the

@@ -21,6 +21,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/docstore"
 	"repro/internal/mvcc"
+	"repro/internal/obs"
 	"repro/internal/pager"
 	"repro/internal/vtrie"
 	"repro/internal/xmltree"
@@ -158,6 +159,8 @@ type Index struct {
 	// hot is the in-memory hot tier (nil when Options.HotBudget is
 	// 0). See hot.go for the caching and invalidation contract.
 	hot *hotState
+	// io is ioCounts as a func value, the I/O source of every match span.
+	io obs.IOFunc
 	// versions is the MVCC version map (nil until the first mutation or an
 	// explicit AdoptVersions): per-document visibility intervals plus the
 	// pending-op descriptor mutation recovery redoes. Mutated only under
@@ -343,6 +346,7 @@ func Open(dir string, opts Options) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{opts: opts, forest: forest, store: store}
+	ix.io = ix.ioCounts
 	if err := ix.loadCatalogs(); err != nil {
 		ix.Close()
 		return nil, fmt.Errorf("prix: %s: %w", dir, err)

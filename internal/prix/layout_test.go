@@ -25,7 +25,8 @@ import (
 func levelScan(t *testing.T, ix *Index, sym vtrie.Symbol, ql, qr uint64, par int) []hit {
 	t.Helper()
 	p := &plan{levels: []levelSource{{tree: ix.postings, sym: sym, hot: ix.hotPostings(sym)}}}
-	sc := getScratch(1)
+	sc := getScratch()
+	sc.levels(1)
 	defer putScratch(sc)
 	hits, err := scanLevel(p, 0, ql, qr, &QueryStats{}, sc, par, nil)
 	if err != nil {
@@ -314,13 +315,8 @@ func TestUnpostedLevelIssuesNoRangeQuery(t *testing.T) {
 // planted SWISSPROT twigs with real descents (Q5, Q6) through a warm 64-page
 // pool, where every range query pins pages of the one postings tree.
 func BenchmarkMatchPaged(b *testing.B) {
-	ds := datagen.SwissProt(1, 1)
-	ix, err := Build(ds.Docs, Options{Extended: true, BufferPoolPages: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ix.Close()
-	for _, qs := range ds.Queries[1:3] {
+	ix, queries := pagedSwissprot(b)
+	for _, qs := range queries[1:3] {
 		q := qs.Query()
 		b.Run(qs.ID, func(b *testing.B) {
 			b.ReportAllocs()

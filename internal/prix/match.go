@@ -1,11 +1,12 @@
 package prix
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -229,7 +230,7 @@ func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, 
 		return nil, nil, err
 	}
 	t0 := sp.Start()
-	sort.Slice(out, func(i, j int) bool { return MatchLess(out[i], out[j]) })
+	slices.SortFunc(out, compareMatches)
 	sp.Stage(obs.StageReduce, t0)
 	stats.Matches = len(out)
 	stats.PagesRead = ix.PagesRead() - pagesBefore
@@ -255,17 +256,20 @@ func (ix *Index) Count(q *twig.Query, opts MatchOptions) (int, *QueryStats, erro
 // lists with this same comparator and produce output byte-identical to a
 // single index's: docids are globally unique, so the cross-shard merge is
 // a plain sort under a tie-free comparator.
-func MatchLess(a, b Match) bool {
-	if a.DocID != b.DocID {
-		return a.DocID < b.DocID
+func MatchLess(a, b Match) bool { return compareMatches(a, b) < 0 }
+
+// compareMatches is MatchLess as a three-way comparison.
+func compareMatches(a, b Match) int {
+	if c := cmp.Compare(a.DocID, b.DocID); c != 0 {
+		return c
 	}
 	if c := compareInt32s(a.Positions, b.Positions); c != 0 {
-		return c < 0
+		return c
 	}
 	if c := compareInt32s(a.Images, b.Images); c != 0 {
-		return c < 0
+		return c
 	}
-	return a.Root < b.Root
+	return cmp.Compare(a.Root, b.Root)
 }
 
 // compareInt32s three-way-compares two position/image lists
@@ -309,9 +313,11 @@ func lessInt32s(a, b []int32) bool {
 	return len(a) < len(b)
 }
 
-// plan is a query compiled against this index's dictionary.
+// plan is a query compiled against this index's dictionary. It lives in the
+// scratch of the goroutine that runs the query (compile refills its slices in
+// place) and is read-only from then on, so the pipelined path's workers may
+// share it until matchOrdered returns.
 type plan struct {
-	pat *twig.Pattern
 	// syms[i] is the interned symbol of LPS(Q)[i].
 	syms []vtrie.Symbol
 	// npsQ[i] = NPS(Q)[i] as int32.
@@ -373,13 +379,24 @@ type hit struct {
 	level       uint32
 }
 
-// compile prepares the query against the index. A nil plan with no error
-// means the query provably has no matches (a label is absent from the
-// dictionary).
-func (ix *Index) compile(q *twig.Query) (*plan, error) {
+// sized returns s with length n and every element zero, reusing its backing
+// array when that is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// compile prepares the query against the index, binding symbols, level
+// sources and prune rules into p's own slices. ok false with no error means
+// the query provably has no matches (a label is absent from the dictionary).
+func (ix *Index) compile(q *twig.Query, p *plan) (ok bool, err error) {
 	pat, err := q.Prepare(ix.opts.Extended)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	if !ix.opts.Extended {
 		// Regular-Prüfer matching verifies a twig leaf's edge implicitly
@@ -387,33 +404,28 @@ func (ix *Index) compile(q *twig.Query) (*plan, error) {
 		// EPIndex (§5.6 makes every node internal).
 		for _, n := range pat.Doc.Nodes {
 			if n.Parent != nil && n.IsLeaf() && !pat.Edges[n.Post-1].Exact() {
-				return nil, fmt.Errorf(
+				return false, fmt.Errorf(
 					"prix: query %q has a wildcard edge above leaf %q (%w)", q, n.Label, ErrNeedsExtendedIndex)
 			}
 		}
 	}
 	dict := ix.store.Dict()
-	p := &plan{
-		pat:      pat,
-		anchored: pat.Anchored,
-		rootEdge: q.RootEdge,
-		m:        pat.Doc.Size(),
-		edges:    pat.Edges,
-	}
-	p.dummy = make([]bool, pat.Doc.Size())
+	levels := pat.Seq.Len()
+	p.anchored, p.rootEdge, p.m, p.edges = pat.Anchored, q.RootEdge, pat.Doc.Size(), pat.Edges
+	p.dummy = sized(p.dummy, p.m)
+	p.syms, p.npsQ = sized(p.syms, levels), sized(p.npsQ, levels)
+	p.levels, p.lastOcc, p.prune = sized(p.levels, levels), sized(p.lastOcc, levels), sized(p.prune, levels)
+	p.leaves = p.leaves[:0]
 	for _, n := range pat.Doc.Nodes {
 		if prufer.IsDummy(n) {
 			p.dummy[n.Post-1] = true
 		}
 	}
-	p.syms = make([]vtrie.Symbol, pat.Seq.Len())
-	p.npsQ = make([]int32, pat.Seq.Len())
-	p.levels = make([]levelSource, pat.Seq.Len())
-	for i := 0; i < pat.Seq.Len(); i++ {
+	for i := 0; i < levels; i++ {
 		parent := pat.Doc.Node(pat.Seq.Numbers[i])
 		sym, ok := LookupSymbol(dict, parent.Label, parent.IsValue)
 		if !ok {
-			return nil, nil // label absent from the collection: no matches
+			return false, nil // label absent from the collection: no matches
 		}
 		p.syms[i] = sym
 		p.npsQ[i] = int32(pat.Seq.Numbers[i])
@@ -422,18 +434,9 @@ func (ix *Index) compile(q *twig.Query) (*plan, error) {
 		}
 	}
 	p.docids = docidSource{tree: ix.docid, hot: ix.hotDocIDs()}
-	p.lastOcc = make([]bool, len(p.npsQ))
 	for i := range p.npsQ {
-		last := true
-		for j := i + 1; j < len(p.npsQ); j++ {
-			if p.npsQ[j] == p.npsQ[i] {
-				last = false
-				break
-			}
-		}
-		p.lastOcc[i] = last
+		p.lastOcc[i] = isLastOccurrence(p.npsQ, i)
 	}
-	p.prune = make([]pruneRule, len(p.npsQ))
 	for i := 1; i < len(p.npsQ); i++ {
 		a := int(p.npsQ[i-1]) // query node whose label is LPS(Q)[i-1]
 		// The rules require the deleted node at step i-1 (query node i,
@@ -467,12 +470,12 @@ func (ix *Index) compile(q *twig.Query) (*plan, error) {
 			// §4.4 label check.
 			sym, ok := LookupSymbol(dict, n.Label, n.IsValue)
 			if !ok {
-				return nil, nil
+				return false, nil
 			}
 			p.leaves = append(p.leaves, docstore.Leaf{Post: int32(n.Post), Sym: sym})
 		}
 	}
-	return p, nil
+	return true, nil
 }
 
 // matchOrdered runs filtering + refinement for one (arranged) query.
@@ -485,28 +488,23 @@ func (ix *Index) compile(q *twig.Query) (*plan, error) {
 // per-query cache).
 func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStats,
 	workers int, fetch recordSource, sp *obs.Span) ([]Match, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	p := &sc.plan
 	t0 := sp.Start()
-	p, err := ix.compile(q)
+	ok, err := ix.compile(q, p)
 	sp.Stage(obs.StageCompile, t0)
-	if err != nil {
+	if err != nil || !ok {
 		return nil, err
 	}
-	if p == nil {
-		return nil, nil
-	}
+	sc.levels(len(p.syms))
+	sc.stage.reset(len(p.syms), p.m)
 	if workers > 1 {
-		return ix.matchPipelined(p, opts, stats, workers, fetch, sp)
+		return ix.matchPipelined(p, opts, stats, workers, fetch, sc, sp)
 	}
 	if fetch == nil {
 		fetch = ix.shapeFetcher(opts.AsOf)
 	}
-	var out []Match
-	// Wildcard edges make the matched subsequence a proxy witness: one
-	// embedding can be witnessed by several position lists, so matches
-	// are deduplicated by their canonical image tuple.
-	seen := map[string]bool{}
-	sc := getScratch(len(p.syms))
-	defer putScratch(sc)
 	// The serial path interleaves refinement inside the descent's emit
 	// callback, so descent time is derived: the filter loop's wall time
 	// minus the time spent inside emits (which the refine span accounts
@@ -518,14 +516,13 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 	err = ix.findSubsequence(p, &opts, stats, sc, 0, 0, vtrie.MaxRange, func(docID uint32) error {
 		e0 := rsp.Start()
 		stats.Candidates++
-		m, ok, err := ix.refine(p, docID, sc.S, sc.N, stats, fetch, rsp)
+		ok, err := ix.refine(p, docID, sc.S, stats, fetch, sc, rsp)
 		if err == nil && ok {
+			// Wildcard edges make the matched subsequence a proxy witness:
+			// one embedding can be witnessed by several position lists, so
+			// matches are deduplicated by their canonical image tuple.
 			d0 := rsp.Start()
-			sc.key = appendKey(sc.key[:0], m.DocID, m.Images)
-			if !seen[string(sc.key)] {
-				seen[string(sc.key)] = true
-				out = append(out, m)
-			}
+			sc.stage.keepLast()
 			rsp.Stage(obs.StageReduce, d0)
 		}
 		if rsp != nil {
@@ -539,38 +536,168 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return sc.stage.pack(), nil
 }
 
-// scratch is the per-descent working memory: one hit buffer per query level
-// (reused by sibling recursions at that level), the matched positions S,
-// refinement's N, and dedup-key bytes. A scratch belongs to exactly one
-// goroutine's descent from getScratch to putScratch — the serial Match, or
-// one spawned branch of the pipelined descent — and nothing that outlives
-// that window may alias it: refine copies S into a surviving Match, the
-// pipeline copies S per candidate, and map keys are copied by the insert.
+// scratch is the working memory of one goroutine's share of a query: the
+// compiled plan, one hit buffer per query level (reused by sibling recursions
+// at that level), the matched positions S, refinement's N, the record the
+// current candidate is refined against, and the matches that survived so far.
+// A scratch belongs to exactly one goroutine from getScratch to putScratch —
+// the serial Match, one spawned branch of the pipelined descent, or one
+// refinement worker — and nothing that outlives that window may alias it: a
+// query's result is copied out of the stage by pack, the pipeline copies S per
+// candidate, and a record that must outlive its candidate is never the
+// scratch's: the pipelined record cache fetches fresh records, and a hot
+// summary copies what it keeps.
 type scratch struct {
-	hits [][]hit
-	S, N []int32
-	key  []byte
+	plan  plan
+	hits  [][]hit
+	S, N  []int32
+	rec   docstore.Record
+	stage matchStage
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// getScratch takes a scratch sized for a query of the given sequence length.
-func getScratch(levels int) *scratch {
-	sc := scratchPool.Get().(*scratch)
-	for len(sc.hits) < levels {
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// levels sizes the scratch for a query of the given sequence length.
+func (sc *scratch) levels(n int) {
+	for len(sc.hits) < n {
 		sc.hits = append(sc.hits, nil)
 	}
-	if cap(sc.S) < levels {
-		sc.S, sc.N = make([]int32, levels), make([]int32, levels)
+	if cap(sc.S) < n {
+		sc.S, sc.N = make([]int32, n), make([]int32, n)
 	}
-	sc.S, sc.N = sc.S[:levels], sc.N[:levels]
-	return sc
+	sc.S, sc.N = sc.S[:n], sc.N[:n]
 }
 
-func putScratch(sc *scratch) { scratchPool.Put(sc) }
+// scratchKeep bounds what a pooled scratch retains per buffer: one query
+// over a huge document or with a huge answer must not pin its high-water
+// mark in the pool for the life of the process.
+const scratchKeep = 64 << 10
+
+// putScratch returns sc to the pool without what it borrowed from the query
+// (the plan's pointers into the index and the pattern) and without any record
+// or result buffer above scratchKeep.
+func putScratch(sc *scratch) {
+	clear(sc.plan.levels)
+	sc.plan.docids, sc.plan.edges = docidSource{}, nil
+	if (cap(sc.rec.NPS)+cap(sc.rec.LPS)+2*cap(sc.rec.Leaves))*4 > scratchKeep {
+		sc.rec = docstore.Record{}
+	}
+	sc.stage.release()
+	scratchPool.Put(sc)
+}
+
+// matchStage collects one arranged query's surviving matches until the query
+// packs them into its result: per match ls positions then m images at a fixed
+// stride in ints, the docid and root image in ids, and seen, the embedding
+// dedup set, mapping a hash of (docid, images) to the staged match that has
+// it. Staging costs a query no allocation once the buffers have grown, and
+// the result that leaves — one exactly sized block, one exactly sized []Match
+// — retains nothing it does not need, however long a cache keeps it.
+type matchStage struct {
+	ls, m int
+	ints  []int32
+	ids   []stagedID
+	seen  map[uint64]int32
+}
+
+type stagedID struct {
+	docID uint32
+	root  int32
+}
+
+// reset empties the stage for a query with ls sequence positions and m nodes.
+func (st *matchStage) reset(ls, m int) {
+	st.ls, st.m = ls, m
+	st.ints, st.ids = st.ints[:0], st.ids[:0]
+	if st.seen == nil {
+		st.seen = map[uint64]int32{}
+	}
+	clear(st.seen)
+}
+
+// release drops buffers above scratchKeep before the stage is pooled.
+func (st *matchStage) release() {
+	if cap(st.ints)*4 > scratchKeep {
+		st.ints = nil
+	}
+	if cap(st.ids)*8 > scratchKeep {
+		st.ids = nil
+	}
+	if len(st.seen)*16 > scratchKeep {
+		st.seen = nil
+	}
+}
+
+// push appends a match with zeroed positions and images and returns the two
+// for the caller to fill; they are valid until the next push.
+func (st *matchStage) push(docID uint32, root int32) (positions, images []int32) {
+	o := len(st.ints)
+	st.ints = append(st.ints, make([]int32, st.ls+st.m)...)
+	st.ids = append(st.ids, stagedID{docID: docID, root: root})
+	return st.ints[o : o+st.ls], st.ints[o+st.ls:]
+}
+
+// pushCopy appends a copy of src's staged match k.
+func (st *matchStage) pushCopy(src *matchStage, k int) {
+	m := src.view(src.ints, k)
+	positions, images := st.push(m.DocID, m.Root)
+	copy(positions, m.Positions)
+	copy(images, m.Images)
+}
+
+// view returns staged match k with its positions and images taken from
+// ints, the stage's own buffer or a copy of it.
+func (st *matchStage) view(ints []int32, k int) Match {
+	o, w := k*(st.ls+st.m), st.ls+st.m
+	return Match{
+		DocID:     st.ids[k].docID,
+		Positions: ints[o : o+st.ls : o+st.ls],
+		Images:    ints[o+st.ls : o+w : o+w],
+		Root:      st.ids[k].root,
+	}
+}
+
+// keepLast is the embedding dedup: it drops the match just pushed if an
+// earlier one has the same (docid, images). Hash collisions between
+// different embeddings probe on to the next key.
+func (st *matchStage) keepLast() {
+	last := len(st.ids) - 1
+	m := st.view(st.ints, last)
+	h := uint64(m.DocID) * 0x9e3779b97f4a7c15
+	for _, v := range m.Images {
+		h = (h ^ uint64(uint32(v))) * 0x100000001b3
+	}
+	for ; ; h++ {
+		k, ok := st.seen[h]
+		if !ok {
+			st.seen[h] = int32(last)
+			return
+		}
+		if e := st.view(st.ints, int(k)); e.DocID == m.DocID && slices.Equal(e.Images, m.Images) {
+			st.ints, st.ids = st.ints[:len(st.ints)-st.ls-st.m], st.ids[:last]
+			return
+		}
+	}
+}
+
+// pack copies the staged matches into memory of their own, in staging order.
+func (st *matchStage) pack() []Match {
+	if len(st.ids) == 0 {
+		return nil
+	}
+	block := make([]int32, len(st.ints))
+	copy(block, st.ints)
+	out := make([]Match, len(st.ids))
+	for k := range out {
+		out[k] = st.view(block, k)
+	}
+	return out
+}
 
 // scanLevel is Algorithm 1's range query (ql, qr] at query level i, the one
 // place a hot list and a B+-tree are told apart: it fills sc.hits[i] and
@@ -695,7 +822,12 @@ func (ix *Index) findSubsequence(p *plan, opts *MatchOptions, stats *QueryStats,
 // unreadable old image degrades the read without quarantining the document
 // — its current image may be perfectly healthy). Documents not visible at
 // asOf return nil too. Transient faults propagate so callers can retry.
-func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats) (*hot.Summary, *docstore.Record, error) {
+//
+// A record read from the store is decoded into dst, which the caller owns
+// and may reuse for its next fetch (refinement needs a record only for the
+// length of one refine call); a nil dst asks for a fresh record, for callers
+// that keep it.
+func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *docstore.Record) (*hot.Summary, *docstore.Record, error) {
 	var oldLoc mvcc.Loc
 	if ix.versions != nil {
 		iv, ok := ix.versions.At(docID, asOf)
@@ -705,7 +837,6 @@ func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats) (*hot.S
 		oldLoc = iv.Loc
 	}
 	stats.RecordFetches++
-	var rec *docstore.Record
 	var err error
 	if oldLoc.Zero() {
 		if s := ix.hotSummary(docID); s != nil {
@@ -720,12 +851,17 @@ func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats) (*hot.S
 			stats.Degraded = true
 			return nil, nil, nil
 		}
-		if rec, err = ix.store.Get(docID); err == nil {
-			ix.admitHotRecord(rec)
-			return nil, rec, nil
+	}
+	if dst == nil {
+		dst = new(docstore.Record)
+	}
+	if oldLoc.Zero() {
+		if err = ix.store.GetInto(dst, docID); err == nil {
+			ix.admitHotRecord(dst) // copies: a summary may not alias dst
+			return nil, dst, nil
 		}
-	} else if rec, err = ix.store.GetAtLoc(docID, toStoreLoc(oldLoc)); err == nil {
-		return nil, rec, nil
+	} else if err = ix.store.GetAtLocInto(dst, docID, toStoreLoc(oldLoc)); err == nil {
+		return nil, dst, nil
 	}
 	switch {
 	case errors.Is(err, docstore.ErrQuarantined):
@@ -744,9 +880,9 @@ func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats) (*hot.S
 
 // getRecordAsOf is fetchAsOf for the paths that read whole records (the
 // single-node scan, the exhaustive fallback, reconstruction): a resident
-// summary is decoded back into a record.
+// summary is decoded back into a record. The record is always a fresh one.
 func (ix *Index) getRecordAsOf(docID uint32, asOf uint64, stats *QueryStats) (*docstore.Record, error) {
-	s, rec, err := ix.fetchAsOf(docID, asOf, stats)
+	s, rec, err := ix.fetchAsOf(docID, asOf, stats, nil)
 	if s != nil {
 		return s.Record(), nil
 	}
@@ -767,15 +903,18 @@ type docShape interface {
 }
 
 // recordSource fetches one document's shape for refinement; a nil shape
-// with a nil error means "skip this document". The serial path passes
-// shapeFetcher's fetch-per-candidate source, the pipelined path a per-query
-// memoizing cache so a document shared by many candidates is fetched once.
-type recordSource func(docID uint32, stats *QueryStats) (docShape, error)
+// with a nil error means "skip this document". tmp is a record the calling
+// goroutine owns (its scratch's): the serial path passes shapeFetcher's
+// fetch-per-candidate source, which decodes into tmp and returns it, good
+// until the caller's next fetch; the pipelined path passes a per-query
+// memoizing cache, which ignores tmp and keeps a fresh record per document, so
+// a document shared by many candidates is fetched once.
+type recordSource func(docID uint32, stats *QueryStats, tmp *docstore.Record) (docShape, error)
 
 // shapeFetcher adapts fetchAsOf to the recordSource shape.
 func (ix *Index) shapeFetcher(asOf uint64) recordSource {
-	return func(docID uint32, stats *QueryStats) (docShape, error) {
-		s, rec, err := ix.fetchAsOf(docID, asOf, stats)
+	return func(docID uint32, stats *QueryStats, tmp *docstore.Record) (docShape, error) {
+		s, rec, err := ix.fetchAsOf(docID, asOf, stats, tmp)
 		switch {
 		case s != nil:
 			return s, nil
@@ -789,31 +928,32 @@ func (ix *Index) shapeFetcher(asOf uint64) recordSource {
 // refine is Algorithm 2: connectedness (with the §4.5 wildcard chase), gap
 // consistency, frequency consistency and leaf matching. Each phase is
 // charged to its own stage on sp (nil-safe): fetch, connect, structure,
-// leaves. S is read and N is scratch; a surviving Match owns fresh copies.
-func (ix *Index) refine(p *plan, docID uint32, S, N []int32, stats *QueryStats,
-	fetch recordSource, sp *obs.Span) (Match, bool, error) {
+// leaves. S is read; sc lends N, the record the document is decoded into and
+// the stage a surviving match is pushed onto (ok true).
+func (ix *Index) refine(p *plan, docID uint32, S []int32, stats *QueryStats,
+	fetch recordSource, sc *scratch, sp *obs.Span) (ok bool, err error) {
 	t0 := sp.Start()
-	doc, err := fetch(docID, stats)
+	doc, err := fetch(docID, stats, &sc.rec)
 	sp.Stage(obs.StageFetch, t0)
 	if err != nil || doc == nil {
-		return Match{}, false, err
+		return false, err
 	}
 	t1 := sp.Start()
-	maxN, ok := refineConnect(p, doc, S, N)
+	maxN, ok := refineConnect(p, doc, S, sc.N)
 	sp.Stage(obs.StageConnect, t1)
 	if !ok {
-		return Match{}, false, nil
+		return false, nil
 	}
 	t2 := sp.Start()
-	ok = refineStructure(p, N)
+	ok = refineStructure(p, sc.N)
 	sp.Stage(obs.StageStructure, t2)
 	if !ok {
-		return Match{}, false, nil
+		return false, nil
 	}
 	t3 := sp.Start()
-	m, ok := refineLeaves(p, doc, docID, S, N, maxN)
+	ok = refineLeaves(p, doc, docID, S, sc.N, maxN, &sc.stage)
 	sp.Stage(obs.StageLeaves, t3)
-	return m, ok, nil
+	return ok, nil
 }
 
 // refineConnect fills N from S (N[i] = N_D[S_i], rejecting positions outside
@@ -902,19 +1042,20 @@ func refineStructure(p *plan, N []int32) bool {
 }
 
 // refineLeaves is the tail of Algorithm 2: root placement, refinement by
-// matching leaf nodes (§4.4), and building the canonical embedding.
-func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32) (Match, bool) {
+// matching leaf nodes (§4.4), and building the canonical embedding, which a
+// surviving candidate pushes onto st.
+func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32, st *matchStage) bool {
 	// Root placement: anchored queries must map the root onto the
 	// document root; leading stars constrain the root image's depth.
 	if p.anchored || p.rootEdge.Min > 1 {
 		depth := rootDepth(doc, maxN)
 		if p.anchored {
 			if maxN != doc.Nodes() || p.rootEdge.Min != depth {
-				return Match{}, false
+				return false
 			}
 		} else if depth < p.rootEdge.Min ||
 			(p.rootEdge.Max != twig.Unbounded && depth > p.rootEdge.Max) {
-			return Match{}, false
+			return false
 		}
 	}
 	// Refinement by matching leaf nodes (§4.4). The image of query leaf
@@ -925,16 +1066,14 @@ func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32)
 	for _, leaf := range p.leaves {
 		sym, ok := doc.LabelOf(S[leaf.Post-1])
 		if !ok || sym != leaf.Sym {
-			return Match{}, false
+			return false
 		}
 	}
-	// The candidate survived: only now does it get memory of its own, one
-	// block holding Positions (a copy of S) then Images. Canonical
-	// embedding: internal query nodes take their image from N (well defined
-	// by frequency consistency); leaves take the matched deletion itself
-	// (their edges are exact by construction).
-	buf := make([]int32, len(S)+p.m)
-	positions, images := buf[:len(S):len(S)], buf[len(S):]
+	// The candidate survived: only now is it staged, Positions (a copy of
+	// S) then Images. Canonical embedding: internal query nodes take their
+	// image from N (well defined by frequency consistency); leaves take the
+	// matched deletion itself (their edges are exact by construction).
+	positions, images := st.push(docID, maxN)
 	copy(positions, S)
 	for i, q := range p.npsQ {
 		if images[q-1] == 0 {
@@ -946,7 +1085,7 @@ func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32)
 			images[q-1] = S[q-1]
 		}
 	}
-	return Match{DocID: docID, Positions: positions, Images: images, Root: maxN}, true
+	return true
 }
 
 // isLastOccurrence reports whether N[i] does not occur after index i.

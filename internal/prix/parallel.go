@@ -6,10 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/docstore"
 	"repro/internal/obs"
 	"repro/internal/twig"
 	"repro/internal/vtrie"
@@ -47,7 +48,7 @@ func (ix *Index) matchArrangements(queries []*twig.Query, opts MatchOptions, sta
 	if sp != nil && len(queries) > 1 {
 		for qi, qq := range queries {
 			arrSpans[qi] = sp.ChildKeyed("arrangement", fmt.Sprintf("%03d", qi))
-			arrSpans[qi].SetStr("query", qq.String())
+			arrSpans[qi].SetStringer("query", qq)
 		}
 	}
 	spanFor := func(qi int) *obs.Span {
@@ -184,10 +185,11 @@ type candidate struct {
 	S     []int32
 }
 
-// refined is one surviving match tagged with its candidate's dedup entry.
+// refined is one surviving match — number k on worker w's stage — tagged
+// with its candidate's dedup entry.
 type refined struct {
 	entry *candEntry
-	m     Match
+	w, k  int32
 }
 
 // candEntry is the per-(document, S) dedup slot. bestOrd is the minimum
@@ -232,14 +234,13 @@ type descent struct {
 	emit func(path []int32, docID uint32, S []int32, stats *QueryStats, sp *obs.Span) error
 }
 
-// run walks every subtree and blocks until the spawned branches join,
-// merging their stats into stats. The returned error prefers a real
-// failure over the cancellations (and refinement aborts) it caused.
-func (d *descent) run(stats *QueryStats) error {
+// run walks every subtree — the root walk on the caller's scratch sc — and
+// blocks until the spawned branches join, merging their stats into stats. The
+// returned error prefers a real failure over the cancellations (and
+// refinement aborts) it caused.
+func (d *descent) run(stats *QueryStats, sc *scratch) error {
 	w0 := d.sp.Start()
-	sc := getScratch(len(d.p.syms))
 	root := d.step(stats, d.sp, sc, 0, 0, vtrie.MaxRange, make([]int32, 0, len(d.p.syms)+1))
-	putScratch(sc)
 	d.closeBranch(d.sp, w0) // before wg.Wait: the join is pipeline idle, not walking
 	d.wg.Wait()
 	for _, ks := range d.kids {
@@ -326,7 +327,8 @@ func (d *descent) spawn(i, hi int, h hit, S, path []int32) bool {
 	default:
 		return false
 	}
-	bsc := getScratch(len(S))
+	bsc := getScratch()
+	bsc.levels(len(S))
 	copy(bsc.S, S[:i+1])
 	branchPath := append(append(make([]int32, 0, cap(path)), path...), int32(hi))
 	ks := &QueryStats{}
@@ -364,19 +366,22 @@ func (d *descent) spawn(i, hi int, h hit, S, path []int32) bool {
 // decoupled: the trie descent — itself fanned out across workers, one hit
 // subtree at a time (see descent) — streams candidates into a bounded
 // channel; `workers` goroutines refine them concurrently, each with its
-// own QueryStats slot and output slice. Identical (document, S) candidates
-// are deduplicated at emission so the same record is fetched once (they
-// can only produce the identical match the embedding dedup would drop
+// own QueryStats slot and its own scratch (N and the stage its surviving
+// matches wait on). Identical (document, S)
+// candidates are deduplicated at emission so the same record is fetched once
+// (they can only produce the identical match the embedding dedup would drop
 // anyway); the Candidates counter still counts every emission, like the
-// serial path.
+// serial path. sc is the caller's scratch: it holds p, runs the root walk and
+// stages the reduced result.
 func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
-	workers int, fetch recordSource, sp *obs.Span) ([]Match, error) {
+	workers int, fetch recordSource, sc *scratch, sp *obs.Span) ([]Match, error) {
 	ch := make(chan candidate, 2*workers)
 	abort := make(chan struct{})
 	var abortOnce sync.Once
 	var workerErr error // written once under abortOnce, read after wg.Wait
 	wstats := make([]QueryStats, workers)
 	wout := make([][]refined, workers)
+	wscs := make([]*scratch, workers)
 	if fetch == nil {
 		fetch = newRecordCache(ix, opts.AsOf).get
 	}
@@ -393,11 +398,14 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		wsc := getScratch()
+		wsc.levels(len(p.syms))
+		wsc.stage.reset(len(p.syms), p.m)
+		wscs[w] = wsc // returned to the pool once the reduction has copied out of it
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			wsp := wspans[w]
-			N := make([]int32, len(p.syms))
 			for {
 				t0 := wsp.Start()
 				c, open := <-ch
@@ -405,18 +413,23 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 				if !open {
 					break
 				}
-				m, ok, err := ix.refine(p, c.docID, c.S, N, &wstats[w], fetch, wsp)
+				ok, err := ix.refine(p, c.docID, c.S, &wstats[w], fetch, wsc, wsp)
 				if err != nil {
 					abortOnce.Do(func() { workerErr = err; close(abort) })
 					continue // keep draining so the producers never block
 				}
 				if ok {
-					wout[w] = append(wout[w], refined{entry: c.entry, m: m})
+					wout[w] = append(wout[w], refined{entry: c.entry, w: int32(w), k: int32(len(wsc.stage.ids) - 1)})
 				}
 			}
 			wsp.End()
 		}(w)
 	}
+	defer func() {
+		for _, wsc := range wscs {
+			putScratch(wsc)
+		}
+	}()
 	// seenMu guards the dedup map and the two key buffers, so a repeated
 	// emission builds its keys and compares them without allocating.
 	var seenMu sync.Mutex
@@ -455,7 +468,7 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 			}
 		},
 	}
-	perr := d.run(stats)
+	perr := d.run(stats, sc)
 	close(ch)
 	wg.Wait()
 	fsp.End()
@@ -477,16 +490,12 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 	for _, o := range wout {
 		all = append(all, o...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].entry.bestOrd < all[j].entry.bestOrd })
-	seenEmb := map[string]bool{}
-	var out []Match
+	slices.SortFunc(all, func(a, b refined) int { return strings.Compare(a.entry.bestOrd, b.entry.bestOrd) })
 	for _, r := range all {
-		key = appendKey(key[:0], r.m.DocID, r.m.Images)
-		if !seenEmb[string(key)] {
-			seenEmb[string(key)] = true
-			out = append(out, r.m)
-		}
+		sc.stage.pushCopy(&wscs[r.w].stage, int(r.k))
+		sc.stage.keepLast()
 	}
+	out := sc.stage.pack()
 	sp.Stage(obs.StageReduce, t0)
 	return out, nil
 }
@@ -509,6 +518,10 @@ func appendKey(b []byte, docID uint32, vals []int32) []byte {
 // Outcomes are cached — including the quarantined "skip" outcome, which
 // re-marks Degraded on every hitting worker's stats — but transient errors
 // are not, so the next caller retries.
+//
+// A cached record outlives the worker that fetched it and is read by the
+// others, so it is never decoded into a worker's scratch: the cache asks the
+// store for a fresh record and keeps that.
 type recordCache struct {
 	fetch recordSource
 	mu    sync.Mutex
@@ -525,7 +538,7 @@ func newRecordCache(ix *Index, asOf uint64) *recordCache {
 	return &recordCache{fetch: ix.shapeFetcher(asOf), m: map[uint32]*cachedShape{}}
 }
 
-func (c *recordCache) get(docID uint32, stats *QueryStats) (docShape, error) {
+func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record) (docShape, error) {
 	c.mu.Lock()
 	e := c.m[docID]
 	if e == nil {
@@ -542,7 +555,7 @@ func (c *recordCache) get(docID uint32, stats *QueryStats) (docShape, error) {
 		}
 		return e.doc, nil
 	}
-	doc, err := c.fetch(docID, stats)
+	doc, err := c.fetch(docID, stats, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,8 @@ import (
 // deterministically (see package obs).
 
 // ioCounts samples both buffer pools' read counters for span I/O
-// attribution: two atomic loads per pool.
+// attribution: two atomic loads per pool. Index.io holds it as a func value
+// made once, so opening a match span does not allocate a new one.
 func (ix *Index) ioCounts() (physical, logical uint64) {
 	fp, fl := ix.forest.BufferPool().ReadCounts()
 	sp, sl := ix.store.BufferPool().ReadCounts()
@@ -52,8 +53,8 @@ func (ix *Index) matchSpan(tr *obs.Trace, parent *obs.Span, q *twig.Query) *obs.
 	if ix.opts.Extended {
 		key = "ep"
 	}
-	sp := parent.ChildIO("match", key, ix.ioCounts)
-	sp.SetStr("query", q.String())
+	sp := parent.ChildIO("match", key, ix.io)
+	sp.SetStringer("query", q) // rendered if the tree is
 	return sp
 }
 

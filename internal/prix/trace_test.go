@@ -231,12 +231,21 @@ func TestConcurrentTracedQueries(t *testing.T) {
 
 // TestTraceOverheadAllocs is the overhead regression test: with tracing
 // off, Match runs the identical instrumented code over nil spans, so the
-// allocation profile must match the traced run to within the handful of
-// allocations the trace itself costs (span nodes + attr bags; 16 when
-// this floor was set). A regression that puts per-candidate or per-page
-// allocations on the trace path blows well past the bound. The nil API's
-// own zero-alloc guarantee is pinned in obs.TestNilAPIZeroAllocs.
+// allocation profile must match the traced run to within what the trace
+// itself costs: one object, the Trace, whose inline slots hold a serial
+// query's four spans and the match span's attributes (measured 1; it was 16
+// while every span, child list and attribute bag was its own object and the
+// query attribute was rendered up front). A regression that puts
+// per-candidate or per-page allocations on the trace path blows well past
+// the bound. Under the race detector sync.Pool sheds scratches at random, so
+// the two averages differ by whatever each run happened to rebuild: only the
+// old bound of 64 holds there. The nil API's own zero-alloc guarantee is
+// pinned in obs.TestNilAPIZeroAllocs.
 func TestTraceOverheadAllocs(t *testing.T) {
+	bound := 2.0
+	if raceEnabled {
+		bound = 64
+	}
 	docs := parallelCorpus()
 	ix := build(t, false, docs...)
 	q := twig.MustParse(`//a[./b/c]/d`)
@@ -257,8 +266,8 @@ func TestTraceOverheadAllocs(t *testing.T) {
 		}
 		tmo.Trace.Finish()
 	})
-	if delta := on - off; delta > 64 {
-		t.Errorf("tracing adds %.0f allocs/op (off %.0f, on %.0f), want <= 64", delta, off, on)
+	if delta := on - off; delta > bound {
+		t.Errorf("tracing adds %.0f allocs/op (off %.0f, on %.0f), want <= %.0f", delta, off, on, bound)
 	}
 }
 

@@ -79,23 +79,33 @@ type QueryOptions struct {
 	AsOf uint64
 }
 
-// key renders the options' contribution to the cache key.
-func (o QueryOptions) key() string {
-	b := [2]byte{'-', '-'}
+// appendKey appends the options' contribution to the cache key.
+func (o QueryOptions) appendKey(b []byte) []byte {
+	u, g := byte('-'), byte('-')
 	if o.Unordered {
-		b[0] = 'u'
+		u = 'u'
 	}
 	if o.DisableMaxGap {
-		b[1] = 'g'
+		g = 'g'
 	}
+	b = append(b, u, g)
 	if o.AsOf != 0 {
-		return string(b[:]) + "@" + strconv.FormatUint(o.AsOf, 16)
+		b = strconv.AppendUint(append(b, '@'), o.AsOf, 16)
 	}
-	return string(b[:])
+	return b
 }
 
 // Result is one executed query.
 type Result struct {
+	// Query is the query's canonical form, rendered once per request: the
+	// cache key starts with it, and the response and the slow log echo it.
+	Query string
+	// Complete reports that the answer is guaranteed to hold every
+	// occurrence. It is false exactly for queries in the published
+	// algorithm's incompleteness corner (prix.RiskOfFalseDismissal), which
+	// the executor still answers with Match: what is there is right, but an
+	// occurrence may be missing.
+	Complete bool
 	// Matches are the twig occurrences. The slice may be shared with the
 	// cache and other requests: treat it as immutable.
 	Matches []prix.Match
@@ -156,16 +166,24 @@ func (e *Executor) InvalidateCache() { e.cache.Flush() }
 // Execute runs one parsed query. The context bounds execution: its
 // cancellation is observed between the engine's B+-tree range queries.
 func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) (*Result, error) {
-	key := q.String() + "\x00" + qo.key()
+	// The key is canonical form, options and epoch in one string, built on
+	// the stack when it fits; the canonical form is its prefix, not a second
+	// rendering.
+	b := q.AppendString(make([]byte, 0, 256))
+	n := len(b)
+	b = qo.appendKey(append(b, 0))
 	if e.epochs != nil {
 		// Read the epoch per query, not at construction: a compaction swap
 		// (or a reshard behind a live coordinator) bumps it mid-flight, and
 		// every key minted after the bump misses the old epoch's entries.
-		key += "\x00" + strconv.FormatUint(e.epochs.TopologyEpoch(), 16)
+		b = strconv.AppendUint(append(b, 0), e.epochs.TopologyEpoch(), 16)
 	}
+	key := string(b)
+	res := &Result{Query: key[:n], Complete: !prix.RiskOfFalseDismissal(q)}
 	if ent, ok := e.cache.Get(key); ok {
 		e.metrics.CacheHits.Inc()
-		return &Result{Matches: ent.matches, Stats: ent.stats, Cached: true}, nil
+		res.Matches, res.Stats, res.Cached = ent.matches, ent.stats, true
+		return res, nil
 	}
 	e.metrics.CacheMisses.Inc()
 	ent, err, shared := e.flight.Do(key, func() (*cached, error) {
@@ -182,7 +200,8 @@ func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Matches: ent.matches, Stats: ent.stats, Shared: shared}, nil
+	res.Matches, res.Stats, res.Shared = ent.matches, ent.stats, shared
+	return res, nil
 }
 
 // transientRetryBackoff is how long the executor waits before its single

@@ -15,6 +15,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -260,11 +261,17 @@ type QueryRequest struct {
 
 // QueryResponse is the POST /query response.
 type QueryResponse struct {
-	Query     string `json:"query"`
-	Count     int    `json:"count"`
-	Cached    bool   `json:"cached"`
-	Shared    bool   `json:"shared,omitempty"`
-	Truncated bool   `json:"truncated,omitempty"`
+	Query string `json:"query"`
+	Count int    `json:"count"`
+	// Complete reports that the matches are guaranteed to be every
+	// occurrence. False marks a twig in the algorithm's known incompleteness
+	// corner (two or more branches under // or * edges; DESIGN.md "Known
+	// algorithmic corner") answered by the index's fast path: every match
+	// returned is real, but some may be missing.
+	Complete  bool `json:"complete"`
+	Cached    bool `json:"cached"`
+	Shared    bool `json:"shared,omitempty"`
+	Truncated bool `json:"truncated,omitempty"`
 	// Degraded reports that quarantined (corrupt) documents were skipped:
 	// the answer is complete over every healthy document but may miss
 	// matches in the quarantined ones. Mirrored in the X-Prix-Degraded
@@ -317,15 +324,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // parseRequest decodes the body: JSON when it looks like an object, raw
 // XPath text otherwise.
 func parseRequest(body []byte) (QueryRequest, error) {
-	trimmed := strings.TrimSpace(string(body))
-	if strings.HasPrefix(trimmed, "{") {
+	trimmed := bytes.TrimSpace(body)
+	if bytes.HasPrefix(trimmed, []byte("{")) {
 		var req QueryRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return QueryRequest{}, fmt.Errorf("bad JSON body: %w", err)
 		}
 		return req, nil
 	}
-	return QueryRequest{Query: trimmed}, nil
+	return QueryRequest{Query: string(trimmed)}, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -413,7 +420,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.DisableTracing {
 		tr = obs.NewTrace("query")
 	}
-	wantTrace := r.URL.Query().Get("trace") == "1"
+	wantTrace := r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1"
 	res, err := s.exec.Execute(ctx, q, QueryOptions{
 		Unordered:     req.Unordered,
 		DisableMaxGap: req.NoMaxGap,
@@ -461,26 +468,33 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tr.Finish()
 		durs, counts := tr.StageTotals()
 		s.metrics.ObserveStages(durs, counts)
-		if wantTrace || (s.slowlog != nil && elapsed >= s.slowlog.Threshold()) {
+		// The tree and the log entry are built only for a request that keeps
+		// them: nearly every query is below the threshold and asked for neither.
+		slow := s.slowlog.Slow(elapsed)
+		if wantTrace || slow {
 			tree = tr.Tree()
 		}
-		s.slowlog.Observe(elapsed, SlowEntry{
-			Time:        start.UTC().Format(time.RFC3339Nano),
-			Query:       q.String(),
-			Unordered:   req.Unordered,
-			Parallelism: par,
-			ElapsedUS:   elapsed.Microseconds(),
-			Count:       len(res.Matches),
-			Candidates:  res.Stats.Candidates,
-			PagesRead:   res.Stats.PagesRead,
-			Degraded:    res.Stats.Degraded,
-			Trace:       tree,
-		})
+		if slow {
+			s.slowlog.Add(SlowEntry{
+				Time:        start.UTC().Format(time.RFC3339Nano),
+				Query:       res.Query,
+				Unordered:   req.Unordered,
+				Parallelism: par,
+				ElapsedUS:   elapsed.Microseconds(),
+				Count:       len(res.Matches),
+				Candidates:  res.Stats.Candidates,
+				PagesRead:   res.Stats.PagesRead,
+				Degraded:    res.Stats.Degraded,
+				Complete:    res.Complete,
+				Trace:       tree,
+			})
+		}
 	}
 
 	resp := QueryResponse{
-		Query:    q.String(),
+		Query:    res.Query,
 		Count:    len(res.Matches),
+		Complete: res.Complete,
 		Cached:   res.Cached,
 		Shared:   res.Shared,
 		Degraded: res.Stats.Degraded,

@@ -12,16 +12,19 @@ import (
 // traced the request, so a slow query can be diagnosed stage by stage after
 // the fact without reproducing it.
 type SlowEntry struct {
-	Time        string        `json:"time"`
-	Query       string        `json:"query"`
-	Unordered   bool          `json:"unordered,omitempty"`
-	Parallelism int           `json:"parallelism,omitempty"`
-	ElapsedUS   int64         `json:"elapsed_us"`
-	Count       int           `json:"count"`
-	Candidates  int           `json:"candidates"`
-	PagesRead   uint64        `json:"pages_read"`
-	Degraded    bool          `json:"degraded,omitempty"`
-	Trace       *obs.SpanJSON `json:"trace,omitempty"`
+	Time        string `json:"time"`
+	Query       string `json:"query"`
+	Unordered   bool   `json:"unordered,omitempty"`
+	Parallelism int    `json:"parallelism,omitempty"`
+	ElapsedUS   int64  `json:"elapsed_us"`
+	Count       int    `json:"count"`
+	Candidates  int    `json:"candidates"`
+	PagesRead   uint64 `json:"pages_read"`
+	Degraded    bool   `json:"degraded,omitempty"`
+	// Complete is the response's "complete": false marks an answer that may
+	// be missing occurrences.
+	Complete bool          `json:"complete"`
+	Trace    *obs.SpanJSON `json:"trace,omitempty"`
 }
 
 // SlowLog is a fixed-capacity ring buffer of the most recent slow queries.
@@ -53,11 +56,12 @@ func (l *SlowLog) Threshold() time.Duration {
 	return l.threshold
 }
 
-// Observe logs the entry if the elapsed time reaches the threshold.
-func (l *SlowLog) Observe(elapsed time.Duration, e SlowEntry) {
-	if l == nil || elapsed < l.threshold {
-		return
-	}
+// Slow reports whether a query that took elapsed belongs in the log (never,
+// on a disabled log). Callers ask before they build the entry.
+func (l *SlowLog) Slow(elapsed time.Duration) bool { return l != nil && elapsed >= l.threshold }
+
+// Add logs the entry of a query Slow said yes to.
+func (l *SlowLog) Add(e SlowEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.buf) < cap(l.buf) {

@@ -9,7 +9,7 @@ package twig
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/prufer"
 	"repro/internal/xmltree"
@@ -36,21 +36,22 @@ func (e Edge) Allows(steps int) bool { return steps >= e.Min && steps <= e.Max }
 // '*' steps are expanded back, so "/a/*/b"'s {2,2} edge prints as "/*/".
 // The canonical form (Query.String) must reparse to itself — the serving
 // layer uses it both as a cache key and as the echoed wire form.
-func (e Edge) String() string {
+func (e Edge) String() string { return string(e.append(nil)) }
+
+func (e Edge) append(b []byte) []byte {
 	if e.Max != Unbounded && e.Max != e.Min {
 		// Not expressible in the grammar; only reachable by hand-built
 		// edges, never by Parse.
-		return fmt.Sprintf("/{%d,%d}", e.Min, e.Max)
+		return fmt.Appendf(b, "/{%d,%d}", e.Min, e.Max)
 	}
-	sep := "/"
+	b = append(b, '/')
 	if e.Max == Unbounded {
-		sep = "//"
+		b = append(b, '/')
 	}
-	stars := e.Min - 1
-	if stars < 0 {
-		stars = 0
+	for stars := e.Min - 1; stars > 0; stars-- {
+		b = append(b, "*/"...)
 	}
-	return sep + strings.Repeat("*/", stars)
+	return b
 }
 
 // Node is one materialised query node ('*' steps are collapsed into edges).
@@ -81,49 +82,78 @@ type Query struct {
 
 // String renders the query in a canonical XPath-like form.
 func (q *Query) String() string {
-	var b strings.Builder
-	b.WriteString(q.RootEdge.String())
-	writeNode(&b, q.Root)
-	return b.String()
+	// Rendered on the stack when it fits, so the string is the one
+	// allocation; a longer form gets one buffer sized for it.
+	var b []byte
+	if n := q.Root.renderedLen() + 2*q.RootEdge.Min; n <= 256 {
+		b = make([]byte, 0, 256)
+	} else {
+		b = make([]byte, 0, n)
+	}
+	return string(q.AppendString(b))
 }
 
-func writeNode(b *strings.Builder, n *Node) {
-	if n.IsValue {
-		fmt.Fprintf(b, "%q", n.Label)
-		return
+// renderedLen is the length of the subtree's canonical form when no label
+// needs escaping (and a close guess when one does).
+func (n *Node) renderedLen() int {
+	// Per node at most: an edge's two slashes, "[." and "]", or "[text()=",
+	// two quotes and "]"; and two bytes per collapsed '*' step.
+	l := len(n.Label) + 12 + 2*n.Edge.Min
+	for _, c := range n.Children {
+		l += c.renderedLen()
 	}
-	b.WriteString(n.Label)
+	return l
+}
+
+// AppendString appends the canonical form to b, for callers that build a
+// longer key around it.
+func (q *Query) AppendString(b []byte) []byte {
+	return appendNode(q.RootEdge.append(b), q.Root)
+}
+
+func appendNode(b []byte, n *Node) []byte {
+	if n.IsValue {
+		return strconv.AppendQuote(b, n.Label)
+	}
+	b = append(b, n.Label...)
 	for i, c := range n.Children {
 		last := i == len(n.Children)-1
 		if last && !c.IsValue {
-			b.WriteString(c.Edge.String())
-			writeNode(b, c)
+			b = appendNode(c.Edge.append(b), c)
 			continue
 		}
-		b.WriteString("[")
+		b = append(b, '[')
 		if c.IsValue {
-			b.WriteString("text()=")
-			fmt.Fprintf(b, "%q", c.Label)
+			b = strconv.AppendQuote(append(b, "text()="...), c.Label)
 		} else {
-			b.WriteString(".")
-			b.WriteString(c.Edge.String())
-			writeNode(b, c)
+			b = appendNode(c.Edge.append(append(b, '.')), c)
 		}
-		b.WriteString("]")
+		b = append(b, ']')
 	}
+	return b
 }
 
 // Size returns the number of materialised nodes in the query.
-func (q *Query) Size() int {
-	var count func(n *Node) int
-	count = func(n *Node) int {
-		s := 1
-		for _, c := range n.Children {
-			s += count(c)
-		}
-		return s
+func (q *Query) Size() int { return q.Root.size() }
+
+func (n *Node) size() int {
+	s := 1
+	for _, c := range n.Children {
+		s += c.size()
 	}
-	return count(q.Root)
+	return s
+}
+
+// leaves counts the childless nodes under (and including) n.
+func (n *Node) leaves() int {
+	if len(n.Children) == 0 {
+		return 1
+	}
+	s := 0
+	for _, c := range n.Children {
+		s += c.leaves()
+	}
+	return s
 }
 
 // HasValues reports whether the query contains any value predicates; the
@@ -200,42 +230,73 @@ type Pattern struct {
 // appended under every query leaf so the pattern lines up with an EPIndex
 // (§5.6); dummy edges are exact.
 func (q *Query) Prepare(extended bool) (*Pattern, error) {
-	edges := map[*xmltree.Node]Edge{}
-	var conv func(n *Node) *xmltree.Node
-	conv = func(n *Node) *xmltree.Node {
-		x := &xmltree.Node{Label: n.Label, IsValue: n.IsValue}
-		for _, c := range n.Children {
-			cx := conv(c)
-			x.AddChild(cx)
-			edges[cx] = c.Edge
-		}
-		if extended && len(n.Children) == 0 {
-			d := &xmltree.Node{Label: "", IsValue: true}
-			x.AddChild(d)
-			edges[d] = Edge{Min: 1, Max: 1}
-		}
-		return x
+	total := q.Root.size()
+	if extended {
+		total += q.Root.leaves()
 	}
-	doc := xmltree.NewDocument(0, conv(q.Root))
+	// The pattern tree is a handful of nodes: they come from one slab laid out
+	// in postorder (so a node's slab index is its postorder number minus one,
+	// which is how an edge finds its slot), their child lists from another.
+	b := patternBuilder{
+		extended: extended,
+		nodes:    make([]xmltree.Node, total),
+		kids:     make([]*xmltree.Node, total-1),
+		edges:    make([]Edge, total-1),
+	}
+	root := b.conv(q.Root)
+	doc := &xmltree.Document{Root: root, Nodes: make([]*xmltree.Node, 0, total)}
+	doc.Number()
 	p := &Pattern{
 		Query:    q,
 		Doc:      doc,
 		Seq:      prufer.Build(doc),
+		Edges:    b.edges,
 		Anchored: q.RootEdge.Exact(),
 		Extended: extended,
-	}
-	// Map edge constraints onto postorder numbers.
-	p.Edges = make([]Edge, doc.Size()-1)
-	for _, n := range doc.Nodes {
-		if n.Parent != nil {
-			p.Edges[n.Post-1] = edges[n]
-		}
 	}
 	if p.Seq.Len() == 0 {
 		return nil, fmt.Errorf("twig: query %q has a single node and no sequence; "+
 			"single-tag queries must be answered from the tag index directly", q)
 	}
 	return p, nil
+}
+
+// patternBuilder converts a query tree into an xmltree out of its slabs.
+type patternBuilder struct {
+	extended bool
+	nodes    []xmltree.Node
+	kids     []*xmltree.Node
+	edges    []Edge // edges[p-1] constrains the node with postorder number p
+	next     int    // next free node slot = postorder numbers handed out so far
+	nextKid  int
+}
+
+func (b *patternBuilder) conv(n *Node) *xmltree.Node {
+	nkids := len(n.Children)
+	if b.extended && nkids == 0 {
+		nkids = 1
+	}
+	kids := b.kids[b.nextKid : b.nextKid : b.nextKid+nkids]
+	b.nextKid += nkids
+	for _, c := range n.Children {
+		cx := b.conv(c)
+		b.edges[b.next-1] = c.Edge // cx took the slot just before next
+		kids = append(kids, cx)
+	}
+	if b.extended && len(n.Children) == 0 {
+		d := &b.nodes[b.next]
+		*d = xmltree.Node{Label: "", IsValue: true}
+		b.edges[b.next] = Edge{Min: 1, Max: 1}
+		b.next++
+		kids = append(kids, d)
+	}
+	x := &b.nodes[b.next]
+	b.next++
+	*x = xmltree.Node{Label: n.Label, IsValue: n.IsValue, Children: kids}
+	for _, c := range kids {
+		c.Parent = x
+	}
+	return x
 }
 
 // Arrangements enumerates the branch arrangements of the query (§5.7):

@@ -86,7 +86,8 @@ func (d *Document) Number() {
 	if d.Root == nil {
 		return
 	}
-	stack := []frame{{n: d.Root, level: 1}}
+	// Room for 32 levels without touching the heap; deeper trees grow it.
+	stack := append(make([]frame, 0, 32), frame{n: d.Root, level: 1})
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.child == 0 {
