@@ -25,12 +25,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Scheduling-dependence check: the hot-vs-paged and serial-vs-parallel suites
-# assert identical QueryStats, so every counter must come out the same on
-# one, two and eight Ps (a fetch-twice race in the per-query record cache
-# once passed on one core and failed on two).
+# Scheduling-dependence check, the proof that Parallelism only schedules the
+# one Algorithm 1 walk: the hot-vs-paged, Parallelism 1-vs-N and oracle
+# differential suites assert byte-identical matches and identical QueryStats
+# (and the paged/resident suites their allocation bounds), so every counter
+# must come out the same on one, two and eight Ps (a fetch-twice race in the
+# per-query record cache once passed on one core and failed on two).
 sched:
-	$(GO) test -cpu 1,2,8 -run 'TestHot|TestParallel' -count=1 ./internal/prix
+	$(GO) test -cpu 1,2,8 -run 'TestHot|TestParallel|Differential|TestPaged|TestResident' -count=1 ./internal/prix
 
 # Every allocation guard (tests named *Allocs, each an AllocsPerRun bound): a
 # page pin hit or missed, a journaled flush, an in-place leaf edit, a record

@@ -12,7 +12,7 @@ import (
 
 // ParallelConfig tunes the parallel-pipeline benchmark.
 type ParallelConfig struct {
-	// Parallelism is the worker cap compared against the serial path
+	// Parallelism is the worker cap compared against Parallelism 1
 	// (default 4).
 	Parallelism int
 	// ReadDelay is the injected per-physical-read device latency (default
@@ -38,7 +38,7 @@ func (c ParallelConfig) withDefaults() ParallelConfig {
 }
 
 // Parallel prints the parallel-pipeline table: every bundled query runs
-// cold-cache at Parallelism 1 (the exact legacy serial path) and at
+// cold-cache at Parallelism 1 (the walk on one goroutine) and at
 // Parallelism N, under the injected device latency. Queries whose twigs
 // have several branch arrangements additionally run unordered, which is
 // where the arrangement fan-out engages. Match counts are asserted

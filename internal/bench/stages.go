@@ -41,7 +41,7 @@ func (c StagesConfig) withDefaults() StagesConfig {
 }
 
 // Stages prints the stage-level cost breakdown of every bundled query:
-// each runs cold-cache on the serial path (Parallelism 1, where the stage
+// each runs cold-cache on one goroutine (Parallelism 1, where the stage
 // taxonomy partitions wall time) under a trace, and the table reports each
 // stage's share. This is the observability layer's answer to the paper's
 // filtering-vs-refinement cost split: descent+prefetch is Algorithm 1,

@@ -44,8 +44,8 @@ const (
 	// StagePrefetch is B+-tree readahead ahead of the descent's scans.
 	StagePrefetch
 	// StageEmitWait is the producer side of the candidate hand-off: time
-	// the descent spends blocked sending into the bounded channel (serial
-	// path: zero — candidates refine inline).
+	// the descent spends blocked sending into the bounded channel (zero at
+	// Parallelism 1, where a candidate is refined where it is emitted).
 	StageEmitWait
 	// StageCandWait is the consumer side: time a refinement worker spends
 	// blocked receiving from the candidate channel.

@@ -1,7 +1,6 @@
 package prix
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -97,67 +96,15 @@ func needsExtended(q *twig.Query) bool {
 	return walk(q.Root)
 }
 
-// Match routes the query and runs it. If the routed index unexpectedly
-// refuses (defensive: routing and compile must agree), the EPIndex answers
-// instead. With Parallelism > 1 and a query whose wildcard edges could
-// trip the RPIndex's stricter compile check, the two halves start
-// concurrently: the RP answer stands when it exists, and the already-
-// running EP answer replaces it when RP refuses — the serial fallback's
-// completeness without its back-to-back latency.
+// Match routes the query and runs it. Rule 2 is the predicate RP compile
+// refuses on, so the routed index answers; should it refuse all the same,
+// the EPIndex answers instead.
 func (d *Dual) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, error) {
 	ix := d.Choose(q)
-	if ix == d.rp && opts.workers() > 1 && hasNonExactEdge(q) {
-		return d.matchSpeculative(q, opts)
-	}
 	ms, stats, err := ix.Match(q, opts)
 	if err != nil && !ix.Extended() && errors.Is(err, ErrNeedsExtendedIndex) {
 		return d.ep.Match(q, opts)
 	}
-	return ms, stats, err
-}
-
-// hasNonExactEdge reports whether any edge below the root is a descendant
-// or bounded-star edge — the class where RP routing and RP compile can
-// disagree, making the EP half worth starting speculatively.
-func hasNonExactEdge(q *twig.Query) bool {
-	var walk func(n *twig.Node) bool
-	walk = func(n *twig.Node) bool {
-		for _, c := range n.Children {
-			if !c.Edge.Exact() || walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(q.Root)
-}
-
-// matchSpeculative fans the query out to both halves. The halves own
-// disjoint page files and buffer pools, so the concurrent runs cannot
-// perturb each other's I/O accounting; the loser is canceled through a
-// context derived from the caller's.
-func (d *Dual) matchSpeculative(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, error) {
-	ctx, cancel := context.WithCancel(opts.context())
-	defer cancel()
-	epOpts := opts
-	epOpts.Ctx = ctx
-	type result struct {
-		ms    []Match
-		stats *QueryStats
-		err   error
-	}
-	epCh := make(chan result, 1)
-	go func() {
-		ms, stats, err := d.ep.Match(q, epOpts)
-		epCh <- result{ms, stats, err}
-	}()
-	ms, stats, err := d.rp.Match(q, opts)
-	if err != nil && errors.Is(err, ErrNeedsExtendedIndex) {
-		r := <-epCh
-		return r.ms, r.stats, r.err
-	}
-	cancel() // the RP answer (or its error) stands; stop the EP half
-	<-epCh   // join so no goroutine outlives the call
 	return ms, stats, err
 }
 

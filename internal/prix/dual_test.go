@@ -1,7 +1,10 @@
 package prix
 
 import (
+	"errors"
+	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/twig"
@@ -90,5 +93,99 @@ func TestDualPersistence(t *testing.T) {
 	}
 	if len(ms) != 1 {
 		t.Errorf("matches after reopen = %d", len(ms))
+	}
+}
+
+// randomTwigSource writes a random query in the parser's grammar over the
+// parallelCorpus alphabet: child, descendant and star steps, nested
+// predicates, value tests. Some outputs are not valid queries (a trailing or
+// branching star); callers skip what Parse rejects.
+func randomTwigSource(rng *rand.Rand) string {
+	var b strings.Builder
+	sep := func() {
+		if rng.Intn(3) == 0 {
+			b.WriteString("//")
+		} else {
+			b.WriteString("/")
+		}
+	}
+	value := func() { b.WriteString(`="` + []string{"x", "y"}[rng.Intn(2)] + `"`) }
+	var relpath func(depth int)
+	relpath = func(depth int) {
+		for steps := 1 + rng.Intn(3); steps > 0; steps-- {
+			if rng.Intn(6) == 0 {
+				b.WriteString("*")
+			} else {
+				b.WriteString([]string{"a", "b", "c", "d", "e"}[rng.Intn(5)])
+				for preds := rng.Intn(3 - depth); preds > 0; preds-- {
+					if rng.Intn(8) == 0 {
+						b.WriteString("[text()")
+						value()
+					} else {
+						b.WriteString("[.")
+						sep()
+						relpath(depth + 1)
+						if rng.Intn(5) == 0 {
+							value()
+						}
+					}
+					b.WriteString("]")
+				}
+			}
+			if steps > 1 {
+				sep()
+			}
+		}
+	}
+	sep()
+	relpath(0)
+	return b.String()
+}
+
+// TestDualRoutingMatchesCompile: Choose's rule 2 is the predicate RP compile
+// refuses on, so a query routed to the RP half is never answered with
+// ErrNeedsExtendedIndex — which is why Match runs the routed half alone
+// instead of also starting the EP half for every query with a wildcard edge.
+// Checked over the query parser's fuzz seeds (twig's parseSeeds, which this
+// package cannot import), every fixed shape of the parity and differential
+// suites, and random twigs.
+func TestDualRoutingMatchesCompile(t *testing.T) {
+	d, err := BuildDual(parallelCorpus(), Options{BufferPoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := []string{
+		`//a`, `/a/b/c`, `//inproceedings[./author="Jim Gray"][./year="1990"]`,
+		`//Entry[./Org="Piroplasmida"][.//Author]//from`, `//a[./b/c]/d`, `//a[text()="v"]`,
+		`/a/*/b`, `//a//*/b`, `/*/b`, ``, `//`, `a`, `//a[`, `//a[./b="unterminated`, `//a]`,
+		`//*[./b]`, "//a\x00b", `//a[.//b="x"]//c[./d]/e`, "//a[./b=\"q\\\"uote\\n\u00e9\x01\"]",
+	}
+	for _, qc := range parallelQueries {
+		srcs = append(srcs, qc.src)
+	}
+	for _, sh := range diffShapes {
+		srcs = append(srcs, sh.src)
+	}
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 4000; i++ {
+		srcs = append(srcs, randomTwigSource(rng))
+	}
+	routedRP, wildcardRP := 0, 0
+	for _, src := range srcs {
+		q, err := twig.Parse(src)
+		if err != nil || d.Choose(q) != d.RP() {
+			continue
+		}
+		routedRP++
+		if strings.Contains(q.String()[2:], "//") || strings.Contains(q.String(), "*") {
+			wildcardRP++
+		}
+		var p plan
+		if _, err := d.RP().compile(q, &p); errors.Is(err, ErrNeedsExtendedIndex) {
+			t.Errorf("%s: routed to the RP half, whose compile refuses it: %v", q, err)
+		}
+	}
+	if routedRP < 500 || wildcardRP < 100 {
+		t.Fatalf("only %d queries routed to RP, %d of them with a wildcard edge", routedRP, wildcardRP)
 	}
 }

@@ -125,7 +125,7 @@ func (ix *Index) MatchExhaustive(q *twig.Query, opts MatchOptions) ([]Match, *Qu
 		if out[i].DocID != out[j].DocID {
 			return out[i].DocID < out[j].DocID
 		}
-		return lessInt32s(out[i].Images, out[j].Images)
+		return compareInt32s(out[i].Images, out[j].Images) < 0
 	})
 	stats.Matches = len(out)
 	// Delta, not absolute: the counters are monotonic across queries, and

@@ -134,29 +134,41 @@ func buildHotDocIDs(tree *btree.Tree) (*hot.DocIDs, error) {
 	return b.Build(), nil
 }
 
-// hotPostings returns the resident list of one symbol, building and
-// admitting it on a miss. nil means the scan must go to the tree (tier
-// disabled, list over budget, or a build I/O error the tree path will
-// surface itself).
+// resident returns the structure under key, building and admitting it on a
+// miss. ok false means it is not resident: over budget, or a build I/O error
+// the tree path will surface itself. A query's admission (evict) displaces
+// colder entries, and what still does not fit is marked rejected; the
+// preload's takes free room only and marks nothing, so a later query may
+// still admit the structure.
+func resident[T hot.Sized](h *hotState, key hot.Key, evict bool, build func() (T, error)) (v T, ok bool) {
+	if got, hit := h.tier.Get(key); hit {
+		return got.(T), true
+	}
+	if h.skipBuild(key) {
+		return v, false
+	}
+	built, err := build()
+	if err != nil {
+		return v, false
+	}
+	if evict {
+		if !h.tier.Add(key, built) {
+			h.markRejected(key)
+			return v, false
+		}
+	} else if !h.tier.TryAdd(key, built) {
+		return v, false
+	}
+	return built, true
+}
+
+// hotPostings returns the resident list of one symbol; nil means the scan
+// must go to the tree (tier disabled, or see resident).
 func (ix *Index) hotPostings(s vtrie.Symbol) *hot.Postings {
 	if ix.hot == nil {
 		return nil
 	}
-	key := symKey(s)
-	if v, ok := ix.hot.tier.Get(key); ok {
-		return v.(*hot.Postings)
-	}
-	if ix.hot.skipBuild(key) {
-		return nil
-	}
-	p, err := ix.buildHotPostings(s)
-	if err != nil {
-		return nil
-	}
-	if !ix.hot.tier.Add(key, p) {
-		ix.hot.markRejected(key)
-		return nil
-	}
+	p, _ := resident(ix.hot, symKey(s), true, func() (*hot.Postings, error) { return ix.buildHotPostings(s) })
 	return p
 }
 
@@ -165,21 +177,7 @@ func (ix *Index) hotDocIDs() *hot.DocIDs {
 	if ix.hot == nil || ix.docid == nil {
 		return nil
 	}
-	key := docidKey
-	if v, ok := ix.hot.tier.Get(key); ok {
-		return v.(*hot.DocIDs)
-	}
-	if ix.hot.skipBuild(key) {
-		return nil
-	}
-	d, err := buildHotDocIDs(ix.docid)
-	if err != nil {
-		return nil
-	}
-	if !ix.hot.tier.Add(key, d) {
-		ix.hot.markRejected(key)
-		return nil
-	}
+	d, _ := resident(ix.hot, docidKey, true, func() (*hot.DocIDs, error) { return buildHotDocIDs(ix.docid) })
 	return d
 }
 
@@ -257,12 +255,8 @@ func (ix *Index) PreloadHot() {
 		return
 	}
 	if ix.docid != nil {
-		if _, ok := ix.hot.tier.Get(docidKey); !ok {
-			if d, err := buildHotDocIDs(ix.docid); err == nil {
-				if !ix.hot.tier.TryAdd(docidKey, d) {
-					return
-				}
-			}
+		if _, ok := resident(ix.hot, docidKey, false, func() (*hot.DocIDs, error) { return buildHotDocIDs(ix.docid) }); !ok {
+			return
 		}
 	}
 	// One pass over the postings tree, cut into a list wherever the key's
@@ -276,10 +270,8 @@ func (ix *Index) PreloadHot() {
 		if b == nil {
 			return true
 		}
-		if _, ok := ix.hot.tier.Get(symKey(cur)); ok {
-			return true
-		}
-		return ix.hot.tier.TryAdd(symKey(cur), b.Build())
+		_, ok := resident(ix.hot, symKey(cur), false, func() (*hot.Postings, error) { return b.Build(), nil })
+		return ok
 	}
 	ix.postings.Scan(nil, nil, true, true, func(k, v []byte) bool {
 		sym, left := decodePostingKey(k)

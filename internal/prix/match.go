@@ -52,7 +52,7 @@ type QueryStats struct {
 	// PagesRead is the physical page reads during the query (cold start).
 	PagesRead uint64
 	// RecordFetches counts document records read from the store (each
-	// memoized-cache miss once; the serial path fetches per candidate).
+	// memoized-cache miss once; the inline emit fetches per candidate).
 	RecordFetches int
 	// RecordCacheHits counts record lookups served by the per-query
 	// memoizing record cache instead of the store.
@@ -108,15 +108,17 @@ type MatchOptions struct {
 	// image they had then (MVCC time travel; see version.go). 0 means
 	// latest. Indexes without version state ignore it.
 	AsOf uint64
-	// Parallelism caps the workers executing the query: the Algorithm 1
-	// trie descent streams (document, subsequence) candidates into a
-	// bounded channel consumed by a pool running Algorithm 2 refinement,
-	// unordered branch arrangements fan out across workers, and
-	// single-node document scans shard the docid space. 0 means
-	// GOMAXPROCS; 1 runs the exact legacy serial path. Results are
-	// identical at every setting: candidates carry their emission order,
-	// so deduplication and the final sort are deterministic regardless of
-	// worker interleaving.
+	// Parallelism caps the workers executing the query. There is one
+	// Algorithm 1 walk (descent.step); Parallelism only schedules it: at 1
+	// the walk runs on the calling goroutine and refines each candidate where
+	// it is emitted, above 1 free workers take whole trie subtrees, the
+	// (document, subsequence) candidates stream through a bounded channel to
+	// a pool running Algorithm 2 refinement, unordered branch arrangements
+	// fan out across workers, and single-node document scans shard the docid
+	// space. 0 means GOMAXPROCS; values above maxWorkersPerProc × GOMAXPROCS
+	// are clamped to that. Results are identical at every setting:
+	// candidates carry their descent path, so deduplication and the final
+	// sort are deterministic regardless of worker interleaving.
 	Parallelism int
 	// Ctx, when non-nil, bounds the query: cancellation or deadline expiry
 	// is observed between B+-tree range queries (and periodically during
@@ -129,8 +131,8 @@ type MatchOptions struct {
 	// deltas. Nil (the default) keeps the hot path free of tracing work —
 	// no time syscalls, no allocations. A Trace must not be shared by
 	// concurrent Match calls except through one caller's coordinated
-	// fan-out (e.g. Dual's speculative match); it is finished and read by
-	// the caller.
+	// fan-out (the shard coordinator's); it is finished and read by the
+	// caller.
 	Trace *obs.Trace
 	// TraceParent, when set together with Trace, hangs this Match's span
 	// under the given span instead of the trace root. The scatter-gather
@@ -148,15 +150,20 @@ func (o *MatchOptions) context() context.Context {
 	return context.Background()
 }
 
-// workers resolves Parallelism: 0 means GOMAXPROCS, anything below 1 is 1.
+// maxWorkersPerProc bounds Parallelism per P. Workers beyond GOMAXPROCS still
+// pay off on a cold query, where they are parked on page reads, but every
+// entry point (request field, CLI flag, option) sizes goroutines, channels and
+// pooled scratches from this number, so it cannot be left to the caller.
+const maxWorkersPerProc = 16
+
+// workers resolves Parallelism: 0 means GOMAXPROCS, anything below 1 is 1,
+// anything above maxWorkersPerProc × GOMAXPROCS is that.
 func (o *MatchOptions) workers() int {
+	procs := runtime.GOMAXPROCS(0)
 	if o.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
+		return procs
 	}
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
+	return min(max(o.Parallelism, 1), maxWorkersPerProc*procs)
 }
 
 // merge folds a worker's (or arrangement's) accounting into s. Counters
@@ -296,27 +303,10 @@ func compareInt32s(a, b []int32) int {
 	return 0
 }
 
-// lessInt32s orders two position (or image) lists lexicographically with a
-// length tie-break, so a comparator over lists of different lengths (a
-// single-node proxy vs. an extended witness) can never read out of bounds
-// or produce an unstable order.
-func lessInt32s(a, b []int32) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for k := 0; k < n; k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return len(a) < len(b)
-}
-
 // plan is a query compiled against this index's dictionary. It lives in the
 // scratch of the goroutine that runs the query (compile refills its slices in
-// place) and is read-only from then on, so the pipelined path's workers may
-// share it until matchOrdered returns.
+// place) and is read-only from then on, so the pipelined scheduler's workers
+// may share it until matchOrdered returns.
 type plan struct {
 	// syms[i] is the interned symbol of LPS(Q)[i].
 	syms []vtrie.Symbol
@@ -478,13 +468,16 @@ func (ix *Index) compile(q *twig.Query, p *plan) (ok bool, err error) {
 	return true, nil
 }
 
-// matchOrdered runs filtering + refinement for one (arranged) query.
-// workers > 1 decouples the two algorithms into the pipelined path
-// (parallel.go); 1 is the exact legacy inline path. fetch, when non-nil,
-// replaces Index.shapeFetcher as the document source — the arrangement
-// fan-out passes a query-wide memoizing cache so a document shared by
-// candidates of several arrangements is fetched once. nil keeps the legacy
-// fetch-per-candidate behaviour (and lets the pipelined path build its own
+// matchOrdered runs filtering + refinement for one (arranged) query: it
+// compiles the plan, sets up the Algorithm 1 walk (descent) and picks the
+// scheduler that drives it. workers > 1 is the pipelined scheduler
+// (parallel.go). workers == 1 is the degenerate one: no semaphore, so the walk
+// never spawns and stays on this goroutine and this scratch, no readahead, and
+// an emit that refines each candidate where the walk finds it. fetch, when
+// non-nil, replaces Index.shapeFetcher as the document source — the
+// arrangement fan-out passes a query-wide memoizing cache so a document
+// shared by candidates of several arrangements is fetched once. nil fetches
+// per candidate here (and lets the pipelined scheduler build its own
 // per-query cache).
 func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStats,
 	workers int, fetch recordSource, sp *obs.Span) ([]Match, error) {
@@ -499,23 +492,17 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 	}
 	sc.levels(len(p.syms))
 	sc.stage.reset(len(p.syms), p.m)
+	fsp := sp.Child("filter")
+	rsp := sp.Child("refine")
+	d := &sc.walk
+	*d = descent{ix: ix, p: p, opts: opts, par: workers, sp: fsp}
 	if workers > 1 {
-		return ix.matchPipelined(p, opts, stats, workers, fetch, sc, sp)
+		return ix.matchPipelined(d, stats, fetch, sc, sp, rsp)
 	}
 	if fetch == nil {
 		fetch = ix.shapeFetcher(opts.AsOf)
 	}
-	// The serial path interleaves refinement inside the descent's emit
-	// callback, so descent time is derived: the filter loop's wall time
-	// minus the time spent inside emits (which the refine span accounts
-	// stage by stage).
-	fsp := sp.Child("filter")
-	rsp := sp.Child("refine")
-	var emitNS int64
-	f0 := fsp.Start()
-	err = ix.findSubsequence(p, &opts, stats, sc, 0, 0, vtrie.MaxRange, func(docID uint32) error {
-		e0 := rsp.Start()
-		stats.Candidates++
+	d.emit = func(sc *scratch, docID uint32, stats *QueryStats, _ *obs.Span) error {
 		ok, err := ix.refine(p, docID, sc.S, stats, fetch, sc, rsp)
 		if err == nil && ok {
 			// Wildcard edges make the matched subsequence a proxy witness:
@@ -525,12 +512,9 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 			sc.stage.keepLast()
 			rsp.Stage(obs.StageReduce, d0)
 		}
-		if rsp != nil {
-			emitNS += rsp.Now() - e0
-		}
 		return err
-	})
-	fsp.AddStage(obs.StageDescent, time.Duration(fsp.Now()-f0-emitNS), 1)
+	}
+	err = d.run(stats, sc)
 	fsp.End()
 	rsp.End()
 	if err != nil {
@@ -541,21 +525,33 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 
 // scratch is the working memory of one goroutine's share of a query: the
 // compiled plan, one hit buffer per query level (reused by sibling recursions
-// at that level), the matched positions S, refinement's N, the record the
+// at that level), the matched positions S and the descent path that led to
+// them (both written in place level by level), refinement's N, the record the
 // current candidate is refined against, and the matches that survived so far.
 // A scratch belongs to exactly one goroutine from getScratch to putScratch —
-// the serial Match, one spawned branch of the pipelined descent, or one
+// the goroutine that called Match, one spawned branch of the descent, or one
 // refinement worker — and nothing that outlives that window may alias it: a
-// query's result is copied out of the stage by pack, the pipeline copies S per
-// candidate, and a record that must outlive its candidate is never the
-// scratch's: the pipelined record cache fetches fresh records, and a hot
-// summary copies what it keeps.
+// query's result is copied out of the stage by pack, the pipelined emit copies
+// S and path per candidate, and a record that must outlive its candidate is
+// never the scratch's: the pipelined record cache fetches fresh records, and a
+// hot summary copies what it keeps.
 type scratch struct {
-	plan  plan
-	hits  [][]hit
-	S, N  []int32
-	rec   docstore.Record
-	stage matchStage
+	plan plan
+	// walk is the query's descent. Like the plan it lives in the scratch of
+	// the goroutine that runs the query, and the branches it spawns share it
+	// until run has joined them.
+	walk descent
+	hits [][]hit
+	S, N []int32
+	// path[i] is the index, among level i's hits, of the hit the walk is
+	// under; path[len(S)] counts the documents the current terminal docid
+	// scan has emitted. Paths compare in depth-first emission order.
+	path []int32
+	// emitNS is the time the branch walking on this scratch has spent inside
+	// emit, which the branch's descent stage excludes. Traced queries only.
+	emitNS int64
+	rec    docstore.Record
+	stage  matchStage
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -568,9 +564,9 @@ func (sc *scratch) levels(n int) {
 		sc.hits = append(sc.hits, nil)
 	}
 	if cap(sc.S) < n {
-		sc.S, sc.N = make([]int32, n), make([]int32, n)
+		sc.S, sc.N, sc.path = make([]int32, n), make([]int32, n), make([]int32, n+1)
 	}
-	sc.S, sc.N = sc.S[:n], sc.N[:n]
+	sc.S, sc.N, sc.path = sc.S[:n], sc.N[:n], sc.path[:n+1]
 }
 
 // scratchKeep bounds what a pooled scratch retains per buffer: one query
@@ -579,11 +575,12 @@ func (sc *scratch) levels(n int) {
 const scratchKeep = 64 << 10
 
 // putScratch returns sc to the pool without what it borrowed from the query
-// (the plan's pointers into the index and the pattern) and without any record
-// or result buffer above scratchKeep.
+// (the plan's pointers into the index and the pattern, the walk) and without
+// any record or result buffer above scratchKeep.
 func putScratch(sc *scratch) {
 	clear(sc.plan.levels)
 	sc.plan.docids, sc.plan.edges = docidSource{}, nil
+	sc.walk = descent{}
 	if (cap(sc.rec.NPS)+cap(sc.rec.LPS)+2*cap(sc.rec.Leaves))*4 > scratchKeep {
 		sc.rec = docstore.Record{}
 	}
@@ -701,7 +698,7 @@ func (st *matchStage) pack() []Match {
 
 // scanLevel is Algorithm 1's range query (ql, qr] at query level i, the one
 // place a hot list and a B+-tree are told apart: it fills sc.hits[i] and
-// returns it. par > 1 (the pipelined descent) warms a paged range first.
+// returns it. par > 1 (the pipelined scheduler) warms a paged range first.
 func scanLevel(p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, par int, sp *obs.Span) ([]hit, error) {
 	src := p.levels[i]
 	hits := sc.hits[i][:0]
@@ -765,8 +762,8 @@ func (ix *Index) scanDocIDs(p *plan, opts *MatchOptions, left, right uint64, sta
 // prefetch is the pipelined descent's readahead: a cold Scan discovers each
 // next leaf only from the previous one, a serial chain of device waits;
 // warming the in-range leaves from the internal nodes first turns that
-// chain into min(par, leaves) concurrent reads. The serial path (par <= 1)
-// skips it.
+// chain into min(par, leaves) concurrent reads. A walk on one goroutine
+// (par <= 1) skips it.
 func prefetch(tree *btree.Tree, lo, hi []byte, loIncl bool, par int, sp *obs.Span) {
 	if par <= 1 {
 		return
@@ -779,38 +776,168 @@ func prefetch(tree *btree.Tree, lo, hi []byte, loIncl bool, par int, sp *obs.Spa
 	}
 }
 
-// findSubsequence is Algorithm 1: a range query per query-sequence element,
-// descending through the virtual trie.
-func (ix *Index) findSubsequence(p *plan, opts *MatchOptions, stats *QueryStats, sc *scratch,
-	i int, ql, qr uint64, emit func(docID uint32) error) error {
+// descent is Algorithm 1, FindSubsequence with the Theorem 4 prune: a range
+// query per query-sequence element, descending through the virtual trie. It is
+// the only such walk; what differs between Parallelism settings is who runs
+// its subtrees and what emit does with a candidate. The per-hit recursions at
+// every level are independent subtrees of the trie, and — as the forest pools
+// hold nearly all of a cold query's pages — they are where the I/O waits
+// live, so with a semaphore (the pipelined scheduler) a free worker takes a
+// whole subtree, on its own scratch, QueryStats slot and span, and on
+// semaphore exhaustion (or without one) the walk recurses inline. Every
+// emission happens under the descent path in the emitting scratch, so a
+// reduction keyed on it is independent of scheduling.
+type descent struct {
+	ix   *Index
+	p    *plan
+	opts MatchOptions
+	par  int           // readahead width for range scans; 1 is none
+	sem  chan struct{} // free extra descent workers; nil never spawns
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	errs []error       // one per spawned branch, in spawn order
+	kids []*QueryStats // spawned branches' stats slots
+	sp   *obs.Span     // the filter span; spawned branches hang off it
+	// emit takes the candidate (docID, sc.S) found under sc.path on the
+	// goroutine that owns sc; stats and sp are that branch's.
+	emit func(sc *scratch, docID uint32, stats *QueryStats, sp *obs.Span) error
+}
+
+// run walks every subtree — the root walk on the caller's scratch sc — and
+// blocks until the spawned branches join, merging their stats into stats. The
+// returned error prefers a real failure over the cancellations (and
+// refinement aborts) it caused.
+func (d *descent) run(stats *QueryStats, sc *scratch) error {
+	err := d.walk(stats, d.sp, sc, 0, 0, vtrie.MaxRange)
+	d.wg.Wait()
+	for _, ks := range d.kids {
+		stats.merge(ks)
+	}
+	for _, e := range d.errs {
+		if e == nil {
+			continue
+		}
+		if err == nil || isSecondaryErr(err) && !isSecondaryErr(e) {
+			err = e
+		}
+	}
+	return err
+}
+
+// isSecondaryErr reports errors that are consequences of another failure
+// (cancellation fan-out, refinement abort) rather than causes.
+func isSecondaryErr(err error) bool {
+	return errors.Is(err, errRefineAborted) ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// walk runs one branch — the root, or a subtree a worker took — and credits
+// its descent stage: the branch's wall time minus the prefetch and emit
+// windows inside it. Sub-branches it spawns run on their own goroutines and
+// spans, so they are in neither, and run joins them after the root's walk has
+// been credited: the join is idle time, not walking.
+func (d *descent) walk(stats *QueryStats, sp *obs.Span, sc *scratch, i int, ql, qr uint64) error {
+	w0 := sp.Start()
+	sc.emitNS = 0
+	err := d.step(stats, sp, sc, i, ql, qr)
+	sp.AddStage(obs.StageDescent, time.Duration(sp.Now()-w0-sp.StageNS(obs.StagePrefetch)-sc.emitNS), 1)
+	return err
+}
+
+// step is one level of the walk: the range query (ql, qr] at level i, the
+// MaxGap prune on each hit, then the hit's subtree — spawned, recursed into,
+// or at the last level the docid scan that emits candidates.
+func (d *descent) step(stats *QueryStats, sp *obs.Span, sc *scratch, i int, ql, qr uint64) error {
 	// Cancellation is observed between range queries: every recursion level
 	// issues at least one, so a deadline cuts a slow wildcard scan off
 	// without leaving any shared state behind (the index is read-only).
-	if err := opts.context().Err(); err != nil {
+	if err := d.opts.context().Err(); err != nil {
 		return fmt.Errorf("prix: match canceled: %w", err)
 	}
-	hits, err := scanLevel(p, i, ql, qr, stats, sc, 1, nil)
+	hits, err := scanLevel(d.p, i, ql, qr, stats, sc, d.par, sp)
 	if err != nil {
 		return err
 	}
-	S := sc.S
-	for _, h := range hits {
-		S[i] = int32(h.level)
-		if i > 0 && !opts.DisableMaxGap && p.prune[i].pruned(int64(S[i]-S[i-1])) {
+	S, path := sc.S, sc.path
+	last := i == len(d.p.syms)-1
+	for hi, h := range hits {
+		S[i], path[i] = int32(h.level), int32(hi)
+		if i > 0 && !d.opts.DisableMaxGap && d.p.prune[i].pruned(int64(S[i]-S[i-1])) {
 			stats.TriePathsPruned++
 			continue
 		}
-		if i == len(p.syms)-1 {
+		if last {
 			// Fetch documents whose sequences end at or below this node.
-			err = ix.scanDocIDs(p, opts, h.left, h.right, stats, 1, nil, emit)
-		} else {
-			err = ix.findSubsequence(p, opts, stats, sc, i+1, h.left, h.right, emit)
+			path[i+1] = 0
+			err = d.ix.scanDocIDs(d.p, &d.opts, h.left, h.right, stats, d.par, sp, func(docID uint32) error {
+				stats.Candidates++
+				e0 := sp.Start()
+				err := d.emit(sc, docID, stats, sp)
+				sc.emitNS += sp.Now() - e0
+				path[i+1]++
+				return err
+			})
+		} else if !d.spawn(sc, i, h) {
+			err = d.step(stats, sp, sc, i+1, h.left, h.right)
 		}
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// spawn hands the subtree below hit h of level i to a free worker, if there
+// is one, on a scratch of its own seeded with the S and path prefixes — the
+// inline loop keeps writing the originals.
+func (d *descent) spawn(sc *scratch, i int, h hit) bool {
+	select {
+	case d.sem <- struct{}{}:
+	default:
+		return false
+	}
+	bsc := getScratch()
+	bsc.levels(len(sc.S))
+	copy(bsc.S, sc.S[:i+1])
+	copy(bsc.path, sc.path[:i+1])
+	ks := &QueryStats{}
+	d.mu.Lock()
+	d.kids = append(d.kids, ks)
+	slot := len(d.errs)
+	d.errs = append(d.errs, nil)
+	d.mu.Unlock()
+	// Branch spans attach flat under the filter span, keyed by the descent
+	// path — lexicographic key order is exactly the depth-first emission
+	// order, so traces read deterministically no matter which branches
+	// happened to find free workers.
+	var bsp *obs.Span
+	if d.sp != nil {
+		bsp = d.sp.ChildKeyed("branch", pathKey(bsc.path[:i+1]))
+	}
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		defer func() { <-d.sem }()
+		defer putScratch(bsc)
+		err := d.walk(ks, bsp, bsc, i+1, h.left, h.right)
+		bsp.End()
+		if err != nil {
+			d.mu.Lock()
+			d.errs[slot] = err
+			d.mu.Unlock()
+		}
+	}()
+	return true
+}
+
+// pathKey renders a descent path prefix as fixed-width hex, so lexicographic
+// key order equals path order.
+func pathKey(path []int32) string {
+	b := make([]byte, 0, 8*len(path))
+	for _, v := range path {
+		b = fmt.Appendf(b, "%08x", uint32(v))
+	}
+	return string(b)
 }
 
 // fetchAsOf resolves the image of docID visible at asOf (0 = latest) for
@@ -904,9 +1031,9 @@ type docShape interface {
 
 // recordSource fetches one document's shape for refinement; a nil shape
 // with a nil error means "skip this document". tmp is a record the calling
-// goroutine owns (its scratch's): the serial path passes shapeFetcher's
+// goroutine owns (its scratch's): the inline emit passes shapeFetcher's
 // fetch-per-candidate source, which decodes into tmp and returns it, good
-// until the caller's next fetch; the pipelined path passes a per-query
+// until the caller's next fetch; the pipelined scheduler passes a per-query
 // memoizing cache, which ignores tmp and keeps a fresh record per document, so
 // a document shared by many candidates is fetched once.
 type recordSource func(docID uint32, stats *QueryStats, tmp *docstore.Record) (docShape, error)

@@ -9,8 +9,9 @@ import (
 )
 
 // Tests of the paged read path's memory: who owns a decoded record on each
-// route (the serial descent's scratch, a fresh one for the pipelined record
-// cache and for whole-record readers) and what a query allocates for.
+// route (the scratch of the goroutine refining inline, a fresh one for the
+// pipelined record cache and for whole-record readers) and what a query
+// allocates for.
 
 // pagedSwissprot builds a SWISSPROT EPIndex with no hot tier behind a 64-page
 // pool — every range query pins tree pages, every candidate decodes a record —
@@ -26,16 +27,17 @@ func pagedSwissprot(tb testing.TB) (*Index, []datagen.QuerySpec) {
 	return ix, ds.Queries
 }
 
-// TestPagedMatchAllocs is TestResidentMatchAllocs without the tier. Serial,
-// a Match allocates for its answer and its plan — the pattern, the fetch
-// closure, one block of positions and images, one []Match — and nothing per
-// range query or per candidate: Q5 (5 candidates) and Q6 (158 candidates, each
-// decoding a record) both cost 16 objects, where Q6 cost 1,010 while every
-// candidate built a Record, its three lists, and every match a block and a
-// dedup key. Pipelined, the per-candidate hand-off (S copy, dedup entry) and
-// a fresh record per distinct document in the query's record cache are still
-// there — ROADMAP item 4 — so the bound only pins the staged result: Q5
-// measured 296, Q6 1,547 against 1,911.
+// TestPagedMatchAllocs is TestResidentMatchAllocs without the tier. On one
+// goroutine a Match allocates for its answer and its plan — the pattern, the
+// fetch and emit closures, one block of positions and images, one []Match —
+// and nothing per range query or per candidate: Q5 (5 candidates) and Q6 (158
+// candidates, each decoding a record) both cost 17 objects, where Q6 cost 1,010
+// while every candidate built a Record, its three lists, and every match a
+// block and a dedup key. Pipelined, a unique candidate costs its dedup key and
+// one block (its S copy and ordering path), and the query's record cache a
+// fresh record per distinct document — ROADMAP item 4 — so the bound pins the
+// hand-off and the staged result: Q5 measured 268, Q6 1,215 (294 and 1,543
+// while a candidate was a slice, a dedup entry and an ordering string).
 func TestPagedMatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds scratches under the race detector")
@@ -46,7 +48,7 @@ func TestPagedMatchAllocs(t *testing.T) {
 		bound      float64
 	}{
 		{1, 1, 20}, {2, 1, 20},
-		{1, 4, 330}, {2, 4, 1700},
+		{1, 4, 300}, {2, 4, 1340},
 	} {
 		qs := queries[tc.query]
 		q := qs.Query()

@@ -6,38 +6,36 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/docstore"
 	"repro/internal/obs"
 	"repro/internal/twig"
-	"repro/internal/vtrie"
 )
 
-// This file is the parallel query-execution pipeline. Three independent
-// axes of the read-only query path are decomposed across workers:
+// This file holds the schedulers that spread one query over workers. Three
+// independent axes of the read-only query path are decomposed:
 //
-//   - within one (arranged) query, the Algorithm 1 trie descent emits
-//     (document, subsequence) candidates into a bounded channel consumed
-//     by a pool running Algorithm 2 refinement (matchPipelined);
+//   - within one (arranged) query, the Algorithm 1 walk (descent, match.go)
+//     hands trie subtrees to free workers and emits (document, subsequence)
+//     candidates into a bounded channel consumed by a pool running
+//     Algorithm 2 refinement (matchPipelined);
 //   - an unordered query's branch arrangements fan out across workers
 //     instead of looping (matchArrangements);
 //   - single-node queries shard the document scan (single.go).
 //
-// Determinism contract: every candidate carries its emission order from
-// the (serial, deterministic) descent, reductions happen in that order,
-// and arrangement results are deduplicated in arrangement order — so any
-// Parallelism setting returns byte-identical matches and identical
-// counter stats to the serial path. Workers write only their own
-// QueryStats slot; the slots are merged after the pool drains.
+// Determinism contract: every candidate carries its descent path, which
+// orders candidates exactly as a depth-first walk on one goroutine emits
+// them; reductions happen in that order, and arrangement results are
+// deduplicated in arrangement order — so any Parallelism setting returns
+// byte-identical matches and identical counter stats. Workers write only
+// their own QueryStats slot; the slots are merged after the pool drains.
 
 // matchArrangements runs every arranged query and applies the unordered
-// image-set deduplication in arrangement order (identical to the legacy
-// serial loop). With one arrangement the full worker budget goes to the
-// refinement pipeline; with several, arrangements are the coarser (and
-// cheaper) unit, so they get the workers and split the remainder.
+// image-set deduplication in arrangement order. With one arrangement the
+// full worker budget goes to the refinement pipeline; with several,
+// arrangements are the coarser (and cheaper) unit, so they get the workers
+// and split the remainder.
 func (ix *Index) matchArrangements(queries []*twig.Query, opts MatchOptions, stats *QueryStats, sp *obs.Span) ([]Match, error) {
 	workers := opts.workers()
 	perArrangement := make([][]Match, len(queries))
@@ -177,204 +175,39 @@ func (ix *Index) fanOutArrangements(queries []*twig.Query, opts MatchOptions, st
 var errRefineAborted = errors.New("prix: refinement aborted")
 
 // candidate is one (document, subsequence) tuple crossing the Algorithm 1
-// → Algorithm 2 boundary. S is copied per candidate: the descent mutates
-// its shared buffer in place, which only the inline path may alias.
+// → Algorithm 2 boundary, and its (document, S) dedup slot. block is the one
+// allocation a unique candidate costs: a copy of S — the descent writes its
+// own in place — then ord, the least descent path over every emission of the
+// tuple, which is where a walk on one goroutine would have refined it first,
+// so the reduction recovers that order no matter which concurrent emission
+// reached the refinement pool first. S is read by one refinement worker; ord
+// is written under the pipeline's dedup mutex and read by the reduction after
+// every producer and worker has joined.
 type candidate struct {
-	entry *candEntry // shared dedup entry carrying the ordering key
 	docID uint32
-	S     []int32
+	block []int32
 }
 
-// refined is one surviving match — number k on worker w's stage — tagged
-// with its candidate's dedup entry.
+// refined is one surviving match — number k on worker w's stage — with its
+// candidate's ord.
 type refined struct {
-	entry *candEntry
-	w, k  int32
+	ord  []int32
+	w, k int32
 }
 
-// candEntry is the per-(document, S) dedup slot. bestOrd is the minimum
-// descent path over every emission of the tuple — exactly the position at
-// which the serial first-wins dedup would have refined it — so the
-// reduction recovers the serial order no matter which concurrent emission
-// actually reached the refinement pool first. Writes happen under the
-// pipeline's dedup mutex; the reduction reads after every producer and
-// worker has joined.
-type candEntry struct {
-	bestOrd string
-}
-
-// appendPath renders a descent path (one hit index per trie level plus the
-// docid-scan ordinal) as fixed-width big-endian bytes, so lexicographic
-// comparison equals the serial depth-first emission order.
-func appendPath(b []byte, path []int32) []byte {
-	for _, v := range path {
-		b = binary.BigEndian.AppendUint32(b, uint32(v))
-	}
-	return b
-}
-
-// descent fans the Algorithm 1 trie walk out across a bounded worker pool.
-// The per-hit recursions at every level are independent subtrees of the
-// virtual trie, and — as the forest pools hold nearly all of a cold
-// query's pages — they are where the I/O waits live; walking them
-// concurrently is what overlaps those waits. Each spawned branch gets its
-// own S buffer, path prefix and QueryStats slot; emissions are tagged with
-// the branch path, so the reduction is independent of scheduling.
-type descent struct {
-	ix   *Index
-	p    *plan
-	opts MatchOptions
-	par  int           // readahead width for range scans
-	sem  chan struct{} // free extra descent workers
-	wg   sync.WaitGroup
-	mu   sync.Mutex
-	errs []error       // one per spawned branch, in spawn order
-	kids []*QueryStats // spawned branches' stats slots
-	sp   *obs.Span     // the filter span; spawned branches hang off it
-	emit func(path []int32, docID uint32, S []int32, stats *QueryStats, sp *obs.Span) error
-}
-
-// run walks every subtree — the root walk on the caller's scratch sc — and
-// blocks until the spawned branches join, merging their stats into stats. The
-// returned error prefers a real failure over the cancellations (and
-// refinement aborts) it caused.
-func (d *descent) run(stats *QueryStats, sc *scratch) error {
-	w0 := d.sp.Start()
-	root := d.step(stats, d.sp, sc, 0, 0, vtrie.MaxRange, make([]int32, 0, len(d.p.syms)+1))
-	d.closeBranch(d.sp, w0) // before wg.Wait: the join is pipeline idle, not walking
-	d.wg.Wait()
-	for _, ks := range d.kids {
-		stats.merge(ks)
-	}
-	err := root
-	for _, e := range d.errs {
-		if e == nil {
-			continue
-		}
-		if err == nil || isSecondaryErr(err) && !isSecondaryErr(e) {
-			err = e
-		}
-	}
-	return err
-}
-
-// closeBranch credits one branch walk's untimed remainder to the descent
-// stage: its wall time minus the prefetch and channel-send windows it
-// accumulated (spawned sub-branches run on their own goroutines and their
-// own spans, so they are not part of this branch's wall time).
-func (d *descent) closeBranch(sp *obs.Span, startNS int64) {
-	if sp == nil {
-		return
-	}
-	walk := sp.Now() - startNS - sp.StageNS(obs.StagePrefetch) - sp.StageNS(obs.StageEmitWait)
-	sp.AddStage(obs.StageDescent, time.Duration(walk), 1)
-	if sp != d.sp {
-		sp.End() // the filter span itself is closed by matchPipelined
-	}
-}
-
-// isSecondaryErr reports errors that are consequences of another failure
-// (cancellation fan-out, refinement abort) rather than causes.
-func isSecondaryErr(err error) bool {
-	return errors.Is(err, errRefineAborted) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// step mirrors Index.findSubsequence exactly — the same scanLevel range
-// query per level, MaxGap pruning, scanDocIDs at the last level — but hands
-// whole hit subtrees to free workers instead of always recursing inline.
-// Spawning only moves work between goroutines; the path tags keep the
-// reduction order fixed.
-func (d *descent) step(stats *QueryStats, sp *obs.Span, sc *scratch, i int, ql, qr uint64, path []int32) error {
-	if err := d.opts.context().Err(); err != nil {
-		return fmt.Errorf("prix: match canceled: %w", err)
-	}
-	hits, err := scanLevel(d.p, i, ql, qr, stats, sc, d.par, sp)
-	if err != nil {
-		return err
-	}
-	S := sc.S
-	last := i == len(d.p.syms)-1
-	for hi, h := range hits {
-		S[i] = int32(h.level)
-		if i > 0 && !d.opts.DisableMaxGap && d.p.prune[i].pruned(int64(S[i]-S[i-1])) {
-			stats.TriePathsPruned++
-			continue
-		}
-		if last {
-			ord := int32(0)
-			err = d.ix.scanDocIDs(d.p, &d.opts, h.left, h.right, stats, d.par, sp, func(id uint32) error {
-				e := d.emit(append(path, int32(hi), ord), id, S, stats, sp)
-				ord++
-				return e
-			})
-		} else if !d.spawn(i, hi, h, S, path) {
-			err = d.step(stats, sp, sc, i+1, h.left, h.right, append(path, int32(hi)))
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// spawn hands hit hi's whole subtree below level i to a free worker, if
-// there is one, with its own scratch (seeded with the S prefix) and a copy
-// of the path — the inline loop keeps mutating the originals.
-func (d *descent) spawn(i, hi int, h hit, S, path []int32) bool {
-	select {
-	case d.sem <- struct{}{}:
-	default:
-		return false
-	}
-	bsc := getScratch()
-	bsc.levels(len(S))
-	copy(bsc.S, S[:i+1])
-	branchPath := append(append(make([]int32, 0, cap(path)), path...), int32(hi))
-	ks := &QueryStats{}
-	d.mu.Lock()
-	d.kids = append(d.kids, ks)
-	slot := len(d.errs)
-	d.errs = append(d.errs, nil)
-	d.mu.Unlock()
-	// Branch spans attach flat under the filter span, keyed by the descent
-	// path — lexicographic key order is exactly the serial emission order,
-	// so traces read deterministically no matter which branches happened to
-	// find free workers.
-	var bsp *obs.Span
-	if d.sp != nil {
-		bsp = d.sp.ChildKeyed("branch", fmt.Sprintf("%x", appendPath(nil, branchPath)))
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer func() { <-d.sem }()
-		defer putScratch(bsc)
-		b0 := bsp.Start()
-		err := d.step(ks, bsp, bsc, i+1, h.left, h.right, branchPath)
-		d.closeBranch(bsp, b0)
-		if err != nil {
-			d.mu.Lock()
-			d.errs[slot] = err
-			d.mu.Unlock()
-		}
-	}()
-	return true
-}
-
-// matchPipelined is matchOrdered with Algorithm 1 and Algorithm 2
-// decoupled: the trie descent — itself fanned out across workers, one hit
-// subtree at a time (see descent) — streams candidates into a bounded
-// channel; `workers` goroutines refine them concurrently, each with its
-// own QueryStats slot and its own scratch (N and the stage its surviving
-// matches wait on). Identical (document, S)
-// candidates are deduplicated at emission so the same record is fetched once
-// (they can only produce the identical match the embedding dedup would drop
-// anyway); the Candidates counter still counts every emission, like the
-// serial path. sc is the caller's scratch: it holds p, runs the root walk and
-// stages the reduced result.
-func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
-	workers int, fetch recordSource, sc *scratch, sp *obs.Span) ([]Match, error) {
+// matchPipelined is the scheduler that decouples Algorithm 1 from
+// Algorithm 2: it gives d a semaphore, so free workers take whole hit
+// subtrees of the walk, and an emit that streams candidates into a bounded
+// channel; d.par goroutines refine them concurrently, each with its own
+// QueryStats slot and its own scratch (N and the stage its surviving matches
+// wait on). Identical (document, S) candidates are deduplicated at emission
+// so the same record is refined once (they can only produce the identical
+// match the embedding dedup would drop anyway); the Candidates counter still
+// counts every emission. sc is the caller's scratch: it holds the plan, runs
+// the root walk and stages the reduced result.
+func (ix *Index) matchPipelined(d *descent, stats *QueryStats, fetch recordSource,
+	sc *scratch, sp, rsp *obs.Span) ([]Match, error) {
+	p, workers, n := d.p, d.par, len(d.p.syms)
 	ch := make(chan candidate, 2*workers)
 	abort := make(chan struct{})
 	var abortOnce sync.Once
@@ -383,13 +216,11 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 	wout := make([][]refined, workers)
 	wscs := make([]*scratch, workers)
 	if fetch == nil {
-		fetch = newRecordCache(ix, opts.AsOf).get
+		fetch = newRecordCache(ix, d.opts.AsOf).get
 	}
 	// Worker spans are created up front on this goroutine, keyed by the
 	// worker ordinal: their creation order (and so the trace) never
 	// depends on pool scheduling. Each worker owns its span exclusively.
-	fsp := sp.Child("filter")
-	rsp := sp.Child("refine")
 	wspans := make([]*obs.Span, workers)
 	if rsp != nil {
 		for w := range wspans {
@@ -399,8 +230,8 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wsc := getScratch()
-		wsc.levels(len(p.syms))
-		wsc.stage.reset(len(p.syms), p.m)
+		wsc.levels(n)
+		wsc.stage.reset(n, p.m)
 		wscs[w] = wsc // returned to the pool once the reduction has copied out of it
 		wg.Add(1)
 		go func(w int) {
@@ -413,13 +244,13 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 				if !open {
 					break
 				}
-				ok, err := ix.refine(p, c.docID, c.S, &wstats[w], fetch, wsc, wsp)
+				ok, err := ix.refine(p, c.docID, c.block[:n], &wstats[w], fetch, wsc, wsp)
 				if err != nil {
 					abortOnce.Do(func() { workerErr = err; close(abort) })
 					continue // keep draining so the producers never block
 				}
 				if ok {
-					wout[w] = append(wout[w], refined{entry: c.entry, w: int32(w), k: int32(len(wsc.stage.ids) - 1)})
+					wout[w] = append(wout[w], refined{ord: c.block[n:], w: int32(w), k: int32(len(wsc.stage.ids) - 1)})
 				}
 			}
 			wsp.End()
@@ -430,48 +261,41 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 			putScratch(wsc)
 		}
 	}()
-	// seenMu guards the dedup map and the two key buffers, so a repeated
-	// emission builds its keys and compares them without allocating.
+	// seenMu guards the dedup map and its key buffer, so a repeated emission
+	// builds its key and compares paths without allocating.
 	var seenMu sync.Mutex
-	seen := map[string]*candEntry{}
-	var key, ord []byte
-	d := &descent{
-		ix: ix, p: p, opts: opts, par: workers,
-		sem: make(chan struct{}, workers-1),
-		sp:  fsp,
-		emit: func(path []int32, docID uint32, S []int32, wstats *QueryStats, bsp *obs.Span) error {
-			wstats.Candidates++
-			seenMu.Lock()
-			key = appendKey(key[:0], docID, S)
-			ord = appendPath(ord[:0], path)
-			if e, ok := seen[string(key)]; ok {
-				// Already scheduled for refinement; only remember the
-				// earliest emission position for the reduction.
-				if string(ord) < e.bestOrd {
-					e.bestOrd = string(ord)
-				}
-				seenMu.Unlock()
-				return nil
+	seen := map[string][]int32{}
+	var key []byte
+	d.sem = make(chan struct{}, workers-1)
+	d.emit = func(sc *scratch, docID uint32, _ *QueryStats, bsp *obs.Span) error {
+		seenMu.Lock()
+		key = appendKey(key[:0], docID, sc.S)
+		if block, ok := seen[string(key)]; ok {
+			// Already scheduled for refinement; only remember the earliest
+			// emission position for the reduction.
+			if compareInt32s(sc.path, block[n:]) < 0 {
+				copy(block[n:], sc.path)
 			}
-			e := &candEntry{bestOrd: string(ord)}
-			seen[string(key)] = e
 			seenMu.Unlock()
-			c := candidate{entry: e, docID: docID, S: append([]int32(nil), S...)}
-			t0 := bsp.Start()
-			select {
-			case ch <- c:
-				bsp.Stage(obs.StageEmitWait, t0)
-				return nil
-			case <-abort:
-				bsp.Stage(obs.StageEmitWait, t0)
-				return errRefineAborted
-			}
-		},
+			return nil
+		}
+		block := append(append(make([]int32, 0, n+len(sc.path)), sc.S...), sc.path...)
+		seen[string(key)] = block
+		seenMu.Unlock()
+		t0 := bsp.Start()
+		select {
+		case ch <- candidate{docID: docID, block: block}:
+			bsp.Stage(obs.StageEmitWait, t0)
+			return nil
+		case <-abort:
+			bsp.Stage(obs.StageEmitWait, t0)
+			return errRefineAborted
+		}
 	}
 	perr := d.run(stats, sc)
 	close(ch)
 	wg.Wait()
-	fsp.End()
+	d.sp.End()
 	rsp.End()
 	for w := range wstats {
 		stats.merge(&wstats[w])
@@ -482,15 +306,15 @@ func (ix *Index) matchPipelined(p *plan, opts MatchOptions, stats *QueryStats,
 	if perr != nil {
 		return nil, perr
 	}
-	// Reduce in serial emission order — every refined match sorts at its
-	// candidate's earliest descent path — so the surviving witness for
-	// each embedding is the same one the serial first-wins dedup keeps.
+	// Reduce in depth-first emission order — every refined match sorts at its
+	// candidate's earliest descent path — so the surviving witness for each
+	// embedding is the one the inline first-wins dedup keeps.
 	t0 := sp.Start()
 	var all []refined
 	for _, o := range wout {
 		all = append(all, o...)
 	}
-	slices.SortFunc(all, func(a, b refined) int { return strings.Compare(a.entry.bestOrd, b.entry.bestOrd) })
+	slices.SortFunc(all, func(a, b refined) int { return compareInt32s(a.ord, b.ord) })
 	for _, r := range all {
 		sc.stage.pushCopy(&wscs[r.w].stage, int(r.k))
 		sc.stage.keepLast()

@@ -1,11 +1,14 @@
 package prix
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,8 +62,8 @@ var parallelQueries = []struct {
 // statsComparable strips the fields that legitimately vary between runs
 // (timing, and PagesRead, which depends on cache state and fetch
 // memoization; RecordFetches/RecordCacheHits split on the same memoization
-// axis — the serial path fetches per candidate, the pipelined path once
-// per document).
+// axis — the inline emit fetches per candidate, the pipelined scheduler
+// once per document).
 func statsComparable(s *QueryStats) QueryStats {
 	c := *s
 	c.PagesRead = 0
@@ -74,7 +77,7 @@ func statsComparable(s *QueryStats) QueryStats {
 
 // TestParallelMatchesSerialDifferential is the pipeline's core contract:
 // any Parallelism setting returns byte-identical sorted matches and the
-// same counter stats as the exact legacy serial path, across ordered,
+// same counter stats as Parallelism 1, across ordered,
 // unordered, wildcard, value and single-node queries on both index kinds.
 func TestParallelMatchesSerialDifferential(t *testing.T) {
 	docs := parallelCorpus()
@@ -103,6 +106,80 @@ func TestParallelMatchesSerialDifferential(t *testing.T) {
 				if got, want := statsComparable(stats), statsComparable(serialStats); !reflect.DeepEqual(got, want) {
 					t.Errorf("ext=%v %s par=%d: stats = %+v, serial %+v",
 						extended, qc.src, par, got, want)
+				}
+			}
+		}
+	}
+}
+
+// cancelAfter is a context that cancels itself at the n-th Err call, i.e.
+// between two of a descent's range queries.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func newCancelAfter(n int64) *cancelAfter {
+	c := &cancelAfter{}
+	c.Context, c.cancel = context.WithCancel(context.Background())
+	c.left.Store(n)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestParallelOptionsParity holds the options the walk itself reads —
+// DisableMaxGap and Ctx — to the Parallelism 1 run: without the prune the
+// same matches and the same RangeQueries, TriePathsPruned and Candidates,
+// and with a context cancelled mid-descent the same error class and no
+// partial answer, every worker joined.
+func TestParallelOptionsParity(t *testing.T) {
+	docs := parallelCorpus()
+	for _, extended := range []bool{false, true} {
+		ix := build(t, extended, docs...)
+		for _, src := range []string{`//a[./b/c]/d`, `//a//d/e`} {
+			q := twig.MustParse(src)
+			if _, _, err := ix.Match(q, MatchOptions{WarmCache: true, Parallelism: 1}); errors.Is(err, ErrNeedsExtendedIndex) {
+				continue
+			}
+			serialMS, serialStats, err := ix.Match(q, MatchOptions{WarmCache: true, Parallelism: 1, DisableMaxGap: true})
+			if err != nil {
+				t.Fatalf("ext=%v %s: %v", extended, src, err)
+			}
+			if serialStats.TriePathsPruned != 0 || serialStats.Candidates == 0 {
+				t.Fatalf("ext=%v %s without MaxGap: %+v", extended, src, serialStats)
+			}
+			ms, stats, err := ix.Match(q, MatchOptions{WarmCache: true, Parallelism: 4, DisableMaxGap: true})
+			if err != nil {
+				t.Fatalf("ext=%v %s par=4: %v", extended, src, err)
+			}
+			if !reflect.DeepEqual(ms, serialMS) {
+				t.Errorf("ext=%v %s without MaxGap: par=4 matches diverge from par=1", extended, src)
+			}
+			if got, want := statsComparable(stats), statsComparable(serialStats); !reflect.DeepEqual(got, want) {
+				t.Errorf("ext=%v %s without MaxGap: stats = %+v, par=1 %+v", extended, src, got, want)
+			}
+			// Err call 1 is Match's own check, call 2 the root range query's;
+			// from the third on the descent is under way. A run that is never
+			// cancelled counts how many checks there are.
+			count := newCancelAfter(math.MaxInt64)
+			if _, _, err := ix.Match(q, MatchOptions{WarmCache: true, Parallelism: 1, Ctx: count}); err != nil {
+				t.Fatal(err)
+			}
+			checks := math.MaxInt64 - count.left.Load()
+			for _, n := range []int64{2, 3, checks / 2, checks - 1} {
+				for _, par := range []int{1, 4} {
+					ms, stats, err := ix.Match(q, MatchOptions{WarmCache: true, Parallelism: par, Ctx: newCancelAfter(n)})
+					if !errors.Is(err, context.Canceled) || ms != nil || stats != nil {
+						t.Errorf("ext=%v %s par=%d cancelled at check %d: %d matches, stats %v, err %v",
+							extended, src, par, n, len(ms), stats, err)
+					}
 				}
 			}
 		}

@@ -36,7 +36,7 @@ var residentOpts = MatchOptions{WarmCache: true, Parallelism: 1}
 // range queries, 158 candidates and matches) 4,281 before the descent
 // resolved its level sources once per query, pooled its scratch and refined
 // against the packed summaries in place (57 and 378 after that), and both
-// cost 16 since surviving matches are staged in the scratch and leave as one
+// cost 17 since surviving matches are staged in the scratch and leave as one
 // block: what remains is per query (the pattern's slabs, the result), not per
 // range query, per candidate or per match. Under the race detector sync.Pool
 // sheds scratches, so only the old quarter-of-the-original bounds hold there.

@@ -2,6 +2,7 @@ package prix
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,7 +37,7 @@ func (ix *Index) matchSingleNode(q *twig.Query, opts MatchOptions, stats *QueryS
 		return ix.scanSingleNode(q, opts, stats, sym, 0, n, ssp)
 	}
 	// Shard [0, n) into contiguous docid ranges, one worker each; the
-	// serial path emits in ascending docid order, so concatenating the
+	// one-goroutine scan emits in ascending docid order, so concatenating the
 	// shards in range order reproduces it exactly. Each worker gets its
 	// own stats slot, merged below. Shard spans are created here, keyed
 	// by ordinal, so the trace never depends on completion order.
@@ -146,14 +147,6 @@ func nodesWithLabel(rec *docstore.Record, sym vtrie.Symbol) []int32 {
 			add(rec.NPS[i])
 		}
 	}
-	sortInt32s(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInt32s(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

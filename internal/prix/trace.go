@@ -14,13 +14,17 @@ import (
 //	    ├── [arrangement(NNN)]   — only for multi-arrangement unordered
 //	    │   │                      queries; otherwise filter/refine hang
 //	    │   │                      off match directly
-//	    │   ├── filter           — Algorithm 1: descent/prefetch/emit_wait
-//	    │   │   └── branch(hex)  — spawned descent subtrees, keyed by the
-//	    │   │                      descent path (lexicographic = serial
-//	    │   │                      emission order)
-//	    │   └── refine           — Algorithm 2 stages; serial path times
-//	    │       │                  fetch/connect/structure/leaves inline
-//	    │       └── worker(NNN)  — pipelined refinement workers
+//	    │   ├── filter           — Algorithm 1, the root walk: descent/
+//	    │   │   │                  prefetch/emit_wait
+//	    │   │   └── branch(hex)  — subtrees of the one walk that a free
+//	    │   │                      worker took (pipelined scheduler only),
+//	    │   │                      keyed by the descent path (lexicographic
+//	    │   │                      = depth-first emission order)
+//	    │   └── refine           — Algorithm 2 stages; at Parallelism 1 the
+//	    │       │                  walk's emit times fetch/connect/
+//	    │       │                  structure/leaves here, one fetch window
+//	    │       │                  per candidate
+//	    │       └── worker(NNN)  — the pipelined scheduler's refinement pool
 //	    └── scan(NNN)            — single-node queries: per-shard scans
 //
 // Stage accumulators are written by the single goroutine owning each
@@ -37,8 +41,8 @@ func (ix *Index) ioCounts() (physical, logical uint64) {
 }
 
 // matchSpan opens the per-Match root span under the caller's trace (nil
-// without one). The span is keyed by index kind so the two halves of a
-// speculative dual match order deterministically under one shared trace.
+// without one). The span is keyed by index kind, so a trace shows which half
+// of a dual index answered.
 // When parent is non-nil the span hangs off it instead of the trace root —
 // the shard coordinator passes its per-shard span so a traced fan-out
 // nests every index execution under its shard/NNN child.

@@ -61,9 +61,9 @@ type QueryOptions struct {
 	Unordered bool
 	// DisableMaxGap turns off Theorem 4 pruning.
 	DisableMaxGap bool
-	// Parallelism caps the workers the engine's pipelined executor uses for
-	// this query (prix.MatchOptions.Parallelism): 0 means GOMAXPROCS, 1 the
-	// serial path. It is deliberately NOT part of the result-cache key —
+	// Parallelism caps the workers the engine schedules this query's walk
+	// over (prix.MatchOptions.Parallelism): 0 means GOMAXPROCS, 1 the calling
+	// goroutine alone. It is deliberately NOT part of the result-cache key —
 	// results are byte-identical at every setting, so requests differing
 	// only in Parallelism share cache entries and singleflight leaders.
 	Parallelism int

@@ -68,7 +68,8 @@ type Config struct {
 	MaxMatches int
 	// Parallelism is the default per-query worker cap handed to the engine
 	// (prix.MatchOptions.Parallelism) when a request does not set its own:
-	// 0 means GOMAXPROCS, 1 the serial path. Results are identical at every
+	// 0 means GOMAXPROCS, 1 keeps a query on the goroutine serving it, and
+	// the engine clamps large values. Results are identical at every
 	// setting; this only trades single-query latency against cross-request
 	// throughput on a loaded server.
 	Parallelism int
@@ -250,8 +251,9 @@ type QueryRequest struct {
 	// Limit caps the matches serialized (0 = server default).
 	Limit int `json:"limit,omitempty"`
 	// Parallelism overrides the server's default per-query worker cap
-	// (0 = server default; 1 = serial). Results are identical at every
-	// setting, so it never affects result caching.
+	// (0 = server default; 1 = one goroutine; the engine clamps large
+	// values). Results are identical at every setting, so it never affects
+	// result caching.
 	Parallelism int `json:"parallelism,omitempty"`
 	// AsOf answers the query at a historical version (0 = latest): the
 	// document set reflects exactly the inserts/updates/deletes whose

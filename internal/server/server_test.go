@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -149,6 +150,27 @@ func TestConcurrentRequestsMatchDirect(t *testing.T) {
 	}
 	if snap.InFlight != 0 {
 		t.Errorf("in_flight = %d after traffic, want 0", snap.InFlight)
+	}
+}
+
+// TestRequestParallelismIsClamped: the request's parallelism sizes the
+// engine's worker pool, so an absurd value must be clamped by the engine, not
+// honoured — unclamped, 1<<20 took 44 s and 1.7 GB on a six-document corpus.
+// The answer is the serial one, inside the default timeout.
+func TestRequestParallelismIsClamped(t *testing.T) {
+	srv := New(buildIndex(t, 100), Config{CacheCapacity: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	status, serial, raw := doQuery(t, ts.Client(), ts.URL, `{"query": "//a[./b/c]/d", "parallelism": 1}`)
+	if status != http.StatusOK || serial.Count == 0 {
+		t.Fatalf("serial: status %d, count %d (%s)", status, serial.Count, raw)
+	}
+	status, huge, raw := doQuery(t, ts.Client(), ts.URL, `{"query": "//a[./b/c]/d", "parallelism": 1073741824}`)
+	if status != http.StatusOK {
+		t.Fatalf("parallelism 1<<30: status %d (%s)", status, raw)
+	}
+	if huge.Count != serial.Count || !reflect.DeepEqual(huge.Matches, serial.Matches) {
+		t.Errorf("parallelism 1<<30: %d matches, serial %d, or different ones", huge.Count, serial.Count)
 	}
 }
 
