@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz chaos bench bench-smoke serve clean ci cover differential shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e sched benchmark-module size allocs
+.PHONY: all build test race vet fmt-check fuzz chaos bench bench-smoke serve clean ci cover differential shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e sched benchmark-module size allocs
 
 all: build vet test
 
 # Everything CI runs, in one target, so local and CI results agree.
-ci: build vet test allocs race sched differential cover shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e fuzz chaos bench-smoke benchmark-module size
+ci: build vet fmt-check test allocs race sched differential cover shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e fuzz chaos bench-smoke benchmark-module size
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,10 @@ race:
 vet:
 	$(GO) vet ./...
 
+# gofmt is a gate: any file it would rewrite fails the build.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 # Scheduling-dependence check, the proof that Parallelism only schedules the
 # one Algorithm 1 walk: the hot-vs-paged, Parallelism 1-vs-N and oracle
 # differential suites assert byte-identical matches and identical QueryStats
@@ -37,11 +41,14 @@ sched:
 # Every allocation guard (tests named *Allocs, each an AllocsPerRun bound): a
 # page pin hit or missed, a journaled flush, an in-place leaf edit, a record
 # decoded into a sized destination, a Match resident, paged and pipelined, the
-# pipelined record cache, a trace, the nil span API, a canonical query string.
+# pipelined record cache, a trace, the nil span API, a canonical query string,
+# one document drained by a compaction — plus the resident cost of a labeler
+# trie node (TestLabelerBytesPerNode: live bytes and objects, not mallocs).
 # -count=1 so a cached pass never stands in for a run; an allocation regression
-# then fails a named test here before it reaches the benchmark's allocs_op.
+# then fails a named test here before it reaches the benchmark's allocs_op or
+# live_heap_mb.
 allocs:
-	$(GO) test -count=1 -run 'Allocs' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig
+	$(GO) test -count=1 -run 'Allocs|BytesPerNode' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig ./internal/vtrie
 
 # The driver's benchmark is a nested module (benchmark/go.mod) that `go test
 # ./...` does not reach: vet and short-test it here, so a change to an
@@ -56,7 +63,8 @@ benchmark-module:
 # hot lists' binary-searched range scans against a naive filter; the
 # B+-tree's in-place leaf edits against a sorted-slice model; and the docstore
 # meta's header fields, chain pointers and block counts as Open reads them
-# from a corrupt file.
+# from a corrupt file; and the compaction drain's record → DocSeq derivation
+# against the reconstruct-and-transform detour it replaced.
 fuzz:
 	$(GO) test ./internal/twig -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 30s
 	$(GO) test ./internal/docstore -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime 30s
@@ -68,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/hot -run FuzzPostingsScan -fuzz FuzzPostingsScan -fuzztime 30s
 	$(GO) test ./internal/hot -run FuzzDocIDsScan -fuzz FuzzDocIDsScan -fuzztime 30s
 	$(GO) test ./internal/btree -run FuzzLeafOps -fuzz FuzzLeafOps -fuzztime 30s
+	$(GO) test ./internal/prix -run FuzzRecordDocSeq -fuzz FuzzRecordDocSeq -fuzztime 30s
 
 # The oracle-backed differential suite: every engine (PRIX serial/parallel,
 # MatchExhaustive, TwigStack, TwigStackXB, ViST) against the brute-force
@@ -170,8 +179,11 @@ bench:
 # pool's pin on a hit and on a miss, a leaf edit on a full page, and the write
 # path's two: one re-pointed document flushed on a 5,000-document store, and
 # one Update committed on a 3,000-document EPIndex over real files (pages and
-# syncs per commit reported); and POST /query through the server's handler,
-# paged and resident (-benchmem: the request shell plus the engine).
+# syncs per commit reported); POST /query through the server's handler, paged
+# and resident (-benchmem: the request shell plus the engine); and the dynamic
+# side's two: 5,500 sequences labeled into a fresh DynamicLabeler (ns/node),
+# and one whole compaction of a 3,000-document EPIndex carrying 300 mutations
+# (docs/s, -benchmem).
 bench-smoke:
 	$(GO) run ./cmd/prixbench -table parallel -datasets SWISSPROT
 	$(GO) test ./internal/prix -run XXX -bench 'UnorderedArrangements|MatchResident|MatchPaged|CommitUpdate' -benchtime 1x -benchmem
@@ -180,6 +192,8 @@ bench-smoke:
 	$(GO) test ./internal/pager -run XXX -bench 'PoolGet' -benchtime 1x -benchmem
 	$(GO) test ./internal/btree -run XXX -bench 'LeafInsertFullPage' -benchtime 1x -benchmem
 	$(GO) test ./internal/server -run XXX -bench 'ServeQueryCold|ServeQueryHot' -benchtime 1x -benchmem
+	$(GO) test ./internal/vtrie -run XXX -bench 'LabelerAdd' -benchtime 1x -benchmem
+	$(GO) test ./internal/compact -run XXX -bench 'CompactDynamic' -benchtime 1x -benchmem
 
 # Index size: seq.idx must stay within 6x the XML on the three generated
 # corpora, and prixcheck's size report (bytes per file; entries, height,

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/compact"
 	"repro/internal/docstore"
 	"repro/internal/pager"
 	"repro/internal/prix"
@@ -167,5 +169,51 @@ func TestVersionedIndexWithoutDocidTree(t *testing.T) {
 	status, out := runCaptured(t, dir)
 	if status != exitCorrupt || !strings.Contains(out, "versions: versioned index has no docid tree") {
 		t.Errorf("run = %d, want %d naming the missing docid tree:\n%s", status, exitCorrupt, out)
+	}
+}
+
+// The version cross-check over an epoch a compaction built: a document updated
+// before the compaction and deleted after it must have its tombstone in the
+// new epoch's docid tree, or the map and the tree disagree.
+func TestDeleteAfterCompactionChecksClean(t *testing.T) {
+	dir := t.TempDir()
+	docs := []*xmltree.Document{
+		xmltree.MustFromSExpr(0, `(a (b (c)))`),
+		xmltree.MustFromSExpr(1, `(a (d (e)))`),
+		xmltree.MustFromSExpr(2, `(a (b (c)) (d))`),
+	}
+	di, err := prix.NewDynamicIndex(docs, prix.Options{Dir: dir}, prix.DynamicOptions{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := compact.OpenRoot(dir, prix.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Update(1, xmltree.MustFromSExpr(1, `(a (d (e)) (f))`)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Compact(context.Background(), compact.CompactOptions{Retain: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	status, out := runCaptured(t, rep.Dir)
+	if status != exitClean || !strings.Contains(out, "1 tombstones") || !strings.Contains(out, "invariants ok") {
+		t.Errorf("run = %d, want %d with one tombstone and the version invariants ok:\n%s", status, exitClean, out)
 	}
 }

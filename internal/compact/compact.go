@@ -75,8 +75,15 @@ type Report struct {
 	Dynamic bool `json:"dynamic"`
 	// Pause is the online freeze window (inserts blocked, swap performed).
 	Pause time.Duration `json:"pause_ns,omitempty"`
-	// Elapsed is the whole compaction's wall time.
-	Elapsed time.Duration `json:"elapsed_ns"`
+	// Elapsed is the whole compaction's wall time; DrainElapsed,
+	// BuildElapsed and PublishElapsed split it by phase — spooling the
+	// source into runs, bulk-loading them (an online compaction's freeze-
+	// window catch-up included), and everything from the publish rename to
+	// the end of the cleanup. A phase a resume skipped reads zero.
+	Elapsed        time.Duration `json:"elapsed_ns"`
+	DrainElapsed   time.Duration `json:"drain_ns,omitempty"`
+	BuildElapsed   time.Duration `json:"build_ns,omitempty"`
+	PublishElapsed time.Duration `json:"publish_ns,omitempty"`
 	// Skipped reports that there was nothing to do (already compacted).
 	Skipped bool `json:"skipped,omitempty"`
 	// Reclaimed counts documents whose content the compaction dropped —
@@ -142,15 +149,16 @@ func ResumeOrRun(o Options) (*Report, error) {
 // source is an open compaction source: always an inner *prix.Index, plus
 // the dynamic wrapper when the index carries labeler replay state.
 type source struct {
-	dyn *prix.DynamicIndex
-	ix  *prix.Index
+	dyn   *prix.DynamicIndex
+	ix    *prix.Index
+	drain *prix.Drain
 }
 
 func openSource(dir string, o Options) (*source, error) {
 	popts := prix.Options{BufferPoolPages: o.BufferPoolPages, OpenFile: o.OpenFile, HotBudget: o.HotBudget}
 	dyn, err := prix.OpenDynamic(dir, popts)
 	if err == nil {
-		return &source{dyn: dyn, ix: dyn.Index()}, nil
+		return newSource(dyn, dyn.Index()), nil
 	}
 	if !errors.Is(err, prix.ErrNotDynamic) {
 		return nil, err
@@ -159,7 +167,11 @@ func openSource(dir string, o Options) (*source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &source{ix: ix}, nil
+	return newSource(nil, ix), nil
+}
+
+func newSource(dyn *prix.DynamicIndex, ix *prix.Index) *source {
+	return &source{dyn: dyn, ix: ix, drain: ix.NewDrain()}
 }
 
 func (s *source) close() error {
@@ -240,17 +252,15 @@ func adoptVersions(m *Manifest, ix *prix.Index) error {
 	return ix.AdoptVersions(vm)
 }
 
-// docSeq re-derives one document's dictionary-free Prüfer transform: the
-// stored record reconstructs to the original document (the PR 3 repair
-// invariant), and Transform of that document is exactly what a scan worker
-// would have produced — so drain runs replay through the same machinery as
-// streaming ingest.
+// docSeq reads one document out as the dictionary-free Prüfer transform it
+// was built from — its stored record with the labels spelled out — so drain
+// runs replay through the same machinery as streaming ingest.
 func (s *source) docSeq(id uint32) (*prix.DocSeq, error) {
-	doc, err := s.ix.ReconstructDocument(id)
+	ds, err := s.drain.DocSeq(id)
 	if err != nil {
 		return nil, fmt.Errorf("compact: drain document %d: %w", id, err)
 	}
-	return prix.Transform(id, doc, s.ix.Extended())
+	return ds, nil
 }
 
 // manifestFor derives the checkpoint configuration from an open source.
@@ -426,6 +436,7 @@ func execute(o Options, resume bool) (*Report, error) {
 		if err := src.close(); err != nil {
 			return nil, abortf(phaseBuild, err)
 		}
+		buildStart := time.Now()
 		built, _, err := build(fs, workdir, m, o, nil)
 		if err != nil {
 			return nil, abortf(phaseBuild, err)
@@ -433,6 +444,7 @@ func execute(o Options, resume bool) (*Report, error) {
 		if err := built.close(); err != nil {
 			return nil, abortf(phaseBuild, err)
 		}
+		rep.BuildElapsed = time.Since(buildStart)
 		m.Phase = phasePublish
 		if err := m.save(fs, workdir); err != nil {
 			return nil, abortf(phaseBuild, err)
@@ -445,6 +457,7 @@ func execute(o Options, resume bool) (*Report, error) {
 	rep.Runs = len(m.Runs)
 	rep.Reclaimed, rep.Tombstones = versionCounts(m.Versions)
 
+	publishStart := time.Now()
 	if m.Phase == phasePublish {
 		if err := publishCommit(fs, root, workdir, m); err != nil {
 			return nil, abortf(phasePublish, err)
@@ -457,6 +470,7 @@ func execute(o Options, resume bool) (*Report, error) {
 	if err := cleanup(fs, root, workdir, m.SourceEpoch); err != nil {
 		return nil, abortf(phaseDone, err)
 	}
+	rep.PublishElapsed = time.Since(publishStart)
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
@@ -466,6 +480,7 @@ func execute(o Options, resume bool) (*Report, error) {
 // quarter of the memory budget so the spool never needs more than one
 // run's worth of buffered bytes.
 func drain(fs ingest.FS, workdir string, m *Manifest, src *source, total uint32, reclaimed map[uint32]bool, rep *Report, pace func() error) error {
+	defer func(t time.Time) { rep.DrainElapsed += time.Since(t) }(time.Now())
 	drained := uint32(0)
 	for _, r := range m.Runs {
 		drained += r.Docs

@@ -45,9 +45,17 @@ type Stats struct {
 	Epoch uint64 `json:"epoch"`
 	// Running reports a compaction in flight right now.
 	Running bool `json:"running"`
-	// LastPause / LastElapsed describe the most recent successful run.
+	// LastPause / LastElapsed describe the most recent successful run;
+	// LastDrain / LastBuild / LastPublish are its Report's phase split.
 	LastPause   time.Duration `json:"last_pause_ns"`
 	LastElapsed time.Duration `json:"last_elapsed_ns"`
+	LastDrain   time.Duration `json:"last_drain_ns"`
+	LastBuild   time.Duration `json:"last_build_ns"`
+	LastPublish time.Duration `json:"last_publish_ns"`
+	// LabelerNodes / LabelerBytes size the serving epoch's resident
+	// labeler trie (prix.DynamicIndex.LabelerStats).
+	LabelerNodes int `json:"labeler_nodes"`
+	LabelerBytes int `json:"labeler_bytes"`
 }
 
 // Compactor periodically compacts a live Root in the background. Runs that
@@ -230,10 +238,11 @@ func (c *Compactor) Stats() Stats {
 		Epoch:         c.root.Epoch(),
 		Running:       c.root.Compacting(),
 	}
+	st.LabelerNodes, st.LabelerBytes = c.root.LabelerStats()
 	c.mu.Lock()
-	if c.lastRun != nil {
-		st.LastPause = c.lastRun.Pause
-		st.LastElapsed = c.lastRun.Elapsed
+	if r := c.lastRun; r != nil {
+		st.LastPause, st.LastElapsed = r.Pause, r.Elapsed
+		st.LastDrain, st.LastBuild, st.LastPublish = r.DrainElapsed, r.BuildElapsed, r.PublishElapsed
 	}
 	c.mu.Unlock()
 	return st

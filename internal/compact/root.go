@@ -244,6 +244,9 @@ func (r *Root) RepairForest() ([]uint32, error) {
 	return di.RepairForest()
 }
 
+// LabelerStats reports the current epoch's resident labeler trie.
+func (r *Root) LabelerStats() (nodes, bytes int) { return r.Index().LabelerStats() }
+
 // Index returns the current epoch's DynamicIndex for callers that need the
 // raw handle (the scrubber's Source hook). The handle is only valid until
 // the next swap; combine with Gate to avoid inspecting a mid-swap epoch.
@@ -372,7 +375,7 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 	r.mu.RLock()
 	old, srcEpoch := r.di, r.epoch
 	r.mu.RUnlock()
-	src := &source{dyn: old, ix: old.Index()}
+	src := newSource(old, old.Index())
 	probe := manifestFor(src, srcEpoch, o)
 
 	var paced int
@@ -473,7 +476,9 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 		// Phase 2: bulk-load the runs. The new index stays open — its page
 		// files live in .compact/next and follow the directory through the
 		// publish rename, so the swap needs no reopen.
+		buildStart := time.Now()
 		built, _, err := build(fs, workdir, m, o, pace)
+		rep.BuildElapsed += time.Since(buildStart)
 		if err != nil {
 			return nil, &Aborted{Phase: phaseBuild, Err: err}
 		}
@@ -530,8 +535,11 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 		return fail(phaseBuild, err)
 	}
 
+	rep.BuildElapsed += time.Since(pauseStart)
+
 	// Phase 4: publish and commit. The CURRENT write is the point of no
 	// return — before it, any failure leaves the old epoch serving.
+	publishStart := time.Now()
 	m.Phase = phasePublish
 	m.DeltaDocs = uint32(rep.DeltaDocs)
 	if err := m.save(fs, workdir); err != nil {
@@ -585,6 +593,7 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 	} else if closeErr == nil {
 		closeErr = err
 	}
+	rep.PublishElapsed = time.Since(publishStart)
 	rep.Elapsed = time.Since(start)
 	if closeErr != nil {
 		return rep, fmt.Errorf("compact: post-commit cleanup (epoch %d is serving): %w", m.NextEpoch, closeErr)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/prix"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
@@ -154,6 +155,184 @@ func TestCompactVersionRetention(t *testing.T) {
 			defer re.Close()
 			if got := versionSigs(t, re, 0); !sameSigs(got, afterDelete) {
 				t.Errorf("reopened epoch answers %v, want %v", got, afterDelete)
+			}
+		})
+	}
+}
+
+// docidTombstones scans the serving epoch's docid tree for delete markers.
+func docidTombstones(t *testing.T, r *Root) map[uint32]uint64 {
+	t.Helper()
+	docid := r.Index().Index().Forest().Lookup("docid")
+	if docid == nil {
+		t.Fatal("no docid tree")
+	}
+	out := map[uint32]uint64{}
+	err := docid.Scan(btree.KeyUint64(0), btree.KeyUint64(^uint64(0)), true, true, func(k, v []byte) bool {
+		if id, ver, ok := prix.DecodeTombstone(v); ok {
+			out[id] = ver
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// A document mutated before a compaction and deleted after it must still get
+// its tombstone: the compaction collapses its history to one interval whose
+// terminal has to be the rebuilt forest's, or Delete has no key to mark.
+func TestDeleteAfterCompactionWritesTombstone(t *testing.T) {
+	dir := t.TempDir()
+	buildDynamicDir(t, dir, corpus(24))
+	r, err := OpenRoot(dir, prix.Options{BufferPoolPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Update(4, xmltree.MustFromSExpr(4, `(a (b (c "v2")) (y (z)))`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Compact(context.Background(), CompactOptions{Retain: 64}); err != nil {
+		t.Fatal(err)
+	}
+	preDelete := versionSigs(t, r, 0)
+	preDeleteVersion := r.VersionStats().Current
+	v, err := r.Delete(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := docidTombstones(t, r)[4]; !ok || got != v {
+		t.Fatalf("docid tree tombstone for document 4 = (%d, %v), want version %d", got, ok, v)
+	}
+	latest := versionSigs(t, r, 0)
+	if sameSigs(latest, preDelete) {
+		t.Fatal("the delete changed no answer; test would be vacuous")
+	}
+	if got := versionSigs(t, r, preDeleteVersion); !sameSigs(got, preDelete) {
+		t.Errorf("AS OF %d after the delete = %v, want %v", preDeleteVersion, got, preDelete)
+	}
+
+	// The tombstone and the map survive a reopen, whose OpenDynamic replays
+	// the labeler from the carried interval.
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenRoot(dir, prix.Options{BufferPoolPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, ok := docidTombstones(t, re)[4]; !ok || got != v {
+		t.Fatalf("after reopen: tombstone for document 4 = (%d, %v), want version %d", got, ok, v)
+	}
+	if got := versionSigs(t, re, 0); !sameSigs(got, latest) {
+		t.Errorf("reopened answers %v, want %v", got, latest)
+	}
+	if err := re.Insert(xmltree.MustFromSExpr(24, `(a (b (c)) (d (e)))`)); err != nil {
+		t.Fatalf("insert after reopen: %v", err)
+	}
+}
+
+// ROADMAP 1(a), the metamorphic case: a document updated, carried across a
+// retaining compaction and then relabelled by a second update must keep
+// answering AS OF its pre-compaction version from the image it had then —
+// plainly, and after a further delete. Two shapes: a structural change on a
+// regular index, and a value-only change on an EPIndex — there the two images
+// share one NPS, so Algorithm 2 cannot tell them apart and only the carried
+// interval's terminal keeps the new trie path out of the old version.
+func TestAsOfAcrossCompactionAfterRelabel(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		extended         bool
+		first, second    string
+		oldOnly, newOnly string
+	}{
+		{"structure", false, `(a (b (c "v2")) (y (z)))`, `(r (a (d (e))) (b))`, `//a/y/z`, `//r/a/d`},
+		{"value-only-ep", true, `(a (b (c "v2")) (x))`, `(a (b (c "v3")) (x))`, `//b[./c="v2"]`, `//b[./c="v3"]`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			docs := corpus(24)
+			di, err := prix.NewDynamicIndex(docs[:8], prix.Options{Dir: dir, BufferPoolPages: 128, Extended: tc.extended}, prix.DynamicOptions{Alpha: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, doc := range docs[8:] {
+				if err := di.Insert(doc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := di.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := di.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenRoot(dir, prix.Options{BufferPoolPages: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			hits := func(qs string, asOf uint64) bool {
+				t.Helper()
+				ms, _, err := r.Match(twig.MustParse(qs), prix.MatchOptions{AsOf: asOf})
+				if err != nil {
+					t.Fatalf("%s asOf=%d: %v", qs, asOf, err)
+				}
+				for _, m := range ms {
+					if m.DocID == 4 {
+						return true
+					}
+				}
+				return false
+			}
+
+			if _, err := r.Update(4, xmltree.MustFromSExpr(4, tc.first)); err != nil {
+				t.Fatal(err)
+			}
+			v1 := r.VersionStats().Current
+			atV1 := versionSigs(t, r, 0)
+			if _, err := r.Compact(context.Background(), CompactOptions{Retain: 64}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Update(4, xmltree.MustFromSExpr(4, tc.second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Relabeled {
+				t.Fatal("second update did not relabel; test would be vacuous")
+			}
+			v2 := r.VersionStats().Current
+			atV2 := versionSigs(t, r, 0)
+			check := func(when string) {
+				t.Helper()
+				if got := versionSigs(t, r, v1); !sameSigs(got, atV1) {
+					t.Errorf("%s: AS OF %d (before the compaction) = %v, want %v", when, v1, got, atV1)
+				}
+				if got := versionSigs(t, r, v2); !sameSigs(got, atV2) {
+					t.Errorf("%s: AS OF %d = %v, want %v", when, v2, got, atV2)
+				}
+				if !hits(tc.oldOnly, v1) || hits(tc.newOnly, v1) {
+					t.Errorf("%s: AS OF %d document 4 answers %s: %v, %s: %v; want its first image",
+						when, v1, tc.oldOnly, hits(tc.oldOnly, v1), tc.newOnly, hits(tc.newOnly, v1))
+				}
+				if hits(tc.oldOnly, v2) || !hits(tc.newOnly, v2) {
+					t.Errorf("%s: AS OF %d document 4 answers %s: %v, %s: %v; want its second image",
+						when, v2, tc.oldOnly, hits(tc.oldOnly, v2), tc.newOnly, hits(tc.newOnly, v2))
+				}
+			}
+			check("after the relabel")
+			if _, err := r.Delete(4); err != nil {
+				t.Fatal(err)
+			}
+			check("after the delete")
+			if hits(tc.oldOnly, 0) || hits(tc.newOnly, 0) {
+				t.Error("deleted document 4 still answers latest reads")
 			}
 		})
 	}

@@ -19,6 +19,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/pager"
@@ -34,15 +35,32 @@ type Dict struct {
 	names  []string
 }
 
-// Intern returns the symbol for s, assigning a fresh one on first use.
+// Intern returns the symbol for s, assigning a fresh one on first use. A new
+// entry keeps its own copy of s, so interning a label that is a substring of
+// some larger buffer (a decoded run record) does not pin that buffer.
 func (d *Dict) Intern(s string) vtrie.Symbol {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.byName == nil {
-		d.byName = make(map[string]vtrie.Symbol)
-	}
 	if sym, ok := d.byName[s]; ok {
 		return sym
+	}
+	return d.addLocked(strings.Clone(s))
+}
+
+// InternBytes is Intern for a key assembled in a caller's buffer: a hit
+// allocates nothing, a miss copies the key once.
+func (d *Dict) InternBytes(key []byte) vtrie.Symbol {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if sym, ok := d.byName[string(key)]; ok {
+		return sym
+	}
+	return d.addLocked(string(key))
+}
+
+func (d *Dict) addLocked(s string) vtrie.Symbol {
+	if d.byName == nil {
+		d.byName = make(map[string]vtrie.Symbol)
 	}
 	sym := vtrie.Symbol(len(d.names))
 	d.byName[s] = sym
@@ -58,15 +76,31 @@ func (d *Dict) Lookup(s string) (vtrie.Symbol, bool) {
 	return sym, ok
 }
 
+// LookupBytes is Lookup for a key assembled in a caller's buffer.
+func (d *Dict) LookupBytes(key []byte) (vtrie.Symbol, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	sym, ok := d.byName[string(key)]
+	return sym, ok
+}
+
 // Name returns the string for a symbol. Unknown symbols (which can come
 // out of a corrupt record) yield a synthetic placeholder, not a panic.
 func (d *Dict) Name(sym vtrie.Symbol) string {
+	if name, ok := d.NameOf(sym); ok {
+		return name
+	}
+	return fmt.Sprintf("<unknown symbol %d>", sym)
+}
+
+// NameOf returns the string for a symbol and whether the dictionary has it.
+func (d *Dict) NameOf(sym vtrie.Symbol) (string, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if int(sym) < 0 || int(sym) >= len(d.names) {
-		return fmt.Sprintf("<unknown symbol %d>", sym)
+		return "", false
 	}
-	return d.names[sym]
+	return d.names[sym], true
 }
 
 // Names returns all interned strings in symbol order. The returned slice

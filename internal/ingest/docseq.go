@@ -57,8 +57,12 @@ func encodeDocSeq(buf []byte, ds *prix.DocSeq) []byte {
 	return buf
 }
 
+// docSeqDecoder walks one record. Labels are handed out as substrings of s, a
+// single string copy of the record, rather than one string each; whoever
+// keeps a label beyond the DocSeq (the dictionary, on a miss) clones it.
 type docSeqDecoder struct {
 	b   []byte
+	s   string
 	pos int
 }
 
@@ -78,10 +82,10 @@ func (d *docSeqDecoder) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if d.pos+int(n) > len(d.b) {
+	if n > uint64(len(d.b)-d.pos) {
 		return "", errTruncatedDocSeq
 	}
-	s := string(d.b[d.pos : d.pos+int(n)])
+	s := d.s[d.pos : d.pos+int(n)]
 	d.pos += int(n)
 	return s, nil
 }
@@ -97,7 +101,7 @@ func (d *docSeqDecoder) boolean() (bool, error) {
 
 // decodeDocSeq parses one record from buf (the full record payload).
 func decodeDocSeq(buf []byte) (*prix.DocSeq, error) {
-	d := &docSeqDecoder{b: buf}
+	d := docSeqDecoder{b: buf, s: string(buf)}
 	ds := &prix.DocSeq{}
 	v, err := d.uvarint()
 	if err != nil {

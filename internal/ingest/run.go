@@ -41,6 +41,7 @@ type runWriter struct {
 	docs  uint32
 	bytes int64
 	buf   []byte
+	hdr   [binary.MaxVarintLen64]byte // add's length prefix: a local would escape into the CRC write
 }
 
 func newRunWriter(fs FS, path string) (*runWriter, error) {
@@ -65,9 +66,8 @@ func (w *runWriter) write(p []byte) error {
 
 func (w *runWriter) add(ds *prix.DocSeq) error {
 	w.buf = encodeDocSeq(w.buf[:0], ds)
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(w.buf)))
-	if err := w.write(hdr[:n]); err != nil {
+	n := binary.PutUvarint(w.hdr[:], uint64(len(w.buf)))
+	if err := w.write(w.hdr[:n]); err != nil {
 		return err
 	}
 	if err := w.write(w.buf); err != nil {
@@ -126,6 +126,7 @@ type runReader struct {
 	read    uint32
 	sealCRC uint32 // trailer CRC, for cross-checking against the manifest
 	buf     []byte
+	one     [1]byte // readUvarint's CRC feed, one byte at a time
 	done    bool
 }
 
@@ -181,7 +182,8 @@ func (r *runReader) readUvarint() (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("truncated run: %w", err)
 		}
-		r.crc.Write([]byte{b})
+		r.one[0] = b
+		r.crc.Write(r.one[:])
 		if b < 0x80 {
 			if shift >= 64 {
 				return 0, fmt.Errorf("malformed varint")

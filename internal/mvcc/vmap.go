@@ -28,8 +28,10 @@ type Interval struct {
 	From uint64
 	To   uint64 // 0 = open
 	// Terminal is the docid-tree key (trie range Left) the document's
-	// sequence attaches to during this interval; 0 = unknown (legacy or
-	// post-compaction), which the emit filter accepts at any key.
+	// sequence attaches to during this interval; 0 = unknown (a legacy
+	// base interval, or a sequence-less document), which the emit filter
+	// accepts at any key. A rebuilt forest re-anchors it
+	// (prix.Index.AdoptVersions).
 	Terminal uint64
 	// Label is the AddReport ordinal of the labeling event that opened this
 	// interval (0 = none: the interval did not relabel). Replay sorts
@@ -173,8 +175,9 @@ func (m *Map) Clone() *Map {
 
 // Collapse folds history for a rebuilt epoch: live documents keep a single
 // open interval (Loc and Label dropped, Terminal reset — the rebuilt forest
-// relabels everything), tombstones older than the watermark become
-// reclaimable (the caller replaces the record with a stub; the map keeps a
+// relabels everything, and prix's AdoptVersions fills in the new terminal),
+// tombstones older than the watermark become reclaimable (the caller
+// replaces the record with a stub; the map keeps a
 // never-visible marker), younger tombstones keep one closed interval so
 // AS OF inside it still resolves against the record the rebuild carried
 // over. It returns the collapsed map, the reclaimed docids (ascending) and

@@ -177,14 +177,19 @@ func (bs *bulkSorter) load() error {
 	if err := bs.flush(); err != nil {
 		return err
 	}
+	// BulkLoad copies every key and value into its leaf, so one value buffer
+	// serves the whole merge.
+	var val [12]byte
 	err := mergeLoad(bs.ix.postings, bs.spill, bs.postChunks, postRecSize, func(rec []byte) ([]byte, []byte) {
-		return rec[:12], encodePosting(binary.BigEndian.Uint64(rec[12:20]), binary.BigEndian.Uint32(rec[20:24]))
+		putPosting(&val, binary.BigEndian.Uint64(rec[12:20]), binary.BigEndian.Uint32(rec[20:24]))
+		return rec[:12], val[:]
 	})
 	if err != nil {
 		return err
 	}
 	err = mergeLoad(bs.ix.docid, bs.spill, bs.docidChunks, docidRecSize, func(rec []byte) ([]byte, []byte) {
-		return rec[:8], encodeDocID(binary.BigEndian.Uint32(rec[8:12]))
+		binary.LittleEndian.PutUint32(val[:4], binary.BigEndian.Uint32(rec[8:12]))
+		return rec[:8], val[:4]
 	})
 	if err != nil {
 		return err

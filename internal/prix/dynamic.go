@@ -243,6 +243,14 @@ func (di *DynamicIndex) OnInsert(fn func()) {
 // Underflows reports how many insertions failed with scope underflow.
 func (di *DynamicIndex) Underflows() int { return di.labeler.Underflows() }
 
+// LabelerStats reports the resident labeler trie: how many nodes it holds
+// (one per posting it handed out) and the heap they occupy.
+func (di *DynamicIndex) LabelerStats() (nodes, bytes int) {
+	di.mu.RLock()
+	defer di.mu.RUnlock()
+	return di.labeler.Nodes(), di.labeler.Bytes()
+}
+
 // Alpha returns the labeler's prepared-prefix depth.
 func (di *DynamicIndex) Alpha() int { return di.alpha }
 

@@ -174,18 +174,27 @@ const valuePrefix = "\x00"
 
 // SymbolFor interns a label in the dictionary with value namespacing.
 func SymbolFor(dict *docstore.Dict, label string, isValue bool) vtrie.Symbol {
-	if isValue {
-		return dict.Intern(valuePrefix + label)
+	if !isValue {
+		return dict.Intern(label)
 	}
-	return dict.Intern(label)
+	var buf [64]byte
+	return dict.InternBytes(valueKey(buf[:0], label))
 }
 
 // LookupSymbol resolves a label without interning.
 func LookupSymbol(dict *docstore.Dict, label string, isValue bool) (vtrie.Symbol, bool) {
-	if isValue {
-		return dict.Lookup(valuePrefix + label)
+	if !isValue {
+		return dict.Lookup(label)
 	}
-	return dict.Lookup(label)
+	var buf [64]byte
+	return dict.LookupBytes(valueKey(buf[:0], label))
+}
+
+// valueKey assembles a value's dictionary key, valuePrefix‖label, in the
+// caller's (stack) buffer: a concatenated string would be one heap object per
+// value position of every sequence interned.
+func valueKey(buf []byte, label string) []byte {
+	return append(append(buf, valuePrefix...), label...)
 }
 
 // Forest tree names. The structure sidecar's is structTreeName (repair.go).
@@ -474,12 +483,14 @@ func (ix *Index) markPosted(sym vtrie.Symbol) {
 
 func encodePosting(right uint64, level uint32) []byte {
 	var b [12]byte
-	copy(b[:8], btree.KeyUint64(right))
-	b[8] = byte(level)
-	b[9] = byte(level >> 8)
-	b[10] = byte(level >> 16)
-	b[11] = byte(level >> 24)
+	putPosting(&b, right, level)
 	return b[:]
+}
+
+// putPosting is encodePosting into a buffer the caller reuses.
+func putPosting(b *[12]byte, right uint64, level uint32) {
+	binary.BigEndian.PutUint64(b[:8], right)
+	binary.LittleEndian.PutUint32(b[8:], level)
 }
 
 func decodePosting(v []byte) (right uint64, level uint32) {

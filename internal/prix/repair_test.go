@@ -360,6 +360,42 @@ func TestDynamicRepairForest(t *testing.T) {
 	verifyAllDocs(t, ix)
 }
 
+// A rebuild folds version history like a compaction does: a document updated
+// before the rebuild and deleted after it must find its rebuilt terminal in
+// its carried interval, or the delete writes no tombstone.
+func TestVersionDeleteAfterRebuildWritesTombstone(t *testing.T) {
+	di, err := NewDynamicIndex(degradedDocs(), Options{}, DynamicOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.Update(1, xmltree.MustFromSExpr(1, `(a (b (c)) (e))`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.RepairForest(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := di.Delete(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	err = di.Index().docid.Scan(btree.KeyUint64(0), btree.KeyUint64(^uint64(0)), true, true, func(k, val []byte) bool {
+		if id, ver, ok := DecodeTombstone(val); ok && id == 1 && ver == v {
+			found = true
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !found {
+		t.Fatalf("no tombstone for document 1 at version %d in the docid tree", v)
+	}
+	if ms, _, err := di.Match(twig.MustParse(`//a/e`), MatchOptions{}); err != nil || len(ms) != 0 {
+		t.Fatalf("deleted document still matches //a/e: %d matches, err %v", len(ms), err)
+	}
+}
+
 // Snapshot and restore close the repair loop for both-copies-gone damage:
 // the snapshot is cut consistent, refused while damage exists, and a
 // restore replaces the index wholesale.

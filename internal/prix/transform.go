@@ -2,6 +2,7 @@ package prix
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/docstore"
 	"repro/internal/prufer"
@@ -101,6 +102,157 @@ func Transform(id uint32, doc *xmltree.Document, extended bool) (*DocSeq, error)
 	return ds, nil
 }
 
+// Drain reads documents back out of an index as the DocSeqs they were built
+// from, straight off their stored records: a record already is the document's
+// NPS, LPS and leaf list, so nothing is reconstructed, stripped, re-extended
+// or re-sequenced on the way. It holds the scratch one document's derivation
+// needs and reuses it for the next; it is not safe for concurrent use.
+type Drain struct {
+	ix    *Index
+	rec   docstore.Record
+	stack []pendingNode
+}
+
+// pendingNode is a finished subtree waiting for its parent during the drain's
+// pass over the parent array: its root's postorder number and its height in
+// original (unextended) nodes.
+type pendingNode struct{ post, height int32 }
+
+// NewDrain returns a Drain over ix.
+func (ix *Index) NewDrain() *Drain { return &Drain{ix: ix} }
+
+// DocSeq returns document id's DocSeq — what Transform produced when the
+// document was added — or an error if its record is unreadable or is not a
+// well-formed sequence (see recordDocSeq).
+func (d *Drain) DocSeq(id uint32) (*DocSeq, error) {
+	d.ix.repairMu.RLock()
+	err := d.ix.store.GetInto(&d.rec, id)
+	d.ix.repairMu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	return d.recordDocSeq(id, &d.rec)
+}
+
+// recordDocSeq is the inverse of internDocSeq: NPS copied, labels resolved
+// through the dictionary, and the leaves, child gaps and original-document
+// statistics read off one pass over the parent array. The pass keeps every
+// structural check the ReconstructDocument → Transform detour made — a parent
+// follows its child and is at most N, the numbering is a postorder (the
+// finished subtrees waiting for a parent nest), one root, one label per inner
+// node, the leaf list names exactly the leaves, a value has no children — so
+// a damaged record is an error here, never a different sequence. For an
+// EPIndex the tree is the extended one: every leaf must be an extension dummy
+// (the empty value) hanging alone under an original leaf, and the dummies
+// count towards neither Elements, Values nor MaxDepth.
+func (d *Drain) recordDocSeq(id uint32, rec *docstore.Record) (*DocSeq, error) {
+	dict, extended := d.ix.store.Dict(), d.ix.opts.Extended
+	n := int(rec.NumNodes)
+	bad := func(format string, args ...any) (*DocSeq, error) {
+		return nil, fmt.Errorf("prix: document %d: record is not a Prüfer sequence: "+format, append([]any{id}, args...)...)
+	}
+	if n < 1 || len(rec.NPS) != n-1 || len(rec.LPS) != n-1 || len(rec.Leaves) > n {
+		return bad("%d nodes, %d/%d positions, %d leaves", n, len(rec.NPS), len(rec.LPS), len(rec.Leaves))
+	}
+	label := func(sym vtrie.Symbol) (SeqLabel, error) {
+		name, ok := dict.NameOf(sym)
+		if !ok {
+			return SeqLabel{}, fmt.Errorf("prix: document %d: unknown symbol %d", id, sym)
+		}
+		if strings.HasPrefix(name, valuePrefix) {
+			return SeqLabel{Label: name[len(valuePrefix):], IsValue: true}, nil
+		}
+		return SeqLabel{Label: name}, nil
+	}
+	ds := &DocSeq{
+		DocID:    id,
+		NumNodes: rec.NumNodes,
+		NPS:      make([]int32, n-1),
+		LPS:      make([]SeqLabel, n-1),
+		Leaves:   make([]LeafLabel, 0, len(rec.Leaves)),
+	}
+	copy(ds.NPS, rec.NPS)
+	if inner := n - len(rec.Leaves); inner > 0 {
+		ds.Gaps = make([]GapLabel, 0, inner)
+	}
+	stack := d.stack[:0]
+	defer func() { d.stack = stack[:0] }()
+	for i := 1; i <= n; i++ {
+		// i's children are the pending subtrees whose parent it is; they sit
+		// on top of the stack, the last child (i-1) uppermost.
+		var (
+			lab      SeqLabel
+			err      error
+			kids     int
+			first    int32
+			height   int32
+			dummyKid bool
+		)
+		for len(stack) > 0 && int(rec.NPS[stack[len(stack)-1].post-1]) == i {
+			c := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if kids == 0 {
+				if lab, err = label(rec.LPS[c.post-1]); err != nil {
+					return nil, err
+				}
+			} else if rec.LPS[c.post-1] != rec.LPS[first-1] {
+				return bad("node %d has two labels", i)
+			}
+			ds.LPS[c.post-1] = lab
+			first, height, dummyKid = c.post, max(height, c.height), dummyKid || c.height == 0
+			kids++
+		}
+		original := true // a node of the unextended document
+		switch {
+		case kids == 0:
+			k := len(ds.Leaves)
+			if k == len(rec.Leaves) || int(rec.Leaves[k].Post) != i {
+				return bad("leaf %d is missing from the leaf list", i)
+			}
+			if lab, err = label(rec.Leaves[k].Sym); err != nil {
+				return nil, err
+			}
+			ds.Leaves = append(ds.Leaves, LeafLabel{Post: int32(i), Label: lab.Label, IsValue: lab.IsValue})
+			if extended {
+				if !lab.IsValue || lab.Label != "" || n == 1 {
+					return bad("leaf %d is not an extension dummy", i)
+				}
+				original = false
+			}
+		case dummyKid && kids > 1:
+			return bad("extension dummy under node %d has siblings", i)
+		case lab.IsValue && !dummyKid:
+			return bad("value node %d has children", i)
+		default:
+			ds.Gaps = append(ds.Gaps, GapLabel{Label: lab.Label, IsValue: lab.IsValue, Gap: int64(i-1) - int64(first)})
+		}
+		if original {
+			height++
+			if lab.IsValue {
+				ds.Values++
+			} else {
+				ds.Elements++
+			}
+		}
+		if i == n {
+			ds.MaxDepth = int64(height)
+			break
+		}
+		p := int(rec.NPS[i-1])
+		if p <= i || p > n {
+			return bad("parent of %d is %d", i, p)
+		}
+		if len(stack) > 0 && p > int(rec.NPS[stack[len(stack)-1].post-1]) {
+			return bad("numbering is not a postorder at node %d", i)
+		}
+		stack = append(stack, pendingNode{post: int32(i), height: height})
+	}
+	if len(stack) > 0 || len(ds.Leaves) != len(rec.Leaves) {
+		return bad("%d subtrees without a parent, %d leaf entries naming no leaf", len(stack), len(rec.Leaves)-len(ds.Leaves))
+	}
+	return ds, nil
+}
+
 // internDocSeq resolves a DocSeq's labels against the index dictionary —
 // LPS positions first, then leaves, then gaps, the order prepareDocument
 // has always interned in, so replayed and direct builds assign identical
@@ -120,11 +272,11 @@ func (ix *Index) internDocSeq(id uint32, ds *DocSeq) (*docstore.Record, []vtrie.
 		rec.LPS[i] = sym
 		syms[i] = sym
 	}
-	for _, lf := range ds.Leaves {
-		rec.Leaves = append(rec.Leaves, docstore.Leaf{
-			Post: lf.Post,
-			Sym:  SymbolFor(dict, lf.Label, lf.IsValue),
-		})
+	if len(ds.Leaves) > 0 {
+		rec.Leaves = make([]docstore.Leaf, len(ds.Leaves))
+	}
+	for i, lf := range ds.Leaves {
+		rec.Leaves[i] = docstore.Leaf{Post: lf.Post, Sym: SymbolFor(dict, lf.Label, lf.IsValue)}
 	}
 	for _, g := range ds.Gaps {
 		sym := SymbolFor(dict, g.Label, g.IsValue)

@@ -144,37 +144,18 @@ func (ix *Index) installVersionRefs() {
 
 // AdoptVersions installs (and persists) a version map wholesale — the
 // compaction publisher moves the collapsed source map onto the freshly
-// bulk-loaded epoch with it. Retained tombstones are re-marked in this
-// forest's docid tree (the old epoch's tombstone entries, and the
-// terminals they lived at, did not survive the rewrite). A nil map
-// disables versioning.
+// bulk-loaded epoch with it. The map is anchored to this forest on the way
+// (the old epoch's terminals and tombstone entries did not survive the
+// rewrite; see anchorVersionsLocked). A nil map disables versioning.
 func (ix *Index) AdoptVersions(m *mvcc.Map) error {
 	ix.repairMu.Lock()
 	defer ix.repairMu.Unlock()
 	ix.versions = m
 	ix.installVersionRefs()
 	if m != nil {
-		terms, err := ix.terminalsByDoc()
+		marked, err := ix.anchorVersionsLocked()
 		if err != nil {
 			return err
-		}
-		marked := false
-		for id, ivs := range m.Docs {
-			if len(ivs) == 0 {
-				continue
-			}
-			last := ivs[len(ivs)-1]
-			if last.To == 0 || last.Marker() {
-				continue
-			}
-			left, ok := terms[id]
-			if !ok {
-				continue // sequence-less document: no entry to mark
-			}
-			if err := ix.writeTombstoneLocked(left, id, last.To); err != nil {
-				return err
-			}
-			marked = true
 		}
 		if marked {
 			if err := ix.forest.Flush(); err != nil {
@@ -184,6 +165,38 @@ func (ix *Index) AdoptVersions(m *mvcc.Map) error {
 	}
 	ix.persistVersionsLocked()
 	return ix.store.Flush()
+}
+
+// anchorVersionsLocked ties a collapsed version map to the forest it now
+// describes: every carried document's last interval — live, or a retained
+// tombstone — gets the terminal its sequence has in this forest, and the
+// tombstones are re-marked there. Without the terminal a later Delete has no
+// key to write its tombstone at, and a later relabelling Update closes the
+// interval with a terminal the emit filter accepts at any key. It reports
+// whether the forest was written.
+func (ix *Index) anchorVersionsLocked() (marked bool, err error) {
+	terms, err := ix.terminalsByDoc()
+	if err != nil {
+		return false, err
+	}
+	for id, ivs := range ix.versions.Docs {
+		if len(ivs) == 0 || ivs[len(ivs)-1].Marker() {
+			continue
+		}
+		left, ok := terms[id]
+		if !ok {
+			continue // sequence-less document: no entry to anchor to
+		}
+		last := &ivs[len(ivs)-1]
+		last.Terminal = left
+		if last.To != 0 {
+			if err := ix.writeTombstoneLocked(left, id, last.To); err != nil {
+				return marked, err
+			}
+			marked = true
+		}
+	}
+	return marked, nil
 }
 
 // terminalsByDoc maps every document to its docid-tree terminal key in one
@@ -408,8 +421,8 @@ func (ix *Index) recoverPending() error {
 // collapseVersionsAfterRebuildLocked folds version history for a rebuilt
 // forest: the rebuild relabels every surviving record in docid order, so
 // update-history back-pointers (whose postings are gone) are dropped, every
-// interval's Terminal and Label reset, and tombstones are re-marked at the
-// rebuilt terminals. Retention follows the repair semantics of a
+// interval's Label reset and its Terminal moved to the rebuilt forest's, and
+// tombstones are re-marked there. Retention follows the repair semantics of a
 // Retain-0 compaction for update history while every delete span survives —
 // the deleted documents' records were rebuilt into the forest, so AS OF
 // inside a delete span still twig-matches.
@@ -432,18 +445,8 @@ func (ix *Index) collapseVersionsAfterRebuildLocked() error {
 	}
 	vs.NextLabel = 1
 	vs.Pending = nil
-	for id, ivs := range vs.Docs {
-		last := ivs[0]
-		if last.To == 0 || last.Marker() {
-			continue
-		}
-		left, err := ix.terminalLeftOf(id)
-		if err != nil {
-			continue // sequence-less document: nothing to mark
-		}
-		if err := ix.writeTombstoneLocked(left, id, last.To); err != nil {
-			return err
-		}
+	if _, err := ix.anchorVersionsLocked(); err != nil {
+		return err
 	}
 	ix.persistVersionsLocked()
 	return nil

@@ -135,15 +135,15 @@ type Repair struct {
 
 // Report summarizes one pass.
 type Report struct {
-	Pass          uint64        `json:"pass"`
-	PagesScanned  int           `json:"pages_scanned"`
-	DocsScanned   int           `json:"docs_scanned"`
-	Findings      []Finding     `json:"findings,omitempty"`
-	PagesRepaired int           `json:"pages_repaired"`
-	Repairs       []Repair      `json:"repairs,omitempty"`
-	ForestRebuilt bool          `json:"forest_rebuilt"`
-	Quarantined   []uint32      `json:"quarantined,omitempty"`
-	Clean         bool          `json:"clean"`
+	Pass          uint64    `json:"pass"`
+	PagesScanned  int       `json:"pages_scanned"`
+	DocsScanned   int       `json:"docs_scanned"`
+	Findings      []Finding `json:"findings,omitempty"`
+	PagesRepaired int       `json:"pages_repaired"`
+	Repairs       []Repair  `json:"repairs,omitempty"`
+	ForestRebuilt bool      `json:"forest_rebuilt"`
+	Quarantined   []uint32  `json:"quarantined,omitempty"`
+	Clean         bool      `json:"clean"`
 	// Skipped reports the pass did not run because the swap gate was held
 	// (an epoch swap was pending); nothing was scanned.
 	Skipped  bool          `json:"skipped,omitempty"`

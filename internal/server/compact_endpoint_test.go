@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,6 +118,16 @@ func TestCompactEndpointSwapsEpoch(t *testing.T) {
 	if stats.Compaction == nil || stats.Compaction.Runs != 1 || stats.Compaction.Epoch != 1 {
 		t.Fatalf("/stats compaction block = %+v, want 1 run at epoch 1", stats.Compaction)
 	}
+	// The write side is visible too: where the last compaction spent its
+	// time, and what the serving epoch's labeler holds in memory.
+	if c := stats.Compaction; c.LastDrain <= 0 || c.LastBuild <= 0 || c.LastPublish <= 0 ||
+		c.LastDrain+c.LastBuild+c.LastPublish > c.LastElapsed {
+		t.Fatalf("/stats phase split drain %v + build %v + publish %v of %v elapsed, want three positive parts",
+			c.LastDrain, c.LastBuild, c.LastPublish, c.LastElapsed)
+	}
+	if c := stats.Compaction; c.LabelerNodes <= 0 || c.LabelerBytes < 40*c.LabelerNodes {
+		t.Fatalf("/stats labeler = %d nodes, %d bytes", c.LabelerNodes, c.LabelerBytes)
+	}
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +136,12 @@ func TestCompactEndpointSwapsEpoch(t *testing.T) {
 	n, _ := mresp.Body.Read(raw)
 	mresp.Body.Close()
 	metrics := string(raw[:n])
-	for _, want := range []string{"prix_compaction_epoch 1", "prix_compactions_total 1"} {
+	for _, want := range []string{
+		"prix_compaction_epoch 1", "prix_compactions_total 1",
+		"prix_compaction_last_drain_seconds ", "prix_compaction_last_build_seconds ", "prix_compaction_last_publish_seconds ",
+		fmt.Sprintf("prix_labeler_nodes %d\n", stats.Compaction.LabelerNodes),
+		fmt.Sprintf("prix_labeler_bytes %d\n", stats.Compaction.LabelerBytes),
+	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics missing %q", want)
 		}

@@ -648,6 +648,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP prix_compaction_last_pause_seconds Insert freeze window of the last compaction.\n"+
 			"# TYPE prix_compaction_last_pause_seconds gauge\nprix_compaction_last_pause_seconds %g\n",
 			st.LastPause.Seconds())
+		for _, phase := range []struct {
+			name string
+			d    time.Duration
+		}{{"drain", st.LastDrain}, {"build", st.LastBuild}, {"publish", st.LastPublish}} {
+			fmt.Fprintf(w, "# HELP prix_compaction_last_%[1]s_seconds Time the last compaction spent in its %[1]s phase.\n"+
+				"# TYPE prix_compaction_last_%[1]s_seconds gauge\nprix_compaction_last_%[1]s_seconds %[2]g\n",
+				phase.name, phase.d.Seconds())
+		}
+		fmt.Fprintf(w, "# HELP prix_labeler_nodes Trie nodes resident in the serving epoch's dynamic labeler.\n"+
+			"# TYPE prix_labeler_nodes gauge\nprix_labeler_nodes %d\n", st.LabelerNodes)
+		fmt.Fprintf(w, "# HELP prix_labeler_bytes Heap bytes the dynamic labeler's trie occupies.\n"+
+			"# TYPE prix_labeler_bytes gauge\nprix_labeler_bytes %d\n", st.LabelerBytes)
 	}
 }
 

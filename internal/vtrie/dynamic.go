@@ -3,7 +3,6 @@ package vtrie
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // DynamicLabeler implements the paper's on-the-fly labeling scheme
@@ -15,8 +14,10 @@ import (
 // prefix nodes get ranges pre-allocated by the frequency and residual
 // length of the sequences sharing them, exactly as §5.2.1 prescribes.
 //
-// The production index uses the exact Builder labeling instead; this type
-// exists to reproduce the design trade-off (BenchmarkAblationAlphaDepth).
+// It is the labeler of prix.DynamicIndex and of every dynamic compaction:
+// an insertable index keeps one resident for its whole life (rebuilt by
+// replay at every OpenDynamic), so what a node costs here is what a posting
+// costs in heap — see Nodes and Bytes. Static builds use the exact Builder.
 type DynamicLabeler struct {
 	// Alpha is the depth of the pre-allocated prefix trie.
 	Alpha int
@@ -24,21 +25,19 @@ type DynamicLabeler struct {
 	// symbol when a child scope is carved dynamically.
 	Spread uint64
 
-	root       *dynNode
+	t trie
+	// prep holds the preparatory pass's statistics, indexed by node (only
+	// Prepare creates nodes before Finalize, so they are nodes 1..len-1).
+	// Finalize consumes and drops it.
+	prep       []prepStat
 	underflows int
 	seqs       int
 	prepared   bool
 }
 
-type dynNode struct {
-	sym      Symbol
-	children map[Symbol]*dynNode
-	left     uint64
-	right    uint64
-	nextFree uint64 // first unassigned slot within (left, right]
-	docs     []uint32
-	level    uint32
-	// prep statistics (only meaningful during Prepare):
+// prepStat is what §5.2.1 weighs a prefix node by: how many sequences pass
+// through it and the longest residue behind it.
+type prepStat struct {
 	freq    int
 	maxRest int
 }
@@ -48,11 +47,7 @@ func NewDynamicLabeler(alpha int, spread uint64) *DynamicLabeler {
 	if spread == 0 {
 		spread = 1024
 	}
-	return &DynamicLabeler{
-		Alpha:  alpha,
-		Spread: spread,
-		root:   &dynNode{children: map[Symbol]*dynNode{}, left: 0, right: MaxRange, nextFree: 0},
-	}
+	return &DynamicLabeler{Alpha: alpha, Spread: spread, t: newTrie(), prep: make([]prepStat, 1)}
 }
 
 // ErrPrepared reports a Prepare call after Finalize: the prefix trie's
@@ -66,16 +61,20 @@ func (d *DynamicLabeler) Prepare(seq []Symbol) error {
 	if d.prepared {
 		return ErrPrepared
 	}
-	cur := d.root
+	t := &d.t
+	cur := uint32(0)
 	for i := 0; i < len(seq) && i < d.Alpha; i++ {
-		next, ok := cur.children[seq[i]]
-		if !ok {
-			next = &dynNode{sym: seq[i], children: map[Symbol]*dynNode{}, level: cur.level + 1}
-			cur.children[seq[i]] = next
+		p := t.at(cur)
+		next := t.child(p, seq[i])
+		if next == 0 {
+			next = t.add(seq[i])
+			t.link(p, next)
+			d.prep = append(d.prep, prepStat{})
 		}
-		next.freq++
-		if rest := len(seq) - i - 1; rest > next.maxRest {
-			next.maxRest = rest
+		st := &d.prep[next]
+		st.freq++
+		if rest := len(seq) - i - 1; rest > st.maxRest {
+			st.maxRest = rest
 		}
 		cur = next
 	}
@@ -91,58 +90,53 @@ func (d *DynamicLabeler) Finalize() {
 		return
 	}
 	d.prepared = true
-	var walk func(n *dynNode)
-	walk = func(n *dynNode) {
-		kids := make([]*dynNode, 0, len(n.children))
-		for _, c := range n.children {
-			kids = append(kids, c)
-		}
-		if len(kids) == 0 {
-			n.nextFree = n.left
-			return
-		}
-		sort.Slice(kids, func(i, j int) bool { return kids[i].sym < kids[j].sym })
+	t := &d.t
+	weight := func(k uint32) uint64 {
+		return uint64(d.prep[k].freq) * uint64(d.prep[k].maxRest+1)
+	}
+	var walk func(n *node)
+	walk = func(n *node) {
+		n.free = n.left
+		kids := t.kids(n, nil)
 		var totalW uint64
-		for _, c := range kids {
-			totalW += uint64(c.freq) * uint64(c.maxRest+1)
+		for _, k := range kids {
+			totalW += weight(k)
 		}
 		// Allocate the prepared children from the first half of the scope
 		// only: the second half stays free for children that were not in
 		// the preparatory sample (future insertions).
 		avail := (n.right - n.left) / 2
-		cur := n.left
-		for _, c := range kids {
-			if cur == n.right {
+		for i, k := range kids {
+			if n.free == n.right {
 				// Scope exhausted: drop the remaining prepared children
 				// instead of handing out inverted ranges that Validate
 				// rejects. Add recreates them from the parent's free
 				// half, or surfaces an honest underflow.
-				delete(n.children, c.sym)
-				continue
+				t.keepKids(n, i)
+				break
 			}
-			w := uint64(c.freq) * uint64(c.maxRest+1)
 			// width = avail * w / totalW. The ratio must not be truncated
 			// first (avail/totalW is 0 whenever totalW > avail, collapsing
 			// the weighted allocation to uniform width-1), and the product
 			// can exceed 64 bits; w <= totalW guarantees the 128-bit
 			// quotient fits back in 64 bits.
-			hi, lo := bits.Mul64(avail, w)
+			hi, lo := bits.Mul64(avail, weight(k))
 			width, _ := bits.Div64(hi, lo, totalW)
 			if width < 1 {
 				width = 1
 			}
-			if width > n.right-cur {
-				width = n.right - cur
+			if width > n.right-n.free {
+				width = n.right - n.free
 			}
-			c.left = cur + 1
-			c.right = cur + width
-			c.nextFree = c.left
-			cur = c.right
+			c := t.at(k)
+			c.left = n.free + 1
+			c.right = n.free + width
+			n.free = c.right
 			walk(c)
 		}
-		n.nextFree = cur
 	}
-	walk(d.root)
+	walk(t.at(0))
+	d.prep = nil
 }
 
 // Add labels one sequence dynamically, creating nodes below the prefix trie
@@ -150,7 +144,7 @@ func (d *DynamicLabeler) Finalize() {
 // exhausted; the sequence is then only partially labeled and the caller
 // should fall back to exact labeling.
 func (d *DynamicLabeler) Add(seq []Symbol, docID uint32) error {
-	_, _, err := d.AddReport(seq, docID)
+	_, _, err := d.add(seq, docID, false)
 	return err
 }
 
@@ -158,16 +152,21 @@ func (d *DynamicLabeler) Add(seq []Symbol, docID uint32) error {
 // created by this sequence (the only ones an incremental index needs to
 // write) and the terminal posting the document id attaches to.
 func (d *DynamicLabeler) AddReport(seq []Symbol, docID uint32) (created []Posting, terminal Posting, err error) {
+	return d.add(seq, docID, true)
+}
+
+func (d *DynamicLabeler) add(seq []Symbol, docID uint32, report bool) (created []Posting, terminal Posting, err error) {
 	if !d.prepared {
 		d.Finalize()
 	}
-	cur := d.root
+	t := &d.t
+	cur := uint32(0)
 	for i, s := range seq {
-		next, ok := cur.children[s]
-		if !ok {
-
+		p := t.at(cur)
+		next := t.child(p, s)
+		if next == 0 {
 			rest := uint64(len(seq) - i)
-			remaining := cur.right - cur.nextFree
+			remaining := p.right - p.free
 			// Ask for Spread slots per future symbol, capped at half the
 			// remaining scope (to leave room for future siblings), with a
 			// floor of two slots per future symbol so a pure chain can
@@ -188,23 +187,27 @@ func (d *DynamicLabeler) AddReport(seq []Symbol, docID uint32) (created []Postin
 				return created, Posting{}, fmt.Errorf("vtrie: %w at depth %d (remaining %d, need %d)",
 					ErrScopeUnderflow, i+1, remaining, rest)
 			}
-			next = &dynNode{
-				sym:      s,
-				children: map[Symbol]*dynNode{},
-				left:     cur.nextFree + 1,
-				right:    cur.nextFree + width,
-				level:    cur.level + 1,
+			next = t.add(s)
+			c := t.at(next)
+			c.left = p.free + 1
+			c.right = p.free + width
+			c.free = c.left
+			p.free += width
+			t.link(p, next)
+			if report {
+				if created == nil {
+					// A fresh node has no children, so the rest of the
+					// sequence is all new: one exactly sized block.
+					created = make([]Posting, 0, len(seq)-i)
+				}
+				created = append(created, t.posting(next, uint32(i+1)))
 			}
-			next.nextFree = next.left
-			cur.nextFree += width
-			cur.children[s] = next
-			created = append(created, Posting{Symbol: s, Left: next.left, Right: next.right, Level: next.level})
 		}
 		cur = next
 	}
-	cur.docs = append(cur.docs, docID)
+	t.end(cur, docID)
 	d.seqs++
-	return created, Posting{Symbol: cur.sym, Left: cur.left, Right: cur.right, Level: cur.level}, nil
+	return created, t.posting(cur, uint32(len(seq))), nil
 }
 
 // EmitPrefix invokes fn for every node of the prepared prefix trie (the
@@ -215,26 +218,7 @@ func (d *DynamicLabeler) EmitPrefix(fn func(p Posting) error) error {
 	if !d.prepared {
 		d.Finalize()
 	}
-	var walk func(n *dynNode) error
-	walk = func(n *dynNode) error {
-		if n != d.root {
-			if err := fn(Posting{Symbol: n.sym, Left: n.left, Right: n.right, Level: n.level}); err != nil {
-				return err
-			}
-		}
-		kids := make([]*dynNode, 0, len(n.children))
-		for _, c := range n.children {
-			kids = append(kids, c)
-		}
-		sort.Slice(kids, func(i, j int) bool { return kids[i].sym < kids[j].sym })
-		for _, c := range kids {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(d.root)
+	return d.t.walk(func(i, level uint32) error { return fn(d.t.posting(i, level)) })
 }
 
 // ErrScopeUnderflow reports that dynamic labeling ran out of range slots.
@@ -246,55 +230,18 @@ func (d *DynamicLabeler) Underflows() int { return d.underflows }
 // Sequences returns how many sequences were labeled successfully.
 func (d *DynamicLabeler) Sequences() int { return d.seqs }
 
+// Nodes returns the number of trie nodes the labeler holds (excluding the
+// root): one per posting it has handed out.
+func (d *DynamicLabeler) Nodes() int { return int(d.t.n) - 1 }
+
+// Bytes returns the heap the labeler's trie occupies.
+func (d *DynamicLabeler) Bytes() int { return d.t.bytes() }
+
 // Emit walks the dynamic trie like Builder.Emit. Only successfully labeled
 // paths are present.
 func (d *DynamicLabeler) Emit(fn func(p Posting, docs []uint32) error) error {
-	type frame struct{ n *dynNode }
-	stack := []frame{{n: d.root}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if f.n != d.root {
-			if err := fn(Posting{Symbol: f.n.sym, Left: f.n.left, Right: f.n.right, Level: f.n.level}, f.n.docs); err != nil {
-				return err
-			}
-		}
-		kids := make([]*dynNode, 0, len(f.n.children))
-		for _, c := range f.n.children {
-			kids = append(kids, c)
-		}
-		sort.Slice(kids, func(i, j int) bool { return kids[i].sym > kids[j].sym })
-		for _, c := range kids {
-			stack = append(stack, frame{n: c})
-		}
-	}
-	return nil
+	return d.t.emit(fn)
 }
 
 // Validate checks containment and disjointness like Builder.Validate.
-func (d *DynamicLabeler) Validate() error {
-	var walk func(n *dynNode) error
-	walk = func(n *dynNode) error {
-		kids := make([]*dynNode, 0, len(n.children))
-		for _, c := range n.children {
-			kids = append(kids, c)
-		}
-		sort.Slice(kids, func(i, j int) bool { return kids[i].left < kids[j].left })
-		prevRight := n.left
-		for _, c := range kids {
-			if c.left <= n.left || c.right > n.right || c.left > c.right {
-				return fmt.Errorf("vtrie: dynamic range (%d,%d] escapes parent (%d,%d]",
-					c.left, c.right, n.left, n.right)
-			}
-			if c.left <= prevRight {
-				return fmt.Errorf("vtrie: dynamic sibling overlap at %d", c.left)
-			}
-			prevRight = c.right
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(d.root)
-}
+func (d *DynamicLabeler) Validate() error { return d.t.validate() }

@@ -11,7 +11,15 @@ import (
 // arithmetic is exercised where totalW can exceed the available slots —
 // impossible to reach through the public API, whose root spans 2^64.
 func shrinkRoot(d *DynamicLabeler, right uint64) {
-	d.root.right = right
+	d.t.at(0).right = right
+}
+
+// rootKid returns the root's child labeled s, or nil.
+func rootKid(d *DynamicLabeler, s Symbol) *node {
+	if k := d.t.child(d.t.at(0), s); k != 0 {
+		return d.t.at(k)
+	}
+	return nil
 }
 
 // TestFinalizeProportionalWidths pins the §5.2.1 weighting: a hot, long
@@ -23,7 +31,7 @@ func TestFinalizeProportionalWidths(t *testing.T) {
 	shrinkRoot(d, 1000) // avail = 500
 
 	hot := []Symbol{1, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9} // long residue behind prefix 1
-	rare := []Symbol{2}                               // no residue behind prefix 2
+	rare := []Symbol{2}                              // no residue behind prefix 2
 	for i := 0; i < 50; i++ {
 		if err := d.Prepare(hot); err != nil {
 			t.Fatal(err)
@@ -40,8 +48,8 @@ func TestFinalizeProportionalWidths(t *testing.T) {
 	}
 
 	widthOf := func(s Symbol) uint64 {
-		c, ok := d.root.children[s]
-		if !ok {
+		c := rootKid(d, s)
+		if c == nil {
 			t.Fatalf("prefix %d missing after Finalize", s)
 		}
 		return c.right - c.left + 1
@@ -75,8 +83,8 @@ func TestFinalizeExhaustedScopeValidates(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("Validate after exhausted-scope Finalize: %v", err)
 	}
-	for _, c := range d.root.children {
-		if c.left > c.right {
+	for _, k := range d.t.kids(d.t.at(0), nil) {
+		if c := d.t.at(k); c.left > c.right {
 			t.Fatalf("inverted range (%d,%d] for prefix %d", c.left, c.right, c.sym)
 		}
 	}
@@ -116,7 +124,7 @@ func TestFinalizeLargeWeightsNoOverflow(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c1, c7 := d.root.children[1], d.root.children[7]
+	c1, c7 := rootKid(d, 1), rootKid(d, 7)
 	w1, w7 := c1.right-c1.left+1, c7.right-c7.left+1
 	if w1 <= w7 || w1 < 1000*w7 {
 		t.Fatalf("weights 2001:1 but widths %d:%d", w1, w7)

@@ -2,26 +2,26 @@
 // Labeled Prüfer sequences of all documents are conceptually stored in a
 // trie whose nodes are labeled with (LeftPos, RightPos) ranges satisfying
 // the containment property; the trie itself is never stored. What persists
-// are the Trie-Symbol indexes — one B+-tree per symbol, keyed by LeftPos —
-// and the Docid index mapping the LeftPos of each sequence's final node to
-// the document identifiers ending there. All subsequence matching then runs
-// as range queries over those B+-trees (Algorithm 1 in the paper).
+// are the Trie-Symbol postings — keyed (symbol, LeftPos) — and the Docid
+// index mapping the LeftPos of each sequence's final node to the document
+// identifiers ending there. All subsequence matching then runs as range
+// queries over those B+-trees (Algorithm 1 in the paper).
 //
-// Two labeling schemes are provided:
+// Two labeling schemes are provided, over one node store (trie.go):
 //
-//   - exact: a transient in-memory trie is built over all sequences at index
-//     time and ranges are assigned by a single DFS, sized exactly to each
-//     subtree. This is the production path.
-//   - dynamic: the paper's scheme — ranges are subdivided on the fly as
-//     sequences arrive, helped by an α-deep prefix trie whose ranges are
-//     pre-allocated by frequency and length (§5.2.1). It can suffer scope
-//     underflow, which the implementation surfaces for the ablation study.
+//   - exact (Builder): a transient in-memory trie is built over all sequences
+//     at index time and ranges are assigned by a single DFS, sized exactly to
+//     each subtree. Static builds use it; the trie is gone once they finish.
+//   - dynamic (DynamicLabeler): the paper's scheme — ranges are subdivided on
+//     the fly as sequences arrive, helped by an α-deep prefix trie whose
+//     ranges are pre-allocated by frequency and length (§5.2.1). It can
+//     suffer scope underflow. Insertable indexes and their compactions use
+//     it, and keep it resident.
 package vtrie
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Symbol is an interned sequence element (an element tag or a value string;
@@ -42,25 +42,14 @@ const MaxRange = uint64(math.MaxUint64)
 
 // Builder accumulates sequences into a transient in-memory trie.
 type Builder struct {
-	root *buildNode
-	// nodes counts trie nodes excluding the root.
-	nodes int
+	t trie
 	// seqs counts inserted sequences.
 	seqs int
 }
 
-type buildNode struct {
-	sym      Symbol
-	children map[Symbol]*buildNode
-	docs     []uint32 // documents whose sequence ends here
-	subtree  int      // nodes in this subtree including self (set by label pass)
-	left     uint64
-	right    uint64
-}
-
 // NewBuilder returns an empty trie builder.
 func NewBuilder() *Builder {
-	return &Builder{root: &buildNode{children: map[Symbol]*buildNode{}}}
+	return &Builder{t: newTrie()}
 }
 
 // Add inserts one document's sequence. Empty sequences (single-node trees
@@ -70,17 +59,18 @@ func (b *Builder) Add(seq []Symbol, docID uint32) error {
 	if len(seq) == 0 {
 		return fmt.Errorf("vtrie: empty sequence for document %d", docID)
 	}
-	cur := b.root
+	t := &b.t
+	cur := uint32(0)
 	for _, s := range seq {
-		next, ok := cur.children[s]
-		if !ok {
-			next = &buildNode{sym: s, children: map[Symbol]*buildNode{}}
-			cur.children[s] = next
-			b.nodes++
+		p := t.at(cur)
+		next := t.child(p, s)
+		if next == 0 {
+			next = t.add(s)
+			t.link(p, next)
 		}
 		cur = next
 	}
-	cur.docs = append(cur.docs, docID)
+	t.end(cur, docID)
 	b.seqs++
 	return nil
 }
@@ -88,7 +78,7 @@ func (b *Builder) Add(seq []Symbol, docID uint32) error {
 // Nodes returns the number of trie nodes (excluding the root). The paper's
 // §6.4.2 observation that similar documents share root-to-leaf paths shows
 // up as Nodes growing much more slowly than total sequence length.
-func (b *Builder) Nodes() int { return b.nodes }
+func (b *Builder) Nodes() int { return int(b.t.n) - 1 }
 
 // Sequences returns the number of sequences inserted.
 func (b *Builder) Sequences() int { return b.seqs }
@@ -97,35 +87,33 @@ func (b *Builder) Sequences() int { return b.seqs }
 // contiguous range that strictly contains all its descendants' ranges and
 // no sibling's. Left values are unique across the trie.
 func (b *Builder) Label() {
-	b.size(b.root)
-	// Root spans the whole space; children partition (root.left, root.right).
-	b.root.left = 0
-	b.root.right = MaxRange
-	b.assign(b.root)
+	b.size()
+	b.assign()
 }
 
-// size computes subtree sizes iteratively (sequences can be long).
-func (b *Builder) size(root *buildNode) {
-	type frame struct {
-		n    *buildNode
-		kids []*buildNode
-		i    int
-	}
-	stack := []frame{{n: root, kids: sortedChildren(root)}}
+// size leaves every node's subtree size (itself included) in its free word,
+// iteratively (sequences can be long): a node is pushed, then marked and its
+// children pushed, and when it surfaces again its finished size is added to
+// its parent's — the marked entry below it on the ancestor stack.
+func (b *Builder) size() {
+	const entered = 1 << 31
+	t := &b.t
+	stack := []uint32{0}
+	var path []uint32
 	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.i == 0 {
-			f.n.subtree = 1
-		}
-		if f.i < len(f.kids) {
-			c := f.kids[f.i]
-			f.i++
-			stack = append(stack, frame{n: c, kids: sortedChildren(c)})
+		top := stack[len(stack)-1]
+		if top&entered == 0 {
+			stack[len(stack)-1] |= entered
+			n := t.at(top)
+			n.free = 1
+			path = append(path, top)
+			stack = t.kids(n, stack)
 			continue
 		}
 		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			stack[len(stack)-1].n.subtree += f.n.subtree
+		path = path[:len(path)-1]
+		if len(path) > 0 {
+			t.at(path[len(path)-1]).free += t.at(top &^ entered).free
 		}
 	}
 }
@@ -134,12 +122,14 @@ func (b *Builder) size(root *buildNode) {
 // (parent.left, parent.right) proportional to its subtree size, with Left
 // placed at the slice start. Using exact subtree sizes guarantees every
 // node gets a non-empty range (no scope underflow).
-func (b *Builder) assign(root *buildNode) {
-	stack := []*buildNode{root}
+func (b *Builder) assign() {
+	t := &b.t
+	stack := []uint32{0}
+	var kids []uint32
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		n := t.at(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		kids := sortedChildren(n)
+		kids = t.kids(n, kids[:0])
 		if len(kids) == 0 {
 			continue
 		}
@@ -149,82 +139,30 @@ func (b *Builder) assign(root *buildNode) {
 		// every child's range can hold its whole subtree (unit >= 1 is
 		// guaranteed because ranges shrink no faster than subtree sizes).
 		span := n.right - n.left
-		total := uint64(n.subtree - 1) // nodes to place strictly inside n's range
+		total := n.free - 1 // nodes to place strictly inside n's range
 		unit := span / total
 		cur := n.left
-		for _, c := range kids {
-			width := unit * uint64(c.subtree)
+		for _, k := range kids {
+			c := t.at(k)
+			width := unit * c.free
 			c.left = cur + 1
 			c.right = cur + width
 			cur = c.right
-			stack = append(stack, c)
 		}
+		stack = append(stack, kids...)
 	}
-}
-
-func sortedChildren(n *buildNode) []*buildNode {
-	kids := make([]*buildNode, 0, len(n.children))
-	for _, c := range n.children {
-		kids = append(kids, c)
-	}
-	sort.Slice(kids, func(i, j int) bool { return kids[i].sym < kids[j].sym })
-	return kids
 }
 
 // Emit walks the labeled trie and invokes fn once per node (excluding the
 // root) with its posting and the documents terminating there (nil for
-// most nodes). Label must have been called. Iteration order is
-// level-by-level deterministic DFS.
+// most nodes). Label must have been called. Iteration order is a
+// deterministic preorder DFS, children in symbol order.
 func (b *Builder) Emit(fn func(p Posting, docs []uint32) error) error {
-	type frame struct {
-		n     *buildNode
-		level uint32
-	}
-	stack := []frame{{n: b.root, level: 0}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if f.n != b.root {
-			p := Posting{Symbol: f.n.sym, Left: f.n.left, Right: f.n.right, Level: f.level}
-			if err := fn(p, f.n.docs); err != nil {
-				return err
-			}
-		}
-		kids := sortedChildren(f.n)
-		// Push in reverse so children emit in symbol order.
-		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, frame{n: kids[i], level: f.level + 1})
-		}
-	}
-	return nil
+	return b.t.emit(fn)
 }
 
 // Validate checks the containment property across the labeled trie: every
 // child range is non-empty, contained in its parent's open interval, and
 // disjoint from its siblings'. Used by tests and the index build's
 // self-check.
-func (b *Builder) Validate() error {
-	var walk func(n *buildNode) error
-	walk = func(n *buildNode) error {
-		kids := sortedChildren(n)
-		var prevRight uint64 = n.left
-		for _, c := range kids {
-			if c.left <= n.left || c.right > n.right {
-				return fmt.Errorf("vtrie: child range (%d,%d] escapes parent (%d,%d]",
-					c.left, c.right, n.left, n.right)
-			}
-			if c.left > c.right {
-				return fmt.Errorf("vtrie: empty range (%d,%d]", c.left, c.right)
-			}
-			if c.left <= prevRight {
-				return fmt.Errorf("vtrie: sibling ranges overlap at %d", c.left)
-			}
-			prevRight = c.right
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(b.root)
-}
+func (b *Builder) Validate() error { return b.t.validate() }

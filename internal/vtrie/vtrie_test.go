@@ -316,9 +316,9 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	b.Add(seq(1, 3), 2)
 	b.Label()
 	// Corrupt a child range so it escapes its parent.
-	for _, c := range b.root.children {
-		for _, g := range c.children {
-			g.right = MaxRange
+	for _, c := range b.t.kids(b.t.at(0), nil) {
+		for _, g := range b.t.kids(b.t.at(c), nil) {
+			b.t.at(g).right = MaxRange
 		}
 	}
 	if err := b.Validate(); err == nil {
