@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check fuzz chaos bench bench-smoke serve clean ci cover differential shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e sched benchmark-module size allocs
+.PHONY: all build test race vet fmt-check fuzz chaos bench bench-smoke clean ci cover differential sched benchmark-module size allocs
 
 all: build vet test
 
 # Everything CI runs, in one target, so local and CI results agree.
-ci: build vet fmt-check test allocs race sched differential cover shard-e2e ingest-e2e compact-e2e hot-e2e versions-e2e fuzz chaos bench-smoke benchmark-module size
+ci: build vet fmt-check test allocs race sched differential cover fuzz chaos bench-smoke benchmark-module size
 
 build:
 	$(GO) build ./...
@@ -16,11 +16,35 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrency-bearing packages (full ./... under
-# -race is slow; these are the packages with shared mutable state). btree is
-# included for the crash-recovery sweep, which must be panic- and race-free.
+# One race-detector pass over every package with shared mutable state (full
+# ./... under -race is slow), each package once:
+#   - server: concurrent requests, singleflight, drain, overload; the
+#     oracle differential through the handler (plain, EP and sharded); the
+#     multi-shard loop (query, quarantine one shard by a corrupt page,
+#     partial Degraded answer naming it, online /repair, full answer); the
+#     POST /compact surface; the hot tier's /stats and /metrics.
+#   - prix: the parallel and hot-vs-paged differentials, the dynamic write
+#     path racing queries against hot-tier invalidations, the metamorphic
+#     mutation suite and AS OF replay against the brute-force oracle, the
+#     Delete/Update/Patch power-cut sweeps and the version-map fuzz seeds.
+#   - pager, btree: the crash-recovery sweeps, panic- and race-free.
+#   - shard: cross-shard-count differential, replica failover, the sharded
+#     version crash sweep.
+#   - ingest: a corpus 20x the memory budget under a pinned peak heap,
+#     power-cut sweeps over every write point with byte-identical resume,
+#     and the malformed-record skip budget; plus xmltree's record cursor
+#     checkpoint/resume contract.
+#   - compact: concurrent queries and inserts across the zero-downtime epoch
+#     swap, per-ordinal power-cut sweeps (plain and sharded), the
+#     scrub-during-swap gate and tombstone GC under the retention window.
+#   - hot: eviction under budget pressure; mvcc: the version-map/diff suite.
+#   - the pooled query scratch under 8 concurrent resident queries, ten
+#     rounds.
+# -count=1 so a cached pass never stands in for a run.
 race:
-	$(GO) test -race ./internal/server ./internal/prix ./internal/pager ./internal/btree ./internal/bench
+	$(GO) test -race -count=1 ./internal/server ./internal/prix ./internal/pager ./internal/btree ./internal/bench ./internal/shard ./internal/ingest ./internal/compact ./internal/hot ./internal/mvcc
+	$(GO) test -race -count=1 ./internal/xmltree -run 'Cursor|Resume|ParseError'
+	$(GO) test -race -count=10 ./internal/prix -run 'TestScratchIsolation'
 
 vet:
 	$(GO) vet ./...
@@ -103,61 +127,6 @@ cover:
 	@$(GO) tool cover -func=cover-mvcc.out | awk '$$1=="total:" { sub("%","",$$3); printf "internal/mvcc coverage %s%% (floor 75%%)\n", $$3; if ($$3+0 < 75.0) exit 1 }'
 	@rm -f cover-prix.out cover-obs.out cover-ingest.out cover-compact.out cover-hot.out cover-mvcc.out
 
-# Multi-shard serving end to end, under the race detector: scatter-gather
-# query over a live HTTP server, quarantine one shard via a corrupt page,
-# partial Degraded answer naming the shard, online /repair, full answer
-# again. Plus the shard package's differential and failover suites.
-shard-e2e:
-	$(GO) test -race ./internal/server -run 'TestShardServerE2E|TestShardedServerMatchesSingleIndex|TestTopologyEpochInCacheKey' -count=1
-	$(GO) test -race ./internal/shard -count=1
-
-# Streaming bulk ingest end to end, under the race detector: a corpus 20x
-# the memory budget streamed through the three-stage pipeline with peak heap
-# pinned under a GC memory limit, power-cut sweeps over every write point
-# (run files, manifest commits, spill chunks, index pages, replica clones,
-# topology) with the resumed index asserted byte-identical to an
-# uninterrupted build, and the malformed-record skip budget (counts, byte
-# offsets, budget exhaustion). The record cursor's checkpoint/resume
-# contract is covered in the same pass.
-ingest-e2e:
-	$(GO) test -race ./internal/ingest -count=1
-	$(GO) test -race ./internal/xmltree -run 'Cursor|Resume|ParseError' -count=1
-
-# Online compaction end to end, under the race detector: concurrent queries
-# and inserts across a zero-downtime epoch swap (answers asserted identical
-# to an uncompacted twin), power-cut sweeps over every write ordinal of a
-# compaction — plain and sharded — with byte-identical resume or an
-# untouched old epoch, the scrub-during-swap gate, and the POST /compact
-# serving surface (epoch bump, gauges, 409 on overlap).
-compact-e2e:
-	$(GO) test -race ./internal/compact -count=1
-	$(GO) test -race ./internal/server -run 'TestCompactEndpoint' -count=1
-
-# Hot tier end to end, under the race detector: the byte-identity
-# differential (hot vs paged twin across every query shape, serial and
-# parallel, with a zero-physical-reads check on a resident corpus), the
-# dynamic write path racing queries against tier invalidations, eviction
-# under budget pressure, the pooled query scratch under 8 concurrent
-# resident queries (ten rounds), and the server's /stats//metrics surface.
-hot-e2e:
-	$(GO) test -race ./internal/prix -run 'TestHot' -count=1
-	$(GO) test -race ./internal/prix -run 'TestScratchIsolation' -count=10
-	$(GO) test -race ./internal/hot -count=1
-	$(GO) test -race ./internal/server -run 'TestHotTierSurfaces' -count=1
-
-# Document versioning end to end, under the race detector: the metamorphic
-# mutation suite (insert-then-delete, update-vs-fresh-build, delete-then-
-# reinsert, scripted AS OF history replay — all against the brute-force
-# embedding oracle), power-cut sweeps over every write ordinal of a Delete/
-# Update/Patch commit (plain and 2x2 sharded), hot-tier invalidation at the
-# mutation sites, compaction tombstone GC under the retention window, the
-# version-map/diff unit suite, and the fuzz seed corpora.
-versions-e2e:
-	$(GO) test -race ./internal/prix -run 'TestMetamorphic|TestVersion|TestHotInvalidateMutations|FuzzAsOfVersionMap' -count=1
-	$(GO) test -race ./internal/shard -run 'TestVersionCrashSweepSharded' -count=1
-	$(GO) test -race ./internal/compact -run 'TestCompactVersionRetention' -count=1
-	$(GO) test -race ./internal/mvcc -count=1
-
 # Chaos stage: fault-injection and self-healing end to end. Power-cut sweeps
 # across every write point of a commit, of a sectioned store flush and of an
 # online repair, bit-flip corruption that must be scrub-detected and
@@ -205,9 +174,6 @@ size:
 	$(GO) run ./cmd/prixload -out .size_idx -dataset swissprot -scale 1 -extended
 	$(GO) run ./cmd/prixcheck .size_idx
 	rm -rf .size_idx
-
-serve:
-	$(GO) run ./cmd/prixbench -table serving
 
 clean:
 	$(GO) clean ./...

@@ -229,19 +229,20 @@ func BenchmarkAblationExtendedVsRegular(b *testing.B) {
 			if !qs.Extended {
 				continue
 			}
-			qs := qs
+			rp := qs
+			rp.Extended = false
 			b.Run(qs.ID+"/EP", func(b *testing.B) {
 				runQueryBench(b, func() (bench.Row, error) {
-					return e.RunPRIXOn(qs, true, prix.MatchOptions{})
+					return e.RunPRIX(qs, prix.MatchOptions{})
 				}, qs.Want)
 			})
 			// Some value queries cannot run on an RPIndex at all.
-			if _, err := e.RunPRIXOn(qs, false, prix.MatchOptions{}); err != nil {
+			if _, err := e.RunPRIX(rp, prix.MatchOptions{}); err != nil {
 				continue
 			}
 			b.Run(qs.ID+"/RP", func(b *testing.B) {
 				runQueryBench(b, func() (bench.Row, error) {
-					return e.RunPRIXOn(qs, false, prix.MatchOptions{})
+					return e.RunPRIX(rp, prix.MatchOptions{})
 				}, qs.Want)
 			})
 		}

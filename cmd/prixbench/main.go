@@ -1,5 +1,6 @@
 // Command prixbench regenerates the paper's evaluation artefacts (Tables
 // 2-9, Figure 6) and the ablation studies over the synthetic datasets.
+// The system's own performance record is benchmark/ (BENCHMARK.json).
 //
 // Usage:
 //
@@ -7,13 +8,8 @@
 //	prixbench -table 4            # DBLP: PRIX vs ViST
 //	prixbench -table fig6
 //	prixbench -table ablation
-//	prixbench -table serving -serve-clients 16   # concurrent QPS/latency
 //	prixbench -table parallel -parallelism 4     # pipelined vs serial, cold I/O
 //	prixbench -table parallel -datasets DBLP     # smoke-sized variant
-//	prixbench -table shards -replicas 2          # scatter-gather throughput scaling
-//	prixbench -table ingest                      # streaming bulk-load MB/s, peak heap, resume cost
-//	prixbench -table compact                     # online compaction: query speedup, pause, write amp
-//	prixbench -table versions                    # update vs delete+reinsert: patch bytes, latency
 package main
 
 import (
@@ -21,32 +17,31 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 )
 
+const tables = "2..9, fig6, ablation, parallel or all"
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("prixbench: ")
 	var (
-		table     = flag.String("table", "all", "artefact: 2..9, fig6, ablation, serving, parallel, stages, shards, ingest, compact, versions or all")
-		scale     = flag.Int("scale", 1, "dataset scale factor")
-		seed      = flag.Int64("seed", 1, "dataset generator seed")
-		pool      = flag.Int("pool", 0, "buffer pool pages (default 2000)")
-		clients   = flag.Int("serve-clients", 0, "serving bench: concurrent clients (default 8)")
-		requests  = flag.Int("serve-requests", 0, "serving bench: total requests per dataset (default 2000)")
-		par       = flag.Int("parallelism", 4, "parallel/serving bench: query worker cap compared against serial")
-		ioDelay   = flag.Duration("iodelay", 2*time.Millisecond, "parallel bench: injected per-page read latency (2004-era disk)")
-		datasets  = flag.String("datasets", "", "parallel/shards bench: comma-separated dataset subset (default all)")
-		replicas  = flag.Int("replicas", 1, "shards bench: replicas per shard")
-		sizes     = flag.String("ingest-sizes", "", "ingest bench: comma-separated corpus sizes in MB (default 8,24,72)")
-		memBudget = flag.Int("ingest-budget", 0, "ingest bench: memory budget in MB (default 8)")
-		hotBudget = flag.Int64("hot-budget", 0, "stages bench: compressed hot-tier bytes for the hot pass (default 8 MiB; negative skips it)")
+		table    = flag.String("table", "all", "artefact: "+tables)
+		scale    = flag.Int("scale", 1, "dataset scale factor")
+		seed     = flag.Int64("seed", 1, "dataset generator seed")
+		pool     = flag.Int("pool", 0, "buffer pool pages (default 2000)")
+		par      = flag.Int("parallelism", 4, "parallel table: query worker cap compared against serial (at least 2)")
+		ioDelay  = flag.Duration("iodelay", 2*time.Millisecond, "parallel table: injected per-page read latency (2004-era disk)")
+		datasets = flag.String("datasets", "", "parallel table: comma-separated dataset subset (default all)")
 	)
 	flag.Parse()
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "prixbench: "+format+"\n", args...)
+		os.Exit(2)
+	}
 	s := bench.NewSession(bench.Config{Scale: *scale, Seed: *seed, PoolPages: *pool})
 	w := os.Stdout
 	run := func(err error) {
@@ -79,59 +74,18 @@ func main() {
 		run(s.AblationBottomUp(w))
 		run(s.AblationPoolSize(w))
 		run(s.AblationCardinality(w))
-	case "serving":
-		run(s.Serving(w, bench.ServingConfig{Goroutines: *clients, Requests: *requests, Parallelism: *par}))
 	case "parallel":
+		if *par < 2 {
+			usage("-parallelism %d: the parallel table compares serial against at least 2 workers", *par)
+		}
 		var names []string
 		if *datasets != "" {
 			names = strings.Split(*datasets, ",")
 		}
 		run(s.Parallel(w, bench.ParallelConfig{Parallelism: *par, ReadDelay: *ioDelay, Datasets: names}))
-	case "stages":
-		var names []string
-		if *datasets != "" {
-			names = strings.Split(*datasets, ",")
-		}
-		run(s.Stages(w, bench.StagesConfig{Datasets: names, HotBudget: *hotBudget}))
-	case "shards":
-		var names []string
-		if *datasets != "" {
-			names = strings.Split(*datasets, ",")
-		}
-		run(s.Shards(w, bench.ShardsConfig{
-			Goroutines: *clients,
-			Requests:   *requests,
-			Replicas:   *replicas,
-			Datasets:   names,
-		}))
-	case "compact":
-		var names []string
-		if *datasets != "" {
-			names = strings.Split(*datasets, ",")
-		}
-		run(s.CompactBench(w, bench.CompactBenchConfig{Datasets: names}))
-	case "versions":
-		var names []string
-		if *datasets != "" {
-			names = strings.Split(*datasets, ",")
-		}
-		run(s.VersionsBench(w, bench.VersionsBenchConfig{Datasets: names}))
-	case "ingest":
-		var mbs []int
-		if *sizes != "" {
-			for _, part := range strings.Split(*sizes, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil || n < 1 {
-					log.Fatalf("-ingest-sizes: bad size %q", part)
-				}
-				mbs = append(mbs, n)
-			}
-		}
-		run(s.IngestBench(w, bench.IngestConfig{SizesMB: mbs, MemBudgetMB: *memBudget}))
 	case "all":
 		run(s.All(w))
 	default:
-		fmt.Fprintf(os.Stderr, "unknown artefact %q\n", *table)
-		os.Exit(2)
+		usage("unknown artefact %q (tables: %s)", *table, tables)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"repro/internal/datagen"
 	"repro/internal/prix"
 	"repro/internal/twigstack"
 )
@@ -27,11 +28,11 @@ func (s *Session) AblationPoolSize(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var qs *pickSpec
-		for _, q := range ds.Queries {
-			if q.ID == p.qid {
-				q := q
-				qs = &pickSpec{q.ID, q.XPath, q.Want, q.Extended}
+		var qs *datagen.QuerySpec
+		for i := range ds.Queries {
+			if ds.Queries[i].ID == p.qid {
+				qs = &ds.Queries[i]
+				break
 			}
 		}
 		if qs == nil {
@@ -46,35 +47,25 @@ func (s *Session) AblationPoolSize(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			ix := e.RP
-			if qs.extended {
-				ix = e.EP
-			}
-			ms, pst, err := ix.Match(mustQuery(qs.xpath), prix.MatchOptions{})
+			pr, err := e.RunPRIX(*qs, prix.MatchOptions{})
 			if err != nil {
 				return err
 			}
-			if len(ms) != qs.want {
-				return fmt.Errorf("bench: %s pool=%d: %d matches, want %d", qs.id, pool, len(ms), qs.want)
+			if pr.Count != qs.Want {
+				return fmt.Errorf("bench: %s pool=%d: %d matches, want %d", qs.ID, pool, pr.Count, qs.Want)
 			}
-			n, tst, err := e.Streams.Match(mustQuery(qs.xpath), twigstack.TwigStackXB)
+			xr, err := e.RunTwigStack(*qs, twigstack.TwigStackXB)
 			if err != nil {
 				return err
 			}
-			if n != qs.want {
-				return fmt.Errorf("bench: %s pool=%d: XB %d matches, want %d", qs.id, pool, n, qs.want)
+			if xr.Count != qs.Want {
+				return fmt.Errorf("bench: %s pool=%d: XB %d matches, want %d", qs.ID, pool, xr.Count, qs.Want)
 			}
-			prixPages[i] = pst.PagesRead
-			xbPages[i] = tst.PagesRead
+			prixPages[i] = pr.Pages
+			xbPages[i] = xr.Pages
 		}
-		fmt.Fprintf(tw, "%s\tPRIX\t%d\t%d\t%d\n", qs.id, prixPages[0], prixPages[1], prixPages[2])
-		fmt.Fprintf(tw, "%s\tTwigStackXB\t%d\t%d\t%d\n", qs.id, xbPages[0], xbPages[1], xbPages[2])
+		fmt.Fprintf(tw, "%s\tPRIX\t%d\t%d\t%d\n", qs.ID, prixPages[0], prixPages[1], prixPages[2])
+		fmt.Fprintf(tw, "%s\tTwigStackXB\t%d\t%d\t%d\n", qs.ID, xbPages[0], xbPages[1], xbPages[2])
 	}
 	return tw.Flush()
-}
-
-type pickSpec struct {
-	id, xpath string
-	want      int
-	extended  bool
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/docstore"
 	"repro/internal/pager"
 	"repro/internal/prix"
-	"repro/internal/twig"
 	"repro/internal/twigstack"
 	"repro/internal/vist"
 )
@@ -52,34 +51,24 @@ type Engines struct {
 	EP      *prix.Index
 	ViST    *vist.Index
 	Streams *twigstack.Store
-	// BuildTime records how long each engine took to build.
-	BuildTime map[string]time.Duration
 }
 
 // BuildEngines constructs all engines over the dataset.
 func BuildEngines(ds *datagen.Dataset, cfg Config) (*Engines, error) {
-	e := &Engines{Dataset: ds, BuildTime: map[string]time.Duration{}}
+	e := &Engines{Dataset: ds}
 	var err error
-	t0 := time.Now()
 	if e.RP, err = prix.Build(ds.Docs, prix.Options{Extended: false, BufferPoolPages: cfg.pool()}); err != nil {
 		return nil, fmt.Errorf("bench: RPIndex: %w", err)
 	}
-	e.BuildTime["RPIndex"] = time.Since(t0)
-	t0 = time.Now()
 	if e.EP, err = prix.Build(ds.Docs, prix.Options{Extended: true, BufferPoolPages: cfg.pool()}); err != nil {
 		return nil, fmt.Errorf("bench: EPIndex: %w", err)
 	}
-	e.BuildTime["EPIndex"] = time.Since(t0)
-	t0 = time.Now()
 	if e.ViST, err = vist.Build(ds.Docs, pager.NewBufferPool(pager.NewMemFile(), cfg.pool()), &docstore.Dict{}); err != nil {
 		return nil, fmt.Errorf("bench: ViST: %w", err)
 	}
-	e.BuildTime["ViST"] = time.Since(t0)
-	t0 = time.Now()
 	if e.Streams, err = twigstack.Build(ds.Docs, pager.NewBufferPool(pager.NewMemFile(), cfg.pool()), &docstore.Dict{}); err != nil {
 		return nil, fmt.Errorf("bench: streams: %w", err)
 	}
-	e.BuildTime["TwigStack"] = time.Since(t0)
 	return e, nil
 }
 
@@ -143,14 +132,13 @@ type Row struct {
 
 func (r Row) timeMS() string { return fmt.Sprintf("%.2f", float64(r.Elapsed.Microseconds())/1000) }
 
-// RunPRIX runs a query on the index the paper's optimizer would choose
-// (EPIndex for value queries, RPIndex otherwise), or on a forced index.
+// RunPRIX runs a query on the index qs.Extended selects: the paper's
+// optimizer choice (EPIndex for value queries, RPIndex otherwise) as the
+// dataset plants it, or a forced variant when the caller flips Extended.
 func (e *Engines) RunPRIX(qs datagen.QuerySpec, opts prix.MatchOptions) (Row, error) {
-	ix := e.RP
-	name := "PRIX(RP)"
+	ix, name := e.RP, "PRIX(RP)"
 	if qs.Extended {
-		ix = e.EP
-		name = "PRIX(EP)"
+		ix, name = e.EP, "PRIX(EP)"
 	}
 	ms, stats, err := ix.Match(qs.Query(), opts)
 	if err != nil {
@@ -161,20 +149,6 @@ func (e *Engines) RunPRIX(qs datagen.QuerySpec, opts prix.MatchOptions) (Row, er
 		Elapsed: stats.Elapsed, Pages: stats.PagesRead,
 		Note: fmt.Sprintf("rq=%d cand=%d", stats.RangeQueries, stats.Candidates),
 	}, nil
-}
-
-// RunPRIXOn forces a specific index variant.
-func (e *Engines) RunPRIXOn(qs datagen.QuerySpec, extended bool, opts prix.MatchOptions) (Row, error) {
-	ix, name := e.RP, "PRIX(RP)"
-	if extended {
-		ix, name = e.EP, "PRIX(EP)"
-	}
-	ms, stats, err := ix.Match(qs.Query(), opts)
-	if err != nil {
-		return Row{}, err
-	}
-	return Row{Query: qs.ID, Engine: name, Count: len(ms), Elapsed: stats.Elapsed,
-		Pages: stats.PagesRead, Note: fmt.Sprintf("rq=%d", stats.RangeQueries)}, nil
 }
 
 // RunViST runs a query on the ViST baseline. The count reported is the
@@ -316,7 +290,7 @@ func (s *Session) Table7(w io.Writer) error {
 	return nil
 }
 
-// tableSpec picks specific queries across datasets for Tables 8 and 9.
+// pick names one dataset's query, for Tables 8 and 9 and the pool sweep.
 type pick struct{ dataset, qid string }
 
 func (s *Session) runPicks(w io.Writer, title string, picks []pick) error {
@@ -436,14 +410,15 @@ func (s *Session) AblationExtended(w io.Writer) error {
 			if !qs.Extended {
 				continue
 			}
-			ep, err := e.RunPRIXOn(qs, true, prix.MatchOptions{})
+			ep, err := e.RunPRIX(qs, prix.MatchOptions{})
 			if err != nil {
 				return err
 			}
 			rows = append(rows, ep)
 			// Some value queries cannot run on the RPIndex (wildcard
 			// leaf edges); note and skip those.
-			rp, err := e.RunPRIXOn(qs, false, prix.MatchOptions{})
+			qs.Extended = false // force the RPIndex; qs is a copy
+			rp, err := e.RunPRIX(qs, prix.MatchOptions{})
 			if err != nil {
 				rows = append(rows, Row{Query: qs.ID, Engine: "PRIX(RP)", Note: "unsupported: " + truncate(err.Error(), 48)})
 				continue
@@ -485,9 +460,6 @@ func (s *Session) AblationBottomUp(w io.Writer) error {
 	}
 	return tw.Flush()
 }
-
-// mustQuery parses an XPath that is known to be valid.
-func mustQuery(xpath string) *twig.Query { return twig.MustParse(xpath) }
 
 func truncate(s string, n int) string {
 	if len(s) <= n {

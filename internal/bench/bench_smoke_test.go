@@ -67,42 +67,3 @@ func TestTable2And3Output(t *testing.T) {
 		}
 	}
 }
-
-func TestServingSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSession(smallCfg())
-	row, err := s.servingRun("DBLP", ServingConfig{Goroutines: 4, Requests: 64, CacheSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.requests != 64 {
-		t.Errorf("requests = %d, want 64", row.requests)
-	}
-	if row.qps <= 0 {
-		t.Errorf("qps = %f, want > 0", row.qps)
-	}
-	if row.hitRate <= 0 {
-		t.Errorf("hit rate = %f, want > 0 with a 64-entry cache and 9 distinct queries", row.hitRate)
-	}
-	// The full table renders for a tiny run too.
-	if err := s.Serving(&buf, ServingConfig{Goroutines: 2, Requests: 16, CacheSize: 16}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Serving throughput") {
-		t.Errorf("serving table missing header:\n%s", buf.String())
-	}
-}
-
-func TestVersionsBenchSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSession(smallCfg())
-	if err := s.VersionsBench(&buf, VersionsBenchConfig{Datasets: []string{"DBLP"}, Ops: 12}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"value-patch", "tag-relabel", "delete+reinsert"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("versions table missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -12,8 +12,8 @@ import (
 
 // ParallelConfig tunes the parallel-pipeline benchmark.
 type ParallelConfig struct {
-	// Parallelism is the worker cap compared against Parallelism 1
-	// (default 4).
+	// Parallelism is the worker cap compared against Parallelism 1; it
+	// must be at least 2, or there is nothing to compare.
 	Parallelism int
 	// ReadDelay is the injected per-physical-read device latency (default
 	// 2ms, a 2004-era seek-dominated disk like the paper's testbed). The
@@ -25,9 +25,6 @@ type ParallelConfig struct {
 }
 
 func (c ParallelConfig) withDefaults() ParallelConfig {
-	if c.Parallelism < 2 {
-		c.Parallelism = 4
-	}
 	if c.ReadDelay == 0 {
 		c.ReadDelay = 2 * time.Millisecond
 	}

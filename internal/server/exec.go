@@ -121,7 +121,7 @@ type Result struct {
 
 // Executor runs parsed queries against a Source through the result cache
 // and the singleflight collapse. It is the single execution path shared by
-// the HTTP service, cmd/prixquery and the serving benchmark, so every
+// the HTTP service, cmd/prixquery and the benchmark/ workloads, so every
 // entry point observes the same semantics.
 type Executor struct {
 	src     Source

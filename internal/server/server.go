@@ -4,7 +4,7 @@
 //
 //   - an Executor: the single query execution path (parse → result cache →
 //     singleflight collapse → Index.Match with context cancellation),
-//     shared by the HTTP handlers, cmd/prixquery and the serving benchmark;
+//     shared by the HTTP handlers, cmd/prixquery and the benchmark/ workloads;
 //   - admission control: a bounded in-flight slot pool; requests beyond the
 //     bound are rejected immediately with 429 instead of queueing into
 //     collapse;
