@@ -171,7 +171,7 @@ func run(args []string, stdout, stderr *os.File) int {
 			return fail(exitError, fmt.Errorf("degraded (partial) result: %s", strings.Join(names, ", ")))
 		}
 		return fail(exitError, fmt.Errorf("degraded (partial) result: %d documents quarantined",
-			len(src.Quarantined())))
+			len(src.Stats().Quarantined)))
 	}
 	return exitOK
 }

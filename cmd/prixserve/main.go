@@ -86,8 +86,8 @@ func main() {
 	// A topology.json in the index directory selects the sharded serving
 	// tier; otherwise the directory is a plain single index — served
 	// through a compaction root when it is dynamic (insertable), read-only
-	// otherwise. All three satisfy the same QuerySource contract, so
-	// everything below is shared.
+	// otherwise. All three are the same QuerySource, so everything below is
+	// shared.
 	var (
 		src      core.QuerySource
 		indexes  []*core.Index
@@ -230,7 +230,8 @@ func main() {
 		}
 	}()
 
-	log.Printf("serving %d docs (extended=%v)%s on %s", src.NumDocs(), src.Extended(), topoNote, *addr)
+	st := src.Stats()
+	log.Printf("serving %d docs (extended=%v)%s on %s", st.Docs, st.Extended, topoNote, *addr)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

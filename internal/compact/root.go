@@ -21,10 +21,10 @@ var ErrCompacting = errors.New("compact: compaction already in progress")
 
 // Root is a live, serving view of an epoch-root directory: it opens the
 // current epoch's DynamicIndex, serves queries and inserts through it, and
-// swaps to a freshly compacted epoch with zero downtime. It implements the
-// server's Source, inserter, and epoch interfaces, so prixserve can serve a
-// Root exactly like a bare DynamicIndex — except that query cache keys pick
-// up the epoch, invalidating for free across a swap.
+// swaps to a freshly compacted epoch with zero downtime. It is a
+// prix.Source like the bare DynamicIndex, with a Generation that also
+// moves on every swap, so a result cached against one epoch's files is
+// never served from the next.
 type Root struct {
 	dir  string
 	opts prix.Options
@@ -48,11 +48,6 @@ type Root struct {
 	// holds it across the catch-up + swap window, so the pause inserts see
 	// is exactly Report.Pause.
 	insertMu sync.Mutex
-
-	// hooks are Root-level OnInsert hooks, re-registered onto each epoch's
-	// index via the fireHooks forwarder so registrations survive swaps.
-	hooksMu sync.Mutex
-	hooks   []func()
 
 	// swapMu + swapPending implement the scrubber gate: a scrub pass holds
 	// swapMu as a reader while checking invariants; the swap takes it as a
@@ -81,9 +76,7 @@ func OpenRoot(dir string, opts prix.Options) (*Root, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Root{dir: dir, opts: opts, di: di, epoch: epoch}
-	di.OnInsert(r.fireHooks)
-	return r, nil
+	return &Root{dir: dir, opts: opts, di: di, epoch: epoch}, nil
 }
 
 // Recover finishes an interrupted compaction of dir, if any; with no
@@ -95,15 +88,6 @@ func Recover(o Options) (*Report, error) {
 		return nil, nil
 	}
 	return rep, err
-}
-
-func (r *Root) fireHooks() {
-	r.hooksMu.Lock()
-	hooks := append([]func(){}, r.hooks...)
-	r.hooksMu.Unlock()
-	for _, h := range hooks {
-		h()
-	}
 }
 
 // Match serves a query against the current epoch. The read lock spans the
@@ -179,30 +163,15 @@ func (r *Root) NumDocs() int {
 	return r.di.NumDocs()
 }
 
-// HotStats snapshots the current epoch's compressed hot tier (each epoch
-// owns a fresh tier; a swap starts the counters over).
-func (r *Root) HotStats() prix.HotStats {
+// Stats snapshots the current epoch (each epoch owns a fresh hot tier, so
+// a swap starts its counters over).
+func (r *Root) Stats() prix.SourceStats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.di.HotStats()
+	return r.di.Stats()
 }
 
-// Extended reports whether the index is an EPIndex.
-func (r *Root) Extended() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.di.Extended()
-}
-
-// Quarantined proxies the current epoch's quarantined docids.
-func (r *Root) Quarantined() []uint32 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.di.Quarantined()
-}
-
-// Generation counts successful inserts across epochs plus one tick per
-// swap, so any cache keyed on it invalidates when either happens. Swaps
+// Generation counts mutations across epochs plus one tick per swap. Swaps
 // fold the retired epoch's count into a base rather than resetting, so the
 // value never repeats within a process lifetime.
 func (r *Root) Generation() uint64 {
@@ -211,27 +180,12 @@ func (r *Root) Generation() uint64 {
 	return r.genBase + r.di.Generation()
 }
 
-// OnInsert registers a hook run after every successful insert and after
-// every epoch swap (the swap fires the hooks once, standing in for the
-// cache invalidation an insert would have triggered).
-func (r *Root) OnInsert(fn func()) {
-	r.hooksMu.Lock()
-	defer r.hooksMu.Unlock()
-	r.hooks = append(r.hooks, fn)
-}
-
-// TopologyEpoch exposes the compaction epoch to the executor's cache key,
-// the same slot a sharded coordinator fills with its placement epoch: a
-// result computed against one epoch's files can never be served from cache
-// once a swap committed a different set.
-func (r *Root) TopologyEpoch() uint64 {
+// Epoch returns the serving epoch (0 until the first compaction commits).
+func (r *Root) Epoch() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.epoch
 }
-
-// Epoch returns the serving epoch (0 until the first compaction commits).
-func (r *Root) Epoch() uint64 { return r.TopologyEpoch() }
 
 // Compacting reports whether a compaction is currently running.
 func (r *Root) Compacting() bool { return r.compacting.Load() }
@@ -568,17 +522,16 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 	}
 
 	// Phase 5: swap. Taking mu drains in-flight queries off the old epoch;
-	// new queries (and the unfrozen inserts) see the new one. The epoch bump
-	// changes every cache key, so stale results cannot be served.
+	// new queries (and the unfrozen inserts) see the new one. The generation
+	// moves with the swap, so no cache key minted from here on reaches a
+	// result computed against the old epoch.
 	r.mu.Lock()
 	r.genBase += old.Generation() + 1
 	r.di = next
 	r.epoch = m.NextEpoch
 	r.mu.Unlock()
-	next.OnInsert(r.fireHooks)
 	unfreeze()
 	rep.Pause = time.Since(pauseStart)
-	r.fireHooks()
 
 	// Post-commit teardown. The new epoch is serving whatever happens here;
 	// an error is reported but no longer aborts anything, and a leftover

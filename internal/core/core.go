@@ -116,8 +116,8 @@ func NewDynamicIndex(initial []*Document, opts Options, dopts DynamicOptions) (*
 	return prix.NewDynamicIndex(initial, opts, dopts)
 }
 
-// QuerySource is an index a query service executes against: *Index and
-// *DynamicIndex both satisfy it.
+// QuerySource is the engine a query service executes against: *Index,
+// *DynamicIndex, *CompactRoot and *ShardCoordinator all satisfy it.
 type QuerySource = server.Source
 
 // ServerConfig tunes the HTTP query service (admission bound, deadlines,
@@ -137,8 +137,8 @@ type QueryOptions = server.QueryOptions
 // ServerMetrics is the service's lock-free counter/histogram registry.
 type ServerMetrics = server.Metrics
 
-// NewServer builds a query service over an index. If the source is a
-// DynamicIndex, the result cache is invalidated on every insert.
+// NewServer builds a query service over an index. Result-cache keys carry
+// the source's generation, so a mutation retires every stale entry.
 func NewServer(src QuerySource, cfg ServerConfig) *Server {
 	return server.New(src, cfg)
 }

@@ -37,11 +37,8 @@ type DynamicIndex struct {
 	// so OpenDynamic can replay the exact labeler state from the stored
 	// records alone.
 	prepared int
-	// gen counts successful Inserts; serving-layer caches use it (or the
-	// OnInsert hooks) to invalidate stale results.
-	gen     atomic.Uint64
-	hooksMu sync.Mutex
-	hooks   []func()
+	// gen counts Insert, Update, Delete and Patch calls (Source.Generation).
+	gen atomic.Uint64
 }
 
 // DynamicOptions tunes the labeler.
@@ -97,21 +94,11 @@ func NewDynamicIndex(initial []*xmltree.Document, opts Options, dopts DynamicOpt
 	return di, nil
 }
 
-// Insert adds one document to the index; it becomes queryable immediately.
-// On success the generation counter advances and every OnInsert hook runs
-// (outside the index lock, so hooks may query the index).
+// Insert adds one document to the index; it becomes queryable immediately,
+// and the generation moves before Insert returns.
 func (di *DynamicIndex) Insert(doc *xmltree.Document) error {
-	if err := di.insertLocked(doc); err != nil {
-		return err
-	}
-	di.gen.Add(1)
-	di.hooksMu.Lock()
-	hooks := append([]func(){}, di.hooks...)
-	di.hooksMu.Unlock()
-	for _, h := range hooks {
-		h()
-	}
-	return nil
+	defer di.gen.Add(1)
+	return di.insertLocked(doc)
 }
 
 func (di *DynamicIndex) insertLocked(doc *xmltree.Document) error {
@@ -223,22 +210,10 @@ func (di *DynamicIndex) NumDocs() int {
 	return di.ix.NumDocs()
 }
 
-// Extended reports whether the underlying index is an EPIndex.
-func (di *DynamicIndex) Extended() bool { return di.ix.Extended() }
-
-// Generation returns the number of successful Inserts so far. A cached
-// query result tagged with the generation at fill time is stale whenever
-// the current generation differs.
+// Generation counts the Insert, Update, Delete and Patch calls so far. Each
+// bumps it after its writes are visible and before it returns — a failed
+// call too, since it may have left some of its writes in place.
 func (di *DynamicIndex) Generation() uint64 { return di.gen.Load() }
-
-// OnInsert registers a hook invoked after every successful Insert (cache
-// invalidation, replication, metrics). Hooks run sequentially on the
-// inserting goroutine, outside the index lock.
-func (di *DynamicIndex) OnInsert(fn func()) {
-	di.hooksMu.Lock()
-	defer di.hooksMu.Unlock()
-	di.hooks = append(di.hooks, fn)
-}
 
 // Underflows reports how many insertions failed with scope underflow.
 func (di *DynamicIndex) Underflows() int { return di.labeler.Underflows() }
@@ -256,9 +231,6 @@ func (di *DynamicIndex) Alpha() int { return di.alpha }
 
 // Spread returns the labeler's per-symbol range reservation.
 func (di *DynamicIndex) Spread() uint64 { return di.spread }
-
-// Quarantined proxies the docids quarantined in the document store.
-func (di *DynamicIndex) Quarantined() []uint32 { return di.ix.Quarantined() }
 
 // RepairForest rebuilds the forest from the surviving document records with
 // a fresh dynamic labeler (same α-prefix and spread as the original),

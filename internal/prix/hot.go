@@ -97,9 +97,6 @@ func (ix *Index) HotStats() HotStats {
 	return HotStats{Enabled: true, Tier: ix.hot.tier.Stats()}
 }
 
-// HotStats proxies the underlying index's tier snapshot.
-func (di *DynamicIndex) HotStats() HotStats { return di.ix.HotStats() }
-
 // buildHotPostings flattens one symbol's postings by replaying the Scan of
 // its whole key-prefix range; entry order is exactly the tree's, so a hot
 // Scan emits what the tree's Scan would.

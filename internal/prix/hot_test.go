@@ -227,11 +227,11 @@ func TestHotE2E(t *testing.T) {
 	}
 	compare("after forest rebuild")
 
-	st := hotDi.HotStats()
+	st := hotDi.Stats().Hot
 	if !st.Enabled || st.Tier.Hits == 0 {
 		t.Errorf("hot tier unused during e2e: %+v", st)
 	}
-	if cst := cold.HotStats(); cst.Enabled {
+	if cst := cold.Stats().Hot; cst.Enabled {
 		t.Errorf("uncompressed twin reports a tier: %+v", cst)
 	}
 	for _, di := range []*DynamicIndex{cold, hotDi} {

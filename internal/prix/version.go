@@ -497,13 +497,8 @@ func (di *DynamicIndex) openTerminalLocked(docID uint32, iv mvcc.Interval, legac
 // still see it, latest reads do not. The document's record and postings
 // stay in place (compaction reclaims them past the retention watermark).
 func (di *DynamicIndex) Delete(docID uint32) (uint64, error) {
-	v, err := di.deleteLocked(docID)
-	if err != nil {
-		return 0, err
-	}
-	di.gen.Add(1)
-	di.runHooks()
-	return v, nil
+	defer di.gen.Add(1)
+	return di.deleteLocked(docID)
 }
 
 func (di *DynamicIndex) deleteLocked(docID uint32) (uint64, error) {
@@ -558,13 +553,8 @@ func (di *DynamicIndex) deleteLocked(docID uint32) (uint64, error) {
 // Prüfer sequence differs, the dynamic labeler carves a fresh trie path and
 // the old docid entry keeps serving history.
 func (di *DynamicIndex) Update(docID uint32, doc *xmltree.Document) (*UpdateResult, error) {
-	res, err := di.updateLocked(docID, doc, nil)
-	if err != nil {
-		return nil, err
-	}
-	di.gen.Add(1)
-	di.runHooks()
-	return res, nil
+	defer di.gen.Add(1)
+	return di.updateLocked(docID, doc, nil)
 }
 
 // Patch applies a minimal sequence diff (mvcc.Diff over NPS/LPS pairs and
@@ -572,13 +562,8 @@ func (di *DynamicIndex) Update(docID uint32, doc *xmltree.Document) (*UpdateResu
 // committing. It is Update for callers that ship deltas instead of full
 // documents.
 func (di *DynamicIndex) Patch(docID uint32, p *mvcc.Patch) (*UpdateResult, error) {
-	res, err := di.updateLocked(docID, nil, p)
-	if err != nil {
-		return nil, err
-	}
-	di.gen.Add(1)
-	di.runHooks()
-	return res, nil
+	defer di.gen.Add(1)
+	return di.updateLocked(docID, nil, p)
 }
 
 func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch *mvcc.Patch) (*UpdateResult, error) {
@@ -698,17 +683,6 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 		PatchBytes: diff.Size(),
 		FullBytes:  full.Size(),
 	}, nil
-}
-
-// runHooks fires the OnInsert hooks (they are generation hooks: any
-// mutation invalidates derived caches).
-func (di *DynamicIndex) runHooks() {
-	di.hooksMu.Lock()
-	hooks := append([]func(){}, di.hooks...)
-	di.hooksMu.Unlock()
-	for _, h := range hooks {
-		h()
-	}
 }
 
 // record <-> diff shapes -------------------------------------------------------

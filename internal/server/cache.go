@@ -109,7 +109,7 @@ func (c *Cache) Put(key string, val *cached) {
 	s.entries[key] = s.lru.PushFront(&cacheItem{key: key, val: val})
 }
 
-// Flush drops every entry (called when the index mutates).
+// Flush drops every entry (Executor.InvalidateCache).
 func (c *Cache) Flush() {
 	if c == nil {
 		return

@@ -12,48 +12,9 @@ import (
 	"repro/internal/twig"
 )
 
-// Source is the index a service executes queries against. Both *prix.Index
-// (read-only; callers must not Insert concurrently) and *prix.DynamicIndex
-// (Insert-safe: queries serialize against writers) satisfy it.
-type Source interface {
-	Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match, *prix.QueryStats, error)
-	PagesRead() uint64
-	NumDocs() int
-	Extended() bool
-	// Quarantined lists documents the store has fenced off after detecting
-	// corruption; queries skip them and responses report Degraded.
-	Quarantined() []uint32
-}
-
-// inserter is the optional mutation interface of a Source. When present
-// (DynamicIndex), the executor hooks it to invalidate the result cache on
-// every insert.
-type inserter interface {
-	OnInsert(fn func())
-}
-
-// hotSource is the optional hot-tier interface of a Source. Indexes opened
-// with a HotBudget (prix.Index, prix.DynamicIndex, compact.Root) expose
-// their compressed-tier residency for /stats and /metrics.
-type hotSource interface {
-	HotStats() prix.HotStats
-}
-
-// versionSource is the optional MVCC interface of a Source. Versioned
-// indexes (prix.Index, prix.DynamicIndex, compact.Root) report their
-// version counter and tombstone census for /stats and /metrics.
-type versionSource interface {
-	VersionStats() prix.VersionStats
-}
-
-// epochSource is the optional topology interface of a Source. A
-// scatter-gather coordinator (internal/shard) exposes its placement epoch;
-// the executor folds it into every cache key so results computed under one
-// document→shard placement can never be served under another (e.g. after
-// the serving tier is pointed at a resharded layout).
-type epochSource interface {
-	TopologyEpoch() uint64
-}
+// Source is the engine a service executes queries against: *prix.Index,
+// *prix.DynamicIndex, *compact.Root or *shard.Coordinator.
+type Source = prix.Source
 
 // QueryOptions are the per-request execution knobs exposed by the service.
 type QueryOptions struct {
@@ -128,7 +89,6 @@ type Executor struct {
 	cache   *Cache
 	metrics *Metrics
 	flight  flightGroup
-	epochs  epochSource // non-nil when the source carries a topology/epoch
 }
 
 // NewExecutor wires an executor. capacity < 1 disables the result cache;
@@ -137,18 +97,7 @@ func NewExecutor(src Source, cacheCapacity, cacheShards int, m *Metrics) *Execut
 	if m == nil {
 		m = NewMetrics()
 	}
-	e := &Executor{src: src, cache: NewCache(cacheCapacity, cacheShards), metrics: m}
-	if es, ok := src.(epochSource); ok {
-		e.epochs = es
-	}
-	if di, ok := src.(inserter); ok && e.cache != nil {
-		// Mutable index: every insert invalidates all cached results.
-		// Coarse, but inserts are rare relative to queries in the serving
-		// shape this repo targets; a finer scheme would need per-symbol
-		// dependency tracking.
-		di.OnInsert(e.cache.Flush)
-	}
-	return e
+	return &Executor{src: src, cache: NewCache(cacheCapacity, cacheShards), metrics: m}
 }
 
 // Source returns the executor's index.
@@ -166,18 +115,15 @@ func (e *Executor) InvalidateCache() { e.cache.Flush() }
 // Execute runs one parsed query. The context bounds execution: its
 // cancellation is observed between the engine's B+-tree range queries.
 func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) (*Result, error) {
-	// The key is canonical form, options and epoch in one string, built on
-	// the stack when it fits; the canonical form is its prefix, not a second
-	// rendering.
+	// The key is canonical form, options and source generation in one
+	// string, built on the stack when it fits; the canonical form is its
+	// prefix, not a second rendering. The generation is read before Match:
+	// a mutation landing mid-query moves it, so the entry this execution
+	// fills sits under a key no request minted after the mutation reads.
 	b := q.AppendString(make([]byte, 0, 256))
 	n := len(b)
 	b = qo.appendKey(append(b, 0))
-	if e.epochs != nil {
-		// Read the epoch per query, not at construction: a compaction swap
-		// (or a reshard behind a live coordinator) bumps it mid-flight, and
-		// every key minted after the bump misses the old epoch's entries.
-		b = strconv.AppendUint(append(b, 0), e.epochs.TopologyEpoch(), 16)
-	}
+	b = strconv.AppendUint(append(b, 0), e.src.Generation(), 16)
 	key := string(b)
 	res := &Result{Query: key[:n], Complete: !prix.RiskOfFalseDismissal(q)}
 	if ent, ok := e.cache.Get(key); ok {

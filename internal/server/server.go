@@ -34,17 +34,6 @@ import (
 	"repro/internal/shard"
 )
 
-// shardedSource is the optional scatter-gather interface of a Source
-// (satisfied by *shard.Coordinator). When present, the service names
-// degraded shards in X-Prix-Degraded and /healthz, and /stats carries the
-// per-shard serving counters.
-type shardedSource interface {
-	NumShards() int
-	DegradedShards() []int
-	ShardStats() []shard.Stats
-	TopologyEpoch() uint64
-}
-
 // Config tunes the service.
 type Config struct {
 	// MaxInFlight bounds concurrently executing requests; excess requests
@@ -149,8 +138,8 @@ type Server struct {
 	slowlog  *SlowLog
 }
 
-// New builds a service over the source. If the source is mutable
-// (DynamicIndex), the result cache is invalidated on every insert.
+// New builds a service over the source. Result-cache keys carry the
+// source's generation, so a mutable source's writes retire stale entries.
 func New(src Source, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := NewMetrics()
@@ -514,7 +503,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if resp.Degraded {
 		s.metrics.DegradedServed.Inc()
-		resp.Quarantined = s.exec.Source().Quarantined()
+		resp.Quarantined = s.exec.Source().Stats().Quarantined
 		if names := shardNames(res.Stats.DegradedShards); len(names) > 0 {
 			resp.DegradedShards = names
 			w.Header().Set("X-Prix-Degraded", strings.Join(names, ","))
@@ -558,16 +547,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
 	}
+	st := s.exec.Source().Stats()
 	body := map[string]any{
 		"status":   "ok",
-		"docs":     s.exec.Source().NumDocs(),
-		"extended": s.exec.Source().Extended(),
+		"docs":     st.Docs,
+		"extended": st.Extended,
 	}
 	degraded := false
-	if sh, ok := s.exec.Source().(shardedSource); ok {
-		body["shards"] = sh.NumShards()
-		body["topology_epoch"] = sh.TopologyEpoch()
-		if names := shardNames(sh.DegradedShards()); len(names) > 0 {
+	if len(st.Shards) > 0 {
+		body["shards"] = len(st.Shards)
+		body["topology_epoch"] = st.Epoch
+		if names := shardNames(st.DegradedShards()); len(names) > 0 {
 			degraded = true
 			body["degraded_shards"] = names
 			w.Header().Set("X-Prix-Degraded", strings.Join(names, ","))
@@ -577,7 +567,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// it still answers over every healthy document, so the status stays 200
 	// (load balancers keep routing) while the body and header flag the
 	// partial coverage.
-	if q := s.exec.Source().Quarantined(); len(q) > 0 {
+	if q := st.Quarantined; len(q) > 0 {
 		degraded = true
 		body["quarantined"] = q
 		if w.Header().Get("X-Prix-Degraded") == "" {
@@ -593,73 +583,68 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w)
-	// Quarantine size is state held by the index, not the registry, so it is
-	// rendered here where the source is in reach.
+	// The source's own state (quarantine, shards, hot tier, versions) is not
+	// in the registry, so it is rendered here where the source is in reach.
+	st := s.exec.Source().Stats()
 	fmt.Fprintf(w, "# HELP prix_quarantined_docs Documents quarantined after corruption was detected.\n"+
-		"# TYPE prix_quarantined_docs gauge\nprix_quarantined_docs %d\n",
-		len(s.exec.Source().Quarantined()))
-	if sh, ok := s.exec.Source().(shardedSource); ok {
+		"# TYPE prix_quarantined_docs gauge\nprix_quarantined_docs %d\n", len(st.Quarantined))
+	if len(st.Shards) > 0 {
 		fmt.Fprintf(w, "# HELP prix_degraded_shards Shards currently serving partial results.\n"+
-			"# TYPE prix_degraded_shards gauge\nprix_degraded_shards %d\n",
-			len(sh.DegradedShards()))
+			"# TYPE prix_degraded_shards gauge\nprix_degraded_shards %d\n", len(st.DegradedShards()))
 	}
-	if hs, ok := s.exec.Source().(hotSource); ok {
-		if st := hs.HotStats(); st.Enabled {
-			fmt.Fprintf(w, "# HELP prix_hot_bytes Bytes resident in the compressed in-memory hot tier.\n"+
-				"# TYPE prix_hot_bytes gauge\nprix_hot_bytes %d\n", st.Tier.Bytes)
-			fmt.Fprintf(w, "# HELP prix_hot_budget_bytes Configured hot-tier byte budget.\n"+
-				"# TYPE prix_hot_budget_bytes gauge\nprix_hot_budget_bytes %d\n", st.Tier.Budget)
-			fmt.Fprintf(w, "# HELP prix_hot_items Structures resident in the hot tier.\n"+
-				"# TYPE prix_hot_items gauge\nprix_hot_items %d\n", st.Tier.Items)
-			fmt.Fprintf(w, "# HELP prix_hot_hits_total Lookups served from the hot tier.\n"+
-				"# TYPE prix_hot_hits_total counter\nprix_hot_hits_total %d\n", st.Tier.Hits)
-			fmt.Fprintf(w, "# HELP prix_hot_misses_total Hot-tier lookups that fell back to the B+-trees or store.\n"+
-				"# TYPE prix_hot_misses_total counter\nprix_hot_misses_total %d\n", st.Tier.Misses)
-			fmt.Fprintf(w, "# HELP prix_hot_evictions_total Structures demoted from the hot tier under budget pressure.\n"+
-				"# TYPE prix_hot_evictions_total counter\nprix_hot_evictions_total %d\n", st.Tier.Evictions)
-		}
+	if hot := st.Hot; hot.Enabled {
+		fmt.Fprintf(w, "# HELP prix_hot_bytes Bytes resident in the compressed in-memory hot tier.\n"+
+			"# TYPE prix_hot_bytes gauge\nprix_hot_bytes %d\n", hot.Tier.Bytes)
+		fmt.Fprintf(w, "# HELP prix_hot_budget_bytes Configured hot-tier byte budget.\n"+
+			"# TYPE prix_hot_budget_bytes gauge\nprix_hot_budget_bytes %d\n", hot.Tier.Budget)
+		fmt.Fprintf(w, "# HELP prix_hot_items Structures resident in the hot tier.\n"+
+			"# TYPE prix_hot_items gauge\nprix_hot_items %d\n", hot.Tier.Items)
+		fmt.Fprintf(w, "# HELP prix_hot_hits_total Lookups served from the hot tier.\n"+
+			"# TYPE prix_hot_hits_total counter\nprix_hot_hits_total %d\n", hot.Tier.Hits)
+		fmt.Fprintf(w, "# HELP prix_hot_misses_total Hot-tier lookups that fell back to the B+-trees or store.\n"+
+			"# TYPE prix_hot_misses_total counter\nprix_hot_misses_total %d\n", hot.Tier.Misses)
+		fmt.Fprintf(w, "# HELP prix_hot_evictions_total Structures demoted from the hot tier under budget pressure.\n"+
+			"# TYPE prix_hot_evictions_total counter\nprix_hot_evictions_total %d\n", hot.Tier.Evictions)
 	}
-	if vs, ok := s.exec.Source().(versionSource); ok {
-		if st := vs.VersionStats(); st.Enabled {
-			fmt.Fprintf(w, "# HELP prix_versions_total Latest assigned MVCC version (insert/update/delete counter).\n"+
-				"# TYPE prix_versions_total counter\nprix_versions_total %d\n", st.Current)
-			fmt.Fprintf(w, "# HELP prix_tombstones_total Documents deleted at the latest version.\n"+
-				"# TYPE prix_tombstones_total gauge\nprix_tombstones_total %d\n", st.Tombstones)
-		}
+	if vs := st.Versions; vs.Enabled {
+		fmt.Fprintf(w, "# HELP prix_versions_total Latest assigned MVCC version (insert/update/delete counter).\n"+
+			"# TYPE prix_versions_total counter\nprix_versions_total %d\n", vs.Current)
+		fmt.Fprintf(w, "# HELP prix_tombstones_total Documents deleted at the latest version.\n"+
+			"# TYPE prix_tombstones_total gauge\nprix_tombstones_total %d\n", vs.Tombstones)
 	}
 	if s.cmp != nil {
-		st := s.cmp.Stats()
+		cs := s.cmp.Stats()
 		running := 0
-		if st.Running {
+		if cs.Running {
 			running = 1
 		}
 		fmt.Fprintf(w, "# HELP prix_compactions_total Completed background compactions.\n"+
-			"# TYPE prix_compactions_total counter\nprix_compactions_total %d\n", st.Runs)
+			"# TYPE prix_compactions_total counter\nprix_compactions_total %d\n", cs.Runs)
 		fmt.Fprintf(w, "# HELP prix_compaction_failures_total Compactions aborted before commit.\n"+
-			"# TYPE prix_compaction_failures_total counter\nprix_compaction_failures_total %d\n", st.Failures)
+			"# TYPE prix_compaction_failures_total counter\nprix_compaction_failures_total %d\n", cs.Failures)
 		fmt.Fprintf(w, "# HELP prix_compactions_skipped_total Compaction intervals skipped with nothing to do.\n"+
-			"# TYPE prix_compactions_skipped_total counter\nprix_compactions_skipped_total %d\n", st.Skipped)
+			"# TYPE prix_compactions_skipped_total counter\nprix_compactions_skipped_total %d\n", cs.Skipped)
 		fmt.Fprintf(w, "# HELP prix_compaction_docs_total Documents rewritten by compactions.\n"+
-			"# TYPE prix_compaction_docs_total counter\nprix_compaction_docs_total %d\n", st.DocsCompacted)
+			"# TYPE prix_compaction_docs_total counter\nprix_compaction_docs_total %d\n", cs.DocsCompacted)
 		fmt.Fprintf(w, "# HELP prix_compaction_epoch Serving epoch (bumps on every swap).\n"+
-			"# TYPE prix_compaction_epoch gauge\nprix_compaction_epoch %d\n", st.Epoch)
+			"# TYPE prix_compaction_epoch gauge\nprix_compaction_epoch %d\n", cs.Epoch)
 		fmt.Fprintf(w, "# HELP prix_compaction_running Whether a compaction is in flight.\n"+
 			"# TYPE prix_compaction_running gauge\nprix_compaction_running %d\n", running)
 		fmt.Fprintf(w, "# HELP prix_compaction_last_pause_seconds Insert freeze window of the last compaction.\n"+
 			"# TYPE prix_compaction_last_pause_seconds gauge\nprix_compaction_last_pause_seconds %g\n",
-			st.LastPause.Seconds())
+			cs.LastPause.Seconds())
 		for _, phase := range []struct {
 			name string
 			d    time.Duration
-		}{{"drain", st.LastDrain}, {"build", st.LastBuild}, {"publish", st.LastPublish}} {
+		}{{"drain", cs.LastDrain}, {"build", cs.LastBuild}, {"publish", cs.LastPublish}} {
 			fmt.Fprintf(w, "# HELP prix_compaction_last_%[1]s_seconds Time the last compaction spent in its %[1]s phase.\n"+
 				"# TYPE prix_compaction_last_%[1]s_seconds gauge\nprix_compaction_last_%[1]s_seconds %[2]g\n",
 				phase.name, phase.d.Seconds())
 		}
 		fmt.Fprintf(w, "# HELP prix_labeler_nodes Trie nodes resident in the serving epoch's dynamic labeler.\n"+
-			"# TYPE prix_labeler_nodes gauge\nprix_labeler_nodes %d\n", st.LabelerNodes)
+			"# TYPE prix_labeler_nodes gauge\nprix_labeler_nodes %d\n", cs.LabelerNodes)
 		fmt.Fprintf(w, "# HELP prix_labeler_bytes Heap bytes the dynamic labeler's trie occupies.\n"+
-			"# TYPE prix_labeler_bytes gauge\nprix_labeler_bytes %d\n", st.LabelerBytes)
+			"# TYPE prix_labeler_bytes gauge\nprix_labeler_bytes %d\n", cs.LabelerBytes)
 	}
 }
 
@@ -689,10 +674,10 @@ type StatsSnapshot struct {
 	// Sharded backends only: topology and the per-shard serving counters.
 	// The top-level fields (docs, pages_read, quarantined_docs, ...) already
 	// aggregate across every shard and replica; this is the breakdown.
-	NumShards      int           `json:"num_shards,omitempty"`
-	TopologyEpoch  uint64        `json:"topology_epoch,omitempty"`
-	DegradedShards []string      `json:"degraded_shards,omitempty"`
-	Shards         []shard.Stats `json:"shards,omitempty"`
+	NumShards      int               `json:"num_shards,omitempty"`
+	Epoch          uint64            `json:"topology_epoch,omitempty"`
+	DegradedShards []string          `json:"degraded_shards,omitempty"`
+	Shards         []prix.ShardStats `json:"shards,omitempty"`
 	// Compaction is present when a background compactor is attached.
 	Compaction *compact.Stats `json:"compaction,omitempty"`
 	// Hot is present when the backend serves from a compressed in-memory
@@ -707,9 +692,10 @@ type StatsSnapshot struct {
 // Snapshot assembles the current stats.
 func (s *Server) Snapshot() StatsSnapshot {
 	m := s.metrics
+	st := s.exec.Source().Stats()
 	snap := StatsSnapshot{
 		UptimeSeconds: m.Uptime().Seconds(),
-		Docs:          s.exec.Source().NumDocs(),
+		Docs:          st.Docs,
 		Served:        m.Served.Load(),
 		Errors:        m.Errors.Load(),
 		BadRequests:   m.BadRequests.Load(),
@@ -723,32 +709,28 @@ func (s *Server) Snapshot() StatsSnapshot {
 		Corruptions:   m.Corruptions.Load(),
 		Retries:       m.TransientRetries.Load(),
 		Degraded:      m.DegradedServed.Load(),
-		Quarantined:   len(s.exec.Source().Quarantined()),
+		Quarantined:   len(st.Quarantined),
 		InFlight:      m.InFlight.Load(),
 		LatencyMeanUS: m.Latency.Mean().Microseconds(),
 		LatencyP50US:  m.Latency.Quantile(0.50).Microseconds(),
 		LatencyP95US:  m.Latency.Quantile(0.95).Microseconds(),
 		LatencyP99US:  m.Latency.Quantile(0.99).Microseconds(),
 	}
-	if sh, ok := s.exec.Source().(shardedSource); ok {
-		snap.NumShards = sh.NumShards()
-		snap.TopologyEpoch = sh.TopologyEpoch()
-		snap.DegradedShards = shardNames(sh.DegradedShards())
-		snap.Shards = sh.ShardStats()
+	if len(st.Shards) > 0 {
+		snap.NumShards = len(st.Shards)
+		snap.Epoch = st.Epoch
+		snap.DegradedShards = shardNames(st.DegradedShards())
+		snap.Shards = st.Shards
 	}
 	if s.cmp != nil {
-		st := s.cmp.Stats()
-		snap.Compaction = &st
+		cs := s.cmp.Stats()
+		snap.Compaction = &cs
 	}
-	if hs, ok := s.exec.Source().(hotSource); ok {
-		if st := hs.HotStats(); st.Enabled {
-			snap.Hot = &st
-		}
+	if st.Hot.Enabled {
+		snap.Hot = &st.Hot
 	}
-	if vs, ok := s.exec.Source().(versionSource); ok {
-		if st := vs.VersionStats(); st.Enabled {
-			snap.Versions = &st
-		}
+	if st.Versions.Enabled {
+		snap.Versions = &st.Versions
 	}
 	return snap
 }
@@ -873,8 +855,8 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	// The swap's epoch bump already retires cached results keyed on the old
-	// epoch; the explicit flush just reclaims their memory immediately.
+	// The swap's generation bump already retires cached results computed
+	// against the old epoch; the explicit flush just reclaims their memory.
 	s.exec.InvalidateCache()
 	writeJSON(w, http.StatusOK, rep)
 }

@@ -502,7 +502,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 }
 
-// The result cache is invalidated by DynamicIndex.Insert.
+// DynamicIndex.Insert moves the generation, so the result cache misses.
 func TestCacheInvalidatedOnInsert(t *testing.T) {
 	var initial []*xmltree.Document
 	for i := 0; i < 10; i++ {

@@ -154,8 +154,8 @@ func TestShardServerE2E(t *testing.T) {
 	if snap.NumShards != 3 || len(snap.Shards) != 3 {
 		t.Fatalf("stats: num_shards=%d shards=%d, want 3/3", snap.NumShards, len(snap.Shards))
 	}
-	if snap.Docs != co.NumDocs() {
-		t.Fatalf("stats docs = %d, want %d (summed over shards)", snap.Docs, co.NumDocs())
+	if snap.Docs != co.Stats().Docs {
+		t.Fatalf("stats docs = %d, want %d (summed over shards)", snap.Docs, co.Stats().Docs)
 	}
 	var sumDocs int
 	var sumQueries uint64
@@ -163,8 +163,8 @@ func TestShardServerE2E(t *testing.T) {
 		sumDocs += s.Docs
 		sumQueries += s.Queries
 	}
-	if sumDocs != co.NumDocs() {
-		t.Fatalf("per-shard docs sum to %d, want %d", sumDocs, co.NumDocs())
+	if sumDocs != co.Stats().Docs {
+		t.Fatalf("per-shard docs sum to %d, want %d", sumDocs, co.Stats().Docs)
 	}
 	if sumQueries == 0 {
 		t.Fatal("per-shard query counters all zero after serving queries")
@@ -256,35 +256,5 @@ func TestShardedServerMatchesSingleIndex(t *testing.T) {
 				t.Errorf("%s match %d: sharded %+v, single %+v", q, i, g, w)
 			}
 		}
-	}
-}
-
-// TestTopologyEpochInCacheKey: a sharded source's placement epoch is part
-// of every result-cache key, and distinct epochs produce distinct keys —
-// so cached entries can never leak across reshards. A plain index has no
-// epoch component at all.
-func TestTopologyEpochInCacheKey(t *testing.T) {
-	docs := shardCorpus(10)
-	co1, err := shard.BuildMemory(docs, shard.BuildConfig{Shards: 2, Epoch: 1}, shard.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co1.Close()
-	co2, err := shard.BuildMemory(docs, shard.BuildConfig{Shards: 2, Epoch: 2}, shard.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co2.Close()
-	e1 := NewExecutor(co1, 16, 1, nil)
-	e2 := NewExecutor(co2, 16, 1, nil)
-	if e1.epochs == nil || e2.epochs == nil {
-		t.Fatal("sharded executors missing epoch source")
-	}
-	if e1.epochs.TopologyEpoch() == e2.epochs.TopologyEpoch() {
-		t.Fatalf("different epochs share cache key component %d", e1.epochs.TopologyEpoch())
-	}
-	plain := NewExecutor(buildIndex(t, 3), 16, 1, nil)
-	if plain.epochs != nil {
-		t.Fatal("single index carries an epoch source")
 	}
 }

@@ -238,7 +238,7 @@ func Open(root string, opts prix.Options, cfg Config) (*Coordinator, error) {
 			ix.Close()
 		}
 	}
-	groups := make([][]Backend, topo.Shards)
+	groups := make([][]prix.Source, topo.Shards)
 	for s := 0; s < topo.Shards; s++ {
 		for r := 0; r < nrep; r++ {
 			dir := ReplicaDir(root, s, r)
@@ -297,7 +297,7 @@ func BuildMemory(docs []*xmltree.Document, cfg BuildConfig, runtime Config) (*Co
 		Epoch:    epoch,
 	}
 	parts := Partition(docs, cfg.Shards)
-	groups := make([][]Backend, cfg.Shards)
+	groups := make([][]prix.Source, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
 		for r := 0; r < cfg.Replicas; r++ {
 			ix, err := prix.Build(parts[s], prix.Options{

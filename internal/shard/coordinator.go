@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,10 +47,10 @@ type Config struct {
 	ResolveDir func(dir string) (string, error)
 }
 
-// Coordinator is the scatter-gather query tier over a shard set. It
-// satisfies the same Source contract the HTTP service expects of a single
-// index, so every layer above it — executor, result cache, admission,
-// tracing — works unchanged over N shards.
+// Coordinator is the scatter-gather query tier over a shard set. It is a
+// prix.Source like each of its replicas, so every layer above it —
+// executor, result cache, admission, tracing — works unchanged over N
+// shards; its Stats adds the per-shard rows and the placement epoch.
 type Coordinator struct {
 	topo    Topology
 	shards  []*Shard
@@ -60,7 +61,7 @@ type Coordinator struct {
 // replicas[s] lists shard s's backends; every backend must agree with the
 // topology on document counts (checked via the derived docid maps) and on
 // the index kind.
-func NewCoordinator(topo *Topology, replicas [][]Backend, cfg Config) (*Coordinator, error) {
+func NewCoordinator(topo *Topology, replicas [][]prix.Source, cfg Config) (*Coordinator, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -72,9 +73,9 @@ func NewCoordinator(topo *Topology, replicas [][]Backend, cfg Config) (*Coordina
 	c := &Coordinator{topo: *topo, shards: make([]*Shard, topo.Shards)}
 	for s := range replicas {
 		for _, b := range replicas[s] {
-			if b.Extended() != topo.Extended {
+			if ext := b.Stats().Extended; ext != topo.Extended {
 				return nil, fmt.Errorf("shard %d: extended=%v, topology says %v",
-					s, b.Extended(), topo.Extended)
+					s, ext, topo.Extended)
 			}
 		}
 		sh, err := NewShard(s, maps[s], replicas[s], cfg.MaxInFlightPerShard, cfg.HedgeDelay)
@@ -87,30 +88,11 @@ func NewCoordinator(topo *Topology, replicas [][]Backend, cfg Config) (*Coordina
 	return c, nil
 }
 
-// Topology returns the layout this coordinator serves.
-func (c *Coordinator) Topology() Topology { return c.topo }
-
-// TopologyEpoch identifies the placement; the executor folds it into
-// result-cache keys so a reshard can never serve stale entries.
-func (c *Coordinator) TopologyEpoch() uint64 { return c.topo.Epoch }
-
 // NumShards returns the shard count.
 func (c *Coordinator) NumShards() int { return len(c.shards) }
 
 // Shard returns one shard (tooling and tests).
 func (c *Coordinator) Shard(i int) *Shard { return c.shards[i] }
-
-// NumDocs sums document counts across shards.
-func (c *Coordinator) NumDocs() int {
-	n := 0
-	for _, s := range c.shards {
-		n += s.NumDocs()
-	}
-	return n
-}
-
-// Extended reports the index kind shared by every shard.
-func (c *Coordinator) Extended() bool { return c.topo.Extended }
 
 // PagesRead sums physical page reads over every shard's replicas.
 func (c *Coordinator) PagesRead() uint64 {
@@ -121,35 +103,36 @@ func (c *Coordinator) PagesRead() uint64 {
 	return n
 }
 
-// Quarantined merges every shard's quarantined documents into one
-// ascending global docid list.
-func (c *Coordinator) Quarantined() []uint32 {
-	var out []uint32
+// Generation sums the replicas' generations: it moves whenever any replica
+// mutates, and stays constant over a static layout.
+func (c *Coordinator) Generation() uint64 {
+	var g uint64
 	for _, s := range c.shards {
-		out = append(out, s.Quarantined()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// DegradedShards lists shards currently serving less than their full
-// document set: a replica holds quarantined documents, or the shard's last
-// query found every replica dead. The HTTP layer names these in the
-// X-Prix-Degraded header and /healthz.
-func (c *Coordinator) DegradedShards() []int {
-	var out []int
-	for i, s := range c.shards {
-		if s.Down() || len(s.Quarantined()) > 0 {
-			out = append(out, i)
+		for _, b := range s.replicas {
+			g += b.Generation()
 		}
 	}
-	return out
+	return g
+}
+
+// Stats reports the collection as one source — documents summed, the
+// quarantine merged into one ascending global docid list — plus the
+// placement epoch and one row per shard.
+func (c *Coordinator) Stats() prix.SourceStats {
+	st := prix.SourceStats{Extended: c.topo.Extended, Epoch: c.topo.Epoch, Shards: c.ShardStats()}
+	for _, row := range st.Shards {
+		st.Docs += row.Docs
+		st.Quarantined = append(st.Quarantined, row.Quarantined...)
+	}
+	slices.Sort(st.Quarantined)
+	st.Quarantined = slices.Compact(st.Quarantined)
+	return st
 }
 
 // ShardStats snapshots every shard's serving counters (the /stats
 // aggregation: callers sum what they need and keep the per-shard detail).
-func (c *Coordinator) ShardStats() []Stats {
-	out := make([]Stats, len(c.shards))
+func (c *Coordinator) ShardStats() []prix.ShardStats {
+	out := make([]prix.ShardStats, len(c.shards))
 	for i, s := range c.shards {
 		out[i] = s.Stats()
 	}
@@ -163,7 +146,7 @@ func (c *Coordinator) ShardStats() []Stats {
 func (c *Coordinator) Indexes() []*prix.Index {
 	var out []*prix.Index
 	for _, s := range c.shards {
-		for _, b := range s.Replicas() {
+		for _, b := range s.replicas {
 			if ix, ok := b.(*prix.Index); ok {
 				out = append(out, ix)
 			}
@@ -313,7 +296,7 @@ func (c *Coordinator) ReconstructDocument(global uint32) (*xmltree.Document, err
 	}
 	s, local := c.topo.Locate(global)
 	var lastErr error
-	for _, b := range c.shards[s].Replicas() {
+	for _, b := range c.shards[s].replicas {
 		rc, ok := b.(interface {
 			ReconstructDocument(uint32) (*xmltree.Document, error)
 		})

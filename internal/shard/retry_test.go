@@ -26,7 +26,7 @@ func (f *flakyBackend) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Matc
 		&prix.QueryStats{Matches: 1}, nil
 }
 
-func retryShard(t *testing.T, p RetryPolicy, backends ...Backend) *Shard {
+func retryShard(t *testing.T, p RetryPolicy, backends ...prix.Source) *Shard {
 	t.Helper()
 	sh, err := NewShard(0, []uint32{42}, backends, 0, 0)
 	if err != nil {

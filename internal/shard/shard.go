@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -31,25 +32,15 @@ type RetryPolicy struct {
 	Budget int
 }
 
-// Backend is one index carrying a shard's documents — *prix.Index and
-// *prix.DynamicIndex both satisfy it. All replicas of a shard hold
-// byte-identical data, so any of them can answer any of the shard's reads.
-type Backend interface {
-	Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match, *prix.QueryStats, error)
-	PagesRead() uint64
-	NumDocs() int
-	Extended() bool
-	Quarantined() []uint32
-}
-
 // Shard is one partition of the collection: a replica group plus the
 // local→global docid map and the shard-local health/serving state. Its
 // Match runs one replica (failing over, or hedging, onto the others) and
-// remaps the results into global docids.
+// remaps the results into global docids. All replicas of a shard hold
+// byte-identical data, so any of them can answer any of the shard's reads.
 type Shard struct {
 	id       int
 	toGlobal []uint32
-	replicas []Backend
+	replicas []prix.Source
 	// sem is the per-shard admission bound: a hot shard queues (bounded by
 	// the caller's context) instead of oversubscribing its buffer pools,
 	// and a stuck shard cannot absorb every worker goroutine the
@@ -61,8 +52,8 @@ type Shard struct {
 	// pool warmth) across the replica group.
 	rr atomic.Uint32
 	// down latches after a query finds every replica failing, and clears
-	// on the next success; DegradedShards uses it to name dead shards that
-	// have no quarantined documents to point at.
+	// on the next success; it names dead shards that have no quarantined
+	// documents to point at (prix.SourceStats.DegradedShards).
 	down atomic.Bool
 
 	queries   atomic.Uint64
@@ -78,12 +69,12 @@ type Shard struct {
 // concurrently executing queries on this shard (≤ 0 means
 // DefaultShardInFlight); hedge, when positive, launches a backup read on
 // the next replica if the current one has not answered within that delay.
-func NewShard(id int, toGlobal []uint32, replicas []Backend, maxInFlight int, hedge time.Duration) (*Shard, error) {
+func NewShard(id int, toGlobal []uint32, replicas []prix.Source, maxInFlight int, hedge time.Duration) (*Shard, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("shard %d: no replicas", id)
 	}
 	for r, b := range replicas {
-		if n := b.NumDocs(); n != len(toGlobal) {
+		if n := b.Stats().Docs; n != len(toGlobal) {
 			return nil, fmt.Errorf("shard %d replica %d: %d docs, docmap has %d",
 				id, r, n, len(toGlobal))
 		}
@@ -107,10 +98,6 @@ func (s *Shard) SetRetry(p RetryPolicy) { s.retry = p }
 // ID returns the shard's ordinal in the topology.
 func (s *Shard) ID() int { return s.id }
 
-// Replicas returns the replica group (read-only use; the serving CLI
-// attaches a scrubber to each on-disk replica).
-func (s *Shard) Replicas() []Backend { return s.replicas }
-
 // NumDocs returns the documents this shard owns.
 func (s *Shard) NumDocs() int { return len(s.toGlobal) }
 
@@ -128,48 +115,21 @@ func (s *Shard) PagesRead() uint64 {
 // per copy — so the union is the set of documents some read of this shard
 // may be missing.
 func (s *Shard) Quarantined() []uint32 {
-	seen := map[uint32]bool{}
 	var out []uint32
 	for _, b := range s.replicas {
-		for _, local := range b.Quarantined() {
-			if int(local) >= len(s.toGlobal) {
-				continue
-			}
-			g := s.toGlobal[local]
-			if !seen[g] {
-				seen[g] = true
-				out = append(out, g)
+		for _, local := range b.Stats().Quarantined {
+			if int(local) < len(s.toGlobal) {
+				out = append(out, s.toGlobal[local])
 			}
 		}
 	}
-	sortUint32s(out)
-	return out
-}
-
-// Down reports whether the last query against this shard found every
-// replica failing.
-func (s *Shard) Down() bool { return s.down.Load() }
-
-// Stats is one shard's serving counters, aggregated across its replicas.
-type Stats struct {
-	ID          int      `json:"id"`
-	Replicas    int      `json:"replicas"`
-	Docs        int      `json:"docs"`
-	Queries     uint64   `json:"queries"`
-	Errors      uint64   `json:"errors"`
-	Failovers   uint64   `json:"failovers"`
-	Retries     uint64   `json:"retries"`
-	Hedges      uint64   `json:"hedges"`
-	Degraded    uint64   `json:"degraded"`
-	Down        bool     `json:"down,omitempty"`
-	PagesRead   uint64   `json:"pages_read"`
-	MeanUS      int64    `json:"latency_mean_us"`
-	Quarantined []uint32 `json:"quarantined,omitempty"`
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Stats snapshots the shard's counters.
-func (s *Shard) Stats() Stats {
-	st := Stats{
+func (s *Shard) Stats() prix.ShardStats {
+	st := prix.ShardStats{
 		ID:          s.id,
 		Replicas:    len(s.replicas),
 		Docs:        len(s.toGlobal),
@@ -433,12 +393,4 @@ func (s *Shard) tryReplica(ctx context.Context, r int, q *twig.Query, opts prix.
 // chain.
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func sortUint32s(v []uint32) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

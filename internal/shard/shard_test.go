@@ -147,8 +147,8 @@ func TestShardedMatchesSingleIndexDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if co.NumDocs() != single.NumDocs() {
-				t.Fatalf("ext=%v n=%d: NumDocs = %d, single %d", extended, shards, co.NumDocs(), single.NumDocs())
+			if n := co.Stats().Docs; n != single.NumDocs() {
+				t.Fatalf("ext=%v n=%d: NumDocs = %d, single %d", extended, shards, n, single.NumDocs())
 			}
 			for _, qc := range queries {
 				q := twig.MustParse(qc.src)
@@ -238,7 +238,7 @@ func TestShardedDegradedCorruptPage(t *testing.T) {
 			t.Fatalf("%s: %v", qc.src, gotErr)
 		}
 		quarantined := map[uint32]bool{}
-		for _, d := range co.Quarantined() {
+		for _, d := range co.Stats().Quarantined {
 			quarantined[d] = true
 		}
 		var pruned []prix.Match
@@ -262,8 +262,8 @@ func TestShardedDegradedCorruptPage(t *testing.T) {
 			}
 		}
 	}
-	if got := co.DegradedShards(); !reflect.DeepEqual(got, []int{victim}) {
-		t.Fatalf("coordinator DegradedShards = %v, want [%d]", got, victim)
+	if st := co.Stats(); !reflect.DeepEqual(st.DegradedShards(), []int{victim}) {
+		t.Fatalf("coordinator DegradedShards = %v, want [%d]", st.DegradedShards(), victim)
 	}
 }
 
@@ -317,11 +317,12 @@ func TestReplicaFailoverMasksCorruption(t *testing.T) {
 
 // stubBackend scripts one replica's behavior for failover/hedging tests.
 type stubBackend struct {
-	docs     int
-	delay    time.Duration
-	err      error
-	degraded bool
-	calls    int
+	docs        int
+	quarantined []uint32
+	delay       time.Duration
+	err         error
+	degraded    bool
+	calls       int
 }
 
 func (s *stubBackend) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match, *prix.QueryStats, error) {
@@ -343,14 +344,15 @@ func (s *stubBackend) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match
 	return []prix.Match{{DocID: 0, Positions: []int32{1}, Images: []int32{1}, Root: 1}},
 		&prix.QueryStats{Matches: 1, Degraded: s.degraded}, nil
 }
-func (s *stubBackend) PagesRead() uint64     { return 0 }
-func (s *stubBackend) NumDocs() int          { return s.docs }
-func (s *stubBackend) Extended() bool        { return false }
-func (s *stubBackend) Quarantined() []uint32 { return nil }
+func (s *stubBackend) PagesRead() uint64  { return 0 }
+func (s *stubBackend) Generation() uint64 { return 0 }
+func (s *stubBackend) Stats() prix.SourceStats {
+	return prix.SourceStats{Docs: s.docs, Quarantined: s.quarantined}
+}
 
 func stubShard(t *testing.T, hedge time.Duration, backends ...*stubBackend) *Shard {
 	t.Helper()
-	bs := make([]Backend, len(backends))
+	bs := make([]prix.Source, len(backends))
 	for i, b := range backends {
 		b.docs = 1
 		bs[i] = b
@@ -396,7 +398,7 @@ func TestShardFailoverPrefersClean(t *testing.T) {
 	if _, _, err = sh.Match(context.Background(), q, prix.MatchOptions{}); err == nil {
 		t.Fatal("all replicas failed but Match succeeded")
 	}
-	if !sh.Down() {
+	if !sh.Stats().Down {
 		t.Fatal("shard not marked down after total failure")
 	}
 }
@@ -429,7 +431,7 @@ func TestShardHedgedRead(t *testing.T) {
 func TestShardAdmissionRespectsContext(t *testing.T) {
 	q := twig.MustParse(`//a`)
 	slow := &stubBackend{docs: 1, delay: time.Second}
-	bs := []Backend{slow}
+	bs := []prix.Source{slow}
 	sh, err := NewShard(0, []uint32{7}, bs, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -454,6 +456,50 @@ func TestShardAdmissionRespectsContext(t *testing.T) {
 	<-release
 }
 
+// TestQuarantineUnion: replicas quarantine independently, so a shard and
+// the coordinator over it report the union of the replicas' lists — in
+// global docids, ascending, each docid once — even when the lists overlap
+// across thousands of documents.
+func TestQuarantineUnion(t *testing.T) {
+	topo := &Topology{Version: 1, Shards: 2, Replicas: 2, Docs: 12000, Epoch: 1}
+	maps := topo.DocMaps()
+	n := len(maps[0])
+	// Descending local ids on one replica, ascending on the other: the
+	// merge must sort, not just concatenate.
+	var a, b []uint32
+	for i := 0; i < n; i++ {
+		if i%3 == 0 {
+			b = append(b, uint32(i))
+		}
+		if j := n - 1 - i; j%2 == 0 {
+			a = append(a, uint32(j))
+		}
+	}
+	var want []uint32
+	for i, g := range maps[0] {
+		if i%2 == 0 || i%3 == 0 {
+			want = append(want, g)
+		}
+	}
+	co, err := NewCoordinator(topo, [][]prix.Source{
+		{&stubBackend{docs: n, quarantined: a}, &stubBackend{docs: n, quarantined: b}},
+		{&stubBackend{docs: len(maps[1])}, &stubBackend{docs: len(maps[1])}},
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := co.Shard(0).Quarantined(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard union: %d docids, want %d (sorted, deduplicated)", len(got), len(want))
+	}
+	st := co.Stats()
+	if !reflect.DeepEqual(st.Quarantined, want) {
+		t.Fatalf("coordinator union: %d docids, want %d", len(st.Quarantined), len(want))
+	}
+	if got := st.DegradedShards(); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("DegradedShards = %v, want [0]", got)
+	}
+}
+
 // TestCoordinatorShardDownPartial: a wholly failed shard degrades the
 // answer, it does not fail it; only every shard failing is an error.
 func TestCoordinatorShardDownPartial(t *testing.T) {
@@ -461,7 +507,7 @@ func TestCoordinatorShardDownPartial(t *testing.T) {
 	topo := &Topology{Version: 1, Shards: 2, Replicas: 1, Docs: 2, Epoch: 1}
 	ok := &stubBackend{docs: 1}
 	dead := &stubBackend{docs: 1, err: errors.New("disk gone")}
-	co, err := NewCoordinator(topo, [][]Backend{{ok}, {dead}}, Config{})
+	co, err := NewCoordinator(topo, [][]prix.Source{{ok}, {dead}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,12 +521,12 @@ func TestCoordinatorShardDownPartial(t *testing.T) {
 	if len(ms) != 1 {
 		t.Fatalf("matches = %v, want the healthy shard's one", ms)
 	}
-	if got := co.DegradedShards(); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("DegradedShards = %v, want [1]", got)
+	if st := co.Stats(); !reflect.DeepEqual(st.DegradedShards(), []int{1}) {
+		t.Fatalf("DegradedShards = %v, want [1]", st.DegradedShards())
 	}
 
 	dead2 := &stubBackend{docs: 1, err: errors.New("disk gone")}
-	co, err = NewCoordinator(topo, [][]Backend{{dead2}, {dead}}, Config{})
+	co, err = NewCoordinator(topo, [][]prix.Source{{dead2}, {dead}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,8 +560,8 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if co.TopologyEpoch() != 77 || co.NumShards() != 3 || !co.Extended() {
-		t.Fatalf("coordinator: epoch=%d shards=%d ext=%v", co.TopologyEpoch(), co.NumShards(), co.Extended())
+	if st := co.Stats(); st.Epoch != 77 || len(st.Shards) != 3 || !st.Extended {
+		t.Fatalf("coordinator: epoch=%d shards=%d ext=%v", st.Epoch, len(st.Shards), st.Extended)
 	}
 	single, err := prix.Build(docs, prix.Options{Extended: true})
 	if err != nil {

@@ -48,9 +48,7 @@ type Topology struct {
 	// Shards it fully determines every shard's local→global docid map.
 	Docs uint32 `json:"docs"`
 	// Epoch identifies this placement. A rebuild with a different shard
-	// count (or any reshard) gets a fresh epoch; result-cache keys include
-	// it so entries cached under one placement can never be served under
-	// another.
+	// count (or any reshard) gets a fresh epoch.
 	Epoch uint64 `json:"epoch"`
 }
 
