@@ -428,8 +428,13 @@ func sizeReport(dir string, forestMem, docsMem *pager.MemFile, report func(int))
 		for i, n := range sh.Pages {
 			levels[i] = fmt.Sprint(n)
 		}
-		fmt.Printf("size: tree %-6q %8d entries, height %d, pages %s (root..leaves), leaf fill %.1f%%\n",
-			name, sh.Entries, len(sh.Pages), strings.Join(levels, "/"), 100*sh.LeafFill)
+		// Bytes per entry: what the leaf pages cost for what they hold.
+		perEntry := "-"
+		if sh.Entries > 0 {
+			perEntry = fmt.Sprintf("%.1f", float64(sh.Pages[len(sh.Pages)-1]*pager.PageDataSize)/float64(sh.Entries))
+		}
+		fmt.Printf("size: tree %-6q %8d entries, height %d, pages %s (root..leaves), leaf fill %.1f%%, %s cells, %s B per entry\n",
+			name, sh.Entries, len(sh.Pages), strings.Join(levels, "/"), 100*sh.LeafFill, sh.LeafFormat, perEntry)
 	}
 	var xml int64
 	for id := 0; id < ix.NumDocs(); id++ {

@@ -4,10 +4,13 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/compact"
+	"repro/internal/datagen"
 	"repro/internal/docstore"
 	"repro/internal/pager"
 	"repro/internal/prix"
@@ -107,6 +110,35 @@ func TestCleanIndexPrintsSizeReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// The size report names each tree's leaf cell format and what its leaves
+// cost per entry. A bulk-built EPIndex packs 340 postings of 24 bytes into
+// each 8,176-byte leaf, so only the last, partly filled leaf lifts `post`
+// above 24.05 B per entry.
+func TestSizeReportShowsFixedPostings(t *testing.T) {
+	dir := t.TempDir()
+	ix, err := prix.Build(datagen.SwissProt(1, 1).Docs, prix.Options{Extended: true, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	status, out := runCaptured(t, dir)
+	if status != exitClean {
+		t.Fatalf("run = %d, want %d:\n%s", status, exitClean, out)
+	}
+	post := regexp.MustCompile(`size: tree "post" .*, fixed 12\+12 cells, ([0-9.]+) B per entry`).FindStringSubmatch(out)
+	if post == nil {
+		t.Fatalf("report lacks fixed-width postings cells:\n%s", out)
+	}
+	if perEntry, err := strconv.ParseFloat(post[1], 64); err != nil || perEntry > 24.2 {
+		t.Errorf("post costs %s B per entry, want <= 24.2", post[1])
+	}
+	if !regexp.MustCompile(`size: tree "docid" .*, slotted cells, [0-9.]+ B per entry`).MatchString(out) {
+		t.Errorf("report lacks the slotted docid tree:\n%s", out)
 	}
 }
 

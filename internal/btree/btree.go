@@ -9,8 +9,9 @@
 // pager pages (pager.PageDataSize bytes; the pager owns a per-page
 // integrity header on top) and travel through the buffer pool, so every
 // traversal is accounted in the pool's physical-read counter. Reads
-// binary-search pages in place through a slot directory, and leaf inserts
-// and deletes edit them in place; only splits materialise pages into memory.
+// binary-search pages in place — through a slot directory, or by offset on
+// the fixed-width leaves of a FixedTree — and leaf inserts and deletes edit
+// them in place; only splits materialise pages into memory.
 package btree
 
 import (
@@ -24,8 +25,9 @@ import (
 )
 
 const (
-	leafNode     = byte(1)
-	internalNode = byte(2)
+	leafNode      = byte(1) // slotted leaf
+	internalNode  = byte(2)
+	fixedLeafNode = byte(3) // fixed-width leaf (page.go)
 
 	headerSize   = 9 // kind(1) + numKeys(2) + extra(4) + cellStart(2)
 	slotSize     = 2 // per-cell offset
@@ -63,10 +65,11 @@ type innerCell struct {
 }
 
 type nodePage struct {
-	kind  byte
-	extra uint32 // leaf: next-leaf page id; internal: leftmost child
-	leaf  []leafCell
-	inner []innerCell
+	kind   byte
+	extra  uint32  // leaf: next-leaf page id; internal: leftmost child
+	widths [2]byte // fixed-width leaf: key and value width
+	leaf   []leafCell
+	inner  []innerCell
 }
 
 // decodePage materialises a node. Its cells alias one private copy of the
@@ -76,6 +79,9 @@ func decodePage(data []byte) (*nodePage, error) {
 	n := &nodePage{kind: pageKind(data), extra: pageExtra(data)}
 	num := pageNumKeys(data)
 	switch n.kind {
+	case fixedLeafNode:
+		n.widths = [2]byte{data[7], data[8]}
+		fallthrough
 	case leafNode:
 		n.leaf = make([]leafCell, num, num+1)
 		for i := range n.leaf {
@@ -95,7 +101,7 @@ func decodePage(data []byte) (*nodePage, error) {
 func (n *nodePage) size() int {
 	sz := headerSize
 	for _, c := range n.leaf {
-		sz += slotSize + leafCellHdr + len(c.key) + len(c.val)
+		sz += leafCellSize(n.kind, len(c.key), len(c.val))
 	}
 	for _, c := range n.inner {
 		sz += slotSize + innerCellHdr + len(c.key)
@@ -119,6 +125,9 @@ func (n *nodePage) encode(data []byte) {
 	}
 	binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.inner)))
 	binary.LittleEndian.PutUint16(data[7:9], uint16(off))
+	if n.kind == fixedLeafNode {
+		data[7], data[8] = n.widths[0], n.widths[1]
+	}
 	for i, c := range n.leaf {
 		leafInsertAt(data, i, c.key, c.val)
 	}
@@ -232,8 +241,12 @@ func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]byte, pager.PageID
 	}
 	// Leaf: insert after all equal keys (stable duplicates), in place while
 	// the cell fits.
+	if err := leafFits(p.Data, key, val); err != nil {
+		p.Unpin(false)
+		return nil, pager.InvalidPage, err
+	}
 	pos := leafUpperBound(p.Data, key)
-	if slotSize+leafCellHdr+len(key)+len(val) <= pageFree(p.Data) {
+	if leafCellSize(pageKind(p.Data), len(key), len(val)) <= pageFree(p.Data) {
 		leafInsertAt(p.Data, pos, key, val)
 		p.Unpin(true)
 		return nil, pager.InvalidPage, nil
@@ -250,11 +263,11 @@ func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]byte, pager.PageID
 	// last leaf moves only the new entry, so ascending loads (docid-ordered
 	// sidecar chunks, Left-ordered postings) leave full leaves behind
 	// instead of half-empty ones.
-	mid := splitIndex(len(n.leaf), func(i int) int { return slotSize + leafCellHdr + len(n.leaf[i].key) + len(n.leaf[i].val) })
+	mid := splitIndex(len(n.leaf), func(i int) int { return leafCellSize(n.kind, len(n.leaf[i].key), len(n.leaf[i].val)) })
 	if pos == len(n.leaf)-1 && n.extra == 0 {
 		mid = pos
 	}
-	right := &nodePage{kind: leafNode, extra: n.extra, leaf: n.leaf[mid:]}
+	right := &nodePage{kind: n.kind, extra: n.extra, widths: n.widths, leaf: n.leaf[mid:]}
 	n.leaf = n.leaf[:mid]
 	rid, err := t.allocNode(right)
 	if err != nil {
@@ -305,7 +318,7 @@ func (t *Tree) Scan(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val []byte)
 		if err != nil {
 			return err
 		}
-		if pageKind(p.Data) == leafNode {
+		if isLeaf(pageKind(p.Data)) {
 			return t.scanLeaves(p, lo, hi, loIncl, hiIncl, fn)
 		}
 		switch {
@@ -509,12 +522,14 @@ func (t *Tree) Delete(key, val []byte) (bool, error) {
 }
 
 // Shape is a tree's footprint: Pages counts the pages of each level, root
-// first and leaves last (so its length is the height), and LeafFill is the
-// used share of the leaves' payload bytes.
+// first and leaves last (so its length is the height), LeafFill is the used
+// share of the leaves' payload bytes, and LeafFormat names the leaves' cell
+// format ("slotted", or "fixed 12+12" for keyLen+valLen).
 type Shape struct {
-	Entries  uint64
-	Pages    []int
-	LeafFill float64
+	Entries    uint64
+	Pages      []int
+	LeafFill   float64
+	LeafFormat string
 }
 
 // Shape walks the tree level by level. It trusts the pages it reads, so run
@@ -533,6 +548,8 @@ func (t *Tree) Shape() (Shape, error) {
 				for i := 0; i <= pageNumKeys(p.Data); i++ {
 					next = append(next, pageChildAt(p.Data, i))
 				}
+			} else if s.LeafFormat == "" {
+				s.LeafFormat = leafFormat(p.Data)
 			}
 			used += len(p.Data) - pageFree(p.Data)
 			p.Unpin(false)

@@ -18,9 +18,11 @@ import (
 // uses it to turn sorted posting runs into trees without per-entry descents.
 //
 // The tree must be empty: bulk loading reuses the existing root page as the
-// first leaf and would orphan any prior contents. The resulting tree
-// satisfies every invariant Check enforces; it differs from an Insert-built
-// tree only in fill factor (full pages instead of half-split ones).
+// first leaf and would orphan any prior contents. Every leaf takes the root
+// leaf's cell format, so a FixedTree loads into fixed-width leaves. The
+// resulting tree satisfies every invariant Check enforces; it differs from an
+// Insert-built tree only in fill factor (full pages instead of half-split
+// ones).
 func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 	if t.count != 0 {
 		return fmt.Errorf("btree: BulkLoad into non-empty tree %q (%d entries)", t.name, t.count)
@@ -57,13 +59,17 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 			return fmt.Errorf("btree: BulkLoad keys out of order (%x after %x)", key, prev)
 		}
 		prev = append(prev[:0], key...)
-		if slotSize+leafCellHdr+len(key)+len(val) > pageFree(p.Data) {
-			// Seal the full leaf by pointing it at a fresh successor.
+		if err := leafFits(p.Data, key, val); err != nil {
+			return err
+		}
+		if leafCellSize(pageKind(p.Data), len(key), len(val)) > pageFree(p.Data) {
+			// Seal the full leaf by pointing it at a fresh successor of its
+			// format (encode reads the widths only on a fixed-width leaf).
 			np, err := t.forest.bp.NewPage()
 			if err != nil {
 				return err
 			}
-			(&nodePage{kind: leafNode}).encode(np.Data)
+			(&nodePage{kind: pageKind(p.Data), widths: [2]byte{p.Data[7], p.Data[8]}}).encode(np.Data)
 			binary.LittleEndian.PutUint32(p.Data[3:7], uint32(np.ID))
 			p.Unpin(true)
 			p = np

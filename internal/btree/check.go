@@ -2,20 +2,22 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/pager"
 )
 
 // Check walks every tree in the forest and validates its structural
-// invariants: page shapes (slot offsets and cell lengths in bounds), key
-// ordering within pages and across separators, equal depth of all leaves,
-// absence of page-reference cycles, and per-tree entry counts matching the
-// directory. It returns every problem found (bounded, so a badly damaged
-// file does not produce millions of lines); an empty slice means the
-// forest is sound. Check never panics on damaged pages — that is its whole
-// point — and it reads through the buffer pool, so page checksums are
-// verified on the way.
+// invariants: page shapes (slot offsets and cell lengths in bounds, or a
+// fixed-width leaf's cells inside its page), key ordering within pages and
+// across separators, equal depth of all leaves, one cell format across a
+// tree's leaves, absence of page-reference cycles, and per-tree entry counts
+// matching the directory. It returns every problem found (bounded, so a
+// badly damaged file does not produce millions of lines); an empty slice
+// means the forest is sound. Check never panics on damaged pages — that is
+// its whole point — and it reads through the buffer pool, so page checksums
+// are verified on the way.
 func (f *Forest) Check() []error {
 	f.mu.Lock()
 	names := make([]string, 0, len(f.trees))
@@ -34,6 +36,7 @@ func (f *Forest) Check() []error {
 		c.tree = name
 		c.visited = make(map[pager.PageID]bool)
 		c.leafDepth = -1
+		c.leafFormat = ""
 		entries := c.walk(t.root, 0, nil, nil)
 		if c.full() {
 			break
@@ -52,7 +55,10 @@ type checker struct {
 	tree      string
 	visited   map[pager.PageID]bool
 	leafDepth int
-	errs      []error
+	// leafFormat is the cell format of the tree's first leaf; every other
+	// leaf must share it.
+	leafFormat string
+	errs       []error
 }
 
 func (c *checker) full() bool { return len(c.errs) >= maxCheckErrors }
@@ -93,11 +99,16 @@ func (c *checker) walk(id pager.PageID, depth int, low, high []byte) uint64 {
 		return 0
 	}
 	num := pageNumKeys(data)
-	if pageKind(data) == leafNode {
+	if isLeaf(pageKind(data)) {
 		if c.leafDepth == -1 {
 			c.leafDepth = depth
 		} else if depth != c.leafDepth {
 			c.report(id, "leaf at depth %d, expected %d", depth, c.leafDepth)
+		}
+		if f := leafFormat(data); c.leafFormat == "" {
+			c.leafFormat = f
+		} else if f != c.leafFormat {
+			c.report(id, "leaf cells are %s, its siblings' %s", f, c.leafFormat)
 		}
 		for i := 0; i < num; i++ {
 			k, _ := leafCellAt(data, i)
@@ -137,52 +148,69 @@ func (c *checker) walk(id pager.PageID, depth int, low, high []byte) uint64 {
 
 // validateNodeShape bounds-checks a node page so the raw accessors cannot
 // read (or panic) outside it: kind byte, slot directory, per-cell offsets
-// and lengths, and in-page key ordering.
+// and lengths (or a fixed-width leaf's widths against its cell count), and
+// in-page key ordering.
 func validateNodeShape(data []byte) error {
 	kind := pageKind(data)
-	if kind != leafNode && kind != internalNode {
-		return fmt.Errorf("unknown node kind %d", kind)
-	}
 	num := pageNumKeys(data)
-	slotsEnd := headerSize + slotSize*num
-	if slotsEnd > len(data) {
-		return fmt.Errorf("%d cells overflow the slot directory", num)
+	switch kind {
+	case fixedLeafNode:
+		kw, vw := fixedWidths(data)
+		if kw == 0 {
+			return fmt.Errorf("fixed-width leaf with zero key width")
+		}
+		if end := headerSize + num*(kw+vw); end > len(data) {
+			return fmt.Errorf("%d cells of %d+%d bytes overflow the page (end at %d)", num, kw, vw, end)
+		}
+	case leafNode, internalNode:
+		if err := validateSlots(data, kind, num); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("unknown node kind %d", kind)
 	}
 	var prev []byte
 	for i := 0; i < num; i++ {
-		off := slotOffset(data, i)
-		if off < slotsEnd {
-			return fmt.Errorf("cell %d offset %d inside the slot directory", i, off)
-		}
-		hdr := leafCellHdr
-		if kind == internalNode {
-			hdr = innerCellHdr
-		}
-		if off+hdr > len(data) {
-			return fmt.Errorf("cell %d header out of page (offset %d)", i, off)
-		}
-		var end int
-		if kind == leafNode {
-			kl := int(uint16(data[off]) | uint16(data[off+1])<<8)
-			vl := int(uint16(data[off+2]) | uint16(data[off+3])<<8)
-			end = off + hdr + kl + vl
-		} else {
-			kl := int(uint16(data[off]) | uint16(data[off+1])<<8)
-			end = off + hdr + kl
-		}
-		if end > len(data) {
-			return fmt.Errorf("cell %d body out of page (ends at %d)", i, end)
-		}
 		var key []byte
-		if kind == leafNode {
-			key, _ = leafCellAt(data, i)
-		} else {
+		if kind == internalNode {
 			key, _ = innerCellAt(data, i)
+		} else {
+			key, _ = leafCellAt(data, i)
 		}
 		if prev != nil && bytes.Compare(prev, key) > 0 {
 			return fmt.Errorf("cell %d key out of order", i)
 		}
 		prev = key
+	}
+	return nil
+}
+
+// validateSlots bounds-checks a slotted page's directory and every cell it
+// points at.
+func validateSlots(data []byte, kind byte, num int) error {
+	slotsEnd := headerSize + slotSize*num
+	if slotsEnd > len(data) {
+		return fmt.Errorf("%d cells overflow the slot directory", num)
+	}
+	hdr := leafCellHdr
+	if kind == internalNode {
+		hdr = innerCellHdr
+	}
+	for i := 0; i < num; i++ {
+		off := slotOffset(data, i)
+		if off < slotsEnd {
+			return fmt.Errorf("cell %d offset %d inside the slot directory", i, off)
+		}
+		if off+hdr > len(data) {
+			return fmt.Errorf("cell %d header out of page (offset %d)", i, off)
+		}
+		end := off + hdr + int(binary.LittleEndian.Uint16(data[off:off+2]))
+		if kind == leafNode {
+			end += int(binary.LittleEndian.Uint16(data[off+2 : off+4]))
+		}
+		if end > len(data) {
+			return fmt.Errorf("cell %d body out of page (ends at %d)", i, end)
+		}
 	}
 	return nil
 }

@@ -11,13 +11,22 @@ import (
 // btreeWorkload inserts batches of keys into a forest tree over a
 // journaled pool, committing (Forest.Flush) after each batch. It returns
 // how many batches committed cleanly. Keys are deterministic so recovered
-// states can be checked against expected batch boundaries.
+// states can be checked against expected batch boundaries. With fixedVal > 0
+// the tree is a FixedTree whose values are padded to fixedVal bytes.
 const crashBatches = 4
 const crashBatchKeys = 30
 
 func crashKey(i int) []byte { return KeyUint64(uint64(i)*7 + 1) }
 
-func btreeWorkload(main, journalFile pager.File) error {
+func crashVal(i, fixedVal int) []byte {
+	v := []byte(fmt.Sprintf("v%d", i))
+	if fixedVal > 0 {
+		v = append(v, make([]byte, fixedVal-len(v))...)
+	}
+	return v
+}
+
+func btreeWorkload(main, journalFile pager.File, fixedVal int) error {
 	j, err := pager.NewJournal(journalFile)
 	if err != nil {
 		return err
@@ -30,14 +39,19 @@ func btreeWorkload(main, journalFile pager.File) error {
 	if err != nil {
 		return err
 	}
-	tr, err := forest.Tree("t")
+	var tr *Tree
+	if fixedVal > 0 {
+		tr, err = forest.FixedTree("t", 8, fixedVal)
+	} else {
+		tr, err = forest.Tree("t")
+	}
 	if err != nil {
 		return err
 	}
 	for batch := 0; batch < crashBatches; batch++ {
 		for i := 0; i < crashBatchKeys; i++ {
 			k := batch*crashBatchKeys + i
-			if err := tr.Insert(crashKey(k), []byte(fmt.Sprintf("v%d", k))); err != nil {
+			if err := tr.Insert(crashKey(k), crashVal(k, fixedVal)); err != nil {
 				return err
 			}
 		}
@@ -52,13 +66,19 @@ func btreeWorkload(main, journalFile pager.File) error {
 // build and asserts that reopening always recovers a consistent tree holding
 // exactly the keys of some committed batch prefix — the paper's index
 // structures never come back half-built or silently wrong.
-func TestBtreeCrashSweep(t *testing.T) {
+func TestBtreeCrashSweep(t *testing.T) { crashSweep(t, 0) }
+
+// TestBtreeCrashSweepFixed is the same sweep over fixed-width leaves of 8+200
+// bytes, 40 to a page, so the 120 keys split leaves inside the swept commits.
+func TestBtreeCrashSweepFixed(t *testing.T) { crashSweep(t, 200) }
+
+func crashSweep(t *testing.T, fixedVal int) {
 	clock := pager.NewPowerClock(0)
 	mainFF := pager.NewFaultFile(pager.NewMemFile())
 	journalFF := pager.NewFaultFile(pager.NewMemFile())
 	mainFF.SetPowerClock(clock)
 	journalFF.SetPowerClock(clock)
-	if err := btreeWorkload(mainFF, journalFF); err != nil {
+	if err := btreeWorkload(mainFF, journalFF, fixedVal); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 	W := clock.Writes()
@@ -79,7 +99,7 @@ func TestBtreeCrashSweep(t *testing.T) {
 			main.SetPowerClock(clock)
 			journalFile.SetPowerClock(clock)
 
-			err := btreeWorkload(main, journalFile)
+			err := btreeWorkload(main, journalFile, fixedVal)
 			if err == nil {
 				t.Fatal("workload survived the power cut")
 			}
@@ -114,7 +134,7 @@ func TestBtreeCrashSweep(t *testing.T) {
 					if string(key) != string(want) {
 						t.Errorf("key %d mismatch", gotKeys)
 					}
-					if string(val) != fmt.Sprintf("v%d", gotKeys) {
+					if string(val) != string(crashVal(gotKeys, fixedVal)) {
 						t.Errorf("value %d mismatch: %q", gotKeys, val)
 					}
 					gotKeys++
@@ -126,6 +146,11 @@ func TestBtreeCrashSweep(t *testing.T) {
 			}
 			if gotKeys%crashBatchKeys != 0 || gotKeys > crashBatches*crashBatchKeys {
 				t.Errorf("recovered %d keys: not a committed batch boundary", gotKeys)
+			}
+			if fixedVal > 0 && gotKeys > 0 {
+				if s, err := tr.Shape(); err != nil || s.LeafFormat != fmt.Sprintf("fixed 8+%d", fixedVal) || (gotKeys > 40) != (len(s.Pages) > 1) {
+					t.Errorf("recovered tree: %d levels of %q leaves (%v)", len(s.Pages), s.LeafFormat, err)
+				}
 			}
 		})
 	}

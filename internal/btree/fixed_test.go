@@ -1,0 +1,159 @@
+package btree
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/pager"
+)
+
+// Tests of the fixed-width leaf codec beyond the shared model and allocation
+// suites in leafops_test.go: what a FixedTree accepts, how full BulkLoad packs
+// its leaves, and what Check says about a damaged one.
+
+// fixedEntries are n 12+12-byte entries in key order, the postings' shape.
+func fixedEntries(n int) [][2][]byte {
+	out := make([][2][]byte, n)
+	for i := range out {
+		k := make([]byte, 12)
+		binary.BigEndian.PutUint64(k[4:], uint64(i))
+		v := make([]byte, 12)
+		binary.BigEndian.PutUint64(v, uint64(i)*3)
+		out[i] = [2][]byte{k, v}
+	}
+	return out
+}
+
+func TestFixedTreeRejectsOtherWidths(t *testing.T) {
+	f := memForest(t)
+	for _, w := range [][2]int{{0, 12}, {256, 12}, {12, -1}, {12, 256}} {
+		if _, err := f.FixedTree("bad", w[0], w[1]); err == nil {
+			t.Errorf("FixedTree(%d, %d) accepted", w[0], w[1])
+		}
+	}
+	tr, err := f.FixedTree("t", 12, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := fixedEntries(1)[0]
+	for i, bad := range [][2][]byte{{e[0][:11], e[1]}, {e[0], e[1][:11]}, {append(e[0], 0), e[1]}} {
+		if err := tr.Insert(bad[0], bad[1]); err == nil {
+			t.Errorf("Insert of %d+%d bytes into a 12+12 tree accepted", len(bad[0]), len(bad[1]))
+		}
+		if bl, _ := f.FixedTree(fmt.Sprint("bulk", i), 12, 12); bl.BulkLoad(sliceFeeder([][2][]byte{e, bad})) == nil {
+			t.Errorf("BulkLoad of %d+%d bytes into a 12+12 tree accepted", len(bad[0]), len(bad[1]))
+		}
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("rejected inserts left %d entries", tr.Len())
+	}
+	// An existing tree keeps its format whichever constructor names it.
+	if again, err := f.FixedTree("t", 8, 4); err != nil || again != tr {
+		t.Fatalf("FixedTree on an existing tree = %v, %v", again, err)
+	}
+	slotted, _ := f.Tree("s")
+	if again, err := f.FixedTree("s", 12, 12); err != nil || again != slotted {
+		t.Fatalf("FixedTree on an existing slotted tree = %v, %v", again, err)
+	}
+}
+
+// BulkLoad packs ⌊(8,176 − 9) / 24⌋ = 340 postings to a leaf, where a
+// slotted leaf holds 272, and later inserts split those leaves in the same
+// format.
+func TestFixedBulkLoadPacksLeaves(t *testing.T) {
+	const n = 3400
+	entries := fixedEntries(n)
+	f := newTestForest(t)
+	fixed, _ := f.FixedTree("fixed", 12, 12)
+	slotted, _ := f.Tree("slotted")
+	for _, tr := range []*Tree{fixed, slotted} {
+		if err := tr.BulkLoad(sliceFeeder(entries)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tr, want := range map[*Tree]Shape{
+		fixed:   {Entries: n, Pages: []int{1, n / 340}, LeafFormat: "fixed 12+12"},
+		slotted: {Entries: n, Pages: []int{1, (n + 271) / 272}, LeafFormat: "slotted"},
+	} {
+		s, err := tr.Shape()
+		if err != nil || s.Entries != want.Entries || len(s.Pages) != 2 || s.Pages[1] != want.Pages[1] || s.LeafFormat != want.LeafFormat {
+			t.Errorf("%s: shape %+v (%v), want %+v", tr.Name(), s, err, want)
+		}
+	}
+	// Fill the gaps between the loaded keys: every full leaf splits.
+	for i := 0; i < n; i += 7 {
+		k := append([]byte(nil), entries[i][0]...)
+		k[11] |= 0x80
+		if err := fixed.Insert(k, entries[i][1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if errs := f.Check(); len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	if s, _ := fixed.Shape(); s.LeafFormat != "fixed 12+12" || s.Pages[1] <= n/340 {
+		t.Errorf("after inserts: %d leaves of %q", s.Pages[1], s.LeafFormat)
+	}
+}
+
+// Check must report a damaged fixed-width leaf, never read past it: a cell
+// count whose cells overflow the page, a zero key width, and widths (or a
+// codec) that differ from the rest of the tree's leaves.
+func TestCheckReportsDamagedFixedLeaf(t *testing.T) {
+	damage := map[string]struct {
+		edit func(data []byte)
+		want string
+	}{
+		"cells overflow": {func(data []byte) { binary.LittleEndian.PutUint16(data[1:3], 400) }, "overflow the page"},
+		"zero width":     {func(data []byte) { data[7] = 0 }, "zero key width"},
+		"other widths": {func(data []byte) {
+			// A well-formed leaf holding the same keys in 12+4 cells.
+			n := &nodePage{kind: fixedLeafNode, extra: pageExtra(data), widths: [2]byte{12, 4}}
+			for i := 0; i < pageNumKeys(data); i++ {
+				k, v := leafCellAt(data, i)
+				n.leaf = append(n.leaf, leafCell{bytes.Clone(k), bytes.Clone(v[:4])})
+			}
+			n.encode(data)
+		}, "its siblings' fixed 12+12"},
+		"slotted sibling": {func(data []byte) {
+			n, _ := decodePage(data)
+			n.kind, n.leaf = leafNode, n.leaf[:200] // 340 slotted cells overflow a page
+			n.encode(data)
+		}, "leaf cells are slotted"},
+	}
+	for name, d := range damage {
+		t.Run(name, func(t *testing.T) {
+			bp := pager.NewBufferPool(pager.NewMemFile(), 64)
+			f, err := Open(bp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, _ := f.FixedTree("post", 12, 12)
+			if err := tr.BulkLoad(sliceFeeder(fixedEntries(1000))); err != nil {
+				t.Fatal(err)
+			}
+			if errs := f.Check(); len(errs) > 0 {
+				t.Fatal(errs[0])
+			}
+			root, err := bp.Get(tr.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf := pageChildAt(root.Data, 1) // the second leaf: the first sets the format
+			root.Unpin(false)
+			p, err := bp.Get(leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.edit(p.Data)
+			p.Unpin(true)
+			errs := f.Check()
+			if len(errs) == 0 || !strings.Contains(errs[0].Error(), d.want) {
+				t.Fatalf("Check = %v, want an error naming %q", errs, d.want)
+			}
+		})
+	}
+}

@@ -54,19 +54,38 @@ func Open(bp *pager.BufferPool) (*Forest, error) {
 // BufferPool returns the pool the forest performs all I/O through.
 func (f *Forest) BufferPool() *pager.BufferPool { return f.bp }
 
-// Tree returns the named tree, creating an empty one if it does not exist.
+// Tree returns the named tree, creating an empty one with slotted leaves if
+// it does not exist.
 func (f *Forest) Tree(name string) (*Tree, error) {
+	return f.tree(name, &nodePage{kind: leafNode})
+}
+
+// FixedTree returns the named tree, creating an empty one with fixed-width
+// leaves if it does not exist: every entry must then have a key of exactly
+// keyLen and a value of exactly valLen bytes, and a leaf packs them with no
+// per-cell bookkeeping. An existing tree is returned in whatever leaf format
+// it was created with.
+func (f *Forest) FixedTree(name string, keyLen, valLen int) (*Tree, error) {
+	if keyLen < 1 || keyLen > 255 || valLen < 0 || valLen > 255 {
+		return nil, fmt.Errorf("btree: fixed cells of %d+%d bytes (key 1..255, value 0..255)", keyLen, valLen)
+	}
+	return f.tree(name, &nodePage{kind: fixedLeafNode, widths: [2]byte{byte(keyLen), byte(valLen)}})
+}
+
+// tree returns the named tree, creating it with root, an empty leaf of the
+// tree's codec, if it does not exist.
+func (f *Forest) tree(name string, root *nodePage) (*Tree, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if t, ok := f.trees[name]; ok {
 		return t, nil
 	}
 	t := &Tree{forest: f, name: name}
-	root, err := t.allocNode(&nodePage{kind: leafNode})
+	id, err := t.allocNode(root)
 	if err != nil {
 		return nil, err
 	}
-	t.root = root
+	t.root = id
 	f.trees[name] = t
 	f.dirty = true
 	return t, nil

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,18 +10,22 @@ import (
 	"repro/internal/pager"
 )
 
-// The in-place leaf edits (leafInsertAt, leafDeleteAt) against a sorted-slice
-// model: duplicate keys, value lengths from 0 to a quarter page (so leaves
-// split after a handful of inserts and cells sit in the heap in every
-// physical order), deletes by key and by (key, value), and reopens of the
-// forest over a fresh pool. After every operation the forest must pass Check
-// and a full Scan must replay the model exactly.
+// The in-place leaf edits (leafInsertAt, leafDeleteAt) of both leaf codecs
+// against a sorted-slice model: duplicate keys, deletes by key and by (key,
+// value), and reopens of the forest over a fresh pool. Slotted leaves take
+// value lengths from 0 to a quarter page (so leaves split after a handful of
+// inserts and cells sit in the heap in every physical order); fixed-width
+// leaves take 3+120-byte cells, 66 to a page. After every operation the
+// forest must pass Check and a full Scan must replay the model exactly.
 
 type modelEntry struct{ key, val []byte }
 
+// fixedOpsVal is the value width of runLeafOps' fixed-width tree.
+const fixedOpsVal = 120
+
 // runLeafOps interprets ops three bytes at a time: opcode, key selector,
-// value selector.
-func runLeafOps(t *testing.T, ops []byte) {
+// value selector. fixed runs them on a FixedTree.
+func runLeafOps(t *testing.T, ops []byte, fixed bool) {
 	t.Helper()
 	file := pager.NewMemFile()
 	open := func() (*Forest, *Tree) {
@@ -28,7 +33,12 @@ func runLeafOps(t *testing.T, ops []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := f.Tree("t")
+		var tr *Tree
+		if fixed {
+			tr, err = f.FixedTree("t", 3, fixedOpsVal)
+		} else {
+			tr, err = f.Tree("t")
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,8 +50,14 @@ func runLeafOps(t *testing.T, ops []byte) {
 		key := []byte{'k', ops[i+1] % 16}
 		if ops[i+1]&16 != 0 {
 			key = append(key, ops[i+1]%5) // mixed key lengths, shared prefixes
+		} else if fixed {
+			key = append(key, 0xff) // shared prefixes, one length
 		}
-		val := bytes.Repeat([]byte{ops[i+2]}, int(ops[i+2])%8*int(ops[i+2])%(MaxEntrySize-8))
+		n := int(ops[i+2]) % 8 * int(ops[i+2]) % (MaxEntrySize - 8)
+		if fixed {
+			n = fixedOpsVal
+		}
+		val := bytes.Repeat([]byte{ops[i+2]}, n)
 		switch ops[i] % 8 {
 		case 0, 1, 2, 3, 4: // insert after every equal key
 			if err := tr.Insert(key, val); err != nil {
@@ -97,13 +113,21 @@ func runLeafOps(t *testing.T, ops []byte) {
 			t.Fatalf("op %d: scan saw %d of %d entries (err %v)", i/3, j, len(model), err)
 		}
 	}
+	want := "slotted"
+	if fixed {
+		want = fmt.Sprintf("fixed 3+%d", fixedOpsVal)
+	}
+	if s, err := tr.Shape(); err != nil || s.LeafFormat != want {
+		t.Fatalf("leaves are %q (%v), want %q", s.LeafFormat, err, want)
+	}
 }
 
 func TestLeafOpsAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		ops := make([]byte, 3*1500)
 		rand.New(rand.NewSource(seed)).Read(ops)
-		runLeafOps(t, ops)
+		runLeafOps(t, ops, false)
+		runLeafOps(t, ops, true)
 	}
 }
 
@@ -114,67 +138,137 @@ func FuzzLeafOps(f *testing.F) {
 		if len(ops) > 3*400 {
 			ops = ops[:3*400]
 		}
-		runLeafOps(t, ops)
+		runLeafOps(t, ops, false)
+		runLeafOps(t, ops, true)
 	})
 }
 
+// leafFormats are the two leaf codecs, as the tests below create them: an
+// empty named tree of 8-byte keys and 12-byte values, and each leaf's cell
+// size.
+var leafFormats = []struct {
+	name    string
+	newTree func(f *Forest, name string) (*Tree, error)
+	cell    int
+}{
+	{"slotted", func(f *Forest, name string) (*Tree, error) { return f.Tree(name) }, slotSize + leafCellHdr + 8 + 12},
+	{"fixed", func(f *Forest, name string) (*Tree, error) { return f.FixedTree(name, 8, 12) }, 8 + 12},
+}
+
 // A leaf edit that does not split must not touch the heap: the page is
-// searched, shifted and written through the pin alone.
+// searched, shifted and written through the pin alone, on either codec.
 func TestLeafEditAllocs(t *testing.T) {
-	tr, _ := memForest(t).Tree("t")
-	val := make([]byte, 12)
-	for i := 0; i < 50; i++ {
-		if err := tr.Insert(KeyUint64(uint64(i)*2), val); err != nil {
+	for _, lf := range leafFormats {
+		t.Run(lf.name, func(t *testing.T) {
+			tr, err := lf.newTree(memForest(t), "t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			val := make([]byte, 12)
+			for i := 0; i < 50; i++ {
+				if err := tr.Insert(KeyUint64(uint64(i)*2), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			key := KeyUint64(51)
+			n := testing.AllocsPerRun(100, func() {
+				if err := tr.Insert(key, val); err != nil {
+					t.Fatal(err)
+				}
+				if ok, err := tr.Delete(key, val); err != nil || !ok {
+					t.Fatalf("Delete = %v, %v", ok, err)
+				}
+			})
+			if n != 0 {
+				t.Errorf("non-splitting Insert+Delete allocates %v objects, want 0", n)
+			}
+			if s, _ := tr.Shape(); len(s.Pages) != 1 {
+				t.Fatalf("fixture split: height %d", len(s.Pages))
+			}
+		})
+	}
+}
+
+// A split decodes the leaf once and writes two pages; the fixed-width codec
+// must not make that cost more objects than the slotted one. Each run splits
+// a different full single-leaf tree in the middle.
+func TestLeafSplitAllocs(t *testing.T) {
+	const runs = 20
+	allocs := map[string]float64{}
+	for _, lf := range leafFormats {
+		f, err := Open(pager.NewBufferPool(pager.NewMemFile(), 8*runs))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	key := KeyUint64(51)
-	n := testing.AllocsPerRun(100, func() {
-		if err := tr.Insert(key, val); err != nil {
-			t.Fatal(err)
+		val := make([]byte, 12)
+		full := (pager.PageDataSize - headerSize) / lf.cell
+		trees := make([]*Tree, runs+1) // AllocsPerRun warms up with one extra call
+		for r := range trees {
+			tr, err := lf.newTree(f, fmt.Sprint(r))
+			trees[r] = tr
+			for i := 0; err == nil && i < full; i++ {
+				err = tr.Insert(KeyUint64(uint64(i)*2), val)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		if ok, err := tr.Delete(key, val); err != nil || !ok {
-			t.Fatalf("Delete = %v, %v", ok, err)
+		key, next := KeyUint64(uint64(full)|1), 0
+		allocs[lf.name] = testing.AllocsPerRun(runs, func() {
+			if err := trees[next].Insert(key, val); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		for _, tr := range trees {
+			if s, _ := tr.Shape(); len(s.Pages) != 2 {
+				t.Fatalf("%s: tree %s did not split: height %d", lf.name, tr.name, len(s.Pages))
+			}
 		}
-	})
-	if n != 0 {
-		t.Errorf("non-splitting Insert+Delete allocates %v objects, want 0", n)
 	}
-	if s, _ := tr.Shape(); len(s.Pages) != 1 {
-		t.Fatalf("fixture split: height %d", len(s.Pages))
+	t.Logf("objects per split: slotted %v, fixed %v", allocs["slotted"], allocs["fixed"])
+	if allocs["fixed"] > allocs["slotted"] {
+		t.Errorf("a fixed-width leaf split allocates %v objects, a slotted one %v", allocs["fixed"], allocs["slotted"])
 	}
 }
 
 // BenchmarkLeafInsertFullPage inserts into (and deletes from) the middle of a
-// leaf one entry short of full: the slot shift and heap compaction at their
-// most expensive, where the decode-and-rewrite path cost ~2 allocations per
-// resident cell.
+// leaf one entry short of full, on each codec: the slot shift and heap
+// compaction, or the fixed-width tail memmove, at their most expensive, where
+// the decode-and-rewrite path cost ~2 allocations per resident cell.
 func BenchmarkLeafInsertFullPage(b *testing.B) {
-	tr, _ := memForest(b).Tree("t")
-	val := make([]byte, 12)
-	per := (pager.PageDataSize - headerSize) / (slotSize + leafCellHdr + 8 + len(val))
-	for i := 0; i < per-1; i++ {
-		if err := tr.Insert(KeyUint64(uint64(i)*2), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	key := KeyUint64(uint64(per) | 1)
-	edit := func() {
-		if err := tr.Insert(key, val); err != nil {
-			b.Fatal(err)
-		}
-		if ok, _ := tr.Delete(key, val); !ok {
-			b.Fatal("inserted entry not found")
-		}
-	}
-	edit() // warm-up, so first-use costs stay out of a -benchtime 1x smoke run
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		edit()
-	}
-	b.StopTimer()
-	if s, _ := tr.Shape(); len(s.Pages) != 1 {
-		b.Fatalf("leaf split during the benchmark: height %d", len(s.Pages))
+	for _, lf := range leafFormats {
+		b.Run(lf.name, func(b *testing.B) {
+			tr, err := lf.newTree(memForest(b), "t")
+			if err != nil {
+				b.Fatal(err)
+			}
+			val := make([]byte, 12)
+			per := (pager.PageDataSize - headerSize) / lf.cell
+			for i := 0; i < per-1; i++ {
+				if err := tr.Insert(KeyUint64(uint64(i)*2), val); err != nil {
+					b.Fatal(err)
+				}
+			}
+			key := KeyUint64(uint64(per) | 1)
+			edit := func() {
+				if err := tr.Insert(key, val); err != nil {
+					b.Fatal(err)
+				}
+				if ok, _ := tr.Delete(key, val); !ok {
+					b.Fatal("inserted entry not found")
+				}
+			}
+			edit() // warm-up, so first-use costs stay out of a -benchtime 1x smoke run
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				edit()
+			}
+			b.StopTimer()
+			if s, _ := tr.Shape(); len(s.Pages) != 1 {
+				b.Fatalf("leaf split during the benchmark: height %d", len(s.Pages))
+			}
+		})
 	}
 }

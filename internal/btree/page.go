@@ -3,13 +3,14 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/pager"
 )
 
-// On-page format (v3, a slotted page: the slot directory grows up from the
-// header, the cell heap grows down from the end of the page, and the bytes
-// between them are free and zero):
+// On-page format (v3). Internal nodes and slotted leaves are slotted pages:
+// the slot directory grows up from the header, the cell heap grows down from
+// the end of the page, and the bytes between them are free and zero.
 //
 //	header:  kind(1) numKeys(2) extra(4) cellStart(2)
 //	slots:   numKeys × uint16 cell offsets (from page start), in key order
@@ -17,16 +18,28 @@ import (
 //	cells:   leaf:  keyLen(2) valLen(2) key val
 //	         inner: keyLen(2) child(4) key
 //
+// A fixed-width leaf (kind fixedLeafNode) is the second leaf codec, for trees
+// whose keys and values never vary in length: the two cellStart bytes hold
+// keyLen and valLen, and numKeys cells of exactly keyLen+valLen bytes follow
+// the header in key order, with no slot directory and no per-cell lengths.
+// The kind byte says which codec a page uses, so a tree's pages describe
+// themselves and the forest directory does not record it.
+//
 // extra is the next-leaf page id on leaves and the leftmost child on
 // internal nodes; cellStart is the offset of the lowest cell. The read path
 // uses the accessors below directly on pinned page bytes, copying nothing,
-// and so do leaf Insert and Delete: a new cell is appended below cellStart
-// and its slot shifted in, a deleted cell's gap is closed by moving the
-// cells below it up — memmove only, whatever the physical cell order. Only
-// a split (and the separator insert above it) materialises a nodePage.
+// and so do leaf Insert and Delete. On a slotted leaf a new cell is appended
+// below cellStart and its slot shifted in, and a deleted cell's gap is closed
+// by moving the cells below it up — memmove only, whatever the physical cell
+// order. On a fixed leaf cell i sits at headerSize+i×width, so an edit is one
+// memmove of the cells after it. Only a split (and the separator insert above
+// it) materialises a nodePage.
 
 // pageKind returns the node kind byte.
 func pageKind(data []byte) byte { return data[0] }
+
+// isLeaf reports whether kind is one of the two leaf codecs.
+func isLeaf(kind byte) bool { return kind == leafNode || kind == fixedLeafNode }
 
 // pageNumKeys returns the number of cells.
 func pageNumKeys(data []byte) int { return int(binary.LittleEndian.Uint16(data[1:3])) }
@@ -38,9 +51,47 @@ func pageExtra(data []byte) uint32 { return binary.LittleEndian.Uint32(data[3:7]
 // empty node).
 func pageCellStart(data []byte) int { return int(binary.LittleEndian.Uint16(data[7:9])) }
 
-// pageFree returns the bytes left between the slot directory and the cells.
+// fixedWidths returns a fixed-width leaf's key and value widths.
+func fixedWidths(data []byte) (kw, vw int) { return int(data[7]), int(data[8]) }
+
+// pageFree returns the bytes left for new cells: between the slot directory
+// and the cells, or after the last cell of a fixed-width leaf.
 func pageFree(data []byte) int {
+	if pageKind(data) == fixedLeafNode {
+		kw, vw := fixedWidths(data)
+		return len(data) - headerSize - pageNumKeys(data)*(kw+vw)
+	}
 	return pageCellStart(data) - headerSize - slotSize*pageNumKeys(data)
+}
+
+// leafCellSize returns the page bytes one (key, val) cell of the given
+// lengths takes on a leaf of this kind.
+func leafCellSize(kind byte, klen, vlen int) int {
+	if kind == fixedLeafNode {
+		return klen + vlen
+	}
+	return slotSize + leafCellHdr + klen + vlen
+}
+
+// leafFits checks that (key, val) has the leaf's cell shape — any lengths on a
+// slotted leaf, exactly its widths on a fixed one.
+func leafFits(data, key, val []byte) error {
+	if pageKind(data) != fixedLeafNode {
+		return nil
+	}
+	if kw, vw := fixedWidths(data); len(key) != kw || len(val) != vw {
+		return fmt.Errorf("btree: entry of %d+%d bytes in a leaf of fixed %d+%d cells", len(key), len(val), kw, vw)
+	}
+	return nil
+}
+
+// leafFormat names a leaf's cell format, as Shape and Check report it.
+func leafFormat(data []byte) string {
+	if pageKind(data) == fixedLeafNode {
+		kw, vw := fixedWidths(data)
+		return fmt.Sprintf("fixed %d+%d", kw, vw)
+	}
+	return "slotted"
 }
 
 func slotOffset(data []byte, i int) int {
@@ -49,6 +100,11 @@ func slotOffset(data []byte, i int) int {
 
 // leafCellAt returns the i-th leaf cell's key and value, aliasing the page.
 func leafCellAt(data []byte, i int) (key, val []byte) {
+	if pageKind(data) == fixedLeafNode {
+		kw, vw := fixedWidths(data)
+		off := headerSize + i*(kw+vw)
+		return data[off : off+kw], data[off+kw : off+kw+vw]
+	}
 	off := slotOffset(data, i)
 	kl := int(binary.LittleEndian.Uint16(data[off : off+2]))
 	vl := int(binary.LittleEndian.Uint16(data[off+2 : off+4]))
@@ -57,9 +113,19 @@ func leafCellAt(data []byte, i int) (key, val []byte) {
 }
 
 // leafInsertAt writes (key, val) in place as the pos-th cell of a leaf that
-// has leafCellHdr+slotSize+len(key)+len(val) bytes free.
+// has leafCellSize bytes free for it (and, on a fixed-width leaf, a key and
+// value of exactly its widths).
 func leafInsertAt(data []byte, pos int, key, val []byte) {
 	num := pageNumKeys(data)
+	binary.LittleEndian.PutUint16(data[1:3], uint16(num+1))
+	if pageKind(data) == fixedLeafNode {
+		kw, vw := fixedWidths(data)
+		off, end := headerSize+pos*(kw+vw), headerSize+num*(kw+vw)
+		copy(data[off+kw+vw:], data[off:end])
+		copy(data[off:off+kw], key)
+		copy(data[off+kw:off+kw+vw], val)
+		return
+	}
 	off := pageCellStart(data) - leafCellHdr - len(key) - len(val)
 	binary.LittleEndian.PutUint16(data[off:], uint16(len(key)))
 	binary.LittleEndian.PutUint16(data[off+2:], uint16(len(val)))
@@ -68,14 +134,22 @@ func leafInsertAt(data []byte, pos int, key, val []byte) {
 	slots := data[headerSize : headerSize+slotSize*(num+1)]
 	copy(slots[slotSize*(pos+1):], slots[slotSize*pos:])
 	binary.LittleEndian.PutUint16(slots[slotSize*pos:], uint16(off))
-	binary.LittleEndian.PutUint16(data[1:3], uint16(num+1))
 	binary.LittleEndian.PutUint16(data[7:9], uint16(off))
 }
 
 // leafDeleteAt removes the pos-th cell of a leaf in place, closing its gap
-// in the cell heap and zeroing what it frees.
+// and zeroing what it frees.
 func leafDeleteAt(data []byte, pos int) {
 	num := pageNumKeys(data)
+	binary.LittleEndian.PutUint16(data[1:3], uint16(num-1))
+	if pageKind(data) == fixedLeafNode {
+		kw, vw := fixedWidths(data)
+		w := kw + vw
+		off, end := headerSize+pos*w, headerSize+num*w
+		copy(data[off:], data[off+w:end])
+		clear(data[end-w : end])
+		return
+	}
 	off := slotOffset(data, pos)
 	k, v := leafCellAt(data, pos)
 	size := leafCellHdr + len(k) + len(v)
@@ -90,7 +164,6 @@ func leafDeleteAt(data []byte, pos int) {
 			binary.LittleEndian.PutUint16(slots[slotSize*i:], uint16(o+size))
 		}
 	}
-	binary.LittleEndian.PutUint16(data[1:3], uint16(num-1))
 	binary.LittleEndian.PutUint16(data[7:9], uint16(start+size))
 }
 

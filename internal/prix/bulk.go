@@ -179,7 +179,7 @@ func (bs *bulkSorter) load() error {
 	}
 	// BulkLoad copies every key and value into its leaf, so one value buffer
 	// serves the whole merge.
-	var val [12]byte
+	var val [postingValLen]byte
 	err := mergeLoad(bs.ix.postings, bs.spill, bs.postChunks, postRecSize, func(rec []byte) ([]byte, []byte) {
 		putPosting(&val, binary.BigEndian.Uint64(rec[12:20]), binary.BigEndian.Uint32(rec[20:24]))
 		return rec[:12], val[:]

@@ -218,9 +218,10 @@ const (
 )
 
 // openTrees binds the postings and Docid trees, creating them in a fresh (or
-// just reset) forest.
+// just reset) forest. Every posting is a 12-byte key and a 12-byte value, so
+// the postings tree is created with fixed-width leaves.
 func (ix *Index) openTrees() (err error) {
-	if ix.postings, err = ix.forest.Tree(postingsTreeName); err != nil {
+	if ix.postings, err = ix.forest.FixedTree(postingsTreeName, postingKeyLen, postingValLen); err != nil {
 		return err
 	}
 	ix.docid, err = ix.forest.Tree(docidTreeName)
@@ -447,9 +448,15 @@ func (ix *Index) PagesRead() uint64 {
 		ix.store.BufferPool().Stats().PhysicalReads
 }
 
+// A posting's key and value widths in the postings tree.
+const (
+	postingKeyLen = 12
+	postingValLen = 12
+)
+
 // postingKey is the postings tree's key: big-endian symbol ‖ LeftPos, so byte
 // order is (symbol, LeftPos) order and one symbol's list is one key range.
-func postingKey(sym vtrie.Symbol, left uint64) (k [12]byte) {
+func postingKey(sym vtrie.Symbol, left uint64) (k [postingKeyLen]byte) {
 	binary.BigEndian.PutUint32(k[:4], uint32(sym))
 	binary.BigEndian.PutUint64(k[4:], left)
 	return k
@@ -482,13 +489,13 @@ func (ix *Index) markPosted(sym vtrie.Symbol) {
 }
 
 func encodePosting(right uint64, level uint32) []byte {
-	var b [12]byte
+	var b [postingValLen]byte
 	putPosting(&b, right, level)
 	return b[:]
 }
 
 // putPosting is encodePosting into a buffer the caller reuses.
-func putPosting(b *[12]byte, right uint64, level uint32) {
+func putPosting(b *[postingValLen]byte, right uint64, level uint32) {
 	binary.BigEndian.PutUint64(b[:8], right)
 	binary.LittleEndian.PutUint32(b[8:], level)
 }

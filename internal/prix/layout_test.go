@@ -3,6 +3,7 @@ package prix
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -151,11 +152,17 @@ func TestFinalizeEqualsFinalizeBulk(t *testing.T) {
 }
 
 // With one tree per symbol every EPIndex value symbol cost a page: seq.idx
-// was ~80x the XML on these corpora. One dense tree with packed leaves must
-// stay under 6x.
+// was ~80x the XML on these corpora. One dense tree with packed leaves
+// brought it to DBLP 3.21x, SWISSPROT 4.48x and TREEBANK 3.90x with slotted
+// postings leaves (30 B a posting); fixed-width 24-byte cells bring it to
+// 2.68x, 3.68x and 3.23x. Each bound is the fixed-width ratio plus 10 %, so
+// the slotted layout fails all three.
 func TestIndexSizeBound(t *testing.T) {
-	for _, ds := range []*datagen.Dataset{datagen.DBLP(1, 1), datagen.SwissProt(1, 1), datagen.Treebank(1, 1)} {
-		dir := t.TempDir()
+	for _, c := range []struct {
+		ds    *datagen.Dataset
+		bound float64
+	}{{datagen.DBLP(1, 1), 2.95}, {datagen.SwissProt(1, 1), 4.05}, {datagen.Treebank(1, 1), 3.55}} {
+		ds, dir := c.ds, t.TempDir()
 		ix, err := Build(ds.Docs, Options{Extended: true, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
@@ -168,8 +175,8 @@ func TestIndexSizeBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		xml := ds.Summarize().XMLBytes
-		if ratio := float64(info.Size()) / float64(xml); ratio > 6 {
-			t.Errorf("%s: %s is %d bytes for %d bytes of XML (%.1fx, want <= 6x)", ds.Name, ForestFileName, info.Size(), xml, ratio)
+		if ratio := float64(info.Size()) / float64(xml); ratio > c.bound {
+			t.Errorf("%s: %s is %d bytes for %d bytes of XML (%.2fx, want <= %.2fx)", ds.Name, ForestFileName, info.Size(), xml, ratio, c.bound)
 		}
 	}
 }
@@ -219,6 +226,162 @@ func TestOldLayoutRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// slotPostings rewrites the closed index in dir with every tree slotted, the
+// postings tree as builds wrote it before fixed-width leaves: each tree's
+// entries are copied out and bulk-loaded into a reset forest.
+func slotPostings(t *testing.T, dir string) {
+	t.Helper()
+	ix, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := ix.forest.Names()
+	entries := make([][][2][]byte, len(names))
+	for i, name := range names {
+		err := ix.forest.Lookup(name).Scan(nil, nil, true, true, func(k, v []byte) bool {
+			entries[i] = append(entries[i], [2][]byte{bytes.Clone(k), bytes.Clone(v)})
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix.forest.Reset()
+	for i, name := range names {
+		tr, err := ix.forest.Tree(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest := entries[i]
+		err = tr.BulkLoad(func() ([]byte, []byte, error) {
+			if len(rest) == 0 {
+				return nil, nil, io.EOF
+			}
+			e := rest[0]
+			rest = rest[1:]
+			return e[0], e[1], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.forest.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diffAnswers runs every differential shape on ix, ordered: Match for the
+// exact shapes, MatchExhaustive for the others.
+func diffAnswers(t *testing.T, ix *Index) [][]Match {
+	t.Helper()
+	var out [][]Match
+	for _, sh := range diffShapes {
+		match := ix.Match
+		if !sh.exact {
+			match = ix.MatchExhaustive
+		}
+		ms, _, err := match(twig.MustParse(sh.src), MatchOptions{WarmCache: true})
+		if err != nil {
+			t.Fatalf("%s: %v", sh.src, err)
+		}
+		out = append(out, ms)
+	}
+	return out
+}
+
+// A directory written before fixed-width postings leaves has a slotted `post`
+// tree. Pages name their own codec, so it needs no layout change to serve:
+// twin dynamic indexes, one of them rewritten that way, must answer every
+// differential shape identically through Open, OpenDynamic, dynamic inserts
+// that split slotted leaves, and a RepairForest (which rebuilds the postings
+// fixed-width).
+func TestSlottedPostingsTreeStillServes(t *testing.T) {
+	docs := parallelCorpus()
+	dirs := [2]string{t.TempDir(), t.TempDir()} // fixed, then slotted
+	for _, dir := range dirs {
+		di, err := NewDynamicIndex(docs[:25], Options{Extended: true, Dir: dir}, DynamicOptions{Alpha: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := di.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := di.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slotPostings(t, dirs[1])
+	leaves := func(ix *Index) (string, int) {
+		s, err := ix.postings.Shape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.LeafFormat, s.Pages[len(s.Pages)-1]
+	}
+	same := func(stage string, fixed, slotted *Index, wantFormat string) {
+		t.Helper()
+		if f, _ := leaves(fixed); f != "fixed 12+12" {
+			t.Fatalf("%s: fresh index has %q postings leaves", stage, f)
+		}
+		if f, _ := leaves(slotted); f != wantFormat {
+			t.Fatalf("%s: rewritten index has %q postings leaves, want %q", stage, f, wantFormat)
+		}
+		if errs := slotted.forest.Check(); len(errs) > 0 {
+			t.Fatalf("%s: %v", stage, errs[0])
+		}
+		if !reflect.DeepEqual(diffAnswers(t, fixed), diffAnswers(t, slotted)) {
+			t.Fatalf("%s: answers differ between the fixed and the slotted postings tree", stage)
+		}
+	}
+
+	var ixs [2]*Index
+	for i, dir := range dirs {
+		ix, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs[i] = ix
+	}
+	same("Open", ixs[0], ixs[1], "slotted")
+	for _, ix := range ixs {
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var dis [2]*DynamicIndex
+	for i, dir := range dirs {
+		di, err := OpenDynamic(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer di.Close()
+		dis[i] = di
+	}
+	same("OpenDynamic", dis[0].Index(), dis[1].Index(), "slotted")
+	_, before := leaves(dis[1].Index())
+	for _, doc := range docs[25:] {
+		for _, di := range dis {
+			if err := di.Insert(doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, after := leaves(dis[1].Index()); after <= before {
+		t.Fatalf("inserts split no slotted leaf (%d leaves before, %d after)", before, after)
+	}
+	same("Insert", dis[0].Index(), dis[1].Index(), "slotted")
+	for _, di := range dis {
+		if _, err := di.RepairForest(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("RepairForest", dis[0].Index(), dis[1].Index(), "fixed 12+12")
 }
 
 // A docs.db written before the sectioned meta carries the magic PRIXDOC1 and

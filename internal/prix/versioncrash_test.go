@@ -84,12 +84,14 @@ func intsEqual(a, b []int) bool {
 
 // versionCrashBaseline builds the swept index: the corpus plus one update,
 // so the version map already exists and the pre-mutation state has an
-// addressable version of its own. 26 documents, so the postings tree spans
+// addressable version of its own. 33 documents, so the postings tree spans
 // several leaves: with one leaf, the forest half of a commit would be a single
-// page and the sweep would cross no multi-page commit at all.
+// page and the sweep would cross no multi-page commit at all. (Fixed-width
+// leaves hold 340 postings where slotted ones held 272; 33 documents give the
+// update the 82 write ordinals 26 gave it over slotted leaves.)
 func versionCrashBaseline(t *testing.T, dir string) {
 	t.Helper()
-	docs := parallelCorpus()[:26]
+	docs := parallelCorpus()[:33]
 	di, err := NewDynamicIndex(docs, Options{
 		Dir:             dir,
 		Extended:        true,
