@@ -312,14 +312,32 @@ func (t *Tree) Get(key []byte) ([][]byte, error) {
 // stop. The key and value slices alias buffer-pool memory and are only
 // valid for the duration of the callback; copy them to retain them.
 func (t *Tree) Scan(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val []byte) bool) error {
+	return t.scan(lo, hi, loIncl, hiIncl, false, fn)
+}
+
+// ScanNoFill is Scan for a caller that copies what it visits into a structure
+// of its own (the hot tier's flat lists): every page is read through
+// pager.BufferPool.GetNoFill, so pages the pool does not already hold are
+// read and counted but not left resident.
+func (t *Tree) ScanNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val []byte) bool) error {
+	return t.scan(lo, hi, loIncl, hiIncl, true, fn)
+}
+
+func (t *Tree) scan(lo, hi []byte, loIncl, hiIncl, noFill bool, fn func(key, val []byte) bool) error {
 	id := t.root
 	for {
-		p, err := t.forest.bp.Get(id)
+		var p pager.Page
+		var err error
+		if noFill {
+			p, err = t.forest.bp.GetNoFill(id)
+		} else {
+			p, err = t.forest.bp.Get(id)
+		}
 		if err != nil {
 			return err
 		}
 		if isLeaf(pageKind(p.Data)) {
-			return t.scanLeaves(p, lo, hi, loIncl, hiIncl, fn)
+			return t.scanLeaves(p, lo, hi, loIncl, hiIncl, noFill, fn)
 		}
 		switch {
 		case lo == nil:
@@ -434,7 +452,7 @@ func (t *Tree) Prefetch(lo, hi []byte, loIncl bool, par int) int {
 
 // scanLeaves iterates leaf pages starting at the pinned page p (ownership
 // of the pin transfers to scanLeaves).
-func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl bool, fn func(k, v []byte) bool) error {
+func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bool, fn func(k, v []byte) bool) error {
 	for {
 		data := p.Data
 		start := 0
@@ -468,7 +486,11 @@ func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl bool, fn f
 			return nil
 		}
 		var err error
-		p, err = t.forest.bp.Get(pager.PageID(next))
+		if noFill {
+			p, err = t.forest.bp.GetNoFill(pager.PageID(next))
+		} else {
+			p, err = t.forest.bp.Get(pager.PageID(next))
+		}
 		if err != nil {
 			return err
 		}

@@ -152,6 +152,53 @@ func TestRangeScanBounds(t *testing.T) {
 	}
 }
 
+// ScanNoFill visits exactly what Scan visits, over every bound shape, but the
+// pages it had to read from the file are not left in the pool.
+func TestScanNoFillMatchesScan(t *testing.T) {
+	f := memForest(t)
+	tr, _ := f.Tree("nofill")
+	for i := 0; i < 3000; i++ {
+		if err := tr.Insert(KeyUint64(uint64(i%1000)), []byte(fmt.Sprintf("v%05d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp := f.BufferPool()
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	collect := func(scan func(lo, hi []byte, loIncl, hiIncl bool, fn func(k, v []byte) bool) error, lo, hi []byte, loIncl, hiIncl bool) []string {
+		var out []string
+		if err := scan(lo, hi, loIncl, hiIncl, func(k, v []byte) bool {
+			out = append(out, fmt.Sprintf("%d=%s", Uint64Key(k), v))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, r := range []struct {
+		lo, hi         []byte
+		loIncl, hiIncl bool
+	}{
+		{nil, nil, true, true},
+		{KeyUint64(100), KeyUint64(900), true, true},
+		{KeyUint64(100), KeyUint64(900), false, false},
+		{nil, KeyUint64(5), true, false},
+		{KeyUint64(995), nil, false, true},
+	} {
+		if err := bp.DropAll(); err != nil {
+			t.Fatal(err)
+		}
+		got := collect(tr.ScanNoFill, r.lo, r.hi, r.loIncl, r.hiIncl)
+		if st := bp.Stats(); st.Resident != 0 || st.NoFillReads == 0 {
+			t.Errorf("ScanNoFill %+v left %d pages resident after %d no-fill reads", r, st.Resident, st.NoFillReads)
+		}
+		if want := collect(tr.Scan, r.lo, r.hi, r.loIncl, r.hiIncl); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("ScanNoFill %+v visited %d entries, Scan %d", r, len(got), len(want))
+		}
+	}
+}
+
 func TestDelete(t *testing.T) {
 	f := memForest(t)
 	tr, _ := f.Tree("del")

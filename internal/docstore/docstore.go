@@ -554,6 +554,63 @@ func (s *Store) GetInto(rec *Record, docID uint32) error {
 	return s.readRecord(rec, docID, e)
 }
 
+// ScanNoFill is GetInto over every document in docid order, for a caller that
+// copies each record into a structure of its own (the hot tier's summaries):
+// each record is decoded into rec and handed to fn, until fn returns false.
+// Pages are read through pager.BufferPool.GetNoFill, and the page last read
+// stays pinned while the next records lie in it too, so a page is read once
+// however many records it holds and none is left resident. Documents GetInto
+// would refuse — quarantined, unreadable or undecodable — are skipped; the
+// caller's own reads of them go through GetInto and report why.
+func (s *Store) ScanNoFill(rec *Record, fn func(rec *Record) bool) {
+	var held pager.Page // Data is nil while nothing is pinned
+	defer func() {
+		if held.Data != nil {
+			held.Unpin(false)
+		}
+	}()
+	hold := func(id pager.PageID) bool {
+		if held.Data != nil {
+			if held.ID == id {
+				return true
+			}
+			held.Unpin(false)
+		}
+		var err error
+		held, err = s.bp.GetNoFill(id)
+		return err == nil
+	}
+	var spill []byte
+	for id, n := uint32(0), uint32(s.NumDocs()); id < n; id++ {
+		s.mu.Lock()
+		e, quarantined := s.dir[id], s.quarantined[id]
+		s.mu.Unlock()
+		page, off, length := e.page, int(e.offset), int(e.length)
+		if quarantined || length == 0 || off >= pager.PageDataSize ||
+			uint64(page)*pager.PageDataSize+uint64(off+length) > uint64(s.bp.File().NumPages())*pager.PageDataSize {
+			continue
+		}
+		data, ok := spill[:0], true
+		if off+length <= pager.PageDataSize {
+			if ok = hold(page); ok {
+				data = held.Data[off : off+length]
+			}
+		} else {
+			// A record spanning pages is copied out a page at a time; its last
+			// page stays held for the records that follow it there.
+			for ; ok && len(data) < length; page, off = page+1, 0 {
+				if ok = hold(page); ok {
+					data = append(data, held.Data[off:off+min(length-len(data), pager.PageDataSize-off)]...)
+				}
+			}
+			spill = data
+		}
+		if ok && rec.decode(data, "decode", true) == nil && !fn(rec) {
+			return
+		}
+	}
+}
+
 // readRecord decodes the record stored at e into rec.
 func (s *Store) readRecord(rec *Record, docID uint32, e dirEntry) error {
 	page, off := e.page, int(e.offset)

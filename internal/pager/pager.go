@@ -234,12 +234,14 @@ func (f *OSFile) Close() error { return f.f.Close() }
 // Stats holds a snapshot of the buffer pool's I/O counters. PhysicalReads
 // is the number the paper reports as "Disk IO (pages read from disk)".
 type Stats struct {
-	LogicalReads  uint64 // Get calls
-	PhysicalReads uint64 // Get calls that missed the pool
+	LogicalReads  uint64 // Get and GetNoFill calls
+	PhysicalReads uint64 // Get and GetNoFill calls that missed the pool
+	NoFillReads   uint64 // GetNoFill misses: physical reads that left no frame behind
 	Writes        uint64 // pages written back to the file
 	Evictions     uint64 // frames evicted to make room
 	Allocations   uint64 // NewPage calls
 	Corruptions   uint64 // physical reads that failed integrity checks
+	Resident      uint64 // frames holding a page now (a gauge, not a counter)
 }
 
 // counters is the live, lock-free counterpart of Stats. The serving layer
@@ -248,31 +250,39 @@ type Stats struct {
 type counters struct {
 	logicalReads  atomic.Uint64
 	physicalReads atomic.Uint64
+	noFillReads   atomic.Uint64
 	writes        atomic.Uint64
 	evictions     atomic.Uint64
 	allocations   atomic.Uint64
 	corruptions   atomic.Uint64
+	// resident mirrors len(frames); it is written under the pool mutex and
+	// read without it.
+	resident atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
 		LogicalReads:  c.logicalReads.Load(),
 		PhysicalReads: c.physicalReads.Load(),
+		NoFillReads:   c.noFillReads.Load(),
 		Writes:        c.writes.Load(),
 		Evictions:     c.evictions.Load(),
 		Allocations:   c.allocations.Load(),
 		Corruptions:   c.corruptions.Load(),
+		Resident:      uint64(c.resident.Load()),
 	}
 }
 
 func (c *counters) reset() {
 	c.logicalReads.Store(0)
 	c.physicalReads.Store(0)
+	c.noFillReads.Store(0)
 	c.writes.Store(0)
 	c.evictions.Store(0)
 	c.allocations.Store(0)
 	// corruptions is intentionally not reset: it counts permanent damage
-	// observed over the pool's lifetime, not per-query work.
+	// observed over the pool's lifetime, not per-query work. resident is a
+	// gauge of the pool's contents, not of work done.
 }
 
 // Hits returns the number of Get calls served from the pool.
@@ -323,7 +333,16 @@ type frame struct {
 	// loadErr records a failed load for the waiters; the loader removes the
 	// frame from the pool before releasing loaded.
 	loadErr error
+	// transient marks a GetNoFill miss buffer: never in frames, read-only,
+	// and returned to the pool's transient list on Unpin.
+	transient bool
 }
+
+// transientFrames bounds the spare no-fill read buffers a pool keeps. A tree
+// scan or record read pins one page at a time, so a few cover concurrent
+// builds; a miss beyond them allocates a buffer the garbage collector takes
+// back after Unpin.
+const transientFrames = 4
 
 // BufferPool caches up to capacity pages of one File with LRU replacement.
 // All methods are safe for concurrent use.
@@ -346,6 +365,10 @@ type BufferPool struct {
 	// reuses one instead of allocating 8 KiB.
 	free  *frame
 	stats counters
+	// transient chains up to transientFrames spare buffers for GetNoFill
+	// misses, so a steady-state no-fill read allocates nothing.
+	transient  *frame
+	nTransient int
 
 	// readDelay (nanoseconds) is an injected per-physical-read latency,
 	// simulating the seek-dominated device of the paper's 2004 evaluation.
@@ -455,14 +478,7 @@ func (bp *BufferPool) Get(id PageID) (Page, error) {
 		loading := fr.loading
 		bp.mu.Unlock()
 		if loading {
-			fr.loaded.Wait()
-			// Done happens after the loader's writes, so reading loadErr
-			// (and, on success, the frame data) is ordered.
-			if fr.loadErr != nil {
-				// The loader already removed the failed frame from the
-				// pool; the pin dies with it.
-				return Page{}, fr.loadErr
-			}
+			return bp.awaitLoad(fr)
 		}
 		return bp.page(fr), nil
 	}
@@ -482,6 +498,7 @@ func (bp *BufferPool) Get(id PageID) (Page, error) {
 	if err != nil {
 		fr.loadErr = err
 		delete(bp.frames, id)
+		bp.stats.resident.Add(-1)
 	}
 	fr.loading = false
 	fr.loaded.Done()
@@ -490,6 +507,77 @@ func (bp *BufferPool) Get(id PageID) (Page, error) {
 		return Page{}, err
 	}
 	return bp.page(fr), nil
+}
+
+// GetNoFill is Get for a page read only to build something else from it (the
+// hot tier's lists and summaries): a resident frame — clean, dirty or still
+// loading — is pinned and returned exactly as Get returns it, but a miss reads
+// the page into a transient buffer that is never entered into the pool, so
+// the read displaces no resident page and leaves no frame behind. The miss
+// keeps every check Get makes: the read delay, the integrity check (a corrupt
+// page is a *CorruptPageError and counts in Corruptions) and the logical and
+// physical read counters. The returned page is read-only: Unpin(true) panics.
+//
+// A miss needs no coherence protocol with Get: a page is written only while a
+// frame holds it, and a dirty frame leaves the pool only after its write-back,
+// so a page with no frame has its latest image in the file. A miss racing a
+// writer of the same page reads the image from before or after the write, as
+// a Get racing it would; callers order builds against writers themselves.
+func (bp *BufferPool) GetNoFill(id PageID) (Page, error) {
+	bp.mu.Lock()
+	bp.stats.logicalReads.Add(1)
+	if fr, ok := bp.frames[id]; ok {
+		bp.pinLocked(fr)
+		loading := fr.loading
+		bp.mu.Unlock()
+		if loading {
+			return bp.awaitLoad(fr)
+		}
+		return bp.page(fr), nil
+	}
+	bp.stats.physicalReads.Add(1)
+	bp.stats.noFillReads.Add(1)
+	fr := bp.transient
+	if fr != nil {
+		bp.transient, fr.next = fr.next, nil
+		bp.nTransient--
+	}
+	bp.mu.Unlock()
+	if fr == nil {
+		fr = &frame{transient: true}
+	}
+	fr.id, fr.pins = id, 1
+	if err := bp.readFrame(id, fr); err != nil {
+		bp.mu.Lock()
+		bp.releaseTransientLocked(fr)
+		bp.mu.Unlock()
+		return Page{}, err
+	}
+	return bp.page(fr), nil
+}
+
+// awaitLoad waits for the load of a frame the caller found loading and pinned.
+func (bp *BufferPool) awaitLoad(fr *frame) (Page, error) {
+	fr.loaded.Wait()
+	// Done happens after the loader's writes, so reading loadErr (and, on
+	// success, the frame data) is ordered.
+	if fr.loadErr != nil {
+		// The loader already removed the failed frame from the pool; the pin
+		// dies with it.
+		return Page{}, fr.loadErr
+	}
+	return bp.page(fr), nil
+}
+
+// releaseTransientLocked parks a no-fill buffer for the next miss, or drops it
+// when the list is full.
+func (bp *BufferPool) releaseTransientLocked(fr *frame) {
+	fr.pins = 0
+	if bp.nTransient < transientFrames {
+		fr.next = bp.transient
+		bp.transient = fr
+		bp.nTransient++
+	}
 }
 
 func (bp *BufferPool) page(fr *frame) Page {
@@ -616,6 +704,7 @@ func (bp *BufferPool) newFrameLocked(id PageID) (*frame, error) {
 	}
 	fr.id, fr.pins = id, 1
 	bp.frames[id] = fr
+	bp.stats.resident.Add(1)
 	return fr, nil
 }
 
@@ -624,6 +713,7 @@ func (bp *BufferPool) newFrameLocked(id PageID) (*frame, error) {
 func (bp *BufferPool) dropLocked(fr *frame) {
 	bp.unqueueLocked(fr)
 	delete(bp.frames, fr.id)
+	bp.stats.resident.Add(-1)
 	fr.next = bp.free
 	bp.free = fr
 }
@@ -666,6 +756,13 @@ func (bp *BufferPool) unpin(fr *frame, dirty bool) {
 	defer bp.mu.Unlock()
 	if fr.pins <= 0 {
 		panic("pager: unpin of unpinned frame")
+	}
+	if fr.transient {
+		if dirty {
+			panic("pager: dirty Unpin of a GetNoFill page")
+		}
+		bp.releaseTransientLocked(fr)
+		return
 	}
 	fr.dirty = fr.dirty || dirty
 	fr.pins--

@@ -32,6 +32,13 @@ import (
 // writer holds repairMu.Lock, so a build always snapshots a stable image —
 // which is also why a query may resolve its lists once (compile) and keep
 // the pointers for its whole run.
+//
+// Every build reads its pages without filling the buffer pools
+// (btree.Tree.ScanNoFill, docstore.Store.ScanNoFill): a page read only to
+// be copied into the tier is not kept a second time as a pool frame. Pages
+// the pool already holds, dirty ones included, are read from their frames.
+// The paged path (tree scans, admitHotRecord's store reads) still fills the
+// pool as before.
 
 // hotState owns the tier plus admission bookkeeping. The rejected set
 // remembers keys whose built structure exceeded the whole budget, so a
@@ -103,7 +110,7 @@ func (ix *Index) HotStats() HotStats {
 func (ix *Index) buildHotPostings(s vtrie.Symbol) (*hot.Postings, error) {
 	b := hot.NewPostingsBuilder()
 	lo, hi := postingKey(s, 0), postingKey(s, math.MaxUint64)
-	err := ix.postings.Scan(lo[:], hi[:], true, true, func(k, v []byte) bool {
+	err := ix.postings.ScanNoFill(lo[:], hi[:], true, true, func(k, v []byte) bool {
 		_, left := decodePostingKey(k)
 		r, lvl := decodePosting(v)
 		b.Add(left, r, lvl)
@@ -118,7 +125,7 @@ func (ix *Index) buildHotPostings(s vtrie.Symbol) (*hot.Postings, error) {
 // buildHotDocIDs flattens the Docid tree the same way.
 func buildHotDocIDs(tree *btree.Tree) (*hot.DocIDs, error) {
 	b := hot.NewDocIDsBuilder()
-	err := tree.Scan(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(k, v []byte) bool {
+	err := tree.ScanNoFill(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(k, v []byte) bool {
 		if len(v) != 4 {
 			return true // tombstones live in the same tree but are not entries
 		}
@@ -244,9 +251,12 @@ func (ix *Index) hotInvalidateAll() {
 // PreloadHot fills the tier in priority order — the docid list, then every
 // symbol's posting list ascending, then document summaries ascending — without
 // evicting anything already loaded; each phase stops at the first structure
-// that no longer fits. Open and the builders call it automatically; it is a
-// no-op without a tier. Callers that own the index exclusively may call it
-// again after bulk mutations.
+// that no longer fits. A postings page that fails to read stops the preload
+// there, and the list it interrupted is not admitted: a short list would
+// answer queries without the error the tree path reports (an unreadable record
+// only goes without a summary). Open and the builders call it
+// automatically; it is a no-op without a tier. Callers that own the index
+// exclusively may call it again after bulk mutations.
 func (ix *Index) PreloadHot() {
 	if ix.hot == nil {
 		return
@@ -270,7 +280,7 @@ func (ix *Index) PreloadHot() {
 		_, ok := resident(ix.hot, symKey(cur), false, func() (*hot.Postings, error) { return b.Build(), nil })
 		return ok
 	}
-	ix.postings.Scan(nil, nil, true, true, func(k, v []byte) bool {
+	err := ix.postings.ScanNoFill(nil, nil, true, true, func(k, v []byte) bool {
 		sym, left := decodePostingKey(k)
 		if b == nil || sym != cur {
 			if full = !admit(); full {
@@ -282,24 +292,19 @@ func (ix *Index) PreloadHot() {
 		b.Add(left, r, lvl)
 		return true
 	})
+	if err != nil {
+		return
+	}
 	if !full {
 		admit()
 	}
-	for id := 0; id < ix.store.NumDocs(); id++ {
-		docID := uint32(id)
-		if _, ok := ix.hot.tier.Get(recKey(docID)); ok {
-			continue
+	var rec docstore.Record
+	ix.store.ScanNoFill(&rec, func(r *docstore.Record) bool {
+		key := recKey(r.DocID)
+		if _, ok := ix.hot.tier.Get(key); ok {
+			return true
 		}
-		rec, err := ix.store.Get(docID)
-		if err != nil {
-			continue
-		}
-		s := hot.NewSummary(rec)
-		if s == nil {
-			continue
-		}
-		if !ix.hot.tier.TryAdd(recKey(docID), s) {
-			break
-		}
-	}
+		s := hot.NewSummary(r)
+		return s == nil || ix.hot.tier.TryAdd(key, s)
+	})
 }

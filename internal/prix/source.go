@@ -31,6 +31,9 @@ type SourceStats struct {
 	Quarantined []uint32
 	Hot         HotStats
 	Versions    VersionStats
+	// PoolResidentPages is the pages the buffer pools hold right now, summed
+	// over both page files (and over every replica of a sharded source).
+	PoolResidentPages uint64
 	// Epoch identifies a sharded layout's document placement.
 	Epoch uint64
 	// Shards has one row per shard of a scatter-gather source.
@@ -79,6 +82,8 @@ func (ix *Index) Stats() SourceStats {
 		Quarantined: ix.Quarantined(),
 		Hot:         ix.HotStats(),
 		Versions:    ix.VersionStats(),
+		PoolResidentPages: ix.forest.BufferPool().Stats().Resident +
+			ix.store.BufferPool().Stats().Resident,
 	}
 }
 

@@ -588,6 +588,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.exec.Source().Stats()
 	fmt.Fprintf(w, "# HELP prix_quarantined_docs Documents quarantined after corruption was detected.\n"+
 		"# TYPE prix_quarantined_docs gauge\nprix_quarantined_docs %d\n", len(st.Quarantined))
+	fmt.Fprintf(w, "# HELP prix_pool_resident_pages Pages held in the buffer pools.\n"+
+		"# TYPE prix_pool_resident_pages gauge\nprix_pool_resident_pages %d\n", st.PoolResidentPages)
 	if len(st.Shards) > 0 {
 		fmt.Fprintf(w, "# HELP prix_degraded_shards Shards currently serving partial results.\n"+
 			"# TYPE prix_degraded_shards gauge\nprix_degraded_shards %d\n", len(st.DegradedShards()))
@@ -671,6 +673,10 @@ type StatsSnapshot struct {
 	LatencyP50US  int64   `json:"latency_p50_us"`
 	LatencyP95US  int64   `json:"latency_p95_us"`
 	LatencyP99US  int64   `json:"latency_p99_us"`
+	// PoolResidentPages is the pages the source's buffer pools hold. Hot-tier
+	// builds read around the pools, so over a fully resident tier it stays at
+	// the handful of pages Open decodes.
+	PoolResidentPages uint64 `json:"pool_resident_pages"`
 	// Sharded backends only: topology and the per-shard serving counters.
 	// The top-level fields (docs, pages_read, quarantined_docs, ...) already
 	// aggregate across every shard and replica; this is the breakdown.
@@ -716,6 +722,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 		LatencyP95US:  m.Latency.Quantile(0.95).Microseconds(),
 		LatencyP99US:  m.Latency.Quantile(0.99).Microseconds(),
 	}
+	snap.PoolResidentPages = st.PoolResidentPages
 	if len(st.Shards) > 0 {
 		snap.NumShards = len(st.Shards)
 		snap.Epoch = st.Epoch

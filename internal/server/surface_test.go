@@ -22,7 +22,7 @@ var statsBase = []string{
 	"deadline", "cache_hits", "cache_misses", "cache_entries", "flight_shared",
 	"pages_read", "corruptions", "transient_retries", "degraded_served",
 	"quarantined_docs", "in_flight", "latency_mean_us", "latency_p50_us",
-	"latency_p95_us", "latency_p99_us",
+	"latency_p95_us", "latency_p99_us", "pool_resident_pages",
 }
 
 // metricsBase is every /metrics name the service renders for any source
@@ -37,7 +37,7 @@ var metricsBase = []string{
 	"prix_query_latency_seconds_count",
 	"prix_stage_latency_seconds_bucket", "prix_stage_latency_seconds_sum",
 	"prix_stage_latency_seconds_count",
-	"prix_quarantined_docs",
+	"prix_quarantined_docs", "prix_pool_resident_pages",
 }
 
 var (

@@ -115,14 +115,19 @@ func (c *Coordinator) Generation() uint64 {
 	return g
 }
 
-// Stats reports the collection as one source — documents summed, the
-// quarantine merged into one ascending global docid list — plus the
-// placement epoch and one row per shard.
+// Stats reports the collection as one source — documents and resident pool
+// pages summed, the quarantine merged into one ascending global docid list —
+// plus the placement epoch and one row per shard.
 func (c *Coordinator) Stats() prix.SourceStats {
 	st := prix.SourceStats{Extended: c.topo.Extended, Epoch: c.topo.Epoch, Shards: c.ShardStats()}
 	for _, row := range st.Shards {
 		st.Docs += row.Docs
 		st.Quarantined = append(st.Quarantined, row.Quarantined...)
+	}
+	for _, s := range c.shards {
+		for _, b := range s.replicas {
+			st.PoolResidentPages += b.Stats().PoolResidentPages
+		}
 	}
 	slices.Sort(st.Quarantined)
 	st.Quarantined = slices.Compact(st.Quarantined)
