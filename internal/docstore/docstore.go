@@ -19,104 +19,11 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/pager"
 	"repro/internal/vtrie"
 )
-
-// Dict interns strings (element tags and values) as vtrie symbols.
-// The zero value is ready to use. Dict is safe for concurrent reads after
-// loading; interning is mutex-protected.
-type Dict struct {
-	mu     sync.Mutex
-	byName map[string]vtrie.Symbol
-	names  []string
-}
-
-// Intern returns the symbol for s, assigning a fresh one on first use. A new
-// entry keeps its own copy of s, so interning a label that is a substring of
-// some larger buffer (a decoded run record) does not pin that buffer.
-func (d *Dict) Intern(s string) vtrie.Symbol {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if sym, ok := d.byName[s]; ok {
-		return sym
-	}
-	return d.addLocked(strings.Clone(s))
-}
-
-// InternBytes is Intern for a key assembled in a caller's buffer: a hit
-// allocates nothing, a miss copies the key once.
-func (d *Dict) InternBytes(key []byte) vtrie.Symbol {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if sym, ok := d.byName[string(key)]; ok {
-		return sym
-	}
-	return d.addLocked(string(key))
-}
-
-func (d *Dict) addLocked(s string) vtrie.Symbol {
-	if d.byName == nil {
-		d.byName = make(map[string]vtrie.Symbol)
-	}
-	sym := vtrie.Symbol(len(d.names))
-	d.byName[s] = sym
-	d.names = append(d.names, s)
-	return sym
-}
-
-// Lookup returns the symbol for s without interning.
-func (d *Dict) Lookup(s string) (vtrie.Symbol, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sym, ok := d.byName[s]
-	return sym, ok
-}
-
-// LookupBytes is Lookup for a key assembled in a caller's buffer.
-func (d *Dict) LookupBytes(key []byte) (vtrie.Symbol, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sym, ok := d.byName[string(key)]
-	return sym, ok
-}
-
-// Name returns the string for a symbol. Unknown symbols (which can come
-// out of a corrupt record) yield a synthetic placeholder, not a panic.
-func (d *Dict) Name(sym vtrie.Symbol) string {
-	if name, ok := d.NameOf(sym); ok {
-		return name
-	}
-	return fmt.Sprintf("<unknown symbol %d>", sym)
-}
-
-// NameOf returns the string for a symbol and whether the dictionary has it.
-func (d *Dict) NameOf(sym vtrie.Symbol) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(sym) < 0 || int(sym) >= len(d.names) {
-		return "", false
-	}
-	return d.names[sym], true
-}
-
-// Names returns all interned strings in symbol order. The returned slice
-// is a copy.
-func (d *Dict) Names() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]string(nil), d.names...)
-}
-
-// Len returns the number of interned symbols.
-func (d *Dict) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.names)
-}
 
 // Leaf is one leaf node of a document: its postorder number and label.
 type Leaf struct {

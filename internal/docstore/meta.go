@@ -298,25 +298,34 @@ func (s *Store) flushDictLocked() error {
 	defer d.mu.Unlock()
 	m := &s.meta
 	sec := &m.sections[secDict]
-	if len(d.names) == m.dictFlushed && len(sec.pages) > 0 {
+	if len(d.ends) == m.dictFlushed && len(sec.pages) > 0 {
 		return nil
 	}
 	w, err := s.streamWriterLocked(sec, sec.length)
 	if err != nil {
 		return err
 	}
-	for _, name := range d.names[m.dictFlushed:] {
-		w.str(name)
+	for sym := m.dictFlushed; sym < len(d.ends); sym++ {
+		w.str(d.nameLocked(uint32(sym)))
 	}
 	if err := w.finish(); err != nil {
 		return err
 	}
-	m.dictFlushed = len(d.names)
+	m.dictFlushed = len(d.ends)
 	return nil
 }
 
 func (s *Store) loadDict(numNames uint32) error {
 	sec := &s.meta.sections[secDict]
+	// Every name is a uvarint length and its bytes, so the section holds at
+	// most length-numNames name bytes — exactly that when every name is
+	// shorter than 128 bytes. Sizing the dictionary up front (against a
+	// header that cannot claim more names than the section has bytes) loads
+	// it with no growth and no slack.
+	if uint64(numNames) > uint64(sec.length) {
+		return fmt.Errorf("docstore: meta dict: %d names in %d bytes", numNames, sec.length)
+	}
+	s.dict.reserve(int(numNames), sec.length-int(numNames))
 	r := chainReader{bp: s.bp, pages: sec.pages, left: sec.length}
 	defer r.close()
 	var name []byte
@@ -332,7 +341,7 @@ func (s *Store) loadDict(numNames uint32) error {
 		if _, err := io.ReadFull(&r, name); err != nil {
 			return fmt.Errorf("docstore: meta dict entry %d: %w", i, err)
 		}
-		if int(s.dict.Intern(string(name))) != int(i) {
+		if int(s.dict.InternBytes(name)) != int(i) {
 			return fmt.Errorf("docstore: meta dict entry %d repeats an earlier name", i)
 		}
 	}

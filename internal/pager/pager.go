@@ -172,10 +172,17 @@ func (f *OSFile) ReadPage(id PageID, buf []byte) error {
 	if uint32(id) >= f.next {
 		return fmt.Errorf("pager: read of unallocated page %d (have %d)", id, f.next)
 	}
-	if _, err := f.f.ReadAt(buf[:PageSize], int64(id)*PageSize); err != nil && err != io.EOF {
+	// A page that vanished under the open file (the file was truncated behind
+	// its back) must not read as zeroes: an all-zero page verifies as
+	// "allocated, never written", so a short read would pass as an empty page.
+	n, err := f.f.ReadAt(buf[:PageSize], int64(id)*PageSize)
+	if n == PageSize {
+		return nil
+	}
+	if err != nil && err != io.EOF {
 		return fmt.Errorf("pager: read page %d: %w", id, err)
 	}
-	return nil
+	return fmt.Errorf("pager: read page %d: short read (%d of %d bytes)", id, n, PageSize)
 }
 
 // WritePage implements File.
@@ -261,10 +268,15 @@ type counters struct {
 }
 
 func (c *counters) snapshot() Stats {
+	// A read bumps logical, then physical, then no-fill; loading them in the
+	// reverse order keeps NoFillReads ≤ PhysicalReads ≤ LogicalReads in every
+	// snapshot taken while reads run, so Hits never wraps.
+	noFill := c.noFillReads.Load()
+	physical := c.physicalReads.Load()
 	return Stats{
 		LogicalReads:  c.logicalReads.Load(),
-		PhysicalReads: c.physicalReads.Load(),
-		NoFillReads:   c.noFillReads.Load(),
+		PhysicalReads: physical,
+		NoFillReads:   noFill,
 		Writes:        c.writes.Load(),
 		Evictions:     c.evictions.Load(),
 		Allocations:   c.allocations.Load(),
@@ -312,9 +324,14 @@ func (p *Page) Unpin(dirty bool) {
 	p.Data = nil
 }
 
+// frame is a small header over its page bytes. The bytes are a separate
+// exactly-PageSize allocation: that is the 8,192-byte size class and holds no
+// pointers, so the collector never scans it, where an inline array plus the
+// header would round up to the 9,472-byte class. A frame keeps its bytes
+// across reuse from the free list.
 type frame struct {
 	id    PageID
-	data  [PageSize]byte
+	data  *[PageSize]byte
 	pins  int
 	dirty bool
 	// prev and next link the frame into the pool's LRU list while it is
@@ -402,7 +419,8 @@ func NewBufferPool(file File, capacity int) *BufferPool {
 	return &BufferPool{
 		file:     file,
 		capacity: capacity,
-		frames:   make(map[PageID]*frame, capacity),
+		// Unsized: the map grows with residency, not with the capacity.
+		frames: make(map[PageID]*frame),
 	}
 }
 
@@ -483,7 +501,7 @@ func (bp *BufferPool) Get(id PageID) (Page, error) {
 		return bp.page(fr), nil
 	}
 	bp.stats.physicalReads.Add(1)
-	fr, err := bp.newFrameLocked(id)
+	fr, err := bp.newFrameLocked(id, false)
 	if err != nil {
 		bp.mu.Unlock()
 		return Page{}, err
@@ -544,7 +562,7 @@ func (bp *BufferPool) GetNoFill(id PageID) (Page, error) {
 	}
 	bp.mu.Unlock()
 	if fr == nil {
-		fr = &frame{transient: true}
+		fr = &frame{transient: true, data: new([PageSize]byte)}
 	}
 	fr.id, fr.pins = id, 1
 	if err := bp.readFrame(id, fr); err != nil {
@@ -614,7 +632,7 @@ func (bp *BufferPool) NewPage() (Page, error) {
 		return Page{}, err
 	}
 	bp.stats.allocations.Add(1)
-	fr, err := bp.newFrameLocked(id)
+	fr, err := bp.newFrameLocked(id, true)
 	if err != nil {
 		return Page{}, err
 	}
@@ -678,10 +696,13 @@ func (bp *BufferPool) writeFrameLocked(fr *frame) error {
 	return nil
 }
 
-// newFrameLocked finds room for a new pinned, zeroed frame, evicting the
-// least recently unpinned one if the pool is full. The victim's frame (or
-// one a Drop freed earlier) is reused for the incoming page.
-func (bp *BufferPool) newFrameLocked(id PageID) (*frame, error) {
+// newFrameLocked finds room for a new pinned frame, evicting the least
+// recently unpinned one if the pool is full. The victim's frame (or one a
+// Drop freed earlier) is reused for the incoming page, page bytes and all.
+// zero asks for a zeroed page. Without it a reused frame keeps the previous
+// page's bytes, for a caller that overwrites every one of them: a read does,
+// and a short read is an error.
+func (bp *BufferPool) newFrameLocked(id PageID, zero bool) (*frame, error) {
 	for len(bp.frames) >= bp.capacity {
 		vf := bp.lru
 		if vf == nil {
@@ -697,10 +718,13 @@ func (bp *BufferPool) newFrameLocked(id PageID) (*frame, error) {
 	}
 	fr := bp.free
 	if fr == nil {
-		fr = new(frame)
+		fr = &frame{data: new([PageSize]byte)}
 	} else {
 		bp.free = fr.next
-		*fr = frame{}
+		*fr = frame{data: fr.data}
+		if zero {
+			clear(fr.data[:])
+		}
 	}
 	fr.id, fr.pins = id, 1
 	bp.frames[id] = fr
@@ -881,7 +905,7 @@ func (bp *BufferPool) RepairPage(id PageID, allowZero bool) (bool, error) {
 	if !allowZero {
 		return false, nil
 	}
-	fr, err := bp.newFrameLocked(id)
+	fr, err := bp.newFrameLocked(id, true)
 	if err != nil {
 		return false, err
 	}

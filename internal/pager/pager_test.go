@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -371,6 +372,55 @@ func TestOpenOSFileRejectsPartialPage(t *testing.T) {
 	if _, err := OpenOSFile(path); err == nil {
 		t.Error("OpenOSFile accepted a torn file")
 	}
+}
+
+// A page that disappears under an open file must not read as an empty page:
+// truncating the file behind the pool's back turns every read past the new
+// end into a short read, and both Get and GetNoFill must fail on it instead
+// of handing out zeroes that verify as "allocated, never written".
+func TestShortReadIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	f, err := OpenOSFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	bp := NewBufferPool(f, 8)
+	for i := 0; i < 3; i++ {
+		p, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Data[0] = byte(i + 1)
+		p.Unpin(true)
+	}
+	if err := bp.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for name, get := range map[string]func(PageID) (Page, error){"Get": bp.Get, "GetNoFill": bp.GetNoFill} {
+		for _, id := range []PageID{1, 2} {
+			p, err := get(id)
+			if err == nil {
+				t.Errorf("%s(%d) of a truncated page returned a page (first byte %#x) and no error", name, id, p.Data[0])
+				p.Unpin(false)
+				continue
+			}
+			if !strings.Contains(err.Error(), "short read (0 of 8192 bytes)") {
+				t.Errorf("%s(%d): %v, want a short read", name, id, err)
+			}
+		}
+	}
+	p, err := bp.Get(0)
+	if err != nil {
+		t.Fatalf("the page that survived the truncation: %v", err)
+	}
+	if p.Data[0] != 1 {
+		t.Errorf("the page that survived the truncation reads %#x, want 0x1", p.Data[0])
+	}
+	p.Unpin(false)
 }
 
 // Stats and ResetStats must be callable while other goroutines drive the

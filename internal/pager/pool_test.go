@@ -3,6 +3,7 @@ package pager
 import (
 	"container/list"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -44,6 +45,59 @@ func TestGetUnpinAllocs(t *testing.T) {
 	}
 	if n != 0 {
 		t.Errorf("missing Get+Unpin allocates %v objects, want 0", n)
+	}
+}
+
+// liveHeap is the live heap after a full collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// A pool costs what it holds: nothing that scales with its configured
+// capacity, and per resident page the page bytes (one 8,192-byte size-class
+// object) plus a small header and map entry — not the 9,472-byte class an
+// inline page with its header rounds up to.
+func TestPoolBytesPerPage(t *testing.T) {
+	const capacity, pools = 8192, 32
+	file := NewMemFile()
+	before := liveHeap()
+	empty := make([]*BufferPool, pools)
+	for i := range empty {
+		empty[i] = NewBufferPool(file, capacity)
+	}
+	perPool := (int64(liveHeap()) - int64(before)) / pools
+	runtime.KeepAlive(empty)
+	if perPool >= 1024 {
+		t.Errorf("an empty %d-page pool costs %d bytes, want < 1 KiB", capacity, perPool)
+	}
+
+	const pages = 200
+	for i := 0; i < pages; i++ {
+		if _, err := file.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = liveHeap()
+	bp := NewBufferPool(file, capacity)
+	for id := PageID(0); id < pages; id++ {
+		p, err := bp.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(false)
+	}
+	perPage := (int64(liveHeap()) - int64(before)) / pages
+	if st := bp.Stats(); st.Resident != pages {
+		t.Fatalf("%d pages resident, want %d", st.Resident, pages)
+	}
+	runtime.KeepAlive(bp)
+	t.Logf("empty pool %d B; %d B per resident page", perPool, perPage)
+	if perPage > PageSize+192 {
+		t.Errorf("a resident page costs %d bytes, want ≤ %d", perPage, PageSize+192)
 	}
 }
 

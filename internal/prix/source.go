@@ -34,6 +34,9 @@ type SourceStats struct {
 	// PoolResidentPages is the pages the buffer pools hold right now, summed
 	// over both page files (and over every replica of a sharded source).
 	PoolResidentPages uint64
+	// DictBytes is the heap the symbol dictionaries hold (docstore.Dict.Bytes),
+	// summed over every replica of a sharded source.
+	DictBytes int
 	// Epoch identifies a sharded layout's document placement.
 	Epoch uint64
 	// Shards has one row per shard of a scatter-gather source.
@@ -84,6 +87,7 @@ func (ix *Index) Stats() SourceStats {
 		Versions:    ix.VersionStats(),
 		PoolResidentPages: ix.forest.BufferPool().Stats().Resident +
 			ix.store.BufferPool().Stats().Resident,
+		DictBytes: ix.store.Dict().Bytes(),
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	rtmetrics "runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -212,5 +213,37 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "prix_stage_latency_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", st.String(), scum)
 		fmt.Fprintf(w, "prix_stage_latency_seconds_sum{stage=%q} %g\n", st.String(), float64(h.sumNanos.Load())/1e9)
 		fmt.Fprintf(w, "prix_stage_latency_seconds_count{stage=%q} %d\n", st.String(), h.count.Load())
+	}
+}
+
+// runtimeMetrics are the Go runtime's own numbers /metrics exports: the heap
+// a resident index keeps live, the goal the collector paces towards, and
+// what collecting it costs.
+var runtimeMetrics = []struct{ key, name, kind, help string }{
+	{"/gc/heap/live:bytes", "go_heap_live_bytes", "gauge", "Heap bytes marked live by the last garbage collection."},
+	{"/gc/heap/goal:bytes", "go_heap_goal_bytes", "gauge", "Heap size the current garbage-collection cycle aims to end at."},
+	{"/gc/cycles/total:gc-cycles", "go_gc_cycles_total", "counter", "Completed garbage-collection cycles."},
+	{"/cpu/classes/gc/total:cpu-seconds", "go_gc_cpu_seconds_total", "counter", "Estimated CPU time spent in the garbage collector."},
+}
+
+// writeRuntimeMetrics renders runtimeMetrics from one runtime/metrics read.
+// A key this runtime does not know (KindBad) is left out.
+func writeRuntimeMetrics(w io.Writer) {
+	samples := make([]rtmetrics.Sample, len(runtimeMetrics))
+	for i, m := range runtimeMetrics {
+		samples[i].Name = m.key
+	}
+	rtmetrics.Read(samples)
+	for i, m := range runtimeMetrics {
+		var v string
+		switch val := samples[i].Value; val.Kind() {
+		case rtmetrics.KindUint64:
+			v = fmt.Sprint(val.Uint64())
+		case rtmetrics.KindFloat64:
+			v = fmt.Sprint(val.Float64())
+		default:
+			continue
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", m.name, m.help, m.name, m.kind, m.name, v)
 	}
 }

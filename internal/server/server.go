@@ -583,6 +583,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w)
+	writeRuntimeMetrics(w)
 	// The source's own state (quarantine, shards, hot tier, versions) is not
 	// in the registry, so it is rendered here where the source is in reach.
 	st := s.exec.Source().Stats()
@@ -590,6 +591,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"# TYPE prix_quarantined_docs gauge\nprix_quarantined_docs %d\n", len(st.Quarantined))
 	fmt.Fprintf(w, "# HELP prix_pool_resident_pages Pages held in the buffer pools.\n"+
 		"# TYPE prix_pool_resident_pages gauge\nprix_pool_resident_pages %d\n", st.PoolResidentPages)
+	fmt.Fprintf(w, "# HELP prix_dict_bytes Heap bytes the symbol dictionaries hold.\n"+
+		"# TYPE prix_dict_bytes gauge\nprix_dict_bytes %d\n", st.DictBytes)
 	if len(st.Shards) > 0 {
 		fmt.Fprintf(w, "# HELP prix_degraded_shards Shards currently serving partial results.\n"+
 			"# TYPE prix_degraded_shards gauge\nprix_degraded_shards %d\n", len(st.DegradedShards()))
@@ -677,6 +680,9 @@ type StatsSnapshot struct {
 	// builds read around the pools, so over a fully resident tier it stays at
 	// the handful of pages Open decodes.
 	PoolResidentPages uint64 `json:"pool_resident_pages"`
+	// DictBytes is the heap the source's symbol dictionaries hold, summed
+	// over every shard replica.
+	DictBytes int `json:"dict_bytes"`
 	// Sharded backends only: topology and the per-shard serving counters.
 	// The top-level fields (docs, pages_read, quarantined_docs, ...) already
 	// aggregate across every shard and replica; this is the breakdown.
@@ -723,6 +729,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 		LatencyP99US:  m.Latency.Quantile(0.99).Microseconds(),
 	}
 	snap.PoolResidentPages = st.PoolResidentPages
+	snap.DictBytes = st.DictBytes
 	if len(st.Shards) > 0 {
 		snap.NumShards = len(st.Shards)
 		snap.Epoch = st.Epoch

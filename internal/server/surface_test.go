@@ -22,7 +22,7 @@ var statsBase = []string{
 	"deadline", "cache_hits", "cache_misses", "cache_entries", "flight_shared",
 	"pages_read", "corruptions", "transient_retries", "degraded_served",
 	"quarantined_docs", "in_flight", "latency_mean_us", "latency_p50_us",
-	"latency_p95_us", "latency_p99_us", "pool_resident_pages",
+	"latency_p95_us", "latency_p99_us", "pool_resident_pages", "dict_bytes",
 }
 
 // metricsBase is every /metrics name the service renders for any source
@@ -37,7 +37,8 @@ var metricsBase = []string{
 	"prix_query_latency_seconds_count",
 	"prix_stage_latency_seconds_bucket", "prix_stage_latency_seconds_sum",
 	"prix_stage_latency_seconds_count",
-	"prix_quarantined_docs", "prix_pool_resident_pages",
+	"prix_quarantined_docs", "prix_pool_resident_pages", "prix_dict_bytes",
+	"go_heap_live_bytes", "go_heap_goal_bytes", "go_gc_cycles_total", "go_gc_cpu_seconds_total",
 }
 
 var (
@@ -157,8 +158,8 @@ func openRootOver(t *testing.T, docs []*xmltree.Document, opts prix.Options) *co
 
 // TestSurfaceParity pins the wire surface every engine wrapper presents to
 // the service: the /healthz and /stats key sets, the /metrics name set, the
-// values the source reports (docs, extended, shards, topology epoch, hot and
-// versions blocks) and the X-Prix-Degraded header once a document is
+// values the source reports (docs, extended, dictionary bytes, shards,
+// topology epoch, hot and versions blocks) and the X-Prix-Degraded header once a document is
 // quarantined. It is written against the wire, not the Go interfaces, so
 // it holds across any reshaping of how the server reaches its source.
 func TestSurfaceParity(t *testing.T) {
@@ -190,6 +191,7 @@ func TestSurfaceParity(t *testing.T) {
 		stats      []string
 		metrics    []string
 		shards     int
+		dictBytes  int
 		versions   map[string]any
 		hot        bool
 		degraded   string
@@ -201,6 +203,7 @@ func TestSurfaceParity(t *testing.T) {
 			healthz:    []string{"status", "docs", "extended"},
 			stats:      statsBase,
 			metrics:    metricsBase,
+			dictBytes:  ix.Store().Dict().Bytes(),
 			degraded:   "true",
 		},
 		{
@@ -211,6 +214,7 @@ func TestSurfaceParity(t *testing.T) {
 			stats:      join(statsBase, []string{"versions"}),
 			metrics:    join(metricsBase, []string{"prix_versions_total", "prix_tombstones_total"}),
 			versions:   map[string]any{"Enabled": true, "Current": 1.0, "Tombstones": 0.0, "Versioned": 1.0, "MutOps": 1.0},
+			dictBytes:  di.Index().Store().Dict().Bytes(),
 			degraded:   "true",
 		},
 		{
@@ -224,6 +228,7 @@ func TestSurfaceParity(t *testing.T) {
 			healthz:    []string{"status", "docs", "extended"},
 			stats:      join(statsBase, []string{"compaction", "hot"}),
 			metrics:    join(metricsBase, metricsHot, metricsCompaction),
+			dictBytes:  root.Index().Index().Store().Dict().Bytes(),
 			hot:        true,
 			degraded:   "true",
 		},
@@ -236,10 +241,18 @@ func TestSurfaceParity(t *testing.T) {
 					r.Store().Quarantine(0)
 				}
 			},
-			healthz:  []string{"status", "docs", "extended", "shards", "topology_epoch"},
-			stats:    join(statsBase, []string{"num_shards", "topology_epoch", "shards"}),
-			metrics:  join(metricsBase, []string{"prix_degraded_shards"}),
-			shards:   2,
+			healthz: []string{"status", "docs", "extended", "shards", "topology_epoch"},
+			stats:   join(statsBase, []string{"num_shards", "topology_epoch", "shards"}),
+			metrics: join(metricsBase, []string{"prix_degraded_shards"}),
+			shards:  2,
+			// Summed over both replicas of both shards.
+			dictBytes: func() int {
+				n := 0
+				for _, r := range co.Indexes() {
+					n += r.Store().Dict().Bytes()
+				}
+				return n
+			}(),
 			degraded: shard.Name(0),
 		},
 	}
@@ -264,6 +277,9 @@ func TestSurfaceParity(t *testing.T) {
 			}
 			if st["docs"] != float64(len(docs)) {
 				t.Errorf("/stats docs = %v, want %d", st["docs"], len(docs))
+			}
+			if st["dict_bytes"] != float64(tc.dictBytes) || tc.dictBytes <= 0 {
+				t.Errorf("/stats dict_bytes = %v, want the source's %d", st["dict_bytes"], tc.dictBytes)
 			}
 			if got, want := metricNames(t, ts.URL+"/metrics"), sortedSet(tc.metrics); !reflect.DeepEqual(got, want) {
 				t.Errorf("/metrics names = %v, want %v", got, want)

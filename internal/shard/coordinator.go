@@ -115,9 +115,9 @@ func (c *Coordinator) Generation() uint64 {
 	return g
 }
 
-// Stats reports the collection as one source — documents and resident pool
-// pages summed, the quarantine merged into one ascending global docid list —
-// plus the placement epoch and one row per shard.
+// Stats reports the collection as one source — documents, resident pool
+// pages and dictionary bytes summed, the quarantine merged into one ascending
+// global docid list — plus the placement epoch and one row per shard.
 func (c *Coordinator) Stats() prix.SourceStats {
 	st := prix.SourceStats{Extended: c.topo.Extended, Epoch: c.topo.Epoch, Shards: c.ShardStats()}
 	for _, row := range st.Shards {
@@ -126,7 +126,9 @@ func (c *Coordinator) Stats() prix.SourceStats {
 	}
 	for _, s := range c.shards {
 		for _, b := range s.replicas {
-			st.PoolResidentPages += b.Stats().PoolResidentPages
+			bs := b.Stats()
+			st.PoolResidentPages += bs.PoolResidentPages
+			st.DictBytes += bs.DictBytes
 		}
 	}
 	slices.Sort(st.Quarantined)
