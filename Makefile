@@ -40,7 +40,9 @@ test:
 #   - compact: concurrent queries and inserts across the zero-downtime epoch
 #     swap, per-ordinal power-cut sweeps (plain and sharded), the
 #     scrub-during-swap gate and tombstone GC under the retention window.
-#   - hot: eviction under budget pressure; mvcc: the version-map/diff suite.
+#   - hot: eviction under budget pressure, and readers scanning held views
+#     while a writer forces arena repacks (TestTierViewsSurviveCompaction);
+#     mvcc: the version-map/diff suite.
 #   - the pooled query scratch under 8 concurrent resident queries, ten
 #     rounds.
 # -count=1 so a cached pass never stands in for a run.
@@ -72,14 +74,15 @@ sched:
 # pipelined record cache, a trace, the nil span API, a canonical query string,
 # one document drained by a compaction — plus the resident cost of a labeler
 # trie node (TestLabelerBytesPerNode: live bytes and objects, not mallocs), of
-# a buffer-pool page and an empty pool (TestPoolBytesPerPage) and of a
-# dictionary name (TestDictBytesPerName), and the dictionary's allocation-free
-# hits (TestDictLookupAllocs).
+# a buffer-pool page and an empty pool (TestPoolBytesPerPage), of a
+# dictionary name (TestDictBytesPerName) and of a hot-tier structure
+# (TestTierBytesPerStructure: a MIX-shaped tier in at most 16 objects), and
+# the dictionary's allocation-free hits (TestDictLookupAllocs).
 # -count=1 so a cached pass never stands in for a run; an allocation regression
 # then fails a named test here before it reaches the benchmark's allocs_op or
 # live_heap_mb.
 allocs:
-	$(GO) test -count=1 -run 'Allocs|BytesPer' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig ./internal/vtrie
+	$(GO) test -count=1 -run 'Allocs|BytesPer' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig ./internal/vtrie ./internal/hot
 
 # The driver's benchmark is a nested module (benchmark/go.mod) that `go test
 # ./...` does not reach: vet and short-test it here, so a change to an
@@ -91,7 +94,9 @@ benchmark-module:
 # (the service boundary), the docstore record decoder (the corruption
 # boundary), the trace/slow-log JSON encoder (the ?trace=1 boundary) and the
 # dynamic labeler's range-allocation invariants (the insert boundary); the
-# hot lists' binary-searched range scans against a naive filter; the
+# hot lists' binary-searched range scans against a naive filter; the hot
+# tier's Add/TryAdd/Get/Invalidate sequences against a container/list LRU
+# model, views held across arena repacks included (FuzzTier); the
 # B+-tree's in-place leaf edits, slotted and fixed-width, against a
 # sorted-slice model; and the docstore
 # meta's header fields, chain pointers and block counts as Open reads them
@@ -109,6 +114,7 @@ fuzz:
 	$(GO) test ./internal/prix -run FuzzAsOfVersionMap -fuzz FuzzAsOfVersionMap -fuzztime 30s
 	$(GO) test ./internal/hot -run FuzzPostingsScan -fuzz FuzzPostingsScan -fuzztime 30s
 	$(GO) test ./internal/hot -run FuzzDocIDsScan -fuzz FuzzDocIDsScan -fuzztime 30s
+	$(GO) test ./internal/hot -run FuzzTier -fuzz FuzzTier -fuzztime 30s
 	$(GO) test ./internal/btree -run FuzzLeafOps -fuzz FuzzLeafOps -fuzztime 30s
 	$(GO) test ./internal/prix -run FuzzRecordDocSeq -fuzz FuzzRecordDocSeq -fuzztime 30s
 

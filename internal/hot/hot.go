@@ -9,12 +9,15 @@
 // the authoritative B+-tree/docstore image, evicted LRU under a byte
 // budget, and invalidated by writers, so results stay byte-identical to
 // the paged path.
+//
+// Readers get value views (Postings, DocIDs, Summary) whose slices alias the
+// tier's arenas. Arena bytes below len are never rewritten, so a view stays
+// valid for as long as its holder keeps it, whatever the tier does meanwhile.
 package hot
 
 import (
 	"encoding/binary"
 	"slices"
-	"unsafe"
 )
 
 // Entry widths of the two flat lists. Every entry leads with its raw 64-bit
@@ -42,9 +45,10 @@ func seek(data []byte, stride int, lo uint64, loIncl bool) int {
 	return i
 }
 
-// Postings is an immutable Trie-Symbol posting list: entries (Left, Right,
-// Level) in exactly the order the source B+-tree's Scan visits them
-// (ascending Left, duplicates in insertion order).
+// Postings is a read-only view of a Trie-Symbol posting list: entries (Left,
+// Right, Level) in exactly the order the source B+-tree's Scan visits them
+// (ascending Left, duplicates in insertion order). The zero value is the
+// empty list.
 type Postings struct{ data []byte }
 
 // PostingsBuilder accumulates entries in scan order.
@@ -63,18 +67,25 @@ func (b *PostingsBuilder) Add(left, right uint64, level uint32) {
 // Len returns the number of entries added so far.
 func (b *PostingsBuilder) Len() int { return len(b.data) / postingSize }
 
-// Build freezes the builder into an immutable list, clipped to size.
+// Reset empties the builder, keeping its buffer for the next list.
+func (b *PostingsBuilder) Reset() { b.data = b.data[:0] }
+
+// View returns the entries added so far, without copying them; it is valid
+// until the builder's next Add or Reset.
+func (b *PostingsBuilder) View() Postings { return Postings{data: b.data} }
+
+// Build freezes the builder into a list of its own, clipped to size.
 func (b *PostingsBuilder) Build() *Postings { return &Postings{data: slices.Clone(b.data)} }
 
 // Len returns the number of entries.
-func (p *Postings) Len() int { return len(p.data) / postingSize }
+func (p Postings) Len() int { return len(p.data) / postingSize }
 
-// SizeBytes is the list's memory footprint: header plus backing array.
-func (p *Postings) SizeBytes() int { return int(unsafe.Sizeof(*p)) + cap(p.data) }
+// Entry returns the list as a tier entry.
+func (p Postings) Entry() Entry { return Entry{kind: KindPostings, list: p.data} }
 
 // Scan visits entries with Left in the given bounds, in list order,
 // mirroring btree.Tree.Scan semantics. fn returning false stops the scan.
-func (p *Postings) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left, right uint64, level uint32) bool) {
+func (p Postings) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left, right uint64, level uint32) bool) {
 	for off := seek(p.data, postingSize, lo, loIncl) * postingSize; off < len(p.data); off += postingSize {
 		e := p.data[off : off+postingSize]
 		left := binary.LittleEndian.Uint64(e)
@@ -87,8 +98,8 @@ func (p *Postings) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left, right 
 	}
 }
 
-// DocIDs is an immutable Docid-index list: (Left, DocID) pairs in B+-tree
-// Scan order.
+// DocIDs is a read-only view of the Docid-index list: (Left, DocID) pairs in
+// B+-tree Scan order.
 type DocIDs struct{ data []byte }
 
 // DocIDsBuilder accumulates docid entries in scan order.
@@ -106,17 +117,21 @@ func (b *DocIDsBuilder) Add(left uint64, docID uint32) {
 // Len returns the number of entries added so far.
 func (b *DocIDsBuilder) Len() int { return len(b.data) / docIDSize }
 
-// Build freezes the builder into an immutable list, clipped to size.
+// View returns the entries added so far, without copying them; it is valid
+// until the builder's next Add.
+func (b *DocIDsBuilder) View() DocIDs { return DocIDs{data: b.data} }
+
+// Build freezes the builder into a list of its own, clipped to size.
 func (b *DocIDsBuilder) Build() *DocIDs { return &DocIDs{data: slices.Clone(b.data)} }
 
 // Len returns the number of entries.
-func (d *DocIDs) Len() int { return len(d.data) / docIDSize }
+func (d DocIDs) Len() int { return len(d.data) / docIDSize }
 
-// SizeBytes is the list's memory footprint: header plus backing array.
-func (d *DocIDs) SizeBytes() int { return int(unsafe.Sizeof(*d)) + cap(d.data) }
+// Entry returns the list as a tier entry.
+func (d DocIDs) Entry() Entry { return Entry{kind: KindDocIDs, list: d.data} }
 
 // Scan visits entries with Left in the given bounds, in list order.
-func (d *DocIDs) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left uint64, docID uint32) bool) {
+func (d DocIDs) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left uint64, docID uint32) bool) {
 	for off := seek(d.data, docIDSize, lo, loIncl) * docIDSize; off < len(d.data); off += docIDSize {
 		e := d.data[off : off+docIDSize]
 		left := binary.LittleEndian.Uint64(e)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"unsafe"
 
 	"repro/internal/docstore"
 	"repro/internal/vtrie"
@@ -51,9 +50,6 @@ func TestPostingsScanMatchesOracle(t *testing.T) {
 	p := b.Build()
 	if p.Len() != len(entries) || b.Len() != len(entries) {
 		t.Fatalf("Len = %d, want %d", p.Len(), len(entries))
-	}
-	if p.SizeBytes() <= 0 {
-		t.Fatal("SizeBytes not positive")
 	}
 	maxLeft := entries[len(entries)-1].left
 	for trial := 0; trial < 500; trial++ {
@@ -123,8 +119,8 @@ func TestDocIDsScanMatchesOracle(t *testing.T) {
 		b.Add(e.left, e.docID)
 	}
 	d := b.Build()
-	if d.Len() != len(entries) || b.Len() != len(entries) || d.SizeBytes() <= 0 {
-		t.Fatal("len/size bookkeeping")
+	if d.Len() != len(entries) || b.Len() != len(entries) {
+		t.Fatal("len bookkeeping")
 	}
 	maxLeft := entries[len(entries)-1].left
 	for trial := 0; trial < 300; trial++ {
@@ -195,7 +191,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 		if s == nil {
 			t.Fatalf("doc %d: not encodable", rec.DocID)
 		}
-		if s.DocID() != rec.DocID || s.SizeBytes() <= 0 {
+		if s.DocID() != rec.DocID {
 			t.Fatalf("doc %d: bookkeeping", rec.DocID)
 		}
 		got := s.Record()
@@ -231,67 +227,6 @@ func TestSummaryRejectsDamage(t *testing.T) {
 		if s := NewSummary(rec); s != nil {
 			t.Fatalf("case %d admitted: %+v", i, rec)
 		}
-	}
-}
-
-type fakeSized int
-
-func (f fakeSized) SizeBytes() int { return int(f) }
-
-func TestTierBudgetAndLRU(t *testing.T) {
-	ka, kb, kc, kd, ke := Key{KindSummary, 0}, Key{KindSummary, 1}, Key{KindPostings, 0}, Key{KindPostings, 1}, Key{KindDocIDs, 0}
-	khuge := Key{KindSummary, 9}
-	tr := NewTier(100)
-	if tr.Budget() != 100 {
-		t.Fatal("budget")
-	}
-	if !tr.Add(ka, fakeSized(40)) || !tr.Add(kb, fakeSized(40)) {
-		t.Fatal("admission under budget failed")
-	}
-	if _, ok := tr.Get(ka); !ok { // a becomes MRU
-		t.Fatal("a missing")
-	}
-	if !tr.Add(kc, fakeSized(40)) { // evicts b (LRU)
-		t.Fatal("c rejected")
-	}
-	if _, ok := tr.Get(kb); ok {
-		t.Fatal("b survived eviction")
-	}
-	if _, ok := tr.Get(ka); !ok {
-		t.Fatal("a evicted out of LRU order")
-	}
-	st := tr.Stats()
-	if st.Evictions != 1 || st.Bytes != 80 || st.Items != 2 || st.Budget != 100 {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.Hits < 2 || st.Misses < 1 {
-		t.Fatalf("hit accounting %+v", st)
-	}
-	// Oversized item rejected outright.
-	if tr.Add(khuge, fakeSized(101)) {
-		t.Fatal("oversized admitted")
-	}
-	// TryAdd never evicts.
-	if tr.TryAdd(kd, fakeSized(40)) {
-		t.Fatal("TryAdd evicted")
-	}
-	if tr.TryAdd(ke, fakeSized(10)) == false {
-		t.Fatal("TryAdd rejected a fitting item")
-	}
-	// Replacement frees the old size.
-	if !tr.Add(ka, fakeSized(10)) {
-		t.Fatal("replace failed")
-	}
-	if tr.Bytes() != 60 {
-		t.Fatalf("bytes after replace = %d", tr.Bytes())
-	}
-	tr.Invalidate(ka)
-	if _, ok := tr.Get(ka); ok {
-		t.Fatal("a survived Invalidate")
-	}
-	tr.InvalidateAll()
-	if tr.Len() != 0 || tr.Bytes() != 0 {
-		t.Fatal("InvalidateAll left residue")
 	}
 }
 
@@ -448,46 +383,6 @@ func TestSummaryNavigation(t *testing.T) {
 		if NewSummary(&bad) != nil {
 			t.Fatalf("trial %d: damaged record (case %d) admitted", trial, trial%3)
 		}
-	}
-}
-
-// TestSizeBytesIsTheRealFootprint checks each structure charges the tier
-// its struct header plus its whole backing array (the byte budget used to
-// under-count block headers), that Build clips builder slack away, and that
-// the tier's total is the sum of what it holds.
-func TestSizeBytesIsTheRealFootprint(t *testing.T) {
-	const n = 1000
-	pb, db := NewPostingsBuilder(), NewDocIDsBuilder()
-	for i := 0; i < n; i++ {
-		pb.Add(uint64(i), uint64(i+1), 1)
-		db.Add(uint64(i), uint32(i))
-	}
-	p, d := pb.Build(), db.Build()
-	s := NewSummary(randomRecord(rand.New(rand.NewSource(1)), 0, 50, 1000))
-	sizes := []struct {
-		name           string
-		got, hdr, body int
-		slack          int
-	}{
-		{"postings", p.SizeBytes(), int(unsafe.Sizeof(Postings{})), n * postingSize, cap(p.data) - len(p.data)},
-		{"docids", d.SizeBytes(), int(unsafe.Sizeof(DocIDs{})), n * docIDSize, cap(d.data) - len(d.data)},
-		{"summary", s.SizeBytes(), int(unsafe.Sizeof(Summary{})), len(s.words) * int(unsafe.Sizeof(uint64(0))), (cap(s.words) - len(s.words)) * 8},
-	}
-	tier := NewTier(1 << 20)
-	total := 0
-	for i, sz := range sizes {
-		if sz.got != sz.hdr+sz.body+sz.slack {
-			t.Errorf("%s: SizeBytes = %d, want header %d + body %d + slack %d", sz.name, sz.got, sz.hdr, sz.body, sz.slack)
-		}
-		// Clipped: at most one allocator size class of slack (12.5%).
-		if sz.slack*8 > sz.body {
-			t.Errorf("%s: %d slack bytes on a %d-byte body", sz.name, sz.slack, sz.body)
-		}
-		total += sz.got
-		tier.Add(Key{Kind: Kind(i)}, []Sized{p, d, s}[i])
-	}
-	if tier.Bytes() != int64(total) {
-		t.Errorf("tier holds %d bytes, structures sum to %d", tier.Bytes(), total)
 	}
 }
 

@@ -2,7 +2,6 @@ package hot
 
 import (
 	"math/bits"
-	"unsafe"
 
 	"repro/internal/docstore"
 	"repro/internal/vtrie"
@@ -19,7 +18,8 @@ import (
 //
 // NewSummary round-trips the encoding against the source record and admits
 // nothing on any mismatch, so a Summary is behaviourally identical to the
-// record it replaced — the tier can never change query results.
+// record it replaced — the tier can never change query results. A Summary
+// the tier fills (Tier.Summary) is a view whose words alias the tier's arena.
 type Summary struct {
 	docID  uint32
 	n      int32
@@ -30,8 +30,10 @@ type Summary struct {
 // DocID returns the document the summary encodes.
 func (s *Summary) DocID() uint32 { return s.docID }
 
-// SizeBytes is the summary's memory footprint: header plus backing array.
-func (s *Summary) SizeBytes() int { return int(unsafe.Sizeof(*s)) + cap(s.words)*8 }
+// Entry returns the summary as a tier entry.
+func (s *Summary) Entry() Entry {
+	return Entry{kind: KindSummary, words: s.words, n: s.n, pw: s.pw, lw: s.lw}
+}
 
 // Nodes returns n, the node count of the encoded tree.
 func (s *Summary) Nodes() int32 { return s.n }

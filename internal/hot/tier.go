@@ -1,13 +1,12 @@
 package hot
 
 import (
-	"container/list"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
-
-// Sized is anything the tier can hold; all three hot structures satisfy it.
-type Sized interface{ SizeBytes() int }
 
 // Kind says which structure a Key names.
 type Kind uint8
@@ -25,116 +24,387 @@ type Key struct {
 	ID   uint32
 }
 
-// Tier is the budgeted cache: posting lists, docid lists and document
-// summaries share one byte budget with LRU demotion. All methods are safe
-// for concurrent use; readers under the engine's query locks and writers
-// under its write locks interleave freely because the tier's own mutex
-// orders every map/list touch.
+// Entry is one structure on its way into the tier, made by the Entry method
+// of a Postings, DocIDs or Summary. Add copies it into an arena, so the
+// memory it points at may be reused as soon as Add returns.
+type Entry struct {
+	kind   Kind
+	list   []byte   // a posting or docid list's entries
+	words  []uint64 // a summary's packed fields
+	n      int32    // a summary's node count
+	pw, lw uint8
+}
+
+// slotBytes is what a resident structure costs beyond its payload: its slot
+// and its index cell.
+const slotBytes = int64(unsafe.Sizeof(slot{})) + 4
+
+// size is what the tier charges for e.
+func (e Entry) size() int64 { return int64(len(e.list)) + 8*int64(len(e.words)) + slotBytes }
+
+// Slot states.
+const (
+	slotFree     uint8 = iota // on the free list, or slot 0
+	slotResident              // payload in an arena, on the LRU list
+	slotRejected              // no payload: marked by Reject
+)
+
+// slot is one key's bookkeeping: where its payload lies and where it sits in
+// the LRU order. A slot holds no pointer, so the collector never looks
+// inside the slab.
+type slot struct {
+	id         uint32 // the key's ID
+	off        uint32 // payload offset: bytes into lists, words into words
+	n          uint32 // a list's length in bytes; a summary's node count
+	prev, next int32  // LRU links through slot 0; next also chains free slots
+	kind       Kind
+	state      uint8
+	pw, lw     uint8 // a summary's field widths
+}
+
+// span is the slot's payload length in its arena's elements.
+func (s *slot) span() int {
+	if s.kind == KindSummary {
+		return (int(s.n)*(int(s.pw)+int(s.lw)) + 63) / 64
+	}
+	return int(s.n)
+}
+
+// charge is what the slot's structure costs the budget.
+func (s *slot) charge() int64 {
+	if s.kind == KindSummary {
+		return 8*int64(s.span()) + slotBytes
+	}
+	return int64(s.n) + slotBytes
+}
+
+// arena is an append-only payload store. Nothing below len(buf) is ever
+// rewritten: a payload stays where it was put until the tier moves every
+// live payload into a fresh array, and a view handed out earlier keeps the
+// old array alive for as long as its holder needs it.
+type arena[T byte | uint64] struct {
+	buf  []T
+	live int // elements resident structures still use; the rest are holes
+}
+
+// put appends p and returns its offset.
+func (a *arena[T]) put(p []T) uint32 {
+	off := len(a.buf)
+	a.buf = append(a.buf, p...)
+	a.live += len(p)
+	return uint32(off)
+}
+
+// view returns slot s's payload, capped so no append can reach past it.
+func (a *arena[T]) view(s *slot) []T {
+	end := int(s.off) + s.span()
+	return a.buf[s.off:end:end]
+}
+
+// repack copies the payload of every resident slot that lives in a into a
+// fresh, exactly sized array and re-points those slots.
+func repack[T byte | uint64](a *arena[T], slots []slot, summaries bool) {
+	fresh := make([]T, 0, a.live)
+	for i := range slots {
+		s := &slots[i]
+		if s.state == slotResident && (s.kind == KindSummary) == summaries {
+			off := len(fresh)
+			fresh = append(fresh, a.view(s)...)
+			s.off = uint32(off)
+		}
+	}
+	a.buf = fresh
+}
+
+// holey reports whether the arena's holes outgrow half of its live payload.
+func (a *arena[T]) holey() bool { return len(a.buf)-a.live > a.live/2 }
+
+// Tier is the budgeted cache: posting lists, the docid list and document
+// summaries share one byte budget with LRU demotion. Its state is a handful
+// of pointer-free arrays: one slot slab whose int32 links form the LRU list,
+// a dense slot index per kind (symbol → slot, docid → slot), and two
+// append-only arenas holding every payload. All methods are safe for
+// concurrent use: the tier's mutex orders every touch of its bookkeeping, and
+// readers scan the views it hands out without it.
 type Tier struct {
 	mu     sync.Mutex
 	budget int64
-	bytes  int64
-	items  map[Key]*list.Element // value: *tierEntry
-	lru    *list.List            // front = most recently used
+	bytes  int64 // charged to resident structures: payload plus slotBytes each
+	items  int
+	slots  []slot  // slots[0] heads the LRU list: its next is the most recently used
+	free   int32   // first free slot, chained through next; 0 when none
+	post   []int32 // symbol → its posting list's slot; 0 for none
+	docs   []int32 // docid → its summary's slot; 0 for none
+	docids int32   // the docid list's slot
+	lists  arena[byte]
+	words  arena[uint64]
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
 
-type tierEntry struct {
-	key  Key
-	size int64
-	val  Sized
+// NewTier returns a tier with the given byte budget (> 0).
+func NewTier(budget int64) *Tier { return &Tier{budget: budget, slots: make([]slot, 1)} }
+
+// slotOf returns key's slot, 0 when it has none.
+func (t *Tier) slotOf(key Key) int32 {
+	var idx []int32
+	switch key.Kind {
+	case KindPostings:
+		idx = t.post
+	case KindSummary:
+		idx = t.docs
+	default:
+		return t.docids
+	}
+	if int(key.ID) < len(idx) {
+		return idx[key.ID]
+	}
+	return 0
 }
 
-// NewTier returns a tier with the given byte budget (> 0).
-func NewTier(budget int64) *Tier {
-	return &Tier{budget: budget, items: map[Key]*list.Element{}, lru: list.New()}
+// setSlot points key's index cell at slot i, growing the index as needed.
+// Symbols and docids are dense, so an index is as long as the largest ID.
+func (t *Tier) setSlot(key Key, i int32) {
+	var idx *[]int32
+	switch key.Kind {
+	case KindPostings:
+		idx = &t.post
+	case KindSummary:
+		idx = &t.docs
+	default:
+		t.docids = i
+		return
+	}
+	if n := int(key.ID) + 1; n > len(*idx) {
+		if i == 0 {
+			return
+		}
+		*idx = append(*idx, make([]int32, n-len(*idx))...)
+	}
+	(*idx)[key.ID] = i
+}
+
+// newSlot takes a slot for key in the given state, from the free list when
+// it has one.
+func (t *Tier) newSlot(key Key, state uint8) int32 {
+	i := t.free
+	if i != 0 {
+		t.free = t.slots[i].next
+	} else {
+		i = int32(len(t.slots))
+		t.slots = append(t.slots, slot{})
+	}
+	t.slots[i] = slot{id: key.ID, kind: key.Kind, state: state}
+	t.setSlot(key, i)
+	return i
+}
+
+// pushFront links resident slot i in as the most recently used.
+func (t *Tier) pushFront(i int32) {
+	head := t.slots[0].next
+	t.slots[i].prev, t.slots[i].next = 0, head
+	t.slots[head].prev, t.slots[0].next = i, i
+}
+
+// unlink takes slot i out of the LRU list.
+func (t *Tier) unlink(i int32) {
+	s := &t.slots[i]
+	t.slots[s.prev].next, t.slots[s.next].prev = s.next, s.prev
+}
+
+// drop frees slot i. A resident structure leaves the LRU list and the
+// budget, and its payload becomes a hole.
+func (t *Tier) drop(i int32) {
+	s := &t.slots[i]
+	if s.state == slotResident {
+		t.unlink(i)
+		t.bytes -= s.charge()
+		t.items--
+		if s.kind == KindSummary {
+			t.words.live -= s.span()
+		} else {
+			t.lists.live -= s.span()
+		}
+	}
+	t.setSlot(Key{s.kind, s.id}, 0)
+	*s = slot{next: t.free}
+	t.free = i
+}
+
+// tidy repacks whichever arena the last drops left holey.
+func (t *Tier) tidy() {
+	if t.lists.holey() {
+		repack(&t.lists, t.slots, false)
+	}
+	if t.words.holey() {
+		repack(&t.words, t.slots, true)
+	}
 }
 
 // Budget returns the configured byte cap.
 func (t *Tier) Budget() int64 { return t.budget }
 
-// Bytes returns the bytes currently resident.
+// Bytes returns the bytes charged to resident structures.
 func (t *Tier) Bytes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.bytes
 }
 
-// Len returns the number of resident items.
+// Len returns the number of resident structures.
 func (t *Tier) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.items)
+	return t.items
 }
 
-// Get returns the item under key, marking it most recently used.
-func (t *Tier) Get(key Key) (Sized, bool) {
-	t.mu.Lock()
-	el, ok := t.items[key]
-	if ok {
-		t.lru.MoveToFront(el)
+// lookup returns key's slot, moved to the front of the LRU order, or 0 when
+// key is not resident. The caller holds mu.
+func (t *Tier) lookup(key Key) int32 {
+	i := t.slotOf(key)
+	if i == 0 || t.slots[i].state != slotResident {
+		return 0
 	}
-	t.mu.Unlock()
-	if ok {
-		t.hits.Add(1)
-		return el.Value.(*tierEntry).val, true
+	if t.slots[0].next != i {
+		t.unlink(i)
+		t.pushFront(i)
 	}
-	t.misses.Add(1)
-	return nil, false
+	return i
 }
 
-// Add admits v under key, evicting least-recently-used items until it
-// fits. An item larger than the whole budget is rejected. A key already
-// resident is replaced.
-func (t *Tier) Add(key Key, v Sized) bool { return t.add(key, v, true) }
-
-// TryAdd admits v only if it fits without evicting anything. Preload uses
-// it so filling the tier in priority order stops at the budget instead of
-// demoting what was just loaded.
-func (t *Tier) TryAdd(key Key, v Sized) bool { return t.add(key, v, false) }
-
-func (t *Tier) add(key Key, v Sized, evict bool) bool {
-	size := int64(v.SizeBytes())
-	if size > t.budget {
+// counted records a lookup's outcome.
+func (t *Tier) counted(i int32) bool {
+	if i == 0 {
+		t.misses.Add(1)
 		return false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.items[key]; ok {
-		t.bytes -= el.Value.(*tierEntry).size
-		t.lru.Remove(el)
-		delete(t.items, key)
-	}
-	if t.bytes+size > t.budget && !evict {
-		return false
-	}
-	for t.bytes+size > t.budget {
-		back := t.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*tierEntry)
-		t.bytes -= e.size
-		t.lru.Remove(back)
-		delete(t.items, e.key)
-		t.evictions.Add(1)
-	}
-	t.items[key] = t.lru.PushFront(&tierEntry{key: key, size: size, val: v})
-	t.bytes += size
+	t.hits.Add(1)
 	return true
 }
 
-// Invalidate drops the item under key, if resident.
+// Postings returns the resident list of symbol sym, marking it most recently
+// used.
+func (t *Tier) Postings(sym uint32) (Postings, bool) {
+	var p Postings
+	t.mu.Lock()
+	i := t.lookup(Key{KindPostings, sym})
+	if i != 0 {
+		p.data = t.lists.view(&t.slots[i])
+	}
+	t.mu.Unlock()
+	return p, t.counted(i)
+}
+
+// DocIDs returns the resident docid list, marking it most recently used.
+func (t *Tier) DocIDs() (DocIDs, bool) {
+	var d DocIDs
+	t.mu.Lock()
+	i := t.lookup(Key{Kind: KindDocIDs})
+	if i != 0 {
+		d.data = t.lists.view(&t.slots[i])
+	}
+	t.mu.Unlock()
+	return d, t.counted(i)
+}
+
+// Summary fills dst with the resident summary of docID, marking it most
+// recently used; false leaves dst as it was.
+func (t *Tier) Summary(docID uint32, dst *Summary) bool {
+	t.mu.Lock()
+	i := t.lookup(Key{KindSummary, docID})
+	if i != 0 {
+		s := &t.slots[i]
+		*dst = Summary{docID: docID, n: int32(s.n), pw: s.pw, lw: s.lw, words: t.words.view(s)}
+	}
+	t.mu.Unlock()
+	return t.counted(i)
+}
+
+// Add admits e under key, evicting least-recently-used structures until it
+// fits, and replaces whatever key held. A structure larger than the whole
+// budget is not admitted, and a failed Add leaves the tier as it was.
+func (t *Tier) Add(key Key, e Entry) bool { return t.add(key, e, true) }
+
+// TryAdd admits e only if it fits without evicting anything. Preload uses
+// it so filling the tier in priority order stops at the budget instead of
+// demoting what was just loaded. A failed TryAdd leaves the tier as it was.
+func (t *Tier) TryAdd(key Key, e Entry) bool { return t.add(key, e, false) }
+
+func (t *Tier) add(key Key, e Entry, evict bool) bool {
+	if e.kind != key.Kind {
+		panic("hot: entry kind does not match its key")
+	}
+	size := e.size()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := t.slotOf(key)
+	room := t.budget - t.bytes
+	if old != 0 && t.slots[old].state == slotResident {
+		room += t.slots[old].charge()
+	}
+	// Offsets are 32-bit: an arena whose live payload would pass 4 GiB (of
+	// bytes, or of words) refuses the structure.
+	addressable := int64(t.lists.live+len(e.list)) <= math.MaxUint32 &&
+		int64(t.words.live+len(e.words)) <= math.MaxUint32
+	if size > t.budget || (!evict && size > room) || !addressable {
+		return false
+	}
+	if old != 0 {
+		t.drop(old)
+	}
+	for t.bytes+size > t.budget {
+		t.drop(t.slots[0].prev)
+		t.evictions.Add(1)
+	}
+	t.tidy()
+	if int64(len(t.lists.buf)+len(e.list)) > math.MaxUint32 {
+		repack(&t.lists, t.slots, false)
+	}
+	if int64(len(t.words.buf)+len(e.words)) > math.MaxUint32 {
+		repack(&t.words, t.slots, true)
+	}
+	i := t.newSlot(key, slotResident)
+	s := &t.slots[i]
+	if key.Kind == KindSummary {
+		s.off, s.n, s.pw, s.lw = t.words.put(e.words), uint32(e.n), e.pw, e.lw
+	} else {
+		s.off, s.n = t.lists.put(e.list), uint32(len(e.list))
+	}
+	t.pushFront(i)
+	t.bytes += size
+	t.items++
+	return true
+}
+
+// Reject marks key as built and found not to fit, so a miss need not
+// rebuild it; Rejected reports the mark and an invalidation clears it. A
+// resident key stays resident.
+func (t *Tier) Reject(key Key) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.slotOf(key) == 0 {
+		t.newSlot(key, slotRejected)
+	}
+}
+
+// Rejected reports whether key carries Reject's mark.
+func (t *Tier) Rejected(key Key) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i := t.slotOf(key)
+	return i != 0 && t.slots[i].state == slotRejected
+}
+
+// Invalidate drops the structure under key, if resident, and its rejection
+// mark, if any.
 func (t *Tier) Invalidate(key Key) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if el, ok := t.items[key]; ok {
-		t.bytes -= el.Value.(*tierEntry).size
-		t.lru.Remove(el)
-		delete(t.items, key)
+	if i := t.slotOf(key); i != 0 {
+		t.drop(i)
+		t.tidy()
 	}
 }
 
@@ -142,9 +412,21 @@ func (t *Tier) Invalidate(key Key) {
 func (t *Tier) InvalidateAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.items = map[Key]*list.Element{}
-	t.lru.Init()
-	t.bytes = 0
+	t.slots, t.free = make([]slot, 1), 0
+	t.post, t.docs, t.docids = nil, nil, 0
+	t.lists, t.words = arena[byte]{}, arena[uint64]{}
+	t.bytes, t.items = 0, 0
+}
+
+// Trim copies every resident payload into exactly sized arenas and clips the
+// slot slab and the indexes to their length, so a tier that is done filling
+// holds no append slack. PreloadHot calls it when it finishes.
+func (t *Tier) Trim() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	repack(&t.lists, t.slots, false)
+	repack(&t.words, t.slots, true)
+	t.slots, t.post, t.docs = slices.Clone(t.slots), slices.Clone(t.post), slices.Clone(t.docs)
 }
 
 // Stats is a point-in-time snapshot of the tier's counters.
@@ -160,7 +442,7 @@ type Stats struct {
 // Stats snapshots the tier.
 func (t *Tier) Stats() Stats {
 	t.mu.Lock()
-	bytes, items := t.bytes, len(t.items)
+	bytes, items := t.bytes, t.items
 	t.mu.Unlock()
 	return Stats{
 		Budget:    t.budget,

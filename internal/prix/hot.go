@@ -2,7 +2,6 @@ package prix
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/docstore"
@@ -29,9 +28,10 @@ import (
 // record hit and bypass the tier.
 //
 // Tier reads and lazy builds happen under repairMu.RLock; every structural
-// writer holds repairMu.Lock, so a build always snapshots a stable image —
-// which is also why a query may resolve its lists once (compile) and keep
-// the pointers for its whole run.
+// writer holds repairMu.Lock, so a build always snapshots a stable image. A
+// query resolves its lists once (compile) and keeps their views for its whole
+// run: a view aliases bytes the tier never rewrites, so it stays valid even
+// if the tier evicts, invalidates or repacks the structure meanwhile.
 //
 // Every build reads its pages without filling the buffer pools
 // (btree.Tree.ScanNoFill, docstore.Store.ScanNoFill): a page read only to
@@ -39,42 +39,6 @@ import (
 // the pool already holds, dirty ones included, are read from their frames.
 // The paged path (tree scans, admitHotRecord's store reads) still fills the
 // pool as before.
-
-// hotState owns the tier plus admission bookkeeping. The rejected set
-// remembers keys whose built structure exceeded the whole budget, so a
-// query does not rebuild (and re-reject) an oversized list on every miss;
-// an invalidation clears the mark because the source data changed size.
-type hotState struct {
-	tier     *hot.Tier
-	mu       sync.Mutex
-	rejected map[hot.Key]bool
-}
-
-func (h *hotState) skipBuild(key hot.Key) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.rejected[key]
-}
-
-func (h *hotState) markRejected(key hot.Key) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.rejected[key] = true
-}
-
-func (h *hotState) invalidate(key hot.Key) {
-	h.tier.Invalidate(key)
-	h.mu.Lock()
-	delete(h.rejected, key)
-	h.mu.Unlock()
-}
-
-func (h *hotState) invalidateAll() {
-	h.tier.InvalidateAll()
-	h.mu.Lock()
-	h.rejected = map[hot.Key]bool{}
-	h.mu.Unlock()
-}
 
 // Tier keys: comparable structs, built per lookup without allocating.
 var docidKey = hot.Key{Kind: hot.KindDocIDs}
@@ -85,7 +49,7 @@ func recKey(docID uint32) hot.Key   { return hot.Key{Kind: hot.KindSummary, ID: 
 // initHot creates the tier when the options enable it.
 func (ix *Index) initHot() {
 	if ix.opts.HotBudget > 0 {
-		ix.hot = &hotState{tier: hot.NewTier(ix.opts.HotBudget), rejected: map[hot.Key]bool{}}
+		ix.hot = hot.NewTier(ix.opts.HotBudget)
 	}
 }
 
@@ -101,101 +65,89 @@ func (ix *Index) HotStats() HotStats {
 	if ix.hot == nil {
 		return HotStats{}
 	}
-	return HotStats{Enabled: true, Tier: ix.hot.tier.Stats()}
+	return HotStats{Enabled: true, Tier: ix.hot.Stats()}
 }
 
-// buildHotPostings flattens one symbol's postings by replaying the Scan of
-// its whole key-prefix range; entry order is exactly the tree's, so a hot
-// Scan emits what the tree's Scan would.
-func (ix *Index) buildHotPostings(s vtrie.Symbol) (*hot.Postings, error) {
-	b := hot.NewPostingsBuilder()
+// buildHotPostings flattens one symbol's postings into b by replaying the
+// Scan of its whole key-prefix range; entry order is exactly the tree's, so a
+// hot Scan emits what the tree's Scan would.
+func (ix *Index) buildHotPostings(s vtrie.Symbol, b *hot.PostingsBuilder) error {
 	lo, hi := postingKey(s, 0), postingKey(s, math.MaxUint64)
-	err := ix.postings.ScanNoFill(lo[:], hi[:], true, true, func(k, v []byte) bool {
+	return ix.postings.ScanNoFill(lo[:], hi[:], true, true, func(k, v []byte) bool {
 		_, left := decodePostingKey(k)
 		r, lvl := decodePosting(v)
 		b.Add(left, r, lvl)
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
 }
 
-// buildHotDocIDs flattens the Docid tree the same way.
-func buildHotDocIDs(tree *btree.Tree) (*hot.DocIDs, error) {
-	b := hot.NewDocIDsBuilder()
-	err := tree.ScanNoFill(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(k, v []byte) bool {
+// buildHotDocIDs flattens the Docid tree into b the same way.
+func buildHotDocIDs(tree *btree.Tree, b *hot.DocIDsBuilder) error {
+	return tree.ScanNoFill(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(k, v []byte) bool {
 		if len(v) != 4 {
 			return true // tombstones live in the same tree but are not entries
 		}
 		b.Add(btree.Uint64Key(k), decodeDocID(v))
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
 }
 
-// resident returns the structure under key, building and admitting it on a
-// miss. ok false means it is not resident: over budget, or a build I/O error
-// the tree path will surface itself. A query's admission (evict) displaces
-// colder entries, and what still does not fit is marked rejected; the
-// preload's takes free room only and marks nothing, so a later query may
-// still admit the structure.
-func resident[T hot.Sized](h *hotState, key hot.Key, evict bool, build func() (T, error)) (v T, ok bool) {
-	if got, hit := h.tier.Get(key); hit {
-		return got.(T), true
+// admitHot is a query's admission of a structure it just built: it displaces
+// colder entries, and what still does not fit is marked rejected so later
+// misses do not rebuild it. The preload's admissions (TryAdd) take free room
+// only and mark nothing, so a later query may still admit the structure.
+func (ix *Index) admitHot(key hot.Key, e hot.Entry) bool {
+	if ix.hot.Add(key, e) {
+		return true
 	}
-	if h.skipBuild(key) {
-		return v, false
-	}
-	built, err := build()
-	if err != nil {
-		return v, false
-	}
-	if evict {
-		if !h.tier.Add(key, built) {
-			h.markRejected(key)
-			return v, false
-		}
-	} else if !h.tier.TryAdd(key, built) {
-		return v, false
-	}
-	return built, true
+	ix.hot.Reject(key)
+	return false
 }
 
-// hotPostings returns the resident list of one symbol; nil means the scan
-// must go to the tree (tier disabled, or see resident).
-func (ix *Index) hotPostings(s vtrie.Symbol) *hot.Postings {
+// hotPostings returns the resident list of one symbol, building and
+// admitting it on a miss. ok false means the scan must go to the tree: no
+// tier, over budget, or a build I/O error the tree path will surface itself.
+// A list built here is returned as its builder's view; the tier keeps a copy.
+func (ix *Index) hotPostings(s vtrie.Symbol) (hot.Postings, bool) {
 	if ix.hot == nil {
-		return nil
+		return hot.Postings{}, false
 	}
-	p, _ := resident(ix.hot, symKey(s), true, func() (*hot.Postings, error) { return ix.buildHotPostings(s) })
-	return p
+	if p, ok := ix.hot.Postings(uint32(s)); ok {
+		return p, true
+	}
+	if ix.hot.Rejected(symKey(s)) {
+		return hot.Postings{}, false
+	}
+	b := hot.NewPostingsBuilder()
+	if ix.buildHotPostings(s, b) != nil {
+		return hot.Postings{}, false
+	}
+	return b.View(), ix.admitHot(symKey(s), b.View().Entry())
 }
 
 // hotDocIDs is hotPostings for the Docid index.
-func (ix *Index) hotDocIDs() *hot.DocIDs {
+func (ix *Index) hotDocIDs() (hot.DocIDs, bool) {
 	if ix.hot == nil || ix.docid == nil {
-		return nil
+		return hot.DocIDs{}, false
 	}
-	d, _ := resident(ix.hot, docidKey, true, func() (*hot.DocIDs, error) { return buildHotDocIDs(ix.docid) })
-	return d
+	if d, ok := ix.hot.DocIDs(); ok {
+		return d, true
+	}
+	if ix.hot.Rejected(docidKey) {
+		return hot.DocIDs{}, false
+	}
+	b := hot.NewDocIDsBuilder()
+	if buildHotDocIDs(ix.docid, b) != nil {
+		return hot.DocIDs{}, false
+	}
+	return b.View(), ix.admitHot(docidKey, b.View().Entry())
 }
 
-// hotSummary returns the resident structure summary for a document, or nil.
-// Admission happens separately (admitHotRecord) so the miss path charges
-// the store read, not the getter.
-func (ix *Index) hotSummary(docID uint32) *hot.Summary {
-	if ix.hot == nil {
-		return nil
-	}
-	if v, ok := ix.hot.tier.Get(recKey(docID)); ok {
-		return v.(*hot.Summary)
-	}
-	return nil
+// hotSummary fills dst with the resident structure summary of a document;
+// false means it has none. Admission happens separately (admitHotRecord) so
+// the miss path charges the store read, not the getter.
+func (ix *Index) hotSummary(docID uint32, dst *hot.Summary) bool {
+	return ix.hot != nil && ix.hot.Summary(docID, dst)
 }
 
 // admitHotRecord tries to cache a just-fetched record as a summary. A
@@ -206,16 +158,13 @@ func (ix *Index) admitHotRecord(rec *docstore.Record) {
 		return
 	}
 	key := recKey(rec.DocID)
-	if ix.hot.skipBuild(key) {
+	if ix.hot.Rejected(key) {
 		return
 	}
-	s := hot.NewSummary(rec)
-	if s == nil {
-		ix.hot.markRejected(key)
-		return
-	}
-	if !ix.hot.tier.Add(key, s) {
-		ix.hot.markRejected(key)
+	if s := hot.NewSummary(rec); s != nil {
+		ix.admitHot(key, s.Entry())
+	} else {
+		ix.hot.Reject(key)
 	}
 }
 
@@ -223,70 +172,80 @@ func (ix *Index) admitHotRecord(rec *docstore.Record) {
 // inserted).
 func (ix *Index) hotInvalidateTree(s vtrie.Symbol) {
 	if ix.hot != nil {
-		ix.hot.invalidate(symKey(s))
+		ix.hot.Invalidate(symKey(s))
 	}
 }
 
 // hotInvalidateDocid drops the resident docid list.
 func (ix *Index) hotInvalidateDocid() {
 	if ix.hot != nil {
-		ix.hot.invalidate(docidKey)
+		ix.hot.Invalidate(docidKey)
 	}
 }
 
 // hotInvalidateDoc drops one document's summary (rewrite or quarantine).
 func (ix *Index) hotInvalidateDoc(docID uint32) {
 	if ix.hot != nil {
-		ix.hot.invalidate(recKey(docID))
+		ix.hot.Invalidate(recKey(docID))
 	}
 }
 
 // hotInvalidateAll empties the tier (forest rebuild replaced everything).
 func (ix *Index) hotInvalidateAll() {
 	if ix.hot != nil {
-		ix.hot.invalidateAll()
+		ix.hot.InvalidateAll()
 	}
 }
 
 // PreloadHot fills the tier in priority order — the docid list, then every
 // symbol's posting list ascending, then document summaries ascending — without
 // evicting anything already loaded; each phase stops at the first structure
-// that no longer fits. A postings page that fails to read stops the preload
-// there, and the list it interrupted is not admitted: a short list would
-// answer queries without the error the tree path reports (an unreadable record
-// only goes without a summary). Open and the builders call it
-// automatically; it is a no-op without a tier. Callers that own the index
-// exclusively may call it again after bulk mutations.
+// that no longer fits. Lists are built in one reused builder and copied
+// straight into the tier's arena, and the tier is trimmed to exact size at
+// the end. A postings page that fails to read stops the preload there, and
+// the list it interrupted is not admitted: a short list would answer queries
+// without the error the tree path reports (an unreadable record only goes
+// without a summary). Open and the builders call it automatically; it is a
+// no-op without a tier. Callers that own the index exclusively may call it
+// again after bulk mutations.
 func (ix *Index) PreloadHot() {
 	if ix.hot == nil {
 		return
 	}
+	defer ix.hot.Trim()
 	if ix.docid != nil {
-		if _, ok := resident(ix.hot, docidKey, false, func() (*hot.DocIDs, error) { return buildHotDocIDs(ix.docid) }); !ok {
-			return
+		if _, ok := ix.hot.DocIDs(); !ok {
+			b := hot.NewDocIDsBuilder()
+			if buildHotDocIDs(ix.docid, b) != nil || !ix.hot.TryAdd(docidKey, b.View().Entry()) {
+				return
+			}
 		}
 	}
 	// One pass over the postings tree, cut into a list wherever the key's
-	// symbol prefix changes.
+	// symbol prefix changes; b holds the current symbol's list, empty only
+	// before the first key.
 	var (
-		b    *hot.PostingsBuilder
+		b    = hot.NewPostingsBuilder()
 		cur  vtrie.Symbol
 		full bool
 	)
 	admit := func() bool {
-		if b == nil {
+		if b.Len() == 0 {
 			return true
 		}
-		_, ok := resident(ix.hot, symKey(cur), false, func() (*hot.Postings, error) { return b.Build(), nil })
-		return ok
+		if _, ok := ix.hot.Postings(uint32(cur)); ok {
+			return true
+		}
+		return ix.hot.TryAdd(symKey(cur), b.View().Entry())
 	}
 	err := ix.postings.ScanNoFill(nil, nil, true, true, func(k, v []byte) bool {
 		sym, left := decodePostingKey(k)
-		if b == nil || sym != cur {
+		if b.Len() == 0 || sym != cur {
 			if full = !admit(); full {
 				return false
 			}
-			b, cur = hot.NewPostingsBuilder(), sym
+			b.Reset()
+			cur = sym
 		}
 		r, lvl := decodePosting(v)
 		b.Add(left, r, lvl)
@@ -298,13 +257,15 @@ func (ix *Index) PreloadHot() {
 	if !full {
 		admit()
 	}
-	var rec docstore.Record
+	var (
+		rec docstore.Record
+		sum hot.Summary
+	)
 	ix.store.ScanNoFill(&rec, func(r *docstore.Record) bool {
-		key := recKey(r.DocID)
-		if _, ok := ix.hot.tier.Get(key); ok {
+		if ix.hot.Summary(r.DocID, &sum) {
 			return true
 		}
 		s := hot.NewSummary(r)
-		return s == nil || ix.hot.tier.TryAdd(key, s)
+		return s == nil || ix.hot.TryAdd(recKey(r.DocID), s.Entry())
 	})
 }

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/docstore"
+	"repro/internal/hot"
 	"repro/internal/mvcc"
 	"repro/internal/obs"
 	"repro/internal/pager"
@@ -158,7 +159,7 @@ type Index struct {
 	repairMu sync.RWMutex
 	// hot is the in-memory hot tier (nil when Options.HotBudget is
 	// 0). See hot.go for the caching and invalidation contract.
-	hot *hotState
+	hot *hot.Tier
 	// io is ioCounts as a func value, the I/O source of every match span.
 	io obs.IOFunc
 	// versions is the MVCC version map (nil until the first mutation or an

@@ -25,7 +25,8 @@ import (
 // query level would, hot list or paged tree, serial or with readahead.
 func levelScan(t *testing.T, ix *Index, sym vtrie.Symbol, ql, qr uint64, par int) []hit {
 	t.Helper()
-	p := &plan{levels: []levelSource{{tree: ix.postings, sym: sym, hot: ix.hotPostings(sym)}}}
+	p := &plan{levels: []levelSource{{tree: ix.postings, sym: sym}}}
+	p.levels[0].hot, p.levels[0].resident = ix.hotPostings(sym)
 	sc := getScratch()
 	sc.levels(1)
 	defer putScratch(sc)

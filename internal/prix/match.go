@@ -321,7 +321,8 @@ type plan struct {
 	prune []pruneRule
 	// levels[i] is where level i's range queries go and docids where the
 	// terminal docid scans go, resolved once per query: the index is
-	// read-locked for the whole Match, so the pointers stay valid.
+	// read-locked for the whole Match, so the trees stay valid, and a hot
+	// view reads bytes the tier never rewrites.
 	levels []levelSource
 	docids docidSource
 	// leaves lists query leaves for the refinement-by-leaf phase.
@@ -350,17 +351,19 @@ func (r pruneRule) pruned(gap int64) bool {
 // levelSource is one query level's posting source: the symbol's key-prefix
 // range of the postings tree (tree is nil when the symbol heads no sequence
 // position, known from the posted set without a probe) and, when resident,
-// its hot list, which then serves every range query of the level.
+// a view of its hot list, which then serves every range query of the level.
 type levelSource struct {
-	tree *btree.Tree
-	sym  vtrie.Symbol
-	hot  *hot.Postings
+	tree     *btree.Tree
+	sym      vtrie.Symbol
+	hot      hot.Postings
+	resident bool
 }
 
-// docidSource is the Docid index and, when resident, its hot list.
+// docidSource is the Docid index and, when resident, a view of its hot list.
 type docidSource struct {
-	tree *btree.Tree
-	hot  *hot.DocIDs
+	tree     *btree.Tree
+	hot      hot.DocIDs
+	resident bool
 }
 
 // hit is one posting a level's range query returned.
@@ -420,10 +423,12 @@ func (ix *Index) compile(q *twig.Query, p *plan) (ok bool, err error) {
 		p.syms[i] = sym
 		p.npsQ[i] = int32(pat.Seq.Numbers[i])
 		if ix.posted.has(sym) {
-			p.levels[i] = levelSource{tree: ix.postings, sym: sym, hot: ix.hotPostings(sym)}
+			p.levels[i] = levelSource{tree: ix.postings, sym: sym}
+			p.levels[i].hot, p.levels[i].resident = ix.hotPostings(sym)
 		}
 	}
-	p.docids = docidSource{tree: ix.docid, hot: ix.hotDocIDs()}
+	p.docids = docidSource{tree: ix.docid}
+	p.docids.hot, p.docids.resident = ix.hotDocIDs()
 	for i := range p.npsQ {
 		p.lastOcc[i] = isLastOccurrence(p.npsQ, i)
 	}
@@ -534,7 +539,9 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 // query's result is copied out of the stage by pack, the pipelined emit copies
 // S and path per candidate, and a record that must outlive its candidate is
 // never the scratch's: the pipelined record cache fetches fresh records, and a
-// hot summary copies what it keeps.
+// summary admitted to the tier copies the record it was built from. sum is
+// the view of the current candidate's resident summary; it aliases the tier's
+// arena, never the scratch.
 type scratch struct {
 	plan plan
 	// walk is the query's descent. Like the plan it lives in the scratch of
@@ -551,6 +558,7 @@ type scratch struct {
 	// emit, which the branch's descent stage excludes. Traced queries only.
 	emitNS int64
 	rec    docstore.Record
+	sum    hot.Summary
 	stage  matchStage
 }
 
@@ -575,12 +583,13 @@ func (sc *scratch) levels(n int) {
 const scratchKeep = 64 << 10
 
 // putScratch returns sc to the pool without what it borrowed from the query
-// (the plan's pointers into the index and the pattern, the walk) and without
-// any record or result buffer above scratchKeep.
+// (the plan's pointers into the index and the pattern, its views of the hot
+// tier, the walk) and without any record or result buffer above scratchKeep.
 func putScratch(sc *scratch) {
 	clear(sc.plan.levels)
 	sc.plan.docids, sc.plan.edges = docidSource{}, nil
 	sc.walk = descent{}
+	sc.sum = hot.Summary{}
 	if (cap(sc.rec.NPS)+cap(sc.rec.LPS)+2*cap(sc.rec.Leaves))*4 > scratchKeep {
 		sc.rec = docstore.Record{}
 	}
@@ -707,7 +716,7 @@ func scanLevel(p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, pa
 	}
 	stats.RangeQueries++
 	var err error
-	if src.hot != nil {
+	if src.resident {
 		stats.HotPostingHits++
 		src.hot.Scan(ql, qr, false, true, func(l, r uint64, lvl uint32) bool {
 			hits = append(hits, hit{left: l, right: r, level: lvl})
@@ -741,7 +750,7 @@ func (ix *Index) scanDocIDs(p *plan, opts *MatchOptions, left, right uint64, sta
 		emitErr = emit(id)
 		return emitErr == nil
 	}
-	if p.docids.hot != nil {
+	if p.docids.resident {
 		stats.HotPostingHits++
 		p.docids.hot.Scan(left, right, true, true, visit)
 		return emitErr
@@ -953,8 +962,9 @@ func pathKey(path []int32) string {
 // A record read from the store is decoded into dst, which the caller owns
 // and may reuse for its next fetch (refinement needs a record only for the
 // length of one refine call); a nil dst asks for a fresh record, for callers
-// that keep it.
-func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *docstore.Record) (*hot.Summary, *docstore.Record, error) {
+// that keep it. A resident summary is filled into sum, which the caller owns
+// the same way, and returned; the bytes its view reads are never rewritten.
+func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *docstore.Record, sum *hot.Summary) (*hot.Summary, *docstore.Record, error) {
 	var oldLoc mvcc.Loc
 	if ix.versions != nil {
 		iv, ok := ix.versions.At(docID, asOf)
@@ -966,13 +976,13 @@ func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *do
 	stats.RecordFetches++
 	var err error
 	if oldLoc.Zero() {
-		if s := ix.hotSummary(docID); s != nil {
+		if ix.hotSummary(docID, sum) {
 			// Quarantine is re-checked on every hit so a document degraded
 			// after admission (by a concurrent query's corruption discovery)
 			// is skipped exactly like the paged path skips it.
 			if !ix.store.IsQuarantined(docID) {
 				stats.HotRecordHits++
-				return s, nil, nil
+				return sum, nil, nil
 			}
 			ix.hotInvalidateDoc(docID)
 			stats.Degraded = true
@@ -1009,7 +1019,8 @@ func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *do
 // single-node scan, the exhaustive fallback, reconstruction): a resident
 // summary is decoded back into a record. The record is always a fresh one.
 func (ix *Index) getRecordAsOf(docID uint32, asOf uint64, stats *QueryStats) (*docstore.Record, error) {
-	s, rec, err := ix.fetchAsOf(docID, asOf, stats, nil)
+	var sum hot.Summary
+	s, rec, err := ix.fetchAsOf(docID, asOf, stats, nil, &sum)
 	if s != nil {
 		return s.Record(), nil
 	}
@@ -1021,8 +1032,9 @@ func (ix *Index) getRecordAsOf(docID uint32, asOf uint64, stats *QueryStats) (*d
 func (ix *Index) Quarantined() []uint32 { return ix.store.Quarantined() }
 
 // docShape is what Algorithm 2 reads of a data tree. A *docstore.Record
-// answers from its decoded NPS/LPS/leaf lists and a resident *hot.Summary
-// from its packed vector in place, so a hot record hit decodes nothing.
+// answers from its decoded NPS/LPS/leaf lists and a resident summary's
+// *hot.Summary view from its packed vector in place, so a hot record hit
+// decodes nothing.
 type docShape interface {
 	Nodes() int32
 	ParentOf(post int32) int32 // 0 for the root and for numbers outside the tree
@@ -1030,18 +1042,19 @@ type docShape interface {
 }
 
 // recordSource fetches one document's shape for refinement; a nil shape
-// with a nil error means "skip this document". tmp is a record the calling
-// goroutine owns (its scratch's): the inline emit passes shapeFetcher's
-// fetch-per-candidate source, which decodes into tmp and returns it, good
-// until the caller's next fetch; the pipelined scheduler passes a per-query
-// memoizing cache, which ignores tmp and keeps a fresh record per document, so
-// a document shared by many candidates is fetched once.
-type recordSource func(docID uint32, stats *QueryStats, tmp *docstore.Record) (docShape, error)
+// with a nil error means "skip this document". tmp and sum are a record and a
+// summary view the calling goroutine owns (its scratch's): the inline emit
+// passes shapeFetcher's fetch-per-candidate source, which decodes into tmp or
+// fills sum and returns it, good until the caller's next fetch; the pipelined
+// scheduler passes a per-query memoizing cache, which ignores both and keeps
+// a fresh record or a summary view of its own per document, so a document
+// shared by many candidates is fetched once.
+type recordSource func(docID uint32, stats *QueryStats, tmp *docstore.Record, sum *hot.Summary) (docShape, error)
 
 // shapeFetcher adapts fetchAsOf to the recordSource shape.
 func (ix *Index) shapeFetcher(asOf uint64) recordSource {
-	return func(docID uint32, stats *QueryStats, tmp *docstore.Record) (docShape, error) {
-		s, rec, err := ix.fetchAsOf(docID, asOf, stats, tmp)
+	return func(docID uint32, stats *QueryStats, tmp *docstore.Record, sum *hot.Summary) (docShape, error) {
+		s, rec, err := ix.fetchAsOf(docID, asOf, stats, tmp, sum)
 		switch {
 		case s != nil:
 			return s, nil
@@ -1060,7 +1073,7 @@ func (ix *Index) shapeFetcher(asOf uint64) recordSource {
 func (ix *Index) refine(p *plan, docID uint32, S []int32, stats *QueryStats,
 	fetch recordSource, sc *scratch, sp *obs.Span) (ok bool, err error) {
 	t0 := sp.Start()
-	doc, err := fetch(docID, stats, &sc.rec)
+	doc, err := fetch(docID, stats, &sc.rec, &sc.sum)
 	sp.Stage(obs.StageFetch, t0)
 	if err != nil || doc == nil {
 		return false, err

@@ -115,8 +115,8 @@ func TestHotSummaryOutlivesScratch(t *testing.T) {
 	}
 	resident := 0
 	for id := 0; id < ix.NumDocs(); id++ {
-		sum := ix.hotSummary(uint32(id))
-		if sum == nil {
+		sum := new(hot.Summary)
+		if !ix.hotSummary(uint32(id), sum) {
 			continue
 		}
 		resident++

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/docstore"
+	"repro/internal/hot"
 	"repro/internal/obs"
 	"repro/internal/twig"
 )
@@ -345,7 +346,8 @@ func appendKey(b []byte, docID uint32, vals []int32) []byte {
 //
 // A cached record outlives the worker that fetched it and is read by the
 // others, so it is never decoded into a worker's scratch: the cache asks the
-// store for a fresh record and keeps that.
+// store for a fresh record and keeps that, and fills a resident summary's
+// view into the entry itself.
 type recordCache struct {
 	fetch recordSource
 	mu    sync.Mutex
@@ -356,13 +358,14 @@ type cachedShape struct {
 	mu   sync.Mutex // held across the fetch; orders waiters behind it
 	done bool
 	doc  docShape // nil: skip the document (quarantined or not visible)
+	sum  hot.Summary
 }
 
 func newRecordCache(ix *Index, asOf uint64) *recordCache {
 	return &recordCache{fetch: ix.shapeFetcher(asOf), m: map[uint32]*cachedShape{}}
 }
 
-func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record) (docShape, error) {
+func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record, _ *hot.Summary) (docShape, error) {
 	c.mu.Lock()
 	e := c.m[docID]
 	if e == nil {
@@ -379,7 +382,7 @@ func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record) (
 		}
 		return e.doc, nil
 	}
-	doc, err := c.fetch(docID, stats, nil)
+	doc, err := c.fetch(docID, stats, nil, &e.sum)
 	if err != nil {
 		return nil, err
 	}

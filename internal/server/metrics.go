@@ -217,13 +217,17 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 }
 
 // runtimeMetrics are the Go runtime's own numbers /metrics exports: the heap
-// a resident index keeps live, the goal the collector paces towards, and
-// what collecting it costs.
+// a resident index keeps live, the goal the collector paces towards, what
+// collecting it costs, and how much of the heap the collector must look
+// inside — its object count and the bytes it scans, which pointer-free
+// resident structures keep small.
 var runtimeMetrics = []struct{ key, name, kind, help string }{
 	{"/gc/heap/live:bytes", "go_heap_live_bytes", "gauge", "Heap bytes marked live by the last garbage collection."},
 	{"/gc/heap/goal:bytes", "go_heap_goal_bytes", "gauge", "Heap size the current garbage-collection cycle aims to end at."},
 	{"/gc/cycles/total:gc-cycles", "go_gc_cycles_total", "counter", "Completed garbage-collection cycles."},
 	{"/cpu/classes/gc/total:cpu-seconds", "go_gc_cpu_seconds_total", "counter", "Estimated CPU time spent in the garbage collector."},
+	{"/gc/heap/objects:objects", "go_gc_heap_objects", "gauge", "Heap objects occupied by live or not-yet-swept memory."},
+	{"/gc/scan/heap:bytes", "go_gc_scan_heap_bytes", "gauge", "Heap bytes that may hold pointers, which a garbage collection must scan."},
 }
 
 // writeRuntimeMetrics renders runtimeMetrics from one runtime/metrics read.
