@@ -19,6 +19,10 @@ test:
 # One race-detector pass over every package with shared mutable state (full
 # ./... under -race is slow), each package once:
 #   - server: concurrent requests, singleflight, drain, overload; the
+#     pooled request deadline against context.WithTimeout
+#     (TestRequestContextMatchesStdlib: expiry, parent cancellation, a late
+#     timer against the value's next request, a deadline expiring mid-descent
+#     and during shard admission); the
 #     oracle differential through the handler (plain, EP and sharded); the
 #     multi-shard loop (query, quarantine one shard by a corrupt page,
 #     partial Degraded answer naming it, online /repair, full answer); the
@@ -72,7 +76,11 @@ sched:
 # leaf codec, a fixed-width leaf split against a slotted one, a record
 # decoded into a sized destination, a Match resident, paged and pipelined, the
 # pipelined record cache, a trace, the nil span API, a canonical query string,
-# one document drained by a compaction — plus the resident cost of a labeler
+# a parsed query (TestParseAllocs: two objects up to 16 nodes), one POST /query
+# through the handler on a resident index (TestHandleQueryAllocs: the pooled
+# deadline and body, the one-slab parse and the pattern compiled into the
+# query scratch leave 20 objects, 51 before), one document drained by a
+# compaction — plus the resident cost of a labeler
 # trie node (TestLabelerBytesPerNode: live bytes and objects, not mallocs), of
 # a buffer-pool page and an empty pool (TestPoolBytesPerPage), of a
 # dictionary name (TestDictBytesPerName) and of a hot-tier structure
@@ -82,7 +90,7 @@ sched:
 # then fails a named test here before it reaches the benchmark's allocs_op or
 # live_heap_mb.
 allocs:
-	$(GO) test -count=1 -run 'Allocs|BytesPer' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig ./internal/vtrie ./internal/hot
+	$(GO) test -count=1 -run 'Allocs|BytesPer' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig ./internal/vtrie ./internal/hot ./internal/server
 
 # The driver's benchmark is a nested module (benchmark/go.mod) that `go test
 # ./...` does not reach: vet and short-test it here, so a change to an

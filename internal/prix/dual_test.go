@@ -180,8 +180,11 @@ func TestDualRoutingMatchesCompile(t *testing.T) {
 		if strings.Contains(q.String()[2:], "//") || strings.Contains(q.String(), "*") {
 			wildcardRP++
 		}
-		var p plan
-		if _, err := d.RP().compile(q, &p); errors.Is(err, ErrNeedsExtendedIndex) {
+		var (
+			pat twig.Pattern
+			p   plan
+		)
+		if _, err := d.RP().compile(q, &pat, &p); errors.Is(err, ErrNeedsExtendedIndex) {
 			t.Errorf("%s: routed to the RP half, whose compile refuses it: %v", q, err)
 		}
 	}

@@ -218,7 +218,8 @@ func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, 
 		finishMatchSpan(sp, stats)
 		return ms, stats, nil
 	}
-	queries := []*twig.Query{q}
+	var out []Match
+	var err error
 	if opts.Unordered {
 		limit := opts.ArrangementLimit
 		if limit <= 0 {
@@ -229,9 +230,12 @@ func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, 
 			sp.End()
 			return nil, nil, fmt.Errorf("prix: too many branch arrangements for unordered match of %q", q)
 		}
-		queries = arr
+		out, err = ix.matchArrangements(arr, opts, stats, sp)
+	} else {
+		// One arrangement: no fan-out and no image-set dedup, so the query
+		// goes straight to its walk, with the whole worker budget.
+		out, err = ix.matchOrdered(q, opts, stats, opts.workers(), nil, sp)
 	}
-	out, err := ix.matchArrangements(queries, opts, stats, sp)
 	if err != nil {
 		sp.End()
 		return nil, nil, err
@@ -383,12 +387,13 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
-// compile prepares the query against the index, binding symbols, level
-// sources and prune rules into p's own slices. ok false with no error means
-// the query provably has no matches (a label is absent from the dictionary).
-func (ix *Index) compile(q *twig.Query, p *plan) (ok bool, err error) {
-	pat, err := q.Prepare(ix.opts.Extended)
-	if err != nil {
+// compile prepares the query into pat and against the index, binding
+// symbols, level sources and prune rules into p's own slices; pat and p are
+// the scratch's, so neither allocates once the scratch has seen a query as
+// large. ok false with no error means the query provably has no matches (a
+// label is absent from the dictionary).
+func (ix *Index) compile(q *twig.Query, pat *twig.Pattern, p *plan) (ok bool, err error) {
+	if err := q.PrepareInto(pat, ix.opts.Extended); err != nil {
 		return false, err
 	}
 	if !ix.opts.Extended {
@@ -478,8 +483,8 @@ func (ix *Index) compile(q *twig.Query, p *plan) (ok bool, err error) {
 // scheduler that drives it. workers > 1 is the pipelined scheduler
 // (parallel.go). workers == 1 is the degenerate one: no semaphore, so the walk
 // never spawns and stays on this goroutine and this scratch, no readahead, and
-// an emit that refines each candidate where the walk finds it. fetch, when
-// non-nil, replaces Index.shapeFetcher as the document source — the
+// no emit: the walk refines each candidate where it finds it (refineInline).
+// fetch, when non-nil, replaces Index.fetchShape as the document source — the
 // arrangement fan-out passes a query-wide memoizing cache so a document
 // shared by candidates of several arrangements is fetched once. nil fetches
 // per candidate here (and lets the pipelined scheduler build its own
@@ -490,7 +495,7 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 	defer putScratch(sc)
 	p := &sc.plan
 	t0 := sp.Start()
-	ok, err := ix.compile(q, p)
+	ok, err := ix.compile(q, &sc.pattern, p)
 	sp.Stage(obs.StageCompile, t0)
 	if err != nil || !ok {
 		return nil, err
@@ -500,24 +505,9 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 	fsp := sp.Child("filter")
 	rsp := sp.Child("refine")
 	d := &sc.walk
-	*d = descent{ix: ix, p: p, opts: opts, par: workers, sp: fsp}
+	*d = descent{ix: ix, p: p, opts: opts, par: workers, sp: fsp, fetch: fetch, rsp: rsp}
 	if workers > 1 {
-		return ix.matchPipelined(d, stats, fetch, sc, sp, rsp)
-	}
-	if fetch == nil {
-		fetch = ix.shapeFetcher(opts.AsOf)
-	}
-	d.emit = func(sc *scratch, docID uint32, stats *QueryStats, _ *obs.Span) error {
-		ok, err := ix.refine(p, docID, sc.S, stats, fetch, sc, rsp)
-		if err == nil && ok {
-			// Wildcard edges make the matched subsequence a proxy witness:
-			// one embedding can be witnessed by several position lists, so
-			// matches are deduplicated by their canonical image tuple.
-			d0 := rsp.Start()
-			sc.stage.keepLast()
-			rsp.Stage(obs.StageReduce, d0)
-		}
-		return err
+		return ix.matchPipelined(d, stats, sc, sp)
 	}
 	err = d.run(stats, sc)
 	fsp.End()
@@ -529,10 +519,11 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 }
 
 // scratch is the working memory of one goroutine's share of a query: the
-// compiled plan, one hit buffer per query level (reused by sibling recursions
-// at that level), the matched positions S and the descent path that led to
-// them (both written in place level by level), refinement's N, the record the
-// current candidate is refined against, and the matches that survived so far.
+// compiled pattern and plan, one hit buffer per query level (reused by
+// sibling recursions at that level), the matched positions S and the descent
+// path that led to them (both written in place level by level), refinement's
+// N, the record the current candidate is refined against, and the matches
+// that survived so far.
 // A scratch belongs to exactly one goroutine from getScratch to putScratch —
 // the goroutine that called Match, one spawned branch of the descent, or one
 // refinement worker — and nothing that outlives that window may alias it: a
@@ -543,7 +534,10 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 // the view of the current candidate's resident summary; it aliases the tier's
 // arena, never the scratch.
 type scratch struct {
-	plan plan
+	// pattern is the query compiled into its Prüfer sequence, the source of
+	// the plan, which aliases its edges.
+	pattern twig.Pattern
+	plan    plan
 	// walk is the query's descent. Like the plan it lives in the scratch of
 	// the goroutine that runs the query, and the branches it spawns share it
 	// until run has joined them.
@@ -582,10 +576,20 @@ func (sc *scratch) levels(n int) {
 // mark in the pool for the life of the process.
 const scratchKeep = 64 << 10
 
+// patternNodeBytes bounds what one pattern node costs across the pattern's
+// slabs: its tree node, child pointer, edge, Doc.Nodes entry, and sequence
+// label and number.
+const patternNodeBytes = 160
+
 // putScratch returns sc to the pool without what it borrowed from the query
-// (the plan's pointers into the index and the pattern, its views of the hot
-// tier, the walk) and without any record or result buffer above scratchKeep.
+// (the pattern's query, the plan's pointers into the index, its views of the
+// hot tier, the walk) and without any pattern, record or result buffer above
+// scratchKeep.
 func putScratch(sc *scratch) {
+	sc.pattern.Query = nil
+	if cap(sc.pattern.Edges)*patternNodeBytes > scratchKeep {
+		sc.pattern = twig.Pattern{}
+	}
 	clear(sc.plan.levels)
 	sc.plan.docids, sc.plan.edges = docidSource{}, nil
 	sc.walk = descent{}
@@ -808,8 +812,29 @@ type descent struct {
 	kids []*QueryStats // spawned branches' stats slots
 	sp   *obs.Span     // the filter span; spawned branches hang off it
 	// emit takes the candidate (docID, sc.S) found under sc.path on the
-	// goroutine that owns sc; stats and sp are that branch's.
+	// goroutine that owns sc; stats and sp are that branch's. nil (a walk on
+	// one goroutine) refines the candidate in place: refineInline.
 	emit func(sc *scratch, docID uint32, stats *QueryStats, sp *obs.Span) error
+	// fetch is the document source refinement reads (nil: fetchShape per
+	// candidate), and rsp the refine span its stages are charged to.
+	fetch recordSource
+	rsp   *obs.Span
+}
+
+// refineInline is the emit of a walk on one goroutine: it refines the
+// candidate (docID, sc.S) where the walk found it, against a record decoded
+// into sc, and stages a surviving match on sc's stage.
+func (d *descent) refineInline(sc *scratch, docID uint32, stats *QueryStats) error {
+	ok, err := d.refine(docID, sc.S, stats, sc, d.rsp)
+	if err == nil && ok {
+		// Wildcard edges make the matched subsequence a proxy witness:
+		// one embedding can be witnessed by several position lists, so
+		// matches are deduplicated by their canonical image tuple.
+		d0 := d.rsp.Start()
+		sc.stage.keepLast()
+		d.rsp.Stage(obs.StageReduce, d0)
+	}
+	return err
 }
 
 // run walks every subtree — the root walk on the caller's scratch sc — and
@@ -881,7 +906,12 @@ func (d *descent) step(stats *QueryStats, sp *obs.Span, sc *scratch, i int, ql, 
 			err = d.ix.scanDocIDs(d.p, &d.opts, h.left, h.right, stats, d.par, sp, func(docID uint32) error {
 				stats.Candidates++
 				e0 := sp.Start()
-				err := d.emit(sc, docID, stats, sp)
+				var err error
+				if d.emit != nil {
+					err = d.emit(sc, docID, stats, sp)
+				} else {
+					err = d.refineInline(sc, docID, stats)
+				}
 				sc.emitNS += sp.Now() - e0
 				path[i+1]++
 				return err
@@ -1043,37 +1073,41 @@ type docShape interface {
 
 // recordSource fetches one document's shape for refinement; a nil shape
 // with a nil error means "skip this document". tmp and sum are a record and a
-// summary view the calling goroutine owns (its scratch's): the inline emit
-// passes shapeFetcher's fetch-per-candidate source, which decodes into tmp or
-// fills sum and returns it, good until the caller's next fetch; the pipelined
-// scheduler passes a per-query memoizing cache, which ignores both and keeps
-// a fresh record or a summary view of its own per document, so a document
-// shared by many candidates is fetched once.
+// summary view the calling goroutine owns (its scratch's): fetchShape, the
+// inline walk's fetch-per-candidate source, decodes into tmp or fills sum and
+// returns it, good until the caller's next fetch; the pipelined scheduler
+// passes a per-query memoizing cache, which ignores both and keeps a fresh
+// record or a summary view of its own per document, so a document shared by
+// many candidates is fetched once.
 type recordSource func(docID uint32, stats *QueryStats, tmp *docstore.Record, sum *hot.Summary) (docShape, error)
 
-// shapeFetcher adapts fetchAsOf to the recordSource shape.
-func (ix *Index) shapeFetcher(asOf uint64) recordSource {
-	return func(docID uint32, stats *QueryStats, tmp *docstore.Record, sum *hot.Summary) (docShape, error) {
-		s, rec, err := ix.fetchAsOf(docID, asOf, stats, tmp, sum)
-		switch {
-		case s != nil:
-			return s, nil
-		case rec != nil:
-			return rec, nil
-		}
-		return nil, err
+// fetchShape is fetchAsOf in the recordSource shape.
+func (ix *Index) fetchShape(docID uint32, asOf uint64, stats *QueryStats, tmp *docstore.Record, sum *hot.Summary) (docShape, error) {
+	s, rec, err := ix.fetchAsOf(docID, asOf, stats, tmp, sum)
+	switch {
+	case s != nil:
+		return s, nil
+	case rec != nil:
+		return rec, nil
 	}
+	return nil, err
 }
 
 // refine is Algorithm 2: connectedness (with the §4.5 wildcard chase), gap
-// consistency, frequency consistency and leaf matching. Each phase is
-// charged to its own stage on sp (nil-safe): fetch, connect, structure,
-// leaves. S is read; sc lends N, the record the document is decoded into and
-// the stage a surviving match is pushed onto (ok true).
-func (ix *Index) refine(p *plan, docID uint32, S []int32, stats *QueryStats,
-	fetch recordSource, sc *scratch, sp *obs.Span) (ok bool, err error) {
+// consistency, frequency consistency and leaf matching, against the document
+// d.fetch returns (fetchShape when nil). Each phase is charged to its own
+// stage on sp (nil-safe): fetch, connect, structure, leaves. S is read; sc
+// lends N, the record the document is decoded into and the stage a surviving
+// match is pushed onto (ok true).
+func (d *descent) refine(docID uint32, S []int32, stats *QueryStats, sc *scratch, sp *obs.Span) (ok bool, err error) {
+	p := d.p
 	t0 := sp.Start()
-	doc, err := fetch(docID, stats, &sc.rec, &sc.sum)
+	var doc docShape
+	if d.fetch != nil {
+		doc, err = d.fetch(docID, stats, &sc.rec, &sc.sum)
+	} else {
+		doc, err = d.ix.fetchShape(docID, d.opts.AsOf, stats, &sc.rec, &sc.sum)
+	}
 	sp.Stage(obs.StageFetch, t0)
 	if err != nil || doc == nil {
 		return false, err

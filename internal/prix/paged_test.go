@@ -28,16 +28,18 @@ func pagedSwissprot(tb testing.TB) (*Index, []datagen.QuerySpec) {
 }
 
 // TestPagedMatchAllocs is TestResidentMatchAllocs without the tier. On one
-// goroutine a Match allocates for its answer and its plan — the pattern, the
-// fetch and emit closures, one block of positions and images, one []Match —
-// and nothing per range query or per candidate: Q5 (5 candidates) and Q6 (158
-// candidates, each decoding a record) both cost 17 objects, where Q6 cost 1,010
-// while every candidate built a Record, its three lists, and every match a
-// block and a dedup key. Pipelined, a unique candidate costs its dedup key and
+// goroutine a Match allocates for its answer alone — its QueryStats, one block
+// of positions and images, one []Match — and nothing for its plan, per range
+// query or per candidate: Q5 (5 candidates) and Q6 (158 candidates, each
+// decoding a record) both cost 3 objects, 17 while the pattern was nine fresh
+// slabs and the emit and fetch two closures, and Q6 1,010 while every
+// candidate built a Record, its three lists, and every match a block and a
+// dedup key. Pipelined, a unique candidate costs its dedup key and
 // one block (its S copy and ordering path), and the query's record cache a
 // fresh record per distinct document — ROADMAP item 4 — so the bound pins the
-// hand-off and the staged result: Q5 measured 268, Q6 1,215 (294 and 1,543
-// while a candidate was a slice, a dedup entry and an ordering string).
+// hand-off and the staged result: Q5 measures 258, Q6 1,210 (268 and 1,215
+// while the pattern was fresh slabs, 294 and 1,543 while a candidate was a
+// slice, a dedup entry and an ordering string).
 func TestPagedMatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds scratches under the race detector")
@@ -47,7 +49,7 @@ func TestPagedMatchAllocs(t *testing.T) {
 		query, par int
 		bound      float64
 	}{
-		{1, 1, 20}, {2, 1, 20},
+		{1, 1, 3}, {2, 1, 3},
 		{1, 4, 300}, {2, 4, 1340},
 	} {
 		qs := queries[tc.query]

@@ -198,17 +198,17 @@ type refined struct {
 
 // matchPipelined is the scheduler that decouples Algorithm 1 from
 // Algorithm 2: it gives d a semaphore, so free workers take whole hit
-// subtrees of the walk, and an emit that streams candidates into a bounded
-// channel; d.par goroutines refine them concurrently, each with its own
+// subtrees of the walk, an emit that streams candidates into a bounded
+// channel and, unless the caller set one, a per-query memoizing record cache
+// as its fetch; d.par goroutines refine them concurrently, each with its own
 // QueryStats slot and its own scratch (N and the stage its surviving matches
 // wait on). Identical (document, S) candidates are deduplicated at emission
 // so the same record is refined once (they can only produce the identical
 // match the embedding dedup would drop anyway); the Candidates counter still
 // counts every emission. sc is the caller's scratch: it holds the plan, runs
 // the root walk and stages the reduced result.
-func (ix *Index) matchPipelined(d *descent, stats *QueryStats, fetch recordSource,
-	sc *scratch, sp, rsp *obs.Span) ([]Match, error) {
-	p, workers, n := d.p, d.par, len(d.p.syms)
+func (ix *Index) matchPipelined(d *descent, stats *QueryStats, sc *scratch, sp *obs.Span) ([]Match, error) {
+	p, workers, n, rsp := d.p, d.par, len(d.p.syms), d.rsp
 	ch := make(chan candidate, 2*workers)
 	abort := make(chan struct{})
 	var abortOnce sync.Once
@@ -216,8 +216,8 @@ func (ix *Index) matchPipelined(d *descent, stats *QueryStats, fetch recordSourc
 	wstats := make([]QueryStats, workers)
 	wout := make([][]refined, workers)
 	wscs := make([]*scratch, workers)
-	if fetch == nil {
-		fetch = newRecordCache(ix, d.opts.AsOf).get
+	if d.fetch == nil {
+		d.fetch = newRecordCache(ix, d.opts.AsOf).get
 	}
 	// Worker spans are created up front on this goroutine, keyed by the
 	// worker ordinal: their creation order (and so the trace) never
@@ -245,7 +245,7 @@ func (ix *Index) matchPipelined(d *descent, stats *QueryStats, fetch recordSourc
 				if !open {
 					break
 				}
-				ok, err := ix.refine(p, c.docID, c.block[:n], &wstats[w], fetch, wsc, wsp)
+				ok, err := d.refine(c.docID, c.block[:n], &wstats[w], wsc, wsp)
 				if err != nil {
 					abortOnce.Do(func() { workerErr = err; close(abort) })
 					continue // keep draining so the producers never block
@@ -349,9 +349,10 @@ func appendKey(b []byte, docID uint32, vals []int32) []byte {
 // store for a fresh record and keeps that, and fills a resident summary's
 // view into the entry itself.
 type recordCache struct {
-	fetch recordSource
-	mu    sync.Mutex
-	m     map[uint32]*cachedShape
+	ix   *Index
+	asOf uint64
+	mu   sync.Mutex
+	m    map[uint32]*cachedShape
 }
 
 type cachedShape struct {
@@ -362,7 +363,7 @@ type cachedShape struct {
 }
 
 func newRecordCache(ix *Index, asOf uint64) *recordCache {
-	return &recordCache{fetch: ix.shapeFetcher(asOf), m: map[uint32]*cachedShape{}}
+	return &recordCache{ix: ix, asOf: asOf, m: map[uint32]*cachedShape{}}
 }
 
 func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record, _ *hot.Summary) (docShape, error) {
@@ -382,7 +383,7 @@ func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record, _
 		}
 		return e.doc, nil
 	}
-	doc, err := c.fetch(docID, stats, nil, &e.sum)
+	doc, err := c.ix.fetchShape(docID, c.asOf, stats, nil, &e.sum)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/docstore"
 	"repro/internal/twig"
 	"repro/internal/vtrie"
+	"repro/internal/xmltree"
 )
 
 // residentSwissprot builds a SWISSPROT EPIndex whose hot tier holds every
@@ -35,16 +36,18 @@ var residentOpts = MatchOptions{WarmCache: true, Parallelism: 1}
 // range queries, 5 candidates) cost 456 heap objects per Match and Q6 (398
 // range queries, 158 candidates and matches) 4,281 before the descent
 // resolved its level sources once per query, pooled its scratch and refined
-// against the packed summaries in place (57 and 378 after that), and both
-// cost 17 since surviving matches are staged in the scratch and leave as one
-// block: what remains is per query (the pattern's slabs, the result), not per
-// range query, per candidate or per match. Under the race detector sync.Pool
+// against the packed summaries in place (57 and 378 after that), both cost 17
+// once surviving matches were staged in the scratch and left as one block,
+// and both cost 3 — the QueryStats and the result's block and []Match — since
+// the pattern is compiled into the scratch and an ordered query walks without
+// an arrangement fan-out or an emit closure: nothing is left per range query,
+// per candidate, per match or for the plan. Under the race detector sync.Pool
 // sheds scratches, so only the old quarter-of-the-original bounds hold there.
 func TestResidentMatchAllocs(t *testing.T) {
 	ix, queries := residentSwissprot(t)
 	for i, bound := range map[int]float64{1: 456 / 4, 2: 4281 / 4} {
 		if !raceEnabled {
-			bound = 20
+			bound = 3
 		}
 		qs := queries[i]
 		q := qs.Query()
@@ -68,12 +71,12 @@ func TestResidentMatchAllocs(t *testing.T) {
 // -count=10 in CI), serial and pipelined sharing the scratch pool, then proves
 // nothing returned aliases pooled scratch: every scratch the pool will hand
 // out is scribbled over — hit buffers, S and N, the record candidates are
-// decoded into, the staged matches — and only then are the serial reference
-// answers computed and the concurrent ones compared with them. Three read
-// paths: resident (summaries, no record is ever decoded), paged (every
-// serial candidate decodes into its goroutine's scratch record, the pipelined
-// record cache keeps fresh ones), and AS OF reads of superseded images (GetAtLoc's
-// route into the same scratch record).
+// decoded into, the staged matches, the compiled pattern's slabs — and only
+// then are the serial reference answers computed and the concurrent ones
+// compared with them. Three read paths: resident (summaries, no record is
+// ever decoded), paged (every serial candidate decodes into its goroutine's
+// scratch record, the pipelined record cache keeps fresh ones), and AS OF
+// reads of superseded images (GetAtLoc's route into the same scratch record).
 func TestScratchIsolation(t *testing.T) {
 	t.Run("resident", func(t *testing.T) {
 		ix, specs := residentSwissprot(t)
@@ -193,6 +196,7 @@ func scratchIsolation(t *testing.T, rounds int, queries []*twig.Query, wantLen [
 		for j := range sc.stage.ids[:cap(sc.stage.ids)] {
 			sc.stage.ids[:cap(sc.stage.ids)][j] = stagedID{docID: ^uint32(0), root: -7}
 		}
+		poisonPattern(&sc.pattern)
 		taken = append(taken, sc)
 	}
 	for _, sc := range taken {
@@ -216,6 +220,41 @@ func scratchIsolation(t *testing.T, rounds int, queries []*twig.Query, wantLen [
 	}
 	if matches == 0 {
 		t.Fatal("no query matched anything: nothing was compared")
+	}
+}
+
+// poisonPattern scribbles over every slab of a pooled compiled pattern, to
+// their capacity: the edges, the sequence, Doc.Nodes, the tree nodes they
+// point into and the child-pointer windows those nodes' Children are cut
+// from.
+func poisonPattern(pat *twig.Pattern) {
+	poison := &xmltree.Node{Label: "poison", Post: -7}
+	edges := pat.Edges[:cap(pat.Edges)]
+	for j := range edges {
+		edges[j] = twig.Edge{Min: -7, Max: -7}
+	}
+	if pat.Seq != nil {
+		labels, numbers := pat.Seq.Labels[:cap(pat.Seq.Labels)], pat.Seq.Numbers[:cap(pat.Seq.Numbers)]
+		for j := range labels {
+			labels[j] = "poison"
+		}
+		for j := range numbers {
+			numbers[j] = -7
+		}
+	}
+	if pat.Doc != nil {
+		nodes := pat.Doc.Nodes[:cap(pat.Doc.Nodes)]
+		for j, n := range nodes {
+			if n == nil {
+				continue
+			}
+			kids := n.Children[:cap(n.Children)]
+			for k := range kids {
+				kids[k] = poison
+			}
+			*n = xmltree.Node{Label: "poison", Parent: poison, Post: -7, Pre: -7, Left: -7, Right: -7, Level: -7}
+			nodes[j] = poison
+		}
 	}
 }
 

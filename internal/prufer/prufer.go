@@ -48,18 +48,29 @@ func (s *Sequence) Len() int { return len(s.Labels) }
 // deleted node is the node numbered i, so the sequence is simply the parent
 // label/number of nodes 1..n-1 — no simulation of deletions is needed.
 func Build(d *xmltree.Document) *Sequence {
+	s := new(Sequence)
+	BuildInto(s, d)
+	return s
+}
+
+// BuildInto is Build into s, reusing the capacity of its Labels and Numbers
+// (a fresh or too small one gets both at exactly the sequence's length).
+// Every other field of s is reset to what Build sets.
+func BuildInto(s *Sequence, d *xmltree.Document) {
 	n := d.Size()
-	s := &Sequence{
-		Labels:  make([]string, 0, n-1),
-		Numbers: make([]int, 0, n-1),
-		N:       n,
+	labels, numbers := s.Labels[:0], s.Numbers[:0]
+	if cap(labels) < n-1 {
+		labels = make([]string, 0, n-1)
+	}
+	if cap(numbers) < n-1 {
+		numbers = make([]int, 0, n-1)
 	}
 	for i := 1; i < n; i++ {
 		p := d.Node(i).Parent
-		s.Labels = append(s.Labels, p.Label)
-		s.Numbers = append(s.Numbers, p.Post)
+		labels = append(labels, p.Label)
+		numbers = append(numbers, p.Post)
 	}
-	return s
+	*s = Sequence{Labels: labels, Numbers: numbers, N: n}
 }
 
 // BuildExtended constructs the Extended-Prüfer sequence of §5.6: the tree is

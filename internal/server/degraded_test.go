@@ -126,7 +126,7 @@ func TestTransientFaultRetriedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single transient fault not absorbed: %v", err)
 	}
-	if res == nil || len(res.Matches) == 0 {
+	if len(res.Matches) == 0 {
 		t.Fatal("retry returned no result")
 	}
 	if got := ex.Metrics().TransientRetries.Load(); got != 1 {

@@ -114,7 +114,7 @@ func (e *Executor) InvalidateCache() { e.cache.Flush() }
 
 // Execute runs one parsed query. The context bounds execution: its
 // cancellation is observed between the engine's B+-tree range queries.
-func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) (*Result, error) {
+func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) (Result, error) {
 	// The key is canonical form, options and source generation in one
 	// string, built on the stack when it fits; the canonical form is its
 	// prefix, not a second rendering. The generation is read before Match:
@@ -125,7 +125,7 @@ func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) 
 	b = qo.appendKey(append(b, 0))
 	b = strconv.AppendUint(append(b, 0), e.src.Generation(), 16)
 	key := string(b)
-	res := &Result{Query: key[:n], Complete: !prix.RiskOfFalseDismissal(q)}
+	res := Result{Query: key[:n], Complete: !prix.RiskOfFalseDismissal(q)}
 	if ent, ok := e.cache.Get(key); ok {
 		e.metrics.CacheHits.Inc()
 		res.Matches, res.Stats, res.Cached = ent.matches, ent.stats, true
@@ -144,7 +144,7 @@ func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) 
 		}
 	}
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	res.Matches, res.Stats, res.Shared = ent.matches, ent.stats, shared
 	return res, nil

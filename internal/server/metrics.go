@@ -218,9 +218,12 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 
 // runtimeMetrics are the Go runtime's own numbers /metrics exports: the heap
 // a resident index keeps live, the goal the collector paces towards, what
-// collecting it costs, and how much of the heap the collector must look
-// inside — its object count and the bytes it scans, which pointer-free
-// resident structures keep small.
+// collecting it costs, how much of the heap the collector must look inside —
+// its object count and the bytes it scans, which pointer-free resident
+// structures keep small — and what the process allocates: the growth of the
+// two allocation counters over that of prix_queries_served_total is the
+// objects and bytes a request costs, the benchmark's allocs_op and
+// alloc_kb_op read off a live server.
 var runtimeMetrics = []struct{ key, name, kind, help string }{
 	{"/gc/heap/live:bytes", "go_heap_live_bytes", "gauge", "Heap bytes marked live by the last garbage collection."},
 	{"/gc/heap/goal:bytes", "go_heap_goal_bytes", "gauge", "Heap size the current garbage-collection cycle aims to end at."},
@@ -228,6 +231,8 @@ var runtimeMetrics = []struct{ key, name, kind, help string }{
 	{"/cpu/classes/gc/total:cpu-seconds", "go_gc_cpu_seconds_total", "counter", "Estimated CPU time spent in the garbage collector."},
 	{"/gc/heap/objects:objects", "go_gc_heap_objects", "gauge", "Heap objects occupied by live or not-yet-swept memory."},
 	{"/gc/scan/heap:bytes", "go_gc_scan_heap_bytes", "gauge", "Heap bytes that may hold pointers, which a garbage collection must scan."},
+	{"/gc/heap/allocs:objects", "go_gc_heap_allocs_objects_total", "counter", "Heap objects allocated since the process started."},
+	{"/gc/heap/allocs:bytes", "go_gc_heap_allocs_bytes_total", "counter", "Heap bytes allocated since the process started."},
 }
 
 // writeRuntimeMetrics renders runtimeMetrics from one runtime/metrics read.

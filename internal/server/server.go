@@ -312,6 +312,56 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// bodyPool holds request-body buffers; bodyKeep bounds what one keeps, so a
+// single large body does not pin its buffer in the pool.
+var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+const bodyKeep = 64 << 10
+
+func putBody(b *[]byte) {
+	if cap(*b) <= bodyKeep {
+		bodyPool.Put(b)
+	}
+}
+
+// readBody reads r into buf's backing array, growing it as needed, and stops
+// after limit bytes: io.ReadAll over an io.LimitReader, without the reader
+// and into a buffer the caller reuses.
+func readBody(r io.Reader, limit int64, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	for int64(len(buf)) < limit {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		room := buf[len(buf):min(int64(cap(buf)), limit)]
+		n, err := r.Read(room)
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// timeout is a request's deadline: timeout_ms when it asks for one, the
+// server default otherwise, and MaxTimeout at most. timeout_ms is clamped in
+// milliseconds before it becomes a Duration, whose nanoseconds it would
+// otherwise overflow.
+func (s *Server) timeout(ms int64) time.Duration {
+	t := s.cfg.DefaultTimeout
+	if ms > 0 {
+		if ms <= s.cfg.MaxTimeout.Milliseconds() {
+			t = time.Duration(ms) * time.Millisecond
+		} else {
+			t = s.cfg.MaxTimeout
+		}
+	}
+	return min(t, s.cfg.MaxTimeout)
+}
+
 // parseRequest decodes the body: JSON when it looks like an object, raw
 // XPath text otherwise.
 func parseRequest(body []byte) (QueryRequest, error) {
@@ -354,13 +404,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	start := time.Now()
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	// The body is read into a pooled buffer and goes back to the pool as soon
+	// as it is decoded: parseRequest copies everything it keeps.
+	buf := bodyPool.Get().(*[]byte)
+	body, err := readBody(r.Body, s.cfg.MaxBodyBytes+1, *buf)
+	*buf = body
 	if err != nil {
+		putBody(buf)
 		s.metrics.BadRequests.Inc()
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "read body: " + err.Error()})
 		return
 	}
 	if int64(len(body)) > s.cfg.MaxBodyBytes {
+		putBody(buf)
 		s.metrics.BadRequests.Inc()
 		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
 			Error: fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes),
@@ -368,6 +424,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req, err := parseRequest(body)
+	putBody(buf)
 	if err != nil {
 		s.metrics.BadRequests.Inc()
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
@@ -386,17 +443,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+	if timeout := s.timeout(req.TimeoutMS); timeout > 0 {
+		rc := withTimeout(ctx, timeout)
+		defer rc.release()
+		ctx = rc
 	}
 
 	par := s.cfg.Parallelism

@@ -40,6 +40,7 @@ var metricsBase = []string{
 	"prix_quarantined_docs", "prix_pool_resident_pages", "prix_dict_bytes",
 	"go_heap_live_bytes", "go_heap_goal_bytes", "go_gc_cycles_total", "go_gc_cpu_seconds_total",
 	"go_gc_heap_objects", "go_gc_scan_heap_bytes",
+	"go_gc_heap_allocs_objects_total", "go_gc_heap_allocs_bytes_total",
 }
 
 var (

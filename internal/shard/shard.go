@@ -155,12 +155,19 @@ func (s *Shard) Stats() prix.ShardStats {
 // a degraded result (quarantined documents skipped) is used only when no
 // replica can do better — replica redundancy masks single-copy damage.
 func (s *Shard) Match(ctx context.Context, q *twig.Query, opts prix.MatchOptions) ([]prix.Match, *prix.QueryStats, error) {
+	// A free slot is taken without a select on ctx.Done(): a request
+	// context may build its Done channel on first use, and an uncontended
+	// shard has no reason to make it.
 	select {
 	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	case <-ctx.Done():
-		return nil, nil, fmt.Errorf("shard %d: admission: %w", s.id, ctx.Err())
+	default:
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			return nil, nil, fmt.Errorf("shard %d: admission: %w", s.id, ctx.Err())
+		}
 	}
+	defer func() { <-s.sem }()
 	start := time.Now()
 	ms, stats, err := s.matchReplicas(ctx, q, opts)
 	s.queries.Add(1)

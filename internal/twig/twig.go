@@ -223,6 +223,14 @@ type Pattern struct {
 	Anchored bool
 	// Extended marks a pattern built for an Extended-Prüfer index.
 	Extended bool
+
+	// Doc and Seq point at these, and the pattern tree's nodes and child
+	// lists come from the two slabs, so PrepareInto refills all of it in
+	// place.
+	doc   xmltree.Document
+	seq   prufer.Sequence
+	nodes []xmltree.Node
+	kids  []*xmltree.Node
 }
 
 // Prepare builds the Pattern for the query. With extended set, a dummy
@@ -230,6 +238,18 @@ type Pattern struct {
 // appended under every query leaf so the pattern lines up with an EPIndex
 // (§5.6); dummy edges are exact.
 func (q *Query) Prepare(extended bool) (*Pattern, error) {
+	p := new(Pattern)
+	if err := q.PrepareInto(p, extended); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// PrepareInto is Prepare into p, reusing the capacity of everything p holds
+// from an earlier query: a pooled Pattern compiles a query without
+// allocating once it has seen one as large. Whatever p held before is
+// overwritten, including what its Doc, Seq and Edges pointed at.
+func (q *Query) PrepareInto(p *Pattern, extended bool) error {
 	total := q.Root.size()
 	if extended {
 		total += q.Root.leaves()
@@ -237,28 +257,27 @@ func (q *Query) Prepare(extended bool) (*Pattern, error) {
 	// The pattern tree is a handful of nodes: they come from one slab laid out
 	// in postorder (so a node's slab index is its postorder number minus one,
 	// which is how an edge finds its slot), their child lists from another.
-	b := patternBuilder{
-		extended: extended,
-		nodes:    make([]xmltree.Node, total),
-		kids:     make([]*xmltree.Node, total-1),
-		edges:    make([]Edge, total-1),
-	}
-	root := b.conv(q.Root)
-	doc := &xmltree.Document{Root: root, Nodes: make([]*xmltree.Node, 0, total)}
-	doc.Number()
-	p := &Pattern{
-		Query:    q,
-		Doc:      doc,
-		Seq:      prufer.Build(doc),
-		Edges:    b.edges,
-		Anchored: q.RootEdge.Exact(),
-		Extended: extended,
-	}
+	p.nodes, p.kids, p.Edges = resized(p.nodes, total), resized(p.kids, total-1), resized(p.Edges, total-1)
+	b := patternBuilder{extended: extended, nodes: p.nodes, kids: p.kids, edges: p.Edges}
+	p.doc = xmltree.Document{Root: b.conv(q.Root), Nodes: resized(p.doc.Nodes, total)[:0]}
+	p.doc.Number()
+	prufer.BuildInto(&p.seq, &p.doc)
+	p.Query, p.Doc, p.Seq = q, &p.doc, &p.seq
+	p.Anchored, p.Extended = q.RootEdge.Exact(), extended
 	if p.Seq.Len() == 0 {
-		return nil, fmt.Errorf("twig: query %q has a single node and no sequence; "+
+		return fmt.Errorf("twig: query %q has a single node and no sequence; "+
 			"single-tag queries must be answered from the tag index directly", q)
 	}
-	return p, nil
+	return nil
+}
+
+// resized returns s with length n, reusing its backing array when that is
+// large enough. The contents are left for the caller to overwrite.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // patternBuilder converts a query tree into an xmltree out of its slabs.
