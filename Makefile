@@ -32,7 +32,8 @@ test:
 #     mutation suite and AS OF replay against the brute-force oracle, the
 #     Delete/Update/Patch power-cut sweeps and the version-map fuzz seeds.
 #   - pager, btree: the crash-recovery sweeps, panic- and race-free; the
-#     pager's no-fill reads racing Get on shared pages (TestNoFillConcurrentWithGet).
+#     pager's no-fill reads racing Get on shared pages (TestNoFillConcurrentWithGet);
+#     pager/pagertest, the sweep driver every crash sweep runs on.
 #   - docstore: eight goroutines interning into and naming from one arena
 #     dictionary (TestDictConcurrent).
 #   - shard: cross-shard-count differential, replica failover, the sharded
@@ -51,7 +52,7 @@ test:
 #     rounds.
 # -count=1 so a cached pass never stands in for a run.
 race:
-	$(GO) test -race -count=1 ./internal/server ./internal/prix ./internal/pager ./internal/docstore ./internal/btree ./internal/bench ./internal/shard ./internal/ingest ./internal/compact ./internal/hot ./internal/mvcc
+	$(GO) test -race -count=1 ./internal/server ./internal/prix ./internal/pager ./internal/pager/pagertest ./internal/docstore ./internal/btree ./internal/bench ./internal/shard ./internal/ingest ./internal/compact ./internal/hot ./internal/mvcc
 	$(GO) test -race -count=1 ./internal/xmltree -run 'Cursor|Resume|ParseError'
 	$(GO) test -race -count=10 ./internal/prix -run 'TestScratchIsolation'
 
@@ -135,8 +136,8 @@ differential:
 # Coverage floors for the engine, its storage and the observability layer.
 # The floors sit a few points under measured coverage (internal/prix 82.0%,
 # internal/obs 84.9%, internal/server 89.1%, internal/shard 73.5%,
-# internal/btree 83.0%, internal/pager 85.6%, internal/docstore 84.2% when the
-# floors were set) so
+# internal/btree 83.0%, internal/pager 85.4% with the artifact FS and the
+# atomic write moved in, internal/docstore 84.2% when the floors were set) so
 # refactors have headroom but a PR that lands significant untested code fails
 # here.
 cover:

@@ -1,11 +1,11 @@
 package btree
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 )
 
 // btreeWorkload inserts batches of keys into a forest tree over a
@@ -73,85 +73,59 @@ func TestBtreeCrashSweep(t *testing.T) { crashSweep(t, 0) }
 func TestBtreeCrashSweepFixed(t *testing.T) { crashSweep(t, 200) }
 
 func crashSweep(t *testing.T, fixedVal int) {
-	clock := pager.NewPowerClock(0)
-	mainFF := pager.NewFaultFile(pager.NewMemFile())
-	journalFF := pager.NewFaultFile(pager.NewMemFile())
-	mainFF.SetPowerClock(clock)
-	journalFF.SetPowerClock(clock)
-	if err := btreeWorkload(mainFF, journalFF, fixedVal); err != nil {
-		t.Fatalf("reference run: %v", err)
+	var mainMem, journalMem *pager.MemFile
+	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+		mainMem, journalMem = pager.NewMemFile(), pager.NewMemFile()
+		main, journalFile := pager.NewFaultFile(mainMem), pager.NewFaultFile(journalMem)
+		main.SetPowerClock(clock)
+		journalFile.SetPowerClock(clock)
+		return btreeWorkload(main, journalFile, fixedVal)
 	}
-	W := clock.Writes()
-	if W < 30 {
-		t.Fatalf("workload too small: %d writes", W)
-	}
+	pagertest.Sweep(t, 30, pagertest.TearEvery(2, 1021), run, func(t *testing.T, k int64) {
+		// Reboot on the frozen images.
+		j, err := pager.NewJournal(journalMem)
+		if err != nil {
+			t.Fatalf("reopen journal: %v", err)
+		}
+		bp, err := pager.NewJournaledPool(mainMem, j, 8)
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		forest, err := Open(bp)
+		if err != nil {
+			t.Fatalf("reopen forest: %v", err)
+		}
+		if errs := forest.Check(); len(errs) != 0 {
+			t.Fatalf("invariants violated after recovery: %v", errs[0])
+		}
 
-	for k := int64(1); k <= W; k++ {
-		k := k
-		t.Run(fmt.Sprintf("cut=%d", k), func(t *testing.T) {
-			clock := pager.NewPowerClock(k)
-			if k%2 == 0 {
-				clock.SetTornBytes(int(k*1021) % pager.PageSize)
-			}
-			mainMem, journalMem := pager.NewMemFile(), pager.NewMemFile()
-			main := pager.NewFaultFile(mainMem)
-			journalFile := pager.NewFaultFile(journalMem)
-			main.SetPowerClock(clock)
-			journalFile.SetPowerClock(clock)
-
-			err := btreeWorkload(main, journalFile, fixedVal)
-			if err == nil {
-				t.Fatal("workload survived the power cut")
-			}
-			if !errors.Is(err, pager.ErrPowerCut) {
-				t.Fatalf("workload died of %v, want ErrPowerCut", err)
-			}
-
-			// Reboot on the frozen images.
-			j, err := pager.NewJournal(journalMem)
-			if err != nil {
-				t.Fatalf("reopen journal: %v", err)
-			}
-			bp, err := pager.NewJournaledPool(mainMem, j, 8)
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			forest, err := Open(bp)
-			if err != nil {
-				t.Fatalf("reopen forest: %v", err)
-			}
-			if errs := forest.Check(); len(errs) != 0 {
-				t.Fatalf("invariants violated after recovery: %v", errs[0])
-			}
-
-			// The tree must hold exactly the keys of a committed batch
-			// prefix: 0, 30, 60, ... — anything else is a torn commit.
-			var gotKeys int
-			tr := forest.Lookup("t")
-			if tr != nil {
-				err := tr.Scan(nil, nil, true, true, func(key, val []byte) bool {
-					want := crashKey(gotKeys)
-					if string(key) != string(want) {
-						t.Errorf("key %d mismatch", gotKeys)
-					}
-					if string(val) != string(crashVal(gotKeys, fixedVal)) {
-						t.Errorf("value %d mismatch: %q", gotKeys, val)
-					}
-					gotKeys++
-					return true
-				})
-				if err != nil {
-					t.Fatalf("scan after recovery: %v", err)
+		// The tree must hold exactly the keys of a committed batch
+		// prefix: 0, 30, 60, ... — anything else is a torn commit.
+		var gotKeys int
+		tr := forest.Lookup("t")
+		if tr != nil {
+			err := tr.Scan(nil, nil, true, true, func(key, val []byte) bool {
+				want := crashKey(gotKeys)
+				if string(key) != string(want) {
+					t.Errorf("key %d mismatch", gotKeys)
 				}
-			}
-			if gotKeys%crashBatchKeys != 0 || gotKeys > crashBatches*crashBatchKeys {
-				t.Errorf("recovered %d keys: not a committed batch boundary", gotKeys)
-			}
-			if fixedVal > 0 && gotKeys > 0 {
-				if s, err := tr.Shape(); err != nil || s.LeafFormat != fmt.Sprintf("fixed 8+%d", fixedVal) || (gotKeys > 40) != (len(s.Pages) > 1) {
-					t.Errorf("recovered tree: %d levels of %q leaves (%v)", len(s.Pages), s.LeafFormat, err)
+				if string(val) != string(crashVal(gotKeys, fixedVal)) {
+					t.Errorf("value %d mismatch: %q", gotKeys, val)
 				}
+				gotKeys++
+				return true
+			})
+			if err != nil {
+				t.Fatalf("scan after recovery: %v", err)
 			}
-		})
-	}
+		}
+		if gotKeys%crashBatchKeys != 0 || gotKeys > crashBatches*crashBatchKeys {
+			t.Errorf("recovered %d keys: not a committed batch boundary", gotKeys)
+		}
+		if fixedVal > 0 && gotKeys > 0 {
+			if s, err := tr.Shape(); err != nil || s.LeafFormat != fmt.Sprintf("fixed 8+%d", fixedVal) || (gotKeys > 40) != (len(s.Pages) > 1) {
+				t.Errorf("recovered tree: %d levels of %q leaves (%v)", len(s.Pages), s.LeafFormat, err)
+			}
+		}
+	})
 }

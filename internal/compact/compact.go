@@ -28,8 +28,9 @@ type Options struct {
 	// index (0 = default).
 	BufferPoolPages int
 	// FS carries every non-page write (runs, manifest, CURRENT, renames,
-	// removals); nil means the OS. Crash-sweep tests inject FaultFS here.
-	FS ingest.FS
+	// removals); nil means the OS. Crash-sweep tests inject pager.FaultFS
+	// here.
+	FS pager.FS
 	// OpenFile optionally intercepts page-file opens (fault injection for
 	// the rebuilt index's pages); nil means plain OS files.
 	OpenFile func(path string) (pager.File, error)
@@ -51,7 +52,7 @@ func (o *Options) withDefaults() Options {
 		out.MemBudget = 32 << 20
 	}
 	if out.FS == nil {
-		out.FS = ingest.OSFS{}
+		out.FS = pager.OSFS{}
 	}
 	return out
 }
@@ -479,7 +480,7 @@ func execute(o Options, resume bool) (*Report, error) {
 // files, checkpointing the manifest after every seal. Runs roll over at a
 // quarter of the memory budget so the spool never needs more than one
 // run's worth of buffered bytes.
-func drain(fs ingest.FS, workdir string, m *Manifest, src *source, total uint32, reclaimed map[uint32]bool, rep *Report, pace func() error) error {
+func drain(fs pager.FS, workdir string, m *Manifest, src *source, total uint32, reclaimed map[uint32]bool, rep *Report, pace func() error) error {
 	defer func(t time.Time) { rep.DrainElapsed += time.Since(t) }(time.Now())
 	drained := uint32(0)
 	for _, r := range m.Runs {
@@ -572,7 +573,7 @@ func (b *built) close() error {
 // a crash converges on byte-identical files, which is cheaper and simpler
 // than checkpointing a half-built B+-tree. pace, when set, throttles the
 // replay (the online compactor's rate limit).
-func build(fs ingest.FS, workdir string, m *Manifest, o Options, pace func() error) (*built, uint32, error) {
+func build(fs pager.FS, workdir string, m *Manifest, o Options, pace func() error) (*built, uint32, error) {
 	nextDir := filepath.Join(workdir, nextDirName)
 	spillDir := filepath.Join(workdir, spillDirName)
 	for _, dir := range []string{nextDir, spillDir} {
@@ -592,7 +593,7 @@ func build(fs ingest.FS, workdir string, m *Manifest, o Options, pace func() err
 		// so its tier (summaries included) is populated during the rewrite.
 		HotBudget: o.HotBudget,
 	}
-	bo := prix.BulkOptions{Spill: &fsSpiller{fs: fs, dir: spillDir}, MemBudget: m.MemBudget}
+	bo := prix.BulkOptions{Spill: prix.DirSpiller(fs, spillDir), MemBudget: m.MemBudget}
 	replay := func(fn func(*prix.DocSeq) error) error {
 		var next uint32
 		for _, ri := range m.Runs {
@@ -682,7 +683,7 @@ func build(fs ingest.FS, workdir string, m *Manifest, o Options, pace func() err
 // across a crash (an existing, complete epoch directory is kept — only a
 // finished build is ever renamed, so presence implies completeness) and the
 // pointer write is the commit point.
-func publishCommit(fs ingest.FS, root, workdir string, m *Manifest) error {
+func publishCommit(fs pager.FS, root, workdir string, m *Manifest) error {
 	epochDir := filepath.Join(root, EpochDirName(m.NextEpoch))
 	if probe, err := fs.Open(filepath.Join(epochDir, prix.ForestFileName)); err == nil {
 		probe.Close()
@@ -706,7 +707,7 @@ func publishCommit(fs ingest.FS, root, workdir string, m *Manifest) error {
 // the plain page files of a just-converted root) and the work directory.
 // It runs only after commit and is idempotent — a crash mid-cleanup resumes
 // here and re-deletes whatever is left.
-func cleanup(fs ingest.FS, root, workdir string, srcEpoch uint64) error {
+func cleanup(fs pager.FS, root, workdir string, srcEpoch uint64) error {
 	if srcEpoch > 0 {
 		if err := fs.RemoveAll(filepath.Join(root, EpochDirName(srcEpoch))); err != nil {
 			return err
@@ -722,42 +723,6 @@ func cleanup(fs ingest.FS, root, workdir string, srcEpoch uint64) error {
 		}
 	}
 	return fs.RemoveAll(workdir)
-}
-
-// fsSpiller adapts the injectable FS to the bulk loader's Spiller.
-type fsSpiller struct {
-	fs  ingest.FS
-	dir string
-}
-
-func (s *fsSpiller) Create(name string) (io.WriteCloser, error) {
-	f, err := s.fs.Create(filepath.Join(s.dir, name))
-	if err != nil {
-		return nil, err
-	}
-	return &spillFile{f: f}, nil
-}
-
-func (s *fsSpiller) Open(name string) (io.ReadCloser, error) {
-	return s.fs.Open(filepath.Join(s.dir, name))
-}
-
-func (s *fsSpiller) Remove(name string) error {
-	return s.fs.Remove(filepath.Join(s.dir, name))
-}
-
-// spillFile adapts ingest.File (Writer+Sync+Close) to io.WriteCloser,
-// syncing on close so a sealed chunk is durable before it is read back.
-type spillFile struct{ f ingest.File }
-
-func (s *spillFile) Write(p []byte) (int, error) { return s.f.Write(p) }
-
-func (s *spillFile) Close() error {
-	if err := s.f.Sync(); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.f.Close()
 }
 
 // RunSharded compacts every replica of every shard under a sharded layout

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ingest"
+	"repro/internal/pager"
 	"repro/internal/prix"
 	"repro/internal/shard"
 	"repro/internal/twig"
@@ -193,7 +193,7 @@ func TestOfflineCompactRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, WorkDirName)); !os.IsNotExist(err) {
 		t.Fatal("work directory survived cleanup")
 	}
-	resolved, epoch, err := resolveDir(ingest.OSFS{}, dir)
+	resolved, epoch, err := resolveDir(pager.OSFS{}, dir)
 	if err != nil || epoch != 1 || resolved != filepath.Join(dir, EpochDirName(1)) {
 		t.Fatalf("resolve: %s epoch %d err %v", resolved, epoch, err)
 	}

@@ -6,27 +6,11 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/ingest"
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
 	"repro/internal/shard"
 )
-
-// faultOpenFile wires the rebuilt index's page files to the same power
-// clock the FaultFS uses, so one write ordinal spans the whole compaction:
-// drain runs, manifest saves, spill chunks, index pages, CURRENT, renames
-// and removals alike.
-func faultOpenFile(clock *pager.PowerClock) func(string) (pager.File, error) {
-	return func(path string) (pager.File, error) {
-		f, err := pager.OpenOSFilePadded(path)
-		if err != nil {
-			return nil, err
-		}
-		ff := pager.NewFaultFile(f)
-		ff.SetPowerClock(clock)
-		return ff, nil
-	}
-}
 
 // TestCompactCrashSweepPlain is the power-cut sweep of the compaction
 // resume contract: learn the total write count W of an uninterrupted
@@ -65,56 +49,41 @@ func TestCompactCrashSweepPlain(t *testing.T) {
 	}
 	want := snapshotDir(t, baseDir)
 
-	// Learn W with a counting clock on every write path; the faulted but
-	// never-cut run must still produce the baseline bytes.
-	counting := pager.NewPowerClock(0)
-	countDir := filepath.Join(base, "count")
-	copyTree(t, pristine, countDir)
-	oc := opts(countDir)
-	oc.FS = ingest.NewFaultFS(ingest.OSFS{}, counting)
-	oc.OpenFile = faultOpenFile(counting)
-	if _, err := Run(oc); err != nil {
-		t.Fatal(err)
-	}
-	sameSnapshots(t, want, snapshotDir(t, countDir), "counting run")
-	w := counting.Writes()
-	if w < 10 {
-		t.Fatalf("suspiciously few write points observed: %d", w)
-	}
-
 	out := filepath.Join(base, "cut")
-	for k := int64(1); k <= w; k++ {
+	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
 		if err := os.RemoveAll(out); err != nil {
 			t.Fatal(err)
 		}
 		copyTree(t, pristine, out)
-		clock := pager.NewPowerClock(k)
-		clock.SetTornBytes(pager.PageSize / 3)
 		o := opts(out)
-		o.FS = ingest.NewFaultFS(ingest.OSFS{}, clock)
-		o.OpenFile = faultOpenFile(clock)
-		if _, err := Run(o); err == nil {
-			t.Fatalf("cut at write %d/%d: run unexpectedly succeeded", k, w)
+		o.FS = pager.NewFaultFS(pager.OSFS{}, clock)
+		o.OpenFile = pagertest.FaultOpen(clock)
+		_, err := Run(o)
+		if k == 0 && err == nil {
+			// The faulted but never-cut run must still produce the baseline bytes.
+			sameSnapshots(t, want, snapshotDir(t, out), "counting run")
 		}
-
+		return err
+	}
+	pagertest.Sweep(t, 10, func(int64) int { return pager.PageSize / 3 }, run, func(t *testing.T, k int64) {
 		// A server restarted right after the cut must serve immediately:
 		// CURRENT commits via an atomic rename, so the root resolves to
 		// either the untouched source or the fully built new epoch — never
 		// a torn in-between — and answers are unchanged.
-		resolved, epoch, err := resolveDir(ingest.OSFS{}, out)
+		resolved, epoch, err := resolveDir(pager.OSFS{}, out)
 		if err != nil {
-			t.Fatalf("cut at write %d/%d: root does not resolve: %v", k, w, err)
+			t.Fatalf("root does not resolve: %v", err)
 		}
 		ix, err := prix.OpenDynamic(resolved, prix.Options{})
 		if err != nil {
-			t.Fatalf("cut at write %d/%d: serving layout (epoch %d) does not open: %v", k, w, epoch, err)
+			t.Fatalf("serving layout (epoch %d) does not open: %v", epoch, err)
 		}
 		if ix.NumDocs() != len(docs) {
-			t.Fatalf("cut at write %d/%d: serving layout has %d docs, want %d", k, w, ix.NumDocs(), len(docs))
+			t.Fatalf("serving layout has %d docs, want %d", ix.NumDocs(), len(docs))
 		}
 		for _, qs := range testQueries {
 			if got := querySig(t, ix.Index(), qs); got != wantSig[qs] {
-				t.Fatalf("cut at write %d/%d: %s answers differently on the surviving layout", k, w, qs)
+				t.Fatalf("%s answers differently on the surviving layout", qs)
 			}
 		}
 		if err := ix.Close(); err != nil {
@@ -124,13 +93,13 @@ func TestCompactCrashSweepPlain(t *testing.T) {
 		// Recovery on a healthy stack converges byte-identically.
 		rep, err := ResumeOrRun(opts(out))
 		if err != nil {
-			t.Fatalf("recovery after cut at write %d/%d: %v", k, w, err)
+			t.Fatalf("recovery: %v", err)
 		}
 		if rep.Epoch != 1 {
-			t.Fatalf("cut at write %d/%d: recovery reports epoch %d", k, w, rep.Epoch)
+			t.Fatalf("recovery reports epoch %d", rep.Epoch)
 		}
-		sameSnapshots(t, want, snapshotDir(t, out), fmt.Sprintf("cut at write %d/%d", k, w))
-	}
+		sameSnapshots(t, want, snapshotDir(t, out), fmt.Sprintf("cut at write %d", k))
+	})
 }
 
 // TestCompactCrashSweepSharded runs the same per-ordinal sweep over a
@@ -166,46 +135,32 @@ func TestCompactCrashSweepSharded(t *testing.T) {
 	}
 	want := snapshotDir(t, baseDir)
 
-	counting := pager.NewPowerClock(0)
-	countDir := filepath.Join(base, "count")
-	copyTree(t, pristine, countDir)
-	oc := opts()
-	oc.FS = ingest.NewFaultFS(ingest.OSFS{}, counting)
-	oc.OpenFile = faultOpenFile(counting)
-	if _, err := RunSharded(countDir, oc); err != nil {
-		t.Fatal(err)
-	}
-	sameSnapshots(t, want, snapshotDir(t, countDir), "counting run")
-	w := counting.Writes()
-	if w < 20 {
-		t.Fatalf("suspiciously few write points observed: %d", w)
-	}
-
 	out := filepath.Join(base, "cut")
-	for k := int64(1); k <= w; k++ {
+	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
 		if err := os.RemoveAll(out); err != nil {
 			t.Fatal(err)
 		}
 		copyTree(t, pristine, out)
-		clock := pager.NewPowerClock(k)
-		clock.SetTornBytes(pager.PageSize / 3)
 		o := opts()
-		o.FS = ingest.NewFaultFS(ingest.OSFS{}, clock)
-		o.OpenFile = faultOpenFile(clock)
-		if _, err := RunSharded(out, o); err == nil {
-			t.Fatalf("cut at write %d/%d: sharded run unexpectedly succeeded", k, w)
+		o.FS = pager.NewFaultFS(pager.OSFS{}, clock)
+		o.OpenFile = pagertest.FaultOpen(clock)
+		_, err := RunSharded(out, o)
+		if k == 0 && err == nil {
+			sameSnapshots(t, want, snapshotDir(t, out), "counting run")
 		}
-
+		return err
+	}
+	pagertest.Sweep(t, 20, func(int64) int { return pager.PageSize / 3 }, run, func(t *testing.T, k int64) {
 		// The whole tier keeps serving across the cut: every replica
 		// resolves (committed epoch or untouched plain layout) and the
 		// coordinator's answers are unchanged.
 		co, err := shard.Open(out, prix.Options{}, shard.Config{ResolveDir: ResolveDir})
 		if err != nil {
-			t.Fatalf("cut at write %d/%d: coordinator does not open: %v", k, w, err)
+			t.Fatalf("coordinator does not open: %v", err)
 		}
 		for _, qs := range testQueries {
 			if got := coordSig(t, co, qs); got != wantSig[qs] {
-				t.Fatalf("cut at write %d/%d: %s answers differently mid-recovery", k, w, qs)
+				t.Fatalf("%s answers differently mid-recovery", qs)
 			}
 		}
 		if err := co.Close(); err != nil {
@@ -214,16 +169,16 @@ func TestCompactCrashSweepSharded(t *testing.T) {
 
 		reps, err := ResumeSharded(out, opts())
 		if err != nil {
-			t.Fatalf("recovery after cut at write %d/%d: %v", k, w, err)
+			t.Fatalf("recovery: %v", err)
 		}
 		if len(reps) != 4 {
-			t.Fatalf("cut at write %d/%d: recovered %d replicas, want 4", k, w, len(reps))
+			t.Fatalf("recovered %d replicas, want 4", len(reps))
 		}
 		for i, rep := range reps {
 			if rep.Epoch != 1 {
-				t.Fatalf("cut at write %d/%d: replica %d recovered at epoch %d", k, w, i, rep.Epoch)
+				t.Fatalf("replica %d recovered at epoch %d", i, rep.Epoch)
 			}
 		}
-		sameSnapshots(t, want, snapshotDir(t, out), fmt.Sprintf("cut at write %d/%d", k, w))
-	}
+		sameSnapshots(t, want, snapshotDir(t, out), fmt.Sprintf("cut at write %d", k))
+	})
 }

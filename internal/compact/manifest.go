@@ -22,7 +22,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/ingest"
+	"repro/internal/pager"
 )
 
 // Layout of an epoch root directory:
@@ -67,7 +67,7 @@ func (c *current) bytes() ([]byte, error) {
 	return json.MarshalIndent(&shadow, "", "  ")
 }
 
-func (c *current) save(fs ingest.FS, root string) error {
+func (c *current) save(fs pager.FS, root string) error {
 	raw, err := c.bytes()
 	if err != nil {
 		return err
@@ -77,10 +77,10 @@ func (c *current) save(fs ingest.FS, root string) error {
 	if err != nil {
 		return err
 	}
-	return ingest.WriteFileAtomic(fs, filepath.Join(root, CurrentFile), append(sealed, '\n'))
+	return pager.WriteFileAtomic(fs, filepath.Join(root, CurrentFile), append(sealed, '\n'))
 }
 
-func loadCurrent(fs ingest.FS, root string) (*current, error) {
+func loadCurrent(fs pager.FS, root string) (*current, error) {
 	rc, err := fs.Open(filepath.Join(root, CurrentFile))
 	if err != nil {
 		return nil, err
@@ -116,13 +116,13 @@ func loadCurrent(fs ingest.FS, root string) (*current, error) {
 // that exists but fails its checksum is an error, not a fallback: the plain
 // files it superseded may already be gone.
 func ResolveDir(dir string) (string, error) {
-	resolved, _, err := resolveDir(ingest.OSFS{}, dir)
+	resolved, _, err := resolveDir(pager.OSFS{}, dir)
 	return resolved, err
 }
 
 // resolveDir is ResolveDir plus the epoch number (0 for a plain directory),
 // over an injectable filesystem.
-func resolveDir(fs ingest.FS, dir string) (string, uint64, error) {
+func resolveDir(fs pager.FS, dir string) (string, uint64, error) {
 	c, err := loadCurrent(fs, dir)
 	if err != nil {
 		if isNotExist(err) {
@@ -217,7 +217,7 @@ func (m *Manifest) bytes() ([]byte, error) {
 }
 
 // save seals and atomically replaces the manifest checkpoint.
-func (m *Manifest) save(fs ingest.FS, workdir string) error {
+func (m *Manifest) save(fs pager.FS, workdir string) error {
 	raw, err := m.bytes()
 	if err != nil {
 		return err
@@ -227,10 +227,10 @@ func (m *Manifest) save(fs ingest.FS, workdir string) error {
 	if err != nil {
 		return err
 	}
-	return ingest.WriteFileAtomic(fs, filepath.Join(workdir, ManifestFile), append(sealed, '\n'))
+	return pager.WriteFileAtomic(fs, filepath.Join(workdir, ManifestFile), append(sealed, '\n'))
 }
 
-func loadManifest(fs ingest.FS, workdir string) (*Manifest, error) {
+func loadManifest(fs pager.FS, workdir string) (*Manifest, error) {
 	rc, err := fs.Open(filepath.Join(workdir, ManifestFile))
 	if err != nil {
 		return nil, fmt.Errorf("%w (%v)", ErrNoManifest, err)
@@ -285,7 +285,7 @@ func (m *Manifest) matches(other *Manifest) error {
 // manifest or a sealed, manifest-listed run: unsealed .tmp runs, and stale
 // next/ or spill/ trees from an interrupted build (the build phase recreates
 // both from scratch).
-func clearDebris(fs ingest.FS, workdir string, m *Manifest) error {
+func clearDebris(fs pager.FS, workdir string, m *Manifest) error {
 	keep := map[string]bool{ManifestFile: true}
 	for _, r := range m.Runs {
 		keep[r.Name] = true

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ingest"
+	"repro/internal/pager"
 	"repro/internal/prix"
 	"repro/internal/xmltree"
 )
@@ -19,7 +19,7 @@ import (
 // matched failure fires every further write-class operation fails too — a
 // disk dying at the commit point.
 type failFS struct {
-	ingest.FS
+	pager.FS
 	mu      sync.Mutex
 	match   string
 	n       int
@@ -45,7 +45,7 @@ func (f *failFS) deny(path string) bool {
 	return false
 }
 
-func (f *failFS) Create(path string) (ingest.File, error) {
+func (f *failFS) Create(path string) (pager.FSFile, error) {
 	if f.deny(path) {
 		return nil, errInjected
 	}
@@ -100,7 +100,7 @@ func TestOnlinePublishFailureKeepsLaterInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.fs = &failFS{FS: ingest.OSFS{}, match: CurrentFile, n: 1}
+	root.fs = &failFS{FS: pager.OSFS{}, match: CurrentFile, n: 1}
 
 	_, err = root.Compact(context.Background(), CompactOptions{MemBudget: 32 << 10})
 	var ab *Aborted
@@ -113,7 +113,7 @@ func TestOnlinePublishFailureKeepsLaterInserts(t *testing.T) {
 	// The rollback must have demoted the on-disk checkpoint: a manifest
 	// still claiming phasePublish is exactly the state recovery would
 	// commit stale.
-	if m, err := loadManifest(ingest.OSFS{}, filepath.Join(dir, WorkDirName)); err == nil && m.Phase == phasePublish {
+	if m, err := loadManifest(pager.OSFS{}, filepath.Join(dir, WorkDirName)); err == nil && m.Phase == phasePublish {
 		t.Fatal("publish failure left the manifest at phasePublish")
 	}
 	// The partially published epoch directory is gone.
@@ -166,7 +166,7 @@ func TestRecoveryRefusesStalePublishManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.fs = &failFS{FS: ingest.OSFS{}, match: CurrentFile, n: 1, thenAll: true}
+	root.fs = &failFS{FS: pager.OSFS{}, match: CurrentFile, n: 1, thenAll: true}
 
 	_, err = root.Compact(context.Background(), CompactOptions{MemBudget: 32 << 10})
 	var ab *Aborted
@@ -175,7 +175,7 @@ func TestRecoveryRefusesStalePublishManifest(t *testing.T) {
 	}
 	// The stranded state this test is about: manifest still at
 	// phasePublish, stale epoch directory present.
-	m, merr := loadManifest(ingest.OSFS{}, filepath.Join(dir, WorkDirName))
+	m, merr := loadManifest(pager.OSFS{}, filepath.Join(dir, WorkDirName))
 	if merr != nil || m.Phase != phasePublish {
 		t.Fatalf("test rig: expected a stranded phasePublish manifest, got %+v err %v", m, merr)
 	}
@@ -224,7 +224,7 @@ func TestOnlinePublishFailureInProcessRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	root.fs = &failFS{FS: ingest.OSFS{}, match: CurrentFile, n: 1}
+	root.fs = &failFS{FS: pager.OSFS{}, match: CurrentFile, n: 1}
 
 	if _, err := root.Compact(context.Background(), CompactOptions{MemBudget: 32 << 10}); err == nil {
 		t.Fatal("first compaction unexpectedly survived the injected CURRENT failure")

@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ingest"
 	"repro/internal/mvcc"
+	"repro/internal/pager"
 	"repro/internal/prix"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
@@ -30,7 +30,7 @@ type Root struct {
 	opts prix.Options
 	// fs, when non-nil, carries the compactor's non-page writes (tests
 	// inject failing filesystems here); nil means the OS.
-	fs ingest.FS
+	fs pager.FS
 
 	// mu guards the (di, epoch) pair. Queries hold it as readers for their
 	// whole duration, so the swap's write-lock acquisition doubles as a
@@ -68,7 +68,7 @@ func OpenRoot(dir string, opts prix.Options) (*Root, error) {
 	if _, err := Recover(Options{Dir: dir, BufferPoolPages: opts.BufferPoolPages, OpenFile: opts.OpenFile, HotBudget: opts.HotBudget}); err != nil {
 		return nil, err
 	}
-	resolved, epoch, err := resolveDir(ingest.OSFS{}, dir)
+	resolved, epoch, err := resolveDir(pager.OSFS{}, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -563,7 +563,7 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 // finds nothing to resume and the old epoch simply keeps serving. Only
 // when every fallback fails is an error returned; execute's phasePublish
 // watermark check is the last line of defense for that case.
-func rollbackPublish(fs ingest.FS, root, workdir string, m *Manifest) error {
+func rollbackPublish(fs pager.FS, root, workdir string, m *Manifest) error {
 	if err := fs.RemoveAll(filepath.Join(root, EpochDirName(m.NextEpoch))); err == nil {
 		m.Phase = phaseBuild
 		m.DeltaDocs = 0

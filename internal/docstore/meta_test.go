@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/vtrie"
 )
 
@@ -416,44 +417,35 @@ func TestCrashSweepSectionedFlush(t *testing.T) {
 	}
 
 	pre := imageOf(t, openJournaled(t, memFromImage(t, mainImg), memFromImage(t, journalImg), false))
-	clock := pager.NewPowerClock(0)
-	ffMain, ffJournal := pager.NewFaultFile(memFromImage(t, mainImg)), pager.NewFaultFile(memFromImage(t, journalImg))
-	ffMain.SetPowerClock(clock)
-	ffJournal.SetPowerClock(clock)
-	ref := openJournaled(t, ffMain, ffJournal, false)
-	before, _, _ := sectionPages(ref)
-	if err := mutate(ref); err != nil {
-		t.Fatal(err)
-	}
-	if after, _, _ := sectionPages(ref); after <= before {
-		t.Fatalf("dictionary chain stayed at %d pages; the commit was meant to grow it", after)
-	}
-	post := imageOf(t, ref)
-	W := clock.Writes()
-	if W < 20 {
-		t.Fatalf("the commit performs only %d writes", W)
-	}
-
-	sawPre, sawPost := false, false
-	for k := int64(1); k <= W; k++ {
-		clock := pager.NewPowerClock(k)
-		if k%3 == 0 {
-			clock.SetTornBytes(int(k*509) % pager.PageSize)
-		}
-		main, journalFile := memFromImage(t, mainImg), memFromImage(t, journalImg)
+	var post storeImage
+	var main, journalFile *pager.MemFile
+	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+		main, journalFile = memFromImage(t, mainImg), memFromImage(t, journalImg)
 		ffMain, ffJournal := pager.NewFaultFile(main), pager.NewFaultFile(journalFile)
 		ffMain.SetPowerClock(clock)
 		ffJournal.SetPowerClock(clock)
 		s, err := tryOpenJournaled(ffMain, ffJournal, false)
-		if err == nil {
-			err = mutate(s)
+		if err != nil {
+			return err
 		}
-		if !errors.Is(err, pager.ErrPowerCut) {
-			t.Fatalf("cut=%d: commit ended with %v, want ErrPowerCut", k, err)
+		if k > 0 {
+			return mutate(s)
 		}
+		before, _, _ := sectionPages(s)
+		if err := mutate(s); err != nil {
+			return err
+		}
+		if after, _, _ := sectionPages(s); after <= before {
+			t.Fatalf("dictionary chain stayed at %d pages; the commit was meant to grow it", after)
+		}
+		post = imageOf(t, s)
+		return nil
+	}
+	sawPre, sawPost := false, false
+	pagertest.Sweep(t, 20, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {
 		re, err := tryOpenJournaled(main, journalFile, false)
 		if err != nil {
-			t.Fatalf("cut=%d: reopen: %v", k, err)
+			t.Fatalf("reopen: %v", err)
 		}
 		switch got := imageOf(t, re); {
 		case reflect.DeepEqual(got, pre):
@@ -461,11 +453,11 @@ func TestCrashSweepSectionedFlush(t *testing.T) {
 		case reflect.DeepEqual(got, post):
 			sawPost = true
 		default:
-			t.Fatalf("cut=%d: reopened store (%d docs, %d names) is neither the pre- nor the post-image", k, len(got.Records), len(got.Names))
+			t.Fatalf("reopened store (%d docs, %d names) is neither the pre- nor the post-image", len(got.Records), len(got.Names))
 		}
-	}
+	})
 	if !sawPre || !sawPost {
-		t.Errorf("sweep over %d ordinals saw pre=%v post=%v; want both", W, sawPre, sawPost)
+		t.Errorf("sweep saw pre=%v post=%v; want both", sawPre, sawPost)
 	}
 }
 

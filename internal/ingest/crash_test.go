@@ -8,31 +8,17 @@ import (
 	"testing"
 
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 )
-
-// faultOpenFile wires the merge phase's index page files to the same power
-// clock the FaultFS uses, so one write ordinal spans the whole build.
-func faultOpenFile(clock *pager.PowerClock) func(string) (pager.File, error) {
-	return func(path string) (pager.File, error) {
-		f, err := pager.OpenOSFilePadded(path)
-		if err != nil {
-			return nil, err
-		}
-		ff := pager.NewFaultFile(f)
-		ff.SetPowerClock(clock)
-		return ff, nil
-	}
-}
 
 func TestCrashSweepPlain(t *testing.T)   { crashSweep(t, 0, 0) }
 func TestCrashSweepSharded(t *testing.T) { crashSweep(t, 2, 2) }
 
-// crashSweep is the power-cut sweep of the resume contract: it learns the
-// build's total write count W, then for every k in 1..W reruns the build
-// with the power cut at the k-th write-class operation — run-file writes,
-// manifest commits, spill chunks, replica clones, topology, and every index
-// page write alike — resumes with a healthy stack, and asserts the final
-// index is byte-identical to an uninterrupted build.
+// crashSweep is the power-cut sweep of the resume contract: it cuts the
+// build at every write-class operation — run-file writes, manifest commits,
+// spill chunks, replica clones, topology, and every index page write alike
+// — resumes with a healthy stack, and asserts the final index is
+// byte-identical to an uninterrupted build.
 func crashSweep(t *testing.T, shards, replicas int) {
 	dir := t.TempDir()
 	input := filepath.Join(dir, "corpus.xml")
@@ -55,35 +41,22 @@ func crashSweep(t *testing.T, shards, replicas int) {
 	}
 	want := readIndexFiles(t, base)
 
-	// Learn W with a counting clock attached to every write path; the
-	// faulted-but-never-cut build must still match the baseline.
-	counting := pager.NewPowerClock(0)
-	countDir := filepath.Join(dir, "count")
-	oc := opts(countDir)
-	oc.FS = NewFaultFS(OSFS{}, counting)
-	oc.OpenFile = faultOpenFile(counting)
-	if _, err := Run(oc); err != nil {
-		t.Fatal(err)
-	}
-	sameFiles(t, want, readIndexFiles(t, countDir), "counting run")
-	w := counting.Writes()
-	if w < 50 {
-		t.Fatalf("suspiciously few write points observed: %d", w)
-	}
-
-	for k := int64(1); k <= w; k++ {
-		out := filepath.Join(dir, "cut")
+	out := filepath.Join(dir, "cut")
+	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
 		if err := os.RemoveAll(out); err != nil {
 			t.Fatal(err)
 		}
-		clock := pager.NewPowerClock(k)
-		clock.SetTornBytes(pager.PageSize / 3)
 		o := opts(out)
-		o.FS = NewFaultFS(OSFS{}, clock)
-		o.OpenFile = faultOpenFile(clock)
-		if _, err := Run(o); err == nil {
-			t.Fatalf("cut at write %d/%d: run unexpectedly succeeded", k, w)
+		o.FS = pager.NewFaultFS(pager.OSFS{}, clock)
+		o.OpenFile = pagertest.FaultOpen(clock)
+		_, err := Run(o)
+		if k == 0 && err == nil {
+			// The faulted-but-never-cut build must still match the baseline.
+			sameFiles(t, want, readIndexFiles(t, out), "counting run")
 		}
+		return err
+	}
+	pagertest.Sweep(t, 50, func(int64) int { return pager.PageSize / 3 }, run, func(t *testing.T, k int64) {
 		// Resume on a healthy stack. A cut before the first durable
 		// checkpoint legitimately reports nothing to resume — the recovery
 		// there is a fresh run.
@@ -92,12 +65,11 @@ func crashSweep(t *testing.T, shards, replicas int) {
 			rep, err = Run(opts(out))
 		}
 		if err != nil {
-			t.Fatalf("recovery after cut at write %d/%d: %v", k, w, err)
+			t.Fatalf("recovery: %v", err)
 		}
 		if rep.Docs != n-skips || rep.Skips != skips {
-			t.Fatalf("cut at write %d/%d: recovered build reports %d docs / %d skips, want %d/%d",
-				k, w, rep.Docs, rep.Skips, n-skips, skips)
+			t.Fatalf("recovered build reports %d docs / %d skips, want %d/%d", rep.Docs, rep.Skips, n-skips, skips)
 		}
-		sameFiles(t, want, readIndexFiles(t, out), fmt.Sprintf("cut at write %d/%d", k, w))
-	}
+		sameFiles(t, want, readIndexFiles(t, out), fmt.Sprintf("cut at write %d", k))
+	})
 }

@@ -1,20 +1,23 @@
 package ingest
 
-import "repro/internal/prix"
+import (
+	"repro/internal/pager"
+	"repro/internal/prix"
+)
 
-// The run-file machinery (sealed, CRC-checked DocSeq spools) and the
-// atomic-write helper are reused by internal/compact: the compactor drains a
-// live DynamicIndex into the exact same sealed run format the streaming bulk
-// loader uses, so one crash-resume proof covers both pipelines. These thin
-// exported wrappers keep the underlying types unexported (their invariants —
-// tmp-then-rename sealing, trailer validation — stay package-internal).
+// The run-file machinery (sealed, CRC-checked DocSeq spools) is reused by
+// internal/compact: the compactor drains a live DynamicIndex into the exact
+// same sealed run format the streaming bulk loader uses, so one
+// crash-resume proof covers both pipelines. These thin exported wrappers
+// keep the underlying types unexported (their invariants — atomic sealing,
+// trailer validation — stay package-internal).
 
 // RunWriter streams DocSeq records into a sealed run file (written to
 // path+".tmp", renamed into place by Seal).
 type RunWriter struct{ w *runWriter }
 
 // NewRunWriter creates a run file at path (holding path+".tmp" until Seal).
-func NewRunWriter(fs FS, path string) (*RunWriter, error) {
+func NewRunWriter(fs pager.FS, path string) (*RunWriter, error) {
 	w, err := newRunWriter(fs, path)
 	if err != nil {
 		return nil, err
@@ -31,8 +34,8 @@ func (w *RunWriter) Docs() uint32 { return w.w.docs }
 // Bytes is the run's body size so far (callers chunk runs by byte budget).
 func (w *RunWriter) Bytes() int64 { return w.w.bytes }
 
-// Seal writes the trailer, syncs, closes, and renames the run into place,
-// returning the trailer CRC (manifests pin it).
+// Seal writes the trailer and commits the run into place, returning the
+// trailer CRC (manifests pin it).
 func (w *RunWriter) Seal() (crc uint32, err error) { return w.w.seal() }
 
 // Abort drops an unsealed run (error paths only; best-effort).
@@ -42,7 +45,7 @@ func (w *RunWriter) Abort() { w.w.abort() }
 type RunReader struct{ r *runReader }
 
 // OpenRun opens a sealed run file for replay.
-func OpenRun(fs FS, path string) (*RunReader, error) {
+func OpenRun(fs pager.FS, path string) (*RunReader, error) {
 	r, err := openRun(fs, path)
 	if err != nil {
 		return nil, err
@@ -61,9 +64,3 @@ func (r *RunReader) SealCRC() uint32 { return r.r.sealCRC }
 
 // Close releases the underlying file.
 func (r *RunReader) Close() error { return r.r.close() }
-
-// WriteFileAtomic writes data to path via tmp-write + sync + rename, so a
-// crash leaves either the old contents or the new — never a torn file.
-func WriteFileAtomic(fs FS, path string, data []byte) error {
-	return writeFileAtomic(fs, path, data)
-}

@@ -1,7 +1,13 @@
+// Package ingest is the crash-resumable streaming bulk loader: it runs an
+// incremental cursor over a (possibly enormous) XML input, applies the
+// Prüfer transform one record at a time, spills the transforms into
+// CRC-sealed run files under a memory budget, and bulk-merges the runs into
+// the B+-tree index — committing a checkpoint manifest after every sealed
+// run so an interrupted build resumes from the last durable checkpoint and
+// converges on an index byte-identical to an uninterrupted one.
 package ingest
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -60,18 +66,18 @@ type Options struct {
 	BufferPoolPages int
 	// FS intercepts every artifact write (runs, manifest, spill chunks,
 	// replica clones, topology); nil means the real filesystem. Crash-sweep
-	// tests inject FaultFS here.
-	FS FS
+	// tests inject pager.FaultFS here.
+	FS pager.FS
 	// OpenFile is passed to the index builders so the merge phase's page
 	// files can be fault-injected too; nil means plain OS files.
 	OpenFile func(path string) (pager.File, error)
 }
 
-func (o *Options) fsys() FS {
+func (o *Options) fsys() pager.FS {
 	if o.FS != nil {
 		return o.FS
 	}
-	return OSFS{}
+	return pager.OSFS{}
 }
 
 func (o *Options) workDir() string {
@@ -223,7 +229,7 @@ func execute(o *Options, resume bool) (*Report, error) {
 
 type ingester struct {
 	o  *Options
-	fs FS
+	fs pager.FS
 	wd string
 	m  *Manifest
 }
@@ -490,7 +496,7 @@ func (ig *ingester) merge() error {
 			return fmt.Errorf("%s: %w", shard.Name(s), err)
 		}
 		for r := 1; r < m.Replicas; r++ {
-			if err := ig.cloneReplica(shard.ReplicaDir(o.Dir, s, 0), shard.ReplicaDir(o.Dir, s, r)); err != nil {
+			if err := shard.CloneReplica(fs, shard.ReplicaDir(o.Dir, s, 0), shard.ReplicaDir(o.Dir, s, r)); err != nil {
 				return fmt.Errorf("%s replica %d: %w", shard.Name(s), r, err)
 			}
 		}
@@ -503,11 +509,7 @@ func (ig *ingester) merge() error {
 		Docs:     m.TotalDocs,
 		Epoch:    m.Epoch,
 	}
-	raw, err := json.MarshalIndent(topo, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(fs, filepath.Join(o.Dir, shard.TopologyFile), append(raw, '\n'))
+	return topo.Save(fs, o.Dir)
 }
 
 // clearIndexRoot deletes every index artifact a previous (possibly
@@ -561,7 +563,7 @@ func (ig *ingester) buildOne(dir string, owner, shards int) error {
 		return err
 	}
 	ix, err := b.FinalizeBulk(prix.BulkOptions{
-		Spill:     &fsSpiller{fs: fs, dir: spill},
+		Spill:     prix.DirSpiller(fs, spill),
 		MemBudget: m.MemBudget,
 	})
 	if err != nil {
@@ -619,43 +621,6 @@ func (ig *ingester) replay(b *prix.Builder, owner, shards int) error {
 	return nil
 }
 
-// cloneReplica copies replica 0's sealed page files into another replica
-// directory through the (possibly fault-injected) FS.
-func (ig *ingester) cloneReplica(src, dst string) error {
-	if err := ig.fs.MkdirAll(dst); err != nil {
-		return err
-	}
-	for _, name := range []string{prix.ForestFileName, prix.DocsFileName} {
-		in, err := ig.fs.Open(filepath.Join(src, name))
-		if err != nil {
-			return err
-		}
-		out, err := ig.fs.Create(filepath.Join(dst, name))
-		if err != nil {
-			in.Close()
-			return err
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			out.Close()
-			in.Close()
-			return err
-		}
-		if err := out.Sync(); err != nil {
-			out.Close()
-			in.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
-			in.Close()
-			return err
-		}
-		if err := in.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // cleanup removes the now-redundant run files and spill chunks. The sealed
 // manifest stays (phase done) so a later Resume is an idempotent no-op
 // reporting the finished build; every removal tolerates a prior cleanup
@@ -668,23 +633,4 @@ func (ig *ingester) cleanup() error {
 		}
 	}
 	return ig.fs.RemoveAll(filepath.Join(ig.wd, spillDirName))
-}
-
-// fsSpiller adapts the ingest FS to prix.Spiller, placing the merge sort's
-// chunks in the work directory's spill subdirectory.
-type fsSpiller struct {
-	fs  FS
-	dir string
-}
-
-func (s *fsSpiller) Create(name string) (io.WriteCloser, error) {
-	return s.fs.Create(filepath.Join(s.dir, name))
-}
-
-func (s *fsSpiller) Open(name string) (io.ReadCloser, error) {
-	return s.fs.Open(filepath.Join(s.dir, name))
-}
-
-func (s *fsSpiller) Remove(name string) error {
-	return s.fs.Remove(filepath.Join(s.dir, name))
 }

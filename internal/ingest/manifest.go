@@ -8,13 +8,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/pager"
 )
 
 // ManifestFile is the checkpoint descriptor inside the work directory. It
-// is replaced only by tmp-write + rename (the topology.json idiom), so a
-// crash leaves either the previous checkpoint or the new one — never a torn
-// file — and its payload is CRC-32C-sealed so silent corruption is detected
-// rather than resumed from.
+// is replaced only by pager.WriteFileAtomic, so a crash leaves either the
+// previous checkpoint or the new one — never a torn file — and its payload
+// is CRC-32C-sealed so silent corruption is detected rather than resumed
+// from.
 const ManifestFile = "manifest.json"
 
 // Build phases recorded in the manifest. scan → merge → done; resume
@@ -87,9 +89,9 @@ func manifestBytes(m *Manifest) ([]byte, error) {
 	return json.MarshalIndent(&cp, "", "  ")
 }
 
-// save commits the manifest: tmp write, sync, rename. Every write point
-// ticks the FS's power clock when one is attached.
-func (m *Manifest) save(fs FS, dir string) error {
+// save commits the manifest atomically. Every write point ticks the FS's
+// power clock when one is attached.
+func (m *Manifest) save(fs pager.FS, dir string) error {
 	raw, err := manifestBytes(m)
 	if err != nil {
 		return err
@@ -100,11 +102,11 @@ func (m *Manifest) save(fs FS, dir string) error {
 		return err
 	}
 	sealed = append(sealed, '\n')
-	return writeFileAtomic(fs, filepath.Join(dir, ManifestFile), sealed)
+	return pager.WriteFileAtomic(fs, filepath.Join(dir, ManifestFile), sealed)
 }
 
 // loadManifest reads and verifies dir/manifest.json.
-func loadManifest(fs FS, dir string) (*Manifest, error) {
+func loadManifest(fs pager.FS, dir string) (*Manifest, error) {
 	rc, err := fs.Open(filepath.Join(dir, ManifestFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, ErrNoManifest

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"repro/internal/pager"
 	"repro/internal/prix"
 )
 
@@ -19,24 +20,20 @@ import (
 //	uint32 LE doc count
 //	uint32 LE CRC-32C of everything above
 //
-// A run is written to <name>.tmp, sealed (trailer + sync), renamed to
-// <name>, and only then recorded in the manifest — so every run the
-// manifest lists is complete and checksummed, and anything else in the work
-// directory is debris from a crash, deleted on resume.
+// A run is written through a pager.AtomicFile (to <name>.tmp, sealed with
+// trailer + sync, renamed to <name>) and only then recorded in the manifest
+// — so every run the manifest lists is complete and checksummed, and
+// anything else in the work directory is debris from a crash, deleted on
+// resume.
 
-const (
-	runMagic  = "PRIXRUN1"
-	tmpSuffix = ".tmp"
-)
+const runMagic = "PRIXRUN1"
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // runWriter streams DocSeq records into one run file.
 type runWriter struct {
-	fs    FS
-	path  string // final path; the writer holds path+tmpSuffix until sealed
-	f     File
-	bw    *bufio.Writer
+	path  string
+	f     *pager.AtomicFile
 	crc   hash.Hash32
 	docs  uint32
 	bytes int64
@@ -44,14 +41,14 @@ type runWriter struct {
 	hdr   [binary.MaxVarintLen64]byte // add's length prefix: a local would escape into the CRC write
 }
 
-func newRunWriter(fs FS, path string) (*runWriter, error) {
-	f, err := fs.Create(path + tmpSuffix)
+func newRunWriter(fs pager.FS, path string) (*runWriter, error) {
+	f, err := pager.CreateAtomic(fs, path)
 	if err != nil {
 		return nil, err
 	}
-	w := &runWriter{fs: fs, path: path, f: f, bw: bufio.NewWriterSize(f, 1<<16), crc: crc32.New(castagnoli)}
+	w := &runWriter{path: path, f: f, crc: crc32.New(castagnoli)}
 	if err := w.write([]byte(runMagic)); err != nil {
-		f.Close()
+		f.Abort()
 		return nil, err
 	}
 	return w, nil
@@ -60,7 +57,7 @@ func newRunWriter(fs FS, path string) (*runWriter, error) {
 func (w *runWriter) write(p []byte) error {
 	w.crc.Write(p)
 	w.bytes += int64(len(p))
-	_, err := w.bw.Write(p)
+	_, err := w.f.Write(p)
 	return err
 }
 
@@ -77,44 +74,30 @@ func (w *runWriter) add(ds *prix.DocSeq) error {
 	return nil
 }
 
-// seal writes the trailer, syncs, closes, and renames the run into place.
-// It returns the CRC recorded in the trailer (the manifest pins it too).
+// seal writes the trailer and commits the run into place. It returns the
+// CRC recorded in the trailer (the manifest pins it too).
 func (w *runWriter) seal() (crc uint32, err error) {
 	var trailer [9]byte
 	trailer[0] = 0 // terminator: a zero-length record
 	binary.LittleEndian.PutUint32(trailer[1:5], w.docs)
 	if err := w.write(trailer[:5]); err != nil {
-		w.f.Close()
+		w.f.Abort()
 		return 0, err
 	}
 	crc = w.crc.Sum32()
 	binary.LittleEndian.PutUint32(trailer[5:9], crc)
-	if _, err := w.bw.Write(trailer[5:9]); err != nil {
-		w.f.Close()
+	if _, err := w.f.Write(trailer[5:9]); err != nil {
+		w.f.Abort()
 		return 0, err
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
-		return 0, err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return 0, err
-	}
-	if err := w.f.Close(); err != nil {
-		return 0, err
-	}
-	if err := w.fs.Rename(w.path+tmpSuffix, w.path); err != nil {
+	if err := w.f.Commit(); err != nil {
 		return 0, err
 	}
 	return crc, nil
 }
 
 // abort drops an unsealed run (error paths only; best-effort).
-func (w *runWriter) abort() {
-	w.f.Close()
-	w.fs.Remove(w.path + tmpSuffix)
-}
+func (w *runWriter) abort() { w.f.Abort() }
 
 // runReader replays a sealed run, verifying its CRC as it goes.
 type runReader struct {
@@ -130,7 +113,7 @@ type runReader struct {
 	done    bool
 }
 
-func openRun(fs FS, path string) (*runReader, error) {
+func openRun(fs pager.FS, path string) (*runReader, error) {
 	rc, err := fs.Open(path)
 	if err != nil {
 		return nil, err

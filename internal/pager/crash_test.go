@@ -1,11 +1,13 @@
-package pager
+package pager_test
 
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 )
 
 // fileImage is a full copy of a page file's contents.
@@ -13,12 +15,12 @@ type fileImage struct {
 	pages [][]byte
 }
 
-func captureImage(t *testing.T, f File) fileImage {
+func captureImage(t *testing.T, f pager.File) fileImage {
 	t.Helper()
 	var img fileImage
-	buf := make([]byte, PageSize)
+	buf := make([]byte, pager.PageSize)
 	for id := uint32(0); id < f.NumPages(); id++ {
-		if err := f.ReadPage(PageID(id), buf); err != nil {
+		if err := f.ReadPage(pager.PageID(id), buf); err != nil {
 			t.Fatal(err)
 		}
 		img.pages = append(img.pages, append([]byte(nil), buf...))
@@ -42,17 +44,17 @@ func (a fileImage) equal(b fileImage) bool {
 // a journaled pool: page allocations, in-place updates under a pool small
 // enough to force mid-transaction evictions, and periodic FlushAll commits.
 // onCommit (may be nil) observes the file right after each commit point.
-func poolWorkload(main, journalFile File, onCommit func()) error {
-	j, err := NewJournal(journalFile)
+func poolWorkload(main, journalFile pager.File, onCommit func()) error {
+	j, err := pager.NewJournal(journalFile)
 	if err != nil {
 		return err
 	}
-	bp, err := NewJournaledPool(main, j, 4)
+	bp, err := pager.NewJournaledPool(main, j, 4)
 	if err != nil {
 		return err
 	}
 	rng := rand.New(rand.NewSource(42))
-	var ids []PageID
+	var ids []pager.PageID
 	for step := 0; step < 48; step++ {
 		if len(ids) < 6 || rng.Intn(4) == 0 {
 			p, err := bp.NewPage()
@@ -96,102 +98,76 @@ func poolWorkload(main, journalFile File, onCommit func()) error {
 // committed images — never a panic, never a checksum error, never a state
 // that no commit produced.
 func TestCrashSweepEveryWritePoint(t *testing.T) {
-	// Counting + reference run.
-	clock := NewPowerClock(0)
-	refMain, refJournal := NewMemFile(), NewMemFile()
-	mainFF, journalFF := NewFaultFile(refMain), NewFaultFile(refJournal)
-	mainFF.SetPowerClock(clock)
-	journalFF.SetPowerClock(clock)
 	snaps := []fileImage{{}} // the empty file is the zeroth committed state
-	err := poolWorkload(mainFF, journalFF, func() {
-		snaps = append(snaps, captureImage(t, refMain))
+	var mainMem, journalMem *pager.MemFile
+	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+		mainMem, journalMem = pager.NewMemFile(), pager.NewMemFile()
+		main, journalFile := pager.NewFaultFile(mainMem), pager.NewFaultFile(journalMem)
+		main.SetPowerClock(clock)
+		journalFile.SetPowerClock(clock)
+		var onCommit func()
+		if k == 0 {
+			onCommit = func() { snaps = append(snaps, captureImage(t, mainMem)) }
+		}
+		return poolWorkload(main, journalFile, onCommit)
+	}
+	pagertest.Sweep(t, 20, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {
+		// "Reboot": reopen the frozen images; NewJournaledPool runs
+		// recovery.
+		j, err := pager.NewJournal(journalMem)
+		if err != nil {
+			t.Fatalf("reopen journal: %v", err)
+		}
+		bp, err := pager.NewJournaledPool(mainMem, j, 4)
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+
+		// Every page must verify, through the pool (typed errors, no
+		// panics) and raw.
+		img := captureImage(t, mainMem)
+		for id := range img.pages {
+			if err := pager.VerifyPage(pager.PageID(id), img.pages[id]); err != nil {
+				t.Errorf("after recovery: %v", err)
+			}
+			p, err := bp.Get(pager.PageID(id))
+			if err != nil {
+				t.Errorf("after recovery: Get(%d): %v", id, err)
+				continue
+			}
+			p.Unpin(false)
+		}
+
+		// The recovered image must be exactly one of the committed
+		// states: atomicity means no torn in-between state survives.
+		matched := -1
+		for i, s := range snaps {
+			if img.equal(s) {
+				matched = i
+				break
+			}
+		}
+		if matched < 0 {
+			t.Errorf("recovered image (%d pages) matches no committed state", len(img.pages))
+		}
 	})
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	W := clock.Writes()
-	if W < 20 {
-		t.Fatalf("workload too small to be interesting: %d writes", W)
-	}
-
-	for k := int64(1); k <= W; k++ {
-		k := k
-		t.Run(fmt.Sprintf("cut=%d", k), func(t *testing.T) {
-			clock := NewPowerClock(k)
-			if k%3 == 0 {
-				// Every third cut point tears the final page write.
-				clock.SetTornBytes(int(k*509) % PageSize)
-			}
-			mainMem, journalMem := NewMemFile(), NewMemFile()
-			main, journalFile := NewFaultFile(mainMem), NewFaultFile(journalMem)
-			main.SetPowerClock(clock)
-			journalFile.SetPowerClock(clock)
-
-			err := poolWorkload(main, journalFile, nil)
-			if err == nil {
-				t.Fatal("workload survived a power cut")
-			}
-			if !errors.Is(err, ErrPowerCut) {
-				t.Fatalf("workload died of %v, want ErrPowerCut", err)
-			}
-
-			// "Reboot": reopen the frozen images; NewJournaledPool runs
-			// recovery.
-			j, err := NewJournal(journalMem)
-			if err != nil {
-				t.Fatalf("reopen journal: %v", err)
-			}
-			bp, err := NewJournaledPool(mainMem, j, 4)
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-
-			// Every page must verify, through the pool (typed errors, no
-			// panics) and raw.
-			img := captureImage(t, mainMem)
-			for id := range img.pages {
-				if err := VerifyPage(PageID(id), img.pages[id]); err != nil {
-					t.Errorf("after recovery: %v", err)
-				}
-				p, err := bp.Get(PageID(id))
-				if err != nil {
-					t.Errorf("after recovery: Get(%d): %v", id, err)
-					continue
-				}
-				p.Unpin(false)
-			}
-
-			// The recovered image must be exactly one of the committed
-			// states: atomicity means no torn in-between state survives.
-			matched := -1
-			for i, s := range snaps {
-				if img.equal(s) {
-					matched = i
-					break
-				}
-			}
-			if matched < 0 {
-				t.Errorf("recovered image (%d pages) matches no committed state", len(img.pages))
-			}
-		})
-	}
 }
 
 // A write fault during FlushAll must leave the pool consistent: the error
 // surfaces, un-flushed frames stay dirty, and after Heal a retried FlushAll
 // commits everything.
 func TestFlushAllWriteFaultKeepsPoolConsistent(t *testing.T) {
-	mem := NewMemFile()
-	ff := NewFaultFile(mem)
-	j, err := NewJournal(NewMemFile())
+	mem := pager.NewMemFile()
+	ff := pager.NewFaultFile(mem)
+	j, err := pager.NewJournal(pager.NewMemFile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := NewJournaledPool(ff, j, 8)
+	bp, err := pager.NewJournaledPool(ff, j, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []PageID
+	var ids []pager.PageID
 	for i := 0; i < 4; i++ {
 		p, err := bp.NewPage()
 		if err != nil {
@@ -215,18 +191,12 @@ func TestFlushAllWriteFaultKeepsPoolConsistent(t *testing.T) {
 
 	ff.FailWritesAfter(2) // fail mid-flush, after two page writes
 	err = bp.FlushAll()
-	if !errors.Is(err, ErrInjected) {
+	if !errors.Is(err, pager.ErrInjected) {
 		t.Fatalf("FlushAll = %v, want ErrInjected", err)
 	}
-	bp.mu.Lock()
-	dirty := 0
-	for _, fr := range bp.frames {
-		if fr.dirty {
-			dirty++
-		}
-	}
-	bp.mu.Unlock()
-	if dirty == 0 {
+	// DropClean evicts only clean frames: dropping all four would mean the
+	// failed flush marked unwritten frames clean.
+	if bp.DropClean() == len(ids) {
 		t.Fatal("no frame left dirty after failed flush: updates lost")
 	}
 
@@ -237,16 +207,16 @@ func TestFlushAllWriteFaultKeepsPoolConsistent(t *testing.T) {
 	if j.Active() {
 		t.Error("journal active after successful retry")
 	}
-	buf := make([]byte, PageSize)
+	buf := make([]byte, pager.PageSize)
 	for i, id := range ids {
 		if err := mem.ReadPage(id, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyPage(id, buf); err != nil {
+		if err := pager.VerifyPage(id, buf); err != nil {
 			t.Errorf("page %d: %v", id, err)
 		}
-		if want := byte(i) | 0x80; buf[PageHeaderSize] != want {
-			t.Errorf("page %d payload = %#x, want %#x", id, buf[PageHeaderSize], want)
+		if want := byte(i) | 0x80; buf[pager.PageHeaderSize] != want {
+			t.Errorf("page %d payload = %#x, want %#x", id, buf[pager.PageHeaderSize], want)
 		}
 	}
 }
@@ -254,8 +224,8 @@ func TestFlushAllWriteFaultKeepsPoolConsistent(t *testing.T) {
 // Close must flush dirty frames (data written through a pool that is then
 // closed survives) and must propagate flush errors instead of dropping them.
 func TestPoolCloseFlushesAndPropagatesErrors(t *testing.T) {
-	mem := NewMemFile()
-	bp := NewBufferPool(mem, 4)
+	mem := pager.NewMemFile()
+	bp := pager.NewBufferPool(mem, 4)
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
@@ -266,16 +236,16 @@ func TestPoolCloseFlushesAndPropagatesErrors(t *testing.T) {
 	if err := bp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, PageSize)
+	buf := make([]byte, pager.PageSize)
 	if err := mem.ReadPage(id, buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf[PageHeaderSize] != 0x5A {
+	if buf[pager.PageHeaderSize] != 0x5A {
 		t.Error("dirty frame not flushed by Close")
 	}
 
-	ff := NewFaultFile(NewMemFile())
-	bp2 := NewBufferPool(ff, 4)
+	ff := pager.NewFaultFile(pager.NewMemFile())
+	bp2 := pager.NewBufferPool(ff, 4)
 	p2, err := bp2.NewPage()
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +253,7 @@ func TestPoolCloseFlushesAndPropagatesErrors(t *testing.T) {
 	p2.Data[0] = 1
 	p2.Unpin(true)
 	ff.FailWritesAfter(0)
-	if err := bp2.Close(); !errors.Is(err, ErrInjected) {
+	if err := bp2.Close(); !errors.Is(err, pager.ErrInjected) {
 		t.Errorf("Close = %v, want ErrInjected", err)
 	}
 }

@@ -2,6 +2,7 @@ package pager
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 )
@@ -317,12 +318,12 @@ func (c *PowerClock) DidCut() bool {
 	return c.cut
 }
 
-// Tick records one write-class operation performed outside the pager. The
-// streaming-ingest run-file and manifest writers call it with the same
-// clock their index page files carry, so one crash sweep covers every
-// write point of a build, not just the paged ones. It returns cut=true
-// exactly at the cut point (the caller may persist a deterministic torn
-// prefix before failing) and ErrPowerCut for every operation after it.
+// Tick records one write-class operation performed outside the pager.
+// FaultFS calls it with the same clock the index page files carry, so one
+// crash sweep covers every write point of a build, not just the paged
+// ones. It returns cut=true exactly at the cut point (the caller may
+// persist a deterministic torn prefix before failing) and ErrPowerCut for
+// every operation after it.
 func (c *PowerClock) Tick() (cut bool, err error) {
 	_, cutNow, err := c.tick()
 	return cutNow, err
@@ -343,4 +344,110 @@ func (c *PowerClock) tick() (torn int, cutNow bool, err error) {
 		return c.torn, true, nil
 	}
 	return 0, false, nil
+}
+
+// FaultFS is FaultFile's counterpart for the non-page artifacts: it wraps an
+// FS so that every write-class operation — file creation, each Write, Sync,
+// Rename, Remove, RemoveAll, MkdirAll — ticks a PowerClock. Crash-sweep
+// tests attach the same clock here and to the index page files (through
+// prix.Options.OpenFile and a FaultFile), so one ordinal spans every write
+// of a build. The cutting Write persists the first half of its buffer — a
+// torn append — so the CRC seals are exercised too.
+type FaultFS struct {
+	inner FS
+	clock *PowerClock
+}
+
+// NewFaultFS wraps inner with the given power clock.
+func NewFaultFS(inner FS, clock *PowerClock) *FaultFS {
+	return &FaultFS{inner: inner, clock: clock}
+}
+
+func (f *FaultFS) tick() error {
+	cut, err := f.clock.Tick()
+	if err != nil {
+		return err
+	}
+	if cut {
+		return ErrPowerCut
+	}
+	return nil
+}
+
+func (f *FaultFS) Create(path string) (FSFile, error) {
+	if err := f.tick(); err != nil {
+		return nil, err
+	}
+	inner, err := f.inner.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &faultFSFile{inner: inner, fs: f}, nil
+}
+
+func (f *FaultFS) Open(path string) (io.ReadCloser, error) { return f.inner.Open(path) }
+
+func (f *FaultFS) Rename(oldPath, newPath string) error {
+	if err := f.tick(); err != nil {
+		return err
+	}
+	return f.inner.Rename(oldPath, newPath)
+}
+
+func (f *FaultFS) Remove(path string) error {
+	if err := f.tick(); err != nil {
+		return err
+	}
+	return f.inner.Remove(path)
+}
+
+func (f *FaultFS) RemoveAll(path string) error {
+	if err := f.tick(); err != nil {
+		return err
+	}
+	return f.inner.RemoveAll(path)
+}
+
+func (f *FaultFS) MkdirAll(path string) error {
+	if err := f.tick(); err != nil {
+		return err
+	}
+	return f.inner.MkdirAll(path)
+}
+
+func (f *FaultFS) ReadDir(path string) ([]string, error) { return f.inner.ReadDir(path) }
+
+type faultFSFile struct {
+	inner FSFile
+	fs    *FaultFS
+}
+
+// Write ticks the clock; the cutting write persists a deterministic torn
+// prefix (half the buffer) before failing.
+func (w *faultFSFile) Write(p []byte) (int, error) {
+	cut, err := w.fs.clock.Tick()
+	if err != nil {
+		return 0, err
+	}
+	if cut {
+		n := len(p) / 2
+		if n > 0 {
+			w.inner.Write(p[:n])
+		}
+		return n, ErrPowerCut
+	}
+	return w.inner.Write(p)
+}
+
+func (w *faultFSFile) Sync() error {
+	if err := w.fs.tick(); err != nil {
+		return err
+	}
+	return w.inner.Sync()
+}
+
+func (w *faultFSFile) Close() error {
+	// Close is not a write point: after a cut the frozen file must still be
+	// closable so the sweep harness can inspect the crash image.
+	return w.inner.Close()
 }

@@ -1,0 +1,159 @@
+package pager_test
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
+)
+
+// recordFS logs every operation on an OSFS, and fails Sync on command.
+type recordFS struct {
+	pager.OSFS
+	log      []string
+	failSync bool
+}
+
+type recordFile struct {
+	f    pager.FSFile
+	fs   *recordFS
+	name string
+}
+
+var errSync = errors.New("sync refused")
+
+func (r *recordFS) Create(path string) (pager.FSFile, error) {
+	r.log = append(r.log, "create "+filepath.Base(path))
+	f, err := r.OSFS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &recordFile{f: f, fs: r, name: filepath.Base(path)}, nil
+}
+
+func (r *recordFS) Rename(oldPath, newPath string) error {
+	r.log = append(r.log, "rename "+filepath.Base(oldPath)+" "+filepath.Base(newPath))
+	return r.OSFS.Rename(oldPath, newPath)
+}
+
+func (r *recordFS) Remove(path string) error {
+	r.log = append(r.log, "remove "+filepath.Base(path))
+	return r.OSFS.Remove(path)
+}
+
+func (w *recordFile) Write(p []byte) (int, error) {
+	w.fs.log = append(w.fs.log, fmt.Sprintf("write %s %d", w.name, len(p)))
+	return w.f.Write(p)
+}
+
+func (w *recordFile) Sync() error {
+	w.fs.log = append(w.fs.log, "sync "+w.name)
+	if w.fs.failSync {
+		return errSync
+	}
+	return w.f.Sync()
+}
+
+func (w *recordFile) Close() error {
+	w.fs.log = append(w.fs.log, "close "+w.name)
+	return w.f.Close()
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestAtomicWriteOrder pins the one durable-write protocol every artifact
+// goes through: the temp is written, synced and closed before it is renamed
+// over the path, nothing but the rename touches the path, and a power cut at
+// any of its write points leaves the old bytes or the new ones.
+func TestAtomicWriteOrder(t *testing.T) {
+	t.Run("commit", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "f")
+		fs := &recordFS{}
+		a, err := pager.CreateAtomic(fs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []string{"new ", "bytes"} {
+			if _, err := a.Write([]byte(chunk)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := []string{"create f.tmp"}; !reflect.DeepEqual(fs.log, want) {
+			t.Fatalf("before Commit: %q, want %q", fs.log, want)
+		}
+		if err := a.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"create f.tmp", "write f.tmp 9", "sync f.tmp", "close f.tmp", "rename f.tmp f"}
+		if !reflect.DeepEqual(fs.log, want) {
+			t.Fatalf("Commit ran %q, want %q", fs.log, want)
+		}
+		if got := readFile(t, path); got != "new bytes" {
+			t.Fatalf("path holds %q", got)
+		}
+	})
+
+	t.Run("abort and failed sync", func(t *testing.T) {
+		for _, failSync := range []bool{false, true} {
+			path := filepath.Join(t.TempDir(), "f")
+			if err := pager.WriteFileAtomic(pager.OSFS{}, path, []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			fs := &recordFS{failSync: failSync}
+			a, err := pager.CreateAtomic(fs, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Write([]byte("new")); err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			if failSync {
+				if err := a.Commit(); !errors.Is(err, errSync) {
+					t.Fatalf("Commit = %v, want the sync error", err)
+				}
+				want = []string{"create f.tmp", "write f.tmp 3", "sync f.tmp", "close f.tmp", "remove f.tmp"}
+			} else {
+				a.Abort()
+				want = []string{"create f.tmp", "close f.tmp", "remove f.tmp"}
+			}
+			if !reflect.DeepEqual(fs.log, want) {
+				t.Errorf("failSync=%v: ran %q, want %q", failSync, fs.log, want)
+			}
+			if got := readFile(t, path); got != "old" {
+				t.Errorf("failSync=%v: path holds %q, want the old bytes", failSync, got)
+			}
+			if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+				t.Errorf("failSync=%v: temp left behind (%v)", failSync, err)
+			}
+		}
+	})
+
+	t.Run("power cut", func(t *testing.T) {
+		var path string
+		run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+			path = filepath.Join(t.TempDir(), "f")
+			if err := os.WriteFile(path, []byte("old bytes"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return pager.WriteFileAtomic(pager.NewFaultFS(pager.OSFS{}, clock), path, []byte("new bytes, longer"))
+		}
+		pagertest.Sweep(t, 4, nil, run, func(t *testing.T, k int64) {
+			if got := readFile(t, path); got != "old bytes" && got != "new bytes, longer" {
+				t.Errorf("path holds %q: neither the old bytes nor the new", got)
+			}
+		})
+	})
+}

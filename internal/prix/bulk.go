@@ -7,16 +7,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"path/filepath"
 	"sort"
 
 	"repro/internal/btree"
+	"repro/internal/pager"
 	"repro/internal/vtrie"
 )
 
 // Spiller is where FinalizeBulk parks sorted posting chunks between the
-// trie-emit pass and the merge pass. The streaming-ingest package backs it
-// with fault-injectable files in the spill directory; the default keeps
-// chunks in memory (small builds, tests).
+// trie-emit pass and the merge pass. Streaming ingest and compaction back it
+// with DirSpiller files; the default keeps chunks in memory (small builds,
+// tests).
 type Spiller interface {
 	// Create opens a named chunk for writing. The chunk is written once,
 	// sequentially, then closed.
@@ -424,4 +426,28 @@ func (m *memSpiller) Open(name string) (io.ReadCloser, error) {
 func (m *memSpiller) Remove(name string) error {
 	delete(m.chunks, name)
 	return nil
+}
+
+// DirSpiller keeps the chunks as files in dir on fs. A chunk is not synced
+// on close: FinalizeBulk reads it back and removes it within the same
+// process, and every caller removes and recreates dir before a build
+// starts, so no chunk outlives the process that wrote it and a sync would
+// protect nothing.
+func DirSpiller(fs pager.FS, dir string) Spiller { return dirSpiller{fs: fs, dir: dir} }
+
+type dirSpiller struct {
+	fs  pager.FS
+	dir string
+}
+
+func (s dirSpiller) Create(name string) (io.WriteCloser, error) {
+	return s.fs.Create(filepath.Join(s.dir, name))
+}
+
+func (s dirSpiller) Open(name string) (io.ReadCloser, error) {
+	return s.fs.Open(filepath.Join(s.dir, name))
+}
+
+func (s dirSpiller) Remove(name string) error {
+	return s.fs.Remove(filepath.Join(s.dir, name))
 }

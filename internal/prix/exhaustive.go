@@ -90,11 +90,7 @@ func (ix *Index) MatchExhaustive(q *twig.Query, opts MatchOptions) ([]Match, *Qu
 		}
 		var embs []twig.Embedding
 		if opts.Unordered {
-			limit := opts.ArrangementLimit
-			if limit <= 0 {
-				limit = 720
-			}
-			arr, _ := q.Arrangements(limit)
+			arr, _ := q.Arrangements(arrangementLimit)
 			seen := map[string]bool{}
 			for _, a := range arr {
 				for _, e := range twig.MatchBruteForce(a, doc) {

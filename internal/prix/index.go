@@ -40,9 +40,10 @@ type Options struct {
 	// Dir is where the two page files are created. Empty means in-memory.
 	Dir string
 	// OpenFile optionally intercepts every page-file open (the main files
-	// and their sidecar journals). Crash-sweep tests inject pager.FaultFile
-	// wrappers here so a PowerClock can cut power inside the merge phase of
-	// a streaming build; nil means plain OS files.
+	// and their sidecar journals). Crash-sweep tests inject
+	// pagertest.FaultOpen here so a PowerClock can cut power inside a
+	// mutation, a compaction or the merge phase of a streaming build; nil
+	// means plain OS files.
 	OpenFile func(path string) (pager.File, error)
 	// HotBudget, when positive, enables the in-memory hot tier
 	// (internal/hot) with that many bytes: flat posting lists and

@@ -86,6 +86,9 @@ type QueryStats struct {
 // document-store pass.
 var ErrNeedsExtendedIndex = errors.New("query needs an EPIndex")
 
+// arrangementLimit caps the branch arrangements an unordered match runs.
+const arrangementLimit = 720
+
 // MatchOptions tunes query processing.
 type MatchOptions struct {
 	// DisableMaxGap turns off the Theorem 4 pruning (ablation).
@@ -93,8 +96,6 @@ type MatchOptions struct {
 	// Unordered finds unordered twig matches by running every branch
 	// arrangement (§5.7) and deduplicating by image set.
 	Unordered bool
-	// ArrangementLimit caps unordered arrangements (default 720).
-	ArrangementLimit int
 	// WarmCache runs the query against whatever the buffer pools already
 	// hold instead of dropping clean cached pages first. The default
 	// (cold) start reproduces the paper's per-query "Disk IO" accounting.
@@ -221,11 +222,7 @@ func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, 
 	var out []Match
 	var err error
 	if opts.Unordered {
-		limit := opts.ArrangementLimit
-		if limit <= 0 {
-			limit = 720
-		}
-		arr, truncated := q.Arrangements(limit)
+		arr, truncated := q.Arrangements(arrangementLimit)
 		if truncated {
 			sp.End()
 			return nil, nil, fmt.Errorf("prix: too many branch arrangements for unordered match of %q", q)

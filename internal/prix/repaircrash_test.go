@@ -2,12 +2,12 @@ package prix
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/btree"
 	"repro/internal/docstore"
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/vtrie"
 	"repro/internal/xmltree"
 )
@@ -18,11 +18,11 @@ import (
 // state after some completed repair step — never a torn in-between.
 //
 // The harness mirrors internal/pager/crash_test.go: build an index over
-// in-memory files, corrupt one record page, learn the repair's write count W
-// and its per-step committed images on a reference run, then re-run the
-// repair W times with a shared PowerClock cutting at write k (every third
-// cut tearing the final page write), reopen the frozen images through
-// journal recovery, and compare byte-for-byte.
+// in-memory files, corrupt one record page, learn the repair's per-step
+// committed images on a reference run, then let pagertest.Sweep cut the
+// repair at every write k (every third cut tearing the final page write),
+// reopen the frozen images through journal recovery, and compare
+// byte-for-byte.
 
 func captureFile(t *testing.T, f pager.File) [][]byte {
 	t.Helper()
@@ -204,78 +204,50 @@ func TestCrashSweepOverRecordRepair(t *testing.T) {
 		t.Fatal("repair did not change the store file; nothing to crash-sweep")
 	}
 
-	// Counting run through FaultFiles to learn W.
-	clock := pager.NewPowerClock(0)
-	var cf [4]*pager.FaultFile
-	cf[0], cf[1] = pager.NewFaultFile(cloneMem(t, init[0])), pager.NewFaultFile(cloneMem(t, init[1]))
-	cf[2], cf[3] = pager.NewFaultFile(cloneMem(t, init[2])), pager.NewFaultFile(cloneMem(t, init[3]))
-	for _, f := range cf {
-		f.SetPowerClock(clock)
+	var mems [4]*pager.MemFile // docs, docs journal, forest, forest journal
+	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+		var ff [4]*pager.FaultFile
+		for i := range mems {
+			mems[i] = cloneMem(t, init[i])
+			ff[i] = pager.NewFaultFile(mems[i])
+			ff[i].SetPowerClock(clock)
+		}
+		_, err := runRepairSteps(ff[0], ff[1], ff[2], ff[3], 1<<30)
+		return err
 	}
-	if _, err := runRepairSteps(cf[0], cf[1], cf[2], cf[3], 1<<30); err != nil {
-		t.Fatalf("counting run: %v", err)
-	}
-	W := clock.Writes()
-	if W < 5 {
-		t.Fatalf("repair performs only %d writes; sweep would be vacuous", W)
-	}
+	pagertest.Sweep(t, 5, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {
+		// Reboot: journal recovery against the frozen images.
+		for _, rec := range [][2]*pager.MemFile{{mems[0], mems[1]}, {mems[2], mems[3]}} {
+			j, err := pager.NewJournal(rec[1])
+			if err != nil {
+				t.Fatalf("reopen journal: %v", err)
+			}
+			if _, err := pager.NewJournaledPool(rec[0], j, 8); err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+		}
 
-	for k := int64(1); k <= W; k++ {
-		k := k
-		t.Run(fmt.Sprintf("cut=%d", k), func(t *testing.T) {
-			clock := pager.NewPowerClock(k)
-			if k%3 == 0 {
-				clock.SetTornBytes(int(k*509) % pager.PageSize)
+		docsImg := captureFile(t, mems[0])
+		matched := false
+		for _, s := range docsSnaps {
+			if imagesEqual(docsImg, s) {
+				matched = true
+				break
 			}
-			docsMem, docsJnlMem := cloneMem(t, init[0]), cloneMem(t, init[1])
-			forestMem, forestJnlMem := cloneMem(t, init[2]), cloneMem(t, init[3])
-			ffD, ffDJ := pager.NewFaultFile(docsMem), pager.NewFaultFile(docsJnlMem)
-			ffF, ffFJ := pager.NewFaultFile(forestMem), pager.NewFaultFile(forestJnlMem)
-			for _, f := range []*pager.FaultFile{ffD, ffDJ, ffF, ffFJ} {
-				f.SetPowerClock(clock)
+		}
+		if !matched {
+			t.Errorf("recovered docs.db (%d pages) matches no committed repair state", len(docsImg))
+		}
+		forestImg := captureFile(t, mems[2])
+		matched = false
+		for _, s := range forestSnaps {
+			if imagesEqual(forestImg, s) {
+				matched = true
+				break
 			}
-			if _, err := runRepairSteps(ffD, ffDJ, ffF, ffFJ, 1<<30); err == nil {
-				t.Fatal("repair survived a power cut")
-			}
-			if !clock.DidCut() {
-				t.Fatal("repair failed before the cut point")
-			}
-
-			// Reboot: journal recovery against the frozen images.
-			for _, rec := range []struct {
-				main, jnl *pager.MemFile
-			}{{docsMem, docsJnlMem}, {forestMem, forestJnlMem}} {
-				j, err := pager.NewJournal(rec.jnl)
-				if err != nil {
-					t.Fatalf("reopen journal: %v", err)
-				}
-				if _, err := pager.NewJournaledPool(rec.main, j, 8); err != nil {
-					t.Fatalf("recovery: %v", err)
-				}
-			}
-
-			docsImg := captureFile(t, docsMem)
-			matched := false
-			for _, s := range docsSnaps {
-				if imagesEqual(docsImg, s) {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				t.Errorf("recovered docs.db (%d pages) matches no committed repair state", len(docsImg))
-			}
-			forestImg := captureFile(t, forestMem)
-			matched = false
-			for _, s := range forestSnaps {
-				if imagesEqual(forestImg, s) {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				t.Errorf("recovered seq.idx (%d pages) matches no committed repair state", len(forestImg))
-			}
-		})
-	}
+		}
+		if !matched {
+			t.Errorf("recovered seq.idx (%d pages) matches no committed repair state", len(forestImg))
+		}
+	})
 }

@@ -2,6 +2,7 @@ package prix
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -45,7 +46,7 @@ func RestoreSnapshot(indexDir, snapDir string) error {
 		}
 	}
 	for _, name := range []string{forestFile, docsFile} {
-		if err := copyFileAtomic(filepath.Join(snapDir, name), filepath.Join(indexDir, name)); err != nil {
+		if err := restoreFile(filepath.Join(snapDir, name), filepath.Join(indexDir, name)); err != nil {
 			return err
 		}
 	}
@@ -58,41 +59,31 @@ func RestoreSnapshot(indexDir, snapDir string) error {
 }
 
 // copyPagesVerified writes every page of f to a fresh file at path
-// (temp + rename), refusing on the first checksum failure.
+// through an atomic replace, refusing on the first checksum failure.
 func copyPagesVerified(f pager.File, path string) error {
-	tmp := path + ".tmp"
-	out, err := os.Create(tmp)
+	out, err := pager.CreateAtomic(pager.OSFS{}, path)
 	if err != nil {
 		return fmt.Errorf("prix: snapshot: %w", err)
 	}
 	buf := make([]byte, pager.PageSize)
 	for id := uint32(0); id < f.NumPages(); id++ {
 		if err := f.ReadPage(pager.PageID(id), buf); err != nil {
-			out.Close()
-			os.Remove(tmp)
+			out.Abort()
 			return fmt.Errorf("prix: snapshot: %w", err)
 		}
 		if err := pager.VerifyPage(pager.PageID(id), buf); err != nil {
-			out.Close()
-			os.Remove(tmp)
+			out.Abort()
 			return fmt.Errorf("prix: snapshot refused, page damaged: %w", err)
 		}
 		if _, err := out.Write(buf); err != nil {
-			out.Close()
-			os.Remove(tmp)
+			out.Abort()
 			return fmt.Errorf("prix: snapshot: %w", err)
 		}
 	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		os.Remove(tmp)
+	if err := out.Commit(); err != nil {
 		return fmt.Errorf("prix: snapshot: %w", err)
 	}
-	if err := out.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("prix: snapshot: %w", err)
-	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // verifyPageFile checks every page of a snapshot file.
@@ -114,20 +105,20 @@ func verifyPageFile(path string) error {
 	return nil
 }
 
-// copyFileAtomic copies src over dst via a temp file and rename.
-func copyFileAtomic(src, dst string) error {
-	data, err := os.ReadFile(src)
+// restoreFile copies src over dst through an atomic replace.
+func restoreFile(src, dst string) error {
+	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
-	tmp := dst + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	defer in.Close()
+	out, err := pager.CreateAtomic(pager.OSFS{}, dst)
+	if err != nil {
 		return err
 	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		f.Sync()
-		f.Close()
+	if _, err := io.Copy(out, in); err != nil {
+		out.Abort()
+		return err
 	}
-	return os.Rename(tmp, dst)
+	return out.Commit()
 }

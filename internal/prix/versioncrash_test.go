@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mvcc"
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/twig"
 )
 
@@ -15,27 +16,14 @@ import (
 // ordinal of a Delete, Update or Patch commit sequence must recover, on
 // reopen, to exactly the pre-mutation or the post-mutation image — never a
 // torn in-between — and AS OF queries at the pre-mutation version must
-// answer identically on both sides of the cut. The sweep learns the total
-// write count W of each mutation on a counting run, then replays it W
-// times with a PowerClock cutting at write k (every third cut tearing the
-// final page write), reopening through journal recovery plus the pending-
-// op redo each time.
+// answer identically on both sides of the cut. pagertest.Sweep cuts each
+// mutation at every write k (every third cut tearing the final page
+// write); each cut reopens through journal recovery plus the pending-op
+// redo.
 
 // versionCrashQueries is the probe set; small so W runs stay fast while
 // still spanning exact, branch and single-node shapes.
 var versionCrashQueries = []string{`//a/b`, `//b/c`, `//a[./b][./d]`, `//a`}
-
-func versionCrashFaultOpen(clock *pager.PowerClock) func(string) (pager.File, error) {
-	return func(path string) (pager.File, error) {
-		f, err := pager.OpenOSFilePadded(path)
-		if err != nil {
-			return nil, err
-		}
-		ff := pager.NewFaultFile(f)
-		ff.SetPowerClock(clock)
-		return ff, nil
-	}
-}
 
 // copyIndexDir clones the four page/journal files of a closed index.
 func copyIndexDir(t *testing.T, src, dst string) {
@@ -180,79 +168,50 @@ func TestVersionCrashSweepMutations(t *testing.T) {
 				t.Fatalf("%s changed no probe answer; sweep would be vacuous", mut.name)
 			}
 
-			// Counting run: learn W, the mutation's total write ordinal count
-			// (open-time writes included; cuts there recover the pre image).
-			clock := pager.NewPowerClock(0)
-			cntDir := filepath.Join(base, mut.name+"-count")
-			copyIndexDir(t, pristine, cntDir)
-			cdi, err := OpenDynamic(cntDir, Options{
-				Extended:        true,
-				BufferPoolPages: 64,
-				OpenFile:        versionCrashFaultOpen(clock),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := mut.run(cdi); err != nil {
-				t.Fatal(err)
-			}
-			W := clock.Writes()
-			if W < 3 {
-				t.Fatalf("%s performs only %d writes; sweep would be vacuous", mut.name, W)
-			}
-
-			for k := int64(1); k <= W; k++ {
-				k := k
-				t.Run(fmt.Sprintf("cut=%d", k), func(t *testing.T) {
-					clock := pager.NewPowerClock(k)
-					if k%3 == 0 {
-						clock.SetTornBytes(int(k*509) % pager.PageSize)
-					}
-					dir := filepath.Join(base, fmt.Sprintf("%s-cut%d", mut.name, k))
-					copyIndexDir(t, pristine, dir)
-					fdi, err := OpenDynamic(dir, Options{
-						Extended:        true,
-						BufferPoolPages: 64,
-						OpenFile:        versionCrashFaultOpen(clock),
-					})
-					if err == nil {
-						err = mut.run(fdi)
-					}
-					if err == nil {
-						t.Fatalf("%s survived a power cut at write %d", mut.name, k)
-					}
-					if !clock.DidCut() {
-						t.Fatalf("%s failed before the cut point: %v", mut.name, err)
-					}
-
-					// Reboot on the frozen files: journal recovery plus the
-					// pending-op redo run inside OpenDynamic.
-					rdi, err := OpenDynamic(dir, Options{Extended: true, BufferPoolPages: 64})
-					if err != nil {
-						t.Fatalf("recovery open: %v", err)
-					}
-					defer rdi.Close()
-					v := rdi.VersionStats().Current
-					got := versionCrashCounts(t, rdi, 0)
-					switch v {
-					case preVersion:
-						if !intsEqual(got, pre) {
-							t.Errorf("recovered at pre version %d but answers %v, want %v", v, got, pre)
-						}
-					case postVersion:
-						if !intsEqual(got, post) {
-							t.Errorf("recovered at post version %d but answers %v, want %v", v, got, post)
-						}
-					default:
-						t.Errorf("recovered at version %d, want %d or %d", v, preVersion, postVersion)
-					}
-					// AS OF the pre-mutation version answers the pre image on
-					// either side of the cut.
-					if gotPre := versionCrashCounts(t, rdi, preVersion); !intsEqual(gotPre, pre) {
-						t.Errorf("AS OF %d after cut %d = %v, want %v", preVersion, k, gotPre, pre)
-					}
+			// The sweep's counting run learns W, the mutation's total write
+			// ordinal count (open-time writes included; cuts there recover the
+			// pre image).
+			cutDir := func(k int64) string { return filepath.Join(base, fmt.Sprintf("%s-cut%d", mut.name, k)) }
+			run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+				copyIndexDir(t, pristine, cutDir(k))
+				fdi, err := OpenDynamic(cutDir(k), Options{
+					Extended:        true,
+					BufferPoolPages: 64,
+					OpenFile:        pagertest.FaultOpen(clock),
 				})
+				if err != nil {
+					return err
+				}
+				return mut.run(fdi)
 			}
+			pagertest.Sweep(t, 3, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {
+				// Reboot on the frozen files: journal recovery plus the
+				// pending-op redo run inside OpenDynamic.
+				rdi, err := OpenDynamic(cutDir(k), Options{Extended: true, BufferPoolPages: 64})
+				if err != nil {
+					t.Fatalf("recovery open: %v", err)
+				}
+				defer rdi.Close()
+				v := rdi.VersionStats().Current
+				got := versionCrashCounts(t, rdi, 0)
+				switch v {
+				case preVersion:
+					if !intsEqual(got, pre) {
+						t.Errorf("recovered at pre version %d but answers %v, want %v", v, got, pre)
+					}
+				case postVersion:
+					if !intsEqual(got, post) {
+						t.Errorf("recovered at post version %d but answers %v, want %v", v, got, post)
+					}
+				default:
+					t.Errorf("recovered at version %d, want %d or %d", v, preVersion, postVersion)
+				}
+				// AS OF the pre-mutation version answers the pre image on
+				// either side of the cut.
+				if gotPre := versionCrashCounts(t, rdi, preVersion); !intsEqual(gotPre, pre) {
+					t.Errorf("AS OF %d after cut %d = %v, want %v", preVersion, k, gotPre, pre)
+				}
+			})
 		})
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"time"
 
+	"repro/internal/pager"
 	"repro/internal/prix"
 	"repro/internal/xmltree"
 )
@@ -53,76 +53,29 @@ func Partition(docs []*xmltree.Document, shards int) [][]*xmltree.Document {
 // replicas are defined to be identical copies, and cloning the sealed page
 // files is both cheaper than rebuilding and guarantees it.
 func Build(root string, docs []*xmltree.Document, cfg BuildConfig) (*Topology, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("shard: build needs at least 1 shard, got %d", cfg.Shards)
-	}
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 1
-	}
-	epoch := cfg.Epoch
-	if epoch == 0 {
-		epoch = uint64(time.Now().UnixNano())
-	}
-	topo := &Topology{
-		Version:  1,
-		Shards:   cfg.Shards,
-		Replicas: cfg.Replicas,
-		Extended: cfg.Extended,
-		Docs:     uint32(len(docs)),
-		Epoch:    epoch,
-	}
-	parts := Partition(docs, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		b, err := prix.NewBuilder(prix.Options{
-			Extended:        cfg.Extended,
-			BufferPoolPages: cfg.BufferPoolPages,
-			Dir:             ReplicaDir(root, s, 0),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", Name(s), err)
-		}
-		for _, d := range parts[s] {
-			if err := b.Add(d); err != nil {
-				return nil, fmt.Errorf("%s: %w", Name(s), err)
+	return BuildStream(root, func() (func() (*xmltree.Document, error), error) {
+		i := 0
+		return func() (*xmltree.Document, error) {
+			if i == len(docs) {
+				return nil, io.EOF
 			}
-		}
-		ix, err := b.Finalize()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", Name(s), err)
-		}
-		if err := ix.Close(); err != nil {
-			return nil, fmt.Errorf("%s: %w", Name(s), err)
-		}
-		for r := 1; r < cfg.Replicas; r++ {
-			if err := cloneReplica(ReplicaDir(root, s, 0), ReplicaDir(root, s, r)); err != nil {
-				return nil, fmt.Errorf("%s replica %d: %w", Name(s), r, err)
-			}
-		}
-	}
-	if err := topo.Save(root); err != nil {
-		return nil, err
-	}
-	return topo, nil
+			i++
+			return docs[i-1], nil
+		}, nil
+	}, cfg)
 }
 
 // BuildStream is Build for collections too large to hold in memory: source
 // opens a fresh pass over the documents (yielding them one at a time until
 // io.EOF), and the builder runs one pass per shard, keeping only the
-// documents that shard owns. Global docids are stream positions, exactly as
-// Build assigns them, so the two produce interchangeable layouts.
+// documents that shard owns. Global docids are stream positions, the ids a
+// single index over the same documents would assign.
 func BuildStream(root string, source func() (func() (*xmltree.Document, error), error), cfg BuildConfig) (*Topology, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("shard: build needs at least 1 shard, got %d", cfg.Shards)
+	topo, err := newTopology(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 1
-	}
-	epoch := cfg.Epoch
-	if epoch == 0 {
-		epoch = uint64(time.Now().UnixNano())
-	}
-	var total uint32
-	for s := 0; s < cfg.Shards; s++ {
+	for s := 0; s < topo.Shards; s++ {
 		next, err := source()
 		if err != nil {
 			return nil, err
@@ -145,7 +98,7 @@ func BuildStream(root string, source func() (func() (*xmltree.Document, error), 
 				b.Abort()
 				return nil, fmt.Errorf("%s: document %d: %w", Name(s), g, err)
 			}
-			if Owner(g, cfg.Shards) == s {
+			if Owner(g, topo.Shards) == s {
 				if err := b.Add(doc); err != nil {
 					b.Abort()
 					return nil, fmt.Errorf("%s: %w", Name(s), err)
@@ -154,10 +107,10 @@ func BuildStream(root string, source func() (func() (*xmltree.Document, error), 
 			g++
 		}
 		if s == 0 {
-			total = g
-		} else if g != total {
+			topo.Docs = g
+		} else if g != topo.Docs {
 			b.Abort()
-			return nil, fmt.Errorf("shard: source yielded %d documents on pass %d, %d on pass 0", g, s, total)
+			return nil, fmt.Errorf("shard: source yielded %d documents on pass %d, %d on pass 0", g, s, topo.Docs)
 		}
 		ix, err := b.Finalize()
 		if err != nil {
@@ -166,52 +119,61 @@ func BuildStream(root string, source func() (func() (*xmltree.Document, error), 
 		if err := ix.Close(); err != nil {
 			return nil, fmt.Errorf("%s: %w", Name(s), err)
 		}
-		for r := 1; r < cfg.Replicas; r++ {
-			if err := cloneReplica(ReplicaDir(root, s, 0), ReplicaDir(root, s, r)); err != nil {
+		for r := 1; r < topo.Replicas; r++ {
+			if err := CloneReplica(pager.OSFS{}, ReplicaDir(root, s, 0), ReplicaDir(root, s, r)); err != nil {
 				return nil, fmt.Errorf("%s replica %d: %w", Name(s), r, err)
 			}
 		}
 	}
-	topo := &Topology{
-		Version:  1,
-		Shards:   cfg.Shards,
-		Replicas: cfg.Replicas,
-		Extended: cfg.Extended,
-		Docs:     total,
-		Epoch:    epoch,
-	}
-	if err := topo.Save(root); err != nil {
+	if err := topo.Save(pager.OSFS{}, root); err != nil {
 		return nil, err
 	}
 	return topo, nil
 }
 
-// cloneReplica copies a closed index's durable page files into a fresh
-// replica directory. Journals are not copied: they are transient and
-// recreated empty on open.
-func cloneReplica(src, dst string) error {
-	if err := os.MkdirAll(dst, 0o755); err != nil {
+// newTopology validates cfg and applies its defaults: one replica, and the
+// build time as the placement epoch. Docs is left for the caller.
+func newTopology(cfg BuildConfig) (*Topology, error) {
+	if cfg.Shards < 1 {
+		return nil, fmt.Errorf("shard: build needs at least 1 shard, got %d", cfg.Shards)
+	}
+	t := &Topology{Version: 1, Shards: cfg.Shards, Replicas: max(cfg.Replicas, 1), Extended: cfg.Extended, Epoch: cfg.Epoch}
+	if t.Epoch == 0 {
+		t.Epoch = uint64(time.Now().UnixNano())
+	}
+	return t, nil
+}
+
+// CloneReplica copies a closed index's durable page files from src into a
+// fresh replica directory dst on fs, syncing each copy. Journals are not
+// copied: they are transient and recreated empty on open.
+func CloneReplica(fs pager.FS, src, dst string) error {
+	if err := fs.MkdirAll(dst); err != nil {
 		return err
 	}
 	for _, name := range []string{prix.ForestFileName, prix.DocsFileName} {
-		if err := copyFile(filepath.Join(src, name), filepath.Join(dst, name)); err != nil {
+		if err := cloneFile(fs, filepath.Join(src, name), filepath.Join(dst, name)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
+func cloneFile(fs pager.FS, src, dst string) error {
+	in, err := fs.Open(src)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-	out, err := os.Create(dst)
+	out, err := fs.Create(dst)
 	if err != nil {
 		return err
 	}
 	if _, err := io.Copy(out, in); err != nil {
+		out.Close()
+		return err
+	}
+	if err := out.Sync(); err != nil {
 		out.Close()
 		return err
 	}
@@ -278,28 +240,15 @@ func Open(root string, opts prix.Options, cfg Config) (*Coordinator, error) {
 // build is deterministic, so R builds of the same documents are identical
 // by construction.
 func BuildMemory(docs []*xmltree.Document, cfg BuildConfig, runtime Config) (*Coordinator, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("shard: build needs at least 1 shard, got %d", cfg.Shards)
+	topo, err := newTopology(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 1
-	}
-	epoch := cfg.Epoch
-	if epoch == 0 {
-		epoch = uint64(time.Now().UnixNano())
-	}
-	topo := &Topology{
-		Version:  1,
-		Shards:   cfg.Shards,
-		Replicas: cfg.Replicas,
-		Extended: cfg.Extended,
-		Docs:     uint32(len(docs)),
-		Epoch:    epoch,
-	}
-	parts := Partition(docs, cfg.Shards)
-	groups := make([][]prix.Source, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		for r := 0; r < cfg.Replicas; r++ {
+	topo.Docs = uint32(len(docs))
+	parts := Partition(docs, topo.Shards)
+	groups := make([][]prix.Source, topo.Shards)
+	for s := 0; s < topo.Shards; s++ {
+		for r := 0; r < topo.Replicas; r++ {
 			ix, err := prix.Build(parts[s], prix.Options{
 				Extended:        cfg.Extended,
 				BufferPoolPages: cfg.BufferPoolPages,

@@ -59,7 +59,7 @@ var queries = []struct {
 func TestTopologyRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	topo := &Topology{Version: 1, Shards: 4, Replicas: 2, Extended: true, Docs: 123, Epoch: 99}
-	if err := topo.Save(dir); err != nil {
+	if err := topo.Save(pager.OSFS{}, dir); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadTopology(dir)

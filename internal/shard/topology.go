@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/pager"
 )
 
 // TopologyFile is the layout descriptor at the root of a sharded index
@@ -84,9 +86,10 @@ func LoadTopology(root string) (*Topology, error) {
 	return t, nil
 }
 
-// Save writes root/topology.json via a temp file + rename, so a crash
-// mid-write leaves either the old descriptor or none — never a torn one.
-func (t *Topology) Save(root string) error {
+// Save writes root/topology.json on fs through pager.WriteFileAtomic, so a
+// crash mid-write leaves either the old descriptor or none — never a torn
+// one.
+func (t *Topology) Save(fs pager.FS, root string) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
@@ -94,11 +97,7 @@ func (t *Topology) Save(root string) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(root, TopologyFile+".tmp")
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(root, TopologyFile))
+	return pager.WriteFileAtomic(fs, filepath.Join(root, TopologyFile), append(raw, '\n'))
 }
 
 // Owner maps a global docid to its shard: FNV-1a over the docid's four

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
@@ -23,18 +24,6 @@ import (
 // sides of the cut.
 
 var vcProbes = []string{`//a/b`, `//b/c`, `//d/e`, `//a`}
-
-func vcFaultOpen(clock *pager.PowerClock) func(string) (pager.File, error) {
-	return func(path string) (pager.File, error) {
-		f, err := pager.OpenOSFilePadded(path)
-		if err != nil {
-			return nil, err
-		}
-		ff := pager.NewFaultFile(f)
-		ff.SetPowerClock(clock)
-		return ff, nil
-	}
-}
 
 // vcCopyTree clones a directory tree (layout roots, replica dirs).
 func vcCopyTree(t *testing.T, src, dst string) {
@@ -137,7 +126,7 @@ func vcBuildLayout(t *testing.T, root string, docs []*xmltree.Document) {
 		Docs:     uint32(len(docs)),
 		Epoch:    42,
 	}
-	if err := topo.Save(root); err != nil {
+	if err := topo.Save(pager.OSFS{}, root); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -208,79 +197,52 @@ func TestVersionCrashSweepSharded(t *testing.T) {
 				t.Fatalf("%s changed no probe answer; sweep would be vacuous", mut.name)
 			}
 
-			// Counting run against shard 0 alone: learn W.
-			clock := pager.NewPowerClock(0)
-			cntRoot := filepath.Join(base, mut.name+"-count")
-			vcCopyTree(t, pristine, cntRoot)
-			fo := dopts
-			fo.OpenFile = vcFaultOpen(clock)
-			cdi, err := prix.OpenDynamic(shard0(cntRoot), fo)
-			if err != nil {
-				t.Fatal(err)
+			// The sweep cuts the mutation against shard 0 alone.
+			cutRoot := func(k int64) string { return filepath.Join(base, fmt.Sprintf("%s-cut%d", mut.name, k)) }
+			run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+				vcCopyTree(t, pristine, cutRoot(k))
+				fo := dopts
+				fo.OpenFile = pagertest.FaultOpen(clock)
+				fdi, err := prix.OpenDynamic(shard0(cutRoot(k)), fo)
+				if err != nil {
+					return err
+				}
+				return mut.run(fdi)
 			}
-			if err := mut.run(cdi); err != nil {
-				t.Fatal(err)
-			}
-			W := clock.Writes()
-			if W < 3 {
-				t.Fatalf("%s performs only %d writes; sweep would be vacuous", mut.name, W)
-			}
-
-			for k := int64(1); k <= W; k++ {
-				k := k
-				t.Run(fmt.Sprintf("cut=%d", k), func(t *testing.T) {
-					clock := pager.NewPowerClock(k)
-					if k%3 == 0 {
-						clock.SetTornBytes(int(k*509) % pager.PageSize)
+			pagertest.Sweep(t, 3, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {
+				// Reboot shard 0, re-sync its replicas, serve globally.
+				root := cutRoot(k)
+				rdi, err := prix.OpenDynamic(shard0(root), dopts)
+				if err != nil {
+					t.Fatalf("recovery open: %v", err)
+				}
+				v := rdi.VersionStats().Current
+				if err := rdi.Close(); err != nil {
+					t.Fatal(err)
+				}
+				vcCopyTree(t, shard0(root), ReplicaDir(root, 0, 1))
+				co, err := Open(root, prix.Options{BufferPoolPages: 64}, Config{})
+				if err != nil {
+					t.Fatalf("coordinator after cut: %v", err)
+				}
+				defer co.Close()
+				got := vcCounts(t, co, 0)
+				switch v {
+				case preVersion:
+					if !vcIntsEqual(got, pre) {
+						t.Errorf("recovered at pre version %d but answers %v, want %v", v, got, pre)
 					}
-					root := filepath.Join(base, fmt.Sprintf("%s-cut%d", mut.name, k))
-					vcCopyTree(t, pristine, root)
-					fo := dopts
-					fo.OpenFile = vcFaultOpen(clock)
-					fdi, err := prix.OpenDynamic(shard0(root), fo)
-					if err == nil {
-						err = mut.run(fdi)
+				case postVersion:
+					if !vcIntsEqual(got, post) {
+						t.Errorf("recovered at post version %d but answers %v, want %v", v, got, post)
 					}
-					if err == nil {
-						t.Fatalf("%s survived a power cut at write %d", mut.name, k)
-					}
-					if !clock.DidCut() {
-						t.Fatalf("%s failed before the cut point: %v", mut.name, err)
-					}
-
-					// Reboot shard 0, re-sync its replicas, serve globally.
-					rdi, err := prix.OpenDynamic(shard0(root), dopts)
-					if err != nil {
-						t.Fatalf("recovery open: %v", err)
-					}
-					v := rdi.VersionStats().Current
-					if err := rdi.Close(); err != nil {
-						t.Fatal(err)
-					}
-					vcCopyTree(t, shard0(root), ReplicaDir(root, 0, 1))
-					co, err := Open(root, prix.Options{BufferPoolPages: 64}, Config{})
-					if err != nil {
-						t.Fatalf("coordinator after cut: %v", err)
-					}
-					defer co.Close()
-					got := vcCounts(t, co, 0)
-					switch v {
-					case preVersion:
-						if !vcIntsEqual(got, pre) {
-							t.Errorf("recovered at pre version %d but answers %v, want %v", v, got, pre)
-						}
-					case postVersion:
-						if !vcIntsEqual(got, post) {
-							t.Errorf("recovered at post version %d but answers %v, want %v", v, got, post)
-						}
-					default:
-						t.Errorf("recovered at version %d, want %d or %d", v, preVersion, postVersion)
-					}
-					if gotPre := vcCounts(t, co, preVersion); !vcIntsEqual(gotPre, pre) {
-						t.Errorf("AS OF %d after cut %d = %v, want %v", preVersion, k, gotPre, pre)
-					}
-				})
-			}
+				default:
+					t.Errorf("recovered at version %d, want %d or %d", v, preVersion, postVersion)
+				}
+				if gotPre := vcCounts(t, co, preVersion); !vcIntsEqual(gotPre, pre) {
+					t.Errorf("AS OF %d after cut %d = %v, want %v", preVersion, k, gotPre, pre)
+				}
+			})
 		})
 	}
 }
