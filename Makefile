@@ -84,9 +84,12 @@ sched:
 # compaction — plus the resident cost of a labeler
 # trie node (TestLabelerBytesPerNode: live bytes and objects, not mallocs), of
 # a buffer-pool page and an empty pool (TestPoolBytesPerPage), of a
-# dictionary name (TestDictBytesPerName) and of a hot-tier structure
+# dictionary name (TestDictBytesPerName), of a shape-dictionary shape and a
+# directory entry (TestShapeBytesPerShape: MIX's 787 shapes in a few objects,
+# accounted bytes equal to heap bytes) and of a hot-tier structure
 # (TestTierBytesPerStructure: a MIX-shaped tier in at most 16 objects), and
-# the dictionary's allocation-free hits (TestDictLookupAllocs).
+# the dictionary's allocation-free hits (TestDictLookupAllocs) and the shape
+# dictionary's (TestShapeInternAllocs: a Put of a known shape allocates 0).
 # -count=1 so a cached pass never stands in for a run; an allocation regression
 # then fails a named test here before it reaches the benchmark's allocs_op or
 # live_heap_mb.
@@ -109,13 +112,16 @@ benchmark-module:
 # B+-tree's in-place leaf edits, slotted and fixed-width, against a
 # sorted-slice model; and the docstore
 # meta's header fields, chain pointers and block counts as Open reads them
-# from a corrupt file; the arena dictionary's intern/lookup/name sequences
+# from a corrupt file; the shapes section's resync headers and shape
+# encodings and the record encoding's shape ids and LPS lengths through Open,
+# Get and ShapeOf (FuzzDecodeShape); the arena dictionary's intern/lookup/name sequences
 # against a map + slice model; and the compaction drain's record → DocSeq
 # derivation against the reconstruct-and-transform detour it replaced.
 fuzz:
 	$(GO) test ./internal/twig -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 30s
 	$(GO) test ./internal/docstore -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime 30s
 	$(GO) test ./internal/docstore -run FuzzOpenMeta -fuzz FuzzOpenMeta -fuzztime 30s
+	$(GO) test ./internal/docstore -run FuzzDecodeShape -fuzz FuzzDecodeShape -fuzztime 30s
 	$(GO) test ./internal/docstore -run FuzzDict -fuzz FuzzDict -fuzztime 30s
 	$(GO) test ./internal/obs -run FuzzSpanJSON -fuzz FuzzSpanJSON -fuzztime 30s
 	$(GO) test ./internal/vtrie -run FuzzDynamicLabeler -fuzz FuzzDynamicLabeler -fuzztime 30s
@@ -203,12 +209,13 @@ bench-smoke:
 	$(GO) test ./internal/vtrie -run XXX -bench 'LabelerAdd' -benchtime 1x -benchmem
 	$(GO) test ./internal/compact -run XXX -bench 'CompactDynamic' -benchtime 1x -benchmem
 
-# Index size: seq.idx must stay within 2.95x (DBLP), 4.05x (SWISSPROT) and
-# 3.55x (TREEBANK) the XML on the three generated corpora — the fixed-width
-# postings leaves' 2.68x, 3.68x and 3.23x plus 10 % — and prixcheck's size
-# report (bytes per file; entries, height, pages per level, leaf fill, leaf
-# cell format and bytes per entry per tree; bytes per XML byte) is printed for
-# a freshly loaded one.
+# Index size: the directory (seq.idx + docs.db) must stay within 3.17x
+# (DBLP), 4.66x (SWISSPROT) and 4.54x (TREEBANK) the XML on the three
+# generated corpora — the shape dictionary's 2.89x, 4.24x and 4.12x plus 10 %
+# — and prixcheck's size report (bytes per file; entries, height, pages per
+# level, leaf fill, leaf cell format and bytes per entry per tree; shapes,
+# documents per shape, NPS entries and bytes per copy; bytes per XML byte) is
+# printed for a freshly loaded one.
 size:
 	$(GO) test ./internal/prix -run 'TestIndexSizeBound' -count=1
 	rm -rf .size_idx

@@ -7,19 +7,25 @@
 //   - every physical page's checksum, format version and page id;
 //   - every B+-tree invariant in the forest (key order, uniform leaf
 //     depth, separator bracketing, no cycles, entry counts);
-//   - every document-store record decodes;
+//   - every document-store record decodes (its shape id resolving to the
+//     shape its directory entry names);
 //   - on a versioned index, the MVCC version map: internal interval
 //     invariants, every docid-tree tombstone matched by a closed interval
 //     (and vice versa), and every superseded-record back-pointer resolving
 //     to a decodable image;
-//   - the recovered images open as an index: a directory written in the
-//     old one-tree-per-symbol postings layout is reported here.
+//   - the recovered images open as an index: a directory written in an
+//     older layout (one tree per symbol, or a per-document structure
+//     sidecar) is reported here;
+//   - the two copies of the shape dictionary — the docs.db shapes section
+//     and the forest's shape tree — agree shape for shape, and every
+//     directory entry's shape id resolves.
 //
 // It ends with a size report: bytes per file (journals included); docs.db by
 // meta section (pages, bytes, fill) and by what its pages hold (header, meta,
 // record, unreferenced); per forest tree its entries, height, pages per level
-// and leaf fill; and the directory's bytes per byte of the documents
-// serialised back to XML.
+// and leaf fill; the shape dictionary (shapes, documents per shape, NPS
+// entries, bytes per copy); and the directory's bytes per byte of the live
+// documents serialised back to XML.
 //
 // With -repair, a corrupt index is opened for real (journal recovery runs
 // against the files) and one scrub repair pass heals what the index's
@@ -369,8 +375,9 @@ func checkVersions(forestMem, docsMem *pager.MemFile, verbose bool, report func(
 }
 
 // sizeReport opens the recovered images as an index — the step that refuses a
-// directory in the old per-symbol layout — and prints what its bytes are
-// spent on. It runs last: Open may complete a pending mutation on the copies.
+// directory in an older layout — checks its two shape-dictionary copies
+// against each other, and prints what its bytes are spent on. It runs last:
+// Open may complete a pending mutation on the copies.
 func sizeReport(dir string, forestMem, docsMem *pager.MemFile, report func(int)) {
 	ix, err := prix.Open(dir, prix.Options{OpenFile: func(path string) (pager.File, error) {
 		switch filepath.Base(path) {
@@ -391,6 +398,7 @@ func sizeReport(dir string, forestMem, docsMem *pager.MemFile, report func(int))
 		return
 	}
 	defer ix.Close()
+	checkShapes(ix, report)
 
 	var total int64
 	entries, _ := os.ReadDir(dir)
@@ -436,16 +444,36 @@ func sizeReport(dir string, forestMem, docsMem *pager.MemFile, report func(int))
 		fmt.Printf("size: tree %-6q %8d entries, height %d, pages %s (root..leaves), leaf fill %.1f%%, %s cells, %s B per entry\n",
 			name, sh.Entries, len(sh.Pages), strings.Join(levels, "/"), 100*sh.LeafFill, sh.LeafFormat, perEntry)
 	}
+	u := store.ShapeUsage()
+	fmt.Printf("size: shapes %d shapes, %.1f documents per shape, %d NPS entries, %d bytes per copy, %d resident\n",
+		u.Shapes, float64(u.Docs)/float64(max(u.Shapes, 1)), u.NPSEntries, u.Encoded, u.Resident)
 	var xml int64
+	live := 0
 	for id := 0; id < ix.NumDocs(); id++ {
 		if doc, err := ix.ReconstructDocument(uint32(id)); err == nil {
 			xml += doc.XMLSize()
+			live++
 		}
 	}
 	if xml > 0 {
 		fmt.Printf("size: directory %d bytes = %.2f per byte of XML (%d documents, %d bytes serialised)\n",
-			total, float64(total)/float64(xml), ix.NumDocs(), xml)
+			total, float64(total)/float64(xml), live, xml)
 	}
+}
+
+// checkShapes holds the shape dictionary's two copies against each other and
+// resolves every directory entry's shape id; a mismatch is corruption.
+func checkShapes(ix *prix.Index, report func(int)) {
+	errs := ix.CheckShapes()
+	if len(errs) == 0 {
+		fmt.Printf("shapes: %d shapes, both copies agree\n", ix.Store().NumShapes())
+		return
+	}
+	fmt.Printf("shapes: %d disagreements between the shapes section and the shape tree\n", len(errs))
+	for _, e := range errs {
+		fmt.Printf("shapes: %v\n", e)
+	}
+	report(exitCorrupt)
 }
 
 // checkDocs opens the document store over the recovered image and decodes

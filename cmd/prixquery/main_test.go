@@ -64,3 +64,36 @@ func TestSummaryLineReportsComplete(t *testing.T) {
 		}
 	}
 }
+
+// -reconstruct of a deleted document exits 1 instead of printing the
+// tombstoned image; a live one still prints.
+func TestReconstructDeletedExitsError(t *testing.T) {
+	dir := t.TempDir()
+	var docs []*core.Document
+	for i, src := range []string{`<a><b/></a>`, `<a><c/></a>`} {
+		d, err := core.ParseXMLString(i, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, d)
+	}
+	di, err := core.NewDynamicIndex(docs, core.Options{Dir: dir, Extended: true}, core.DynamicOptions{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := runQuery(t, "-index", dir, "-reconstruct", "0"); code != 1 || out != "" {
+		t.Errorf("-reconstruct 0 of a deleted document: exit %d, printed %q; want exit 1 and nothing", code, out)
+	}
+	if code, out := runQuery(t, "-index", dir, "-reconstruct", "1"); code != 0 || !strings.Contains(out, "<c") {
+		t.Errorf("-reconstruct 1: exit %d, printed %q", code, out)
+	}
+}

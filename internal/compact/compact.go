@@ -590,7 +590,7 @@ func build(fs pager.FS, workdir string, m *Manifest, o Options, pace func() erro
 		BufferPoolPages: o.BufferPoolPages,
 		OpenFile:        o.OpenFile,
 		// The new epoch is built in-process and stays open through the swap,
-		// so its tier (summaries included) is populated during the rewrite.
+		// so its tier is populated during the rewrite.
 		HotBudget: o.HotBudget,
 	}
 	bo := prix.BulkOptions{Spill: prix.DirSpiller(fs, spillDir), MemBudget: m.MemBudget}

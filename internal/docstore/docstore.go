@@ -4,10 +4,12 @@
 // (label, postorder) list of leaf nodes. It also owns the symbol dictionary
 // shared with the virtual trie and the MaxGap catalog of §5.4.
 //
-// Records live in a heap of pager pages and are read back through the
-// buffer pool, so refinement I/O is accounted exactly like index I/O. The
-// dictionary, the record directory and the catalogs live in page chains of
-// their own (meta.go), each flushed only when it changed.
+// A document's skeleton — node count, NPS and leaf list — is interned once
+// per distinct shape in a resident shape dictionary (shape.go); its record,
+// in a heap of pager pages read back through the buffer pool, holds the
+// docID, the shape id and the LPS. The dictionary, the shapes, the record
+// directory and the catalogs live in page chains of their own (meta.go),
+// each flushed only when it changed.
 package docstore
 
 import (
@@ -17,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -31,7 +34,9 @@ type Leaf struct {
 	Sym  vtrie.Symbol
 }
 
-// Record is the per-document data consulted during refinement.
+// Record is a document's whole Prüfer image, as the store's readers return
+// it. The store keeps NumNodes, NPS and Leaves once per distinct shape, and
+// the DocID and LPS per document.
 type Record struct {
 	DocID uint32
 	// NumNodes is n, the node count of the (possibly extended) tree.
@@ -44,26 +49,17 @@ type Record struct {
 	Leaves []Leaf
 }
 
-// encode appends the record's serialized form to buf.
-func (r *Record) encode(buf *bytes.Buffer) {
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-	}
-	put(uint64(r.DocID))
-	put(uint64(r.NumNodes))
-	put(uint64(len(r.NPS)))
-	for _, v := range r.NPS {
-		put(uint64(v))
-	}
+// encode appends the record's serialized form to dst: its docID, the id of
+// its interned shape and its LPS, all uvarints. NumNodes, NPS and Leaves
+// live in the shape.
+func (r *Record) encode(dst []byte, shape uint32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(r.DocID))
+	dst = binary.AppendUvarint(dst, uint64(shape))
+	dst = binary.AppendUvarint(dst, uint64(len(r.LPS)))
 	for _, v := range r.LPS {
-		put(uint64(v))
+		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	put(uint64(len(r.Leaves)))
-	for _, l := range r.Leaves {
-		put(uint64(l.Post))
-		put(uint64(l.Sym))
-	}
+	return dst
 }
 
 // reset empties the record, keeping the capacity of its slices.
@@ -82,74 +78,69 @@ func resize[T any](s []T, n uint64) []T {
 	return make([]T, n)
 }
 
-// decode parses a record encoding into r — or with lps false its structural
-// half, leaving r.LPS empty — reading varints straight off data and reusing
-// the capacity of r's slices; what names the encoding in errors. Every
-// length is checked against the bytes that remain before anything is sized
-// by it. On error r is left empty, never half filled.
-func (r *Record) decode(data []byte, what string, lps bool) error {
-	err := r.decodeFields(data, what, lps)
+// anyShape is the wantShape of a read with no directory entry to hold the
+// record's shape id against (an AS OF image at an explicit Loc).
+const anyShape = ^uint32(0)
+
+// decodeRecord parses a record encoding into rec, filling its skeleton from
+// the shape dictionary and reusing the capacity of rec's slices; wantShape is
+// the shape id the directory holds for it (anyShape for none). Every length
+// is checked against the bytes that remain before anything is sized by it.
+// On error rec is left empty, never half filled.
+func (s *Store) decodeRecord(rec *Record, data []byte, wantShape uint32) error {
+	err := s.decodeFields(rec, data, wantShape)
 	if err != nil {
-		r.reset()
+		rec.reset()
 	}
 	return err
 }
 
-func (r *Record) decodeFields(data []byte, what string, lps bool) error {
+func (s *Store) decodeFields(rec *Record, data []byte, wantShape uint32) error {
 	v, data, err := uvarint(data)
 	if err != nil {
-		return fmt.Errorf("docstore: %s docID: %w", what, err)
+		return fmt.Errorf("docID: %w", err)
 	}
-	r.DocID = uint32(v)
-	if v, data, err = uvarint(data); err != nil {
-		return fmt.Errorf("docstore: %s numNodes: %w", what, err)
+	rec.DocID = uint32(v)
+	id, data, err := uvarint(data)
+	if err != nil {
+		return fmt.Errorf("shape: %w", err)
 	}
-	r.NumNodes = int32(v)
+	if wantShape != anyShape && id != uint64(wantShape) {
+		return fmt.Errorf("shape %d, directory says %d", id, wantShape)
+	}
 	n, data, err := uvarint(data)
 	if err != nil {
-		return fmt.Errorf("docstore: %s len: %w", what, err)
+		return fmt.Errorf("LPS length: %w", err)
 	}
-	// NPS and LPS each hold n varints of at least one byte, so a length
-	// that exceeds the remaining bytes is corrupt — reject it before
-	// allocating (a flipped length byte must not over-allocate).
-	if n > uint64(len(data)) {
-		return fmt.Errorf("docstore: %s len %d exceeds %d remaining bytes", what, n, len(data))
+	var (
+		sh Shape
+		h  shapeHdr
+		ok bool
+	)
+	if id <= math.MaxUint32 {
+		s.mu.Lock()
+		sh, h, ok = s.shapes.view(uint32(id))
+		s.mu.Unlock()
 	}
-	r.NPS = resize(r.NPS, n)
-	if lps {
-		r.LPS = resize(r.LPS, n)
-	} else {
-		r.LPS = r.LPS[:0]
+	if !ok {
+		return fmt.Errorf("shape %d missing", id)
 	}
-	for i := range r.NPS {
+	// The LPS is as long as the shape's NPS, and each entry is a varint of at
+	// least one byte: a length that disagrees or exceeds the remaining bytes
+	// is corrupt — reject it before allocating.
+	if n != uint64(max(h.n-1, 0)) || n > uint64(len(data)) {
+		return fmt.Errorf("LPS of %d entries for a %d-node shape in %d bytes", n, h.n, len(data))
+	}
+	sh.fill(rec, int(h.leaves))
+	rec.LPS = resize(rec.LPS, n)
+	for i := range rec.LPS {
 		if v, data, err = uvarint(data); err != nil {
-			return fmt.Errorf("docstore: %s NPS[%d]: %w", what, i, err)
+			return fmt.Errorf("LPS[%d]: %w", i, err)
 		}
-		r.NPS[i] = int32(v)
+		rec.LPS[i] = vtrie.Symbol(v)
 	}
-	for i := range r.LPS {
-		if v, data, err = uvarint(data); err != nil {
-			return fmt.Errorf("docstore: %s LPS[%d]: %w", what, i, err)
-		}
-		r.LPS[i] = vtrie.Symbol(v)
-	}
-	if v, data, err = uvarint(data); err != nil {
-		return fmt.Errorf("docstore: %s leaf count: %w", what, err)
-	}
-	// Each leaf is two varints, at least two bytes.
-	if v > uint64(len(data))/2 {
-		return fmt.Errorf("docstore: %s leaf count %d exceeds %d remaining bytes", what, v, len(data))
-	}
-	r.Leaves = resize(r.Leaves, v)
-	for i := range r.Leaves {
-		if v, data, err = uvarint(data); err != nil {
-			return fmt.Errorf("docstore: %s leaf post: %w", what, err)
-		}
-		r.Leaves[i].Post = int32(v)
-		if v, data, err = uvarint(data); err != nil {
-			return fmt.Errorf("docstore: %s leaf sym: %w", what, err)
-		}
-		r.Leaves[i].Sym = vtrie.Symbol(v)
+	if len(data) != 0 {
+		return fmt.Errorf("%d bytes after the LPS", len(data))
 	}
 	return nil
 }
@@ -166,40 +157,6 @@ func uvarint(b []byte) (uint64, []byte, error) {
 		return 0, b, errVarintOverflow
 	}
 	return v, b[n:], nil
-}
-
-// EncodeStructure serializes the record's structural half — DocID,
-// NumNodes, NPS and the leaf list, everything except the LPS. It is the
-// payload of the prix structure sidecar: the one-to-one Prüfer
-// correspondence means the NPS determines the tree's shape, and the LPS is
-// recoverable from the Trie-Symbol postings, so together the sidecar and
-// the trie make a damaged docstore record fully rebuildable.
-func (r *Record) EncodeStructure() []byte {
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	put(uint64(r.DocID))
-	put(uint64(r.NumNodes))
-	put(uint64(len(r.NPS)))
-	for _, v := range r.NPS {
-		put(uint64(v))
-	}
-	put(uint64(len(r.Leaves)))
-	for _, l := range r.Leaves {
-		put(uint64(l.Post))
-		put(uint64(l.Sym))
-	}
-	return buf.Bytes()
-}
-
-// DecodeStructure parses an EncodeStructure payload. The returned record
-// has a nil LPS; the caller recovers it from the trie postings.
-func DecodeStructure(data []byte) (*Record, error) {
-	r := new(Record)
-	if err := r.decode(data, "structure", false); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // Nodes returns n, the node count of the (possibly extended) tree.
@@ -232,11 +189,13 @@ func (r *Record) LabelOf(post int32) (vtrie.Symbol, bool) {
 	return 0, false
 }
 
-// dirEntry locates a record in the heap.
+// dirEntry locates a record in the heap and names its shape, so refinement
+// reaches a document's skeleton without reading its record.
 type dirEntry struct {
 	page   pager.PageID
 	offset uint16
 	length uint32
+	shape  uint32
 }
 
 // Loc is the exported form of a heap location. The versioning layer keeps
@@ -255,10 +214,13 @@ func (l Loc) Zero() bool { return l == Loc{} }
 // buffer pool. Records must be Put in strictly increasing DocID order with
 // no gaps (datasets are loaded sequentially).
 type Store struct {
-	mu   sync.Mutex
-	bp   *pager.BufferPool
-	dict *Dict
-	dir  []dirEntry
+	mu     sync.Mutex
+	bp     *pager.BufferPool
+	dict   *Dict
+	dir    []dirEntry
+	shapes shapeDict
+	// enc is the encoding of the record being appended.
+	enc []byte
 	// Catalogs holds named per-symbol integer catalogs; PRIX stores
 	// MaxGap here (§5.4), keyed by "maxgap".
 	catalogs map[string]map[vtrie.Symbol]int64
@@ -385,9 +347,15 @@ func (s *Store) RewriteKeepOld(rec *Record) (Loc, error) {
 // appendRecordLocked writes rec's encoding at the append cursor, spanning
 // pages as needed, and returns its directory entry.
 func (s *Store) appendRecordLocked(rec *Record) (dirEntry, error) {
-	var buf bytes.Buffer
-	rec.encode(&buf)
-	data := buf.Bytes()
+	if len(rec.LPS) != len(rec.NPS) {
+		return dirEntry{}, fmt.Errorf("docstore: document %d: %d LPS entries for %d NPS entries", rec.DocID, len(rec.LPS), len(rec.NPS))
+	}
+	shape, err := s.shapes.intern(rec)
+	if err != nil {
+		return dirEntry{}, fmt.Errorf("docstore: document %d: %w", rec.DocID, err)
+	}
+	s.enc = rec.encode(s.enc[:0], shape)
+	data := s.enc
 	// If the open append page is unreadable (corrupt on disk with no cached
 	// copy — the very page a repair may be rewriting a record away from),
 	// abandon it: records must occupy contiguous pages, so the record starts
@@ -409,7 +377,7 @@ func (s *Store) appendRecordLocked(rec *Record) (dirEntry, error) {
 		s.curOff = 0
 		p.Unpin(true)
 	}
-	entry := dirEntry{page: s.curPage, offset: uint16(s.curOff), length: uint32(len(data))}
+	entry := dirEntry{page: s.curPage, offset: uint16(s.curOff), length: uint32(len(data)), shape: shape}
 	for len(data) > 0 {
 		if s.curOff == pager.PageDataSize {
 			p, err := s.bp.NewPage()
@@ -461,63 +429,6 @@ func (s *Store) GetInto(rec *Record, docID uint32) error {
 	return s.readRecord(rec, docID, e)
 }
 
-// ScanNoFill is GetInto over every document in docid order, for a caller that
-// copies each record into a structure of its own (the hot tier's summaries):
-// each record is decoded into rec and handed to fn, until fn returns false.
-// Pages are read through pager.BufferPool.GetNoFill, and the page last read
-// stays pinned while the next records lie in it too, so a page is read once
-// however many records it holds and none is left resident. Documents GetInto
-// would refuse — quarantined, unreadable or undecodable — are skipped; the
-// caller's own reads of them go through GetInto and report why.
-func (s *Store) ScanNoFill(rec *Record, fn func(rec *Record) bool) {
-	var held pager.Page // Data is nil while nothing is pinned
-	defer func() {
-		if held.Data != nil {
-			held.Unpin(false)
-		}
-	}()
-	hold := func(id pager.PageID) bool {
-		if held.Data != nil {
-			if held.ID == id {
-				return true
-			}
-			held.Unpin(false)
-		}
-		var err error
-		held, err = s.bp.GetNoFill(id)
-		return err == nil
-	}
-	var spill []byte
-	for id, n := uint32(0), uint32(s.NumDocs()); id < n; id++ {
-		s.mu.Lock()
-		e, quarantined := s.dir[id], s.quarantined[id]
-		s.mu.Unlock()
-		page, off, length := e.page, int(e.offset), int(e.length)
-		if quarantined || length == 0 || off >= pager.PageDataSize ||
-			uint64(page)*pager.PageDataSize+uint64(off+length) > uint64(s.bp.File().NumPages())*pager.PageDataSize {
-			continue
-		}
-		data, ok := spill[:0], true
-		if off+length <= pager.PageDataSize {
-			if ok = hold(page); ok {
-				data = held.Data[off : off+length]
-			}
-		} else {
-			// A record spanning pages is copied out a page at a time; its last
-			// page stays held for the records that follow it there.
-			for ; ok && len(data) < length; page, off = page+1, 0 {
-				if ok = hold(page); ok {
-					data = append(data, held.Data[off:off+min(length-len(data), pager.PageDataSize-off)]...)
-				}
-			}
-			spill = data
-		}
-		if ok && rec.decode(data, "decode", true) == nil && !fn(rec) {
-			return
-		}
-	}
-}
-
 // readRecord decodes the record stored at e into rec.
 func (s *Store) readRecord(rec *Record, docID uint32, e dirEntry) error {
 	page, off := e.page, int(e.offset)
@@ -531,7 +442,7 @@ func (s *Store) readRecord(rec *Record, docID uint32, e dirEntry) error {
 		if gerr != nil {
 			return gerr
 		}
-		err = rec.decode(p.Data[off:off+int(e.length)], "decode", true)
+		err = s.decodeRecord(rec, p.Data[off:off+int(e.length)], e.shape)
 		p.Unpin(false)
 	} else {
 		// A spanning record is copied out; a corrupt directory length must not
@@ -549,7 +460,7 @@ func (s *Store) readRecord(rec *Record, docID uint32, e dirEntry) error {
 			data = append(data, p.Data[off:off+avail]...)
 			p.Unpin(false)
 		}
-		err = rec.decode(data, "decode", true)
+		err = s.decodeRecord(rec, data, e.shape)
 	}
 	if err != nil {
 		return fmt.Errorf("docstore: document %d: %w: %v", docID, ErrBadRecord, err)
@@ -572,7 +483,7 @@ func (s *Store) GetAtLoc(docID uint32, loc Loc) (*Record, error) {
 
 // GetAtLocInto is GetAtLoc decoding into the caller's rec, like GetInto.
 func (s *Store) GetAtLocInto(rec *Record, docID uint32, loc Loc) error {
-	return s.readRecord(rec, docID, dirEntry{page: loc.Page, offset: loc.Off, length: loc.Len})
+	return s.readRecord(rec, docID, dirEntry{page: loc.Page, offset: loc.Off, length: loc.Len, shape: anyShape})
 }
 
 // GetAny reads the record for docID ignoring quarantine. The verification

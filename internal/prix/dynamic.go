@@ -115,10 +115,7 @@ func (di *DynamicIndex) insertLocked(doc *xmltree.Document) error {
 		return err
 	}
 	if len(syms) == 0 {
-		if err := di.ix.store.Put(rec); err != nil {
-			return err
-		}
-		if err := di.ix.writeStructure(rec); err != nil {
+		if err := di.ix.putRecord(rec); err != nil {
 			return err
 		}
 		di.recordInsertVersion(id, 0, false)
@@ -138,10 +135,7 @@ func (di *DynamicIndex) insertLocked(doc *xmltree.Document) error {
 		return err
 	}
 	di.ix.hotInvalidateDocid()
-	if err := di.ix.store.Put(rec); err != nil {
-		return err
-	}
-	if err := di.ix.writeStructure(rec); err != nil {
+	if err := di.ix.putRecord(rec); err != nil {
 		return err
 	}
 	di.recordInsertVersion(id, terminal.Left, true)

@@ -2,8 +2,10 @@ package prix
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
+	"repro/internal/btree"
 	"repro/internal/vtrie"
 )
 
@@ -30,6 +32,13 @@ var ErrNotDynamic = fmt.Errorf("prix: index has no dynamic labeler state")
 // order. Both passes repeat exactly the operations that built the index, so
 // the in-memory trie (scopes, next-free cursors) matches the persisted
 // postings without any of them being read back.
+//
+// An insert commits its record to the store before its postings, docid entry
+// and shape reach the forest. A document the store holds but the docid tree
+// does not is an insert a crash cut between the two commits: the replay
+// reports exactly the trie nodes and terminal that insert created, and they
+// are written now (redoInserts), so the reopened index holds the post-insert
+// image.
 func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 	ix, err := Open(dir, opts)
 	if err != nil {
@@ -54,12 +63,21 @@ func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 	if prep > n {
 		prep = n
 	}
+	redo, err := di.newInsertRedo(n)
+	if err != nil {
+		ix.Close()
+		return nil, err
+	}
 	if ix.versions != nil {
-		if err := di.replayVersioned(n, prep); err != nil {
+		if err := di.replayVersioned(n, prep, redo); err != nil {
 			ix.Close()
 			return nil, err
 		}
 		di.nextID = uint32(n)
+		if err := redo.finish(); err != nil {
+			ix.Close()
+			return nil, err
+		}
 		return di, nil
 	}
 	for id := 0; id < prep; id++ {
@@ -88,13 +106,93 @@ func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 		}
 		// The created postings and the docid entry are already on disk; only
 		// the labeler's in-memory scope bookkeeping is being replayed.
-		if _, _, err := di.labeler.AddReport(rec.LPS, rec.DocID); err != nil {
+		created, terminal, err := di.labeler.AddReport(rec.LPS, rec.DocID)
+		if err != nil {
 			ix.Close()
 			return nil, fmt.Errorf("prix: dynamic replay of document %d: %w", rec.DocID, err)
 		}
+		redo.note(rec.DocID, created, terminal)
 	}
 	di.nextID = uint32(n)
+	if err := redo.finish(); err != nil {
+		ix.Close()
+		return nil, err
+	}
 	return di, nil
+}
+
+// insertRedo collects, during the replay, the forest half of every insert
+// the forest never committed.
+type insertRedo struct {
+	ix *Index
+	// known marks the documents that have a docid-tree entry (live or
+	// tombstone).
+	known []bool
+	torn  []tornInsert
+}
+
+type tornInsert struct {
+	docID    uint32
+	created  []vtrie.Posting
+	terminal uint64
+}
+
+// newInsertRedo marks, in one pass over the docid tree, the documents the
+// forest knows.
+func (di *DynamicIndex) newInsertRedo(n int) (*insertRedo, error) {
+	r := &insertRedo{ix: di.ix, known: make([]bool, n)}
+	err := di.ix.docid.Scan(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(_, v []byte) bool {
+		if len(v) >= 4 {
+			if d := decodeDocID(v[:4]); int(d) < n {
+				r.known[d] = true
+			}
+		}
+		return true
+	})
+	return r, err
+}
+
+// note records a replayed report of a document the forest does not know.
+func (r *insertRedo) note(docID uint32, created []vtrie.Posting, terminal vtrie.Posting) {
+	if !r.known[docID] {
+		r.torn = append(r.torn, tornInsert{docID, created, terminal.Left})
+	}
+}
+
+// finish writes what the torn inserts left out of the forest — the postings
+// not already there, the docid entries and any shape the shape tree lacks —
+// and commits it.
+func (r *insertRedo) finish() error {
+	ix := r.ix
+	for _, t := range r.torn {
+		for _, p := range t.created {
+			key := postingKey(p.Symbol, p.Left)
+			vals, err := ix.postings.Get(key[:])
+			if err != nil {
+				return err
+			}
+			if len(vals) == 0 {
+				if err := ix.insertPosting(p); err != nil {
+					return err
+				}
+			}
+		}
+		if err := ix.docid.Insert(btree.KeyUint64(t.terminal), encodeDocID(t.docID)); err != nil {
+			return err
+		}
+	}
+	before := ix.shapesInTree
+	if err := ix.writeShapes(); err != nil {
+		return err
+	}
+	if len(r.torn) == 0 && ix.shapesInTree == before {
+		return nil
+	}
+	if err := ix.forest.Flush(); err != nil {
+		return err
+	}
+	// The redo may have posted a symbol for the first time.
+	return ix.store.Flush()
 }
 
 // replayVersioned rebuilds the dynamic labeler for an index carrying
@@ -106,7 +204,7 @@ func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 // scope. Each event's sequence is the record image of its own interval —
 // superseded images resolve through their back-pointers, so updates replay
 // with the LPS the labeler actually saw, not today's.
-func (di *DynamicIndex) replayVersioned(n, prep int) error {
+func (di *DynamicIndex) replayVersioned(n, prep int, redo *insertRedo) error {
 	ix := di.ix
 	vs := ix.versions
 	type event struct {
@@ -164,9 +262,11 @@ func (di *DynamicIndex) replayVersioned(n, prep int) error {
 		return events[i].docID < events[j].docID
 	})
 	for _, e := range events {
-		if _, _, err := di.labeler.AddReport(e.lps, e.docID); err != nil {
+		created, terminal, err := di.labeler.AddReport(e.lps, e.docID)
+		if err != nil {
 			return fmt.Errorf("prix: versioned replay of document %d (label %d): %w", e.docID, e.label, err)
 		}
+		redo.note(e.docID, created, terminal)
 	}
 	return nil
 }
@@ -240,7 +340,7 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, source fun
 	}
 
 	// Build pass: label each sequence, spill the created postings and the
-	// terminal docid entry, and store the record + structure sidecar.
+	// terminal docid entry, and store the record (and a new shape).
 	next = 0
 	err = source(func(ds *DocSeq) error {
 		if ds.DocID != next {
@@ -255,10 +355,7 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, source fun
 		}
 		bs.seqLen += int64(len(syms))
 		if len(syms) == 0 {
-			if err := ix.store.Put(rec); err != nil {
-				return err
-			}
-			return ix.writeStructure(rec)
+			return ix.putRecord(rec)
 		}
 		created, terminal, err := lab.AddReport(syms, ds.DocID)
 		if err != nil {
@@ -272,10 +369,7 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, source fun
 		if err := sorter.addDocid(terminal.Left, ds.DocID); err != nil {
 			return err
 		}
-		if err := ix.store.Put(rec); err != nil {
-			return err
-		}
-		return ix.writeStructure(rec)
+		return ix.putRecord(rec)
 	})
 	if err != nil {
 		return nil, err

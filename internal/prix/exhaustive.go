@@ -79,7 +79,6 @@ func (ix *Index) MatchExhaustive(q *twig.Query, opts MatchOptions) ([]Match, *Qu
 		if err != nil {
 			if IsCorruption(err) {
 				ix.store.Quarantine(docID)
-				ix.hotInvalidateDoc(docID)
 				stats.Degraded = true
 				continue
 			}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/btree"
-	"repro/internal/docstore"
 	"repro/internal/hot"
 	"repro/internal/vtrie"
 )
@@ -15,17 +14,16 @@ import (
 //   - one flat posting list per symbol (its key-prefix range of the
 //     postings tree), serving the Algorithm 1 range scans without touching
 //     the forest;
-//   - the flat Docid list, serving the terminal docid scans;
-//   - one bit-packed structure summary per document, which Algorithm 2
-//     navigates in place instead of fetching the record from the store.
+//   - the flat Docid list, serving the terminal docid scans.
 //
-// Everything in the tier is a verified cache of the authoritative B+-tree /
-// docstore image: lists replay the source tree's Scan order entry for
-// entry, summaries are round-trip-checked at admission, and every writer
-// (dynamic insert, record rewrite, forest rebuild) invalidates what it
-// touches — so results are byte-identical to the paged path at every
-// parallelism setting. Quarantined documents are re-checked on every hot
-// record hit and bypass the tier.
+// Algorithm 2 needs no tier: it navigates the store's resident shape
+// dictionary in place, tier or not.
+//
+// Everything in the tier is a verified cache of the authoritative B+-tree
+// image: lists replay the source tree's Scan order entry for entry, and
+// every writer (dynamic insert, forest rebuild) invalidates what it touches —
+// so results are byte-identical to the paged path at every parallelism
+// setting.
 //
 // Tier reads and lazy builds happen under repairMu.RLock; every structural
 // writer holds repairMu.Lock, so a build always snapshots a stable image. A
@@ -33,18 +31,16 @@ import (
 // run: a view aliases bytes the tier never rewrites, so it stays valid even
 // if the tier evicts, invalidates or repacks the structure meanwhile.
 //
-// Every build reads its pages without filling the buffer pools
-// (btree.Tree.ScanNoFill, docstore.Store.ScanNoFill): a page read only to
-// be copied into the tier is not kept a second time as a pool frame. Pages
-// the pool already holds, dirty ones included, are read from their frames.
-// The paged path (tree scans, admitHotRecord's store reads) still fills the
-// pool as before.
+// Every build reads its pages without filling the buffer pool
+// (btree.Tree.ScanNoFill): a page read only to be copied into the tier is not
+// kept a second time as a pool frame. Pages the pool already holds, dirty
+// ones included, are read from their frames. The paged path's tree scans
+// still fill the pool as before.
 
 // Tier keys: comparable structs, built per lookup without allocating.
 var docidKey = hot.Key{Kind: hot.KindDocIDs}
 
 func symKey(s vtrie.Symbol) hot.Key { return hot.Key{Kind: hot.KindPostings, ID: uint32(s)} }
-func recKey(docID uint32) hot.Key   { return hot.Key{Kind: hot.KindSummary, ID: docID} }
 
 // initHot creates the tier when the options enable it.
 func (ix *Index) initHot() {
@@ -143,31 +139,6 @@ func (ix *Index) hotDocIDs() (hot.DocIDs, bool) {
 	return b.View(), ix.admitHot(docidKey, b.View().Entry())
 }
 
-// hotSummary fills dst with the resident structure summary of a document;
-// false means it has none. Admission happens separately (admitHotRecord) so
-// the miss path charges the store read, not the getter.
-func (ix *Index) hotSummary(docID uint32, dst *hot.Summary) bool {
-	return ix.hot != nil && ix.hot.Summary(docID, dst)
-}
-
-// admitHotRecord tries to cache a just-fetched record as a summary. A
-// record the packed encoding cannot reproduce exactly is simply not
-// admitted (NewSummary returns nil after its round-trip check).
-func (ix *Index) admitHotRecord(rec *docstore.Record) {
-	if ix.hot == nil || rec == nil {
-		return
-	}
-	key := recKey(rec.DocID)
-	if ix.hot.Rejected(key) {
-		return
-	}
-	if s := hot.NewSummary(rec); s != nil {
-		ix.admitHot(key, s.Entry())
-	} else {
-		ix.hot.Reject(key)
-	}
-}
-
 // hotInvalidateTree drops one symbol's resident list (a posting was
 // inserted).
 func (ix *Index) hotInvalidateTree(s vtrie.Symbol) {
@@ -183,13 +154,6 @@ func (ix *Index) hotInvalidateDocid() {
 	}
 }
 
-// hotInvalidateDoc drops one document's summary (rewrite or quarantine).
-func (ix *Index) hotInvalidateDoc(docID uint32) {
-	if ix.hot != nil {
-		ix.hot.Invalidate(recKey(docID))
-	}
-}
-
 // hotInvalidateAll empties the tier (forest rebuild replaced everything).
 func (ix *Index) hotInvalidateAll() {
 	if ix.hot != nil {
@@ -198,16 +162,15 @@ func (ix *Index) hotInvalidateAll() {
 }
 
 // PreloadHot fills the tier in priority order — the docid list, then every
-// symbol's posting list ascending, then document summaries ascending — without
-// evicting anything already loaded; each phase stops at the first structure
-// that no longer fits. Lists are built in one reused builder and copied
-// straight into the tier's arena, and the tier is trimmed to exact size at
-// the end. A postings page that fails to read stops the preload there, and
-// the list it interrupted is not admitted: a short list would answer queries
-// without the error the tree path reports (an unreadable record only goes
-// without a summary). Open and the builders call it automatically; it is a
-// no-op without a tier. Callers that own the index exclusively may call it
-// again after bulk mutations.
+// symbol's posting list ascending — without evicting anything already
+// loaded; it stops at the first structure that no longer fits. Lists are
+// built in one reused builder and copied straight into the tier's arena, and
+// the tier is trimmed to exact size at the end. A postings page that fails to
+// read stops the preload there, and the list it interrupted is not admitted:
+// a short list would answer queries without the error the tree path reports.
+// Open and the builders call it automatically; it is a no-op without a tier.
+// Callers that own the index exclusively may call it again after bulk
+// mutations.
 func (ix *Index) PreloadHot() {
 	if ix.hot == nil {
 		return
@@ -251,21 +214,7 @@ func (ix *Index) PreloadHot() {
 		b.Add(left, r, lvl)
 		return true
 	})
-	if err != nil {
-		return
-	}
-	if !full {
+	if err == nil && !full {
 		admit()
 	}
-	var (
-		rec docstore.Record
-		sum hot.Summary
-	)
-	ix.store.ScanNoFill(&rec, func(r *docstore.Record) bool {
-		if ix.hot.Summary(r.DocID, &sum) {
-			return true
-		}
-		s := hot.NewSummary(r)
-		return s == nil || ix.hot.TryAdd(recKey(r.DocID), s.Entry())
-	})
 }

@@ -44,7 +44,10 @@ func hotComparable(s *QueryStats) QueryStats {
 // uncompressed twin, for every differential query shape, ordered and
 // unordered, serial and parallel, on both index kinds. It also proves the
 // tier actually served: a fully resident corpus must answer the exact-shape
-// suite with zero physical page reads.
+// suite without a physical forest read, and the EPIndex's multi-node shapes
+// without a physical read at all (their refinement reads resident shapes;
+// the single-node scan and a regular-Prüfer leaf landing on an internal node
+// read records).
 func TestHotDifferential(t *testing.T) {
 	docs := parallelCorpus()
 	for _, extended := range []bool{false, true} {
@@ -87,30 +90,29 @@ func TestHotDifferential(t *testing.T) {
 						t.Errorf("ext=%v %s unordered=%v par=%d: hot stats = %+v, cold %+v",
 							extended, sh.src, unordered, par, got, want)
 					}
-					if par == 1 && (sh.exact || extended) {
-						// Multi-node shapes descend the trie (posting hits);
-						// the single-node shape scans records (summary hits).
-						if q.Size() > 1 && gotStats.HotPostingHits == 0 {
-							t.Errorf("ext=%v %s: no hot posting hits despite resident tier", extended, sh.src)
-						}
-						if q.Size() == 1 && gotStats.HotRecordHits == 0 {
-							t.Errorf("ext=%v %s: no hot record hits despite resident tier", extended, sh.src)
-						}
+					// Multi-node shapes descend the trie (posting hits).
+					if par == 1 && (sh.exact || extended) && q.Size() > 1 && gotStats.HotPostingHits == 0 {
+						t.Errorf("ext=%v %s: no hot posting hits despite resident tier", extended, sh.src)
 					}
 				}
 			}
 		}
-		// Fully hot-resident: the whole query path must run without a single
-		// physical page read (the cold twin, same shapes, reads plenty).
+		// Fully hot-resident: the descent must run without a single physical
+		// forest read (the cold twin, same shapes, reads plenty).
 		for _, sh := range diffShapes {
 			if !sh.exact && !extended {
 				continue
 			}
-			_, stats, err := hotIx.Match(twig.MustParse(sh.src), MatchOptions{Parallelism: 1})
+			q := twig.MustParse(sh.src)
+			forest0 := hotIx.forest.BufferPool().Stats().PhysicalReads
+			_, stats, err := hotIx.Match(q, MatchOptions{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.PagesRead != 0 {
+			if n := hotIx.forest.BufferPool().Stats().PhysicalReads - forest0; n != 0 {
+				t.Errorf("ext=%v %s: %d physical forest reads on a hot-resident index", extended, sh.src, n)
+			}
+			if extended && q.Size() > 1 && stats.PagesRead != 0 {
 				t.Errorf("ext=%v %s: %d physical reads on a hot-resident index", extended, sh.src, stats.PagesRead)
 			}
 		}
@@ -377,43 +379,64 @@ func TestHotInvalidateMutations(t *testing.T) {
 	}
 }
 
-// TestHotSummaryNavigatesLikeRecord holds refinement's two docShape
+// TestHotSummaryNavigatesLikeRecord holds refinement's docShape
 // implementations against each other on every document of the three
 // generated datasets, as stored by an EPIndex (the extended trees are the
-// larger ones): the packed summary must be admitted and must answer Nodes,
-// ParentOf and LabelOf — for every node and for numbers outside the tree —
-// exactly as the decoded record does.
+// larger ones) and an RPIndex (value leaves): the store's resident shape must
+// answer Nodes and ParentOf — for every node and for numbers outside the tree
+// — exactly as the decoded record does, and LabelOf exactly as the record
+// does for leaves, with false for internal nodes (their labels are the
+// record's LPS); the packed hot.Summary, the whole-record encoding, must
+// answer all three exactly as the record does.
 func TestHotSummaryNavigatesLikeRecord(t *testing.T) {
 	for _, name := range datagen.Names() {
 		ds, err := datagen.ByName(name, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := build(t, true, ds.Docs...)
-		for id := 0; id < ix.NumDocs(); id++ {
-			rec, err := ix.store.Get(uint32(id))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := hot.NewSummary(rec)
-			if sum == nil {
-				t.Fatalf("%s doc %d: not admitted", name, id)
-			}
-			var a, b docShape = sum, rec
-			if a.Nodes() != b.Nodes() {
-				t.Fatalf("%s doc %d: Nodes %d vs %d", name, id, a.Nodes(), b.Nodes())
-			}
-			for post := int32(-1); post <= rec.NumNodes+1; post++ {
-				as, aok := a.LabelOf(post)
-				bs, bok := b.LabelOf(post)
-				if a.ParentOf(post) != b.ParentOf(post) || as != bs || aok != bok {
-					t.Fatalf("%s doc %d node %d: summary (%d, %d, %v) vs record (%d, %d, %v)",
-						name, id, post, a.ParentOf(post), as, aok, b.ParentOf(post), bs, bok)
+		for _, extended := range []bool{true, false} {
+			ix := build(t, extended, ds.Docs...)
+			for id := 0; id < ix.NumDocs(); id++ {
+				rec, err := ix.store.Get(uint32(id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := hot.NewSummary(rec)
+				if sum == nil {
+					t.Fatalf("%s doc %d: no summary", name, id)
+				}
+				var sh shapeDoc
+				if err := ix.store.ShapeOf(uint32(id), &sh.Shape); err != nil {
+					t.Fatal(err)
+				}
+				internal := map[int32]bool{}
+				for _, p := range rec.NPS {
+					internal[p] = true
+				}
+				var a, s, b docShape = sum, &sh, rec
+				if a.Nodes() != b.Nodes() || s.Nodes() != b.Nodes() {
+					t.Fatalf("%s doc %d: Nodes %d / %d vs %d", name, id, a.Nodes(), s.Nodes(), b.Nodes())
+				}
+				for post := int32(-1); post <= rec.NumNodes+1; post++ {
+					as, aok := a.LabelOf(post)
+					ss, sok := s.LabelOf(post)
+					bs, bok := b.LabelOf(post)
+					if a.ParentOf(post) != b.ParentOf(post) || as != bs || aok != bok {
+						t.Fatalf("%s doc %d node %d: summary (%d, %d, %v) vs record (%d, %d, %v)",
+							name, id, post, a.ParentOf(post), as, aok, b.ParentOf(post), bs, bok)
+					}
+					if internal[post] {
+						bs, bok = 0, false
+					}
+					if s.ParentOf(post) != b.ParentOf(post) || ss != bs || sok != bok {
+						t.Fatalf("%s doc %d node %d: shape (%d, %d, %v) vs record (%d, %d, %v)",
+							name, id, post, s.ParentOf(post), ss, sok, b.ParentOf(post), bs, bok)
+					}
 				}
 			}
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -6,8 +6,9 @@
 // EPIndex (Extended-Prüfer sequences, §5.6, recommended for queries with
 // values). Indexes persist as two page files — a B+-tree forest holding the
 // postings tree (every Trie-Symbol index under one composite key), the Docid
-// index and the structure sidecar, and a document store holding per-document
-// NPS/LPS/leaf data — or live in memory for tests.
+// index and the shape tree, and a document store holding the shape
+// dictionary and per-document records (shape id + LPS) — or live in memory
+// for tests.
 package prix
 
 import (
@@ -46,9 +47,10 @@ type Options struct {
 	// means plain OS files.
 	OpenFile func(path string) (pager.File, error)
 	// HotBudget, when positive, enables the in-memory hot tier
-	// (internal/hot) with that many bytes: flat posting lists and
-	// bit-packed per-document structure summaries serve the common read path
-	// without touching the buffer pools, demoted LRU under the budget.
+	// (internal/hot) with that many bytes: flat posting lists serve the
+	// Algorithm 1 descent without touching the buffer pools, demoted LRU
+	// under the budget (refinement reads the resident shape dictionary
+	// either way).
 	// Results are byte-identical to the paged path. 0 disables it.
 	HotBudget int64
 }
@@ -161,6 +163,10 @@ type Index struct {
 	// hot is the in-memory hot tier (nil when Options.HotBudget is
 	// 0). See hot.go for the caching and invalidation contract.
 	hot *hot.Tier
+	// shapesInTree is how many shapes, from id 0 on, the forest's shape tree
+	// holds (writeShapes copies the rest); shapesUnknown until a writer first
+	// needs it after Open. Guarded like the forest.
+	shapesInTree uint32
 	// io is ioCounts as a func value, the I/O source of every match span.
 	io obs.IOFunc
 	// versions is the MVCC version map (nil until the first mutation or an
@@ -199,17 +205,19 @@ func valueKey(buf []byte, label string) []byte {
 	return append(append(buf, valuePrefix...), label...)
 }
 
-// Forest tree names. The structure sidecar's is structTreeName (repair.go).
+// Forest tree names. The shape tree's is shapeTreeName (repair.go).
 const (
 	postingsTreeName = "post"
 	docidTreeName    = "docid"
 )
 
 // postingsLayout is stamped into the store's stats (layoutStatName) by every
-// build. 2 is the single postings tree; directories written before it (one
-// tree per symbol) carry no stamp and are refused with ErrOldLayout.
+// build. 3 is the single postings tree with the shape dictionary and the
+// forest's shape tree; layout 2 (a per-document structure sidecar) and the
+// directories before it (one tree per symbol, no stamp) are refused with
+// ErrOldLayout.
 const (
-	postingsLayout = 2
+	postingsLayout = 3
 	layoutStatName = "layout"
 )
 
@@ -240,6 +248,7 @@ func (ix *Index) loadCatalogs() error {
 	if layout, _ := ix.store.Stat(layoutStatName); layout != postingsLayout || ix.postings == nil {
 		return ErrOldLayout
 	}
+	ix.shapesInTree = shapesUnknown
 	if ix.docid = ix.forest.Lookup(docidTreeName); ix.docid == nil {
 		return fmt.Errorf("no docid index")
 	}

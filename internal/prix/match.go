@@ -51,8 +51,10 @@ type QueryStats struct {
 	Matches int
 	// PagesRead is the physical page reads during the query (cold start).
 	PagesRead uint64
-	// RecordFetches counts document records read from the store (each
-	// memoized-cache miss once; the inline emit fetches per candidate).
+	// RecordFetches counts document records read from the store: superseded
+	// images, whole-record paths, and regular-Prüfer leaf checks that need an
+	// internal node's label. Refining a latest image reads its resident shape
+	// and no record.
 	RecordFetches int
 	// RecordCacheHits counts record lookups served by the per-query
 	// memoizing record cache instead of the store.
@@ -62,8 +64,9 @@ type QueryStats struct {
 	// still counted in RangeQueries, so hot and cold runs report identical
 	// RangeQueries.
 	HotPostingHits int
-	// HotRecordHits counts record fetches served by a resident hot structure
-	// summary instead of the document store; still counted in RecordFetches.
+	// HotRecordHits is always 0: refinement reads the store's resident
+	// shapes, and the tier holds no per-document structure. It stays for the
+	// reports that print it.
 	HotRecordHits int
 	// Elapsed is wall-clock query time.
 	Elapsed time.Duration
@@ -327,7 +330,7 @@ type plan struct {
 	levels []levelSource
 	docids docidSource
 	// leaves lists query leaves for the refinement-by-leaf phase.
-	leaves []docstore.Leaf
+	leaves []queryLeaf
 	// dummy[p-1] marks extended-pattern dummy nodes (excluded from the
 	// canonical embedding: their matched positions are proxies).
 	dummy []bool
@@ -469,7 +472,7 @@ func (ix *Index) compile(q *twig.Query, pat *twig.Pattern, p *plan) (ok bool, er
 			if !ok {
 				return false, nil
 			}
-			p.leaves = append(p.leaves, docstore.Leaf{Post: int32(n.Post), Sym: sym})
+			p.leaves = append(p.leaves, queryLeaf{post: int32(n.Post), sym: sym, value: n.IsValue})
 		}
 	}
 	return true, nil
@@ -481,7 +484,7 @@ func (ix *Index) compile(q *twig.Query, pat *twig.Pattern, p *plan) (ok bool, er
 // (parallel.go). workers == 1 is the degenerate one: no semaphore, so the walk
 // never spawns and stays on this goroutine and this scratch, no readahead, and
 // no emit: the walk refines each candidate where it finds it (refineInline).
-// fetch, when non-nil, replaces Index.fetchShape as the document source — the
+// fetch, when non-nil, replaces Index.fetchAsOf as the document source — the
 // arrangement fan-out passes a query-wide memoizing cache so a document
 // shared by candidates of several arrangements is fetched once. nil fetches
 // per candidate here (and lets the pipelined scheduler build its own
@@ -526,10 +529,9 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 // refinement worker — and nothing that outlives that window may alias it: a
 // query's result is copied out of the stage by pack, the pipelined emit copies
 // S and path per candidate, and a record that must outlive its candidate is
-// never the scratch's: the pipelined record cache fetches fresh records, and a
-// summary admitted to the tier copies the record it was built from. sum is
-// the view of the current candidate's resident summary; it aliases the tier's
-// arena, never the scratch.
+// never the scratch's: the pipelined record cache fetches fresh records. shape
+// is the view of the current candidate's resident shape; it aliases the
+// store's shape dictionary, never the scratch.
 type scratch struct {
 	// pattern is the query compiled into its Prüfer sequence, the source of
 	// the plan, which aliases its edges.
@@ -548,8 +550,8 @@ type scratch struct {
 	// emitNS is the time the branch walking on this scratch has spent inside
 	// emit, which the branch's descent stage excludes. Traced queries only.
 	emitNS int64
+	shape  shapeDoc
 	rec    docstore.Record
-	sum    hot.Summary
 	stage  matchStage
 }
 
@@ -590,7 +592,7 @@ func putScratch(sc *scratch) {
 	clear(sc.plan.levels)
 	sc.plan.docids, sc.plan.edges = docidSource{}, nil
 	sc.walk = descent{}
-	sc.sum = hot.Summary{}
+	sc.shape = shapeDoc{}
 	if (cap(sc.rec.NPS)+cap(sc.rec.LPS)+2*cap(sc.rec.Leaves))*4 > scratchKeep {
 		sc.rec = docstore.Record{}
 	}
@@ -812,7 +814,7 @@ type descent struct {
 	// goroutine that owns sc; stats and sp are that branch's. nil (a walk on
 	// one goroutine) refines the candidate in place: refineInline.
 	emit func(sc *scratch, docID uint32, stats *QueryStats, sp *obs.Span) error
-	// fetch is the document source refinement reads (nil: fetchShape per
+	// fetch is the document source refinement reads (nil: fetchAsOf per
 	// candidate), and rsp the refine span its stages are charged to.
 	fetch recordSource
 	rsp   *obs.Span
@@ -976,134 +978,137 @@ func pathKey(path []int32) string {
 	return string(b)
 }
 
-// fetchAsOf resolves the image of docID visible at asOf (0 = latest) for
-// query processing: a resident hot summary, else the record from the store
-// (the current one, or the superseded image an interval points back to).
-// It implements the graceful-degradation contract: quarantined documents
-// are skipped, and documents whose records prove corrupt are quarantined on
-// the spot and skipped (nil, nil, nil with stats.Degraded set; an
-// unreadable old image degrades the read without quarantining the document
-// — its current image may be perfectly healthy). Documents not visible at
-// asOf return nil too. Transient faults propagate so callers can retry.
-//
-// A record read from the store is decoded into dst, which the caller owns
-// and may reuse for its next fetch (refinement needs a record only for the
-// length of one refine call); a nil dst asks for a fresh record, for callers
-// that keep it. A resident summary is filled into sum, which the caller owns
-// the same way, and returned; the bytes its view reads are never rewritten.
-func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *docstore.Record, sum *hot.Summary) (*hot.Summary, *docstore.Record, error) {
-	var oldLoc mvcc.Loc
-	if ix.versions != nil {
-		iv, ok := ix.versions.At(docID, asOf)
-		if !ok {
-			return nil, nil, nil
-		}
-		oldLoc = iv.Loc
+// imageAt resolves which image of docID is visible at asOf (0 = latest):
+// visible false for none, a zero loc for the current one, else the location
+// of the superseded record image an interval points back to.
+func (ix *Index) imageAt(docID uint32, asOf uint64) (loc mvcc.Loc, visible bool) {
+	if ix.versions == nil {
+		return mvcc.Loc{}, true
 	}
-	stats.RecordFetches++
-	var err error
-	if oldLoc.Zero() {
-		if ix.hotSummary(docID, sum) {
-			// Quarantine is re-checked on every hit so a document degraded
-			// after admission (by a concurrent query's corruption discovery)
-			// is skipped exactly like the paged path skips it.
-			if !ix.store.IsQuarantined(docID) {
-				stats.HotRecordHits++
-				return sum, nil, nil
-			}
-			ix.hotInvalidateDoc(docID)
-			stats.Degraded = true
-			return nil, nil, nil
+	iv, ok := ix.versions.At(docID, asOf)
+	return iv.Loc, ok
+}
+
+// fetchAsOf resolves the image of docID visible at asOf for refinement. The
+// current image is its resident shape, filled into sh without reading a page;
+// a superseded image is its record, read from the store into dst (a nil dst
+// asks for a fresh record, for callers that keep it). Both belong to the
+// caller, who may reuse them for its next fetch. It implements the
+// graceful-degradation contract (degrade); documents not visible at asOf
+// return nil too.
+func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *docstore.Record, sh *shapeDoc) (docShape, error) {
+	loc, visible := ix.imageAt(docID, asOf)
+	if !visible {
+		return nil, nil
+	}
+	if loc.Zero() {
+		if err := ix.store.ShapeOf(docID, &sh.Shape); err != nil {
+			return nil, ix.degrade(docID, true, err, stats)
 		}
+		return sh, nil
 	}
 	if dst == nil {
 		dst = new(docstore.Record)
 	}
-	if oldLoc.Zero() {
-		if err = ix.store.GetInto(dst, docID); err == nil {
-			ix.admitHotRecord(dst) // copies: a summary may not alias dst
-			return nil, dst, nil
-		}
-	} else if err = ix.store.GetAtLocInto(dst, docID, toStoreLoc(oldLoc)); err == nil {
-		return nil, dst, nil
+	rec, err := ix.readImage(docID, loc, stats, dst)
+	if rec == nil {
+		return nil, err
 	}
-	switch {
-	case errors.Is(err, docstore.ErrQuarantined):
-		stats.Degraded = true
-		return nil, nil, nil
-	case IsCorruption(err):
-		if oldLoc.Zero() {
-			ix.store.Quarantine(docID)
-			ix.hotInvalidateDoc(docID)
-		}
-		stats.Degraded = true
-		return nil, nil, nil
-	}
-	return nil, nil, err
+	return rec, nil
 }
 
-// getRecordAsOf is fetchAsOf for the paths that read whole records (the
-// single-node scan, the exhaustive fallback, reconstruction): a resident
-// summary is decoded back into a record. The record is always a fresh one.
-func (ix *Index) getRecordAsOf(docID uint32, asOf uint64, stats *QueryStats) (*docstore.Record, error) {
-	var sum hot.Summary
-	s, rec, err := ix.fetchAsOf(docID, asOf, stats, nil, &sum)
-	if s != nil {
-		return s.Record(), nil
+// readImage reads the record image at loc (zero: the current one) into dst.
+func (ix *Index) readImage(docID uint32, loc mvcc.Loc, stats *QueryStats, dst *docstore.Record) (*docstore.Record, error) {
+	stats.RecordFetches++
+	var err error
+	if loc.Zero() {
+		err = ix.store.GetInto(dst, docID)
+	} else {
+		err = ix.store.GetAtLocInto(dst, docID, toStoreLoc(loc))
 	}
-	return rec, err
+	if err != nil {
+		return nil, ix.degrade(docID, loc.Zero(), err, stats)
+	}
+	return dst, nil
+}
+
+// degrade applies the graceful-degradation contract to a failed read of
+// docID: a quarantined document is skipped, and one whose current image
+// proves corrupt is quarantined on the spot and skipped (nil with
+// stats.Degraded set). An unreadable old image degrades the read without
+// quarantining the document — its current image may be perfectly healthy.
+// Transient faults propagate so callers can retry.
+func (ix *Index) degrade(docID uint32, current bool, err error, stats *QueryStats) error {
+	switch {
+	case errors.Is(err, docstore.ErrQuarantined):
+	case IsCorruption(err):
+		if current {
+			ix.store.Quarantine(docID)
+		}
+	default:
+		return err
+	}
+	stats.Degraded = true
+	return nil
+}
+
+// getRecordAsOf resolves the whole record image of docID visible at asOf,
+// for the paths that read whole records (the single-node scan, the
+// exhaustive fallback, reconstruction). The record is always a fresh one;
+// nil with a nil error means "skip this document".
+func (ix *Index) getRecordAsOf(docID uint32, asOf uint64, stats *QueryStats) (*docstore.Record, error) {
+	loc, visible := ix.imageAt(docID, asOf)
+	if !visible {
+		return nil, nil
+	}
+	return ix.readImage(docID, loc, stats, new(docstore.Record))
 }
 
 // Quarantined returns the docids currently quarantined in the document
 // store (ascending; empty when healthy).
 func (ix *Index) Quarantined() []uint32 { return ix.store.Quarantined() }
 
-// docShape is what Algorithm 2 reads of a data tree. A *docstore.Record
-// answers from its decoded NPS/LPS/leaf lists and a resident summary's
-// *hot.Summary view from its packed vector in place, so a hot record hit
-// decodes nothing.
+// docShape is what Algorithm 2 reads of a data tree. A latest image is a
+// *shapeDoc, its resident shape read in place; a superseded image is a
+// *docstore.Record.
 type docShape interface {
 	Nodes() int32
 	ParentOf(post int32) int32 // 0 for the root and for numbers outside the tree
 	LabelOf(post int32) (vtrie.Symbol, bool)
 }
 
+// shapeDoc is a document's resident shape as a docShape. LabelOf answers
+// leaves only: an internal node's label lives in the record's LPS, which
+// refineLeaves asks for when a regular-Prüfer query leaf lands on one.
+type shapeDoc struct{ docstore.Shape }
+
+// LabelOf returns the label of leaf post; false for internal nodes.
+func (d *shapeDoc) LabelOf(post int32) (vtrie.Symbol, bool) { return d.LeafLabel(post) }
+
 // recordSource fetches one document's shape for refinement; a nil shape
-// with a nil error means "skip this document". tmp and sum are a record and a
-// summary view the calling goroutine owns (its scratch's): fetchShape, the
-// inline walk's fetch-per-candidate source, decodes into tmp or fills sum and
+// with a nil error means "skip this document". tmp and sh are a record and
+// a shape view the calling goroutine owns (its scratch's): fetchAsOf, the
+// inline walk's fetch-per-candidate source, fills sh or decodes into tmp and
 // returns it, good until the caller's next fetch; the pipelined scheduler
 // passes a per-query memoizing cache, which ignores both and keeps a fresh
-// record or a summary view of its own per document, so a document shared by
+// record or a shape view of its own per document, so a document shared by
 // many candidates is fetched once.
-type recordSource func(docID uint32, stats *QueryStats, tmp *docstore.Record, sum *hot.Summary) (docShape, error)
-
-// fetchShape is fetchAsOf in the recordSource shape.
-func (ix *Index) fetchShape(docID uint32, asOf uint64, stats *QueryStats, tmp *docstore.Record, sum *hot.Summary) (docShape, error) {
-	s, rec, err := ix.fetchAsOf(docID, asOf, stats, tmp, sum)
-	switch {
-	case s != nil:
-		return s, nil
-	case rec != nil:
-		return rec, nil
-	}
-	return nil, err
-}
+type recordSource func(docID uint32, stats *QueryStats, tmp *docstore.Record, sh *shapeDoc) (docShape, error)
 
 // refine is Algorithm 2: connectedness (with the §4.5 wildcard chase), gap
 // consistency, frequency consistency and leaf matching, against the document
-// d.fetch returns (fetchShape when nil). Each phase is charged to its own
+// d.fetch returns (fetchAsOf when nil). Each phase is charged to its own
 // stage on sp (nil-safe): fetch, connect, structure, leaves. S is read; sc
-// lends N, the record the document is decoded into and the stage a surviving
-// match is pushed onto (ok true).
+// lends N, the shape view and the record the document is read into and the
+// stage a surviving match is pushed onto (ok true).
 func (d *descent) refine(docID uint32, S []int32, stats *QueryStats, sc *scratch, sp *obs.Span) (ok bool, err error) {
 	p := d.p
 	t0 := sp.Start()
 	var doc docShape
 	if d.fetch != nil {
-		doc, err = d.fetch(docID, stats, &sc.rec, &sc.sum)
+		doc, err = d.fetch(docID, stats, &sc.rec, &sc.shape)
 	} else {
-		doc, err = d.ix.fetchShape(docID, d.opts.AsOf, stats, &sc.rec, &sc.sum)
+		doc, err = d.ix.fetchAsOf(docID, d.opts.AsOf, stats, &sc.rec, &sc.shape)
 	}
 	sp.Stage(obs.StageFetch, t0)
 	if err != nil || doc == nil {
@@ -1122,9 +1127,19 @@ func (d *descent) refine(docID uint32, S []int32, stats *QueryStats, sc *scratch
 		return false, nil
 	}
 	t3 := sp.Start()
-	ok = refineLeaves(p, doc, docID, S, sc.N, maxN, &sc.stage)
+	res := refineLeaves(p, doc, docID, S, sc.N, maxN, &sc.stage)
+	if res == leavesNeedLPS {
+		// A regular-Prüfer query leaf landed on an internal node of the
+		// shape: its label is in the record's LPS.
+		var rec *docstore.Record
+		if rec, err = d.ix.readImage(docID, mvcc.Loc{}, stats, &sc.rec); rec == nil {
+			sp.Stage(obs.StageLeaves, t3)
+			return false, err
+		}
+		res = refineLeaves(p, rec, docID, S, sc.N, maxN, &sc.stage)
+	}
 	sp.Stage(obs.StageLeaves, t3)
-	return ok, nil
+	return res == leavesMatch, nil
 }
 
 // refineConnect fills N from S (N[i] = N_D[S_i], rejecting positions outside
@@ -1212,32 +1227,55 @@ func refineStructure(p *plan, N []int32) bool {
 	return true
 }
 
+// queryLeaf is a query leaf the refinement checks the label of.
+type queryLeaf struct {
+	post  int32
+	sym   vtrie.Symbol
+	value bool
+}
+
+// refineLeaves outcomes.
+const (
+	leavesFail    = iota
+	leavesMatch   // staged on st
+	leavesNeedLPS // a leaf label check needs the record: doc is a shape
+)
+
 // refineLeaves is the tail of Algorithm 2: root placement, refinement by
 // matching leaf nodes (§4.4), and building the canonical embedding, which a
 // surviving candidate pushes onto st.
-func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32, st *matchStage) bool {
+func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32, st *matchStage) int {
 	// Root placement: anchored queries must map the root onto the
 	// document root; leading stars constrain the root image's depth.
 	if p.anchored || p.rootEdge.Min > 1 {
 		depth := rootDepth(doc, maxN)
 		if p.anchored {
 			if maxN != doc.Nodes() || p.rootEdge.Min != depth {
-				return false
+				return leavesFail
 			}
 		} else if depth < p.rootEdge.Min ||
 			(p.rootEdge.Max != twig.Unbounded && depth > p.rootEdge.Max) {
-			return false
+			return leavesFail
 		}
 	}
 	// Refinement by matching leaf nodes (§4.4). The image of query leaf
 	// with postorder l is the data node numbered S[l-1]; its label must
 	// match. Extended patterns have only dummy leaves, which match the
 	// dummy children added under every data leaf, so the check still
-	// works uniformly (and is cheap).
+	// works uniformly (and is cheap). A shape knows leaf labels only.
 	for _, leaf := range p.leaves {
-		sym, ok := doc.LabelOf(S[leaf.Post-1])
-		if !ok || sym != leaf.Sym {
-			return false
+		post := S[leaf.post-1]
+		sym, ok := doc.LabelOf(post)
+		if !ok {
+			// An internal node is never a value; an element's label is in
+			// the LPS.
+			if _, shape := doc.(*shapeDoc); shape && !leaf.value && post >= 1 && post <= doc.Nodes() {
+				return leavesNeedLPS
+			}
+			return leavesFail
+		}
+		if sym != leaf.sym {
+			return leavesFail
 		}
 	}
 	// The candidate survived: only now is it staged, Positions (a copy of
@@ -1256,7 +1294,7 @@ func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32,
 			images[q-1] = S[q-1]
 		}
 	}
-	return true
+	return leavesMatch
 }
 
 // isLastOccurrence reports whether N[i] does not occur after index i.

@@ -1,11 +1,9 @@
 package prix
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/hot"
 )
 
 // Tests of the paged read path's memory: who owns a decoded record on each
@@ -31,7 +29,7 @@ func pagedSwissprot(tb testing.TB) (*Index, []datagen.QuerySpec) {
 // goroutine a Match allocates for its answer alone — its QueryStats, one block
 // of positions and images, one []Match — and nothing for its plan, per range
 // query or per candidate: Q5 (5 candidates) and Q6 (158 candidates, each
-// decoding a record) both cost 3 objects, 17 while the pattern was nine fresh
+// refined against its resident shape) both cost 3 objects, 17 while the pattern was nine fresh
 // slabs and the emit and fetch two closures, and Q6 1,010 while every
 // candidate built a Record, its three lists, and every match a block and a
 // dedup key. Pipelined, a unique candidate costs its dedup key and
@@ -60,8 +58,8 @@ func TestPagedMatchAllocs(t *testing.T) {
 			if err != nil || len(ms) != qs.Want {
 				t.Fatalf("%s: matches = %d, %v; want %d", qs.ID, len(ms), err, qs.Want)
 			}
-			if stats.HotRecordHits != 0 || stats.RecordFetches == 0 {
-				t.Fatalf("%s did not read records from the store: %+v", qs.ID, stats)
+			if stats.HotRecordHits != 0 || stats.RecordFetches != 0 || stats.Candidates == 0 {
+				t.Fatalf("%s refined against records instead of resident shapes: %+v", qs.ID, stats)
 			}
 		}
 		run()
@@ -72,74 +70,63 @@ func TestPagedMatchAllocs(t *testing.T) {
 	}
 }
 
-// TestHotSummaryOutlivesScratch: with a budget that holds the lists but only
-// part of the summaries, a query admits summaries built from records sitting
-// in its scratch. A summary may not alias that scratch: after the scratch has
-// served every later candidate (and been poisoned for good measure), every
-// resident summary must still navigate exactly like a fresh read of its
-// record — TestHotSummaryNavigatesLikeRecord's check, on the admission route.
+// TestHotSummaryOutlivesScratch: the shape view refinement reads aliases the
+// store's shape dictionary, never a query scratch, and the dictionary never
+// rewrites a word it handed out. A view taken through a scratch must still
+// navigate exactly like a fresh read of its record after the scratch has been
+// pooled, reused and poisoned, and after inserts have interned new shapes and
+// grown the dictionary's arrays under it.
 func TestHotSummaryOutlivesScratch(t *testing.T) {
-	ds := datagen.SwissProt(1, 1)
-	full, err := Build(ds.Docs, Options{Extended: true, BufferPoolPages: 64, HotBudget: 64 << 20})
+	docs := parallelCorpus()[:20]
+	di, err := NewDynamicIndex(docs, Options{Extended: true, BufferPoolPages: 64}, DynamicOptions{Alpha: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := full.HotStats().Tier.Bytes
-	full.Close()
-	// Room for everything, then drop the summaries: the lists stay, and each
-	// document is admitted again by the first query that fetches it.
-	ix, err := Build(ds.Docs, Options{Extended: true, BufferPoolPages: 64, HotBudget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
+	ix := di.Index()
+	var views []shapeDoc
 	for id := 0; id < ix.NumDocs(); id++ {
-		ix.hotInvalidateDoc(uint32(id))
-	}
-	admitted := 0
-	for _, qs := range ds.Queries {
-		ms, stats, err := ix.Match(qs.Query(), residentOpts)
-		if err != nil || len(ms) != qs.Want {
-			t.Fatalf("%s: matches = %d, %v; want %d", qs.ID, len(ms), err, qs.Want)
+		sc := getScratch()
+		doc, err := ix.fetchAsOf(uint32(id), 0, &QueryStats{}, &sc.rec, &sc.shape)
+		if err != nil || doc == nil {
+			t.Fatalf("doc %d: %v, %v", id, doc, err)
 		}
-		admitted += stats.RecordFetches - stats.HotRecordHits
-	}
-	if admitted == 0 {
-		t.Fatal("no record was read from the store: nothing was admitted from a scratch")
+		views = append(views, *doc.(*shapeDoc))
+		putScratch(sc)
 	}
 	for i := 0; i < 16; i++ {
 		sc := getScratch()
+		sc.shape = shapeDoc{}
 		sc.rec.DocID, sc.rec.NumNodes = ^uint32(0), -7
-		for j := range sc.rec.NPS[:cap(sc.rec.NPS)] {
-			sc.rec.NPS[:cap(sc.rec.NPS)][j] = -7
-		}
 		defer putScratch(sc)
 	}
-	resident := 0
-	for id := 0; id < ix.NumDocs(); id++ {
-		sum := new(hot.Summary)
-		if !ix.hotSummary(uint32(id), sum) {
-			continue
+	before := ix.store.NumShapes()
+	for i, d := range parallelCorpus()[20:] {
+		c := d.Clone()
+		c.ID = 20 + i
+		if err := di.Insert(c); err != nil {
+			t.Fatal(err)
 		}
-		resident++
+	}
+	if ix.store.NumShapes() == before {
+		t.Fatal("the inserts interned no new shape")
+	}
+	for id, v := range views {
 		rec, err := ix.store.Get(uint32(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fresh := hot.NewSummary(rec); !reflect.DeepEqual(sum, fresh) {
-			t.Fatalf("doc %d: resident summary differs from one built off a fresh record", id)
+		if v.Nodes() != rec.NumNodes {
+			t.Fatalf("doc %d: view has %d nodes, record %d", id, v.Nodes(), rec.NumNodes)
 		}
-		var a, b docShape = sum, rec
 		for post := int32(-1); post <= rec.NumNodes+1; post++ {
-			as, aok := a.LabelOf(post)
-			bs, bok := b.LabelOf(post)
-			if a.ParentOf(post) != b.ParentOf(post) || as != bs || aok != bok {
-				t.Fatalf("doc %d node %d: summary (%d, %d, %v) vs record (%d, %d, %v)",
-					id, post, a.ParentOf(post), as, aok, b.ParentOf(post), bs, bok)
+			if v.ParentOf(post) != rec.ParentOf(post) {
+				t.Fatalf("doc %d node %d: view parent %d, record %d", id, post, v.ParentOf(post), rec.ParentOf(post))
 			}
 		}
-	}
-	if resident == 0 {
-		t.Fatal("no summary resident after the queries")
+		for _, l := range rec.Leaves {
+			if sym, ok := v.LabelOf(l.Post); !ok || sym != l.Sym {
+				t.Fatalf("doc %d leaf %d: view label %d %v, record %d", id, l.Post, sym, ok, l.Sym)
+			}
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/docstore"
-	"repro/internal/hot"
 	"repro/internal/obs"
 	"repro/internal/twig"
 )
@@ -346,8 +345,8 @@ func appendKey(b []byte, docID uint32, vals []int32) []byte {
 //
 // A cached record outlives the worker that fetched it and is read by the
 // others, so it is never decoded into a worker's scratch: the cache asks the
-// store for a fresh record and keeps that, and fills a resident summary's
-// view into the entry itself.
+// store for a fresh record and keeps that, and fills a resident shape's view
+// into the entry itself.
 type recordCache struct {
 	ix   *Index
 	asOf uint64
@@ -356,17 +355,17 @@ type recordCache struct {
 }
 
 type cachedShape struct {
-	mu   sync.Mutex // held across the fetch; orders waiters behind it
-	done bool
-	doc  docShape // nil: skip the document (quarantined or not visible)
-	sum  hot.Summary
+	mu    sync.Mutex // held across the fetch; orders waiters behind it
+	done  bool
+	doc   docShape // nil: skip the document (quarantined or not visible)
+	shape shapeDoc
 }
 
 func newRecordCache(ix *Index, asOf uint64) *recordCache {
 	return &recordCache{ix: ix, asOf: asOf, m: map[uint32]*cachedShape{}}
 }
 
-func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record, _ *hot.Summary) (docShape, error) {
+func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record, _ *shapeDoc) (docShape, error) {
 	c.mu.Lock()
 	e := c.m[docID]
 	if e == nil {
@@ -383,7 +382,7 @@ func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record, _
 		}
 		return e.doc, nil
 	}
-	doc, err := c.ix.fetchShape(docID, c.asOf, stats, nil, &e.sum)
+	doc, err := c.ix.fetchAsOf(docID, c.asOf, stats, nil, &e.shape)
 	if err != nil {
 		return nil, err
 	}

@@ -14,10 +14,14 @@ import (
 // sequences (§3.1): the stored NPS determines the shape, the LPS the
 // internal labels, and the leaf list the leaf labels. For an EPIndex the
 // dummy children added by the extension are stripped, so the result equals
-// the original document either way.
+// the original document either way. A document with no live version (deleted,
+// or reclaimed by compaction) is an error wrapping ErrDocDeleted.
 func (ix *Index) ReconstructDocument(docID uint32) (*xmltree.Document, error) {
 	ix.repairMu.RLock()
 	defer ix.repairMu.RUnlock()
+	if int(docID) < ix.store.NumDocs() && !ix.docVisibleAt(docID, 0) {
+		return nil, fmt.Errorf("prix: reconstruct document %d: %w", docID, ErrDocDeleted)
+	}
 	rec, err := ix.store.Get(docID)
 	if err != nil {
 		return nil, err

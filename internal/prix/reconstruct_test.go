@@ -1,6 +1,7 @@
 package prix
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -39,5 +40,25 @@ func TestReconstructDocumentErrors(t *testing.T) {
 	ix := build(t, false, xmltree.MustFromSExpr(0, `(a (b))`))
 	if _, err := ix.ReconstructDocument(99); err == nil {
 		t.Error("reconstructing an absent document succeeded")
+	}
+}
+
+// A deleted document has no live version to rebuild: ReconstructDocument
+// refuses it with ErrDocDeleted instead of returning the tombstoned image,
+// and the surviving document still rebuilds.
+func TestReconstructDeletedDocument(t *testing.T) {
+	docs := []*xmltree.Document{xmltree.MustFromSExpr(0, `(a (b))`), xmltree.MustFromSExpr(1, `(a (c))`)}
+	di, err := NewDynamicIndex(docs, Options{Extended: true}, DynamicOptions{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	if doc, err := di.Index().ReconstructDocument(0); !errors.Is(err, ErrDocDeleted) {
+		t.Fatalf("ReconstructDocument of a deleted document = %v, %v; want ErrDocDeleted", doc, err)
+	}
+	if doc, err := di.Index().ReconstructDocument(1); err != nil || doc.String() != docs[1].String() {
+		t.Fatalf("ReconstructDocument(1) = %v, %v; want %s", doc, err, docs[1])
 	}
 }

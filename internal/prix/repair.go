@@ -1,6 +1,7 @@
 package prix
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -13,22 +14,27 @@ import (
 )
 
 // Online repair exploits the redundancy PRIX builds in by construction: a
-// document is stored twice, once as its record (NPS + LPS + leaves, §4.3)
-// and once as its path through the virtual trie (postings-tree entries +
-// Docid entry + the structure sidecar). By the one-to-one correspondence of
-// §3.1 either copy determines the document, so when one side is damaged the
-// other rebuilds it:
+// document is stored twice, once as its record (shape id + LPS, §4.3, over
+// the shape dictionary's NPS and leaves) and once as its path through the
+// virtual trie (postings-tree entries + Docid entry). The shape dictionary
+// itself is kept twice: in the document store's shapes section and in the
+// forest's shape tree. By the one-to-one correspondence of §3.1 either copy
+// determines the document, so when one side is damaged the other rebuilds
+// it:
 //
-//   - record damaged, postings healthy → the sidecar supplies NPS and
-//     leaves, and the LPS is re-derived by walking the trie: the strict
-//     ancestors of the terminal node are exactly the postings whose range
-//     contains the terminal's LeftPos, one per level.
-//   - postings damaged, record healthy → the docid entry or sidecar is
-//     rewritten from the record; damage to the shared trie structure itself
-//     escalates to a full forest rebuild from all surviving records.
+//   - shape damaged in one copy → the other copy rewrites it; damaged in
+//     both → the documents of that shape (and only they) are unrepairable.
+//   - record damaged, postings healthy → the directory's shape id names the
+//     NPS and leaves, and the LPS is re-derived by walking the trie: the
+//     strict ancestors of the terminal node are exactly the postings whose
+//     range contains the terminal's LeftPos, one per level.
+//   - postings damaged, record healthy → the docid entry is rewritten from
+//     the record; damage to the shared trie structure itself escalates to a
+//     full forest rebuild from all surviving records.
 //
-// Both directions commit through the rollback journal, so a crash mid-repair
-// recovers to either the pre- or post-repair image, never between.
+// Every direction commits through the rollback journal, so a crash
+// mid-repair recovers to either the pre- or post-repair image, never
+// between.
 
 // Sentinels classifying what VerifyDoc found and what repair concluded.
 var (
@@ -37,7 +43,7 @@ var (
 	// fails the round-trip check.
 	ErrRecordDamaged = errors.New("prix: document record damaged")
 	// ErrPostingsDamaged marks damage on the index side: the trie path,
-	// docid entry or structure sidecar of the document is broken.
+	// docid entry or shape-tree copy of the document's shape is broken.
 	ErrPostingsDamaged = errors.New("prix: index postings damaged")
 	// ErrNeedsForestRebuild reports per-document repair cannot fix the
 	// damage because it sits in trie structure shared between documents;
@@ -55,11 +61,11 @@ const (
 	// RepairNone: the document verified clean; only its quarantine mark
 	// (if any) was cleared.
 	RepairNone RepairAction = iota
-	// RepairRecord: the document record was rewritten from the structure
-	// sidecar plus the trie path.
+	// RepairRecord: the document record was rewritten from its shape plus
+	// the trie path, or its shape restored from the shape tree.
 	RepairRecord
 	// RepairPostings: the postings side was patched from the healthy
-	// record (docid entry re-inserted and/or sidecar rewritten).
+	// record (docid entry re-inserted and/or shape-tree entry rewritten).
 	RepairPostings
 )
 
@@ -74,109 +80,208 @@ func (a RepairAction) String() string {
 	}
 }
 
-// structure sidecar ------------------------------------------------------------
+// shape tree -------------------------------------------------------------------
 
-// The sidecar duplicates each record's shape (NPS + leaves, no LPS) into
-// the forest file, chunked under the "nps" tree. It is what makes
-// record-side repair possible: postings alone determine the LPS but not the
-// NPS (many trees share one labeled path), so the shape must live on the
-// forest side too. Keys pack (docID << 16 | chunk) so one document's chunks
-// are contiguous.
+// The forest keeps the second copy of the shape dictionary: each shape's
+// encoding under the "shape" tree, chunked so that no value outgrows a leaf.
+// Keys pack (shape id << 16 | chunk), so one shape's chunks are contiguous.
+// It is what makes record-side repair possible: postings alone determine the
+// LPS but not the NPS (many trees share one labeled path), so the shapes must
+// live on the forest side too.
 const (
-	structTreeName  = "nps"
-	structChunkSize = 1024
-	structMaxChunks = 1 << 16
+	shapeTreeName  = "shape"
+	shapeChunkSize = 1024
+	shapeMaxChunks = 1 << 16
 )
 
-func structKey(docID uint32, chunk int) []byte {
-	return btree.KeyUint64(uint64(docID)<<16 | uint64(chunk))
+// shapesUnknown is Index.shapesInTree before writeShapes has probed the
+// tree.
+const shapesUnknown = ^uint32(0)
+
+func shapeKey(id uint32, chunk int) []byte {
+	return btree.KeyUint64(uint64(id)<<16 | uint64(chunk))
 }
 
-// writeStructure appends the record's structure sidecar entry. Called once
-// per document on the build and insert paths; repair replaces entries via
-// rewriteSidecar.
-func (ix *Index) writeStructure(rec *docstore.Record) error {
-	t, err := ix.forest.Tree(structTreeName)
+// writeShapes copies the shapes interned since the last call into the shape
+// tree. Every writer that stores a record calls it before the forest
+// commits; a shape missing from the store has nothing to copy and is left
+// for repair.
+func (ix *Index) writeShapes() error {
+	if ix.shapesInTree == shapesUnknown {
+		ix.shapesInTree = ix.shapeTreeLen()
+	}
+	n := uint32(ix.store.NumShapes())
+	if ix.shapesInTree >= n {
+		return nil
+	}
+	t, err := ix.forest.Tree(shapeTreeName)
 	if err != nil {
 		return err
 	}
-	data := rec.EncodeStructure()
-	if len(data) > structChunkSize*structMaxChunks {
-		return fmt.Errorf("prix: document %d structure of %d bytes exceeds sidecar capacity", rec.DocID, len(data))
-	}
-	for chunk := 0; ; chunk++ {
-		n := len(data)
-		if n > structChunkSize {
-			n = structChunkSize
-		}
-		if err := t.Insert(structKey(rec.DocID, chunk), data[:n]); err != nil {
+	for ; ix.shapesInTree < n; ix.shapesInTree++ {
+		if err := ix.putShapeEntry(t, ix.shapesInTree); err != nil {
 			return err
 		}
-		data = data[n:]
-		if len(data) == 0 {
+	}
+	return nil
+}
+
+// putShapeEntry writes shape id's tree entry from the store's copy.
+func (ix *Index) putShapeEntry(t *btree.Tree, id uint32) error {
+	data, ok := ix.store.EncodeShape(nil, id)
+	if !ok {
+		return nil
+	}
+	if len(data) > shapeChunkSize*shapeMaxChunks {
+		return fmt.Errorf("prix: shape %d of %d bytes exceeds the shape tree's capacity", id, len(data))
+	}
+	for chunk := 0; ; chunk++ {
+		n := min(len(data), shapeChunkSize)
+		if err := t.Insert(shapeKey(id, chunk), data[:n]); err != nil {
+			return err
+		}
+		if data = data[n:]; len(data) == 0 {
 			return nil
 		}
 	}
 }
 
-// readStructure reassembles and decodes a document's sidecar entry. The
-// returned record has no LPS (the sidecar does not store one).
-func (ix *Index) readStructure(docID uint32) (*docstore.Record, error) {
-	t := ix.forest.Lookup(structTreeName)
+// readShape reassembles shape id's encoding from the shape tree.
+func (ix *Index) readShape(id uint32) ([]byte, error) {
+	t := ix.forest.Lookup(shapeTreeName)
 	if t == nil {
-		return nil, fmt.Errorf("prix: no structure sidecar tree")
+		return nil, fmt.Errorf("prix: no shape tree")
 	}
 	var data []byte
-	for chunk := 0; chunk < structMaxChunks; chunk++ {
-		vals, err := t.Get(structKey(docID, chunk))
+	for chunk := 0; chunk < shapeMaxChunks; chunk++ {
+		vals, err := t.Get(shapeKey(id, chunk))
 		if err != nil {
 			return nil, err
 		}
-		if len(vals) == 0 {
-			if chunk == 0 {
-				return nil, fmt.Errorf("prix: document %d has no structure sidecar entry", docID)
+		if len(vals) != 1 {
+			if chunk == 0 || len(vals) > 1 {
+				return nil, fmt.Errorf("prix: shape %d has %d shape-tree entries for chunk %d", id, len(vals), chunk)
 			}
 			break
 		}
 		data = append(data, vals[0]...)
-		if len(vals[0]) < structChunkSize {
+		if len(vals[0]) < shapeChunkSize {
 			break
 		}
 	}
-	rec, err := docstore.DecodeStructure(data)
-	if err != nil {
-		return nil, err
-	}
-	if rec.DocID != docID {
-		return nil, fmt.Errorf("prix: sidecar of document %d decodes as document %d", docID, rec.DocID)
-	}
-	return rec, nil
+	return data, nil
 }
 
-// rewriteSidecar replaces a document's sidecar chunks with fresh ones
-// derived from rec (duplicate-key inserts would otherwise shadow nothing:
-// Get returns the oldest first).
-func (ix *Index) rewriteSidecar(rec *docstore.Record) error {
-	t, err := ix.forest.Tree(structTreeName)
-	if err != nil {
-		return err
+// shapeTreeLen returns how many shapes, from id 0 on, the shape tree holds:
+// the store's count, less the tail a crash between the store's commit and
+// the forest's left unwritten.
+func (ix *Index) shapeTreeLen() uint32 {
+	n := uint32(ix.store.NumShapes())
+	t := ix.forest.Lookup(shapeTreeName)
+	for n > 0 {
+		if t != nil {
+			if vals, err := t.Get(shapeKey(n-1, 0)); err != nil || len(vals) > 0 {
+				break
+			}
+		}
+		n--
 	}
-	for chunk := 0; chunk < structMaxChunks; chunk++ {
-		key := structKey(rec.DocID, chunk)
-		vals, err := t.Get(key)
+	return n
+}
+
+// checkShape compares the two copies of shape id. A shape missing from the
+// store is record-side damage; a tree copy that is missing or differs is
+// index-side damage.
+func (ix *Index) checkShape(id uint32) error {
+	want, ok := ix.store.EncodeShape(nil, id)
+	if !ok {
+		return fmt.Errorf("shape %d missing from the shape dictionary: %w", id, ErrRecordDamaged)
+	}
+	got, err := ix.readShape(id)
+	if err == nil && !bytes.Equal(got, want) {
+		err = fmt.Errorf("shape %d: shape-tree copy differs from the dictionary's", id)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrPostingsDamaged, err)
+	}
+	return nil
+}
+
+// CheckShapes compares the two copies of every shape and resolves every
+// document's shape id, returning one error per disagreement.
+func (ix *Index) CheckShapes() []error {
+	ix.repairMu.RLock()
+	defer ix.repairMu.RUnlock()
+	var errs []error
+	n := uint32(ix.store.NumShapes())
+	for id := uint32(0); id < n; id++ {
+		if err := ix.checkShape(id); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	for d := 0; d < ix.store.NumDocs(); d++ {
+		if id, _ := ix.store.ShapeID(uint32(d)); id >= n {
+			errs = append(errs, fmt.Errorf("document %d: directory shape id %d of %d", d, id, n))
+		}
+	}
+	return errs
+}
+
+// repairShapeLocked makes the two copies of shape id agree, rewriting the
+// damaged one from the other; both damaged is ErrUnrepairable. It commits
+// what it rewrote.
+func (ix *Index) repairShapeLocked(id uint32) error {
+	want, inStore := ix.store.EncodeShape(nil, id)
+	got, terr := ix.readShape(id)
+	switch {
+	case inStore && terr == nil && bytes.Equal(got, want):
+		return nil
+	case inStore:
+		t, err := ix.forest.Tree(shapeTreeName)
 		if err != nil {
 			return err
 		}
-		if len(vals) == 0 {
-			break
-		}
-		for _, v := range vals {
-			if _, err := t.Delete(key, v); err != nil {
+		for chunk := 0; chunk < shapeMaxChunks; chunk++ {
+			key := shapeKey(id, chunk)
+			vals, err := t.Get(key)
+			if err != nil {
 				return err
 			}
+			if len(vals) == 0 {
+				break
+			}
+			for _, v := range vals {
+				if _, err := t.Delete(key, v); err != nil {
+					return err
+				}
+			}
+		}
+		if err := ix.putShapeEntry(t, id); err != nil {
+			return err
+		}
+		return ix.forest.Flush()
+	case terr == nil:
+		if err := ix.store.RestoreShape(id, got); err != nil {
+			return fmt.Errorf("prix: shape %d: %w", id, errors.Join(ErrUnrepairable, err))
+		}
+		return ix.store.Flush()
+	}
+	return fmt.Errorf("prix: shape %d: both copies damaged (%v): %w", id, terr, ErrUnrepairable)
+}
+
+// RepairShapes makes the two copies of every shape agree and reports the
+// shapes both copies lost. Documents of a lost shape are unrepairable.
+func (ix *Index) RepairShapes() (lost []uint32, err error) {
+	ix.repairMu.Lock()
+	defer ix.repairMu.Unlock()
+	for id := uint32(0); id < uint32(ix.store.NumShapes()); id++ {
+		if rerr := ix.repairShapeLocked(id); errors.Is(rerr, ErrUnrepairable) {
+			lost = append(lost, id)
+		} else if rerr != nil {
+			return lost, rerr
 		}
 	}
-	return ix.writeStructure(rec)
+	return lost, nil
 }
 
 // verification -----------------------------------------------------------------
@@ -192,6 +297,10 @@ func (ix *Index) VerifyDoc(docID uint32) error {
 }
 
 func (ix *Index) verifyDocLocked(docID uint32) error {
+	id, _ := ix.store.ShapeID(docID)
+	if err := ix.checkShape(id); err != nil {
+		return fmt.Errorf("prix: document %d: %w", docID, err)
+	}
 	rec, err := ix.store.GetAny(docID)
 	if err != nil {
 		return fmt.Errorf("prix: document %d: %w", docID, errors.Join(ErrRecordDamaged, err))
@@ -201,13 +310,6 @@ func (ix *Index) verifyDocLocked(docID uint32) error {
 	}
 	// The record passed its own Prüfer round-trip, so disagreement with the
 	// index side is classified as postings damage.
-	srec, err := ix.readStructure(docID)
-	if err != nil {
-		return fmt.Errorf("prix: document %d: %w", docID, errors.Join(ErrPostingsDamaged, err))
-	}
-	if err := structureMatches(rec, srec); err != nil {
-		return fmt.Errorf("prix: document %d: %w", docID, errors.Join(ErrPostingsDamaged, err))
-	}
 	if err := ix.checkPostings(rec); err != nil {
 		return fmt.Errorf("prix: document %d: %w", docID, errors.Join(ErrPostingsDamaged, err))
 	}
@@ -257,25 +359,6 @@ func checkRecord(dict *docstore.Dict, rec *docstore.Record) error {
 	for _, l := range rec.Leaves {
 		if !isLeaf[int(l.Post)] {
 			return fmt.Errorf("leaf entry %d is not a leaf of the reconstructed tree", l.Post)
-		}
-	}
-	return nil
-}
-
-// structureMatches cross-checks a record against its sidecar copy.
-func structureMatches(rec, srec *docstore.Record) error {
-	if srec.NumNodes != rec.NumNodes || len(srec.NPS) != len(rec.NPS) || len(srec.Leaves) != len(rec.Leaves) {
-		return fmt.Errorf("sidecar shape differs: %d/%d nodes, %d/%d NPS, %d/%d leaves",
-			srec.NumNodes, rec.NumNodes, len(srec.NPS), len(rec.NPS), len(srec.Leaves), len(rec.Leaves))
-	}
-	for i := range rec.NPS {
-		if srec.NPS[i] != rec.NPS[i] {
-			return fmt.Errorf("sidecar NPS differs at position %d", i)
-		}
-	}
-	for i := range rec.Leaves {
-		if srec.Leaves[i] != rec.Leaves[i] {
-			return fmt.Errorf("sidecar leaf %d differs", i)
 		}
 	}
 	return nil
@@ -363,6 +446,23 @@ func (ix *Index) repairDocLocked(docID uint32) (RepairAction, error) {
 		return RepairNone, nil
 	}
 	var action RepairAction
+	id, _ := ix.store.ShapeID(docID)
+	if ix.checkShape(id) != nil {
+		// One copy of the document's shape is damaged: the other rewrites it
+		// before the record or the postings are judged.
+		_, inStore := ix.store.EncodeShape(nil, id)
+		if err := ix.repairShapeLocked(id); err != nil {
+			return RepairNone, fmt.Errorf("prix: document %d: %w", docID, err)
+		}
+		action = RepairPostings
+		if !inStore {
+			action = RepairRecord
+		}
+		if verr = ix.verifyDocLocked(docID); verr == nil {
+			ix.store.Unquarantine(docID)
+			return action, nil
+		}
+	}
 	switch {
 	case errors.Is(verr, ErrRecordDamaged):
 		if err := ix.rewriteRecordLocked(docID); err != nil {
@@ -389,11 +489,6 @@ func (ix *Index) repairDocLocked(docID uint32) (RepairAction, error) {
 				ix.hotInvalidateDocid()
 			}
 		}
-		if srec, serr := ix.readStructure(docID); serr != nil || structureMatches(rec, srec) != nil {
-			if err := ix.rewriteSidecar(rec); err != nil {
-				return RepairPostings, err
-			}
-		}
 		if err := ix.forest.Flush(); err != nil {
 			return RepairPostings, err
 		}
@@ -408,15 +503,17 @@ func (ix *Index) repairDocLocked(docID uint32) (RepairAction, error) {
 	return action, nil
 }
 
-// rewriteRecordLocked rebuilds a damaged record from the index side: shape
-// and leaves from the sidecar, LPS from the trie path above the document's
-// terminal node (its strict ancestors, one per level, found by range
-// containment over the Trie-Symbol indexes).
+// rewriteRecordLocked rebuilds a damaged record from the index side: NPS
+// and leaves from the shape its directory entry names, LPS from the trie
+// path above the document's terminal node (its strict ancestors, one per
+// level, found by range containment over the Trie-Symbol indexes).
 func (ix *Index) rewriteRecordLocked(docID uint32) error {
-	srec, err := ix.readStructure(docID)
-	if err != nil {
-		return fmt.Errorf("prix: document %d: record and sidecar both damaged: %w", docID, errors.Join(ErrUnrepairable, err))
+	id, _ := ix.store.ShapeID(docID)
+	srec, ok := ix.store.ShapeRecord(id)
+	if !ok {
+		return fmt.Errorf("prix: document %d: shape %d lost: %w", docID, id, ErrUnrepairable)
 	}
+	srec.DocID = docID
 	if n := len(srec.NPS); n > 0 {
 		left, err := ix.terminalLeftOf(docID)
 		if err != nil {
@@ -436,7 +533,6 @@ func (ix *Index) rewriteRecordLocked(docID uint32) error {
 	if err := ix.store.Rewrite(srec); err != nil {
 		return err
 	}
-	ix.hotInvalidateDoc(docID)
 	// Commit point: the repointed directory entry and the new record bytes
 	// land atomically via the docstore journal.
 	return ix.store.Flush()
@@ -510,7 +606,7 @@ func (ix *Index) pathSymbolsTo(left uint64, n int) ([]vtrie.Symbol, error) {
 // forest rebuild ---------------------------------------------------------------
 
 // RepairForest rebuilds the whole forest — postings tree, Docid index
-// and structure sidecar — from the surviving document records, using exact
+// and shape tree — from the surviving document records, using exact
 // labeling. Documents whose records are damaged are quarantined and
 // reported; they need RestoreSnapshot. After the rebuild commits, orphaned
 // pages that still fail their checksum are zeroed so the file verifies
@@ -523,9 +619,17 @@ func (ix *Index) RepairForest() ([]uint32, error) {
 }
 
 func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) error) ([]uint32, error) {
-	// Every list and summary may describe pre-rebuild structures; start the
-	// tier over.
+	// Every list may describe pre-rebuild structures; start the tier over.
 	ix.hotInvalidateAll()
+	// The old shape tree is about to go: first restore from it whatever
+	// shapes the store lost, so the rebuild writes them back.
+	for _, id := range ix.store.MissingShapes() {
+		if data, err := ix.readShape(id); err == nil && ix.store.RestoreShape(id, data) == nil {
+			if err := ix.store.Flush(); err != nil {
+				return nil, err
+			}
+		}
+	}
 	var recs []*docstore.Record
 	var skipped []uint32
 	for id := 0; id < ix.store.NumDocs(); id++ {
@@ -536,9 +640,9 @@ func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) err
 			}
 		}
 		if err != nil {
-			// Both copies of this document are about to be gone (its record
-			// is damaged and the sidecar is reset below); quarantine it
-			// until a RestoreSnapshot brings it back.
+			// The forest is about to be rebuilt without this document (its
+			// record is damaged); quarantine it until a RestoreSnapshot
+			// brings it back.
 			ix.store.Quarantine(uint32(id))
 			skipped = append(skipped, uint32(id))
 			continue
@@ -552,10 +656,9 @@ func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) err
 	if err := writeTrie(recs); err != nil {
 		return nil, fmt.Errorf("prix: forest rebuild failed (close without flushing; the journal restores the last committed image): %w", err)
 	}
-	for _, rec := range recs {
-		if err := ix.writeStructure(rec); err != nil {
-			return nil, err
-		}
+	ix.shapesInTree = 0
+	if err := ix.writeShapes(); err != nil {
+		return nil, err
 	}
 	// Version history references the old forest's terminals and labels,
 	// both gone: fold it down to the rebuilt world (tombstones re-marked at

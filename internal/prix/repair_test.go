@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/btree"
+	"repro/internal/docstore"
 	"repro/internal/pager"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
@@ -97,8 +98,8 @@ func TestVerifyDocCleanIndex(t *testing.T) {
 }
 
 // Record-side repair: a flipped bit in a record page is classified as
-// ErrRecordDamaged and RepairDoc rewrites the record from the structure
-// sidecar plus the trie path, byte-for-byte reconstructible.
+// ErrRecordDamaged and RepairDoc rewrites the record from the shape its
+// directory entry names plus the trie path, byte-for-byte reconstructible.
 func TestRepairRecordFromSidecar(t *testing.T) {
 	docs := degradedDocs()
 	ix, err := Build(docs, Options{})
@@ -180,27 +181,61 @@ func TestRepairMissingDocidEntry(t *testing.T) {
 	verifyAllDocs(t, ix)
 }
 
-// Postings-side repair: deleted sidecar chunks are rewritten from the
-// healthy record.
+// dropShapeEntries deletes the shape-tree copy of the shapes of docs.
+func dropShapeEntries(t *testing.T, ix *Index, docs ...uint32) {
+	t.Helper()
+	sc := ix.forest.Lookup(shapeTreeName)
+	if sc == nil {
+		t.Fatal("no shape tree")
+	}
+	for _, d := range docs {
+		id, _ := ix.store.ShapeID(d)
+		key := shapeKey(id, 0)
+		vals, err := sc.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vals {
+			if _, err := sc.Delete(key, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// loseStoreShapes damages the store's copy of the shape dictionary: it
+// corrupts the head page of the shapes section and reopens the store over the
+// same pool, which loads every shape touching that page as missing.
+func loseStoreShapes(t *testing.T, ix *Index) {
+	t.Helper()
+	if err := ix.store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var head pager.PageID
+	for _, sec := range ix.store.MetaSections() {
+		if sec.Name == "shapes" {
+			head = sec.Head
+		}
+	}
+	corruptPage(t, ix, ix.store.BufferPool().File(), head)
+	st, err := docstore.Open(ix.store.BufferPool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.MissingShapes()) == 0 {
+		t.Fatal("no shape lost from the store's copy")
+	}
+	ix.store = st
+}
+
+// Postings-side repair: a deleted shape-tree entry is rewritten from the
+// store's copy of the shape.
 func TestRepairDamagedSidecar(t *testing.T) {
 	ix, err := Build(degradedDocs(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := ix.forest.Lookup(structTreeName)
-	if sc == nil {
-		t.Fatal("no sidecar tree")
-	}
-	key := structKey(2, 0)
-	vals, err := sc.Get(key)
-	if err != nil || len(vals) == 0 {
-		t.Fatalf("sidecar chunk missing before test: %v %v", vals, err)
-	}
-	for _, v := range vals {
-		if _, err := sc.Delete(key, v); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dropShapeEntries(t, ix, 2)
 	err = ix.VerifyDoc(2)
 	if !errors.Is(err, ErrPostingsDamaged) {
 		t.Fatalf("VerifyDoc = %v, want ErrPostingsDamaged", err)
@@ -212,9 +247,9 @@ func TestRepairDamagedSidecar(t *testing.T) {
 	verifyAllDocs(t, ix)
 }
 
-// When both the record and its sidecar are gone the document is beyond
-// online repair: RepairDoc must say so with ErrUnrepairable, and a forest
-// rebuild must quarantine (not silently drop) the document.
+// When both the record and both copies of its shape are gone the document
+// is beyond online repair: RepairDoc must say so with ErrUnrepairable, and a
+// forest rebuild must quarantine (not silently drop) the document.
 func TestRepairUnrepairableBothSides(t *testing.T) {
 	ix, err := Build(degradedDocs(), Options{})
 	if err != nil {
@@ -222,20 +257,9 @@ func TestRepairUnrepairableBothSides(t *testing.T) {
 	}
 	pages := recordPages(ix)
 	affected := ix.Store().DocsOnPage(pages[0])
-	// Kill the sidecar of every affected doc, then the record page.
-	sc := ix.forest.Lookup(structTreeName)
-	for _, d := range affected {
-		key := structKey(d, 0)
-		vals, err := sc.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range vals {
-			if _, err := sc.Delete(key, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	// Kill both copies of every affected doc's shape, then the record page.
+	dropShapeEntries(t, ix, affected...)
+	loseStoreShapes(t, ix)
 	corruptPage(t, ix, ix.Store().BufferPool().File(), pages[0])
 
 	d := affected[0]
@@ -412,22 +436,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// Damage both redundant copies of the docs on one record page.
 	pages := recordPages(ix)
 	affected := ix.Store().DocsOnPage(pages[0])
-	sc := ix.forest.Lookup(structTreeName)
-	for _, d := range affected {
-		key := structKey(d, 0)
-		vals, err := sc.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range vals {
-			if _, err := sc.Delete(key, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	dropShapeEntries(t, ix, affected...)
 	if err := ix.forest.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	loseStoreShapes(t, ix)
 	corruptPage(t, ix, ix.Store().BufferPool().File(), pages[0])
 	if _, err := ix.RepairDoc(affected[0]); !errors.Is(err, ErrUnrepairable) {
 		t.Fatalf("RepairDoc = %v, want ErrUnrepairable", err)

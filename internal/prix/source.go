@@ -37,6 +37,10 @@ type SourceStats struct {
 	// DictBytes is the heap the symbol dictionaries hold (docstore.Dict.Bytes),
 	// summed over every replica of a sharded source.
 	DictBytes int
+	// Shapes is the distinct document shapes the shape dictionaries hold and
+	// ShapeBytes their heap (docstore.Store.ShapeBytes), both summed over
+	// every replica of a sharded source.
+	Shapes, ShapeBytes int
 	// Epoch identifies a sharded layout's document placement.
 	Epoch uint64
 	// Shards has one row per shard of a scatter-gather source.
@@ -87,7 +91,9 @@ func (ix *Index) Stats() SourceStats {
 		Versions:    ix.VersionStats(),
 		PoolResidentPages: ix.forest.BufferPool().Stats().Resident +
 			ix.store.BufferPool().Stats().Resident,
-		DictBytes: ix.store.Dict().Bytes(),
+		DictBytes:  ix.store.Dict().Bytes(),
+		Shapes:     ix.store.NumShapes(),
+		ShapeBytes: ix.store.ShapeBytes(),
 	}
 }
 

@@ -288,7 +288,7 @@ func (ix *Index) internDocSeq(id uint32, ds *DocSeq) (*docstore.Record, []vtrie.
 }
 
 // addSeq stages one pre-transformed document: intern, account stats, store
-// the record and sidecar, and add the sequence to the trie. addDocument and
+// the record (interning its shape), and add the sequence to the trie. addDocument and
 // the streaming-ingest replay both funnel through here.
 func (ix *Index) addSeq(builder *vtrie.Builder, id uint32, ds *DocSeq, bs *buildStats) error {
 	rec, syms := ix.internDocSeq(id, ds)
@@ -301,18 +301,21 @@ func (ix *Index) addSeq(builder *vtrie.Builder, id uint32, ds *DocSeq, bs *build
 	if len(syms) == 0 {
 		// A single-node document has no sequence; it is still stored so
 		// single-tag fallbacks can see it, but cannot join the trie.
-		if err := ix.store.Put(rec); err != nil {
-			return err
-		}
-		return ix.writeStructure(rec)
+		return ix.putRecord(rec)
 	}
 	if err := builder.Add(syms, id); err != nil {
 		return err
 	}
+	return ix.putRecord(rec)
+}
+
+// putRecord appends a new document's record and copies a shape it interned
+// into the shape tree.
+func (ix *Index) putRecord(rec *docstore.Record) error {
 	if err := ix.store.Put(rec); err != nil {
 		return err
 	}
-	return ix.writeStructure(rec)
+	return ix.writeShapes()
 }
 
 // AddSeq stages one pre-transformed document, the replay half of streaming

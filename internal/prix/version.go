@@ -14,8 +14,8 @@ package prix
 //
 //	(A) store side: interval change + rewritten record (updates) + the
 //	    pending-op descriptor, one docstore flush;
-//	(B) forest side: tombstone / new postings / new docid entry / sidecar,
-//	    one forest flush;
+//	(B) forest side: tombstone / new postings / new docid entry / a new
+//	    shape's shape-tree entry, one forest flush;
 //	(C) store side again: clear the pending op.
 //
 // A crash before (A) recovers the pre-mutation image; after (A) the pending
@@ -400,11 +400,7 @@ func (ix *Index) recoverPending() error {
 				}
 			}
 		}
-		rec, err := ix.store.GetAny(p.DocID)
-		if err != nil {
-			return fmt.Errorf("prix: recover pending update of document %d: %w", p.DocID, err)
-		}
-		if err := ix.rewriteSidecar(rec); err != nil {
+		if err := ix.writeShapes(); err != nil {
 			return err
 		}
 	default:
@@ -664,10 +660,9 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 		}
 		di.ix.hotInvalidateDocid()
 	}
-	if err := di.ix.rewriteSidecar(newRec); err != nil {
+	if err := di.ix.writeShapes(); err != nil {
 		return nil, err
 	}
-	di.ix.hotInvalidateDoc(docID)
 	if err := di.ix.forest.Flush(); err != nil { // commit B
 		return nil, err
 	}

@@ -11,16 +11,18 @@
 //     so cached clean copies cannot mask on-disk rot; the documents whose
 //     records touch a bad page are quarantined immediately.
 //  2. raw page scan of the forest file (Trie-Symbol trees, Docid index,
-//     structure sidecar).
+//     shape tree).
 //  3. B+-tree invariant check over every tree in the forest.
 //  4. per-document deep verification: decode the record, reconstruct the
 //     tree from its NPS (the §3.1 one-to-one correspondence), re-derive the
-//     sequence and cross-check it against the trie postings, the Docid
-//     entry and the structure sidecar.
+//     sequence and cross-check it against the trie postings and the Docid
+//     entry; the shape dictionary's two copies (docs.db section, forest
+//     shape tree) are held against each other, shape for shape.
 //
 // With repair enabled the pass then heals what it can: corrupt pages are
-// re-sealed from still-cached verified frames, damaged records are
-// rewritten from the index side, missing postings are patched from the
+// re-sealed from still-cached verified frames, a shape damaged in one copy
+// is rewritten from the other, damaged records are rewritten from the index
+// side, missing postings are patched from the
 // record side, shared-trie damage triggers a full forest rebuild, and
 // orphaned pages are zeroed — each step committing through the rollback
 // journal and re-verified before the document leaves quarantine.
@@ -390,6 +392,10 @@ func (s *Scrubber) verifyDocs(ctx context.Context, rep *Report) error {
 			s.ix.Store().Quarantine(uint32(id))
 		}
 	}
+	// Shapes only superseded images use are no document's current shape.
+	for _, err := range s.ix.CheckShapes() {
+		rep.Findings = append(rep.Findings, Finding{Kind: "shape", Page: -1, Doc: -1, Err: err.Error()})
+	}
 	return nil
 }
 
@@ -412,6 +418,13 @@ func (s *Scrubber) repairAll(ctx context.Context, rep *Report) error {
 		s.pagesRepaired.Add(uint64(n))
 	}
 
+	// A shape damaged in one copy is rewritten from the other before the
+	// documents that use it are judged; one lost in both stays lost, and its
+	// documents' repairs report it. A shape tree that does not read is the
+	// forest rebuild's to rewrite.
+	if _, err := s.ix.RepairShapes(); err != nil && !prix.IsCorruption(err) {
+		return err
+	}
 	needRebuild := s.repairDocs(ctx, rep)
 
 	// A forest page that still fails its checksum after the light sweep has

@@ -643,6 +643,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"# TYPE prix_pool_resident_pages gauge\nprix_pool_resident_pages %d\n", st.PoolResidentPages)
 	fmt.Fprintf(w, "# HELP prix_dict_bytes Heap bytes the symbol dictionaries hold.\n"+
 		"# TYPE prix_dict_bytes gauge\nprix_dict_bytes %d\n", st.DictBytes)
+	fmt.Fprintf(w, "# HELP prix_shapes Distinct document shapes the shape dictionaries hold.\n"+
+		"# TYPE prix_shapes gauge\nprix_shapes %d\n", st.Shapes)
+	fmt.Fprintf(w, "# HELP prix_shape_bytes Heap bytes the shape dictionaries hold.\n"+
+		"# TYPE prix_shape_bytes gauge\nprix_shape_bytes %d\n", st.ShapeBytes)
 	if len(st.Shards) > 0 {
 		fmt.Fprintf(w, "# HELP prix_degraded_shards Shards currently serving partial results.\n"+
 			"# TYPE prix_degraded_shards gauge\nprix_degraded_shards %d\n", len(st.DegradedShards()))
@@ -733,6 +737,10 @@ type StatsSnapshot struct {
 	// DictBytes is the heap the source's symbol dictionaries hold, summed
 	// over every shard replica.
 	DictBytes int `json:"dict_bytes"`
+	// Shapes is the distinct document shapes the source's shape dictionaries
+	// hold and ShapeBytes their heap, summed over every shard replica.
+	Shapes     int `json:"shapes"`
+	ShapeBytes int `json:"shape_bytes"`
 	// Sharded backends only: topology and the per-shard serving counters.
 	// The top-level fields (docs, pages_read, quarantined_docs, ...) already
 	// aggregate across every shard and replica; this is the breakdown.
@@ -780,6 +788,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 	}
 	snap.PoolResidentPages = st.PoolResidentPages
 	snap.DictBytes = st.DictBytes
+	snap.Shapes, snap.ShapeBytes = st.Shapes, st.ShapeBytes
 	if len(st.Shards) > 0 {
 		snap.NumShards = len(st.Shards)
 		snap.Epoch = st.Epoch

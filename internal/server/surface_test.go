@@ -23,6 +23,7 @@ var statsBase = []string{
 	"pages_read", "corruptions", "transient_retries", "degraded_served",
 	"quarantined_docs", "in_flight", "latency_mean_us", "latency_p50_us",
 	"latency_p95_us", "latency_p99_us", "pool_resident_pages", "dict_bytes",
+	"shapes", "shape_bytes",
 }
 
 // metricsBase is every /metrics name the service renders for any source
@@ -38,6 +39,7 @@ var metricsBase = []string{
 	"prix_stage_latency_seconds_bucket", "prix_stage_latency_seconds_sum",
 	"prix_stage_latency_seconds_count",
 	"prix_quarantined_docs", "prix_pool_resident_pages", "prix_dict_bytes",
+	"prix_shapes", "prix_shape_bytes",
 	"go_heap_live_bytes", "go_heap_goal_bytes", "go_gc_cycles_total", "go_gc_cpu_seconds_total",
 	"go_gc_heap_objects", "go_gc_scan_heap_bytes",
 	"go_gc_heap_allocs_objects_total", "go_gc_heap_allocs_bytes_total",
@@ -194,6 +196,7 @@ func TestSurfaceParity(t *testing.T) {
 		metrics    []string
 		shards     int
 		dictBytes  int
+		shapes     int
 		versions   map[string]any
 		hot        bool
 		degraded   string
@@ -206,6 +209,7 @@ func TestSurfaceParity(t *testing.T) {
 			stats:      statsBase,
 			metrics:    metricsBase,
 			dictBytes:  ix.Store().Dict().Bytes(),
+			shapes:     ix.Store().NumShapes(),
 			degraded:   "true",
 		},
 		{
@@ -217,6 +221,7 @@ func TestSurfaceParity(t *testing.T) {
 			metrics:    join(metricsBase, []string{"prix_versions_total", "prix_tombstones_total"}),
 			versions:   map[string]any{"Enabled": true, "Current": 1.0, "Tombstones": 0.0, "Versioned": 1.0, "MutOps": 1.0},
 			dictBytes:  di.Index().Store().Dict().Bytes(),
+			shapes:     di.Index().Store().NumShapes(),
 			degraded:   "true",
 		},
 		{
@@ -231,6 +236,7 @@ func TestSurfaceParity(t *testing.T) {
 			stats:      join(statsBase, []string{"compaction", "hot"}),
 			metrics:    join(metricsBase, metricsHot, metricsCompaction),
 			dictBytes:  root.Index().Index().Store().Dict().Bytes(),
+			shapes:     root.Index().Index().Store().NumShapes(),
 			hot:        true,
 			degraded:   "true",
 		},
@@ -252,6 +258,13 @@ func TestSurfaceParity(t *testing.T) {
 				n := 0
 				for _, r := range co.Indexes() {
 					n += r.Store().Dict().Bytes()
+				}
+				return n
+			}(),
+			shapes: func() int {
+				n := 0
+				for _, r := range co.Indexes() {
+					n += r.Store().NumShapes()
 				}
 				return n
 			}(),
@@ -282,6 +295,10 @@ func TestSurfaceParity(t *testing.T) {
 			}
 			if st["dict_bytes"] != float64(tc.dictBytes) || tc.dictBytes <= 0 {
 				t.Errorf("/stats dict_bytes = %v, want the source's %d", st["dict_bytes"], tc.dictBytes)
+			}
+			if src := tc.srv.exec.Source().Stats(); st["shapes"] != float64(tc.shapes) || st["shape_bytes"] != float64(src.ShapeBytes) || src.ShapeBytes <= 0 {
+				t.Errorf("/stats shapes = %v, shape_bytes = %v; want %d and the source's %d",
+					st["shapes"], st["shape_bytes"], tc.shapes, src.ShapeBytes)
 			}
 			if got, want := metricNames(t, ts.URL+"/metrics"), sortedSet(tc.metrics); !reflect.DeepEqual(got, want) {
 				t.Errorf("/metrics names = %v, want %v", got, want)

@@ -129,6 +129,8 @@ func (c *Coordinator) Stats() prix.SourceStats {
 			bs := b.Stats()
 			st.PoolResidentPages += bs.PoolResidentPages
 			st.DictBytes += bs.DictBytes
+			st.Shapes += bs.Shapes
+			st.ShapeBytes += bs.ShapeBytes
 		}
 	}
 	slices.Sort(st.Quarantined)
@@ -314,6 +316,10 @@ func (c *Coordinator) ReconstructDocument(global uint32) (*xmltree.Document, err
 		if err == nil {
 			doc.ID = int(global)
 			return doc, nil
+		}
+		if errors.Is(err, prix.ErrDocDeleted) {
+			// Every replica holds the same history: no failover.
+			return nil, fmt.Errorf("%s: %w", Name(s), err)
 		}
 		lastErr = err
 	}
