@@ -84,9 +84,10 @@ sched:
 # compaction — plus the resident cost of a labeler
 # trie node (TestLabelerBytesPerNode: live bytes and objects, not mallocs), of
 # a buffer-pool page and an empty pool (TestPoolBytesPerPage), of a
-# dictionary name (TestDictBytesPerName), of a shape-dictionary shape and a
-# directory entry (TestShapeBytesPerShape: MIX's 787 shapes in a few objects,
-# accounted bytes equal to heap bytes) and of a hot-tier structure
+# dictionary name (TestDictBytesPerName), of a shape-dictionary shape, a
+# directory entry and a resident LPS entry (TestShapeBytesPerShape: MIX's 787
+# shapes in a few objects, accounted bytes equal to heap bytes, ≤ 1.8 B per
+# LPS entry) and of a hot-tier structure
 # (TestTierBytesPerStructure: a MIX-shaped tier in at most 16 objects), and
 # the dictionary's allocation-free hits (TestDictLookupAllocs) and the shape
 # dictionary's (TestShapeInternAllocs: a Put of a known shape allocates 0).

@@ -96,22 +96,11 @@ func (s *Store) decodeRecord(rec *Record, data []byte, wantShape uint32) error {
 }
 
 func (s *Store) decodeFields(rec *Record, data []byte, wantShape uint32) error {
-	v, data, err := uvarint(data)
+	docID, id, lps, err := splitRecord(data, wantShape)
 	if err != nil {
-		return fmt.Errorf("docID: %w", err)
+		return err
 	}
-	rec.DocID = uint32(v)
-	id, data, err := uvarint(data)
-	if err != nil {
-		return fmt.Errorf("shape: %w", err)
-	}
-	if wantShape != anyShape && id != uint64(wantShape) {
-		return fmt.Errorf("shape %d, directory says %d", id, wantShape)
-	}
-	n, data, err := uvarint(data)
-	if err != nil {
-		return fmt.Errorf("LPS length: %w", err)
-	}
+	rec.DocID = docID
 	var (
 		sh Shape
 		h  shapeHdr
@@ -125,24 +114,9 @@ func (s *Store) decodeFields(rec *Record, data []byte, wantShape uint32) error {
 	if !ok {
 		return fmt.Errorf("shape %d missing", id)
 	}
-	// The LPS is as long as the shape's NPS, and each entry is a varint of at
-	// least one byte: a length that disagrees or exceeds the remaining bytes
-	// is corrupt — reject it before allocating.
-	if n != uint64(max(h.n-1, 0)) || n > uint64(len(data)) {
-		return fmt.Errorf("LPS of %d entries for a %d-node shape in %d bytes", n, h.n, len(data))
-	}
 	sh.fill(rec, int(h.leaves))
-	rec.LPS = resize(rec.LPS, n)
-	for i := range rec.LPS {
-		if v, data, err = uvarint(data); err != nil {
-			return fmt.Errorf("LPS[%d]: %w", i, err)
-		}
-		rec.LPS[i] = vtrie.Symbol(v)
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("%d bytes after the LPS", len(data))
-	}
-	return nil
+	rec.LPS, err = decodeLPS(rec.LPS, lps, h.n)
+	return err
 }
 
 var errVarintOverflow = errors.New("varint overflows 64 bits")
@@ -189,13 +163,15 @@ func (r *Record) LabelOf(post int32) (vtrie.Symbol, bool) {
 	return 0, false
 }
 
-// dirEntry locates a record in the heap and names its shape, so refinement
-// reaches a document's skeleton without reading its record.
+// dirEntry locates a record in the heap, names its shape and locates its
+// resident LPS, so refinement reaches a document's image without reading its
+// record.
 type dirEntry struct {
 	page   pager.PageID
 	offset uint16
 	length uint32
 	shape  uint32
+	lps    uint32 // offset in Store.lps; noLPS when not resident (lps.go)
 }
 
 // Loc is the exported form of a heap location. The versioning layer keeps
@@ -219,6 +195,10 @@ type Store struct {
 	dict   *Dict
 	dir    []dirEntry
 	shapes shapeDict
+	// lps is the resident LPS of every current image (lps.go); lpsDead is
+	// the bytes of it no directory entry points at.
+	lps     []byte
+	lpsDead int
 	// enc is the encoding of the record being appended.
 	enc []byte
 	// Catalogs holds named per-symbol integer catalogs; PRIX stores
@@ -356,6 +336,10 @@ func (s *Store) appendRecordLocked(rec *Record) (dirEntry, error) {
 	}
 	s.enc = rec.encode(s.enc[:0], shape)
 	data := s.enc
+	_, _, lps, err := splitRecord(data, shape)
+	if err != nil {
+		return dirEntry{}, err
+	}
 	// If the open append page is unreadable (corrupt on disk with no cached
 	// copy — the very page a repair may be rewriting a record away from),
 	// abandon it: records must occupy contiguous pages, so the record starts
@@ -396,6 +380,9 @@ func (s *Store) appendRecordLocked(rec *Record) (dirEntry, error) {
 		p.Unpin(true)
 		s.curOff += n
 		data = data[n:]
+	}
+	if entry.lps, err = s.appendLPSLocked(lps); err != nil {
+		return dirEntry{}, err
 	}
 	return entry, nil
 }

@@ -110,7 +110,9 @@ type metaState struct {
 
 // setEntryLocked re-points a document's directory entry.
 func (s *Store) setEntryLocked(docID uint32, e dirEntry) {
+	old := s.dir[docID]
 	s.dir[docID] = e
+	s.dropLPSLocked(old)
 	m := &s.meta
 	if int(docID) < m.dirFlushed {
 		b := sort.SearchInts(m.blockStart, int(docID)+1) - 1
@@ -917,6 +919,7 @@ func Open(bp *pager.BufferPool) (*Store, error) {
 	if err := s.loadSmall(); err != nil {
 		return nil, err
 	}
+	s.loadLPS()
 	return s, nil
 }
 

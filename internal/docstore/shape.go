@@ -5,15 +5,15 @@ package docstore
 // shapes: the benchmark's 6,000-document MIX EPIndex has 787. The store keeps
 // each distinct skeleton — node count, NPS, leaf posts and their labels —
 // once, resident, and a record is the document's id, its shape id and its
-// LPS. Refinement navigates a shape in place (Store.ShapeOf), so it reads no
-// record page for a latest image.
+// LPS. Refinement navigates a shape in place, with the document's resident
+// LPS (Store.ViewOf, lps.go), so it reads no record page for a latest image.
 //
 // A resident shape is one packed field per node, (leaf label + 1) << pw |
 // parent, LSB-first over a run of uint64 words: Nodes, ParentOf and
 // LeafLabel each read one field with two shifts and a mask. Internal nodes
-// carry label 0; their labels are the document's LPS, which stays in its
-// record. Shapes are append-only: a word below len(words) is never rewritten,
-// so a Shape view stays valid for as long as its holder keeps it.
+// carry label 0; their labels are in the document's LPS. Shapes are
+// append-only: a word below len(words) is never rewritten, so a Shape view
+// stays valid for as long as its holder keeps it.
 
 import (
 	"encoding/binary"
@@ -240,11 +240,14 @@ func (d *shapeDict) intern(rec *Record) (uint32, error) {
 	id := uint32(len(d.hdrs))
 	d.hdrs = append(d.hdrs, shapeHdr{n: missingShape})
 	d.missing++
-	d.place(id, h)
+	d.place(id, h, true)
 	return id, nil
 }
 
-// restore gives missing shape id the skeleton of rec.
+// restore gives missing shape id the skeleton of rec. The skeleton may
+// repeat a present shape — a writer interned it anew while id was lost — and
+// then both ids name it: the index keeps one of them for interning, and id
+// serves the documents whose directory entries name it.
 func (d *shapeDict) restore(id uint32, rec *Record) error {
 	if int(id) >= len(d.hdrs) || d.hdrs[id].n != missingShape {
 		return fmt.Errorf("docstore: shape %d is not missing", id)
@@ -253,20 +256,21 @@ func (d *shapeDict) restore(id uint32, rec *Record) error {
 	if err != nil {
 		return err
 	}
-	if _, other, ok := d.find(h, d.pack); ok {
-		return fmt.Errorf("docstore: restored shape %d repeats shape %d", id, other)
-	}
-	d.place(id, h)
+	_, _, repeat := d.find(h, d.pack)
+	d.place(id, h, !repeat)
 	return nil
 }
 
-// place makes missing shape id the packed shape (h, d.pack).
-func (d *shapeDict) place(id uint32, h shapeHdr) {
+// place makes missing shape id the packed shape (h, d.pack), entering it
+// into the index when index is set.
+func (d *shapeDict) place(id uint32, h shapeHdr, index bool) {
 	h.off = uint32(len(d.words))
 	d.words = append(d.words, d.pack...)
 	d.hdrs[id] = h
 	d.missing--
-	d.indexShape(id)
+	if index {
+		d.indexShape(id)
+	}
 }
 
 // view returns shape id, false when there is no such shape or it is missing.
@@ -365,28 +369,6 @@ func decodeShape(data []byte, rec *Record) ([]byte, error) {
 }
 
 // Store surface ------------------------------------------------------------------
-
-// ShapeOf fills dst with the resident shape of docID's current image without
-// reading a page. A quarantined document wraps ErrQuarantined; one whose
-// shape is missing (both dictionary copies damaged, or one not yet restored)
-// wraps ErrBadRecord.
-func (s *Store) ShapeOf(docID uint32, dst *Shape) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(docID) >= len(s.dir) {
-		return fmt.Errorf("docstore: no record for document %d", docID)
-	}
-	if s.quarantined[docID] {
-		return fmt.Errorf("docstore: document %d: %w", docID, ErrQuarantined)
-	}
-	id := s.dir[docID].shape
-	sh, _, ok := s.shapes.view(id)
-	if !ok {
-		return fmt.Errorf("docstore: document %d: shape %d missing: %w", docID, id, ErrBadRecord)
-	}
-	*dst = sh
-	return nil
-}
 
 // ShapeID returns the shape id the directory holds for docID.
 func (s *Store) ShapeID(docID uint32) (uint32, bool) {

@@ -67,7 +67,7 @@ func TestShapeInternAllocs(t *testing.T) {
 		}
 	}
 	shapes := s.NumShapes()
-	var sh Shape
+	var v View
 	run := func() {
 		s.mu.Lock()
 		for _, r := range recs {
@@ -76,15 +76,17 @@ func TestShapeInternAllocs(t *testing.T) {
 			}
 		}
 		s.mu.Unlock()
-		if err := s.ShapeOf(1, &sh); err != nil {
+		if err := s.ViewOf(1, &v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := testing.AllocsPerRun(100, run); got != 0 {
 		t.Errorf("interning known shapes and reading one allocates %.0f objects per run, want 0", got)
 	}
-	// A Put of a known shape grows nothing but the directory and the heap.
+	// A Put of a known shape grows nothing but the directory, the resident
+	// LPS and the heap.
 	s.dir = slices.Grow(s.dir, 64)
+	s.lps = slices.Grow(s.lps, 64*len(recs[1].LPS)+64)
 	next := *recs[1]
 	put := func() {
 		next.DocID = uint32(s.NumDocs())
@@ -104,7 +106,9 @@ func TestShapeInternAllocs(t *testing.T) {
 // The shape dictionary costs what it holds: on MIX's 6,000 EPIndex documents
 // it interns 787 shapes in a handful of objects, its accounted bytes
 // (ShapeBytes) match the heap it takes, and a directory entry — which now
-// names its document's shape — stays 16 bytes.
+// names its document's shape and locates its resident LPS — stays 20 bytes.
+// The resident LPS costs its record encoding, a count and one uvarint per
+// entry: under 1.8 bytes an entry.
 func TestShapeBytesPerShape(t *testing.T) {
 	s := newStore(t)
 	recs := mixRecords(t, s)
@@ -145,8 +149,20 @@ func TestShapeBytesPerShape(t *testing.T) {
 	if heap < int64(d.bytes())*9/10 || heap > int64(d.bytes())*11/10 {
 		t.Errorf("ShapeBytes says %d, measured heap %d: more than 10 %% apart", d.bytes(), heap)
 	}
-	if sz := unsafe.Sizeof(dirEntry{}); sz > 16 {
-		t.Errorf("a directory entry is %d bytes, want <= 16", sz)
+	if sz := unsafe.Sizeof(dirEntry{}); sz > 20 {
+		t.Errorf("a directory entry is %d bytes, want <= 20", sz)
+	}
+	var entries int
+	for _, r := range recs {
+		if err := s.Put(r); err != nil {
+			t.Fatal(err)
+		}
+		entries += len(r.LPS)
+	}
+	per := float64(len(s.lps)) / float64(entries)
+	t.Logf("resident LPS: %d B for %d entries (%.2f B per entry)", len(s.lps), entries, per)
+	if per > 1.8 {
+		t.Errorf("the resident LPS costs %.2f B per entry, want <= 1.8", per)
 	}
 }
 
@@ -190,7 +206,7 @@ func shapeFuzzStore(tb testing.TB) (*pager.MemFile, *Store) {
 // resync headers, node and leaf counts, NPS entries — or of a record page —
 // shape ids and LPS lengths — re-seals the page so its checksum passes, and
 // opens the result. Open must refuse the store or load it, and every Get and
-// ShapeOf must refuse its document or return a self-consistent one: never a
+// ViewOf must refuse its document or return a self-consistent one: never a
 // panic, never an allocation sized by a length nothing checked.
 func FuzzDecodeShape(f *testing.F) {
 	mem, s := shapeFuzzStore(f)
@@ -231,8 +247,8 @@ func FuzzDecodeShape(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		re, err := Open(pager.NewBufferPool(memFromImage(t, mutated), 64))
 		if err == nil {
-			var got Record
-			var sh Shape
+			var got, filled Record
+			var v View
 			for d := uint32(0); d < uint32(re.NumDocs()); d++ {
 				if re.GetInto(&got, d) == nil {
 					if got.NumNodes < 1 || len(got.NPS) != int(got.NumNodes-1) || len(got.LPS) != len(got.NPS) ||
@@ -240,10 +256,13 @@ func FuzzDecodeShape(f *testing.F) {
 						t.Fatalf("document %d decodes inconsistent: %d nodes, %d NPS, %d LPS", d, got.NumNodes, len(got.NPS), len(got.LPS))
 					}
 				}
-				if re.ShapeOf(d, &sh) == nil {
-					for post := int32(0); post <= sh.Nodes()+1; post++ {
-						sh.ParentOf(post)
-						sh.LeafLabel(post)
+				if re.ViewOf(d, &v) == nil {
+					for post := int32(0); post <= v.Nodes()+1; post++ {
+						v.ParentOf(post)
+						v.LabelOf(post)
+					}
+					if v.Fill(&filled) == nil && len(filled.LPS) != len(filled.NPS) {
+						t.Fatalf("document %d views inconsistent: %d NPS, %d LPS", d, len(filled.NPS), len(filled.LPS))
 					}
 				}
 			}

@@ -126,7 +126,8 @@ func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 type insertRedo struct {
 	ix *Index
 	// known marks the documents that have a docid-tree entry (live or
-	// tombstone).
+	// tombstone); nil when the docid tree did not read, and the redo is
+	// left to the scrubber's forest rebuild.
 	known []bool
 	torn  []tornInsert
 }
@@ -137,11 +138,14 @@ type tornInsert struct {
 	terminal uint64
 }
 
-// newInsertRedo marks, in one pass over the docid tree, the documents the
-// forest knows.
+// newInsertRedo marks, in one pass over the docid tree read around the
+// forest's pool, the documents the forest knows. A docid tree that does not
+// scan — damage, not a transient fault — does not fail the open: the redo is
+// skipped, as the replay skips an unreadable record, and RepairForest
+// rebuilds the tree from the records.
 func (di *DynamicIndex) newInsertRedo(n int) (*insertRedo, error) {
 	r := &insertRedo{ix: di.ix, known: make([]bool, n)}
-	err := di.ix.docid.Scan(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(_, v []byte) bool {
+	err := di.ix.docid.ScanNoFill(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(_, v []byte) bool {
 		if len(v) >= 4 {
 			if d := decodeDocID(v[:4]); int(d) < n {
 				r.known[d] = true
@@ -149,12 +153,15 @@ func (di *DynamicIndex) newInsertRedo(n int) (*insertRedo, error) {
 		}
 		return true
 	})
+	if err != nil && !IsTransient(err) {
+		r.known, err = nil, nil
+	}
 	return r, err
 }
 
 // note records a replayed report of a document the forest does not know.
 func (r *insertRedo) note(docID uint32, created []vtrie.Posting, terminal vtrie.Posting) {
-	if !r.known[docID] {
+	if r.known != nil && !r.known[docID] {
 		r.torn = append(r.torn, tornInsert{docID, created, terminal.Left})
 	}
 }
@@ -163,6 +170,9 @@ func (r *insertRedo) note(docID uint32, created []vtrie.Posting, terminal vtrie.
 // not already there, the docid entries and any shape the shape tree lacks —
 // and commits it.
 func (r *insertRedo) finish() error {
+	if r.known == nil {
+		return nil
+	}
 	ix := r.ix
 	for _, t := range r.torn {
 		for _, p := range t.created {

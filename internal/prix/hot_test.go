@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/docstore"
 	"repro/internal/hot"
 	"repro/internal/mvcc"
 	"repro/internal/twig"
@@ -44,10 +45,8 @@ func hotComparable(s *QueryStats) QueryStats {
 // uncompressed twin, for every differential query shape, ordered and
 // unordered, serial and parallel, on both index kinds. It also proves the
 // tier actually served: a fully resident corpus must answer the exact-shape
-// suite without a physical forest read, and the EPIndex's multi-node shapes
-// without a physical read at all (their refinement reads resident shapes;
-// the single-node scan and a regular-Prüfer leaf landing on an internal node
-// read records).
+// suite with zero physical page reads (refinement and the single-node scan
+// read the store's resident shapes and LPS, no record).
 func TestHotDifferential(t *testing.T) {
 	docs := parallelCorpus()
 	for _, extended := range []bool{false, true} {
@@ -90,29 +89,30 @@ func TestHotDifferential(t *testing.T) {
 						t.Errorf("ext=%v %s unordered=%v par=%d: hot stats = %+v, cold %+v",
 							extended, sh.src, unordered, par, got, want)
 					}
-					// Multi-node shapes descend the trie (posting hits).
-					if par == 1 && (sh.exact || extended) && q.Size() > 1 && gotStats.HotPostingHits == 0 {
-						t.Errorf("ext=%v %s: no hot posting hits despite resident tier", extended, sh.src)
+					if par == 1 && (sh.exact || extended) {
+						// Multi-node shapes descend the trie (posting hits);
+						// the single-node shape scans resident images.
+						if q.Size() > 1 && gotStats.HotPostingHits == 0 {
+							t.Errorf("ext=%v %s: no hot posting hits despite resident tier", extended, sh.src)
+						}
+						if gotStats.RecordFetches != 0 {
+							t.Errorf("ext=%v %s: %d record fetches for latest images", extended, sh.src, gotStats.RecordFetches)
+						}
 					}
 				}
 			}
 		}
-		// Fully hot-resident: the descent must run without a single physical
-		// forest read (the cold twin, same shapes, reads plenty).
+		// Fully hot-resident: the whole query path must run without a single
+		// physical page read (the cold twin, same shapes, reads plenty).
 		for _, sh := range diffShapes {
 			if !sh.exact && !extended {
 				continue
 			}
-			q := twig.MustParse(sh.src)
-			forest0 := hotIx.forest.BufferPool().Stats().PhysicalReads
-			_, stats, err := hotIx.Match(q, MatchOptions{Parallelism: 1})
+			_, stats, err := hotIx.Match(twig.MustParse(sh.src), MatchOptions{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := hotIx.forest.BufferPool().Stats().PhysicalReads - forest0; n != 0 {
-				t.Errorf("ext=%v %s: %d physical forest reads on a hot-resident index", extended, sh.src, n)
-			}
-			if extended && q.Size() > 1 && stats.PagesRead != 0 {
+			if stats.PagesRead != 0 {
 				t.Errorf("ext=%v %s: %d physical reads on a hot-resident index", extended, sh.src, stats.PagesRead)
 			}
 		}
@@ -382,12 +382,10 @@ func TestHotInvalidateMutations(t *testing.T) {
 // TestHotSummaryNavigatesLikeRecord holds refinement's docShape
 // implementations against each other on every document of the three
 // generated datasets, as stored by an EPIndex (the extended trees are the
-// larger ones) and an RPIndex (value leaves): the store's resident shape must
-// answer Nodes and ParentOf — for every node and for numbers outside the tree
-// — exactly as the decoded record does, and LabelOf exactly as the record
-// does for leaves, with false for internal nodes (their labels are the
-// record's LPS); the packed hot.Summary, the whole-record encoding, must
-// answer all three exactly as the record does.
+// larger ones) and an RPIndex (value leaves): the store's resident view
+// (shape and LPS) and the packed hot.Summary must answer Nodes, ParentOf and
+// LabelOf — for every node and for numbers outside the tree — exactly as the
+// decoded record does, and the view must fill the record back whole.
 func TestHotSummaryNavigatesLikeRecord(t *testing.T) {
 	for _, name := range datagen.Names() {
 		ds, err := datagen.ByName(name, 1, 1)
@@ -405,15 +403,19 @@ func TestHotSummaryNavigatesLikeRecord(t *testing.T) {
 				if sum == nil {
 					t.Fatalf("%s doc %d: no summary", name, id)
 				}
-				var sh shapeDoc
-				if err := ix.store.ShapeOf(uint32(id), &sh.Shape); err != nil {
+				var v docstore.View
+				if err := ix.store.ViewOf(uint32(id), &v); err != nil {
 					t.Fatal(err)
 				}
-				internal := map[int32]bool{}
-				for _, p := range rec.NPS {
-					internal[p] = true
+				var filled docstore.Record
+				if err := v.Fill(&filled); err != nil {
+					t.Fatal(err)
 				}
-				var a, s, b docShape = sum, &sh, rec
+				filled.DocID = rec.DocID
+				if !reflect.DeepEqual(&filled, rec) {
+					t.Fatalf("%s doc %d: the view fills %+v, the record is %+v", name, id, filled, *rec)
+				}
+				var a, s, b docShape = sum, &v, rec
 				if a.Nodes() != b.Nodes() || s.Nodes() != b.Nodes() {
 					t.Fatalf("%s doc %d: Nodes %d / %d vs %d", name, id, a.Nodes(), s.Nodes(), b.Nodes())
 				}
@@ -425,11 +427,8 @@ func TestHotSummaryNavigatesLikeRecord(t *testing.T) {
 						t.Fatalf("%s doc %d node %d: summary (%d, %d, %v) vs record (%d, %d, %v)",
 							name, id, post, a.ParentOf(post), as, aok, b.ParentOf(post), bs, bok)
 					}
-					if internal[post] {
-						bs, bok = 0, false
-					}
 					if s.ParentOf(post) != b.ParentOf(post) || ss != bs || sok != bok {
-						t.Fatalf("%s doc %d node %d: shape (%d, %d, %v) vs record (%d, %d, %v)",
+						t.Fatalf("%s doc %d node %d: view (%d, %d, %v) vs record (%d, %d, %v)",
 							name, id, post, s.ParentOf(post), ss, sok, b.ParentOf(post), bs, bok)
 					}
 				}

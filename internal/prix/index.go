@@ -417,11 +417,13 @@ func (ix *Index) MaxGap(s vtrie.Symbol) int64 { return ix.maxGap[s] }
 // Stat proxies a named build statistic.
 func (ix *Index) Stat(name string) (int64, bool) { return ix.store.Stat(name) }
 
-// ResetIOStats zeroes both buffer pools' counters and drops cached pages.
-// It is a test/benchmark convenience for callers that own the index
-// exclusively: the query path never calls it — Match accounts PagesRead as
-// a before/after delta of the monotonic counters (see DropCaches), so
-// concurrent queries cannot clobber each other's accounting.
+// ResetIOStats zeroes both buffer pools' counters and drops cached pages,
+// and re-reads the store's resident LPS from the record pages as Open does,
+// so the next queries see the disk as a fresh Open would. It is a
+// test/benchmark convenience for callers that own the index exclusively: the
+// query path never calls it — Match accounts PagesRead as a before/after
+// delta of the monotonic counters (see DropCaches), so concurrent queries
+// cannot clobber each other's accounting.
 func (ix *Index) ResetIOStats() error {
 	if err := ix.forest.BufferPool().DropAll(); err != nil {
 		return err
@@ -429,6 +431,7 @@ func (ix *Index) ResetIOStats() error {
 	if err := ix.store.BufferPool().DropAll(); err != nil {
 		return err
 	}
+	ix.store.ReloadLPS()
 	ix.forest.BufferPool().ResetStats()
 	ix.store.BufferPool().ResetStats()
 	return nil

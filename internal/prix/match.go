@@ -52,9 +52,8 @@ type QueryStats struct {
 	// PagesRead is the physical page reads during the query (cold start).
 	PagesRead uint64
 	// RecordFetches counts document records read from the store: superseded
-	// images, whole-record paths, and regular-Prüfer leaf checks that need an
-	// internal node's label. Refining a latest image reads its resident shape
-	// and no record.
+	// images and the whole-record paths. Refining or scanning a latest image
+	// reads its resident shape and LPS and no record.
 	RecordFetches int
 	// RecordCacheHits counts record lookups served by the per-query
 	// memoizing record cache instead of the store.
@@ -65,8 +64,8 @@ type QueryStats struct {
 	// RangeQueries.
 	HotPostingHits int
 	// HotRecordHits is always 0: refinement reads the store's resident
-	// shapes, and the tier holds no per-document structure. It stays for the
-	// reports that print it.
+	// shapes and LPS, and the tier holds no per-document structure. It stays
+	// for the reports that print it.
 	HotRecordHits int
 	// Elapsed is wall-clock query time.
 	Elapsed time.Duration
@@ -330,7 +329,7 @@ type plan struct {
 	levels []levelSource
 	docids docidSource
 	// leaves lists query leaves for the refinement-by-leaf phase.
-	leaves []queryLeaf
+	leaves []docstore.Leaf
 	// dummy[p-1] marks extended-pattern dummy nodes (excluded from the
 	// canonical embedding: their matched positions are proxies).
 	dummy []bool
@@ -472,7 +471,7 @@ func (ix *Index) compile(q *twig.Query, pat *twig.Pattern, p *plan) (ok bool, er
 			if !ok {
 				return false, nil
 			}
-			p.leaves = append(p.leaves, queryLeaf{post: int32(n.Post), sym: sym, value: n.IsValue})
+			p.leaves = append(p.leaves, docstore.Leaf{Post: int32(n.Post), Sym: sym})
 		}
 	}
 	return true, nil
@@ -550,7 +549,7 @@ type scratch struct {
 	// emitNS is the time the branch walking on this scratch has spent inside
 	// emit, which the branch's descent stage excludes. Traced queries only.
 	emitNS int64
-	shape  shapeDoc
+	view   docstore.View
 	rec    docstore.Record
 	stage  matchStage
 }
@@ -592,7 +591,7 @@ func putScratch(sc *scratch) {
 	clear(sc.plan.levels)
 	sc.plan.docids, sc.plan.edges = docidSource{}, nil
 	sc.walk = descent{}
-	sc.shape = shapeDoc{}
+	sc.view = docstore.View{}
 	if (cap(sc.rec.NPS)+cap(sc.rec.LPS)+2*cap(sc.rec.Leaves))*4 > scratchKeep {
 		sc.rec = docstore.Record{}
 	}
@@ -990,22 +989,26 @@ func (ix *Index) imageAt(docID uint32, asOf uint64) (loc mvcc.Loc, visible bool)
 }
 
 // fetchAsOf resolves the image of docID visible at asOf for refinement. The
-// current image is its resident shape, filled into sh without reading a page;
-// a superseded image is its record, read from the store into dst (a nil dst
-// asks for a fresh record, for callers that keep it). Both belong to the
-// caller, who may reuse them for its next fetch. It implements the
+// current image is read in place from the store's resident shape and LPS into
+// v, without reading a page (a document whose record did not read at Open is
+// read now); a superseded image is its record, read from the store into dst
+// (a nil dst asks for a fresh record, for callers that keep it). Both belong
+// to the caller, who may reuse them for its next fetch. It implements the
 // graceful-degradation contract (degrade); documents not visible at asOf
 // return nil too.
-func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *docstore.Record, sh *shapeDoc) (docShape, error) {
+func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *docstore.Record, v *docstore.View) (docShape, error) {
 	loc, visible := ix.imageAt(docID, asOf)
 	if !visible {
 		return nil, nil
 	}
 	if loc.Zero() {
-		if err := ix.store.ShapeOf(docID, &sh.Shape); err != nil {
+		err := ix.store.ViewOf(docID, v)
+		if err == nil {
+			return v, nil
+		}
+		if !errors.Is(err, docstore.ErrNotResident) {
 			return nil, ix.degrade(docID, true, err, stats)
 		}
-		return sh, nil
 	}
 	if dst == nil {
 		dst = new(docstore.Record)
@@ -1069,46 +1072,38 @@ func (ix *Index) getRecordAsOf(docID uint32, asOf uint64, stats *QueryStats) (*d
 func (ix *Index) Quarantined() []uint32 { return ix.store.Quarantined() }
 
 // docShape is what Algorithm 2 reads of a data tree. A latest image is a
-// *shapeDoc, its resident shape read in place; a superseded image is a
-// *docstore.Record.
+// *docstore.View, its resident shape and LPS read in place; a superseded image
+// is a *docstore.Record.
 type docShape interface {
 	Nodes() int32
 	ParentOf(post int32) int32 // 0 for the root and for numbers outside the tree
 	LabelOf(post int32) (vtrie.Symbol, bool)
 }
 
-// shapeDoc is a document's resident shape as a docShape. LabelOf answers
-// leaves only: an internal node's label lives in the record's LPS, which
-// refineLeaves asks for when a regular-Prüfer query leaf lands on one.
-type shapeDoc struct{ docstore.Shape }
-
-// LabelOf returns the label of leaf post; false for internal nodes.
-func (d *shapeDoc) LabelOf(post int32) (vtrie.Symbol, bool) { return d.LeafLabel(post) }
-
-// recordSource fetches one document's shape for refinement; a nil shape
-// with a nil error means "skip this document". tmp and sh are a record and
-// a shape view the calling goroutine owns (its scratch's): fetchAsOf, the
-// inline walk's fetch-per-candidate source, fills sh or decodes into tmp and
-// returns it, good until the caller's next fetch; the pipelined scheduler
-// passes a per-query memoizing cache, which ignores both and keeps a fresh
-// record or a shape view of its own per document, so a document shared by
-// many candidates is fetched once.
-type recordSource func(docID uint32, stats *QueryStats, tmp *docstore.Record, sh *shapeDoc) (docShape, error)
+// recordSource fetches one document's image for refinement; a nil image with
+// a nil error means "skip this document". tmp and v are a record and a view
+// the calling goroutine owns (its scratch's): fetchAsOf, the inline walk's
+// fetch-per-candidate source, fills v or decodes into tmp and returns it,
+// good until the caller's next fetch; the pipelined scheduler passes a
+// per-query memoizing cache, which ignores both and keeps a fresh record or a
+// view of its own per document, so a document shared by many candidates is
+// fetched once.
+type recordSource func(docID uint32, stats *QueryStats, tmp *docstore.Record, v *docstore.View) (docShape, error)
 
 // refine is Algorithm 2: connectedness (with the §4.5 wildcard chase), gap
 // consistency, frequency consistency and leaf matching, against the document
 // d.fetch returns (fetchAsOf when nil). Each phase is charged to its own
 // stage on sp (nil-safe): fetch, connect, structure, leaves. S is read; sc
-// lends N, the shape view and the record the document is read into and the
-// stage a surviving match is pushed onto (ok true).
+// lends N, the view and the record the document is read into and the stage a
+// surviving match is pushed onto (ok true).
 func (d *descent) refine(docID uint32, S []int32, stats *QueryStats, sc *scratch, sp *obs.Span) (ok bool, err error) {
 	p := d.p
 	t0 := sp.Start()
 	var doc docShape
 	if d.fetch != nil {
-		doc, err = d.fetch(docID, stats, &sc.rec, &sc.shape)
+		doc, err = d.fetch(docID, stats, &sc.rec, &sc.view)
 	} else {
-		doc, err = d.ix.fetchAsOf(docID, d.opts.AsOf, stats, &sc.rec, &sc.shape)
+		doc, err = d.ix.fetchAsOf(docID, d.opts.AsOf, stats, &sc.rec, &sc.view)
 	}
 	sp.Stage(obs.StageFetch, t0)
 	if err != nil || doc == nil {
@@ -1127,19 +1122,9 @@ func (d *descent) refine(docID uint32, S []int32, stats *QueryStats, sc *scratch
 		return false, nil
 	}
 	t3 := sp.Start()
-	res := refineLeaves(p, doc, docID, S, sc.N, maxN, &sc.stage)
-	if res == leavesNeedLPS {
-		// A regular-Prüfer query leaf landed on an internal node of the
-		// shape: its label is in the record's LPS.
-		var rec *docstore.Record
-		if rec, err = d.ix.readImage(docID, mvcc.Loc{}, stats, &sc.rec); rec == nil {
-			sp.Stage(obs.StageLeaves, t3)
-			return false, err
-		}
-		res = refineLeaves(p, rec, docID, S, sc.N, maxN, &sc.stage)
-	}
+	ok = refineLeaves(p, doc, docID, S, sc.N, maxN, &sc.stage)
 	sp.Stage(obs.StageLeaves, t3)
-	return res == leavesMatch, nil
+	return ok, nil
 }
 
 // refineConnect fills N from S (N[i] = N_D[S_i], rejecting positions outside
@@ -1227,55 +1212,32 @@ func refineStructure(p *plan, N []int32) bool {
 	return true
 }
 
-// queryLeaf is a query leaf the refinement checks the label of.
-type queryLeaf struct {
-	post  int32
-	sym   vtrie.Symbol
-	value bool
-}
-
-// refineLeaves outcomes.
-const (
-	leavesFail    = iota
-	leavesMatch   // staged on st
-	leavesNeedLPS // a leaf label check needs the record: doc is a shape
-)
-
 // refineLeaves is the tail of Algorithm 2: root placement, refinement by
 // matching leaf nodes (§4.4), and building the canonical embedding, which a
 // surviving candidate pushes onto st.
-func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32, st *matchStage) int {
+func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32, st *matchStage) bool {
 	// Root placement: anchored queries must map the root onto the
 	// document root; leading stars constrain the root image's depth.
 	if p.anchored || p.rootEdge.Min > 1 {
 		depth := rootDepth(doc, maxN)
 		if p.anchored {
 			if maxN != doc.Nodes() || p.rootEdge.Min != depth {
-				return leavesFail
+				return false
 			}
 		} else if depth < p.rootEdge.Min ||
 			(p.rootEdge.Max != twig.Unbounded && depth > p.rootEdge.Max) {
-			return leavesFail
+			return false
 		}
 	}
 	// Refinement by matching leaf nodes (§4.4). The image of query leaf
 	// with postorder l is the data node numbered S[l-1]; its label must
 	// match. Extended patterns have only dummy leaves, which match the
 	// dummy children added under every data leaf, so the check still
-	// works uniformly (and is cheap). A shape knows leaf labels only.
+	// works uniformly (and is cheap).
 	for _, leaf := range p.leaves {
-		post := S[leaf.post-1]
-		sym, ok := doc.LabelOf(post)
-		if !ok {
-			// An internal node is never a value; an element's label is in
-			// the LPS.
-			if _, shape := doc.(*shapeDoc); shape && !leaf.value && post >= 1 && post <= doc.Nodes() {
-				return leavesNeedLPS
-			}
-			return leavesFail
-		}
-		if sym != leaf.sym {
-			return leavesFail
+		sym, ok := doc.LabelOf(S[leaf.Post-1])
+		if !ok || sym != leaf.Sym {
+			return false
 		}
 	}
 	// The candidate survived: only now is it staged, Positions (a copy of
@@ -1294,7 +1256,7 @@ func refineLeaves(p *plan, doc docShape, docID uint32, S, N []int32, maxN int32,
 			images[q-1] = S[q-1]
 		}
 	}
-	return leavesMatch
+	return true
 }
 
 // isLastOccurrence reports whether N[i] does not occur after index i.

@@ -71,8 +71,8 @@ const openDecodedPages = 6
 // TestHotBuildsLeaveNoFrames pins the no-fill rule: an index opened with a
 // hot-tier budget above its size holds in its pools only the pages Open itself
 // decodes — every page the tier's preload read was copied into the tier and
-// not also kept as a frame — and it answers the multi-node differential
-// shapes with zero physical reads, byte-identical to a tier-less Open and to a tier built the
+// not also kept as a frame — and it answers the differential shapes with zero
+// physical reads, byte-identical to a tier-less Open and to a tier built the
 // way it was before the rule (from frames holding every page).
 func TestHotBuildsLeaveNoFrames(t *testing.T) {
 	dir := buildOnDisk(t, true, residencyCorpus())
@@ -121,9 +121,6 @@ func TestHotBuildsLeaveNoFrames(t *testing.T) {
 	before := tiered.PagesRead()
 	for _, sh := range diffShapes {
 		q := twig.MustParse(sh.src)
-		if q.Size() == 1 {
-			continue // the single-node scan reads whole records, tier or not (TestHotDifferential)
-		}
 		opts := MatchOptions{WarmCache: true, Parallelism: 1}
 		wantMS, wantStats, err := plain.Match(q, opts)
 		if err != nil {

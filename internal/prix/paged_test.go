@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/docstore"
 )
 
 // Tests of the paged read path's memory: who owns a decoded record on each
@@ -70,12 +71,12 @@ func TestPagedMatchAllocs(t *testing.T) {
 	}
 }
 
-// TestHotSummaryOutlivesScratch: the shape view refinement reads aliases the
-// store's shape dictionary, never a query scratch, and the dictionary never
-// rewrites a word it handed out. A view taken through a scratch must still
-// navigate exactly like a fresh read of its record after the scratch has been
-// pooled, reused and poisoned, and after inserts have interned new shapes and
-// grown the dictionary's arrays under it.
+// TestHotSummaryOutlivesScratch: the view refinement reads aliases the
+// store's shape dictionary and resident LPS, never a query scratch, and
+// neither rewrites a byte it handed out. A view taken through a scratch must
+// still navigate exactly like a fresh read of its record after the scratch
+// has been pooled, reused and poisoned, and after inserts have interned new
+// shapes and grown the dictionary's and the LPS arena's arrays under it.
 func TestHotSummaryOutlivesScratch(t *testing.T) {
 	docs := parallelCorpus()[:20]
 	di, err := NewDynamicIndex(docs, Options{Extended: true, BufferPoolPages: 64}, DynamicOptions{Alpha: 4})
@@ -83,19 +84,19 @@ func TestHotSummaryOutlivesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := di.Index()
-	var views []shapeDoc
+	var views []docstore.View
 	for id := 0; id < ix.NumDocs(); id++ {
 		sc := getScratch()
-		doc, err := ix.fetchAsOf(uint32(id), 0, &QueryStats{}, &sc.rec, &sc.shape)
+		doc, err := ix.fetchAsOf(uint32(id), 0, &QueryStats{}, &sc.rec, &sc.view)
 		if err != nil || doc == nil {
 			t.Fatalf("doc %d: %v, %v", id, doc, err)
 		}
-		views = append(views, *doc.(*shapeDoc))
+		views = append(views, *doc.(*docstore.View))
 		putScratch(sc)
 	}
 	for i := 0; i < 16; i++ {
 		sc := getScratch()
-		sc.shape = shapeDoc{}
+		sc.view = docstore.View{}
 		sc.rec.DocID, sc.rec.NumNodes = ^uint32(0), -7
 		defer putScratch(sc)
 	}
@@ -119,13 +120,11 @@ func TestHotSummaryOutlivesScratch(t *testing.T) {
 			t.Fatalf("doc %d: view has %d nodes, record %d", id, v.Nodes(), rec.NumNodes)
 		}
 		for post := int32(-1); post <= rec.NumNodes+1; post++ {
-			if v.ParentOf(post) != rec.ParentOf(post) {
-				t.Fatalf("doc %d node %d: view parent %d, record %d", id, post, v.ParentOf(post), rec.ParentOf(post))
-			}
-		}
-		for _, l := range rec.Leaves {
-			if sym, ok := v.LabelOf(l.Post); !ok || sym != l.Sym {
-				t.Fatalf("doc %d leaf %d: view label %d %v, record %d", id, l.Post, sym, ok, l.Sym)
+			vs, vok := v.LabelOf(post)
+			rs, rok := rec.LabelOf(post)
+			if v.ParentOf(post) != rec.ParentOf(post) || vs != rs || vok != rok {
+				t.Fatalf("doc %d node %d: view (%d, %d, %v), record (%d, %d, %v)",
+					id, post, v.ParentOf(post), vs, vok, rec.ParentOf(post), rs, rok)
 			}
 		}
 	}

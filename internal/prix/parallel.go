@@ -345,7 +345,7 @@ func appendKey(b []byte, docID uint32, vals []int32) []byte {
 //
 // A cached record outlives the worker that fetched it and is read by the
 // others, so it is never decoded into a worker's scratch: the cache asks the
-// store for a fresh record and keeps that, and fills a resident shape's view
+// store for a fresh record and keeps that, and fills a resident image's view
 // into the entry itself.
 type recordCache struct {
 	ix   *Index
@@ -355,17 +355,17 @@ type recordCache struct {
 }
 
 type cachedShape struct {
-	mu    sync.Mutex // held across the fetch; orders waiters behind it
-	done  bool
-	doc   docShape // nil: skip the document (quarantined or not visible)
-	shape shapeDoc
+	mu   sync.Mutex // held across the fetch; orders waiters behind it
+	done bool
+	doc  docShape // nil: skip the document (quarantined or not visible)
+	view docstore.View
 }
 
 func newRecordCache(ix *Index, asOf uint64) *recordCache {
 	return &recordCache{ix: ix, asOf: asOf, m: map[uint32]*cachedShape{}}
 }
 
-func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record, _ *shapeDoc) (docShape, error) {
+func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record, _ *docstore.View) (docShape, error) {
 	c.mu.Lock()
 	e := c.m[docID]
 	if e == nil {
@@ -382,7 +382,7 @@ func (c *recordCache) get(docID uint32, stats *QueryStats, _ *docstore.Record, _
 		}
 		return e.doc, nil
 	}
-	doc, err := c.ix.fetchAsOf(docID, c.asOf, stats, nil, &e.shape)
+	doc, err := c.ix.fetchAsOf(docID, c.asOf, stats, nil, &e.view)
 	if err != nil {
 		return nil, err
 	}

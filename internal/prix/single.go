@@ -73,9 +73,11 @@ func (ix *Index) matchSingleNode(q *twig.Query, opts MatchOptions, stats *QueryS
 	return out, nil
 }
 
-// scanSingleNode scans the docid range [lo, hi) for the labeled nodes.
-// Record reads are charged to the fetch stage; the label matching that
-// remains is credited as descent (the scan is this query class's walk).
+// scanSingleNode scans the docid range [lo, hi) for the labeled nodes,
+// reading each current image from the store's resident shape and LPS and a
+// superseded one from its record. Fetches are charged to the fetch stage;
+// the label matching that remains is credited as descent (the scan is this
+// query class's walk).
 func (ix *Index) scanSingleNode(q *twig.Query, opts MatchOptions, stats *QueryStats,
 	sym vtrie.Symbol, lo, hi int, sp *obs.Span) ([]Match, error) {
 	s0 := sp.Start()
@@ -86,7 +88,11 @@ func (ix *Index) scanSingleNode(q *twig.Query, opts MatchOptions, stats *QuerySt
 			sp.End()
 		}
 	}()
-	var out []Match
+	var (
+		out  []Match
+		rec  docstore.Record
+		view docstore.View
+	)
 	for docID := lo; docID < hi; docID++ {
 		if docID%64 == 0 {
 			if err := opts.context().Err(); err != nil {
@@ -97,17 +103,23 @@ func (ix *Index) scanSingleNode(q *twig.Query, opts MatchOptions, stats *QuerySt
 			continue // deleted (or not yet inserted) at the requested version
 		}
 		t0 := sp.Start()
-		rec, err := ix.getRecordAsOf(uint32(docID), opts.AsOf, stats)
+		doc, err := ix.fetchAsOf(uint32(docID), opts.AsOf, stats, &rec, &view)
+		if err == nil && doc == docShape(&view) {
+			// The current image, resident: the whole record from it.
+			if err = view.Fill(&rec); err != nil {
+				doc, err = nil, ix.degrade(uint32(docID), true, err, stats)
+			}
+		}
 		sp.Stage(obs.StageFetch, t0)
 		if err != nil {
 			return nil, err
 		}
-		if rec == nil {
+		if doc == nil {
 			continue // quarantined: serve the healthy documents
 		}
 		stats.Candidates++
-		for _, post := range nodesWithLabel(rec, sym) {
-			depth := rootDepth(rec, post)
+		for _, post := range nodesWithLabel(&rec, sym) {
+			depth := rootDepth(&rec, post)
 			if depth < q.RootEdge.Min {
 				continue
 			}
