@@ -66,17 +66,17 @@ fmt-check:
 # Scheduling-dependence check, the proof that Parallelism only schedules the
 # one Algorithm 1 walk: the hot-vs-paged, Parallelism 1-vs-N and oracle
 # differential suites assert byte-identical matches and identical QueryStats
-# (and the paged/resident suites their allocation bounds), so every counter
-# must come out the same on one, two and eight Ps (a fetch-twice race in the
-# per-query record cache once passed on one core and failed on two).
+# (and the paged/resident suites their allocation bounds), so every counter,
+# RecordFetches of AS OF reads included, must come out the same on one, two
+# and eight Ps.
 sched:
 	$(GO) test -cpu 1,2,8 -run 'TestHot|TestParallel|Differential|TestPaged|TestResident' -count=1 ./internal/prix
 
 # Every allocation guard (tests named *Allocs, each an AllocsPerRun bound): a
 # page pin hit or missed, a no-fill page read that missed, a journaled flush, an in-place leaf edit on either
 # leaf codec, a fixed-width leaf split against a slotted one, a record
-# decoded into a sized destination, a Match resident, paged and pipelined, the
-# pipelined record cache, a trace, the nil span API, a canonical query string,
+# decoded into a sized destination, a Match resident and paged, on one
+# goroutine and at Parallelism 4, a trace, the nil span API, a canonical query string,
 # a parsed query (TestParseAllocs: two objects up to 16 nodes), one POST /query
 # through the handler on a resident index (TestHandleQueryAllocs: the pooled
 # deadline and body, the one-slab parse and the pattern compiled into the
@@ -115,7 +115,7 @@ benchmark-module:
 # meta's header fields, chain pointers and block counts as Open reads them
 # from a corrupt file; the shapes section's resync headers and shape
 # encodings and the record encoding's shape ids and LPS lengths through Open,
-# Get and ShapeOf (FuzzDecodeShape); the arena dictionary's intern/lookup/name sequences
+# Get and ViewOf (FuzzDecodeShape); the arena dictionary's intern/lookup/name sequences
 # against a map + slice model; and the compaction drain's record → DocSeq
 # derivation against the reconstruct-and-transform detour it replaced.
 fuzz:
@@ -146,19 +146,21 @@ differential:
 # internal/btree 83.0%, internal/pager 85.4% with the artifact FS and the
 # atomic write moved in, internal/docstore 84.2% when the floors were set) so
 # refactors have headroom but a PR that lands significant untested code fails
-# here.
+# here. Each package's test output goes to cover-<pkg>.log; a failing run
+# prints the tail of its log and stops the target.
+cover_test = $(GO) test -coverprofile=cover-$(1).out $(2) ./internal/$(1) > cover-$(1).log 2>&1 || { echo "go test ./internal/$(1) failed; tail of cover-$(1).log:"; tail -n 40 cover-$(1).log; exit 1; }
 cover:
-	$(GO) test -coverprofile=cover-prix.out ./internal/prix > /dev/null
-	$(GO) test -coverprofile=cover-obs.out ./internal/obs > /dev/null
-	$(GO) test -coverprofile=cover-ingest.out -short ./internal/ingest > /dev/null
-	$(GO) test -coverprofile=cover-compact.out ./internal/compact > /dev/null
-	$(GO) test -coverprofile=cover-hot.out ./internal/hot > /dev/null
-	$(GO) test -coverprofile=cover-mvcc.out ./internal/mvcc > /dev/null
-	$(GO) test -coverprofile=cover-server.out ./internal/server > /dev/null
-	$(GO) test -coverprofile=cover-shard.out ./internal/shard > /dev/null
-	$(GO) test -coverprofile=cover-btree.out ./internal/btree > /dev/null
-	$(GO) test -coverprofile=cover-pager.out ./internal/pager > /dev/null
-	$(GO) test -coverprofile=cover-docstore.out ./internal/docstore > /dev/null
+	@$(call cover_test,prix)
+	@$(call cover_test,obs)
+	@$(call cover_test,ingest,-short)
+	@$(call cover_test,compact)
+	@$(call cover_test,hot)
+	@$(call cover_test,mvcc)
+	@$(call cover_test,server)
+	@$(call cover_test,shard)
+	@$(call cover_test,btree)
+	@$(call cover_test,pager)
+	@$(call cover_test,docstore)
 	@$(GO) tool cover -func=cover-prix.out | awk '$$1=="total:" { sub("%","",$$3); printf "internal/prix coverage %s%% (floor 78%%)\n", $$3; if ($$3+0 < 78.0) exit 1 }'
 	@$(GO) tool cover -func=cover-obs.out | awk '$$1=="total:" { sub("%","",$$3); printf "internal/obs coverage %s%% (floor 80%%)\n", $$3; if ($$3+0 < 80.0) exit 1 }'
 	@$(GO) tool cover -func=cover-ingest.out | awk '$$1=="total:" { sub("%","",$$3); printf "internal/ingest coverage %s%% (floor 75%%)\n", $$3; if ($$3+0 < 75.0) exit 1 }'
@@ -170,7 +172,7 @@ cover:
 	@$(GO) tool cover -func=cover-btree.out | awk '$$1=="total:" { sub("%","",$$3); printf "internal/btree coverage %s%% (floor 77%%)\n", $$3; if ($$3+0 < 77.0) exit 1 }'
 	@$(GO) tool cover -func=cover-pager.out | awk '$$1=="total:" { sub("%","",$$3); printf "internal/pager coverage %s%% (floor 82%%)\n", $$3; if ($$3+0 < 82.0) exit 1 }'
 	@$(GO) tool cover -func=cover-docstore.out | awk '$$1=="total:" { sub("%","",$$3); printf "internal/docstore coverage %s%% (floor 80%%)\n", $$3; if ($$3+0 < 80.0) exit 1 }'
-	@rm -f cover-prix.out cover-obs.out cover-ingest.out cover-compact.out cover-hot.out cover-mvcc.out cover-server.out cover-shard.out cover-btree.out cover-pager.out cover-docstore.out
+	@rm -f cover-*.out cover-*.log
 
 # Chaos stage: fault-injection and self-healing end to end. Power-cut sweeps
 # across every write point of a commit, of a sectioned store flush and of an

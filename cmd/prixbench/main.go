@@ -8,7 +8,7 @@
 //	prixbench -table 4            # DBLP: PRIX vs ViST
 //	prixbench -table fig6
 //	prixbench -table ablation
-//	prixbench -table parallel -parallelism 4     # pipelined vs serial, cold I/O
+//	prixbench -table parallel -parallelism 4     # parallel vs serial, cold I/O
 //	prixbench -table parallel -datasets DBLP     # smoke-sized variant
 package main
 

@@ -2,8 +2,8 @@
 // monotonic stage timings, per-span I/O attribution and bounded attribute
 // bags. A Trace is created per query and threaded through the engine via
 // MatchOptions; every pipeline component opens child spans and charges its
-// work to a fixed stage taxonomy (trie descent, prefetch, channel waits,
-// the refinement phases, reduction).
+// work to a fixed stage taxonomy (trie descent, prefetch, the refinement
+// phases, reduction).
 //
 // The package is allocation-conscious by design: every method is safe on a
 // nil *Span or nil *Trace and the nil path performs no allocation, no time
@@ -15,7 +15,7 @@
 // while child-span creation is serialized through the trace mutex, so
 // concurrent workers can hang their spans off a shared parent. Children
 // are ordered deterministically at read time: sorted by their explicit
-// ordering key (descent path, worker ordinal, arrangement index), not by
+// ordering key (descent path, shard or arrangement index), not by
 // the scheduling-dependent creation order, so span trees from concurrent
 // workers merge identically run to run.
 package obs
@@ -28,8 +28,8 @@ import (
 )
 
 // Stage enumerates where query time goes. The taxonomy follows the
-// paper's pipeline: Algorithm 1 trie descent (with B+-tree readahead),
-// the candidate hand-off, and the Algorithm 2 refinement phases.
+// paper's pipeline: Algorithm 1 trie descent (with B+-tree readahead) and
+// the Algorithm 2 refinement phases.
 type Stage uint8
 
 const (
@@ -43,14 +43,8 @@ const (
 	StageDescent
 	// StagePrefetch is B+-tree readahead ahead of the descent's scans.
 	StagePrefetch
-	// StageEmitWait is the producer side of the candidate hand-off: time
-	// the descent spends blocked sending into the bounded channel (zero at
-	// Parallelism 1, where a candidate is refined where it is emitted).
-	StageEmitWait
-	// StageCandWait is the consumer side: time a refinement worker spends
-	// blocked receiving from the candidate channel.
-	StageCandWait
-	// StageFetch is document-record reads (docstore page I/O + decode).
+	// StageFetch is resolving a candidate's document image: its resident
+	// shape and LPS, or a superseded record read from the store.
 	StageFetch
 	// StageConnect is refinement by connectedness (Algorithm 2 lines 1-4
 	// with the wildcard chase of §4.5), including building N from S.
@@ -69,8 +63,8 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"compile", "cold_start", "descent", "prefetch", "emit_wait",
-	"cand_wait", "fetch", "connect", "structure", "leaves", "reduce",
+	"compile", "cold_start", "descent", "prefetch", "fetch", "connect",
+	"structure", "leaves", "reduce",
 }
 
 // String returns the stage's stable snake_case name (used as the metric
@@ -115,7 +109,7 @@ type Trace struct {
 
 const (
 	inlineSpans = 4
-	inlineAttrs = 8
+	inlineAttrs = 7
 )
 
 // NewTrace starts a trace rooted at a span with the given name.

@@ -156,7 +156,7 @@ type stringer struct{ calls *int }
 func (s stringer) String() string { *s.calls++; return "//a[./b]" }
 
 // buildQueryTrace lays out the tree of one serial query: root, match with
-// its eight attributes, filter, refine, and extra further spans under refine.
+// its seven attributes, filter, refine, and extra further spans under refine.
 func buildQueryTrace(query func(sp *Span), extra int) *Trace {
 	tr := NewTrace("query")
 	m := tr.Root().ChildKeyed("match", "ep")
@@ -167,7 +167,7 @@ func buildQueryTrace(query func(sp *Span), extra int) *Trace {
 		r.ChildKeyed("worker", string(rune('a'+i))).SetInt("n", int64(i))
 	}
 	r.End()
-	for i, k := range []string{"range_queries", "pruned", "candidates", "matches", "record_fetches", "record_cache_hits", "degraded"} {
+	for i, k := range []string{"range_queries", "pruned", "candidates", "matches", "record_fetches", "degraded"} {
 		m.SetInt(k, int64(i))
 	}
 	m.End()
@@ -176,7 +176,7 @@ func buildQueryTrace(query func(sp *Span), extra int) *Trace {
 }
 
 // TestTraceTreeAllocs: a serial query's whole span tree — four spans, the
-// match span's eight attributes, the child lists — lives in the Trace's own
+// match span's seven attributes, the child lists — lives in the Trace's own
 // allocation, and the query attribute is not rendered unless the tree is.
 // Spans and attributes past the inline slots still work (they come from the
 // heap), and a tree built either way encodes to the same bytes, whether the

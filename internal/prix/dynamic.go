@@ -175,9 +175,9 @@ func (di *DynamicIndex) Index() *Index { return di.ix }
 // against Insert. WarmCache is forced: concurrent readers share the buffer
 // pools, so a cold-start cache drop would evict pages other queries are
 // mid-way through (per-query PagesRead is a best-effort delta either way).
-// MatchOptions.Parallelism flows through unchanged — the parallel pipeline
-// runs entirely under the read lock, so it serializes against Insert as a
-// unit exactly like a serial query.
+// MatchOptions.Parallelism flows through unchanged — every walker a parallel
+// query spawns runs under this read lock and joins before Match returns, so
+// it serializes against Insert as a unit exactly like a serial query.
 func (di *DynamicIndex) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, error) {
 	di.mu.RLock()
 	defer di.mu.RUnlock()

@@ -42,7 +42,7 @@ func levelScan(t *testing.T, ix *Index, sym vtrie.Symbol, ql, qr uint64, par int
 // symbol of a real corpus — the first interned, the last, each adjacent pair
 // — plus planted postings at LeftPos 0 and MaxUint64 must scan to exactly the
 // model's answer, the same from the hot list and the paged tree, serial and
-// with the pipelined descent's prefetch.
+// with the spawning descent's prefetch.
 func TestPostingRangesAtPrefixBoundaries(t *testing.T) {
 	docs := parallelCorpus()
 	cold := build(t, true, docs...)

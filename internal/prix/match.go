@@ -55,8 +55,9 @@ type QueryStats struct {
 	// images and the whole-record paths. Refining or scanning a latest image
 	// reads its resident shape and LPS and no record.
 	RecordFetches int
-	// RecordCacheHits counts record lookups served by the per-query
-	// memoizing record cache instead of the store.
+	// RecordCacheHits is always 0: refinement keeps no record cache, so
+	// every record read is a RecordFetches. It stays for the reports that
+	// print it.
 	RecordCacheHits int
 	// HotPostingHits counts Algorithm 1 range scans (trie and docid) served
 	// from the hot tier instead of a B+-tree. Each such scan is
@@ -113,15 +114,14 @@ type MatchOptions struct {
 	AsOf uint64
 	// Parallelism caps the workers executing the query. There is one
 	// Algorithm 1 walk (descent.step); Parallelism only schedules it: at 1
-	// the walk runs on the calling goroutine and refines each candidate where
-	// it is emitted, above 1 free workers take whole trie subtrees, the
-	// (document, subsequence) candidates stream through a bounded channel to
-	// a pool running Algorithm 2 refinement, unordered branch arrangements
-	// fan out across workers, and single-node document scans shard the docid
-	// space. 0 means GOMAXPROCS; values above maxWorkersPerProc × GOMAXPROCS
-	// are clamped to that. Results are identical at every setting:
-	// candidates carry their descent path, so deduplication and the final
-	// sort are deterministic regardless of worker interleaving.
+	// the walk runs on the calling goroutine, above 1 free workers take whole
+	// trie subtrees, unordered branch arrangements fan out across workers,
+	// and single-node document scans shard the docid space. At every setting
+	// each walker runs Algorithm 2 on the candidates it finds, where it finds
+	// them. 0 means GOMAXPROCS; values above maxWorkersPerProc × GOMAXPROCS
+	// are clamped to that. Results are identical at every setting: survivors
+	// carry their descent path, so deduplication and the final sort are
+	// deterministic regardless of worker interleaving.
 	Parallelism int
 	// Ctx, when non-nil, bounds the query: cancellation or deadline expiry
 	// is observed between B+-tree range queries (and periodically during
@@ -129,8 +129,8 @@ type MatchOptions struct {
 	// error. Nil means no cancellation (context.Background).
 	Ctx context.Context
 	// Trace, when non-nil, collects a hierarchical span tree for this
-	// query: per-stage timings (descent, prefetch, channel waits, each
-	// refinement phase, reduction) and per-span page-read/cache-hit
+	// query: per-stage timings (descent, prefetch, each refinement phase,
+	// reduction) and per-span page-read/cache-hit
 	// deltas. Nil (the default) keeps the hot path free of tracing work —
 	// no time syscalls, no allocations. A Trace must not be shared by
 	// concurrent Match calls except through one caller's coordinated
@@ -178,9 +178,7 @@ func (s *QueryStats) merge(o *QueryStats) {
 	s.TriePathsPruned += o.TriePathsPruned
 	s.Candidates += o.Candidates
 	s.RecordFetches += o.RecordFetches
-	s.RecordCacheHits += o.RecordCacheHits
 	s.HotPostingHits += o.HotPostingHits
-	s.HotRecordHits += o.HotRecordHits
 	s.Degraded = s.Degraded || o.Degraded
 }
 
@@ -233,7 +231,7 @@ func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, 
 	} else {
 		// One arrangement: no fan-out and no image-set dedup, so the query
 		// goes straight to its walk, with the whole worker budget.
-		out, err = ix.matchOrdered(q, opts, stats, opts.workers(), nil, sp)
+		out, err = ix.matchOrdered(q, opts, stats, opts.workers(), sp)
 	}
 	if err != nil {
 		sp.End()
@@ -308,8 +306,8 @@ func compareInt32s(a, b []int32) int {
 
 // plan is a query compiled against this index's dictionary. It lives in the
 // scratch of the goroutine that runs the query (compile refills its slices in
-// place) and is read-only from then on, so the pipelined scheduler's workers
-// may share it until matchOrdered returns.
+// place) and is read-only from then on, so the branches the walk spawns may
+// share it until matchOrdered returns.
 type plan struct {
 	// syms[i] is the interned symbol of LPS(Q)[i].
 	syms []vtrie.Symbol
@@ -478,18 +476,14 @@ func (ix *Index) compile(q *twig.Query, pat *twig.Pattern, p *plan) (ok bool, er
 }
 
 // matchOrdered runs filtering + refinement for one (arranged) query: it
-// compiles the plan, sets up the Algorithm 1 walk (descent) and picks the
-// scheduler that drives it. workers > 1 is the pipelined scheduler
-// (parallel.go). workers == 1 is the degenerate one: no semaphore, so the walk
-// never spawns and stays on this goroutine and this scratch, no readahead, and
-// no emit: the walk refines each candidate where it finds it (refineInline).
-// fetch, when non-nil, replaces Index.fetchAsOf as the document source — the
-// arrangement fan-out passes a query-wide memoizing cache so a document
-// shared by candidates of several arrangements is fetched once. nil fetches
-// per candidate here (and lets the pipelined scheduler build its own
-// per-query cache).
+// compiles the plan and runs the Algorithm 1 walk (descent), which refines
+// each candidate where it finds it (refineInline). workers > 1 gives the walk
+// a semaphore, so free workers take whole subtrees with readahead, and merges
+// the walkers' survivors in descent-path order (reduce). workers == 1 never
+// spawns: the walk stays on this goroutine and this scratch, and its stage is
+// the result.
 func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStats,
-	workers int, fetch recordSource, sp *obs.Span) ([]Match, error) {
+	workers int, sp *obs.Span) ([]Match, error) {
 	sc := getScratch()
 	defer putScratch(sc)
 	p := &sc.plan
@@ -504,15 +498,21 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 	fsp := sp.Child("filter")
 	rsp := sp.Child("refine")
 	d := &sc.walk
-	*d = descent{ix: ix, p: p, opts: opts, par: workers, sp: fsp, fetch: fetch, rsp: rsp}
+	*d = descent{ix: ix, p: p, opts: opts, par: workers, found: &sc.found, sp: fsp, rsp: rsp}
 	if workers > 1 {
-		return ix.matchPipelined(d, stats, sc, sp)
+		d.sem = make(chan struct{}, workers-1)
+		sc.found.reset(len(p.syms), p.m)
 	}
 	err = d.run(stats, sc)
 	fsp.End()
 	rsp.End()
 	if err != nil {
 		return nil, err
+	}
+	if d.sem != nil {
+		t1 := sp.Start()
+		sc.reduce()
+		sp.Stage(obs.StageReduce, t1)
 	}
 	return sc.stage.pack(), nil
 }
@@ -524,13 +524,12 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 // N, the record the current candidate is refined against, and the matches
 // that survived so far.
 // A scratch belongs to exactly one goroutine from getScratch to putScratch —
-// the goroutine that called Match, one spawned branch of the descent, or one
-// refinement worker — and nothing that outlives that window may alias it: a
-// query's result is copied out of the stage by pack, the pipelined emit copies
-// S and path per candidate, and a record that must outlive its candidate is
-// never the scratch's: the pipelined record cache fetches fresh records. shape
-// is the view of the current candidate's resident shape; it aliases the
-// store's shape dictionary, never the scratch.
+// the goroutine that called Match or one spawned branch of the descent — and
+// nothing that outlives that window may alias it: a query's result is copied
+// out of the stage by pack, and a finished branch copies its survivors into
+// the caller's found before its scratch is pooled. view is the current
+// candidate's resident shape and LPS; it aliases the store, never the
+// scratch.
 type scratch struct {
 	// pattern is the query compiled into its Prüfer sequence, the source of
 	// the plan, which aliases its edges.
@@ -546,12 +545,18 @@ type scratch struct {
 	// under; path[len(S)] counts the documents the current terminal docid
 	// scan has emitted. Paths compare in depth-first emission order.
 	path []int32
-	// emitNS is the time the branch walking on this scratch has spent inside
-	// emit, which the branch's descent stage excludes. Traced queries only.
-	emitNS int64
-	view   docstore.View
-	rec    docstore.Record
-	stage  matchStage
+	// refineNS is the time the branch walking on this scratch has spent
+	// refining its candidates, which the branch's descent stage excludes.
+	// Traced queries only.
+	refineNS int64
+	view     docstore.View
+	rec      docstore.Record
+	stage    matchStage
+	// found collects, on the scratch of a query whose walk can spawn, the
+	// survivors each finished branch hands over; order is reduce's sort
+	// permutation of them.
+	found matchStage
+	order []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -596,6 +601,10 @@ func putScratch(sc *scratch) {
 		sc.rec = docstore.Record{}
 	}
 	sc.stage.release()
+	sc.found.release()
+	if cap(sc.order)*4 > scratchKeep {
+		sc.order = nil
+	}
 	scratchPool.Put(sc)
 }
 
@@ -603,13 +612,16 @@ func putScratch(sc *scratch) {
 // packs them into its result: per match ls positions then m images at a fixed
 // stride in ints, the docid and root image in ids, and seen, the embedding
 // dedup set, mapping a hash of (docid, images) to the staged match that has
-// it. Staging costs a query no allocation once the buffers have grown, and
-// the result that leaves — one exactly sized block, one exactly sized []Match
-// — retains nothing it does not need, however long a cache keeps it.
+// it. When the walk can spawn, paths holds each match's descent path (ls+1
+// entries a match), which reduce orders them by. Staging costs a query no
+// allocation once the buffers have grown, and the result that leaves — one
+// exactly sized block, one exactly sized []Match — retains nothing it does
+// not need, however long a cache keeps it.
 type matchStage struct {
 	ls, m int
 	ints  []int32
 	ids   []stagedID
+	paths []int32
 	seen  map[uint64]int32
 }
 
@@ -621,7 +633,7 @@ type stagedID struct {
 // reset empties the stage for a query with ls sequence positions and m nodes.
 func (st *matchStage) reset(ls, m int) {
 	st.ls, st.m = ls, m
-	st.ints, st.ids = st.ints[:0], st.ids[:0]
+	st.ints, st.ids, st.paths = st.ints[:0], st.ids[:0], st.paths[:0]
 	if st.seen == nil {
 		st.seen = map[uint64]int32{}
 	}
@@ -636,6 +648,9 @@ func (st *matchStage) release() {
 	if cap(st.ids)*8 > scratchKeep {
 		st.ids = nil
 	}
+	if cap(st.paths)*4 > scratchKeep {
+		st.paths = nil
+	}
 	if len(st.seen)*16 > scratchKeep {
 		st.seen = nil
 	}
@@ -648,6 +663,13 @@ func (st *matchStage) push(docID uint32, root int32) (positions, images []int32)
 	st.ints = append(st.ints, make([]int32, st.ls+st.m)...)
 	st.ids = append(st.ids, stagedID{docID: docID, root: root})
 	return st.ints[o : o+st.ls], st.ints[o+st.ls:]
+}
+
+// absorb appends src's staged matches and their paths; seen is not consulted.
+func (st *matchStage) absorb(src *matchStage) {
+	st.ints = append(st.ints, src.ints...)
+	st.ids = append(st.ids, src.ids...)
+	st.paths = append(st.paths, src.paths...)
 }
 
 // pushCopy appends a copy of src's staged match k.
@@ -671,9 +693,9 @@ func (st *matchStage) view(ints []int32, k int) Match {
 }
 
 // keepLast is the embedding dedup: it drops the match just pushed if an
-// earlier one has the same (docid, images). Hash collisions between
-// different embeddings probe on to the next key.
-func (st *matchStage) keepLast() {
+// earlier one has the same (docid, images), and reports whether it kept it.
+// Hash collisions between different embeddings probe on to the next key.
+func (st *matchStage) keepLast() bool {
 	last := len(st.ids) - 1
 	m := st.view(st.ints, last)
 	h := uint64(m.DocID) * 0x9e3779b97f4a7c15
@@ -684,11 +706,11 @@ func (st *matchStage) keepLast() {
 		k, ok := st.seen[h]
 		if !ok {
 			st.seen[h] = int32(last)
-			return
+			return true
 		}
 		if e := st.view(st.ints, int(k)); e.DocID == m.DocID && slices.Equal(e.Images, m.Images) {
 			st.ints, st.ids = st.ints[:len(st.ints)-st.ls-st.m], st.ids[:last]
-			return
+			return false
 		}
 	}
 }
@@ -709,7 +731,7 @@ func (st *matchStage) pack() []Match {
 
 // scanLevel is Algorithm 1's range query (ql, qr] at query level i, the one
 // place a hot list and a B+-tree are told apart: it fills sc.hits[i] and
-// returns it. par > 1 (the pipelined scheduler) warms a paged range first.
+// returns it. par > 1 (a walk that can spawn) warms a paged range first.
 func scanLevel(p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, par int, sp *obs.Span) ([]hit, error) {
 	src := p.levels[i]
 	hits := sc.hits[i][:0]
@@ -770,7 +792,7 @@ func (ix *Index) scanDocIDs(p *plan, opts *MatchOptions, left, right uint64, sta
 	return emitErr
 }
 
-// prefetch is the pipelined descent's readahead: a cold Scan discovers each
+// prefetch is the spawning descent's readahead: a cold Scan discovers each
 // next leaf only from the previous one, a serial chain of device waits;
 // warming the in-range leaves from the internal nodes first turns that
 // chain into min(par, leaves) concurrent reads. A walk on one goroutine
@@ -790,13 +812,13 @@ func prefetch(tree *btree.Tree, lo, hi []byte, loIncl bool, par int, sp *obs.Spa
 // descent is Algorithm 1, FindSubsequence with the Theorem 4 prune: a range
 // query per query-sequence element, descending through the virtual trie. It is
 // the only such walk; what differs between Parallelism settings is who runs
-// its subtrees and what emit does with a candidate. The per-hit recursions at
-// every level are independent subtrees of the trie, and — as the forest pools
-// hold nearly all of a cold query's pages — they are where the I/O waits
-// live, so with a semaphore (the pipelined scheduler) a free worker takes a
-// whole subtree, on its own scratch, QueryStats slot and span, and on
-// semaphore exhaustion (or without one) the walk recurses inline. Every
-// emission happens under the descent path in the emitting scratch, so a
+// its subtrees. The per-hit recursions at every level are independent
+// subtrees of the trie, and — as the forest pools hold nearly all of a cold
+// query's pages — they are where the I/O waits live, so with a semaphore a
+// free worker takes a whole subtree, on its own scratch, QueryStats slot and
+// span, and on semaphore exhaustion (or without one) the walk recurses
+// inline. Every walker refines the candidates it finds on its own scratch
+// (refineInline), and every survivor is staged under its descent path, so a
 // reduction keyed on it is independent of scheduling.
 type descent struct {
 	ix   *Index
@@ -805,42 +827,40 @@ type descent struct {
 	par  int           // readahead width for range scans; 1 is none
 	sem  chan struct{} // free extra descent workers; nil never spawns
 	wg   sync.WaitGroup
-	mu   sync.Mutex
+	mu   sync.Mutex    // guards errs, kids and found
 	errs []error       // one per spawned branch, in spawn order
 	kids []*QueryStats // spawned branches' stats slots
-	sp   *obs.Span     // the filter span; spawned branches hang off it
-	// emit takes the candidate (docID, sc.S) found under sc.path on the
-	// goroutine that owns sc; stats and sp are that branch's. nil (a walk on
-	// one goroutine) refines the candidate in place: refineInline.
-	emit func(sc *scratch, docID uint32, stats *QueryStats, sp *obs.Span) error
-	// fetch is the document source refinement reads (nil: fetchAsOf per
-	// candidate), and rsp the refine span its stages are charged to.
-	fetch recordSource
-	rsp   *obs.Span
+	// found is the caller's scratch's found stage, where finished branches
+	// hand their survivors.
+	found *matchStage
+	sp    *obs.Span // the filter span; spawned branches hang off it
+	rsp   *obs.Span // the refine span the root walk's refine stages land on
 }
 
-// refineInline is the emit of a walk on one goroutine: it refines the
-// candidate (docID, sc.S) where the walk found it, against a record decoded
-// into sc, and stages a surviving match on sc's stage.
-func (d *descent) refineInline(sc *scratch, docID uint32, stats *QueryStats) error {
-	ok, err := d.refine(docID, sc.S, stats, sc, d.rsp)
+// refineInline refines the candidate (docID, sc.S) where the walk found it,
+// against the document's image read into sc, charging its stages to sp, and
+// stages a surviving match on sc's stage — with its descent path when the
+// walk can spawn, for reduce.
+func (d *descent) refineInline(sc *scratch, docID uint32, stats *QueryStats, sp *obs.Span) error {
+	ok, err := d.refine(docID, sc.S, stats, sc, sp)
 	if err == nil && ok {
 		// Wildcard edges make the matched subsequence a proxy witness:
 		// one embedding can be witnessed by several position lists, so
 		// matches are deduplicated by their canonical image tuple.
-		d0 := d.rsp.Start()
-		sc.stage.keepLast()
-		d.rsp.Stage(obs.StageReduce, d0)
+		d0 := sp.Start()
+		if sc.stage.keepLast() && d.sem != nil {
+			sc.stage.paths = append(sc.stage.paths, sc.path...)
+		}
+		sp.Stage(obs.StageReduce, d0)
 	}
 	return err
 }
 
 // run walks every subtree — the root walk on the caller's scratch sc — and
 // blocks until the spawned branches join, merging their stats into stats. The
-// returned error prefers a real failure over the cancellations (and
-// refinement aborts) it caused.
+// returned error prefers a real failure over the cancellations it caused.
 func (d *descent) run(stats *QueryStats, sc *scratch) error {
-	err := d.walk(stats, d.sp, sc, 0, 0, vtrie.MaxRange)
+	err := d.walk(stats, d.sp, d.rsp, sc, 0, 0, vtrie.MaxRange)
 	d.wg.Wait()
 	for _, ks := range d.kids {
 		stats.merge(ks)
@@ -857,29 +877,29 @@ func (d *descent) run(stats *QueryStats, sc *scratch) error {
 }
 
 // isSecondaryErr reports errors that are consequences of another failure
-// (cancellation fan-out, refinement abort) rather than causes.
+// (cancellation fan-out) rather than causes.
 func isSecondaryErr(err error) bool {
-	return errors.Is(err, errRefineAborted) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // walk runs one branch — the root, or a subtree a worker took — and credits
-// its descent stage: the branch's wall time minus the prefetch and emit
-// windows inside it. Sub-branches it spawns run on their own goroutines and
-// spans, so they are in neither, and run joins them after the root's walk has
-// been credited: the join is idle time, not walking.
-func (d *descent) walk(stats *QueryStats, sp *obs.Span, sc *scratch, i int, ql, qr uint64) error {
+// its descent stage on sp: the branch's wall time minus the prefetch and
+// refinement windows inside it, the latter charged to rsp (the root's refine
+// span, or the branch's own span). Sub-branches it spawns run on their own
+// goroutines and spans, so they are in neither, and run joins them after the
+// root's walk has been credited: the join is idle time, not walking.
+func (d *descent) walk(stats *QueryStats, sp, rsp *obs.Span, sc *scratch, i int, ql, qr uint64) error {
 	w0 := sp.Start()
-	sc.emitNS = 0
-	err := d.step(stats, sp, sc, i, ql, qr)
-	sp.AddStage(obs.StageDescent, time.Duration(sp.Now()-w0-sp.StageNS(obs.StagePrefetch)-sc.emitNS), 1)
+	sc.refineNS = 0
+	err := d.step(stats, sp, rsp, sc, i, ql, qr)
+	sp.AddStage(obs.StageDescent, time.Duration(sp.Now()-w0-sp.StageNS(obs.StagePrefetch)-sc.refineNS), 1)
 	return err
 }
 
 // step is one level of the walk: the range query (ql, qr] at level i, the
 // MaxGap prune on each hit, then the hit's subtree — spawned, recursed into,
-// or at the last level the docid scan that emits candidates.
-func (d *descent) step(stats *QueryStats, sp *obs.Span, sc *scratch, i int, ql, qr uint64) error {
+// or at the last level the docid scan whose candidates it refines.
+func (d *descent) step(stats *QueryStats, sp, rsp *obs.Span, sc *scratch, i int, ql, qr uint64) error {
 	// Cancellation is observed between range queries: every recursion level
 	// issues at least one, so a deadline cuts a slow wildcard scan off
 	// without leaving any shared state behind (the index is read-only).
@@ -904,18 +924,13 @@ func (d *descent) step(stats *QueryStats, sp *obs.Span, sc *scratch, i int, ql, 
 			err = d.ix.scanDocIDs(d.p, &d.opts, h.left, h.right, stats, d.par, sp, func(docID uint32) error {
 				stats.Candidates++
 				e0 := sp.Start()
-				var err error
-				if d.emit != nil {
-					err = d.emit(sc, docID, stats, sp)
-				} else {
-					err = d.refineInline(sc, docID, stats)
-				}
-				sc.emitNS += sp.Now() - e0
+				err := d.refineInline(sc, docID, stats, rsp)
+				sc.refineNS += sp.Now() - e0
 				path[i+1]++
 				return err
 			})
 		} else if !d.spawn(sc, i, h) {
-			err = d.step(stats, sp, sc, i+1, h.left, h.right)
+			err = d.step(stats, sp, rsp, sc, i+1, h.left, h.right)
 		}
 		if err != nil {
 			return err
@@ -926,7 +941,9 @@ func (d *descent) step(stats *QueryStats, sp *obs.Span, sc *scratch, i int, ql, 
 
 // spawn hands the subtree below hit h of level i to a free worker, if there
 // is one, on a scratch of its own seeded with the S and path prefixes — the
-// inline loop keeps writing the originals.
+// inline loop keeps writing the originals. The branch refines onto its own
+// stage and, once done, hands its survivors to the caller's found and pools
+// its scratch at once.
 func (d *descent) spawn(sc *scratch, i int, h hit) bool {
 	select {
 	case d.sem <- struct{}{}:
@@ -935,6 +952,7 @@ func (d *descent) spawn(sc *scratch, i int, h hit) bool {
 	}
 	bsc := getScratch()
 	bsc.levels(len(sc.S))
+	bsc.stage.reset(len(sc.S), d.p.m)
 	copy(bsc.S, sc.S[:i+1])
 	copy(bsc.path, sc.path[:i+1])
 	ks := &QueryStats{}
@@ -955,14 +973,13 @@ func (d *descent) spawn(sc *scratch, i int, h hit) bool {
 	go func() {
 		defer d.wg.Done()
 		defer func() { <-d.sem }()
-		defer putScratch(bsc)
-		err := d.walk(ks, bsp, bsc, i+1, h.left, h.right)
+		err := d.walk(ks, bsp, bsp, bsc, i+1, h.left, h.right)
 		bsp.End()
-		if err != nil {
-			d.mu.Lock()
-			d.errs[slot] = err
-			d.mu.Unlock()
-		}
+		d.mu.Lock()
+		d.errs[slot] = err
+		d.found.absorb(&bsc.stage)
+		d.mu.Unlock()
+		putScratch(bsc)
 	}()
 	return true
 }
@@ -991,9 +1008,8 @@ func (ix *Index) imageAt(docID uint32, asOf uint64) (loc mvcc.Loc, visible bool)
 // fetchAsOf resolves the image of docID visible at asOf for refinement. The
 // current image is read in place from the store's resident shape and LPS into
 // v, without reading a page (a document whose record did not read at Open is
-// read now); a superseded image is its record, read from the store into dst
-// (a nil dst asks for a fresh record, for callers that keep it). Both belong
-// to the caller, who may reuse them for its next fetch. It implements the
+// read now); a superseded image is its record, read from the store into dst.
+// Both belong to the caller, who may reuse them for its next fetch. It implements the
 // graceful-degradation contract (degrade); documents not visible at asOf
 // return nil too.
 func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *docstore.Record, v *docstore.View) (docShape, error) {
@@ -1009,9 +1025,6 @@ func (ix *Index) fetchAsOf(docID uint32, asOf uint64, stats *QueryStats, dst *do
 		if !errors.Is(err, docstore.ErrNotResident) {
 			return nil, ix.degrade(docID, true, err, stats)
 		}
-	}
-	if dst == nil {
-		dst = new(docstore.Record)
 	}
 	rec, err := ix.readImage(docID, loc, stats, dst)
 	if rec == nil {
@@ -1080,31 +1093,16 @@ type docShape interface {
 	LabelOf(post int32) (vtrie.Symbol, bool)
 }
 
-// recordSource fetches one document's image for refinement; a nil image with
-// a nil error means "skip this document". tmp and v are a record and a view
-// the calling goroutine owns (its scratch's): fetchAsOf, the inline walk's
-// fetch-per-candidate source, fills v or decodes into tmp and returns it,
-// good until the caller's next fetch; the pipelined scheduler passes a
-// per-query memoizing cache, which ignores both and keeps a fresh record or a
-// view of its own per document, so a document shared by many candidates is
-// fetched once.
-type recordSource func(docID uint32, stats *QueryStats, tmp *docstore.Record, v *docstore.View) (docShape, error)
-
 // refine is Algorithm 2: connectedness (with the §4.5 wildcard chase), gap
-// consistency, frequency consistency and leaf matching, against the document
-// d.fetch returns (fetchAsOf when nil). Each phase is charged to its own
-// stage on sp (nil-safe): fetch, connect, structure, leaves. S is read; sc
-// lends N, the view and the record the document is read into and the stage a
-// surviving match is pushed onto (ok true).
+// consistency, frequency consistency and leaf matching, against the image
+// fetchAsOf resolves. Each phase is charged to its own stage on sp
+// (nil-safe): fetch, connect, structure, leaves. S is read; sc lends N, the
+// view and the record the document is read into and the stage a surviving
+// match is pushed onto (ok true).
 func (d *descent) refine(docID uint32, S []int32, stats *QueryStats, sc *scratch, sp *obs.Span) (ok bool, err error) {
 	p := d.p
 	t0 := sp.Start()
-	var doc docShape
-	if d.fetch != nil {
-		doc, err = d.fetch(docID, stats, &sc.rec, &sc.view)
-	} else {
-		doc, err = d.ix.fetchAsOf(docID, d.opts.AsOf, stats, &sc.rec, &sc.view)
-	}
+	doc, err := d.ix.fetchAsOf(docID, d.opts.AsOf, stats, &sc.rec, &sc.view)
 	sp.Stage(obs.StageFetch, t0)
 	if err != nil || doc == nil {
 		return false, err

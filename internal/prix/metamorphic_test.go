@@ -44,7 +44,7 @@ func variantDoc(d *xmltree.Document, salt int) *xmltree.Document {
 
 // dynCorpusIndex grows a dynamic index over the corpus. dir may be empty
 // (in-memory) or a directory for close/reopen scenarios.
-func dynCorpusIndex(t *testing.T, dir string, extended bool, docs []*xmltree.Document) *DynamicIndex {
+func dynCorpusIndex(t testing.TB, dir string, extended bool, docs []*xmltree.Document) *DynamicIndex {
 	t.Helper()
 	di, err := NewDynamicIndex(docs, Options{
 		Dir:             dir,

@@ -42,7 +42,7 @@ func parallelCorpus() []*xmltree.Document {
 	return docs
 }
 
-// parallelQueries spans the query classes the pipeline touches: ordered,
+// parallelQueries spans the query classes the schedulers touch: ordered,
 // wildcard edges, unordered multi-arrangement, values and single-node.
 var parallelQueries = []struct {
 	src       string
@@ -59,56 +59,102 @@ var parallelQueries = []struct {
 	{`/a/b/c`, false},
 }
 
-// statsComparable strips the fields that legitimately vary between runs
-// (timing, and PagesRead, which depends on cache state and fetch
-// memoization; RecordFetches/RecordCacheHits split on the same memoization
-// axis — the inline emit fetches per candidate, the pipelined scheduler
-// once per document).
+// statsComparable strips the fields that legitimately vary between runs:
+// timing, and PagesRead, which depends on cache state. Every counter,
+// RecordFetches included, must come out the same at every Parallelism.
 func statsComparable(s *QueryStats) QueryStats {
 	c := *s
 	c.PagesRead = 0
-	c.RecordFetches = 0
-	c.RecordCacheHits = 0
-	c.HotRecordHits = 0 // follows RecordFetches on the memoization axis
 	c.Elapsed = 0
 	c.DegradedShards = nil // slice field; engine-internal paths never set it
 	return c
 }
 
-// TestParallelMatchesSerialDifferential is the pipeline's core contract:
-// any Parallelism setting returns byte-identical sorted matches and the
-// same counter stats as Parallelism 1, across ordered,
-// unordered, wildcard, value and single-node queries on both index kinds.
-func TestParallelMatchesSerialDifferential(t *testing.T) {
+// parallelAsOf are the versions the differential queries the mutated
+// dynamic index at: latest, after the first update (four superseded images
+// in play) and after the third.
+var parallelAsOf = []uint64{0, 1, 3}
+
+// mutatedParallelIndex is parallelCorpus as a dynamic EPIndex with five
+// documents updated and one deleted, so a query AS OF an early version
+// refines superseded images read from the store (RecordFetches > 0).
+func mutatedParallelIndex(t testing.TB) *DynamicIndex {
 	docs := parallelCorpus()
-	for _, extended := range []bool{false, true} {
-		ix := build(t, extended, docs...)
+	di := dynCorpusIndex(t, "", true, docs)
+	t.Cleanup(func() { di.Close() })
+	for _, id := range []int{1, 3, 5, 11, 17} {
+		if _, err := di.Update(uint32(id), variantDoc(docs[id], id)); err != nil {
+			t.Fatalf("update %d: %v", id, err)
+		}
+	}
+	if _, err := di.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	return di
+}
+
+// matcher is one query surface the parallel differential drives.
+type matcher struct {
+	name  string
+	match func(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, error)
+}
+
+// parallelMatchers are the differential's surfaces: both index kinds, and
+// the mutated dynamic index at every parallelAsOf version.
+func parallelMatchers(t testing.TB) []matcher {
+	docs := parallelCorpus()
+	rp, ep, di := build(t, false, docs...), build(t, true, docs...), mutatedParallelIndex(t)
+	ms := []matcher{{"rp", rp.Match}, {"ep", ep.Match}}
+	for _, v := range parallelAsOf {
+		ms = append(ms, matcher{fmt.Sprintf("dyn@%d", v), func(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, error) {
+			opts.AsOf = v
+			return di.Match(q, opts)
+		}})
+	}
+	return ms
+}
+
+// checkParallel runs q on m at Parallelism 1 and at par and fails t where
+// the two disagree on the error, the matches or the stats (all but timing
+// and PagesRead). It returns the serial stats (nil on an error).
+func checkParallel(t *testing.T, m matcher, q *twig.Query, unordered bool, par int) *QueryStats {
+	t.Helper()
+	serialMS, serialStats, serialErr := m.match(q, MatchOptions{WarmCache: true, Unordered: unordered, Parallelism: 1})
+	ms, stats, err := m.match(q, MatchOptions{WarmCache: true, Unordered: unordered, Parallelism: par})
+	if (err == nil) != (serialErr == nil) {
+		t.Fatalf("%s %s par=%d: err = %v, serial err = %v", m.name, q, par, err, serialErr)
+	}
+	if serialErr != nil {
+		return nil
+	}
+	if !reflect.DeepEqual(ms, serialMS) {
+		t.Errorf("%s %s par=%d: matches diverge from serial\n got %v\nwant %v", m.name, q, par, ms, serialMS)
+	}
+	if got, want := statsComparable(stats), statsComparable(serialStats); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s %s par=%d: stats = %+v, serial %+v", m.name, q, par, got, want)
+	}
+	return serialStats
+}
+
+// TestParallelMatchesSerialDifferential is the scheduler's core contract:
+// any Parallelism setting returns byte-identical sorted matches and the
+// same QueryStats as Parallelism 1, across ordered, unordered, wildcard,
+// value and single-node queries on both index kinds and AS OF past versions
+// of a mutated index, whose superseded images are read record by record.
+func TestParallelMatchesSerialDifferential(t *testing.T) {
+	fetched := false
+	for _, m := range parallelMatchers(t) {
 		for _, qc := range parallelQueries {
 			q := twig.MustParse(qc.src)
-			serialMS, serialStats, serialErr := ix.Match(q, MatchOptions{
-				WarmCache: true, Unordered: qc.unordered, Parallelism: 1,
-			})
 			for _, par := range []int{2, 4, 8} {
-				ms, stats, err := ix.Match(q, MatchOptions{
-					WarmCache: true, Unordered: qc.unordered, Parallelism: par,
-				})
-				if (err == nil) != (serialErr == nil) {
-					t.Fatalf("ext=%v %s par=%d: err = %v, serial err = %v",
-						extended, qc.src, par, err, serialErr)
-				}
-				if serialErr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(ms, serialMS) {
-					t.Errorf("ext=%v %s par=%d: matches diverge from serial\n got %v\nwant %v",
-						extended, qc.src, par, ms, serialMS)
-				}
-				if got, want := statsComparable(stats), statsComparable(serialStats); !reflect.DeepEqual(got, want) {
-					t.Errorf("ext=%v %s par=%d: stats = %+v, serial %+v",
-						extended, qc.src, par, got, want)
+				if st := checkParallel(t, m, q, qc.unordered, par); st != nil && st.RecordFetches > 0 {
+					fetched = true
 				}
 			}
 		}
+	}
+	if !fetched {
+		t.Error("no query read a superseded record: RecordFetches went uncompared")
 	}
 }
 
@@ -186,8 +232,8 @@ func TestParallelOptionsParity(t *testing.T) {
 	}
 }
 
-// TestParallelDegradedQuarantine: a quarantine observed on any refinement
-// worker must surface as Degraded, and the degraded answer must equal the
+// TestParallelDegradedQuarantine: a quarantine observed on any walker must
+// surface as Degraded, and the degraded answer must equal the
 // serial degraded answer.
 func TestParallelDegradedQuarantine(t *testing.T) {
 	docs := parallelCorpus()
@@ -290,11 +336,10 @@ func TestConcurrentColdCachePagesRead(t *testing.T) {
 }
 
 // FuzzParallelMatch cross-checks serial and parallel execution over
-// arbitrary parsed queries against a fixed corpus.
+// arbitrary parsed queries against a fixed corpus, both index kinds and the
+// mutated dynamic index at every parallelAsOf version.
 func FuzzParallelMatch(f *testing.F) {
-	docs := parallelCorpus()
-	rp := build(f, false, docs...)
-	ep := build(f, true, docs...)
+	ms := parallelMatchers(f)
 	for _, qc := range parallelQueries {
 		f.Add(qc.src, uint8(4), qc.unordered)
 	}
@@ -306,37 +351,21 @@ func FuzzParallelMatch(f *testing.F) {
 		if q.Size() > 8 {
 			t.Skip() // keep arrangements and refinement bounded
 		}
-		workers := int(par%8) + 2
-		for _, ix := range []*Index{rp, ep} {
-			serialMS, serialStats, serialErr := ix.Match(q, MatchOptions{
-				WarmCache: true, Unordered: unordered, Parallelism: 1,
-			})
-			ms, stats, err := ix.Match(q, MatchOptions{
-				WarmCache: true, Unordered: unordered, Parallelism: workers,
-			})
-			if (err == nil) != (serialErr == nil) {
-				t.Fatalf("%q par=%d: err = %v, serial err = %v", src, workers, err, serialErr)
-			}
-			if serialErr != nil {
-				continue
-			}
-			if !reflect.DeepEqual(ms, serialMS) {
-				t.Fatalf("%q par=%d: matches diverge from serial", src, workers)
-			}
-			if got, want := statsComparable(stats), statsComparable(serialStats); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%q par=%d: stats = %+v, serial %+v", src, workers, got, want)
+		for _, m := range ms {
+			checkParallel(t, m, q, unordered, int(par%8)+2)
+			if t.Failed() {
+				t.FailNow()
 			}
 		}
 	})
 }
 
-// BenchmarkUnorderedArrangements measures the parallel pipeline on the
-// workload it exists for: cold-cache queries against a seek-dominated
+// BenchmarkUnorderedArrangements measures the parallel schedulers on the
+// workload they exist for: cold-cache queries against a seek-dominated
 // device (2 ms per physical read, the paper's 2004-era disk), where serial
-// execution pays every page wait back to back and the pipeline overlaps
-// them — descent subtrees and branch arrangements fan out across workers,
-// B+-tree range scans are prefetched, and each shared record is fetched
-// once instead of once per candidate per arrangement. An unordered
+// execution pays every page wait back to back and the schedulers overlap
+// them — descent subtrees and branch arrangements fan out across workers
+// and B+-tree range scans are prefetched. An unordered
 // two-branch value query (2 arrangements) over the corpus, serial vs four
 // workers. `make bench-smoke` runs the cmd/prixbench variant of this
 // comparison on the bundled datasets.
@@ -379,6 +408,57 @@ func BenchmarkUnorderedArrangements(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkAsOfCold measures the one traffic class whose refinement reads
+// document records: a cold-cache AS OF query against a seek-dominated device
+// (2 ms per physical read) over 1,000 random documents, half of them updated
+// after the queried version, so refinement reads their superseded images
+// from the store. Serial vs four workers; pages/op and fetches/op are the
+// query's PagesRead and RecordFetches.
+func BenchmarkAsOfCold(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	var docs []*xmltree.Document
+	for i := 0; i < 1000; i++ {
+		docs = append(docs, xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+			Nodes:     40,
+			Alphabet:  []string{"a", "b", "c", "d", "e"},
+			MaxFanout: 4,
+			ValueProb: 0.3,
+			Values:    []string{"x", "y"},
+		}))
+	}
+	di, err := NewDynamicIndex(docs, Options{Extended: true, BufferPoolPages: 2000}, DynamicOptions{Alpha: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer di.Close()
+	for id := 0; id < len(docs); id += 2 {
+		if _, err := di.Update(uint32(id), variantDoc(docs[id], id)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Straight to the Index: DynamicIndex.Match forces a warm cache, and no
+	// writer runs here.
+	ix := di.Index()
+	ix.SetReadDelay(2 * time.Millisecond)
+	defer ix.SetReadDelay(0)
+	q := twig.MustParse(`//d[./e[text()="x"]]`)
+	for _, par := range []int{1, 4} {
+		b.Run(map[int]string{1: "serial", 4: "par4"}[par], func(b *testing.B) {
+			var pages uint64
+			var fetches int
+			for i := 0; i < b.N; i++ {
+				_, st, err := ix.Match(q, MatchOptions{AsOf: 1, Parallelism: par})
+				if err != nil {
+					b.Fatal(err)
+				}
+				pages, fetches = pages+st.PagesRead, fetches+st.RecordFetches
+			}
+			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+			b.ReportMetric(float64(fetches)/float64(b.N), "fetches/op")
 		})
 	}
 }

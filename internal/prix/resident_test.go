@@ -68,15 +68,15 @@ func TestResidentMatchAllocs(t *testing.T) {
 }
 
 // TestScratchIsolation runs queries from 8 goroutines at once (under -race
-// -count=10 in CI), serial and pipelined sharing the scratch pool, then proves
+// -count=10 in CI), serial and parallel sharing the scratch pool, then proves
 // nothing returned aliases pooled scratch: every scratch the pool will hand
 // out is scribbled over — hit buffers, S and N, the record candidates are
 // decoded into, the staged matches, the compiled pattern's slabs — and only
 // then are the serial reference answers computed and the concurrent ones
 // compared with them. Three read paths: resident (summaries, no record is
-// ever decoded), paged (every serial candidate decodes into its goroutine's
-// scratch record, the pipelined record cache keeps fresh ones), and AS OF
-// reads of superseded images (GetAtLoc's route into the same scratch record).
+// ever decoded), paged (every candidate is read into its walker's scratch),
+// and AS OF reads of superseded images (GetAtLoc's route into the same
+// scratch record).
 func TestScratchIsolation(t *testing.T) {
 	t.Run("resident", func(t *testing.T) {
 		ix, specs := residentSwissprot(t)
@@ -155,7 +155,7 @@ func scratchIsolation(t *testing.T, rounds int, queries []*twig.Query, wantLen [
 			for round := 0; round < rounds; round++ {
 				for i := range queries {
 					i = (i + g) % len(queries)
-					ms, err := match(queries[i], 1+(g+round)%3) // serial and pipelined share the pool
+					ms, err := match(queries[i], 1+(g+round)%3) // serial and parallel share the pool
 					if err != nil {
 						t.Errorf("%s: %v", queries[i], err)
 						return

@@ -22,7 +22,7 @@ func storeReads(ix *Index) uint64 { return ix.store.BufferPool().Stats().Logical
 // Algorithm 2 refines a latest image against the document's resident shape
 // and LPS: on a cold EPIndex and a cold RPIndex, reopened from disk with a
 // small pool (Open reads the LPS around it), no query reads a docs.db
-// page, on one goroutine or pipelined, and the matches are the planted
+// page, on one goroutine or at Parallelism 4, and the matches are the planted
 // counts. That holds for a regular-Prüfer element leaf landing on an internal
 // data node (Q2, //www[./editor]/url: editor and url have text children),
 // whose label is in the LPS, and for the single-node scan (the root and a

@@ -15,16 +15,17 @@ import (
 //	    │   │                      queries; otherwise filter/refine hang
 //	    │   │                      off match directly
 //	    │   ├── filter           — Algorithm 1, the root walk: descent/
-//	    │   │   │                  prefetch/emit_wait
+//	    │   │   │                  prefetch
 //	    │   │   └── branch(hex)  — subtrees of the one walk that a free
-//	    │   │                      worker took (pipelined scheduler only),
+//	    │   │                      worker took (Parallelism > 1 only),
 //	    │   │                      keyed by the descent path (lexicographic
-//	    │   │                      = depth-first emission order)
-//	    │   └── refine           — Algorithm 2 stages; at Parallelism 1 the
-//	    │       │                  walk's emit times fetch/connect/
-//	    │       │                  structure/leaves here, one fetch window
-//	    │       │                  per candidate
-//	    │       └── worker(NNN)  — the pipelined scheduler's refinement pool
+//	    │   │                      = depth-first order); a branch's own
+//	    │   │                      descent/prefetch and the fetch/connect/
+//	    │   │                      structure/leaves of the candidates it
+//	    │   │                      refines land here
+//	    │   └── refine           — Algorithm 2 stages of the root walk's
+//	    │                          candidates: fetch/connect/structure/
+//	    │                          leaves, one fetch window per candidate
 //	    └── scan(NNN)            — single-node queries: per-shard scans
 //
 // Stage accumulators are written by the single goroutine owning each
@@ -73,7 +74,6 @@ func finishMatchSpan(sp *obs.Span, stats *QueryStats) {
 	sp.SetInt("candidates", int64(stats.Candidates))
 	sp.SetInt("matches", int64(stats.Matches))
 	sp.SetInt("record_fetches", int64(stats.RecordFetches))
-	sp.SetInt("record_cache_hits", int64(stats.RecordCacheHits))
 	if stats.Degraded {
 		sp.SetInt("degraded", 1)
 	}

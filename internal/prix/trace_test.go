@@ -111,8 +111,10 @@ func TestTraceSpanTreeShape(t *testing.T) {
 		t.Errorf("serial fetch windows = %d, want one per candidate (%d)", got, stats.Candidates)
 	}
 
-	// Pipelined: worker spans keyed by ordinal, sorted, cand_wait counted;
-	// per-worker fetch windows still sum to the candidate count.
+	// Parallelism 4: no worker spans. Every walker charges its refine
+	// stages to its own span — the root walk to refine, each branch to its
+	// branch span under filter, keyed in descent-path order — so the fetch
+	// windows over those spans count every candidate exactly once.
 	tr = obs.NewTrace("q")
 	_, pstats, err := ix.Match(q, MatchOptions{Parallelism: 4, WarmCache: true, Trace: tr})
 	if err != nil {
@@ -120,34 +122,37 @@ func TestTraceSpanTreeShape(t *testing.T) {
 	}
 	tr.Finish()
 	match = tr.Root().Children()[0]
-	refine = nil
+	filter, refine = nil, nil
 	for _, c := range match.Children() {
-		if c.Name() == "refine" {
+		switch c.Name() {
+		case "filter":
+			filter = c
+		case "refine":
 			refine = c
 		}
 	}
-	if refine == nil {
-		t.Fatalf("pipelined match children = %v", names(match.Children()))
+	if filter == nil || refine == nil {
+		t.Fatalf("par=4 match children = %v", names(match.Children()))
 	}
-	workers := refine.Children()
-	if len(workers) != 4 {
-		t.Fatalf("worker spans = %d, want 4", len(workers))
+	if kids := refine.Children(); len(kids) != 0 {
+		t.Errorf("refine span children = %v, want none", names(kids))
 	}
-	var fetches, waits int64
-	for w, wsp := range workers {
-		if wsp.Key() != fmt.Sprintf("%03d", w) {
-			t.Errorf("worker %d key = %q (not sorted by ordinal)", w, wsp.Key())
+	fetches := refine.StageCount(obs.StageFetch)
+	branches := filter.Children()
+	if len(branches) == 0 {
+		t.Fatal("no branch spans: the walk never spawned")
+	}
+	for k, bsp := range branches {
+		if bsp.Name() != "branch" {
+			t.Errorf("filter child %s, want only branches", names(branches[k:k+1]))
 		}
-		fetches += wsp.StageCount(obs.StageFetch)
-		waits += wsp.StageCount(obs.StageCandWait)
+		if k > 0 && bsp.Key() <= branches[k-1].Key() {
+			t.Errorf("branch keys %q then %q: not in descent-path order", branches[k-1].Key(), bsp.Key())
+		}
+		fetches += bsp.StageCount(obs.StageFetch)
 	}
-	// Identical (doc, S) emissions are deduplicated before the channel, so
-	// fetch windows equal scheduled candidates, bounded by the counter.
-	if fetches == 0 || fetches > int64(pstats.Candidates) {
-		t.Errorf("pipelined fetch windows = %d, candidates = %d", fetches, pstats.Candidates)
-	}
-	if waits < 4 {
-		t.Errorf("cand_wait windows = %d, want >= one per worker", waits)
+	if fetches != int64(pstats.Candidates) {
+		t.Errorf("par=4 fetch windows = %d, want one per candidate (%d)", fetches, pstats.Candidates)
 	}
 
 	// Unordered multi-arrangement: one keyed arrangement span each.

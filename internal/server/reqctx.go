@@ -14,7 +14,7 @@ import (
 //
 //   - Err is an atomic load plus parent.Err(), with no clock read: the engine
 //     calls it once per descent step.
-//   - Done is made on its first call only (the pipelined scheduler's derived
+//   - Done is made on its first call only (the arrangement fan-out's derived
 //     contexts, a shard waiting for admission, the executor's retry
 //     backoff), and closes at the deadline and on parent cancellation.
 //   - Deadline and Value answer as WithTimeout's context would.

@@ -293,12 +293,11 @@ type MatchJSON struct {
 
 // ResponseStat is the engine accounting on the wire.
 type ResponseStat struct {
-	ElapsedUS       int64  `json:"elapsed_us"`
-	RangeQueries    int    `json:"range_queries"`
-	Candidates      int    `json:"candidates"`
-	PagesRead       uint64 `json:"pages_read"`
-	RecordFetches   int    `json:"record_fetches,omitempty"`
-	RecordCacheHits int    `json:"record_cache_hits,omitempty"`
+	ElapsedUS     int64  `json:"elapsed_us"`
+	RangeQueries  int    `json:"range_queries"`
+	Candidates    int    `json:"candidates"`
+	PagesRead     uint64 `json:"pages_read"`
+	RecordFetches int    `json:"record_fetches,omitempty"`
 }
 
 type errorResponse struct {
@@ -540,12 +539,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Shared:   res.Shared,
 		Degraded: res.Stats.Degraded,
 		Stats: ResponseStat{
-			ElapsedUS:       res.Stats.Elapsed.Microseconds(),
-			RangeQueries:    res.Stats.RangeQueries,
-			Candidates:      res.Stats.Candidates,
-			PagesRead:       res.Stats.PagesRead,
-			RecordFetches:   res.Stats.RecordFetches,
-			RecordCacheHits: res.Stats.RecordCacheHits,
+			ElapsedUS:     res.Stats.Elapsed.Microseconds(),
+			RangeQueries:  res.Stats.RangeQueries,
+			Candidates:    res.Stats.Candidates,
+			PagesRead:     res.Stats.PagesRead,
+			RecordFetches: res.Stats.RecordFetches,
 		},
 	}
 	if wantTrace && executed {

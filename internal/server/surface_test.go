@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/compact"
+	"repro/internal/obs"
 	"repro/internal/prix"
 	"repro/internal/shard"
 	"repro/internal/xmltree"
@@ -46,6 +48,15 @@ var metricsBase = []string{
 }
 
 var (
+	// replyStatKeys are a query reply's "stats" keys when it read no record
+	// (record_fetches is omitempty).
+	replyStatKeys = []string{"elapsed_us", "range_queries", "candidates", "pages_read"}
+	// stageLabels are the stage taxonomy, every stage
+	// prix_stage_latency_seconds may carry.
+	stageLabels = []string{
+		"compile", "cold_start", "descent", "prefetch", "fetch", "connect",
+		"structure", "leaves", "reduce",
+	}
 	metricsHot = []string{
 		"prix_hot_bytes", "prix_hot_budget_bytes", "prix_hot_items",
 		"prix_hot_hits_total", "prix_hot_misses_total", "prix_hot_evictions_total",
@@ -104,8 +115,9 @@ func getJSON(t *testing.T, url string) (map[string]any, http.Header) {
 	return body, resp.Header
 }
 
-// metricNames lists the distinct sample names of a /metrics scrape.
-func metricNames(t *testing.T, url string) []string {
+// metricNames lists the distinct sample names of a /metrics scrape and the
+// distinct stage labels of its stage histogram.
+func metricNames(t *testing.T, url string) (names, stages []string) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -116,20 +128,28 @@ func metricNames(t *testing.T, url string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
+	seen, stageSeen := map[string]bool{}, map[string]bool{}
+	const stageCount = `prix_stage_latency_seconds_count{stage="`
 	for _, line := range strings.Split(string(raw), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		name := line[:strings.IndexAny(line, "{ ")]
 		seen[name] = true
+		if rest, ok := strings.CutPrefix(line, stageCount); ok {
+			stageSeen[rest[:strings.IndexByte(rest, '"')]] = true
+		}
 	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
+	return setKeys(seen), setKeys(stageSeen)
+}
+
+func setKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(out)
+	return out
 }
 
 // openRootOver writes docs as an on-disk dynamic index and opens it as a
@@ -163,10 +183,14 @@ func openRootOver(t *testing.T, docs []*xmltree.Document, opts prix.Options) *co
 // TestSurfaceParity pins the wire surface every engine wrapper presents to
 // the service: the /healthz and /stats key sets, the /metrics name set, the
 // values the source reports (docs, extended, dictionary bytes, shards,
-// topology epoch, hot and versions blocks) and the X-Prix-Degraded header once a document is
-// quarantined. It is written against the wire, not the Go interfaces, so
+// topology epoch, hot and versions blocks), the query reply's stats keys,
+// the stage labels a traced query leaves in /metrics and the X-Prix-Degraded
+// header once a document is quarantined. It is written against the wire, not the Go interfaces, so
 // it holds across any reshaping of how the server reaches its source.
 func TestSurfaceParity(t *testing.T) {
+	if got := obs.StageNames(); !reflect.DeepEqual(got, stageLabels) {
+		t.Errorf("stage taxonomy = %v, want %v", got, stageLabels)
+	}
 	docs := shardCorpus(12)
 	const hotBudget = 1 << 20
 
@@ -275,8 +299,16 @@ func TestSurfaceParity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(tc.srv.Handler())
 			defer ts.Close()
-			if status, _, raw := doQuery(t, ts.Client(), ts.URL, `//a/b`); status != http.StatusOK {
+			status, _, raw := doQuery(t, ts.Client(), ts.URL, `//a/b`)
+			if status != http.StatusOK {
 				t.Fatalf("query: status %d (%s)", status, raw)
+			}
+			var reply struct{ Stats map[string]any }
+			if err := json.Unmarshal([]byte(raw), &reply); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sortedKeys(reply.Stats), sortedSet(replyStatKeys); !reflect.DeepEqual(got, want) {
+				t.Errorf("query reply stats keys = %v, want %v", got, want)
 			}
 
 			hz, _ := getJSON(t, ts.URL+"/healthz")
@@ -300,8 +332,17 @@ func TestSurfaceParity(t *testing.T) {
 				t.Errorf("/stats shapes = %v, shape_bytes = %v; want %d and the source's %d",
 					st["shapes"], st["shape_bytes"], tc.shapes, src.ShapeBytes)
 			}
-			if got, want := metricNames(t, ts.URL+"/metrics"), sortedSet(tc.metrics); !reflect.DeepEqual(got, want) {
+			names, stages := metricNames(t, ts.URL+"/metrics")
+			if got, want := names, sortedSet(tc.metrics); !reflect.DeepEqual(got, want) {
 				t.Errorf("/metrics names = %v, want %v", got, want)
+			}
+			if len(stages) == 0 {
+				t.Error("/metrics carries no stage series after a traced query")
+			}
+			for _, st := range stages {
+				if !slices.Contains(stageLabels, st) {
+					t.Errorf("/metrics stage %q, want one of %v", st, stageLabels)
+				}
 			}
 
 			if tc.shards > 0 {

@@ -276,7 +276,6 @@ func (c *Coordinator) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match
 		merged.TriePathsPruned += r.stats.TriePathsPruned
 		merged.Candidates += r.stats.Candidates
 		merged.RecordFetches += r.stats.RecordFetches
-		merged.RecordCacheHits += r.stats.RecordCacheHits
 		if r.stats.Degraded {
 			merged.Degraded = true
 			degradedShards = append(degradedShards, i)
