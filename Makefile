@@ -74,7 +74,8 @@ sched:
 
 # Every allocation guard (tests named *Allocs, each an AllocsPerRun bound): a
 # page pin hit or missed, a no-fill page read that missed, a journaled flush, an in-place leaf edit on either
-# leaf codec, a fixed-width leaf split against a slotted one, a record
+# editable leaf codec, a range scan across packed leaves (TestPackedScanAllocs:
+# 0, the decode buffer pooled), a fixed-width leaf split against a slotted one, a record
 # decoded into a sized destination, a Match resident and paged, on one
 # goroutine and at Parallelism 4, a trace, the nil span API, a canonical query string,
 # a parsed query (TestParseAllocs: two objects up to 16 nodes), one POST /query
@@ -111,7 +112,9 @@ benchmark-module:
 # tier's Add/TryAdd/Get/Invalidate sequences against a container/list LRU
 # model, views held across arena repacks included (FuzzTier); the
 # B+-tree's in-place leaf edits, slotted and fixed-width, against a
-# sorted-slice model; and the docstore
+# sorted-slice model, and its packed leaves' bulk loads (symbol boundaries,
+# duplicate keys, fields needing all 64 bits) against the same model
+# (FuzzPackedLeaf); and the docstore
 # meta's header fields, chain pointers and block counts as Open reads them
 # from a corrupt file; the shapes section's resync headers and shape
 # encodings and the record encoding's shape ids and LPS lengths through Open,
@@ -132,6 +135,7 @@ fuzz:
 	$(GO) test ./internal/hot -run FuzzDocIDsScan -fuzz FuzzDocIDsScan -fuzztime 30s
 	$(GO) test ./internal/hot -run FuzzTier -fuzz FuzzTier -fuzztime 30s
 	$(GO) test ./internal/btree -run FuzzLeafOps -fuzz FuzzLeafOps -fuzztime 30s
+	$(GO) test ./internal/btree -run FuzzPackedLeaf -fuzz FuzzPackedLeaf -fuzztime 30s
 	$(GO) test ./internal/prix -run FuzzRecordDocSeq -fuzz FuzzRecordDocSeq -fuzztime 30s
 
 # The oracle-backed differential suite: every engine (PRIX serial/parallel,
@@ -212,9 +216,9 @@ bench-smoke:
 	$(GO) test ./internal/vtrie -run XXX -bench 'LabelerAdd' -benchtime 1x -benchmem
 	$(GO) test ./internal/compact -run XXX -bench 'CompactDynamic' -benchtime 1x -benchmem
 
-# Index size: the directory (seq.idx + docs.db) must stay within 3.17x
-# (DBLP), 4.66x (SWISSPROT) and 4.54x (TREEBANK) the XML on the three
-# generated corpora — the shape dictionary's 2.89x, 4.24x and 4.12x plus 10 %
+# Index size: the directory (seq.idx + docs.db) must stay within 1.20x
+# (DBLP), 1.87x (SWISSPROT) and 2.23x (TREEBANK) the XML on the three
+# generated corpora — packed postings leaves' 1.14x, 1.78x and 2.12x plus 5 %
 # — and prixcheck's size report (bytes per file; entries, height, pages per
 # level, leaf fill, leaf cell format and bytes per entry per tree; shapes,
 # documents per shape, NPS entries and bytes per copy; bytes per XML byte) is

@@ -114,10 +114,10 @@ func TestCleanIndexPrintsSizeReport(t *testing.T) {
 }
 
 // The size report names each tree's leaf cell format and what its leaves
-// cost per entry. A bulk-built EPIndex packs 340 postings of 24 bytes into
-// each 8,176-byte leaf, so only the last, partly filled leaf lifts `post`
-// above 24.05 B per entry.
-func TestSizeReportShowsFixedPostings(t *testing.T) {
+// cost per entry. A bulk-built EPIndex packs its dense-labeled postings into
+// bit-packed cells: a scale-1 SWISSPROT one measured 10+15+9+7-bit cells at
+// 4.4 B per entry, where fixed 12+12 cells cost 24.05.
+func TestSizeReportShowsPackedPostings(t *testing.T) {
 	dir := t.TempDir()
 	ix, err := prix.Build(datagen.SwissProt(1, 1).Docs, prix.Options{Extended: true, Dir: dir})
 	if err != nil {
@@ -130,12 +130,16 @@ func TestSizeReportShowsFixedPostings(t *testing.T) {
 	if status != exitClean {
 		t.Fatalf("run = %d, want %d:\n%s", status, exitClean, out)
 	}
-	post := regexp.MustCompile(`size: tree "post" .*, fixed 12\+12 cells, ([0-9.]+) B per entry`).FindStringSubmatch(out)
+	post := regexp.MustCompile(`size: tree "post" .*, packed [0-9]+\+([0-9]+)\+[0-9]+\+[0-9]+-bit cells, ([0-9.]+) B per entry`).FindStringSubmatch(out)
 	if post == nil {
-		t.Fatalf("report lacks fixed-width postings cells:\n%s", out)
+		t.Fatalf("report lacks packed postings cells:\n%s", out)
 	}
-	if perEntry, err := strconv.ParseFloat(post[1], 64); err != nil || perEntry > 24.2 {
-		t.Errorf("post costs %s B per entry, want <= 24.2", post[1])
+	// Dense labels: Left deltas fit the index's node count, not 64 bits.
+	if left, err := strconv.Atoi(post[1]); err != nil || left > 17 {
+		t.Errorf("post packs Left in %s bits, want <= 17", post[1])
+	}
+	if perEntry, err := strconv.ParseFloat(post[2], 64); err != nil || perEntry > 4.6 {
+		t.Errorf("post costs %s B per entry, want <= 4.6", post[2])
 	}
 	if !regexp.MustCompile(`size: tree "docid" .*, slotted cells, [0-9.]+ B per entry`).MatchString(out) {
 		t.Errorf("report lacks the slotted docid tree:\n%s", out)

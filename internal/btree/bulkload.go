@@ -19,7 +19,9 @@ import (
 //
 // The tree must be empty: bulk loading reuses the existing root page as the
 // first leaf and would orphan any prior contents. Every leaf takes the root
-// leaf's cell format, so a FixedTree loads into fixed-width leaves. The
+// leaf's cell format, so a FixedTree loads into fixed-width leaves and a
+// PackedTree into packed ones, each sealed when its next entry would widen
+// the cells past the page (BulkLoad is the only writer of a packed tree). The
 // resulting tree satisfies every invariant Check enforces; it differs from an
 // Insert-built tree only in fill factor (full pages instead of half-split
 // ones).
@@ -27,58 +29,43 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 	if t.count != 0 {
 		return fmt.Errorf("btree: BulkLoad into non-empty tree %q (%d entries)", t.name, t.count)
 	}
-
-	type childRef struct {
-		first []byte // first key of the subtree, the parent-level separator
-		page  pager.PageID
+	var (
+		prev  []byte
+		total uint64
+	)
+	// entries is next with io.EOF turned into ok == false and every entry
+	// checked for size and order.
+	entries := func() (key, val []byte, ok bool, err error) {
+		key, val, err = next()
+		if err == io.EOF {
+			return nil, nil, false, nil
+		}
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if len(key)+len(val) > MaxEntrySize {
+			return nil, nil, false, fmt.Errorf("btree: entry of %d bytes exceeds MaxEntrySize %d", len(key)+len(val), MaxEntrySize)
+		}
+		if total > 0 && bytes.Compare(prev, key) > 0 {
+			return nil, nil, false, fmt.Errorf("btree: BulkLoad keys out of order (%x after %x)", key, prev)
+		}
+		prev = append(prev[:0], key...)
+		total++
+		return key, val, true, nil
 	}
-
 	// The leaf being filled stays pinned and takes its cells in place.
 	p, err := t.forest.bp.Get(t.root)
 	if err != nil {
 		return err
 	}
-	defer func() { p.Unpin(true) }()
-	var (
-		leaves []childRef
-		prev   []byte
-		total  uint64
-	)
-	for {
-		key, val, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if len(key)+len(val) > MaxEntrySize {
-			return fmt.Errorf("btree: entry of %d bytes exceeds MaxEntrySize %d", len(key)+len(val), MaxEntrySize)
-		}
-		if total > 0 && bytes.Compare(prev, key) > 0 {
-			return fmt.Errorf("btree: BulkLoad keys out of order (%x after %x)", key, prev)
-		}
-		prev = append(prev[:0], key...)
-		if err := leafFits(p.Data, key, val); err != nil {
-			return err
-		}
-		if leafCellSize(pageKind(p.Data), len(key), len(val)) > pageFree(p.Data) {
-			// Seal the full leaf by pointing it at a fresh successor of its
-			// format (encode reads the widths only on a fixed-width leaf).
-			np, err := t.forest.bp.NewPage()
-			if err != nil {
-				return err
-			}
-			(&nodePage{kind: pageKind(p.Data), widths: [2]byte{p.Data[7], p.Data[8]}}).encode(np.Data)
-			binary.LittleEndian.PutUint32(p.Data[3:7], uint32(np.ID))
-			p.Unpin(true)
-			p = np
-		}
-		if pageNumKeys(p.Data) == 0 {
-			leaves = append(leaves, childRef{first: append([]byte(nil), key...), page: p.ID})
-		}
-		leafInsertAt(p.Data, pageNumKeys(p.Data), key, val)
-		total++
+	var leaves []childRef
+	if pageKind(p.Data) == packedLeafNode {
+		leaves, err = t.loadPackedLeaves(p, entries)
+	} else {
+		leaves, err = t.loadLeaves(p, entries)
+	}
+	if err != nil {
+		return err
 	}
 	if total == 0 {
 		return nil // the empty root leaf is already a valid empty tree
@@ -129,4 +116,44 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 	t.count = total
 	t.forest.markDirty(t)
 	return nil
+}
+
+// childRef is one node of the level BulkLoad is building over: its page and
+// the first key of its subtree, the parent level's separator.
+type childRef struct {
+	first []byte
+	page  pager.PageID
+}
+
+// loadLeaves is BulkLoad's leaf pass for a slotted or fixed-width tree: it
+// fills the pinned root page p and its successors in place, each leaf of p's
+// cell format. It releases the last leaf's pin.
+func (t *Tree) loadLeaves(p pager.Page, entries func() (key, val []byte, ok bool, err error)) ([]childRef, error) {
+	defer func() { p.Unpin(true) }()
+	var leaves []childRef
+	for {
+		key, val, ok, err := entries()
+		if err != nil || !ok {
+			return leaves, err
+		}
+		if err := leafFits(p.Data, key, val); err != nil {
+			return nil, err
+		}
+		if leafCellSize(pageKind(p.Data), len(key), len(val)) > pageFree(p.Data) {
+			// Seal the full leaf by pointing it at a fresh successor of its
+			// format (encode reads the widths only on a fixed-width leaf).
+			np, err := t.forest.bp.NewPage()
+			if err != nil {
+				return nil, err
+			}
+			(&nodePage{kind: pageKind(p.Data), widths: [2]byte{p.Data[7], p.Data[8]}}).encode(np.Data)
+			binary.LittleEndian.PutUint32(p.Data[3:7], uint32(np.ID))
+			p.Unpin(true)
+			p = np
+		}
+		if pageNumKeys(p.Data) == 0 {
+			leaves = append(leaves, childRef{first: append([]byte(nil), key...), page: p.ID})
+		}
+		leafInsertAt(p.Data, pageNumKeys(p.Data), key, val)
+	}
 }

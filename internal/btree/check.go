@@ -10,9 +10,9 @@ import (
 
 // Check walks every tree in the forest and validates its structural
 // invariants: page shapes (slot offsets and cell lengths in bounds, or a
-// fixed-width leaf's cells inside its page), key ordering within pages and
-// across separators, equal depth of all leaves, one cell format across a
-// tree's leaves, absence of page-reference cycles, and per-tree entry counts
+// fixed-width or packed leaf's cells inside its page), key ordering within
+// pages and across separators, equal depth of all leaves, one cell format
+// across a tree's leaves, absence of page-reference cycles, and per-tree entry counts
 // matching the directory. It returns every problem found (bounded, so a
 // badly damaged file does not produce millions of lines); an empty slice
 // means the forest is sound. Check never panics on damaged pages — that is
@@ -110,8 +110,9 @@ func (c *checker) walk(id pager.PageID, depth int, low, high []byte) uint64 {
 		} else if f != c.leafFormat {
 			c.report(id, "leaf cells are %s, its siblings' %s", f, c.leafFormat)
 		}
+		var buf [packedEntryLen]byte
 		for i := 0; i < num; i++ {
-			k, _ := leafCellAt(data, i)
+			k, _ := leafEntryAt(data, i, &buf)
 			if low != nil && bytes.Compare(k, low) < 0 {
 				c.report(id, "key %x below its subtree bound %x", k, low)
 			}
@@ -148,8 +149,9 @@ func (c *checker) walk(id pager.PageID, depth int, low, high []byte) uint64 {
 
 // validateNodeShape bounds-checks a node page so the raw accessors cannot
 // read (or panic) outside it: kind byte, slot directory, per-cell offsets
-// and lengths (or a fixed-width leaf's widths against its cell count), and
-// in-page key ordering.
+// and lengths (or a fixed-width leaf's widths against its cell count, or a
+// packed leaf's field widths and cell area), and in-page key ordering —
+// decoded keys, on a packed leaf.
 func validateNodeShape(data []byte) error {
 	kind := pageKind(data)
 	num := pageNumKeys(data)
@@ -162,6 +164,10 @@ func validateNodeShape(data []byte) error {
 		if end := headerSize + num*(kw+vw); end > len(data) {
 			return fmt.Errorf("%d cells of %d+%d bytes overflow the page (end at %d)", num, kw, vw, end)
 		}
+	case packedLeafNode:
+		if err := validatePacked(data, num); err != nil {
+			return err
+		}
 	case leafNode, internalNode:
 		if err := validateSlots(data, kind, num); err != nil {
 			return err
@@ -169,13 +175,15 @@ func validateNodeShape(data []byte) error {
 	default:
 		return fmt.Errorf("unknown node kind %d", kind)
 	}
+	// Two buffers, so a packed leaf's previous decoded key survives the next.
+	var bufs [2][packedEntryLen]byte
 	var prev []byte
 	for i := 0; i < num; i++ {
 		var key []byte
 		if kind == internalNode {
 			key, _ = innerCellAt(data, i)
 		} else {
-			key, _ = leafCellAt(data, i)
+			key, _ = leafEntryAt(data, i, &bufs[i%2])
 		}
 		if prev != nil && bytes.Compare(prev, key) > 0 {
 			return fmt.Errorf("cell %d key out of order", i)

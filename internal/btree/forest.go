@@ -72,6 +72,14 @@ func (f *Forest) FixedTree(name string, keyLen, valLen int) (*Tree, error) {
 	return f.tree(name, &nodePage{kind: fixedLeafNode, widths: [2]byte{byte(keyLen), byte(valLen)}})
 }
 
+// PackedTree returns the named tree, creating an empty one with packed leaves
+// (packed.go) if it does not exist. It holds the postings' 12+12-byte
+// entries, is filled once by BulkLoad and refuses Insert and Delete. An
+// existing tree is returned in whatever leaf format it was created with.
+func (f *Forest) PackedTree(name string) (*Tree, error) {
+	return f.tree(name, &nodePage{kind: packedLeafNode})
+}
+
 // tree returns the named tree, creating it with root, an empty leaf of the
 // tree's codec, if it does not exist.
 func (f *Forest) tree(name string, root *nodePage) (*Tree, error) {

@@ -10,8 +10,9 @@ import (
 	"repro/internal/pager"
 )
 
-// The in-place leaf edits (leafInsertAt, leafDeleteAt) of both leaf codecs
-// against a sorted-slice model: duplicate keys, deletes by key and by (key,
+// The in-place leaf edits (leafInsertAt, leafDeleteAt) of the two editable
+// leaf codecs against a sorted-slice model (the packed codec's model check is
+// runPackedOps, packed_test.go): duplicate keys, deletes by key and by (key,
 // value), and reopens of the forest over a fresh pool. Slotted leaves take
 // value lengths from 0 to a quarter page (so leaves split after a handful of
 // inserts and cells sit in the heap in every physical order); fixed-width
@@ -128,6 +129,7 @@ func TestLeafOpsAgainstModel(t *testing.T) {
 		rand.New(rand.NewSource(seed)).Read(ops)
 		runLeafOps(t, ops, false)
 		runLeafOps(t, ops, true)
+		runPackedOps(t, ops) // packed leaves take no edits: the same bytes, bulk-loaded
 	}
 }
 

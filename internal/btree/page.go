@@ -22,8 +22,12 @@ import (
 // whose keys and values never vary in length: the two cellStart bytes hold
 // keyLen and valLen, and numKeys cells of exactly keyLen+valLen bytes follow
 // the header in key order, with no slot directory and no per-cell lengths.
-// The kind byte says which codec a page uses, so a tree's pages describe
-// themselves and the forest directory does not record it.
+// A packed leaf (kind packedLeafNode, packed.go) is the third, for the
+// read-only postings trees BulkLoad writes once: a 27-byte header of field
+// widths and per-leaf minimums, then cells of one bit width per leaf, each
+// entry's symbol, Left, Right − Left and level as deltas from those
+// minimums. The kind byte says which codec a page uses, so a tree's pages
+// describe themselves and the forest directory does not record it.
 //
 // extra is the next-leaf page id on leaves and the leftmost child on
 // internal nodes; cellStart is the offset of the lowest cell. The read path
@@ -33,13 +37,16 @@ import (
 // by moving the cells below it up — memmove only, whatever the physical cell
 // order. On a fixed leaf cell i sits at headerSize+i×width, so an edit is one
 // memmove of the cells after it. Only a split (and the separator insert above
-// it) materialises a nodePage.
+// it) materialises a nodePage. A packed leaf's cell i sits at bit i×width of
+// its cell area; reads decode it there, and nothing edits it.
 
 // pageKind returns the node kind byte.
 func pageKind(data []byte) byte { return data[0] }
 
-// isLeaf reports whether kind is one of the two leaf codecs.
-func isLeaf(kind byte) bool { return kind == leafNode || kind == fixedLeafNode }
+// isLeaf reports whether kind is one of the three leaf codecs.
+func isLeaf(kind byte) bool {
+	return kind == leafNode || kind == fixedLeafNode || kind == packedLeafNode
+}
 
 // pageNumKeys returns the number of cells.
 func pageNumKeys(data []byte) int { return int(binary.LittleEndian.Uint16(data[1:3])) }
@@ -55,11 +62,16 @@ func pageCellStart(data []byte) int { return int(binary.LittleEndian.Uint16(data
 func fixedWidths(data []byte) (kw, vw int) { return int(data[7]), int(data[8]) }
 
 // pageFree returns the bytes left for new cells: between the slot directory
-// and the cells, or after the last cell of a fixed-width leaf.
+// and the cells, or after the last cell of a fixed-width or packed leaf.
 func pageFree(data []byte) int {
-	if pageKind(data) == fixedLeafNode {
+	switch pageKind(data) {
+	case fixedLeafNode:
 		kw, vw := fixedWidths(data)
 		return len(data) - headerSize - pageNumKeys(data)*(kw+vw)
+	case packedLeafNode:
+		var l packedLeaf
+		l.parse(data)
+		return len(data) - packedUsed(pageNumKeys(data), l.width)
 	}
 	return pageCellStart(data) - headerSize - slotSize*pageNumKeys(data)
 }
@@ -74,10 +86,14 @@ func leafCellSize(kind byte, klen, vlen int) int {
 }
 
 // leafFits checks that (key, val) has the leaf's cell shape — any lengths on a
-// slotted leaf, exactly its widths on a fixed one.
+// slotted leaf, exactly its widths on a fixed one — and that the leaf takes
+// edits at all: a packed one does not.
 func leafFits(data, key, val []byte) error {
-	if pageKind(data) != fixedLeafNode {
+	switch pageKind(data) {
+	case leafNode:
 		return nil
+	case packedLeafNode:
+		return errPackedEdit
 	}
 	if kw, vw := fixedWidths(data); len(key) != kw || len(val) != vw {
 		return fmt.Errorf("btree: entry of %d+%d bytes in a leaf of fixed %d+%d cells", len(key), len(val), kw, vw)
@@ -85,11 +101,15 @@ func leafFits(data, key, val []byte) error {
 	return nil
 }
 
-// leafFormat names a leaf's cell format, as Shape and Check report it.
+// leafFormat names a leaf's cell format, as Check compares it across a
+// tree's leaves (a packed leaf's widths are its own, so they are left out).
 func leafFormat(data []byte) string {
-	if pageKind(data) == fixedLeafNode {
+	switch pageKind(data) {
+	case fixedLeafNode:
 		kw, vw := fixedWidths(data)
 		return fmt.Sprintf("fixed %d+%d", kw, vw)
+	case packedLeafNode:
+		return "packed"
 	}
 	return "slotted"
 }
@@ -98,7 +118,20 @@ func slotOffset(data []byte, i int) int {
 	return int(binary.LittleEndian.Uint16(data[headerSize+2*i : headerSize+2*i+2]))
 }
 
-// leafCellAt returns the i-th leaf cell's key and value, aliasing the page.
+// leafEntryAt returns the i-th entry of a leaf of any codec: aliasing the
+// page on a slotted or fixed-width leaf, decoded into buf on a packed one.
+func leafEntryAt(data []byte, i int, buf *[packedEntryLen]byte) (key, val []byte) {
+	if pageKind(data) == packedLeafNode {
+		var l packedLeaf
+		l.parse(data)
+		l.entry(i).put(buf)
+		return buf[:packedKeyLen], buf[packedKeyLen:]
+	}
+	return leafCellAt(data, i)
+}
+
+// leafCellAt returns the i-th cell's key and value of a slotted or
+// fixed-width leaf, aliasing the page.
 func leafCellAt(data []byte, i int) (key, val []byte) {
 	if pageKind(data) == fixedLeafNode {
 		kw, vw := fixedWidths(data)
@@ -188,27 +221,27 @@ func pageChildAt(data []byte, i int) pager.PageID {
 }
 
 // leafLowerBound returns the first index whose key is >= key.
-func leafLowerBound(data []byte, key []byte) int {
-	lo, hi := 0, pageNumKeys(data)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		k, _ := leafCellAt(data, mid)
-		if bytes.Compare(k, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+func leafLowerBound(data []byte, key []byte) int { return leafSearch(data, nil, key, 0) }
 
 // leafUpperBound returns the first index whose key is > key.
-func leafUpperBound(data []byte, key []byte) int {
+func leafUpperBound(data []byte, key []byte) int { return leafSearch(data, nil, key, 1) }
+
+// leafSearch returns the first index whose key k has bytes.Compare(k, key)
+// >= above: the lower bound for above 0, the upper bound for above 1. l is
+// a packed leaf's parsed header, or nil to have leafSearch parse it.
+func leafSearch(data []byte, l *packedLeaf, key []byte, above int) int {
 	lo, hi := 0, pageNumKeys(data)
+	if pageKind(data) == packedLeafNode {
+		if l == nil {
+			l = new(packedLeaf)
+			l.parse(data)
+		}
+		return l.search(key, above, hi)
+	}
 	for lo < hi {
-		mid := (lo + hi) / 2
+		mid := int(uint(lo+hi) >> 1)
 		k, _ := leafCellAt(data, mid)
-		if bytes.Compare(k, key) <= 0 {
+		if bytes.Compare(k, key) < above {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -400,7 +400,7 @@ func FuzzTier(f *testing.F) {
 		budget := 64 + 16*int64(data[0])
 		var ops []tierOp
 		for b := data[1:min(len(data), 1+4*1024)]; len(b) >= 4; b = b[4:] {
-			key := Key{Kind(b[1] >> 6 % 3), uint32(b[1] & 15)}
+			key := Key{Kind(b[1] >> 6 % 2), uint32(b[1] & 15)} // KindPostings or KindDocIDs
 			if key.Kind == KindDocIDs {
 				key.ID = 0
 			}

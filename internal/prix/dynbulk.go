@@ -294,7 +294,7 @@ func (di *DynamicIndex) replayVersioned(n, prep int, redo *insertRedo) error {
 // crash-interrupted compaction redo this phase from scratch and converge
 // on the same index.
 func BulkLoadDynamic(opts Options, dopts DynamicOptions, bo BulkOptions, source func(fn func(*DocSeq) error) error) (*DynamicIndex, error) {
-	ix, err := newEmptyIndex(opts)
+	ix, err := newEmptyIndex(opts, false)
 	if err != nil {
 		return nil, err
 	}

@@ -228,10 +228,17 @@ const (
 )
 
 // openTrees binds the postings and Docid trees, creating them in a fresh (or
-// just reset) forest. Every posting is a 12-byte key and a 12-byte value, so
-// the postings tree is created with fixed-width leaves.
-func (ix *Index) openTrees() (err error) {
-	if ix.postings, err = ix.forest.FixedTree(postingsTreeName, postingKeyLen, postingValLen); err != nil {
+// just reset) forest. Every posting is a 12-byte key and a 12-byte value. A
+// static build (packed) bulk-loads its dense labels once into packed leaves;
+// a dynamic index inserts spread labels for its whole life, so its postings
+// tree has fixed-width leaves.
+func (ix *Index) openTrees(packed bool) (err error) {
+	if packed {
+		ix.postings, err = ix.forest.PackedTree(postingsTreeName)
+	} else {
+		ix.postings, err = ix.forest.FixedTree(postingsTreeName, postingKeyLen, postingValLen)
+	}
+	if err != nil {
 		return err
 	}
 	ix.docid, err = ix.forest.Tree(docidTreeName)

@@ -19,7 +19,7 @@ import (
 // read would be unmistakable next to the handful Open decodes.
 func residencyCorpus() []*xmltree.Document {
 	rng := rand.New(rand.NewSource(11))
-	docs := make([]*xmltree.Document, 1500)
+	docs := make([]*xmltree.Document, 4000)
 	for i := range docs {
 		docs[i] = xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
 			Nodes:     30,
@@ -63,10 +63,10 @@ func poolResident(ix *Index) uint64 {
 
 // openDecodedPages is what a tier-less Open of a built index leaves in its
 // pools: the forest directory page, and the docs.db header page with the
-// dictionary, directory (two blocks here) and catalog chains behind it. The
-// shapes section is decoded into the resident shape dictionary without
-// keeping its pages.
-const openDecodedPages = 6
+// dictionary, directory (three blocks for residencyCorpus's 4,000 documents)
+// and catalog chains behind it. The shapes section is decoded into the
+// resident shape dictionary without keeping its pages.
+const openDecodedPages = 7
 
 // TestHotBuildsLeaveNoFrames pins the no-fill rule: an index opened with a
 // hot-tier budget above its size holds in its pools only the pages Open itself
@@ -237,9 +237,11 @@ func TestPreloadHotStopsAtCorruptLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Walk the raw post leaves (fixed-width: kind 3, 24-byte cells after the
-	// 9-byte header, next-leaf id in bytes 3..7) for a leaf whose first key
-	// continues the previous leaf's last symbol.
+	// Walk the raw post leaves (packed: kind 4, next-leaf id in bytes 3..7,
+	// field widths in bytes 7..10, the minimum symbol in bytes 11..14 and
+	// the bit-packed cells after the 27-byte header, each opening with its
+	// symbol's delta) for a leaf whose first key continues the previous
+	// leaf's last symbol.
 	type leaf struct {
 		first, last vtrie.Symbol
 		next        pager.PageID
@@ -253,10 +255,19 @@ func TestPreloadHotStopsAtCorruptLeaf(t *testing.T) {
 		}
 		data := buf[pager.PageHeaderSize:]
 		n := int(binary.LittleEndian.Uint16(data[1:3]))
-		if data[0] != 3 || n == 0 {
+		if data[0] != 4 || n == 0 {
 			continue
 		}
-		sym := func(i int) vtrie.Symbol { return vtrie.Symbol(binary.BigEndian.Uint32(data[9+24*i:])) }
+		width := int(data[7]) + int(data[8]) + int(data[9]) + int(data[10])
+		sym := func(i int) vtrie.Symbol {
+			s := binary.LittleEndian.Uint32(data[11:15])
+			for b, off := 0, i*width; b < int(data[7]); b++ {
+				if bit := off + b; data[27+bit/8]>>(bit%8)&1 != 0 {
+					s += 1 << b
+				}
+			}
+			return vtrie.Symbol(s)
+		}
 		leaves[id] = leaf{first: sym(0), last: sym(n - 1), next: pager.PageID(binary.LittleEndian.Uint32(data[3:7]))}
 		ids = append(ids, id)
 	}

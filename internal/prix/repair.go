@@ -615,10 +615,13 @@ func (ix *Index) pathSymbolsTo(left uint64, n int) ([]vtrie.Symbol, error) {
 func (ix *Index) RepairForest() ([]uint32, error) {
 	ix.repairMu.Lock()
 	defer ix.repairMu.Unlock()
-	return ix.rebuildForestLocked(ix.emitExactRebuild)
+	return ix.rebuildForestLocked(true, ix.emitExactRebuild)
 }
 
-func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) error) ([]uint32, error) {
+// rebuildForestLocked resets the forest and has writeTrie refill it from the
+// surviving records; packed says writeTrie bulk-loads a static trie, so the
+// postings tree gets packed leaves (openTrees).
+func (ix *Index) rebuildForestLocked(packed bool, writeTrie func(recs []*docstore.Record) error) ([]uint32, error) {
 	// Every list may describe pre-rebuild structures; start the tier over.
 	ix.hotInvalidateAll()
 	// The old shape tree is about to go: first restore from it whatever
@@ -650,7 +653,7 @@ func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) err
 		recs = append(recs, rec)
 	}
 	ix.forest.Reset()
-	if err := ix.openTrees(); err != nil {
+	if err := ix.openTrees(packed); err != nil {
 		return nil, err
 	}
 	if err := writeTrie(recs); err != nil {

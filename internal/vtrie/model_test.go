@@ -62,9 +62,8 @@ func (b *mapBuilder) Nodes() int { return b.nodes }
 // Sequences returns the number of sequences inserted.
 func (b *mapBuilder) Sequences() int { return b.seqs }
 
-// Label assigns exact (Left, Right) ranges by DFS: each node receives a
-// contiguous range that strictly contains all its descendants' ranges and
-// no sibling's. Left values are unique across the trie.
+// Label assigns dense (Left, Right) ranges by DFS: Left is the preorder
+// rank, Right = Left + subtree size - 1.
 func (b *mapBuilder) Label() {
 	b.size(b.root)
 	// Root spans the whole space; children partition (root.left, root.right).
@@ -99,32 +98,17 @@ func (b *mapBuilder) size(root *mapBuildNode) {
 	}
 }
 
-// assign hands each child a slice of the parent's open interval
-// (parent.left, parent.right) proportional to its subtree size, with Left
-// placed at the slice start. Using exact subtree sizes guarantees every
-// node gets a non-empty range (no scope underflow).
+// assign hands each child the next run of its parent's range, exactly as
+// wide as its subtree, in symbol order: preorder numbering.
 func (b *mapBuilder) assign(root *mapBuildNode) {
 	stack := []*mapBuildNode{root}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		kids := mapSortedChildren(n)
-		if len(kids) == 0 {
-			continue
-		}
-		// Children partition (n.left, n.right], each child c taking a
-		// sub-range whose width is proportional to its subtree size. The
-		// arithmetic is integral: unit = span/total slots per node, so
-		// every child's range can hold its whole subtree (unit >= 1 is
-		// guaranteed because ranges shrink no faster than subtree sizes).
-		span := n.right - n.left
-		total := uint64(n.subtree - 1) // nodes to place strictly inside n's range
-		unit := span / total
 		cur := n.left
-		for _, c := range kids {
-			width := unit * uint64(c.subtree)
+		for _, c := range mapSortedChildren(n) {
 			c.left = cur + 1
-			c.right = cur + width
+			c.right = cur + uint64(c.subtree)
 			cur = c.right
 			stack = append(stack, c)
 		}

@@ -83,9 +83,11 @@ func (b *Builder) Nodes() int { return int(b.t.n) - 1 }
 // Sequences returns the number of sequences inserted.
 func (b *Builder) Sequences() int { return b.seqs }
 
-// Label assigns exact (Left, Right) ranges by DFS: each node receives a
-// contiguous range that strictly contains all its descendants' ranges and
-// no sibling's. Left values are unique across the trie.
+// Label assigns dense (Left, Right) ranges by DFS: Left is the node's
+// preorder rank (1 for the root's first child) and Right = Left + subtree
+// size - 1, so each node's range holds exactly its descendants' Lefts and
+// no sibling's. Left values are unique across the trie and the widest
+// label is Nodes().
 func (b *Builder) Label() {
 	b.size()
 	b.assign()
@@ -118,10 +120,9 @@ func (b *Builder) size() {
 	}
 }
 
-// assign hands each child a slice of the parent's open interval
-// (parent.left, parent.right) proportional to its subtree size, with Left
-// placed at the slice start. Using exact subtree sizes guarantees every
-// node gets a non-empty range (no scope underflow).
+// assign hands each child the next run of the parent's range, as wide as
+// its subtree: children partition (n.left, n.left+n.free-1] in symbol order,
+// child c taking [cur+1, cur+c.free] with Left at cur+1 — preorder numbering.
 func (b *Builder) assign() {
 	t := &b.t
 	stack := []uint32{0}
@@ -130,23 +131,11 @@ func (b *Builder) assign() {
 		n := t.at(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
 		kids = t.kids(n, kids[:0])
-		if len(kids) == 0 {
-			continue
-		}
-		// Children partition (n.left, n.right], each child c taking a
-		// sub-range whose width is proportional to its subtree size. The
-		// arithmetic is integral: unit = span/total slots per node, so
-		// every child's range can hold its whole subtree (unit >= 1 is
-		// guaranteed because ranges shrink no faster than subtree sizes).
-		span := n.right - n.left
-		total := n.free - 1 // nodes to place strictly inside n's range
-		unit := span / total
 		cur := n.left
 		for _, k := range kids {
 			c := t.at(k)
-			width := unit * c.free
 			c.left = cur + 1
-			c.right = cur + width
+			c.right = cur + c.free
 			cur = c.right
 		}
 		stack = append(stack, kids...)

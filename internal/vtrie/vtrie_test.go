@@ -50,6 +50,63 @@ func TestLabelContainment(t *testing.T) {
 	}
 }
 
+// TestBuilderLabelsDense holds every labeled Builder to dense numbering:
+// Left runs 1..Nodes() in preorder (Emit's order), Right - Left + 1 is the
+// node's subtree size, and no sibling's Left falls in (Left, Right]. The
+// trie shapes are random: narrow and wide alphabets, short and long
+// sequences, one node fanning out in the thousands.
+func TestBuilderLabelsDense(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		alphabet, maxLen := 2+rng.Intn(12), 1+rng.Intn(40)
+		b := NewBuilder()
+		for doc := 0; doc < 300; doc++ {
+			s := make([]Symbol, 1+rng.Intn(maxLen))
+			for i := range s {
+				s[i] = Symbol(rng.Intn(alphabet))
+			}
+			if seed%2 == 0 && len(s) > 1 {
+				s[1] = Symbol(100 + rng.Intn(5000))
+			}
+			if err := b.Add(s, uint32(doc)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.Label()
+		var ps []Posting
+		if err := b.Emit(func(p Posting, _ []uint32) error {
+			ps = append(ps, p)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(ps) != b.Nodes() {
+			t.Fatalf("seed %d: %d postings, %d nodes", seed, len(ps), b.Nodes())
+		}
+		for i, p := range ps {
+			if p.Left != uint64(i+1) {
+				t.Fatalf("seed %d: preorder node %d has Left %d", seed, i+1, p.Left)
+			}
+			// The subtree is the run of deeper nodes that follows in preorder.
+			size := 1
+			for i+size < len(ps) && ps[i+size].Level > p.Level {
+				size++
+			}
+			if p.Right-p.Left+1 != uint64(size) {
+				t.Fatalf("seed %d: node %d spans %d labels, subtree holds %d", seed, p.Left, p.Right-p.Left+1, size)
+			}
+			for j := i + size; j < len(ps) && ps[j].Level >= p.Level; j++ {
+				if ps[j].Level == p.Level {
+					if q := ps[j]; q.Left > p.Left && q.Left <= p.Right {
+						t.Fatalf("seed %d: sibling Left %d inside (%d, %d]", seed, q.Left, p.Left, p.Right)
+					}
+					break
+				}
+			}
+		}
+	}
+}
+
 func TestEmitPostings(t *testing.T) {
 	b := NewBuilder()
 	b.Add(seq(5, 6), 1)
