@@ -75,7 +75,8 @@ sched:
 # Every allocation guard (tests named *Allocs, each an AllocsPerRun bound): a
 # page pin hit or missed, a no-fill page read that missed, a journaled flush, an in-place leaf edit on either
 # editable leaf codec, a range scan across packed leaves (TestPackedScanAllocs:
-# 0, the decode buffer pooled), a fixed-width leaf split against a slotted one, a record
+# 0, the decode buffer pooled), a range scan of a bit-packed hot-tier list
+# (TestScanAllocs: 0, narrow and wide cells), a fixed-width leaf split against a slotted one, a record
 # decoded into a sized destination, a Match resident and paged, on one
 # goroutine and at Parallelism 4, a trace, the nil span API, a canonical query string,
 # a parsed query (TestParseAllocs: two objects up to 16 nodes), one POST /query
@@ -88,8 +89,10 @@ sched:
 # dictionary name (TestDictBytesPerName), of a shape-dictionary shape, a
 # directory entry and a resident LPS entry (TestShapeBytesPerShape: MIX's 787
 # shapes in a few objects, accounted bytes equal to heap bytes, ≤ 1.8 B per
-# LPS entry) and of a hot-tier structure
-# (TestTierBytesPerStructure: a MIX-shaped tier in at most 16 objects), and
+# LPS entry), of a hot-tier structure (TestTierBytesPerStructure: a
+# MIX-shaped tier in at most 16 objects, its packed lists ≤ 4.5 B a posting)
+# and of a hot-tier posting on the MIX index itself
+# (TestHotTierBytesPerPosting: HotStats().Tier.Bytes ≤ 7.7 B a posting), and
 # the dictionary's allocation-free hits (TestDictLookupAllocs) and the shape
 # dictionary's (TestShapeInternAllocs: a Put of a known shape allocates 0).
 # -count=1 so a cached pass never stands in for a run; an allocation regression

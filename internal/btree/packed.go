@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"repro/internal/bitpack"
 	"repro/internal/pager"
 )
 
@@ -90,7 +91,7 @@ func (l *packedLeaf) parse(data []byte) {
 	l.cells, l.width = data[packedHeaderSize:], 0
 	for j := range l.w {
 		l.w[j] = uint(data[7+j])
-		l.mask[j] = 1<<l.w[j] - 1 // all ones at 64 bits: the shift yields 0
+		l.mask[j] = bitpack.Mask(l.w[j])
 		l.width += l.w[j]
 	}
 	l.base = packedEntry{
@@ -133,12 +134,12 @@ func (l *packedLeaf) search(key []byte, above, hi int) int {
 	return lo
 }
 
-// entry decodes cell i. A cell of at most 57 bits — dense labels make most
-// leaves that narrow — is read with one 8-byte load.
+// entry decodes cell i. A cell of at most bitpack.MaxWindow bits — dense
+// labels make most leaves that narrow — is read with one 8-byte load.
 func (l *packedLeaf) entry(i int) packedEntry {
 	off := uint(i) * l.width
-	if b := off >> 3; l.width <= 57 && b+8 <= uint(len(l.cells)) {
-		x := binary.LittleEndian.Uint64(l.cells[b:]) >> (off & 7)
+	if l.width <= bitpack.MaxWindow {
+		x := bitpack.Window(l.cells, off)
 		sym := x & l.mask[0]
 		x >>= l.w[0]
 		left := x & l.mask[1]
@@ -152,13 +153,13 @@ func (l *packedLeaf) entry(i int) packedEntry {
 			level: l.base.level + uint32(x&l.mask[3]),
 		}
 	}
-	sym := getBits(l.cells, off, l.w[0])
+	sym := bitpack.Get(l.cells, off, l.w[0])
 	off += l.w[0]
-	left := getBits(l.cells, off, l.w[1])
+	left := bitpack.Get(l.cells, off, l.w[1])
 	off += l.w[1]
-	scope := getBits(l.cells, off, l.w[2])
+	scope := bitpack.Get(l.cells, off, l.w[2])
 	off += l.w[2]
-	level := getBits(l.cells, off, l.w[3])
+	level := bitpack.Get(l.cells, off, l.w[3])
 	return packedEntry{
 		sym:   l.base.sym + uint32(sym),
 		left:  l.base.left + left,
@@ -170,54 +171,17 @@ func (l *packedLeaf) entry(i int) packedEntry {
 // key decodes cell i's symbol and Left only, for a search probe.
 func (l *packedLeaf) key(i int) (sym uint32, left uint64) {
 	off := uint(i) * l.width
-	if b := off >> 3; l.width <= 57 && b+8 <= uint(len(l.cells)) {
-		x := binary.LittleEndian.Uint64(l.cells[b:]) >> (off & 7)
+	if l.width <= bitpack.MaxWindow {
+		x := bitpack.Window(l.cells, off)
 		return l.base.sym + uint32(x&l.mask[0]), l.base.left + x>>l.w[0]&l.mask[1]
 	}
-	return l.base.sym + uint32(getBits(l.cells, off, l.w[0])), l.base.left + getBits(l.cells, off+l.w[0], l.w[1])
-}
-
-// getBits returns the w-bit field (w <= 64) at bit offset off of b, bits
-// numbered from the least significant bit of b[0] up.
-func getBits(b []byte, off, w uint) uint64 {
-	if w == 0 {
-		return 0
-	}
-	i, s := off>>3, off&7
-	var x uint64
-	if i+8 <= uint(len(b)) {
-		x = binary.LittleEndian.Uint64(b[i:])
-	} else {
-		for j := uint(0); i+j < uint(len(b)); j++ {
-			x |= uint64(b[i+j]) << (8 * j)
-		}
-	}
-	v := x >> s
-	if s+w > 64 {
-		v |= uint64(b[i+8]) << (64 - s)
-	}
-	if w < 64 {
-		v &= 1<<w - 1
-	}
-	return v
-}
-
-// putBits ORs the low w bits of v into b at bit offset off, getBits' layout.
-func putBits(b []byte, off, w uint, v uint64) {
-	for w > 0 {
-		i, s := off>>3, off&7
-		n := min(8-s, w)
-		b[i] |= byte(v&(1<<n-1)) << s
-		v >>= n
-		off += n
-		w -= n
-	}
+	return l.base.sym + uint32(bitpack.Get(l.cells, off, l.w[0])), l.base.left + bitpack.Get(l.cells, off+l.w[0], l.w[1])
 }
 
 // packedUsed returns the bytes a packed leaf of num cells of width bits
 // occupies, header included.
 func packedUsed(num int, width uint) int {
-	return packedHeaderSize + int((uint(num)*width+7)/8)
+	return packedHeaderSize + bitpack.Bytes(uint(num)*width)
 }
 
 // packer gathers the entries of the packed leaf being bulk-loaded until the
@@ -274,7 +238,7 @@ func (pk *packer) encode(data []byte, next uint32) {
 	for i, e := range pk.ents {
 		off := uint(i) * width
 		for j, v := range [4]uint64{uint64(e.sym - pk.lo.sym), e.left - pk.lo.left, e.scope, uint64(e.level - pk.lo.level)} {
-			putBits(cells, off, w[j], v)
+			bitpack.Put(cells, off, w[j], v)
 			off += w[j]
 		}
 	}

@@ -230,33 +230,81 @@ func TestSummaryRejectsDamage(t *testing.T) {
 	}
 }
 
-// fuzzList turns fuzz bytes into a sorted posting list with duplicate-key
-// runs (a zero step repeats the previous Left) and four scan bounds.
+// fuzzList turns fuzz bytes into a sorted posting list and four scan
+// bounds. Each entry takes three bytes, and each byte picks its field's
+// shift as well as its value, so one input can spread Left over all 64 bits
+// (a zero gap repeats the previous Left), make Right − Left 64 bits wide and
+// Level 32, or keep every field narrow: cells of every width from 0 bits (a
+// list of identical entries) to 160. The bounds land on, or one past, the
+// Lefts of entries the input picks.
 func fuzzList(data []byte) (entries []tripleEntry, lo, hi uint64, loIncl, hiIncl bool) {
 	if len(data) < 4 {
 		return nil, 0, 0, true, true
 	}
 	loIncl, hiIncl = data[0]&1 == 0, data[0]&2 == 0
 	left := uint64(data[1]) << (data[0] >> 2) // small and huge key spaces
-	for i, b := range data[4:] {
-		left += uint64(b % 4)
-		entries = append(entries, tripleEntry{left: left, right: left + uint64(b), level: uint32(i)})
+	for e := data[4:]; len(e) >= 3; e = e[3:] {
+		gap := uint64(e[0]%4) << (e[0] / 4)
+		if left+gap < left {
+			break // past 2^64: the list would no longer be sorted
+		}
+		left += gap
+		entries = append(entries, tripleEntry{
+			left:  left,
+			right: left + uint64(e[1])<<(e[1]%57),
+			level: uint32(e[2]) << (e[2] % 25),
+		})
 	}
-	span := left + 2
-	lo = uint64(data[2]) * span / 255
-	hi = lo + uint64(data[3])*span/255
+	bound := func(b byte) uint64 {
+		if len(entries) == 0 {
+			return uint64(b)
+		}
+		return entries[int(b&0x7f)%len(entries)].left + uint64(b>>7)
+	}
+	lo, hi = bound(data[2]), bound(data[3])
 	if data[0]&0x80 != 0 {
 		hi = math.MaxUint64
 	}
 	return entries, lo, hi, loIncl, hiIncl
 }
 
+// fuzzSeeds are inputs for both list fuzzers: narrow fields, a one-entry
+// list, a list of identical entries (zero-width cells) and a
+// dynamic-label-like list whose Lefts, scopes and levels spread over 64, 64
+// and 32 bits.
+var fuzzSeeds = [][]byte{
+	{0, 0, 0, 255, 1, 0, 0, 2, 0, 3},
+	{3, 9, 128, 10, 0, 0, 0, 0, 1, 1, 0, 0},
+	{0x81, 255, 255, 255, 3, 3, 3},
+	{0, 5, 0, 255, 9, 9, 9},
+	{0, 7, 0, 255, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	{0x7c, 1, 1, 0x83, 0x00, 0xaa, 0x95, 0xfd, 0xff, 0x1f, 0xf1, 0x11, 0x07, 0x01, 0xf8, 0xf8},
+}
+
+// TestFuzzSeedWidths pins what the last three seeds are for: one entry, cells
+// of no bits, and fields of 64, 64 and 32 bits.
+func TestFuzzSeedWidths(t *testing.T) {
+	for i, want := range map[int]struct {
+		n int
+		w [3]uint8
+	}{3: {1, [3]uint8{0, 13, 0}}, 4: {4, [3]uint8{}}, 5: {4, [3]uint8{64, 64, 32}}} {
+		entries, _, _, _, _ := fuzzList(fuzzSeeds[i])
+		b := NewPostingsBuilder()
+		for _, e := range entries {
+			b.Add(e.left, e.right, e.level)
+		}
+		if p := b.Build(); p.Len() != want.n || p.w != want.w {
+			t.Errorf("seed %d: %d entries in cells of %v bits, want %d in %v", i, p.Len(), p.w, want.n, want.w)
+		}
+	}
+}
+
 // FuzzPostingsScan checks Scan against the naive filter on random sorted
 // lists with duplicate runs, random bounds and both inclusivities.
 func FuzzPostingsScan(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 255, 1, 0, 0, 2, 0, 3})
-	f.Add([]byte{3, 9, 128, 10, 0, 0, 0, 0, 1, 1, 0, 0})
-	f.Add([]byte{0x81, 255, 255, 255, 3, 3, 3})
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, lo, hi, loIncl, hiIncl := fuzzList(data)
 		b := NewPostingsBuilder()
@@ -280,9 +328,13 @@ func FuzzPostingsScan(f *testing.F) {
 	})
 }
 
-// FuzzDocIDsScan is FuzzPostingsScan for the docid list.
+// FuzzDocIDsScan is FuzzPostingsScan for the docid list: the entries'
+// Levels, up to 32 bits wide, stand in as DocIDs, and every hit's Left and
+// DocID must match.
 func FuzzDocIDsScan(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 255, 1, 0, 0, 2, 0, 3})
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Add([]byte{0x82, 1, 7, 7, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, lo, hi, loIncl, hiIncl := fuzzList(data)
@@ -301,7 +353,7 @@ func FuzzDocIDsScan(f *testing.F) {
 		}
 		for i := range got {
 			if got[i].left != want[i].left || got[i].level != want[i].level {
-				t.Fatalf("hit %d = %+v, want %+v", i, got[i], want[i])
+				t.Fatalf("hit %d = (Left %d, DocID %d), want (Left %d, DocID %d)", i, got[i].left, got[i].level, want[i].left, want[i].level)
 			}
 		}
 	})
@@ -398,6 +450,31 @@ func seekList() (lefts []uint64, los []uint64) {
 		los = append(los, lefts[rng.Intn(len(lefts)-4)]-1)
 	}
 	return lefts, los
+}
+
+// TestScanAllocs: a scan of a packed list decodes in place and allocates
+// nothing, with cells that fit one load (24 bits) and cells that do not (a
+// 64-bit Left field, 73-bit cells).
+func TestScanAllocs(t *testing.T) {
+	for _, shift := range []uint{3, 52} {
+		pb, db := NewPostingsBuilder(), NewDocIDsBuilder()
+		for i := 0; i < 4096; i++ {
+			l := uint64(i) << shift
+			pb.Add(l, l+7, uint32(i%40))
+			db.Add(l, uint32(i))
+		}
+		p, d := pb.Build(), db.Build()
+		hits, k := 0, 0
+		n := testing.AllocsPerRun(100, func() {
+			k = k%4000 + 1
+			lo := uint64(k)<<shift - 1
+			p.Scan(lo, lo+3<<shift, false, true, func(uint64, uint64, uint32) bool { hits++; return true })
+			d.Scan(lo, lo+3<<shift, false, true, func(uint64, uint32) bool { hits++; return true })
+		})
+		if n != 0 || hits != 6*101 {
+			t.Errorf("shift %d: a scan allocates %.0f objects (%d hits, want %d), want 0", shift, n, hits, 6*101)
+		}
+	}
 }
 
 func BenchmarkPostingsSeek(b *testing.B) {

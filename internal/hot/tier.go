@@ -28,7 +28,7 @@ type Key struct {
 // points at may be reused as soon as Add returns.
 type Entry struct {
 	kind Kind
-	list []byte // a posting or docid list's entries
+	list []byte // a posting or docid list's encoding
 }
 
 // slotBytes is what a resident structure costs beyond its payload: its slot
@@ -244,29 +244,39 @@ func (t *Tier) counted(i int32) bool {
 	return true
 }
 
+// get returns key's resident payload, marking it most recently used, and
+// counts the lookup as a hit or a miss.
+func (t *Tier) get(key Key) ([]byte, bool) {
+	var b []byte
+	t.mu.Lock()
+	i := t.lookup(key)
+	if i != 0 {
+		b = t.lists.view(&t.slots[i])
+	}
+	t.mu.Unlock()
+	return b, t.counted(i)
+}
+
 // Postings returns the resident list of symbol sym, marking it most recently
 // used.
 func (t *Tier) Postings(sym uint32) (Postings, bool) {
-	var p Postings
-	t.mu.Lock()
-	i := t.lookup(Key{KindPostings, sym})
-	if i != 0 {
-		p.data = t.lists.view(&t.slots[i])
-	}
-	t.mu.Unlock()
-	return p, t.counted(i)
+	b, ok := t.get(Key{KindPostings, sym})
+	return Postings{parseList(b)}, ok
 }
 
 // DocIDs returns the resident docid list, marking it most recently used.
 func (t *Tier) DocIDs() (DocIDs, bool) {
-	var d DocIDs
+	b, ok := t.get(Key{Kind: KindDocIDs})
+	return DocIDs{parseList(b)}, ok
+}
+
+// Resident reports whether key is resident, without counting a lookup or
+// touching the LRU order: a probe for a preload, not a read.
+func (t *Tier) Resident(key Key) bool {
 	t.mu.Lock()
-	i := t.lookup(Key{Kind: KindDocIDs})
-	if i != 0 {
-		d.data = t.lists.view(&t.slots[i])
-	}
-	t.mu.Unlock()
-	return d, t.counted(i)
+	defer t.mu.Unlock()
+	i := t.slotOf(key)
+	return i != 0 && t.slots[i].state == slotResident
 }
 
 // Add admits e under key, evicting least-recently-used structures until it

@@ -27,14 +27,11 @@ type view struct{ list []byte }
 
 func (v view) bytes() []byte { return v.list }
 
-// payloadOf reads key's resident payload through the public views.
+// payloadOf reads key's resident payload through the counted lookup the
+// public views are made by.
 func payloadOf(tr *Tier, key Key) (view, bool) {
-	if key.Kind == KindPostings {
-		p, ok := tr.Postings(key.ID)
-		return view{list: p.data}, ok
-	}
-	d, ok := tr.DocIDs()
-	return view{list: d.data}, ok
+	b, ok := tr.get(key)
+	return view{list: b}, ok
 }
 
 // entryBytes is what payloadOf returns for e once resident.
@@ -486,48 +483,66 @@ func liveHeap() (bytes, objects int64) {
 
 // A loaded tier costs its payload plus a small constant per structure, in a
 // handful of objects, and Stats().Bytes says what it costs. The load is
-// MIX-shaped: 9,230 posting lists holding 96,004 postings and the
-// 6,000-entry docid list.
+// MIX-shaped: 96,004 trie nodes with dense labels (Left the node's rank,
+// scopes up to 13 bits, levels below 40) dealt out to 9,230 posting lists,
+// each symbol's nodes clustered within a stretch of the trie as element
+// names are, and a 6,000-entry docid list. The packed lists must stay within
+// 10 % of the 4.18 B a posting, headers included, this load packs into.
 func TestTierBytesPerStructure(t *testing.T) {
 	const lists, postings, docs = 9230, 96004, 6000
-	pb := NewPostingsBuilder()
+	rng := rand.New(rand.NewSource(1))
+	bySym := make([][]cell, lists)
 	for i := 0; i < postings; i++ {
-		pb.Add(uint64(i), uint64(i+1), uint32(i%40))
+		sym := (i*lists/postings + rng.Intn(64)) % lists
+		bySym[sym] = append(bySym[sym], cell{uint64(i), uint64(rng.Intn(1 << rng.Intn(14))), uint32(rng.Intn(40))})
 	}
-	all := pb.Build()
+	entries := make([]Entry, lists)
+	payload := int64(0)
+	pb := NewPostingsBuilder()
+	for sym, cs := range bySym {
+		pb.Reset()
+		for _, c := range cs {
+			pb.Add(c.left, c.left+c.mid, c.last)
+		}
+		entries[sym] = pb.Build().Entry()
+		payload += int64(len(entries[sym].list))
+	}
+	perPosting := float64(payload) / postings
 	db := NewDocIDsBuilder()
 	for d := 0; d < docs; d++ {
-		db.Add(uint64(d)*16, uint32(d))
+		db.Add(uint64(d)*16, uint32(d*7919%docs))
 	}
-	docids := db.Build()
-	payload := int64(len(all.data) + len(docids.data))
+	docids := db.Build().Entry()
+	payload += int64(len(docids.list))
+	bySym, pb, db = nil, nil, nil
 
 	bytes0, objects0 := liveHeap()
 	tr := NewTier(1 << 30)
-	if !tr.TryAdd(Key{Kind: KindDocIDs}, docids.Entry()) {
+	if !tr.TryAdd(Key{Kind: KindDocIDs}, docids) {
 		t.Fatal("docid list not admitted")
 	}
-	// List sym holds postings [sym*postings/lists, (sym+1)*postings/lists).
-	for sym := 0; sym < lists; sym++ {
-		lo, hi := sym*postings/lists*postingSize, (sym+1)*postings/lists*postingSize
-		if !tr.TryAdd(Key{KindPostings, uint32(sym)}, Postings{data: all.data[lo:hi]}.Entry()) {
+	for sym, e := range entries {
+		if !tr.TryAdd(Key{KindPostings, uint32(sym)}, e) {
 			t.Fatalf("list %d not admitted", sym)
 		}
 	}
 	tr.Trim()
 	bytes1, objects1 := liveHeap()
 	runtime.KeepAlive(tr)
-	runtime.KeepAlive(all)
+	runtime.KeepAlive(entries)
 	runtime.KeepAlive(docids)
 
 	structures := int64(lists + 1)
 	heap, objects := bytes1-bytes0, objects1-objects0
 	perStructure := float64(heap-payload) / float64(structures)
 	st := tr.Stats()
-	t.Logf("%d structures, %d payload bytes: %d heap bytes in %d objects (%.1f B per structure beyond its payload), Stats().Bytes %d",
-		structures, payload, heap, objects, perStructure, st.Bytes)
+	t.Logf("%d structures, %d payload bytes (%.2f B a posting, docid list %d B): %d heap bytes in %d objects (%.1f B per structure beyond its payload), Stats().Bytes %d",
+		structures, payload, perPosting, len(docids.list), heap, objects, perStructure, st.Bytes)
 	if st.Items != int(structures) {
 		t.Fatalf("%d items resident, want %d", st.Items, structures)
+	}
+	if perPosting > 4.5 {
+		t.Errorf("posting lists take %.2f B a posting, want ≤ 4.5", perPosting)
 	}
 	if perStructure > 32 {
 		t.Errorf("a structure costs %.1f bytes beyond its payload, want ≤ 32", perStructure)

@@ -11,10 +11,10 @@ import (
 // This file wires the in-memory hot tier (internal/hot) into the query path.
 // With Options.HotBudget > 0 the index keeps, under one LRU byte budget:
 //
-//   - one flat posting list per symbol (its key-prefix range of the
+//   - one bit-packed posting list per symbol (its key-prefix range of the
 //     postings tree), serving the Algorithm 1 range scans without touching
 //     the forest;
-//   - the flat Docid list, serving the terminal docid scans.
+//   - the bit-packed Docid list, serving the terminal docid scans.
 //
 // Algorithm 2 needs no tier: it navigates the store's resident shape
 // dictionary in place, tier or not.
@@ -64,7 +64,7 @@ func (ix *Index) HotStats() HotStats {
 	return HotStats{Enabled: true, Tier: ix.hot.Stats()}
 }
 
-// buildHotPostings flattens one symbol's postings into b by replaying the
+// buildHotPostings gathers one symbol's postings into b by replaying the
 // Scan of its whole key-prefix range; entry order is exactly the tree's, so a
 // hot Scan emits what the tree's Scan would.
 func (ix *Index) buildHotPostings(s vtrie.Symbol, b *hot.PostingsBuilder) error {
@@ -77,7 +77,7 @@ func (ix *Index) buildHotPostings(s vtrie.Symbol, b *hot.PostingsBuilder) error 
 	})
 }
 
-// buildHotDocIDs flattens the Docid tree into b the same way.
+// buildHotDocIDs gathers the Docid tree into b the same way.
 func buildHotDocIDs(tree *btree.Tree, b *hot.DocIDsBuilder) error {
 	return tree.ScanNoFill(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(k, v []byte) bool {
 		if len(v) != 4 {
@@ -103,7 +103,8 @@ func (ix *Index) admitHot(key hot.Key, e hot.Entry) bool {
 // hotPostings returns the resident list of one symbol, building and
 // admitting it on a miss. ok false means the scan must go to the tree: no
 // tier, over budget, or a build I/O error the tree path will surface itself.
-// A list built here is returned as its builder's view; the tier keeps a copy.
+// A list built here is returned as its builder's view, encoded once; the
+// tier keeps a copy.
 func (ix *Index) hotPostings(s vtrie.Symbol) (hot.Postings, bool) {
 	if ix.hot == nil {
 		return hot.Postings{}, false
@@ -118,7 +119,8 @@ func (ix *Index) hotPostings(s vtrie.Symbol) (hot.Postings, bool) {
 	if ix.buildHotPostings(s, b) != nil {
 		return hot.Postings{}, false
 	}
-	return b.View(), ix.admitHot(symKey(s), b.View().Entry())
+	p := b.View()
+	return p, ix.admitHot(symKey(s), p.Entry())
 }
 
 // hotDocIDs is hotPostings for the Docid index.
@@ -136,7 +138,8 @@ func (ix *Index) hotDocIDs() (hot.DocIDs, bool) {
 	if buildHotDocIDs(ix.docid, b) != nil {
 		return hot.DocIDs{}, false
 	}
-	return b.View(), ix.admitHot(docidKey, b.View().Entry())
+	d := b.View()
+	return d, ix.admitHot(docidKey, d.Entry())
 }
 
 // hotInvalidateTree drops one symbol's resident list (a posting was
@@ -164,8 +167,9 @@ func (ix *Index) hotInvalidateAll() {
 // PreloadHot fills the tier in priority order — the docid list, then every
 // symbol's posting list ascending — without evicting anything already
 // loaded; it stops at the first structure that no longer fits. Lists are
-// built in one reused builder and copied straight into the tier's arena, and
-// the tier is trimmed to exact size at the end. A postings page that fails to
+// built in one reused builder, encoded into its buffer and copied straight
+// into the tier's arena, and the tier is trimmed to exact size at the end.
+// Its residency probes count no hits or misses. A postings page that fails to
 // read stops the preload there, and the list it interrupted is not admitted:
 // a short list would answer queries without the error the tree path reports.
 // Open and the builders call it automatically; it is a no-op without a tier.
@@ -177,7 +181,7 @@ func (ix *Index) PreloadHot() {
 	}
 	defer ix.hot.Trim()
 	if ix.docid != nil {
-		if _, ok := ix.hot.DocIDs(); !ok {
+		if !ix.hot.Resident(docidKey) {
 			b := hot.NewDocIDsBuilder()
 			if buildHotDocIDs(ix.docid, b) != nil || !ix.hot.TryAdd(docidKey, b.View().Entry()) {
 				return
@@ -196,7 +200,7 @@ func (ix *Index) PreloadHot() {
 		if b.Len() == 0 {
 			return true
 		}
-		if _, ok := ix.hot.Postings(uint32(cur)); ok {
+		if ix.hot.Resident(symKey(cur)) {
 			return true
 		}
 		return ix.hot.TryAdd(symKey(cur), b.View().Entry())

@@ -11,6 +11,7 @@ import (
 	"repro/internal/hot"
 	"repro/internal/mvcc"
 	"repro/internal/twig"
+	"repro/internal/vtrie"
 	"repro/internal/xmltree"
 )
 
@@ -437,5 +438,95 @@ func TestHotSummaryNavigatesLikeRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// mixDocs is the benchmark's MIX corpus: datagen DBLP ∪ SWISSPROT ∪
+// TREEBANK at scale 2, seed 1.
+func mixDocs(t testing.TB) []*xmltree.Document {
+	t.Helper()
+	var docs []*xmltree.Document
+	for _, name := range datagen.Names() {
+		ds, err := datagen.ByName(name, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, ds.Docs...)
+	}
+	return docs
+}
+
+// postingLists counts the postings tree's entries and distinct symbols.
+func postingLists(t testing.TB, ix *Index) (postings, lists int) {
+	t.Helper()
+	var last vtrie.Symbol
+	err := ix.postings.Scan(nil, nil, true, true, func(k, _ []byte) bool {
+		if sym, _ := decodePostingKey(k); postings == 0 || sym != last {
+			last = sym
+			lists++
+		}
+		postings++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return postings, lists
+}
+
+// TestPreloadCountsNoLookups: filling the tier is not reading it. After a
+// build and after Open with a whole-index budget, every list is resident
+// and the tier has counted no hit and no miss.
+func TestPreloadCountsNoLookups(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Extended: true, HotBudget: 64 << 20}
+	built := opts
+	built.Dir = dir
+	ix, err := Build(mixDocs(t), built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lists := postingLists(t, ix)
+	check := func(stage string, ix *Index) {
+		st := ix.HotStats().Tier
+		if st.Hits != 0 || st.Misses != 0 {
+			t.Errorf("after %s: %d hits and %d misses before any query, want 0 and 0", stage, st.Hits, st.Misses)
+		}
+		if st.Items != lists+1 || st.Evictions != 0 {
+			t.Errorf("after %s: %d structures resident (%d evicted), want %d lists and the docid list", stage, st.Items, st.Evictions, lists)
+		}
+	}
+	check("Build", ix)
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	check("Open", ix)
+}
+
+// TestHotTierBytesPerPosting bounds what the packed tier charges on the
+// benchmark's MIX index: its 96,004 postings in 9,230 lists and the
+// 6,000-entry docid list, payload and per-structure bookkeeping together,
+// come to 673,641 B, 7.02 B a posting (raw 20-byte entries took 23.4). The
+// bound leaves 10 % headroom.
+func TestHotTierBytesPerPosting(t *testing.T) {
+	ix, err := Build(mixDocs(t), Options{Extended: true, HotBudget: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	postings, lists := postingLists(t, ix)
+	st := ix.HotStats().Tier
+	if st.Items != lists+1 {
+		t.Fatalf("%d structures resident, want %d lists and the docid list", st.Items, lists)
+	}
+	per := float64(st.Bytes) / float64(postings)
+	t.Logf("%d postings in %d lists: tier charges %d B, %.2f B a posting", postings, lists, st.Bytes, per)
+	if per > 7.7 {
+		t.Errorf("the tier charges %.2f B a posting, want ≤ 7.7", per)
 	}
 }

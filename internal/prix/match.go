@@ -733,7 +733,7 @@ func (st *matchStage) pack() []Match {
 // place a hot list and a B+-tree are told apart: it fills sc.hits[i] and
 // returns it. par > 1 (a walk that can spawn) warms a paged range first.
 func scanLevel(p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, par int, sp *obs.Span) ([]hit, error) {
-	src := p.levels[i]
+	src := &p.levels[i]
 	hits := sc.hits[i][:0]
 	if src.tree == nil {
 		return hits, nil

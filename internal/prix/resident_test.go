@@ -14,7 +14,8 @@ import (
 )
 
 // residentSwissprot builds a SWISSPROT EPIndex whose hot tier holds every
-// list and summary, and returns it with the dataset's planted queries.
+// posting list and the docid list, and returns it with the dataset's planted
+// queries.
 func residentSwissprot(tb testing.TB) (*Index, []datagen.QuerySpec) {
 	tb.Helper()
 	ds := datagen.SwissProt(1, 1)
@@ -73,10 +74,11 @@ func TestResidentMatchAllocs(t *testing.T) {
 // out is scribbled over — hit buffers, S and N, the record candidates are
 // decoded into, the staged matches, the compiled pattern's slabs — and only
 // then are the serial reference answers computed and the concurrent ones
-// compared with them. Three read paths: resident (summaries, no record is
-// ever decoded), paged (every candidate is read into its walker's scratch),
-// and AS OF reads of superseded images (GetAtLoc's route into the same
-// scratch record).
+// compared with them. Three read paths: resident (the descent reads the hot
+// tier's packed lists and refinement the store's resident shapes and LPS, so
+// no record is ever decoded), paged (every candidate is read into its
+// walker's scratch), and AS OF reads of superseded images (GetAtLoc's route
+// into the same scratch record).
 func TestScratchIsolation(t *testing.T) {
 	t.Run("resident", func(t *testing.T) {
 		ix, specs := residentSwissprot(t)
