@@ -225,9 +225,12 @@ bench-smoke:
 # — and prixcheck's size report (bytes per file; entries, height, pages per
 # level, leaf fill, leaf cell format and bytes per entry per tree; shapes,
 # documents per shape, NPS entries and bytes per copy; bytes per XML byte) is
-# printed for a freshly loaded one.
+# printed for a freshly loaded one. A compacted dynamic index's post tree must
+# keep ≥ 80 % leaf fill through a mutate_mixed-sized batch of inserts and
+# updates (TestDynamicLeafFill: BulkLoad's slack on fixed-width leaves).
 size:
 	$(GO) test ./internal/prix -run 'TestIndexSizeBound' -count=1
+	$(GO) test ./internal/compact -run 'TestDynamicLeafFill' -count=1 -v
 	rm -rf .size_idx
 	$(GO) run ./cmd/prixload -out .size_idx -dataset swissprot -scale 1 -extended
 	$(GO) run ./cmd/prixcheck .size_idx

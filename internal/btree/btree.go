@@ -284,6 +284,7 @@ func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]byte, pager.PageID
 	if err := t.writeNode(id, n); err != nil {
 		return nil, pager.InvalidPage, err
 	}
+	t.forest.leafSplits.Add(1)
 	return right.leaf[0].key, rid, nil
 }
 

@@ -12,19 +12,27 @@ import (
 // BulkLoad fills an empty tree bottom-up from a stream of entries in
 // non-decreasing key order (duplicates keep stream order, matching Insert's
 // stable-duplicate semantics). next returns one entry per call and io.EOF
-// when the stream is exhausted. Leaves are packed full left to right, then
-// each internal level is built over the one below it, so loading n entries
-// costs O(n) page writes with no splits — the streaming-ingest merge phase
-// uses it to turn sorted posting runs into trees without per-entry descents.
+// when the stream is exhausted. Leaves are filled left to right, then each
+// internal level is built over the one below it, so loading n entries costs
+// O(n) page writes with no splits — the streaming-ingest merge phase uses it
+// to turn sorted posting runs into trees without per-entry descents.
 //
 // The tree must be empty: bulk loading reuses the existing root page as the
 // first leaf and would orphan any prior contents. Every leaf takes the root
-// leaf's cell format, so a FixedTree loads into fixed-width leaves and a
-// PackedTree into packed ones, each sealed when its next entry would widen
-// the cells past the page (BulkLoad is the only writer of a packed tree). The
-// resulting tree satisfies every invariant Check enforces; it differs from an
-// Insert-built tree only in fill factor (full pages instead of half-split
-// ones).
+// leaf's cell format, and the format sets the fill:
+//
+//   - a FixedTree's leaves are sealed fixedLoadSlack short of full (306 of
+//     340 postings): only a dynamic index's postings tree uses that codec,
+//     and the free tenth takes the scattered inserts that follow a load in
+//     place, where a full leaf splits into two half-empty ones on the first;
+//   - a PackedTree's leaves are full, each sealed when its next entry would
+//     widen the cells past the page (BulkLoad is the only writer of a packed
+//     tree, so slack there would never be used);
+//   - slotted leaves are full too, so a static index's docid and shape
+//     trees stay as they were.
+//
+// The resulting tree satisfies every invariant Check enforces; it differs
+// from an Insert-built tree only in fill factor.
 func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 	if t.count != 0 {
 		return fmt.Errorf("btree: BulkLoad into non-empty tree %q (%d entries)", t.name, t.count)
@@ -125,11 +133,23 @@ type childRef struct {
 	page  pager.PageID
 }
 
+// fixedLoadSlack is the room BulkLoad leaves free on every fixed-width leaf:
+// a tenth of the page, the 90 % fill PostgreSQL's B-tree leaf fillfactor
+// uses. It is a constant, not an option: such a tree is bulk loaded when a
+// dynamic index is built or compacted, and what follows is always the same
+// scattered insert stream, so there is no second workload to tune it for.
+const fixedLoadSlack = pager.PageDataSize / 10
+
 // loadLeaves is BulkLoad's leaf pass for a slotted or fixed-width tree: it
 // fills the pinned root page p and its successors in place, each leaf of p's
-// cell format. It releases the last leaf's pin.
+// cell format, leaving fixedLoadSlack free on fixed-width leaves.
+// It releases the last leaf's pin.
 func (t *Tree) loadLeaves(p pager.Page, entries func() (key, val []byte, ok bool, err error)) ([]childRef, error) {
 	defer func() { p.Unpin(true) }()
+	slack := 0
+	if pageKind(p.Data) == fixedLeafNode {
+		slack = fixedLoadSlack
+	}
 	var leaves []childRef
 	for {
 		key, val, ok, err := entries()
@@ -139,8 +159,8 @@ func (t *Tree) loadLeaves(p pager.Page, entries func() (key, val []byte, ok bool
 		if err := leafFits(p.Data, key, val); err != nil {
 			return nil, err
 		}
-		if leafCellSize(pageKind(p.Data), len(key), len(val)) > pageFree(p.Data) {
-			// Seal the full leaf by pointing it at a fresh successor of its
+		if leafCellSize(pageKind(p.Data), len(key), len(val)) > pageFree(p.Data)-slack {
+			// Seal the filled leaf by pointing it at a fresh successor of its
 			// format (encode reads the widths only on a fixed-width leaf).
 			np, err := t.forest.bp.NewPage()
 			if err != nil {

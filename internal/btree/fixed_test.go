@@ -60,11 +60,18 @@ func TestFixedTreeRejectsOtherWidths(t *testing.T) {
 	}
 }
 
-// BulkLoad packs ⌊(8,176 − 9) / 24⌋ = 340 postings to a leaf, where a
-// slotted leaf holds 272, and later inserts split those leaves in the same
-// format.
+// A fixed-width leaf holds ⌊(8,176 − 9) / 24⌋ = 340 postings, where a slotted
+// leaf holds 272. BulkLoad fills slotted leaves and leaves fixedLoadSlack free
+// on fixed ones (306 postings), so inserts up to the slack land in place and
+// only inserts beyond it split, in the same format.
 func TestFixedBulkLoadPacksLeaves(t *testing.T) {
-	const n = 3400
+	const (
+		n       = 3400
+		perLeaf = (pager.PageDataSize - headerSize - fixedLoadSlack) / 24
+	)
+	if perLeaf != 306 {
+		t.Fatalf("a bulk-loaded fixed leaf takes %d postings, want 306", perLeaf)
+	}
 	entries := fixedEntries(n)
 	f := newTestForest(t)
 	fixed, _ := f.FixedTree("fixed", 12, 12)
@@ -74,8 +81,9 @@ func TestFixedBulkLoadPacksLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	loaded := (n + perLeaf - 1) / perLeaf
 	for tr, want := range map[*Tree]Shape{
-		fixed:   {Entries: n, Pages: []int{1, n / 340}, LeafFormat: "fixed 12+12"},
+		fixed:   {Entries: n, Pages: []int{1, loaded}, LeafFormat: "fixed 12+12"},
 		slotted: {Entries: n, Pages: []int{1, (n + 271) / 272}, LeafFormat: "slotted"},
 	} {
 		s, err := tr.Shape()
@@ -83,19 +91,36 @@ func TestFixedBulkLoadPacksLeaves(t *testing.T) {
 			t.Errorf("%s: shape %+v (%v), want %+v", tr.Name(), s, err, want)
 		}
 	}
-	// Fill the gaps between the loaded keys: every full leaf splits.
-	for i := 0; i < n; i += 7 {
+	if s, _ := fixed.Shape(); s.LeafFill != float64(loaded*headerSize+n*24)/float64(loaded*pager.PageDataSize) {
+		t.Errorf("bulk-loaded fixed leaves at %.3f fill, want every leaf but the last at 306 postings", s.LeafFill)
+	}
+	// gap is a key between entries[i] and entries[i+1].
+	gap := func(i int) []byte {
 		k := append([]byte(nil), entries[i][0]...)
 		k[11] |= 0x80
-		if err := fixed.Insert(k, entries[i][1]); err != nil {
+		return k
+	}
+	// The slack of the first leaf takes 340 − 306 = 34 inserts in place.
+	for i := 0; i < 340-perLeaf; i++ {
+		if err := fixed.Insert(gap(i), entries[i][1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.LeafSplits(); got != 0 {
+		t.Fatalf("%d inserts within the slack split %d leaves", 340-perLeaf, got)
+	}
+	// Fill the gaps between the other loaded keys: beyond the slack, every
+	// leaf splits.
+	for i := 340 - perLeaf; i < n; i += 7 {
+		if err := fixed.Insert(gap(i), entries[i][1]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if errs := f.Check(); len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
-	if s, _ := fixed.Shape(); s.LeafFormat != "fixed 12+12" || s.Pages[1] <= n/340 {
-		t.Errorf("after inserts: %d leaves of %q", s.Pages[1], s.LeafFormat)
+	if s, _ := fixed.Shape(); s.LeafFormat != "fixed 12+12" || s.Pages[1] <= loaded || f.LeafSplits() != uint64(s.Pages[1]-loaded) {
+		t.Errorf("after inserts: %d leaves of %q, %d splits counted", s.Pages[1], s.LeafFormat, f.LeafSplits())
 	}
 }
 

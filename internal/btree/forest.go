@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/pager"
 )
@@ -26,6 +27,8 @@ type Forest struct {
 	dirty bool
 	// metaPages is the chain of directory pages, first is page 0.
 	metaPages []pager.PageID
+	// leafSplits counts the leaves Insert has split since Open.
+	leafSplits atomic.Uint64
 }
 
 // Open opens (or initialises) a forest over the buffer pool's file.
@@ -50,6 +53,11 @@ func Open(bp *pager.BufferPool) (*Forest, error) {
 	}
 	return f, nil
 }
+
+// LeafSplits returns how many leaves Insert has split, in every tree of the
+// forest, since the forest was opened: the churn a compaction's bulk load
+// (which splits nothing) would reset.
+func (f *Forest) LeafSplits() uint64 { return f.leafSplits.Load() }
 
 // BufferPool returns the pool the forest performs all I/O through.
 func (f *Forest) BufferPool() *pager.BufferPool { return f.bp }

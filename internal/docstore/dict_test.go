@@ -69,7 +69,12 @@ func TestDictBytesPerName(t *testing.T) {
 	}
 	s.dict = &Dict{}
 	before := liveHeap()
-	if err := s.loadDict(uint32(s.meta.dictFlushed)); err != nil {
+	sec := &s.meta.sections[secDict]
+	w := &chainWalker{bp: s.bp, n: uint32(len(sec.pages)), filePages: s.bp.File().NumPages(), next: sec.pages[0]}
+	if err := s.loadDict(w, uint32(s.meta.dictFlushed)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.end(false); err != nil {
 		t.Fatal(err)
 	}
 	heap := liveHeap() - before

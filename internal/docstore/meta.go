@@ -191,6 +191,58 @@ func update(dst, src []byte) bool {
 	return true
 }
 
+// RepairMetaPage rewrites page id, if it is the header or a meta chain page,
+// from the meta the store holds decoded: Open keeps no frame of a chain page
+// to re-seal one from. The page is staged zeroed in the pool; the header is
+// then rewritten from the meta state, a chain page given its next-page
+// pointer back and its section re-encoded into the chain — a flush dirties
+// only pages whose bytes change, so the rest of the chain is read but not
+// written. It reports whether a repair was staged (never for a
+// page that is neither); the caller commits it with the pool's FlushAll.
+func (s *Store) RepairMetaPage(id pager.PageID) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := &s.meta
+	if id == 0 {
+		if staged, err := s.bp.RepairPage(id, true); !staged || err != nil {
+			return staged, err
+		}
+		return true, s.writeHeaderLocked()
+	}
+	for i := range m.sections {
+		sec := &m.sections[i]
+		at := slices.Index(sec.pages, id)
+		if at < 0 {
+			continue
+		}
+		if staged, err := s.bp.RepairPage(id, true); !staged || err != nil {
+			return staged, err
+		}
+		p, err := s.bp.Get(id)
+		if err != nil {
+			return false, err
+		}
+		if at+1 < len(sec.pages) {
+			binary.LittleEndian.PutUint32(p.Data, uint32(sec.pages[at+1]))
+		}
+		p.Unpin(true)
+		switch i {
+		case secDict:
+			m.dictFlushed, sec.length = 0, 0
+		case secShapes:
+			m.shapesFlushed = 0
+		case secDir:
+			if at < len(m.blockDirty) {
+				m.blockDirty[at] = true
+			}
+		case secSmall:
+			m.smallDirty = true
+		}
+		return true, s.flushMetaLocked()
+	}
+	return false, nil
+}
+
 // chain pages -------------------------------------------------------------------
 
 // chainPageLocked pins the page at position i of sec's chain for a writer
@@ -356,7 +408,7 @@ func (s *Store) flushDictLocked() error {
 	return nil
 }
 
-func (s *Store) loadDict(numNames uint32) error {
+func (s *Store) loadDict(w *chainWalker, numNames uint32) error {
 	sec := &s.meta.sections[secDict]
 	// Every name is a uvarint length and its bytes, so the section holds at
 	// most length-numNames name bytes — exactly that when every name is
@@ -364,30 +416,29 @@ func (s *Store) loadDict(numNames uint32) error {
 	// header that cannot claim more names than the section has bytes) loads
 	// it with no growth and no slack.
 	if uint64(numNames) > uint64(sec.length) {
-		return fmt.Errorf("docstore: meta dict: %d names in %d bytes", numNames, sec.length)
+		return fmt.Errorf("%d names in %d bytes", numNames, sec.length)
 	}
 	s.dict.reserve(int(numNames), sec.length-int(numNames))
-	r := chainReader{bp: s.bp, pages: sec.pages, left: sec.length}
-	defer r.close()
+	r := chainReader{w: w, left: sec.length}
 	var name []byte
 	for i := uint32(0); i < numNames; i++ {
 		n, err := binary.ReadUvarint(&r)
 		if err != nil {
-			return fmt.Errorf("docstore: meta dict entry %d: %w", i, err)
+			return fmt.Errorf("entry %d: %w", i, err)
 		}
 		if n > uint64(r.left) {
-			return fmt.Errorf("docstore: meta dict entry %d of %d bytes exceeds %d remaining", i, n, r.left)
+			return fmt.Errorf("entry %d of %d bytes exceeds %d remaining", i, n, r.left)
 		}
 		name = slices.Grow(name[:0], int(n))[:n]
 		if _, err := io.ReadFull(&r, name); err != nil {
-			return fmt.Errorf("docstore: meta dict entry %d: %w", i, err)
+			return fmt.Errorf("entry %d: %w", i, err)
 		}
 		if int(s.dict.InternBytes(name)) != int(i) {
-			return fmt.Errorf("docstore: meta dict entry %d repeats an earlier name", i)
+			return fmt.Errorf("entry %d repeats an earlier name", i)
 		}
 	}
 	if r.left != 0 {
-		return fmt.Errorf("docstore: meta dict: %d bytes beyond its %d names", r.left, numNames)
+		return fmt.Errorf("%d bytes beyond its %d names", r.left, numNames)
 	}
 	s.meta.dictFlushed = int(numNames)
 	return nil
@@ -428,16 +479,16 @@ func (s *Store) flushShapesLocked() error {
 }
 
 // loadShapes reads count shapes off the shapes section. A page that does not
-// read loses the shapes that touch it (all that follow, if the chain ends
+// read loses the shapes that touch it and all that follow (the chain ends
 // there), and so does a shape that does not decode (with the rest of its run
 // of pages): each is left missing, for the forest's copy to restore. Open
-// fails only on a count the section cannot hold.
-func (s *Store) loadShapes(count uint32) error {
+// fails only on a count the section cannot hold or a chain it cannot walk.
+func (s *Store) loadShapes(w *chainWalker, count uint32) error {
 	sec := &s.meta.sections[secShapes]
 	d := &s.shapes
 	// Every shape is at least two varints.
 	if uint64(count) > uint64(sec.length)/2 {
-		return fmt.Errorf("docstore: meta shapes: %d shapes in %d bytes", count, sec.length)
+		return fmt.Errorf("%d shapes in %d bytes", count, sec.length)
 	}
 	d.hdrs = make([]shapeHdr, count)
 	for i := range d.hdrs {
@@ -460,24 +511,22 @@ func (s *Store) loadShapes(count uint32) error {
 		}
 		run = run[:0]
 	}
-	left := sec.length
-	for _, id := range sec.pages {
-		if left == 0 {
+	for left := sec.length; left > 0; {
+		data, err := w.page()
+		if errors.Is(err, pager.ErrCorrupt) {
 			break
+		}
+		if err != nil {
+			return err
 		}
 		take := min(left, chainCap)
 		left -= take
-		// The shapes are held decoded: their pages are not kept as frames.
-		p, err := s.bp.GetNoFill(id)
-		if err != nil || take < shapeHead {
-			if err == nil {
-				p.Unpin(false)
-			}
+		if take < shapeHead {
 			parse()
 			lost = true
 			continue
 		}
-		payload := p.Data[chainHeader : chainHeader+take]
+		payload := data[:take]
 		first, firstID := int(binary.LittleEndian.Uint16(payload)), binary.LittleEndian.Uint32(payload[2:])
 		switch {
 		case !lost:
@@ -486,7 +535,6 @@ func (s *Store) loadShapes(count uint32) error {
 			next, lost = firstID, false
 			run = append(run, payload[first:]...)
 		}
-		p.Unpin(false)
 	}
 	parse()
 	d.trim()
@@ -601,29 +649,27 @@ func (s *Store) reblockDirLocked(b int) error {
 	}
 }
 
-func (s *Store) loadDir(numDocs uint32) error {
+func (s *Store) loadDir(w *chainWalker, numDocs uint32) error {
 	m := &s.meta
 	sec := &m.sections[secDir]
 	// The count comes from disk: size the directory by it only as far as the
 	// chain could hold.
-	s.dir = make([]dirEntry, 0, min(int(numDocs), len(sec.pages)*(chainCap/4)))
+	s.dir = make([]dirEntry, 0, min(int(numDocs), int(w.n)*(chainCap/4)))
 	if sec.length == 0 {
-		return fmt.Errorf("docstore: meta directory has no block")
+		return fmt.Errorf("no block")
 	}
-	for b, id := range sec.pages[:sec.length] {
-		p, err := s.bp.Get(id)
+	for b := 0; b < sec.length; b++ {
+		data, err := w.page()
 		if err != nil {
 			return err
 		}
 		m.blockStart = append(m.blockStart, len(s.dir))
-		s.dir, err = decodeDirBlock(s.dir, p.Data[chainHeader:])
-		p.Unpin(false)
-		if err != nil {
-			return fmt.Errorf("docstore: meta directory page %d: %w", b, err)
+		if s.dir, err = decodeDirBlock(s.dir, data); err != nil {
+			return fmt.Errorf("block %d: %w", b, err)
 		}
 	}
 	if len(s.dir) != int(numDocs) {
-		return fmt.Errorf("docstore: meta directory holds %d entries, header says %d", len(s.dir), numDocs)
+		return fmt.Errorf("%d entries, header says %d", len(s.dir), numDocs)
 	}
 	m.blockDirty = make([]bool, len(m.blockStart))
 	m.dirFlushed = len(s.dir)
@@ -676,10 +722,8 @@ func (s *Store) flushSmallLocked() error {
 	return w.finish()
 }
 
-func (s *Store) loadSmall() error {
-	sec := &s.meta.sections[secSmall]
-	r := chainReader{bp: s.bp, pages: sec.pages, left: sec.length}
-	defer r.close()
+func (s *Store) loadSmall(w *chainWalker) error {
+	r := chainReader{w: w, left: s.meta.sections[secSmall].length}
 	get := func() (uint64, error) { return binary.ReadUvarint(&r) }
 	getBytes := func() ([]byte, error) {
 		n, err := get()
@@ -695,77 +739,135 @@ func (s *Store) loadSmall() error {
 	}
 	n, err := get()
 	if err != nil {
-		return fmt.Errorf("docstore: meta catalogs: %w", err)
+		return err
 	}
 	for i := uint64(0); i < n; i++ {
 		name, err := getBytes()
 		if err != nil {
-			return fmt.Errorf("docstore: meta catalog %d name: %w", i, err)
+			return fmt.Errorf("catalog %d name: %w", i, err)
 		}
 		sz, err := get()
 		if err != nil {
-			return fmt.Errorf("docstore: meta catalog %s: %w", name, err)
+			return fmt.Errorf("catalog %s: %w", name, err)
 		}
 		if sz > uint64(r.left)/2 {
-			return fmt.Errorf("docstore: catalog %s of %d entries exceeds %d remaining bytes", name, sz, r.left)
+			return fmt.Errorf("catalog %s of %d entries exceeds %d remaining bytes", name, sz, r.left)
 		}
 		m := make(map[vtrie.Symbol]int64, sz)
 		for j := uint64(0); j < sz; j++ {
 			k, err1 := get()
 			v, err2 := get()
 			if err1 != nil || err2 != nil {
-				return fmt.Errorf("docstore: catalog %s truncated", name)
+				return fmt.Errorf("catalog %s truncated", name)
 			}
 			m[vtrie.Symbol(k)] = int64(v)
 		}
 		s.catalogs[string(name)] = m
 	}
 	if n, err = get(); err != nil {
-		return fmt.Errorf("docstore: meta stats: %w", err)
+		return fmt.Errorf("stats: %w", err)
 	}
 	for i := uint64(0); i < n; i++ {
 		name, err := getBytes()
 		if err != nil {
-			return fmt.Errorf("docstore: meta stat %d name: %w", i, err)
+			return fmt.Errorf("stat %d name: %w", i, err)
 		}
 		v, err := get()
 		if err != nil {
-			return fmt.Errorf("docstore: meta stat %s: %w", name, err)
+			return fmt.Errorf("stat %s: %w", name, err)
 		}
 		s.stats[string(name)] = int64(v)
 	}
 	if n, err = get(); err != nil {
-		return fmt.Errorf("docstore: meta blobs: %w", err)
+		return fmt.Errorf("blobs: %w", err)
 	}
 	for i := uint64(0); i < n; i++ {
 		name, err := getBytes()
 		if err != nil {
-			return fmt.Errorf("docstore: meta blob %d name: %w", i, err)
+			return fmt.Errorf("blob %d name: %w", i, err)
 		}
 		b, err := getBytes()
 		if err != nil {
-			return fmt.Errorf("docstore: meta blob %s: %w", name, err)
+			return fmt.Errorf("blob %s: %w", name, err)
 		}
 		s.blobs[string(name)] = b
 	}
 	if r.left != 0 {
-		return fmt.Errorf("docstore: meta catalogs: %d trailing bytes", r.left)
+		return fmt.Errorf("%d trailing bytes", r.left)
 	}
 	return nil
 }
 
 // open --------------------------------------------------------------------------
 
-// chainReader reads a section's stream off its chain, keeping the page it is
-// in pinned between calls. It is an io.Reader and an io.ByteReader.
+// chainWalker follows one meta section's chain from its head, reading every
+// page once and around the pool (GetNoFill): Open holds what it decodes from
+// the meta resident, so no frame need keep a meta page. The next-page
+// pointers come from disk: every id must lie inside the file and the chain
+// must end where the header says, so the walk is bounded whatever the pages
+// hold.
+type chainWalker struct {
+	bp           *pager.BufferPool
+	n, filePages uint32
+	next         pager.PageID   // the page the walk reads next
+	pages        []pager.PageID // the pages read so far, head first
+	cur          pager.Page     // the last page read, pinned until the next
+}
+
+// page reads the next page of the chain and returns its payload, valid until
+// the next call or end. A page that does not read ends the chain there: the
+// error is returned and the page is the walk's last.
+func (w *chainWalker) page() ([]byte, error) {
+	w.release()
+	i, id := uint32(len(w.pages)), w.next
+	if i == w.n {
+		return nil, fmt.Errorf("chain of %d pages ends short of its stream", w.n)
+	}
+	if id == 0 || uint32(id) >= w.filePages {
+		return nil, fmt.Errorf("page %d of %d is %d, outside the file's %d pages", i, w.n, id, w.filePages)
+	}
+	w.pages = append(w.pages, id)
+	p, err := w.bp.GetNoFill(id)
+	if err != nil {
+		w.n, w.next = i+1, 0
+		return nil, err
+	}
+	w.cur, w.next = p, pager.PageID(binary.LittleEndian.Uint32(p.Data))
+	return p.Data[chainHeader:], nil
+}
+
+func (w *chainWalker) release() {
+	if w.cur.Data != nil {
+		w.cur.Unpin(false)
+		w.cur = pager.Page{}
+	}
+}
+
+// end walks the pages past the section's stream, which only chain on, and
+// checks that the chain stops where the header says. With lenient set, a
+// page there that does not read ends the chain instead of failing it.
+func (w *chainWalker) end(lenient bool) error {
+	defer w.release()
+	for uint32(len(w.pages)) < w.n {
+		if _, err := w.page(); err != nil {
+			if lenient && errors.Is(err, pager.ErrCorrupt) {
+				return nil
+			}
+			return err
+		}
+	}
+	if w.next != 0 {
+		return fmt.Errorf("chain runs on to page %d past its %d pages", w.next, w.n)
+	}
+	return nil
+}
+
+// chainReader reads a section's stream off its chain as the walk reaches each
+// page. It is an io.Reader and an io.ByteReader.
 type chainReader struct {
-	bp     *pager.BufferPool
-	pages  []pager.PageID
-	left   int // unread bytes of the stream
-	idx    int // chain position of cur
-	off    int // read offset in cur's payload
-	cur    pager.Page
-	pinned bool
+	w    *chainWalker
+	left int    // unread bytes of the stream
+	buf  []byte // unread stream bytes of the current page
 }
 
 // window returns the unread stream bytes of the current page.
@@ -773,20 +875,14 @@ func (r *chainReader) window() ([]byte, error) {
 	if r.left == 0 {
 		return nil, io.EOF
 	}
-	if r.pinned && r.off == chainCap {
-		r.close()
-		r.idx++
-		r.off = 0
-	}
-	if !r.pinned {
-		p, err := r.bp.Get(r.pages[r.idx])
+	if len(r.buf) == 0 {
+		data, err := r.w.page()
 		if err != nil {
 			return nil, err
 		}
-		r.cur, r.pinned = p, true
+		r.buf = data[:min(len(data), r.left)]
 	}
-	w := r.cur.Data[chainHeader+r.off:]
-	return w[:min(len(w), r.left)], nil
+	return r.buf, nil
 }
 
 func (r *chainReader) Read(p []byte) (int, error) {
@@ -795,7 +891,7 @@ func (r *chainReader) Read(p []byte) (int, error) {
 		return 0, err
 	}
 	n := copy(p, w)
-	r.off += n
+	r.buf = w[n:]
 	r.left -= n
 	return n, nil
 }
@@ -805,49 +901,9 @@ func (r *chainReader) ReadByte() (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.off++
+	r.buf = w[1:]
 	r.left--
 	return w[0], nil
-}
-
-func (r *chainReader) close() {
-	if r.pinned {
-		r.cur.Unpin(false)
-		r.pinned = false
-	}
-}
-
-// walkChain follows n next-pointers from head. The pointers come from disk:
-// every id must lie inside the file and the chain must end where the header
-// says, so the walk is bounded whatever the pages hold. With lenient set, a
-// page that does not read ends the walk there instead of failing it: the
-// chain is returned up to and including that page.
-func walkChain(bp *pager.BufferPool, head pager.PageID, n, filePages uint32, lenient bool) ([]pager.PageID, error) {
-	pages := make([]pager.PageID, 0, n)
-	id := head
-	for i := uint32(0); i < n; i++ {
-		if id == 0 || uint32(id) >= filePages {
-			return nil, fmt.Errorf("page %d of %d is %d, outside the file's %d pages", i, n, id, filePages)
-		}
-		get := bp.Get
-		if lenient {
-			get = bp.GetNoFill // loadShapes decodes these pages once, no frame kept
-		}
-		p, err := get(id)
-		if err != nil && lenient && errors.Is(err, pager.ErrCorrupt) {
-			return append(pages, id), nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		pages = append(pages, id)
-		id = pager.PageID(binary.LittleEndian.Uint32(p.Data))
-		p.Unpin(false)
-	}
-	if id != 0 {
-		return nil, fmt.Errorf("chain runs on to page %d past its %d pages", id, n)
-	}
-	return pages, nil
 }
 
 // Open loads a store previously persisted by Flush.
@@ -875,13 +931,16 @@ func Open(bp *pager.BufferPool) (*Store, error) {
 		return nil, fmt.Errorf("docstore: page 0 is not a docstore header")
 	}
 	filePages := bp.File().NumPages()
+	counts := hdr[8+16*numSections:]
+	numDocs := binary.LittleEndian.Uint32(counts)
+	numNames := binary.LittleEndian.Uint32(counts[4:])
+	numShapes := binary.LittleEndian.Uint32(counts[8:])
 	var all []pager.PageID
-	at := 8
 	for i := range s.meta.sections {
+		at := 8 + 16*i
 		head := pager.PageID(binary.LittleEndian.Uint32(hdr[at:]))
 		n := binary.LittleEndian.Uint32(hdr[at+4:])
 		length := binary.LittleEndian.Uint64(hdr[at+8:])
-		at += 16
 		if head == 0 {
 			return nil, fmt.Errorf("docstore: store was never flushed")
 		}
@@ -889,12 +948,29 @@ func Open(bp *pager.BufferPool) (*Store, error) {
 			return nil, fmt.Errorf("docstore: meta %s: %d bytes over %d pages in a file of %d", sectionNames[i], length, n, filePages)
 		}
 		sec := &s.meta.sections[i]
-		// The shapes have a second copy in the forest: an unreadable page
-		// there loses shapes (loadShapes), not the store.
-		if sec.pages, err = walkChain(bp, head, n, filePages, i == secShapes); err != nil {
+		sec.length = int(length)
+		// Each section is decoded as its chain is walked, so a meta page is
+		// read once. The shapes have a second copy in the forest: an
+		// unreadable page there loses shapes (loadShapes), not the store.
+		w := &chainWalker{bp: bp, n: n, filePages: filePages, next: head}
+		switch i {
+		case secDict:
+			err = s.loadDict(w, numNames)
+		case secShapes:
+			err = s.loadShapes(w, numShapes)
+		case secDir:
+			err = s.loadDir(w, numDocs)
+		case secSmall:
+			err = s.loadSmall(w)
+		}
+		if err == nil {
+			err = w.end(i == secShapes)
+		}
+		w.release()
+		if err != nil {
 			return nil, fmt.Errorf("docstore: meta %s: %w", sectionNames[i], err)
 		}
-		sec.length = int(length)
+		sec.pages = w.pages
 		all = append(all, sec.pages...)
 	}
 	// A page on two chains, or twice on one (a cycle), is corruption.
@@ -903,21 +979,6 @@ func Open(bp *pager.BufferPool) (*Store, error) {
 		if all[i] == all[i-1] {
 			return nil, fmt.Errorf("docstore: meta page %d is chained twice", all[i])
 		}
-	}
-	numDocs := binary.LittleEndian.Uint32(hdr[at:])
-	numNames := binary.LittleEndian.Uint32(hdr[at+4:])
-	numShapes := binary.LittleEndian.Uint32(hdr[at+8:])
-	if err := s.loadDict(numNames); err != nil {
-		return nil, err
-	}
-	if err := s.loadShapes(numShapes); err != nil {
-		return nil, err
-	}
-	if err := s.loadDir(numDocs); err != nil {
-		return nil, err
-	}
-	if err := s.loadSmall(); err != nil {
-		return nil, err
 	}
 	s.loadLPS()
 	return s, nil

@@ -513,3 +513,51 @@ func BenchmarkStoreFlushOneDoc(b *testing.B) {
 	}
 	b.ReportMetric(float64(main.writes)/float64(b.N), "pages/op")
 }
+
+// RepairMetaPage rewrites a corrupt header or meta chain page of an opened
+// store, which keeps no frame of its chain pages, from what the store holds
+// decoded: a middle page of every chain and then the header, each repaired
+// back to exactly the bytes it had. A record page is not its to repair.
+func TestRepairMetaPage(t *testing.T) {
+	main, journalFile := pager.NewMemFile(), pager.NewMemFile()
+	bigStore(t, main, journalFile, 5000, 5000)
+	s := openJournaled(t, main, journalFile, false)
+	if got := s.bp.Stats().Resident; got != 1 {
+		t.Fatalf("Open keeps %d frames, want the header alone", got)
+	}
+	pageImage := func(id pager.PageID) []byte {
+		buf := make([]byte, pager.PageSize)
+		if err := main.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	victims := []pager.PageID{0}
+	for i := range s.meta.sections {
+		pages := s.meta.sections[i].pages
+		if len(pages) < 2 && i != secShapes && i != secSmall {
+			t.Fatalf("meta %s has %d pages; the test wants a middle one", sectionNames[i], len(pages))
+		}
+		victims = append(victims, pages[len(pages)/2])
+	}
+	for _, id := range victims {
+		want := pageImage(id)
+		s.bp.DropClean()
+		if err := pager.FlipBit(main, id, (pager.PageHeaderSize+30)*8+1); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := s.RepairMetaPage(id); !ok || err != nil {
+			t.Fatalf("RepairMetaPage(%d) = %v, %v", id, ok, err)
+		}
+		if err := s.bp.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if got := pageImage(id); !bytes.Equal(got, want) {
+			t.Errorf("page %d repaired to other bytes", id)
+		}
+	}
+	rec := s.dir[0].page
+	if ok, err := s.RepairMetaPage(rec); ok || err != nil {
+		t.Errorf("RepairMetaPage of record page %d = %v, %v", rec, ok, err)
+	}
+}

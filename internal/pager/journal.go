@@ -273,6 +273,24 @@ func (j *Journal) trim() error {
 	return nil
 }
 
+// release truncates an inactive journal to zero pages. Like trim, any cut is
+// safe once the header is durably inactive; and with the header gone,
+// NewJournal takes the sequence number from the records, of which none are
+// left, so the next Begin starts over at 1 with nothing stale to collide
+// with.
+func (j *Journal) release() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.active || j.f.NumPages() == 0 {
+		return nil
+	}
+	if err := j.f.Truncate(0); err != nil {
+		return fmt.Errorf("pager: journal release: %w", err)
+	}
+	j.used = 0
+	return nil
+}
+
 // Recover rolls an interrupted transaction back on target: every trusted
 // before-image (record checksum intact) is restored byte-for-byte, the
 // file is truncated to its committed page count, and the journal is

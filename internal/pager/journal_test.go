@@ -164,3 +164,73 @@ func TestRecoverIgnoresUntrustedTail(t *testing.T) {
 		t.Error("untrusted record was replayed")
 	}
 }
+
+// Close truncates a journal its last commit left inactive to zero pages, and
+// the next open of the pair starts a fresh transaction from it. A journal
+// still active (the commit failed) is left whole for Recover.
+func TestCloseReleasesJournal(t *testing.T) {
+	main, jf := NewMemFile(), NewMemFile()
+	j, err := NewJournal(jf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := NewJournaledPool(main, j, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		p, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Data[0] = byte(i + 1)
+		p.Unpin(true)
+	}
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// A second commit overwrites a committed page, so it journals a record.
+	p, err := bp.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Data[0] = 9
+	p.Unpin(true)
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if jf.NumPages() == 0 {
+		t.Fatal("the commit left no journal pages to release")
+	}
+	if err := bp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := jf.NumPages(); n != 0 {
+		t.Fatalf("Close left %d journal pages, want 0", n)
+	}
+
+	// Reopen over the released journal and fail the next commit's in-place
+	// write: the transaction stays open, and Close leaves its journal whole.
+	if j, err = NewJournal(jf); err != nil || j.Active() {
+		t.Fatalf("a released journal reopens as %v, %v", j, err)
+	}
+	faulty := NewFaultFile(main)
+	if bp, err = NewJournaledPool(faulty, j, 8); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = bp.Get(2); err != nil {
+		t.Fatal(err)
+	}
+	p.Data[0] = 7
+	p.Unpin(true)
+	faulty.FailWritesAfter(0)
+	if err := bp.Close(); err == nil {
+		t.Fatal("Close with a failing write reported no error")
+	}
+	if j, err = NewJournal(jf); err != nil || !j.Active() || jf.NumPages() == 0 {
+		t.Fatalf("a failed commit's journal: %d pages, reopened %v, %v", jf.NumPages(), j, err)
+	}
+	if ok, err := j.Recover(main); !ok || err != nil {
+		t.Fatalf("Recover = %v, %v", ok, err)
+	}
+}

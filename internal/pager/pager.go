@@ -856,15 +856,22 @@ func (bp *BufferPool) flushAllLocked() error {
 }
 
 // Close flushes every dirty frame (committing the open transaction) and
-// closes the file and journal. Write and sync errors are propagated; the
-// file is closed regardless, so a failed Close must be treated as a failed
-// commit, not retried on the closed pool.
+// closes the file and journal. A journal left inactive holds nothing the
+// next open needs, so it is truncated to zero pages first: a closed index
+// keeps no journal bytes. Write and sync errors are propagated; the file is
+// closed regardless, so a failed Close must be treated as a failed commit,
+// not retried on the closed pool.
 func (bp *BufferPool) Close() error {
 	flushErr := bp.FlushAll()
 	closeErr := bp.file.Close()
 	var journalErr error
 	if bp.journal != nil {
-		journalErr = bp.journal.Close()
+		if flushErr == nil {
+			journalErr = bp.journal.release()
+		}
+		if err := bp.journal.Close(); journalErr == nil {
+			journalErr = err
+		}
 	}
 	if flushErr != nil {
 		return flushErr

@@ -73,8 +73,8 @@ func (o *Options) pool() int {
 // keeps in its directory, exported for tooling that operates on a closed
 // index's files: the sharded-layout builder clones them into replica
 // directories, and fault-injection tests corrupt them in place. The
-// sidecar journals are not part of the durable state — they are created
-// empty on open.
+// sidecar journals are not part of the durable state: a clean Close leaves
+// them empty, and an open creates them if they are missing.
 const (
 	ForestFileName = forestFile
 	DocsFileName   = docsFile

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/pager"
@@ -62,11 +63,61 @@ func poolResident(ix *Index) uint64 {
 }
 
 // openDecodedPages is what a tier-less Open of a built index leaves in its
-// pools: the forest directory page, and the docs.db header page with the
-// dictionary, directory (three blocks for residencyCorpus's 4,000 documents)
-// and catalog chains behind it. The shapes section is decoded into the
-// resident shape dictionary without keeping its pages.
-const openDecodedPages = 7
+// pools: the forest directory page and the docs.db header page. The meta
+// chains behind the header — dictionary, shapes, directory, catalogs — are
+// decoded into resident form as they are walked, without keeping their pages.
+const openDecodedPages = 2
+
+// pageReadCounter counts the physical reads of each page of one file.
+type pageReadCounter struct {
+	pager.File
+	mu    sync.Mutex
+	reads map[pager.PageID]int
+}
+
+func (f *pageReadCounter) ReadPage(id pager.PageID, buf []byte) error {
+	f.mu.Lock()
+	f.reads[id]++
+	f.mu.Unlock()
+	return f.File.ReadPage(id, buf)
+}
+
+// TestOpenReadsMetaOnce pins the one-read rule for docs.db: Open reads the
+// header, every meta chain page and every record page from disk exactly once
+// — a chain is decoded while it is walked, not walked and then read again —
+// and keeps only the header as a frame.
+func TestOpenReadsMetaOnce(t *testing.T) {
+	dir := buildOnDisk(t, true, residencyCorpus())
+	docs := &pageReadCounter{reads: map[pager.PageID]int{}}
+	ix := openT(t, dir, Options{OpenFile: func(path string) (pager.File, error) {
+		f, err := pager.OpenOSFilePadded(path)
+		if err != nil || filepath.Base(path) != DocsFileName {
+			return f, err
+		}
+		docs.File = f
+		return docs, nil
+	}})
+	meta := 0
+	for _, sec := range ix.Store().MetaSections() {
+		if sec.Pages < 1 {
+			t.Errorf("meta %s has no pages", sec.Name)
+		}
+		meta += sec.Pages
+	}
+	// A fresh build leaves no unreferenced page, so every page of the file is
+	// the header, a meta page or a record page.
+	if n := docs.NumPages(); len(docs.reads) != int(n) || meta < 4 {
+		t.Errorf("Open read %d distinct pages of %d (%d meta pages)", len(docs.reads), n, meta)
+	}
+	for id, n := range docs.reads {
+		if n != 1 {
+			t.Errorf("Open read docs.db page %d %d times", id, n)
+		}
+	}
+	if got := ix.Store().BufferPool().Stats().Resident; got != 1 {
+		t.Errorf("Open keeps %d docs.db frames, want the header alone", got)
+	}
+}
 
 // TestHotBuildsLeaveNoFrames pins the no-fill rule: an index opened with a
 // hot-tier budget above its size holds in its pools only the pages Open itself

@@ -680,10 +680,11 @@ func (ix *Index) rebuildForestLocked(packed bool, writeTrie func(recs []*docstor
 	}
 	// Every live page was just rewritten and committed, so any page still
 	// failing its checksum on disk is an orphan of the old forest: zero it.
-	if n, err := sweepPool(ix.forest.BufferPool(), nil); err != nil {
+	bp := ix.forest.BufferPool()
+	if n, err := sweepPool(bp, func(id pager.PageID) (bool, error) { return bp.RepairPage(id, true) }); err != nil {
 		return skipped, err
 	} else if n > 0 {
-		if err := ix.forest.BufferPool().FlushAll(); err != nil {
+		if err := bp.FlushAll(); err != nil {
 			return skipped, err
 		}
 	}
@@ -710,20 +711,26 @@ func (ix *Index) emitExactRebuild(recs []*docstore.Record) error {
 
 // SweepStorePages raw-scans the document store file for pages whose stored
 // image fails its checksum and stages repairs: from the pool's verified
-// in-memory copy when one is cached, by zeroing when no record, directory
-// or meta structure references the page (an orphan left by record
+// in-memory copy when one is cached; for the header and the meta chains,
+// whose pages Open decodes without keeping a frame, by re-encoding the page's
+// section from the store's resident copy; by zeroing when no record,
+// directory or meta structure references the page (an orphan left by record
 // rewrites). Returns how many pages were repaired and committed.
 func (ix *Index) SweepStorePages() (int, error) {
 	ix.repairMu.Lock()
 	defer ix.repairMu.Unlock()
-	n, err := sweepPool(ix.store.BufferPool(), func(id pager.PageID) bool {
-		return !ix.store.PageReferenced(id)
+	st := ix.store
+	n, err := sweepPool(st.BufferPool(), func(id pager.PageID) (bool, error) {
+		if !st.PageReferenced(id) {
+			return st.BufferPool().RepairPage(id, true)
+		}
+		return st.RepairMetaPage(id)
 	})
 	if err != nil {
 		return n, err
 	}
 	if n > 0 {
-		if err := ix.store.BufferPool().FlushAll(); err != nil {
+		if err := st.BufferPool().FlushAll(); err != nil {
 			return n, err
 		}
 	}
@@ -738,7 +745,7 @@ func (ix *Index) SweepStorePages() (int, error) {
 func (ix *Index) SweepForestPages() (int, error) {
 	ix.repairMu.Lock()
 	defer ix.repairMu.Unlock()
-	n, err := sweepPool(ix.forest.BufferPool(), func(pager.PageID) bool { return false })
+	n, err := sweepPool(ix.forest.BufferPool(), nil)
 	if err != nil {
 		return n, err
 	}
@@ -752,10 +759,9 @@ func (ix *Index) SweepForestPages() (int, error) {
 
 // sweepPool verifies every page of the pool's file directly against disk
 // and stages a repair for each corrupt one: a cached (already verified)
-// frame is simply marked dirty for rewrite; otherwise the page is zeroed if
-// allowZero permits (nil permits always). The caller commits staged repairs
-// with FlushAll.
-func sweepPool(bp *pager.BufferPool, allowZero func(pager.PageID) bool) (int, error) {
+// frame is simply marked dirty for rewrite; otherwise fallback, if set, may
+// stage one from elsewhere. The caller commits staged repairs with FlushAll.
+func sweepPool(bp *pager.BufferPool, fallback func(pager.PageID) (bool, error)) (int, error) {
 	f := bp.File()
 	buf := make([]byte, pager.PageSize)
 	n := 0
@@ -767,8 +773,10 @@ func sweepPool(bp *pager.BufferPool, allowZero func(pager.PageID) bool) (int, er
 		if pager.VerifyPage(pid, buf) == nil {
 			continue
 		}
-		az := allowZero == nil || allowZero(pid)
-		repaired, err := bp.RepairPage(pid, az)
+		repaired, err := bp.RepairPage(pid, false)
+		if !repaired && err == nil && fallback != nil {
+			repaired, err = fallback(pid)
+		}
 		if err != nil {
 			return n, err
 		}

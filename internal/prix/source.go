@@ -41,6 +41,10 @@ type SourceStats struct {
 	// ShapeBytes their heap (docstore.Store.ShapeBytes), both summed over
 	// every replica of a sharded source.
 	Shapes, ShapeBytes int
+	// LeafSplits is the B+-tree leaves inserts have split since the forest
+	// was opened (btree.Forest.LeafSplits), summed over every replica of a
+	// sharded source. A compaction opens a fresh forest, which starts it over.
+	LeafSplits uint64
 	// Epoch identifies a sharded layout's document placement.
 	Epoch uint64
 	// Shards has one row per shard of a scatter-gather source.
@@ -94,6 +98,7 @@ func (ix *Index) Stats() SourceStats {
 		DictBytes:  ix.store.Dict().Bytes(),
 		Shapes:     ix.store.NumShapes(),
 		ShapeBytes: ix.store.ShapeBytes(),
+		LeafSplits: ix.forest.LeafSplits(),
 	}
 }
 

@@ -645,6 +645,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"# TYPE prix_shapes gauge\nprix_shapes %d\n", st.Shapes)
 	fmt.Fprintf(w, "# HELP prix_shape_bytes Heap bytes the shape dictionaries hold.\n"+
 		"# TYPE prix_shape_bytes gauge\nprix_shape_bytes %d\n", st.ShapeBytes)
+	fmt.Fprintf(w, "# HELP prix_btree_leaf_splits_total B+-tree leaves split by inserts since the serving forest was opened.\n"+
+		"# TYPE prix_btree_leaf_splits_total counter\nprix_btree_leaf_splits_total %d\n", st.LeafSplits)
 	if len(st.Shards) > 0 {
 		fmt.Fprintf(w, "# HELP prix_degraded_shards Shards currently serving partial results.\n"+
 			"# TYPE prix_degraded_shards gauge\nprix_degraded_shards %d\n", len(st.DegradedShards()))
@@ -739,6 +741,9 @@ type StatsSnapshot struct {
 	// hold and ShapeBytes their heap, summed over every shard replica.
 	Shapes     int `json:"shapes"`
 	ShapeBytes int `json:"shape_bytes"`
+	// LeafSplits is the B+-tree leaves inserts have split since the serving
+	// forest was opened: split churn that a compaction's bulk load resets.
+	LeafSplits uint64 `json:"leaf_splits"`
 	// Sharded backends only: topology and the per-shard serving counters.
 	// The top-level fields (docs, pages_read, quarantined_docs, ...) already
 	// aggregate across every shard and replica; this is the breakdown.
@@ -787,6 +792,7 @@ func (s *Server) Snapshot() StatsSnapshot {
 	snap.PoolResidentPages = st.PoolResidentPages
 	snap.DictBytes = st.DictBytes
 	snap.Shapes, snap.ShapeBytes = st.Shapes, st.ShapeBytes
+	snap.LeafSplits = st.LeafSplits
 	if len(st.Shards) > 0 {
 		snap.NumShards = len(st.Shards)
 		snap.Epoch = st.Epoch

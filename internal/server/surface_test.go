@@ -25,7 +25,7 @@ var statsBase = []string{
 	"pages_read", "corruptions", "transient_retries", "degraded_served",
 	"quarantined_docs", "in_flight", "latency_mean_us", "latency_p50_us",
 	"latency_p95_us", "latency_p99_us", "pool_resident_pages", "dict_bytes",
-	"shapes", "shape_bytes",
+	"shapes", "shape_bytes", "leaf_splits",
 }
 
 // metricsBase is every /metrics name the service renders for any source
@@ -41,7 +41,7 @@ var metricsBase = []string{
 	"prix_stage_latency_seconds_bucket", "prix_stage_latency_seconds_sum",
 	"prix_stage_latency_seconds_count",
 	"prix_quarantined_docs", "prix_pool_resident_pages", "prix_dict_bytes",
-	"prix_shapes", "prix_shape_bytes",
+	"prix_shapes", "prix_shape_bytes", "prix_btree_leaf_splits_total",
 	"go_heap_live_bytes", "go_heap_goal_bytes", "go_gc_cycles_total", "go_gc_cpu_seconds_total",
 	"go_gc_heap_objects", "go_gc_scan_heap_bytes",
 	"go_gc_heap_allocs_objects_total", "go_gc_heap_allocs_bytes_total",

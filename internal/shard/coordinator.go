@@ -116,7 +116,7 @@ func (c *Coordinator) Generation() uint64 {
 }
 
 // Stats reports the collection as one source — documents, resident pool
-// pages and dictionary bytes summed, the quarantine merged into one ascending
+// pages, dictionary bytes and leaf splits summed, the quarantine merged into one ascending
 // global docid list — plus the placement epoch and one row per shard.
 func (c *Coordinator) Stats() prix.SourceStats {
 	st := prix.SourceStats{Extended: c.topo.Extended, Epoch: c.topo.Epoch, Shards: c.ShardStats()}
@@ -131,6 +131,7 @@ func (c *Coordinator) Stats() prix.SourceStats {
 			st.DictBytes += bs.DictBytes
 			st.Shapes += bs.Shapes
 			st.ShapeBytes += bs.ShapeBytes
+			st.LeafSplits += bs.LeafSplits
 		}
 	}
 	slices.Sort(st.Quarantined)
