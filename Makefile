@@ -31,7 +31,8 @@ test:
 #     path racing queries against hot-tier invalidations, the metamorphic
 #     mutation suite and AS OF replay against the brute-force oracle, the
 #     Delete/Update/Patch power-cut sweeps and the version-map fuzz seeds.
-#   - pager, btree: the crash-recovery sweeps, panic- and race-free; the
+#   - pager, btree: the crash-recovery sweeps (the B+-tree's over slotted,
+#     fixed-width and packed leaves' inserts and splits), panic- and race-free; the
 #     pager's no-fill reads racing Get on shared pages (TestNoFillConcurrentWithGet);
 #     pager/pagertest, the sweep driver every crash sweep runs on.
 #   - docstore: eight goroutines interning into and naming from one arena
@@ -73,8 +74,10 @@ sched:
 	$(GO) test -cpu 1,2,8 -run 'TestHot|TestParallel|Differential|TestPaged|TestResident' -count=1 ./internal/prix
 
 # Every allocation guard (tests named *Allocs, each an AllocsPerRun bound): a
-# page pin hit or missed, a no-fill page read that missed, a journaled flush, an in-place leaf edit on either
-# editable leaf codec, a range scan across packed leaves (TestPackedScanAllocs:
+# page pin hit or missed, a no-fill page read that missed, a journaled flush, an in-place leaf edit on the
+# slotted and fixed-width codecs and on the packed one (TestPackedEditAllocs: an
+# insert its widths hold moves the cells after it, a delete re-encodes through
+# a pooled packer, 0 objects), a range scan across packed leaves (TestPackedScanAllocs:
 # 0, the decode buffer pooled), a range scan of a bit-packed hot-tier list
 # (TestScanAllocs: 0, narrow and wide cells), a fixed-width leaf split against a slotted one, a record
 # decoded into a sized destination, a Match resident and paged, on one
@@ -116,8 +119,9 @@ benchmark-module:
 # model, views held across arena repacks included (FuzzTier); the
 # B+-tree's in-place leaf edits, slotted and fixed-width, against a
 # sorted-slice model, and its packed leaves' bulk loads (symbol boundaries,
-# duplicate keys, fields needing all 64 bits) against the same model
-# (FuzzPackedLeaf); and the docstore
+# duplicate keys, fields needing all 64 bits) and the inserts and deletes that
+# follow (cells widened and narrowed, bases moved, leaves split by bits two
+# ways or more) against the same model (FuzzPackedLeaf); and the docstore
 # meta's header fields, chain pointers and block counts as Open reads them
 # from a corrupt file; the shapes section's resync headers and shape
 # encodings and the record encoding's shape ids and LPS lengths through Open,
@@ -226,8 +230,9 @@ bench-smoke:
 # level, leaf fill, leaf cell format and bytes per entry per tree; shapes,
 # documents per shape, NPS entries and bytes per copy; bytes per XML byte) is
 # printed for a freshly loaded one. A compacted dynamic index's post tree must
-# keep ≥ 80 % leaf fill through a mutate_mixed-sized batch of inserts and
-# updates (TestDynamicLeafFill: BulkLoad's slack on fixed-width leaves).
+# keep packed leaves at ≥ 80 % fill and ≤ 20 B a posting, and its docid tree
+# ≥ 80 % fill, through a mutate_mixed-sized batch of inserts and updates
+# (TestDynamicLeafFill: BulkLoad's slack in every tree that takes inserts).
 size:
 	$(GO) test ./internal/prix -run 'TestIndexSizeBound' -count=1
 	$(GO) test ./internal/compact -run 'TestDynamicLeafFill' -count=1 -v

@@ -9,17 +9,20 @@
 // pager pages (pager.PageDataSize bytes; the pager owns a per-page
 // integrity header on top) and travel through the buffer pool, so every
 // traversal is accounted in the pool's physical-read counter. Reads
-// binary-search pages in place — through a slot directory, by offset on the
-// fixed-width leaves of a FixedTree, or by bit offset on the packed leaves
-// of a PackedTree — and leaf inserts and deletes edit slotted and fixed
-// leaves in place; only splits materialise pages into memory. A PackedTree
-// is filled once by BulkLoad and refuses edits.
+// binary-search pages in place — through a slot directory, by offset on
+// fixed-width leaves (which trees written before packed postings leaves
+// keep), or by bit offset on the packed leaves of a PackedTree — and leaf
+// inserts and deletes edit every leaf codec in place; only splits
+// materialise slotted and fixed-width pages into memory, and a packed leaf
+// splits by bits into as many leaves as its cells need.
 package btree
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -113,7 +116,7 @@ func (n *nodePage) size() int {
 
 // encode writes the node over data with cell i below cell i-1, the layout
 // ascending in-place inserts produce too. A packed leaf is only ever encoded
-// empty, as a new PackedTree's root; BulkLoad's packer writes the full ones.
+// empty, as a new PackedTree's root; a packer writes the others.
 func (n *nodePage) encode(data []byte) {
 	if n.kind == packedLeafNode {
 		(&packer{}).encode(data, n.extra)
@@ -179,89 +182,99 @@ func (t *Tree) Insert(key, val []byte) error {
 	if len(key)+len(val) > MaxEntrySize {
 		return fmt.Errorf("btree: entry of %d bytes exceeds MaxEntrySize %d", len(key)+len(val), MaxEntrySize)
 	}
-	promoted, right, err := t.insertRec(t.root, key, val)
+	splits, err := t.insertRec(t.root, key, val)
 	if err != nil {
 		return err
 	}
-	if right != pager.InvalidPage {
-		// Root split: make a new root with two children.
-		newRoot := &nodePage{
-			kind:  internalNode,
-			extra: uint32(t.root),
-			inner: []innerCell{{key: promoted, child: right}},
-		}
-		id, err := t.allocNode(newRoot)
+	if len(splits) > 0 {
+		// Root split: grow the tree by the levels its new siblings need.
+		root, err := t.buildLevels(append([]childRef{{page: t.root}}, splits...))
 		if err != nil {
 			return err
 		}
-		t.root = id
+		t.root = root
 	}
 	t.count++
 	t.forest.markDirty(t)
 	return nil
 }
 
-// insertRec inserts under page id; on split it returns the promoted key and
-// new right sibling page, else (nil, InvalidPage). The descent reads raw
+// insertRec inserts under page id. When the page splits it returns the new
+// siblings to its right, each with its first key, the separator its parent
+// takes: one for a slotted, fixed-width or internal page that split in two,
+// as many as a packed leaf's cells need (splitPacked). The descent reads raw
 // pages; only mutated nodes are decoded.
-func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]byte, pager.PageID, error) {
+func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]childRef, error) {
 	p, err := t.forest.bp.Get(id)
 	if err != nil {
-		return nil, pager.InvalidPage, err
+		return nil, err
 	}
 	if pageKind(p.Data) == internalNode {
 		ci := innerChildIndex(p.Data, key)
 		child := pageChildAt(p.Data, ci)
 		p.Unpin(false)
-		promoted, rightChild, err := t.insertRec(child, key, val)
-		if err != nil || rightChild == pager.InvalidPage {
-			return nil, pager.InvalidPage, err
+		splits, err := t.insertRec(child, key, val)
+		if err != nil || len(splits) == 0 {
+			return nil, err
 		}
-		// A child split: decode, insert the separator, maybe split too.
+		// A child split: decode, insert the separators, maybe split too.
 		n, err := t.readNode(id)
 		if err != nil {
-			return nil, pager.InvalidPage, err
+			return nil, err
 		}
-		cell := innerCell{key: promoted, child: rightChild}
-		n.inner = append(n.inner, innerCell{})
-		copy(n.inner[ci+1:], n.inner[ci:])
-		n.inner[ci] = cell
+		cells := make([]innerCell, len(splits))
+		for i, s := range splits {
+			cells[i] = innerCell{key: s.first, child: s.page}
+		}
+		n.inner = slices.Insert(n.inner, ci, cells...)
 		if n.size() <= pager.PageDataSize {
-			return nil, pager.InvalidPage, t.writeNode(id, n)
+			return nil, t.writeNode(id, n)
 		}
-		mid := splitIndex(len(n.inner), func(i int) int { return slotSize + innerCellHdr + len(n.inner[i].key) })
-		up := n.inner[mid]
-		right := &nodePage{
-			kind:  internalNode,
-			extra: uint32(up.child),
-			inner: n.inner[mid+1:],
+		// Halve the node until every part fits a page: once for the one
+		// separator a two-way split sends up.
+		parts, ups := []*nodePage{n}, []innerCell(nil)
+		for i := 0; i < len(parts); {
+			m := parts[i]
+			if m.size() <= pager.PageDataSize {
+				i++
+				continue
+			}
+			mid := splitIndex(len(m.inner), func(i int) int { return slotSize + innerCellHdr + len(m.inner[i].key) })
+			up := m.inner[mid]
+			right := &nodePage{kind: internalNode, extra: uint32(up.child), inner: m.inner[mid+1:]}
+			m.inner = m.inner[:mid]
+			parts = slices.Insert(parts, i+1, right)
+			ups = slices.Insert(ups, i, up)
 		}
-		n.inner = n.inner[:mid]
-		rid, err := t.allocNode(right)
-		if err != nil {
-			return nil, pager.InvalidPage, err
+		out := make([]childRef, len(ups))
+		for i, up := range ups {
+			rid, err := t.allocNode(parts[i+1])
+			if err != nil {
+				return nil, err
+			}
+			out[i] = childRef{first: up.key, page: rid}
 		}
-		if err := t.writeNode(id, n); err != nil {
-			return nil, pager.InvalidPage, err
-		}
-		return up.key, rid, nil
+		return out, t.writeNode(id, n)
 	}
 	// Leaf: insert after all equal keys (stable duplicates), in place while
 	// the cell fits.
 	if err := leafFits(p.Data, key, val); err != nil {
 		p.Unpin(false)
-		return nil, pager.InvalidPage, err
+		return nil, err
+	}
+	if pageKind(p.Data) == packedLeafNode {
+		return t.insertPacked(p, key, val)
 	}
 	pos := leafUpperBound(p.Data, key)
 	if leafCellSize(pageKind(p.Data), len(key), len(val)) <= pageFree(p.Data) {
 		leafInsertAt(p.Data, pos, key, val)
 		p.Unpin(true)
-		return nil, pager.InvalidPage, nil
+		return nil, nil
 	}
 	n, err := decodePage(p.Data)
 	p.Unpin(false)
 	if err != nil {
-		return nil, pager.InvalidPage, err
+		return nil, err
 	}
 	n.leaf = append(n.leaf, leafCell{})
 	copy(n.leaf[pos+1:], n.leaf[pos:])
@@ -278,14 +291,14 @@ func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]byte, pager.PageID
 	n.leaf = n.leaf[:mid]
 	rid, err := t.allocNode(right)
 	if err != nil {
-		return nil, pager.InvalidPage, err
+		return nil, err
 	}
 	n.extra = uint32(rid)
 	if err := t.writeNode(id, n); err != nil {
-		return nil, pager.InvalidPage, err
+		return nil, err
 	}
 	t.forest.leafSplits.Add(1)
-	return right.leaf[0].key, rid, nil
+	return []childRef{{first: right.leaf[0].key, page: rid}}, nil
 }
 
 // splitIndex cuts n cells of the given sizes where the left part reaches half
@@ -321,7 +334,7 @@ func (t *Tree) Get(key []byte) ([][]byte, error) {
 // leaves, a decode buffer the next entry overwrites) and are only valid for
 // the duration of the callback; copy them to retain them.
 func (t *Tree) Scan(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val []byte) bool) error {
-	return t.scan(lo, hi, loIncl, hiIncl, false, fn)
+	return t.scan(lo, hi, loIncl, hiIncl, false, visitor{entry: fn})
 }
 
 // ScanNoFill is Scan for a caller that copies what it visits into a structure
@@ -329,10 +342,31 @@ func (t *Tree) Scan(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val []byte)
 // pager.BufferPool.GetNoFill, so pages the pool does not already hold are
 // read and counted but not left resident.
 func (t *Tree) ScanNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val []byte) bool) error {
-	return t.scan(lo, hi, loIncl, hiIncl, true, fn)
+	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{entry: fn})
 }
 
-func (t *Tree) scan(lo, hi []byte, loIncl, hiIncl, noFill bool, fn func(key, val []byte) bool) error {
+// ScanPostings is Scan over a tree of postings — 12-byte keys of a
+// big-endian symbol ‖ Left, 12-byte values of a big-endian Right ‖ a
+// little-endian level, in leaves of any codec — handing fn each entry's
+// fields as numbers: a packed leaf's cells decode straight into them, with
+// no 24 bytes encoded for fn to decode again.
+func (t *Tree) ScanPostings(lo, hi []byte, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) error {
+	return t.scan(lo, hi, loIncl, hiIncl, false, visitor{posting: fn})
+}
+
+// ScanPostingsNoFill is ScanPostings reading pages as ScanNoFill does.
+func (t *Tree) ScanPostingsNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) error {
+	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{posting: fn})
+}
+
+// visitor is what a scan hands each entry to: entry as key and value bytes,
+// or, for ScanPostings, posting as the entry's fields.
+type visitor struct {
+	entry   func(key, val []byte) bool
+	posting func(sym uint32, left, right uint64, level uint32) bool
+}
+
+func (t *Tree) scan(lo, hi []byte, loIncl, hiIncl, noFill bool, fn visitor) error {
 	id := t.root
 	for {
 		var p pager.Page
@@ -461,12 +495,20 @@ func (t *Tree) Prefetch(lo, hi []byte, loIncl bool, par int) int {
 
 // scanLeaves iterates leaf pages starting at the pinned page p (ownership
 // of the pin transfers to scanLeaves). Packed leaves are decoded entry by
-// entry into one pooled buffer, which fn sees for the callback only.
-func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bool, fn func(k, v []byte) bool) error {
+// entry — for fn.entry into one pooled buffer, which it sees for the
+// callback only — and held to a 12-byte hi as the symbol and Left it
+// encodes; fn.posting gets other leaves' entries parsed.
+func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bool, fn visitor) error {
 	var (
 		dec  *[packedEntryLen]byte
 		leaf packedLeaf
+		// hiKey is hi's symbol and Left when hi is a 12-byte key.
+		hiKey packedEntry
 	)
+	hiNumeric := len(hi) == packedKeyLen
+	if hiNumeric {
+		hiKey.sym, hiKey.left = binary.BigEndian.Uint32(hi), binary.BigEndian.Uint64(hi[4:])
+	}
 	defer func() {
 		if dec != nil {
 			decodeBufs.Put(dec)
@@ -478,7 +520,7 @@ func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bo
 		if pageKind(data) == packedLeafNode {
 			leaf.parse(data)
 			packed = &leaf
-			if dec == nil {
+			if dec == nil && (fn.entry != nil || hi != nil && !hiNumeric) {
 				dec = decodeBufs.Get().(*[packedEntryLen]byte)
 			}
 		}
@@ -492,21 +534,43 @@ func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bo
 		}
 		num := pageNumKeys(data)
 		for i := start; i < num; i++ {
-			var k, v []byte
+			var (
+				k, v []byte
+				e    packedEntry
+				c    int // the key against hi
+			)
 			if packed != nil {
-				packed.entry(i).put(dec)
-				k, v = dec[:packedKeyLen], dec[packedKeyLen:]
+				e = packed.entry(i)
+				if hiNumeric {
+					if c = cmp.Compare(e.sym, hiKey.sym); c == 0 {
+						c = cmp.Compare(e.left, hiKey.left)
+					}
+				}
+				if fn.entry != nil || hi != nil && !hiNumeric {
+					e.put(dec)
+					k, v = dec[:packedKeyLen], dec[packedKeyLen:]
+				}
 			} else {
 				k, v = leafCellAt(data, i)
 			}
-			if hi != nil {
-				cmp := bytes.Compare(k, hi)
-				if cmp > 0 || (cmp == 0 && !hiIncl) {
-					p.Unpin(false)
-					return nil
-				}
+			if hi != nil && (packed == nil || !hiNumeric) {
+				c = bytes.Compare(k, hi)
 			}
-			if !fn(k, v) {
+			if hi != nil && (c > 0 || c == 0 && !hiIncl) {
+				p.Unpin(false)
+				return nil
+			}
+			var more bool
+			switch {
+			case fn.entry != nil:
+				more = fn.entry(k, v)
+			case packed != nil:
+				more = fn.posting(e.sym, e.left, e.left+e.scope, e.level)
+			default:
+				e = parsePackedEntry(k, v)
+				more = fn.posting(e.sym, e.left, e.left+e.scope, e.level)
+			}
+			if !more {
 				p.Unpin(false)
 				return nil
 			}
@@ -548,20 +612,27 @@ func (t *Tree) Delete(key, val []byte) (bool, error) {
 			id = next
 			continue
 		}
+		var (
+			buf [packedEntryLen]byte
+			l   packedLeaf
+		)
 		for {
 			data := p.Data
 			if pageKind(data) == packedLeafNode {
-				p.Unpin(false)
-				return false, errPackedEdit
+				l.parse(data)
 			}
-			for i, num := leafLowerBound(data, key), pageNumKeys(data); i < num; i++ {
-				k, v := leafCellAt(data, i)
+			for i, num := leafSearch(data, &l, key, 0), pageNumKeys(data); i < num; i++ {
+				k, v := leafEntryAt(data, &l, i, &buf)
 				if !bytes.Equal(k, key) {
 					p.Unpin(false)
 					return false, nil
 				}
 				if val == nil || bytes.Equal(v, val) {
-					leafDeleteAt(data, i)
+					if pageKind(data) == packedLeafNode {
+						deletePacked(data, i)
+					} else {
+						leafDeleteAt(data, i)
+					}
 					p.Unpin(true)
 					t.count--
 					t.forest.markDirty(t)

@@ -19,21 +19,17 @@ import (
 //
 // The tree must be empty: bulk loading reuses the existing root page as the
 // first leaf and would orphan any prior contents. Every leaf takes the root
-// leaf's cell format, and the format sets the fill:
-//
-//   - a FixedTree's leaves are sealed fixedLoadSlack short of full (306 of
-//     340 postings): only a dynamic index's postings tree uses that codec,
-//     and the free tenth takes the scattered inserts that follow a load in
-//     place, where a full leaf splits into two half-empty ones on the first;
-//   - a PackedTree's leaves are full, each sealed when its next entry would
-//     widen the cells past the page (BulkLoad is the only writer of a packed
-//     tree, so slack there would never be used);
-//   - slotted leaves are full too, so a static index's docid and shape
-//     trees stay as they were.
+// leaf's cell format. insertable says whether inserts follow the load, and
+// sets the fill whatever the format: an insertable tree's leaves are sealed
+// loadSlack short of full (a packed leaf at nine tenths of its cell bits),
+// so the scattered inserts that follow land in place, where a full leaf
+// splits into two part-empty ones on the first; a static tree's leaves are
+// full, each sealed when its next entry would not fit (a packed one's, when
+// it would widen the cells past the page), since nothing would use the room.
 //
 // The resulting tree satisfies every invariant Check enforces; it differs
 // from an Insert-built tree only in fill factor.
-func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
+func (t *Tree) BulkLoad(insertable bool, next func() (key, val []byte, err error)) error {
 	if t.count != 0 {
 		return fmt.Errorf("btree: BulkLoad into non-empty tree %q (%d entries)", t.name, t.count)
 	}
@@ -68,9 +64,13 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 	}
 	var leaves []childRef
 	if pageKind(p.Data) == packedLeafNode {
-		leaves, err = t.loadPackedLeaves(p, entries)
+		leaves, err = t.loadPackedLeaves(p, loadPacking(insertable), entries)
 	} else {
-		leaves, err = t.loadLeaves(p, entries)
+		slack := 0
+		if insertable {
+			slack = loadSlack
+		}
+		leaves, err = t.loadLeaves(p, slack, entries)
 	}
 	if err != nil {
 		return err
@@ -78,9 +78,18 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 	if total == 0 {
 		return nil // the empty root leaf is already a valid empty tree
 	}
+	if t.root, err = t.buildLevels(leaves); err != nil {
+		return err
+	}
+	t.count = total
+	t.forest.markDirty(t)
+	return nil
+}
 
-	// Build internal levels bottom-up until one node spans the whole level.
-	level := leaves
+// buildLevels builds internal levels bottom-up over level, each node filled
+// to the page, until one node spans the whole level, and returns that node's
+// page: BulkLoad's internal levels, and the new root over a root that split.
+func (t *Tree) buildLevels(level []childRef) (pager.PageID, error) {
 	for len(level) > 1 {
 		var (
 			parents []childRef
@@ -100,7 +109,7 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 			cost := slotSize + innerCellHdr + len(child.first)
 			if node != nil && size+cost > pager.PageDataSize {
 				if err := flush(); err != nil {
-					return err
+					return pager.InvalidPage, err
 				}
 				node = nil
 			}
@@ -116,14 +125,11 @@ func (t *Tree) BulkLoad(next func() (key, val []byte, err error)) error {
 			size += cost
 		}
 		if err := flush(); err != nil {
-			return err
+			return pager.InvalidPage, err
 		}
 		level = parents
 	}
-	t.root = level[0].page
-	t.count = total
-	t.forest.markDirty(t)
-	return nil
+	return level[0].page, nil
 }
 
 // childRef is one node of the level BulkLoad is building over: its page and
@@ -133,23 +139,20 @@ type childRef struct {
 	page  pager.PageID
 }
 
-// fixedLoadSlack is the room BulkLoad leaves free on every fixed-width leaf:
-// a tenth of the page, the 90 % fill PostgreSQL's B-tree leaf fillfactor
-// uses. It is a constant, not an option: such a tree is bulk loaded when a
-// dynamic index is built or compacted, and what follows is always the same
-// scattered insert stream, so there is no second workload to tune it for.
-const fixedLoadSlack = pager.PageDataSize / 10
+// loadSlack is the room BulkLoad leaves free on every leaf of a tree that
+// takes inserts: a tenth of the page, the 90 % fill PostgreSQL's B-tree leaf
+// fillfactor uses. It is a constant, not an option: such a tree is bulk
+// loaded when a dynamic index is built or compacted, and what follows is
+// always the same scattered insert stream, so there is no second workload
+// to tune it for.
+const loadSlack = pager.PageDataSize / 10
 
 // loadLeaves is BulkLoad's leaf pass for a slotted or fixed-width tree: it
 // fills the pinned root page p and its successors in place, each leaf of p's
-// cell format, leaving fixedLoadSlack free on fixed-width leaves.
-// It releases the last leaf's pin.
-func (t *Tree) loadLeaves(p pager.Page, entries func() (key, val []byte, ok bool, err error)) ([]childRef, error) {
+// cell format, leaving slack bytes free on each. It releases the last leaf's
+// pin.
+func (t *Tree) loadLeaves(p pager.Page, slack int, entries func() (key, val []byte, ok bool, err error)) ([]childRef, error) {
 	defer func() { p.Unpin(true) }()
-	slack := 0
-	if pageKind(p.Data) == fixedLeafNode {
-		slack = fixedLoadSlack
-	}
 	var leaves []childRef
 	for {
 		key, val, ok, err := entries()

@@ -110,9 +110,15 @@ func (c *checker) walk(id pager.PageID, depth int, low, high []byte) uint64 {
 		} else if f != c.leafFormat {
 			c.report(id, "leaf cells are %s, its siblings' %s", f, c.leafFormat)
 		}
-		var buf [packedEntryLen]byte
+		var (
+			buf [packedKeyLen]byte
+			l   packedLeaf
+		)
+		if pageKind(data) == packedLeafNode {
+			l.parse(data)
+		}
 		for i := 0; i < num; i++ {
-			k, _ := leafEntryAt(data, i, &buf)
+			k := leafKeyAt(data, &l, i, &buf)
 			if low != nil && bytes.Compare(k, low) < 0 {
 				c.report(id, "key %x below its subtree bound %x", k, low)
 			}
@@ -176,14 +182,20 @@ func validateNodeShape(data []byte) error {
 		return fmt.Errorf("unknown node kind %d", kind)
 	}
 	// Two buffers, so a packed leaf's previous decoded key survives the next.
-	var bufs [2][packedEntryLen]byte
-	var prev []byte
+	var (
+		bufs [2][packedKeyLen]byte
+		prev []byte
+		l    packedLeaf
+	)
+	if kind == packedLeafNode {
+		l.parse(data)
+	}
 	for i := 0; i < num; i++ {
 		var key []byte
 		if kind == internalNode {
 			key, _ = innerCellAt(data, i)
 		} else {
-			key, _ = leafEntryAt(data, i, &bufs[i%2])
+			key = leafKeyAt(data, &l, i, &bufs[i%2])
 		}
 		if prev != nil && bytes.Compare(prev, key) > 0 {
 			return fmt.Errorf("cell %d key out of order", i)

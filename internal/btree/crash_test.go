@@ -1,7 +1,11 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/pager"
@@ -12,7 +16,7 @@ import (
 // journaled pool, committing (Forest.Flush) after each batch. It returns
 // how many batches committed cleanly. Keys are deterministic so recovered
 // states can be checked against expected batch boundaries. With fixedVal > 0
-// the tree is a FixedTree whose values are padded to fixedVal bytes.
+// the tree has fixed-width leaves (fixedTree) and values padded to fixedVal bytes.
 const crashBatches = 4
 const crashBatchKeys = 30
 
@@ -41,7 +45,7 @@ func btreeWorkload(main, journalFile pager.File, fixedVal int) error {
 	}
 	var tr *Tree
 	if fixedVal > 0 {
-		tr, err = forest.FixedTree("t", 8, fixedVal)
+		tr, err = fixedTree(forest, "t", 8, fixedVal)
 	} else {
 		tr, err = forest.Tree("t")
 	}
@@ -125,6 +129,115 @@ func crashSweep(t *testing.T, fixedVal int) {
 		if fixedVal > 0 && gotKeys > 0 {
 			if s, err := tr.Shape(); err != nil || s.LeafFormat != fmt.Sprintf("fixed 8+%d", fixedVal) || (gotKeys > 40) != (len(s.Pages) > 1) {
 				t.Errorf("recovered tree: %d levels of %q leaves (%v)", len(s.Pages), s.LeafFormat, err)
+			}
+		}
+	})
+}
+
+// crashPackedKeys is the packed sweep's batch size: 4 batches of
+// postings-shaped entries 162 bits wide in a packed leaf (scattered Lefts,
+// scopes that wrap, scattered levels, three symbols), about 400 to a full
+// leaf, so the third batch splits a leaf inside a swept commit.
+const crashPackedKeys = 150
+
+func crashPackedEntry(i int) [2][]byte {
+	left := uint64(i+1) * 0x9E3779B97F4A7C15
+	scope := uint64(i)
+	if i%2 == 1 {
+		scope = math.MaxUint64 - scope
+	}
+	return postingEntry(uint32(i%3), left, left+scope, uint32(i)*2654435761)
+}
+
+// packedWorkload inserts crashBatches batches of crashPackedEntry entries
+// into a packed tree over a journaled pool, each batch in a scrambled order
+// and committed by Forest.Flush.
+func packedWorkload(main, journalFile pager.File) error {
+	j, err := pager.NewJournal(journalFile)
+	if err != nil {
+		return err
+	}
+	bp, err := pager.NewJournaledPool(main, j, 8)
+	if err != nil {
+		return err
+	}
+	forest, err := Open(bp)
+	if err != nil {
+		return err
+	}
+	tr, err := forest.PackedTree("t")
+	if err != nil {
+		return err
+	}
+	for batch := 0; batch < crashBatches; batch++ {
+		for i := 0; i < crashPackedKeys; i++ {
+			e := crashPackedEntry(batch*crashPackedKeys + i*7%crashPackedKeys)
+			if err := tr.Insert(e[0], e[1]); err != nil {
+				return err
+			}
+		}
+		if err := forest.Flush(); err != nil {
+			return err
+		}
+	}
+	return bp.Close()
+}
+
+// TestBtreeCrashSweepPacked is the sweep over a packed tree's in-place
+// inserts and splits by bits: every recovered tree must hold exactly the
+// entries of a committed batch prefix, in key order, in packed leaves.
+func TestBtreeCrashSweepPacked(t *testing.T) {
+	var mainMem, journalMem *pager.MemFile
+	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+		mainMem, journalMem = pager.NewMemFile(), pager.NewMemFile()
+		main, journalFile := pager.NewFaultFile(mainMem), pager.NewFaultFile(journalMem)
+		main.SetPowerClock(clock)
+		journalFile.SetPowerClock(clock)
+		return packedWorkload(main, journalFile)
+	}
+	pagertest.Sweep(t, 30, pagertest.TearEvery(2, 1021), run, func(t *testing.T, k int64) {
+		j, err := pager.NewJournal(journalMem)
+		if err != nil {
+			t.Fatalf("reopen journal: %v", err)
+		}
+		bp, err := pager.NewJournaledPool(mainMem, j, 8)
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		forest, err := Open(bp)
+		if err != nil {
+			t.Fatalf("reopen forest: %v", err)
+		}
+		if errs := forest.Check(); len(errs) != 0 {
+			t.Fatalf("invariants violated after recovery: %v", errs[0])
+		}
+		var got [][2][]byte
+		tr := forest.Lookup("t")
+		if tr != nil {
+			err := tr.Scan(nil, nil, true, true, func(key, val []byte) bool {
+				got = append(got, [2][]byte{bytes.Clone(key), bytes.Clone(val)})
+				return true
+			})
+			if err != nil {
+				t.Fatalf("scan after recovery: %v", err)
+			}
+		}
+		if len(got)%crashPackedKeys != 0 || len(got) > crashBatches*crashPackedKeys {
+			t.Fatalf("recovered %d entries: not a committed batch boundary", len(got))
+		}
+		want := make([][2][]byte, len(got))
+		for i := range want {
+			want[i] = crashPackedEntry(i)
+		}
+		slices.SortFunc(want, func(a, b [2][]byte) int { return bytes.Compare(a[0], b[0]) })
+		for i := range want {
+			if !bytes.Equal(got[i][0], want[i][0]) || !bytes.Equal(got[i][1], want[i][1]) {
+				t.Fatalf("entry %d of %d recovered is (%x, %x), want (%x, %x)", i, len(got), got[i][0], got[i][1], want[i][0], want[i][1])
+			}
+		}
+		if len(got) > 0 {
+			if s, err := tr.Shape(); err != nil || !strings.HasPrefix(s.LeafFormat, "packed ") || (len(got) > 2*crashPackedKeys) != (len(s.Pages) > 1) {
+				t.Errorf("recovered tree of %d entries: %d levels of %q leaves (%v)", len(got), len(s.Pages), s.LeafFormat, err)
 			}
 		}
 	})

@@ -11,8 +11,16 @@ import (
 )
 
 // Tests of the fixed-width leaf codec beyond the shared model and allocation
-// suites in leafops_test.go: what a FixedTree accepts, how full BulkLoad packs
-// its leaves, and what Check says about a damaged one.
+// suites in leafops_test.go: what a fixed-width tree accepts, how full
+// BulkLoad packs its leaves, and what Check says about a damaged one. No
+// constructor creates such a tree any more; directories written before
+// packed postings leaves hold one, and fixedTree builds one as they did.
+
+// fixedTree returns the named tree, creating it with fixed-width leaves of
+// kw+vw-byte cells if it does not exist.
+func fixedTree(f *Forest, name string, kw, vw int) (*Tree, error) {
+	return f.tree(name, &nodePage{kind: fixedLeafNode, widths: [2]byte{byte(kw), byte(vw)}})
+}
 
 // fixedEntries are n 12+12-byte entries in key order, the postings' shape.
 func fixedEntries(n int) [][2][]byte {
@@ -29,12 +37,7 @@ func fixedEntries(n int) [][2][]byte {
 
 func TestFixedTreeRejectsOtherWidths(t *testing.T) {
 	f := memForest(t)
-	for _, w := range [][2]int{{0, 12}, {256, 12}, {12, -1}, {12, 256}} {
-		if _, err := f.FixedTree("bad", w[0], w[1]); err == nil {
-			t.Errorf("FixedTree(%d, %d) accepted", w[0], w[1])
-		}
-	}
-	tr, err := f.FixedTree("t", 12, 12)
+	tr, err := fixedTree(f, "t", 12, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func TestFixedTreeRejectsOtherWidths(t *testing.T) {
 		if err := tr.Insert(bad[0], bad[1]); err == nil {
 			t.Errorf("Insert of %d+%d bytes into a 12+12 tree accepted", len(bad[0]), len(bad[1]))
 		}
-		if bl, _ := f.FixedTree(fmt.Sprint("bulk", i), 12, 12); bl.BulkLoad(sliceFeeder([][2][]byte{e, bad})) == nil {
+		if bl, _ := fixedTree(f, fmt.Sprint("bulk", i), 12, 12); bl.BulkLoad(false, sliceFeeder([][2][]byte{e, bad})) == nil {
 			t.Errorf("BulkLoad of %d+%d bytes into a 12+12 tree accepted", len(bad[0]), len(bad[1]))
 		}
 	}
@@ -51,40 +54,44 @@ func TestFixedTreeRejectsOtherWidths(t *testing.T) {
 		t.Fatalf("rejected inserts left %d entries", tr.Len())
 	}
 	// An existing tree keeps its format whichever constructor names it.
-	if again, err := f.FixedTree("t", 8, 4); err != nil || again != tr {
-		t.Fatalf("FixedTree on an existing tree = %v, %v", again, err)
+	if again, err := f.PackedTree("t"); err != nil || again != tr {
+		t.Fatalf("PackedTree on an existing fixed-width tree = %v, %v", again, err)
 	}
 	slotted, _ := f.Tree("s")
-	if again, err := f.FixedTree("s", 12, 12); err != nil || again != slotted {
-		t.Fatalf("FixedTree on an existing slotted tree = %v, %v", again, err)
+	if again, err := f.PackedTree("s"); err != nil || again != slotted {
+		t.Fatalf("PackedTree on an existing slotted tree = %v, %v", again, err)
 	}
 }
 
 // A fixed-width leaf holds ⌊(8,176 − 9) / 24⌋ = 340 postings, where a slotted
-// leaf holds 272. BulkLoad fills slotted leaves and leaves fixedLoadSlack free
-// on fixed ones (306 postings), so inserts up to the slack land in place and
-// only inserts beyond it split, in the same format.
+// leaf holds 272. BulkLoad of a static tree fills either; an insertable load
+// leaves loadSlack free on every leaf, whatever its codec (306 postings on a
+// fixed leaf, 245 on a slotted one), so inserts up to the slack land in place
+// and only inserts beyond it split, in the same format.
 func TestFixedBulkLoadPacksLeaves(t *testing.T) {
 	const (
 		n       = 3400
-		perLeaf = (pager.PageDataSize - headerSize - fixedLoadSlack) / 24
+		perLeaf = (pager.PageDataSize - headerSize - loadSlack) / 24
 	)
 	if perLeaf != 306 {
 		t.Fatalf("a bulk-loaded fixed leaf takes %d postings, want 306", perLeaf)
 	}
 	entries := fixedEntries(n)
 	f := newTestForest(t)
-	fixed, _ := f.FixedTree("fixed", 12, 12)
+	fixed, _ := fixedTree(f, "fixed", 12, 12)
 	slotted, _ := f.Tree("slotted")
-	for _, tr := range []*Tree{fixed, slotted} {
-		if err := tr.BulkLoad(sliceFeeder(entries)); err != nil {
+	static, _ := f.Tree("static")
+	for tr, insertable := range map[*Tree]bool{fixed: true, slotted: true, static: false} {
+		if err := tr.BulkLoad(insertable, sliceFeeder(entries)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	loaded := (n + perLeaf - 1) / perLeaf
+	slottedPer := (pager.PageDataSize - headerSize - loadSlack) / 30
 	for tr, want := range map[*Tree]Shape{
 		fixed:   {Entries: n, Pages: []int{1, loaded}, LeafFormat: "fixed 12+12"},
-		slotted: {Entries: n, Pages: []int{1, (n + 271) / 272}, LeafFormat: "slotted"},
+		slotted: {Entries: n, Pages: []int{1, (n + slottedPer - 1) / slottedPer}, LeafFormat: "slotted"},
+		static:  {Entries: n, Pages: []int{1, (n + 271) / 272}, LeafFormat: "slotted"},
 	} {
 		s, err := tr.Shape()
 		if err != nil || s.Entries != want.Entries || len(s.Pages) != 2 || s.Pages[1] != want.Pages[1] || s.LeafFormat != want.LeafFormat {
@@ -156,8 +163,8 @@ func TestCheckReportsDamagedFixedLeaf(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, _ := f.FixedTree("post", 12, 12)
-			if err := tr.BulkLoad(sliceFeeder(fixedEntries(1000))); err != nil {
+			tr, _ := fixedTree(f, "post", 12, 12)
+			if err := tr.BulkLoad(false, sliceFeeder(fixedEntries(1000))); err != nil {
 				t.Fatal(err)
 			}
 			if errs := f.Check(); len(errs) > 0 {

@@ -55,8 +55,9 @@ func Open(bp *pager.BufferPool) (*Forest, error) {
 }
 
 // LeafSplits returns how many leaves Insert has split, in every tree of the
-// forest, since the forest was opened: the churn a compaction's bulk load
-// (which splits nothing) would reset.
+// forest, since the forest was opened (a packed leaf split into several
+// counts once): the churn a compaction's bulk load (which splits nothing)
+// would reset.
 func (f *Forest) LeafSplits() uint64 { return f.leafSplits.Load() }
 
 // BufferPool returns the pool the forest performs all I/O through.
@@ -68,22 +69,11 @@ func (f *Forest) Tree(name string) (*Tree, error) {
 	return f.tree(name, &nodePage{kind: leafNode})
 }
 
-// FixedTree returns the named tree, creating an empty one with fixed-width
-// leaves if it does not exist: every entry must then have a key of exactly
-// keyLen and a value of exactly valLen bytes, and a leaf packs them with no
-// per-cell bookkeeping. An existing tree is returned in whatever leaf format
-// it was created with.
-func (f *Forest) FixedTree(name string, keyLen, valLen int) (*Tree, error) {
-	if keyLen < 1 || keyLen > 255 || valLen < 0 || valLen > 255 {
-		return nil, fmt.Errorf("btree: fixed cells of %d+%d bytes (key 1..255, value 0..255)", keyLen, valLen)
-	}
-	return f.tree(name, &nodePage{kind: fixedLeafNode, widths: [2]byte{byte(keyLen), byte(valLen)}})
-}
-
 // PackedTree returns the named tree, creating an empty one with packed leaves
 // (packed.go) if it does not exist. It holds the postings' 12+12-byte
-// entries, is filled once by BulkLoad and refuses Insert and Delete. An
-// existing tree is returned in whatever leaf format it was created with.
+// entries. An existing tree is returned in whatever leaf format it was
+// created with: a postings tree written with fixed-width leaves keeps them,
+// and its inserts split them as fixed-width leaves.
 func (f *Forest) PackedTree(name string) (*Tree, error) {
 	return f.tree(name, &nodePage{kind: packedLeafNode})
 }

@@ -10,9 +10,10 @@ import (
 	"repro/internal/pager"
 )
 
-// The in-place leaf edits (leafInsertAt, leafDeleteAt) of the two editable
-// leaf codecs against a sorted-slice model (the packed codec's model check is
-// runPackedOps, packed_test.go): duplicate keys, deletes by key and by (key,
+// The in-place leaf edits (leafInsertAt, leafDeleteAt) of the slotted and
+// fixed-width leaf codecs against a sorted-slice model (the packed codec's,
+// whose entries must have the postings' shape, is runPackedOps,
+// packed_test.go): duplicate keys, deletes by key and by (key,
 // value), and reopens of the forest over a fresh pool. Slotted leaves take
 // value lengths from 0 to a quarter page (so leaves split after a handful of
 // inserts and cells sit in the heap in every physical order); fixed-width
@@ -25,7 +26,7 @@ type modelEntry struct{ key, val []byte }
 const fixedOpsVal = 120
 
 // runLeafOps interprets ops three bytes at a time: opcode, key selector,
-// value selector. fixed runs them on a FixedTree.
+// value selector. fixed runs them on a fixed-width tree (fixedTree).
 func runLeafOps(t *testing.T, ops []byte, fixed bool) {
 	t.Helper()
 	file := pager.NewMemFile()
@@ -36,7 +37,7 @@ func runLeafOps(t *testing.T, ops []byte, fixed bool) {
 		}
 		var tr *Tree
 		if fixed {
-			tr, err = f.FixedTree("t", 3, fixedOpsVal)
+			tr, err = fixedTree(f, "t", 3, fixedOpsVal)
 		} else {
 			tr, err = f.Tree("t")
 		}
@@ -129,7 +130,7 @@ func TestLeafOpsAgainstModel(t *testing.T) {
 		rand.New(rand.NewSource(seed)).Read(ops)
 		runLeafOps(t, ops, false)
 		runLeafOps(t, ops, true)
-		runPackedOps(t, ops) // packed leaves take no edits: the same bytes, bulk-loaded
+		runPackedOps(t, ops) // the same bytes as a packed tree's load and edits
 	}
 }
 
@@ -154,7 +155,7 @@ var leafFormats = []struct {
 	cell    int
 }{
 	{"slotted", func(f *Forest, name string) (*Tree, error) { return f.Tree(name) }, slotSize + leafCellHdr + 8 + 12},
-	{"fixed", func(f *Forest, name string) (*Tree, error) { return f.FixedTree(name, 8, 12) }, 8 + 12},
+	{"fixed", func(f *Forest, name string) (*Tree, error) { return fixedTree(f, name, 8, 12) }, 8 + 12},
 }
 
 // A leaf edit that does not split must not touch the heap: the page is

@@ -3,8 +3,10 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
+	"fmt"
+	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,9 +15,12 @@ import (
 )
 
 // Tests of the packed leaf codec: bulk loads of sorted entries derived from
-// random bytes held against a sorted-slice model (runPackedOps, shared by
-// TestLeafOpsAgainstModel and FuzzPackedLeaf), the refused edits, the widest
-// fields, the allocation-free Scan and what Check says about a damaged leaf.
+// random bytes, then inserts and deletes derived from the same bytes, held
+// against a sorted-slice model (runPackedOps, shared by
+// TestLeafOpsAgainstModel and FuzzPackedLeaf), the widest fields, edits that
+// widen and narrow cells and split a leaf three ways, the allocation-free
+// Scan and in-place edit, a power-cut sweep over packed inserts and what
+// Check says about a damaged leaf.
 
 // postingEntry is one 12+12-byte entry of the postings' shape.
 func postingEntry(sym uint32, left, right uint64, level uint32) [2][]byte {
@@ -74,11 +79,13 @@ func packedModel(ops []byte) [][2][]byte {
 	return out
 }
 
-// runPackedOps bulk-loads packedModel(ops) into a PackedTree over a small
-// pool and checks it against the model: Check, a full Scan and a ScanNoFill
-// (every cell decoded, the leaf chain followed), range scans from and to
-// keys in the model and between them (each leaf's lower and upper bounds),
-// refused edits, and all of it again after a reopen.
+// runPackedOps bulk-loads packedModel(ops) into a packed tree over a small
+// pool — insertable or static by ops' first byte — then replays ops as
+// Insert and Delete calls against the model (packedEdit), and checks the
+// tree against it after the load, every few edits, after the last and after
+// a reopen: Check, a full Scan and a ScanNoFill (every cell decoded, the
+// leaf chain followed), range scans from and to keys in the model and
+// between them (each leaf's lower and upper bounds), and packed leaves.
 func runPackedOps(t *testing.T, ops []byte) {
 	t.Helper()
 	model := packedModel(ops)
@@ -91,17 +98,10 @@ func runPackedOps(t *testing.T, ops []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.BulkLoad(sliceFeeder(model)); err != nil {
+	if err := tr.BulkLoad(len(ops) > 0 && ops[0]&1 == 1, sliceFeeder(model)); err != nil {
 		t.Fatal(err)
 	}
 	key := func(j int) []byte { return model[j][0] }
-	probes := [][]byte{nil}
-	for j := 0; j < len(model); j += 1 + len(model)/16 {
-		between := bytes.Clone(key(j))
-		between[11]++
-		probes = append(probes, key(j), between)
-	}
-	probes = append(probes, bytes.Repeat([]byte{0xff}, 12))
 	check := func(stage string) {
 		t.Helper()
 		if errs := f.Check(); len(errs) > 0 {
@@ -110,8 +110,19 @@ func runPackedOps(t *testing.T, ops []byte) {
 		if tr.Len() != uint64(len(model)) {
 			t.Fatalf("%s: Len %d, model %d", stage, tr.Len(), len(model))
 		}
-		for _, scan := range []func([]byte, []byte, bool, bool, func(k, v []byte) bool) error{tr.Scan, tr.ScanNoFill} {
+		for _, scan := range []func([]byte, []byte, bool, bool, func(k, v []byte) bool) error{
+			tr.Scan, tr.ScanNoFill, postingsScan(tr.ScanPostings), postingsScan(tr.ScanPostingsNoFill)} {
 			scanMatches(t, stage, scan, nil, nil, true, true, model)
+		}
+		probes := [][]byte{nil}
+		for j := 0; j < len(model); j += 1 + len(model)/16 {
+			between := bytes.Clone(key(j))
+			between[11]++
+			probes = append(probes, key(j), between)
+		}
+		probes = append(probes, bytes.Repeat([]byte{0xff}, 12))
+		if len(model) > 0 {
+			probes = append(probes, key(len(model) / 2)[:5]) // compared as bytes, not as a symbol and Left
 		}
 		for pi, lo := range probes {
 			hi := probes[(pi*7+3)%len(probes)]
@@ -126,20 +137,24 @@ func runPackedOps(t *testing.T, ops []byte) {
 			})
 			want := model[start:max(start, end)]
 			scanMatches(t, stage, tr.Scan, lo, hi, loIncl, hiIncl, want)
-		}
-		if len(model) > 0 {
-			if err := tr.Insert(model[0][0], model[0][1]); !errors.Is(err, errPackedEdit) {
-				t.Fatalf("%s: Insert into a packed tree = %v", stage, err)
-			}
-			if ok, err := tr.Delete(model[0][0], nil); ok || !errors.Is(err, errPackedEdit) {
-				t.Fatalf("%s: Delete from a packed tree = %v, %v", stage, ok, err)
-			}
+			scanMatches(t, stage, postingsScan(tr.ScanPostings), lo, hi, loIncl, hiIncl, want)
 		}
 		if s, err := tr.Shape(); err != nil || !strings.HasPrefix(s.LeafFormat, "packed ") {
 			t.Fatalf("%s: leaves are %q (%v)", stage, s.LeafFormat, err)
 		}
 	}
 	check("loaded")
+	edits := len(ops) / 4
+	for i := 0; i < edits; i++ {
+		model = packedEdit(t, tr, model, ops[4*i:4*i+4])
+		if tr.Len() != uint64(len(model)) {
+			t.Fatalf("edit %d: Len %d, model %d", i, tr.Len(), len(model))
+		}
+		if (i+1)%(1+edits/8) == 0 {
+			check(fmt.Sprintf("edit %d", i))
+		}
+	}
+	check("edited")
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +163,81 @@ func runPackedOps(t *testing.T, ops []byte) {
 	}
 	tr = f.Lookup("p")
 	check("reopened")
+}
+
+// packedEdit applies one edit derived from op — opcode, selector, value,
+// variant — to tr and to the model it returns. One op in four deletes the
+// selected entry, by key or as the exact pair; the others insert beside it a
+// duplicate of its key, a Left a step of up to 2^63 above it, or the next or
+// previous symbol at a Left anywhere, with a scope kept, small, wide or
+// needing all 64 bits and a level near or far from the entry's, so cells
+// widen, bases move and leaves split, by bits, into two leaves or more.
+func packedEdit(t *testing.T, tr *Tree, model [][2][]byte, op []byte) [][2][]byte {
+	t.Helper()
+	c, a, b, d := op[0], uint64(op[1]), uint64(op[2]), op[3]
+	var base packedEntry
+	j := 0
+	if len(model) > 0 {
+		j = int(a<<8|b) % len(model)
+		base = parsePackedEntry(model[j][0], model[j][1])
+	}
+	shift := uint(d>>3) % 8 * 8
+	if c%4 == 0 && len(model) > 0 {
+		k, v := model[j][0], model[j][1]
+		if d&1 == 0 {
+			v = nil
+		}
+		ok, err := tr.Delete(k, v)
+		if err != nil || !ok {
+			t.Fatalf("Delete(%x, %x) = %v, %v; the model holds it", k, v, ok, err)
+		}
+		pos := 0
+		for !bytes.Equal(model[pos][0], k) || v != nil && !bytes.Equal(model[pos][1], v) {
+			pos++
+		}
+		return slices.Delete(model, pos, pos+1)
+	}
+	e := base
+	switch c % 4 {
+	case 1: // a duplicate key
+	case 2:
+		e.left += a << shift
+	case 3:
+		if c&4 == 0 {
+			e.sym++
+		} else {
+			e.sym--
+		}
+		e.left = b<<shift | uint64(d)
+	}
+	switch d % 4 {
+	case 1:
+		e.scope = b
+	case 2:
+		e.scope = b << shift
+	case 3:
+		e.scope = math.MaxUint64 - b
+	}
+	if c&8 != 0 {
+		e.level = math.MaxUint32 - uint32(b)
+	}
+	ent := postingEntry(e.sym, e.left, e.left+e.scope, e.level)
+	if err := tr.Insert(ent[0], ent[1]); err != nil {
+		t.Fatalf("Insert(%x, %x): %v", ent[0], ent[1], err)
+	}
+	pos := sort.Search(len(model), func(i int) bool { return bytes.Compare(model[i][0], ent[0]) > 0 })
+	return slices.Insert(model, pos, ent)
+}
+
+// postingsScan adapts ScanPostings to Scan's callback, re-encoding each
+// entry's fields, so scanMatches holds both to the same model.
+func postingsScan(scan func([]byte, []byte, bool, bool, func(uint32, uint64, uint64, uint32) bool) error) func([]byte, []byte, bool, bool, func(k, v []byte) bool) error {
+	return func(lo, hi []byte, loIncl, hiIncl bool, fn func(k, v []byte) bool) error {
+		return scan(lo, hi, loIncl, hiIncl, func(sym uint32, left, right uint64, level uint32) bool {
+			e := postingEntry(sym, left, right, level)
+			return fn(e[0], e[1])
+		})
+	}
 }
 
 // scanMatches runs one scan and holds what it yields to want, entry by entry.
@@ -171,6 +261,12 @@ func FuzzPackedLeaf(f *testing.F) {
 	f.Add([]byte{0, 1, 200, 7, 1, 3, 9, 15, 4, 0, 0, 255, 3, 1, 2, 15})
 	f.Add(bytes.Repeat([]byte{1, 1, 3, 15, 0, 0, 0, 0}, 200))
 	f.Add(bytes.Repeat([]byte{59, 255, 255, 15, 56, 255, 255, 255}, 60))
+	// 3,200 copies of one entry in zero-width cells, then copies of its key
+	// with 64-bit scopes.
+	f.Add(bytes.Repeat([]byte{1, 0, 0, 15}, 200))
+	// Deletes by key and by pair among widening inserts, symbol steps both
+	// ways and far levels.
+	f.Add(bytes.Repeat([]byte{2, 7, 1, 7, 0, 3, 3, 2, 3, 5, 2, 12, 12, 1, 9, 3, 8, 0, 1, 1, 15, 4, 4, 10}, 50))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4*300 {
 			ops = ops[:4*300]
@@ -191,7 +287,7 @@ func TestPackedFullWidths(t *testing.T) {
 	}
 	f := memForest(t)
 	tr, _ := f.PackedTree("p")
-	if err := tr.BulkLoad(sliceFeeder(entries)); err != nil {
+	if err := tr.BulkLoad(false, sliceFeeder(entries)); err != nil {
 		t.Fatal(err)
 	}
 	if errs := f.Check(); len(errs) > 0 {
@@ -200,6 +296,199 @@ func TestPackedFullWidths(t *testing.T) {
 	scanMatches(t, "full widths", tr.Scan, nil, nil, true, true, entries)
 	if s, _ := tr.Shape(); s.LeafFormat != "packed 32+64+64+32-bit" || s.Pages[0] != 1 {
 		t.Fatalf("shape %+v", s)
+	}
+}
+
+// An insert the leaf's widths cannot hold re-encodes it at wider cells, and
+// deleting that entry again narrows them back: the leaf comes out byte for
+// byte as it was loaded.
+func TestPackedEditsWidenAndNarrow(t *testing.T) {
+	entries := packedPostings(40)
+	f := memForest(t)
+	tr, _ := f.PackedTree("p")
+	if err := tr.BulkLoad(true, sliceFeeder(entries)); err != nil {
+		t.Fatal(err)
+	}
+	leaf := func() []byte {
+		p, err := f.bp.Get(tr.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Unpin(false)
+		return bytes.Clone(p.Data)
+	}
+	loaded := leaf()
+	s0, _ := tr.Shape()
+	wide := postingEntry(0, 7, 6, math.MaxUint32) // Right below Left: a 64-bit scope
+	if err := tr.Insert(wide[0], wide[1]); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Insert(slices.Clone(entries), 4, wide) // after the Left-7 entry
+	scanMatches(t, "widened", tr.Scan, nil, nil, true, true, want)
+	if s, _ := tr.Shape(); s.LeafFormat == s0.LeafFormat || !strings.Contains(s.LeafFormat, "+64+32-bit") || len(s.Pages) != 1 {
+		t.Fatalf("after a wide insert: %+v, loaded as %q", s, s0.LeafFormat)
+	}
+	if ok, err := tr.Delete(wide[0], wide[1]); !ok || err != nil {
+		t.Fatalf("Delete = %v, %v", ok, err)
+	}
+	if got := leaf(); !bytes.Equal(got, loaded) {
+		t.Fatalf("leaf after insert and delete differs from the loaded one (%q)", s0.LeafFormat)
+	}
+	if errs := f.Check(); len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+}
+
+// A packed leaf splits by bits into as many leaves as the packer seals. A
+// leaf of 1-bit cells, 30,000 copies of one key then 30,000 of the next,
+// takes a copy of the first key with a 64-bit scope between them: no leaf
+// holds the wide cell beside more than a thousand others, so the leaf splits
+// three ways, and the two new separators overflow the full root, which
+// splits in turn. A leaf of zero-width cells at the cell-count limit takes
+// an entry 192 bits wide from its bases, before them, in a two-way split.
+func TestPackedSplitByBits(t *testing.T) {
+	t.Run("three ways", func(t *testing.T) {
+		// 408 leaves of 449 entries in 145-bit cells (49-bit Left deltas, 64-bit
+		// scopes, 32-bit levels), then the leaf of 1-bit cells: 409 leaves
+		// fill one root, leftmost child and 408 separators of 20 bytes.
+		const wideLeaves, perWide, dups = 408, 449, 30000
+		entry := func(i int) [2][]byte {
+			switch {
+			case i < wideLeaves*perWide:
+				left := uint64(i) << 40
+				if i%2 == 0 {
+					return postingEntry(0, left, left, 0)
+				}
+				return postingEntry(0, left, left-1, math.MaxUint32)
+			case i < wideLeaves*perWide+dups:
+				return postingEntry(1, 0, 0, 0)
+			default:
+				return postingEntry(1, 1, 1, 0)
+			}
+		}
+		n := wideLeaves*perWide + 2*dups
+		i := 0
+		f := memForest(t)
+		tr, _ := f.PackedTree("p")
+		err := tr.BulkLoad(false, func() ([]byte, []byte, error) {
+			if i == n {
+				return nil, nil, io.EOF
+			}
+			i++
+			e := entry(i - 1)
+			return e[0], e[1], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, _ := tr.Shape(); !slices.Equal(s.Pages, []int{1, wideLeaves + 1}) {
+			t.Fatalf("loaded shape %+v, want one full root over %d leaves", s, wideLeaves+1)
+		}
+		wide := postingEntry(1, 0, math.MaxUint64, 0)
+		if err := tr.Insert(wide[0], wide[1]); err != nil {
+			t.Fatal(err)
+		}
+		if errs := f.Check(); len(errs) > 0 {
+			t.Fatal(errs[0])
+		}
+		s, _ := tr.Shape()
+		if !slices.Equal(s.Pages, []int{1, 2, wideLeaves + 3}) || f.LeafSplits() != 1 {
+			t.Fatalf("after the insert: shape %+v, %d splits; want one split into three leaves under a split root", s, f.LeafSplits())
+		}
+		j := 0
+		err = tr.Scan(nil, nil, true, true, func(k, v []byte) bool {
+			want := wide
+			switch at := wideLeaves*perWide + dups; {
+			case j < at:
+				want = entry(j)
+			case j > at:
+				want = entry(j - 1)
+			}
+			if !bytes.Equal(k, want[0]) || !bytes.Equal(v, want[1]) {
+				t.Fatalf("entry %d is (%x, %x), want (%x, %x)", j, k, v, want[0], want[1])
+			}
+			j++
+			return true
+		})
+		if err != nil || j != n+1 {
+			t.Fatalf("scan saw %d of %d entries (%v)", j, n+1, err)
+		}
+	})
+	t.Run("zero-width leaf", func(t *testing.T) {
+		same := postingEntry(1<<31+5, 0, 0, 7)
+		entries := make([][2][]byte, maxPackedCells)
+		for i := range entries {
+			entries[i] = same
+		}
+		f := memForest(t)
+		tr, _ := f.PackedTree("p")
+		if err := tr.BulkLoad(false, sliceFeeder(entries)); err != nil {
+			t.Fatal(err)
+		}
+		if s, _ := tr.Shape(); s.LeafFormat != "packed 0+0+0+0-bit" || len(s.Pages) != 1 {
+			t.Fatalf("loaded shape %+v, want one leaf of zero-width cells", s)
+		}
+		wide := postingEntry(5, math.MaxUint64, math.MaxUint64-1, 7+1<<31) // 32+64+64+32 bits from the leaf's bases
+		if err := tr.Insert(wide[0], wide[1]); err != nil {
+			t.Fatal(err)
+		}
+		if errs := f.Check(); len(errs) > 0 {
+			t.Fatal(errs[0])
+		}
+		// The wide entry's leaf takes it and a few copies at 192 bits a
+		// cell; the other copies keep their zero-width cells.
+		if s, _ := tr.Shape(); s.LeafFormat != "packed 32+64+64+32-bit" || !slices.Equal(s.Pages, []int{1, 2}) {
+			t.Fatalf("after the insert: %+v", s)
+		}
+		scanMatches(t, "zero-width", tr.Scan, nil, nil, true, true, append([][2][]byte{wide}, entries...))
+	})
+}
+
+// An insert the leaf's widths hold moves the cells after it in place, and a
+// delete re-encodes the leaf through a pooled packer: neither allocates.
+func TestPackedEditAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	entries := packedPostings(400)
+	f := memForest(t)
+	tr, _ := f.PackedTree("p")
+	if err := tr.BulkLoad(true, sliceFeeder(entries)); err != nil {
+		t.Fatal(err)
+	}
+	e := postingEntry(0, 201, 203, 5) // between two loaded Lefts, inside the leaf's widths
+	n := testing.AllocsPerRun(100, func() {
+		if err := tr.Insert(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := tr.Delete(e[0], e[1]); err != nil || !ok {
+			t.Fatalf("Delete = %v, %v", ok, err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("an in-place packed Insert+Delete allocates %v objects, want 0", n)
+	}
+	if s, _ := tr.Shape(); len(s.Pages) != 1 || f.LeafSplits() != 0 {
+		t.Fatalf("fixture split: %+v", s)
+	}
+	scanMatches(t, "after edits", tr.Scan, nil, nil, true, true, entries)
+}
+
+// BenchmarkPackedMove is an in-place insert's move of the cells after it:
+// 2,700 bytes of cells — what an insert into a dynamic build's leaves moves
+// on average — up by a 136-bit cell, a byte copy, and by a 137-bit one,
+// which shifts every moved word.
+func BenchmarkPackedMove(b *testing.B) {
+	for _, d := range []uint{136, 137} {
+		b.Run(fmt.Sprintf("%d-bit", d), func(b *testing.B) {
+			cells := make([]byte, packedCellBits/8)
+			for i := range cells[:2700] {
+				cells[i] = byte(i * 7)
+			}
+			for i := 0; i < b.N; i++ {
+				moveBitsUp(cells, 3, 2700*8-3, d)
+			}
+		})
 	}
 }
 
@@ -221,7 +510,7 @@ func TestPackedBulkLoadPacksLeaves(t *testing.T) {
 	const n = 20000
 	f := memForest(t)
 	tr, _ := f.PackedTree("p")
-	if err := tr.BulkLoad(sliceFeeder(packedPostings(n))); err != nil {
+	if err := tr.BulkLoad(false, sliceFeeder(packedPostings(n))); err != nil {
 		t.Fatal(err)
 	}
 	s, err := tr.Shape()
@@ -235,11 +524,11 @@ func TestPackedBulkLoadPacksLeaves(t *testing.T) {
 	t.Logf("%d entries: %d leaves, %s, %.2f B per entry", n, leaves, s.LeafFormat, float64(leaves*pager.PageDataSize)/n)
 	// An empty packed tree is a valid one, and BulkLoad rejects other shapes.
 	empty, _ := f.PackedTree("empty")
-	if err := empty.BulkLoad(sliceFeeder(nil)); err != nil {
+	if err := empty.BulkLoad(false, sliceFeeder(nil)); err != nil {
 		t.Fatal(err)
 	}
 	bad, _ := f.PackedTree("bad")
-	if err := bad.BulkLoad(sliceFeeder([][2][]byte{{make([]byte, 8), make([]byte, 12)}})); err == nil {
+	if err := bad.BulkLoad(false, sliceFeeder([][2][]byte{{make([]byte, 8), make([]byte, 12)}})); err == nil {
 		t.Error("BulkLoad of an 8+12-byte entry into a packed tree accepted")
 	}
 	if errs := f.Check(); len(errs) > 0 {
@@ -247,8 +536,9 @@ func TestPackedBulkLoadPacksLeaves(t *testing.T) {
 	}
 }
 
-// A Scan over packed leaves decodes into a pooled buffer: a range query
-// crossing leaves allocates nothing.
+// A Scan over packed leaves decodes into a pooled buffer, a ScanPostings
+// into its callback's arguments: a range query crossing leaves allocates
+// nothing either way.
 func TestPackedScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -256,7 +546,7 @@ func TestPackedScanAllocs(t *testing.T) {
 	entries := packedPostings(20000)
 	f := memForest(t)
 	tr, _ := f.PackedTree("p")
-	if err := tr.BulkLoad(sliceFeeder(entries)); err != nil {
+	if err := tr.BulkLoad(false, sliceFeeder(entries)); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := entries[1000][0], entries[9000][0]
@@ -269,9 +559,15 @@ func TestPackedScanAllocs(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if err := tr.ScanPostings(lo, hi, false, true, func(uint32, uint64, uint64, uint32) bool {
+			seen++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if seen != 8000 {
-		t.Fatalf("scan saw %d entries, want 8000", seen)
+	if seen != 2*8000 {
+		t.Fatalf("scans saw %d entries, want 8000 each", seen)
 	}
 	if n != 0 {
 		t.Errorf("a packed range scan allocates %v objects, want 0", n)
@@ -303,7 +599,7 @@ func TestCheckReportsDamagedPackedLeaf(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr, _ := f.PackedTree("post")
-			if err := tr.BulkLoad(sliceFeeder(packedPostings(20000))); err != nil {
+			if err := tr.BulkLoad(false, sliceFeeder(packedPostings(20000))); err != nil {
 				t.Fatal(err)
 			}
 			if errs := f.Check(); len(errs) > 0 {

@@ -18,16 +18,19 @@ import (
 //	cells:   leaf:  keyLen(2) valLen(2) key val
 //	         inner: keyLen(2) child(4) key
 //
-// A fixed-width leaf (kind fixedLeafNode) is the second leaf codec, for trees
-// whose keys and values never vary in length: the two cellStart bytes hold
-// keyLen and valLen, and numKeys cells of exactly keyLen+valLen bytes follow
-// the header in key order, with no slot directory and no per-cell lengths.
+// A fixed-width leaf (kind fixedLeafNode) is the second leaf codec, which
+// the postings trees of dynamic indexes written before packed dynamic leaves
+// have: the two cellStart bytes hold keyLen and valLen, and numKeys cells of
+// exactly keyLen+valLen bytes follow the header in key order, with no slot
+// directory and no per-cell lengths. Forest creates no new tree of them; an
+// existing one keeps splitting into fixed-width leaves.
 // A packed leaf (kind packedLeafNode, packed.go) is the third, for the
-// read-only postings trees BulkLoad writes once: a 27-byte header of field
-// widths and per-leaf minimums, then cells of one bit width per leaf, each
-// entry's symbol, Left, Right − Left and level as deltas from those
-// minimums. The kind byte says which codec a page uses, so a tree's pages
-// describe themselves and the forest directory does not record it.
+// postings trees, static and dynamic: a 27-byte header of field widths and
+// per-leaf minimums, then cells of one bit width per leaf, each entry's
+// symbol, Left, Right − Left and level as deltas from those minimums. The
+// kind byte says which codec a page uses, so a tree's pages describe
+// themselves and the forest directory does not record it: a postings tree
+// written with fixed-width leaves keeps reading and taking inserts as one.
 //
 // extra is the next-leaf page id on leaves and the leftmost child on
 // internal nodes; cellStart is the offset of the lowest cell. The read path
@@ -38,7 +41,10 @@ import (
 // order. On a fixed leaf cell i sits at headerSize+i×width, so an edit is one
 // memmove of the cells after it. Only a split (and the separator insert above
 // it) materialises a nodePage. A packed leaf's cell i sits at bit i×width of
-// its cell area; reads decode it there, and nothing edits it.
+// its cell area; reads decode it there, an insert its widths hold moves the
+// cells after it up by one cell's bits, and any other edit re-encodes the
+// leaf through a pooled packer, splitting it by bits when its cells no
+// longer fit (packed.go).
 
 // pageKind returns the node kind byte.
 func pageKind(data []byte) byte { return data[0] }
@@ -85,18 +91,21 @@ func leafCellSize(kind byte, klen, vlen int) int {
 	return slotSize + leafCellHdr + klen + vlen
 }
 
-// leafFits checks that (key, val) has the leaf's cell shape — any lengths on a
-// slotted leaf, exactly its widths on a fixed one — and that the leaf takes
-// edits at all: a packed one does not.
+// leafFits checks that (key, val) has the leaf's cell shape: any lengths on
+// a slotted leaf, exactly its widths on a fixed one, a posting's 12+12 bytes
+// on a packed one.
 func leafFits(data, key, val []byte) error {
+	var kw, vw int
 	switch pageKind(data) {
 	case leafNode:
 		return nil
 	case packedLeafNode:
-		return errPackedEdit
+		kw, vw = packedKeyLen, packedEntryLen-packedKeyLen
+	default:
+		kw, vw = fixedWidths(data)
 	}
-	if kw, vw := fixedWidths(data); len(key) != kw || len(val) != vw {
-		return fmt.Errorf("btree: entry of %d+%d bytes in a leaf of fixed %d+%d cells", len(key), len(val), kw, vw)
+	if len(key) != kw || len(val) != vw {
+		return fmt.Errorf("btree: entry of %d+%d bytes in a leaf of %s cells", len(key), len(val), leafFormat(data))
 	}
 	return nil
 }
@@ -119,15 +128,26 @@ func slotOffset(data []byte, i int) int {
 }
 
 // leafEntryAt returns the i-th entry of a leaf of any codec: aliasing the
-// page on a slotted or fixed-width leaf, decoded into buf on a packed one.
-func leafEntryAt(data []byte, i int, buf *[packedEntryLen]byte) (key, val []byte) {
+// page on a slotted or fixed-width leaf, decoded into buf on a packed one,
+// whose parsed header l is (a loop over a leaf's entries parses it once).
+func leafEntryAt(data []byte, l *packedLeaf, i int, buf *[packedEntryLen]byte) (key, val []byte) {
 	if pageKind(data) == packedLeafNode {
-		var l packedLeaf
-		l.parse(data)
 		l.entry(i).put(buf)
 		return buf[:packedKeyLen], buf[packedKeyLen:]
 	}
 	return leafCellAt(data, i)
+}
+
+// leafKeyAt is leafEntryAt for the key alone: on a packed leaf only the
+// cell's symbol and Left are decoded.
+func leafKeyAt(data []byte, l *packedLeaf, i int, buf *[packedKeyLen]byte) []byte {
+	if pageKind(data) == packedLeafNode {
+		binary.BigEndian.PutUint32(buf[:4], l.symbol(i))
+		binary.BigEndian.PutUint64(buf[4:], l.left(i))
+		return buf[:]
+	}
+	k, _ := leafCellAt(data, i)
+	return k
 }
 
 // leafCellAt returns the i-th cell's key and value of a slotted or
@@ -219,9 +239,6 @@ func pageChildAt(data []byte, i int) pager.PageID {
 	_, child := innerCellAt(data, i-1)
 	return child
 }
-
-// leafLowerBound returns the first index whose key is >= key.
-func leafLowerBound(data []byte, key []byte) int { return leafSearch(data, nil, key, 0) }
 
 // leafUpperBound returns the first index whose key is > key.
 func leafUpperBound(data []byte, key []byte) int { return leafSearch(data, nil, key, 1) }

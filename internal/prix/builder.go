@@ -32,7 +32,7 @@ type Builder struct {
 
 // NewBuilder prepares an empty index per the options.
 func NewBuilder(opts Options) (*Builder, error) {
-	ix, err := newEmptyIndex(opts, true)
+	ix, err := newEmptyIndex(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -40,9 +40,8 @@ func NewBuilder(opts Options) (*Builder, error) {
 }
 
 // newEmptyIndex sets up storage for a fresh index. Both on-disk and
-// in-memory indexes run the journaled atomic-commit protocol. packed says
-// the index is static: its postings tree gets packed leaves (openTrees).
-func newEmptyIndex(opts Options, packed bool) (*Index, error) {
+// in-memory indexes run the journaled atomic-commit protocol.
+func newEmptyIndex(opts Options) (*Index, error) {
 	var forestBP, docsBP *pager.BufferPool
 	if opts.Dir == "" {
 		var err error
@@ -79,7 +78,7 @@ func newEmptyIndex(opts Options, packed bool) (*Index, error) {
 	}
 	ix := &Index{opts: opts, forest: forest, store: store, maxGap: map[vtrie.Symbol]int64{}}
 	ix.io = ix.ioCounts
-	if err := ix.openTrees(packed); err != nil {
+	if err := ix.openTrees(); err != nil {
 		return nil, err
 	}
 	ix.initHot()

@@ -55,7 +55,7 @@ type DynamicOptions struct {
 // the α-prefix pre-allocation pass and are inserted immediately; more can
 // follow via Insert at any time.
 func NewDynamicIndex(initial []*xmltree.Document, opts Options, dopts DynamicOptions) (*DynamicIndex, error) {
-	ix, err := newEmptyIndex(opts, false)
+	ix, err := newEmptyIndex(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +239,7 @@ func (di *DynamicIndex) RepairForest() ([]uint32, error) {
 	defer di.mu.Unlock()
 	di.ix.repairMu.Lock()
 	defer di.ix.repairMu.Unlock()
-	return di.ix.rebuildForestLocked(false, func(recs []*docstore.Record) error {
+	return di.ix.rebuildForestLocked(func(recs []*docstore.Record) error {
 		lab := vtrie.NewDynamicLabeler(di.alpha, di.spread)
 		for _, rec := range recs {
 			if len(rec.LPS) == 0 {

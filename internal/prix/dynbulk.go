@@ -294,7 +294,7 @@ func (di *DynamicIndex) replayVersioned(n, prep int, redo *insertRedo) error {
 // crash-interrupted compaction redo this phase from scratch and converge
 // on the same index.
 func BulkLoadDynamic(opts Options, dopts DynamicOptions, bo BulkOptions, source func(fn func(*DocSeq) error) error) (*DynamicIndex, error) {
-	ix, err := newEmptyIndex(opts, false)
+	ix, err := newEmptyIndex(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +341,7 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, source fun
 	lab.Finalize()
 	total := next
 
-	sorter := ix.newBulkSorter(bo)
+	sorter := ix.newBulkSorter(bo, true)
 
 	// The prepared prefix trie's postings are written once, like
 	// NewDynamicIndex does through EmitPrefix.

@@ -69,10 +69,8 @@ func (ix *Index) HotStats() HotStats {
 // hot Scan emits what the tree's Scan would.
 func (ix *Index) buildHotPostings(s vtrie.Symbol, b *hot.PostingsBuilder) error {
 	lo, hi := postingKey(s, 0), postingKey(s, math.MaxUint64)
-	return ix.postings.ScanNoFill(lo[:], hi[:], true, true, func(k, v []byte) bool {
-		_, left := decodePostingKey(k)
-		r, lvl := decodePosting(v)
-		b.Add(left, r, lvl)
+	return ix.postings.ScanPostingsNoFill(lo[:], hi[:], true, true, func(_ uint32, left, right uint64, level uint32) bool {
+		b.Add(left, right, level)
 		return true
 	})
 }
@@ -205,17 +203,15 @@ func (ix *Index) PreloadHot() {
 		}
 		return ix.hot.TryAdd(symKey(cur), b.View().Entry())
 	}
-	err := ix.postings.ScanNoFill(nil, nil, true, true, func(k, v []byte) bool {
-		sym, left := decodePostingKey(k)
-		if b.Len() == 0 || sym != cur {
+	err := ix.postings.ScanPostingsNoFill(nil, nil, true, true, func(s uint32, left, right uint64, level uint32) bool {
+		if sym := vtrie.Symbol(s); b.Len() == 0 || sym != cur {
 			if full = !admit(); full {
 				return false
 			}
 			b.Reset()
 			cur = sym
 		}
-		r, lvl := decodePosting(v)
-		b.Add(left, r, lvl)
+		b.Add(left, right, level)
 		return true
 	})
 	if err == nil && !full {

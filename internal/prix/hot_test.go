@@ -460,8 +460,8 @@ func mixDocs(t testing.TB) []*xmltree.Document {
 func postingLists(t testing.TB, ix *Index) (postings, lists int) {
 	t.Helper()
 	var last vtrie.Symbol
-	err := ix.postings.Scan(nil, nil, true, true, func(k, _ []byte) bool {
-		if sym, _ := decodePostingKey(k); postings == 0 || sym != last {
+	err := ix.postings.ScanPostings(nil, nil, true, true, func(s uint32, _, _ uint64, _ uint32) bool {
+		if sym := vtrie.Symbol(s); postings == 0 || sym != last {
 			last = sym
 			lists++
 		}

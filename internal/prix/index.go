@@ -228,17 +228,13 @@ const (
 )
 
 // openTrees binds the postings and Docid trees, creating them in a fresh (or
-// just reset) forest. Every posting is a 12-byte key and a 12-byte value. A
-// static build (packed) bulk-loads its dense labels once into packed leaves;
-// a dynamic index inserts spread labels for its whole life, so its postings
-// tree has fixed-width leaves.
-func (ix *Index) openTrees(packed bool) (err error) {
-	if packed {
-		ix.postings, err = ix.forest.PackedTree(postingsTreeName)
-	} else {
-		ix.postings, err = ix.forest.FixedTree(postingsTreeName, postingKeyLen, postingValLen)
-	}
-	if err != nil {
+// just reset) forest. Every posting is a 12-byte key and a 12-byte value,
+// and the postings tree has packed leaves, static or dynamic: a static build
+// bulk-loads its dense labels into full leaves, a dynamic index bulk-loads
+// its spread labels into leaves with room for the inserts that follow
+// (newBulkSorter) or inserts them one by one, and packed leaves take them.
+func (ix *Index) openTrees() (err error) {
+	if ix.postings, err = ix.forest.PackedTree(postingsTreeName); err != nil {
 		return err
 	}
 	ix.docid, err = ix.forest.Tree(docidTreeName)
@@ -483,10 +479,6 @@ func postingKey(sym vtrie.Symbol, left uint64) (k [postingKeyLen]byte) {
 	return k
 }
 
-func decodePostingKey(k []byte) (vtrie.Symbol, uint64) {
-	return vtrie.Symbol(binary.BigEndian.Uint32(k[:4])), binary.BigEndian.Uint64(k[4:12])
-}
-
 // insertPosting writes one trie-node posting on the dynamic paths (insert,
 // update, mutation recovery, dynamic rebuild); builds bulk-load instead.
 func (ix *Index) insertPosting(p vtrie.Posting) error {
@@ -519,12 +511,6 @@ func encodePosting(right uint64, level uint32) []byte {
 func putPosting(b *[postingValLen]byte, right uint64, level uint32) {
 	binary.BigEndian.PutUint64(b[:8], right)
 	binary.LittleEndian.PutUint32(b[8:], level)
-}
-
-func decodePosting(v []byte) (right uint64, level uint32) {
-	right = btree.Uint64Key(v[:8])
-	level = uint32(v[8]) | uint32(v[9])<<8 | uint32(v[10])<<16 | uint32(v[11])<<24
-	return
 }
 
 func encodeDocID(d uint32) []byte {

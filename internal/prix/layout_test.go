@@ -45,10 +45,8 @@ func levelScan(t *testing.T, ix *Index, sym vtrie.Symbol, ql, qr uint64, par int
 func plantPostings(t *testing.T, ix *Index, planted []vtrie.Posting) {
 	t.Helper()
 	var all []vtrie.Posting
-	err := ix.postings.Scan(nil, nil, true, true, func(k, v []byte) bool {
-		sym, left := decodePostingKey(k)
-		right, level := decodePosting(v)
-		all = append(all, vtrie.Posting{Symbol: sym, Left: left, Right: right, Level: level})
+	err := ix.postings.ScanPostings(nil, nil, true, true, func(sym uint32, left, right uint64, level uint32) bool {
+		all = append(all, vtrie.Posting{Symbol: vtrie.Symbol(sym), Left: left, Right: right, Level: level})
 		return true
 	})
 	if err != nil {
@@ -66,7 +64,7 @@ func plantPostings(t *testing.T, ix *Index, planted []vtrie.Posting) {
 		t.Fatal(err)
 	}
 	next := 0
-	err = tree.BulkLoad(func() ([]byte, []byte, error) {
+	err = tree.BulkLoad(false, func() ([]byte, []byte, error) {
 		if next == len(all) {
 			return nil, nil, io.EOF
 		}
@@ -108,10 +106,8 @@ func TestPostingRangesAtPrefixBoundaries(t *testing.T) {
 		plantPostings(t, ix, planted)
 	}
 	model := map[vtrie.Symbol][]hit{}
-	err := cold.postings.Scan(nil, nil, true, true, func(k, v []byte) bool {
-		sym, left := decodePostingKey(k)
-		right, level := decodePosting(v)
-		model[sym] = append(model[sym], hit{left, right, level})
+	err := cold.postings.ScanPostings(nil, nil, true, true, func(sym uint32, left, right uint64, level uint32) bool {
+		model[vtrie.Symbol(sym)] = append(model[vtrie.Symbol(sym)], hit{left, right, level})
 		return true
 	})
 	if err != nil {
@@ -346,7 +342,7 @@ func slotPostings(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 		rest := entries[i]
-		err = tr.BulkLoad(func() ([]byte, []byte, error) {
+		err = tr.BulkLoad(false, func() ([]byte, []byte, error) {
 			if len(rest) == 0 {
 				return nil, nil, io.EOF
 			}
@@ -390,10 +386,10 @@ func diffAnswers(t *testing.T, ix *Index) [][]Match {
 // twin dynamic indexes, one of them rewritten that way, must answer every
 // differential shape identically through Open, OpenDynamic, dynamic inserts
 // that split slotted leaves, and a RepairForest (which rebuilds the postings
-// fixed-width).
+// packed).
 func TestSlottedPostingsTreeStillServes(t *testing.T) {
 	docs := parallelCorpus()
-	dirs := [2]string{t.TempDir(), t.TempDir()} // fixed, then slotted
+	dirs := [2]string{t.TempDir(), t.TempDir()} // packed, then slotted
 	for _, dir := range dirs {
 		di, err := NewDynamicIndex(docs[:25], Options{Extended: true, Dir: dir}, DynamicOptions{Alpha: 2})
 		if err != nil {
@@ -414,19 +410,19 @@ func TestSlottedPostingsTreeStillServes(t *testing.T) {
 		}
 		return s.LeafFormat, s.Pages[len(s.Pages)-1]
 	}
-	same := func(stage string, fixed, slotted *Index, wantFormat string) {
+	same := func(stage string, packed, slotted *Index, wantFormat string) {
 		t.Helper()
-		if f, _ := leaves(fixed); f != "fixed 12+12" {
+		if f, _ := leaves(packed); !strings.HasPrefix(f, "packed ") {
 			t.Fatalf("%s: fresh index has %q postings leaves", stage, f)
 		}
-		if f, _ := leaves(slotted); f != wantFormat {
+		if f, _ := leaves(slotted); !strings.HasPrefix(f, wantFormat) {
 			t.Fatalf("%s: rewritten index has %q postings leaves, want %q", stage, f, wantFormat)
 		}
 		if errs := slotted.forest.Check(); len(errs) > 0 {
 			t.Fatalf("%s: %v", stage, errs[0])
 		}
-		if !reflect.DeepEqual(diffAnswers(t, fixed), diffAnswers(t, slotted)) {
-			t.Fatalf("%s: answers differ between the fixed and the slotted postings tree", stage)
+		if !reflect.DeepEqual(diffAnswers(t, packed), diffAnswers(t, slotted)) {
+			t.Fatalf("%s: answers differ between the packed and the slotted postings tree", stage)
 		}
 	}
 
@@ -472,7 +468,7 @@ func TestSlottedPostingsTreeStillServes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	same("RepairForest", dis[0].Index(), dis[1].Index(), "fixed 12+12")
+	same("RepairForest", dis[0].Index(), dis[1].Index(), "packed ")
 }
 
 // testdata/layout3 is an index directory written before packed postings
@@ -525,8 +521,7 @@ func TestLayout3FixedCellsStillServe(t *testing.T) {
 		}
 	}
 	var widest uint64
-	if err := old.postings.Scan(nil, nil, true, true, func(k, _ []byte) bool {
-		_, left := decodePostingKey(k)
+	if err := old.postings.ScanPostings(nil, nil, true, true, func(_ uint32, left, _ uint64, _ uint32) bool {
 		widest = max(widest, left)
 		return true
 	}); err != nil || widest < 1<<40 {

@@ -749,10 +749,8 @@ func scanLevel(p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, pa
 	} else {
 		lo, hi := postingKey(src.sym, ql), postingKey(src.sym, qr)
 		prefetch(src.tree, lo[:], hi[:], false, par, sp)
-		err = src.tree.Scan(lo[:], hi[:], false, true, func(k, v []byte) bool {
-			_, left := decodePostingKey(k)
-			r, lvl := decodePosting(v)
-			hits = append(hits, hit{left: left, right: r, level: lvl})
+		err = src.tree.ScanPostings(lo[:], hi[:], false, true, func(_ uint32, left, right uint64, level uint32) bool {
+			hits = append(hits, hit{left: left, right: right, level: level})
 			return true
 		})
 	}

@@ -374,10 +374,8 @@ func (ix *Index) walkPostings(rec *docstore.Record) (uint64, error) {
 		type hit struct{ left, right uint64 }
 		var found []hit
 		lo, hi := postingKey(sym, curL), postingKey(sym, curR)
-		err := ix.postings.Scan(lo[:], hi[:], false, true, func(k, v []byte) bool {
-			right, level := decodePosting(v)
+		err := ix.postings.ScanPostings(lo[:], hi[:], false, true, func(_ uint32, left, right uint64, level uint32) bool {
 			if int(level) == i+1 {
-				_, left := decodePostingKey(k)
 				found = append(found, hit{left, right})
 			}
 			return len(found) <= 1
@@ -570,9 +568,8 @@ func (ix *Index) pathSymbolsTo(left uint64, n int) ([]vtrie.Symbol, error) {
 	lps := make([]vtrie.Symbol, n)
 	filled := make([]bool, n)
 	var walkErr error
-	err := ix.postings.Scan(nil, nil, true, true, func(k, v []byte) bool {
-		sym, kl := decodePostingKey(k)
-		right, level := decodePosting(v)
+	err := ix.postings.ScanPostings(nil, nil, true, true, func(s uint32, kl, right uint64, level uint32) bool {
+		sym := vtrie.Symbol(s)
 		if kl > left || (kl != left && right < left) {
 			return true // later in the trie, or a disjoint subtree: not an ancestor
 		}
@@ -615,13 +612,12 @@ func (ix *Index) pathSymbolsTo(left uint64, n int) ([]vtrie.Symbol, error) {
 func (ix *Index) RepairForest() ([]uint32, error) {
 	ix.repairMu.Lock()
 	defer ix.repairMu.Unlock()
-	return ix.rebuildForestLocked(true, ix.emitExactRebuild)
+	return ix.rebuildForestLocked(ix.emitExactRebuild)
 }
 
 // rebuildForestLocked resets the forest and has writeTrie refill it from the
-// surviving records; packed says writeTrie bulk-loads a static trie, so the
-// postings tree gets packed leaves (openTrees).
-func (ix *Index) rebuildForestLocked(packed bool, writeTrie func(recs []*docstore.Record) error) ([]uint32, error) {
+// surviving records.
+func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) error) ([]uint32, error) {
 	// Every list may describe pre-rebuild structures; start the tier over.
 	ix.hotInvalidateAll()
 	// The old shape tree is about to go: first restore from it whatever
@@ -653,7 +649,7 @@ func (ix *Index) rebuildForestLocked(packed bool, writeTrie func(recs []*docstor
 		recs = append(recs, rec)
 	}
 	ix.forest.Reset()
-	if err := ix.openTrees(packed); err != nil {
+	if err := ix.openTrees(); err != nil {
 		return nil, err
 	}
 	if err := writeTrie(recs); err != nil {

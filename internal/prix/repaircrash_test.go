@@ -140,7 +140,7 @@ func openCrashIndex(docsF, docsJ, forestF, forestJ pager.File, fresh bool) (*Ind
 		return nil, err
 	}
 	if fresh {
-		err = ix.openTrees(true)
+		err = ix.openTrees()
 	} else {
 		err = ix.loadCatalogs()
 	}
