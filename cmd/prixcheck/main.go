@@ -309,9 +309,9 @@ func checkVersions(forestMem, docsMem *pager.MemFile, verbose bool, report func(
 		return
 	}
 	tombs := map[uint32]uint64{}
-	scanErr := docid.Scan(btree.KeyUint64(0), btree.KeyUint64(^uint64(0)), true, true, func(k, v []byte) bool {
-		if id, ver, ok := prix.DecodeTombstone(v); ok {
-			tombs[id] = ver
+	scanErr := docid.ScanDocIDs(nil, nil, true, true, func(_ uint64, id uint32, tomb uint64) bool {
+		if tomb != 0 {
+			tombs[id] = tomb
 		}
 		return true
 	})

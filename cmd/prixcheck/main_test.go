@@ -120,14 +120,19 @@ func TestCleanIndexPrintsSizeReport(t *testing.T) {
 // its spread labels too, at 64-bit Left deltas in cells a whole number of
 // bytes wide: the same documents inserted one by one measured
 // 9+64+61+13-bit cells at 24.1 B per entry (49 leaves 56.4 % full); in
-// fixed cells they took 86 leaves 56.8 % full, 42.3 B per entry.
+// fixed cells they took 86 leaves 56.8 % full, 42.3 B per entry. The docid
+// tree packs too: the 600 terminals fit one leaf on both sides, in
+// 15+10+0-bit cells (static; LeftPos, docID, no tombstone) and 64+16+0-bit
+// ones (dynamic, whose spread LeftPos deltas need 64 bits), 13.6 B per entry
+// where slotted cells took two leaves (27.3 B) and three (40.9 B).
 func TestSizeReportShowsPackedPostings(t *testing.T) {
 	docs := datagen.SwissProt(1, 1).Docs
 	for _, tc := range []struct {
-		name        string
-		build       func(dir string) error
-		maxLeft     int
-		maxPerEntry float64
+		name         string
+		build        func(dir string) error
+		maxLeft      int
+		maxPerEntry  float64
+		maxDocidBits int
 	}{
 		{"static", func(dir string) error {
 			ix, err := prix.Build(docs, prix.Options{Extended: true, Dir: dir})
@@ -135,7 +140,7 @@ func TestSizeReportShowsPackedPostings(t *testing.T) {
 				return err
 			}
 			return ix.Close()
-		}, 17, 4.6}, // dense labels: Left deltas fit the index's node count
+		}, 17, 4.6, 27}, // dense labels: Left deltas fit the index's node count
 		{"dynamic", func(dir string) error {
 			di, err := prix.NewDynamicIndex(docs[:len(docs)/2], prix.Options{Extended: true, Dir: dir}, prix.DynamicOptions{Alpha: 4})
 			if err != nil {
@@ -150,7 +155,7 @@ func TestSizeReportShowsPackedPostings(t *testing.T) {
 				return err
 			}
 			return di.Close()
-		}, 64, 30},
+		}, 64, 30, 80},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -172,8 +177,21 @@ func TestSizeReportShowsPackedPostings(t *testing.T) {
 			if perEntry, err := strconv.ParseFloat(post[2], 64); err != nil || perEntry > tc.maxPerEntry {
 				t.Errorf("post costs %s B per entry, want <= %g", post[2], tc.maxPerEntry)
 			}
-			if !regexp.MustCompile(`size: tree "docid" .*, slotted cells, [0-9.]+ B per entry`).MatchString(out) {
-				t.Errorf("report lacks the slotted docid tree:\n%s", out)
+			docid := regexp.MustCompile(`size: tree "docid" .*, packed ([0-9]+)\+([0-9]+)\+([0-9]+)-bit cells, ([0-9.]+) B per entry`).FindStringSubmatch(out)
+			if docid == nil {
+				t.Fatalf("report lacks packed docid cells:\n%s", out)
+			}
+			t.Logf("%s", docid[0])
+			cell := 0
+			for _, w := range docid[1:4] {
+				n, _ := strconv.Atoi(w)
+				cell += n
+			}
+			if cell > tc.maxDocidBits {
+				t.Errorf("docid cells are %d bits wide, want <= %d", cell, tc.maxDocidBits)
+			}
+			if perEntry, err := strconv.ParseFloat(docid[4], 64); err != nil || perEntry > 13.7 {
+				t.Errorf("docid costs %s B per entry, want <= 13.7: its 600 entries in one leaf", docid[4])
 			}
 		})
 	}

@@ -11,18 +11,19 @@
 // traversal is accounted in the pool's physical-read counter. Reads
 // binary-search pages in place — through a slot directory, by offset on
 // fixed-width leaves (which trees written before packed postings leaves
-// keep), or by bit offset on the packed leaves of a PackedTree — and leaf
-// inserts and deletes edit every leaf codec in place; only splits
-// materialise slotted and fixed-width pages into memory, and a packed leaf
-// splits by bits into as many leaves as its cells need.
+// keep), or by bit offset on the packed leaves of a PackedTree or a
+// PackedDocIDTree — and leaf inserts and deletes edit every leaf codec in
+// place; only splits materialise slotted and fixed-width pages into memory,
+// and a packed leaf splits by bits into as many leaves as its cells need.
 package btree
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -116,10 +117,10 @@ func (n *nodePage) size() int {
 
 // encode writes the node over data with cell i below cell i-1, the layout
 // ascending in-place inserts produce too. A packed leaf is only ever encoded
-// empty, as a new PackedTree's root; a packer writes the others.
+// empty, as a new packed tree's root; a packer writes the others.
 func (n *nodePage) encode(data []byte) {
-	if n.kind == packedLeafNode {
-		(&packer{}).encode(data, n.extra)
+	if ly := packedLayoutOf(n.kind); ly != nil {
+		(&packer{pg: packing{ly: ly}}).encode(data, n.extra)
 		return
 	}
 	clear(data)
@@ -258,12 +259,12 @@ func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]childRef, error) {
 	}
 	// Leaf: insert after all equal keys (stable duplicates), in place while
 	// the cell fits.
+	if isPacked(pageKind(p.Data)) {
+		return t.insertPacked(p, key, val)
+	}
 	if err := leafFits(p.Data, key, val); err != nil {
 		p.Unpin(false)
 		return nil, err
-	}
-	if pageKind(p.Data) == packedLeafNode {
-		return t.insertPacked(p, key, val)
 	}
 	pos := leafUpperBound(p.Data, key)
 	if leafCellSize(pageKind(p.Data), len(key), len(val)) <= pageFree(p.Data) {
@@ -359,11 +360,38 @@ func (t *Tree) ScanPostingsNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(sy
 	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{posting: fn})
 }
 
+// ScanDocIDs is ScanPostings' twin over a Docid tree — 8-byte big-endian
+// terminal LeftPos keys, DocIDValue values, in leaves of any codec — handing
+// fn each entry's terminal, docID and, for a tombstone, the version the
+// document was deleted at (0 for a live entry).
+func (t *Tree) ScanDocIDs(lo, hi []byte, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) error {
+	return t.scan(lo, hi, loIncl, hiIncl, false, visitor{docID: fn})
+}
+
+// ScanDocIDsNoFill is ScanDocIDs reading pages as ScanNoFill does.
+func (t *Tree) ScanDocIDsNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) error {
+	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{docID: fn})
+}
+
 // visitor is what a scan hands each entry to: entry as key and value bytes,
-// or, for ScanPostings, posting as the entry's fields.
+// or, for ScanPostings and ScanDocIDs, posting or docID as the entry's
+// fields.
 type visitor struct {
 	entry   func(key, val []byte) bool
 	posting func(sym uint32, left, right uint64, level uint32) bool
+	docID   func(term uint64, docID uint32, tombVersion uint64) bool
+}
+
+// layout is the packed layout whose fields the visitor takes, nil for
+// entry.
+func (fn visitor) layout() *packedLayout {
+	switch {
+	case fn.posting != nil:
+		return postingsLayout
+	case fn.docID != nil:
+		return docIDLayout
+	}
+	return nil
 }
 
 func (t *Tree) scan(lo, hi []byte, loIncl, hiIncl, noFill bool, fn visitor) error {
@@ -496,19 +524,17 @@ func (t *Tree) Prefetch(lo, hi []byte, loIncl bool, par int) int {
 // scanLeaves iterates leaf pages starting at the pinned page p (ownership
 // of the pin transfers to scanLeaves). Packed leaves are decoded entry by
 // entry — for fn.entry into one pooled buffer, which it sees for the
-// callback only — and held to a 12-byte hi as the symbol and Left it
-// encodes; fn.posting gets other leaves' entries parsed.
+// callback only — and held to a hi of their layout's key length as the
+// fields it encodes; a visitor of fields gets other leaves' entries parsed,
+// and an error for a leaf or an entry of another layout.
 func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bool, fn visitor) error {
 	var (
 		dec  *[packedEntryLen]byte
 		leaf packedLeaf
-		// hiKey is hi's symbol and Left when hi is a 12-byte key.
+		// hiKey is hi's key fields when hi is a key of the leaf's layout.
 		hiKey packedEntry
+		ly    = fn.layout()
 	)
-	hiNumeric := len(hi) == packedKeyLen
-	if hiNumeric {
-		hiKey.sym, hiKey.left = binary.BigEndian.Uint32(hi), binary.BigEndian.Uint64(hi[4:])
-	}
 	defer func() {
 		if dec != nil {
 			decodeBufs.Put(dec)
@@ -517,9 +543,17 @@ func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bo
 	for {
 		data := p.Data
 		var packed *packedLeaf
-		if pageKind(data) == packedLeafNode {
+		hiNumeric := false
+		if isPacked(pageKind(data)) {
 			leaf.parse(data)
 			packed = &leaf
+			if ly != nil && leaf.ly != ly {
+				p.Unpin(false)
+				return fmt.Errorf("btree: a scan of %s entries reached a leaf of %s cells", ly.entries, leaf.ly.name)
+			}
+			if hiNumeric = len(hi) == leaf.ly.keyLen; hiNumeric {
+				hiKey = leaf.ly.parseKey(hi)
+			}
 			if dec == nil && (fn.entry != nil || hi != nil && !hiNumeric) {
 				dec = decodeBufs.Get().(*[packedEntryLen]byte)
 			}
@@ -542,33 +576,36 @@ func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bo
 			if packed != nil {
 				e = packed.entry(i)
 				if hiNumeric {
-					if c = cmp.Compare(e.sym, hiKey.sym); c == 0 {
-						c = cmp.Compare(e.left, hiKey.left)
-					}
+					c = packed.compareKey(&e, &hiKey)
 				}
 				if fn.entry != nil || hi != nil && !hiNumeric {
-					e.put(dec)
-					k, v = dec[:packedKeyLen], dec[packedKeyLen:]
+					k, v = packed.ly.put(e, dec)
 				}
 			} else {
 				k, v = leafCellAt(data, i)
 			}
-			if hi != nil && (packed == nil || !hiNumeric) {
+			if hi != nil && !hiNumeric {
 				c = bytes.Compare(k, hi)
 			}
 			if hi != nil && (c > 0 || c == 0 && !hiIncl) {
 				p.Unpin(false)
 				return nil
 			}
+			if fn.entry == nil && packed == nil {
+				var ok bool
+				if e, ok = ly.parse(k, v); !ok {
+					p.Unpin(false)
+					return ly.notEntry(k, v)
+				}
+			}
 			var more bool
 			switch {
 			case fn.entry != nil:
 				more = fn.entry(k, v)
-			case packed != nil:
-				more = fn.posting(e.sym, e.left, e.left+e.scope, e.level)
+			case fn.posting != nil:
+				more = fn.posting(uint32(e[0]), e[1], e[1]+e[2], uint32(e[3]))
 			default:
-				e = parsePackedEntry(k, v)
-				more = fn.posting(e.sym, e.left, e.left+e.scope, e.level)
+				more = fn.docID(e[0], uint32(e[1]), e[2])
 			}
 			if !more {
 				p.Unpin(false)
@@ -618,7 +655,7 @@ func (t *Tree) Delete(key, val []byte) (bool, error) {
 		)
 		for {
 			data := p.Data
-			if pageKind(data) == packedLeafNode {
+			if isPacked(pageKind(data)) {
 				l.parse(data)
 			}
 			for i, num := leafSearch(data, &l, key, 0), pageNumKeys(data); i < num; i++ {
@@ -628,7 +665,7 @@ func (t *Tree) Delete(key, val []byte) (bool, error) {
 					return false, nil
 				}
 				if val == nil || bytes.Equal(v, val) {
-					if pageKind(data) == packedLeafNode {
+					if isPacked(pageKind(data)) {
 						deletePacked(data, i)
 					} else {
 						leafDeleteAt(data, i)
@@ -655,8 +692,9 @@ func (t *Tree) Delete(key, val []byte) (bool, error) {
 // first and leaves last (so its length is the height), LeafFill is the used
 // share of the leaves' payload bytes, and LeafFormat names the leaves' cell
 // format: "slotted", "fixed 12+12" for keyLen+valLen, or "packed
-// 7+17+13+6-bit" for the widest symbol, Left, scope and level fields of any
-// leaf.
+// 7+17+13+6-bit" for the widest field of each of a layout's fields in any
+// leaf — symbol, Left, scope and level for postings, LeftPos, docID and
+// tombstone version ("packed 12+10+0-bit") for Docid entries.
 type Shape struct {
 	Entries    uint64
 	Pages      []int
@@ -668,7 +706,10 @@ type Shape struct {
 // it on a tree that Check has passed.
 func (t *Tree) Shape() (Shape, error) {
 	s := Shape{Entries: t.count}
-	var widest [4]byte
+	var (
+		widest [4]byte
+		ly     *packedLayout
+	)
 	for level := []pager.PageID{t.root}; ; {
 		var next []pager.PageID
 		used := 0
@@ -684,8 +725,9 @@ func (t *Tree) Shape() (Shape, error) {
 			} else {
 				if s.LeafFormat == "" {
 					s.LeafFormat = leafFormat(p.Data)
+					ly = packedLayoutOf(pageKind(p.Data))
 				}
-				if pageKind(p.Data) == packedLeafNode {
+				if isPacked(pageKind(p.Data)) {
 					for j := range widest {
 						widest[j] = max(widest[j], p.Data[7+j])
 					}
@@ -697,8 +739,12 @@ func (t *Tree) Shape() (Shape, error) {
 		s.Pages = append(s.Pages, len(level))
 		if len(next) == 0 {
 			s.LeafFill = float64(used) / float64(len(level)*pager.PageDataSize)
-			if s.LeafFormat == "packed" {
-				s.LeafFormat = fmt.Sprintf("packed %d+%d+%d+%d-bit", widest[0], widest[1], widest[2], widest[3])
+			if ly != nil {
+				w := make([]string, ly.fields)
+				for j := range w {
+					w[j] = strconv.Itoa(int(widest[j]))
+				}
+				s.LeafFormat = "packed " + strings.Join(w, "+") + "-bit"
 			}
 			return s, nil
 		}

@@ -114,7 +114,7 @@ func (c *checker) walk(id pager.PageID, depth int, low, high []byte) uint64 {
 			buf [packedKeyLen]byte
 			l   packedLeaf
 		)
-		if pageKind(data) == packedLeafNode {
+		if isPacked(pageKind(data)) {
 			l.parse(data)
 		}
 		for i := 0; i < num; i++ {
@@ -170,7 +170,7 @@ func validateNodeShape(data []byte) error {
 		if end := headerSize + num*(kw+vw); end > len(data) {
 			return fmt.Errorf("%d cells of %d+%d bytes overflow the page (end at %d)", num, kw, vw, end)
 		}
-	case packedLeafNode:
+	case packedLeafNode, packedDocIDLeafNode:
 		if err := validatePacked(data, num); err != nil {
 			return err
 		}
@@ -187,7 +187,7 @@ func validateNodeShape(data []byte) error {
 		prev []byte
 		l    packedLeaf
 	)
-	if kind == packedLeafNode {
+	if isPacked(kind) {
 		l.parse(data)
 	}
 	for i := 0; i < num; i++ {

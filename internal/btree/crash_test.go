@@ -134,12 +134,13 @@ func crashSweep(t *testing.T, fixedVal int) {
 	})
 }
 
-// crashPackedKeys is the packed sweep's batch size: 4 batches of
-// postings-shaped entries 162 bits wide in a packed leaf (scattered Lefts,
-// scopes that wrap, scattered levels, three symbols), about 400 to a full
-// leaf, so the third batch splits a leaf inside a swept commit.
+// crashPackedKeys is the packed sweeps' batch size: 4 batches of entries
+// about 160 bits wide in a packed leaf, about 400 to a full leaf, so the
+// third batch splits a leaf inside a swept commit.
 const crashPackedKeys = 150
 
+// crashPackedEntry is a posting 162 bits wide in a packed leaf: scattered
+// Lefts, scopes that wrap, scattered levels, three symbols.
 func crashPackedEntry(i int) [2][]byte {
 	left := uint64(i+1) * 0x9E3779B97F4A7C15
 	scope := uint64(i)
@@ -149,10 +150,21 @@ func crashPackedEntry(i int) [2][]byte {
 	return postingEntry(uint32(i%3), left, left+scope, uint32(i)*2654435761)
 }
 
-// packedWorkload inserts crashBatches batches of crashPackedEntry entries
-// into a packed tree over a journaled pool, each batch in a scrambled order
-// and committed by Forest.Flush.
-func packedWorkload(main, journalFile pager.File) error {
+// crashDocIDEntry is a Docid entry 160 bits wide in a packed leaf:
+// scattered terminals and docIDs, every other one a tombstone of a
+// scattered version.
+func crashDocIDEntry(i int) [2][]byte {
+	var tomb uint64
+	if i%2 == 1 {
+		tomb = uint64(i) * 0xBF58476D1CE4E5B9
+	}
+	return docIDEntry(uint64(i+1)*0x9E3779B97F4A7C15, uint32(i)*2654435761, tomb)
+}
+
+// packedWorkload inserts crashBatches batches of pc's entries into a packed
+// tree over a journaled pool, each batch in a scrambled order and committed
+// by Forest.Flush.
+func packedWorkload(main, journalFile pager.File, pc packedCrash) error {
 	j, err := pager.NewJournal(journalFile)
 	if err != nil {
 		return err
@@ -165,13 +177,13 @@ func packedWorkload(main, journalFile pager.File) error {
 	if err != nil {
 		return err
 	}
-	tr, err := forest.PackedTree("t")
+	tr, err := pc.newTree(forest, "t")
 	if err != nil {
 		return err
 	}
 	for batch := 0; batch < crashBatches; batch++ {
 		for i := 0; i < crashPackedKeys; i++ {
-			e := crashPackedEntry(batch*crashPackedKeys + i*7%crashPackedKeys)
+			e := pc.entry(batch*crashPackedKeys + i*7%crashPackedKeys)
 			if err := tr.Insert(e[0], e[1]); err != nil {
 				return err
 			}
@@ -183,17 +195,34 @@ func packedWorkload(main, journalFile pager.File) error {
 	return bp.Close()
 }
 
-// TestBtreeCrashSweepPacked is the sweep over a packed tree's in-place
-// inserts and splits by bits: every recovered tree must hold exactly the
-// entries of a committed batch prefix, in key order, in packed leaves.
+// packedCrash is one layout's packed sweep: its tree and its i-th entry.
+type packedCrash struct {
+	newTree func(f *Forest, name string) (*Tree, error)
+	entry   func(i int) [2][]byte
+}
+
+// TestBtreeCrashSweepPacked is the sweep over a packed postings tree's
+// in-place inserts and splits by bits: every recovered tree must hold
+// exactly the entries of a committed batch prefix, in key order, in packed
+// leaves.
 func TestBtreeCrashSweepPacked(t *testing.T) {
+	packedCrashSweep(t, packedCrash{(*Forest).PackedTree, crashPackedEntry})
+}
+
+// TestBtreeCrashSweepPackedDocID is the same sweep over a packed Docid
+// tree, tombstones among its entries.
+func TestBtreeCrashSweepPackedDocID(t *testing.T) {
+	packedCrashSweep(t, packedCrash{(*Forest).PackedDocIDTree, crashDocIDEntry})
+}
+
+func packedCrashSweep(t *testing.T, pc packedCrash) {
 	var mainMem, journalMem *pager.MemFile
 	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
 		mainMem, journalMem = pager.NewMemFile(), pager.NewMemFile()
 		main, journalFile := pager.NewFaultFile(mainMem), pager.NewFaultFile(journalMem)
 		main.SetPowerClock(clock)
 		journalFile.SetPowerClock(clock)
-		return packedWorkload(main, journalFile)
+		return packedWorkload(main, journalFile, pc)
 	}
 	pagertest.Sweep(t, 30, pagertest.TearEvery(2, 1021), run, func(t *testing.T, k int64) {
 		j, err := pager.NewJournal(journalMem)
@@ -227,7 +256,7 @@ func TestBtreeCrashSweepPacked(t *testing.T) {
 		}
 		want := make([][2][]byte, len(got))
 		for i := range want {
-			want[i] = crashPackedEntry(i)
+			want[i] = pc.entry(i)
 		}
 		slices.SortFunc(want, func(a, b [2][]byte) int { return bytes.Compare(a[0], b[0]) })
 		for i := range want {

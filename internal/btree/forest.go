@@ -70,12 +70,19 @@ func (f *Forest) Tree(name string) (*Tree, error) {
 }
 
 // PackedTree returns the named tree, creating an empty one with packed leaves
-// (packed.go) if it does not exist. It holds the postings' 12+12-byte
-// entries. An existing tree is returned in whatever leaf format it was
-// created with: a postings tree written with fixed-width leaves keeps them,
-// and its inserts split them as fixed-width leaves.
+// of the postings layout (packed.go) if it does not exist. It holds the
+// postings' 12+12-byte entries. An existing tree is returned in whatever leaf
+// format it was created with: a postings tree written with fixed-width leaves
+// keeps them, and its inserts split them as fixed-width leaves.
 func (f *Forest) PackedTree(name string) (*Tree, error) {
 	return f.tree(name, &nodePage{kind: packedLeafNode})
+}
+
+// PackedDocIDTree is PackedTree for a Docid tree: packed leaves of the Docid
+// layout, entries of an 8-byte terminal LeftPos key and a DocIDValue. A Docid
+// tree written with slotted leaves keeps them.
+func (f *Forest) PackedDocIDTree(name string) (*Tree, error) {
+	return f.tree(name, &nodePage{kind: packedDocIDLeafNode})
 }
 
 // tree returns the named tree, creating it with root, an empty leaf of the

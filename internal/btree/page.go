@@ -24,13 +24,15 @@ import (
 // exactly keyLen+valLen bytes follow the header in key order, with no slot
 // directory and no per-cell lengths. Forest creates no new tree of them; an
 // existing one keeps splitting into fixed-width leaves.
-// A packed leaf (kind packedLeafNode, packed.go) is the third, for the
-// postings trees, static and dynamic: a 27-byte header of field widths and
-// per-leaf minimums, then cells of one bit width per leaf, each entry's
-// symbol, Left, Right − Left and level as deltas from those minimums. The
-// kind byte says which codec a page uses, so a tree's pages describe
+// A packed leaf (packed.go) is the third, for every tree of fixed numeric
+// fields: a header of field widths and per-leaf minimums, then cells of one
+// bit width per leaf, each entry's fields as deltas from those minimums. One
+// codec serves two entry layouts, a kind byte each: postings (kind
+// packedLeafNode) and Docid entries (kind packedDocIDLeafNode). The kind
+// byte says which codec and layout a page uses, so a tree's pages describe
 // themselves and the forest directory does not record it: a postings tree
-// written with fixed-width leaves keeps reading and taking inserts as one.
+// written with fixed-width leaves, or a Docid tree with slotted ones, keeps
+// reading and taking inserts as one.
 //
 // extra is the next-leaf page id on leaves and the leftmost child on
 // internal nodes; cellStart is the offset of the lowest cell. The read path
@@ -49,10 +51,13 @@ import (
 // pageKind returns the node kind byte.
 func pageKind(data []byte) byte { return data[0] }
 
-// isLeaf reports whether kind is one of the three leaf codecs.
+// isLeaf reports whether kind is a leaf of one of the three leaf codecs.
 func isLeaf(kind byte) bool {
-	return kind == leafNode || kind == fixedLeafNode || kind == packedLeafNode
+	return kind == leafNode || kind == fixedLeafNode || isPacked(kind)
 }
+
+// isPacked reports whether kind is a packed leaf, of either layout.
+func isPacked(kind byte) bool { return kind == packedLeafNode || kind == packedDocIDLeafNode }
 
 // pageNumKeys returns the number of cells.
 func pageNumKeys(data []byte) int { return int(binary.LittleEndian.Uint16(data[1:3])) }
@@ -74,10 +79,10 @@ func pageFree(data []byte) int {
 	case fixedLeafNode:
 		kw, vw := fixedWidths(data)
 		return len(data) - headerSize - pageNumKeys(data)*(kw+vw)
-	case packedLeafNode:
+	case packedLeafNode, packedDocIDLeafNode:
 		var l packedLeaf
 		l.parse(data)
-		return len(data) - packedUsed(pageNumKeys(data), l.width)
+		return len(data) - l.ly.used(pageNumKeys(data), l.width)
 	}
 	return pageCellStart(data) - headerSize - slotSize*pageNumKeys(data)
 }
@@ -91,20 +96,14 @@ func leafCellSize(kind byte, klen, vlen int) int {
 	return slotSize + leafCellHdr + klen + vlen
 }
 
-// leafFits checks that (key, val) has the leaf's cell shape: any lengths on
-// a slotted leaf, exactly its widths on a fixed one, a posting's 12+12 bytes
-// on a packed one.
+// leafFits checks that (key, val) has the cell shape of a slotted or
+// fixed-width leaf: any lengths on a slotted leaf, exactly its widths on a
+// fixed one (a packed leaf parses its entries, packedLayout.parse).
 func leafFits(data, key, val []byte) error {
-	var kw, vw int
-	switch pageKind(data) {
-	case leafNode:
+	if pageKind(data) == leafNode {
 		return nil
-	case packedLeafNode:
-		kw, vw = packedKeyLen, packedEntryLen-packedKeyLen
-	default:
-		kw, vw = fixedWidths(data)
 	}
-	if len(key) != kw || len(val) != vw {
+	if kw, vw := fixedWidths(data); len(key) != kw || len(val) != vw {
 		return fmt.Errorf("btree: entry of %d+%d bytes in a leaf of %s cells", len(key), len(val), leafFormat(data))
 	}
 	return nil
@@ -113,12 +112,12 @@ func leafFits(data, key, val []byte) error {
 // leafFormat names a leaf's cell format, as Check compares it across a
 // tree's leaves (a packed leaf's widths are its own, so they are left out).
 func leafFormat(data []byte) string {
-	switch pageKind(data) {
-	case fixedLeafNode:
+	switch kind := pageKind(data); {
+	case kind == fixedLeafNode:
 		kw, vw := fixedWidths(data)
 		return fmt.Sprintf("fixed %d+%d", kw, vw)
-	case packedLeafNode:
-		return "packed"
+	case isPacked(kind):
+		return packedLayoutOf(kind).name
 	}
 	return "slotted"
 }
@@ -131,20 +130,21 @@ func slotOffset(data []byte, i int) int {
 // page on a slotted or fixed-width leaf, decoded into buf on a packed one,
 // whose parsed header l is (a loop over a leaf's entries parses it once).
 func leafEntryAt(data []byte, l *packedLeaf, i int, buf *[packedEntryLen]byte) (key, val []byte) {
-	if pageKind(data) == packedLeafNode {
-		l.entry(i).put(buf)
-		return buf[:packedKeyLen], buf[packedKeyLen:]
+	if isPacked(pageKind(data)) {
+		return l.ly.put(l.entry(i), buf)
 	}
 	return leafCellAt(data, i)
 }
 
 // leafKeyAt is leafEntryAt for the key alone: on a packed leaf only the
-// cell's symbol and Left are decoded.
+// cell's key fields are decoded.
 func leafKeyAt(data []byte, l *packedLeaf, i int, buf *[packedKeyLen]byte) []byte {
-	if pageKind(data) == packedLeafNode {
-		binary.BigEndian.PutUint32(buf[:4], l.symbol(i))
-		binary.BigEndian.PutUint64(buf[4:], l.left(i))
-		return buf[:]
+	if isPacked(pageKind(data)) {
+		var k packedEntry
+		for j := range l.ly.keyFields {
+			k[j] = l.field(i, uint(j))
+		}
+		return l.ly.putKey(k, buf)
 	}
 	k, _ := leafCellAt(data, i)
 	return k
@@ -248,7 +248,7 @@ func leafUpperBound(data []byte, key []byte) int { return leafSearch(data, nil, 
 // a packed leaf's parsed header, or nil to have leafSearch parse it.
 func leafSearch(data []byte, l *packedLeaf, key []byte, above int) int {
 	lo, hi := 0, pageNumKeys(data)
-	if pageKind(data) == packedLeafNode {
+	if isPacked(pageKind(data)) {
 		if l == nil {
 			l = new(packedLeaf)
 			l.parse(data)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/btree"
 	"repro/internal/prix"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
@@ -168,9 +167,9 @@ func docidTombstones(t *testing.T, r *Root) map[uint32]uint64 {
 		t.Fatal("no docid tree")
 	}
 	out := map[uint32]uint64{}
-	err := docid.Scan(btree.KeyUint64(0), btree.KeyUint64(^uint64(0)), true, true, func(k, v []byte) bool {
-		if id, ver, ok := prix.DecodeTombstone(v); ok {
-			out[id] = ver
+	err := docid.ScanDocIDs(nil, nil, true, true, func(_ uint64, id uint32, tomb uint64) bool {
+		if tomb != 0 {
+			out[id] = tomb
 		}
 		return true
 	})

@@ -131,7 +131,7 @@ func (di *DynamicIndex) insertLocked(doc *xmltree.Document) error {
 			return err
 		}
 	}
-	if err := di.ix.docid.Insert(btree.KeyUint64(terminal.Left), encodeDocID(id)); err != nil {
+	if err := di.ix.docid.Insert(btree.KeyUint64(terminal.Left), btree.DocIDValue(id, 0)); err != nil {
 		return err
 	}
 	di.ix.hotInvalidateDocid()
@@ -266,7 +266,7 @@ func (di *DynamicIndex) RepairForest() ([]uint32, error) {
 					return err
 				}
 			}
-			if err := di.ix.docid.Insert(btree.KeyUint64(terminal.Left), encodeDocID(rec.DocID)); err != nil {
+			if err := di.ix.docid.Insert(btree.KeyUint64(terminal.Left), btree.DocIDValue(rec.DocID, 0)); err != nil {
 				return err
 			}
 		}

@@ -77,11 +77,10 @@ func (ix *Index) buildHotPostings(s vtrie.Symbol, b *hot.PostingsBuilder) error 
 
 // buildHotDocIDs gathers the Docid tree into b the same way.
 func buildHotDocIDs(tree *btree.Tree, b *hot.DocIDsBuilder) error {
-	return tree.ScanNoFill(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(k, v []byte) bool {
-		if len(v) != 4 {
-			return true // tombstones live in the same tree but are not entries
+	return tree.ScanDocIDsNoFill(nil, nil, true, true, func(term uint64, id uint32, tomb uint64) bool {
+		if tomb == 0 { // tombstones live in the same tree but are not entries
+			b.Add(term, id)
 		}
-		b.Add(btree.Uint64Key(k), decodeDocID(v))
 		return true
 	})
 }

@@ -229,7 +229,8 @@ const (
 
 // openTrees binds the postings and Docid trees, creating them in a fresh (or
 // just reset) forest. Every posting is a 12-byte key and a 12-byte value,
-// and the postings tree has packed leaves, static or dynamic: a static build
+// every Docid entry an 8-byte terminal LeftPos and a btree.DocIDValue, and
+// both trees have packed leaves, static or dynamic: a static build
 // bulk-loads its dense labels into full leaves, a dynamic index bulk-loads
 // its spread labels into leaves with room for the inserts that follow
 // (newBulkSorter) or inserts them one by one, and packed leaves take them.
@@ -237,7 +238,7 @@ func (ix *Index) openTrees() (err error) {
 	if ix.postings, err = ix.forest.PackedTree(postingsTreeName); err != nil {
 		return err
 	}
-	ix.docid, err = ix.forest.Tree(docidTreeName)
+	ix.docid, err = ix.forest.PackedDocIDTree(docidTreeName)
 	return err
 }
 
@@ -511,12 +512,4 @@ func encodePosting(right uint64, level uint32) []byte {
 func putPosting(b *[postingValLen]byte, right uint64, level uint32) {
 	binary.BigEndian.PutUint64(b[:8], right)
 	binary.LittleEndian.PutUint32(b[8:], level)
-}
-
-func encodeDocID(d uint32) []byte {
-	return []byte{byte(d), byte(d >> 8), byte(d >> 16), byte(d >> 24)}
-}
-
-func decodeDocID(v []byte) uint32 {
-	return uint32(v[0]) | uint32(v[1])<<8 | uint32(v[2])<<16 | uint32(v[3])<<24
 }

@@ -779,10 +779,9 @@ func (ix *Index) scanDocIDs(p *plan, opts *MatchOptions, left, right uint64, sta
 	}
 	lo, hi := btree.KeyUint64(left), btree.KeyUint64(right)
 	prefetch(p.docids.tree, lo, hi, true, par, sp)
-	err := p.docids.tree.Scan(lo, hi, true, true, func(k, v []byte) bool {
-		// Tombstones and other non-entry values ride in the same tree; live
-		// docid entries are exactly 4 bytes.
-		return len(v) != 4 || visit(btree.Uint64Key(k), decodeDocID(v))
+	err := p.docids.tree.ScanDocIDs(lo, hi, true, true, func(term uint64, id uint32, tomb uint64) bool {
+		// Tombstones ride in the same tree.
+		return tomb != 0 || visit(term, id)
 	})
 	if err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/btree"
 	"repro/internal/docstore"
@@ -405,16 +404,23 @@ func (ix *Index) checkPostings(rec *docstore.Record) error {
 }
 
 func (ix *Index) checkDocidEntry(left uint64, docID uint32) error {
-	vals, err := ix.docid.Get(btree.KeyUint64(left))
-	if err != nil {
+	if ok, err := ix.hasDocidEntry(left, docID, 0); err != nil || ok {
 		return err
 	}
-	for _, v := range vals {
-		if len(v) == 4 && decodeDocID(v) == docID {
-			return nil
-		}
-	}
 	return fmt.Errorf("docid index has no entry for document %d at terminal %d", docID, left)
+}
+
+// hasDocidEntry reports whether the Docid index holds docID at terminal
+// left: the live entry for tombVersion 0, else the tombstone of that
+// version.
+func (ix *Index) hasDocidEntry(left uint64, docID uint32, tombVersion uint64) (bool, error) {
+	key := btree.KeyUint64(left)
+	found := false
+	err := ix.docid.ScanDocIDs(key, key, true, true, func(_ uint64, id uint32, tomb uint64) bool {
+		found = id == docID && tomb == tombVersion
+		return !found
+	})
+	return found, err
 }
 
 // CheckForest runs the B+-tree invariant checker over every tree in the
@@ -481,7 +487,7 @@ func (ix *Index) repairDocLocked(docID uint32) (RepairAction, error) {
 				return RepairNone, fmt.Errorf("prix: document %d: trie path damaged (%v): %w", docID, werr, ErrNeedsForestRebuild)
 			}
 			if derr := ix.checkDocidEntry(left, docID); derr != nil {
-				if err := ix.docid.Insert(btree.KeyUint64(left), encodeDocID(docID)); err != nil {
+				if err := ix.docid.Insert(btree.KeyUint64(left), btree.DocIDValue(docID, 0)); err != nil {
 					return RepairPostings, err
 				}
 				ix.hotInvalidateDocid()
@@ -541,13 +547,11 @@ func (ix *Index) rewriteRecordLocked(docID uint32) error {
 func (ix *Index) terminalLeftOf(docID uint32) (uint64, error) {
 	var left uint64
 	found := false
-	err := ix.docid.Scan(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(k, v []byte) bool {
-		if len(v) == 4 && decodeDocID(v) == docID {
-			left = btree.Uint64Key(k)
-			found = true
-			return false
+	err := ix.docid.ScanDocIDs(nil, nil, true, true, func(term uint64, id uint32, tomb uint64) bool {
+		if found = id == docID && tomb == 0; found {
+			left = term
 		}
-		return true
+		return !found
 	})
 	if err != nil {
 		return 0, err

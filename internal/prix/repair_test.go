@@ -167,7 +167,7 @@ func TestRepairMissingDocidEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := ix.docid.Delete(btree.KeyUint64(left), encodeDocID(1)); err != nil || !ok {
+	if ok, err := ix.docid.Delete(btree.KeyUint64(left), btree.DocIDValue(1, 0)); err != nil || !ok {
 		t.Fatalf("deleting docid entry: %v %v", ok, err)
 	}
 	err = ix.VerifyDoc(1)
@@ -403,8 +403,8 @@ func TestVersionDeleteAfterRebuildWritesTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	err = di.Index().docid.Scan(btree.KeyUint64(0), btree.KeyUint64(^uint64(0)), true, true, func(k, val []byte) bool {
-		if id, ver, ok := DecodeTombstone(val); ok && id == 1 && ver == v {
+	err = di.Index().docid.ScanDocIDs(nil, nil, true, true, func(_ uint64, id uint32, tomb uint64) bool {
+		if id == 1 && tomb == v {
 			found = true
 		}
 		return true

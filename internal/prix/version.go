@@ -22,16 +22,15 @@ package prix
 // op lets recovery redo (B) idempotently, converging on the post-mutation
 // image. Nothing in between is ever observable.
 //
-// Deletes additionally write a 13-byte tombstone value into the docid tree
-// at the document's terminal key — [docid LE 4][0xFF][version LE 8] — so the
-// forest itself records the deletion (prixcheck cross-checks it against the
-// map). Query scans skip any docid value whose length is not 4.
+// Deletes additionally write a tombstone into the docid tree at the
+// document's terminal key — the docID and the version it was deleted at
+// (btree.DocIDValue) — so the forest itself records the deletion (prixcheck
+// cross-checks it against the map). Query scans (btree.Tree.ScanDocIDs) skip
+// every entry whose tombstone version is not 0.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/btree"
 	"repro/internal/docstore"
@@ -49,33 +48,6 @@ const VersionsBlobName = "mvcc"
 // ErrDocDeleted reports a mutation aimed at a document whose latest version
 // is a tombstone (or a compaction-reclaimed stub).
 var ErrDocDeleted = errors.New("prix: document deleted")
-
-// tombstone codec --------------------------------------------------------------
-
-const tombstoneLen = 13
-
-func encodeTombstone(docID uint32, version uint64) []byte {
-	b := make([]byte, tombstoneLen)
-	copy(b[:4], encodeDocID(docID))
-	b[4] = 0xFF
-	for i := 0; i < 8; i++ {
-		b[5+i] = byte(version >> (8 * i))
-	}
-	return b
-}
-
-// DecodeTombstone parses a docid-tree tombstone value; ok is false for
-// anything that is not one (in particular the 4-byte live entries).
-func DecodeTombstone(v []byte) (docID uint32, version uint64, ok bool) {
-	if len(v) != tombstoneLen || v[4] != 0xFF {
-		return 0, 0, false
-	}
-	docID = decodeDocID(v[:4])
-	for i := 0; i < 8; i++ {
-		version |= uint64(v[5+i]) << (8 * i)
-	}
-	return docID, version, true
-}
 
 // version map plumbing ---------------------------------------------------------
 
@@ -203,13 +175,9 @@ func (ix *Index) anchorVersionsLocked() (marked bool, err error) {
 // scan (first live entry wins; tombstones are skipped).
 func (ix *Index) terminalsByDoc() (map[uint32]uint64, error) {
 	out := map[uint32]uint64{}
-	err := ix.docid.Scan(btree.KeyUint64(0), btree.KeyUint64(math.MaxUint64), true, true, func(k, v []byte) bool {
-		if len(v) != 4 {
-			return true
-		}
-		id := decodeDocID(v)
-		if _, seen := out[id]; !seen {
-			out[id] = btree.Uint64Key(k)
+	err := ix.docid.ScanDocIDs(nil, nil, true, true, func(term uint64, id uint32, tomb uint64) bool {
+		if _, seen := out[id]; !seen && tomb == 0 {
+			out[id] = term
 		}
 		return true
 	})
@@ -341,18 +309,10 @@ func (ix *Index) intervalLPS(docID uint32, iv mvcc.Interval) ([]vtrie.Symbol, bo
 // writeTombstoneLocked inserts the delete marker at the terminal key,
 // idempotently (recovery may redo it).
 func (ix *Index) writeTombstoneLocked(term uint64, docID uint32, version uint64) error {
-	key := btree.KeyUint64(term)
-	tomb := encodeTombstone(docID, version)
-	vals, err := ix.docid.Get(key)
-	if err != nil {
+	if ok, err := ix.hasDocidEntry(term, docID, version); err != nil || ok {
 		return err
 	}
-	for _, v := range vals {
-		if bytes.Equal(v, tomb) {
-			return nil
-		}
-	}
-	if err := ix.docid.Insert(key, tomb); err != nil {
+	if err := ix.docid.Insert(btree.KeyUint64(term), btree.DocIDValue(docID, version)); err != nil {
 		return err
 	}
 	ix.hotInvalidateDocid()
@@ -395,7 +355,7 @@ func (ix *Index) recoverPending() error {
 		}
 		if p.NewTerminal {
 			if err := ix.checkDocidEntry(p.Terminal, p.DocID); err != nil {
-				if err := ix.docid.Insert(btree.KeyUint64(p.Terminal), encodeDocID(p.DocID)); err != nil {
+				if err := ix.docid.Insert(btree.KeyUint64(p.Terminal), btree.DocIDValue(p.DocID, 0)); err != nil {
 					return err
 				}
 			}
@@ -655,7 +615,7 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 		}
 	}
 	if relabel {
-		if err := di.ix.docid.Insert(btree.KeyUint64(newTerm), encodeDocID(docID)); err != nil {
+		if err := di.ix.docid.Insert(btree.KeyUint64(newTerm), btree.DocIDValue(docID, 0)); err != nil {
 			return nil, err
 		}
 		di.ix.hotInvalidateDocid()
