@@ -48,7 +48,7 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bulk.BulkLoad(false, sliceFeeder(entries)); err != nil {
+	if err := bulk.BulkLoad(Fill{}, sliceFeeder(entries)); err != nil {
 		t.Fatal(err)
 	}
 	ins, err := fo.Tree("ins")
@@ -120,14 +120,14 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 func TestBulkLoadEmptyAndSingle(t *testing.T) {
 	fo := newTestForest(t)
 	empty, _ := fo.Tree("empty")
-	if err := empty.BulkLoad(false, sliceFeeder(nil)); err != nil {
+	if err := empty.BulkLoad(Fill{}, sliceFeeder(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if empty.Len() != 0 {
 		t.Fatalf("len = %d", empty.Len())
 	}
 	single, _ := fo.Tree("single")
-	if err := single.BulkLoad(false, sliceFeeder([][2][]byte{{[]byte("k"), []byte("v")}})); err != nil {
+	if err := single.BulkLoad(Fill{}, sliceFeeder([][2][]byte{{[]byte("k"), []byte("v")}})); err != nil {
 		t.Fatal(err)
 	}
 	vals, err := single.Get([]byte("k"))
@@ -149,7 +149,7 @@ func TestBulkLoadEmptyAndSingle(t *testing.T) {
 func TestBulkLoadRejects(t *testing.T) {
 	fo := newTestForest(t)
 	tr, _ := fo.Tree("t")
-	err := tr.BulkLoad(false, sliceFeeder([][2][]byte{
+	err := tr.BulkLoad(Fill{}, sliceFeeder([][2][]byte{
 		{[]byte("b"), nil},
 		{[]byte("a"), nil},
 	}))
@@ -161,13 +161,13 @@ func TestBulkLoadRejects(t *testing.T) {
 	if err := tr2.Insert([]byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr2.BulkLoad(false, sliceFeeder(nil)); err == nil {
+	if err := tr2.BulkLoad(Fill{}, sliceFeeder(nil)); err == nil {
 		t.Fatal("bulk load into non-empty tree accepted")
 	}
 	fo3 := newTestForest(t)
 	tr3, _ := fo3.Tree("t")
 	big := make([]byte, MaxEntrySize+1)
-	if err := tr3.BulkLoad(false, sliceFeeder([][2][]byte{{big, nil}})); err == nil {
+	if err := tr3.BulkLoad(Fill{}, sliceFeeder([][2][]byte{{big, nil}})); err == nil {
 		t.Fatal("oversized entry accepted")
 	}
 }
@@ -189,7 +189,7 @@ func TestBulkLoadSurvivesFlushAndReopen(t *testing.T) {
 	for i := range entries {
 		entries[i] = [2][]byte{KeyUint64(uint64(i)), []byte(fmt.Sprintf("v%d", i))}
 	}
-	if err := tr.BulkLoad(false, sliceFeeder(entries)); err != nil {
+	if err := tr.BulkLoad(Fill{}, sliceFeeder(entries)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fo.Flush(); err != nil {

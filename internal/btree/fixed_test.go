@@ -46,7 +46,7 @@ func TestFixedTreeRejectsOtherWidths(t *testing.T) {
 		if err := tr.Insert(bad[0], bad[1]); err == nil {
 			t.Errorf("Insert of %d+%d bytes into a 12+12 tree accepted", len(bad[0]), len(bad[1]))
 		}
-		if bl, _ := fixedTree(f, fmt.Sprint("bulk", i), 12, 12); bl.BulkLoad(false, sliceFeeder([][2][]byte{e, bad})) == nil {
+		if bl, _ := fixedTree(f, fmt.Sprint("bulk", i), 12, 12); bl.BulkLoad(Fill{}, sliceFeeder([][2][]byte{e, bad})) == nil {
 			t.Errorf("BulkLoad of %d+%d bytes into a 12+12 tree accepted", len(bad[0]), len(bad[1]))
 		}
 	}
@@ -82,7 +82,7 @@ func TestFixedBulkLoadPacksLeaves(t *testing.T) {
 	slotted, _ := f.Tree("slotted")
 	static, _ := f.Tree("static")
 	for tr, insertable := range map[*Tree]bool{fixed: true, slotted: true, static: false} {
-		if err := tr.BulkLoad(insertable, sliceFeeder(entries)); err != nil {
+		if err := tr.BulkLoad(Fill{Insertable: insertable}, sliceFeeder(entries)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestCheckReportsDamagedFixedLeaf(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr, _ := fixedTree(f, "post", 12, 12)
-			if err := tr.BulkLoad(false, sliceFeeder(fixedEntries(1000))); err != nil {
+			if err := tr.BulkLoad(Fill{}, sliceFeeder(fixedEntries(1000))); err != nil {
 				t.Fatal(err)
 			}
 			if errs := f.Check(); len(errs) > 0 {

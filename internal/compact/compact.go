@@ -240,15 +240,24 @@ func versionCounts(enc []byte) (reclaimed, tombstones int) {
 	return reclaimed, tombstones
 }
 
-// adoptVersions installs the manifest's pinned version map onto the freshly
-// built epoch (tombstones are re-marked at the new terminals inside).
-func adoptVersions(m *Manifest, ix *prix.Index) error {
+// pinnedVersions decodes the manifest's pinned version map, nil when
+// versioning is off.
+func pinnedVersions(m *Manifest) (*mvcc.Map, error) {
 	if len(m.Versions) == 0 {
-		return nil
+		return nil, nil
 	}
 	vm, err := mvcc.DecodeMap(m.Versions)
 	if err != nil {
-		return fmt.Errorf("compact: pinned version map: %w", err)
+		return nil, fmt.Errorf("compact: pinned version map: %w", err)
+	}
+	return vm, nil
+}
+
+// adoptVersions installs the pinned version map onto the freshly built epoch
+// (tombstones are re-marked at the new terminals inside).
+func adoptVersions(vm *mvcc.Map, ix *prix.Index) error {
+	if vm == nil {
+		return nil
 	}
 	return ix.AdoptVersions(vm)
 }
@@ -594,6 +603,10 @@ func build(fs pager.FS, workdir string, m *Manifest, o Options, pace func() erro
 		HotBudget: o.HotBudget,
 	}
 	bo := prix.BulkOptions{Spill: prix.DirSpiller(fs, spillDir), MemBudget: m.MemBudget}
+	vm, err := pinnedVersions(m)
+	if err != nil {
+		return nil, 0, err
+	}
 	replay := func(fn func(*prix.DocSeq) error) error {
 		var next uint32
 		for _, ri := range m.Runs {
@@ -641,11 +654,15 @@ func build(fs pager.FS, workdir string, m *Manifest, o Options, pace func() erro
 		return nil
 	}
 	if m.Dynamic {
-		di, err := prix.BulkLoadDynamic(popts, prix.DynamicOptions{Alpha: m.Alpha, Spread: m.Spread}, bo, replay)
+		var version uint64
+		if vm != nil {
+			version = vm.Counter
+		}
+		di, err := prix.BulkLoadDynamic(popts, prix.DynamicOptions{Alpha: m.Alpha, Spread: m.Spread}, bo, version, replay)
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := adoptVersions(m, di.Index()); err != nil {
+		if err := adoptVersions(vm, di.Index()); err != nil {
 			di.Close()
 			return nil, 0, err
 		}
@@ -667,7 +684,7 @@ func build(fs pager.FS, workdir string, m *Manifest, o Options, pace func() erro
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := adoptVersions(m, ix); err != nil {
+	if err := adoptVersions(vm, ix); err != nil {
 		ix.Close()
 		return nil, 0, err
 	}

@@ -110,18 +110,18 @@ type bulkSorter struct {
 	postChunks  []string
 	docidChunks []string
 	buffered    int64
-	insertable  bool
+	fill        btree.Fill
 }
 
 // newBulkSorter returns a sorter whose load fills the index's empty trees.
-// insertable says inserts follow, as they do into a dynamic index: the
-// loaded leaves then keep room for them (btree.Tree.BulkLoad).
-func (ix *Index) newBulkSorter(bo BulkOptions, insertable bool) *bulkSorter {
+// fill is how full the loaded leaves are: a dynamic index's keep room for
+// the inserts and tombstones that follow (btree.Fill).
+func (ix *Index) newBulkSorter(bo BulkOptions, fill btree.Fill) *bulkSorter {
 	spill := bo.Spill
 	if spill == nil {
 		spill = newMemSpiller()
 	}
-	return &bulkSorter{ix: ix, spill: spill, budget: bo.budget(), insertable: insertable}
+	return &bulkSorter{ix: ix, spill: spill, budget: bo.budget(), fill: fill}
 }
 
 func (bs *bulkSorter) addPosting(p vtrie.Posting) error {
@@ -186,14 +186,14 @@ func (bs *bulkSorter) load() error {
 	// BulkLoad copies every key and value into its leaf, so one value buffer
 	// serves the whole merge.
 	var val [postingValLen]byte
-	err := mergeLoad(bs.ix.postings, bs.insertable, bs.spill, bs.postChunks, postRecSize, func(rec []byte) ([]byte, []byte) {
+	err := mergeLoad(bs.ix.postings, bs.fill, bs.spill, bs.postChunks, postRecSize, func(rec []byte) ([]byte, []byte) {
 		putPosting(&val, binary.BigEndian.Uint64(rec[12:20]), binary.BigEndian.Uint32(rec[20:24]))
 		return rec[:12], val[:]
 	})
 	if err != nil {
 		return err
 	}
-	err = mergeLoad(bs.ix.docid, bs.insertable, bs.spill, bs.docidChunks, docidRecSize, func(rec []byte) ([]byte, []byte) {
+	err = mergeLoad(bs.ix.docid, bs.fill, bs.spill, bs.docidChunks, docidRecSize, func(rec []byte) ([]byte, []byte) {
 		binary.LittleEndian.PutUint32(val[:4], binary.BigEndian.Uint32(rec[8:12]))
 		return rec[:8], val[:4]
 	})
@@ -239,7 +239,7 @@ func (ix *Index) emitTrie(builder *vtrie.Builder, bo BulkOptions) error {
 	if err := builder.Validate(); err != nil {
 		return fmt.Errorf("prix: trie labeling: %w", err)
 	}
-	sorter := ix.newBulkSorter(bo, false)
+	sorter := ix.newBulkSorter(bo, btree.Fill{})
 	err := builder.Emit(func(p vtrie.Posting, docs []uint32) error {
 		if err := sorter.addPosting(p); err != nil {
 			return err
@@ -359,7 +359,7 @@ func (h *postHeap) Pop() interface{} {
 // their first 12 bytes, a posting's (symbol, left) or a docid entry's whole
 // (left, docid) — into one BulkLoad of an empty tree; entry splits a record
 // into its tree key and value.
-func mergeLoad(t *btree.Tree, insertable bool, spill Spiller, chunks []string, recSize int, entry func(rec []byte) (key, val []byte)) (err error) {
+func mergeLoad(t *btree.Tree, fill btree.Fill, spill Spiller, chunks []string, recSize int, entry func(rec []byte) (key, val []byte)) (err error) {
 	var h postHeap
 	defer func() {
 		for _, cr := range h {
@@ -377,7 +377,7 @@ func mergeLoad(t *btree.Tree, insertable bool, spill Spiller, chunks []string, r
 	}
 	heap.Init(&h)
 	cur := make([]byte, recSize)
-	return t.BulkLoad(insertable, func() ([]byte, []byte, error) {
+	return t.BulkLoad(fill, func() ([]byte, []byte, error) {
 		for len(h) > 0 {
 			cr := h[0]
 			if cr.done {

@@ -158,7 +158,7 @@ func TestBulkLoadDynamicEqualsInserted(t *testing.T) {
 	}
 	// Match the labeler shape the compactor pins in its manifest: same
 	// alpha/spread, preparatory pass over the full stream.
-	bulk, err := BulkLoadDynamic(Options{BufferPoolPages: 64}, dopts, BulkOptions{MemBudget: 16 << 10}, replaySeqs(docs, false))
+	bulk, err := BulkLoadDynamic(Options{BufferPoolPages: 64}, dopts, BulkOptions{MemBudget: 16 << 10}, 0, replaySeqs(docs, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestBulkLoadDynamicDeterministic(t *testing.T) {
 	docs := dynbulkDocs(25, 23)
 	build := func(dir string) {
 		di, err := BulkLoadDynamic(Options{Dir: dir, BufferPoolPages: 64},
-			DynamicOptions{Alpha: 3}, BulkOptions{MemBudget: 16 << 10}, replaySeqs(docs, false))
+			DynamicOptions{Alpha: 3}, BulkOptions{MemBudget: 16 << 10}, 0, replaySeqs(docs, false))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,24 +114,30 @@ func parallelMatchers(t testing.TB) []matcher {
 	return ms
 }
 
-// checkParallel runs q on m at Parallelism 1 and at par and fails t where
-// the two disagree on the error, the matches or the stats (all but timing
-// and PagesRead). It returns the serial stats (nil on an error).
-func checkParallel(t *testing.T, m matcher, q *twig.Query, unordered bool, par int) *QueryStats {
+// checkParallel runs q on m at Parallelism 1, once, and at each of pars and
+// fails t where a parallel run and the serial one disagree on the error, the
+// matches or the stats (all but timing and PagesRead). It returns the serial
+// stats (nil on an error).
+func checkParallel(t *testing.T, m matcher, q *twig.Query, unordered bool, pars ...int) *QueryStats {
 	t.Helper()
 	serialMS, serialStats, serialErr := m.match(q, MatchOptions{WarmCache: true, Unordered: unordered, Parallelism: 1})
-	ms, stats, err := m.match(q, MatchOptions{WarmCache: true, Unordered: unordered, Parallelism: par})
-	if (err == nil) != (serialErr == nil) {
-		t.Fatalf("%s %s par=%d: err = %v, serial err = %v", m.name, q, par, err, serialErr)
+	for _, par := range pars {
+		ms, stats, err := m.match(q, MatchOptions{WarmCache: true, Unordered: unordered, Parallelism: par})
+		if (err == nil) != (serialErr == nil) {
+			t.Fatalf("%s %s par=%d: err = %v, serial err = %v", m.name, q, par, err, serialErr)
+		}
+		if serialErr != nil {
+			continue
+		}
+		if !reflect.DeepEqual(ms, serialMS) {
+			t.Errorf("%s %s par=%d: matches diverge from serial\n got %v\nwant %v", m.name, q, par, ms, serialMS)
+		}
+		if got, want := statsComparable(stats), statsComparable(serialStats); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %s par=%d: stats = %+v, serial %+v", m.name, q, par, got, want)
+		}
 	}
 	if serialErr != nil {
 		return nil
-	}
-	if !reflect.DeepEqual(ms, serialMS) {
-		t.Errorf("%s %s par=%d: matches diverge from serial\n got %v\nwant %v", m.name, q, par, ms, serialMS)
-	}
-	if got, want := statsComparable(stats), statsComparable(serialStats); !reflect.DeepEqual(got, want) {
-		t.Errorf("%s %s par=%d: stats = %+v, serial %+v", m.name, q, par, got, want)
 	}
 	return serialStats
 }
@@ -141,15 +147,21 @@ func checkParallel(t *testing.T, m matcher, q *twig.Query, unordered bool, par i
 // same QueryStats as Parallelism 1, across ordered, unordered, wildcard,
 // value and single-node queries on both index kinds and AS OF past versions
 // of a mutated index, whose superseded images are read record by record.
+//
+// Under the race detector it runs Parallelism 8 only: the detector checks
+// the workers' sharing at any setting above 1, and each further setting
+// repeats ≈ a minute of loads it checks one by one.
 func TestParallelMatchesSerialDifferential(t *testing.T) {
+	pars := []int{2, 4, 8}
+	if raceEnabled {
+		pars = []int{8}
+	}
 	fetched := false
 	for _, m := range parallelMatchers(t) {
 		for _, qc := range parallelQueries {
 			q := twig.MustParse(qc.src)
-			for _, par := range []int{2, 4, 8} {
-				if st := checkParallel(t, m, q, qc.unordered, par); st != nil && st.RecordFetches > 0 {
-					fetched = true
-				}
+			if st := checkParallel(t, m, q, qc.unordered, pars...); st != nil && st.RecordFetches > 0 {
+				fetched = true
 			}
 		}
 	}
