@@ -31,8 +31,8 @@ test:
 #     path racing queries against hot-tier invalidations, the metamorphic
 #     mutation suite and AS OF replay against the brute-force oracle, the
 #     Delete/Update/Patch power-cut sweeps and the version-map fuzz seeds.
-#   - pager, btree: the crash-recovery sweeps (the B+-tree's over slotted,
-#     fixed-width and packed leaves' inserts and splits, packed postings and
+#   - pager, btree: the crash-recovery sweeps (the B+-tree's over slotted
+#     and packed leaves' inserts and splits, packed postings and
 #     packed Docid entries with tombstones), panic- and race-free; the
 #     pager's no-fill reads racing Get on shared pages (TestNoFillConcurrentWithGet);
 #     pager/pagertest, the sweep driver every crash sweep runs on.
@@ -52,11 +52,11 @@ test:
 #     mvcc: the version-map/diff suite.
 #   - the pooled query scratch under 8 concurrent resident queries, ten
 #     rounds.
-# Two single-goroutine checks do less under -race, where the detector only
-# checks each load their bit decoding makes (raceEnabled): the hot tier's
-# residency test queries four of its nine shapes (TestHotBuildsLeaveNoFrames)
-# and the leaf-ops model check drives one packed layout a seed, without the
-# narrow pass (TestLeafOpsAgainstModel); go test runs them whole.
+# One single-goroutine check does less under -race, where the detector only
+# checks each load its bit decoding makes (raceEnabled): the hot tier's
+# residency test queries four of its nine shapes (TestHotBuildsLeaveNoFrames);
+# go test runs it whole. The leaf-ops model check (TestLeafOpsAgainstModel)
+# runs whole here too: every packed layout a seed, and the narrow pass.
 # -count=1 so a cached pass never stands in for a run.
 race:
 	$(GO) test -race -count=1 ./internal/server ./internal/prix ./internal/pager ./internal/pager/pagertest ./internal/docstore ./internal/btree ./internal/bench ./internal/shard ./internal/ingest ./internal/compact ./internal/hot ./internal/mvcc
@@ -81,12 +81,12 @@ sched:
 
 # Every allocation guard (tests named *Allocs, each an AllocsPerRun bound): a
 # page pin hit or missed, a no-fill page read that missed, a journaled flush, an in-place leaf edit on the
-# slotted and fixed-width codecs and on the packed one (TestPackedEditAllocs: an
+# slotted codec and on the packed one (TestPackedEditAllocs: an
 # insert its widths hold moves the cells after it, a delete re-encodes through
 # a pooled packer, 0 objects, postings and Docid entries), a range scan across
 # packed leaves (TestPackedScanAllocs: 0, the decode buffer pooled, Scan,
 # ScanPostings and ScanDocIDs), a range scan of a bit-packed hot-tier list
-# (TestScanAllocs: 0, narrow and wide cells), a fixed-width leaf split against a slotted one, a record
+# (TestScanAllocs: 0, narrow and wide cells), a slotted leaf split (a few objects, not one a cell), a record
 # decoded into a sized destination, a Match resident and paged, on one
 # goroutine and at Parallelism 4, a trace, the nil span API, a canonical query string,
 # a parsed query (TestParseAllocs: two objects up to 16 nodes), one POST /query
@@ -124,7 +124,7 @@ benchmark-module:
 # hot lists' binary-searched range scans against a naive filter; the hot
 # tier's Add/TryAdd/Get/Invalidate sequences against a container/list LRU
 # model, views held across arena repacks included (FuzzTier); the
-# B+-tree's in-place leaf edits, slotted and fixed-width, against a
+# B+-tree's in-place slotted leaf edits against a
 # sorted-slice model, and its packed leaves' bulk loads, postings and Docid
 # entries (symbol boundaries, duplicate keys, tombstones, fields needing all
 # 64 bits) and the inserts and deletes that follow (cells widened and
@@ -211,8 +211,8 @@ bench:
 # bundled dataset (the table asserts identical match counts, so it doubles
 # as a differential test), plus one iteration of the in-package benchmarks
 # (the resident- and paged-path ones assert their hit and match counts), the
-# pool's pin on a hit and on a miss, a leaf edit on a full page (slotted and
-# fixed-width: BenchmarkLeafInsertFullPage/slotted and /fixed), and the write
+# pool's pin on a hit and on a miss, a leaf edit on a full slotted page
+# (BenchmarkLeafInsertFullPage), and the write
 # path's two: one re-pointed document flushed on a 5,000-document store, and
 # one Update committed on a 3,000-document EPIndex over real files (pages and
 # syncs per commit reported); a dictionary hit over the MIX names; POST /query through the server's handler, paged

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -197,29 +198,33 @@ func TestSizeReportShowsPackedPostings(t *testing.T) {
 	}
 }
 
-// A directory from before the single postings tree has no layout stamp. Its
-// pages and trees are sound, so only the layout line can say what is wrong.
+// A directory from before the single postings tree has no layout stamp, and
+// one written before packed-only postings and Docid trees has stamp 3. Their
+// pages and trees are sound, so only the layout line can say what is wrong,
+// and it names the stamp.
 func TestOldLayoutExitsCorrupt(t *testing.T) {
-	dir := buildIndexDir(t)
-	f, err := pager.OpenOSFile(filepath.Join(dir, "docs.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := pager.NewBufferPool(f, 64)
-	store, err := docstore.Open(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.SetStat("layout", 0)
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	status, out := runCaptured(t, dir)
-	if status != exitCorrupt || !strings.Contains(out, "rebuild with prixload") {
-		t.Errorf("run = %d, want %d with a rebuild hint:\n%s", status, exitCorrupt, out)
+	for _, stamp := range []int64{0, 3} {
+		dir := buildIndexDir(t)
+		f, err := pager.OpenOSFile(filepath.Join(dir, "docs.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp := pager.NewBufferPool(f, 64)
+		store, err := docstore.Open(bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.SetStat("layout", stamp)
+		if err := store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := bp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		status, out := runCaptured(t, dir)
+		if status != exitCorrupt || !strings.Contains(out, "rebuild with prixload") || !strings.Contains(out, fmt.Sprintf("layout %d, this build reads 4", stamp)) {
+			t.Errorf("stamp %d: run = %d, want %d with the stamp and a rebuild hint:\n%s", stamp, status, exitCorrupt, out)
+		}
 	}
 }
 

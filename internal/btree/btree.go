@@ -9,12 +9,11 @@
 // pager pages (pager.PageDataSize bytes; the pager owns a per-page
 // integrity header on top) and travel through the buffer pool, so every
 // traversal is accounted in the pool's physical-read counter. Reads
-// binary-search pages in place — through a slot directory, by offset on
-// fixed-width leaves (which trees written before packed postings leaves
-// keep), or by bit offset on the packed leaves of a PackedTree or a
-// PackedDocIDTree — and leaf inserts and deletes edit every leaf codec in
-// place; only splits materialise slotted and fixed-width pages into memory,
-// and a packed leaf splits by bits into as many leaves as its cells need.
+// binary-search pages in place — through a slot directory, or by bit offset
+// on the packed leaves of a PackedTree or a PackedDocIDTree — and leaf
+// inserts and deletes edit both leaf codecs in place; only splits
+// materialise slotted pages into memory, and a packed leaf splits by bits
+// into as many leaves as its cells need.
 package btree
 
 import (
@@ -31,9 +30,8 @@ import (
 )
 
 const (
-	leafNode      = byte(1) // slotted leaf
-	internalNode  = byte(2)
-	fixedLeafNode = byte(3) // fixed-width leaf (page.go)
+	leafNode     = byte(1) // slotted leaf
+	internalNode = byte(2)
 
 	headerSize   = 9 // kind(1) + numKeys(2) + extra(4) + cellStart(2)
 	slotSize     = 2 // per-cell offset
@@ -71,11 +69,10 @@ type innerCell struct {
 }
 
 type nodePage struct {
-	kind   byte
-	extra  uint32  // leaf: next-leaf page id; internal: leftmost child
-	widths [2]byte // fixed-width leaf: key and value width
-	leaf   []leafCell
-	inner  []innerCell
+	kind  byte
+	extra uint32 // leaf: next-leaf page id; internal: leftmost child
+	leaf  []leafCell
+	inner []innerCell
 }
 
 // decodePage materialises a node. Its cells alias one private copy of the
@@ -85,9 +82,6 @@ func decodePage(data []byte) (*nodePage, error) {
 	n := &nodePage{kind: pageKind(data), extra: pageExtra(data)}
 	num := pageNumKeys(data)
 	switch n.kind {
-	case fixedLeafNode:
-		n.widths = [2]byte{data[7], data[8]}
-		fallthrough
 	case leafNode:
 		n.leaf = make([]leafCell, num, num+1)
 		for i := range n.leaf {
@@ -107,7 +101,7 @@ func decodePage(data []byte) (*nodePage, error) {
 func (n *nodePage) size() int {
 	sz := headerSize
 	for _, c := range n.leaf {
-		sz += leafCellSize(n.kind, len(c.key), len(c.val))
+		sz += leafCellSize(len(c.key), len(c.val))
 	}
 	for _, c := range n.inner {
 		sz += slotSize + innerCellHdr + len(c.key)
@@ -136,9 +130,6 @@ func (n *nodePage) encode(data []byte) {
 	}
 	binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.inner)))
 	binary.LittleEndian.PutUint16(data[7:9], uint16(off))
-	if n.kind == fixedLeafNode {
-		data[7], data[8] = n.widths[0], n.widths[1]
-	}
 	for i, c := range n.leaf {
 		leafInsertAt(data, i, c.key, c.val)
 	}
@@ -202,7 +193,7 @@ func (t *Tree) Insert(key, val []byte) error {
 
 // insertRec inserts under page id. When the page splits it returns the new
 // siblings to its right, each with its first key, the separator its parent
-// takes: one for a slotted, fixed-width or internal page that split in two,
+// takes: one for a slotted or internal page that split in two,
 // as many as a packed leaf's cells need (splitPacked). The descent reads raw
 // pages; only mutated nodes are decoded.
 func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]childRef, error) {
@@ -262,12 +253,8 @@ func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]childRef, error) {
 	if isPacked(pageKind(p.Data)) {
 		return t.insertPacked(p, key, val)
 	}
-	if err := leafFits(p.Data, key, val); err != nil {
-		p.Unpin(false)
-		return nil, err
-	}
 	pos := leafUpperBound(p.Data, key)
-	if leafCellSize(pageKind(p.Data), len(key), len(val)) <= pageFree(p.Data) {
+	if leafCellSize(len(key), len(val)) <= pageFree(p.Data) {
 		leafInsertAt(p.Data, pos, key, val)
 		p.Unpin(true)
 		return nil, nil
@@ -284,11 +271,11 @@ func (t *Tree) insertRec(id pager.PageID, key, val []byte) ([]childRef, error) {
 	// last leaf moves only the new entry, so ascending loads (docid-ordered
 	// sidecar chunks, Left-ordered postings) leave full leaves behind
 	// instead of half-empty ones.
-	mid := splitIndex(len(n.leaf), func(i int) int { return leafCellSize(n.kind, len(n.leaf[i].key), len(n.leaf[i].val)) })
+	mid := splitIndex(len(n.leaf), func(i int) int { return leafCellSize(len(n.leaf[i].key), len(n.leaf[i].val)) })
 	if pos == len(n.leaf)-1 && n.extra == 0 {
 		mid = pos
 	}
-	right := &nodePage{kind: n.kind, extra: n.extra, widths: n.widths, leaf: n.leaf[mid:]}
+	right := &nodePage{kind: leafNode, extra: n.extra, leaf: n.leaf[mid:]}
 	n.leaf = n.leaf[:mid]
 	rid, err := t.allocNode(right)
 	if err != nil {
@@ -346,11 +333,12 @@ func (t *Tree) ScanNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val [
 	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{entry: fn})
 }
 
-// ScanPostings is Scan over a tree of postings — 12-byte keys of a
+// ScanPostings is Scan over a PackedTree of postings — 12-byte keys of a
 // big-endian symbol ‖ Left, 12-byte values of a big-endian Right ‖ a
-// little-endian level, in leaves of any codec — handing fn each entry's
-// fields as numbers: a packed leaf's cells decode straight into them, with
-// no 24 bytes encoded for fn to decode again.
+// little-endian level — handing fn each entry's fields as numbers: the
+// cells decode straight into them, with no 24 bytes encoded for fn to
+// decode again. A leaf of another codec or layout ends the scan with an
+// error.
 func (t *Tree) ScanPostings(lo, hi []byte, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) error {
 	return t.scan(lo, hi, loIncl, hiIncl, false, visitor{posting: fn})
 }
@@ -360,8 +348,8 @@ func (t *Tree) ScanPostingsNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(sy
 	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{posting: fn})
 }
 
-// ScanDocIDs is ScanPostings' twin over a Docid tree — 8-byte big-endian
-// terminal LeftPos keys, DocIDValue values, in leaves of any codec — handing
+// ScanDocIDs is ScanPostings' twin over a PackedDocIDTree — 8-byte
+// big-endian terminal LeftPos keys, DocIDValue values — handing
 // fn each entry's terminal, docID and, for a tombstone, the version the
 // document was deleted at (0 for a live entry).
 func (t *Tree) ScanDocIDs(lo, hi []byte, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) error {
@@ -525,8 +513,8 @@ func (t *Tree) Prefetch(lo, hi []byte, loIncl bool, par int) int {
 // of the pin transfers to scanLeaves). Packed leaves are decoded entry by
 // entry — for fn.entry into one pooled buffer, which it sees for the
 // callback only — and held to a hi of their layout's key length as the
-// fields it encodes; a visitor of fields gets other leaves' entries parsed,
-// and an error for a leaf or an entry of another layout.
+// fields it encodes; a visitor of fields gets an error for a leaf that is
+// not a packed leaf of its layout.
 func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bool, fn visitor) error {
 	var (
 		dec  *[packedEntryLen]byte
@@ -544,13 +532,13 @@ func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bo
 		data := p.Data
 		var packed *packedLeaf
 		hiNumeric := false
+		if ly != nil && packedLayoutOf(pageKind(data)) != ly {
+			p.Unpin(false)
+			return fmt.Errorf("btree: a scan of %s entries reached a leaf of %s cells", ly.entries, leafFormat(data))
+		}
 		if isPacked(pageKind(data)) {
 			leaf.parse(data)
 			packed = &leaf
-			if ly != nil && leaf.ly != ly {
-				p.Unpin(false)
-				return fmt.Errorf("btree: a scan of %s entries reached a leaf of %s cells", ly.entries, leaf.ly.name)
-			}
 			if hiNumeric = len(hi) == leaf.ly.keyLen; hiNumeric {
 				hiKey = leaf.ly.parseKey(hi)
 			}
@@ -590,13 +578,6 @@ func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bo
 			if hi != nil && (c > 0 || c == 0 && !hiIncl) {
 				p.Unpin(false)
 				return nil
-			}
-			if fn.entry == nil && packed == nil {
-				var ok bool
-				if e, ok = ly.parse(k, v); !ok {
-					p.Unpin(false)
-					return ly.notEntry(k, v)
-				}
 			}
 			var more bool
 			switch {
@@ -691,10 +672,10 @@ func (t *Tree) Delete(key, val []byte) (bool, error) {
 // Shape is a tree's footprint: Pages counts the pages of each level, root
 // first and leaves last (so its length is the height), LeafFill is the used
 // share of the leaves' payload bytes, and LeafFormat names the leaves' cell
-// format: "slotted", "fixed 12+12" for keyLen+valLen, or "packed
-// 7+17+13+6-bit" for the widest field of each of a layout's fields in any
-// leaf — symbol, Left, scope and level for postings, LeftPos, docID and
-// tombstone version ("packed 12+10+0-bit") for Docid entries.
+// format: "slotted", or "packed 7+17+13+6-bit" for the widest field of each
+// of a layout's fields in any leaf — symbol, Left, scope and level for
+// postings, LeftPos, docID and tombstone version ("packed 12+10+0-bit") for
+// Docid entries.
 type Shape struct {
 	Entries    uint64
 	Pages      []int

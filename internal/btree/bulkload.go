@@ -160,10 +160,9 @@ type childRef struct {
 // to tune it for.
 const loadSlack = pager.PageDataSize / 10
 
-// loadLeaves is BulkLoad's leaf pass for a slotted or fixed-width tree: it
-// fills the pinned root page p and its successors in place, each leaf of p's
-// cell format, leaving slack bytes free on each. It releases the last leaf's
-// pin.
+// loadLeaves is BulkLoad's leaf pass for a slotted tree: it fills the
+// pinned root page p and its successors in place, leaving slack bytes free
+// on each. It releases the last leaf's pin.
 func (t *Tree) loadLeaves(p pager.Page, slack int, entries func() (key, val []byte, ok bool, err error)) ([]childRef, error) {
 	defer func() { p.Unpin(true) }()
 	var leaves []childRef
@@ -172,17 +171,13 @@ func (t *Tree) loadLeaves(p pager.Page, slack int, entries func() (key, val []by
 		if err != nil || !ok {
 			return leaves, err
 		}
-		if err := leafFits(p.Data, key, val); err != nil {
-			return nil, err
-		}
-		if leafCellSize(pageKind(p.Data), len(key), len(val)) > pageFree(p.Data)-slack {
-			// Seal the filled leaf by pointing it at a fresh successor of its
-			// format (encode reads the widths only on a fixed-width leaf).
+		if leafCellSize(len(key), len(val)) > pageFree(p.Data)-slack {
+			// Seal the filled leaf by pointing it at a fresh empty successor.
 			np, err := t.forest.bp.NewPage()
 			if err != nil {
 				return nil, err
 			}
-			(&nodePage{kind: pageKind(p.Data), widths: [2]byte{p.Data[7], p.Data[8]}}).encode(np.Data)
+			(&nodePage{kind: leafNode}).encode(np.Data)
 			binary.LittleEndian.PutUint32(p.Data[3:7], uint32(np.ID))
 			p.Unpin(true)
 			p = np

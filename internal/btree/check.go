@@ -10,7 +10,7 @@ import (
 
 // Check walks every tree in the forest and validates its structural
 // invariants: page shapes (slot offsets and cell lengths in bounds, or a
-// fixed-width or packed leaf's cells inside its page), key ordering within
+// packed leaf's cells inside its page), key ordering within
 // pages and across separators, equal depth of all leaves, one cell format
 // across a tree's leaves, absence of page-reference cycles, and per-tree entry counts
 // matching the directory. It returns every problem found (bounded, so a
@@ -155,21 +155,12 @@ func (c *checker) walk(id pager.PageID, depth int, low, high []byte) uint64 {
 
 // validateNodeShape bounds-checks a node page so the raw accessors cannot
 // read (or panic) outside it: kind byte, slot directory, per-cell offsets
-// and lengths (or a fixed-width leaf's widths against its cell count, or a
-// packed leaf's field widths and cell area), and in-page key ordering —
-// decoded keys, on a packed leaf.
+// and lengths (or a packed leaf's field widths and cell area), and in-page
+// key ordering — decoded keys, on a packed leaf.
 func validateNodeShape(data []byte) error {
 	kind := pageKind(data)
 	num := pageNumKeys(data)
 	switch kind {
-	case fixedLeafNode:
-		kw, vw := fixedWidths(data)
-		if kw == 0 {
-			return fmt.Errorf("fixed-width leaf with zero key width")
-		}
-		if end := headerSize + num*(kw+vw); end > len(data) {
-			return fmt.Errorf("%d cells of %d+%d bytes overflow the page (end at %d)", num, kw, vw, end)
-		}
 	case packedLeafNode, packedDocIDLeafNode:
 		if err := validatePacked(data, num); err != nil {
 			return err

@@ -15,22 +15,15 @@ import (
 // btreeWorkload inserts batches of keys into a forest tree over a
 // journaled pool, committing (Forest.Flush) after each batch. It returns
 // how many batches committed cleanly. Keys are deterministic so recovered
-// states can be checked against expected batch boundaries. With fixedVal > 0
-// the tree has fixed-width leaves (fixedTree) and values padded to fixedVal bytes.
+// states can be checked against expected batch boundaries.
 const crashBatches = 4
 const crashBatchKeys = 30
 
 func crashKey(i int) []byte { return KeyUint64(uint64(i)*7 + 1) }
 
-func crashVal(i, fixedVal int) []byte {
-	v := []byte(fmt.Sprintf("v%d", i))
-	if fixedVal > 0 {
-		v = append(v, make([]byte, fixedVal-len(v))...)
-	}
-	return v
-}
+func crashVal(i int) []byte { return []byte(fmt.Sprintf("v%d", i)) }
 
-func btreeWorkload(main, journalFile pager.File, fixedVal int) error {
+func btreeWorkload(main, journalFile pager.File) error {
 	j, err := pager.NewJournal(journalFile)
 	if err != nil {
 		return err
@@ -43,19 +36,14 @@ func btreeWorkload(main, journalFile pager.File, fixedVal int) error {
 	if err != nil {
 		return err
 	}
-	var tr *Tree
-	if fixedVal > 0 {
-		tr, err = fixedTree(forest, "t", 8, fixedVal)
-	} else {
-		tr, err = forest.Tree("t")
-	}
+	tr, err := forest.Tree("t")
 	if err != nil {
 		return err
 	}
 	for batch := 0; batch < crashBatches; batch++ {
 		for i := 0; i < crashBatchKeys; i++ {
 			k := batch*crashBatchKeys + i
-			if err := tr.Insert(crashKey(k), crashVal(k, fixedVal)); err != nil {
+			if err := tr.Insert(crashKey(k), crashVal(k)); err != nil {
 				return err
 			}
 		}
@@ -70,20 +58,14 @@ func btreeWorkload(main, journalFile pager.File, fixedVal int) error {
 // build and asserts that reopening always recovers a consistent tree holding
 // exactly the keys of some committed batch prefix — the paper's index
 // structures never come back half-built or silently wrong.
-func TestBtreeCrashSweep(t *testing.T) { crashSweep(t, 0) }
-
-// TestBtreeCrashSweepFixed is the same sweep over fixed-width leaves of 8+200
-// bytes, 40 to a page, so the 120 keys split leaves inside the swept commits.
-func TestBtreeCrashSweepFixed(t *testing.T) { crashSweep(t, 200) }
-
-func crashSweep(t *testing.T, fixedVal int) {
+func TestBtreeCrashSweep(t *testing.T) {
 	var mainMem, journalMem *pager.MemFile
 	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
 		mainMem, journalMem = pager.NewMemFile(), pager.NewMemFile()
 		main, journalFile := pager.NewFaultFile(mainMem), pager.NewFaultFile(journalMem)
 		main.SetPowerClock(clock)
 		journalFile.SetPowerClock(clock)
-		return btreeWorkload(main, journalFile, fixedVal)
+		return btreeWorkload(main, journalFile)
 	}
 	pagertest.Sweep(t, 30, pagertest.TearEvery(2, 1021), run, func(t *testing.T, k int64) {
 		// Reboot on the frozen images.
@@ -113,7 +95,7 @@ func crashSweep(t *testing.T, fixedVal int) {
 				if string(key) != string(want) {
 					t.Errorf("key %d mismatch", gotKeys)
 				}
-				if string(val) != string(crashVal(gotKeys, fixedVal)) {
+				if string(val) != string(crashVal(gotKeys)) {
 					t.Errorf("value %d mismatch: %q", gotKeys, val)
 				}
 				gotKeys++
@@ -125,11 +107,6 @@ func crashSweep(t *testing.T, fixedVal int) {
 		}
 		if gotKeys%crashBatchKeys != 0 || gotKeys > crashBatches*crashBatchKeys {
 			t.Errorf("recovered %d keys: not a committed batch boundary", gotKeys)
-		}
-		if fixedVal > 0 && gotKeys > 0 {
-			if s, err := tr.Shape(); err != nil || s.LeafFormat != fmt.Sprintf("fixed 8+%d", fixedVal) || (gotKeys > 40) != (len(s.Pages) > 1) {
-				t.Errorf("recovered tree: %d levels of %q leaves (%v)", len(s.Pages), s.LeafFormat, err)
-			}
 		}
 	})
 }

@@ -10,24 +10,20 @@ import (
 	"repro/internal/pager"
 )
 
-// The in-place leaf edits (leafInsertAt, leafDeleteAt) of the slotted and
-// fixed-width leaf codecs against a sorted-slice model (the packed codec's,
-// whose entries must be postings or Docid entries, is runPackedOps,
-// packed_test.go): duplicate keys, deletes by key and by (key,
-// value), and reopens of the forest over a fresh pool. Slotted leaves take
-// value lengths from 0 to a quarter page (so leaves split after a handful of
-// inserts and cells sit in the heap in every physical order); fixed-width
-// leaves take 3+120-byte cells, 66 to a page. After every operation the
-// forest must pass Check and a full Scan must replay the model exactly.
+// The in-place leaf edits (leafInsertAt, leafDeleteAt) of the slotted leaf
+// codec against a sorted-slice model (the packed codec's, whose entries must
+// be postings or Docid entries, is runPackedOps, packed_test.go): duplicate
+// keys, deletes by key and by (key, value), and reopens of the forest over a
+// fresh pool. Values take lengths from 0 to a quarter page, so leaves split
+// after a handful of inserts and cells sit in the heap in every physical
+// order. After every operation the forest must pass Check and a full Scan
+// must replay the model exactly.
 
 type modelEntry struct{ key, val []byte }
 
-// fixedOpsVal is the value width of runLeafOps' fixed-width tree.
-const fixedOpsVal = 120
-
 // runLeafOps interprets ops three bytes at a time: opcode, key selector,
-// value selector. fixed runs them on a fixed-width tree (fixedTree).
-func runLeafOps(t *testing.T, ops []byte, fixed bool) {
+// value selector.
+func runLeafOps(t *testing.T, ops []byte) {
 	t.Helper()
 	file := pager.NewMemFile()
 	open := func() (*Forest, *Tree) {
@@ -35,12 +31,7 @@ func runLeafOps(t *testing.T, ops []byte, fixed bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tr *Tree
-		if fixed {
-			tr, err = fixedTree(f, "t", 3, fixedOpsVal)
-		} else {
-			tr, err = f.Tree("t")
-		}
+		tr, err := f.Tree("t")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,13 +43,8 @@ func runLeafOps(t *testing.T, ops []byte, fixed bool) {
 		key := []byte{'k', ops[i+1] % 16}
 		if ops[i+1]&16 != 0 {
 			key = append(key, ops[i+1]%5) // mixed key lengths, shared prefixes
-		} else if fixed {
-			key = append(key, 0xff) // shared prefixes, one length
 		}
 		n := int(ops[i+2]) % 8 * int(ops[i+2]) % (MaxEntrySize - 8)
-		if fixed {
-			n = fixedOpsVal
-		}
 		val := bytes.Repeat([]byte{ops[i+2]}, n)
 		switch ops[i] % 8 {
 		case 0, 1, 2, 3, 4: // insert after every equal key
@@ -115,12 +101,8 @@ func runLeafOps(t *testing.T, ops []byte, fixed bool) {
 			t.Fatalf("op %d: scan saw %d of %d entries (err %v)", i/3, j, len(model), err)
 		}
 	}
-	want := "slotted"
-	if fixed {
-		want = fmt.Sprintf("fixed 3+%d", fixedOpsVal)
-	}
-	if s, err := tr.Shape(); err != nil || s.LeafFormat != want {
-		t.Fatalf("leaves are %q (%v), want %q", s.LeafFormat, err, want)
+	if s, err := tr.Shape(); err != nil || s.LeafFormat != "slotted" {
+		t.Fatalf("leaves are %q (%v), want slotted", s.LeafFormat, err)
 	}
 }
 
@@ -128,20 +110,13 @@ func TestLeafOpsAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		ops := make([]byte, 3*1500)
 		rand.New(rand.NewSource(seed)).Read(ops)
-		runLeafOps(t, ops, false)
-		runLeafOps(t, ops, true)
+		runLeafOps(t, ops)
 		// The same bytes as a packed tree's load and edits, and for one
 		// seed again with every opcode's shift and docID-spread bits
 		// cleared, so fields stay narrow and cells fit one 8-byte load.
-		// Under the race detector, which finds nothing to race in one
-		// goroutine's edits and checks every load their bit decoding
-		// makes, each seed drives one layout, and the narrow pass none.
-		for i, pc := range packedCases {
-			if raceEnabled && int64(i) != seed%int64(len(packedCases)) {
-				continue
-			}
+		for _, pc := range packedCases {
 			runPackedOps(t, pc, ops)
-			if seed == 1 && !raceEnabled {
+			if seed == 1 {
 				narrow := bytes.Clone(ops)
 				for i := 0; i < len(narrow); i += 4 {
 					narrow[i] &= 7
@@ -159,137 +134,118 @@ func FuzzLeafOps(f *testing.F) {
 		if len(ops) > 3*400 {
 			ops = ops[:3*400]
 		}
-		runLeafOps(t, ops, false)
-		runLeafOps(t, ops, true)
+		runLeafOps(t, ops)
 	})
 }
 
-// leafFormats are the two leaf codecs, as the tests below create them: an
-// empty named tree of 8-byte keys and 12-byte values, and each leaf's cell
-// size.
-var leafFormats = []struct {
-	name    string
-	newTree func(f *Forest, name string) (*Tree, error)
-	cell    int
-}{
-	{"slotted", func(f *Forest, name string) (*Tree, error) { return f.Tree(name) }, slotSize + leafCellHdr + 8 + 12},
-	{"fixed", func(f *Forest, name string) (*Tree, error) { return fixedTree(f, name, 8, 12) }, 8 + 12},
-}
+// slottedCell is the page bytes of one slotted cell of the 8-byte keys and
+// 12-byte values the tests below insert.
+const slottedCell = slotSize + leafCellHdr + 8 + 12
 
 // A leaf edit that does not split must not touch the heap: the page is
-// searched, shifted and written through the pin alone, on either codec.
+// searched, shifted and written through the pin alone.
 func TestLeafEditAllocs(t *testing.T) {
-	for _, lf := range leafFormats {
-		t.Run(lf.name, func(t *testing.T) {
-			tr, err := lf.newTree(memForest(t), "t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			val := make([]byte, 12)
-			for i := 0; i < 50; i++ {
-				if err := tr.Insert(KeyUint64(uint64(i)*2), val); err != nil {
-					t.Fatal(err)
-				}
-			}
-			key := KeyUint64(51)
-			n := testing.AllocsPerRun(100, func() {
-				if err := tr.Insert(key, val); err != nil {
-					t.Fatal(err)
-				}
-				if ok, err := tr.Delete(key, val); err != nil || !ok {
-					t.Fatalf("Delete = %v, %v", ok, err)
-				}
-			})
-			if n != 0 {
-				t.Errorf("non-splitting Insert+Delete allocates %v objects, want 0", n)
-			}
-			if s, _ := tr.Shape(); len(s.Pages) != 1 {
-				t.Fatalf("fixture split: height %d", len(s.Pages))
-			}
-		})
+	tr, err := memForest(t).Tree("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 12)
+	for i := 0; i < 50; i++ {
+		if err := tr.Insert(KeyUint64(uint64(i)*2), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := KeyUint64(51)
+	n := testing.AllocsPerRun(100, func() {
+		if err := tr.Insert(key, val); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := tr.Delete(key, val); err != nil || !ok {
+			t.Fatalf("Delete = %v, %v", ok, err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("non-splitting Insert+Delete allocates %v objects, want 0", n)
+	}
+	if s, _ := tr.Shape(); len(s.Pages) != 1 {
+		t.Fatalf("fixture split: height %d", len(s.Pages))
 	}
 }
 
-// A split decodes the leaf once and writes two pages; the fixed-width codec
-// must not make that cost more objects than the slotted one. Each run splits
-// a different full single-leaf tree in the middle.
+// A split decodes the leaf into one copy of the page, its cells aliasing it,
+// and writes two pages and a new root: a few objects however many cells the
+// leaf holds (14 measured, for 314 cells), never one per cell. Each run
+// splits a different full single-leaf tree in the middle.
 func TestLeafSplitAllocs(t *testing.T) {
 	const runs = 20
-	allocs := map[string]float64{}
-	for _, lf := range leafFormats {
-		f, err := Open(pager.NewBufferPool(pager.NewMemFile(), 8*runs))
+	f, err := Open(pager.NewBufferPool(pager.NewMemFile(), 8*runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 12)
+	full := (pager.PageDataSize - headerSize) / slottedCell
+	trees := make([]*Tree, runs+1) // AllocsPerRun warms up with one extra call
+	for r := range trees {
+		tr, err := f.Tree(fmt.Sprint(r))
+		trees[r] = tr
+		for i := 0; err == nil && i < full; i++ {
+			err = tr.Insert(KeyUint64(uint64(i)*2), val)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		val := make([]byte, 12)
-		full := (pager.PageDataSize - headerSize) / lf.cell
-		trees := make([]*Tree, runs+1) // AllocsPerRun warms up with one extra call
-		for r := range trees {
-			tr, err := lf.newTree(f, fmt.Sprint(r))
-			trees[r] = tr
-			for i := 0; err == nil && i < full; i++ {
-				err = tr.Insert(KeyUint64(uint64(i)*2), val)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+	}
+	key, next := KeyUint64(uint64(full)|1), 0
+	n := testing.AllocsPerRun(runs, func() {
+		if err := trees[next].Insert(key, val); err != nil {
+			t.Fatal(err)
 		}
-		key, next := KeyUint64(uint64(full)|1), 0
-		allocs[lf.name] = testing.AllocsPerRun(runs, func() {
-			if err := trees[next].Insert(key, val); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		})
-		for _, tr := range trees {
-			if s, _ := tr.Shape(); len(s.Pages) != 2 {
-				t.Fatalf("%s: tree %s did not split: height %d", lf.name, tr.name, len(s.Pages))
-			}
+		next++
+	})
+	for _, tr := range trees {
+		if s, _ := tr.Shape(); len(s.Pages) != 2 {
+			t.Fatalf("tree %s did not split: height %d", tr.name, len(s.Pages))
 		}
 	}
-	t.Logf("objects per split: slotted %v, fixed %v", allocs["slotted"], allocs["fixed"])
-	if allocs["fixed"] > allocs["slotted"] {
-		t.Errorf("a fixed-width leaf split allocates %v objects, a slotted one %v", allocs["fixed"], allocs["slotted"])
+	t.Logf("objects per split of a %d-cell leaf: %v", full, n)
+	if n > 16 {
+		t.Errorf("a split of a %d-cell leaf allocates %v objects, want at most 16", full, n)
 	}
 }
 
 // BenchmarkLeafInsertFullPage inserts into (and deletes from) the middle of a
-// leaf one entry short of full, on each codec: the slot shift and heap
-// compaction, or the fixed-width tail memmove, at their most expensive, where
-// the decode-and-rewrite path cost ~2 allocations per resident cell.
+// slotted leaf one entry short of full: the slot shift and heap compaction at
+// their most expensive, where the decode-and-rewrite path cost ~2
+// allocations per resident cell.
 func BenchmarkLeafInsertFullPage(b *testing.B) {
-	for _, lf := range leafFormats {
-		b.Run(lf.name, func(b *testing.B) {
-			tr, err := lf.newTree(memForest(b), "t")
-			if err != nil {
-				b.Fatal(err)
-			}
-			val := make([]byte, 12)
-			per := (pager.PageDataSize - headerSize) / lf.cell
-			for i := 0; i < per-1; i++ {
-				if err := tr.Insert(KeyUint64(uint64(i)*2), val); err != nil {
-					b.Fatal(err)
-				}
-			}
-			key := KeyUint64(uint64(per) | 1)
-			edit := func() {
-				if err := tr.Insert(key, val); err != nil {
-					b.Fatal(err)
-				}
-				if ok, _ := tr.Delete(key, val); !ok {
-					b.Fatal("inserted entry not found")
-				}
-			}
-			edit() // warm-up, so first-use costs stay out of a -benchtime 1x smoke run
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				edit()
-			}
-			b.StopTimer()
-			if s, _ := tr.Shape(); len(s.Pages) != 1 {
-				b.Fatalf("leaf split during the benchmark: height %d", len(s.Pages))
-			}
-		})
+	tr, err := memForest(b).Tree("t")
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := make([]byte, 12)
+	per := (pager.PageDataSize - headerSize) / slottedCell
+	for i := 0; i < per-1; i++ {
+		if err := tr.Insert(KeyUint64(uint64(i)*2), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	key := KeyUint64(uint64(per) | 1)
+	edit := func() {
+		if err := tr.Insert(key, val); err != nil {
+			b.Fatal(err)
+		}
+		if ok, _ := tr.Delete(key, val); !ok {
+			b.Fatal("inserted entry not found")
+		}
+	}
+	edit() // warm-up, so first-use costs stay out of a -benchtime 1x smoke run
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edit()
+	}
+	b.StopTimer()
+	if s, _ := tr.Shape(); len(s.Pages) != 1 {
+		b.Fatalf("leaf split during the benchmark: height %d", len(s.Pages))
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/pager"
 )
 
-// A packed leaf is the third leaf codec, for trees whose entries are a few
+// A packed leaf is the second leaf codec, for trees whose entries are a few
 // fixed numeric fields. It stores each entry as up to four unsigned fields,
 // each a delta from the leaf's minimum for that field (its frame of
 // reference) or, for a field without one, the value as is, each at the

@@ -819,9 +819,55 @@ func TestPackedScanAllocs(t *testing.T) {
 	}
 }
 
+// ScanPostings and ScanDocIDs read packed leaves of their own layout only. A
+// field scan that reaches a slotted leaf — even one holding entries of its
+// shape — or a packed leaf of the other layout must return an error naming
+// the leaf's cells, before it hands fn anything, and never panic.
+func TestFieldScanRefusesOtherLeaves(t *testing.T) {
+	f := memForest(t)
+	load := func(name string, newTree func(*Forest, string) (*Tree, error), entries [][2][]byte) *Tree {
+		t.Helper()
+		tr, err := newTree(f, name)
+		if err == nil {
+			err = tr.BulkLoad(Fill{}, sliceFeeder(entries))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	var (
+		slottedPost  = load("slotted post", (*Forest).Tree, packedPostings(2000))
+		slottedDocID = load("slotted docid", (*Forest).Tree, packedDocIDs(2000))
+		post         = load("post", postingsCase.newTree, packedPostings(2000))
+		docid        = load("docid", docIDCase.newTree, packedDocIDs(2000))
+	)
+	for _, c := range []struct {
+		tr    *Tree
+		scans []scanFunc
+		cells string
+	}{
+		{slottedPost, postingsCase.fieldScans(slottedPost), "slotted"},
+		{slottedDocID, docIDCase.fieldScans(slottedDocID), "slotted"},
+		{post, docIDCase.fieldScans(post), "packed"},
+		{docid, postingsCase.fieldScans(docid), "packed docid"},
+	} {
+		for i, scan := range c.scans {
+			seen := 0
+			err := scan(nil, nil, true, true, func(k, v []byte) bool {
+				seen++
+				return true
+			})
+			if want := "reached a leaf of " + c.cells + " cells"; err == nil || !strings.Contains(err.Error(), want) || seen > 0 {
+				t.Errorf("%s: field scan %d = %v after %d entries, want an error naming %q before any", c.tr.Name(), i, err, seen, want)
+			}
+		}
+	}
+}
+
 // Check must report a damaged packed leaf, never read past it: a field
 // wider than its type, cells that overflow the page, a base that lifts the
-// leaf's keys past its separator, and a sibling of another codec.
+// leaf's keys past its separator, and a sibling of the slotted codec.
 func TestCheckReportsDamagedPackedLeaf(t *testing.T) {
 	damage := map[string]struct {
 		edit func(data []byte)
@@ -832,8 +878,8 @@ func TestCheckReportsDamagedPackedLeaf(t *testing.T) {
 		"base past separator": {func(data []byte) {
 			binary.LittleEndian.PutUint32(data[11:15], 1<<30)
 		}, "above its subtree bound"},
-		"fixed sibling": {func(data []byte) {
-			(&nodePage{kind: fixedLeafNode, extra: pageExtra(data), widths: [2]byte{12, 12}}).encode(data)
+		"slotted sibling": {func(data []byte) {
+			(&nodePage{kind: leafNode, extra: pageExtra(data)}).encode(data)
 		}, "its siblings' packed"},
 	}
 	for name, d := range damage {

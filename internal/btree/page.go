@@ -3,7 +3,6 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/pager"
 )
@@ -18,21 +17,13 @@ import (
 //	cells:   leaf:  keyLen(2) valLen(2) key val
 //	         inner: keyLen(2) child(4) key
 //
-// A fixed-width leaf (kind fixedLeafNode) is the second leaf codec, which
-// the postings trees of dynamic indexes written before packed dynamic leaves
-// have: the two cellStart bytes hold keyLen and valLen, and numKeys cells of
-// exactly keyLen+valLen bytes follow the header in key order, with no slot
-// directory and no per-cell lengths. Forest creates no new tree of them; an
-// existing one keeps splitting into fixed-width leaves.
-// A packed leaf (packed.go) is the third, for every tree of fixed numeric
-// fields: a header of field widths and per-leaf minimums, then cells of one
-// bit width per leaf, each entry's fields as deltas from those minimums. One
-// codec serves two entry layouts, a kind byte each: postings (kind
-// packedLeafNode) and Docid entries (kind packedDocIDLeafNode). The kind
-// byte says which codec and layout a page uses, so a tree's pages describe
-// themselves and the forest directory does not record it: a postings tree
-// written with fixed-width leaves, or a Docid tree with slotted ones, keeps
-// reading and taking inserts as one.
+// A packed leaf (packed.go) is the second leaf codec, for every tree of
+// fixed numeric fields: a header of field widths and per-leaf minimums, then
+// cells of one bit width per leaf, each entry's fields as deltas from those
+// minimums. One codec serves two entry layouts, a kind byte each: postings
+// (kind packedLeafNode) and Docid entries (kind packedDocIDLeafNode). The
+// kind byte says which codec and layout a page uses, so a tree's pages
+// describe themselves and the forest directory does not record it.
 //
 // extra is the next-leaf page id on leaves and the leftmost child on
 // internal nodes; cellStart is the offset of the lowest cell. The read path
@@ -40,21 +31,18 @@ import (
 // and so do leaf Insert and Delete. On a slotted leaf a new cell is appended
 // below cellStart and its slot shifted in, and a deleted cell's gap is closed
 // by moving the cells below it up — memmove only, whatever the physical cell
-// order. On a fixed leaf cell i sits at headerSize+i×width, so an edit is one
-// memmove of the cells after it. Only a split (and the separator insert above
-// it) materialises a nodePage. A packed leaf's cell i sits at bit i×width of
-// its cell area; reads decode it there, an insert its widths hold moves the
-// cells after it up by one cell's bits, and any other edit re-encodes the
-// leaf through a pooled packer, splitting it by bits when its cells no
-// longer fit (packed.go).
+// order. Only a split (and the separator insert above it) materialises a
+// nodePage. A packed leaf's cell i sits at bit i×width of its cell area;
+// reads decode it there, an insert its widths hold moves the cells after it
+// up by one cell's bits, and any other edit re-encodes the leaf through a
+// pooled packer, splitting it by bits when its cells no longer fit
+// (packed.go).
 
 // pageKind returns the node kind byte.
 func pageKind(data []byte) byte { return data[0] }
 
-// isLeaf reports whether kind is a leaf of one of the three leaf codecs.
-func isLeaf(kind byte) bool {
-	return kind == leafNode || kind == fixedLeafNode || isPacked(kind)
-}
+// isLeaf reports whether kind is a leaf of either leaf codec.
+func isLeaf(kind byte) bool { return kind == leafNode || isPacked(kind) }
 
 // isPacked reports whether kind is a packed leaf, of either layout.
 func isPacked(kind byte) bool { return kind == packedLeafNode || kind == packedDocIDLeafNode }
@@ -69,17 +57,10 @@ func pageExtra(data []byte) uint32 { return binary.LittleEndian.Uint32(data[3:7]
 // empty node).
 func pageCellStart(data []byte) int { return int(binary.LittleEndian.Uint16(data[7:9])) }
 
-// fixedWidths returns a fixed-width leaf's key and value widths.
-func fixedWidths(data []byte) (kw, vw int) { return int(data[7]), int(data[8]) }
-
 // pageFree returns the bytes left for new cells: between the slot directory
-// and the cells, or after the last cell of a fixed-width or packed leaf.
+// and the cells, or after the last cell of a packed leaf.
 func pageFree(data []byte) int {
-	switch pageKind(data) {
-	case fixedLeafNode:
-		kw, vw := fixedWidths(data)
-		return len(data) - headerSize - pageNumKeys(data)*(kw+vw)
-	case packedLeafNode, packedDocIDLeafNode:
+	if isPacked(pageKind(data)) {
 		var l packedLeaf
 		l.parse(data)
 		return len(data) - l.ly.used(pageNumKeys(data), l.width)
@@ -87,37 +68,15 @@ func pageFree(data []byte) int {
 	return pageCellStart(data) - headerSize - slotSize*pageNumKeys(data)
 }
 
-// leafCellSize returns the page bytes one (key, val) cell of the given
-// lengths takes on a leaf of this kind.
-func leafCellSize(kind byte, klen, vlen int) int {
-	if kind == fixedLeafNode {
-		return klen + vlen
-	}
-	return slotSize + leafCellHdr + klen + vlen
-}
-
-// leafFits checks that (key, val) has the cell shape of a slotted or
-// fixed-width leaf: any lengths on a slotted leaf, exactly its widths on a
-// fixed one (a packed leaf parses its entries, packedLayout.parse).
-func leafFits(data, key, val []byte) error {
-	if pageKind(data) == leafNode {
-		return nil
-	}
-	if kw, vw := fixedWidths(data); len(key) != kw || len(val) != vw {
-		return fmt.Errorf("btree: entry of %d+%d bytes in a leaf of %s cells", len(key), len(val), leafFormat(data))
-	}
-	return nil
-}
+// leafCellSize returns the page bytes one slotted leaf cell of the given key
+// and value lengths takes, its slot included.
+func leafCellSize(klen, vlen int) int { return slotSize + leafCellHdr + klen + vlen }
 
 // leafFormat names a leaf's cell format, as Check compares it across a
 // tree's leaves (a packed leaf's widths are its own, so they are left out).
 func leafFormat(data []byte) string {
-	switch kind := pageKind(data); {
-	case kind == fixedLeafNode:
-		kw, vw := fixedWidths(data)
-		return fmt.Sprintf("fixed %d+%d", kw, vw)
-	case isPacked(kind):
-		return packedLayoutOf(kind).name
+	if ly := packedLayoutOf(pageKind(data)); ly != nil {
+		return ly.name
 	}
 	return "slotted"
 }
@@ -126,8 +85,8 @@ func slotOffset(data []byte, i int) int {
 	return int(binary.LittleEndian.Uint16(data[headerSize+2*i : headerSize+2*i+2]))
 }
 
-// leafEntryAt returns the i-th entry of a leaf of any codec: aliasing the
-// page on a slotted or fixed-width leaf, decoded into buf on a packed one,
+// leafEntryAt returns the i-th entry of a leaf of either codec: aliasing the
+// page on a slotted leaf, decoded into buf on a packed one,
 // whose parsed header l is (a loop over a leaf's entries parses it once).
 func leafEntryAt(data []byte, l *packedLeaf, i int, buf *[packedEntryLen]byte) (key, val []byte) {
 	if isPacked(pageKind(data)) {
@@ -150,14 +109,9 @@ func leafKeyAt(data []byte, l *packedLeaf, i int, buf *[packedKeyLen]byte) []byt
 	return k
 }
 
-// leafCellAt returns the i-th cell's key and value of a slotted or
-// fixed-width leaf, aliasing the page.
+// leafCellAt returns the i-th cell's key and value of a slotted leaf,
+// aliasing the page.
 func leafCellAt(data []byte, i int) (key, val []byte) {
-	if pageKind(data) == fixedLeafNode {
-		kw, vw := fixedWidths(data)
-		off := headerSize + i*(kw+vw)
-		return data[off : off+kw], data[off+kw : off+kw+vw]
-	}
 	off := slotOffset(data, i)
 	kl := int(binary.LittleEndian.Uint16(data[off : off+2]))
 	vl := int(binary.LittleEndian.Uint16(data[off+2 : off+4]))
@@ -165,20 +119,11 @@ func leafCellAt(data []byte, i int) (key, val []byte) {
 	return data[off : off+kl], data[off+kl : off+kl+vl]
 }
 
-// leafInsertAt writes (key, val) in place as the pos-th cell of a leaf that
-// has leafCellSize bytes free for it (and, on a fixed-width leaf, a key and
-// value of exactly its widths).
+// leafInsertAt writes (key, val) in place as the pos-th cell of a slotted
+// leaf that has leafCellSize bytes free for it.
 func leafInsertAt(data []byte, pos int, key, val []byte) {
 	num := pageNumKeys(data)
 	binary.LittleEndian.PutUint16(data[1:3], uint16(num+1))
-	if pageKind(data) == fixedLeafNode {
-		kw, vw := fixedWidths(data)
-		off, end := headerSize+pos*(kw+vw), headerSize+num*(kw+vw)
-		copy(data[off+kw+vw:], data[off:end])
-		copy(data[off:off+kw], key)
-		copy(data[off+kw:off+kw+vw], val)
-		return
-	}
 	off := pageCellStart(data) - leafCellHdr - len(key) - len(val)
 	binary.LittleEndian.PutUint16(data[off:], uint16(len(key)))
 	binary.LittleEndian.PutUint16(data[off+2:], uint16(len(val)))
@@ -190,19 +135,11 @@ func leafInsertAt(data []byte, pos int, key, val []byte) {
 	binary.LittleEndian.PutUint16(data[7:9], uint16(off))
 }
 
-// leafDeleteAt removes the pos-th cell of a leaf in place, closing its gap
-// and zeroing what it frees.
+// leafDeleteAt removes the pos-th cell of a slotted leaf in place, closing
+// its gap and zeroing what it frees.
 func leafDeleteAt(data []byte, pos int) {
 	num := pageNumKeys(data)
 	binary.LittleEndian.PutUint16(data[1:3], uint16(num-1))
-	if pageKind(data) == fixedLeafNode {
-		kw, vw := fixedWidths(data)
-		w := kw + vw
-		off, end := headerSize+pos*w, headerSize+num*w
-		copy(data[off:], data[off+w:end])
-		clear(data[end-w : end])
-		return
-	}
 	off := slotOffset(data, pos)
 	k, v := leafCellAt(data, pos)
 	size := leafCellHdr + len(k) + len(v)

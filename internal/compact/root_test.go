@@ -303,29 +303,33 @@ func TestScrubGateDuringCompaction(t *testing.T) {
 }
 
 // A directory written before the single postings tree carries no layout
-// stamp; OpenRoot must refuse it with prix.ErrOldLayout instead of serving an
-// index whose every query matches nothing. The stamp is dropped here through
-// the store's own API, on the files a fresh build left.
+// stamp, and one written before packed-only postings and Docid trees stamp
+// 3; OpenRoot must refuse either with prix.ErrOldLayout instead of serving
+// an index whose every query matches nothing, or whose leaves this build
+// cannot read. The stamp is set here through the store's own API, on the
+// files a fresh build left.
 func TestOpenRootRefusesOldLayout(t *testing.T) {
-	dir := t.TempDir()
-	buildDynamicDir(t, dir, corpus(12))
-	f, err := pager.OpenOSFile(filepath.Join(dir, prix.DocsFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := pager.NewBufferPool(f, 64)
-	store, err := docstore.Open(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.SetStat("layout", 0)
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenRoot(dir, prix.Options{}); !errors.Is(err, prix.ErrOldLayout) {
-		t.Fatalf("OpenRoot = %v, want prix.ErrOldLayout", err)
+	for _, stamp := range []int64{0, 3} {
+		dir := t.TempDir()
+		buildDynamicDir(t, dir, corpus(12))
+		f, err := pager.OpenOSFile(filepath.Join(dir, prix.DocsFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp := pager.NewBufferPool(f, 64)
+		store, err := docstore.Open(bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.SetStat("layout", stamp)
+		if err := store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := bp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenRoot(dir, prix.Options{}); !errors.Is(err, prix.ErrOldLayout) {
+			t.Fatalf("stamp %d: OpenRoot = %v, want prix.ErrOldLayout", stamp, err)
+		}
 	}
 }

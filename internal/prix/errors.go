@@ -11,9 +11,9 @@ import (
 )
 
 // ErrOldLayout reports a directory written in an on-disk layout this build
-// has no reader for: before the single postings tree (one B+-tree per
-// Trie-Symbol index, no layout stamp), or with the document store's meta as
-// one run of pages (docstore.ErrOldLayout). Rebuild the index with prixload.
+// has no reader for: a layout stamp other than postingsLayout, or the
+// document store's meta as one run of pages (docstore.ErrOldLayout). Open's
+// error wraps it with the stamp it found. Rebuild the index with prixload.
 var ErrOldLayout = errors.New("prix: index uses an older on-disk layout; rebuild with prixload")
 
 // ErrorClass partitions query and storage errors by what the caller should

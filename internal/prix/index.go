@@ -212,12 +212,13 @@ const (
 )
 
 // postingsLayout is stamped into the store's stats (layoutStatName) by every
-// build. 3 is the single postings tree with the shape dictionary and the
-// forest's shape tree; layout 2 (a per-document structure sidecar) and the
-// directories before it (one tree per symbol, no stamp) are refused with
-// ErrOldLayout.
+// build. 4 is the single postings tree with the shape dictionary and the
+// forest's shape tree, its `post` and `docid` trees in packed leaves only.
+// Layout 3 (the same trees, whose leaves could also be fixed-width or
+// slotted), layout 2 (a per-document structure sidecar) and the directories
+// before it (one tree per symbol, no stamp) are refused with ErrOldLayout.
 const (
-	postingsLayout = 3
+	postingsLayout = 4
 	layoutStatName = "layout"
 )
 
@@ -249,8 +250,11 @@ func (ix *Index) loadCatalogs() error {
 		ix.opts.Extended = ext == 1
 	}
 	ix.postings = ix.forest.Lookup(postingsTreeName)
-	if layout, _ := ix.store.Stat(layoutStatName); layout != postingsLayout || ix.postings == nil {
-		return ErrOldLayout
+	if layout, _ := ix.store.Stat(layoutStatName); layout != postingsLayout {
+		return fmt.Errorf("%w (layout %d, this build reads %d)", ErrOldLayout, layout, postingsLayout)
+	}
+	if ix.postings == nil {
+		return fmt.Errorf("%w (no postings tree)", ErrOldLayout)
 	}
 	ix.shapesInTree = shapesUnknown
 	if ix.docid = ix.forest.Lookup(docidTreeName); ix.docid == nil {
@@ -359,6 +363,8 @@ func Open(dir string, opts Options) (*Index, error) {
 	}
 	forest, err := btree.Open(forestBP)
 	if err != nil {
+		forestBP.Close()
+		docsBP.Close()
 		return nil, err
 	}
 	store, err := docstore.Open(docsBP)
@@ -377,11 +383,13 @@ func Open(dir string, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("prix: %s: %w", dir, err)
 	}
 	if err := ix.loadVersions(); err != nil {
+		ix.Close()
 		return nil, err
 	}
 	// A mutation whose store commit survived a crash but whose forest commit
 	// did not is completed here, before any query can observe the torn state.
 	if err := ix.recoverPending(); err != nil {
+		ix.Close()
 		return nil, fmt.Errorf("prix: %s: mutation recovery: %w", dir, err)
 	}
 	ix.initHot()

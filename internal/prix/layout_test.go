@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/datagen"
+	"repro/internal/docstore"
 	"repro/internal/pager"
 	"repro/internal/twig"
 	"repro/internal/vtrie"
@@ -242,9 +243,11 @@ func TestIndexSizeBound(t *testing.T) {
 
 // A directory in the per-symbol layout has no layout stamp and no postings
 // tree; one in layout 2 carries stamp 2 and a PRIXDOC2 docs.db (records with
-// their own NPS and leaves, a per-document structure sidecar). Each is
-// reproduced here from a fresh build and must fail Open and OpenDynamic with
-// ErrOldLayout, not open as an index that matches nothing.
+// their own NPS and leaves, a per-document structure sidecar); one in layout
+// 3 carries stamp 3 and may hold fixed-width or slotted postings and Docid
+// leaves. Each is reproduced here from a fresh build and must fail Open and
+// OpenDynamic with ErrOldLayout, not open as an index that matches nothing,
+// and Open's error names a stamp it refuses.
 func TestOldLayoutRefused(t *testing.T) {
 	tamper := map[string]func(ix *Index){
 		"no stamp": func(ix *Index) {
@@ -252,6 +255,9 @@ func TestOldLayoutRefused(t *testing.T) {
 		},
 		"layout 2": func(ix *Index) {
 			ix.store.SetStat(layoutStatName, 2)
+		},
+		"layout 3": func(ix *Index) {
+			ix.store.SetStat(layoutStatName, 3)
 		},
 		"no postings tree": func(ix *Index) {
 			ix.forest.Reset()
@@ -282,8 +288,12 @@ func TestOldLayoutRefused(t *testing.T) {
 			if err := di.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Open(dir, Options{}); !errors.Is(err, ErrOldLayout) {
-				t.Errorf("Open = %v, want ErrOldLayout", err)
+			_, err = Open(dir, Options{})
+			if !errors.Is(err, ErrOldLayout) {
+				t.Fatalf("Open = %v, want ErrOldLayout", err)
+			}
+			if stamp, ok := strings.CutPrefix(name, "layout "); ok && !strings.Contains(err.Error(), "layout "+stamp+", this build reads 4") {
+				t.Errorf("Open = %v, want the error to name stamp %s and this build's 4", err, stamp)
 			}
 			if _, err := OpenDynamic(dir, Options{}); !errors.Is(err, ErrOldLayout) {
 				t.Errorf("OpenDynamic = %v, want ErrOldLayout", err)
@@ -318,317 +328,102 @@ func TestOldLayoutRefused(t *testing.T) {
 	})
 }
 
-// slotPostings rewrites the closed index in dir with every tree slotted, the
-// postings tree as builds wrote it before fixed-width leaves: each tree's
-// entries are copied out and bulk-loaded into a reset forest.
-func slotPostings(t *testing.T, dir string) {
+// closeCounter is a pager.File that counts its Close calls in closed.
+type closeCounter struct {
+	pager.File
+	closed *int
+}
+
+func (f closeCounter) Close() error {
+	*f.closed++
+	return f.File.Close()
+}
+
+// An Open that fails after it opened its page files must close every one of
+// them, the two main files and their journals: a forest directory page that
+// fails its checksum (btree.Open), a version map that does not decode, and a
+// layout stamp this build does not read. Each is done to a fresh dynamic
+// index with a delete in its version map.
+func TestFailedOpenClosesFiles(t *testing.T) {
+	damage := map[string]func(t *testing.T, dir string){
+		"forest directory": func(t *testing.T, dir string) {
+			f, err := pager.OpenOSFile(filepath.Join(dir, ForestFileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			buf := make([]byte, pager.PageSize)
+			if err := f.ReadPage(0, buf); err != nil {
+				t.Fatal(err)
+			}
+			buf[pager.PageHeaderSize+len("PRIXFST1")] ^= 0xFF
+			if err := f.WritePage(0, buf); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"version map": func(t *testing.T, dir string) {
+			editStore(t, dir, func(store *docstore.Store) { store.SetBlob(VersionsBlobName, []byte("not a version map")) })
+		},
+		"layout 3": func(t *testing.T, dir string) {
+			editStore(t, dir, func(store *docstore.Store) { store.SetStat(layoutStatName, 3) })
+		},
+	}
+	for name, damage := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			di, err := NewDynamicIndex(parallelCorpus()[:6], Options{Extended: true, Dir: dir}, DynamicOptions{Alpha: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := di.Delete(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := di.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := di.Close(); err != nil {
+				t.Fatal(err)
+			}
+			damage(t, dir)
+			opened, closed := 0, 0
+			_, err = Open(dir, Options{OpenFile: func(path string) (pager.File, error) {
+				f, err := pager.OpenOSFilePadded(path)
+				if err != nil {
+					return nil, err
+				}
+				opened++
+				return closeCounter{f, &closed}, nil
+			}})
+			if err == nil {
+				t.Fatal("Open of the damaged index succeeded")
+			}
+			if opened != 4 || closed != opened {
+				t.Errorf("Open = %v: opened %d files, closed %d, want 4 and 4", err, opened, closed)
+			}
+		})
+	}
+}
+
+// editStore applies edit to the closed index in dir's document store and
+// commits it.
+func editStore(t *testing.T, dir string, edit func(store *docstore.Store)) {
 	t.Helper()
-	ix, err := Open(dir, Options{})
+	f, err := pager.OpenOSFile(filepath.Join(dir, DocsFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := ix.forest.Names()
-	entries := make([][][2][]byte, len(names))
-	for i, name := range names {
-		err := ix.forest.Lookup(name).Scan(nil, nil, true, true, func(k, v []byte) bool {
-			entries[i] = append(entries[i], [2][]byte{bytes.Clone(k), bytes.Clone(v)})
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix.forest.Reset()
-	for i, name := range names {
-		tr, err := ix.forest.Tree(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest := entries[i]
-		err = tr.BulkLoad(btree.Fill{}, func() ([]byte, []byte, error) {
-			if len(rest) == 0 {
-				return nil, nil, io.EOF
-			}
-			e := rest[0]
-			rest = rest[1:]
-			return e[0], e[1], nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ix.forest.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// diffAnswers runs every differential shape on ix, ordered: Match for the
-// exact shapes, MatchExhaustive for the others.
-func diffAnswers(t *testing.T, ix *Index) [][]Match {
-	t.Helper()
-	var out [][]Match
-	for _, sh := range diffShapes {
-		match := ix.Match
-		if !sh.exact {
-			match = ix.MatchExhaustive
-		}
-		ms, _, err := match(twig.MustParse(sh.src), MatchOptions{WarmCache: true})
-		if err != nil {
-			t.Fatalf("%s: %v", sh.src, err)
-		}
-		out = append(out, ms)
-	}
-	return out
-}
-
-// A directory written before fixed-width postings leaves has a slotted `post`
-// tree. Pages name their own codec, so it needs no layout change to serve:
-// twin dynamic indexes, one of them rewritten that way, must answer every
-// differential shape identically through Open, OpenDynamic, dynamic inserts
-// that split slotted leaves, and a RepairForest (which rebuilds the postings
-// packed).
-func TestSlottedPostingsTreeStillServes(t *testing.T) {
-	docs := parallelCorpus()
-	dirs := [2]string{t.TempDir(), t.TempDir()} // packed, then slotted
-	for _, dir := range dirs {
-		di, err := NewDynamicIndex(docs[:25], Options{Extended: true, Dir: dir}, DynamicOptions{Alpha: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := di.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := di.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	slotPostings(t, dirs[1])
-	leaves := func(ix *Index) (string, int) {
-		s, err := ix.postings.Shape()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.LeafFormat, s.Pages[len(s.Pages)-1]
-	}
-	same := func(stage string, packed, slotted *Index, wantFormat string) {
-		t.Helper()
-		if f, _ := leaves(packed); !strings.HasPrefix(f, "packed ") {
-			t.Fatalf("%s: fresh index has %q postings leaves", stage, f)
-		}
-		if f, _ := leaves(slotted); !strings.HasPrefix(f, wantFormat) {
-			t.Fatalf("%s: rewritten index has %q postings leaves, want %q", stage, f, wantFormat)
-		}
-		if errs := slotted.forest.Check(); len(errs) > 0 {
-			t.Fatalf("%s: %v", stage, errs[0])
-		}
-		if !reflect.DeepEqual(diffAnswers(t, packed), diffAnswers(t, slotted)) {
-			t.Fatalf("%s: answers differ between the packed and the slotted postings tree", stage)
-		}
-	}
-
-	var ixs [2]*Index
-	for i, dir := range dirs {
-		ix, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ixs[i] = ix
-	}
-	same("Open", ixs[0], ixs[1], "slotted")
-	for _, ix := range ixs {
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var dis [2]*DynamicIndex
-	for i, dir := range dirs {
-		di, err := OpenDynamic(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer di.Close()
-		dis[i] = di
-	}
-	same("OpenDynamic", dis[0].Index(), dis[1].Index(), "slotted")
-	_, before := leaves(dis[1].Index())
-	for _, doc := range docs[25:] {
-		for _, di := range dis {
-			if err := di.Insert(doc); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, after := leaves(dis[1].Index()); after <= before {
-		t.Fatalf("inserts split no slotted leaf (%d leaves before, %d after)", before, after)
-	}
-	same("Insert", dis[0].Index(), dis[1].Index(), "slotted")
-	for _, di := range dis {
-		if _, err := di.RepairForest(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	same("RepairForest", dis[0].Index(), dis[1].Index(), "packed ")
-}
-
-// testdata/layout3 is an index directory written before packed postings
-// leaves (its README says how): fixed 12+12-byte cells holding labels spread
-// over the whole 64-bit range, and a slotted Docid tree. Pages name their
-// own codec, so it needs no layout bump: Open must answer every Table 3
-// query on it exactly as a fresh build of the same documents, with dense
-// labels in packed leaves, does, and as the brute-force oracle does, AsOf
-// included. A static index takes no documents, but its Docid tree takes
-// inserts and deletes: deleting documents' entries and RepairDoc putting
-// them back keeps its leaves slotted, and RepairForest, the rebuild a
-// static compaction runs too, packs them.
-func TestLayout3FixedCellsStillServe(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{ForestFileName, DocsFileName} {
-		data, err := os.ReadFile(filepath.Join("testdata", "layout3", "index", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := openT(t, dir, Options{})
-	paths, err := filepath.Glob(filepath.Join("testdata", "layout3", "xml", "*.xml"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("fixture documents: %v (%d files)", err, len(paths))
-	}
-	docs := make([]*xmltree.Document, len(paths))
-	for i, path := range paths { // Glob sorts, as prixload -xml does
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs[i], err = xmltree.Parse(i, f, xmltree.ParseOptions{})
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	fresh, err := Build(docs, Options{Extended: true})
+	bp := pager.NewBufferPool(f, 64)
+	store, err := docstore.Open(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
-
-	// The fixture's postings span three fixed leaves; the fresh build packs
-	// them into one.
-	for ix, want := range map[*Index]string{old: "fixed 12+12", fresh: "packed "} {
-		if errs := ix.forest.Check(); len(errs) > 0 {
-			t.Fatal(errs[0])
-		}
-		if s, err := ix.postings.Shape(); err != nil || !strings.HasPrefix(s.LeafFormat, want) {
-			t.Fatalf("postings leaves %+v (%v), want %q", s, err, want)
-		}
-	}
-	docidLeaves := func(stage string, ix *Index, want string) {
-		t.Helper()
-		if errs := ix.forest.Check(); len(errs) > 0 {
-			t.Fatalf("%s: %v", stage, errs[0])
-		}
-		if s, err := ix.docid.Shape(); err != nil || !strings.HasPrefix(s.LeafFormat, want) {
-			t.Fatalf("%s: docid leaves %+v (%v), want %q", stage, s, err, want)
-		}
-	}
-	docidLeaves("opened", old, "slotted")
-	docidLeaves("fresh", fresh, "packed ")
-	var widest uint64
-	if err := old.postings.ScanPostings(nil, nil, true, true, func(_ uint32, left, _ uint64, _ uint32) bool {
-		widest = max(widest, left)
-		return true
-	}); err != nil || widest < 1<<40 {
-		t.Fatalf("fixture's widest LeftPos is %d (%v): not the spread labels it was written with", widest, err)
-	}
-	matched := 0
-	for _, name := range datagen.Names() {
-		ds, err := datagen.ByName(strings.ToLower(name), 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, qs := range ds.Queries {
-			want, _, err := fresh.Match(qs.Query(), MatchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := old.Match(qs.Query(), MatchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %s %s: the layout-3 fixture answers %d matches, a fresh build %d", name, qs.ID, qs.XPath, len(got), len(want))
-			}
-			matched += len(want)
-		}
-	}
-	if matched == 0 {
-		t.Fatal("no Table 3 query matches the fixture's documents")
-	}
-	t.Logf("%d Table 3 matches, identical", matched)
-
-	oracle := func(stage string) {
-		t.Helper()
-		for _, name := range datagen.Names() {
-			ds, err := datagen.ByName(strings.ToLower(name), 1, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, qs := range ds.Queries {
-				q := qs.Query()
-				if RiskOfFalseDismissal(q) {
-					continue
-				}
-				want := twig.CountBruteForce(q, docs)
-				for _, asOf := range []uint64{0, 1} {
-					got, _, err := old.Match(q, MatchOptions{AsOf: asOf})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != want {
-						t.Errorf("%s: %s %s as of %d: %d matches, oracle %d", stage, name, qs.ID, asOf, len(got), want)
-					}
-				}
-			}
-		}
-	}
-	oracle("opened")
-	// Every fifth document loses its Docid entry, a slotted delete, and
-	// RepairDoc inserts it again.
-	for id := uint32(0); id < uint32(len(docs)); id += 5 {
-		rec, err := old.store.GetAny(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rec.LPS) == 0 {
-			continue
-		}
-		left, err := old.walkPostings(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok, err := old.docid.Delete(btree.KeyUint64(left), btree.DocIDValue(id, 0)); err != nil || !ok {
-			t.Fatalf("deleting document %d's docid entry: %v %v", id, ok, err)
-		}
-		if err := old.VerifyDoc(id); !errors.Is(err, ErrPostingsDamaged) {
-			t.Fatalf("VerifyDoc(%d) = %v, want ErrPostingsDamaged", id, err)
-		}
-		if action, err := old.RepairDoc(id); err != nil || action != RepairPostings {
-			t.Fatalf("RepairDoc(%d) = %v, %v", id, action, err)
-		}
-	}
-	docidLeaves("repaired", old, "slotted")
-	oracle("repaired")
-	if _, err := old.RepairForest(); err != nil {
+	edit(store)
+	if err := store.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	docidLeaves("rebuilt", old, "packed ")
-	oracle("rebuilt")
+	if err := bp.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // A docs.db written before the sectioned meta carries the magic PRIXDOC1 and
