@@ -1,10 +1,15 @@
 // Command prixcheck is the offline integrity verifier for a PRIX index
 // directory. It never modifies the files it inspects: both page files and
-// their journals are copied into memory, pending journal rollbacks are
-// replayed against the copies, and every check runs on the recovered image.
+// their shared journal are copied into memory, an active journal's
+// rollback is replayed against the copies (and reported), and every check
+// runs on the recovered image.
 //
 // Checks, bottom-up:
 //   - every physical page's checksum, format version and page id;
+//   - the recovered images open as an index: a directory written in an
+//     older layout (a layout stamp other than this build's, or a store of
+//     an older format) is refused here, with that one line, before any
+//     tree check;
 //   - every B+-tree invariant in the forest (key order, uniform leaf
 //     depth, separator bracketing, no cycles, entry counts);
 //   - every document-store record decodes (its shape id resolving to the
@@ -13,9 +18,6 @@
 //     invariants, every docid-tree tombstone matched by a closed interval
 //     (and vice versa), and every superseded-record back-pointer resolving
 //     to a decodable image;
-//   - the recovered images open as an index: a directory written in an
-//     older layout (one tree per symbol, or a per-document structure
-//     sidecar) is reported here;
 //   - the two copies of the shape dictionary — the docs.db shapes section
 //     and the forest's shape tree — agree shape for shape, and every
 //     directory entry's shape id resolves.
@@ -122,8 +124,32 @@ func run(dir string, verbose bool) int {
 		}
 	}
 
-	forest := checkFile(dir, "seq.idx", "seq.jnl", verbose, report)
-	docs := checkFile(dir, "docs.db", "docs.jnl", verbose, report)
+	forest := loadPageFile(dir, prix.ForestFileName, report)
+	docs := loadPageFile(dir, prix.DocsFileName, report)
+	if forest != nil && docs != nil {
+		rollBack(dir, forest, docs, report)
+	}
+	verifyPages(prix.ForestFileName, forest, verbose, report)
+	verifyPages(prix.DocsFileName, docs, verbose, report)
+
+	// The layout stamp first: the tree checks of a layout this build cannot
+	// read only report noise.
+	var ix *prix.Index
+	if forest != nil && docs != nil {
+		var err error
+		ix, err = openCopies(dir, forest, docs)
+		switch {
+		case errors.Is(err, prix.ErrOldLayout):
+			fmt.Printf("layout: %v\n", err)
+			fmt.Println("prixcheck: CORRUPT")
+			return exitCorrupt
+		case err != nil:
+			fmt.Printf("index does not open: %v\n", err)
+			report(exitCorrupt)
+		default:
+			defer ix.Close()
+		}
+	}
 
 	if forest != nil {
 		checkForest(forest, verbose, report)
@@ -133,7 +159,10 @@ func run(dir string, verbose bool) int {
 	}
 	if forest != nil && docs != nil {
 		checkVersions(forest, docs, verbose, report)
-		sizeReport(dir, forest, docs, report)
+	}
+	if ix != nil {
+		checkShapes(ix, report)
+		sizeReport(dir, ix, docs)
 	}
 
 	switch worst {
@@ -147,13 +176,10 @@ func run(dir string, verbose bool) int {
 	return worst
 }
 
-// checkFile loads one page file plus its journal into memory, rolls back
-// any pending transaction on the copy, and checksum-verifies every page.
-// It returns the recovered in-memory image for structural checks (nil when
-// the file could not be read at all).
-func checkFile(dir, name, journalName string, verbose bool, report func(int)) *pager.MemFile {
-	path := filepath.Join(dir, name)
-	mem, torn, err := loadFile(path)
+// loadPageFile copies one page file into memory (nil when it could not be
+// read at all).
+func loadPageFile(dir, name string, report func(int)) *pager.MemFile {
+	mem, torn, err := loadFile(filepath.Join(dir, name))
 	if err != nil {
 		fmt.Printf("%s: unreadable: %v\n", name, err)
 		report(exitUnreadable)
@@ -164,28 +190,41 @@ func checkFile(dir, name, journalName string, verbose bool, report func(int)) *p
 		// is only corruption if the journal cannot roll it back.
 		fmt.Printf("%s: torn trailing page (%d stray bytes)\n", name, torn)
 	}
+	return mem
+}
 
-	jpath := filepath.Join(dir, journalName)
-	if jmem, _, jerr := loadFile(jpath); jerr == nil && jmem.NumPages() > 0 {
-		j, err := pager.NewJournal(jmem)
-		if err != nil {
-			fmt.Printf("%s: journal unreadable: %v\n", journalName, err)
-			report(exitUnreadable)
-		} else if j.Active() {
-			before := mem.NumPages()
-			if _, err := j.Recover(mem); err != nil {
-				fmt.Printf("%s: rollback failed: %v\n", journalName, err)
-				report(exitCorrupt)
-			} else {
-				fmt.Printf("%s: pending transaction, rolled back in memory (%d -> %d pages); reopen the index to persist recovery\n",
-					journalName, before, mem.NumPages())
-			}
-		}
-	} else if jerr != nil && !os.IsNotExist(jerr) {
-		fmt.Printf("%s: unreadable: %v\n", journalName, jerr)
-		report(exitUnreadable)
+// rollBack copies the index's journal into memory and, if it holds an
+// active transaction, rolls the in-memory copies of both page files back
+// with it.
+func rollBack(dir string, forest, docs *pager.MemFile, report func(int)) {
+	name := prix.JournalFileName
+	jmem, _, err := loadFile(filepath.Join(dir, name))
+	if os.IsNotExist(err) {
+		return
 	}
+	if err != nil {
+		fmt.Printf("%s: unreadable: %v\n", name, err)
+		report(exitUnreadable)
+		return
+	}
+	fb, db := forest.NumPages(), docs.NumPages()
+	j, err := pager.NewJournal(jmem, forest, docs)
+	if err != nil {
+		fmt.Printf("%s: rollback failed: %v\n", name, err)
+		report(exitCorrupt)
+		return
+	}
+	if j.RolledBack() {
+		fmt.Printf("%s: active transaction, rolled back in memory (%s %d -> %d pages, %s %d -> %d pages); reopen the index to persist recovery\n",
+			name, prix.ForestFileName, fb, forest.NumPages(), prix.DocsFileName, db, docs.NumPages())
+	}
+}
 
+// verifyPages checksum-verifies every page of a loaded page file.
+func verifyPages(name string, mem *pager.MemFile, verbose bool, report func(int)) {
+	if mem == nil {
+		return
+	}
 	bad := 0
 	var buf [pager.PageSize]byte
 	for id := uint32(0); id < mem.NumPages(); id++ {
@@ -207,7 +246,20 @@ func checkFile(dir, name, journalName string, verbose bool, report func(int)) *p
 	} else {
 		fmt.Printf("%s: %d pages, checksums ok\n", name, mem.NumPages())
 	}
-	return mem
+}
+
+// openCopies opens the recovered in-memory images as an index — the step
+// that refuses a directory in an older layout.
+func openCopies(dir string, forestMem, docsMem *pager.MemFile) (*prix.Index, error) {
+	return prix.Open(dir, prix.Options{OpenFile: func(path string) (pager.File, error) {
+		switch filepath.Base(path) {
+		case prix.ForestFileName:
+			return forestMem, nil
+		case prix.DocsFileName:
+			return docsMem, nil
+		}
+		return pager.NewMemFile(), nil // the journal: the copies are rolled back already
+	}})
 }
 
 // loadFile copies a file into a MemFile, padding a torn trailing page with
@@ -285,14 +337,6 @@ func checkVersions(forestMem, docsMem *pager.MemFile, verbose bool, report func(
 	if err := m.Check(); err != nil {
 		fmt.Printf("versions: %v\n", err)
 		report(exitCorrupt)
-		return
-	}
-	if m.Pending != nil {
-		// A mutation crashed between its store and forest commits; the
-		// cross-checks below would see the half-applied state. Recovery at
-		// the next open redoes the forest side idempotently.
-		fmt.Printf("versions: pending mutation of document %d (version %d); reopen the index to complete recovery\n",
-			m.Pending.DocID, m.Pending.Version)
 		return
 	}
 
@@ -374,32 +418,8 @@ func checkVersions(forestMem, docsMem *pager.MemFile, verbose bool, report func(
 		len(m.Docs), m.Counter, len(tombs), locs)
 }
 
-// sizeReport opens the recovered images as an index — the step that refuses a
-// directory in an older layout — checks its two shape-dictionary copies
-// against each other, and prints what its bytes are spent on. It runs last:
-// Open may complete a pending mutation on the copies.
-func sizeReport(dir string, forestMem, docsMem *pager.MemFile, report func(int)) {
-	ix, err := prix.Open(dir, prix.Options{OpenFile: func(path string) (pager.File, error) {
-		switch filepath.Base(path) {
-		case prix.ForestFileName:
-			return forestMem, nil
-		case prix.DocsFileName:
-			return docsMem, nil
-		}
-		return pager.NewMemFile(), nil // journals: the copies are rolled back already
-	}})
-	if err != nil {
-		if errors.Is(err, prix.ErrOldLayout) {
-			fmt.Printf("layout: %v\n", err)
-		} else {
-			fmt.Printf("index does not open: %v\n", err)
-		}
-		report(exitCorrupt)
-		return
-	}
-	defer ix.Close()
-	checkShapes(ix, report)
-
+// sizeReport prints what the index's bytes are spent on.
+func sizeReport(dir string, ix *prix.Index, docsMem *pager.MemFile) {
 	var total int64
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/docstore"
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
 	"repro/internal/xmltree"
 )
@@ -106,7 +107,7 @@ func TestCleanIndexPrintsSizeReport(t *testing.T) {
 	if status != exitClean {
 		t.Fatalf("run = %d, want %d", status, exitClean)
 	}
-	for _, want := range []string{`size: seq.idx`, `size: docs.jnl`, `size: docs.db dictionary`, `size: docs.db shapes`, `size: docs.db directory`, `size: docs.db catalogs`,
+	for _, want := range []string{`size: seq.idx`, `size: prix.jnl`, `size: docs.db dictionary`, `size: docs.db shapes`, `size: docs.db directory`, `size: docs.db catalogs`,
 		`size: docs.db pages: 1 header, 4 meta`, `0 unreferenced`, `size: tree "post"`, `size: tree "docid"`, `size: tree "shape"`, `size: shapes 2 shapes`, `shapes: 2 shapes, both copies agree`, `leaf fill`, `per byte of XML (2 documents`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report lacks %q:\n%s", want, out)
@@ -225,6 +226,13 @@ func TestOldLayoutExitsCorrupt(t *testing.T) {
 		if status != exitCorrupt || !strings.Contains(out, "rebuild with prixload") || !strings.Contains(out, fmt.Sprintf("layout %d, this build reads 4", stamp)) {
 			t.Errorf("stamp %d: run = %d, want %d with the stamp and a rebuild hint:\n%s", stamp, status, exitCorrupt, out)
 		}
+		// The stamp is checked first: no tree or record check runs on a
+		// layout this build cannot read, so none reports, clean or not.
+		for _, check := range []string{"invariant violations", "invariants ok", "records ok", "docid scan"} {
+			if strings.Contains(out, check) {
+				t.Errorf("stamp %d: a check ran on a refused layout (%q):\n%s", stamp, check, out)
+			}
+		}
 	}
 }
 
@@ -308,4 +316,66 @@ func TestDeleteAfterCompactionChecksClean(t *testing.T) {
 	if status != exitClean || !strings.Contains(out, "1 tombstones") || !strings.Contains(out, "invariants ok") {
 		t.Errorf("run = %d, want %d with one tombstone and the version invariants ok:\n%s", status, exitClean, out)
 	}
+}
+
+// A power cut mid-commit leaves prix.jnl active: prixcheck rolls both files
+// back in memory, says so, and checks the rolled-back images clean — without
+// touching the directory, so a second run finds the journal still active.
+func TestActiveJournalRolledBackInMemory(t *testing.T) {
+	base := t.TempDir()
+	pristine := filepath.Join(base, "pristine")
+	docs := []*xmltree.Document{
+		xmltree.MustFromSExpr(0, `(a (b (c)))`),
+		xmltree.MustFromSExpr(1, `(a (d (e)))`),
+	}
+	di, err := prix.NewDynamicIndex(docs, prix.Options{Dir: pristine}, prix.DynamicOptions{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deleteWithCut := func(dir string, clock *pager.PowerClock) error {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{prix.ForestFileName, prix.DocsFileName, prix.JournalFileName} {
+			data, err := os.ReadFile(filepath.Join(pristine, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		di, err := prix.OpenDynamic(dir, prix.Options{OpenFile: pagertest.FaultOpen(clock)})
+		if err != nil {
+			return err
+		}
+		_, err = di.Delete(1)
+		return err
+	}
+	counting := pager.NewPowerClock(0)
+	if err := deleteWithCut(filepath.Join(base, "count"), counting); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= counting.Writes(); k++ {
+		dir := filepath.Join(base, fmt.Sprintf("cut%d", k))
+		deleteWithCut(dir, pager.NewPowerClock(k))
+		status, out := runCaptured(t, dir)
+		if !strings.Contains(out, "prix.jnl: active transaction, rolled back in memory") {
+			continue
+		}
+		if status != exitClean {
+			t.Fatalf("cut %d: run = %d over the rolled-back copies, want %d:\n%s", k, status, exitClean, out)
+		}
+		if _, again := runCaptured(t, dir); !strings.Contains(again, "prix.jnl: active transaction") {
+			t.Fatalf("cut %d: the first run changed the directory; the second finds no active journal:\n%s", k, again)
+		}
+		return
+	}
+	t.Fatalf("no cut of the delete's %d write points left the journal active", counting.Writes())
 }

@@ -140,8 +140,8 @@ func (c *checker) walk(id pager.PageID, depth int, low, high []byte) uint64 {
 			childHigh = k
 		}
 		child := pageChildAt(data, i)
-		if uint32(child) >= c.bp.File().NumPages() {
-			c.report(id, "child %d is page %d, beyond the file's %d pages", i, child, c.bp.File().NumPages())
+		if uint32(child) >= c.bp.NumPages() {
+			c.report(id, "child %d is page %d, beyond the file's %d pages", i, child, c.bp.NumPages())
 		} else {
 			entries += c.walk(child, depth+1, childLow, childHigh)
 		}

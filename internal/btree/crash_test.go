@@ -24,7 +24,7 @@ func crashKey(i int) []byte { return KeyUint64(uint64(i)*7 + 1) }
 func crashVal(i int) []byte { return []byte(fmt.Sprintf("v%d", i)) }
 
 func btreeWorkload(main, journalFile pager.File) error {
-	j, err := pager.NewJournal(journalFile)
+	j, err := pager.NewJournal(journalFile, main)
 	if err != nil {
 		return err
 	}
@@ -69,7 +69,7 @@ func TestBtreeCrashSweep(t *testing.T) {
 	}
 	pagertest.Sweep(t, 30, pagertest.TearEvery(2, 1021), run, func(t *testing.T, k int64) {
 		// Reboot on the frozen images.
-		j, err := pager.NewJournal(journalMem)
+		j, err := pager.NewJournal(journalMem, mainMem)
 		if err != nil {
 			t.Fatalf("reopen journal: %v", err)
 		}
@@ -142,7 +142,7 @@ func crashDocIDEntry(i int) [2][]byte {
 // tree over a journaled pool, each batch in a scrambled order and committed
 // by Forest.Flush.
 func packedWorkload(main, journalFile pager.File, pc packedCrash) error {
-	j, err := pager.NewJournal(journalFile)
+	j, err := pager.NewJournal(journalFile, main)
 	if err != nil {
 		return err
 	}
@@ -202,7 +202,7 @@ func packedCrashSweep(t *testing.T, pc packedCrash) {
 		return packedWorkload(main, journalFile, pc)
 	}
 	pagertest.Sweep(t, 30, pagertest.TearEvery(2, 1021), run, func(t *testing.T, k int64) {
-		j, err := pager.NewJournal(journalMem)
+		j, err := pager.NewJournal(journalMem, mainMem)
 		if err != nil {
 			t.Fatalf("reopen journal: %v", err)
 		}

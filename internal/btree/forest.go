@@ -34,7 +34,7 @@ type Forest struct {
 // Open opens (or initialises) a forest over the buffer pool's file.
 func Open(bp *pager.BufferPool) (*Forest, error) {
 	f := &Forest{bp: bp, trees: make(map[string]*Tree)}
-	if bp.File().NumPages() == 0 {
+	if bp.NumPages() == 0 {
 		p, err := bp.NewPage()
 		if err != nil {
 			return nil, err
@@ -142,16 +142,24 @@ func (f *Forest) markDirty(*Tree) {
 
 // Flush persists the directory and all cached pages to the file.
 func (f *Forest) Flush() error {
+	if err := f.Stage(); err != nil {
+		return err
+	}
+	return f.bp.FlushAll()
+}
+
+// Stage is Flush without the commit: it brings the directory pages in the
+// pool up to date, for a caller that commits them with other files' pages.
+func (f *Forest) Stage() error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.dirty {
 		if err := f.storeDirectoryLocked(); err != nil {
-			f.mu.Unlock()
 			return err
 		}
 		f.dirty = false
 	}
-	f.mu.Unlock()
-	return f.bp.FlushAll()
+	return nil
 }
 
 // directory serialisation ------------------------------------------------------

@@ -695,7 +695,8 @@ func build(fs pager.FS, workdir string, m *Manifest, o Options, pace func() erro
 	return &built{ix: ix}, m.Docs, nil
 }
 
-// publishCommit renames the finished build into its epoch directory and
+// publishCommit renames the finished build into its epoch directory, syncs
+// the root so the rename is durable before anything points at it, and
 // atomically flips the CURRENT pointer to it. The rename is idempotent
 // across a crash (an existing, complete epoch directory is kept — only a
 // finished build is ever renamed, so presence implies completeness) and the
@@ -715,6 +716,9 @@ func publishCommit(fs pager.FS, root, workdir string, m *Manifest) error {
 		if err := fs.Rename(filepath.Join(workdir, nextDirName), epochDir); err != nil {
 			return err
 		}
+		if err := fs.SyncDir(root); err != nil {
+			return err
+		}
 	}
 	cur := &current{Version: 1, Epoch: m.NextEpoch, Dir: EpochDirName(m.NextEpoch)}
 	return cur.save(fs, root)
@@ -730,10 +734,7 @@ func cleanup(fs pager.FS, root, workdir string, srcEpoch uint64) error {
 			return err
 		}
 	} else {
-		for _, name := range []string{
-			prix.ForestFileName, prix.DocsFileName,
-			prix.ForestJournalFileName, prix.DocsJournalFileName,
-		} {
+		for _, name := range []string{prix.ForestFileName, prix.DocsFileName, prix.JournalFileName} {
 			if err := fs.Remove(filepath.Join(root, name)); err != nil && !isNotExist(err) {
 				return err
 			}

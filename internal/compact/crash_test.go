@@ -12,6 +12,21 @@ import (
 	"repro/internal/shard"
 )
 
+// Every rename a compaction makes — the epoch publish, CURRENT and the
+// manifests through AtomicFile — is followed by a sync of the target's
+// directory.
+func TestCompactRenamesSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	buildDynamicDir(t, dir, corpus(18))
+	fs := &pagertest.RecordFS{FS: pager.NewFaultFS(pager.OSFS{}, pager.NewPowerClock(0))}
+	if _, err := Run(Options{Dir: dir, MemBudget: 32 << 10, FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.CheckRenamesSynced(t); n < 2 {
+		t.Errorf("the compaction renamed %d times; want the epoch publish and CURRENT at least", n)
+	}
+}
+
 // TestCompactCrashSweepPlain is the power-cut sweep of the compaction
 // resume contract: learn the total write count W of an uninterrupted
 // compaction, then for every k in 1..W rerun it with the power cut (torn

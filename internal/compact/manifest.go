@@ -28,7 +28,8 @@ import (
 // Layout of an epoch root directory:
 //
 //	CURRENT             CRC-sealed pointer to the serving epoch directory
-//	epoch-000001/       a complete index (seq.idx, docs.db, transient *.jnl)
+//	epoch-000001/       a complete index (seq.idx, docs.db and their shared
+//	                    journal prix.jnl, empty while the index is closed)
 //	.compact/           compaction work directory (manifest, runs, next/)
 //
 // A plain index directory (seq.idx directly at the root, no CURRENT) is

@@ -235,7 +235,7 @@ var ErrBadRecord = errors.New("docstore: bad record")
 
 // NewStore initialises an empty store over an empty page file.
 func NewStore(bp *pager.BufferPool, dict *Dict) (*Store, error) {
-	if bp.File().NumPages() != 0 {
+	if bp.NumPages() != 0 {
 		return nil, fmt.Errorf("docstore: NewStore over non-empty file; use Open")
 	}
 	s := &Store{
@@ -434,7 +434,7 @@ func (s *Store) readRecord(rec *Record, docID uint32, e dirEntry) error {
 	} else {
 		// A spanning record is copied out; a corrupt directory length must not
 		// size that copy beyond what the file can hold.
-		if end := uint64(page)*pager.PageDataSize + uint64(off) + uint64(e.length); end > uint64(s.bp.File().NumPages())*pager.PageDataSize {
+		if end := uint64(page)*pager.PageDataSize + uint64(off) + uint64(e.length); end > uint64(s.bp.NumPages())*pager.PageDataSize {
 			return fmt.Errorf("docstore: document %d: %d bytes from page %d run past the file: %w", docID, e.length, page, ErrBadRecord)
 		}
 		data := make([]byte, 0, e.length)

@@ -247,7 +247,7 @@ func (s *Store) loadLPS() {
 		held = p
 		return true
 	}
-	filePages := uint64(s.bp.File().NumPages())
+	filePages := uint64(s.bp.NumPages())
 	var spill []byte
 	for _, id := range order {
 		e := &s.dir[id]

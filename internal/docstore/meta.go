@@ -124,13 +124,18 @@ func (s *Store) setEntryLocked(docID uint32, e dirEntry) {
 // sections that changed since the last one — then writes all dirty pages back
 // through the pool's commit.
 func (s *Store) Flush() error {
-	s.mu.Lock()
-	err := s.flushMetaLocked()
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.Stage(); err != nil {
 		return err
 	}
 	return s.bp.FlushAll()
+}
+
+// Stage is Flush without the commit: it brings the meta pages in the pool up
+// to date, for a caller that commits them with other files' pages.
+func (s *Store) Stage() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.flushMetaLocked()
 }
 
 // flushMetaLocked brings the pool's meta pages up to date. Every step can be
@@ -930,7 +935,7 @@ func Open(bp *pager.BufferPool) (*Store, error) {
 	if !bytes.Equal(hdr[:8], storeMagic) {
 		return nil, fmt.Errorf("docstore: page 0 is not a docstore header")
 	}
-	filePages := bp.File().NumPages()
+	filePages := bp.NumPages()
 	counts := hdr[8+16*numSections:]
 	numDocs := binary.LittleEndian.Uint32(counts)
 	numNames := binary.LittleEndian.Uint32(counts[4:])

@@ -57,7 +57,7 @@ func openJournaled(t testing.TB, main, journalFile pager.File, fresh bool) *Stor
 }
 
 func tryOpenJournaled(main, journalFile pager.File, fresh bool) (*Store, error) {
-	j, err := pager.NewJournal(journalFile)
+	j, err := pager.NewJournal(journalFile, main)
 	if err != nil {
 		return nil, err
 	}
@@ -428,8 +428,14 @@ func TestCrashSweepSectionedFlush(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		// The store is closed after its commit, so the sweep has a write
+		// point past the commit's last sync: the cut there finds the post
+		// image.
 		if k > 0 {
-			return mutate(s)
+			if err := mutate(s); err != nil {
+				return err
+			}
+			return s.BufferPool().Close()
 		}
 		before, _, _ := sectionPages(s)
 		if err := mutate(s); err != nil {
@@ -439,7 +445,7 @@ func TestCrashSweepSectionedFlush(t *testing.T) {
 			t.Fatalf("dictionary chain stayed at %d pages; the commit was meant to grow it", after)
 		}
 		post = imageOf(t, s)
-		return nil
+		return s.BufferPool().Close()
 	}
 	sawPre, sawPost := false, false
 	pagertest.Sweep(t, 20, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {

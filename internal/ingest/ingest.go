@@ -522,11 +522,13 @@ func (ig *ingester) clearIndexRoot() error {
 		return err
 	}
 	stale := map[string]bool{
-		prix.ForestFileName:        true,
-		prix.DocsFileName:          true,
-		prix.ForestJournalFileName: true,
-		prix.DocsJournalFileName:   true,
-		shard.TopologyFile:         true,
+		prix.ForestFileName:  true,
+		prix.DocsFileName:    true,
+		prix.JournalFileName: true,
+		shard.TopologyFile:   true,
+	}
+	for _, name := range prix.LegacyJournalFileNames {
+		stale[name] = true
 	}
 	for _, name := range names {
 		if stale[name] || strings.HasPrefix(name, "shard-") {

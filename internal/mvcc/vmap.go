@@ -2,6 +2,7 @@ package mvcc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -57,46 +58,19 @@ func (iv Interval) Covers(v uint64) bool {
 // Marker reports a never-visible placeholder interval.
 func (iv Interval) Marker() bool { return iv.To != 0 && iv.From == iv.To }
 
-// Pending op kinds.
-const (
-	PendNone   = byte(0)
-	PendDelete = byte(1)
-	PendUpdate = byte(2)
-)
-
-// Posting is a created trie-node posting recorded in a pending update so
-// recovery can redo the forest half of the commit idempotently.
-type Posting struct {
-	Sym   uint32
-	Left  uint64
-	Right uint64
-	Level uint32
-}
-
-// PendingOp is the in-flight mutation between the store commit (A) and the
-// forest commit (B): recovery finding one redoes the forest writes and
-// clears it. It rides inside the encoded map, so commit A persists it
-// atomically with the interval change it describes.
-type PendingOp struct {
-	Kind     byte
-	DocID    uint32
-	Version  uint64
-	Terminal uint64 // tombstone key (delete) / new terminal key (update)
-	// NewTerminal (update only): the docid entry at Terminal must exist.
-	NewTerminal bool
-	// Created (update only): postings of trie nodes the relabel created.
-	Created []Posting
-}
+// ErrPendingOp reports an encoded map that carries the pending-op record of
+// an older build's split commit: an update or delete whose forest half may
+// never have been written. This build commits a mutation in one transaction
+// and has no redo for it.
+var ErrPendingOp = errors.New("mvcc: version map holds a pending op of an older build")
 
 // Map is the version state of one index: the mutation counter, the
-// AddReport ordinal counter, per-document interval lists, and at most one
-// pending op. A nil *Map (or an absent document entry) means legacy
+// AddReport ordinal counter and per-document interval lists. A nil *Map (or an absent document entry) means legacy
 // always-visible semantics — indexes never mutated pay nothing.
 type Map struct {
 	Counter   uint64 // last assigned version; versions start at 1
 	NextLabel uint64 // next AddReport ordinal; labels start at 1
 	MutOps    uint64 // deletes+updates (not inserts); compaction drift check
-	Pending   *PendingOp
 	Docs      map[uint32][]Interval
 	// encoded is the size of the last encoding; the next one, rarely more
 	// than an interval longer, is appended into a buffer sized from it.
@@ -162,11 +136,6 @@ func (m *Map) Versioned() int {
 // Clone deep-copies the map (compaction snapshots it at drain time).
 func (m *Map) Clone() *Map {
 	out := &Map{Counter: m.Counter, NextLabel: m.NextLabel, MutOps: m.MutOps, Docs: map[uint32][]Interval{}}
-	if m.Pending != nil {
-		p := *m.Pending
-		p.Created = append([]Posting(nil), m.Pending.Created...)
-		out.Pending = &p
-	}
 	for id, ivs := range m.Docs {
 		out.Docs[id] = append([]Interval(nil), ivs...)
 	}
@@ -209,6 +178,11 @@ func (m *Map) Collapse(watermark uint64) (*Map, []uint32, int) {
 
 const mapMagic = "MVC1"
 
+// noPendingOp is the byte after the counters. Older builds wrote a pending
+// op's kind there (1 delete, 2 update) followed by the op; this one writes
+// and accepts only 0.
+const noPendingOp = 0
+
 // Encode renders the map deterministically (documents ascending).
 func (m *Map) Encode() []byte {
 	buf := make([]byte, 0, m.encoded+m.encoded/8+64)
@@ -216,27 +190,7 @@ func (m *Map) Encode() []byte {
 	buf = binary.AppendUvarint(buf, m.Counter)
 	buf = binary.AppendUvarint(buf, m.NextLabel)
 	buf = binary.AppendUvarint(buf, m.MutOps)
-	if m.Pending == nil {
-		buf = append(buf, PendNone)
-	} else {
-		p := m.Pending
-		buf = append(buf, p.Kind)
-		buf = binary.AppendUvarint(buf, uint64(p.DocID))
-		buf = binary.AppendUvarint(buf, p.Version)
-		buf = binary.AppendUvarint(buf, p.Terminal)
-		if p.NewTerminal {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(p.Created)))
-		for _, c := range p.Created {
-			buf = binary.AppendUvarint(buf, uint64(c.Sym))
-			buf = binary.AppendUvarint(buf, c.Left)
-			buf = binary.AppendUvarint(buf, c.Right)
-			buf = binary.AppendUvarint(buf, uint64(c.Level))
-		}
-	}
+	buf = append(buf, noPendingOp)
 	ids := make([]uint32, 0, len(m.Docs))
 	for id := range m.Docs {
 		ids = append(ids, id)
@@ -274,27 +228,13 @@ func DecodeMap(b []byte) (*Map, error) {
 	m.Counter = r.uvarint()
 	m.NextLabel = r.uvarint()
 	m.MutOps = r.uvarint()
-	kind := r.byte()
-	if kind != PendNone {
-		if kind != PendDelete && kind != PendUpdate {
+	if kind := r.byte(); kind != noPendingOp && r.err == nil {
+		op := map[byte]string{1: "delete", 2: "update"}[kind]
+		if op == "" {
 			return nil, fmt.Errorf("mvcc: unknown pending op kind %d", kind)
 		}
-		p := &PendingOp{Kind: kind}
-		p.DocID = uint32(r.uvarint())
-		p.Version = r.uvarint()
-		p.Terminal = r.uvarint()
-		p.NewTerminal = r.byte() != 0
-		n := r.uvarint()
-		if n > maxMapEntries {
-			return nil, fmt.Errorf("mvcc: %d pending postings", n)
-		}
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			p.Created = append(p.Created, Posting{
-				Sym: uint32(r.uvarint()), Left: r.uvarint(),
-				Right: r.uvarint(), Level: uint32(r.uvarint()),
-			})
-		}
-		m.Pending = p
+		docID, version := r.uvarint(), r.uvarint()
+		return nil, fmt.Errorf("%w: %s of document %d at version %d", ErrPendingOp, op, docID, version)
 	}
 	nDocs := r.uvarint()
 	if nDocs > maxMapEntries {

@@ -1,7 +1,10 @@
 package mvcc
 
 import (
+	"encoding/binary"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -70,10 +73,6 @@ func TestAtResolvesHistory(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m := script(t)
-	m.Pending = &PendingOp{
-		Kind: PendUpdate, DocID: 0, Version: 3, Terminal: 150, NewTerminal: true,
-		Created: []Posting{{Sym: 4, Left: 140, Right: 160, Level: 2}},
-	}
 	dec, err := DecodeMap(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +83,26 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	// Deterministic bytes.
 	if string(m.Encode()) != string(m.Clone().Encode()) {
 		t.Fatal("encode not deterministic across Clone")
+	}
+}
+
+// A map an older build encoded with a pending op — the forest half of an
+// update or delete it may never have written — is refused, naming the op.
+func TestDecodeMapRefusesPendingOp(t *testing.T) {
+	b := []byte(mapMagic)
+	for _, v := range []uint64{3, 2, 3} { // counter, next label, mutation ops
+		b = binary.AppendUvarint(b, v)
+	}
+	b = append(b, 2)                 // an update
+	b = binary.AppendUvarint(b, 7)   // of document 7
+	b = binary.AppendUvarint(b, 3)   // at version 3
+	b = binary.AppendUvarint(b, 150) // its terminal
+	b = append(b, 1)                 // a new terminal
+	b = binary.AppendUvarint(b, 0)   // no created postings
+	b = binary.AppendUvarint(b, 0)   // no documents
+	_, err := DecodeMap(b)
+	if !errors.Is(err, ErrPendingOp) || !strings.Contains(err.Error(), "update of document 7 at version 3") {
+		t.Fatalf("DecodeMap = %v, want ErrPendingOp naming the update", err)
 	}
 }
 

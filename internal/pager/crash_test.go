@@ -45,7 +45,7 @@ func (a fileImage) equal(b fileImage) bool {
 // enough to force mid-transaction evictions, and periodic FlushAll commits.
 // onCommit (may be nil) observes the file right after each commit point.
 func poolWorkload(main, journalFile pager.File, onCommit func()) error {
-	j, err := pager.NewJournal(journalFile)
+	j, err := pager.NewJournal(journalFile, main)
 	if err != nil {
 		return err
 	}
@@ -94,18 +94,21 @@ func poolWorkload(main, journalFile pager.File, onCommit func()) error {
 // workload is first run cleanly to learn its write count W and the file
 // image at every commit point; then it is re-run W times with the power cut
 // at the k-th write-class operation (some with torn page writes), the
-// frozen image is reopened, and recovery must restore exactly one of the
-// committed images — never a panic, never a checksum error, never a state
-// that no commit produced.
+// frozen image is reopened, and recovery must restore exactly the image of
+// the last commit that returned before the cut or of the one in flight —
+// never a panic, never a checksum error, never an earlier image (a commit
+// that returned is durable), never a state that no commit produced.
 func TestCrashSweepEveryWritePoint(t *testing.T) {
 	snaps := []fileImage{{}} // the empty file is the zeroth committed state
 	var mainMem, journalMem *pager.MemFile
+	done := 0 // commits the cut run completed
 	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
 		mainMem, journalMem = pager.NewMemFile(), pager.NewMemFile()
 		main, journalFile := pager.NewFaultFile(mainMem), pager.NewFaultFile(journalMem)
 		main.SetPowerClock(clock)
 		journalFile.SetPowerClock(clock)
-		var onCommit func()
+		done = 0
+		onCommit := func() { done++ }
 		if k == 0 {
 			onCommit = func() { snaps = append(snaps, captureImage(t, mainMem)) }
 		}
@@ -114,7 +117,7 @@ func TestCrashSweepEveryWritePoint(t *testing.T) {
 	pagertest.Sweep(t, 20, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {
 		// "Reboot": reopen the frozen images; NewJournaledPool runs
 		// recovery.
-		j, err := pager.NewJournal(journalMem)
+		j, err := pager.NewJournal(journalMem, mainMem)
 		if err != nil {
 			t.Fatalf("reopen journal: %v", err)
 		}
@@ -140,16 +143,15 @@ func TestCrashSweepEveryWritePoint(t *testing.T) {
 
 		// The recovered image must be exactly one of the committed
 		// states: atomicity means no torn in-between state survives.
-		matched := -1
+		if img.equal(snaps[done]) || done+1 < len(snaps) && img.equal(snaps[done+1]) {
+			return
+		}
 		for i, s := range snaps {
 			if img.equal(s) {
-				matched = i
-				break
+				t.Fatalf("recovered commit %d's image after %d commits returned", i, done)
 			}
 		}
-		if matched < 0 {
-			t.Errorf("recovered image (%d pages) matches no committed state", len(img.pages))
-		}
+		t.Errorf("recovered image (%d pages) matches no committed state", len(img.pages))
 	})
 }
 
@@ -159,7 +161,7 @@ func TestCrashSweepEveryWritePoint(t *testing.T) {
 func TestFlushAllWriteFaultKeepsPoolConsistent(t *testing.T) {
 	mem := pager.NewMemFile()
 	ff := pager.NewFaultFile(mem)
-	j, err := pager.NewJournal(pager.NewMemFile())
+	j, err := pager.NewJournal(pager.NewMemFile(), ff)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,13 +20,21 @@ import (
 //     each operation fails independently with a given probability, drawn
 //     from a deterministic seeded source;
 //   - a PowerClock (SetPowerClock): a shared write-operation counter that
-//     "cuts power" at the k-th write across every file it is attached to,
-//     optionally tearing that final page write, and freezes the backing
-//     image by failing everything afterwards.
+//     "cuts power" at the k-th write across every file it is attached to
+//     and freezes the inner files as the crash image, failing everything
+//     afterwards.
+//
+// The inner file is the durable image: what a disk holds after a power
+// loss. Writes, allocations and truncates stay pending in the FaultFile
+// until Sync applies them to it (reads see them meanwhile), so a power cut
+// loses what no Sync made durable, as the clock's Loss says, and the
+// cutting page write may land torn. A missing fsync therefore shows as lost
+// or half-applied writes in the crash image. A clean Close applies what is pending, as an operating system's
+// page cache would on a process exit.
 //
 // Countdowns and rates model a flaky-but-alive disk and are cleared by
-// Heal; a power cut models process death and is not healable — tests
-// reopen the frozen inner file instead.
+// Heal; a power cut is not healable — tests reopen the frozen inner file
+// instead.
 type FaultFile struct {
 	mu    sync.Mutex
 	inner File
@@ -43,7 +51,27 @@ type FaultFile struct {
 	writeRng  *rand.Rand
 
 	clock *PowerClock
+	// pending holds the writes, allocations and truncates since the last
+	// Sync in issue order; view is each pending page's latest content and
+	// size the page count they leave. Reads go through both.
+	pending []pendingOp
+	view    map[PageID][]byte
+	size    uint32
 }
+
+// pendingOp is one unsynced mutation. A truncate carries its new page count
+// in id.
+type pendingOp struct {
+	kind byte
+	id   PageID
+	data []byte
+}
+
+const (
+	opWrite = byte(iota)
+	opAllocate
+	opTruncate
+)
 
 // ErrInjected is the error returned by scheduled failures.
 var ErrInjected = fmt.Errorf("pager: injected fault")
@@ -54,7 +82,8 @@ var ErrPowerCut = fmt.Errorf("pager: simulated power cut")
 
 // NewFaultFile wraps inner with no failures scheduled.
 func NewFaultFile(inner File) *FaultFile {
-	return &FaultFile{inner: inner, failReadAfter: -1, failWriteAfter: -1}
+	return &FaultFile{inner: inner, failReadAfter: -1, failWriteAfter: -1,
+		view: map[PageID][]byte{}, size: inner.NumPages()}
 }
 
 // Inner returns the wrapped File — after a power cut it holds the frozen
@@ -103,6 +132,7 @@ func (f *FaultFile) SetPowerClock(c *PowerClock) {
 	f.mu.Lock()
 	f.clock = c
 	f.mu.Unlock()
+	c.attach(f)
 }
 
 // Heal clears countdown and probabilistic failures. It does not revive a
@@ -114,9 +144,18 @@ func (f *FaultFile) Heal() {
 	f.mu.Unlock()
 }
 
-// FlipBit flips a single bit of the stored image of page id, bypassing all
+// FlipBit flips a single bit of page id as reads see it, bypassing all
 // fault scheduling: it models silent media corruption, not an I/O error.
 func (f *FaultFile) FlipBit(id PageID, bit int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if data, ok := f.view[id]; ok {
+		if bit < 0 || bit >= PageSize*8 {
+			return fmt.Errorf("pager: FlipBit offset %d out of range", bit)
+		}
+		data[bit/8] ^= 1 << (bit % 8)
+		return nil
+	}
 	return FlipBit(f.inner, id, bit)
 }
 
@@ -134,9 +173,7 @@ func FlipBit(f File, id PageID, bit int) error {
 	return f.WritePage(id, buf[:])
 }
 
-func (f *FaultFile) readFault() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+func (f *FaultFile) readFaultLocked() error {
 	if f.clock != nil && f.clock.DidCut() {
 		return ErrPowerCut
 	}
@@ -152,9 +189,7 @@ func (f *FaultFile) readFault() error {
 	return nil
 }
 
-func (f *FaultFile) writeFault() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+func (f *FaultFile) writeFaultLocked() error {
 	if f.failWriteAfter == 0 {
 		return ErrInjected
 	}
@@ -167,114 +202,231 @@ func (f *FaultFile) writeFault() error {
 	return nil
 }
 
+// writeOpLocked runs the checks every write-class operation makes: the
+// scheduled faults, then the power clock. At the cut point it applies the
+// power loss to every file on the clock — tearing page id with buf's
+// prefix when buf is set — and returns ErrPowerCut.
+func (f *FaultFile) writeOpLocked(id PageID, buf []byte) error {
+	if err := f.writeFaultLocked(); err != nil {
+		return err
+	}
+	if f.clock == nil {
+		return nil
+	}
+	torn, cutNow, err := f.clock.tick()
+	if err != nil {
+		return err
+	}
+	if cutNow {
+		f.clock.powerLoss(f)
+		if torn > 0 && buf != nil && uint32(id) < f.inner.NumPages() {
+			var cur [PageSize]byte
+			if f.inner.ReadPage(id, cur[:]) == nil {
+				copy(cur[:torn], buf[:torn])
+				_ = f.inner.WritePage(id, cur[:])
+			}
+		}
+		return ErrPowerCut
+	}
+	return nil
+}
+
 // ReadPage implements File.
 func (f *FaultFile) ReadPage(id PageID, buf []byte) error {
-	if err := f.readFault(); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.readFaultLocked(); err != nil {
 		return err
+	}
+	if uint32(id) >= f.size {
+		return fmt.Errorf("pager: read of unallocated page %d (have %d)", id, f.size)
+	}
+	if data, ok := f.view[id]; ok {
+		copy(buf, data)
+		return nil
 	}
 	return f.inner.ReadPage(id, buf)
 }
 
-// WritePage implements File. At the power-cut point the first tornBytes of
-// the page reach the inner file (a torn write) before ErrPowerCut returns.
+// WritePage implements File. The write is pending until the next Sync; at
+// the power-cut point the clock's torn-byte prefix of it reaches the inner
+// file (a torn write) before ErrPowerCut returns.
 func (f *FaultFile) WritePage(id PageID, buf []byte) error {
-	if err := f.writeFault(); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.writeOpLocked(id, buf); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	clock := f.clock
-	f.mu.Unlock()
-	if clock != nil {
-		torn, cutNow, err := clock.tick()
-		if err != nil {
-			return err
-		}
-		if cutNow {
-			if torn > 0 {
-				var cur [PageSize]byte
-				if f.inner.ReadPage(id, cur[:]) == nil {
-					copy(cur[:torn], buf[:torn])
-					_ = f.inner.WritePage(id, cur[:])
-				}
-			}
-			return ErrPowerCut
-		}
+	if uint32(id) >= f.size {
+		return fmt.Errorf("pager: write of unallocated page %d (have %d)", id, f.size)
 	}
-	return f.inner.WritePage(id, buf)
+	data := append([]byte(nil), buf[:PageSize]...)
+	f.pending = append(f.pending, pendingOp{kind: opWrite, id: id, data: data})
+	f.view[id] = data
+	return nil
 }
 
 // Allocate implements File.
 func (f *FaultFile) Allocate() (PageID, error) {
-	if err := f.writeFault(); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.writeOpLocked(0, nil); err != nil {
 		return InvalidPage, err
 	}
-	if err := f.clockTick(); err != nil {
-		return InvalidPage, err
+	if f.size >= uint32(InvalidPage) {
+		return InvalidPage, fmt.Errorf("pager: file full")
 	}
-	return f.inner.Allocate()
+	id := PageID(f.size)
+	f.size++
+	f.pending = append(f.pending, pendingOp{kind: opAllocate, id: id})
+	f.view[id] = make([]byte, PageSize)
+	return id, nil
 }
 
 // NumPages implements File.
-func (f *FaultFile) NumPages() uint32 { return f.inner.NumPages() }
+func (f *FaultFile) NumPages() uint32 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.size
+}
 
 // Truncate implements File.
 func (f *FaultFile) Truncate(n uint32) error {
-	if err := f.writeFault(); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.writeOpLocked(0, nil); err != nil {
 		return err
 	}
-	if err := f.clockTick(); err != nil {
-		return err
+	if n > f.size {
+		return fmt.Errorf("pager: truncate to %d pages, have %d", n, f.size)
 	}
-	return f.inner.Truncate(n)
+	f.pending = append(f.pending, pendingOp{kind: opTruncate, id: PageID(n)})
+	for id := range f.view {
+		if uint32(id) >= n {
+			delete(f.view, id)
+		}
+	}
+	f.size = n
+	return nil
 }
 
-// Sync implements File.
+// Sync implements File: every pending operation reaches the inner file,
+// which is then synced.
 func (f *FaultFile) Sync() error {
-	if err := f.writeFault(); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.writeOpLocked(0, nil); err != nil {
 		return err
 	}
-	if err := f.clockTick(); err != nil {
+	if err := f.applyLocked(nil); err != nil {
 		return err
 	}
 	return f.inner.Sync()
 }
 
 // Close implements File. Like Sync it honors a pending write fault, so a
-// flush-on-close path cannot silently swallow a scheduled failure.
+// flush-on-close path cannot silently swallow a scheduled failure. Unless
+// the power was cut, what is pending reaches the inner file first.
 func (f *FaultFile) Close() error {
-	if err := f.writeFault(); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.writeFaultLocked(); err != nil {
 		return err
+	}
+	if f.clock == nil || !f.clock.DidCut() {
+		if err := f.applyLocked(nil); err != nil {
+			return err
+		}
 	}
 	return f.inner.Close()
 }
 
-// clockTick advances the power clock for a non-page-write mutation
-// (Allocate, Sync, Truncate): at and after the cut point the operation
-// does not happen at all.
-func (f *FaultFile) clockTick() error {
-	f.mu.Lock()
-	clock := f.clock
-	f.mu.Unlock()
-	if clock == nil {
-		return nil
+// applyLocked replays the pending operations on the inner file in issue
+// order, each only if keep (nil keeps all) says so, and clears them. A kept
+// write to a page the inner file does not have extends it with zeroed
+// pages first, as a write past the end of an operating-system file does.
+func (f *FaultFile) applyLocked(keep func(i int) bool) error {
+	for i, op := range f.pending {
+		if keep != nil && !keep(i) {
+			continue
+		}
+		switch op.kind {
+		case opWrite, opAllocate:
+			for f.inner.NumPages() <= uint32(op.id) {
+				if _, err := f.inner.Allocate(); err != nil {
+					return err
+				}
+			}
+			if op.kind == opWrite {
+				if err := f.inner.WritePage(op.id, op.data); err != nil {
+					return err
+				}
+			}
+		case opTruncate:
+			if uint32(op.id) < f.inner.NumPages() {
+				if err := f.inner.Truncate(uint32(op.id)); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	torn, cutNow, err := clock.tick()
-	_ = torn
-	if err != nil {
-		return err
-	}
-	if cutNow {
-		return ErrPowerCut
-	}
+	f.pending = f.pending[:0]
+	clear(f.view)
+	f.size = f.inner.NumPages()
 	return nil
 }
 
+// loseLocked applies a power cut to the file: of its unsynced operations,
+// what loss keeps reaches the inner file and the rest is gone.
+func (f *FaultFile) loseLocked(loss Loss, rng *rand.Rand) {
+	switch loss {
+	case LoseAll:
+		_ = f.applyLocked(func(int) bool { return false })
+	case LoseSubset:
+		_ = f.applyLocked(func(int) bool { return rng.Intn(2) == 0 })
+	case TearLast:
+		last := -1
+		for i, op := range f.pending {
+			if op.kind == opWrite {
+				last = i
+			}
+		}
+		if last < 0 {
+			_ = f.applyLocked(nil)
+			return
+		}
+		op := f.pending[last]
+		_ = f.applyLocked(func(i int) bool { return i != last })
+		var cur [PageSize]byte
+		if uint32(op.id) < f.inner.NumPages() && f.inner.ReadPage(op.id, cur[:]) == nil {
+			copy(cur[:PageSize/2], op.data)
+			_ = f.inner.WritePage(op.id, cur[:])
+		}
+	}
+}
+
+// Loss is what a power cut does to the operations no Sync made durable.
+type Loss int
+
+const (
+	// LoseAll drops every unsynced operation.
+	LoseAll Loss = iota
+	// LoseSubset keeps a seeded subset, replayed in issue order: a disk
+	// that reorders its write-back.
+	LoseSubset
+	// TearLast keeps all but each file's last unsynced page write, which
+	// lands torn, its first half over the old bytes: a disk that writes back
+	// in order and was mid-page when the power went.
+	TearLast
+)
+
 // PowerClock simulates pulling the plug at the k-th write-class operation
 // (WritePage, Allocate, Sync, Truncate) observed across every FaultFile it
-// is attached to. The cutting WritePage optionally persists only its first
-// TornBytes bytes (a torn sector run); every operation after the cut —
-// reads included — fails with ErrPowerCut, freezing the inner files as the
-// crash image.
+// is attached to, and every FaultFS operation that ticks it. At the cut
+// each attached file loses its unsynced operations as the clock's Loss
+// says, and the cutting page write persists only its first TornBytes bytes
+// (a torn sector run); every operation after the cut — reads included —
+// fails with ErrPowerCut, freezing the inner files as the crash image.
 //
 // A clock with cutAfter <= 0 never cuts and just counts: crash-sweep tests
 // first run a workload once to learn its write count W, then re-run it
@@ -283,8 +435,11 @@ type PowerClock struct {
 	mu       sync.Mutex
 	cutAfter int64
 	torn     int
+	loss     Loss
+	lossSeed int64
 	count    int64
 	cut      bool
+	files    []*FaultFile
 }
 
 // NewPowerClock returns a clock that cuts power at the cutAfter-th
@@ -304,6 +459,38 @@ func (c *PowerClock) SetTornBytes(n int) {
 	c.mu.Unlock()
 }
 
+// SetLoss sets what a cut does to the unsynced operations (LoseAll by
+// default); seed seeds LoseSubset's choice.
+func (c *PowerClock) SetLoss(loss Loss, seed int64) {
+	c.mu.Lock()
+	c.loss, c.lossSeed = loss, seed
+	c.mu.Unlock()
+}
+
+func (c *PowerClock) attach(f *FaultFile) {
+	c.mu.Lock()
+	c.files = append(c.files, f)
+	c.mu.Unlock()
+}
+
+// powerLoss applies the cut to every attached file, in the order they were
+// attached. locked is the file whose mutex the caller holds (nil for none).
+func (c *PowerClock) powerLoss(locked *FaultFile) {
+	c.mu.Lock()
+	files := append([]*FaultFile(nil), c.files...)
+	loss, rng := c.loss, rand.New(rand.NewSource(c.lossSeed))
+	c.mu.Unlock()
+	for _, f := range files {
+		if f != locked {
+			f.mu.Lock()
+		}
+		f.loseLocked(loss, rng)
+		if f != locked {
+			f.mu.Unlock()
+		}
+	}
+}
+
 // Writes returns the number of write-class operations observed.
 func (c *PowerClock) Writes() int64 {
 	c.mu.Lock()
@@ -321,11 +508,15 @@ func (c *PowerClock) DidCut() bool {
 // Tick records one write-class operation performed outside the pager.
 // FaultFS calls it with the same clock the index page files carry, so one
 // crash sweep covers every write point of a build, not just the paged
-// ones. It returns cut=true exactly at the cut point (the caller may
-// persist a deterministic torn prefix before failing) and ErrPowerCut for
-// every operation after it.
+// ones. It returns cut=true exactly at the cut point, after the attached
+// page files have lost their unsynced writes (the caller may persist a
+// deterministic torn prefix before failing), and ErrPowerCut for every
+// operation after it.
 func (c *PowerClock) Tick() (cut bool, err error) {
 	_, cutNow, err := c.tick()
+	if cutNow {
+		c.powerLoss(nil)
+	}
 	return cutNow, err
 }
 
@@ -348,7 +539,7 @@ func (c *PowerClock) tick() (torn int, cutNow bool, err error) {
 
 // FaultFS is FaultFile's counterpart for the non-page artifacts: it wraps an
 // FS so that every write-class operation — file creation, each Write, Sync,
-// Rename, Remove, RemoveAll, MkdirAll — ticks a PowerClock. Crash-sweep
+// Rename, Remove, RemoveAll, MkdirAll, SyncDir — ticks a PowerClock. Crash-sweep
 // tests attach the same clock here and to the index page files (through
 // prix.Options.OpenFile and a FaultFile), so one ordinal spans every write
 // of a build. The cutting Write persists the first half of its buffer — a
@@ -416,6 +607,15 @@ func (f *FaultFS) MkdirAll(path string) error {
 }
 
 func (f *FaultFS) ReadDir(path string) ([]string, error) { return f.inner.ReadDir(path) }
+
+// SyncDir ticks the clock like every other write-class operation. A cut
+// does not yet roll back the renames no SyncDir followed.
+func (f *FaultFS) SyncDir(path string) error {
+	if err := f.tick(); err != nil {
+		return err
+	}
+	return f.inner.SyncDir(path)
+}
 
 type faultFSFile struct {
 	inner FSFile

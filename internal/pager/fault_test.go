@@ -132,6 +132,9 @@ func TestPowerCutTornWrite(t *testing.T) {
 	if err := f.WritePage(id, old); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	clock := NewPowerClock(1)
 	clock.SetTornBytes(100)
 	f.SetPowerClock(clock)

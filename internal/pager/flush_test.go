@@ -10,7 +10,7 @@ import (
 // pages, each tagged with its index in byte 0.
 func journaledPool(t *testing.T, main, journalFile File, n, capacity int) (*BufferPool, []PageID) {
 	t.Helper()
-	j, err := NewJournal(journalFile)
+	j, err := NewJournal(journalFile, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,13 @@ func TestFlushAllWritesInPageOrder(t *testing.T) {
 		if !slices.Equal(main.writes, ids) {
 			t.Fatalf("round %d: pages written in order %v, want ascending %v", round, main.writes, ids)
 		}
-		// Journal: header, then (image, record header) per page in the same
-		// order, then the commit's header write.
-		want := []PageID{0}
+		// Journal: the images in the same order after the one table page,
+		// then the table, then the commit's header write.
+		var want []PageID
 		for i := range ids {
-			want = append(want, PageID(2*i+2), PageID(2*i+1))
+			want = append(want, PageID(i+1))
 		}
-		want = append(want, 0)
+		want = append(want, 0, 0)
 		if !slices.Equal(journalFile.writes, want) {
 			t.Fatalf("round %d: journal pages written in order %v, want %v", round, journalFile.writes, want)
 		}
@@ -123,7 +123,7 @@ func TestFlushAllDoubleFaultRetry(t *testing.T) {
 	bp, ids := journaledPool(t, main, journalFile, 6, 8)
 	dirtyPages(t, bp, ids, 0xEE)
 
-	journalFile.FailWritesAfter(4) // header, its sync, one record, then the next image
+	journalFile.FailWritesAfter(8) // seven allocations and one image, then the second
 	if err := bp.FlushAll(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("first FlushAll = %v, want ErrInjected", err)
 	}
@@ -142,7 +142,7 @@ func TestFlushAllDoubleFaultRetry(t *testing.T) {
 	if bp.Journal().Active() {
 		t.Error("journal active after the completed commit")
 	}
-	if got, want := journalMem.NumPages(), uint32(1+2*len(ids)); got != want {
+	if got, want := journalMem.NumPages(), uint32(1+len(ids)); got != want {
 		t.Errorf("journal holds %d pages, want %d (one record per page)", got, want)
 	}
 	buf := make([]byte, PageSize)
@@ -166,7 +166,7 @@ func TestFlushAllDoubleFaultRetry(t *testing.T) {
 // durably inactive.
 func TestJournalTrimsAfterLargeTransaction(t *testing.T) {
 	workload := func(main, journalFile File, afterSmall func()) error {
-		j, err := NewJournal(journalFile)
+		j, err := NewJournal(journalFile, main)
 		if err != nil {
 			return err
 		}
@@ -217,15 +217,15 @@ func TestJournalTrimsAfterLargeTransaction(t *testing.T) {
 	var trimOrdinal int64
 	err := workload(main, journalFile, func() {
 		trimOrdinal = clock.Writes() // the truncate is the small commit's last operation
-		if got := journalMem.NumPages(); got != 3 {
-			t.Errorf("journal holds %d pages after a one-page commit, want 3", got)
+		if got := journalFile.NumPages(); got != 2 {
+			t.Errorf("journal holds %d pages after a one-page commit, want 2", got)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := journalMem.NumPages(); got != 3 {
-		t.Errorf("journal holds %d pages after two one-page commits, want 3", got)
+	if got := journalFile.NumPages(); got != 2 {
+		t.Errorf("journal holds %d pages after two one-page commits, want 2", got)
 	}
 
 	// Cut the power on the truncate.
@@ -237,15 +237,12 @@ func TestJournalTrimsAfterLargeTransaction(t *testing.T) {
 	if err := workload(main, journalFile, nil); !errors.Is(err, ErrPowerCut) {
 		t.Fatalf("workload = %v, want ErrPowerCut", err)
 	}
-	if got := journalMem.NumPages(); got != 41 {
-		t.Fatalf("cut journal holds %d pages, want the untrimmed 41: the cut missed the truncate", got)
+	if got := journalMem.NumPages(); got != 21 {
+		t.Fatalf("cut journal holds %d pages, want the untrimmed 21: the cut missed the truncate", got)
 	}
-	j, err := NewJournal(journalMem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rolled, err := j.Recover(mainMem); err != nil || rolled {
-		t.Fatalf("Recover = %v, %v; the small commit was durable before the trim", rolled, err)
+	j, err := NewJournal(journalMem, mainMem)
+	if err != nil || j.RolledBack() {
+		t.Fatalf("reopen rolled back %v, %v; the small commit was durable before the trim", j != nil && j.RolledBack(), err)
 	}
 	buf := make([]byte, PageSize)
 	for id, want := range []byte{2, 1, 1} {

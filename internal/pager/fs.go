@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // FSFile is a sequentially written artifact: a run file, a manifest or
@@ -28,6 +29,9 @@ type FS interface {
 	// ReadDir lists the names (not paths) of directory entries; a missing
 	// directory returns an empty list.
 	ReadDir(path string) ([]string, error)
+	// SyncDir makes the directory's entries durable: a rename or create in
+	// it survives a power loss only once its parent directory is synced.
+	SyncDir(path string) error
 }
 
 // OSFS is the real filesystem.
@@ -44,6 +48,18 @@ func (OSFS) Remove(path string) error { return os.Remove(path) }
 func (OSFS) RemoveAll(path string) error { return os.RemoveAll(path) }
 
 func (OSFS) MkdirAll(path string) error { return os.MkdirAll(path, 0o755) }
+
+func (OSFS) SyncDir(path string) error {
+	d, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 func (OSFS) ReadDir(path string) ([]string, error) {
 	ents, err := os.ReadDir(path)
@@ -90,8 +106,9 @@ func createAtomic(fs FS, path string, bufSize int) (*AtomicFile, error) {
 // Write buffers p for the temp file.
 func (a *AtomicFile) Write(p []byte) (int, error) { return a.w.Write(p) }
 
-// Commit flushes, syncs and closes the temp file, then renames it over the
-// path. On a failure before the rename the temp is removed.
+// Commit flushes, syncs and closes the temp file, renames it over the path
+// and syncs the directory, so the rename is durable when Commit returns. On
+// a failure before the rename the temp is removed.
 func (a *AtomicFile) Commit() error {
 	err := a.w.Flush()
 	if err == nil {
@@ -105,7 +122,10 @@ func (a *AtomicFile) Commit() error {
 		_ = a.fs.Remove(a.path + tmpSuffix)
 		return err
 	}
-	return a.fs.Rename(a.path+tmpSuffix, a.path)
+	if err := a.fs.Rename(a.path+tmpSuffix, a.path); err != nil {
+		return err
+	}
+	return a.fs.SyncDir(filepath.Dir(a.path))
 }
 
 // Abort drops the temp file and leaves the path untouched. It runs on

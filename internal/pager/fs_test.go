@@ -46,6 +46,11 @@ func (r *recordFS) Remove(path string) error {
 	return r.OSFS.Remove(path)
 }
 
+func (r *recordFS) SyncDir(path string) error {
+	r.log = append(r.log, "syncdir "+filepath.Base(path))
+	return r.OSFS.SyncDir(path)
+}
+
 func (w *recordFile) Write(p []byte) (int, error) {
 	w.fs.log = append(w.fs.log, fmt.Sprintf("write %s %d", w.name, len(p)))
 	return w.f.Write(p)
@@ -75,8 +80,9 @@ func readFile(t *testing.T, path string) string {
 
 // TestAtomicWriteOrder pins the one durable-write protocol every artifact
 // goes through: the temp is written, synced and closed before it is renamed
-// over the path, nothing but the rename touches the path, and a power cut at
-// any of its write points leaves the old bytes or the new ones.
+// over the path, the directory is synced after the rename, nothing but the
+// rename touches the path, and a power cut at any of its write points leaves
+// the old bytes or the new ones.
 func TestAtomicWriteOrder(t *testing.T) {
 	t.Run("commit", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "f")
@@ -96,7 +102,7 @@ func TestAtomicWriteOrder(t *testing.T) {
 		if err := a.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		want := []string{"create f.tmp", "write f.tmp 9", "sync f.tmp", "close f.tmp", "rename f.tmp f"}
+		want := []string{"create f.tmp", "write f.tmp 9", "sync f.tmp", "close f.tmp", "rename f.tmp f", "syncdir " + filepath.Base(filepath.Dir(path))}
 		if !reflect.DeepEqual(fs.log, want) {
 			t.Fatalf("Commit ran %q, want %q", fs.log, want)
 		}
@@ -156,4 +162,20 @@ func TestAtomicWriteOrder(t *testing.T) {
 			}
 		})
 	})
+}
+
+// Every rename an AtomicFile commit makes is followed by a sync of the
+// target's directory, on a recording FaultFS whose clock also ticks for the
+// directory sync.
+func TestAtomicCommitSyncsDir(t *testing.T) {
+	clock := pager.NewPowerClock(0)
+	fs := &pagertest.RecordFS{FS: pager.NewFaultFS(pager.OSFS{}, clock)}
+	if err := pager.WriteFileAtomic(fs, filepath.Join(t.TempDir(), "f"), []byte("bytes")); err != nil {
+		t.Fatal(err)
+	}
+	fs.CheckRenamesSynced(t)
+	// create, write, sync, rename, syncdir
+	if got := clock.Writes(); got != 5 {
+		t.Errorf("the commit ticked the clock %d times, want 5", got)
+	}
 }

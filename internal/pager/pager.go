@@ -366,9 +366,11 @@ const transientFrames = 4
 //
 // Every physical read is checksum-verified (a mismatch returns a typed
 // *CorruptPageError) and every write-back is sealed with a fresh header.
-// With a journal attached (NewJournaledPool), write-backs follow the
+// NewPage only numbers a page: the file grows when the page is first written
+// back. With a journal attached (NewJournaledPool), write-backs follow the
 // atomic-commit protocol: before-images are journaled and synced before a
-// committed page is overwritten in place, and FlushAll is the commit point.
+// committed page is overwritten in place, and FlushAll is the commit point
+// of every pool sharing the journal.
 type BufferPool struct {
 	mu       sync.Mutex
 	file     File
@@ -394,7 +396,14 @@ type BufferPool struct {
 	// reads from different workers overlap instead of serializing.
 	readDelay atomic.Int64
 
+	// pages is the page count including pages NewPage numbered that were
+	// not written back yet; the file holds the first file.NumPages() of them.
+	pages uint32
+	// written records that the pool wrote to its file since its last sync.
+	written bool
+
 	journal *Journal
+	slot    int // the file's slot in the journal
 	// committedPages is the file's page count at the last commit; pages at
 	// or beyond it were allocated by the open transaction and need no
 	// before-image (rollback truncates them).
@@ -402,11 +411,8 @@ type BufferPool struct {
 	// journaled tracks pages whose before-image is already in the journal
 	// for the open transaction.
 	journaled map[PageID]bool
-	// before is the page a before-image is read into on its way to the
-	// journal, and flushing the dirty frames of the flush in progress; both
-	// are allocated by the first journaled write and reused, so a commit
-	// allocates nothing in steady state.
-	before   *[PageSize]byte
+	// flushing is the dirty frames of the flush in progress, reused so a
+	// commit allocates nothing in steady state.
 	flushing []*frame
 }
 
@@ -421,18 +427,20 @@ func NewBufferPool(file File, capacity int) *BufferPool {
 		capacity: capacity,
 		// Unsized: the map grows with residency, not with the capacity.
 		frames: make(map[PageID]*frame),
+		pages:  file.NumPages(),
 	}
 }
 
-// NewJournaledPool first rolls back any transaction the journal left
-// pending (crash recovery), then returns a pool whose write-backs go
-// through the atomic-commit protocol.
+// NewJournaledPool returns a pool over one of the journal's files (which
+// NewJournal has already rolled back) whose write-backs go through the
+// atomic-commit protocol.
 func NewJournaledPool(file File, journal *Journal, capacity int) (*BufferPool, error) {
-	if _, err := journal.Recover(file); err != nil {
+	bp := NewBufferPool(file, capacity)
+	slot, err := journal.attach(bp)
+	if err != nil {
 		return nil, err
 	}
-	bp := NewBufferPool(file, capacity)
-	bp.journal = journal
+	bp.journal, bp.slot = journal, slot
 	bp.committedPages = file.NumPages()
 	bp.journaled = make(map[PageID]bool)
 	return bp, nil
@@ -443,6 +451,14 @@ func (bp *BufferPool) Journal() *Journal { return bp.journal }
 
 // File exposes the underlying page file.
 func (bp *BufferPool) File() File { return bp.file }
+
+// NumPages returns the page count, pages NewPage numbered and not yet
+// written back included.
+func (bp *BufferPool) NumPages() uint32 {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return bp.pages
+}
 
 // Capacity returns the pool capacity in pages.
 func (bp *BufferPool) Capacity() int { return bp.capacity }
@@ -618,76 +634,41 @@ func (bp *BufferPool) readFrame(id PageID, fr *frame) error {
 	return nil
 }
 
-// NewPage allocates a fresh zeroed page in the file and returns it pinned.
+// NewPage numbers a fresh zeroed page and returns it pinned. The file grows
+// when the page is first written back, so with a journal attached it never
+// grows before the transaction that rolls the growth back is durable.
 func (bp *BufferPool) NewPage() (Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	// Open the transaction before the allocation hits the file, so a crash
-	// right after Allocate still truncates the orphan page away.
-	if err := bp.beginTxnLocked(); err != nil {
-		return Page{}, err
+	if bp.pages >= uint32(InvalidPage) {
+		return Page{}, fmt.Errorf("pager: file full")
 	}
-	id, err := bp.file.Allocate()
+	fr, err := bp.newFrameLocked(PageID(bp.pages), true)
 	if err != nil {
 		return Page{}, err
 	}
+	bp.pages++
 	bp.stats.allocations.Add(1)
-	fr, err := bp.newFrameLocked(id, true)
-	if err != nil {
-		return Page{}, err
-	}
 	fr.dirty = true
 	return bp.page(fr), nil
 }
 
-// beginTxnLocked opens the journal transaction if one is not already open.
-// Without a journal it is a no-op.
-func (bp *BufferPool) beginTxnLocked() error {
-	if bp.journal == nil || bp.journal.Active() {
-		return nil
-	}
-	return bp.journal.Begin(bp.committedPages)
+// needsImageLocked reports whether overwriting page id needs its
+// before-image journaled first: the page existed at the last commit and is
+// not journaled yet.
+func (bp *BufferPool) needsImageLocked(id PageID) bool {
+	return uint32(id) < bp.committedPages && !bp.journaled[id]
 }
 
-// journalBeforeLocked appends the on-disk image of fr's page to the journal,
-// opening the transaction if need be, unless the page was allocated by the
-// open transaction or is journaled already. The record is durable only after
-// the journal's next Sync.
-func (bp *BufferPool) journalBeforeLocked(fr *frame) error {
-	if uint32(fr.id) >= bp.committedPages || bp.journaled[fr.id] {
-		return nil
-	}
-	if err := bp.beginTxnLocked(); err != nil {
-		return err
-	}
-	if bp.before == nil {
-		bp.before = new([PageSize]byte)
-	}
-	if err := bp.file.ReadPage(fr.id, bp.before[:]); err != nil {
-		return err
-	}
-	if err := bp.journal.Append(fr.id, bp.before[:]); err != nil {
-		return err
-	}
-	bp.journaled[fr.id] = true
-	return nil
-}
-
-// writeFrameLocked seals and writes one frame back to the file, journaling
-// the page's before-image first when the atomic-commit protocol is on.
+// writeFrameLocked seals and writes one frame back to the file, extending
+// the file to the page first. Journaling is the caller's.
 func (bp *BufferPool) writeFrameLocked(fr *frame) error {
-	if bp.journal != nil {
-		if err := bp.beginTxnLocked(); err != nil {
-			return err
-		}
-		if err := bp.journalBeforeLocked(fr); err != nil {
-			return err
-		}
-		// The before-image must be durable before the overwrite starts.
-		if err := bp.journal.Sync(); err != nil {
+	for bp.file.NumPages() <= uint32(fr.id) {
+		if _, err := bp.file.Allocate(); err != nil {
 			return err
 		}
 	}
+	bp.written = true
 	SealPage(fr.id, fr.data[:])
 	if err := bp.file.WritePage(fr.id, fr.data[:]); err != nil {
 		return err
@@ -709,6 +690,11 @@ func (bp *BufferPool) newFrameLocked(id PageID, zero bool) (*frame, error) {
 			return nil, fmt.Errorf("pager: buffer pool exhausted: all %d frames pinned", bp.capacity)
 		}
 		if vf.dirty {
+			if bp.journal != nil {
+				if err := bp.journal.logForWrite(bp, vf.id); err != nil {
+					return nil, err
+				}
+			}
 			if err := bp.writeFrameLocked(vf); err != nil {
 				return nil, err
 			}
@@ -796,24 +782,30 @@ func (bp *BufferPool) unpin(fr *frame, dirty bool) {
 }
 
 // FlushAll writes every dirty frame back to the file and syncs it. With a
-// journal attached it is the commit point: before-images of every page
-// about to be overwritten are made durable first, then the pages are
-// written in place and synced, then the journal is deactivated — so a
-// crash at any write point leaves either the old or the new state
+// journal attached it is the commit point of every pool sharing the
+// journal, as one transaction: before-images of every page about to be
+// overwritten are made durable first, then each pool's pages are written in
+// place and its file synced, then the journal is deactivated — so a crash
+// at any write point leaves either the old or the new state of all of them
 // recoverable, never a mix.
 //
-// On error the pool stays consistent: frames that were not written back
+// On error the pools stay consistent: frames that were not written back
 // keep their dirty bit and the transaction stays open, so a later FlushAll
 // (after the fault clears) completes the commit.
 func (bp *BufferPool) FlushAll() error {
+	if bp.journal != nil {
+		return bp.journal.commit()
+	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	return bp.flushAllLocked()
+	bp.collectDirtyLocked()
+	return bp.writeBackLocked()
 }
 
-func (bp *BufferPool) flushAllLocked() error {
-	// Ascending page id, not map order: a crash-sweep ordinal then names the
-	// same write on every run.
+// collectDirtyLocked gathers the dirty frames into flushing in ascending
+// page id, not map order: a crash-sweep ordinal then names the same write on
+// every run.
+func (bp *BufferPool) collectDirtyLocked() {
 	dirty := bp.flushing[:0]
 	for _, fr := range bp.frames {
 		if fr.dirty {
@@ -822,56 +814,41 @@ func (bp *BufferPool) flushAllLocked() error {
 	}
 	slices.SortFunc(dirty, func(a, b *frame) int { return cmp.Compare(a.id, b.id) })
 	bp.flushing = dirty
-	// Journal every needed before-image up front so one sync covers all of
-	// them (writeFrameLocked then finds them journaled and synced).
-	if bp.journal != nil {
-		for _, fr := range dirty {
-			if err := bp.journalBeforeLocked(fr); err != nil {
-				return err
-			}
-		}
-		if err := bp.journal.Sync(); err != nil {
-			return err
-		}
-	}
-	for _, fr := range dirty {
+}
+
+// writeBackLocked writes the collected frames and syncs the file if
+// anything reached it since its last sync.
+func (bp *BufferPool) writeBackLocked() error {
+	for _, fr := range bp.flushing {
 		if err := bp.writeFrameLocked(fr); err != nil {
 			return err
 		}
 		fr.dirty = false
 	}
+	if !bp.written {
+		return nil
+	}
 	if err := bp.file.Sync(); err != nil {
 		return err
 	}
-	if bp.journal != nil && bp.journal.Active() {
-		if err := bp.journal.Commit(); err != nil {
-			return err
-		}
-		bp.committedPages = bp.file.NumPages()
-		clear(bp.journaled)
-		// The commit is durable; a failed trim only leaves the journal long.
-		return bp.journal.trim()
-	}
+	bp.written = false
 	return nil
 }
 
 // Close flushes every dirty frame (committing the open transaction) and
-// closes the file and journal. A journal left inactive holds nothing the
-// next open needs, so it is truncated to zero pages first: a closed index
-// keeps no journal bytes. Write and sync errors are propagated; the file is
-// closed regardless, so a failed Close must be treated as a failed commit,
-// not retried on the closed pool.
+// closes the file. The last pool of a journal to close closes the journal
+// too, truncating it to zero pages first when its last commit left it
+// inactive: a closed index keeps no journal bytes. Write and sync errors are
+// propagated; the file is closed regardless, so a failed Close must be
+// treated as a failed commit, not retried on the closed pool — and the
+// journal refuses every later commit of its other pools, leaving the
+// transaction to recovery.
 func (bp *BufferPool) Close() error {
 	flushErr := bp.FlushAll()
 	closeErr := bp.file.Close()
 	var journalErr error
 	if bp.journal != nil {
-		if flushErr == nil {
-			journalErr = bp.journal.release()
-		}
-		if err := bp.journal.Close(); journalErr == nil {
-			journalErr = err
-		}
+		journalErr = bp.journal.detach(bp, flushErr)
 	}
 	if flushErr != nil {
 		return flushErr
@@ -895,8 +872,8 @@ func (bp *BufferPool) Close() error {
 func (bp *BufferPool) RepairPage(id PageID, allowZero bool) (bool, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if uint32(id) >= bp.file.NumPages() {
-		return false, fmt.Errorf("pager: repair of unallocated page %d (have %d)", id, bp.file.NumPages())
+	if uint32(id) >= bp.pages {
+		return false, fmt.Errorf("pager: repair of unallocated page %d (have %d)", id, bp.pages)
 	}
 	if fr, ok := bp.frames[id]; ok {
 		if fr.loading {

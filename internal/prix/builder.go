@@ -3,7 +3,6 @@ package prix
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/btree"
 	"repro/internal/docstore"
@@ -43,30 +42,17 @@ func NewBuilder(opts Options) (*Builder, error) {
 // in-memory indexes run the journaled atomic-commit protocol.
 func newEmptyIndex(opts Options) (*Index, error) {
 	var forestBP, docsBP *pager.BufferPool
+	var err error
 	if opts.Dir == "" {
-		var err error
-		if forestBP, err = memJournaledPool(opts.pool()); err != nil {
-			return nil, err
-		}
-		if docsBP, err = memJournaledPool(opts.pool()); err != nil {
-			return nil, err
-		}
+		forestBP, docsBP, err = memPools(opts.pool())
 	} else {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("prix: %w", err)
 		}
-		var err error
-		forestBP, err = openJournaledPool(opts.openFile,
-			filepath.Join(opts.Dir, forestFile), filepath.Join(opts.Dir, forestJournalFile), opts.pool())
-		if err != nil {
-			return nil, err
-		}
-		docsBP, err = openJournaledPool(opts.openFile,
-			filepath.Join(opts.Dir, docsFile), filepath.Join(opts.Dir, docsJournalFile), opts.pool())
-		if err != nil {
-			forestBP.Close()
-			return nil, err
-		}
+		forestBP, docsBP, err = openPools(&opts, opts.Dir)
+	}
+	if err != nil {
+		return nil, err
 	}
 	forest, err := btree.Open(forestBP)
 	if err != nil {

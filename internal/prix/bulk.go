@@ -221,10 +221,7 @@ func (ix *Index) finishBulk(builder *vtrie.Builder, bs *buildStats, bo BulkOptio
 	ix.store.SetStat("seqlen", bs.seqLen)
 	ix.store.SetStat("trienodes", int64(builder.Nodes()))
 	ix.store.SetStat("sequences", int64(builder.Sequences()))
-	if err := ix.store.Flush(); err != nil {
-		return err
-	}
-	if err := ix.forest.Flush(); err != nil {
+	if err := ix.commit(); err != nil {
 		return err
 	}
 	ix.PreloadHot()

@@ -1,43 +1,72 @@
 package prix
 
 import (
-	"sync/atomic"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/pager"
 )
 
-// pageCountingFile counts the page writes and syncs that reach the OS.
-type pageCountingFile struct {
-	pager.File
-	writes, syncs *atomic.Int64
+// fileCounter counts, per file name, the page writes and syncs that reach
+// the OS through the OpenFile hook.
+type fileCounter struct {
+	mu            sync.Mutex
+	writes, syncs map[string]int
 }
 
-func (f pageCountingFile) WritePage(id pager.PageID, buf []byte) error {
-	f.writes.Add(1)
+type countedFile struct {
+	pager.File
+	name string
+	c    *fileCounter
+}
+
+func (f countedFile) WritePage(id pager.PageID, buf []byte) error {
+	f.c.mu.Lock()
+	f.c.writes[f.name]++
+	f.c.mu.Unlock()
 	return f.File.WritePage(id, buf)
 }
 
-func (f pageCountingFile) Sync() error {
-	f.syncs.Add(1)
+func (f countedFile) Sync() error {
+	f.c.mu.Lock()
+	f.c.syncs[f.name]++
+	f.c.mu.Unlock()
 	return f.File.Sync()
 }
 
+func (c *fileCounter) open(path string) (pager.File, error) {
+	f, err := pager.OpenOSFilePadded(path)
+	return countedFile{f, filepath.Base(path), c}, err
+}
+
+func (c *fileCounter) reset() {
+	c.mu.Lock()
+	c.writes, c.syncs = map[string]int{}, map[string]int{}
+	c.mu.Unlock()
+}
+
+// total sums a per-file count.
+func total(counts map[string]int) (n int) {
+	for _, k := range counts {
+		n += k
+	}
+	return n
+}
+
 // BenchmarkCommitUpdate is the cost of one committed mutation: an Update on a
-// 3,000-document EPIndex over real files (journals included), with the page
+// 3,000-document EPIndex over real files (the journal included), with the page
 // writes and fsyncs per commit reported beside time and allocation.
 func BenchmarkCommitUpdate(b *testing.B) {
 	docs := append(datagen.DBLP(1, 1).Docs, datagen.SwissProt(2, 1).Docs...)[:3000]
-	var writes, syncs atomic.Int64
+	c := &fileCounter{}
+	c.reset()
 	di, err := NewDynamicIndex(docs, Options{
 		Extended:        true,
 		Dir:             b.TempDir(),
 		BufferPoolPages: 256,
-		OpenFile: func(path string) (pager.File, error) {
-			f, err := pager.OpenOSFilePadded(path)
-			return pageCountingFile{f, &writes, &syncs}, err
-		},
+		OpenFile:        c.open,
 	}, DynamicOptions{Alpha: 4})
 	if err != nil {
 		b.Fatal(err)
@@ -51,8 +80,7 @@ func BenchmarkCommitUpdate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	writes.Store(0)
-	syncs.Store(0)
+	c.reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,6 +89,6 @@ func BenchmarkCommitUpdate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(writes.Load())/float64(b.N), "pages/op")
-	b.ReportMetric(float64(syncs.Load())/float64(b.N), "syncs/op")
+	b.ReportMetric(float64(total(c.writes))/float64(b.N), "pages/op")
+	b.ReportMetric(float64(total(c.syncs))/float64(b.N), "syncs/op")
 }

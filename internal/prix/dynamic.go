@@ -148,7 +148,7 @@ func (di *DynamicIndex) insertLocked(doc *xmltree.Document) error {
 // mutation ran). Labeled inserts record the AddReport order so a reopen can
 // replay the exact labeler history; structure-only documents (empty LPS)
 // have no postings, no docid entry and no replay event, so they carry
-// neither terminal nor label. The updated map rides the next store flush,
+// neither terminal nor label. The updated map rides the next commit,
 // exactly like the record it describes.
 func (di *DynamicIndex) recordInsertVersion(id uint32, terminal uint64, labeled bool) {
 	m := di.ix.versions
@@ -297,10 +297,7 @@ func (di *DynamicIndex) Flush() error {
 	di.ix.store.SetStat("alpha", int64(di.alpha))
 	di.ix.store.SetStat("spread", int64(di.spread))
 	di.ix.store.SetStat("prepared", int64(di.prepared))
-	if err := di.ix.store.Flush(); err != nil {
-		return err
-	}
-	return di.ix.forest.Flush()
+	return di.ix.commit()
 }
 
 // prepareDocument computes the docstore record and interned sequence of a

@@ -30,14 +30,9 @@ var ErrNotDynamic = fmt.Errorf("prix: index has no dynamic labeler state")
 // records feed the preparatory pass, then every record is re-added in docid
 // order. Both passes repeat exactly the operations that built the index, so
 // the in-memory trie (scopes, next-free cursors) matches the persisted
-// postings without any of them being read back.
-//
-// An insert commits its record to the store before its postings, docid entry
-// and shape reach the forest. A document the store holds but the docid tree
-// does not is an insert a crash cut between the two commits: the replay
-// reports exactly the trie nodes and terminal that insert created, and they
-// are written now (redoInserts), so the reopened index holds the post-insert
-// image.
+// postings without any of them being read back: the store's records and the
+// forest's postings commit together, so every record the replay reads has
+// its postings on disk.
 func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 	ix, err := Open(dir, opts)
 	if err != nil {
@@ -62,21 +57,12 @@ func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 	if prep > n {
 		prep = n
 	}
-	redo, err := di.newInsertRedo(n)
-	if err != nil {
-		ix.Close()
-		return nil, err
-	}
 	if ix.versions != nil {
-		if err := di.replayVersioned(n, prep, redo); err != nil {
+		if err := di.replayVersioned(n, prep); err != nil {
 			ix.Close()
 			return nil, err
 		}
 		di.nextID = uint32(n)
-		if err := redo.finish(); err != nil {
-			ix.Close()
-			return nil, err
-		}
 		return di, nil
 	}
 	for id := 0; id < prep; id++ {
@@ -105,101 +91,13 @@ func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 		}
 		// The created postings and the docid entry are already on disk; only
 		// the labeler's in-memory scope bookkeeping is being replayed.
-		created, terminal, err := di.labeler.AddReport(rec.LPS, rec.DocID)
-		if err != nil {
+		if _, _, err := di.labeler.AddReport(rec.LPS, rec.DocID); err != nil {
 			ix.Close()
 			return nil, fmt.Errorf("prix: dynamic replay of document %d: %w", rec.DocID, err)
 		}
-		redo.note(rec.DocID, created, terminal)
 	}
 	di.nextID = uint32(n)
-	if err := redo.finish(); err != nil {
-		ix.Close()
-		return nil, err
-	}
 	return di, nil
-}
-
-// insertRedo collects, during the replay, the forest half of every insert
-// the forest never committed.
-type insertRedo struct {
-	ix *Index
-	// known marks the documents that have a docid-tree entry (live or
-	// tombstone); nil when the docid tree did not read, and the redo is
-	// left to the scrubber's forest rebuild.
-	known []bool
-	torn  []tornInsert
-}
-
-type tornInsert struct {
-	docID    uint32
-	created  []vtrie.Posting
-	terminal uint64
-}
-
-// newInsertRedo marks, in one pass over the docid tree read around the
-// forest's pool, the documents the forest knows. A docid tree that does not
-// scan — damage, not a transient fault — does not fail the open: the redo is
-// skipped, as the replay skips an unreadable record, and RepairForest
-// rebuilds the tree from the records.
-func (di *DynamicIndex) newInsertRedo(n int) (*insertRedo, error) {
-	r := &insertRedo{ix: di.ix, known: make([]bool, n)}
-	err := di.ix.docid.ScanDocIDsNoFill(nil, nil, true, true, func(_ uint64, d uint32, _ uint64) bool {
-		if int(d) < n {
-			r.known[d] = true
-		}
-		return true
-	})
-	if err != nil && !IsTransient(err) {
-		r.known, err = nil, nil
-	}
-	return r, err
-}
-
-// note records a replayed report of a document the forest does not know.
-func (r *insertRedo) note(docID uint32, created []vtrie.Posting, terminal vtrie.Posting) {
-	if r.known != nil && !r.known[docID] {
-		r.torn = append(r.torn, tornInsert{docID, created, terminal.Left})
-	}
-}
-
-// finish writes what the torn inserts left out of the forest — the postings
-// not already there, the docid entries and any shape the shape tree lacks —
-// and commits it.
-func (r *insertRedo) finish() error {
-	if r.known == nil {
-		return nil
-	}
-	ix := r.ix
-	for _, t := range r.torn {
-		for _, p := range t.created {
-			key := postingKey(p.Symbol, p.Left)
-			vals, err := ix.postings.Get(key[:])
-			if err != nil {
-				return err
-			}
-			if len(vals) == 0 {
-				if err := ix.insertPosting(p); err != nil {
-					return err
-				}
-			}
-		}
-		if err := ix.docid.Insert(btree.KeyUint64(t.terminal), btree.DocIDValue(t.docID, 0)); err != nil {
-			return err
-		}
-	}
-	before := ix.shapesInTree
-	if err := ix.writeShapes(); err != nil {
-		return err
-	}
-	if len(r.torn) == 0 && ix.shapesInTree == before {
-		return nil
-	}
-	if err := ix.forest.Flush(); err != nil {
-		return err
-	}
-	// The redo may have posted a symbol for the first time.
-	return ix.store.Flush()
 }
 
 // replayVersioned rebuilds the dynamic labeler for an index carrying
@@ -211,7 +109,7 @@ func (r *insertRedo) finish() error {
 // scope. Each event's sequence is the record image of its own interval —
 // superseded images resolve through their back-pointers, so updates replay
 // with the LPS the labeler actually saw, not today's.
-func (di *DynamicIndex) replayVersioned(n, prep int, redo *insertRedo) error {
+func (di *DynamicIndex) replayVersioned(n, prep int) error {
 	ix := di.ix
 	vs := ix.versions
 	type event struct {
@@ -269,11 +167,9 @@ func (di *DynamicIndex) replayVersioned(n, prep int, redo *insertRedo) error {
 		return events[i].docID < events[j].docID
 	})
 	for _, e := range events {
-		created, terminal, err := di.labeler.AddReport(e.lps, e.docID)
-		if err != nil {
+		if _, _, err := di.labeler.AddReport(e.lps, e.docID); err != nil {
 			return fmt.Errorf("prix: versioned replay of document %d (label %d): %w", e.docID, e.label, err)
 		}
-		redo.note(e.docID, created, terminal)
 	}
 	return nil
 }
@@ -401,10 +297,7 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, version ui
 	ix.store.SetStat("alpha", int64(dopts.Alpha))
 	ix.store.SetStat("spread", int64(dopts.Spread))
 	ix.store.SetStat("prepared", int64(total))
-	if err := ix.store.Flush(); err != nil {
-		return nil, err
-	}
-	if err := ix.forest.Flush(); err != nil {
+	if err := ix.commit(); err != nil {
 		return nil, err
 	}
 	di.prepared = int(total)

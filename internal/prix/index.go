@@ -15,6 +15,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -40,8 +42,8 @@ type Options struct {
 	BufferPoolPages int
 	// Dir is where the two page files are created. Empty means in-memory.
 	Dir string
-	// OpenFile optionally intercepts every page-file open (the main files
-	// and their sidecar journals). Crash-sweep tests inject
+	// OpenFile optionally intercepts every page-file open (the two page
+	// files and their shared journal). Crash-sweep tests inject
 	// pagertest.FaultOpen here so a PowerClock can cut power inside a
 	// mutation, a compaction or the merge phase of a streaming build; nil
 	// means plain OS files.
@@ -72,69 +74,107 @@ func (o *Options) pool() int {
 // ForestFileName and DocsFileName are the page files an on-disk index
 // keeps in its directory, exported for tooling that operates on a closed
 // index's files: the sharded-layout builder clones them into replica
-// directories, and fault-injection tests corrupt them in place. The
-// sidecar journals are not part of the durable state: a clean Close leaves
-// them empty, and an open creates them if they are missing.
+// directories, and fault-injection tests corrupt them in place.
+// JournalFileName is their shared rollback journal, exported so streaming
+// ingest and compaction can clear it with them. The journal is not part of
+// the durable state: a clean Close leaves it empty, and an open creates it
+// if it is missing.
 const (
-	ForestFileName = forestFile
-	DocsFileName   = docsFile
-	// The journal names are exported so streaming ingest can clear a stale
-	// index directory before a deterministic rebuild.
-	ForestJournalFileName = forestJournalFile
-	DocsJournalFileName   = docsJournalFile
+	ForestFileName  = forestFile
+	DocsFileName    = docsFile
+	JournalFileName = journalFile
 )
 
 // file names within Options.Dir.
 const (
 	forestFile = "seq.idx"
 	docsFile   = "docs.db"
-	// Sidecar rollback journals giving each page file atomic commits; a
-	// crash mid-flush is rolled back the next time the index is opened.
-	forestJournalFile = "seq.jnl"
-	docsJournalFile   = "docs.jnl"
+	// The rollback journal giving both page files one atomic commit; a
+	// crash mid-commit is rolled back the next time the index is opened.
+	journalFile = "prix.jnl"
 )
 
-// openJournaledPool opens (or creates) a page file plus its sidecar
+// LegacyJournalFileNames are the per-file journals of the layout before the
+// shared one. An open refuses the directory when one holds an open
+// transaction and otherwise removes them — unless an Options.OpenFile hook
+// stands between the index and the directory (prixcheck's in-memory copies,
+// crash sweeps), which leaves the directory's files to the hook's owner.
+var LegacyJournalFileNames = [...]string{"seq.jnl", "docs.jnl"}
+
+// openPools opens (or creates) the two page files of dir and their shared
 // journal, rolls back any commit a crash interrupted, and returns the
-// pool. Torn trailing pages (a crash mid-append) are padded to a page
-// boundary and then either rolled back or caught by their checksum.
-func openJournaledPool(open func(string) (pager.File, error), path, journalPath string, capacity int) (*pager.BufferPool, error) {
-	if open == nil {
-		open = func(p string) (pager.File, error) { return pager.OpenOSFilePadded(p) }
+// forest's and the store's pools. Torn trailing pages (a crash mid-append)
+// are padded to a page boundary and then either rolled back or caught by
+// their checksum.
+func openPools(opts *Options, dir string) (forestBP, docsBP *pager.BufferPool, err error) {
+	if err := removeLegacyJournals(dir, opts.OpenFile == nil); err != nil {
+		return nil, nil, err
 	}
-	f, err := open(path)
-	if err != nil {
-		return nil, err
+	var files []pager.File
+	defer func() {
+		if err != nil {
+			for _, f := range files {
+				f.Close()
+			}
+		}
+	}()
+	for _, name := range []string{forestFile, docsFile, journalFile} {
+		f, err := opts.openFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, nil, err
+		}
+		files = append(files, f)
 	}
-	jf, err := open(journalPath)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	j, err := pager.NewJournal(jf)
-	if err != nil {
-		f.Close()
-		jf.Close()
-		return nil, err
-	}
-	bp, err := pager.NewJournaledPool(f, j, capacity)
-	if err != nil {
-		f.Close()
-		jf.Close()
-		return nil, err
-	}
-	return bp, nil
+	return journaledPools(files[2], files[0], files[1], opts.pool())
 }
 
-// memJournaledPool is openJournaledPool over in-memory files: in-memory
-// indexes run the same commit protocol so the whole stack exercises one
-// code path.
-func memJournaledPool(capacity int) (*pager.BufferPool, error) {
-	j, err := pager.NewJournal(pager.NewMemFile())
+// journaledPools rolls back what the journal jf holds for the forest and
+// store files and attaches a pool to each.
+func journaledPools(jf, forestF, docsF pager.File, capacity int) (forestBP, docsBP *pager.BufferPool, err error) {
+	j, err := pager.NewJournal(jf, forestF, docsF)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return pager.NewJournaledPool(pager.NewMemFile(), j, capacity)
+	if forestBP, err = pager.NewJournaledPool(forestF, j, capacity); err != nil {
+		return nil, nil, err
+	}
+	docsBP, err = pager.NewJournaledPool(docsF, j, capacity)
+	return forestBP, docsBP, err
+}
+
+// removeLegacyJournals refuses dir if a per-file journal an older build left
+// there still holds an open transaction — this build cannot roll it back —
+// and otherwise, when remove is set, deletes them.
+func removeLegacyJournals(dir string, remove bool) error {
+	for _, name := range LegacyJournalFileNames {
+		path := filepath.Join(dir, name)
+		f, err := os.Open(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("prix: %w", err)
+		}
+		page := make([]byte, pager.PageSize)
+		n, _ := io.ReadFull(f, page)
+		f.Close()
+		if pager.LegacyJournalActive(page[:n]) {
+			return fmt.Errorf("prix: %s holds an open transaction of an older build; open the index with that build to roll it back", path)
+		}
+		if !remove {
+			continue
+		}
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("prix: %w", err)
+		}
+	}
+	return nil
+}
+
+// memPools is openPools over in-memory files: in-memory indexes run the
+// same commit protocol so the whole stack exercises one code path.
+func memPools(capacity int) (forestBP, docsBP *pager.BufferPool, err error) {
+	return journaledPools(pager.NewMemFile(), pager.NewMemFile(), pager.NewMemFile(), capacity)
 }
 
 // Index is a built PRIX index ready for queries.
@@ -170,9 +210,9 @@ type Index struct {
 	// io is ioCounts as a func value, the I/O source of every match span.
 	io obs.IOFunc
 	// versions is the MVCC version map (nil until the first mutation or an
-	// explicit AdoptVersions): per-document visibility intervals plus the
-	// pending-op descriptor mutation recovery redoes. Mutated only under
-	// repairMu (write); queries read it under repairMu (read). See version.go.
+	// explicit AdoptVersions): per-document visibility intervals. Mutated
+	// only under repairMu (write); queries read it under repairMu (read). See
+	// version.go.
 	versions *mvcc.Map
 }
 
@@ -346,19 +386,12 @@ func (ix *Index) addDocument(builder *vtrie.Builder, id uint32, doc *xmltree.Doc
 }
 
 // Open loads a previously built on-disk index. Any commit a crash
-// interrupted is rolled back from the sidecar journals first, and every
-// page read from disk is checksum-verified.
+// interrupted is rolled back from the journal first, and every page read
+// from disk is checksum-verified.
 func Open(dir string, opts Options) (*Index, error) {
 	opts.Dir = dir
-	forestBP, err := openJournaledPool(opts.openFile,
-		filepath.Join(dir, forestFile), filepath.Join(dir, forestJournalFile), opts.pool())
+	forestBP, docsBP, err := openPools(&opts, dir)
 	if err != nil {
-		return nil, err
-	}
-	docsBP, err := openJournaledPool(opts.openFile,
-		filepath.Join(dir, docsFile), filepath.Join(dir, docsJournalFile), opts.pool())
-	if err != nil {
-		forestBP.Close()
 		return nil, err
 	}
 	forest, err := btree.Open(forestBP)
@@ -384,13 +417,7 @@ func Open(dir string, opts Options) (*Index, error) {
 	}
 	if err := ix.loadVersions(); err != nil {
 		ix.Close()
-		return nil, err
-	}
-	// A mutation whose store commit survived a crash but whose forest commit
-	// did not is completed here, before any query can observe the torn state.
-	if err := ix.recoverPending(); err != nil {
-		ix.Close()
-		return nil, fmt.Errorf("prix: %s: mutation recovery: %w", dir, err)
+		return nil, fmt.Errorf("prix: %s: %w", dir, err)
 	}
 	ix.initHot()
 	ix.PreloadHot()
@@ -398,7 +425,7 @@ func Open(dir string, opts Options) (*Index, error) {
 }
 
 // Close flushes every dirty page (committing the open transaction, if any)
-// and closes both page files and their journals. Callers that mutated the
+// and closes both page files and their journal. Callers that mutated the
 // index should Flush first so directory metadata is persisted too; Close
 // itself only completes the page-level commit. The index must not be used
 // afterwards.
@@ -425,6 +452,19 @@ func (ix *Index) Forest() *btree.Forest { return ix.forest }
 
 // MaxGap returns the catalog value for a symbol (0 if unseen).
 func (ix *Index) MaxGap(s vtrie.Symbol) int64 { return ix.maxGap[s] }
+
+// commit stages the store's meta and the forest's directory and commits
+// both files' dirty pages as one transaction through their shared journal:
+// every mutation, flush and repair is atomic across the two files.
+func (ix *Index) commit() error {
+	if err := ix.store.Stage(); err != nil {
+		return err
+	}
+	if err := ix.forest.Stage(); err != nil {
+		return err
+	}
+	return ix.forest.BufferPool().FlushAll()
+}
 
 // Stat proxies a named build statistic.
 func (ix *Index) Stat(name string) (int64, bool) { return ix.store.Stat(name) }
@@ -501,7 +541,7 @@ func (ix *Index) insertPosting(p vtrie.Posting) error {
 }
 
 // markPosted records that sym heads a posting. A symbol's first posting also
-// stages the set for the next store flush, so a mutation's own commits carry
+// stages the set for the next commit, so the mutation's own commit carries
 // it: a reopened index must never short-circuit a symbol the tree holds.
 func (ix *Index) markPosted(sym vtrie.Symbol) {
 	if !ix.posted.has(sym) {

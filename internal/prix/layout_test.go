@@ -292,6 +292,9 @@ func TestOldLayoutRefused(t *testing.T) {
 			if !errors.Is(err, ErrOldLayout) {
 				t.Fatalf("Open = %v, want ErrOldLayout", err)
 			}
+			if n := strings.Count(err.Error(), "prix:"); n != 1 {
+				t.Errorf("Open = %q, want the prix: prefix once, not %d times", err, n)
+			}
 			if stamp, ok := strings.CutPrefix(name, "layout "); ok && !strings.Contains(err.Error(), "layout "+stamp+", this build reads 4") {
 				t.Errorf("Open = %v, want the error to name stamp %s and this build's 4", err, stamp)
 			}
@@ -340,7 +343,7 @@ func (f closeCounter) Close() error {
 }
 
 // An Open that fails after it opened its page files must close every one of
-// them, the two main files and their journals: a forest directory page that
+// them, the two page files and their journal: a forest directory page that
 // fails its checksum (btree.Open), a version map that does not decode, and a
 // layout stamp this build does not read. Each is done to a fresh dynamic
 // index with a delete in its version map.
@@ -397,8 +400,8 @@ func TestFailedOpenClosesFiles(t *testing.T) {
 			if err == nil {
 				t.Fatal("Open of the damaged index succeeded")
 			}
-			if opened != 4 || closed != opened {
-				t.Errorf("Open = %v: opened %d files, closed %d, want 4 and 4", err, opened, closed)
+			if opened != 3 || closed != opened {
+				t.Errorf("Open = %v: opened %d files, closed %d, want 3 and 3", err, opened, closed)
 			}
 		})
 	}

@@ -258,12 +258,12 @@ func (ix *Index) repairShapeLocked(id uint32) error {
 		if err := ix.putShapeEntry(t, id); err != nil {
 			return err
 		}
-		return ix.forest.Flush()
+		return ix.commit()
 	case terr == nil:
 		if err := ix.store.RestoreShape(id, got); err != nil {
 			return fmt.Errorf("prix: shape %d: %w", id, errors.Join(ErrUnrepairable, err))
 		}
-		return ix.store.Flush()
+		return ix.commit()
 	}
 	return fmt.Errorf("prix: shape %d: both copies damaged (%v): %w", id, terr, ErrUnrepairable)
 }
@@ -493,7 +493,7 @@ func (ix *Index) repairDocLocked(docID uint32) (RepairAction, error) {
 				ix.hotInvalidateDocid()
 			}
 		}
-		if err := ix.forest.Flush(); err != nil {
+		if err := ix.commit(); err != nil {
 			return RepairPostings, err
 		}
 		action = RepairPostings
@@ -538,8 +538,8 @@ func (ix *Index) rewriteRecordLocked(docID uint32) error {
 		return err
 	}
 	// Commit point: the repointed directory entry and the new record bytes
-	// land atomically via the docstore journal.
-	return ix.store.Flush()
+	// land atomically via the journal.
+	return ix.commit()
 }
 
 // terminalLeftOf finds the LeftPos of the trie node where the document's
@@ -628,7 +628,7 @@ func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) err
 	// shapes the store lost, so the rebuild writes them back.
 	for _, id := range ix.store.MissingShapes() {
 		if data, err := ix.readShape(id); err == nil && ix.store.RestoreShape(id, data) == nil {
-			if err := ix.store.Flush(); err != nil {
+			if err := ix.commit(); err != nil {
 				return nil, err
 			}
 		}
@@ -665,18 +665,13 @@ func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) err
 	}
 	// Version history references the old forest's terminals and labels,
 	// both gone: fold it down to the rebuilt world (tombstones re-marked at
-	// the new terminals) before the forest commit, so the flushed image and
-	// the map agree.
+	// the new terminals) in the same commit, so the flushed image and the map
+	// agree.
 	if err := ix.collapseVersionsAfterRebuildLocked(); err != nil {
 		return nil, err
 	}
-	if err := ix.forest.Flush(); err != nil {
+	if err := ix.commit(); err != nil {
 		return nil, err
-	}
-	if ix.versions != nil {
-		if err := ix.store.Flush(); err != nil {
-			return nil, err
-		}
 	}
 	// Every live page was just rewritten and committed, so any page still
 	// failing its checksum on disk is an orphan of the old forest: zero it.
@@ -684,7 +679,7 @@ func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) err
 	if n, err := sweepPool(bp, func(id pager.PageID) (bool, error) { return bp.RepairPage(id, true) }); err != nil {
 		return skipped, err
 	} else if n > 0 {
-		if err := bp.FlushAll(); err != nil {
+		if err := ix.commit(); err != nil {
 			return skipped, err
 		}
 	}
@@ -730,7 +725,7 @@ func (ix *Index) SweepStorePages() (int, error) {
 		return n, err
 	}
 	if n > 0 {
-		if err := st.BufferPool().FlushAll(); err != nil {
+		if err := ix.commit(); err != nil {
 			return n, err
 		}
 	}
@@ -750,7 +745,7 @@ func (ix *Index) SweepForestPages() (int, error) {
 		return n, err
 	}
 	if n > 0 {
-		if err := ix.forest.BufferPool().FlushAll(); err != nil {
+		if err := ix.commit(); err != nil {
 			return n, err
 		}
 	}
@@ -760,7 +755,7 @@ func (ix *Index) SweepForestPages() (int, error) {
 // sweepPool verifies every page of the pool's file directly against disk
 // and stages a repair for each corrupt one: a cached (already verified)
 // frame is simply marked dirty for rewrite; otherwise fallback, if set, may
-// stage one from elsewhere. The caller commits staged repairs with FlushAll.
+// stage one from elsewhere. The caller commits staged repairs.
 func sweepPool(bp *pager.BufferPool, fallback func(pager.PageID) (bool, error)) (int, error) {
 	f := bp.File()
 	buf := make([]byte, pager.PageSize)

@@ -65,13 +65,12 @@ func imagesEqual(a, b [][]byte) bool {
 }
 
 // crashIndexImages builds an index over MemFiles, flips one bit in its first
-// record page, and returns the four file images (docs, docs journal, forest,
-// forest journal) as the repair workload's starting state.
-func crashIndexImages(t *testing.T) [4][][]byte {
+// record page, and returns the three file images (docs, forest, journal) as
+// the repair workload's starting state.
+func crashIndexImages(t *testing.T) [3][][]byte {
 	t.Helper()
-	docsMem, docsJnl := pager.NewMemFile(), pager.NewMemFile()
-	forestMem, forestJnl := pager.NewMemFile(), pager.NewMemFile()
-	ix, err := openCrashIndex(docsMem, docsJnl, forestMem, forestJnl, true)
+	docsMem, forestMem, jnl := pager.NewMemFile(), pager.NewMemFile(), pager.NewMemFile()
+	ix, err := openCrashIndex(docsMem, forestMem, jnl, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,29 +99,14 @@ func crashIndexImages(t *testing.T) [4][][]byte {
 	if err := pager.FlipBit(docsMem, pages[0], (pager.PageHeaderSize+5)*8); err != nil {
 		t.Fatal(err)
 	}
-	return [4][][]byte{
-		captureFile(t, docsMem), captureFile(t, docsJnl),
-		captureFile(t, forestMem), captureFile(t, forestJnl),
-	}
+	return [3][][]byte{captureFile(t, docsMem), captureFile(t, forestMem), captureFile(t, jnl)}
 }
 
 // openCrashIndex assembles an Index over explicit files, running the same
 // journal-recovery open protocol as prix.Open. fresh selects NewStore (build)
 // vs Open (reopen).
-func openCrashIndex(docsF, docsJ, forestF, forestJ pager.File, fresh bool) (*Index, error) {
-	fj, err := pager.NewJournal(forestJ)
-	if err != nil {
-		return nil, err
-	}
-	fbp, err := pager.NewJournaledPool(forestF, fj, 8)
-	if err != nil {
-		return nil, err
-	}
-	dj, err := pager.NewJournal(docsJ)
-	if err != nil {
-		return nil, err
-	}
-	dbp, err := pager.NewJournaledPool(docsF, dj, 8)
+func openCrashIndex(docsF, forestF, jnl pager.File, fresh bool) (*Index, error) {
+	fbp, dbp, err := journaledPools(jnl, forestF, docsF, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -151,8 +135,8 @@ func openCrashIndex(docsF, docsJ, forestF, forestJ pager.File, fresh bool) (*Ind
 // individually committed steps, stopping after stopAfter of them. It returns
 // how many steps ran. The pools are abandoned, not closed: every step ends at
 // a commit point, so there is nothing left to flush.
-func runRepairSteps(docsF, docsJ, forestF, forestJ pager.File, stopAfter int) (int, error) {
-	ix, err := openCrashIndex(docsF, docsJ, forestF, forestJ, false)
+func runRepairSteps(docsF, forestF, jnl pager.File, stopAfter int) (int, error) {
+	ix, err := openCrashIndex(docsF, forestF, jnl, false)
 	if err != nil {
 		return 0, err
 	}
@@ -181,10 +165,8 @@ func TestCrashSweepOverRecordRepair(t *testing.T) {
 	// Reference run: learn the step count and the committed image after each
 	// step. snaps[0] is the pre-repair (corrupted) state.
 	docsSnaps := [][][]byte{init[0]}
-	forestSnaps := [][][]byte{init[2]}
-	refDocs, refDocsJ := cloneMem(t, init[0]), cloneMem(t, init[1])
-	refForest, refForestJ := cloneMem(t, init[2]), cloneMem(t, init[3])
-	totalSteps, err := runRepairSteps(refDocs, refDocsJ, refForest, refForestJ, 1<<30)
+	forestSnaps := [][][]byte{init[1]}
+	totalSteps, err := runRepairSteps(cloneMem(t, init[0]), cloneMem(t, init[1]), cloneMem(t, init[2]), 1<<30)
 	if err != nil {
 		t.Fatalf("reference repair: %v", err)
 	}
@@ -192,9 +174,8 @@ func TestCrashSweepOverRecordRepair(t *testing.T) {
 		t.Fatalf("repair ran only %d steps; workload too small", totalSteps)
 	}
 	for j := 1; j <= totalSteps; j++ {
-		d, dj := cloneMem(t, init[0]), cloneMem(t, init[1])
-		f, fj := cloneMem(t, init[2]), cloneMem(t, init[3])
-		if _, err := runRepairSteps(d, dj, f, fj, j); err != nil {
+		d, f := cloneMem(t, init[0]), cloneMem(t, init[1])
+		if _, err := runRepairSteps(d, f, cloneMem(t, init[2]), j); err != nil {
 			t.Fatalf("prefix run %d: %v", j, err)
 		}
 		docsSnaps = append(docsSnaps, captureFile(t, d))
@@ -204,50 +185,30 @@ func TestCrashSweepOverRecordRepair(t *testing.T) {
 		t.Fatal("repair did not change the store file; nothing to crash-sweep")
 	}
 
-	var mems [4]*pager.MemFile // docs, docs journal, forest, forest journal
+	var mems [3]*pager.MemFile // docs, forest, journal
 	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
-		var ff [4]*pager.FaultFile
+		var ff [3]*pager.FaultFile
 		for i := range mems {
 			mems[i] = cloneMem(t, init[i])
 			ff[i] = pager.NewFaultFile(mems[i])
 			ff[i].SetPowerClock(clock)
 		}
-		_, err := runRepairSteps(ff[0], ff[1], ff[2], ff[3], 1<<30)
+		_, err := runRepairSteps(ff[0], ff[1], ff[2], 1<<30)
 		return err
 	}
 	pagertest.Sweep(t, 5, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {
 		// Reboot: journal recovery against the frozen images.
-		for _, rec := range [][2]*pager.MemFile{{mems[0], mems[1]}, {mems[2], mems[3]}} {
-			j, err := pager.NewJournal(rec[1])
-			if err != nil {
-				t.Fatalf("reopen journal: %v", err)
-			}
-			if _, err := pager.NewJournaledPool(rec[0], j, 8); err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
+		if _, err := pager.NewJournal(mems[2], mems[1], mems[0]); err != nil {
+			t.Fatalf("recovery: %v", err)
 		}
-
-		docsImg := captureFile(t, mems[0])
-		matched := false
-		for _, s := range docsSnaps {
-			if imagesEqual(docsImg, s) {
-				matched = true
-				break
+		// One repair step commits both files at once: the two images are
+		// the same step's.
+		docsImg, forestImg := captureFile(t, mems[0]), captureFile(t, mems[1])
+		for j := range docsSnaps {
+			if imagesEqual(docsImg, docsSnaps[j]) && imagesEqual(forestImg, forestSnaps[j]) {
+				return
 			}
 		}
-		if !matched {
-			t.Errorf("recovered docs.db (%d pages) matches no committed repair state", len(docsImg))
-		}
-		forestImg := captureFile(t, mems[2])
-		matched = false
-		for _, s := range forestSnaps {
-			if imagesEqual(forestImg, s) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			t.Errorf("recovered seq.idx (%d pages) matches no committed repair state", len(forestImg))
-		}
+		t.Errorf("recovered docs.db (%d pages) and seq.idx (%d pages) match no committed repair state", len(docsImg), len(forestImg))
 	})
 }

@@ -361,7 +361,9 @@ func TestShapeInternCrashSweep(t *testing.T) {
 	}
 
 	cutDir := func(k int64) string { return filepath.Join(base, fmt.Sprintf("cut%d", k)) }
+	acked := false // the insert's Flush returned before the cut
 	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+		acked = false
 		copyIndexDir(t, pristine, cutDir(k))
 		fdi, err := OpenDynamic(cutDir(k), Options{Extended: true, BufferPoolPages: 64, OpenFile: pagertest.FaultOpen(clock)})
 		if err != nil {
@@ -370,7 +372,13 @@ func TestShapeInternCrashSweep(t *testing.T) {
 		if err := fdi.Insert(fresh); err != nil {
 			return err
 		}
-		return fdi.Flush()
+		if err := fdi.Flush(); err != nil {
+			return err
+		}
+		acked = true
+		// Close writes past the commit (the journal's release), so a cut
+		// there checks that the acknowledged insert is durable.
+		return fdi.Close()
 	}
 	pagertest.Sweep(t, 3, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {
 		rdi, err := OpenDynamic(cutDir(k), Options{Extended: true, BufferPoolPages: 64})
@@ -380,6 +388,8 @@ func TestShapeInternCrashSweep(t *testing.T) {
 		defer rdi.Close()
 		got := counts(t, rdi)
 		switch n := rdi.NumDocs(); {
+		case acked && n != len(docs)+1:
+			t.Errorf("the insert's Flush returned before the cut, but %d documents recovered", n)
 		case n == len(docs) && intsEqual(got, pre):
 		case n == len(docs)+1 && intsEqual(got, post):
 		default:
@@ -392,10 +402,9 @@ func TestShapeInternCrashSweep(t *testing.T) {
 	})
 }
 
-// OpenDynamic's torn-insert redo scans the docid tree; a flipped bit in a
-// docid leaf must not make the open fail. The redo is skipped, and
-// RepairForest rebuilds the tree from the records, after which the index
-// verifies and answers as before.
+// A flipped bit in a docid leaf must not make OpenDynamic fail: its replay
+// reads the records, not the forest, and RepairForest rebuilds the tree from
+// the records, after which the index verifies and answers as before.
 func TestOpenDynamicCorruptDocidLeaf(t *testing.T) {
 	dir := t.TempDir()
 	docs := parallelCorpus()[:20]

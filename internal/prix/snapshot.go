@@ -19,10 +19,8 @@ import (
 func (ix *Index) Snapshot(dir string) error {
 	ix.repairMu.RLock()
 	defer ix.repairMu.RUnlock()
+	// One commit covers both pools: they share the journal.
 	if err := ix.forest.BufferPool().FlushAll(); err != nil {
-		return err
-	}
-	if err := ix.store.BufferPool().FlushAll(); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -37,7 +35,7 @@ func (ix *Index) Snapshot(dir string) error {
 // RestoreSnapshot replaces the index files in indexDir with the snapshot in
 // snapDir. Offline only: the index must not be open. Every snapshot page is
 // verified before the first byte of the live index is touched, each file is
-// swapped in atomically via rename, and the stale journals are removed (the
+// swapped in atomically via rename, and the stale journal is removed (the
 // snapshot is itself a committed image, so there is nothing to roll back).
 func RestoreSnapshot(indexDir, snapDir string) error {
 	for _, name := range []string{forestFile, docsFile} {
@@ -50,7 +48,7 @@ func RestoreSnapshot(indexDir, snapDir string) error {
 			return err
 		}
 	}
-	for _, name := range []string{forestJournalFile, docsJournalFile} {
+	for _, name := range append([]string{journalFile}, LegacyJournalFileNames[:]...) {
 		if err := os.Remove(filepath.Join(indexDir, name)); err != nil && !os.IsNotExist(err) {
 			return err
 		}

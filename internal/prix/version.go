@@ -9,18 +9,12 @@ package prix
 // map is the legacy always-visible world — indexes that never mutate pay
 // nothing on the query path.
 //
-// Mutations commit in three steps, each atomic via its file's rollback
-// journal:
-//
-//	(A) store side: interval change + rewritten record (updates) + the
-//	    pending-op descriptor, one docstore flush;
-//	(B) forest side: tombstone / new postings / new docid entry / a new
-//	    shape's shape-tree entry, one forest flush;
-//	(C) store side again: clear the pending op.
-//
-// A crash before (A) recovers the pre-mutation image; after (A) the pending
-// op lets recovery redo (B) idempotently, converging on the post-mutation
-// image. Nothing in between is ever observable.
+// A mutation is one commit (Index.commit) through the journal the store and
+// the forest share: the interval change, the rewritten record (updates) and
+// the encoded map on the store side, and the tombstone / new postings / new
+// docid entry / a new shape's shape-tree entry on the forest side, land
+// together or not at all. A crash anywhere recovers the pre- or the
+// post-mutation image; nothing in between is ever observable.
 //
 // Deletes additionally write a tombstone into the docid tree at the
 // document's terminal key — the docID and the version it was deleted at
@@ -68,7 +62,7 @@ func (ix *Index) loadVersions() error {
 	}
 	m, err := mvcc.DecodeMap(b)
 	if err != nil {
-		return fmt.Errorf("prix: version map: %w", err)
+		return fmt.Errorf("version map: %w", err)
 	}
 	ix.versions = m
 	ix.installVersionRefs()
@@ -76,8 +70,8 @@ func (ix *Index) loadVersions() error {
 }
 
 // persistVersionsLocked stages the current map into the docstore blob; the
-// caller's next store flush commits it. An encoding identical to the stored
-// blob stages nothing (SetBlob compares), so that flush leaves the catalogs
+// caller's next commit persists it. An encoding identical to the stored
+// blob stages nothing (SetBlob compares), so that commit leaves the catalogs
 // section alone. Held under repairMu (write).
 func (ix *Index) persistVersionsLocked() {
 	if ix.versions == nil {
@@ -125,18 +119,12 @@ func (ix *Index) AdoptVersions(m *mvcc.Map) error {
 	ix.versions = m
 	ix.installVersionRefs()
 	if m != nil {
-		marked, err := ix.anchorVersionsLocked()
-		if err != nil {
+		if err := ix.anchorVersionsLocked(); err != nil {
 			return err
-		}
-		if marked {
-			if err := ix.forest.Flush(); err != nil {
-				return err
-			}
 		}
 	}
 	ix.persistVersionsLocked()
-	return ix.store.Flush()
+	return ix.commit()
 }
 
 // anchorVersionsLocked ties a collapsed version map to the forest it now
@@ -144,12 +132,11 @@ func (ix *Index) AdoptVersions(m *mvcc.Map) error {
 // tombstone — gets the terminal its sequence has in this forest, and the
 // tombstones are re-marked there. Without the terminal a later Delete has no
 // key to write its tombstone at, and a later relabelling Update closes the
-// interval with a terminal the emit filter accepts at any key. It reports
-// whether the forest was written.
-func (ix *Index) anchorVersionsLocked() (marked bool, err error) {
+// interval with a terminal the emit filter accepts at any key.
+func (ix *Index) anchorVersionsLocked() error {
 	terms, err := ix.terminalsByDoc()
 	if err != nil {
-		return false, err
+		return err
 	}
 	for id, ivs := range ix.versions.Docs {
 		if len(ivs) == 0 || ivs[len(ivs)-1].Marker() {
@@ -163,12 +150,11 @@ func (ix *Index) anchorVersionsLocked() (marked bool, err error) {
 		last.Terminal = left
 		if last.To != 0 {
 			if err := ix.writeTombstoneLocked(left, id, last.To); err != nil {
-				return marked, err
+				return err
 			}
-			marked = true
 		}
 	}
-	return marked, nil
+	return nil
 }
 
 // terminalsByDoc maps every document to its docid-tree terminal key in one
@@ -307,7 +293,7 @@ func (ix *Index) intervalLPS(docID uint32, iv mvcc.Interval) ([]vtrie.Symbol, bo
 // forest-side helpers ----------------------------------------------------------
 
 // writeTombstoneLocked inserts the delete marker at the terminal key,
-// idempotently (recovery may redo it).
+// idempotently (an AdoptVersions retried after a failed commit redoes it).
 func (ix *Index) writeTombstoneLocked(term uint64, docID uint32, version uint64) error {
 	if ok, err := ix.hasDocidEntry(term, docID, version); err != nil || ok {
 		return err
@@ -317,61 +303,6 @@ func (ix *Index) writeTombstoneLocked(term uint64, docID uint32, version uint64)
 	}
 	ix.hotInvalidateDocid()
 	return nil
-}
-
-// recoverPending redoes the forest half (B) of a mutation whose store
-// commit (A) survived a crash but whose forest commit did not — or did, in
-// which case every step below no-ops. Runs at Open, before queries.
-func (ix *Index) recoverPending() error {
-	vs := ix.versions
-	if vs == nil || vs.Pending == nil {
-		return nil
-	}
-	p := vs.Pending
-	switch p.Kind {
-	case mvcc.PendDelete:
-		if p.Terminal != 0 {
-			if err := ix.writeTombstoneLocked(p.Terminal, p.DocID, p.Version); err != nil {
-				return err
-			}
-		}
-	case mvcc.PendUpdate:
-		for _, c := range p.Created {
-			post := vtrie.Posting{Symbol: vtrie.Symbol(c.Sym), Left: c.Left, Right: c.Right, Level: c.Level}
-			key := postingKey(post.Symbol, post.Left)
-			vals, err := ix.postings.Get(key[:])
-			if err != nil {
-				return err
-			}
-			// LeftPos is unique trie-wide, so any entry under the key is this
-			// posting, written before the cut — whose commit C, the one that
-			// carries the posted set, did not happen.
-			ix.markPosted(post.Symbol)
-			if len(vals) == 0 {
-				if err := ix.insertPosting(post); err != nil {
-					return err
-				}
-			}
-		}
-		if p.NewTerminal {
-			if err := ix.checkDocidEntry(p.Terminal, p.DocID); err != nil {
-				if err := ix.docid.Insert(btree.KeyUint64(p.Terminal), btree.DocIDValue(p.DocID, 0)); err != nil {
-					return err
-				}
-			}
-		}
-		if err := ix.writeShapes(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("prix: unknown pending op kind %d", p.Kind)
-	}
-	if err := ix.forest.Flush(); err != nil { // commit B
-		return err
-	}
-	vs.Pending = nil
-	ix.persistVersionsLocked()
-	return ix.store.Flush() // commit C
 }
 
 // collapseVersionsAfterRebuildLocked folds version history for a rebuilt
@@ -400,8 +331,7 @@ func (ix *Index) collapseVersionsAfterRebuildLocked() error {
 		vs.Docs[id] = []mvcc.Interval{last}
 	}
 	vs.NextLabel = 1
-	vs.Pending = nil
-	if _, err := ix.anchorVersionsLocked(); err != nil {
+	if err := ix.anchorVersionsLocked(); err != nil {
 		return err
 	}
 	ix.persistVersionsLocked()
@@ -482,23 +412,14 @@ func (di *DynamicIndex) deleteLocked(docID uint32) (uint64, error) {
 	}
 	vs.MutOps++
 	vs.Counter = v
-	vs.Pending = &mvcc.PendingOp{Kind: mvcc.PendDelete, DocID: docID, Version: v, Terminal: term}
-	di.ix.persistVersionsLocked()
-	if err := di.ix.store.Flush(); err != nil { // commit A
-		return 0, err
-	}
 	if term != 0 {
 		if err := di.ix.writeTombstoneLocked(term, docID, v); err != nil {
 			return 0, err
 		}
 	}
 	di.ix.hotInvalidateDocid()
-	if err := di.ix.forest.Flush(); err != nil { // commit B
-		return 0, err
-	}
-	vs.Pending = nil
 	di.ix.persistVersionsLocked()
-	if err := di.ix.store.Flush(); err != nil { // commit C
+	if err := di.ix.commit(); err != nil {
 		return 0, err
 	}
 	return v, nil
@@ -599,16 +520,6 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 	vs.Docs[docID] = append(vs.Docs[docID], mvcc.Interval{From: v, Terminal: newTerm, Label: label})
 	vs.MutOps++
 	vs.Counter = v
-	pend := &mvcc.PendingOp{Kind: mvcc.PendUpdate, DocID: docID, Version: v, Terminal: newTerm, NewTerminal: relabel}
-	for _, c := range created {
-		pend.Created = append(pend.Created, mvcc.Posting{Sym: uint32(c.Symbol), Left: c.Left, Right: c.Right, Level: c.Level})
-	}
-	vs.Pending = pend
-	di.ix.persistVersionsLocked()
-	if err := di.ix.store.Flush(); err != nil { // commit A
-		return nil, err
-	}
-
 	for _, p := range created {
 		if err := di.ix.insertPosting(p); err != nil {
 			return nil, err
@@ -623,13 +534,8 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 	if err := di.ix.writeShapes(); err != nil {
 		return nil, err
 	}
-	if err := di.ix.forest.Flush(); err != nil { // commit B
-		return nil, err
-	}
-
-	vs.Pending = nil
 	di.ix.persistVersionsLocked()
-	if err := di.ix.store.Flush(); err != nil { // commit C
+	if err := di.ix.commit(); err != nil {
 		return nil, err
 	}
 	return &UpdateResult{

@@ -18,20 +18,19 @@ import (
 // torn in-between — and AS OF queries at the pre-mutation version must
 // answer identically on both sides of the cut. pagertest.Sweep cuts each
 // mutation at every write k (every third cut tearing the final page
-// write); each cut reopens through journal recovery plus the pending-op
-// redo.
+// write); each cut reopens through journal recovery.
 
 // versionCrashQueries is the probe set; small so W runs stay fast while
 // still spanning exact, branch and single-node shapes.
 var versionCrashQueries = []string{`//a/b`, `//b/c`, `//a[./b][./d]`, `//a`}
 
-// copyIndexDir clones the four page/journal files of a closed index.
+// copyIndexDir clones the page and journal files of a closed index.
 func copyIndexDir(t *testing.T, src, dst string) {
 	t.Helper()
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{ForestFileName, DocsFileName, ForestJournalFileName, DocsJournalFileName} {
+	for _, name := range []string{ForestFileName, DocsFileName, JournalFileName} {
 		data, err := os.ReadFile(filepath.Join(src, name))
 		if os.IsNotExist(err) {
 			continue
@@ -141,13 +140,6 @@ func TestVersionCrashSweepMutations(t *testing.T) {
 	for _, mut := range muts {
 		mut := mut
 		t.Run(mut.name, func(t *testing.T) {
-			// Every cut's recovery runs the same open and redo on one
-			// goroutine; the three sweeps take ≈ 2 minutes under the race
-			// detector, which sweeps the delete only (make chaos and go
-			// test sweep all three).
-			if raceEnabled && mut.name != "delete" {
-				t.Skip("swept without the race detector")
-			}
 			// Reference run: pre/post answers and versions, no faults.
 			refDir := filepath.Join(base, mut.name+"-ref")
 			copyIndexDir(t, pristine, refDir)
@@ -179,7 +171,9 @@ func TestVersionCrashSweepMutations(t *testing.T) {
 			// ordinal count (open-time writes included; cuts there recover the
 			// pre image).
 			cutDir := func(k int64) string { return filepath.Join(base, fmt.Sprintf("%s-cut%d", mut.name, k)) }
+			acked := false // the mutation returned before the cut
 			run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+				acked = false
 				copyIndexDir(t, pristine, cutDir(k))
 				fdi, err := OpenDynamic(cutDir(k), Options{
 					Extended:        true,
@@ -189,17 +183,26 @@ func TestVersionCrashSweepMutations(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				return mut.run(fdi)
+				if err := mut.run(fdi); err != nil {
+					return err
+				}
+				acked = true
+				// Close writes past the commit (the journal's release), so a
+				// cut there checks that the acknowledged mutation is durable.
+				return fdi.Close()
 			}
 			pagertest.Sweep(t, 3, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {
-				// Reboot on the frozen files: journal recovery plus the
-				// pending-op redo run inside OpenDynamic.
+				// Reboot on the frozen files: journal recovery runs inside
+				// OpenDynamic.
 				rdi, err := OpenDynamic(cutDir(k), Options{Extended: true, BufferPoolPages: 64})
 				if err != nil {
 					t.Fatalf("recovery open: %v", err)
 				}
 				defer rdi.Close()
 				v := rdi.VersionStats().Current
+				if acked && v != postVersion {
+					t.Errorf("the mutation returned before the cut, but the index recovered at version %d, want %d", v, postVersion)
+				}
 				got := versionCrashCounts(t, rdi, 0)
 				switch v {
 				case preVersion:

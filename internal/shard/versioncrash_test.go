@@ -199,7 +199,9 @@ func TestVersionCrashSweepSharded(t *testing.T) {
 
 			// The sweep cuts the mutation against shard 0 alone.
 			cutRoot := func(k int64) string { return filepath.Join(base, fmt.Sprintf("%s-cut%d", mut.name, k)) }
+			acked := false // the mutation returned before the cut
 			run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+				acked = false
 				vcCopyTree(t, pristine, cutRoot(k))
 				fo := dopts
 				fo.OpenFile = pagertest.FaultOpen(clock)
@@ -207,7 +209,13 @@ func TestVersionCrashSweepSharded(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				return mut.run(fdi)
+				if err := mut.run(fdi); err != nil {
+					return err
+				}
+				acked = true
+				// Close writes past the commit (the journal's release), so a
+				// cut there checks that the acknowledged mutation is durable.
+				return fdi.Close()
 			}
 			pagertest.Sweep(t, 3, pagertest.TearEvery(3, 509), run, func(t *testing.T, k int64) {
 				// Reboot shard 0, re-sync its replicas, serve globally.
@@ -217,6 +225,9 @@ func TestVersionCrashSweepSharded(t *testing.T) {
 					t.Fatalf("recovery open: %v", err)
 				}
 				v := rdi.VersionStats().Current
+				if acked && v != postVersion {
+					t.Errorf("the mutation returned before the cut, but shard 0 recovered at version %d, want %d", v, postVersion)
+				}
 				if err := rdi.Close(); err != nil {
 					t.Fatal(err)
 				}

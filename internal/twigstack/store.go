@@ -65,7 +65,7 @@ type segment struct {
 // Labels are namespaced exactly like the PRIX index: element tags as-is,
 // values behind a NUL prefix, so the same twig queries run on both engines.
 func Build(docs []*xmltree.Document, bp *pager.BufferPool, dict *docstore.Dict) (*Store, error) {
-	if bp.File().NumPages() != 0 {
+	if bp.NumPages() != 0 {
 		return nil, fmt.Errorf("twigstack: Build over a non-empty file; use Open")
 	}
 	s := &Store{bp: bp, dict: dict, segs: map[vtrie.Symbol]*segment{}, numDocs: len(docs)}
