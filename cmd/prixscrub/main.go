@@ -14,10 +14,10 @@
 //
 // -compact rewrites a dynamic index's accumulated inserts into the packed
 // bulk layout under a new epoch directory, committing via an atomic CURRENT
-// pointer write. It resumes an interrupted compaction from its checkpoint
-// (the tool is crash-safe: rerun it after a power cut), reports an
-// already-compacted index as up to date, and on a sharded layout compacts
-// every replica of every shard.
+// pointer write, and on a sharded layout compacts every replica of every
+// shard. It is crash-safe: a power cut leaves the old layout serving until
+// CURRENT commits, and rerunning it deletes what the cut left and compacts
+// again.
 //
 // Exit status: 0 when the index verifies clean (after repair, if requested),
 // 1 when damage remains, 2 when the index cannot be opened.
@@ -42,13 +42,13 @@ func main() {
 		repair   = flag.Bool("repair", false, "repair damage in place from the index's Prüfer redundancy")
 		snapshot = flag.String("snapshot", "", "write a consistent snapshot of the index to this directory and exit")
 		restore  = flag.String("restore", "", "replace the index files with the snapshot in this directory and exit")
-		compact  = flag.Bool("compact", false, "compact the index offline into a packed epoch (resumes an interrupted compaction) and exit")
+		compact  = flag.Bool("compact", false, "compact the index offline into a packed epoch and exit")
 		budget   = flag.Int64("compact-budget", 0, "compaction memory budget in bytes (default 32 MiB)")
 		jsonOut  = flag.Bool("json", false, "print the pass report as JSON")
 	)
 	flag.Parse()
 	if *dir == "" {
-		log.Print("usage: prixscrub -index DIR [-repair | -snapshot DEST | -restore SRC]")
+		log.Print("usage: prixscrub -index DIR [-repair | -snapshot DEST | -restore SRC | -compact]")
 		os.Exit(2)
 	}
 	if *restore != "" {
@@ -62,15 +62,7 @@ func main() {
 	}
 
 	if *compact {
-		var reps []*core.CompactionReport
-		var err error
-		if _, terr := core.LoadShardTopology(*dir); terr == nil {
-			reps, err = core.ResumeOrCompactShardedIndex(*dir, core.CompactionOptions{MemBudget: *budget})
-		} else {
-			var rep *core.CompactionReport
-			rep, err = core.ResumeOrCompactIndex(core.CompactionOptions{Dir: *dir, MemBudget: *budget})
-			reps = []*core.CompactionReport{rep}
-		}
+		reps, err := compactDir(*dir, *budget)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -81,10 +73,6 @@ func main() {
 			return
 		}
 		for _, rep := range reps {
-			if rep.Skipped {
-				fmt.Printf("compact: %s already compacted (epoch %d), skipped\n", rep.Dir, rep.Epoch)
-				continue
-			}
 			fmt.Printf("compact: %d docs -> %s (epoch %d, %d runs, %d run bytes, %v)\n",
 				rep.Docs, rep.Dir, rep.Epoch, rep.Runs, rep.RunBytes, rep.Elapsed)
 		}
@@ -150,4 +138,16 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("prixscrub: clean")
+}
+
+// compactDir compacts the index at dir offline into a new epoch — every
+// replica of every shard when dir is a sharded layout — whatever epoch it
+// is at.
+func compactDir(dir string, budget int64) ([]*core.CompactionReport, error) {
+	o := core.CompactionOptions{Dir: dir, MemBudget: budget}
+	if _, err := core.LoadShardTopology(dir); err == nil {
+		return core.CompactShardedIndex(dir, o)
+	}
+	rep, err := core.CompactIndex(o)
+	return []*core.CompactionReport{rep}, err
 }

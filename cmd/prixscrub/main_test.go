@@ -1,0 +1,97 @@
+package main
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+func scrubDoc(t *testing.T, i int) *core.Document {
+	t.Helper()
+	d, err := core.ParseXMLString(i, fmt.Sprintf(`<a><b><c>v%d</c></b><d>%d</d></a>`, i%3, i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// answers renders every query's matches on a live root.
+func answers(t *testing.T, r *core.CompactRoot) string {
+	t.Helper()
+	var b strings.Builder
+	for _, qs := range []string{`//a/b/c`, `//a[./b/c="v1"]/d`, `//a/d`} {
+		q, err := core.ParseQuery(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, _, err := r.Match(q, core.MatchOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", qs, err)
+		}
+		fmt.Fprintf(&b, "%s:", qs)
+		for _, m := range ms {
+			fmt.Fprintf(&b, " %d/%d", m.DocID, m.Root)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// -compact on an epoch root compacts it again: an epoch-1 root holding 12
+// inserts made since its compaction becomes epoch 2, with all 24 documents
+// answering as before.
+func TestCompactEpochRootWithInserts(t *testing.T) {
+	dir := t.TempDir()
+	var seed []*core.Document
+	for i := 0; i < 12; i++ {
+		seed = append(seed, scrubDoc(t, i))
+	}
+	di, err := core.NewDynamicIndex(seed, core.Options{Dir: dir}, core.DynamicOptions{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if reps, err := compactDir(dir, 0); err != nil || reps[0].Epoch != 1 {
+		t.Fatalf("first compaction: %+v, %v", reps, err)
+	}
+
+	r, err := core.OpenCompactRoot(dir, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 12; i < 24; i++ {
+		if err := r.Insert(scrubDoc(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := answers(t, r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reps, err := compactDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := reps[0]; rep.Skipped || rep.Epoch != 2 || rep.Docs != 24 {
+		t.Fatalf("compaction of the epoch-1 root: %+v, want epoch 2 with 24 docs", rep)
+	}
+	r, err = core.OpenCompactRoot(dir, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Epoch() != 2 || r.NumDocs() != 24 {
+		t.Fatalf("reopened root: epoch %d, %d docs; want epoch 2, 24 docs", r.Epoch(), r.NumDocs())
+	}
+	if got := answers(t, r); got != want {
+		t.Fatalf("answers changed across the compaction:\n%s\nwant\n%s", got, want)
+	}
+}

@@ -11,8 +11,9 @@
 // -compact-interval runs a rate-limited background pass that rewrites the
 // accumulated inserts into the packed bulk layout and swaps epochs with
 // zero downtime (queries never pause; inserts pause only for the final
-// catch-up window), and POST /compact forces a pass. Startup finishes any
-// compaction a crash interrupted before serving.
+// catch-up window), and POST /compact forces a pass. Startup deletes what a
+// compaction a crash interrupted left behind before serving; the next pass
+// compacts again.
 //
 // When -index points at a sharded layout (a directory holding the
 // topology.json written by prixload -shards), prixserve serves it through
@@ -112,7 +113,7 @@ func main() {
 		topoNote = fmt.Sprintf(" across %d shards (%d replicas open, epoch %d)",
 			topo.Shards, len(indexes), topo.Epoch)
 	} else if errors.Is(err, core.ErrNoTopology) {
-		// OpenCompactRoot finishes any compaction a crash interrupted, then
+		// OpenCompactRoot deletes what an interrupted compaction left, then
 		// follows the epoch pointer and serves the index insertable with
 		// zero-downtime epoch swaps. A bulk-built index without dynamic
 		// labeler state falls back to the plain read-only path.

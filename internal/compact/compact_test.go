@@ -2,7 +2,6 @@ package compact
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -80,7 +79,7 @@ func querySig(t *testing.T, src interface {
 }
 
 // snapshotDir reads every durable file under root, keyed by relative path.
-// The work directory and transient journals are excluded — the resume
+// The work directory and transient journals are excluded — the restart
 // contract pins everything else.
 func snapshotDir(t *testing.T, root string) map[string][]byte {
 	t.Helper()
@@ -231,27 +230,6 @@ func TestOfflineCompactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResumeOrRunSkipsCompacted: with no manifest and a committed epoch,
-// ResumeOrRun reports Skipped instead of recompacting.
-func TestResumeOrRunSkipsCompacted(t *testing.T) {
-	dir := t.TempDir()
-	buildDynamicDir(t, dir, corpus(12))
-	if _, err := Run(Options{Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ResumeOrRun(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Skipped || rep.Epoch != 1 {
-		t.Fatalf("ResumeOrRun on a compacted root: %+v, want Skipped at epoch 1", rep)
-	}
-	// Plain Resume has nothing to chew on.
-	if _, err := Resume(Options{Dir: dir}); !errors.Is(err, ErrNoManifest) {
-		t.Fatalf("Resume: err = %v, want ErrNoManifest", err)
-	}
-}
-
 // TestOfflineCompactStatic: a statically built (non-dynamic) index
 // compacts through the builder path and keeps answering identically.
 func TestOfflineCompactStatic(t *testing.T) {
@@ -333,17 +311,6 @@ func TestShardedOfflineCompact(t *testing.T) {
 			t.Fatalf("replica %d: %+v", i, rep)
 		}
 	}
-	// ResumeSharded over the compacted layout is all skips.
-	reps, err = ResumeSharded(root, Options{MemBudget: 32 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rep := range reps {
-		if !rep.Skipped {
-			t.Fatalf("replica %d recompacted instead of skipping: %+v", i, rep)
-		}
-	}
-
 	co2, err := shard.Open(root, prix.Options{}, shard.Config{ResolveDir: ResolveDir})
 	if err != nil {
 		t.Fatal(err)

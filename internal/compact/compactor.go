@@ -59,8 +59,9 @@ type Stats struct {
 }
 
 // Compactor periodically compacts a live Root in the background. Runs that
-// would be no-ops — nothing inserted since the last committed epoch — are
-// skipped and counted, so an idle index is not rewritten every interval.
+// would be no-ops — no insert, delete, update or patch since the last
+// committed epoch — are skipped and counted, so an idle index is not
+// rewritten every interval.
 type Compactor struct {
 	root *Root
 	cfg  Config
@@ -70,15 +71,16 @@ type Compactor struct {
 	skipped  atomic.Uint64
 	docs     atomic.Uint64
 
-	mu        sync.Mutex
-	last      *Report
-	lastRun   *Report // most recent non-skipped run, feeding the gauges
-	lastErr   error
-	lastEpoch uint64
-	lastDocs  int
-	primed    bool
-	stopped   bool
-	forced    sync.WaitGroup // in-flight RunOnce calls; Stop waits them out
+	mu      sync.Mutex
+	last    *Report
+	lastRun *Report // most recent non-skipped run, feeding the gauges
+	lastErr error
+	// lastGen is the Root's Generation right after the last committed
+	// epoch (set when primed): it moves on every mutation and every swap.
+	lastGen uint64
+	primed  bool
+	stopped bool
+	forced  sync.WaitGroup // in-flight RunOnce calls; Stop waits them out
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -87,8 +89,8 @@ type Compactor struct {
 }
 
 // New builds a Compactor over a live Root. A Root already serving a
-// committed epoch is treated as up to date: the first interval only runs if
-// documents arrive (POST /compact forces a run regardless).
+// committed epoch is treated as up to date: the first interval only runs
+// after a mutation (POST /compact forces a run regardless).
 func New(r *Root, cfg Config) *Compactor {
 	c := &Compactor{
 		root: r,
@@ -96,8 +98,8 @@ func New(r *Root, cfg Config) *Compactor {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	if epoch := r.Epoch(); epoch > 0 {
-		c.lastEpoch, c.lastDocs, c.primed = epoch, r.NumDocs(), true
+	if r.Epoch() > 0 {
+		c.lastGen, c.primed = r.Generation(), true
 	}
 	return c
 }
@@ -213,19 +215,20 @@ func (c *Compactor) runOnce(ctx context.Context, force bool) (*Report, error) {
 	c.runs.Add(1)
 	c.docs.Add(uint64(rep.Docs) + uint64(rep.DeltaDocs))
 	c.last, c.lastRun, c.lastErr = rep, rep, nil
-	c.lastEpoch, c.lastDocs, c.primed = rep.Epoch, c.root.NumDocs(), true
+	c.lastGen, c.primed = c.root.Generation(), true
 	return rep, nil
 }
 
-// upToDate reports that the serving epoch is the one this compactor (or
-// startup) last saw committed and no documents arrived since.
+// upToDate reports that nothing — no mutation, no swap — happened since
+// this compactor (or startup) last saw an epoch committed. A document count
+// would miss deletes, updates and patches, which keep it.
 func (c *Compactor) upToDate() bool {
 	if c.root.NumDocs() == 0 {
 		return true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.primed && c.root.Epoch() == c.lastEpoch && c.root.NumDocs() == c.lastDocs
+	return c.primed && c.root.Generation() == c.lastGen
 }
 
 // Stats returns the lifetime counters.

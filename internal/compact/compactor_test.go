@@ -68,6 +68,38 @@ func TestCompactorLoop(t *testing.T) {
 	}
 }
 
+// TestCompactorCompactsAfterDeletes: deletes (like updates and patches)
+// keep the document count, yet they are what a compaction reclaims, so the
+// loop must compact after deletes alone instead of skipping them as idle.
+func TestCompactorCompactsAfterDeletes(t *testing.T) {
+	dir := t.TempDir()
+	buildDynamicDir(t, dir, corpus(20))
+	root, err := OpenRoot(dir, prix.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+
+	c := New(root, Config{Interval: 2 * time.Millisecond, MemBudget: 32 << 10})
+	c.Start()
+	defer c.Stop()
+	waitFor(t, "first background compaction", func() bool { return c.Stats().Runs == 1 })
+	waitFor(t, "idle skip", func() bool { return c.Stats().Skipped >= 2 })
+
+	for id := uint32(0); id < 5; id++ {
+		if _, err := root.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "post-delete compaction", func() bool { return c.Stats().Runs == 2 })
+	waitFor(t, "epoch 2", func() bool { return root.Epoch() == 2 })
+	// The new epoch was built from a collapsed version map: the deletes are
+	// folded in, none is pending reclamation.
+	if st := root.VersionStats(); st.MutOps != 0 || st.Tombstones != 5 {
+		t.Fatalf("after the post-delete compaction: %+v, want MutOps 0 and 5 tombstones", st)
+	}
+}
+
 // TestCompactorPrimedAtOpen: a root already serving a committed epoch is up
 // to date — the loop skips until documents arrive — but RunOnce (the POST
 // /compact path) forces a rewrite regardless.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/pager"
@@ -13,7 +14,7 @@ import (
 )
 
 // Every rename a compaction makes — the epoch publish, CURRENT and the
-// manifests through AtomicFile — is followed by a sync of the target's
+// sealed runs through AtomicFile — is followed by a sync of the target's
 // directory.
 func TestCompactRenamesSyncDir(t *testing.T) {
 	dir := t.TempDir()
@@ -27,13 +28,37 @@ func TestCompactRenamesSyncDir(t *testing.T) {
 	}
 }
 
+// onlyServing fails t unless recovery left dir holding nothing a
+// compaction wrote beyond the serving layout: no work directory, no CURRENT
+// temp, no epoch directory but the serving one and, once an epoch serves,
+// no plain page files.
+func onlyServing(t *testing.T, dir string, epoch uint64) {
+	t.Helper()
+	names, err := pager.OSFS{}.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		switch {
+		case name == WorkDirName, name == CurrentFile+".tmp",
+			strings.HasPrefix(name, "epoch-") && name != EpochDirName(epoch),
+			epoch > 0 && (name == prix.ForestFileName || name == prix.DocsFileName || name == prix.JournalFileName):
+			t.Fatalf("recovery left %s in %s (serving epoch %d)", name, dir, epoch)
+		}
+	}
+}
+
 // TestCompactCrashSweepPlain is the power-cut sweep of the compaction
-// resume contract: learn the total write count W of an uninterrupted
-// compaction, then for every k in 1..W rerun it with the power cut (torn
-// final write included) at the k-th write. After every cut the root must
-// still resolve and serve the exact pre-compaction answers — the old
-// source untouched, or the fully committed new epoch — and ResumeOrRun on
-// a healthy stack must converge on a byte-identical final layout.
+// restart contract over two back-to-back compactions of a plain dynamic
+// directory — its conversion into epoch 1, then epoch 1 into epoch 2, which
+// overwrites CURRENT and retires an epoch directory. It learns the total
+// write count W, then for every k in 1..W reruns the pair with the power
+// cut (torn final write included) at the k-th write. After every cut
+// OpenRoot must serve the exact pre-compaction answers from whichever
+// layout CURRENT names — never a torn in-between — writing no page to do
+// so and leaving nothing of the compactions but the serving layout. The
+// root then converges on the uninterrupted layout byte for byte once Run
+// has brought it to epoch 2: recovery alone when both commits landed.
 func TestCompactCrashSweepPlain(t *testing.T) {
 	base := t.TempDir()
 	docs := corpus(18)
@@ -56,11 +81,14 @@ func TestCompactCrashSweepPlain(t *testing.T) {
 
 	opts := func(dir string) Options { return Options{Dir: dir, MemBudget: 32 << 10} }
 
+	const epochs = 2
 	// Uninterrupted baseline.
 	baseDir := filepath.Join(base, "base")
 	copyTree(t, pristine, baseDir)
-	if _, err := Run(opts(baseDir)); err != nil {
-		t.Fatal(err)
+	for e := 0; e < epochs; e++ {
+		if _, err := Run(opts(baseDir)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := snapshotDir(t, baseDir)
 
@@ -73,60 +101,62 @@ func TestCompactCrashSweepPlain(t *testing.T) {
 		o := opts(out)
 		o.FS = pager.NewFaultFS(pager.OSFS{}, clock)
 		o.OpenFile = pagertest.FaultOpen(clock)
-		_, err := Run(o)
-		if k == 0 && err == nil {
-			// The faulted but never-cut run must still produce the baseline bytes.
+		for e := 0; e < epochs; e++ {
+			if _, err := Run(o); err != nil {
+				return err
+			}
+		}
+		if k == 0 {
+			// The faulted but never-cut runs must still produce the baseline bytes.
 			sameSnapshots(t, want, snapshotDir(t, out), "counting run")
 		}
-		return err
+		return nil
 	}
 	pagertest.Sweep(t, 10, func(int64) int { return pager.PageSize / 3 }, run, func(t *testing.T, k int64) {
-		// A server restarted right after the cut must serve immediately:
-		// CURRENT commits via an atomic rename, so the root resolves to
-		// either the untouched source or the fully built new epoch — never
-		// a torn in-between — and answers are unchanged.
-		resolved, epoch, err := resolveDir(pager.OSFS{}, out)
+		// A server restarted right after the cut serves at once: CURRENT
+		// commits via an atomic rename, so the root resolves to a whole
+		// layout, and recovery only deletes.
+		pages := pager.NewPowerClock(0)
+		root, err := OpenRoot(out, prix.Options{OpenFile: pagertest.FaultOpen(pages)})
 		if err != nil {
-			t.Fatalf("root does not resolve: %v", err)
+			t.Fatalf("root does not open: %v", err)
 		}
-		ix, err := prix.OpenDynamic(resolved, prix.Options{})
-		if err != nil {
-			t.Fatalf("serving layout (epoch %d) does not open: %v", epoch, err)
+		if n := pages.Writes(); n != 0 {
+			t.Fatalf("opening the root after the cut made %d page writes", n)
 		}
-		if ix.NumDocs() != len(docs) {
-			t.Fatalf("serving layout has %d docs, want %d", ix.NumDocs(), len(docs))
+		if root.NumDocs() != len(docs) {
+			t.Fatalf("serving layout has %d docs, want %d", root.NumDocs(), len(docs))
 		}
 		for _, qs := range testQueries {
-			if got := querySig(t, ix.Index(), qs); got != wantSig[qs] {
+			if got := querySig(t, root, qs); got != wantSig[qs] {
 				t.Fatalf("%s answers differently on the surviving layout", qs)
 			}
 		}
-		if err := ix.Close(); err != nil {
+		epoch := root.Epoch()
+		if err := root.Close(); err != nil {
 			t.Fatal(err)
 		}
-
-		// Recovery on a healthy stack converges byte-identically.
-		rep, err := ResumeOrRun(opts(out))
-		if err != nil {
-			t.Fatalf("recovery: %v", err)
+		onlyServing(t, out, epoch)
+		for e := epoch; e < epochs; e++ {
+			if _, err := Run(opts(out)); err != nil {
+				t.Fatalf("rerun from epoch %d: %v", e, err)
+			}
 		}
-		if rep.Epoch != 1 {
-			t.Fatalf("recovery reports epoch %d", rep.Epoch)
-		}
-		sameSnapshots(t, want, snapshotDir(t, out), fmt.Sprintf("cut at write %d", k))
+		sameSnapshots(t, want, snapshotDir(t, out), fmt.Sprintf("cut at write %d (epoch %d served)", k, epoch))
 	})
 }
 
 // TestCompactCrashSweepSharded runs the same per-ordinal sweep over a
-// sharded, replicated layout: a cut strands some replicas compacted, one
-// mid-flight, the rest untouched; the coordinator must still open and
-// answer identically, and ResumeSharded must finish every replica into the
+// sharded, replicated layout (three shards of two replicas): a cut strands
+// some replicas compacted, one mid-flight, the rest untouched. The coordinator must still open and
+// answer identically; then per replica, recovery leaves only the serving
+// layout, and the replicas still at epoch 0 compact again into the
 // baseline bytes.
 func TestCompactCrashSweepSharded(t *testing.T) {
 	base := t.TempDir()
 	docs := corpus(16)
 	pristine := filepath.Join(base, "pristine")
-	if _, err := shard.Build(pristine, docs, shard.BuildConfig{Shards: 2, Replicas: 2, Epoch: 1}); err != nil {
+	if _, err := shard.Build(pristine, docs, shard.BuildConfig{Shards: 3, Replicas: 2, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	co, err := shard.Open(pristine, prix.Options{}, shard.Config{})
@@ -182,16 +212,26 @@ func TestCompactCrashSweepSharded(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		reps, err := ResumeSharded(out, opts())
+		topo, err := shard.LoadTopology(out)
 		if err != nil {
-			t.Fatalf("recovery: %v", err)
+			t.Fatal(err)
 		}
-		if len(reps) != 4 {
-			t.Fatalf("recovered %d replicas, want 4", len(reps))
-		}
-		for i, rep := range reps {
-			if rep.Epoch != 1 {
-				t.Fatalf("replica %d recovered at epoch %d", i, rep.Epoch)
+		for s := 0; s < topo.Shards; s++ {
+			for r := 0; r < topo.Replicas; r++ {
+				dir := shard.ReplicaDir(out, s, r)
+				epoch, err := recoverRoot(pager.OSFS{}, dir)
+				if err != nil {
+					t.Fatalf("%s replica %d: recovery: %v", shard.Name(s), r, err)
+				}
+				onlyServing(t, dir, epoch)
+				if epoch > 0 {
+					continue
+				}
+				o := opts()
+				o.Dir = dir
+				if _, err := Run(o); err != nil {
+					t.Fatalf("%s replica %d: rerun: %v", shard.Name(s), r, err)
+				}
 			}
 		}
 		sameSnapshots(t, want, snapshotDir(t, out), fmt.Sprintf("cut at write %d", k))

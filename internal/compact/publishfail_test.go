@@ -85,12 +85,46 @@ func markerDoc(i int) *xmltree.Document {
 	return xmltree.MustFromSExpr(i, `(marker (late))`)
 }
 
-// TestOnlinePublishFailureKeepsLaterInserts is the regression test for the
-// aborted-publish data-loss hazard: an online compaction whose CURRENT
-// write fails aborts cleanly, inserts acknowledged afterwards land in the
-// (still serving) old epoch, and a crash + restart must recover a
-// compacted index that contains those inserts — never the stale pre-built
-// epoch the interrupted manifest pointed at.
+// restartAfterFailedPublish is the second half of both publish-failure
+// scenarios: a restart on a healthy disk serves epoch 0 with every insert
+// acknowledged after the failure and no trace of the uncommitted epoch, and
+// the next compaction reaches epoch 1 with all of them.
+func restartAfterFailedPublish(t *testing.T, dir string, docs, extra int) {
+	t.Helper()
+	root, err := OpenRoot(dir, prix.Options{BufferPoolPages: 128})
+	if err != nil {
+		t.Fatalf("restart after the failed publish: %v", err)
+	}
+	defer root.Close()
+	if root.Epoch() != 0 {
+		t.Fatalf("restart serves epoch %d, want 0: CURRENT never committed", root.Epoch())
+	}
+	onlyServing(t, dir, 0)
+	check := func(when string) {
+		t.Helper()
+		if got := root.NumDocs(); got != docs+extra {
+			t.Fatalf("%s: %d docs, want %d", when, got, docs+extra)
+		}
+		if got := querySig(t, root, `//marker/late`); strings.Count(got, ";") != extra {
+			t.Fatalf("%s: post-failure inserts not all queryable: %q", when, got)
+		}
+	}
+	check("restart")
+	rep, err := root.Compact(context.Background(), CompactOptions{MemBudget: 32 << 10})
+	if err != nil {
+		t.Fatalf("compaction after restart: %v", err)
+	}
+	if rep.Epoch != 1 || root.Epoch() != 1 {
+		t.Fatalf("compaction after restart committed epoch %d (root %d), want 1", rep.Epoch, root.Epoch())
+	}
+	check("compaction after restart")
+}
+
+// TestOnlinePublishFailureKeepsLaterInserts: an online compaction whose
+// CURRENT write fails aborts cleanly, inserts acknowledged afterwards land
+// in the still-serving old epoch, and a restart keeps every one of them —
+// the epoch directory the failed publish renamed into place is debris,
+// never committed.
 func TestOnlinePublishFailureKeepsLaterInserts(t *testing.T) {
 	dir := t.TempDir()
 	docs := corpus(30)
@@ -110,16 +144,6 @@ func TestOnlinePublishFailureKeepsLaterInserts(t *testing.T) {
 	if root.Epoch() != 0 {
 		t.Fatalf("aborted publish moved the root to epoch %d", root.Epoch())
 	}
-	// The rollback must have demoted the on-disk checkpoint: a manifest
-	// still claiming phasePublish is exactly the state recovery would
-	// commit stale.
-	if m, err := loadManifest(pager.OSFS{}, filepath.Join(dir, WorkDirName)); err == nil && m.Phase == phasePublish {
-		t.Fatal("publish failure left the manifest at phasePublish")
-	}
-	// The partially published epoch directory is gone.
-	if _, err := os.Stat(filepath.Join(dir, EpochDirName(1))); !os.IsNotExist(err) {
-		t.Fatal("publish failure left the uncommitted epoch directory behind")
-	}
 
 	// Inserts acknowledged after the abort land in the old epoch.
 	const extra = 5
@@ -131,33 +155,15 @@ func TestOnlinePublishFailureKeepsLaterInserts(t *testing.T) {
 	if err := root.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// "Crash + restart": reopen on a healthy filesystem. Recovery resumes
-	// the demoted compaction — re-draining past the watermark — and every
-	// acknowledged insert survives.
-	root2, err := OpenRoot(dir, prix.Options{BufferPoolPages: 128})
-	if err != nil {
-		t.Fatalf("restart after aborted publish: %v", err)
-	}
-	defer root2.Close()
-	if got := root2.NumDocs(); got != len(docs)+extra {
-		t.Fatalf("restart lost inserts: %d docs, want %d", got, len(docs)+extra)
-	}
-	if got := querySig(t, root2, `//marker/late`); strings.Count(got, ";") != extra {
-		t.Fatalf("post-abort inserts not all queryable after restart: %q", got)
-	}
-	if root2.Epoch() != 1 {
-		t.Fatalf("recovery finished at epoch %d, want 1", root2.Epoch())
-	}
+	restartAfterFailedPublish(t, dir, len(docs), extra)
 }
 
-// TestRecoveryRefusesStalePublishManifest drives the worst case: the
-// publish fails AND the rollback itself cannot write (the disk dies at the
-// commit point), so the manifest is stranded at phasePublish with a stale
-// epoch directory on disk while inserts keep landing in the old epoch.
-// Recovery must notice the source grew past the built watermark, discard
-// the stale build, and re-drain — the defense-in-depth half of the fix.
-func TestRecoveryRefusesStalePublishManifest(t *testing.T) {
+// TestRecoveryDropsStalePublishedEpoch drives the worst case: the publish
+// fails and the disk dies with it, so nothing more can be written — the
+// renamed epoch directory stays on disk, built without the inserts that
+// keep landing in the old epoch. CURRENT never named it, so the restart
+// deletes it instead of serving it.
+func TestRecoveryDropsStalePublishedEpoch(t *testing.T) {
 	dir := t.TempDir()
 	docs := corpus(24)
 	buildDynamicDir(t, dir, docs)
@@ -173,12 +179,7 @@ func TestRecoveryRefusesStalePublishManifest(t *testing.T) {
 	if !errors.As(err, &ab) || ab.Phase != phasePublish {
 		t.Fatalf("failed publish: err = %v, want *Aborted in publish phase", err)
 	}
-	// The stranded state this test is about: manifest still at
-	// phasePublish, stale epoch directory present.
-	m, merr := loadManifest(pager.OSFS{}, filepath.Join(dir, WorkDirName))
-	if merr != nil || m.Phase != phasePublish {
-		t.Fatalf("test rig: expected a stranded phasePublish manifest, got %+v err %v", m, merr)
-	}
+	// The state this test is about: a stale epoch directory on disk.
 	if _, err := os.Stat(filepath.Join(dir, EpochDirName(1))); err != nil {
 		t.Fatalf("test rig: expected the stale epoch directory to survive: %v", err)
 	}
@@ -187,33 +188,19 @@ func TestRecoveryRefusesStalePublishManifest(t *testing.T) {
 	const extra = 4
 	for i := 0; i < extra; i++ {
 		if err := root.Insert(markerDoc(len(docs) + i)); err != nil {
-			t.Fatalf("insert after stranded publish: %v", err)
+			t.Fatalf("insert after the failed publish: %v", err)
 		}
 	}
 	if err := root.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Restart on a healthy disk: recovery must NOT commit the stale epoch.
-	root2, err := OpenRoot(dir, prix.Options{BufferPoolPages: 128})
-	if err != nil {
-		t.Fatalf("restart after stranded publish: %v", err)
-	}
-	defer root2.Close()
-	if got := root2.NumDocs(); got != len(docs)+extra {
-		t.Fatalf("recovery committed the stale epoch: %d docs, want %d", got, len(docs)+extra)
-	}
-	if got := querySig(t, root2, `//marker/late`); strings.Count(got, ";") != extra {
-		t.Fatalf("post-failure inserts not all queryable after restart: %q", got)
-	}
-	if root2.Epoch() != 1 {
-		t.Fatalf("recovery finished at epoch %d, want 1", root2.Epoch())
-	}
+	restartAfterFailedPublish(t, dir, len(docs), extra)
 }
 
-// TestOnlinePublishFailureInProcessRetry: after a failed publish and its
-// rollback, a second in-process Compact on the same Root completes, and
-// documents inserted between the attempts are in the committed epoch.
+// TestOnlinePublishFailureInProcessRetry: after a failed publish, a second
+// in-process Compact on the same Root deletes the uncommitted epoch and
+// completes, and documents inserted between the attempts are in the
+// committed epoch.
 func TestOnlinePublishFailureInProcessRetry(t *testing.T) {
 	dir := t.TempDir()
 	docs := corpus(20)

@@ -59,35 +59,25 @@ type Root struct {
 	compacting atomic.Bool
 }
 
-// OpenRoot opens dir for live serving, first finishing any compaction a
-// crash interrupted (resuming from its manifest checkpoint, or committing
-// and cleaning up one that had already published). The directory may be a
-// plain dynamic index or an epoch root; opts follows prix.Open semantics
-// (Dir is taken from dir).
+// OpenRoot opens dir for live serving, first deleting whatever a
+// compaction a crash interrupted left behind (see recoverRoot); the
+// interrupted compaction itself is not finished — the next one simply
+// runs. The directory may be a plain dynamic index or an epoch root; opts
+// follows prix.Open semantics (Dir is taken from dir).
 func OpenRoot(dir string, opts prix.Options) (*Root, error) {
-	if _, err := Recover(Options{Dir: dir, BufferPoolPages: opts.BufferPoolPages, OpenFile: opts.OpenFile, HotBudget: opts.HotBudget}); err != nil {
-		return nil, err
-	}
-	resolved, epoch, err := resolveDir(pager.OSFS{}, dir)
+	epoch, err := recoverRoot(pager.OSFS{}, dir)
 	if err != nil {
 		return nil, err
+	}
+	resolved := dir
+	if epoch > 0 {
+		resolved = filepath.Join(dir, EpochDirName(epoch))
 	}
 	di, err := prix.OpenDynamic(resolved, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Root{dir: dir, opts: opts, di: di, epoch: epoch}, nil
-}
-
-// Recover finishes an interrupted compaction of dir, if any; with no
-// pending manifest it does nothing. Unlike ResumeOrRun it never starts a
-// fresh compaction, so it is safe to call unconditionally at startup.
-func Recover(o Options) (*Report, error) {
-	rep, err := Resume(o)
-	if errors.Is(err, ErrNoManifest) {
-		return nil, nil
-	}
-	return rep, err
 }
 
 // Match serves a query against the current epoch. The read lock spans the
@@ -257,7 +247,7 @@ func (g *Gate) Exit() { g.r.swapMu.RUnlock() }
 
 // CompactOptions tunes one online compaction.
 type CompactOptions struct {
-	// MemBudget bounds buffered bytes (0 = 32 MiB); pinned in the manifest.
+	// MemBudget bounds buffered bytes (0 = 32 MiB).
 	MemBudget int64
 	// CatchupThreshold is the backlog (documents inserted since the drain
 	// watermark) below which the compactor stops chasing and freezes to
@@ -299,11 +289,11 @@ func (co *CompactOptions) withDefaults() CompactOptions {
 // to it, without stopping queries and pausing inserts only for the final
 // catch-up + swap window (Report.Pause). Phases:
 //
-//  1. drain — spool every document into sealed runs, checkpointed in the
-//     manifest, rate-limited; queries and inserts proceed untouched.
-//     Repeated until the insert backlog is below CatchupThreshold.
+//  1. drain — spool every document into sealed runs, rate-limited;
+//     queries and inserts proceed untouched. Repeated until the insert
+//     backlog is below CatchupThreshold.
 //  2. build — bulk-load the runs into .compact/next (kept open), also
-//     rate-limited and restartable from scratch.
+//     rate-limited.
 //  3. freeze — block new inserts, insert the last backlog directly into
 //     the new index, flush it.
 //  4. publish + commit — rename next/ to epoch-N, atomically write CURRENT.
@@ -311,8 +301,8 @@ func (co *CompactOptions) withDefaults() CompactOptions {
 //     epoch, delete its files.
 //
 // Any failure before step 4's CURRENT write aborts with *Aborted: the old
-// epoch keeps serving, untouched, and the work directory is preserved so
-// the next attempt resumes from the last checkpoint. ctx cancellation is
+// epoch keeps serving, untouched, and what the attempt wrote is debris the
+// next attempt (or OpenRoot) deletes before it starts. ctx cancellation is
 // honored between documents during drain and build.
 func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) {
 	if !r.compacting.CompareAndSwap(false, true) {
@@ -330,7 +320,7 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 	old, srcEpoch := r.di, r.epoch
 	r.mu.RUnlock()
 	src := newSource(old, old.Index())
-	probe := manifestFor(src, srcEpoch, o)
+	nextEpoch := srcEpoch + 1
 
 	var paced int
 	pace := func() error {
@@ -358,29 +348,14 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 		return nil
 	}
 
-	// Reuse a previous in-process attempt's sealed runs when its manifest is
-	// still in drain/build under identical configuration; otherwise start
-	// clean, discarding any uncommitted next-epoch directory a failed publish
-	// left behind (CURRENT never pointed at it).
-	m, err := loadManifest(fs, workdir)
-	if err != nil || m.Phase == phasePublish || m.Phase == phaseDone ||
-		m.SourceEpoch != srcEpoch || m.matches(probe) != nil {
-		if err := fs.RemoveAll(workdir); err != nil {
-			return nil, &Aborted{Phase: phaseDrain, Err: err}
-		}
-		if err := fs.RemoveAll(filepath.Join(r.dir, EpochDirName(srcEpoch+1))); err != nil {
-			return nil, &Aborted{Phase: phaseDrain, Err: err}
-		}
-		if err := fs.MkdirAll(workdir); err != nil {
-			return nil, &Aborted{Phase: phaseDrain, Err: err}
-		}
-		m = probe
-		if err := m.save(fs, workdir); err != nil {
-			return nil, &Aborted{Phase: phaseDrain, Err: err}
-		}
+	if _, err := recoverRoot(fs, r.dir); err != nil {
+		return nil, &Aborted{Phase: phaseDrain, Err: err}
 	}
-
-	rep := &Report{Epoch: srcEpoch + 1, Dir: filepath.Join(r.dir, EpochDirName(srcEpoch+1)), Dynamic: true}
+	if err := fs.MkdirAll(workdir); err != nil {
+		return nil, &Aborted{Phase: phaseDrain, Err: err}
+	}
+	sp := newSpool(src, o)
+	rep := &Report{Epoch: nextEpoch, Dir: filepath.Join(r.dir, EpochDirName(nextEpoch)), Dynamic: true}
 	rep.SourceDocs = old.NumDocs()
 
 	// Phases 1–3 may restart when a versioned mutation (delete/update)
@@ -403,35 +378,27 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 			if vm != nil {
 				muts = vm.MutOps
 			}
-			if muts != m.Muts && len(m.Runs) > 0 {
+			if muts != sp.muts && len(sp.runs) > 0 {
 				// A mutation may have touched an already-drained document;
 				// its run content (or reclaim status) is stale.
-				m.Runs = nil
-				m.Docs = 0
+				sp.runs, sp.docs = nil, 0
 			}
-			reclaimed := pinVersions(m, vm, o.Retain)
-			m.Phase = phaseDrain
-			if err := drain(fs, workdir, m, src, total, reclaimed, rep, pace); err != nil {
-				return nil, &Aborted{Phase: phaseDrain, Err: err}
-			}
-			m.Docs = total
-			if err := m.save(fs, workdir); err != nil {
+			reclaimed := sp.pin(vm, o.Retain)
+			if err := sp.drain(fs, workdir, src, total, reclaimed, rep, pace); err != nil {
 				return nil, &Aborted{Phase: phaseDrain, Err: err}
 			}
 			if old.NumDocs()-int(total) <= co.CatchupThreshold || rounds+1 >= co.MaxRounds {
 				break
 			}
 		}
-		m.Phase = phaseBuild
-		if err := m.save(fs, workdir); err != nil {
-			return nil, &Aborted{Phase: phaseDrain, Err: err}
-		}
+		rep.Docs, rep.Runs = sp.docs, len(sp.runs)
+		rep.Reclaimed, rep.Tombstones = versionCounts(sp.versions)
 
 		// Phase 2: bulk-load the runs. The new index stays open — its page
 		// files live in .compact/next and follow the directory through the
 		// publish rename, so the swap needs no reopen.
 		buildStart := time.Now()
-		built, _, err := build(fs, workdir, m, o, pace)
+		built, err := sp.build(fs, workdir, o, pace)
 		rep.BuildElapsed += time.Since(buildStart)
 		if err != nil {
 			return nil, &Aborted{Phase: phaseBuild, Err: err}
@@ -450,7 +417,7 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 			r.swapMu.Unlock()
 			r.swapPending.Store(false)
 		}
-		if st := old.Index().VersionStats(); st.MutOps != m.Muts {
+		if st := old.Index().VersionStats(); st.MutOps != sp.muts {
 			// A delete/update slipped in after the last drain round. Only
 			// inserts are allowed past the watermark (the catch-up below
 			// replays them); restart the drain under the new history.
@@ -465,58 +432,36 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 		}
 		break
 	}
-	rep.Docs = m.Docs
-	rep.Runs = len(m.Runs)
-	rep.Reclaimed, rep.Tombstones = versionCounts(m.Versions)
 	fail := func(phase string, err error) (*Report, error) {
+		unfreeze()
 		next.Close()
 		return nil, &Aborted{Phase: phase, Err: err}
 	}
-	for id := m.Docs; id < uint32(old.NumDocs()); id++ {
+	for id := sp.docs; id < uint32(old.NumDocs()); id++ {
 		doc, err := old.Index().ReconstructDocument(id)
 		if err != nil {
-			unfreeze()
 			return fail(phaseBuild, fmt.Errorf("compact: catch-up document %d: %w", id, err))
 		}
 		if err := next.Insert(doc); err != nil {
-			unfreeze()
 			return fail(phaseBuild, fmt.Errorf("compact: catch-up document %d: %w", id, err))
 		}
 		rep.DeltaDocs++
 	}
 	if err := next.Flush(); err != nil {
-		unfreeze()
 		return fail(phaseBuild, err)
 	}
 
 	rep.BuildElapsed += time.Since(pauseStart)
 
 	// Phase 4: publish and commit. The CURRENT write is the point of no
-	// return — before it, any failure leaves the old epoch serving.
+	// return — before it, any failure leaves the old epoch serving, and the
+	// published directory CURRENT does not name is debris.
 	publishStart := time.Now()
-	m.Phase = phasePublish
-	m.DeltaDocs = uint32(rep.DeltaDocs)
-	if err := m.save(fs, workdir); err != nil {
-		unfreeze()
-		return fail(phaseBuild, err)
-	}
-	if err := publishCommit(fs, r.dir, workdir, m); err != nil {
-		if cur, lerr := loadCurrent(fs, r.dir); lerr == nil && cur.Epoch == m.NextEpoch {
-			// The pointer write landed despite the reported failure: the
-			// commit is durable, so fall through to the swap — aborting now
-			// would resume inserts into an epoch that no longer owns the
-			// root.
-		} else {
-			// Before inserts resume, the on-disk checkpoint must stop saying
-			// phasePublish: recovery at that phase commits the pre-built
-			// epoch as-is — correct this instant, but silently dropping
-			// every insert acknowledged from here on. Demote it (recovery
-			// then re-drains past the watermark) while the freeze still
-			// holds the watermark fixed.
-			if rbErr := rollbackPublish(fs, r.dir, workdir, m); rbErr != nil {
-				err = errors.Join(err, rbErr)
-			}
-			unfreeze()
+	if err := publishCommit(fs, r.dir, workdir, nextEpoch); err != nil {
+		// The pointer write may have landed despite the reported failure:
+		// the commit is then durable, so fall through to the swap — aborting
+		// would resume inserts into an epoch that no longer owns the root.
+		if cur, lerr := loadCurrent(fs, r.dir); lerr != nil || cur.Epoch != nextEpoch {
 			return fail(phasePublish, err)
 		}
 	}
@@ -528,51 +473,22 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 	r.mu.Lock()
 	r.genBase += old.Generation() + 1
 	r.di = next
-	r.epoch = m.NextEpoch
+	r.epoch = nextEpoch
 	r.mu.Unlock()
 	unfreeze()
 	rep.Pause = time.Since(pauseStart)
 
 	// Post-commit teardown. The new epoch is serving whatever happens here;
 	// an error is reported but no longer aborts anything, and a leftover
-	// work directory or old epoch is re-deleted by the next recovery.
-	closeErr := old.Close()
-	m.Phase = phaseDone
-	if err := m.save(fs, workdir); err == nil {
-		err = cleanup(fs, r.dir, workdir, m.SourceEpoch)
-		if closeErr == nil {
-			closeErr = err
-		}
-	} else if closeErr == nil {
-		closeErr = err
+	// work directory or old epoch is deleted by the next recovery.
+	err := old.Close()
+	if _, rerr := recoverRoot(fs, r.dir); err == nil {
+		err = rerr
 	}
 	rep.PublishElapsed = time.Since(publishStart)
 	rep.Elapsed = time.Since(start)
-	if closeErr != nil {
-		return rep, fmt.Errorf("compact: post-commit cleanup (epoch %d is serving): %w", m.NextEpoch, closeErr)
+	if err != nil {
+		return rep, fmt.Errorf("compact: post-commit cleanup (epoch %d is serving): %w", nextEpoch, err)
 	}
 	return rep, nil
-}
-
-// rollbackPublish undoes a failed publish before inserts resume. The epoch
-// directory a partial publish may have renamed into place is removed first
-// — otherwise the idempotent-publish probe would resurrect the stale build
-// on recovery — then the checkpoint is demoted to phaseBuild so recovery
-// re-drains anything inserted past the watermark. If the demotion cannot
-// be written, the whole work directory is discarded instead: recovery then
-// finds nothing to resume and the old epoch simply keeps serving. Only
-// when every fallback fails is an error returned; execute's phasePublish
-// watermark check is the last line of defense for that case.
-func rollbackPublish(fs pager.FS, root, workdir string, m *Manifest) error {
-	if err := fs.RemoveAll(filepath.Join(root, EpochDirName(m.NextEpoch))); err == nil {
-		m.Phase = phaseBuild
-		m.DeltaDocs = 0
-		if err := m.save(fs, workdir); err == nil {
-			return nil
-		}
-	}
-	if err := fs.RemoveAll(workdir); err != nil {
-		return fmt.Errorf("compact: publish rollback failed (recovery must not trust the phase-publish checkpoint): %w", err)
-	}
-	return nil
 }

@@ -128,7 +128,7 @@ func TestRootCompactLive(t *testing.T) {
 
 // TestRootCompactCancelAborts: a cancelled compaction returns *Aborted,
 // leaves the old layout serving untouched, and a later attempt completes
-// (reusing the checkpointed runs where the config matches).
+// from scratch.
 func TestRootCompactCancelAborts(t *testing.T) {
 	dir := t.TempDir()
 	docs := corpus(200) // enough documents that the pacer observes ctx

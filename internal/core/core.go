@@ -281,8 +281,8 @@ type CompactionReport = compact.Report
 var ErrNotDynamic = prix.ErrNotDynamic
 
 // OpenCompactRoot opens a directory for live serving with online
-// compaction: a plain dynamic index or an epoch root, finishing any
-// compaction a crash interrupted first.
+// compaction: a plain dynamic index or an epoch root, first deleting what a
+// compaction a crash interrupted left behind.
 func OpenCompactRoot(dir string, opts Options) (*CompactRoot, error) {
 	return compact.OpenRoot(dir, opts)
 }
@@ -292,28 +292,16 @@ func NewCompactor(r *CompactRoot, cfg CompactorConfig) *Compactor {
 	return compact.New(r, cfg)
 }
 
-// CompactIndex compacts a closed index directory offline from scratch.
+// CompactIndex compacts a closed index directory offline from scratch (an
+// interrupted earlier attempt is discarded, not resumed).
 func CompactIndex(o CompactionOptions) (*CompactionReport, error) {
 	return compact.Run(o)
-}
-
-// ResumeOrCompactIndex resumes an interrupted offline compaction, reports
-// an already-completed one as Skipped, or starts fresh.
-func ResumeOrCompactIndex(o CompactionOptions) (*CompactionReport, error) {
-	return compact.ResumeOrRun(o)
 }
 
 // CompactShardedIndex compacts every replica of every shard under a sharded
 // layout root (offline).
 func CompactShardedIndex(root string, o CompactionOptions) ([]*CompactionReport, error) {
 	return compact.RunSharded(root, o)
-}
-
-// ResumeOrCompactShardedIndex finishes whatever each replica of a sharded
-// layout was doing: resumes interrupted compactions, skips completed ones,
-// starts missing ones.
-func ResumeOrCompactShardedIndex(root string, o CompactionOptions) ([]*CompactionReport, error) {
-	return compact.ResumeSharded(root, o)
 }
 
 // ResolveIndexDir resolves a directory through its epoch pointer: an epoch

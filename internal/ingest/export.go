@@ -7,10 +7,9 @@ import (
 
 // The run-file machinery (sealed, CRC-checked DocSeq spools) is reused by
 // internal/compact: the compactor drains a live DynamicIndex into the exact
-// same sealed run format the streaming bulk loader uses, so one
-// crash-resume proof covers both pipelines. These thin exported wrappers
-// keep the underlying types unexported (their invariants — atomic sealing,
-// trailer validation — stay package-internal).
+// same sealed run format the streaming bulk loader uses. These thin
+// exported wrappers keep the underlying types unexported (their invariants
+// — atomic sealing, trailer validation — stay package-internal).
 
 // RunWriter streams DocSeq records into a sealed run file (written to
 // path+".tmp", renamed into place by Seal).
@@ -28,15 +27,14 @@ func NewRunWriter(fs pager.FS, path string) (*RunWriter, error) {
 // Add appends one record to the run.
 func (w *RunWriter) Add(ds *prix.DocSeq) error { return w.w.add(ds) }
 
-// Docs is the number of records added so far.
-func (w *RunWriter) Docs() uint32 { return w.w.docs }
-
 // Bytes is the run's body size so far (callers chunk runs by byte budget).
 func (w *RunWriter) Bytes() int64 { return w.w.bytes }
 
-// Seal writes the trailer and commits the run into place, returning the
-// trailer CRC (manifests pin it).
-func (w *RunWriter) Seal() (crc uint32, err error) { return w.w.seal() }
+// Seal writes the trailer and commits the run into place.
+func (w *RunWriter) Seal() error {
+	_, err := w.w.seal()
+	return err
+}
 
 // Abort drops an unsealed run (error paths only; best-effort).
 func (w *RunWriter) Abort() { w.w.abort() }
@@ -55,12 +53,6 @@ func OpenRun(fs pager.FS, path string) (*RunReader, error) {
 
 // Next returns the next DocSeq, or io.EOF once the trailer verifies.
 func (r *RunReader) Next() (*prix.DocSeq, error) { return r.r.next() }
-
-// Docs is the trailer's record count (valid after Next returned io.EOF).
-func (r *RunReader) Docs() uint32 { return r.r.docs }
-
-// SealCRC is the trailer CRC (valid after Next returned io.EOF).
-func (r *RunReader) SealCRC() uint32 { return r.r.sealCRC }
 
 // Close releases the underlying file.
 func (r *RunReader) Close() error { return r.r.close() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"sync"
 )
 
@@ -405,26 +406,32 @@ func (f *FaultFile) loseLocked(loss Loss, rng *rand.Rand) {
 	}
 }
 
-// Loss is what a power cut does to the operations no Sync made durable.
+// Loss is what a power cut does to the operations no Sync made durable,
+// and to the FaultFS renames no SyncDir made durable.
 type Loss int
 
 const (
-	// LoseAll drops every unsynced operation.
+	// LoseAll drops every unsynced operation and undoes every unsynced
+	// rename.
 	LoseAll Loss = iota
 	// LoseSubset keeps a seeded subset, replayed in issue order: a disk
-	// that reorders its write-back.
+	// that reorders its write-back. Unsynced renames are undone by the same
+	// seeded choice.
 	LoseSubset
 	// TearLast keeps all but each file's last unsynced page write, which
 	// lands torn, its first half over the old bytes: a disk that writes back
-	// in order and was mid-page when the power went.
+	// in order and was mid-page when the power went. Of the unsynced
+	// renames, the oldest in each directory is undone and the later ones
+	// kept, since a directory need not write its entries back in order.
 	TearLast
 )
 
 // PowerClock simulates pulling the plug at the k-th write-class operation
 // (WritePage, Allocate, Sync, Truncate) observed across every FaultFile it
 // is attached to, and every FaultFS operation that ticks it. At the cut
-// each attached file loses its unsynced operations as the clock's Loss
-// says, and the cutting page write persists only its first TornBytes bytes
+// each attached file loses its unsynced operations, and each FaultFS on the
+// clock its unsynced renames, as the clock's Loss says, and the cutting
+// page write persists only its first TornBytes bytes
 // (a torn sector run); every operation after the cut — reads included —
 // fails with ErrPowerCut, freezing the inner files as the crash image.
 //
@@ -440,6 +447,7 @@ type PowerClock struct {
 	count    int64
 	cut      bool
 	files    []*FaultFile
+	fss      []*FaultFS
 }
 
 // NewPowerClock returns a clock that cuts power at the cutAfter-th
@@ -474,10 +482,12 @@ func (c *PowerClock) attach(f *FaultFile) {
 }
 
 // powerLoss applies the cut to every attached file, in the order they were
-// attached. locked is the file whose mutex the caller holds (nil for none).
+// attached, then to every FaultFS's unsynced renames. locked is the file
+// whose mutex the caller holds (nil for none).
 func (c *PowerClock) powerLoss(locked *FaultFile) {
 	c.mu.Lock()
 	files := append([]*FaultFile(nil), c.files...)
+	fss := append([]*FaultFS(nil), c.fss...)
 	loss, rng := c.loss, rand.New(rand.NewSource(c.lossSeed))
 	c.mu.Unlock()
 	for _, f := range files {
@@ -488,6 +498,9 @@ func (c *PowerClock) powerLoss(locked *FaultFile) {
 		if f != locked {
 			f.mu.Unlock()
 		}
+	}
+	for _, fs := range fss {
+		fs.loseRenames(loss, rng)
 	}
 }
 
@@ -544,14 +557,37 @@ func (c *PowerClock) tick() (torn int, cutNow bool, err error) {
 // prix.Options.OpenFile and a FaultFile), so one ordinal spans every write
 // of a build. The cutting Write persists the first half of its buffer — a
 // torn append — so the CRC seals are exercised too.
+//
+// A rename reaches the inner FS at once but stays pending until a SyncDir
+// of its target's directory; at a cut the clock's Loss says which pending
+// renames are undone, newest first: the entry moves back to its old name
+// and a target it replaced gets its old bytes back. A missing directory
+// sync therefore shows as a rename the crash image lost. Creates, removes
+// and file writes still reach the inner FS for good.
 type FaultFS struct {
 	inner FS
 	clock *PowerClock
+
+	mu      sync.Mutex
+	renames []pendingRename
+}
+
+// pendingRename is one rename no SyncDir has made durable yet.
+type pendingRename struct {
+	oldPath, newPath string
+	// replaced reports that the rename overwrote a file, whose bytes are
+	// prior.
+	replaced bool
+	prior    []byte
 }
 
 // NewFaultFS wraps inner with the given power clock.
 func NewFaultFS(inner FS, clock *PowerClock) *FaultFS {
-	return &FaultFS{inner: inner, clock: clock}
+	f := &FaultFS{inner: inner, clock: clock}
+	clock.mu.Lock()
+	clock.fss = append(clock.fss, f)
+	clock.mu.Unlock()
+	return f
 }
 
 func (f *FaultFS) tick() error {
@@ -582,7 +618,20 @@ func (f *FaultFS) Rename(oldPath, newPath string) error {
 	if err := f.tick(); err != nil {
 		return err
 	}
-	return f.inner.Rename(oldPath, newPath)
+	r := pendingRename{oldPath: oldPath, newPath: newPath}
+	if rc, err := f.inner.Open(newPath); err == nil {
+		// A directory opens but does not read: only a file's bytes come back.
+		r.prior, err = io.ReadAll(rc)
+		r.replaced = err == nil
+		rc.Close()
+	}
+	if err := f.inner.Rename(oldPath, newPath); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	f.renames = append(f.renames, r)
+	f.mu.Unlock()
+	return nil
 }
 
 func (f *FaultFS) Remove(path string) error {
@@ -608,13 +657,62 @@ func (f *FaultFS) MkdirAll(path string) error {
 
 func (f *FaultFS) ReadDir(path string) ([]string, error) { return f.inner.ReadDir(path) }
 
-// SyncDir ticks the clock like every other write-class operation. A cut
-// does not yet roll back the renames no SyncDir followed.
+// SyncDir ticks the clock like every other write-class operation and makes
+// the pending renames into the directory durable.
 func (f *FaultFS) SyncDir(path string) error {
 	if err := f.tick(); err != nil {
 		return err
 	}
-	return f.inner.SyncDir(path)
+	if err := f.inner.SyncDir(path); err != nil {
+		return err
+	}
+	dir := filepath.Clean(path)
+	f.mu.Lock()
+	kept := f.renames[:0]
+	for _, r := range f.renames {
+		if filepath.Dir(r.newPath) != dir {
+			kept = append(kept, r)
+		}
+	}
+	f.renames = kept
+	f.mu.Unlock()
+	return nil
+}
+
+// loseRenames applies a power cut to the pending renames: those loss
+// undoes are reversed newest first, each entry moved back to its old name
+// and a replaced file's bytes restored.
+func (f *FaultFS) loseRenames(loss Loss, rng *rand.Rand) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	undo := make([]bool, len(f.renames))
+	seen := map[string]bool{}
+	for i, r := range f.renames {
+		switch loss {
+		case LoseAll:
+			undo[i] = true
+		case LoseSubset:
+			undo[i] = rng.Intn(2) == 0
+		case TearLast:
+			dir := filepath.Dir(r.newPath)
+			undo[i] = !seen[dir]
+			seen[dir] = true
+		}
+	}
+	for i := len(f.renames) - 1; i >= 0; i-- {
+		r := f.renames[i]
+		if !undo[i] || f.inner.Rename(r.newPath, r.oldPath) != nil || !r.replaced {
+			continue
+		}
+		// Best effort, as loseLocked's replay: the crash image is what the
+		// undo leaves.
+		if w, err := f.inner.Create(r.newPath); err == nil {
+			_, _ = w.Write(r.prior)
+			_ = w.Sync()
+			_ = w.Close()
+		}
+	}
+	f.renames = nil
 }
 
 type faultFSFile struct {

@@ -179,3 +179,71 @@ func TestAtomicCommitSyncsDir(t *testing.T) {
 		t.Errorf("the commit ticked the clock %d times, want 5", got)
 	}
 }
+
+// A FaultFS rename is durable only once a SyncDir of its target's directory
+// follows: a cut undoes the pending ones as the clock's Loss says, moving
+// each back and restoring the file it replaced — TearLast undoes the older
+// of two renames in one directory and keeps the later.
+func TestFaultFSRenamesPendingUntilSyncDir(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		loss         pager.Loss
+		synced       bool
+		keepA, keepB bool
+	}{
+		{"lose-all", pager.LoseAll, false, false, false},
+		{"tear-last", pager.TearLast, false, false, true},
+		{"synced", pager.LoseAll, true, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+			for path, data := range map[string]string{a: "old a", a + ".tmp": "new a", b + ".tmp": "new b"} {
+				if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cutAt := int64(3)
+			if tc.synced {
+				cutAt++
+			}
+			clock := pager.NewPowerClock(cutAt)
+			clock.SetLoss(tc.loss, 1)
+			fs := pager.NewFaultFS(pager.OSFS{}, clock)
+			if err := fs.Rename(a+".tmp", a); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Rename(b+".tmp", b); err != nil {
+				t.Fatal(err)
+			}
+			if tc.synced {
+				if err := fs.SyncDir(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.MkdirAll(filepath.Join(dir, "x")); !errors.Is(err, pager.ErrPowerCut) {
+				t.Fatalf("the cut operation returned %v, want ErrPowerCut", err)
+			}
+			wantA, wantTmpA := "old a", "new a"
+			if tc.keepA {
+				wantA, wantTmpA = "new a", ""
+			}
+			wantB, wantTmpB := "", "new b"
+			if tc.keepB {
+				wantB, wantTmpB = "new b", ""
+			}
+			for path, want := range map[string]string{a: wantA, a + ".tmp": wantTmpA, b: wantB, b + ".tmp": wantTmpB} {
+				got, err := os.ReadFile(path)
+				if want == "" {
+					if !os.IsNotExist(err) {
+						t.Errorf("%s exists after the cut (%q), want it gone", filepath.Base(path), got)
+					}
+					continue
+				}
+				if string(got) != want {
+					t.Errorf("%s holds %q after the cut (%v), want %q", filepath.Base(path), got, err, want)
+				}
+			}
+		})
+	}
+}

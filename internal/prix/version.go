@@ -174,7 +174,7 @@ func (ix *Index) terminalsByDoc() (map[uint32]uint64, error) {
 }
 
 // CloneVersions returns a deep copy of the version map under the read lock
-// (nil when versioning is off) — the compactor pins it in its manifest.
+// (nil when versioning is off) — a compaction pins it for its drain.
 func (ix *Index) CloneVersions() *mvcc.Map {
 	ix.repairMu.RLock()
 	defer ix.repairMu.RUnlock()
