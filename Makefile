@@ -93,7 +93,12 @@ sched:
 # through the handler on a resident index (TestHandleQueryAllocs: the pooled
 # deadline and body, the one-slab parse and the pattern compiled into the
 # query scratch leave 20 objects, 51 before), one document drained by a
-# compaction — plus the resident cost of a labeler
+# compaction (TestCompactDrainAllocs: 0, the DocSeq reused), one record a
+# warmed run reader replays (TestRunReaderAllocs in ingest: 0), a compaction's
+# bulk load per document (TestBulkLoadDynamicAllocs: ≤ 1), the version map
+# re-encoded into kept buffers (TestAppendEncodeAllocs in mvcc: 0) and by a
+# committed Delete (TestVersionPersistAllocs: 0 for the map) — plus the
+# resident cost of a labeler
 # trie node (TestLabelerBytesPerNode: live bytes and objects, not mallocs), of
 # a buffer-pool page and an empty pool (TestPoolBytesPerPage), of a
 # dictionary name (TestDictBytesPerName), of a shape-dictionary shape, a
@@ -109,7 +114,7 @@ sched:
 # then fails a named test here before it reaches the benchmark's allocs_op or
 # live_heap_mb.
 allocs:
-	$(GO) test -count=1 -run 'Allocs|BytesPer' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig ./internal/vtrie ./internal/hot ./internal/server
+	$(GO) test -count=1 -run 'Allocs|BytesPer' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig ./internal/vtrie ./internal/hot ./internal/server ./internal/ingest ./internal/mvcc
 
 # The driver's benchmark is a nested module (benchmark/go.mod) that `go test
 # ./...` does not reach: vet and short-test it here, so a change to an

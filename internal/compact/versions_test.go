@@ -336,3 +336,46 @@ func TestAsOfAcrossCompactionAfterRelabel(t *testing.T) {
 		})
 	}
 }
+
+// A compaction that keeps tombstones re-marks them in the rebuilt docid tree;
+// it must do so in a fixed order, so the same compaction of the same root
+// writes the same bytes. Four copies of one mutated root are compacted at a
+// retention window wider than their history, and every epoch file must come
+// out byte-identical.
+func TestCompactRetainedTombstonesDeterministic(t *testing.T) {
+	src := t.TempDir()
+	buildDynamicDir(t, src, corpus(300))
+	var want map[string][]byte
+	for i := 0; i < 4; i++ {
+		dir := t.TempDir()
+		copyTree(t, src, dir)
+		r, err := OpenRoot(dir, prix.Options{BufferPoolPages: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Update(4, xmltree.MustFromSExpr(4, `(a (b (c "v2")) (x))`)); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []uint32{3, 6} {
+			if _, err := r.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := r.Compact(context.Background(), CompactOptions{Retain: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Tombstones != 2 {
+			t.Fatalf("copy %d: compaction retained %d tombstones, want 2", i, rep.Tombstones)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got := snapshotDir(t, dir)
+		if want == nil {
+			want = got
+			continue
+		}
+		sameSnapshots(t, want, got, fmt.Sprintf("copy %d", i))
+	}
+}

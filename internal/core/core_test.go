@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/twig"
 )
 
 func parseAll(t *testing.T, srcs ...string) []*core.Document {
@@ -143,5 +144,56 @@ func TestDualAndDynamicFacades(t *testing.T) {
 	}
 	if len(ms) != 2 {
 		t.Errorf("dynamic matches = %d, want 2", len(ms))
+	}
+}
+
+// A dynamic index is committed when NewDynamicIndex returns: closed without
+// a Flush, its directory reopens (read-only, and insertable as a compaction
+// root) and answers as the brute-force oracle does.
+func TestNewDynamicIndexReopensWithoutFlush(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "dyn")
+	docs := parseAll(t,
+		`<a><b>v</b><c/></a>`,
+		`<a><c/><b>w</b></a>`,
+		`<r><a><b>v</b></a></r>`,
+	)
+	di, err := core.NewDynamicIndex(docs, core.Options{Dir: dir, BufferPoolPages: 32}, core.DynamicOptions{Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.OpenIndex(dir, core.Options{BufferPoolPages: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	root, err := core.OpenCompactRoot(dir, core.Options{BufferPoolPages: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	for _, src := range []string{`//a/b`, `//a[./b="v"]`, `//a/c`, `//r/a/b`} {
+		q, err := core.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, d := range docs {
+			want += len(twig.MatchBruteForce(q, d))
+		}
+		if want == 0 {
+			t.Fatalf("%s: the oracle finds nothing; the query checks nothing", src)
+		}
+		for name, s := range map[string]core.QuerySource{"index": ix, "root": root} {
+			ms, _, err := s.Match(q, core.MatchOptions{})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, src, err)
+			}
+			if len(ms) != want {
+				t.Errorf("%s %s: %d matches, brute force %d", name, src, len(ms), want)
+			}
+		}
 	}
 }

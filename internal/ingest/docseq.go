@@ -3,6 +3,7 @@ package ingest
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/prix"
 )
@@ -57,12 +58,12 @@ func encodeDocSeq(buf []byte, ds *prix.DocSeq) []byte {
 	return buf
 }
 
-// docSeqDecoder walks one record. Labels are handed out as substrings of s, a
-// single string copy of the record, rather than one string each; whoever
-// keeps a label beyond the DocSeq (the dictionary, on a miss) clones it.
+// docSeqDecoder walks one record. Labels are handed out as transient strings
+// over b itself, not copies: they are valid while b is, which the run reader
+// keeps until its next record. Whoever keeps a label beyond that (the
+// dictionary, on a miss) copies it.
 type docSeqDecoder struct {
 	b   []byte
-	s   string
 	pos int
 }
 
@@ -85,7 +86,7 @@ func (d *docSeqDecoder) str() (string, error) {
 	if n > uint64(len(d.b)-d.pos) {
 		return "", errTruncatedDocSeq
 	}
-	s := d.s[d.pos : d.pos+int(n)]
+	s := unsafe.String(unsafe.SliceData(d.b[d.pos:]), int(n))
 	d.pos += int(n)
 	return s, nil
 }
@@ -99,92 +100,102 @@ func (d *docSeqDecoder) boolean() (bool, error) {
 	return v, nil
 }
 
-// decodeDocSeq parses one record from buf (the full record payload).
-func decodeDocSeq(buf []byte) (*prix.DocSeq, error) {
-	d := docSeqDecoder{b: buf, s: string(buf)}
-	ds := &prix.DocSeq{}
+// decodeDocSeq parses one record from buf (the full record payload) into ds,
+// reusing the storage of its slices. ds's labels point into buf, so ds is
+// valid only while buf is unchanged.
+func decodeDocSeq(ds *prix.DocSeq, buf []byte) error {
+	d := docSeqDecoder{b: buf}
 	v, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ds.DocID = uint32(v)
 	if v, err = d.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	ds.NumNodes = int32(v)
 	n, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > uint64(len(buf)) { // each position needs at least 3 bytes
-		return nil, errTruncatedDocSeq
+		return errTruncatedDocSeq
 	}
-	ds.NPS = make([]int32, n)
-	ds.LPS = make([]prix.SeqLabel, n)
+	ds.NPS = resize(ds.NPS, n)
+	ds.LPS = resize(ds.LPS, n)
 	for i := uint64(0); i < n; i++ {
 		if v, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		ds.NPS[i] = int32(v)
 		if ds.LPS[i].IsValue, err = d.boolean(); err != nil {
-			return nil, err
+			return err
 		}
 		if ds.LPS[i].Label, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if n, err = d.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	if n > uint64(len(buf)) {
-		return nil, errTruncatedDocSeq
+		return errTruncatedDocSeq
 	}
-	ds.Leaves = make([]prix.LeafLabel, n)
+	ds.Leaves = resize(ds.Leaves, n)
 	for i := uint64(0); i < n; i++ {
 		if v, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		ds.Leaves[i].Post = int32(v)
 		if ds.Leaves[i].IsValue, err = d.boolean(); err != nil {
-			return nil, err
+			return err
 		}
 		if ds.Leaves[i].Label, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if n, err = d.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	if n > uint64(len(buf)) {
-		return nil, errTruncatedDocSeq
+		return errTruncatedDocSeq
 	}
-	ds.Gaps = make([]prix.GapLabel, n)
+	ds.Gaps = resize(ds.Gaps, n)
 	for i := uint64(0); i < n; i++ {
 		if ds.Gaps[i].IsValue, err = d.boolean(); err != nil {
-			return nil, err
+			return err
 		}
 		if ds.Gaps[i].Label, err = d.str(); err != nil {
-			return nil, err
+			return err
 		}
 		if v, err = d.uvarint(); err != nil {
-			return nil, err
+			return err
 		}
 		ds.Gaps[i].Gap = int64(v)
 	}
 	if v, err = d.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	ds.Elements = int64(v)
 	if v, err = d.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	ds.Values = int64(v)
 	if v, err = d.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	ds.MaxDepth = int64(v)
 	if d.pos != len(buf) {
-		return nil, fmt.Errorf("ingest: %d trailing bytes after DocSeq record", len(buf)-d.pos)
+		return fmt.Errorf("ingest: %d trailing bytes after DocSeq record", len(buf)-d.pos)
 	}
-	return ds, nil
+	return nil
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. Every element is overwritten by the decoder.
+func resize[T any](s []T, n uint64) []T {
+	if uint64(cap(s)) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -51,7 +51,9 @@ func OpenRun(fs pager.FS, path string) (*RunReader, error) {
 	return &RunReader{r: r}, nil
 }
 
-// Next returns the next DocSeq, or io.EOF once the trailer verifies.
+// Next returns the next DocSeq, or io.EOF once the trailer verifies. The
+// DocSeq, its slices and its labels belong to the reader and are valid only
+// until the next call.
 func (r *RunReader) Next() (*prix.DocSeq, error) { return r.r.next() }
 
 // Close releases the underlying file.

@@ -109,7 +109,8 @@ type runReader struct {
 	read    uint32
 	sealCRC uint32 // trailer CRC, for cross-checking against the manifest
 	buf     []byte
-	one     [1]byte // readUvarint's CRC feed, one byte at a time
+	ds      prix.DocSeq // next's result, decoded over buf anew each record
+	one     [1]byte     // readUvarint's CRC feed, one byte at a time
 	done    bool
 }
 
@@ -128,7 +129,9 @@ func openRun(fs pager.FS, path string) (*runReader, error) {
 	return r, nil
 }
 
-// next returns the next DocSeq or io.EOF after the trailer verifies.
+// next returns the next DocSeq or io.EOF after the trailer verifies. The
+// DocSeq is the reader's own, labels included: it is valid only until the
+// next call, which decodes the next record into the same storage.
 func (r *runReader) next() (*prix.DocSeq, error) {
 	if r.done {
 		return nil, io.EOF
@@ -148,12 +151,11 @@ func (r *runReader) next() (*prix.DocSeq, error) {
 		return nil, fmt.Errorf("ingest: %s: truncated record: %w", r.path, err)
 	}
 	r.crc.Write(r.buf)
-	ds, err := decodeDocSeq(r.buf)
-	if err != nil {
+	if err := decodeDocSeq(&r.ds, r.buf); err != nil {
 		return nil, fmt.Errorf("ingest: %s: %w", r.path, err)
 	}
 	r.read++
-	return ds, nil
+	return &r.ds, nil
 }
 
 // readUvarint reads a varint while feeding the CRC.

@@ -10,6 +10,7 @@ package mvcc
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Pair is one position of a document's Prüfer transform: the NPS entry
@@ -239,8 +240,59 @@ func (p *Patch) Encode() []byte {
 }
 
 // Size is the encoded patch length in bytes — the "patch size" the update
-// path and the versions benchmark compare against a full record rewrite.
-func (p *Patch) Size() int { return len(p.Encode()) }
+// path and the versions benchmark compare against a full record rewrite. It
+// counts Encode's bytes without building them.
+func (p *Patch) Size() int {
+	n := len(patchMagic) + varintLen(int64(p.NumNodes)) + uvarintLen(uint64(len(p.Pairs)))
+	for _, op := range p.Pairs {
+		n++
+		if op.Kind != OpInsert {
+			n += uvarintLen(uint64(op.Count))
+			continue
+		}
+		n += uvarintLen(uint64(len(op.Ins)))
+		for _, pr := range op.Ins {
+			n += varintLen(int64(pr.N)) + uvarintLen(uint64(pr.L))
+		}
+	}
+	n += uvarintLen(uint64(len(p.Leaves)))
+	for _, op := range p.Leaves {
+		n++
+		if op.Kind != OpInsert {
+			n += uvarintLen(uint64(op.Count))
+			continue
+		}
+		n += uvarintLen(uint64(len(op.Ins)))
+		for _, lf := range op.Ins {
+			n += varintLen(int64(lf.Post)) + uvarintLen(uint64(lf.Sym))
+		}
+	}
+	return n
+}
+
+// RewriteSize is Diff(nil, pairs, nil, leaves, nodes).Size(): the encoded
+// size of the patch that writes a whole version from nothing, what an update
+// would ship without a diff. It builds no patch.
+func RewriteSize(pairs []Pair, leaves []Leaf, nodes int32) int {
+	var pairOps [1]PairOp
+	var leafOps [1]LeafOp
+	p := Patch{NumNodes: nodes}
+	if len(pairs) > 0 {
+		pairOps[0] = PairOp{Kind: OpInsert, Ins: pairs}
+		p.Pairs = pairOps[:]
+	}
+	if len(leaves) > 0 {
+		leafOps[0] = LeafOp{Kind: OpInsert, Ins: leaves}
+		p.Leaves = leafOps[:]
+	}
+	return p.Size()
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint's (zigzag) encoding of v.
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // byteReader walks an encode buffer with sticky errors.
 type byteReader struct {

@@ -32,6 +32,13 @@ func FuzzSeqDiffPatch(f *testing.F) {
 			t.Fatalf("apply leaves != rebuild: got %v want %v", gotL, bLeaves)
 		}
 		enc := p.Encode()
+		if p.Size() != len(enc) {
+			t.Fatalf("Size = %d, Encode wrote %d bytes", p.Size(), len(enc))
+		}
+		full := Diff(nil, bPairs, nil, bLeaves, p.NumNodes)
+		if got, want := RewriteSize(bPairs, bLeaves, p.NumNodes), len(full.Encode()); got != want {
+			t.Fatalf("RewriteSize = %d, the rewrite patch encodes to %d bytes", got, want)
+		}
 		dec, err := DecodePatch(enc)
 		if err != nil {
 			t.Fatalf("decode own encoding: %v", err)

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Loc is an opaque record location inside the document store (page,
@@ -72,9 +72,6 @@ type Map struct {
 	NextLabel uint64 // next AddReport ordinal; labels start at 1
 	MutOps    uint64 // deletes+updates (not inserts); compaction drift check
 	Docs      map[uint32][]Interval
-	// encoded is the size of the last encoding; the next one, rarely more
-	// than an interval longer, is appended into a buffer sized from it.
-	encoded int
 }
 
 // NewMap returns an empty version map with counters initialized.
@@ -172,7 +169,7 @@ func (m *Map) Collapse(watermark uint64) (*Map, []uint32, int) {
 			retained++
 		}
 	}
-	sort.Slice(reclaimed, func(i, j int) bool { return reclaimed[i] < reclaimed[j] })
+	slices.Sort(reclaimed)
 	return out, reclaimed, retained
 }
 
@@ -185,17 +182,25 @@ const noPendingOp = 0
 
 // Encode renders the map deterministically (documents ascending).
 func (m *Map) Encode() []byte {
-	buf := make([]byte, 0, m.encoded+m.encoded/8+64)
+	buf, _ := m.AppendEncode(nil, nil)
+	return buf
+}
+
+// AppendEncode appends Encode's bytes to buf, sorting the document ids in
+// ids' storage. It returns both slices, so a caller that encodes after every
+// commit keeps them and encodes without allocating once they have grown to
+// the map's size.
+func (m *Map) AppendEncode(buf []byte, ids []uint32) ([]byte, []uint32) {
 	buf = append(buf, mapMagic...)
 	buf = binary.AppendUvarint(buf, m.Counter)
 	buf = binary.AppendUvarint(buf, m.NextLabel)
 	buf = binary.AppendUvarint(buf, m.MutOps)
 	buf = append(buf, noPendingOp)
-	ids := make([]uint32, 0, len(m.Docs))
+	ids = ids[:0]
 	for id := range m.Docs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		ivs := m.Docs[id]
@@ -211,8 +216,7 @@ func (m *Map) Encode() []byte {
 			buf = binary.AppendUvarint(buf, uint64(iv.Loc.Len))
 		}
 	}
-	m.encoded = len(buf)
-	return buf
+	return buf, ids
 }
 
 // maxMapEntries bounds decoded allocation against corrupt lengths.
@@ -264,7 +268,6 @@ func DecodeMap(b []byte) (*Map, error) {
 	if err := m.Check(); err != nil {
 		return nil, err
 	}
-	m.encoded = len(b)
 	return m, nil
 }
 

@@ -86,6 +86,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendEncodeAllocs: appending into kept buffers writes Encode's bytes,
+// and once the buffers have grown to the map a re-encode allocates nothing —
+// what lets a commit persist the map without a fresh buffer each time.
+func TestAppendEncodeAllocs(t *testing.T) {
+	m := script(t)
+	for id := uint32(100); id < 1100; id++ {
+		m.Docs[id] = []Interval{{From: 1, Terminal: uint64(id) << 8, Label: uint64(id)}}
+	}
+	buf, ids := m.AppendEncode(nil, nil)
+	if string(buf) != string(m.Encode()) {
+		t.Fatal("AppendEncode differs from Encode")
+	}
+	if got := testing.AllocsPerRun(20, func() { buf, ids = m.AppendEncode(buf[:0], ids) }); got != 0 {
+		t.Fatalf("re-encoding into kept buffers allocates %.0f objects, want 0", got)
+	}
+}
+
 // A map an older build encoded with a pending op — the forest half of an
 // update or delete it may never have written — is refused, naming the op.
 func TestDecodeMapRefusesPendingOp(t *testing.T) {

@@ -27,6 +27,8 @@ type Builder struct {
 	nextID  uint32
 	done    bool
 	buildEr error
+	// rec is the record each added document is interned into (addSeq).
+	rec docstore.Record
 }
 
 // NewBuilder prepares an empty index per the options.
@@ -77,7 +79,11 @@ func (b *Builder) Add(doc *xmltree.Document) error {
 	if b.done {
 		return fmt.Errorf("prix: Add after Finalize")
 	}
-	if err := b.ix.addDocument(b.trie, b.nextID, doc, &b.stats); err != nil {
+	ds, err := Transform(b.nextID, doc, b.ix.opts.Extended)
+	if err == nil {
+		err = b.addSeq(ds)
+	}
+	if err != nil {
 		b.buildEr = err
 		return err
 	}

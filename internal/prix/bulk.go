@@ -115,13 +115,23 @@ type bulkSorter struct {
 
 // newBulkSorter returns a sorter whose load fills the index's empty trees.
 // fill is how full the loaded leaves are: a dynamic index's keep room for
-// the inserts and tombstones that follow (btree.Fill).
-func (ix *Index) newBulkSorter(bo BulkOptions, fill btree.Fill) *bulkSorter {
+// the inserts and tombstones that follow (btree.Fill). posts and docids are
+// how many entries the caller will add at most: the buffers are sized once,
+// to that or to what the budget holds between spills, whichever is less.
+func (ix *Index) newBulkSorter(bo BulkOptions, fill btree.Fill, posts, docids int) *bulkSorter {
 	spill := bo.Spill
 	if spill == nil {
 		spill = newMemSpiller()
 	}
-	return &bulkSorter{ix: ix, spill: spill, budget: bo.budget(), fill: fill}
+	budget := bo.budget()
+	return &bulkSorter{
+		ix:     ix,
+		spill:  spill,
+		budget: budget,
+		fill:   fill,
+		posts:  make([]bulkPosting, 0, min(int64(posts), budget/postRecSize+1)),
+		docids: make([]bulkDocid, 0, min(int64(docids), budget/docidRecSize+1)),
+	}
 }
 
 func (bs *bulkSorter) addPosting(p vtrie.Posting) error {
@@ -236,7 +246,7 @@ func (ix *Index) emitTrie(builder *vtrie.Builder, bo BulkOptions) error {
 	if err := builder.Validate(); err != nil {
 		return fmt.Errorf("prix: trie labeling: %w", err)
 	}
-	sorter := ix.newBulkSorter(bo, btree.Fill{})
+	sorter := ix.newBulkSorter(bo, btree.Fill{}, builder.Nodes(), builder.Sequences())
 	err := builder.Emit(func(p vtrie.Posting, docs []uint32) error {
 		if err := sorter.addPosting(p); err != nil {
 			return err

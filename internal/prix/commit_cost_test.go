@@ -2,6 +2,7 @@ package prix
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -109,5 +110,50 @@ func TestCommitCosts(t *testing.T) {
 		if pages >= op.maxPages {
 			t.Errorf("%s writes %.1f pages, want fewer than %.1f", op.name, pages, op.maxPages)
 		}
+	}
+}
+
+// TestVersionPersistAllocs: a committed mutation re-encodes the version map
+// into the index's kept buffer, so persisting the map allocates nothing, and
+// a whole Delete allocates far less than the map's encoding (each commit
+// encoded it into a fresh buffer, and sorted its ids in another, before).
+func TestVersionPersistAllocs(t *testing.T) {
+	docs := datagen.DBLP(1, 1).Docs
+	di, err := NewDynamicIndex(docs[:8], Options{Extended: true, BufferPoolPages: 1024}, DynamicOptions{Alpha: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	if _, err := di.Delete(0); err != nil { // creates the version map
+		t.Fatal(err)
+	}
+	for _, doc := range docs[8:] { // every insert from here on is versioned
+		if err := di.Insert(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encoded := len(di.ix.versions.Encode())
+	di.ix.repairMu.Lock()
+	persist := testing.AllocsPerRun(20, func() {
+		di.ix.versions.Counter++ // a changed map, so the blob is restaged
+		di.ix.persistVersionsLocked()
+	})
+	di.ix.repairMu.Unlock()
+	if persist != 0 {
+		t.Fatalf("persisting a %d-byte version map allocates %.0f objects, want 0", encoded, persist)
+	}
+	const deletes = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for id := uint32(100); id < 100+deletes; id++ {
+		if _, err := di.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perDelete := (after.TotalAlloc - before.TotalAlloc) / deletes
+	t.Logf("a committed Delete allocates %d B; the map encodes to %d B", perDelete, encoded)
+	if perDelete >= uint64(encoded)/2 {
+		t.Fatalf("a committed Delete allocates %d B, want under half the %d-byte map encoding", perDelete, encoded)
 	}
 }

@@ -100,7 +100,8 @@ func (f *drainFixture) checkAgainstDetour(t *testing.T, rec *docstore.Record) (a
 	if err != nil {
 		return false
 	}
-	back, syms := f.ix.internDocSeq(rec.DocID, got)
+	var back docstore.Record
+	syms := f.ix.internDocSeq(rec.DocID, got, &back)
 	if back.NumNodes != rec.NumNodes || !equalOrEmpty(back.NPS, rec.NPS) || !equalOrEmpty(syms, rec.LPS) || !equalOrEmpty(back.Leaves, rec.Leaves) {
 		t.Fatalf("record %+v drained to %+v, which interns back to %+v", rec, got, back)
 	}
@@ -259,9 +260,10 @@ func TestDrainKeepsEmptyValues(t *testing.T) {
 	}
 }
 
-// TestCompactDrainAllocs bounds what draining one document allocates: the
-// DocSeq and its four slices. The record, its decode and the parent-array pass
-// run in the Drain's own reused scratch.
+// TestCompactDrainAllocs: draining one document allocates nothing. The
+// record, its decode, the parent-array pass and the DocSeq handed out all run
+// in the Drain's own reused scratch (a fresh DocSeq and its four slices were
+// five objects a document).
 func TestCompactDrainAllocs(t *testing.T) {
 	ds := datagen.DBLP(1, 1)
 	ix, err := Build(ds.Docs, Options{Extended: true})
@@ -281,7 +283,7 @@ func TestCompactDrainAllocs(t *testing.T) {
 	for i := uint32(0); i < n; i++ {
 		drainOne() // grow the scratch to the largest document first
 	}
-	if got := testing.AllocsPerRun(500, drainOne); got > 8 {
-		t.Fatalf("draining one document allocates %.1f objects, want <= 8", got)
+	if got := testing.AllocsPerRun(500, drainOne); got > 0 {
+		t.Fatalf("draining one document allocates %.1f objects, want 0", got)
 	}
 }

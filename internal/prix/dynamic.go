@@ -91,6 +91,11 @@ func NewDynamicIndex(initial []*xmltree.Document, opts Options, dopts DynamicOpt
 			return nil, err
 		}
 	}
+	// Commit what was built, labeler replay state included, as
+	// bulkLoadDynamic does: a directory closed without a Flush reopens.
+	if err := di.Flush(); err != nil {
+		return nil, err
+	}
 	return di, nil
 }
 
@@ -308,6 +313,6 @@ func (ix *Index) prepareDocument(id uint32, doc *xmltree.Document) (*docstore.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, syms := ix.internDocSeq(id, ds)
-	return rec, syms, nil
+	rec := new(docstore.Record)
+	return rec, ix.internDocSeq(id, ds, rec), nil
 }

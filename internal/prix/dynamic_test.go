@@ -107,3 +107,31 @@ func TestDynamicIndexSingleNodeDoc(t *testing.T) {
 		t.Errorf("single-node doc not found: %d", n)
 	}
 }
+
+// A value-only Update relabels on an EPIndex and is record-only on an
+// RPIndex. An EPIndex gives every value an extension dummy child (§5.6), so
+// the value is a label in the LPS and its rewrite carves a new trie path; an
+// RPIndex keeps values as leaves, out of the LPS.
+func TestValueUpdateRelabelsOnlyOnEP(t *testing.T) {
+	for _, extended := range []bool{false, true} {
+		docs := []*xmltree.Document{
+			xmltree.MustFromSExpr(0, `(a (b (c "v1")) (x))`),
+			xmltree.MustFromSExpr(1, `(a (b (c "v1")) (y))`),
+		}
+		di, err := NewDynamicIndex(docs, Options{Extended: extended, BufferPoolPages: 64}, DynamicOptions{Alpha: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := di.Update(0, xmltree.MustFromSExpr(0, `(a (b (c "v2")) (x))`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Relabeled != extended {
+			t.Errorf("extended=%v: value-only update Relabeled = %v", extended, res.Relabeled)
+		}
+		if res.PatchBytes <= 0 || res.PatchBytes >= res.FullBytes {
+			t.Errorf("extended=%v: patch %d bytes against a %d-byte rewrite", extended, res.PatchBytes, res.FullBytes)
+		}
+		di.Close()
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/btree"
+	"repro/internal/docstore"
 	"repro/internal/vtrie"
 )
 
@@ -217,19 +218,28 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, version ui
 		spread:  dopts.Spread,
 	}
 	var bs buildStats
+	// rec is every document's record in turn: both passes intern into it,
+	// and the store copies it out, so neither pass keeps a DocSeq.
+	var rec docstore.Record
 
 	// Prepare pass: intern (idempotent — the build pass re-interns the same
-	// labels to the same symbols) and feed the labeler's statistics.
+	// labels to the same symbols) and feed the labeler's statistics. It also
+	// counts what the build pass will hand the sorter: a docid entry per
+	// sequence, and at most a posting per symbol, since every trie node is a
+	// distinct prefix of some sequence.
 	next := uint32(0)
+	var symbols, sequences int
 	err := source(func(ds *DocSeq) error {
 		if ds.DocID != next {
 			return fmt.Errorf("prix: bulk dynamic source out of order: got docid %d, want %d", ds.DocID, next)
 		}
 		next++
-		_, syms := ix.internDocSeq(ds.DocID, ds)
+		syms := ix.internDocSeq(ds.DocID, ds, &rec)
 		if len(syms) == 0 {
 			return nil
 		}
+		symbols += len(syms)
+		sequences++
 		return lab.Prepare(syms)
 	})
 	if err != nil {
@@ -238,7 +248,7 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, version ui
 	lab.Finalize()
 	total := next
 
-	sorter := ix.newBulkSorter(bo, btree.Fill{Insertable: true, Version: version})
+	sorter := ix.newBulkSorter(bo, btree.Fill{Insertable: true, Version: version}, symbols, sequences)
 
 	// The prepared prefix trie's postings are written once, like
 	// NewDynamicIndex does through EmitPrefix.
@@ -254,7 +264,7 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, version ui
 			return fmt.Errorf("prix: bulk dynamic source out of order: got docid %d, want %d", ds.DocID, next)
 		}
 		next++
-		rec, syms := ix.internDocSeq(ds.DocID, ds)
+		syms := ix.internDocSeq(ds.DocID, ds, &rec)
 		bs.elements += ds.Elements
 		bs.values += ds.Values
 		if ds.MaxDepth > bs.maxDepth {
@@ -262,7 +272,7 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, version ui
 		}
 		bs.seqLen += int64(len(syms))
 		if len(syms) == 0 {
-			return ix.putRecord(rec)
+			return ix.putRecord(&rec)
 		}
 		created, terminal, err := lab.AddReport(syms, ds.DocID)
 		if err != nil {
@@ -276,7 +286,7 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, version ui
 		if err := sorter.addDocid(terminal.Left, ds.DocID); err != nil {
 			return err
 		}
-		return ix.putRecord(rec)
+		return ix.putRecord(&rec)
 	})
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
 )
@@ -217,5 +218,44 @@ func TestBulkLoadDynamicDeterministic(t *testing.T) {
 		if string(b1) != string(b2) {
 			t.Fatalf("%s differs across identical bulk loads (%d vs %d bytes)", name, len(b1), len(b2))
 		}
+	}
+}
+
+// TestBulkLoadDynamicAllocs bounds what a compaction's bulk load allocates
+// per document (≈ 0.4 objects, 10.9 when each pass interned into fresh
+// slices). Both passes intern into one reused record, the labeler reports the
+// nodes it created in a buffer it keeps, Finalize walks the prefix trie with
+// one child buffer and the sorter is sized once from the prepare pass's
+// counts; what is left is the fixed cost of an index (pools, trees,
+// dictionaries) spread over the 2,000 documents.
+func TestBulkLoadDynamicAllocs(t *testing.T) {
+	docs := datagen.DBLP(1, 1).Docs
+	seqs := make([]*DocSeq, len(docs))
+	for id, doc := range docs {
+		ds, err := Transform(uint32(id), doc, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs[id] = ds
+	}
+	source := func(fn func(*DocSeq) error) error {
+		for _, ds := range seqs {
+			if err := fn(ds); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	load := func() {
+		di, err := BulkLoadDynamic(Options{Extended: true, BufferPoolPages: 4096}, DynamicOptions{Alpha: 4}, BulkOptions{}, 0, source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		di.Close()
+	}
+	perDoc := testing.AllocsPerRun(2, load) / float64(len(docs))
+	t.Logf("BulkLoadDynamic: %.2f objects a document over %d documents", perDoc, len(docs))
+	if perDoc > 1 {
+		t.Fatalf("BulkLoadDynamic allocates %.2f objects a document, want <= 1", perDoc)
 	}
 }

@@ -214,6 +214,11 @@ type Index struct {
 	// only under repairMu (write); queries read it under repairMu (read). See
 	// version.go.
 	versions *mvcc.Map
+	// versionsBuf and versionIDs are persistVersionsLocked's kept encode
+	// buffer and id-sort scratch: every commit re-encodes the map, and into
+	// these it does so without allocating. Under repairMu (write).
+	versionsBuf []byte
+	versionIDs  []uint32
 }
 
 // valuePrefix namespaces value strings away from element tags in the
@@ -374,15 +379,6 @@ type buildStats struct {
 	values   int64
 	maxDepth int64
 	seqLen   int64
-}
-
-// addDocument transforms one document and stages it for indexing.
-func (ix *Index) addDocument(builder *vtrie.Builder, id uint32, doc *xmltree.Document, bs *buildStats) error {
-	ds, err := Transform(id, doc, ix.opts.Extended)
-	if err != nil {
-		return err
-	}
-	return ix.addSeq(builder, id, ds, bs)
 }
 
 // Open loads a previously built on-disk index. Any commit a crash

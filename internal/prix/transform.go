@@ -106,10 +106,12 @@ func Transform(id uint32, doc *xmltree.Document, extended bool) (*DocSeq, error)
 // from, straight off their stored records: a record already is the document's
 // NPS, LPS and leaf list, so nothing is reconstructed, stripped, re-extended
 // or re-sequenced on the way. It holds the scratch one document's derivation
-// needs and reuses it for the next; it is not safe for concurrent use.
+// needs, the DocSeq it hands out included, and reuses it for the next; it is
+// not safe for concurrent use.
 type Drain struct {
 	ix    *Index
 	rec   docstore.Record
+	ds    DocSeq
 	stack []pendingNode
 }
 
@@ -118,12 +120,17 @@ type Drain struct {
 // original (unextended) nodes.
 type pendingNode struct{ post, height int32 }
 
-// NewDrain returns a Drain over ix.
-func (ix *Index) NewDrain() *Drain { return &Drain{ix: ix} }
+// NewDrain returns a Drain over ix. Its DocSeq starts with empty, not nil,
+// sequences, which sized keeps: a single-node document drains to the empty
+// NPS and LPS Transform gives it.
+func (ix *Index) NewDrain() *Drain {
+	return &Drain{ix: ix, ds: DocSeq{NPS: []int32{}, LPS: []SeqLabel{}}}
+}
 
 // DocSeq returns document id's DocSeq — what Transform produced when the
 // document was added — or an error if its record is unreadable or is not a
-// well-formed sequence (see recordDocSeq).
+// well-formed sequence (see recordDocSeq). The DocSeq is the Drain's own: it
+// and its slices are valid only until the next call, which refills them.
 func (d *Drain) DocSeq(id uint32) (*DocSeq, error) {
 	d.ix.repairMu.RLock()
 	err := d.ix.store.GetInto(&d.rec, id)
@@ -164,16 +171,17 @@ func (d *Drain) recordDocSeq(id uint32, rec *docstore.Record) (*DocSeq, error) {
 		}
 		return SeqLabel{Label: name}, nil
 	}
-	ds := &DocSeq{
+	ds, gaps := &d.ds, d.ds.Gaps
+	*ds = DocSeq{
 		DocID:    id,
 		NumNodes: rec.NumNodes,
-		NPS:      make([]int32, n-1),
-		LPS:      make([]SeqLabel, n-1),
-		Leaves:   make([]LeafLabel, 0, len(rec.Leaves)),
+		NPS:      sized(ds.NPS, n-1),
+		LPS:      sized(ds.LPS, n-1),
+		Leaves:   sized(ds.Leaves, len(rec.Leaves))[:0],
 	}
 	copy(ds.NPS, rec.NPS)
 	if inner := n - len(rec.Leaves); inner > 0 {
-		ds.Gaps = make([]GapLabel, 0, inner)
+		ds.Gaps = sized(gaps, inner)[:0] // else nil, as Transform leaves it
 	}
 	stack := d.stack[:0]
 	defer func() { d.stack = stack[:0] }()
@@ -256,24 +264,23 @@ func (d *Drain) recordDocSeq(id uint32, rec *docstore.Record) (*DocSeq, error) {
 // internDocSeq resolves a DocSeq's labels against the index dictionary —
 // LPS positions first, then leaves, then gaps, the order prepareDocument
 // has always interned in, so replayed and direct builds assign identical
-// symbols — producing the docstore record and interned sequence, and
-// folding the gaps into the MaxGap catalog.
-func (ix *Index) internDocSeq(id uint32, ds *DocSeq) (*docstore.Record, []vtrie.Symbol) {
+// symbols — filling rec with the docstore record and folding the gaps into
+// the MaxGap catalog. rec is the caller's scratch: its LPS and Leaves storage
+// is reused, and its NPS is ds.NPS itself, so rec is valid as long as ds is.
+// It returns rec.LPS, the interned sequence. Nothing downstream keeps rec's
+// slices: the store encodes the record into its own pages and the shape
+// dictionary packs the shape into its own words.
+func (ix *Index) internDocSeq(id uint32, ds *DocSeq, rec *docstore.Record) []vtrie.Symbol {
 	dict := ix.store.Dict()
-	rec := &docstore.Record{
+	*rec = docstore.Record{
 		DocID:    id,
 		NumNodes: ds.NumNodes,
 		NPS:      ds.NPS,
-		LPS:      make([]vtrie.Symbol, len(ds.LPS)),
+		LPS:      sized(rec.LPS, len(ds.LPS)),
+		Leaves:   sized(rec.Leaves, len(ds.Leaves)),
 	}
-	syms := make([]vtrie.Symbol, len(ds.LPS))
 	for i, l := range ds.LPS {
-		sym := SymbolFor(dict, l.Label, l.IsValue)
-		rec.LPS[i] = sym
-		syms[i] = sym
-	}
-	if len(ds.Leaves) > 0 {
-		rec.Leaves = make([]docstore.Leaf, len(ds.Leaves))
+		rec.LPS[i] = SymbolFor(dict, l.Label, l.IsValue)
 	}
 	for i, lf := range ds.Leaves {
 		rec.Leaves[i] = docstore.Leaf{Post: lf.Post, Sym: SymbolFor(dict, lf.Label, lf.IsValue)}
@@ -284,14 +291,16 @@ func (ix *Index) internDocSeq(id uint32, ds *DocSeq) (*docstore.Record, []vtrie.
 			ix.maxGap[sym] = g.Gap
 		}
 	}
-	return rec, syms
+	return rec.LPS
 }
 
 // addSeq stages one pre-transformed document: intern, account stats, store
-// the record (interning its shape), and add the sequence to the trie. addDocument and
-// the streaming-ingest replay both funnel through here.
-func (ix *Index) addSeq(builder *vtrie.Builder, id uint32, ds *DocSeq, bs *buildStats) error {
-	rec, syms := ix.internDocSeq(id, ds)
+// the record (interning its shape), and add the sequence to the trie. Add and
+// the streaming-ingest replay (AddSeq) both funnel through here; the record
+// is interned into the builder's scratch, so ds is not kept.
+func (b *Builder) addSeq(ds *DocSeq) error {
+	ix, bs := b.ix, &b.stats
+	syms := ix.internDocSeq(b.nextID, ds, &b.rec)
 	bs.elements += ds.Elements
 	bs.values += ds.Values
 	if ds.MaxDepth > bs.maxDepth {
@@ -301,12 +310,12 @@ func (ix *Index) addSeq(builder *vtrie.Builder, id uint32, ds *DocSeq, bs *build
 	if len(syms) == 0 {
 		// A single-node document has no sequence; it is still stored so
 		// single-tag fallbacks can see it, but cannot join the trie.
-		return ix.putRecord(rec)
+		return ix.putRecord(&b.rec)
 	}
-	if err := builder.Add(syms, id); err != nil {
+	if err := b.trie.Add(syms, b.nextID); err != nil {
 		return err
 	}
-	return ix.putRecord(rec)
+	return ix.putRecord(&b.rec)
 }
 
 // putRecord appends a new document's record and copies a shape it interned
@@ -322,12 +331,13 @@ func (ix *Index) putRecord(rec *docstore.Record) error {
 // ingest: the scan phase persists DocSeqs into run files and the merge
 // phase feeds them back here in docid order, reproducing the exact
 // dictionary, trie, and store a Builder.Add sequence over the original
-// documents would have built.
+// documents would have built. ds is not kept past the call, so a caller may
+// refill it for the next document.
 func (b *Builder) AddSeq(ds *DocSeq) error {
 	if b.done {
 		return fmt.Errorf("prix: AddSeq after Finalize")
 	}
-	if err := b.ix.addSeq(b.trie, b.nextID, ds, &b.stats); err != nil {
+	if err := b.addSeq(ds); err != nil {
 		b.buildEr = err
 		return err
 	}

@@ -25,6 +25,7 @@ package prix
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/docstore"
@@ -72,13 +73,15 @@ func (ix *Index) loadVersions() error {
 // persistVersionsLocked stages the current map into the docstore blob; the
 // caller's next commit persists it. An encoding identical to the stored
 // blob stages nothing (SetBlob compares), so that commit leaves the catalogs
-// section alone. Held under repairMu (write).
+// section alone. The map is encoded into the index's kept buffer, which
+// SetBlob copies out of. Held under repairMu (write).
 func (ix *Index) persistVersionsLocked() {
 	if ix.versions == nil {
 		ix.store.SetBlob(VersionsBlobName, nil)
 		return
 	}
-	ix.store.SetBlob(VersionsBlobName, ix.versions.Encode())
+	ix.versionsBuf, ix.versionIDs = ix.versions.AppendEncode(ix.versionsBuf[:0], ix.versionIDs)
+	ix.store.SetBlob(VersionsBlobName, ix.versionsBuf)
 }
 
 // installVersionRefs wires PageReferenced so the store sweep never zeroes
@@ -138,7 +141,15 @@ func (ix *Index) anchorVersionsLocked() error {
 	if err != nil {
 		return err
 	}
-	for id, ivs := range ix.versions.Docs {
+	// Ascending ids, so the tombstones land in the same order on every run
+	// and a compaction writes the same docid tree bytes.
+	ids := make([]uint32, 0, len(ix.versions.Docs))
+	for id := range ix.versions.Docs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		ivs := ix.versions.Docs[id]
 		if len(ivs) == 0 || ivs[len(ivs)-1].Marker() {
 			continue
 		}
@@ -479,8 +490,9 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 			return nil, err
 		}
 	}
-	diff := mvcc.Diff(recPairs(oldRec), recPairs(newRec), recLeaves(oldRec), recLeaves(newRec), newRec.NumNodes)
-	full := mvcc.Diff(nil, recPairs(newRec), nil, recLeaves(newRec), newRec.NumNodes)
+	newPairs, newLeaves := recPairs(newRec), recLeaves(newRec)
+	patchBytes := mvcc.Diff(recPairs(oldRec), newPairs, recLeaves(oldRec), newLeaves, newRec.NumNodes).Size()
+	fullBytes := mvcc.RewriteSize(newPairs, newLeaves, newRec.NumNodes)
 	relabel := !lpsEqual(oldRec.LPS, newRec.LPS) && len(syms) > 0
 
 	var created []vtrie.Posting
@@ -541,8 +553,8 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 	return &UpdateResult{
 		Version:    v,
 		Relabeled:  relabel,
-		PatchBytes: diff.Size(),
-		FullBytes:  full.Size(),
+		PatchBytes: patchBytes,
+		FullBytes:  fullBytes,
 	}, nil
 }
 

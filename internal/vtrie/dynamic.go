@@ -3,6 +3,7 @@ package vtrie
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // DynamicLabeler implements the paper's on-the-fly labeling scheme
@@ -29,7 +30,9 @@ type DynamicLabeler struct {
 	// prep holds the preparatory pass's statistics, indexed by node (only
 	// Prepare creates nodes before Finalize, so they are nodes 1..len-1).
 	// Finalize consumes and drops it.
-	prep       []prepStat
+	prep []prepStat
+	// created is AddReport's result, refilled by every call.
+	created    []Posting
 	underflows int
 	seqs       int
 	prepared   bool
@@ -94,19 +97,27 @@ func (d *DynamicLabeler) Finalize() {
 	weight := func(k uint32) uint64 {
 		return uint64(d.prep[k].freq) * uint64(d.prep[k].maxRest+1)
 	}
+	// kids holds the children of every node on the walk's path, each node's
+	// above its parent's: one buffer for the whole walk, not one per node.
+	var kids []uint32
 	var walk func(n *node)
 	walk = func(n *node) {
 		n.free = n.left
-		kids := t.kids(n, nil)
+		base := len(kids)
+		kids = t.kids(n, kids)
+		end := len(kids)
 		var totalW uint64
-		for _, k := range kids {
+		for _, k := range kids[base:end] {
 			totalW += weight(k)
 		}
 		// Allocate the prepared children from the first half of the scope
 		// only: the second half stays free for children that were not in
 		// the preparatory sample (future insertions).
 		avail := (n.right - n.left) / 2
-		for i, k := range kids {
+		for i := 0; i < end-base; i++ {
+			// The walk below the previous child may have regrown kids;
+			// entries base..end are as t.kids left them.
+			k := kids[base+i]
 			if n.free == n.right {
 				// Scope exhausted: drop the remaining prepared children
 				// instead of handing out inverted ranges that Validate
@@ -134,6 +145,7 @@ func (d *DynamicLabeler) Finalize() {
 			n.free = c.right
 			walk(c)
 		}
+		kids = kids[:base]
 	}
 	walk(t.at(0))
 	d.prep = nil
@@ -150,9 +162,14 @@ func (d *DynamicLabeler) Add(seq []Symbol, docID uint32) error {
 
 // AddReport is Add, additionally returning the postings of trie nodes
 // created by this sequence (the only ones an incremental index needs to
-// write) and the terminal posting the document id attaches to.
+// write) and the terminal posting the document id attaches to. created is
+// the labeler's own buffer: it is valid only until the next AddReport.
 func (d *DynamicLabeler) AddReport(seq []Symbol, docID uint32) (created []Posting, terminal Posting, err error) {
-	return d.add(seq, docID, true)
+	created, terminal, err = d.add(seq, docID, true)
+	if created != nil {
+		d.created = created[:0] // keep what it grew to
+	}
+	return created, terminal, err
 }
 
 func (d *DynamicLabeler) add(seq []Symbol, docID uint32, report bool) (created []Posting, terminal Posting, err error) {
@@ -197,8 +214,8 @@ func (d *DynamicLabeler) add(seq []Symbol, docID uint32, report bool) (created [
 			if report {
 				if created == nil {
 					// A fresh node has no children, so the rest of the
-					// sequence is all new: one exactly sized block.
-					created = make([]Posting, 0, len(seq)-i)
+					// sequence is all new: one block that holds it.
+					created = slices.Grow(d.created[:0], len(seq)-i)
 				}
 				created = append(created, t.posting(next, uint32(i+1)))
 			}
