@@ -60,7 +60,7 @@ test:
 # -count=1 so a cached pass never stands in for a run.
 race:
 	$(GO) test -race -count=1 ./internal/server ./internal/prix ./internal/pager ./internal/pager/pagertest ./internal/docstore ./internal/btree ./internal/bench ./internal/shard ./internal/ingest ./internal/compact ./internal/hot ./internal/mvcc
-	$(GO) test -race -count=1 ./internal/xmltree -run 'Cursor|Resume|ParseError'
+	$(GO) test -race -count=1 ./internal/xmltree -run 'Cursor|ParseError'
 	$(GO) test -race -count=10 ./internal/prix -run 'TestScratchIsolation'
 
 vet:
@@ -199,14 +199,16 @@ cover:
 	@rm -f cover-*.out cover-*.log
 
 # Chaos stage: fault-injection and self-healing end to end. Power-cut sweeps
-# across every write point of a commit, of a sectioned store flush and of an
-# online repair, bit-flip corruption that must be scrub-detected and
-# auto-repaired under live queries, and snapshot restore for the unrepairable
-# cases.
+# across every write point of a commit, of a sectioned store flush, of an
+# online repair and of a streaming ingest (plain and sharded, crash image
+# checked before the rerun), bit-flip corruption that must be
+# scrub-detected and auto-repaired under live queries, and snapshot restore
+# for the unrepairable cases.
 chaos:
 	$(GO) test ./internal/pager -run 'Crash|Torn|Fault|Trim' -count=1
 	$(GO) test ./internal/docstore -run 'Crash|Unreadable' -count=1
 	$(GO) test ./internal/prix -run 'Crash|BitFlip|Repair|Snapshot' -count=1
+	$(GO) test ./internal/ingest -run 'Crash' -count=1
 	$(GO) test -race ./internal/scrub -count=1
 
 bench:

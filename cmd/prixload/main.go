@@ -5,11 +5,13 @@
 // under -out, described by topology.json, and served by prixserve's
 // scatter-gather coordinator.
 //
-// The -stream mode runs the crash-resumable bulk ingest: the input is
-// streamed one record at a time under -mem-budget, sorted posting runs are
-// checkpointed to -out/.ingest, and an interrupted build restarts from the
-// last durable checkpoint with -resume, producing a byte-identical index.
-// Malformed records are skipped, counted and reported up to -skip-budget.
+// The -stream mode runs the streaming bulk ingest: the input is streamed
+// one record at a time under -mem-budget into a scratch run under
+// -out/.ingest, which is then bulk-loaded into the index. The index's own
+// commit (topology.json for a sharded layout) is written last, so an
+// interrupted build leaves no index that opens and is recovered by running
+// the same command again. Malformed records are skipped, counted and
+// reported up to -skip-budget.
 //
 // Usage:
 //
@@ -17,7 +19,6 @@
 //	prixload -out /tmp/idx -xml 'docs/*.xml' [-extended]
 //	prixload -out /tmp/sharded -dataset dblp -shards 4 -replicas 2
 //	prixload -out /tmp/idx -stream corpus.xml -split -mem-budget 64M
-//	prixload -out /tmp/idx -stream corpus.xml -split -resume
 package main
 
 import (
@@ -46,12 +47,11 @@ func main() {
 		seed      = flag.Int64("seed", 1, "dataset generator seed")
 		xmlGlob   = flag.String("xml", "", "glob of XML files to index (one document per file)")
 		stream    = flag.String("stream", "", "one large XML file to bulk-ingest with bounded memory")
-		resume    = flag.Bool("resume", false, "resume an interrupted -stream ingest from its last checkpoint")
 		memBudget = flag.String("mem-budget", "", "memory budget for -stream, e.g. 64M or 1G (default 32M)")
 		split     = flag.Bool("split", false, "treat each child of the -stream input's root element as its own document")
 		skips     = flag.Int("skip-budget", 0, "malformed records tolerated (skipped and reported) before -stream fails")
 		resyncTag = flag.String("resync-tag", "", "record tag -stream resynchronizes on after a malformed record (default: inferred)")
-		workDir   = flag.String("work", "", "checkpoint directory for -stream (default <out>/.ingest)")
+		workDir   = flag.String("work", "", "scratch directory for -stream, removed when it ends (default <out>/.ingest)")
 		extended  = flag.Bool("extended", false, "build an Extended-Prüfer index (EPIndex, for value queries)")
 		pool      = flag.Int("pool", 0, "buffer pool pages (default 2000)")
 		shards    = flag.Int("shards", 1, "partition the collection into N shards (sharded layout when > 1)")
@@ -89,16 +89,7 @@ func main() {
 			o.Shards = *shards
 			o.Replicas = *replicas
 		}
-		var rep *core.IngestReport
-		if *resume {
-			rep, err = core.ResumeIngest(o)
-			if errors.Is(err, core.ErrNoIngestCheckpoint) {
-				log.Printf("no checkpoint under %s; starting a fresh ingest", filepath.Join(*out, ".ingest"))
-				rep, err = core.StreamIngest(o)
-			}
-		} else {
-			rep, err = core.StreamIngest(o)
-		}
+		rep, err := core.StreamIngest(o)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -254,16 +245,11 @@ func printIngestReport(rep *core.IngestReport, out string, extended bool) {
 	if extended {
 		kind = "EPIndex"
 	}
-	mode := "ingested"
-	if rep.Resumed {
-		mode = "resumed and ingested"
-	}
 	layout := out
 	if rep.Shards > 0 {
 		layout = fmt.Sprintf("%s (%d shards)", out, rep.Shards)
 	}
-	fmt.Printf("%s %d documents into %s %s (%d checkpointed runs)\n",
-		mode, rep.Docs, kind, layout, rep.Runs)
+	fmt.Printf("ingested %d documents into %s %s\n", rep.Docs, kind, layout)
 	if rep.Skips > 0 {
 		fmt.Printf("skipped %d malformed records:\n", rep.Skips)
 		for _, s := range rep.SkipDetail {

@@ -13,9 +13,8 @@ import (
 	"repro/internal/shard"
 )
 
-// Every rename a compaction makes — the epoch publish, CURRENT and the
-// sealed runs through AtomicFile — is followed by a sync of the target's
-// directory.
+// Every rename a compaction makes — the epoch publish and CURRENT through
+// AtomicFile — is followed by a sync of the target's directory.
 func TestCompactRenamesSyncDir(t *testing.T) {
 	dir := t.TempDir()
 	buildDynamicDir(t, dir, corpus(18))
@@ -49,16 +48,17 @@ func onlyServing(t *testing.T, dir string, epoch uint64) {
 }
 
 // TestCompactCrashSweepPlain is the power-cut sweep of the compaction
-// restart contract over two back-to-back compactions of a plain dynamic
-// directory — its conversion into epoch 1, then epoch 1 into epoch 2, which
-// overwrites CURRENT and retires an epoch directory. It learns the total
-// write count W, then for every k in 1..W reruns the pair with the power
+// restart contract over three back-to-back compactions of a plain dynamic
+// directory — its conversion into epoch 1, then epoch 1 into epoch 2 and
+// epoch 2 into epoch 3, the last two each overwriting CURRENT and retiring
+// an epoch directory. It learns the total write count W, then for every k in
+// 1..W reruns the three with the power
 // cut (torn final write included) at the k-th write. After every cut
 // OpenRoot must serve the exact pre-compaction answers from whichever
 // layout CURRENT names — never a torn in-between — writing no page to do
 // so and leaving nothing of the compactions but the serving layout. The
 // root then converges on the uninterrupted layout byte for byte once Run
-// has brought it to epoch 2: recovery alone when both commits landed.
+// has brought it to epoch 3: recovery alone when every commit landed.
 func TestCompactCrashSweepPlain(t *testing.T) {
 	base := t.TempDir()
 	docs := corpus(18)
@@ -81,7 +81,7 @@ func TestCompactCrashSweepPlain(t *testing.T) {
 
 	opts := func(dir string) Options { return Options{Dir: dir, MemBudget: 32 << 10} }
 
-	const epochs = 2
+	const epochs = 3
 	// Uninterrupted baseline.
 	baseDir := filepath.Join(base, "base")
 	copyTree(t, pristine, baseDir)
@@ -147,7 +147,7 @@ func TestCompactCrashSweepPlain(t *testing.T) {
 }
 
 // TestCompactCrashSweepSharded runs the same per-ordinal sweep over a
-// sharded, replicated layout (three shards of two replicas): a cut strands
+// sharded, replicated layout (four shards of two replicas): a cut strands
 // some replicas compacted, one mid-flight, the rest untouched. The coordinator must still open and
 // answer identically; then per replica, recovery leaves only the serving
 // layout, and the replicas still at epoch 0 compact again into the
@@ -156,7 +156,7 @@ func TestCompactCrashSweepSharded(t *testing.T) {
 	base := t.TempDir()
 	docs := corpus(16)
 	pristine := filepath.Join(base, "pristine")
-	if _, err := shard.Build(pristine, docs, shard.BuildConfig{Shards: 3, Replicas: 2, Epoch: 1}); err != nil {
+	if _, err := shard.Build(pristine, docs, shard.BuildConfig{Shards: 4, Replicas: 2, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	co, err := shard.Open(pristine, prix.Options{}, shard.Config{})

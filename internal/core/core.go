@@ -229,30 +229,23 @@ func BuildShardedIndexStream(root string, source func() (func() (*Document, erro
 	return shard.BuildStream(root, source, cfg)
 }
 
-// IngestOptions configures a crash-resumable streaming bulk ingest: one
-// large XML input streamed through a bounded-memory pipeline into a plain or
-// sharded on-disk index, checkpointing progress so an interrupted run can
-// resume from the last durable point.
+// IngestOptions configures a streaming bulk ingest: one large XML input
+// streamed through a bounded-memory pipeline into a plain or sharded on-disk
+// index. Until the index's own commit (topology.json for a sharded layout)
+// is durable, the directory holds no index that opens; an interrupted
+// ingest is recovered by running it again.
 type IngestOptions = ingest.Options
 
 // IngestReport summarizes a completed ingest (documents indexed, runs
-// spilled, malformed records skipped).
+// spooled, malformed records skipped).
 type IngestReport = ingest.Report
 
 // IngestSkip records one malformed record that ingest skipped (input byte
 // offset, record ordinal, parse error).
 type IngestSkip = ingest.SkipRecord
 
-// ErrNoIngestCheckpoint reports a resume attempt against a directory with no
-// checkpoint manifest — there is nothing to resume; run a fresh ingest.
-var ErrNoIngestCheckpoint = ingest.ErrNoManifest
-
 // StreamIngest runs a streaming bulk ingest from scratch.
 func StreamIngest(o IngestOptions) (*IngestReport, error) { return ingest.Run(o) }
-
-// ResumeIngest restarts an interrupted ingest from its last durable
-// checkpoint; the finished index is byte-identical to an uninterrupted run.
-func ResumeIngest(o IngestOptions) (*IngestReport, error) { return ingest.Resume(o) }
 
 // CompactRoot is a live serving view of an epoch-root index directory:
 // queries and inserts flow through the current epoch, and background

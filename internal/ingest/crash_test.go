@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,16 +8,24 @@ import (
 
 	"repro/internal/pager"
 	"repro/internal/pager/pagertest"
+	"repro/internal/prix"
+	"repro/internal/shard"
 )
 
 func TestCrashSweepPlain(t *testing.T)   { crashSweep(t, 0, 0) }
 func TestCrashSweepSharded(t *testing.T) { crashSweep(t, 2, 2) }
 
-// crashSweep is the power-cut sweep of the resume contract: it cuts the
-// build at every write-class operation — run-file writes, manifest commits,
-// spill chunks, replica clones, topology, and every index page write alike
-// — resumes with a healthy stack, and asserts the final index is
-// byte-identical to an uninterrupted build.
+// crashSweep is the power-cut sweep of the restart contract. Its workload is
+// a build followed by the recovery command itself, the same build again
+// over the finished index, and it cuts at every write-class operation of
+// both — the run's writes, spill chunks, the removal of the old index,
+// replica clones, topology, and every index page write alike. It checks
+// the crash image before any recovery: an image holding a build's commit
+// record (topology.json for a sharded layout, an index that opens for a
+// plain one) must be the complete index, byte-identical to an
+// uninterrupted build, and any other image must refuse to open. Then it
+// reruns the build on a healthy stack and asserts that the index is
+// byte-identical too.
 func crashSweep(t *testing.T, shards, replicas int) {
 	dir := t.TempDir()
 	input := filepath.Join(dir, "corpus.xml")
@@ -50,26 +57,59 @@ func crashSweep(t *testing.T, shards, replicas int) {
 		o.FS = pager.NewFaultFS(pager.OSFS{}, clock)
 		o.OpenFile = pagertest.FaultOpen(clock)
 		_, err := Run(o)
+		if err == nil {
+			_, err = Run(o)
+		}
 		if k == 0 && err == nil {
 			// The faulted-but-never-cut build must still match the baseline.
 			sameFiles(t, want, readIndexFiles(t, out), "counting run")
 		}
 		return err
 	}
-	pagertest.Sweep(t, 50, func(int64) int { return pager.PageSize / 3 }, run, func(t *testing.T, k int64) {
-		// Resume on a healthy stack. A cut before the first durable
-		// checkpoint legitimately reports nothing to resume — the recovery
-		// there is a fresh run.
-		rep, err := Resume(opts(out))
-		if errors.Is(err, ErrNoManifest) {
-			rep, err = Run(opts(out))
+	pagertest.Sweep(t, 60, func(int64) int { return pager.PageSize / 3 }, run, func(t *testing.T, k int64) {
+		label := fmt.Sprintf("cut at write %d", k)
+		if docs, ok := openImage(t, out, shards > 0); ok {
+			if docs != n-skips {
+				t.Fatalf("%s: the crash image opens with %d docs, want %d", label, docs, n-skips)
+			}
+			sameFiles(t, want, readIndexFiles(t, out), label+", before recovery")
 		}
+		// Recovery is running the build again.
+		rep, err := Run(opts(out))
 		if err != nil {
 			t.Fatalf("recovery: %v", err)
 		}
 		if rep.Docs != n-skips || rep.Skips != skips {
 			t.Fatalf("recovered build reports %d docs / %d skips, want %d/%d", rep.Docs, rep.Skips, n-skips, skips)
 		}
-		sameFiles(t, want, readIndexFiles(t, out), fmt.Sprintf("cut at write %d", k))
+		sameFiles(t, want, readIndexFiles(t, out), label)
 	})
+}
+
+// openImage opens a crash image the way a server would and reports its
+// document count, or ok=false when it refuses to open. A sharded image with
+// topology.json, its commit record, must open.
+func openImage(t *testing.T, out string, sharded bool) (docs int, ok bool) {
+	t.Helper()
+	if !sharded {
+		ix, err := prix.Open(out, prix.Options{})
+		if err != nil {
+			return 0, false
+		}
+		defer ix.Close()
+		return ix.NumDocs(), true
+	}
+	_, statErr := os.Stat(filepath.Join(out, shard.TopologyFile))
+	c, err := shard.Open(out, prix.Options{}, shard.Config{})
+	switch {
+	case statErr != nil && err == nil:
+		c.Close()
+		t.Fatal("a crash image without topology.json opens")
+	case statErr == nil && err != nil:
+		t.Fatalf("a crash image with topology.json refuses to open: %v", err)
+	case err != nil:
+		return 0, false
+	}
+	defer c.Close()
+	return c.Stats().Docs, true
 }

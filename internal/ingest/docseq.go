@@ -10,9 +10,9 @@ import (
 
 // Run files carry prix.DocSeq values — the dictionary-free Prüfer
 // transforms — in a compact uvarint framing. Keeping the records
-// dictionary-free is what makes checkpoints single-file atomic: no symbol
-// table has to be snapshotted alongside them, because the merge phase
-// re-interns labels in replay order and reproduces the same dictionary.
+// dictionary-free makes a run self-contained: no symbol table is written
+// alongside it, because the merge phase re-interns labels in replay order
+// and reproduces the same dictionary.
 
 func appendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)

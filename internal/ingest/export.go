@@ -5,17 +5,18 @@ import (
 	"repro/internal/prix"
 )
 
-// The run-file machinery (sealed, CRC-checked DocSeq spools) is reused by
+// The run-file machinery (CRC-checked DocSeq spools) is reused by
 // internal/compact: the compactor drains a live DynamicIndex into the exact
-// same sealed run format the streaming bulk loader uses. These thin
-// exported wrappers keep the underlying types unexported (their invariants
-// — atomic sealing, trailer validation — stay package-internal).
+// same run format the streaming bulk loader uses. These thin exported
+// wrappers keep the underlying types unexported (their invariants — the
+// trailer count and checksum — stay package-internal). A run is scratch:
+// it is not synced, and a crashed process's runs are deleted before the
+// next one writes.
 
-// RunWriter streams DocSeq records into a sealed run file (written to
-// path+".tmp", renamed into place by Seal).
+// RunWriter streams DocSeq records into a run file.
 type RunWriter struct{ w *runWriter }
 
-// NewRunWriter creates a run file at path (holding path+".tmp" until Seal).
+// NewRunWriter creates a run file at path.
 func NewRunWriter(fs pager.FS, path string) (*RunWriter, error) {
 	w, err := newRunWriter(fs, path)
 	if err != nil {
@@ -30,13 +31,10 @@ func (w *RunWriter) Add(ds *prix.DocSeq) error { return w.w.add(ds) }
 // Bytes is the run's body size so far (callers chunk runs by byte budget).
 func (w *RunWriter) Bytes() int64 { return w.w.bytes }
 
-// Seal writes the trailer and commits the run into place.
-func (w *RunWriter) Seal() error {
-	_, err := w.w.seal()
-	return err
-}
+// Seal writes the trailer and closes the run.
+func (w *RunWriter) Seal() error { return w.w.seal() }
 
-// Abort drops an unsealed run (error paths only; best-effort).
+// Abort closes an unsealed run (error paths only; best-effort).
 func (w *RunWriter) Abort() { w.w.abort() }
 
 // RunReader replays a sealed run, verifying its CRC as it goes.

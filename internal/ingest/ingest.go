@@ -1,10 +1,15 @@
-// Package ingest is the crash-resumable streaming bulk loader: it runs an
-// incremental cursor over a (possibly enormous) XML input, applies the
-// Prüfer transform one record at a time, spills the transforms into
-// CRC-sealed run files under a memory budget, and bulk-merges the runs into
-// the B+-tree index — committing a checkpoint manifest after every sealed
-// run so an interrupted build resumes from the last durable checkpoint and
-// converges on an index byte-identical to an uninterrupted one.
+// Package ingest is the streaming bulk loader: it runs an incremental cursor
+// over a (possibly enormous) XML input, applies the Prüfer transform one
+// record at a time, spools the transforms into one CRC-checked scratch run,
+// and bulk-loads the run into the B+-tree index under a memory budget.
+//
+// A build has exactly one commit record: for a plain index its own final
+// journal commit, for a sharded layout topology.json, which is written last.
+// Until the commit record is durable Dir holds no index that opens; after
+// it, the index is complete. Every byte of the index is a function of the
+// input's sequences (Prüfer's one-to-one correspondence), so recovering from
+// a crash is running the same build again: Run starts by deleting the work
+// directory and every index artifact under Dir.
 package ingest
 
 import (
@@ -13,6 +18,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -26,13 +32,13 @@ import (
 type Options struct {
 	// Input is the XML file to ingest. It is opened read-only directly from
 	// the OS (reads are not crash-relevant); it must be seekable for
-	// malformed-record resync and for -resume.
+	// malformed-record resync.
 	Input string
 	// Dir is the index root: the two page files for a plain index, or
 	// topology.json plus shard directories for a sharded one.
 	Dir string
-	// WorkDir holds the run files and the checkpoint manifest; empty means
-	// Dir/.ingest.
+	// WorkDir holds the build's scratch files (the run and the merge's spill
+	// chunks), deleted when it ends; empty means Dir/.ingest.
 	WorkDir string
 
 	// Split / ResyncTag / Parse configure the record cursor (see
@@ -50,26 +56,25 @@ type Options struct {
 	Replicas int
 
 	// MemBudget bounds the bytes the pipeline buffers: it sizes the spill
-	// chunks of the merge sort, derives the page-cache capacity, and sets
-	// the run-seal threshold. 0 means 32 MiB.
+	// chunks of the merge sort and derives the page-cache capacity. 0 means
+	// 32 MiB.
 	MemBudget int64
 	// SkipBudget is how many malformed records may be skipped before the
 	// build fails; 0 tolerates none.
 	SkipBudget int
 	// Epoch pins the sharded layout's placement epoch (0 derives one from
-	// the clock at the first checkpoint; resume always reuses the
-	// checkpointed value).
+	// the clock).
 	Epoch uint64
 
 	// BufferPoolPages overrides the per-file page-cache capacity; 0 derives
 	// it from MemBudget.
 	BufferPoolPages int
-	// FS intercepts every artifact write (runs, manifest, spill chunks,
-	// replica clones, topology); nil means the real filesystem. Crash-sweep
-	// tests inject pager.FaultFS here.
+	// FS intercepts every artifact write (the run, spill chunks, replica
+	// clones, topology); nil means the real filesystem. Crash-sweep tests
+	// inject pager.FaultFS here.
 	FS pager.FS
-	// OpenFile is passed to the index builders so the merge phase's page
-	// files can be fault-injected too; nil means plain OS files.
+	// OpenFile is passed to the index builders so the merge's page files
+	// can be fault-injected too; nil means plain OS files.
 	OpenFile func(path string) (pager.File, error)
 }
 
@@ -127,185 +132,99 @@ func (o *Options) pool() int {
 
 // Report summarizes a completed build.
 type Report struct {
-	// Docs is the number of documents indexed; Runs how many checkpointed
-	// run files the scan produced.
+	// Docs is the number of documents indexed; Runs how many run files the
+	// scan spooled them into (1, or 0 for an input with no documents).
 	Docs uint32
 	Runs int
 	// Skips counts the malformed records skipped; SkipDetail carries the
 	// first maxSkipDetail of them with byte offset and cause.
 	Skips      int
 	SkipDetail []SkipRecord
-	// Resumed reports whether this invocation continued from a checkpoint.
-	Resumed bool
-	Shards  int
+	Shards     int
 }
 
-// Run performs a fresh streaming build: any previous checkpoint state under
-// the work directory is discarded first.
+// SkipRecord reports one malformed record: where it sat in the input and
+// why it was rejected.
+type SkipRecord struct {
+	Ordinal int
+	Offset  int64
+	Error   string
+}
+
+// maxSkipDetail bounds the per-skip detail a Report keeps; the total count
+// is always exact.
+const maxSkipDetail = 64
+
+// runFile is the scan's one run, inside the work directory.
+const runFile = "docs.run"
+
+// Run builds the index: it deletes what an earlier build of Dir left behind,
+// scans the input into the run, bulk-loads the run into the index and
+// removes the work directory.
 func Run(o Options) (*Report, error) {
-	return execute(&o, false)
-}
-
-// Resume continues an interrupted build from its last durable checkpoint.
-// The produced index is byte-identical to an uninterrupted build of the
-// same input under the same options.
-func Resume(o Options) (*Report, error) {
-	return execute(&o, true)
-}
-
-func execute(o *Options, resume bool) (*Report, error) {
 	if o.Input == "" {
 		return nil, fmt.Errorf("ingest: no input file")
 	}
 	if o.Dir == "" {
 		return nil, fmt.Errorf("ingest: no output directory")
 	}
-	fs := o.fsys()
-	wd := o.workDir()
-	var m *Manifest
-	if resume {
-		var err error
-		if m, err = loadManifest(fs, wd); err != nil {
-			return nil, err
-		}
-		if err := m.matches(o); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := fs.RemoveAll(wd); err != nil {
-			return nil, err
-		}
-		if err := fs.MkdirAll(wd); err != nil {
-			return nil, err
-		}
-		epoch := o.Epoch
-		if epoch == 0 {
-			epoch = uint64(time.Now().UnixNano())
-		}
-		m = &Manifest{
-			Version:   1,
-			Phase:     phaseScan,
-			Input:     o.Input,
-			Split:     o.Split,
-			Extended:  o.Extended,
-			Shards:    o.shards(),
-			Replicas:  o.replicas(),
-			MemBudget: o.budget(),
-			Epoch:     epoch,
-		}
-	}
-	ig := &ingester{o: o, fs: fs, wd: wd, m: m}
-	if m.Phase == phaseScan {
-		if resume {
-			if err := ig.clearDebris(); err != nil {
-				return nil, err
-			}
-		}
-		if err := ig.scan(resume); err != nil {
-			return nil, err
-		}
-	}
-	if m.Phase == phaseMerge {
-		if err := ig.merge(); err != nil {
-			return nil, err
-		}
-		m.Phase = phaseDone
-		if err := m.save(fs, wd); err != nil {
-			return nil, err
-		}
-	}
-	if err := ig.cleanup(); err != nil {
+	ig := &ingester{o: &o, fs: o.fsys(), wd: o.workDir(), rep: &Report{Shards: o.shards()}}
+	if err := ig.fs.RemoveAll(ig.wd); err != nil {
 		return nil, err
 	}
-	return &Report{
-		Docs:       m.TotalDocs,
-		Runs:       len(m.Runs),
-		Skips:      m.TotalSkips,
-		SkipDetail: m.SkipDetail,
-		Resumed:    resume,
-		Shards:     m.Shards,
-	}, nil
+	if err := ig.fs.MkdirAll(ig.wd); err != nil {
+		return nil, err
+	}
+	if err := ig.scan(); err != nil {
+		return nil, err
+	}
+	if err := ig.merge(); err != nil {
+		return nil, err
+	}
+	if err := ig.fs.RemoveAll(ig.wd); err != nil {
+		return nil, err
+	}
+	return ig.rep, nil
 }
 
 type ingester struct {
-	o  *Options
-	fs pager.FS
-	wd string
-	m  *Manifest
-}
-
-const spillDirName = "spill"
-
-// clearDebris deletes everything in the work directory that the manifest
-// does not vouch for: run temp files, a manifest temp, spill chunks — the
-// half-written artifacts of the crash being resumed from.
-func (ig *ingester) clearDebris() error {
-	keep := map[string]bool{ManifestFile: true}
-	for _, ri := range ig.m.Runs {
-		keep[ri.Name] = true
-	}
-	names, err := ig.fs.ReadDir(ig.wd)
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		if keep[name] {
-			continue
-		}
-		if err := ig.fs.RemoveAll(filepath.Join(ig.wd, name)); err != nil {
-			return err
-		}
-	}
-	return nil
+	o   *Options
+	fs  pager.FS
+	wd  string
+	rep *Report
 }
 
 // scanItem is one record's outcome flowing through the pipeline: a
-// transformed document, a skip, or a fatal error — plus the cursor position
-// after the record (the checkpoint candidate).
+// transformed document, a skip, or a fatal error.
 type scanItem struct {
-	ds      *prix.DocSeq
-	skip    *SkipRecord
-	err     error
-	off     int64
-	ord     int
-	wrapper string
+	ds   *prix.DocSeq
+	skip *SkipRecord
+	err  error
 }
 
 // parsedItem is the raw cursor outcome handed from the parse stage to the
-// transform stage.
+// transform stage, with the record's start position for a transform
+// rejection's report.
 type parsedItem struct {
 	doc      *xmltree.Document
 	skip     *SkipRecord
 	err      error
-	off      int64
-	ordinal  int
 	startOff int64
 	startOrd int
-	wrapper  string
 }
 
-// scan runs the parse → transform → spill pipeline. Each stage is one
-// goroutine joined by a small bounded channel, so a slow spill (or a fault
+// scan runs the parse → transform → spool pipeline. Each stage is one
+// goroutine joined by a small bounded channel, so a slow spool (or a fault
 // injection pause) backpressures the parser instead of letting parsed trees
 // pile up; at most a handful of records are in flight at any moment.
-func (ig *ingester) scan(resume bool) error {
-	o, fs, m := ig.o, ig.fs, ig.m
+func (ig *ingester) scan() error {
+	o := ig.o
 	in, err := os.Open(o.Input)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-	copts := xmltree.CursorOptions{Parse: o.Parse, Split: o.Split, ResyncTag: o.ResyncTag}
-	var cur *xmltree.Cursor
-	if resume && len(m.Runs) > 0 {
-		last := m.Runs[len(m.Runs)-1]
-		cur, err = xmltree.ResumeCursor(in, copts, last.EndOffset, last.EndOrdinal, m.Wrapper)
-		if err != nil {
-			return err
-		}
-	} else {
-		cur = xmltree.NewCursor(in, copts)
-	}
+	cur := xmltree.NewCursor(in, xmltree.CursorOptions{Parse: o.Parse, Split: o.Split, ResyncTag: o.ResyncTag})
 
 	const pipelineDepth = 4
 	parseCh := make(chan parsedItem, pipelineDepth)
@@ -313,15 +232,13 @@ func (ig *ingester) scan(resume bool) error {
 	stop := make(chan struct{})
 	defer close(stop)
 
-	// Parse stage: the cursor yields one record at a time; Pos after each
-	// record is the durable boundary a checkpoint can name.
+	// Parse stage: the cursor yields one record at a time.
 	go func() {
 		defer close(parseCh)
 		for {
 			startOff, startOrd := cur.Pos()
 			doc, err := cur.Next()
-			off, ord := cur.Pos()
-			it := parsedItem{off: off, ordinal: ord, startOff: startOff, startOrd: startOrd, wrapper: cur.Wrapper()}
+			it := parsedItem{startOff: startOff, startOrd: startOrd}
 			switch {
 			case errors.Is(err, io.EOF):
 				return
@@ -347,14 +264,13 @@ func (ig *ingester) scan(resume bool) error {
 	}()
 
 	// Transform stage: the Prüfer transform of each parsed record. Document
-	// ids are dense over the successful records, continuing from the
-	// checkpointed total on resume. A transform rejection (an invalid tree
-	// the parser accepted) is a skip like any other.
+	// ids are dense over the successful records. A transform rejection (an
+	// invalid tree the parser accepted) is a skip like any other.
 	go func() {
 		defer close(seqCh)
-		id := m.TotalDocs
+		var id uint32
 		for it := range parseCh {
-			out := scanItem{skip: it.skip, err: it.err, off: it.off, ord: it.ordinal, wrapper: it.wrapper}
+			out := scanItem{skip: it.skip, err: it.err}
 			if it.doc != nil {
 				ds, terr := prix.Transform(id, it.doc, o.Extended)
 				if terr != nil {
@@ -375,157 +291,92 @@ func (ig *ingester) scan(resume bool) error {
 		}
 	}()
 
-	// Spill stage (this goroutine): append DocSeqs to the current run, seal
-	// it at the threshold, and commit the manifest — the checkpoint — after
-	// every seal. A quarter of the budget per run keeps checkpoints frequent
-	// relative to the memory the merge phase will spend per chunk.
-	runLimit := m.MemBudget / 4
-	if runLimit < 8<<10 {
-		runLimit = 8 << 10
-	}
-	var (
-		w            *runWriter
-		pendingSkips []SkipRecord
-		lastOff      int64
-		lastOrd      int
-	)
-	fail := func(err error) error {
-		if w != nil {
-			w.abort()
-		}
+	// Spool stage (this goroutine): append every DocSeq to the run and count
+	// the skips against the budget.
+	w, err := newRunWriter(ig.fs, filepath.Join(ig.wd, runFile))
+	if err != nil {
 		return err
 	}
-	seal := func(endOff int64, endOrd int) error {
-		crc, err := w.seal()
-		if err != nil {
-			w = nil
-			return err
-		}
-		ri := RunInfo{
-			Name:       filepath.Base(w.path),
-			Docs:       w.docs,
-			Skips:      uint32(len(pendingSkips)),
-			CRC:        crc,
-			EndOffset:  endOff,
-			EndOrdinal: endOrd,
-		}
-		w = nil
-		m.Runs = append(m.Runs, ri)
-		m.TotalDocs += ri.Docs
-		ig.noteSkips(pendingSkips)
-		pendingSkips = nil
-		return m.save(fs, ig.wd)
-	}
 	for it := range seqCh {
-		if it.wrapper != "" {
-			m.Wrapper = it.wrapper
+		switch {
+		case it.err != nil:
+			err = it.err
+		case it.skip != nil:
+			err = ig.skip(*it.skip)
+		default:
+			err = w.add(it.ds)
 		}
-		if it.err != nil {
-			return fail(it.err)
-		}
-		if it.skip != nil {
-			pendingSkips = append(pendingSkips, *it.skip)
-			if m.TotalSkips+len(pendingSkips) > o.SkipBudget {
-				return fail(fmt.Errorf("ingest: skip budget exhausted (%d malformed records, budget %d); record %d at byte %d: %s",
-					m.TotalSkips+len(pendingSkips), o.SkipBudget, it.skip.Ordinal, it.skip.Offset, it.skip.Error))
-			}
-			continue
-		}
-		if w == nil {
-			var werr error
-			w, werr = newRunWriter(fs, filepath.Join(ig.wd, fmt.Sprintf("run-%05d.run", len(m.Runs))))
-			if werr != nil {
-				return werr
-			}
-		}
-		if err := w.add(it.ds); err != nil {
-			return fail(err)
-		}
-		lastOff, lastOrd = it.off, it.ord
-		if w.bytes >= runLimit {
-			if err := seal(lastOff, lastOrd); err != nil {
-				return err
-			}
-		}
-	}
-	// End of stream: seal the partial run, fold in any trailing skips, and
-	// commit the transition to the merge phase. Crashing before this commit
-	// re-scans from the last sealed run — skips after it are re-counted
-	// exactly once.
-	if w != nil && w.docs > 0 {
-		if err := seal(lastOff, lastOrd); err != nil {
+		if err != nil {
+			w.abort()
 			return err
 		}
-	} else if w != nil {
-		w.abort()
-		w = nil
 	}
-	ig.noteSkips(pendingSkips)
-	m.Phase = phaseMerge
-	return m.save(fs, ig.wd)
+	ig.rep.Docs = w.docs
+	if w.docs > 0 {
+		ig.rep.Runs = 1
+	}
+	return w.seal()
 }
 
-// noteSkips folds newly durable skips into the manifest totals, keeping at
-// most maxSkipDetail individual records.
-func (ig *ingester) noteSkips(skips []SkipRecord) {
-	ig.m.TotalSkips += len(skips)
-	for _, s := range skips {
-		if len(ig.m.SkipDetail) >= maxSkipDetail {
-			break
-		}
-		ig.m.SkipDetail = append(ig.m.SkipDetail, s)
+// skip counts one malformed record against the budget, keeping at most
+// maxSkipDetail individual records.
+func (ig *ingester) skip(s SkipRecord) error {
+	rep := ig.rep
+	rep.Skips++
+	if rep.Skips > ig.o.SkipBudget {
+		return fmt.Errorf("ingest: skip budget exhausted (%d malformed records, budget %d); record %d at byte %d: %s",
+			rep.Skips, ig.o.SkipBudget, s.Ordinal, s.Offset, s.Error)
 	}
+	if len(rep.SkipDetail) < maxSkipDetail {
+		rep.SkipDetail = append(rep.SkipDetail, s)
+	}
+	return nil
 }
 
-// merge replays the checkpointed runs into the final index. The phase
-// writes no checkpoint of its own: it is deterministic (same runs + same
-// options → byte-identical files) and restartable from scratch, so resume
-// simply deletes whatever the crash left under the index root and redoes
-// the whole phase — the two-phase protocol that makes the manifest commit
-// at the end of the scan the only atomicity point the build needs.
+// merge bulk-loads the run into the index: the plain index at Dir, or each
+// shard's replica 0 followed by its clones and, last, topology.json. It
+// starts by deleting every index artifact under Dir, so a build that a crash
+// interrupted leaves nothing this one could mistake for its own output.
 func (ig *ingester) merge() error {
-	o, fs, m := ig.o, ig.fs, ig.m
+	o := ig.o
 	if err := ig.clearIndexRoot(); err != nil {
 		return err
 	}
-	if m.Shards == 0 {
-		return ig.buildOne(o.Dir, 0, 0)
+	opts := prix.Options{Extended: o.Extended, BufferPoolPages: o.pool(), OpenFile: o.OpenFile}
+	bo := prix.BulkOptions{Spill: prix.DirSpiller(ig.fs, ig.wd), MemBudget: o.budget()}
+	if o.shards() == 0 {
+		opts.Dir = o.Dir
+		_, err := shard.BuildIndex(opts, bo, ig.replay, func(uint32) bool { return true })
+		return err
 	}
-	for s := 0; s < m.Shards; s++ {
-		if err := ig.buildOne(shard.ReplicaDir(o.Dir, s, 0), s, m.Shards); err != nil {
-			return fmt.Errorf("%s: %w", shard.Name(s), err)
-		}
-		for r := 1; r < m.Replicas; r++ {
-			if err := shard.CloneReplica(fs, shard.ReplicaDir(o.Dir, s, 0), shard.ReplicaDir(o.Dir, s, r)); err != nil {
-				return fmt.Errorf("%s replica %d: %w", shard.Name(s), r, err)
-			}
-		}
+	epoch := o.Epoch
+	if epoch == 0 {
+		epoch = uint64(time.Now().UnixNano())
 	}
-	topo := &shard.Topology{
-		Version:  1,
-		Shards:   m.Shards,
-		Replicas: m.Replicas,
-		Extended: m.Extended,
-		Docs:     m.TotalDocs,
-		Epoch:    m.Epoch,
-	}
-	return topo.Save(fs, o.Dir)
+	topo := &shard.Topology{Version: 1, Shards: o.shards(), Replicas: o.replicas(), Extended: o.Extended, Epoch: epoch}
+	return shard.BuildLayout(ig.fs, o.Dir, topo, opts, bo, ig.replay)
 }
 
 // clearIndexRoot deletes every index artifact a previous (possibly
 // interrupted, possibly differently configured) build left under Dir:
-// page files and journals, the topology, shard directories. The work
-// directory is untouched.
+// page files and journals, the topology, shard directories. The topology,
+// a layout's commit record, goes first, so a crash partway leaves no
+// topology.json naming a shard that is gone. The work directory is
+// untouched.
 func (ig *ingester) clearIndexRoot() error {
 	names, err := ig.fs.ReadDir(ig.o.Dir)
 	if err != nil {
 		return err
 	}
+	if slices.Contains(names, shard.TopologyFile) {
+		if err := ig.fs.Remove(filepath.Join(ig.o.Dir, shard.TopologyFile)); err != nil {
+			return err
+		}
+	}
 	stale := map[string]bool{
 		prix.ForestFileName:  true,
 		prix.DocsFileName:    true,
 		prix.JournalFileName: true,
-		shard.TopologyFile:   true,
 	}
 	for _, name := range prix.LegacyJournalFileNames {
 		stale[name] = true
@@ -540,99 +391,36 @@ func (ig *ingester) clearIndexRoot() error {
 	return nil
 }
 
-// buildOne replays the run sequence into one index directory, keeping only
-// the documents owned by the given shard (shards == 0 keeps everything).
-func (ig *ingester) buildOne(dir string, owner, shards int) error {
-	o, fs, m := ig.o, ig.fs, ig.m
-	spill := filepath.Join(ig.wd, spillDirName)
-	if err := fs.RemoveAll(spill); err != nil {
-		return err
-	}
-	if err := fs.MkdirAll(spill); err != nil {
-		return err
-	}
-	b, err := prix.NewBuilder(prix.Options{
-		Extended:        m.Extended,
-		BufferPoolPages: o.pool(),
-		Dir:             dir,
-		OpenFile:        o.OpenFile,
-	})
+// replay is one shard.Pass over the run: every document in docid order,
+// those keep accepts handed to add. It checks that the docids are dense and
+// that the run holds every document the scan counted.
+func (ig *ingester) replay(keep func(uint32) bool, add func(*prix.DocSeq) error) (uint32, error) {
+	r, err := openRun(ig.fs, filepath.Join(ig.wd, runFile))
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := ig.replay(b, owner, shards); err != nil {
-		b.Abort()
-		return err
-	}
-	ix, err := b.FinalizeBulk(prix.BulkOptions{
-		Spill:     prix.DirSpiller(fs, spill),
-		MemBudget: m.MemBudget,
-	})
-	if err != nil {
-		return err
-	}
-	return ix.Close()
-}
-
-// replay streams every manifest-listed run through the builder in order,
-// cross-checking each run's CRC and doc count against the manifest and the
-// docid sequence against the expected dense assignment.
-func (ig *ingester) replay(b *prix.Builder, owner, shards int) error {
+	defer r.close()
 	var next uint32
-	for _, ri := range ig.m.Runs {
-		r, err := openRun(ig.fs, filepath.Join(ig.wd, ri.Name))
+	for {
+		ds, err := r.next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
 		if err != nil {
-			return err
+			return next, err
 		}
-		for {
-			ds, err := r.next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				r.close()
-				return err
-			}
-			if ds.DocID != next {
-				r.close()
-				return fmt.Errorf("ingest: %s: docid %d out of sequence (want %d)", ri.Name, ds.DocID, next)
-			}
-			next++
-			if shards == 0 || shard.Owner(ds.DocID, shards) == owner {
-				if err := b.AddSeq(ds); err != nil {
-					r.close()
-					return err
-				}
-			}
+		if ds.DocID != next {
+			return next, fmt.Errorf("ingest: docid %d out of sequence (want %d)", ds.DocID, next)
 		}
-		if r.sealCRC != ri.CRC {
-			r.close()
-			return fmt.Errorf("ingest: %s: CRC %08x does not match manifest %08x", ri.Name, r.sealCRC, ri.CRC)
-		}
-		if r.docs != ri.Docs {
-			r.close()
-			return fmt.Errorf("ingest: %s: %d docs does not match manifest %d", ri.Name, r.docs, ri.Docs)
-		}
-		if err := r.close(); err != nil {
-			return err
+		next++
+		if keep(ds.DocID) {
+			if err := add(ds); err != nil {
+				return next, err
+			}
 		}
 	}
-	if next != ig.m.TotalDocs {
-		return fmt.Errorf("ingest: runs hold %d docs, manifest says %d", next, ig.m.TotalDocs)
+	if next != ig.rep.Docs {
+		return next, fmt.Errorf("ingest: run holds %d docs, the scan counted %d", next, ig.rep.Docs)
 	}
-	return nil
-}
-
-// cleanup removes the now-redundant run files and spill chunks. The sealed
-// manifest stays (phase done) so a later Resume is an idempotent no-op
-// reporting the finished build; every removal tolerates a prior cleanup
-// having already happened.
-func (ig *ingester) cleanup() error {
-	for _, ri := range ig.m.Runs {
-		err := ig.fs.Remove(filepath.Join(ig.wd, ri.Name))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
-	return ig.fs.RemoveAll(filepath.Join(ig.wd, spillDirName))
+	return next, nil
 }

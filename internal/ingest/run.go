@@ -20,11 +20,12 @@ import (
 //	uint32 LE doc count
 //	uint32 LE CRC-32C of everything above
 //
-// A run is written through a pager.AtomicFile (to <name>.tmp, sealed with
-// trailer + sync, renamed to <name>) and only then recorded in the manifest
-// — so every run the manifest lists is complete and checksummed, and
-// anything else in the work directory is debris from a crash, deleted on
-// resume.
+// A run is scratch, like a spill chunk: it is written, read back and
+// removed by the process that made it, and every user deletes whatever runs
+// a crashed process left before it writes again (ingest by removing its
+// work directory, compaction by recovering its root). So a run is not
+// synced; its trailer count and CRC catch a run that a bug, not a power
+// cut, left short.
 
 const runMagic = "PRIXRUN1"
 
@@ -32,8 +33,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // runWriter streams DocSeq records into one run file.
 type runWriter struct {
-	path  string
-	f     *pager.AtomicFile
+	f     pager.FSFile
+	bw    *bufio.Writer
 	crc   hash.Hash32
 	docs  uint32
 	bytes int64
@@ -42,13 +43,13 @@ type runWriter struct {
 }
 
 func newRunWriter(fs pager.FS, path string) (*runWriter, error) {
-	f, err := pager.CreateAtomic(fs, path)
+	f, err := fs.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	w := &runWriter{path: path, f: f, crc: crc32.New(castagnoli)}
+	w := &runWriter{f: f, bw: bufio.NewWriterSize(f, 64<<10), crc: crc32.New(castagnoli)}
 	if err := w.write([]byte(runMagic)); err != nil {
-		f.Abort()
+		f.Close()
 		return nil, err
 	}
 	return w, nil
@@ -57,7 +58,7 @@ func newRunWriter(fs pager.FS, path string) (*runWriter, error) {
 func (w *runWriter) write(p []byte) error {
 	w.crc.Write(p)
 	w.bytes += int64(len(p))
-	_, err := w.f.Write(p)
+	_, err := w.bw.Write(p)
 	return err
 }
 
@@ -74,44 +75,41 @@ func (w *runWriter) add(ds *prix.DocSeq) error {
 	return nil
 }
 
-// seal writes the trailer and commits the run into place. It returns the
-// CRC recorded in the trailer (the manifest pins it too).
-func (w *runWriter) seal() (crc uint32, err error) {
+// seal writes the trailer, flushes and closes the run.
+func (w *runWriter) seal() error {
 	var trailer [9]byte
 	trailer[0] = 0 // terminator: a zero-length record
 	binary.LittleEndian.PutUint32(trailer[1:5], w.docs)
-	if err := w.write(trailer[:5]); err != nil {
-		w.f.Abort()
-		return 0, err
+	err := w.write(trailer[:5])
+	if err == nil {
+		binary.LittleEndian.PutUint32(trailer[5:9], w.crc.Sum32())
+		_, err = w.bw.Write(trailer[5:9])
 	}
-	crc = w.crc.Sum32()
-	binary.LittleEndian.PutUint32(trailer[5:9], crc)
-	if _, err := w.f.Write(trailer[5:9]); err != nil {
-		w.f.Abort()
-		return 0, err
+	if err == nil {
+		err = w.bw.Flush()
 	}
-	if err := w.f.Commit(); err != nil {
-		return 0, err
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	return crc, nil
+	return err
 }
 
-// abort drops an unsealed run (error paths only; best-effort).
-func (w *runWriter) abort() { w.f.Abort() }
+// abort closes an unsealed run (error paths only). The file stays behind,
+// debris the next ingest or compaction deletes before it writes.
+func (w *runWriter) abort() { _ = w.f.Close() }
 
 // runReader replays a sealed run, verifying its CRC as it goes.
 type runReader struct {
-	rc      io.ReadCloser
-	br      *bufio.Reader
-	crc     hash.Hash32
-	path    string
-	docs    uint32
-	read    uint32
-	sealCRC uint32 // trailer CRC, for cross-checking against the manifest
-	buf     []byte
-	ds      prix.DocSeq // next's result, decoded over buf anew each record
-	one     [1]byte     // readUvarint's CRC feed, one byte at a time
-	done    bool
+	rc   io.ReadCloser
+	br   *bufio.Reader
+	crc  hash.Hash32
+	path string
+	docs uint32
+	read uint32
+	buf  []byte
+	ds   prix.DocSeq // next's result, decoded over buf anew each record
+	one  [1]byte     // readUvarint's CRC feed, one byte at a time
+	done bool
 }
 
 func openRun(fs pager.FS, path string) (*runReader, error) {
@@ -192,7 +190,6 @@ func (r *runReader) finishTrailer() error {
 	r.docs = binary.LittleEndian.Uint32(tail[0:4])
 	r.crc.Write(tail[0:4])
 	want := binary.LittleEndian.Uint32(tail[4:8])
-	r.sealCRC = want
 	if got := r.crc.Sum32(); got != want {
 		return fmt.Errorf("ingest: %s: CRC mismatch (stored %08x, computed %08x)", r.path, want, got)
 	}

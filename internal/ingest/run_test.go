@@ -36,7 +36,7 @@ func TestRunReaderAllocs(t *testing.T) {
 			}
 		}
 	}
-	if _, err := w.seal(); err != nil {
+	if err := w.seal(); err != nil {
 		t.Fatal(err)
 	}
 	r, err := openRun(pager.OSFS{}, path)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -406,8 +408,9 @@ func (f *FaultFile) loseLocked(loss Loss, rng *rand.Rand) {
 	}
 }
 
-// Loss is what a power cut does to the operations no Sync made durable,
-// and to the FaultFS renames no SyncDir made durable.
+// Loss is what a power cut does to the operations no Sync made durable
+// (page files' operations and FaultFS files' bytes alike), and to the
+// FaultFS renames no SyncDir made durable.
 type Loss int
 
 const (
@@ -430,10 +433,11 @@ const (
 // (WritePage, Allocate, Sync, Truncate) observed across every FaultFile it
 // is attached to, and every FaultFS operation that ticks it. At the cut
 // each attached file loses its unsynced operations, and each FaultFS on the
-// clock its unsynced renames, as the clock's Loss says, and the cutting
-// page write persists only its first TornBytes bytes
-// (a torn sector run); every operation after the cut — reads included —
-// fails with ErrPowerCut, freezing the inner files as the crash image.
+// clock its files' unsynced bytes and its unsynced renames, as the clock's
+// Loss says, and the cutting page write persists only its first TornBytes
+// bytes (a torn sector run); every operation after the cut — reads
+// included — fails with ErrPowerCut, freezing the inner files as the crash
+// image.
 //
 // A clock with cutAfter <= 0 never cuts and just counts: crash-sweep tests
 // first run a workload once to learn its write count W, then re-run it
@@ -482,7 +486,7 @@ func (c *PowerClock) attach(f *FaultFile) {
 }
 
 // powerLoss applies the cut to every attached file, in the order they were
-// attached, then to every FaultFS's unsynced renames. locked is the file
+// attached, then to every FaultFS's files and renames. locked is the file
 // whose mutex the caller holds (nil for none).
 func (c *PowerClock) powerLoss(locked *FaultFile) {
 	c.mu.Lock()
@@ -500,7 +504,7 @@ func (c *PowerClock) powerLoss(locked *FaultFile) {
 		}
 	}
 	for _, fs := range fss {
-		fs.loseRenames(loss, rng)
+		fs.lose(loss, rng)
 	}
 }
 
@@ -555,21 +559,42 @@ func (c *PowerClock) tick() (torn int, cutNow bool, err error) {
 // Rename, Remove, RemoveAll, MkdirAll, SyncDir — ticks a PowerClock. Crash-sweep
 // tests attach the same clock here and to the index page files (through
 // prix.Options.OpenFile and a FaultFile), so one ordinal spans every write
-// of a build. The cutting Write persists the first half of its buffer — a
-// torn append — so the CRC seals are exercised too.
+// of a build.
+//
+// A file's writes reach the inner FS at once, but only those its last Sync
+// covered are durable. At a cut the clock's Loss says what each file the
+// FaultFS created keeps of the bytes past its last Sync: LoseAll nothing, so
+// it is cut back to its synced length (0 if never synced); LoseSubset a
+// prefix seeded like the page files' subset; TearLast all but the second
+// half of its last write, a torn append. The cutting Write is pending like
+// any other, so under TearLast its first half persists and the CRC seals
+// are exercised. A missing file sync therefore shows as a file the crash
+// image holds short.
 //
 // A rename reaches the inner FS at once but stays pending until a SyncDir
 // of its target's directory; at a cut the clock's Loss says which pending
 // renames are undone, newest first: the entry moves back to its old name
 // and a target it replaced gets its old bytes back. A missing directory
-// sync therefore shows as a rename the crash image lost. Creates, removes
-// and file writes still reach the inner FS for good.
+// sync therefore shows as a rename the crash image lost. Creates and
+// removes still reach the inner FS for good.
 type FaultFS struct {
 	inner FS
 	clock *PowerClock
 
 	mu      sync.Mutex
 	renames []pendingRename
+	// files are the files Create made and no remove has deleted since, in
+	// creation order, under their current paths.
+	files []*createdFile
+}
+
+// createdFile is a file a FaultFS created: its current path and what a cut
+// may take from it, the bytes past its last Sync.
+type createdFile struct {
+	path   string
+	synced int64 // length the last Sync made durable
+	size   int64 // length written
+	last   int64 // length of the last write no Sync has covered
 }
 
 // pendingRename is one rename no SyncDir has made durable yet.
@@ -609,7 +634,23 @@ func (f *FaultFS) Create(path string) (FSFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFSFile{inner: inner, fs: f}, nil
+	c := &createdFile{path: path}
+	f.mu.Lock()
+	f.forgetLocked(path)
+	f.files = append(f.files, c)
+	f.mu.Unlock()
+	return &faultFSFile{inner: inner, fs: f, c: c}, nil
+}
+
+// forgetLocked stops tracking the files at path or under it: a remove
+// deleted them, or a create or rename replaced them.
+func (f *FaultFS) forgetLocked(path string) {
+	f.files = slices.DeleteFunc(f.files, func(c *createdFile) bool { return within(c.path, path) })
+}
+
+// within reports whether path is dir or lies under it.
+func within(path, dir string) bool {
+	return path == dir || strings.HasPrefix(path, dir+string(filepath.Separator))
 }
 
 func (f *FaultFS) Open(path string) (io.ReadCloser, error) { return f.inner.Open(path) }
@@ -630,6 +671,12 @@ func (f *FaultFS) Rename(oldPath, newPath string) error {
 	}
 	f.mu.Lock()
 	f.renames = append(f.renames, r)
+	f.forgetLocked(newPath)
+	for _, c := range f.files {
+		if within(c.path, oldPath) {
+			c.path = newPath + c.path[len(oldPath):]
+		}
+	}
 	f.mu.Unlock()
 	return nil
 }
@@ -638,6 +685,9 @@ func (f *FaultFS) Remove(path string) error {
 	if err := f.tick(); err != nil {
 		return err
 	}
+	f.mu.Lock()
+	f.forgetLocked(path)
+	f.mu.Unlock()
 	return f.inner.Remove(path)
 }
 
@@ -645,6 +695,9 @@ func (f *FaultFS) RemoveAll(path string) error {
 	if err := f.tick(); err != nil {
 		return err
 	}
+	f.mu.Lock()
+	f.forgetLocked(path)
+	f.mu.Unlock()
 	return f.inner.RemoveAll(path)
 }
 
@@ -679,12 +732,28 @@ func (f *FaultFS) SyncDir(path string) error {
 	return nil
 }
 
-// loseRenames applies a power cut to the pending renames: those loss
-// undoes are reversed newest first, each entry moved back to its old name
-// and a replaced file's bytes restored.
-func (f *FaultFS) loseRenames(loss Loss, rng *rand.Rand) {
+// lose applies a power cut: each created file is cut back to what loss
+// keeps of its unsynced bytes, then the pending renames loss undoes are
+// reversed newest first, each entry moved back to its old name and a
+// replaced file's bytes restored. Like loseLocked's replay it is best
+// effort: the crash image is what it leaves.
+func (f *FaultFS) lose(loss Loss, rng *rand.Rand) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	for _, c := range f.files {
+		if c.size == c.synced {
+			continue
+		}
+		keep := c.synced
+		switch loss {
+		case LoseSubset:
+			keep += rng.Int63n(c.size - c.synced + 1)
+		case TearLast:
+			keep = c.size - c.last + c.last/2
+		}
+		f.truncate(c.path, keep)
+		c.size, c.last = keep, 0
+	}
 	undo := make([]bool, len(f.renames))
 	seen := map[string]bool{}
 	for i, r := range f.renames {
@@ -701,47 +770,72 @@ func (f *FaultFS) loseRenames(loss Loss, rng *rand.Rand) {
 	}
 	for i := len(f.renames) - 1; i >= 0; i-- {
 		r := f.renames[i]
-		if !undo[i] || f.inner.Rename(r.newPath, r.oldPath) != nil || !r.replaced {
-			continue
-		}
-		// Best effort, as loseLocked's replay: the crash image is what the
-		// undo leaves.
-		if w, err := f.inner.Create(r.newPath); err == nil {
-			_, _ = w.Write(r.prior)
-			_ = w.Sync()
-			_ = w.Close()
+		if undo[i] && f.inner.Rename(r.newPath, r.oldPath) == nil && r.replaced {
+			f.rewrite(r.newPath, r.prior)
 		}
 	}
 	f.renames = nil
 }
 
+// truncate cuts the inner file at path back to n bytes.
+func (f *FaultFS) truncate(path string, n int64) {
+	rc, err := f.inner.Open(path)
+	if err != nil {
+		return
+	}
+	data, err := io.ReadAll(rc)
+	rc.Close()
+	if err == nil && int64(len(data)) > n {
+		f.rewrite(path, data[:n])
+	}
+}
+
+// rewrite replaces the inner file at path with data, durably.
+func (f *FaultFS) rewrite(path string, data []byte) {
+	if w, err := f.inner.Create(path); err == nil {
+		_, _ = w.Write(data)
+		_ = w.Sync()
+		_ = w.Close()
+	}
+}
+
 type faultFSFile struct {
 	inner FSFile
 	fs    *FaultFS
+	c     *createdFile
 }
 
-// Write ticks the clock; the cutting write persists a deterministic torn
-// prefix (half the buffer) before failing.
+// Write ticks the clock. The write reaches the inner file pending until the
+// next Sync; the cutting write too, before the cut applies the loss.
 func (w *faultFSFile) Write(p []byte) (int, error) {
-	cut, err := w.fs.clock.Tick()
+	_, cutNow, err := w.fs.clock.tick()
 	if err != nil {
 		return 0, err
 	}
-	if cut {
-		n := len(p) / 2
-		if n > 0 {
-			w.inner.Write(p[:n])
-		}
-		return n, ErrPowerCut
+	n, err := w.inner.Write(p)
+	w.fs.mu.Lock()
+	w.c.size += int64(n)
+	w.c.last = int64(n)
+	w.fs.mu.Unlock()
+	if cutNow {
+		w.fs.clock.powerLoss(nil)
+		return 0, ErrPowerCut
 	}
-	return w.inner.Write(p)
+	return n, err
 }
 
+// Sync ticks the clock and makes every byte written so far durable.
 func (w *faultFSFile) Sync() error {
 	if err := w.fs.tick(); err != nil {
 		return err
 	}
-	return w.inner.Sync()
+	if err := w.inner.Sync(); err != nil {
+		return err
+	}
+	w.fs.mu.Lock()
+	w.c.synced, w.c.last = w.c.size, 0
+	w.fs.mu.Unlock()
+	return nil
 }
 
 func (w *faultFSFile) Close() error {

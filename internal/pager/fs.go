@@ -118,7 +118,8 @@ func (a *AtomicFile) Commit() error {
 		err = cerr
 	}
 	if err != nil {
-		// Best effort: a temp left behind is debris the next resume deletes.
+		// Best effort: a temp left behind is debris the next attempt's
+		// create replaces.
 		_ = a.fs.Remove(a.path + tmpSuffix)
 		return err
 	}
@@ -130,7 +131,7 @@ func (a *AtomicFile) Commit() error {
 
 // Abort drops the temp file and leaves the path untouched. It runs on
 // error paths only, so its own failures are dropped: a temp left behind is
-// debris the next resume deletes.
+// debris the next attempt's create replaces.
 func (a *AtomicFile) Abort() {
 	_ = a.f.Close()
 	_ = a.fs.Remove(a.path + tmpSuffix)

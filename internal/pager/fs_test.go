@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/pager"
@@ -243,6 +244,68 @@ func TestFaultFSRenamesPendingUntilSyncDir(t *testing.T) {
 				if string(got) != want {
 					t.Errorf("%s holds %q after the cut (%v), want %q", filepath.Base(path), got, err, want)
 				}
+			}
+		})
+	}
+}
+
+// TestFaultFSWritesPendingUntilSync: a file a FaultFS created keeps, after a
+// cut, what its last Sync made durable plus what the loss keeps of the rest
+// — nothing (LoseAll), a prefix (LoseSubset), or all but the torn second
+// half of its last write (TearLast) — under the name a later rename gave
+// it. A file no write reached after its Sync loses nothing.
+func TestFaultFSWritesPendingUntilSync(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		loss   pager.Loss
+		synced bool
+		want   func(got string) bool
+	}{
+		{"lose-all", pager.LoseAll, false, func(got string) bool { return got == "durable" }},
+		{"lose-subset", pager.LoseSubset, false, func(got string) bool {
+			return strings.HasPrefix("durable+pending+cutting", got) && strings.HasPrefix(got, "durable")
+		}},
+		{"tear-last", pager.TearLast, false, func(got string) bool { return got == "durable+pending+cut" }},
+		{"synced", pager.LoseAll, true, func(got string) bool { return got == "durable+pending" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			clock := pager.NewPowerClock(6)
+			if tc.synced {
+				clock = pager.NewPowerClock(7)
+			}
+			clock.SetLoss(tc.loss, 3)
+			fs := pager.NewFaultFS(pager.OSFS{}, clock)
+			path := filepath.Join(dir, "f.tmp")
+			f, err := fs.Create(path) // write 1
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := []func() error{
+				func() error { _, err := f.Write([]byte("durable")); return err },
+				f.Sync,
+				func() error { _, err := f.Write([]byte("+pending")); return err },
+				func() error { return fs.Rename(path, filepath.Join(dir, "f")) },
+				func() error { _, err := f.Write([]byte("+cutting")); return err }, // write 6
+			}
+			if tc.synced {
+				ops[4] = f.Sync
+				ops = append(ops, func() error { return fs.MkdirAll(filepath.Join(dir, "x")) })
+			}
+			for i, op := range ops {
+				err := op()
+				if cut := i == len(ops)-1; cut != errors.Is(err, pager.ErrPowerCut) {
+					t.Fatalf("op %d returned %v (cut %v)", i+2, err, cut)
+				}
+			}
+			f.Close()
+			got, err := os.ReadFile(filepath.Join(dir, "f"))
+			if err != nil {
+				// LoseAll and LoseSubset may undo the rename too.
+				got, err = os.ReadFile(path)
+			}
+			if err != nil || !tc.want(string(got)) {
+				t.Fatalf("the crash image holds %q (%v)", got, err)
 			}
 		})
 	}

@@ -157,3 +157,18 @@ func TestVersionPersistAllocs(t *testing.T) {
 		t.Fatalf("a committed Delete allocates %d B, want under half the %d-byte map encoding", perDelete, encoded)
 	}
 }
+
+// TestStageCatalogsAllocs: every Flush, bulk load and compaction build
+// restages the catalogs, and the posted set is encoded into a buffer the
+// Index keeps, so staging an unchanged index allocates nothing (the set was
+// encoded into a fresh slice each time before).
+func TestStageCatalogsAllocs(t *testing.T) {
+	ix, err := Build(datagen.DBLP(1, 1).Docs[:64], Options{Extended: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if got := testing.AllocsPerRun(20, ix.stageCatalogs); got != 0 {
+		t.Fatalf("staging an unchanged index's catalogs allocates %.0f objects, want 0", got)
+	}
+}

@@ -219,6 +219,10 @@ type Index struct {
 	// these it does so without allocating. Under repairMu (write).
 	versionsBuf []byte
 	versionIDs  []uint32
+	// postedBuf is the posted set's kept encode buffer, restaged by every
+	// Flush, bulk load and compaction build (stageCatalogs) and by a
+	// symbol's first posting (markPosted).
+	postedBuf []byte
 }
 
 // valuePrefix namespaces value strings away from element tags in the
@@ -318,7 +322,7 @@ func (ix *Index) loadCatalogs() error {
 // the layout stamp. The caller's store Flush persists them.
 func (ix *Index) stageCatalogs() {
 	ix.store.SetCatalog(maxGapCatalogKey, ix.maxGap)
-	ix.store.SetBlob(postedBlobName, ix.posted.encode())
+	ix.stagePosted()
 	extended := int64(0)
 	if ix.opts.Extended {
 		extended = 1
@@ -342,12 +346,19 @@ func (s *symSet) add(sym vtrie.Symbol) {
 	(*s)[sym>>6] |= 1 << (sym & 63)
 }
 
-func (s symSet) encode() []byte {
-	out := make([]byte, 8*len(s))
-	for i, w := range s {
-		binary.LittleEndian.PutUint64(out[8*i:], w)
+// appendEncode appends the set's little-endian words to dst.
+func (s symSet) appendEncode(dst []byte) []byte {
+	for _, w := range s {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return out
+	return dst
+}
+
+// stagePosted encodes the posted set into the index's kept buffer, which
+// SetBlob copies out of (or, unchanged, ignores).
+func (ix *Index) stagePosted() {
+	ix.postedBuf = ix.posted.appendEncode(ix.postedBuf[:0])
+	ix.store.SetBlob(postedBlobName, ix.postedBuf)
 }
 
 func decodeSymSet(b []byte) symSet {
@@ -542,7 +553,7 @@ func (ix *Index) insertPosting(p vtrie.Posting) error {
 func (ix *Index) markPosted(sym vtrie.Symbol) {
 	if !ix.posted.has(sym) {
 		ix.posted.add(sym)
-		ix.store.SetBlob(postedBlobName, ix.posted.encode())
+		ix.stagePosted()
 	}
 }
 

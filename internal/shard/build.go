@@ -75,60 +75,86 @@ func BuildStream(root string, source func() (func() (*xmltree.Document, error), 
 	if err != nil {
 		return nil, err
 	}
-	for s := 0; s < topo.Shards; s++ {
+	pass := func(keep func(uint32) bool, add func(*prix.DocSeq) error) (uint32, error) {
 		next, err := source()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		b, err := prix.NewBuilder(prix.Options{
-			Extended:        cfg.Extended,
-			BufferPoolPages: cfg.BufferPoolPages,
-			Dir:             ReplicaDir(root, s, 0),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", Name(s), err)
-		}
-		var g uint32
-		for {
+		for g := uint32(0); ; g++ {
 			doc, err := next()
 			if errors.Is(err, io.EOF) {
-				break
+				return g, nil
 			}
 			if err != nil {
-				b.Abort()
-				return nil, fmt.Errorf("%s: document %d: %w", Name(s), g, err)
+				return g, fmt.Errorf("document %d: %w", g, err)
 			}
-			if Owner(g, topo.Shards) == s {
-				if err := b.Add(doc); err != nil {
-					b.Abort()
-					return nil, fmt.Errorf("%s: %w", Name(s), err)
-				}
+			if !keep(g) {
+				continue
 			}
-			g++
-		}
-		if s == 0 {
-			topo.Docs = g
-		} else if g != topo.Docs {
-			b.Abort()
-			return nil, fmt.Errorf("shard: source yielded %d documents on pass %d, %d on pass 0", g, s, topo.Docs)
-		}
-		ix, err := b.Finalize()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", Name(s), err)
-		}
-		if err := ix.Close(); err != nil {
-			return nil, fmt.Errorf("%s: %w", Name(s), err)
-		}
-		for r := 1; r < topo.Replicas; r++ {
-			if err := CloneReplica(pager.OSFS{}, ReplicaDir(root, s, 0), ReplicaDir(root, s, r)); err != nil {
-				return nil, fmt.Errorf("%s replica %d: %w", Name(s), r, err)
+			ds, err := prix.Transform(g, doc, cfg.Extended)
+			if err == nil {
+				err = add(ds)
+			}
+			if err != nil {
+				return g, err
 			}
 		}
 	}
-	if err := topo.Save(pager.OSFS{}, root); err != nil {
+	opts := prix.Options{Extended: cfg.Extended, BufferPoolPages: cfg.BufferPoolPages}
+	if err := BuildLayout(pager.OSFS{}, root, topo, opts, prix.BulkOptions{}, pass); err != nil {
 		return nil, err
 	}
 	return topo, nil
+}
+
+// A Pass is one pass over a collection in global docid order: it hands add
+// the Prüfer transform of every document keep accepts and returns how many
+// documents it passed over. BuildLayout makes one pass per shard.
+type Pass func(keep func(docID uint32) bool, add func(*prix.DocSeq) error) (uint32, error)
+
+// BuildLayout writes topo's layout under root through fs: each shard's
+// replica 0 is bulk-loaded with bo from one owner-filtered pass, the other
+// replicas are cloned from it, and topology.json, the layout's commit
+// record, is saved last. opts supplies every index option but Dir. The
+// first pass sets topo.Docs, and every later pass must agree with it.
+func BuildLayout(fs pager.FS, root string, topo *Topology, opts prix.Options, bo prix.BulkOptions, pass Pass) error {
+	for s := 0; s < topo.Shards; s++ {
+		opts.Dir = ReplicaDir(root, s, 0)
+		n, err := BuildIndex(opts, bo, pass, func(g uint32) bool { return Owner(g, topo.Shards) == s })
+		if err == nil && s > 0 && n != topo.Docs {
+			err = fmt.Errorf("pass yielded %d documents, %d on pass 0", n, topo.Docs)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", Name(s), err)
+		}
+		topo.Docs = n
+		for r := 1; r < topo.Replicas; r++ {
+			if err := CloneReplica(fs, ReplicaDir(root, s, 0), ReplicaDir(root, s, r)); err != nil {
+				return fmt.Errorf("%s replica %d: %w", Name(s), r, err)
+			}
+		}
+	}
+	return topo.Save(fs, root)
+}
+
+// BuildIndex bulk-loads one index at opts.Dir with bo from the documents of
+// one pass that keep accepts, and returns how many documents the pass
+// passed over. The index is committed and closed when it returns.
+func BuildIndex(opts prix.Options, bo prix.BulkOptions, pass Pass, keep func(uint32) bool) (uint32, error) {
+	b, err := prix.NewBuilder(opts)
+	if err != nil {
+		return 0, err
+	}
+	n, err := pass(keep, b.AddSeq)
+	if err != nil {
+		b.Abort()
+		return 0, err
+	}
+	ix, err := b.FinalizeBulk(bo)
+	if err != nil {
+		return 0, err
+	}
+	return n, ix.Close()
 }
 
 // newTopology validates cfg and applies its defaults: one replica, and the

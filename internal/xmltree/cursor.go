@@ -40,12 +40,11 @@ type CursorOptions struct {
 // skip-and-report by counting *ParseError results. A *ParseError with
 // Fatal set means the stream cannot continue.
 //
-// Pos reports a durable record boundary (byte offset + ordinal) after
-// every successful record, and ResumeCursor re-opens a stream at such a
-// boundary — the checkpoint/resume contract of crash-resumable ingest.
+// Pos reports the record boundary (byte offset + ordinal) the next record
+// starts from.
 type Cursor struct {
 	src    io.Reader
-	seeker io.ReadSeeker // nil when the input cannot seek (no resync, no resume)
+	seeker io.ReadSeeker // nil when the input cannot seek (no resync)
 	opts   CursorOptions
 
 	dec     *xml.Decoder
@@ -63,40 +62,12 @@ type Cursor struct {
 
 // NewCursor starts a cursor at the beginning of r. If r is an
 // io.ReadSeeker the cursor can re-synchronize past decoder-breaking
-// records and supports checkpoint/resume.
+// records.
 func NewCursor(r io.Reader, opts CursorOptions) *Cursor {
 	c := &Cursor{src: r, opts: opts}
 	c.seeker, _ = r.(io.ReadSeeker)
 	c.dec = xml.NewDecoder(r)
 	return c
-}
-
-// ResumeCursor re-opens a stream at a record boundary previously reported
-// by Pos. wrapper must be the Wrapper() of the original cursor (empty for
-// non-split streams); offset 0 with ordinal 0 is equivalent to NewCursor.
-func ResumeCursor(r io.Reader, opts CursorOptions, offset int64, ordinal int, wrapper string) (*Cursor, error) {
-	c := NewCursor(r, opts)
-	if offset == 0 && ordinal == 0 {
-		return c, nil
-	}
-	if c.seeker == nil {
-		return nil, fmt.Errorf("xmltree: resume at offset %d requires a seekable input", offset)
-	}
-	if _, err := c.seeker.Seek(offset, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("xmltree: resume seek: %w", err)
-	}
-	c.dec = xml.NewDecoder(c.src)
-	c.base = offset
-	c.ordinal = ordinal
-	if opts.Split {
-		if wrapper == "" {
-			return nil, fmt.Errorf("xmltree: resume of a split stream needs the wrapper tag")
-		}
-		c.wrapper = wrapper
-		c.inWrap = true
-		c.wrapLost = true
-	}
-	return c, nil
 }
 
 // Pos returns the absolute byte offset of the next record boundary and the
@@ -105,10 +76,6 @@ func ResumeCursor(r io.Reader, opts CursorOptions, offset int64, ordinal int, wr
 func (c *Cursor) Pos() (offset int64, ordinal int) {
 	return c.base + c.dec.InputOffset(), c.ordinal
 }
-
-// Wrapper returns the wrapper element's tag (Split mode; empty until the
-// wrapper start has been read).
-func (c *Cursor) Wrapper() string { return c.wrapper }
 
 // Next returns the next record. It returns io.EOF at the end of the
 // stream, a *ParseError for a malformed record (skippable unless Fatal),
@@ -398,7 +365,7 @@ func bytesIndexByteFrom(b []byte, from int, c byte) int {
 
 // strayEndName extracts the element name from an "unexpected end element"
 // decoder error — how a wrapper's close tag surfaces to a decoder that was
-// restarted inside the wrapper after a resync or resume.
+// restarted inside the wrapper after a resync.
 func strayEndName(err error) (string, bool) {
 	var se *xml.SyntaxError
 	if !errors.As(err, &se) {

@@ -48,8 +48,8 @@ func TestCursorSplitStream(t *testing.T) {
 	if len(docs) != 3 {
 		t.Fatalf("got %d records, want 3", len(docs))
 	}
-	if c.Wrapper() != "collection" {
-		t.Fatalf("wrapper = %q", c.Wrapper())
+	if c.wrapper != "collection" {
+		t.Fatalf("wrapper = %q", c.wrapper)
 	}
 	if docs[0].ID != 0 || docs[2].ID != 2 {
 		t.Fatalf("ids = %d, %d", docs[0].ID, docs[2].ID)
@@ -149,7 +149,9 @@ func TestCursorResyncTagRecoversLostStartTag(t *testing.T) {
 	}
 }
 
-func TestCursorPosAndResume(t *testing.T) {
+// TestCursorPos: after a record, Pos names the byte the next record starts
+// at and the ordinal it will receive — what a transform rejection reports.
+func TestCursorPos(t *testing.T) {
 	input := `<w><rec><a>1</a></rec><rec><b>2</b></rec><rec><c>3</c></rec></w>`
 	c := NewCursor(strings.NewReader(input), CursorOptions{Split: true})
 	d0, err := c.Next()
@@ -157,41 +159,12 @@ func TestCursorPosAndResume(t *testing.T) {
 		t.Fatalf("first record: %v %v", d0, err)
 	}
 	off, ord := c.Pos()
-	if ord != 1 {
-		t.Fatalf("ordinal = %d", ord)
+	if want := int64(strings.Index(input, "<rec><b>")); off != want || ord != 1 {
+		t.Fatalf("Pos = %d, %d; want %d, 1", off, ord, want)
 	}
-	wrapper := c.Wrapper()
-
-	rc, err := ResumeCursor(strings.NewReader(input), CursorOptions{Split: true}, off, ord, wrapper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs, skips := collect(t, rc)
-	if len(skips) != 0 || len(docs) != 2 {
-		t.Fatalf("resumed docs=%d skips=%d", len(docs), len(skips))
-	}
-	if docs[0].ID != 1 || docs[1].ID != 2 {
-		t.Fatalf("resumed ids = %d, %d", docs[0].ID, docs[1].ID)
-	}
-	if docs[0].Root.Children[0].Label != "b" || docs[1].Root.Children[0].Label != "c" {
-		t.Fatalf("resumed records wrong: %v %v", docs[0].Root, docs[1].Root)
-	}
-}
-
-func TestCursorResumeUnsplit(t *testing.T) {
-	input := `<a>1</a><b>2</b>`
-	c := NewCursor(strings.NewReader(input), CursorOptions{})
-	if _, err := c.Next(); err != nil {
-		t.Fatal(err)
-	}
-	off, ord := c.Pos()
-	rc, err := ResumeCursor(strings.NewReader(input), CursorOptions{}, off, ord, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs, _ := collect(t, rc)
-	if len(docs) != 1 || docs[0].Root.Label != "b" || docs[0].ID != 1 {
-		t.Fatalf("resumed unsplit: %v", docs)
+	docs, skips := collect(t, c)
+	if len(skips) != 0 || len(docs) != 2 || docs[0].ID != 1 || docs[1].ID != 2 {
+		t.Fatalf("rest: docs=%d skips=%d", len(docs), len(skips))
 	}
 }
 
