@@ -26,7 +26,11 @@ test:
 #     oracle differential through the handler (plain, EP and sharded); the
 #     multi-shard loop (query, quarantine one shard by a corrupt page,
 #     partial Degraded answer naming it, online /repair, full answer); the
-#     POST /compact surface; the hot tier's /stats and /metrics.
+#     POST /compact surface; the hot tier's /stats and /metrics; pooled
+#     traces under 8 goroutines of traced, slow-logged requests at
+#     Parallelism 4, on one index and on a 2x2 coordinator that hedges
+#     (TestPooledTracesConcurrent: every reply's tree and slow-log entry is
+#     its own query's).
 #   - prix: the parallel and hot-vs-paged differentials, the dynamic write
 #     path racing queries against hot-tier invalidations, the metamorphic
 #     mutation suite and AS OF replay against the brute-force oracle, the
@@ -41,9 +45,11 @@ test:
 #   - shard: cross-shard-count differential, replica failover, the sharded
 #     version crash sweep.
 #   - ingest: a corpus 20x the memory budget under a pinned peak heap,
-#     power-cut sweeps over every write point with byte-identical resume,
-#     and the malformed-record skip budget; plus xmltree's record cursor
-#     checkpoint/resume contract.
+#     power-cut sweeps over every write point (each crash image opens
+#     complete and byte-identical or refuses to open, and running the build
+#     again recovers it), and the malformed-record skip budget; plus
+#     xmltree's record cursor (split streams, resync after syntax and token
+#     size errors).
 #   - compact: concurrent queries and inserts across the zero-downtime epoch
 #     swap, per-ordinal power-cut sweeps (plain and sharded), the
 #     scrub-during-swap gate and tombstone GC under the retention window.
@@ -91,8 +97,11 @@ sched:
 # goroutine and at Parallelism 4, a trace, the nil span API, a canonical query string,
 # a parsed query (TestParseAllocs: two objects up to 16 nodes), one POST /query
 # through the handler on a resident index (TestHandleQueryAllocs: the pooled
-# deadline and body, the one-slab parse and the pattern compiled into the
-# query scratch leave 20 objects, 51 before), one document drained by a
+# deadline, body buffer and trace, the one-slab parse, the pattern compiled
+# into the query scratch and the reply appended from the engine's matches
+# into the body's buffer leave 15 objects, 51 before) and the bytes it
+# allocates (TestHandleQueryBytesPerRequest: Q5 1,928 B, Q6 21,144 B; 4,104 B
+# and 29,640 B with a []MatchJSON reply and a fresh trace), one document drained by a
 # compaction (TestCompactDrainAllocs: 0, the DocSeq reused), one record a
 # warmed run reader replays (TestRunReaderAllocs in ingest: 0), a compaction's
 # bulk load per document (TestBulkLoadDynamicAllocs: ≤ 1), the version map
@@ -140,7 +149,11 @@ benchmark-module:
 # encodings and the record encoding's shape ids and LPS lengths through Open,
 # Get and ViewOf (FuzzDecodeShape); the arena dictionary's intern/lookup/name sequences
 # against a map + slice model; and the compaction drain's record → DocSeq
-# derivation against the reconstruct-and-transform detour it replaced.
+# derivation against the reconstruct-and-transform detour it replaced; and
+# the POST /query reply appender against encoding/json's Encoder over
+# fuzzed responses (FuzzQueryReply: HTML metacharacters, U+2028, control
+# bytes and invalid UTF-8 in the query and shard names, nil and empty
+# images, degraded shards, quarantined ids, trace trees).
 fuzz:
 	$(GO) test ./internal/twig -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 30s
 	$(GO) test ./internal/docstore -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime 30s
@@ -157,6 +170,7 @@ fuzz:
 	$(GO) test ./internal/btree -run FuzzLeafOps -fuzz FuzzLeafOps -fuzztime 30s
 	$(GO) test ./internal/btree -run FuzzPackedLeaf -fuzz FuzzPackedLeaf -fuzztime 30s
 	$(GO) test ./internal/prix -run FuzzRecordDocSeq -fuzz FuzzRecordDocSeq -fuzztime 30s
+	$(GO) test ./internal/server -run FuzzQueryReply -fuzz FuzzQueryReply -fuzztime 30s
 
 # The oracle-backed differential suite: every engine (PRIX serial/parallel,
 # MatchExhaustive, TwigStack, TwigStackXB, ViST) against the brute-force

@@ -112,12 +112,33 @@ const (
 	inlineAttrs = 7
 )
 
-// NewTrace starts a trace rooted at a span with the given name.
+// tracePool holds released traces. A server traces every request it
+// executes, and a Trace with its inline spans is ≈ 1.7 KB.
+var tracePool = sync.Pool{New: func() any { return new(Trace) }}
+
+// NewTrace starts a trace rooted at a span with the given name. The trace
+// comes from a pool that Release refills; one never released is collected
+// like any other value.
 func NewTrace(name string) *Trace {
-	t := &Trace{start: time.Now()}
+	t := tracePool.Get().(*Trace)
+	t.start = time.Now()
 	t.root = t.newSpanLocked()
 	*t.root = Span{t: t, name: name, endNS: -1}
 	return t
+}
+
+// Release resets the trace and returns it to NewTrace's pool. Call it once
+// nothing touches the trace again: the traced operation has returned, no
+// goroutine it started still holds a span, and whatever StageTotals, Tree
+// or Render was wanted has been taken (a SpanJSON shares nothing with the
+// trace). Spans and attributes past the inline slots are dropped with it.
+// Release a trace once: a second Release would pool it twice. Nil-safe.
+func (t *Trace) Release() {
+	if t == nil {
+		return
+	}
+	*t = Trace{}
+	tracePool.Put(t)
 }
 
 // newSpanLocked hands out the next inline span, or a heap one after those.

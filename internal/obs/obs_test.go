@@ -216,6 +216,46 @@ func TestTraceTreeAllocs(t *testing.T) {
 	}
 }
 
+// TestTraceRelease: a released trace comes back from NewTrace as new — its
+// name, no spans or attributes of the last use, inline or spilled, and zero
+// stage totals — and a trace released every time costs no allocation. The
+// tree taken before Release keeps its content. Under the race detector
+// sync.Pool drops a quarter of its Puts, so the bound allows half an object.
+func TestTraceRelease(t *testing.T) {
+	noQuery := func(*Span) {}
+	tr := buildQueryTrace(func(sp *Span) { sp.SetStr("query", "//a") }, 5)
+	tr.Root().AddStage(StageDescent, time.Millisecond, 1)
+	tree := tr.Tree()
+	want, err := json.Marshal(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Release()
+	var nilTrace *Trace
+	nilTrace.Release()
+	for i := 0; i < 3; i++ {
+		fresh := NewTrace("next")
+		if fresh.Root().Name() != "next" || len(fresh.Root().Children()) != 0 {
+			t.Fatalf("reused trace: root %q with %d children", fresh.Root().Name(), len(fresh.Root().Children()))
+		}
+		fresh.Finish()
+		if durs, counts := fresh.StageTotals(); durs != ([NumStages]time.Duration{}) || counts != ([NumStages]int64{}) {
+			t.Fatalf("reused trace carries stage totals %v %v", durs, counts)
+		}
+		j := buildQueryTrace(noQuery, 0).Tree()
+		if _, ok := j.Children[0].Attrs["query"]; ok || len(j.Children[0].Children[1].Children) != 0 {
+			t.Fatalf("reused trace carries the last use's spans: %+v", j.Children[0])
+		}
+		fresh.Release()
+	}
+	if got, err := json.Marshal(tree); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the tree changed after Release:\n%s\n%s", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { buildQueryTrace(noQuery, 0).Release() }); n > 0.5 {
+		t.Errorf("a released serial trace costs %.2f objects, want 0", n)
+	}
+}
+
 // zeroTimes strips the clock from a tree so two builds compare equal.
 func zeroTimes(j *SpanJSON) *SpanJSON {
 	j.StartNS, j.DurNS = 0, 0

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -14,54 +16,103 @@ import (
 
 // handleQueryAllocsBound is what one POST /query costs the handler and the
 // engine below it in heap objects on a resident index with the result cache
-// off: 51 while the deadline was a context.WithTimeout, the body an
-// io.ReadAll, the parse a node per step, the compiled pattern nine fresh
-// slabs and an ordered query a one-arrangement fan-out, 20 since. What is
-// left is encoding/json on both ends, the response header, the trace and the
-// query's stats, the cache key, the flight call and its entry, the parsed
-// query and the result — plus one for headroom.
-const handleQueryAllocsBound = 21
+// off: 15 (51 before the deadline, body, parse and pattern were pooled; 19
+// before the reply was appended from the engine's matches and the trace
+// pooled). What is left is json.Unmarshal of the body, the response header,
+// the query's stats, the cache key, the flight call, the parsed query and
+// the result — plus one for headroom.
+const handleQueryAllocsBound = 16
 
-// TestHandleQueryAllocs drives ServeHTTP directly — no socket, no client —
-// over a resident SWISSPROT EPIndex, serial, tracing on (the default), with
-// the JSON body the benchmark's client sends, and bounds the objects one
-// request allocates. Under the race detector sync.Pool sheds a quarter of its
-// Puts, so the bound is not checked there.
-func TestHandleQueryAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds pooled values under the race detector")
-	}
+// resident serves SWISSPROT's planted queries from a resident EPIndex, serial,
+// cache off, tracing on (the default). serve POSTs the JSON body the
+// benchmark's client sends for query i into a recorder it reuses and returns
+// the reply after checking it.
+func resident(t *testing.T) (serve func(i int) []byte, qs []datagen.QuerySpec) {
+	t.Helper()
 	ds := datagen.SwissProt(1, 1)
 	ix, err := prix.Build(ds.Docs, prix.Options{Extended: true, BufferPoolPages: 64, HotBudget: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	t.Cleanup(func() { ix.Close() })
 	h := New(ix, Config{CacheCapacity: -1, Parallelism: 1}).Handler()
-	qs := ds.Queries[1] // five candidates, all refined against resident summaries
-	raw, err := json.Marshal(QueryRequest{Query: qs.XPath})
-	if err != nil {
-		t.Fatal(err)
+	var raws []string
+	for _, q := range ds.Queries {
+		raw, err := json.Marshal(QueryRequest{Query: q.XPath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws = append(raws, string(raw))
 	}
-	body := strings.NewReader(string(raw))
+	body := strings.NewReader("")
 	req := httptest.NewRequest(http.MethodPost, "/query", io.NopCloser(body))
 	rec := httptest.NewRecorder()
-	serve := func() {
-		body.Reset(string(raw))
+	serve = func(i int) []byte {
+		body.Reset(raws[i])
 		rec.Body.Reset()
 		h.ServeHTTP(rec, req)
+		return rec.Body.Bytes()
 	}
-	serve()
-	var resp QueryResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK || resp.Count != qs.Want {
-		t.Fatalf("%s: status %d, count %d (want %d), %v: %s", qs.ID, rec.Code, resp.Count, qs.Want, err, rec.Body)
+	for i, q := range ds.Queries {
+		var resp QueryResponse
+		if err := json.Unmarshal(serve(i), &resp); err != nil || rec.Code != http.StatusOK || resp.Count != q.Want {
+			t.Fatalf("%s: status %d, count %d (want %d), %v: %s", q.ID, rec.Code, resp.Count, q.Want, err, rec.Body)
+		}
+		if resp.Stats.PagesRead != 0 {
+			t.Fatalf("%s read %d pages: the index is not resident", q.ID, resp.Stats.PagesRead)
+		}
 	}
-	if resp.Stats.PagesRead != 0 {
-		t.Fatalf("%s read %d pages: the index is not resident", qs.ID, resp.Stats.PagesRead)
+	return serve, ds.Queries
+}
+
+// TestHandleQueryAllocs drives ServeHTTP directly — no socket, no client —
+// over a resident SWISSPROT EPIndex and bounds the objects one request for
+// Q5 allocates. Under the race detector sync.Pool sheds a quarter of its
+// Puts, so the bound is not checked there.
+func TestHandleQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds pooled values under the race detector")
 	}
-	got := testing.AllocsPerRun(200, serve)
+	serve, _ := resident(t)
+	got := testing.AllocsPerRun(200, func() { serve(1) }) // Q5: five candidates, all refined against resident summaries
 	t.Logf("POST /query allocates %.1f objects", got)
 	if got > handleQueryAllocsBound {
 		t.Errorf("POST /query allocates %.1f objects per request, want <= %d", got, handleQueryAllocsBound)
+	}
+}
+
+// TestHandleQueryBytesPerRequest bounds the heap bytes one POST /query
+// allocates through the handler (the TotalAlloc delta over 200 serial
+// requests, collector off), for a small reply (Q5: 5 matches) and a large
+// one (Q6: 158 matches): bytes, not objects, are what a reply's size moves.
+// The bounds are the measured 1,928 B and 21,144 B plus 10 % (4,104 B and
+// 29,640 B while the reply went through a []MatchJSON copy and
+// encoding/json and every request had a fresh trace).
+func TestHandleQueryBytesPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds pooled values under the race detector")
+	}
+	serve, qs := resident(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		i     int
+		bound uint64
+	}{
+		{1, 2121},  // Q5: a reply of ≈ 485 bytes
+		{2, 23258}, // Q6: ≈ 8,342 bytes (elapsed_us's digits vary)
+	} {
+		const n = 200
+		reply := len(serve(c.i))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for j := 0; j < n; j++ {
+			serve(c.i)
+		}
+		runtime.ReadMemStats(&m1)
+		per := (m1.TotalAlloc - m0.TotalAlloc) / n
+		t.Logf("%s: %d B per request (%d-byte reply)", qs[c.i].ID, per, reply)
+		if per > c.bound {
+			t.Errorf("%s: POST /query allocates %d B per request, want <= %d", qs[c.i].ID, per, c.bound)
+		}
 	}
 }

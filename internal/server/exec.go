@@ -71,7 +71,8 @@ type Result struct {
 	// cache and other requests: treat it as immutable.
 	Matches []prix.Match
 	// Stats is the engine-level accounting of the execution that produced
-	// the matches (zero PagesRead and Elapsed on cache hits).
+	// the matches: a cache hit carries the stats of the miss that filled
+	// the entry, PagesRead and Elapsed included, with Cached set.
 	Stats prix.QueryStats
 	// Cached reports the result came from the cache.
 	Cached bool
@@ -132,7 +133,7 @@ func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) 
 		return res, nil
 	}
 	e.metrics.CacheMisses.Inc()
-	ent, err, shared := e.flight.Do(key, func() (*cached, error) {
+	ent, err, shared := e.flight.Do(key, func() (cached, error) {
 		return e.run(ctx, q, qo, key)
 	})
 	if shared {
@@ -154,10 +155,11 @@ func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) 
 // retry of a transiently failed match (an I/O hiccup, not corruption).
 const transientRetryBackoff = 25 * time.Millisecond
 
-// run performs the actual index match and fills the cache on success.
+// run performs the actual index match and fills the cache on success; the
+// entry is allocated only when there is a cache to put it in.
 // Transient read faults get exactly one retry after a short backoff —
 // bounded so an unhealthy disk degrades to fast errors, not a retry storm.
-func (e *Executor) run(ctx context.Context, q *twig.Query, qo QueryOptions, key string) (*cached, error) {
+func (e *Executor) run(ctx context.Context, q *twig.Query, qo QueryOptions, key string) (cached, error) {
 	mo := prix.MatchOptions{
 		WarmCache:     true, // shared pools: queries keep each other's pages hot
 		Unordered:     qo.Unordered,
@@ -173,22 +175,21 @@ func (e *Executor) run(ctx context.Context, q *twig.Query, qo QueryOptions, key 
 		select {
 		case <-time.After(transientRetryBackoff):
 		case <-ctx.Done():
-			return nil, fmt.Errorf("server: retry canceled: %w", ctx.Err())
+			return cached{}, fmt.Errorf("server: retry canceled: %w", ctx.Err())
 		}
 		ms, stats, err = e.src.Match(q, mo)
 	}
 	if err != nil {
-		return nil, err
+		return cached{}, err
 	}
 	e.metrics.PagesRead.Add(stats.PagesRead)
-	ent := &cached{matches: ms, stats: *stats}
 	// Degraded answers (quarantined documents skipped) are deliberately not
 	// cached: once the corruption is repaired, the next identical query
 	// returns the full answer instead of a stale partial one.
-	if !stats.Degraded {
-		e.cache.Put(key, ent)
+	if e.cache != nil && !stats.Degraded {
+		e.cache.Put(key, &cached{matches: ms, stats: *stats})
 	}
-	return ent, nil
+	return cached{matches: ms, stats: *stats}, nil
 }
 
 // isContextErr reports whether err stems from context cancellation or

@@ -44,7 +44,9 @@ type Metrics struct {
 	PagesRead Counter
 	// InFlight is the number of requests currently being served.
 	InFlight Gauge
-	// Latency is the query wall-clock latency histogram.
+	// Latency is the wall-clock time of each served POST /query, from its
+	// admission to its reply written: body read, parse, execution and the
+	// reply's encode and write. Rejected and failed requests are not in it.
 	Latency Histogram
 	// Stages holds one latency histogram per execution stage (descent,
 	// fetch, connect, ... — the obs stage taxonomy), fed from per-query
@@ -186,7 +188,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("prix_degraded_responses_total", "Queries answered with quarantined documents skipped.", m.DegradedServed.Load())
 	fmt.Fprintf(w, "# HELP prix_in_flight Requests currently being served.\n# TYPE prix_in_flight gauge\nprix_in_flight %d\n", m.InFlight.Load())
 
-	fmt.Fprintf(w, "# HELP prix_query_latency_seconds Query wall-clock latency.\n# TYPE prix_query_latency_seconds histogram\n")
+	fmt.Fprintf(w, "# HELP prix_query_latency_seconds Wall-clock time of a served query, admission to reply written.\n# TYPE prix_query_latency_seconds histogram\n")
 	var cum uint64
 	for i := 0; i < histBuckets; i++ {
 		cum += m.Latency.counts[i].Load()

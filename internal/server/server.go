@@ -311,15 +311,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// bodyPool holds request-body buffers; bodyKeep bounds what one keeps, so a
-// single large body does not pin its buffer in the pool.
-var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+// bufPool holds the per-request buffers of POST /query: one holds the
+// request body and then the reply. bufKeep bounds what one keeps, so a
+// single large body or reply does not pin its buffer in the pool.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-const bodyKeep = 64 << 10
+const bufKeep = 64 << 10
 
-func putBody(b *[]byte) {
-	if cap(*b) <= bodyKeep {
-		bodyPool.Put(b)
+func putBuf(b *[]byte) {
+	if cap(*b) <= bufKeep {
+		bufPool.Put(b)
 	}
 }
 
@@ -403,19 +404,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	start := time.Now()
-	// The body is read into a pooled buffer and goes back to the pool as soon
-	// as it is decoded: parseRequest copies everything it keeps.
-	buf := bodyPool.Get().(*[]byte)
+	// The body is read into a pooled buffer that the reply is then encoded
+	// into: parseRequest copies everything it keeps, so nothing aliases the
+	// body once it is decoded.
+	buf := bufPool.Get().(*[]byte)
+	defer putBuf(buf)
 	body, err := readBody(r.Body, s.cfg.MaxBodyBytes+1, *buf)
 	*buf = body
 	if err != nil {
-		putBody(buf)
 		s.metrics.BadRequests.Inc()
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "read body: " + err.Error()})
 		return
 	}
 	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		putBody(buf)
 		s.metrics.BadRequests.Inc()
 		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
 			Error: fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes),
@@ -423,7 +424,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req, err := parseRequest(body)
-	putBody(buf)
 	if err != nil {
 		s.metrics.BadRequests.Inc()
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
@@ -469,6 +469,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		AsOf:          req.AsOf,
 	})
 	if err != nil {
+		tr.Release()
 		switch {
 		case isContextErr(err):
 			s.metrics.Deadline.Inc()
@@ -497,7 +498,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	s.metrics.Served.Inc()
 	elapsed := time.Since(start)
-	s.metrics.Latency.Observe(elapsed)
 
 	// A cache hit or a singleflight follower executed nothing, so its trace
 	// is empty: only results this request computed feed the stage
@@ -530,6 +530,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
+	// Everything wanted from the trace is taken, and no goroutine of the
+	// execution outlives Match: the next request may have it.
+	tr.Release()
 
 	resp := QueryResponse{
 		Query:    res.Query,
@@ -559,23 +562,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("X-Prix-Degraded", "true")
 		}
 	}
+	var ms []prix.Match
 	if !req.CountOnly {
 		limit := req.Limit
 		if limit <= 0 {
 			limit = s.cfg.MaxMatches
 		}
-		n := len(res.Matches)
-		if limit > 0 && n > limit {
-			n = limit
+		ms = res.Matches
+		if limit > 0 && len(ms) > limit {
+			ms = ms[:limit]
 			resp.Truncated = true
 		}
-		resp.Matches = make([]MatchJSON, n)
-		for i := 0; i < n; i++ {
-			m := &res.Matches[i]
-			resp.Matches[i] = MatchJSON{Doc: m.DocID, Images: m.Images, Root: m.Root}
-		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	out, err := appendReply((*buf)[:0], &resp, ms)
+	*buf = out
+	if err != nil {
+		s.metrics.Errors.Inc()
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "encode reply: " + err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(out)
+	// Observed after the write, so a large reply's encode is in the histogram.
+	s.metrics.Latency.Observe(time.Since(start))
 }
 
 // shardNames renders shard ordinals as their canonical names.

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/prix"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
@@ -541,6 +542,46 @@ func TestCacheInvalidatedOnInsert(t *testing.T) {
 	}
 	if len(res.Matches) != len(initial)+1 {
 		t.Errorf("post-insert matches = %d, want %d", len(res.Matches), len(initial)+1)
+	}
+}
+
+// A cache hit's stats are the stats of the execution that produced the
+// answer — the miss that filled the entry, its elapsed_us and pages_read
+// included — and "cached" says they are not this request's own.
+func TestCacheHitCarriesMissStats(t *testing.T) {
+	ds := datagen.SwissProt(1, 1)
+	dir := t.TempDir()
+	built, err := prix.Build(ds.Docs, prix.Options{Dir: dir, Extended: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := prix.Open(dir, prix.Options{Extended: true, BufferPoolPages: 64}) // cold: the miss reads pages
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	h := New(ix, Config{}).Handler()
+	serve := func() QueryResponse {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(ds.Queries[2].XPath)))
+		var qr QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("%d %v: %s", rec.Code, err, rec.Body)
+		}
+		return qr
+	}
+	miss, hit := serve(), serve()
+	if miss.Cached || !hit.Cached {
+		t.Fatalf("cached = %v then %v, want false then true", miss.Cached, hit.Cached)
+	}
+	if miss.Stats.PagesRead == 0 || miss.Stats.ElapsedUS == 0 {
+		t.Fatalf("the miss read %d pages in %d µs: nothing for the hit to carry", miss.Stats.PagesRead, miss.Stats.ElapsedUS)
+	}
+	if hit.Stats != miss.Stats {
+		t.Errorf("hit stats %+v, miss stats %+v", hit.Stats, miss.Stats)
 	}
 }
 

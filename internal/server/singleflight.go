@@ -13,13 +13,14 @@ type flightGroup struct {
 
 type flightCall struct {
 	wg  sync.WaitGroup
-	val *cached
+	val cached
 	err error
 }
 
 // Do executes fn under key, collapsing duplicates. shared reports whether
-// this caller piggybacked on another caller's execution.
-func (g *flightGroup) Do(key string, fn func() (*cached, error)) (val *cached, err error, shared bool) {
+// this caller piggybacked on another caller's execution. The result lives
+// in the call, the one object a leader allocates, and is returned by value.
+func (g *flightGroup) Do(key string, fn func() (cached, error)) (val cached, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flightCall)

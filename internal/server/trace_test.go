@@ -2,14 +2,19 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/prix"
+	"repro/internal/shard"
+	"repro/internal/twig"
 )
 
 // TestStageHistogramsInMetrics: after serving queries, /metrics must expose
@@ -231,4 +236,128 @@ func TestPprofRoutes(t *testing.T) {
 			t.Errorf("pprof index = %d, want 200", resp.StatusCode)
 		}
 	}
+}
+
+// spanAttrs collects every value of a span tree's attribute key.
+func spanAttrs(j *obs.SpanJSON, key string, out []any) []any {
+	if j == nil {
+		return out
+	}
+	if v, ok := j.Attrs[key]; ok {
+		out = append(out, v)
+	}
+	for _, c := range j.Children {
+		out = spanAttrs(c, key, out)
+	}
+	return out
+}
+
+// TestPooledTracesConcurrent runs traced requests from 8 goroutines —
+// ?trace=1, every query slow-logged, Parallelism 4 — against one index and
+// against a 2×2 sharded coordinator whose hedge delay launches backup
+// reads, and checks that every reply's trace tree and every slow-log entry
+// describes that request's own query. Traces are pooled, so a trace
+// released while an engine goroutine still wrote to it, or handed to the
+// next request before its tree was taken, shows up here as another query's
+// spans (and under make race as a race).
+func TestPooledTracesConcurrent(t *testing.T) {
+	docs := oracleCorpus()
+	ix, err := prix.Build(docs, prix.Options{Extended: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	co, err := shard.BuildMemory(docs, shard.BuildConfig{Shards: 2, Replicas: 2, Extended: true, Epoch: 1},
+		shard.Config{HedgeDelay: 20 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	queries := []string{`//a/b`, `/a/b/c`, `//a[./b/c]/d`, `//a[./b][./d]`, `//b[./c]`, `//a//d/e`, `//a`}
+	want := map[string]int{} // canonical form → count
+	for _, s := range queries {
+		q := twig.MustParse(s)
+		ms, _, err := ix.Match(q, prix.MatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q.String()] = len(ms)
+	}
+	for _, b := range []struct {
+		name string
+		src  Source
+	}{{"single", ix}, {"2x2 sharded", co}} {
+		srv := New(b.src, Config{CacheCapacity: -1, Parallelism: 4, SlowLogThreshold: -1})
+		h := srv.Handler()
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 24; i++ {
+					s := queries[(g+i)%len(queries)]
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query?trace=1", strings.NewReader(s)))
+					var qr QueryResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil || rec.Code != http.StatusOK {
+						errs <- fmt.Sprintf("%s: %d %v: %s", s, rec.Code, err, rec.Body)
+						return
+					}
+					if n, ok := want[qr.Query]; !ok || qr.Count != n {
+						errs <- fmt.Sprintf("%s: reply for %q with %d matches", s, qr.Query, qr.Count)
+						return
+					}
+					if qr.Shared {
+						continue // a singleflight follower executed nothing and has no tree
+					}
+					if msg := ownTrace(qr.Trace, qr.Query, qr.Count, b.src == Source(ix)); msg != "" {
+						errs <- fmt.Sprintf("%s reply: %s", s, msg)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for msg := range errs {
+			t.Errorf("%s: %s", b.name, msg)
+		}
+		entries, total := srv.slowlog.Snapshot()
+		if len(entries) == 0 || total == 0 {
+			t.Fatalf("%s: the slow log kept nothing", b.name)
+		}
+		for _, e := range entries {
+			if n, ok := want[e.Query]; !ok || e.Count != n {
+				t.Errorf("%s: slow-log entry for %q with %d matches", b.name, e.Query, e.Count)
+			}
+			if msg := ownTrace(e.Trace, e.Query, e.Count, b.src == Source(ix)); msg != "" {
+				t.Errorf("%s: slow-log entry: %s", b.name, msg)
+			}
+		}
+	}
+}
+
+// ownTrace reports how a span tree fails to describe the execution of query
+// with count matches ("" when it does): every match span it holds must name
+// the query, and on a single index the one match span must count count.
+func ownTrace(tree *obs.SpanJSON, query string, count int, single bool) string {
+	if tree == nil || tree.Name != "query" {
+		return fmt.Sprintf("%s: no trace tree", query)
+	}
+	qs := spanAttrs(tree, "query", nil)
+	if len(qs) == 0 {
+		return fmt.Sprintf("%s: trace has no match span", query)
+	}
+	for _, q := range qs {
+		if q != query {
+			return fmt.Sprintf("%s: trace holds a match span of %v", query, q)
+		}
+	}
+	// A reply's tree has been through JSON (float64 numbers), a slow-log
+	// entry's not (int64): compare them printed.
+	if ms := spanAttrs(tree, "matches", nil); single && (len(ms) != 1 || fmt.Sprint(ms[0]) != fmt.Sprint(count)) {
+		return fmt.Sprintf("%s: trace counts matches %v, want [%d]", query, ms, count)
+	}
+	return ""
 }
