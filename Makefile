@@ -214,15 +214,21 @@ cover:
 
 # Chaos stage: fault-injection and self-healing end to end. Power-cut sweeps
 # across every write point of a commit, of a sectioned store flush, of an
-# online repair and of a streaming ingest (plain and sharded, crash image
-# checked before the rerun), bit-flip corruption that must be
-# scrub-detected and auto-repaired under live queries, and snapshot restore
-# for the unrepairable cases.
+# online repair, of a dynamic index's forest rebuild (whose recovered image
+# must reopen with OpenDynamic and take inserts oracle-exact) and of a
+# streaming ingest (plain and sharded, crash image checked before the
+# rerun), bit-flip corruption that must be scrub-detected and auto-repaired
+# under live queries, and snapshot restore for the unrepairable cases. The
+# repair tests of compact, scrub, prixcheck and prixscrub repair a dynamic
+# index on each binary's path (a scrubber over a compaction root, -repair)
+# and hold the inserts after it to the oracle.
 chaos:
 	$(GO) test ./internal/pager -run 'Crash|Torn|Fault|Trim' -count=1
 	$(GO) test ./internal/docstore -run 'Crash|Unreadable' -count=1
 	$(GO) test ./internal/prix -run 'Crash|BitFlip|Repair|Snapshot' -count=1
 	$(GO) test ./internal/ingest -run 'Crash' -count=1
+	$(GO) test ./internal/compact ./internal/scrub -run Repair -count=1
+	$(GO) test ./cmd/prixcheck ./cmd/prixscrub -run Repair -count=1
 	$(GO) test -race ./internal/scrub -count=1
 
 bench:

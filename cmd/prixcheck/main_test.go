@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/pager"
 	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
+	"repro/internal/twig"
 	"repro/internal/xmltree"
 )
 
@@ -378,4 +380,67 @@ func TestActiveJournalRolledBackInMemory(t *testing.T) {
 		return
 	}
 	t.Fatalf("no cut of the delete's %d write points left the journal active", counting.Writes())
+}
+
+// prixcheck -repair on a dynamic directory whose forest page fails its
+// checksum rebuilds the forest with dynamic labels and records the
+// labeler's replay parameters: OpenDynamic then takes inserts that stay
+// oracle-exact.
+func TestRepairDynamicDirThenInserts(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(7))
+	var docs []*xmltree.Document
+	for d := 0; d < 120; d++ {
+		docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+			Nodes: 3 + rng.Intn(16), Alphabet: []string{"a", "b", "c", "d", "e"},
+			MaxFanout: 4, ValueProb: 0.2, Values: []string{"v1", "v2"},
+		}))
+	}
+	di, err := prix.NewDynamicIndex(docs[:60], prix.Options{Dir: dir}, prix.DynamicOptions{Alpha: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := pager.OpenOSFile(filepath.Join(dir, prix.ForestFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pager.FlipBit(f, pager.PageID(f.NumPages()-1), (pager.PageHeaderSize+11)*8+2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if status, out := runCaptured(t, dir); status != exitCorrupt {
+		t.Fatalf("run = %d, want %d:\n%s", status, exitCorrupt, out)
+	}
+	if err := runRepair(dir); err != nil {
+		t.Fatal(err)
+	}
+	if status, out := runCaptured(t, dir); status != exitClean {
+		t.Fatalf("run after repair = %d, want %d:\n%s", status, exitClean, out)
+	}
+
+	di, err = prix.OpenDynamic(dir, prix.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	for _, d := range docs[60:] {
+		if err := di.Insert(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range []string{`//a/b`, `//b[./c]`, `//a[./b]/c`, `//b/c`, `//a/d`, `//e`, `//a[./b][./d]`, `//c[./d]`} {
+		q := twig.MustParse(src)
+		ms, _, err := di.Match(q, prix.MatchOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if want := twig.CountBruteForce(q, docs); len(ms) != want {
+			t.Errorf("%s: %d matches, oracle %d", src, len(ms), want)
+		}
+	}
 }

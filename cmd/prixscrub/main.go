@@ -104,8 +104,7 @@ func main() {
 		return
 	}
 
-	sc := core.NewScrubber(ix, core.ScrubConfig{Throttle: -1, AutoRepair: *repair})
-	rep, err := sc.RunPass(context.Background())
+	rep, err := scrubPass(ix, *repair)
 	if err != nil {
 		ix.Close()
 		log.Fatal(err)
@@ -138,6 +137,13 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("prixscrub: clean")
+}
+
+// scrubPass runs prixscrub's one scrub pass over ix, repairing what it finds
+// when repair is set.
+func scrubPass(ix *core.Index, repair bool) (*core.ScrubReport, error) {
+	sc := core.NewScrubber(ix, core.ScrubConfig{Throttle: -1, AutoRepair: repair})
+	return sc.RunPass(context.Background())
 }
 
 // compactDir compacts the index at dir offline into a new epoch — every

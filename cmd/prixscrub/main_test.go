@@ -2,10 +2,16 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pager"
+	"repro/internal/prix"
+	"repro/internal/twig"
+	"repro/internal/xmltree"
 )
 
 func scrubDoc(t *testing.T, i int) *core.Document {
@@ -93,5 +99,74 @@ func TestCompactEpochRootWithInserts(t *testing.T) {
 	}
 	if got := answers(t, r); got != want {
 		t.Fatalf("answers changed across the compaction:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// prixscrub -repair on a dynamic directory whose forest page fails its
+// checksum rebuilds the forest with dynamic labels and records the
+// labeler's replay parameters: the directory then reopens insertable, and
+// the inserts stay oracle-exact.
+func TestRepairDynamicDirThenInserts(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(7))
+	var docs []*core.Document
+	for d := 0; d < 120; d++ {
+		docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+			Nodes: 3 + rng.Intn(16), Alphabet: []string{"a", "b", "c", "d", "e"},
+			MaxFanout: 4, ValueProb: 0.2, Values: []string{"v1", "v2"},
+		}))
+	}
+	di, err := core.NewDynamicIndex(docs[:60], core.Options{Dir: dir}, core.DynamicOptions{Alpha: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := pager.OpenOSFile(filepath.Join(dir, prix.ForestFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pager.FlipBit(f, pager.PageID(f.NumPages()-1), (pager.PageHeaderSize+11)*8+2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ix, err := core.OpenIndex(dir, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := scrubPass(ix, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.ForestRebuilt || !rep.Clean {
+		t.Fatalf("the pass did not rebuild the forest clean: %+v", rep)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := core.OpenCompactRoot(dir, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, d := range docs[60:] {
+		if err := r.Insert(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range []string{`//a/b`, `//b[./c]`, `//a[./b]/c`, `//b/c`, `//a/d`, `//e`, `//a[./b][./d]`, `//c[./d]`} {
+		q := twig.MustParse(src)
+		ms, _, err := r.Match(q, core.MatchOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if want := twig.CountBruteForce(q, docs); len(ms) != want {
+			t.Errorf("%s: %d matches, oracle %d", src, len(ms), want)
+		}
 	}
 }

@@ -180,14 +180,6 @@ func (r *Root) Epoch() uint64 {
 // Compacting reports whether a compaction is currently running.
 func (r *Root) Compacting() bool { return r.compacting.Load() }
 
-// RepairForest rebuilds the current epoch's forest from surviving records.
-func (r *Root) RepairForest() ([]uint32, error) {
-	r.mu.RLock()
-	di := r.di
-	r.mu.RUnlock()
-	return di.RepairForest()
-}
-
 // LabelerStats reports the current epoch's resident labeler trie.
 func (r *Root) LabelerStats() (nodes, bytes int) { return r.Index().LabelerStats() }
 
@@ -216,9 +208,6 @@ func (r *Root) Close() error {
 	defer r.insertMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.di.Flush(); err != nil {
-		return err
-	}
 	return r.di.Close()
 }
 

@@ -161,8 +161,8 @@ type ScrubConfig = scrub.Config
 // ScrubReport summarizes one scrub/repair pass.
 type ScrubReport = scrub.Report
 
-// NewScrubber builds a scrubber over an index. For a DynamicIndex pass
-// di.Index() and set ScrubConfig.RepairForest to di.RepairForest.
+// NewScrubber builds a scrubber over an index; for a DynamicIndex pass
+// di.Index().
 func NewScrubber(ix *Index, cfg ScrubConfig) *Scrubber {
 	return scrub.New(ix, cfg)
 }

@@ -24,19 +24,9 @@ type DynamicIndex struct {
 	// mu serializes Insert (write) against queries (read): Insert mutates
 	// B+-trees and the document store in place, so a racing reader could
 	// otherwise observe a half-written posting.
-	mu      sync.RWMutex
-	ix      *Index
-	labeler *vtrie.DynamicLabeler
-	nextID  uint32
-	// alpha and spread remember the labeler tuning so RepairForest can
-	// build a replacement labeler with the same parameters.
-	alpha  int
-	spread uint64
-	// prepared is how many leading documents (docids 0..prepared-1) fed the
-	// labeler's preparatory pass. Flush persists it (with alpha and spread)
-	// so OpenDynamic can replay the exact labeler state from the stored
-	// records alone.
-	prepared int
+	mu     sync.RWMutex
+	ix     *Index
+	nextID uint32
 	// gen counts Insert, Update, Delete and Patch calls (Source.Generation).
 	gen atomic.Uint64
 }
@@ -59,16 +49,8 @@ func NewDynamicIndex(initial []*xmltree.Document, opts Options, dopts DynamicOpt
 	if err != nil {
 		return nil, err
 	}
-	if dopts.Spread == 0 {
-		dopts.Spread = 1 << 20
-	}
-	di := &DynamicIndex{
-		ix:       ix,
-		labeler:  vtrie.NewDynamicLabeler(dopts.Alpha, dopts.Spread),
-		alpha:    dopts.Alpha,
-		spread:   dopts.Spread,
-		prepared: len(initial),
-	}
+	ix.makeDynamic(dopts, len(initial))
+	di := &DynamicIndex{ix: ix}
 	// Preparatory pass over the initial documents' sequences (the id
 	// passed here is irrelevant: no state is stored during Prepare).
 	for _, doc := range initial {
@@ -76,14 +58,14 @@ func NewDynamicIndex(initial []*xmltree.Document, opts Options, dopts DynamicOpt
 		if err != nil {
 			return nil, err
 		}
-		if err := di.labeler.Prepare(syms); err != nil {
+		if err := ix.labeler.Prepare(syms); err != nil {
 			return nil, err
 		}
 	}
-	di.labeler.Finalize()
+	ix.labeler.Finalize()
 	// The prepared prefix trie's postings must be written once; Add only
 	// reports nodes it creates below (or beside) the prefix.
-	if err := di.labeler.EmitPrefix(ix.insertPosting); err != nil {
+	if err := ix.labeler.EmitPrefix(ix.insertPosting); err != nil {
 		return nil, err
 	}
 	for _, doc := range initial {
@@ -91,8 +73,7 @@ func NewDynamicIndex(initial []*xmltree.Document, opts Options, dopts DynamicOpt
 			return nil, err
 		}
 	}
-	// Commit what was built, labeler replay state included, as
-	// bulkLoadDynamic does: a directory closed without a Flush reopens.
+	// Commit what was built, as bulkLoadDynamic does.
 	if err := di.Flush(); err != nil {
 		return nil, err
 	}
@@ -127,7 +108,7 @@ func (di *DynamicIndex) insertLocked(doc *xmltree.Document) error {
 		di.nextID++
 		return nil
 	}
-	created, terminal, err := di.labeler.AddReport(syms, id)
+	created, terminal, err := di.ix.labeler.AddReport(syms, id)
 	if err != nil {
 		return fmt.Errorf("prix: dynamic insert of document %d: %w", id, err)
 	}
@@ -215,79 +196,36 @@ func (di *DynamicIndex) NumDocs() int {
 func (di *DynamicIndex) Generation() uint64 { return di.gen.Load() }
 
 // Underflows reports how many insertions failed with scope underflow.
-func (di *DynamicIndex) Underflows() int { return di.labeler.Underflows() }
+func (di *DynamicIndex) Underflows() int {
+	di.ix.repairMu.RLock()
+	defer di.ix.repairMu.RUnlock()
+	return di.ix.labeler.Underflows()
+}
 
 // LabelerStats reports the resident labeler trie: how many nodes it holds
 // (one per posting it handed out) and the heap they occupy.
 func (di *DynamicIndex) LabelerStats() (nodes, bytes int) {
-	di.mu.RLock()
-	defer di.mu.RUnlock()
-	return di.labeler.Nodes(), di.labeler.Bytes()
+	di.ix.repairMu.RLock()
+	defer di.ix.repairMu.RUnlock()
+	return di.ix.labeler.Nodes(), di.ix.labeler.Bytes()
 }
 
 // Alpha returns the labeler's prepared-prefix depth.
-func (di *DynamicIndex) Alpha() int { return di.alpha }
+func (di *DynamicIndex) Alpha() int { return di.ix.alpha }
 
 // Spread returns the labeler's per-symbol range reservation.
-func (di *DynamicIndex) Spread() uint64 { return di.spread }
+func (di *DynamicIndex) Spread() uint64 { return di.ix.spread }
 
-// RepairForest rebuilds the forest from the surviving document records with
-// a fresh dynamic labeler (same α-prefix and spread as the original),
-// replacing Index.RepairForest for dynamic indexes: the labeler's in-memory
-// trie must be rebuilt alongside the postings or later Inserts would carve
-// ranges that no longer exist. All sequences are Prepared before Finalize,
-// so the relabeling pass cannot underflow unless a sequence exceeds the
-// spread capacity; in that case the error reports the rebuild failed and
-// the journal still holds the pre-rebuild committed image.
-func (di *DynamicIndex) RepairForest() ([]uint32, error) {
-	di.mu.Lock()
-	defer di.mu.Unlock()
-	di.ix.repairMu.Lock()
-	defer di.ix.repairMu.Unlock()
-	return di.ix.rebuildForestLocked(func(recs []*docstore.Record) error {
-		lab := vtrie.NewDynamicLabeler(di.alpha, di.spread)
-		for _, rec := range recs {
-			if len(rec.LPS) == 0 {
-				continue
-			}
-			if err := lab.Prepare(rec.LPS); err != nil {
-				return err
-			}
-		}
-		lab.Finalize()
-		if err := lab.EmitPrefix(di.ix.insertPosting); err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if len(rec.LPS) == 0 {
-				continue
-			}
-			created, terminal, err := lab.AddReport(rec.LPS, rec.DocID)
-			if err != nil {
-				return fmt.Errorf("prix: dynamic relabel of document %d: %w", rec.DocID, err)
-			}
-			for _, p := range created {
-				if err := di.ix.insertPosting(p); err != nil {
-					return err
-				}
-			}
-			if err := di.ix.docid.Insert(btree.KeyUint64(terminal.Left), btree.DocIDValue(rec.DocID, 0)); err != nil {
-				return err
-			}
-		}
-		di.labeler = lab
-		// The rebuilt labeler prepared every surviving record, so a replay
-		// (OpenDynamic) must prepare the whole docid range too.
-		di.prepared = di.ix.store.NumDocs()
-		return nil
-	})
-}
-
-// Close closes the underlying index's storage.
+// Close commits what Flush commits and closes the underlying index's
+// storage: a dynamic index closed without a Flush reopens.
 func (di *DynamicIndex) Close() error {
 	di.mu.Lock()
 	defer di.mu.Unlock()
-	return di.ix.Close()
+	err := di.flushLocked()
+	if cerr := di.ix.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Flush persists all structures, including the MaxGap catalog and the
@@ -295,14 +233,25 @@ func (di *DynamicIndex) Close() error {
 func (di *DynamicIndex) Flush() error {
 	di.mu.Lock()
 	defer di.mu.Unlock()
+	return di.flushLocked()
+}
+
+func (di *DynamicIndex) flushLocked() error {
+	di.ix.repairMu.Lock()
+	defer di.ix.repairMu.Unlock()
 	di.ix.stageCatalogs()
-	di.ix.store.SetStat("sequences", int64(di.labeler.Sequences()))
-	// The labeler replay parameters: their presence marks the on-disk index
-	// as dynamic (reopenable via OpenDynamic).
-	di.ix.store.SetStat("alpha", int64(di.alpha))
-	di.ix.store.SetStat("spread", int64(di.spread))
-	di.ix.store.SetStat("prepared", int64(di.prepared))
+	di.ix.store.SetStat("sequences", int64(di.ix.labeler.Sequences()))
 	return di.ix.commit()
+}
+
+// makeDynamic gives a fresh index a dynamic labeler tuned by dopts whose
+// preparatory pass covers the first prepared documents.
+func (ix *Index) makeDynamic(dopts DynamicOptions, prepared int) {
+	if dopts.Spread == 0 {
+		dopts.Spread = 1 << 20
+	}
+	ix.alpha, ix.spread, ix.prepared = dopts.Alpha, dopts.Spread, prepared
+	ix.labeler = vtrie.NewDynamicLabeler(ix.alpha, ix.spread)
 }
 
 // prepareDocument computes the docstore record and interned sequence of a

@@ -23,82 +23,106 @@ import (
 // reopened insertable.
 var ErrNotDynamic = fmt.Errorf("prix: index has no dynamic labeler state")
 
-// OpenDynamic reopens an on-disk dynamic index — one persisted by
-// DynamicIndex.Flush or built by BulkLoadDynamic — with its labeler state
+// OpenDynamic reopens an on-disk dynamic index — one a DynamicIndex
+// committed or BulkLoadDynamic built — with its labeler state
 // reconstructed, so inserts can continue where they left off.
 //
-// The labeler is rebuilt by deterministic replay: the first `prepared`
-// records feed the preparatory pass, then every record is re-added in docid
-// order. Both passes repeat exactly the operations that built the index, so
-// the in-memory trie (scopes, next-free cursors) matches the persisted
-// postings without any of them being read back: the store's records and the
-// forest's postings commit together, so every record the replay reads has
-// its postings on disk.
+// The labeler is rebuilt by deterministic replay (relabel): the first
+// `prepared` records feed the preparatory pass, then every record is re-added
+// in docid order. Both passes repeat exactly the operations that built the
+// index, so the in-memory trie (scopes, next-free cursors) matches the
+// persisted postings without any of them being read back: the store's
+// records and the forest's postings commit together, so every record the
+// replay reads has its postings on disk.
 func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 	ix, err := Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	alpha, okA := ix.store.Stat("alpha")
-	spread, okS := ix.store.Stat("spread")
-	prepared, okP := ix.store.Stat("prepared")
-	if !okA || !okS || !okP {
+	if !ix.dynamic() {
 		ix.Close()
 		return nil, fmt.Errorf("%w: %s", ErrNotDynamic, dir)
 	}
-	di := &DynamicIndex{
-		ix:       ix,
-		labeler:  vtrie.NewDynamicLabeler(int(alpha), uint64(spread)),
-		alpha:    int(alpha),
-		spread:   uint64(spread),
-		prepared: int(prepared),
-	}
-	n := ix.store.NumDocs()
-	prep := int(prepared)
-	if prep > n {
-		prep = n
-	}
 	if ix.versions != nil {
-		if err := di.replayVersioned(n, prep); err != nil {
-			ix.Close()
-			return nil, err
-		}
-		di.nextID = uint32(n)
-		return di, nil
+		err = ix.replayVersioned()
+	} else {
+		recs, _ := ix.survivingRecords()
+		err = ix.relabel(recs, ix.prepared, false)
 	}
-	for id := 0; id < prep; id++ {
+	if err != nil {
+		ix.Close()
+		return nil, err
+	}
+	return &DynamicIndex{ix: ix, nextID: uint32(ix.store.NumDocs())}, nil
+}
+
+// survivingRecords reads every document's record in docid order and picks
+// them by the one rule a relabeling follows: a record that reads and passes
+// its Prüfer round trip (checkRecord) is labeled; any other is skipped, and
+// its docid returned. A forest rebuild labels what this returns and
+// quarantines what it skips; OpenDynamic's replay takes the same records,
+// so it retraces the rebuild's labeling.
+func (ix *Index) survivingRecords() (recs []*docstore.Record, skipped []uint32) {
+	for id := 0; id < ix.store.NumDocs(); id++ {
 		rec, err := ix.store.GetAny(uint32(id))
+		if err == nil {
+			err = checkRecord(ix.store.Dict(), rec)
+		}
 		if err != nil {
-			// Mirrors RepairForest: a record both stores lost is quarantined,
-			// not fatal — the replay skips it like the rebuild did.
+			skipped = append(skipped, uint32(id))
 			continue
 		}
+		recs = append(recs, rec)
+	}
+	return recs, skipped
+}
+
+// relabel makes the index's labeler afresh, with its tuning, by a labeling
+// of recs (in docid order): the records of the first prep documents feed the
+// preparatory pass, then Finalize, then every record is added. With write
+// set — a forest rebuild — the prepared prefix's postings and what each add
+// creates go into the forest, with the document's docid entry; OpenDynamic's
+// replay, whose postings are on disk already, writes nothing.
+func (ix *Index) relabel(recs []*docstore.Record, prep int, write bool) error {
+	lab := vtrie.NewDynamicLabeler(ix.alpha, ix.spread)
+	for _, rec := range recs {
+		if int(rec.DocID) >= prep {
+			break
+		}
+		if len(rec.LPS) > 0 {
+			if err := lab.Prepare(rec.LPS); err != nil {
+				return err
+			}
+		}
+	}
+	lab.Finalize()
+	if write {
+		if err := lab.EmitPrefix(ix.insertPosting); err != nil {
+			return err
+		}
+	}
+	for _, rec := range recs {
 		if len(rec.LPS) == 0 {
 			continue
 		}
-		if err := di.labeler.Prepare(rec.LPS); err != nil {
-			ix.Close()
-			return nil, err
-		}
-	}
-	di.labeler.Finalize()
-	for id := 0; id < n; id++ {
-		rec, err := ix.store.GetAny(uint32(id))
+		created, terminal, err := lab.AddReport(rec.LPS, rec.DocID)
 		if err != nil {
+			return fmt.Errorf("prix: dynamic relabel of document %d: %w", rec.DocID, err)
+		}
+		if !write {
 			continue
 		}
-		if len(rec.LPS) == 0 {
-			continue
+		for _, p := range created {
+			if err := ix.insertPosting(p); err != nil {
+				return err
+			}
 		}
-		// The created postings and the docid entry are already on disk; only
-		// the labeler's in-memory scope bookkeeping is being replayed.
-		if _, _, err := di.labeler.AddReport(rec.LPS, rec.DocID); err != nil {
-			ix.Close()
-			return nil, fmt.Errorf("prix: dynamic replay of document %d: %w", rec.DocID, err)
+		if err := ix.docid.Insert(btree.KeyUint64(terminal.Left), btree.DocIDValue(rec.DocID, 0)); err != nil {
+			return err
 		}
 	}
-	di.nextID = uint32(n)
-	return di, nil
+	ix.labeler = lab
+	return nil
 }
 
 // replayVersioned rebuilds the dynamic labeler for an index carrying
@@ -110,9 +134,9 @@ func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 // scope. Each event's sequence is the record image of its own interval —
 // superseded images resolve through their back-pointers, so updates replay
 // with the LPS the labeler actually saw, not today's.
-func (di *DynamicIndex) replayVersioned(n, prep int) error {
-	ix := di.ix
+func (ix *Index) replayVersioned() error {
 	vs := ix.versions
+	lab := vtrie.NewDynamicLabeler(ix.alpha, ix.spread)
 	type event struct {
 		label uint64
 		docID uint32
@@ -120,7 +144,7 @@ func (di *DynamicIndex) replayVersioned(n, prep int) error {
 	}
 	var events []event
 	var prepLPS [][]vtrie.Symbol
-	for id := 0; id < n; id++ {
+	for id := 0; id < ix.store.NumDocs(); id++ {
 		ivs := vs.Docs[uint32(id)]
 		if len(ivs) == 0 {
 			// Legacy document, never mutated: its one report used the
@@ -132,7 +156,7 @@ func (di *DynamicIndex) replayVersioned(n, prep int) error {
 				continue
 			}
 			events = append(events, event{0, uint32(id), rec.LPS})
-			if id < prep {
+			if id < ix.prepared {
 				prepLPS = append(prepLPS, rec.LPS)
 			}
 			continue
@@ -149,18 +173,18 @@ func (di *DynamicIndex) replayVersioned(n, prep int) error {
 				continue
 			}
 			events = append(events, event{iv.Label, uint32(id), lps})
-			if i == 0 && id < prep {
+			if i == 0 && id < ix.prepared {
 				// The prepare pass at build time saw the original image.
 				prepLPS = append(prepLPS, lps)
 			}
 		}
 	}
 	for _, lps := range prepLPS {
-		if err := di.labeler.Prepare(lps); err != nil {
+		if err := lab.Prepare(lps); err != nil {
 			return err
 		}
 	}
-	di.labeler.Finalize()
+	lab.Finalize()
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].label != events[j].label {
 			return events[i].label < events[j].label
@@ -168,10 +192,11 @@ func (di *DynamicIndex) replayVersioned(n, prep int) error {
 		return events[i].docID < events[j].docID
 	})
 	for _, e := range events {
-		if _, _, err := di.labeler.AddReport(e.lps, e.docID); err != nil {
+		if _, _, err := lab.AddReport(e.lps, e.docID); err != nil {
 			return fmt.Errorf("prix: versioned replay of document %d (label %d): %w", e.docID, e.label, err)
 		}
 	}
+	ix.labeler = lab
 	return nil
 }
 
@@ -207,16 +232,8 @@ func BulkLoadDynamic(opts Options, dopts DynamicOptions, bo BulkOptions, version
 }
 
 func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, version uint64, source func(fn func(*DocSeq) error) error) (*DynamicIndex, error) {
-	if dopts.Spread == 0 {
-		dopts.Spread = 1 << 20
-	}
-	lab := vtrie.NewDynamicLabeler(dopts.Alpha, dopts.Spread)
-	di := &DynamicIndex{
-		ix:      ix,
-		labeler: lab,
-		alpha:   dopts.Alpha,
-		spread:  dopts.Spread,
-	}
+	ix.makeDynamic(dopts, 0)
+	lab := ix.labeler
 	var bs buildStats
 	// rec is every document's record in turn: both passes intern into it,
 	// and the store copies it out, so neither pass keeps a DocSeq.
@@ -304,14 +321,10 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, version ui
 	ix.store.SetStat("maxdepth", bs.maxDepth)
 	ix.store.SetStat("seqlen", bs.seqLen)
 	ix.store.SetStat("sequences", int64(lab.Sequences()))
-	ix.store.SetStat("alpha", int64(dopts.Alpha))
-	ix.store.SetStat("spread", int64(dopts.Spread))
-	ix.store.SetStat("prepared", int64(total))
+	ix.prepared = int(total)
 	if err := ix.commit(); err != nil {
 		return nil, err
 	}
-	di.prepared = int(total)
-	di.nextID = total
 	ix.PreloadHot()
-	return di, nil
+	return &DynamicIndex{ix: ix, nextID: total}, nil
 }

@@ -225,7 +225,7 @@ func TestHotE2E(t *testing.T) {
 
 	// A forest rebuild replaces every structure; the tier must start over
 	// and the twins must still agree.
-	if _, err := hotDi.RepairForest(); err != nil {
+	if _, err := hotDi.Index().RepairForest(); err != nil {
 		t.Fatal(err)
 	}
 	compare("after forest rebuild")

@@ -223,6 +223,17 @@ type Index struct {
 	// Flush, bulk load and compaction build (stageCatalogs) and by a
 	// symbol's first posting (markPosted).
 	postedBuf []byte
+	// labeler is a dynamic index's labeler (§5.2.1), which a forest rebuild
+	// replaces; alpha and spread are its tuning, prepared how many leading
+	// documents fed its preparatory pass. Those three are the directory's
+	// replay parameters: every commit of a dynamic index records them
+	// (stageLabeler) and Open reads them back, so an index from the static
+	// Open is dynamic too (spread > 0), with no labeler until a rebuild
+	// makes one. Under repairMu (write), like the forest it labels.
+	labeler  *vtrie.DynamicLabeler
+	alpha    int
+	spread   uint64
+	prepared int
 }
 
 // valuePrefix namespaces value strings away from element tags in the
@@ -314,7 +325,28 @@ func (ix *Index) loadCatalogs() error {
 		ix.maxGap[k] = v
 	}
 	ix.posted = decodeSymSet(ix.store.Blob(postedBlobName))
+	alpha, okA := ix.store.Stat("alpha")
+	spread, okS := ix.store.Stat("spread")
+	prepared, okP := ix.store.Stat("prepared")
+	if okA && okS && okP {
+		ix.alpha, ix.spread, ix.prepared = int(alpha), uint64(spread), int(prepared)
+	}
 	return nil
+}
+
+// dynamic reports whether the index is dynamic: built by NewDynamicIndex or
+// BulkLoadDynamic, so its labels were carved by a DynamicLabeler.
+func (ix *Index) dynamic() bool { return ix.spread > 0 }
+
+// stageLabeler hands the store a dynamic index's labeler parameters; a
+// static index has none. An unchanged value stages nothing.
+func (ix *Index) stageLabeler() {
+	if !ix.dynamic() {
+		return
+	}
+	ix.store.SetStat("alpha", int64(ix.alpha))
+	ix.store.SetStat("spread", int64(ix.spread))
+	ix.store.SetStat("prepared", int64(ix.prepared))
 }
 
 // stageCatalogs hands the store what every persisted index carries beside its
@@ -432,10 +464,10 @@ func Open(dir string, opts Options) (*Index, error) {
 }
 
 // Close flushes every dirty page (committing the open transaction, if any)
-// and closes both page files and their journal. Callers that mutated the
-// index should Flush first so directory metadata is persisted too; Close
-// itself only completes the page-level commit. The index must not be used
-// afterwards.
+// and closes both page files and their journal. It stages no directory
+// metadata: the Index's own writers (repair) commit as they go, and
+// DynamicIndex.Close commits what its Flush commits first. The index must
+// not be used afterwards.
 func (ix *Index) Close() error {
 	err := ix.forest.BufferPool().Close()
 	if e := ix.store.BufferPool().Close(); err == nil {
@@ -462,8 +494,11 @@ func (ix *Index) MaxGap(s vtrie.Symbol) int64 { return ix.maxGap[s] }
 
 // commit stages the store's meta and the forest's directory and commits
 // both files' dirty pages as one transaction through their shared journal:
-// every mutation, flush and repair is atomic across the two files.
+// every mutation, flush and repair is atomic across the two files. A dynamic
+// index's labeler parameters ride every commit, so the forest a commit makes
+// durable is always replayed with the labeler that labeled it.
 func (ix *Index) commit() error {
+	ix.stageLabeler()
 	if err := ix.store.Stage(); err != nil {
 		return err
 	}

@@ -285,7 +285,9 @@ func TestOldLayoutRefused(t *testing.T) {
 			if err := di.ix.forest.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if err := di.Close(); err != nil {
+			// The bare Index's Close: DynamicIndex.Close restages the
+			// catalogs, the stamp with them.
+			if err := di.ix.Close(); err != nil {
 				t.Fatal(err)
 			}
 			_, err = Open(dir, Options{})

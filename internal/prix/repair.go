@@ -46,7 +46,7 @@ var (
 	ErrPostingsDamaged = errors.New("prix: index postings damaged")
 	// ErrNeedsForestRebuild reports per-document repair cannot fix the
 	// damage because it sits in trie structure shared between documents;
-	// call RepairForest (or DynamicIndex.RepairForest).
+	// call RepairForest.
 	ErrNeedsForestRebuild = errors.New("prix: forest rebuild required")
 	// ErrUnrepairable reports both redundant copies of a document are
 	// damaged; only RestoreSnapshot can bring it back.
@@ -607,21 +607,18 @@ func (ix *Index) pathSymbolsTo(left uint64, n int) ([]vtrie.Symbol, error) {
 // forest rebuild ---------------------------------------------------------------
 
 // RepairForest rebuilds the whole forest — postings tree, Docid index
-// and shape tree — from the surviving document records, using exact
-// labeling. Documents whose records are damaged are quarantined and
-// reported; they need RestoreSnapshot. After the rebuild commits, orphaned
-// pages that still fail their checksum are zeroed so the file verifies
-// clean end to end. For a DynamicIndex use DynamicIndex.RepairForest, which
-// also rebuilds the labeler.
+// and shape tree — from the surviving document records. The directory picks
+// the labeling: a static index is relabeled exactly, as Build labels; a
+// dynamic one (its labeler parameters are stored, even when the index was
+// opened with the static Open) by a fresh dynamic labeler with the stored
+// tuning, which then replaces the index's own, so later inserts carve the
+// ranges the rebuilt forest holds. Documents whose records are damaged are
+// quarantined and reported; they need RestoreSnapshot. After the rebuild
+// commits, orphaned pages that still fail their checksum are zeroed so the
+// file verifies clean end to end.
 func (ix *Index) RepairForest() ([]uint32, error) {
 	ix.repairMu.Lock()
 	defer ix.repairMu.Unlock()
-	return ix.rebuildForestLocked(ix.emitExactRebuild)
-}
-
-// rebuildForestLocked resets the forest and has writeTrie refill it from the
-// surviving records.
-func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) error) ([]uint32, error) {
 	// Every list may describe pre-rebuild structures; start the tier over.
 	ix.hotInvalidateAll()
 	// The old shape tree is about to go: first restore from it whatever
@@ -633,31 +630,30 @@ func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) err
 			}
 		}
 	}
-	var recs []*docstore.Record
-	var skipped []uint32
-	for id := 0; id < ix.store.NumDocs(); id++ {
-		rec, err := ix.store.GetAny(uint32(id))
-		if err == nil {
-			if cerr := checkRecord(ix.store.Dict(), rec); cerr != nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			// The forest is about to be rebuilt without this document (its
-			// record is damaged); quarantine it until a RestoreSnapshot
-			// brings it back.
-			ix.store.Quarantine(uint32(id))
-			skipped = append(skipped, uint32(id))
-			continue
-		}
-		recs = append(recs, rec)
+	recs, skipped := ix.survivingRecords()
+	for _, id := range skipped {
+		// The forest is about to be rebuilt without this document (its
+		// record is damaged); quarantine it until a RestoreSnapshot brings
+		// it back.
+		ix.store.Quarantine(id)
 	}
 	ix.forest.Reset()
 	if err := ix.openTrees(); err != nil {
 		return nil, err
 	}
-	if err := writeTrie(recs); err != nil {
-		return nil, fmt.Errorf("prix: forest rebuild failed (close without flushing; the journal restores the last committed image): %w", err)
+	var err error
+	if ix.dynamic() {
+		// Every surviving sequence is prepared, so the relabeling cannot
+		// underflow short of spread exhaustion; prepared then covers every
+		// document, so the commit below records what OpenDynamic replays.
+		if err = ix.relabel(recs, ix.store.NumDocs(), true); err == nil {
+			ix.prepared = ix.store.NumDocs()
+		}
+	} else {
+		err = ix.emitExactRebuild(recs)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("prix: forest rebuild failed; the forest is half-written (a commit, Close included, would make it durable; reopening without one rolls it back): %w", err)
 	}
 	ix.shapesInTree = 0
 	if err := ix.writeShapes(); err != nil {
@@ -686,8 +682,8 @@ func (ix *Index) rebuildForestLocked(writeTrie func(recs []*docstore.Record) err
 	return skipped, nil
 }
 
-// emitExactRebuild is the static-index trie writer for rebuildForestLocked:
-// a fresh exact-labeled trie over all surviving sequences, bulk-loaded as
+// emitExactRebuild is the static-index trie writer for RepairForest: a
+// fresh exact-labeled trie over all surviving sequences, bulk-loaded as
 // Build does.
 func (ix *Index) emitExactRebuild(recs []*docstore.Record) error {
 	builder := vtrie.NewBuilder()

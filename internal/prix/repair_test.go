@@ -342,10 +342,13 @@ func TestRepairForestAfterTrieDamage(t *testing.T) {
 	}
 }
 
-// A DynamicIndex rebuild replaces the labeler alongside the postings, so
-// inserts keep working after the repair.
+// Index.RepairForest on a DynamicIndex's Index replaces the labeler
+// alongside the postings, so inserts keep working after the repair — and
+// the rebuild's commit records the labeler's replay parameters, so they
+// keep working after a close and OpenDynamic too.
 func TestDynamicRepairForest(t *testing.T) {
-	di, err := NewDynamicIndex(degradedDocs(), Options{}, DynamicOptions{})
+	dir := t.TempDir()
+	di, err := NewDynamicIndex(degradedDocs(), Options{Dir: dir}, DynamicOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,8 +363,8 @@ func TestDynamicRepairForest(t *testing.T) {
 	// Corrupt the last forest page: tree structure, never the page-0 meta.
 	corruptPage(t, ix, f, pager.PageID(f.NumPages()-1))
 
-	if _, err := di.RepairForest(); err != nil {
-		t.Fatalf("DynamicIndex.RepairForest: %v", err)
+	if _, err := ix.RepairForest(); err != nil {
+		t.Fatalf("Index.RepairForest: %v", err)
 	}
 	verifyAllDocs(t, ix)
 	ms, _, err := di.Match(twig.MustParse(`//a/b`), MatchOptions{})
@@ -382,6 +385,21 @@ func TestDynamicRepairForest(t *testing.T) {
 		t.Errorf("//a/b after post-rebuild insert = %d matches, want 4", len(ms))
 	}
 	verifyAllDocs(t, ix)
+
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	di, err = OpenDynamic(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	docs := append(degradedDocs(),
+		xmltree.MustFromSExpr(3, `(a (b (c)))`),
+		xmltree.MustFromSExpr(4, `(a (b (c)) (d))`))
+	more := dynbulkDocs(40, 3)
+	insertAll(t, di, more)
+	assertDynOracle(t, "rebuild, close, OpenDynamic, inserts", di, append(docs, more...))
 }
 
 // A rebuild folds version history like a compaction does: a document updated
@@ -395,7 +413,7 @@ func TestVersionDeleteAfterRebuildWritesTombstone(t *testing.T) {
 	if _, err := di.Update(1, xmltree.MustFromSExpr(1, `(a (b (c)) (e))`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := di.RepairForest(); err != nil {
+	if _, err := di.Index().RepairForest(); err != nil {
 		t.Fatal(err)
 	}
 	v, err := di.Delete(1)

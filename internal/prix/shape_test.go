@@ -465,7 +465,7 @@ func TestOpenDynamicCorruptDocidLeaf(t *testing.T) {
 		t.Fatalf("OpenDynamic over a corrupt docid leaf: %v", err)
 	}
 	defer rdi.Close()
-	if _, err := rdi.RepairForest(); err != nil {
+	if _, err := rdi.Index().RepairForest(); err != nil {
 		t.Fatalf("RepairForest: %v", err)
 	}
 	verifyAllDocs(t, rdi.Index())

@@ -58,10 +58,6 @@ type Config struct {
 	// AutoRepair makes every pass repair what it finds. RepairNow repairs
 	// regardless.
 	AutoRepair bool
-	// RepairForest overrides the full-rebuild step; a DynamicIndex must
-	// pass its own RepairForest so the labeler is rebuilt alongside the
-	// postings. Nil uses Index.RepairForest (exact relabeling).
-	RepairForest func() ([]uint32, error)
 	// Source, when non-nil, re-resolves the index at the start of every
 	// pass. Serving tiers that swap epochs (internal/compact) pass a
 	// resolver here so the scrubber follows a swap instead of scrubbing a
@@ -195,8 +191,7 @@ type Scrubber struct {
 	done      chan struct{}
 }
 
-// New builds a Scrubber over the index. For a DynamicIndex pass
-// di.Index() and set Config.RepairForest to di.RepairForest.
+// New builds a Scrubber over the index; for a DynamicIndex pass di.Index().
 func New(ix *prix.Index, cfg Config) *Scrubber {
 	return &Scrubber{
 		ix:   ix,
@@ -435,11 +430,7 @@ func (s *Scrubber) repairAll(ctx context.Context, rep *Report) error {
 		if err := s.pace(ctx); err != nil {
 			return err
 		}
-		rebuild := s.cfg.RepairForest
-		if rebuild == nil {
-			rebuild = s.ix.RepairForest
-		}
-		if _, err := rebuild(); err != nil {
+		if _, err := s.ix.RepairForest(); err != nil {
 			s.repairsFailed.Add(1)
 			return fmt.Errorf("scrub: forest rebuild: %w", err)
 		}

@@ -208,10 +208,9 @@ func TestScrubConcurrentStress(t *testing.T) {
 	defer di.Close()
 
 	sc := New(di.Index(), Config{
-		Interval:     time.Millisecond,
-		Throttle:     -1,
-		AutoRepair:   true,
-		RepairForest: di.RepairForest,
+		Interval:   time.Millisecond,
+		Throttle:   -1,
+		AutoRepair: true,
 	})
 	sc.Start()
 
