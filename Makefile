@@ -30,11 +30,15 @@ test:
 #     traces under 8 goroutines of traced, slow-logged requests at
 #     Parallelism 4, on one index and on a 2x2 coordinator that hedges
 #     (TestPooledTracesConcurrent: every reply's tree and slow-log entry is
-#     its own query's).
+#     its own query's); cache-off answers packed into pooled buffers while
+#     eight identical requests share one singleflight leader and other
+#     queries recycle buffers beside them
+#     (TestSharedRepliesOutliveRecycling, ten runs below).
 #   - prix: the parallel and hot-vs-paged differentials, the dynamic write
 #     path racing queries against hot-tier invalidations, the metamorphic
 #     mutation suite and AS OF replay against the brute-force oracle, the
-#     Delete/Update/Patch power-cut sweeps and the version-map fuzz seeds.
+#     Delete/Update/Patch power-cut sweeps and the version-map fuzz seeds;
+#     answers packed into a lent MatchBuf (TestMatchIntoEqualsOwned).
 #   - pager, btree: the crash-recovery sweeps (the B+-tree's over slotted
 #     and packed leaves' inserts and splits, packed postings and
 #     packed Docid entries with tombstones), panic- and race-free; the
@@ -43,7 +47,8 @@ test:
 #   - docstore: eight goroutines interning into and naming from one arena
 #     dictionary (TestDictConcurrent).
 #   - shard: cross-shard-count differential, replica failover, the sharded
-#     version crash sweep.
+#     version crash sweep; a hedging 2x2 coordinator handed a lent MatchBuf
+#     (TestCoordinatorLeavesIntoAlone).
 #   - ingest: a corpus 20x the memory budget under a pinned peak heap,
 #     power-cut sweeps over every write point (each crash image opens
 #     complete and byte-identical or refuses to open, and running the build
@@ -63,11 +68,21 @@ test:
 # residency test queries four of its nine shapes (TestHotBuildsLeaveNoFrames);
 # go test runs it whole. The leaf-ops model check (TestLeafOpsAgainstModel)
 # runs whole here too: every packed layout a seed, and the narrow pass.
+# ./internal/prix runs on its own, in two invocations that together run every
+# test once (-run and -skip of one pattern), each under go test's default
+# 10-minute timeout. On the 2-core host, beside the other packages, it hit
+# that timeout (600 s, in the fuzz seeds it runs last; 508 s a change
+# before); alone in one invocation it took 570 s, 30 s of headroom; split,
+# the power-cut sweep of its three mutations took 191 s and the rest 364 s.
 # -count=1 so a cached pass never stands in for a run.
+race_prix_long = ^TestVersionCrashSweepMutations$$
 race:
-	$(GO) test -race -count=1 ./internal/server ./internal/prix ./internal/pager ./internal/pager/pagertest ./internal/docstore ./internal/btree ./internal/bench ./internal/shard ./internal/ingest ./internal/compact ./internal/hot ./internal/mvcc
+	$(GO) test -race -count=1 -run '$(race_prix_long)' ./internal/prix
+	$(GO) test -race -count=1 -skip '$(race_prix_long)' ./internal/prix
+	$(GO) test -race -count=1 ./internal/server ./internal/pager ./internal/pager/pagertest ./internal/docstore ./internal/btree ./internal/bench ./internal/shard ./internal/ingest ./internal/compact ./internal/hot ./internal/mvcc
 	$(GO) test -race -count=1 ./internal/xmltree -run 'Cursor|ParseError'
 	$(GO) test -race -count=10 ./internal/prix -run 'TestScratchIsolation'
+	$(GO) test -race -count=10 ./internal/server -run 'TestSharedRepliesOutliveRecycling'
 
 vet:
 	$(GO) vet ./...
@@ -98,10 +113,13 @@ sched:
 # a parsed query (TestParseAllocs: two objects up to 16 nodes), one POST /query
 # through the handler on a resident index (TestHandleQueryAllocs: the pooled
 # deadline, body buffer and trace, the one-slab parse, the pattern compiled
-# into the query scratch and the reply appended from the engine's matches
-# into the body's buffer leave 15 objects, 51 before) and the bytes it
-# allocates (TestHandleQueryBytesPerRequest: Q5 1,928 B, Q6 21,144 B; 4,104 B
-# and 29,640 B with a []MatchJSON reply and a fresh trace), one document drained by a
+# into the query scratch, the answer packed into a pooled prix.MatchBuf and
+# the reply appended from it into the body's buffer leave 12 objects, 51
+# before) and the bytes it allocates (TestHandleQueryBytesPerRequest: Q5
+# 1,192 B, Q6 1,080 B, no longer growing with the answer; 1,928 B and
+# 21,144 B while every answer was packed into fresh memory, 4,104 B and
+# 29,640 B with a []MatchJSON reply and a fresh trace), a Match into a warmed
+# MatchOptions.Into (0 objects, resident and paged), one document drained by a
 # compaction (TestCompactDrainAllocs: 0, the DocSeq reused), one record a
 # warmed run reader replays (TestRunReaderAllocs in ingest: 0), a compaction's
 # bulk load per document (TestBulkLoadDynamicAllocs: ≤ 1), the version map
@@ -154,23 +172,29 @@ benchmark-module:
 # fuzzed responses (FuzzQueryReply: HTML metacharacters, U+2028, control
 # bytes and invalid UTF-8 in the query and shard names, nil and empty
 # images, degraded shards, quarantined ids, trace trees).
+# -fuzzminimizetime bounds the minimization of each new interesting input
+# (60 s by default): with it unbounded both workers sat minimizing from
+# 9-12 s to the end of the 30 s budget, "execs: … (0/sec)", and
+# FuzzQueryReply ran 30,601 execs, FuzzSpanJSON 20,408; at 2 s neither
+# stalls, 146,620 and 81,091 (EXPERIMENTS.md "Answers packed into lent
+# memory").
 fuzz:
-	$(GO) test ./internal/twig -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 30s
-	$(GO) test ./internal/docstore -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime 30s
-	$(GO) test ./internal/docstore -run FuzzOpenMeta -fuzz FuzzOpenMeta -fuzztime 30s
-	$(GO) test ./internal/docstore -run FuzzDecodeShape -fuzz FuzzDecodeShape -fuzztime 30s
-	$(GO) test ./internal/docstore -run FuzzDict -fuzz FuzzDict -fuzztime 30s
-	$(GO) test ./internal/obs -run FuzzSpanJSON -fuzz FuzzSpanJSON -fuzztime 30s
-	$(GO) test ./internal/vtrie -run FuzzDynamicLabeler -fuzz FuzzDynamicLabeler -fuzztime 30s
-	$(GO) test ./internal/mvcc -run FuzzSeqDiffPatch -fuzz FuzzSeqDiffPatch -fuzztime 30s
-	$(GO) test ./internal/prix -run FuzzAsOfVersionMap -fuzz FuzzAsOfVersionMap -fuzztime 30s
-	$(GO) test ./internal/hot -run FuzzPostingsScan -fuzz FuzzPostingsScan -fuzztime 30s
-	$(GO) test ./internal/hot -run FuzzDocIDsScan -fuzz FuzzDocIDsScan -fuzztime 30s
-	$(GO) test ./internal/hot -run FuzzTier -fuzz FuzzTier -fuzztime 30s
-	$(GO) test ./internal/btree -run FuzzLeafOps -fuzz FuzzLeafOps -fuzztime 30s
-	$(GO) test ./internal/btree -run FuzzPackedLeaf -fuzz FuzzPackedLeaf -fuzztime 30s
-	$(GO) test ./internal/prix -run FuzzRecordDocSeq -fuzz FuzzRecordDocSeq -fuzztime 30s
-	$(GO) test ./internal/server -run FuzzQueryReply -fuzz FuzzQueryReply -fuzztime 30s
+	$(GO) test ./internal/twig -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/docstore -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/docstore -run FuzzOpenMeta -fuzz FuzzOpenMeta -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/docstore -run FuzzDecodeShape -fuzz FuzzDecodeShape -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/docstore -run FuzzDict -fuzz FuzzDict -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/obs -run FuzzSpanJSON -fuzz FuzzSpanJSON -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/vtrie -run FuzzDynamicLabeler -fuzz FuzzDynamicLabeler -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/mvcc -run FuzzSeqDiffPatch -fuzz FuzzSeqDiffPatch -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/prix -run FuzzAsOfVersionMap -fuzz FuzzAsOfVersionMap -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/hot -run FuzzPostingsScan -fuzz FuzzPostingsScan -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/hot -run FuzzDocIDsScan -fuzz FuzzDocIDsScan -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/hot -run FuzzTier -fuzz FuzzTier -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/btree -run FuzzLeafOps -fuzz FuzzLeafOps -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/btree -run FuzzPackedLeaf -fuzz FuzzPackedLeaf -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/prix -run FuzzRecordDocSeq -fuzz FuzzRecordDocSeq -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/server -run FuzzQueryReply -fuzz FuzzQueryReply -fuzztime 30s -fuzzminimizetime 2s
 
 # The oracle-backed differential suite: every engine (PRIX serial/parallel,
 # MatchExhaustive, TwigStack, TwigStackXB, ViST) against the brute-force

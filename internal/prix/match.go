@@ -143,6 +143,47 @@ type MatchOptions struct {
 	// execution under its own shard/NNN child, so a traced fan-out reads
 	// as a tree rather than a flat list of identically keyed matches.
 	TraceParent *obs.Span
+	// Into, when non-nil, is memory the caller lends the answer: Match packs
+	// the matches and their positions and images into it and keeps the
+	// query's QueryStats there, so the []Match and *QueryStats it returns
+	// alias Into and are valid until Into is reused or released. Like Trace
+	// it is the caller's memory, not a behaviour setting: a path may ignore
+	// it and return memory of its own (unordered and single-node queries
+	// do), and a caller that fans one query out (the shard coordinator) must
+	// not pass it on, since one MatchBuf holds one answer. Nil (the default)
+	// returns memory of the answer's own, exactly sized, which is what a
+	// caller that keeps the answer (a result cache) wants.
+	Into *MatchBuf
+}
+
+// MatchBuf is reusable memory for one query's answer: the []Match, the
+// int32 block their positions and images share, and the QueryStats. Lend it
+// to Match through MatchOptions.Into; what Match returns through it is
+// overwritten by the next Match into the same buffer.
+type MatchBuf struct {
+	matches []Match
+	ints    []int32
+	stats   QueryStats
+}
+
+// matchBufPool holds released buffers; Release keeps none above scratchKeep.
+var matchBufPool = sync.Pool{New: func() any { return new(MatchBuf) }}
+
+// matchBytes is the size of one Match on a 64-bit platform.
+const matchBytes = 64
+
+// NewMatchBuf returns a buffer from a pool that Release refills. One never
+// released is collected like any other value.
+func NewMatchBuf() *MatchBuf { return matchBufPool.Get().(*MatchBuf) }
+
+// Release returns b to NewMatchBuf's pool, unless it grew above scratchKeep:
+// one huge answer must not pin its high-water mark in the pool. Call it once
+// nothing reads the answer packed into b, and only once. Nil-safe.
+func (b *MatchBuf) Release() {
+	if b == nil || cap(b.ints)*4+cap(b.matches)*matchBytes > scratchKeep {
+		return
+	}
+	matchBufPool.Put(b) // its matches point into its own ints, nowhere else
 }
 
 // context resolves the options' context, defaulting to Background.
@@ -183,7 +224,7 @@ func (s *QueryStats) merge(o *QueryStats) {
 }
 
 // Match finds all ordered (or unordered, per opts) occurrences of the query.
-// Results are sorted by (DocID, Positions).
+// Results are sorted by MatchLess: (DocID, Positions, Images, Root).
 func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, error) {
 	// Queries run under the repair read-lock: a concurrent repair or forest
 	// rebuild (write-locked) can rewrite structures wholesale, and a query
@@ -206,7 +247,13 @@ func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, 
 		sp.Stage(obs.StageColdStart, t0)
 	}
 	pagesBefore := ix.PagesRead()
-	stats := &QueryStats{}
+	var stats *QueryStats
+	if opts.Into != nil {
+		stats = &opts.Into.stats
+		*stats = QueryStats{}
+	} else {
+		stats = new(QueryStats)
+	}
 	if q.Size() == 1 {
 		ms, err := ix.matchSingleNode(q, opts, stats, sp)
 		if err != nil {
@@ -514,7 +561,7 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 		sc.reduce()
 		sp.Stage(obs.StageReduce, t1)
 	}
-	return sc.stage.pack(), nil
+	return sc.stage.pack(opts.Into), nil
 }
 
 // scratch is the working memory of one goroutine's share of a query: the
@@ -715,18 +762,24 @@ func (st *matchStage) keepLast() bool {
 	}
 }
 
-// pack copies the staged matches into memory of their own, in staging order.
-func (st *matchStage) pack() []Match {
+// pack copies the staged matches into dst, in staging order; a nil dst packs
+// them into memory of their own, one exactly sized block and one exactly
+// sized []Match.
+func (st *matchStage) pack(dst *MatchBuf) []Match {
 	if len(st.ids) == 0 {
 		return nil
 	}
-	block := make([]int32, len(st.ints))
-	copy(block, st.ints)
-	out := make([]Match, len(st.ids))
-	for k := range out {
-		out[k] = st.view(block, k)
+	var own MatchBuf
+	if dst == nil {
+		dst = &own
 	}
-	return out
+	dst.ints = sized(dst.ints, len(st.ints))
+	copy(dst.ints, st.ints)
+	dst.matches = sized(dst.matches, len(st.ids))
+	for k := range dst.matches {
+		dst.matches[k] = st.view(dst.ints, k)
+	}
+	return dst.matches
 }
 
 // scanLevel is Algorithm 1's range query (ql, qr] at query level i, the one

@@ -27,7 +27,8 @@ func pagedSwissprot(tb testing.TB) (*Index, []datagen.QuerySpec) {
 
 // TestPagedMatchAllocs is TestResidentMatchAllocs without the tier. On one
 // goroutine a Match allocates for its answer alone — its QueryStats, one block
-// of positions and images, one []Match — and nothing for its plan, per range
+// of positions and images, one []Match, and none of the three when a warmed
+// MatchOptions.Into lends them — and nothing for its plan, per range
 // query or per candidate: Q5 (5 candidates) and Q6 (158 candidates, each
 // refined against its resident shape) both cost 3 objects, 17 while the pattern was nine fresh
 // slabs and the emit and fetch two closures, and Q6 1,010 while every
@@ -45,16 +46,20 @@ func TestPagedMatchAllocs(t *testing.T) {
 		t.Skip("sync.Pool sheds scratches under the race detector")
 	}
 	ix, queries := pagedSwissprot(t)
+	into := NewMatchBuf()
+	defer into.Release()
 	for _, tc := range []struct {
 		query, par int
 		bound      float64
+		into       *MatchBuf
 	}{
-		{1, 1, 3}, {2, 1, 3},
-		{1, 4, 214}, {2, 4, 917},
+		{1, 1, 3, nil}, {2, 1, 3, nil},
+		{1, 1, 0, into}, {2, 1, 0, into},
+		{1, 4, 214, nil}, {2, 4, 917, nil},
 	} {
 		qs := queries[tc.query]
 		q := qs.Query()
-		opts := MatchOptions{WarmCache: true, Parallelism: tc.par}
+		opts := MatchOptions{WarmCache: true, Parallelism: tc.par, Into: tc.into}
 		run := func() {
 			ms, stats, err := ix.Match(q, opts)
 			if err != nil || len(ms) != qs.Want {
@@ -66,10 +71,10 @@ func TestPagedMatchAllocs(t *testing.T) {
 		}
 		run()
 		got := testing.AllocsPerRun(20, run)
-		t.Logf("%s at parallelism %d: %.0f objects per run", qs.ID, tc.par, got)
+		t.Logf("%s at parallelism %d, into a buffer %v: %.0f objects per run", qs.ID, tc.par, tc.into != nil, got)
 		if got > tc.bound {
-			t.Errorf("%s at parallelism %d: paged Match allocates %.0f objects per run, want <= %.0f",
-				qs.ID, tc.par, got, tc.bound)
+			t.Errorf("%s at parallelism %d, into a buffer %v: paged Match allocates %.0f objects per run, want <= %.0f",
+				qs.ID, tc.par, tc.into != nil, got, tc.bound)
 		}
 	}
 }

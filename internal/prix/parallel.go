@@ -36,6 +36,9 @@ import (
 // worker) the arrangements run in turn, each walk with the whole worker
 // budget; with several they fan out across workers (fanOutArrangements).
 func (ix *Index) matchArrangements(queries []*twig.Query, opts MatchOptions, stats *QueryStats, sp *obs.Span) ([]Match, error) {
+	// Every arrangement packs into memory of its own, which the image-set
+	// dedup below keeps.
+	opts.Into = nil
 	workers := opts.workers()
 	perArrangement := make([][]Match, len(queries))
 	// One span per arrangement (keyed by arrangement index, so concurrent

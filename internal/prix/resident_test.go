@@ -42,18 +42,32 @@ var residentOpts = MatchOptions{WarmCache: true, Parallelism: 1}
 // and both cost 3 — the QueryStats and the result's block and []Match — since
 // the pattern is compiled into the scratch and an ordered query walks without
 // an arrangement fan-out or an emit closure: nothing is left per range query,
-// per candidate, per match or for the plan. Under the race detector sync.Pool
-// sheds scratches, so only the old quarter-of-the-original bounds hold there.
+// per candidate, per match or for the plan. With a warmed MatchOptions.Into
+// lending the answer's memory and holding the QueryStats both cost 0. Under
+// the race detector sync.Pool sheds scratches, so only the old
+// quarter-of-the-original bounds hold there.
 func TestResidentMatchAllocs(t *testing.T) {
 	ix, queries := residentSwissprot(t)
-	for i, bound := range map[int]float64{1: 456 / 4, 2: 4281 / 4} {
+	into := NewMatchBuf()
+	defer into.Release()
+	for _, c := range []struct {
+		i     int
+		bound float64
+		into  *MatchBuf
+	}{{1, 456 / 4, nil}, {2, 4281 / 4, nil}, {1, 456 / 4, into}, {2, 4281 / 4, into}} {
+		bound := c.bound
 		if !raceEnabled {
 			bound = 3
+			if c.into != nil {
+				bound = 0
+			}
 		}
-		qs := queries[i]
+		qs := queries[c.i]
 		q := qs.Query()
+		opts := residentOpts
+		opts.Into = c.into
 		run := func() {
-			ms, stats, err := ix.Match(q, residentOpts)
+			ms, stats, err := ix.Match(q, opts)
 			if err != nil || len(ms) != qs.Want {
 				t.Fatalf("%s: matches = %d, %v; want %d", qs.ID, len(ms), err, qs.Want)
 			}
@@ -63,7 +77,8 @@ func TestResidentMatchAllocs(t *testing.T) {
 		}
 		run()
 		if got := testing.AllocsPerRun(20, run); got > bound {
-			t.Errorf("%s: resident Match allocates %.0f objects per run, want <= %.0f", qs.ID, got, bound)
+			t.Errorf("%s, into a buffer %v: resident Match allocates %.0f objects per run, want <= %.0f",
+				qs.ID, c.into != nil, got, bound)
 		}
 	}
 }

@@ -16,12 +16,14 @@ import (
 
 // handleQueryAllocsBound is what one POST /query costs the handler and the
 // engine below it in heap objects on a resident index with the result cache
-// off: 15 (51 before the deadline, body, parse and pattern were pooled; 19
+// off: 12 (51 before the deadline, body, parse and pattern were pooled; 19
 // before the reply was appended from the engine's matches and the trace
-// pooled). What is left is json.Unmarshal of the body, the response header,
-// the query's stats, the cache key, the flight call, the parsed query and
-// the result — plus one for headroom.
-const handleQueryAllocsBound = 16
+// pooled; 15 before the engine packed the answer and its QueryStats into a
+// pooled prix.MatchBuf). What is left is json.Unmarshal of the body and the
+// QueryRequest it fills, the response header, the cache key, the flight call
+// and the parsed query — the engine allocates nothing — plus one for
+// headroom.
+const handleQueryAllocsBound = 13
 
 // resident serves SWISSPROT's planted queries from a resident EPIndex, serial,
 // cache off, tracing on (the default). serve POSTs the JSON body the
@@ -84,10 +86,12 @@ func TestHandleQueryAllocs(t *testing.T) {
 // TestHandleQueryBytesPerRequest bounds the heap bytes one POST /query
 // allocates through the handler (the TotalAlloc delta over 200 serial
 // requests, collector off), for a small reply (Q5: 5 matches) and a large
-// one (Q6: 158 matches): bytes, not objects, are what a reply's size moves.
-// The bounds are the measured 1,928 B and 21,144 B plus 10 % (4,104 B and
-// 29,640 B while the reply went through a []MatchJSON copy and
-// encoding/json and every request had a fresh trace).
+// one (Q6: 158 matches). The bounds are the measured 1,192 B and 1,080 B plus
+// 10 %: with the cache off the answer is packed into a pooled buffer, so a
+// request's bytes no longer grow with its answer (1,928 B and 21,144 B while
+// the engine packed every answer into fresh memory the reply then dropped;
+// 4,104 B and 29,640 B while the reply also went through a []MatchJSON copy
+// and encoding/json and every request had a fresh trace).
 func TestHandleQueryBytesPerRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds pooled values under the race detector")
@@ -98,8 +102,8 @@ func TestHandleQueryBytesPerRequest(t *testing.T) {
 		i     int
 		bound uint64
 	}{
-		{1, 2121},  // Q5: a reply of ≈ 485 bytes
-		{2, 23258}, // Q6: ≈ 8,342 bytes (elapsed_us's digits vary)
+		{1, 1311}, // Q5: a reply of ≈ 485 bytes
+		{2, 1188}, // Q6: ≈ 8,342 bytes (elapsed_us's digits vary)
 	} {
 		const n = 200
 		reply := len(serve(c.i))

@@ -8,10 +8,12 @@ import (
 )
 
 // cached is one materialized query result. Matches is shared between the
-// cache and every reader, so it must be treated as immutable.
+// cache and every reader, so it must be treated as immutable. buf, set only
+// with the cache off, is the pooled memory matches were packed into.
 type cached struct {
 	matches []prix.Match
 	stats   prix.QueryStats
+	buf     *prix.MatchBuf
 }
 
 // Cache is a sharded LRU for query results, keyed by the canonical query

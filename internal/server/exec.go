@@ -68,7 +68,8 @@ type Result struct {
 	// occurrence may be missing.
 	Complete bool
 	// Matches are the twig occurrences. The slice may be shared with the
-	// cache and other requests: treat it as immutable.
+	// cache and other requests: treat it as immutable. It is valid until
+	// Release.
 	Matches []prix.Match
 	// Stats is the engine-level accounting of the execution that produced
 	// the matches: a cache hit carries the stats of the miss that filled
@@ -79,6 +80,17 @@ type Result struct {
 	// Shared reports the result was computed by a concurrent identical
 	// request (singleflight).
 	Shared bool
+	// buf is the memory the engine packed Matches into when this request
+	// alone reads them: nil when they are cached or shared.
+	buf *prix.MatchBuf
+}
+
+// Release ends the result's use of Matches, whose memory the next request
+// may then reuse. Matches is nil afterwards; a second Release does nothing.
+// A result never released is collected like any other value.
+func (r *Result) Release() {
+	r.buf.Release()
+	r.buf, r.Matches = nil, nil
 }
 
 // Executor runs parsed queries against a Source through the result cache
@@ -147,7 +159,7 @@ func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) 
 	if err != nil {
 		return Result{}, err
 	}
-	res.Matches, res.Stats, res.Shared = ent.matches, ent.stats, shared
+	res.Matches, res.Stats, res.Shared, res.buf = ent.matches, ent.stats, shared, ent.buf
 	return res, nil
 }
 
@@ -156,7 +168,11 @@ func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) 
 const transientRetryBackoff = 25 * time.Millisecond
 
 // run performs the actual index match and fills the cache on success; the
-// entry is allocated only when there is a cache to put it in.
+// entry is allocated only when there is a cache to put it in. Without a
+// cache the answer is packed into a pooled buffer, which the result carries
+// to Release (a failed match leaves its buffer to the collector): the cache
+// keeps the engine's own exactly sized copy, but an uncached answer is read
+// once and dropped.
 // Transient read faults get exactly one retry after a short backoff —
 // bounded so an unhealthy disk degrades to fast errors, not a retry storm.
 func (e *Executor) run(ctx context.Context, q *twig.Query, qo QueryOptions, key string) (cached, error) {
@@ -168,6 +184,9 @@ func (e *Executor) run(ctx context.Context, q *twig.Query, qo QueryOptions, key 
 		Trace:         qo.Trace,
 		AsOf:          qo.AsOf,
 		Ctx:           ctx,
+	}
+	if e.cache == nil {
+		mo.Into = prix.NewMatchBuf()
 	}
 	ms, stats, err := e.src.Match(q, mo)
 	if err != nil && prix.IsTransient(err) && ctx.Err() == nil {
@@ -189,7 +208,7 @@ func (e *Executor) run(ctx context.Context, q *twig.Query, qo QueryOptions, key 
 	if e.cache != nil && !stats.Degraded {
 		e.cache.Put(key, &cached{matches: ms, stats: *stats})
 	}
-	return cached{matches: ms, stats: *stats}, nil
+	return cached{matches: ms, stats: *stats, buf: mo.Into}, nil
 }
 
 // isContextErr reports whether err stems from context cancellation or

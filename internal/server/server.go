@@ -495,6 +495,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// The reply is encoded from res.Matches and written before this runs.
+	defer res.Release()
 
 	s.metrics.Served.Inc()
 	elapsed := time.Since(start)

@@ -198,6 +198,9 @@ func (c *Coordinator) Close() error {
 // wall clock.
 func (c *Coordinator) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match, *prix.QueryStats, error) {
 	start := time.Now()
+	// Shards answer concurrently, each into memory of its own: a lent
+	// buffer holds one answer.
+	opts.Into = nil
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()

@@ -598,3 +598,46 @@ func TestBuildOpenRoundTrip(t *testing.T) {
 		t.Fatalf("OpenReplicas=1 opened %d indexes, want 3", n)
 	}
 }
+
+// TestCoordinatorLeavesIntoAlone: a lent prix.MatchBuf holds one answer, and a
+// 2×2 layout answers from both shards at once (and, hedging, from both
+// replicas of a shard), so the coordinator must let none of them pack into
+// it. At Parallelism 1 and 4 an answer through Into equals the one without,
+// and still does after the buffer has packed another answer.
+func TestCoordinatorLeavesIntoAlone(t *testing.T) {
+	docs := corpus()
+	co, err := BuildMemory(docs, BuildConfig{Shards: 2, Replicas: 2, Extended: true, Epoch: 1}, Config{HedgeDelay: time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	single, err := prix.Build(docs, prix.Options{Extended: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	scribble := twig.MustParse(`//a/b`)
+	buf := prix.NewMatchBuf()
+	defer buf.Release()
+	for _, par := range []int{1, 4} {
+		for _, qc := range queries {
+			q := twig.MustParse(qc.src)
+			opts := prix.MatchOptions{WarmCache: true, Parallelism: par, Unordered: qc.unordered}
+			want, _, err := co.Match(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Into = buf
+			got, _, err := co.Match(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := single.Match(scribble, prix.MatchOptions{WarmCache: true, Into: buf}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s unordered=%v par=%d: answer through Into\n %v\nwant\n %v", qc.src, qc.unordered, par, got, want)
+			}
+		}
+	}
+}
