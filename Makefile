@@ -33,7 +33,11 @@ test:
 #     its own query's); cache-off answers packed into pooled buffers while
 #     eight identical requests share one singleflight leader and other
 #     queries recycle buffers beside them
-#     (TestSharedRepliesOutliveRecycling, ten runs below).
+#     (TestSharedRepliesOutliveRecycling, ten runs below); the same over a
+#     2x2 coordinator with the cache on, hedged and with a degraded first
+#     replica, whose cached and shared answers must outlive the pooled shard
+#     buffers they were merged from (TestShardedRepliesOutliveRecycling, ten
+#     runs below).
 #   - prix: the parallel and hot-vs-paged differentials, the dynamic write
 #     path racing queries against hot-tier invalidations, the metamorphic
 #     mutation suite and AS OF replay against the brute-force oracle, the
@@ -83,6 +87,7 @@ race:
 	$(GO) test -race -count=1 ./internal/xmltree -run 'Cursor|ParseError'
 	$(GO) test -race -count=10 ./internal/prix -run 'TestScratchIsolation'
 	$(GO) test -race -count=10 ./internal/server -run 'TestSharedRepliesOutliveRecycling'
+	$(GO) test -race -count=10 ./internal/server -run 'TestShardedRepliesOutliveRecycling'
 
 vet:
 	$(GO) vet ./...
@@ -116,10 +121,15 @@ sched:
 # into the query scratch, the answer packed into a pooled prix.MatchBuf and
 # the reply appended from it into the body's buffer leave 12 objects, 51
 # before) and the bytes it allocates (TestHandleQueryBytesPerRequest: Q5
-# 1,192 B, Q6 1,080 B, no longer growing with the answer; 1,928 B and
+# 1,192 B, Q6 1,080 B, measured on one P after as many requests again, so
+# no per-P pool is cold inside the loop; no longer growing with the answer; 1,928 B and
 # 21,144 B while every answer was packed into fresh memory, 4,104 B and
 # 29,640 B with a []MatchJSON reply and a fresh trace), a Match into a warmed
-# MatchOptions.Into (0 objects, resident and paged), one document drained by a
+# MatchOptions.Into (0 objects, resident and paged), a traced query through a
+# warmed 2x2 shard coordinator (TestCoordinatorMatchAllocs: 7 objects, the
+# shards' answers in pooled buffers merged once and the spans from the
+# trace's kept slabs; 43 before), a released fan-out-sized trace
+# (TestTraceTreeAllocs: 11 spans with attributes, 0 objects), one document drained by a
 # compaction (TestCompactDrainAllocs: 0, the DocSeq reused), one record a
 # warmed run reader replays (TestRunReaderAllocs in ingest: 0), a compaction's
 # bulk load per document (TestBulkLoadDynamicAllocs: ≤ 1), the version map
@@ -141,7 +151,7 @@ sched:
 # then fails a named test here before it reaches the benchmark's allocs_op or
 # live_heap_mb.
 allocs:
-	$(GO) test -count=1 -run 'Allocs|BytesPer' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig ./internal/vtrie ./internal/hot ./internal/server ./internal/ingest ./internal/mvcc
+	$(GO) test -count=1 -run 'Allocs|BytesPer' ./internal/pager ./internal/btree ./internal/docstore ./internal/prix ./internal/obs ./internal/twig ./internal/vtrie ./internal/hot ./internal/server ./internal/shard ./internal/ingest ./internal/mvcc
 
 # The driver's benchmark is a nested module (benchmark/go.mod) that `go test
 # ./...` does not reach: vet and short-test it here, so a change to an

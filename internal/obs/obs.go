@@ -100,16 +100,30 @@ type Trace struct {
 	root  *Span
 	// A serial query's whole tree — root, match, filter, refine, and the
 	// match span's attributes — lives in the trace's own allocation; spans
-	// and attributes beyond these come from the heap one by one.
-	spans  [inlineSpans]Span
-	nspans int
-	attrs  [inlineAttrs]attr
-	nattrs int
+	// and attribute slots beyond these come from slabs, which the trace
+	// keeps across Release (up to keptSlabs of each), so a fan-out's tree
+	// allocates nothing once a pooled trace has held one as large.
+	spans     [inlineSpans]Span
+	nspans    int
+	attrs     [inlineAttrs]attr
+	nattrs    int
+	spanSlabs []*[slabSpans]Span
+	attrSlabs []*[slabAttrs]attr
+	slabSpan  int // spans handed out of spanSlabs
+	slabAttr  int // attribute slots handed out of attrSlabs, skipped ones included
 }
 
 const (
 	inlineSpans = 4
 	inlineAttrs = 7
+	slabSpans   = 8
+	slabAttrs   = 32
+	// keptSlabs bounds the slabs of each kind a released trace keeps, so
+	// one huge trace does not pin its high-water mark in the pool: 36 spans
+	// and 135 attribute slots in all, well past a 2×2 fan-out's ≈ 11 spans.
+	keptSlabs = 4
+	// firstAttrs is the attribute slots a span's first slab claim takes.
+	firstAttrs = 4
 )
 
 // tracePool holds released traces. A server traces every request it
@@ -131,23 +145,66 @@ func NewTrace(name string) *Trace {
 // nothing touches the trace again: the traced operation has returned, no
 // goroutine it started still holds a span, and whatever StageTotals, Tree
 // or Render was wanted has been taken (a SpanJSON shares nothing with the
-// trace). Spans and attributes past the inline slots are dropped with it.
+// trace). The slabs that held spans and attributes past the inline slots
+// are zeroed and kept for the trace's next use, up to keptSlabs of each.
 // Release a trace once: a second Release would pool it twice. Nil-safe.
 func (t *Trace) Release() {
 	if t == nil {
 		return
 	}
-	*t = Trace{}
+	spans := keepSlabs(t.spanSlabs, t.slabSpan, slabSpans)
+	attrs := keepSlabs(t.attrSlabs, t.slabAttr, slabAttrs)
+	*t = Trace{spanSlabs: spans, attrSlabs: attrs}
 	tracePool.Put(t)
 }
 
-// newSpanLocked hands out the next inline span, or a heap one after those.
-func (t *Trace) newSpanLocked() *Span {
-	if t.nspans == len(t.spans) {
-		return new(Span)
+// keepSlabs returns the slabs a released trace keeps, those that held its
+// used slots (per to a slab) zeroed; the ones after them are still zero.
+func keepSlabs[T any](slabs []*T, used, per int) []*T {
+	slabs = slabs[:min(len(slabs), keptSlabs)]
+	for _, sl := range slabs[:min(len(slabs), (used+per-1)/per)] {
+		var zero T
+		*sl = zero
 	}
-	t.nspans++
-	return &t.spans[t.nspans-1]
+	return slabs
+}
+
+// newSpanLocked hands out the next inline span, or the next slab slot after
+// those.
+func (t *Trace) newSpanLocked() *Span {
+	if t.nspans < len(t.spans) {
+		t.nspans++
+		return &t.spans[t.nspans-1]
+	}
+	i := t.slabSpan
+	if i/slabSpans == len(t.spanSlabs) {
+		t.spanSlabs = append(t.spanSlabs, new([slabSpans]Span))
+	}
+	t.slabSpan++
+	return &t.spanSlabs[i/slabSpans][i%slabSpans]
+}
+
+// claimAttrsLocked hands a span holding n attributes an empty run of slots
+// with room for more: what is left of the inline slots when that is more
+// than n, else 2n of a slab's (at least firstAttrs, at most maxAttrs). A run
+// never straddles two slabs; the tail a slab cannot fit is skipped.
+func (t *Trace) claimAttrsLocked(n int) []attr {
+	if left := len(t.attrs) - t.nattrs; left > n {
+		run := t.attrs[t.nattrs:t.nattrs:len(t.attrs)]
+		t.nattrs = len(t.attrs)
+		return run
+	}
+	want := min(max(2*n, firstAttrs), maxAttrs)
+	i := t.slabAttr
+	if i%slabAttrs+want > slabAttrs {
+		i += slabAttrs - i%slabAttrs
+	}
+	if i/slabAttrs == len(t.attrSlabs) {
+		t.attrSlabs = append(t.attrSlabs, new([slabAttrs]attr))
+	}
+	t.slabAttr = i + want
+	o := i % slabAttrs
+	return t.attrSlabs[i/slabAttrs][o : o : o+want]
 }
 
 // Root returns the root span (nil on a nil trace).
@@ -322,6 +379,30 @@ func (s *Span) Child(name string) *Span { return s.child(name, "", s.ioSource())
 // orders siblings when the tree is read, keeping traces deterministic.
 func (s *Span) ChildKeyed(name, key string) *Span { return s.child(name, key, s.ioSource()) }
 
+// precomputedOrdinals is how many OrdinalKey keys are kept ready: every
+// shard, replica and scan-worker ordinal in practice, in 768 bytes of heap.
+const precomputedOrdinals = 256
+
+// ordinals holds OrdinalKey's keys "000" through "255", three bytes each.
+var ordinals = func() string {
+	b := make([]byte, 0, 3*precomputedOrdinals)
+	for i := 0; i < precomputedOrdinals; i++ {
+		b = append(b, byte('0'+i/100), byte('0'+i/10%10), byte('0'+i%10))
+	}
+	return string(b)
+}()
+
+// OrdinalKey is the ChildKeyed key of the i-th of a fan-out's sibling spans
+// (shard, replica, arrangement, scan worker): i in at least three decimal
+// digits, so up to a thousand siblings sort in ordinal order. Keys below
+// 256 are slices of one precomputed string and allocate nothing.
+func OrdinalKey(i int) string {
+	if i >= 0 && i < precomputedOrdinals {
+		return ordinals[3*i : 3*i+3]
+	}
+	return fmt.Sprintf("%03d", i)
+}
+
 // ChildIO opens a keyed child with its own I/O source (e.g. a specific
 // index's buffer pools), sampled at the child's start and end.
 func (s *Span) ChildIO(name, key string, io IOFunc) *Span { return s.child(name, key, io) }
@@ -410,17 +491,17 @@ func (s *Span) find(key string) int {
 }
 
 // add appends a new attribute. A span's first one claims what is left of
-// the trace's inline slots as its backing array; append moves to the heap
-// past that.
+// the trace's inline slots as its backing array; past that the span's
+// attributes move to a larger run of slab slots (claimAttrsLocked).
 func (s *Span) add(a attr) {
 	if len(s.attrs) >= maxAttrs {
 		return
 	}
-	if s.attrs == nil {
+	if len(s.attrs) == cap(s.attrs) {
 		s.t.mu.Lock()
-		s.attrs = s.t.attrs[s.t.nattrs:s.t.nattrs:len(s.t.attrs)]
-		s.t.nattrs = len(s.t.attrs)
+		run := s.t.claimAttrsLocked(len(s.attrs))
 		s.t.mu.Unlock()
+		s.attrs = append(run, s.attrs...)
 	}
 	s.attrs = append(s.attrs, a)
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -175,12 +177,44 @@ func buildQueryTrace(query func(sp *Span), extra int) *Trace {
 	return tr
 }
 
+// buildFanOutTrace lays out the tree of a traced 2×2 shard fan-out: root,
+// two shard spans, a replica span under each, and under each replica one
+// query's match span with its seven attributes, filter and refine — eleven
+// spans, every one with attributes.
+func buildFanOutTrace() *Trace {
+	tr := NewTrace("query")
+	root := tr.Root()
+	root.SetStr("query", "//a[./b]")
+	for s := 0; s < 2; s++ {
+		sh := root.ChildKeyed("shard", OrdinalKey(s))
+		sh.SetInt("docs", 3000)
+		rep := sh.ChildKeyed("replica", OrdinalKey(s))
+		m := rep.ChildKeyed("match", "ep")
+		m.Child("filter").SetInt("n", 1)
+		m.Child("refine").SetInt("n", 2)
+		m.SetStr("query", "//a[./b]")
+		for i, k := range []string{"range_queries", "pruned", "candidates", "matches", "record_fetches", "degraded"} {
+			m.SetInt(k, int64(i))
+		}
+		m.End()
+		rep.SetInt("degraded", 1)
+		rep.End()
+		sh.SetInt("matches", 7)
+		sh.SetInt("degraded", 1)
+		sh.End()
+	}
+	tr.Finish()
+	return tr
+}
+
 // TestTraceTreeAllocs: a serial query's whole span tree — four spans, the
 // match span's seven attributes, the child lists — lives in the Trace's own
 // allocation, and the query attribute is not rendered unless the tree is.
 // Spans and attributes past the inline slots still work (they come from the
-// heap), and a tree built either way encodes to the same bytes, whether the
-// query attribute was set as a string or as a value rendered on demand.
+// trace's slabs), and a tree built either way encodes to the same bytes,
+// whether the query attribute was set as a string or as a value rendered on
+// demand. A fan-out's tree, eleven spans each with attributes, costs nothing
+// once a released trace has held one: the slabs come back with it.
 func TestTraceTreeAllocs(t *testing.T) {
 	calls := 0
 	lazy := func(sp *Span) { sp.SetStringer("query", stringer{&calls}) }
@@ -213,6 +247,25 @@ func TestTraceTreeAllocs(t *testing.T) {
 	tr := buildQueryTrace(lazy, 0)
 	if q, ok := tr.Root().Children()[0].Str("query"); !ok || q != "//a[./b]" {
 		t.Errorf("Str(query) = %q, %v", q, ok)
+	}
+
+	fan := buildFanOutTrace()
+	j, err := json.Marshal(zeroTimes(fan.Tree()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan.Release()
+	if n := bytes.Count(j, []byte(`"name"`)); n != 11 {
+		t.Errorf("the fan-out encodes %d spans, want 11: %s", n, j)
+	}
+	if n := bytes.Count(j, []byte(`"attrs"`)); n != 11 {
+		t.Errorf("%d of the fan-out's 11 spans encode attributes: %s", n, j)
+	}
+	if raceEnabled {
+		return // sync.Pool sheds pooled traces, slabs and all, under the detector
+	}
+	if n := testing.AllocsPerRun(100, func() { buildFanOutTrace().Release() }); n > 0 {
+		t.Errorf("a released fan-out trace costs %.2f objects, want 0", n)
 	}
 }
 
@@ -253,6 +306,57 @@ func TestTraceRelease(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { buildQueryTrace(noQuery, 0).Release() }); n > 0.5 {
 		t.Errorf("a released serial trace costs %.2f objects, want 0", n)
+	}
+}
+
+// TestTraceSlabsBounded: a released trace keeps at most keptSlabs slabs of
+// spans and of attribute slots, zeroed, however large the tree it held; a
+// span's attributes keep their order and values as they move from one run
+// of slab slots to a larger one.
+func TestTraceSlabsBounded(t *testing.T) {
+	tr := NewTrace("q")
+	for i := 0; i < 200; i++ {
+		sp := tr.Root().ChildKeyed("worker", OrdinalKey(i))
+		for a := 0; a < maxAttrs; a++ {
+			sp.SetInt(OrdinalKey(a), int64(i*a))
+		}
+	}
+	for i, c := range tr.Root().Children() {
+		for a := 0; a < maxAttrs; a++ {
+			if v, ok := c.Int(OrdinalKey(a)); !ok || v != int64(i*a) {
+				t.Fatalf("span %d attribute %d = %d, %v; want %d", i, a, v, ok, i*a)
+			}
+		}
+	}
+	if len(tr.spanSlabs) <= keptSlabs || len(tr.attrSlabs) <= keptSlabs {
+		t.Fatalf("200 spans took %d span slabs and %d attribute slabs", len(tr.spanSlabs), len(tr.attrSlabs))
+	}
+	tr.Release()
+	if len(tr.spanSlabs) != keptSlabs || len(tr.attrSlabs) != keptSlabs {
+		t.Errorf("a released trace keeps %d span slabs and %d attribute slabs, want %d", len(tr.spanSlabs), len(tr.attrSlabs), keptSlabs)
+	}
+	for _, sl := range tr.spanSlabs {
+		if !reflect.ValueOf(*sl).IsZero() {
+			t.Fatal("a kept span slab was not zeroed")
+		}
+	}
+	for _, sl := range tr.attrSlabs {
+		if !reflect.ValueOf(*sl).IsZero() {
+			t.Fatal("a kept attribute slab was not zeroed")
+		}
+	}
+}
+
+// TestOrdinalKey: keys are the ordinal in at least three digits, the
+// precomputed ones and the formatted ones alike.
+func TestOrdinalKey(t *testing.T) {
+	for _, i := range []int{-1, 0, 7, 42, 255, 256, 999, 1000, 12345} {
+		if got, want := OrdinalKey(i), fmt.Sprintf("%03d", i); got != want {
+			t.Errorf("OrdinalKey(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = OrdinalKey(123) }); n != 0 {
+		t.Errorf("OrdinalKey(123) costs %.0f objects, want 0", n)
 	}
 }
 

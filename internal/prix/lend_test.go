@@ -94,3 +94,69 @@ func TestMatchBufKeepBound(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeMatches: runs split off one answer by docid, each still in order,
+// merge back into that answer, into memory of their own and into a lent
+// buffer alike, with nil Positions (single-node answers) kept nil. The
+// merged answer shares nothing with the runs: it holds after they are
+// overwritten. Merging into a warmed buffer allocates nothing; into memory of
+// its own, the one block and the one []Match.
+func TestMergeMatches(t *testing.T) {
+	ix, err := Build(parallelCorpus(), Options{Extended: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	buf := NewMatchBuf()
+	defer buf.Release()
+	for _, qc := range parallelQueries {
+		if qc.src == `//a[./b][./d]//e` {
+			continue
+		}
+		q := twig.MustParse(qc.src)
+		opts := MatchOptions{WarmCache: true, Parallelism: 1, Unordered: qc.unordered}
+		want, _, err := ix.Match(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, _, err := ix.Match(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := make([][]Match, 3)
+		for _, m := range src {
+			runs[m.DocID%3] = append(runs[m.DocID%3], m)
+		}
+		owned := MergeMatches(nil, runs...)
+		lent := MergeMatches(buf, runs...)
+		for _, m := range src {
+			for k := range m.Positions {
+				m.Positions[k] = -1
+			}
+			for k := range m.Images {
+				m.Images[k] = -1
+			}
+		}
+		if !reflect.DeepEqual(owned, want) {
+			t.Errorf("%s unordered=%v: merged\n %v\nwant\n %v", qc.src, qc.unordered, owned, want)
+		}
+		if !reflect.DeepEqual(lent, want) {
+			t.Errorf("%s unordered=%v: merged into a lent buffer\n %v\nwant\n %v", qc.src, qc.unordered, lent, want)
+		}
+		if len(want) > 0 && (cap(owned) != len(want) || &lent[0] != &buf.matches[0]) {
+			t.Errorf("%s: the owned answer has cap %d for %d matches, or the lent one is not in the buffer", qc.src, cap(owned), len(want))
+		}
+		if raceEnabled || len(want) == 0 {
+			continue
+		}
+		if n := testing.AllocsPerRun(20, func() { MergeMatches(buf, runs...) }); n != 0 {
+			t.Errorf("%s: a merge into a warmed buffer costs %.0f objects, want 0", qc.src, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { MergeMatches(nil, runs...) }); n > 2 {
+			t.Errorf("%s: a merge into memory of its own costs %.0f objects, want <= 2", qc.src, n)
+		}
+	}
+	if got := MergeMatches(nil, nil, []Match{}); got != nil {
+		t.Errorf("merging empty runs = %v, want nil", got)
+	}
+}

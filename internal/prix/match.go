@@ -309,8 +309,8 @@ func (ix *Index) Count(q *twig.Query, opts MatchOptions) (int, *QueryStats, erro
 // (single-node queries carry no positions, and dedup keys on Images) —
 // which is what lets the scatter-gather coordinator merge per-shard result
 // lists with this same comparator and produce output byte-identical to a
-// single index's: docids are globally unique, so the cross-shard merge is
-// a plain sort under a tie-free comparator.
+// single index's: docids are globally unique, so the cross-shard merge
+// (MergeMatches) meets no ties.
 func MatchLess(a, b Match) bool { return compareMatches(a, b) < 0 }
 
 // compareMatches is MatchLess as a three-way comparison.
@@ -349,6 +349,65 @@ func compareInt32s(a, b []int32) int {
 		return 1
 	}
 	return 0
+}
+
+// MergeMatches merges runs, each in MatchLess order, into one answer in that
+// order, copying every match with its positions and images into dst; a nil
+// dst merges them into memory of their own, one exactly sized block and one
+// exactly sized []Match, as an unlent Match packs its answer. The answer
+// shares no memory with the runs, which may be reused once it returns; nil
+// Positions or Images stay nil. The scatter-gather coordinator merges its
+// shards' answers with it: each shard's run is in order, and shards hold
+// disjoint docids.
+func MergeMatches(dst *MatchBuf, runs ...[]Match) []Match {
+	n, w := 0, 0
+	for _, run := range runs {
+		n += len(run)
+		for k := range run {
+			w += len(run[k].Positions) + len(run[k].Images)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	var own MatchBuf
+	if dst == nil {
+		dst = &own
+	}
+	dst.ints = sized(dst.ints, w)
+	dst.matches = sized(dst.matches, n)
+	// next[r] is run r's first unmerged match. Runs are few (one a shard),
+	// so the least head is found by a scan rather than a heap.
+	var inline [16]int
+	next := inline[:]
+	if len(runs) > len(inline) {
+		next = make([]int, len(runs))
+	}
+	ints := dst.ints
+	for k := range dst.matches {
+		best := -1
+		for r, run := range runs {
+			if next[r] < len(run) && (best < 0 || compareMatches(run[next[r]], runs[best][next[best]]) < 0) {
+				best = r
+			}
+		}
+		m := runs[best][next[best]]
+		next[best]++
+		m.Positions, ints = carve(m.Positions, ints)
+		m.Images, ints = carve(m.Images, ints)
+		dst.matches[k] = m
+	}
+	return dst.matches
+}
+
+// carve copies src to the front of block, returning the copy (capped at its
+// length, nil for a nil src) and the rest of block.
+func carve(src, block []int32) (copied, rest []int32) {
+	if src == nil {
+		return nil, block
+	}
+	n := copy(block, src)
+	return block[:n:n], block[n:]
 }
 
 // plan is a query compiled against this index's dictionary. It lives in the

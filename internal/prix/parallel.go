@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 
@@ -47,7 +46,7 @@ func (ix *Index) matchArrangements(queries []*twig.Query, opts MatchOptions, sta
 	arrSpans := make([]*obs.Span, len(queries))
 	if sp != nil && len(queries) > 1 {
 		for qi, qq := range queries {
-			arrSpans[qi] = sp.ChildKeyed("arrangement", fmt.Sprintf("%03d", qi))
+			arrSpans[qi] = sp.ChildKeyed("arrangement", obs.OrdinalKey(qi))
 			arrSpans[qi].SetStringer("query", qq)
 		}
 	}

@@ -32,7 +32,7 @@ func (ix *Index) matchSingleNode(q *twig.Query, opts MatchOptions, stats *QueryS
 	if workers <= 1 {
 		var ssp *obs.Span
 		if sp != nil {
-			ssp = sp.ChildKeyed("scan", "000")
+			ssp = sp.ChildKeyed("scan", obs.OrdinalKey(0))
 		}
 		return ix.scanSingleNode(q, opts, stats, sym, 0, n, ssp)
 	}
@@ -47,7 +47,7 @@ func (ix *Index) matchSingleNode(q *twig.Query, opts MatchOptions, stats *QueryS
 	sspans := make([]*obs.Span, workers)
 	if sp != nil {
 		for w := range sspans {
-			sspans[w] = sp.ChildKeyed("scan", fmt.Sprintf("%03d", w))
+			sspans[w] = sp.ChildKeyed("scan", obs.OrdinalKey(w))
 		}
 	}
 	var wg sync.WaitGroup

@@ -92,11 +92,19 @@ func TestHandleQueryAllocs(t *testing.T) {
 // the engine packed every answer into fresh memory the reply then dropped;
 // 4,104 B and 29,640 B while the reply also went through a []MatchJSON copy
 // and encoding/json and every request had a fresh trace).
+//
+// The measured loop is steady state: it runs on one P, after as many
+// requests again. sync.Pool keeps a value per P, so on two Ps a request
+// that lands on the P whose pools hold none of this query's trace, scratch,
+// body buffer and MatchBuf builds them afresh and grows them inside the
+// loop: run after run in one process, Q6 read 1,373–1,474 B in 9 of 40
+// runs on two Ps and 1,080 B in all 40 on one.
 func TestHandleQueryBytesPerRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds pooled values under the race detector")
 	}
 	serve, qs := resident(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, c := range []struct {
 		i     int
@@ -107,6 +115,9 @@ func TestHandleQueryBytesPerRequest(t *testing.T) {
 	} {
 		const n = 200
 		reply := len(serve(c.i))
+		for j := 0; j < n; j++ {
+			serve(c.i)
+		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for j := 0; j < n; j++ {

@@ -1,12 +1,12 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -183,8 +183,9 @@ func (c *Coordinator) Close() error {
 //
 //   - Results are byte-identical to a single index over the same
 //     documents, at every shard count: docids are globally unique and the
-//     per-shard engine is deterministic, so the merge is a sort under the
-//     engine's own comparator (prix.MatchLess).
+//     per-shard engine is deterministic, so the merge of the shards' sorted
+//     answers under the engine's own comparator (prix.MatchLess) is the
+//     single index's order.
 //   - A shard whose every replica fails degrades alone: its matches are
 //     missing, stats.Degraded is set and stats.DegradedShards names it —
 //     the query still succeeds over the healthy shards. Only when every
@@ -193,18 +194,15 @@ func (c *Coordinator) Close() error {
 //     cancellation propagate immediately: they are identical on every
 //     shard, so partial results would be meaningless.
 //
-// Counter stats sum across shards; PagesRead is the usual monotonic
-// before/after delta over every replica pool; Elapsed is the fan-out's
-// wall clock.
+// Each shard answers into a pooled prix.MatchBuf of its own, and
+// prix.MergeMatches copies the answers once, into exactly sized memory the
+// caller keeps; the caller's own opts.Into is left alone, since one buffer
+// holds one answer. Counter stats sum across shards; PagesRead is the usual
+// monotonic before/after delta over every replica pool; Elapsed is the
+// fan-out's wall clock.
 func (c *Coordinator) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match, *prix.QueryStats, error) {
 	start := time.Now()
-	// Shards answer concurrently, each into memory of its own: a lent
-	// buffer holds one answer.
-	opts.Into = nil
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := cmp.Or(opts.Ctx, context.Background())
 	pagesBefore := c.PagesRead()
 	parent := opts.TraceParent
 	if parent == nil {
@@ -214,8 +212,14 @@ func (c *Coordinator) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match
 		ms    []prix.Match
 		stats *prix.QueryStats
 		err   error
+		buf   *prix.MatchBuf
 	}
 	results := make([]shardResult, len(c.shards))
+	defer func() {
+		for i := range results {
+			results[i].buf.Release()
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := range c.shards {
 		var ssp *obs.Span
@@ -223,37 +227,39 @@ func (c *Coordinator) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match
 			// Shard spans are created before the goroutines start and keyed
 			// by ordinal, so the traced fan-out merges deterministically no
 			// matter which shard finishes first.
-			ssp = parent.ChildKeyed("shard", fmt.Sprintf("%03d", i))
+			ssp = parent.ChildKeyed("shard", obs.OrdinalKey(i))
 			ssp.SetInt("docs", int64(c.shards[i].NumDocs()))
 		}
+		results[i].buf = prix.NewMatchBuf()
 		wg.Add(1)
-		go func(i int, ssp *obs.Span) {
+		go func() {
 			defer wg.Done()
+			r := &results[i]
 			o := opts
 			o.Ctx = ctx
 			o.TraceParent = ssp
-			ms, stats, err := c.shards[i].Match(ctx, q, o)
+			o.Into = r.buf
+			r.ms, r.stats, r.err = c.shards[i].Match(ctx, q, o)
 			if ssp != nil {
-				if err != nil {
-					ssp.SetStr("error", err.Error())
+				if r.err != nil {
+					ssp.SetStr("error", r.err.Error())
 				} else {
-					ssp.SetInt("matches", int64(len(ms)))
-					if stats.Degraded {
+					ssp.SetInt("matches", int64(len(r.ms)))
+					if r.stats.Degraded {
 						ssp.SetInt("degraded", 1)
 					}
 				}
 				ssp.End()
 			}
-			results[i] = shardResult{ms: ms, stats: stats, err: err}
-		}(i, ssp)
+		}()
 	}
 	wg.Wait()
 
 	merged := &prix.QueryStats{}
-	var out []prix.Match
+	var inline [8][]prix.Match // runs stays on the stack up to eight shards
+	runs := inline[:0]
 	var degradedShards []int
 	var lastErr error
-	healthy := 0
 	for i := range results {
 		r := &results[i]
 		if r.err != nil {
@@ -274,8 +280,7 @@ func (c *Coordinator) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match
 			}
 			continue
 		}
-		healthy++
-		out = append(out, r.ms...)
+		runs = append(runs, r.ms)
 		merged.RangeQueries += r.stats.RangeQueries
 		merged.TriePathsPruned += r.stats.TriePathsPruned
 		merged.Candidates += r.stats.Candidates
@@ -285,14 +290,14 @@ func (c *Coordinator) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match
 			degradedShards = append(degradedShards, i)
 		}
 	}
-	if healthy == 0 {
+	if len(runs) == 0 {
 		return nil, nil, fmt.Errorf("shard: all %d shards failed: %w", len(c.shards), lastErr)
 	}
-	// Deterministic global order: the engine's own comparator over globally
-	// unique docids. Shards partition the docid space, so this reproduces
-	// the single index's (DocID, Positions) order exactly.
-	sort.Slice(out, func(i, j int) bool { return prix.MatchLess(out[i], out[j]) })
-	sort.Ints(degradedShards)
+	// Deterministic global order: each shard's answer is in MatchLess order
+	// under its global docids (Shard.Match maps them in place, and a shard's
+	// docid map rises), and shards partition the docid space, so merging
+	// them reproduces the single index's (DocID, Positions) order exactly.
+	out := prix.MergeMatches(nil, runs...)
 	merged.Matches = len(out)
 	merged.PagesRead = c.PagesRead() - pagesBefore
 	merged.Elapsed = time.Since(start)
@@ -306,7 +311,7 @@ func (c *Coordinator) ReconstructDocument(global uint32) (*xmltree.Document, err
 	if global >= c.topo.Docs {
 		return nil, fmt.Errorf("shard: docid %d outside collection (%d docs)", global, c.topo.Docs)
 	}
-	s, local := c.topo.Locate(global)
+	s, local := c.locate(global)
 	var lastErr error
 	for _, b := range c.shards[s].replicas {
 		rc, ok := b.(interface {
@@ -330,6 +335,15 @@ func (c *Coordinator) ReconstructDocument(global uint32) (*xmltree.Document, err
 		lastErr = fmt.Errorf("no replica supports reconstruction")
 	}
 	return nil, fmt.Errorf("%s: %w", Name(s), lastErr)
+}
+
+// locate maps a global docid below the collection's count to its owner
+// shard and the local docid it has there: its rank in the shard's
+// ascending docid map.
+func (c *Coordinator) locate(global uint32) (shard int, local uint32) {
+	shard = Owner(global, c.topo.Shards)
+	k, _ := slices.BinarySearch(c.shards[shard].toGlobal, global)
+	return shard, uint32(k)
 }
 
 // Count is Match returning only the cardinality.

@@ -65,13 +65,22 @@ type Shard struct {
 	latencyNS atomic.Int64
 }
 
-// NewShard assembles a shard from its replica group. maxInFlight bounds
-// concurrently executing queries on this shard (≤ 0 means
-// DefaultShardInFlight); hedge, when positive, launches a backup read on
-// the next replica if the current one has not answered within that delay.
+// NewShard assembles a shard from its replica group. toGlobal maps local
+// docids to global ones and must be strictly increasing: Match keeps each
+// answer's order through the mapping, and the coordinator merges shards'
+// answers on it. maxInFlight bounds concurrently executing queries on this
+// shard (≤ 0 means DefaultShardInFlight); hedge, when positive, launches a
+// backup read on the next replica if the current one has not answered
+// within that delay.
 func NewShard(id int, toGlobal []uint32, replicas []prix.Source, maxInFlight int, hedge time.Duration) (*Shard, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("shard %d: no replicas", id)
+	}
+	for k := 1; k < len(toGlobal); k++ {
+		if toGlobal[k] <= toGlobal[k-1] {
+			return nil, fmt.Errorf("shard %d: docmap not strictly increasing at local docid %d (%d after %d)",
+				id, k, toGlobal[k], toGlobal[k-1])
+		}
 	}
 	for r, b := range replicas {
 		if n := b.Stats().Docs; n != len(toGlobal) {
@@ -154,6 +163,11 @@ func (s *Shard) Stats() prix.ShardStats {
 // remapping into the global space. A clean result from any replica wins;
 // a degraded result (quarantined documents skipped) is used only when no
 // replica can do better — replica redundancy masks single-copy damage.
+// opts.Into, when set, is lent to the first replica attempt only: one
+// buffer holds one answer, so failover and hedged attempts answer into
+// memory of their own. The docids are mapped in place, in whichever memory
+// the answer is in; a shard's docid map rises, so the answer stays in
+// prix.MatchLess order.
 func (s *Shard) Match(ctx context.Context, q *twig.Query, opts prix.MatchOptions) ([]prix.Match, *prix.QueryStats, error) {
 	// A free slot is taken without a select on ctx.Done(): a request
 	// context may build its Done channel on first use, and an uncontended
@@ -243,6 +257,7 @@ func (s *Shard) matchReplicas(ctx context.Context, q *twig.Query, opts prix.Matc
 	}
 	delay := s.retry.Base
 	var best *attempt
+	var kept attempt // what best points at
 	cycleErred := false
 	for i := 0; i < budget; i++ {
 		r := (first + i) % n
@@ -263,6 +278,9 @@ func (s *Shard) matchReplicas(ctx context.Context, q *twig.Query, opts prix.Matc
 			}
 		}
 		a := s.tryReplica(ctx, r, q, opts)
+		// A degraded answer in the lent buffer may yet be served as best:
+		// later attempts pack into memory of their own.
+		opts.Into = nil
 		if a.err == nil && !a.stats.Degraded {
 			return a.ms, a.stats, nil
 		}
@@ -275,7 +293,8 @@ func (s *Shard) matchReplicas(ctx context.Context, q *twig.Query, opts prix.Matc
 			cycleErred = true
 		}
 		if a.better(best) {
-			best = a
+			kept = a
+			best = &kept
 		}
 		if (i+1)%n == 0 {
 			if best.err == nil && !cycleErred {
@@ -322,6 +341,9 @@ func backoffSleep(ctx context.Context, delay *time.Duration, max time.Duration) 
 // call — required for trace safety (the caller finishes and reads the
 // span tree right after) and for sane I/O accounting.
 func (s *Shard) matchHedged(ctx context.Context, q *twig.Query, opts prix.MatchOptions, first int) ([]prix.Match, *prix.QueryStats, error) {
+	// Attempts run side by side, so none of them may pack into a lent
+	// buffer.
+	opts.Into = nil
 	n := len(s.replicas)
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -331,7 +353,10 @@ func (s *Shard) matchHedged(ctx context.Context, q *twig.Query, opts prix.MatchO
 		r := (first + launched) % n
 		launched++
 		pending++
-		go func() { resc <- s.tryReplica(actx, r, q, opts) }()
+		go func() {
+			a := s.tryReplica(actx, r, q, opts)
+			resc <- &a
+		}()
 	}
 	drain := func() {
 		cancel()
@@ -376,12 +401,12 @@ func (s *Shard) matchHedged(ctx context.Context, q *twig.Query, opts prix.MatchO
 
 // tryReplica runs the query on one replica, under a replica/NNN trace
 // span so a traced failover shows every attempt it made.
-func (s *Shard) tryReplica(ctx context.Context, r int, q *twig.Query, opts prix.MatchOptions) *attempt {
+func (s *Shard) tryReplica(ctx context.Context, r int, q *twig.Query, opts prix.MatchOptions) attempt {
 	o := opts
 	o.Ctx = ctx
 	var rsp *obs.Span
 	if o.Trace != nil && o.TraceParent != nil {
-		rsp = o.TraceParent.ChildKeyed("replica", fmt.Sprintf("%03d", r))
+		rsp = o.TraceParent.ChildKeyed("replica", obs.OrdinalKey(r))
 		o.TraceParent = rsp
 	}
 	ms, stats, err := s.replicas[r].Match(q, o)
@@ -393,7 +418,7 @@ func (s *Shard) tryReplica(ctx context.Context, r int, q *twig.Query, opts prix.
 		}
 		rsp.End()
 	}
-	return &attempt{ms: ms, stats: stats, err: err, replica: r}
+	return attempt{ms: ms, stats: stats, err: err, replica: r}
 }
 
 // isContextErr reports cancellation or deadline expiry somewhere under the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pager"
 	"repro/internal/prix"
 	"repro/internal/twig"
@@ -107,7 +108,7 @@ func TestOwnerPlacement(t *testing.T) {
 }
 
 // TestDocMapsPartition: the derived local→global maps are a partition of
-// the docid space, each ascending, and Locate agrees with them.
+// the docid space, each strictly ascending, and each owner agrees with them.
 func TestDocMapsPartition(t *testing.T) {
 	topo := &Topology{Version: 1, Shards: 5, Replicas: 1, Docs: 997}
 	maps := topo.DocMaps()
@@ -121,8 +122,8 @@ func TestDocMapsPartition(t *testing.T) {
 				t.Fatalf("docid %d owned twice", g)
 			}
 			seen[g] = true
-			if os, ol := topo.Locate(g); os != s || ol != uint32(local) {
-				t.Fatalf("Locate(%d) = (%d,%d), docmap says (%d,%d)", g, os, ol, s, local)
+			if o := Owner(g, topo.Shards); o != s {
+				t.Fatalf("Owner(%d) = %d, docmap says %d", g, o, s)
 			}
 		}
 	}
@@ -639,5 +640,98 @@ func TestCoordinatorLeavesIntoAlone(t *testing.T) {
 				t.Errorf("%s unordered=%v par=%d: answer through Into\n %v\nwant\n %v", qc.src, qc.unordered, par, got, want)
 			}
 		}
+	}
+}
+
+// TestCoordinatorLocate: the owner shard and a binary search of its docid
+// map give every docid of a 3-shard layout the (shard, local) pair that
+// counting the owner's docids below it gives, and reconstruction by global
+// docid returns each document whole.
+func TestCoordinatorLocate(t *testing.T) {
+	docs := corpus()
+	co, err := BuildMemory(docs, BuildConfig{Shards: 3, Extended: true, Epoch: 1}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	for g := uint32(0); g < uint32(len(docs)); g++ {
+		shard := Owner(g, 3)
+		var local uint32
+		for h := uint32(0); h < g; h++ {
+			if Owner(h, 3) == shard {
+				local++
+			}
+		}
+		if s, l := co.locate(g); s != shard || l != local {
+			t.Fatalf("locate(%d) = (%d,%d), counting gives (%d,%d)", g, s, l, shard, local)
+		}
+		doc, err := co.ReconstructDocument(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.ID != int(g) || doc.Size() != docs[g].Size() {
+			t.Fatalf("ReconstructDocument(%d): doc %d of %d nodes, want %d nodes", g, doc.ID, doc.Size(), docs[g].Size())
+		}
+	}
+	if _, err := co.ReconstructDocument(uint32(len(docs))); err == nil {
+		t.Error("a docid past the collection reconstructed")
+	}
+}
+
+// TestNewShardRejectsUnorderedDocMap: a docid map that does not rise
+// strictly would reorder a shard's answer under the coordinator's merge, so
+// NewShard refuses it.
+func TestNewShardRejectsUnorderedDocMap(t *testing.T) {
+	for _, m := range [][]uint32{{3, 1}, {2, 2}, {0, 5, 4}} {
+		b := &stubBackend{docs: len(m)}
+		if _, err := NewShard(0, m, []prix.Source{b}, 0, 0); err == nil {
+			t.Errorf("NewShard accepted docmap %v", m)
+		}
+	}
+	if _, err := NewShard(0, []uint32{0, 4, 9}, []prix.Source{&stubBackend{docs: 3}}, 0, 0); err != nil {
+		t.Errorf("NewShard refused a rising docmap: %v", err)
+	}
+}
+
+// coordinatorMatchAllocsBound is what one traced query through a warmed 2×2
+// coordinator costs in heap objects: 8, the measured 7 plus one (43 while
+// each shard packed its answer into fresh memory, the merge appended and
+// sorted them, and the fan-out's spans and attributes past the trace's
+// inline ones came from the heap). What is left is the result slots, the
+// WaitGroup, one goroutine closure a shard, the merged QueryStats and the
+// merged answer's block and []Match.
+const coordinatorMatchAllocsBound = 8
+
+// TestCoordinatorMatchAllocs bounds the heap objects of one traced query
+// through a warmed 2×2 coordinator (sequential failover, Parallelism 1): the
+// shards answer into pooled buffers and the trace's spans and attributes come
+// from its kept slabs, so what is left is the fan-out's own bookkeeping and
+// the one merged answer.
+func TestCoordinatorMatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds pooled values under the race detector")
+	}
+	co, err := BuildMemory(corpus(), BuildConfig{Shards: 2, Replicas: 2, Extended: true, Epoch: 1}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	q := twig.MustParse(`//a[./b/c]/d`)
+	run := func() {
+		tr := obs.NewTrace("query")
+		ms, _, err := co.Match(q, prix.MatchOptions{WarmCache: true, Parallelism: 1, Trace: tr})
+		if err != nil || len(ms) == 0 {
+			t.Fatalf("%d matches, %v", len(ms), err)
+		}
+		tr.Finish()
+		tr.Release()
+	}
+	for i := 0; i < 10; i++ {
+		run()
+	}
+	got := testing.AllocsPerRun(200, run)
+	t.Logf("a traced 2x2 Coordinator.Match allocates %.1f objects", got)
+	if got > coordinatorMatchAllocsBound {
+		t.Errorf("a traced 2x2 Coordinator.Match allocates %.1f objects, want <= %d", got, coordinatorMatchAllocsBound)
 	}
 }

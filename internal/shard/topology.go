@@ -134,18 +134,6 @@ func (t *Topology) DocMaps() [][]uint32 {
 	return maps
 }
 
-// Locate maps a global docid to its owner shard and the local docid it has
-// there (its rank among the shard's owned docids).
-func (t *Topology) Locate(global uint32) (shard int, local uint32) {
-	shard = Owner(global, t.Shards)
-	for g := uint32(0); g < global; g++ {
-		if Owner(g, t.Shards) == shard {
-			local++
-		}
-	}
-	return shard, local
-}
-
 // Name renders a shard's canonical name ("shard-003"), used in directory
 // layout, the X-Prix-Degraded header and trace spans alike.
 func Name(shard int) string { return fmt.Sprintf("shard-%03d", shard) }
