@@ -19,14 +19,15 @@ import (
 	"repro/internal/prix"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func buildIndexDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)))`),
-		xmltree.MustFromSExpr(1, `(a (d (e)))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)))`),
+		xmltreetest.MustFromSExpr(1, `(a (d (e)))`),
 	}
 	ix, err := prix.Build(docs, prix.Options{Dir: dir})
 	if err != nil {
@@ -244,8 +245,8 @@ func TestOldLayoutExitsCorrupt(t *testing.T) {
 func TestVersionedIndexWithoutDocidTree(t *testing.T) {
 	dir := t.TempDir()
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)))`),
-		xmltree.MustFromSExpr(1, `(a (d (e)))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)))`),
+		xmltreetest.MustFromSExpr(1, `(a (d (e)))`),
 	}
 	di, err := prix.NewDynamicIndex(docs, prix.Options{Dir: dir}, prix.DynamicOptions{Alpha: 2})
 	if err != nil {
@@ -280,9 +281,9 @@ func TestVersionedIndexWithoutDocidTree(t *testing.T) {
 func TestDeleteAfterCompactionChecksClean(t *testing.T) {
 	dir := t.TempDir()
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)))`),
-		xmltree.MustFromSExpr(1, `(a (d (e)))`),
-		xmltree.MustFromSExpr(2, `(a (b (c)) (d))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)))`),
+		xmltreetest.MustFromSExpr(1, `(a (d (e)))`),
+		xmltreetest.MustFromSExpr(2, `(a (b (c)) (d))`),
 	}
 	di, err := prix.NewDynamicIndex(docs, prix.Options{Dir: dir}, prix.DynamicOptions{Alpha: 2})
 	if err != nil {
@@ -298,7 +299,7 @@ func TestDeleteAfterCompactionChecksClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Update(1, xmltree.MustFromSExpr(1, `(a (d (e)) (f))`)); err != nil {
+	if _, err := r.Update(1, xmltreetest.MustFromSExpr(1, `(a (d (e)) (f))`)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := r.Compact(context.Background(), compact.CompactOptions{Retain: 64})
@@ -327,8 +328,8 @@ func TestActiveJournalRolledBackInMemory(t *testing.T) {
 	base := t.TempDir()
 	pristine := filepath.Join(base, "pristine")
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)))`),
-		xmltree.MustFromSExpr(1, `(a (d (e)))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)))`),
+		xmltreetest.MustFromSExpr(1, `(a (d (e)))`),
 	}
 	di, err := prix.NewDynamicIndex(docs, prix.Options{Dir: pristine}, prix.DynamicOptions{Alpha: 2})
 	if err != nil {
@@ -340,7 +341,7 @@ func TestActiveJournalRolledBackInMemory(t *testing.T) {
 	if err := di.Close(); err != nil {
 		t.Fatal(err)
 	}
-	deleteWithCut := func(dir string, clock *pager.PowerClock) error {
+	deleteWithCut := func(dir string, clock *pagertest.PowerClock) error {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -360,13 +361,13 @@ func TestActiveJournalRolledBackInMemory(t *testing.T) {
 		_, err = di.Delete(1)
 		return err
 	}
-	counting := pager.NewPowerClock(0)
+	counting := pagertest.NewPowerClock(0)
 	if err := deleteWithCut(filepath.Join(base, "count"), counting); err != nil {
 		t.Fatal(err)
 	}
 	for k := int64(1); k <= counting.Writes(); k++ {
 		dir := filepath.Join(base, fmt.Sprintf("cut%d", k))
-		deleteWithCut(dir, pager.NewPowerClock(k))
+		deleteWithCut(dir, pagertest.NewPowerClock(k))
 		status, out := runCaptured(t, dir)
 		if !strings.Contains(out, "prix.jnl: active transaction, rolled back in memory") {
 			continue
@@ -391,7 +392,7 @@ func TestRepairDynamicDirThenInserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var docs []*xmltree.Document
 	for d := 0; d < 120; d++ {
-		docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, d, xmltreetest.RandomConfig{
 			Nodes: 3 + rng.Intn(16), Alphabet: []string{"a", "b", "c", "d", "e"},
 			MaxFanout: 4, ValueProb: 0.2, Values: []string{"v1", "v2"},
 		}))
@@ -407,7 +408,7 @@ func TestRepairDynamicDirThenInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pager.FlipBit(f, pager.PageID(f.NumPages()-1), (pager.PageHeaderSize+11)*8+2); err != nil {
+	if err := pagertest.FlipBit(f, pager.PageID(f.NumPages()-1), (pager.PageHeaderSize+11)*8+2); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

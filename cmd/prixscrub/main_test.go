@@ -9,9 +9,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
 	"repro/internal/twig"
-	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func scrubDoc(t *testing.T, i int) *core.Document {
@@ -111,7 +112,7 @@ func TestRepairDynamicDirThenInserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var docs []*core.Document
 	for d := 0; d < 120; d++ {
-		docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, d, xmltreetest.RandomConfig{
 			Nodes: 3 + rng.Intn(16), Alphabet: []string{"a", "b", "c", "d", "e"},
 			MaxFanout: 4, ValueProb: 0.2, Values: []string{"v1", "v2"},
 		}))
@@ -127,7 +128,7 @@ func TestRepairDynamicDirThenInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pager.FlipBit(f, pager.PageID(f.NumPages()-1), (pager.PageHeaderSize+11)*8+2); err != nil {
+	if err := pagertest.FlipBit(f, pager.PageID(f.NumPages()-1), (pager.PageHeaderSize+11)*8+2); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -54,9 +54,6 @@ type Tree struct {
 // Name returns the tree's name within its forest.
 func (t *Tree) Name() string { return t.name }
 
-// Len returns the number of entries in the tree.
-func (t *Tree) Len() uint64 { return t.count }
-
 // decoded page representations (splits and bulk-built internal nodes) ----------
 
 type leafCell struct {
@@ -323,14 +320,6 @@ func (t *Tree) Get(key []byte) ([][]byte, error) {
 // the duration of the callback; copy them to retain them.
 func (t *Tree) Scan(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val []byte) bool) error {
 	return t.scan(lo, hi, loIncl, hiIncl, false, visitor{entry: fn})
-}
-
-// ScanNoFill is Scan for a caller that copies what it visits into a structure
-// of its own (the hot tier's flat lists): every page is read through
-// pager.BufferPool.GetNoFill, so pages the pool does not already hold are
-// read and counted but not left resident.
-func (t *Tree) ScanNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val []byte) bool) error {
-	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{entry: fn})
 }
 
 // ScanPostings is Scan over a PackedTree of postings — 12-byte keys of a

@@ -529,3 +529,14 @@ func BenchmarkRangeScan100(b *testing.B) {
 		})
 	}
 }
+
+// Len returns the number of entries in the tree.
+func (t *Tree) Len() uint64 { return t.count }
+
+// ScanNoFill is Scan for a caller that copies what it visits into a structure
+// of its own (the hot tier's flat lists): every page is read through
+// pager.BufferPool.GetNoFill, so pages the pool does not already hold are
+// read and counted but not left resident.
+func (t *Tree) ScanNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val []byte) bool) error {
+	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{entry: fn})
+}

@@ -60,9 +60,9 @@ func btreeWorkload(main, journalFile pager.File) error {
 // structures never come back half-built or silently wrong.
 func TestBtreeCrashSweep(t *testing.T) {
 	var mainMem, journalMem *pager.MemFile
-	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+	run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 		mainMem, journalMem = pager.NewMemFile(), pager.NewMemFile()
-		main, journalFile := pager.NewFaultFile(mainMem), pager.NewFaultFile(journalMem)
+		main, journalFile := pagertest.NewFaultFile(mainMem), pagertest.NewFaultFile(journalMem)
 		main.SetPowerClock(clock)
 		journalFile.SetPowerClock(clock)
 		return btreeWorkload(main, journalFile)
@@ -194,9 +194,9 @@ func TestBtreeCrashSweepPackedDocID(t *testing.T) {
 
 func packedCrashSweep(t *testing.T, pc packedCrash) {
 	var mainMem, journalMem *pager.MemFile
-	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+	run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 		mainMem, journalMem = pager.NewMemFile(), pager.NewMemFile()
-		main, journalFile := pager.NewFaultFile(mainMem), pager.NewFaultFile(journalMem)
+		main, journalFile := pagertest.NewFaultFile(mainMem), pagertest.NewFaultFile(journalMem)
 		main.SetPowerClock(clock)
 		journalFile.SetPowerClock(clock)
 		return packedWorkload(main, journalFile, pc)

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 )
 
 // Failure injection: every storage error must surface as an error return,
 // never as a panic or silent corruption, and the tree must remain usable
 // for reads once the fault heals.
 func TestInjectedReadFaultsSurface(t *testing.T) {
-	fault := pager.NewFaultFile(pager.NewMemFile())
+	fault := pagertest.NewFaultFile(pager.NewMemFile())
 	bp := pager.NewBufferPool(fault, 4) // tiny pool: reads hit the file
 	f, err := Open(bp)
 	if err != nil {
@@ -42,7 +43,7 @@ func TestInjectedReadFaultsSurface(t *testing.T) {
 		fault.FailReadsAfter(n)
 		err := tr.Scan(nil, nil, true, true, func(k, v []byte) bool { return true })
 		if err != nil {
-			if !errors.Is(err, pager.ErrInjected) {
+			if !errors.Is(err, pagertest.ErrInjected) {
 				t.Fatalf("unexpected error type: %v", err)
 			}
 			sawErr = true
@@ -67,7 +68,7 @@ func TestInjectedReadFaultsSurface(t *testing.T) {
 }
 
 func TestInjectedWriteFaultsSurface(t *testing.T) {
-	fault := pager.NewFaultFile(pager.NewMemFile())
+	fault := pagertest.NewFaultFile(pager.NewMemFile())
 	bp := pager.NewBufferPool(fault, 2) // evictions force write-backs
 	f, err := Open(bp)
 	if err != nil {
@@ -81,7 +82,7 @@ func TestInjectedWriteFaultsSurface(t *testing.T) {
 	sawErr := false
 	for i := 0; i < 5000; i++ {
 		if err := tr.Insert(KeyUint64(uint64(i)), []byte("value")); err != nil {
-			if !errors.Is(err, pager.ErrInjected) {
+			if !errors.Is(err, pagertest.ErrInjected) {
 				t.Fatalf("unexpected error: %v", err)
 			}
 			sawErr = true

@@ -26,7 +26,7 @@ type Options struct {
 	// BufferPoolPages sizes the page pools of the source and the rebuilt
 	// index (0 = default).
 	BufferPoolPages int
-	// FS carries every non-page write (runs, CURRENT, renames, removals); nil means the OS. Crash-sweep tests inject pager.FaultFS
+	// FS carries every non-page write (runs, CURRENT, renames, removals); nil means the OS. Crash-sweep tests inject pagertest.FaultFS
 	// here.
 	FS pager.FS
 	// OpenFile optionally intercepts page-file opens (fault injection for

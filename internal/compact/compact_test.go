@@ -13,6 +13,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // corpus builds n documents with enough shared structure that twig queries
@@ -22,11 +23,11 @@ func corpus(n int) []*xmltree.Document {
 	for i := 0; i < n; i++ {
 		switch i % 3 {
 		case 0:
-			docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
+			docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
 		case 1:
-			docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c "v1")) (x))`))
+			docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c "v1")) (x))`))
 		default:
-			docs = append(docs, xmltree.MustFromSExpr(i, `(r (a (d (e))) (b))`))
+			docs = append(docs, xmltreetest.MustFromSExpr(i, `(r (a (d (e))) (b))`))
 		}
 	}
 	return docs

@@ -250,11 +250,3 @@ func (c *Compactor) Stats() Stats {
 	c.mu.Unlock()
 	return st
 }
-
-// LastReport returns the most recent attempt's report (nil before the
-// first) and its error, if it failed.
-func (c *Compactor) LastReport() (*Report, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.last, c.lastErr
-}

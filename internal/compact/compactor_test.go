@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/prix"
-	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -55,7 +55,7 @@ func TestCompactorLoop(t *testing.T) {
 	}
 
 	// One insert re-arms the loop.
-	if err := root.Insert(xmltree.MustFromSExpr(0, `(a (b (c)))`)); err != nil {
+	if err := root.Insert(xmltreetest.MustFromSExpr(0, `(a (b (c)))`)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "post-insert compaction", func() bool { return c.Stats().Runs == 2 })
@@ -188,7 +188,7 @@ func TestRootProxies(t *testing.T) {
 	}
 
 	gen := root.Generation()
-	if err := root.Insert(xmltree.MustFromSExpr(0, `(a (b))`)); err != nil {
+	if err := root.Insert(xmltreetest.MustFromSExpr(0, `(a (b))`)); err != nil {
 		t.Fatal(err)
 	}
 	if root.Generation() <= gen {
@@ -205,4 +205,12 @@ func TestRootProxies(t *testing.T) {
 	if root.Generation() <= gen {
 		t.Fatal("generation did not advance on swap")
 	}
+}
+
+// LastReport returns the most recent attempt's report (nil before the
+// first) and its error, if it failed.
+func (c *Compactor) LastReport() (*Report, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.last, c.lastErr
 }

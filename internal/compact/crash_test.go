@@ -18,7 +18,7 @@ import (
 func TestCompactRenamesSyncDir(t *testing.T) {
 	dir := t.TempDir()
 	buildDynamicDir(t, dir, corpus(18))
-	fs := &pagertest.RecordFS{FS: pager.NewFaultFS(pager.OSFS{}, pager.NewPowerClock(0))}
+	fs := &pagertest.RecordFS{FS: pagertest.NewFaultFS(pager.OSFS{}, pagertest.NewPowerClock(0))}
 	if _, err := Run(Options{Dir: dir, MemBudget: 32 << 10, FS: fs}); err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,13 @@ func TestCompactCrashSweepPlain(t *testing.T) {
 	want := snapshotDir(t, baseDir)
 
 	out := filepath.Join(base, "cut")
-	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+	run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 		if err := os.RemoveAll(out); err != nil {
 			t.Fatal(err)
 		}
 		copyTree(t, pristine, out)
 		o := opts(out)
-		o.FS = pager.NewFaultFS(pager.OSFS{}, clock)
+		o.FS = pagertest.NewFaultFS(pager.OSFS{}, clock)
 		o.OpenFile = pagertest.FaultOpen(clock)
 		for e := 0; e < epochs; e++ {
 			if _, err := Run(o); err != nil {
@@ -116,7 +116,7 @@ func TestCompactCrashSweepPlain(t *testing.T) {
 		// A server restarted right after the cut serves at once: CURRENT
 		// commits via an atomic rename, so the root resolves to a whole
 		// layout, and recovery only deletes.
-		pages := pager.NewPowerClock(0)
+		pages := pagertest.NewPowerClock(0)
 		root, err := OpenRoot(out, prix.Options{OpenFile: pagertest.FaultOpen(pages)})
 		if err != nil {
 			t.Fatalf("root does not open: %v", err)
@@ -181,13 +181,13 @@ func TestCompactCrashSweepSharded(t *testing.T) {
 	want := snapshotDir(t, baseDir)
 
 	out := filepath.Join(base, "cut")
-	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+	run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 		if err := os.RemoveAll(out); err != nil {
 			t.Fatal(err)
 		}
 		copyTree(t, pristine, out)
 		o := opts()
-		o.FS = pager.NewFaultFS(pager.OSFS{}, clock)
+		o.FS = pagertest.NewFaultFS(pager.OSFS{}, clock)
 		o.OpenFile = pagertest.FaultOpen(clock)
 		_, err := RunSharded(out, o)
 		if k == 0 && err == nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/pager"
 	"repro/internal/prix"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // failFS fails write-class operations whose path matches a substring, n
@@ -82,7 +83,7 @@ func (f *failFS) MkdirAll(path string) error {
 
 // markerDoc is a recognizable post-failure insert.
 func markerDoc(i int) *xmltree.Document {
-	return xmltree.MustFromSExpr(i, `(marker (late))`)
+	return xmltreetest.MustFromSExpr(i, `(marker (late))`)
 }
 
 // restartAfterFailedPublish is the second half of both publish-failure

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
 	"repro/internal/scrub"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // randomDocs is n random documents over labels a–e and values v1/v2.
@@ -17,7 +19,7 @@ func randomDocs(n int, seed int64) []*xmltree.Document {
 	rng := rand.New(rand.NewSource(seed))
 	var docs []*xmltree.Document
 	for d := 0; d < n; d++ {
-		docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, d, xmltreetest.RandomConfig{
 			Nodes: 3 + rng.Intn(16), Alphabet: []string{"a", "b", "c", "d", "e"},
 			MaxFanout: 4, ValueProb: 0.2, Values: []string{"v1", "v2"},
 		}))
@@ -61,7 +63,7 @@ func TestScrubberRepairsRootForestThenInserts(t *testing.T) {
 	}
 	ix := root.Index().Index()
 	f := ix.Forest().BufferPool().File()
-	if err := pager.FlipBit(f, pager.PageID(f.NumPages()-1), (pager.PageHeaderSize+11)*8+2); err != nil {
+	if err := pagertest.FlipBit(f, pager.PageID(f.NumPages()-1), (pager.PageHeaderSize+11)*8+2); err != nil {
 		t.Fatal(err)
 	}
 	// Drop the pools' verified copy, so only a rebuild can mend the page.

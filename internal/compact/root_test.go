@@ -14,7 +14,7 @@ import (
 	"repro/internal/pager"
 	"repro/internal/prix"
 	"repro/internal/scrub"
-	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // TestRootCompactLive is the zero-downtime contract under -race: queries
@@ -118,7 +118,7 @@ func TestRootCompactLive(t *testing.T) {
 		t.Fatal("plain page files survived the online conversion")
 	}
 	// Inserts after the swap land in the new epoch.
-	if err := root.Insert(xmltree.MustFromSExpr(0, `(post (swap))`)); err != nil {
+	if err := root.Insert(xmltreetest.MustFromSExpr(0, `(post (swap))`)); err != nil {
 		t.Fatalf("insert after swap: %v", err)
 	}
 	if got := querySig(t, root, `//post/swap`); got == "" {

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/prix"
 	"repro/internal/twig"
-	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // The compaction half of the versioning contract: a compaction folds update
@@ -73,7 +73,7 @@ func TestCompactVersionRetention(t *testing.T) {
 
 			// One update first, so the pre-delete state has an addressable
 			// version, then two deletes to grow tombstones.
-			if _, err := r.Update(4, xmltree.MustFromSExpr(4, `(a (b (c "v2")) (x))`)); err != nil {
+			if _, err := r.Update(4, xmltreetest.MustFromSExpr(4, `(a (b (c "v2")) (x))`)); err != nil {
 				t.Fatal(err)
 			}
 			preDeleteVersion := r.VersionStats().Current
@@ -190,7 +190,7 @@ func TestDeleteAfterCompactionWritesTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.Update(4, xmltree.MustFromSExpr(4, `(a (b (c "v2")) (y (z)))`)); err != nil {
+	if _, err := r.Update(4, xmltreetest.MustFromSExpr(4, `(a (b (c "v2")) (y (z)))`)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Compact(context.Background(), CompactOptions{Retain: 64}); err != nil {
@@ -232,7 +232,7 @@ func TestDeleteAfterCompactionWritesTombstone(t *testing.T) {
 	if got := versionSigs(t, re, 0); !sameSigs(got, latest) {
 		t.Errorf("reopened answers %v, want %v", got, latest)
 	}
-	if err := re.Insert(xmltree.MustFromSExpr(24, `(a (b (c)) (d (e)))`)); err != nil {
+	if err := re.Insert(xmltreetest.MustFromSExpr(24, `(a (b (c)) (d (e)))`)); err != nil {
 		t.Fatalf("insert after reopen: %v", err)
 	}
 }
@@ -291,7 +291,7 @@ func TestAsOfAcrossCompactionAfterRelabel(t *testing.T) {
 				return false
 			}
 
-			if _, err := r.Update(4, xmltree.MustFromSExpr(4, tc.first)); err != nil {
+			if _, err := r.Update(4, xmltreetest.MustFromSExpr(4, tc.first)); err != nil {
 				t.Fatal(err)
 			}
 			v1 := r.VersionStats().Current
@@ -299,7 +299,7 @@ func TestAsOfAcrossCompactionAfterRelabel(t *testing.T) {
 			if _, err := r.Compact(context.Background(), CompactOptions{Retain: 64}); err != nil {
 				t.Fatal(err)
 			}
-			res, err := r.Update(4, xmltree.MustFromSExpr(4, tc.second))
+			res, err := r.Update(4, xmltreetest.MustFromSExpr(4, tc.second))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -353,7 +353,7 @@ func TestCompactRetainedTombstonesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Update(4, xmltree.MustFromSExpr(4, `(a (b (c "v2")) (x))`)); err != nil {
+		if _, err := r.Update(4, xmltreetest.MustFromSExpr(4, `(a (b (c "v2")) (x))`)); err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range []uint32{3, 6} {

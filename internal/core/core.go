@@ -95,21 +95,12 @@ func NewIndexBuilder(opts Options) (*IndexBuilder, error) {
 	return prix.NewBuilder(opts)
 }
 
-// Dual bundles an RPIndex and EPIndex with the §5.6 query optimizer that
-// routes each query to the appropriate variant.
-type Dual = prix.Dual
-
 // DynamicIndex accepts document insertions after construction using the
 // §5.2.1 dynamic labeling scheme.
 type DynamicIndex = prix.DynamicIndex
 
 // DynamicOptions tunes the dynamic labeler (prefix depth, scope spread).
 type DynamicOptions = prix.DynamicOptions
-
-// BuildDualIndex builds both index variants plus the optimizer.
-func BuildDualIndex(docs []*Document, opts Options) (*Dual, error) {
-	return prix.BuildDual(docs, opts)
-}
 
 // NewDynamicIndex builds an insertable index seeded with initial documents.
 func NewDynamicIndex(initial []*Document, opts Options, dopts DynamicOptions) (*DynamicIndex, error) {

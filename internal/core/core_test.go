@@ -109,23 +109,11 @@ func Example() {
 	// Output: 1 match in document 0
 }
 
-func TestDualAndDynamicFacades(t *testing.T) {
+func TestDynamicFacade(t *testing.T) {
 	docs := parseAll(t,
 		`<a><b>v</b></a>`,
 		`<a><c/></a>`,
 	)
-	d, err := core.BuildDualIndex(docs, core.Options{BufferPoolPages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := core.ParseQuery(`//a[./b="v"]`)
-	ms, _, err := d.Match(q, core.MatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 1 {
-		t.Errorf("dual matches = %d", len(ms))
-	}
 	di, err := core.NewDynamicIndex(docs, core.Options{BufferPoolPages: 32}, core.DynamicOptions{Alpha: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +126,7 @@ func TestDualAndDynamicFacades(t *testing.T) {
 		t.Fatal(err)
 	}
 	q2, _ := core.ParseQuery(`//a/b`)
-	ms, _, err = di.Index().Match(q2, core.MatchOptions{})
+	ms, _, err := di.Index().Match(q2, core.MatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,9 +183,6 @@ type Loc struct {
 	Len  uint32
 }
 
-// Zero reports whether the Loc is the zero value (no stored image).
-func (l Loc) Zero() bool { return l == Loc{} }
-
 // Store is a collection of records plus catalogs, persisted through a
 // buffer pool. Records must be Put in strictly increasing DocID order with
 // no gaps (datasets are loaded sequentially).

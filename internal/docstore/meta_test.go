@@ -419,9 +419,9 @@ func TestCrashSweepSectionedFlush(t *testing.T) {
 	pre := imageOf(t, openJournaled(t, memFromImage(t, mainImg), memFromImage(t, journalImg), false))
 	var post storeImage
 	var main, journalFile *pager.MemFile
-	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+	run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 		main, journalFile = memFromImage(t, mainImg), memFromImage(t, journalImg)
-		ffMain, ffJournal := pager.NewFaultFile(main), pager.NewFaultFile(journalFile)
+		ffMain, ffJournal := pagertest.NewFaultFile(main), pagertest.NewFaultFile(journalFile)
 		ffMain.SetPowerClock(clock)
 		ffJournal.SetPowerClock(clock)
 		s, err := tryOpenJournaled(ffMain, ffJournal, false)
@@ -477,7 +477,7 @@ func TestFlushReplacesUnreadableChainPage(t *testing.T) {
 	if err := s.bp.DropAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := pager.FlipBit(main, victim, (pager.PageHeaderSize+9)*8); err != nil {
+	if err := pagertest.FlipBit(main, victim, (pager.PageHeaderSize+9)*8); err != nil {
 		t.Fatal(err)
 	}
 	first := uint32(s.meta.blockStart[1])
@@ -549,7 +549,7 @@ func TestRepairMetaPage(t *testing.T) {
 	for _, id := range victims {
 		want := pageImage(id)
 		s.bp.DropClean()
-		if err := pager.FlipBit(main, id, (pager.PageHeaderSize+30)*8+1); err != nil {
+		if err := pagertest.FlipBit(main, id, (pager.PageHeaderSize+30)*8+1); err != nil {
 			t.Fatal(err)
 		}
 		if ok, err := s.RepairMetaPage(id); !ok || err != nil {

@@ -253,9 +253,6 @@ func (b *DocIDsBuilder) Add(left uint64, docID uint32) {
 // or Build.
 func (b *DocIDsBuilder) View() DocIDs { return DocIDs{b.view()} }
 
-// Build freezes the builder into a list of its own, clipped to size.
-func (b *DocIDsBuilder) Build() *DocIDs { return &DocIDs{b.build()} }
-
 // Len returns the number of entries.
 func (d DocIDs) Len() int { return int(d.n) }
 

@@ -191,7 +191,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 		if s == nil {
 			t.Fatalf("doc %d: not encodable", rec.DocID)
 		}
-		if s.DocID() != rec.DocID {
+		if s.docID != rec.DocID {
 			t.Fatalf("doc %d: bookkeeping", rec.DocID)
 		}
 		got := s.Record()
@@ -542,3 +542,6 @@ func BenchmarkSummaryRefine(b *testing.B) {
 		b.Fatal("nothing navigated")
 	}
 }
+
+// Build freezes the builder into a list of its own, clipped to size.
+func (b *DocIDsBuilder) Build() *DocIDs { return &DocIDs{b.build()} }

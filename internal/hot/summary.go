@@ -29,9 +29,6 @@ type Summary struct {
 	words  []uint64 // node post's field starts at bit (post-1)*(pw+lw), LSB-first
 }
 
-// DocID returns the document the summary encodes.
-func (s *Summary) DocID() uint32 { return s.docID }
-
 // Nodes returns n, the node count of the encoded tree.
 func (s *Summary) Nodes() int32 { return s.n }
 

@@ -203,16 +203,6 @@ func (t *Tier) tidy() {
 	}
 }
 
-// Budget returns the configured byte cap.
-func (t *Tier) Budget() int64 { return t.budget }
-
-// Bytes returns the bytes charged to resident structures.
-func (t *Tier) Bytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bytes
-}
-
 // Len returns the number of resident structures.
 func (t *Tier) Len() int {
 	t.mu.Lock()

@@ -54,7 +54,7 @@ func TestTierBudgetAndLRU(t *testing.T) {
 	// Room for three 40-byte payloads' slots but only two of the payloads.
 	budget := 100 + 3*slotBytes
 	tr := NewTier(budget)
-	if tr.Budget() != budget {
+	if tr.budget != budget {
 		t.Fatal("budget")
 	}
 	if !tr.Add(ka, entryFor(ka, 40, 1)) || !tr.Add(kb, entryFor(kb, 40, 2)) {
@@ -553,4 +553,11 @@ func TestTierBytesPerStructure(t *testing.T) {
 	if st.Bytes < heap*95/100 || st.Bytes > heap*105/100 {
 		t.Errorf("Stats().Bytes = %d, measured heap %d: more than 5 %% apart", st.Bytes, heap)
 	}
+}
+
+// Bytes returns the bytes charged to resident structures.
+func (t *Tier) Bytes() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.bytes
 }

@@ -49,12 +49,12 @@ func crashSweep(t *testing.T, shards, replicas int) {
 	want := readIndexFiles(t, base)
 
 	out := filepath.Join(dir, "cut")
-	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+	run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 		if err := os.RemoveAll(out); err != nil {
 			t.Fatal(err)
 		}
 		o := opts(out)
-		o.FS = pager.NewFaultFS(pager.OSFS{}, clock)
+		o.FS = pagertest.NewFaultFS(pager.OSFS{}, clock)
 		o.OpenFile = pagertest.FaultOpen(clock)
 		_, err := Run(o)
 		if err == nil {

@@ -71,7 +71,7 @@ type Options struct {
 	BufferPoolPages int
 	// FS intercepts every artifact write (the run, spill chunks, replica
 	// clones, topology); nil means the real filesystem. Crash-sweep tests
-	// inject pager.FaultFS here.
+	// inject pagertest.FaultFS here.
 	FS pager.FS
 	// OpenFile is passed to the index builders so the merge's page files
 	// can be fault-injected too; nil means plain OS files.

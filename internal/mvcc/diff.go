@@ -8,7 +8,6 @@
 package mvcc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -53,7 +52,7 @@ type LeafOp struct {
 // Patch transforms one document version into the next: an edit script over
 // the (NPS, LPS) pair sequence and one over the leaf table, plus the new
 // node count. A patch produced by Diff applies with Apply; its encoded
-// size (Encode) is what the update path compares against a full record
+// size (Size) is what the update path compares against a full record
 // rewrite.
 type Patch struct {
 	NumNodes int32
@@ -203,45 +202,11 @@ func applyLeaves(ops []LeafOp, src []Leaf) ([]Leaf, error) {
 
 const patchMagic = "PAT1"
 
-// Encode renders the patch as bytes (the wire/journal form; Size is its
-// length).
-func (p *Patch) Encode() []byte {
-	buf := []byte(patchMagic)
-	buf = binary.AppendVarint(buf, int64(p.NumNodes))
-	buf = binary.AppendUvarint(buf, uint64(len(p.Pairs)))
-	for _, op := range p.Pairs {
-		buf = append(buf, op.Kind)
-		switch op.Kind {
-		case OpInsert:
-			buf = binary.AppendUvarint(buf, uint64(len(op.Ins)))
-			for _, pr := range op.Ins {
-				buf = binary.AppendVarint(buf, int64(pr.N))
-				buf = binary.AppendUvarint(buf, uint64(pr.L))
-			}
-		default:
-			buf = binary.AppendUvarint(buf, uint64(op.Count))
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Leaves)))
-	for _, op := range p.Leaves {
-		buf = append(buf, op.Kind)
-		switch op.Kind {
-		case OpInsert:
-			buf = binary.AppendUvarint(buf, uint64(len(op.Ins)))
-			for _, lf := range op.Ins {
-				buf = binary.AppendVarint(buf, int64(lf.Post))
-				buf = binary.AppendUvarint(buf, uint64(lf.Sym))
-			}
-		default:
-			buf = binary.AppendUvarint(buf, uint64(op.Count))
-		}
-	}
-	return buf
-}
-
-// Size is the encoded patch length in bytes — the "patch size" the update
-// path and the versions benchmark compare against a full record rewrite. It
-// counts Encode's bytes without building them.
+// Size is the patch's length in bytes as a varint stream — the magic, the
+// node count, then each op list as its length and per op a kind byte and
+// either a count or its inserted entries — the "patch size" the update path
+// and the versions benchmark compare against a full record rewrite. No
+// format stores a patch; Size is the cost model alone.
 func (p *Patch) Size() int {
 	n := len(patchMagic) + varintLen(int64(p.NumNodes)) + uvarintLen(uint64(len(p.Pairs)))
 	for _, op := range p.Pairs {
@@ -293,113 +258,3 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // varintLen is the length of binary.AppendVarint's (zigzag) encoding of v.
 func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
-
-// byteReader walks an encode buffer with sticky errors.
-type byteReader struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (r *byteReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		r.err = fmt.Errorf("mvcc: truncated uvarint at %d", r.pos)
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *byteReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
-		r.err = fmt.Errorf("mvcc: truncated varint at %d", r.pos)
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *byteReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.b) {
-		r.err = fmt.Errorf("mvcc: truncated byte at %d", r.pos)
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-// maxPatchEntries bounds decoded allocation against hostile lengths.
-const maxPatchEntries = 1 << 24
-
-// DecodePatch parses an Encode buffer, validating bounds so corrupt or
-// adversarial bytes fail instead of over-allocating.
-func DecodePatch(b []byte) (*Patch, error) {
-	if len(b) < len(patchMagic) || string(b[:len(patchMagic)]) != patchMagic {
-		return nil, fmt.Errorf("mvcc: bad patch magic")
-	}
-	r := &byteReader{b: b, pos: len(patchMagic)}
-	p := &Patch{NumNodes: int32(r.varint())}
-	nPairs := r.uvarint()
-	if nPairs > maxPatchEntries {
-		return nil, fmt.Errorf("mvcc: %d pair ops", nPairs)
-	}
-	for i := uint64(0); i < nPairs && r.err == nil; i++ {
-		op := PairOp{Kind: r.byte()}
-		switch op.Kind {
-		case OpInsert:
-			n := r.uvarint()
-			if n > maxPatchEntries {
-				return nil, fmt.Errorf("mvcc: %d inserted pairs", n)
-			}
-			for j := uint64(0); j < n && r.err == nil; j++ {
-				op.Ins = append(op.Ins, Pair{N: int32(r.varint()), L: uint32(r.uvarint())})
-			}
-		case OpRetain, OpDelete:
-			op.Count = uint32(r.uvarint())
-		default:
-			return nil, fmt.Errorf("mvcc: unknown pair op kind %d", op.Kind)
-		}
-		p.Pairs = append(p.Pairs, op)
-	}
-	nLeaves := r.uvarint()
-	if nLeaves > maxPatchEntries {
-		return nil, fmt.Errorf("mvcc: %d leaf ops", nLeaves)
-	}
-	for i := uint64(0); i < nLeaves && r.err == nil; i++ {
-		op := LeafOp{Kind: r.byte()}
-		switch op.Kind {
-		case OpInsert:
-			n := r.uvarint()
-			if n > maxPatchEntries {
-				return nil, fmt.Errorf("mvcc: %d inserted leaves", n)
-			}
-			for j := uint64(0); j < n && r.err == nil; j++ {
-				op.Ins = append(op.Ins, Leaf{Post: int32(r.varint()), Sym: uint32(r.uvarint())})
-			}
-		case OpRetain, OpDelete:
-			op.Count = uint32(r.uvarint())
-		default:
-			return nil, fmt.Errorf("mvcc: unknown leaf op kind %d", op.Kind)
-		}
-		p.Leaves = append(p.Leaves, op)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(b) {
-		return nil, fmt.Errorf("mvcc: %d trailing patch bytes", len(b)-r.pos)
-	}
-	return p, nil
-}

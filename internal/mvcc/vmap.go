@@ -79,14 +79,6 @@ func NewMap() *Map {
 	return &Map{NextLabel: 1, Docs: map[uint32][]Interval{}}
 }
 
-// Get returns a document's interval list (nil = legacy document).
-func (m *Map) Get(docID uint32) []Interval {
-	if m == nil {
-		return nil
-	}
-	return m.Docs[docID]
-}
-
 // At finds the interval covering version v (0 = latest). ok is false when
 // the document has an entry but no covering interval (invisible at v);
 // legacy documents (no entry) report ok with a zero interval.
@@ -102,10 +94,6 @@ func (m *Map) At(docID uint32, v uint64) (Interval, bool) {
 	}
 	return Interval{}, false
 }
-
-// Open returns the document's open interval, or ok=false if the document
-// is deleted or reclaimed. Legacy documents report ok with a zero interval.
-func (m *Map) Open(docID uint32) (Interval, bool) { return m.At(docID, 0) }
 
 // Tombstones counts documents whose latest interval is closed — deleted
 // (or reclaimed) at the current version.
@@ -180,16 +168,10 @@ const mapMagic = "MVC1"
 // and accepts only 0.
 const noPendingOp = 0
 
-// Encode renders the map deterministically (documents ascending).
-func (m *Map) Encode() []byte {
-	buf, _ := m.AppendEncode(nil, nil)
-	return buf
-}
-
-// AppendEncode appends Encode's bytes to buf, sorting the document ids in
-// ids' storage. It returns both slices, so a caller that encodes after every
-// commit keeps them and encodes without allocating once they have grown to
-// the map's size.
+// AppendEncode appends the map's encoding (documents ascending) to buf,
+// sorting the document ids in ids' storage. It returns both slices, so a
+// caller that encodes after every commit keeps them and encodes without
+// allocating once they have grown to the map's size.
 func (m *Map) AppendEncode(buf []byte, ids []uint32) ([]byte, []uint32) {
 	buf = append(buf, mapMagic...)
 	buf = binary.AppendUvarint(buf, m.Counter)
@@ -222,7 +204,40 @@ func (m *Map) AppendEncode(buf []byte, ids []uint32) ([]byte, []uint32) {
 // maxMapEntries bounds decoded allocation against corrupt lengths.
 const maxMapEntries = 1 << 26
 
-// DecodeMap parses an Encode buffer.
+// byteReader walks an encode buffer with sticky errors.
+type byteReader struct {
+	b   []byte
+	pos int
+	err error
+}
+
+func (r *byteReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.pos:])
+	if n <= 0 {
+		r.err = fmt.Errorf("mvcc: truncated uvarint at %d", r.pos)
+		return 0
+	}
+	r.pos += n
+	return v
+}
+
+func (r *byteReader) byte() byte {
+	if r.err != nil {
+		return 0
+	}
+	if r.pos >= len(r.b) {
+		r.err = fmt.Errorf("mvcc: truncated byte at %d", r.pos)
+		return 0
+	}
+	v := r.b[r.pos]
+	r.pos++
+	return v
+}
+
+// DecodeMap parses an AppendEncode buffer.
 func DecodeMap(b []byte) (*Map, error) {
 	if len(b) < len(mapMagic) || string(b[:len(mapMagic)]) != mapMagic {
 		return nil, fmt.Errorf("mvcc: bad version-map magic")

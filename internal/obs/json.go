@@ -81,10 +81,6 @@ func Render(w io.Writer, t *Trace) {
 	renderSpan(w, t.Tree(), 0)
 }
 
-// RenderTree renders an already-encoded span tree (e.g. one received from
-// a server's ?trace=1 response).
-func RenderTree(w io.Writer, j *SpanJSON) { renderSpan(w, j, 0) }
-
 func renderSpan(w io.Writer, j *SpanJSON, depth int) {
 	if j == nil {
 		return

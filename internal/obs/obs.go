@@ -265,14 +265,6 @@ func (t *Trace) StageTotals() (durs [NumStages]time.Duration, counts [NumStages]
 	return
 }
 
-// WallTime is the root span's duration (elapsed-so-far before Finish).
-func (t *Trace) WallTime() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.root.Duration()
-}
-
 // maxAttrs bounds a span's attribute bag; sets beyond the bound are
 // dropped silently so a runaway caller cannot balloon a trace.
 const maxAttrs = 16
@@ -359,9 +351,6 @@ func (s *Span) StageNS(st Stage) int64 {
 	}
 	return s.stages[st]
 }
-
-// StageDuration returns the accumulated time of a stage.
-func (s *Span) StageDuration(st Stage) time.Duration { return time.Duration(s.StageNS(st)) }
 
 // StageCount returns how many windows were accumulated into a stage.
 func (s *Span) StageCount(st Stage) int64 {
@@ -568,19 +557,6 @@ func (s *Span) Int(key string) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Str returns a string attribute's value.
-func (s *Span) Str(key string) (string, bool) {
-	if s == nil {
-		return "", false
-	}
-	for i := range s.attrs {
-		if s.attrs[i].key == key && s.attrs[i].isStr {
-			return s.attrs[i].text(), true
-		}
-	}
-	return "", false
 }
 
 // Children returns the child spans in deterministic order: sorted by

@@ -54,13 +54,13 @@ func TestStageAccumulation(t *testing.T) {
 	c.AddStage(StageConnect, -time.Second, 1) // clamped to zero
 	tr.Finish()
 
-	if got := c.StageDuration(StageFetch); got != 7*time.Millisecond {
+	if got := time.Duration(c.StageNS(StageFetch)); got != 7*time.Millisecond {
 		t.Errorf("fetch = %v, want 7ms", got)
 	}
 	if got := c.StageCount(StageFetch); got != 2 {
 		t.Errorf("fetch count = %d, want 2", got)
 	}
-	if got := c.StageDuration(StageConnect); got != 0 {
+	if got := time.Duration(c.StageNS(StageConnect)); got != 0 {
 		t.Errorf("negative AddStage not clamped: %v", got)
 	}
 	durs, counts := tr.StageTotals()
@@ -450,4 +450,17 @@ func BenchmarkTracedSpanStage(b *testing.B) {
 		t0 := sp.Start()
 		sp.Stage(StageFetch, t0)
 	}
+}
+
+// Str returns a string attribute's value.
+func (s *Span) Str(key string) (string, bool) {
+	if s == nil {
+		return "", false
+	}
+	for i := range s.attrs {
+		if s.attrs[i].key == key && s.attrs[i].isStr {
+			return s.attrs[i].text(), true
+		}
+	}
+	return "", false
 }

@@ -2,6 +2,7 @@ package pager
 
 import (
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -72,59 +73,23 @@ func TestUnsupportedFormatVersionRejected(t *testing.T) {
 	}
 }
 
-// Corruption surfaces through the pool as a typed error (never a panic),
-// counts in Stats, and a healthy page is still readable afterwards.
-func TestBufferPoolDetectsBitFlip(t *testing.T) {
-	file := NewMemFile()
-	bp := NewBufferPool(file, 4)
-	var ids []PageID
-	for i := 0; i < 2; i++ {
-		p, err := bp.NewPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Data[0] = byte(0xA0 + i)
-		ids = append(ids, p.ID)
-		p.Unpin(true)
+// A legacy header is recognised as active only when it is valid and marked
+// so.
+func TestLegacyJournalActive(t *testing.T) {
+	page := make([]byte, PageSize)
+	copy(page, legacyJournalMagic)
+	page[8], page[9] = 1, 1
+	putU32(page[24:28], crc32.Checksum(page[:24], castagnoli))
+	if !LegacyJournalActive(page) {
+		t.Error("an active legacy header is not recognised")
 	}
-	if err := bp.FlushAll(); err != nil {
-		t.Fatal(err)
+	page[9] = 0
+	putU32(page[24:28], crc32.Checksum(page[:24], castagnoli))
+	if LegacyJournalActive(page) {
+		t.Error("an inactive legacy header reads as active")
 	}
-	if err := bp.DropAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := FlipBit(file, ids[0], (PageHeaderSize+100)*8); err != nil {
-		t.Fatal(err)
-	}
-	_, err := bp.Get(ids[0])
-	if err == nil {
-		t.Fatal("bit flip served as valid data")
-	}
-	var cpe *CorruptPageError
-	if !errors.As(err, &cpe) || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("wrong error type %T: %v", err, err)
-	}
-	if cpe.Page != ids[0] {
-		t.Errorf("error names page %d, corrupted %d", cpe.Page, ids[0])
-	}
-	if got := bp.Stats().Corruptions; got != 1 {
-		t.Errorf("Corruptions = %d, want 1", got)
-	}
-	// The healthy neighbor is unaffected.
-	p, err := bp.Get(ids[1])
-	if err != nil {
-		t.Fatalf("healthy page unreadable: %v", err)
-	}
-	if p.Data[0] != 0xA1 {
-		t.Errorf("healthy page payload %x", p.Data[0])
-	}
-	p.Unpin(false)
-	// Retrying the corrupt page keeps failing (and keeps counting) rather
-	// than caching the bad frame.
-	if _, err := bp.Get(ids[0]); err == nil {
-		t.Fatal("corrupt page served on retry")
-	}
-	if got := bp.Stats().Corruptions; got != 2 {
-		t.Errorf("Corruptions after retry = %d, want 2", got)
+	page[9] = 1
+	if LegacyJournalActive(page) {
+		t.Error("a torn legacy header reads as active")
 	}
 }

@@ -102,9 +102,9 @@ func TestCrashSweepEveryWritePoint(t *testing.T) {
 	snaps := []fileImage{{}} // the empty file is the zeroth committed state
 	var mainMem, journalMem *pager.MemFile
 	done := 0 // commits the cut run completed
-	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+	run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 		mainMem, journalMem = pager.NewMemFile(), pager.NewMemFile()
-		main, journalFile := pager.NewFaultFile(mainMem), pager.NewFaultFile(journalMem)
+		main, journalFile := pagertest.NewFaultFile(mainMem), pagertest.NewFaultFile(journalMem)
 		main.SetPowerClock(clock)
 		journalFile.SetPowerClock(clock)
 		done = 0
@@ -160,7 +160,7 @@ func TestCrashSweepEveryWritePoint(t *testing.T) {
 // commits everything.
 func TestFlushAllWriteFaultKeepsPoolConsistent(t *testing.T) {
 	mem := pager.NewMemFile()
-	ff := pager.NewFaultFile(mem)
+	ff := pagertest.NewFaultFile(mem)
 	j, err := pager.NewJournal(pager.NewMemFile(), ff)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestFlushAllWriteFaultKeepsPoolConsistent(t *testing.T) {
 
 	ff.FailWritesAfter(2) // fail mid-flush, after two page writes
 	err = bp.FlushAll()
-	if !errors.Is(err, pager.ErrInjected) {
+	if !errors.Is(err, pagertest.ErrInjected) {
 		t.Fatalf("FlushAll = %v, want ErrInjected", err)
 	}
 	// DropClean evicts only clean frames: dropping all four would mean the
@@ -246,7 +246,7 @@ func TestPoolCloseFlushesAndPropagatesErrors(t *testing.T) {
 		t.Error("dirty frame not flushed by Close")
 	}
 
-	ff := pager.NewFaultFile(pager.NewMemFile())
+	ff := pagertest.NewFaultFile(pager.NewMemFile())
 	bp2 := pager.NewBufferPool(ff, 4)
 	p2, err := bp2.NewPage()
 	if err != nil {
@@ -255,7 +255,7 @@ func TestPoolCloseFlushesAndPropagatesErrors(t *testing.T) {
 	p2.Data[0] = 1
 	p2.Unpin(true)
 	ff.FailWritesAfter(0)
-	if err := bp2.Close(); !errors.Is(err, pager.ErrInjected) {
+	if err := bp2.Close(); !errors.Is(err, pagertest.ErrInjected) {
 		t.Errorf("Close = %v, want ErrInjected", err)
 	}
 }

@@ -1,24 +1,27 @@
-package pager
+package pager_test
 
 import (
 	"errors"
 	"slices"
 	"testing"
+
+	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 )
 
 // journaledPool returns a pool over fresh in-memory files with n committed
 // pages, each tagged with its index in byte 0.
-func journaledPool(t *testing.T, main, journalFile File, n, capacity int) (*BufferPool, []PageID) {
+func journaledPool(t *testing.T, main, journalFile pager.File, n, capacity int) (*pager.BufferPool, []pager.PageID) {
 	t.Helper()
-	j, err := NewJournal(journalFile, main)
+	j, err := pager.NewJournal(journalFile, main)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := NewJournaledPool(main, j, capacity)
+	bp, err := pager.NewJournaledPool(main, j, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]PageID, n)
+	ids := make([]pager.PageID, n)
 	for i := range ids {
 		p, err := bp.NewPage()
 		if err != nil {
@@ -34,7 +37,7 @@ func journaledPool(t *testing.T, main, journalFile File, n, capacity int) (*Buff
 	return bp, ids
 }
 
-func dirtyPages(t *testing.T, bp *BufferPool, ids []PageID, tag byte) {
+func dirtyPages(t *testing.T, bp *pager.BufferPool, ids []pager.PageID, tag byte) {
 	t.Helper()
 	for _, id := range ids {
 		p, err := bp.Get(id)
@@ -51,7 +54,7 @@ func dirtyPages(t *testing.T, bp *BufferPool, ids []PageID, tag byte) {
 // pool and the journal own: after the first one it allocates nothing.
 func TestFlushAllAllocs(t *testing.T) {
 	const k = 8
-	bp, ids := journaledPool(t, NewMemFile(), NewMemFile(), k, 2*k)
+	bp, ids := journaledPool(t, pager.NewMemFile(), pager.NewMemFile(), k, 2*k)
 	tag := byte(0)
 	commit := func() {
 		tag++
@@ -72,11 +75,11 @@ func TestFlushAllAllocs(t *testing.T) {
 
 // orderFile records the ids WritePage sees.
 type orderFile struct {
-	File
-	writes []PageID
+	pager.File
+	writes []pager.PageID
 }
 
-func (f *orderFile) WritePage(id PageID, buf []byte) error {
+func (f *orderFile) WritePage(id pager.PageID, buf []byte) error {
 	f.writes = append(f.writes, id)
 	return f.File.WritePage(id, buf)
 }
@@ -84,8 +87,8 @@ func (f *orderFile) WritePage(id PageID, buf []byte) error {
 // Dirty frames go to the journal and to the file in ascending page id, so a
 // crash-sweep ordinal names the same write on every run (map order did not).
 func TestFlushAllWritesInPageOrder(t *testing.T) {
-	main := &orderFile{File: NewMemFile()}
-	journalFile := &orderFile{File: NewMemFile()}
+	main := &orderFile{File: pager.NewMemFile()}
+	journalFile := &orderFile{File: pager.NewMemFile()}
 	bp, ids := journaledPool(t, main, journalFile, 24, 32)
 	for round := 0; round < 5; round++ {
 		main.writes, journalFile.writes = nil, nil
@@ -103,9 +106,9 @@ func TestFlushAllWritesInPageOrder(t *testing.T) {
 		}
 		// Journal: the images in the same order after the one table page,
 		// then the table, then the commit's header write.
-		var want []PageID
+		var want []pager.PageID
 		for i := range ids {
-			want = append(want, PageID(i+1))
+			want = append(want, pager.PageID(i+1))
 		}
 		want = append(want, 0, 0)
 		if !slices.Equal(journalFile.writes, want) {
@@ -118,18 +121,18 @@ func TestFlushAllWritesInPageOrder(t *testing.T) {
 // one mid write-back — leave the transaction open and the unwritten frames
 // dirty; the third attempt completes the commit, journaling no page twice.
 func TestFlushAllDoubleFaultRetry(t *testing.T) {
-	mainMem, journalMem := NewMemFile(), NewMemFile()
-	main, journalFile := NewFaultFile(mainMem), NewFaultFile(journalMem)
+	mainMem, journalMem := pager.NewMemFile(), pager.NewMemFile()
+	main, journalFile := pagertest.NewFaultFile(mainMem), pagertest.NewFaultFile(journalMem)
 	bp, ids := journaledPool(t, main, journalFile, 6, 8)
 	dirtyPages(t, bp, ids, 0xEE)
 
 	journalFile.FailWritesAfter(8) // seven allocations and one image, then the second
-	if err := bp.FlushAll(); !errors.Is(err, ErrInjected) {
+	if err := bp.FlushAll(); !errors.Is(err, pagertest.ErrInjected) {
 		t.Fatalf("first FlushAll = %v, want ErrInjected", err)
 	}
 	journalFile.Heal()
 	main.FailWritesAfter(3)
-	if err := bp.FlushAll(); !errors.Is(err, ErrInjected) {
+	if err := bp.FlushAll(); !errors.Is(err, pagertest.ErrInjected) {
 		t.Fatalf("second FlushAll = %v, want ErrInjected", err)
 	}
 	if !bp.Journal().Active() {
@@ -145,16 +148,16 @@ func TestFlushAllDoubleFaultRetry(t *testing.T) {
 	if got, want := journalMem.NumPages(), uint32(1+len(ids)); got != want {
 		t.Errorf("journal holds %d pages, want %d (one record per page)", got, want)
 	}
-	buf := make([]byte, PageSize)
+	buf := make([]byte, pager.PageSize)
 	for i, id := range ids {
 		if err := mainMem.ReadPage(id, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyPage(id, buf); err != nil {
+		if err := pager.VerifyPage(id, buf); err != nil {
 			t.Errorf("page %d: %v", id, err)
 		}
-		if buf[PageHeaderSize] != byte(i) || buf[PageHeaderSize+1] != 0xEE {
-			t.Errorf("page %d payload = %#x %#x, want %#x 0xee", id, buf[PageHeaderSize], buf[PageHeaderSize+1], i)
+		if buf[pager.PageHeaderSize] != byte(i) || buf[pager.PageHeaderSize+1] != 0xEE {
+			t.Errorf("page %d payload = %#x %#x, want %#x 0xee", id, buf[pager.PageHeaderSize], buf[pager.PageHeaderSize+1], i)
 		}
 	}
 }
@@ -165,16 +168,16 @@ func TestFlushAllDoubleFaultRetry(t *testing.T) {
 // power cut on the truncate itself loses nothing — the header is already
 // durably inactive.
 func TestJournalTrimsAfterLargeTransaction(t *testing.T) {
-	workload := func(main, journalFile File, afterSmall func()) error {
-		j, err := NewJournal(journalFile, main)
+	workload := func(main, journalFile pager.File, afterSmall func()) error {
+		j, err := pager.NewJournal(journalFile, main)
 		if err != nil {
 			return err
 		}
-		bp, err := NewJournaledPool(main, j, 32)
+		bp, err := pager.NewJournaledPool(main, j, 32)
 		if err != nil {
 			return err
 		}
-		var ids []PageID
+		var ids []pager.PageID
 		for i := 0; i < 20; i++ {
 			p, err := bp.NewPage()
 			if err != nil {
@@ -186,7 +189,7 @@ func TestJournalTrimsAfterLargeTransaction(t *testing.T) {
 		if err := bp.FlushAll(); err != nil {
 			return err
 		}
-		commit := func(ids []PageID, tag byte) error {
+		commit := func(ids []pager.PageID, tag byte) error {
 			for _, id := range ids {
 				p, err := bp.Get(id)
 				if err != nil {
@@ -209,9 +212,9 @@ func TestJournalTrimsAfterLargeTransaction(t *testing.T) {
 		return commit(ids[1:2], 3) // same size again: no trim
 	}
 
-	clock := NewPowerClock(0)
-	mainMem, journalMem := NewMemFile(), NewMemFile()
-	main, journalFile := NewFaultFile(mainMem), NewFaultFile(journalMem)
+	clock := pagertest.NewPowerClock(0)
+	mainMem, journalMem := pager.NewMemFile(), pager.NewMemFile()
+	main, journalFile := pagertest.NewFaultFile(mainMem), pagertest.NewFaultFile(journalMem)
 	main.SetPowerClock(clock)
 	journalFile.SetPowerClock(clock)
 	var trimOrdinal int64
@@ -229,31 +232,31 @@ func TestJournalTrimsAfterLargeTransaction(t *testing.T) {
 	}
 
 	// Cut the power on the truncate.
-	clock = NewPowerClock(trimOrdinal)
-	mainMem, journalMem = NewMemFile(), NewMemFile()
-	main, journalFile = NewFaultFile(mainMem), NewFaultFile(journalMem)
+	clock = pagertest.NewPowerClock(trimOrdinal)
+	mainMem, journalMem = pager.NewMemFile(), pager.NewMemFile()
+	main, journalFile = pagertest.NewFaultFile(mainMem), pagertest.NewFaultFile(journalMem)
 	main.SetPowerClock(clock)
 	journalFile.SetPowerClock(clock)
-	if err := workload(main, journalFile, nil); !errors.Is(err, ErrPowerCut) {
+	if err := workload(main, journalFile, nil); !errors.Is(err, pagertest.ErrPowerCut) {
 		t.Fatalf("workload = %v, want ErrPowerCut", err)
 	}
 	if got := journalMem.NumPages(); got != 21 {
 		t.Fatalf("cut journal holds %d pages, want the untrimmed 21: the cut missed the truncate", got)
 	}
-	j, err := NewJournal(journalMem, mainMem)
+	j, err := pager.NewJournal(journalMem, mainMem)
 	if err != nil || j.RolledBack() {
 		t.Fatalf("reopen rolled back %v, %v; the small commit was durable before the trim", j != nil && j.RolledBack(), err)
 	}
-	buf := make([]byte, PageSize)
+	buf := make([]byte, pager.PageSize)
 	for id, want := range []byte{2, 1, 1} {
-		if err := mainMem.ReadPage(PageID(id), buf); err != nil {
+		if err := mainMem.ReadPage(pager.PageID(id), buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyPage(PageID(id), buf); err != nil {
+		if err := pager.VerifyPage(pager.PageID(id), buf); err != nil {
 			t.Fatal(err)
 		}
-		if buf[PageHeaderSize] != want {
-			t.Errorf("page %d tagged %d after the cut, want %d", id, buf[PageHeaderSize], want)
+		if buf[pager.PageHeaderSize] != want {
+			t.Errorf("page %d tagged %d after the cut, want %d", id, buf[pager.PageHeaderSize], want)
 		}
 	}
 }

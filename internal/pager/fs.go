@@ -16,9 +16,10 @@ type FSFile interface {
 }
 
 // FS is the slice of filesystem every non-page artifact is written through.
-// The default is the real OS; crash-sweep tests substitute FaultFS, whose
-// write-class operations tick the same PowerClock as the index page files,
-// so one sweep covers every write point of a build or a compaction.
+// The default is the real OS; crash-sweep tests substitute pagertest's
+// fault-injecting FS, whose write-class operations tick the same power
+// clock as the index page files, so one sweep covers every write point of
+// a build or a compaction.
 type FS interface {
 	Create(path string) (FSFile, error)
 	Open(path string) (io.ReadCloser, error)

@@ -150,12 +150,12 @@ func TestAtomicWriteOrder(t *testing.T) {
 
 	t.Run("power cut", func(t *testing.T) {
 		var path string
-		run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+		run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 			path = filepath.Join(t.TempDir(), "f")
 			if err := os.WriteFile(path, []byte("old bytes"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			return pager.WriteFileAtomic(pager.NewFaultFS(pager.OSFS{}, clock), path, []byte("new bytes, longer"))
+			return pager.WriteFileAtomic(pagertest.NewFaultFS(pager.OSFS{}, clock), path, []byte("new bytes, longer"))
 		}
 		pagertest.Sweep(t, 4, nil, run, func(t *testing.T, k int64) {
 			if got := readFile(t, path); got != "old bytes" && got != "new bytes, longer" {
@@ -169,8 +169,8 @@ func TestAtomicWriteOrder(t *testing.T) {
 // target's directory, on a recording FaultFS whose clock also ticks for the
 // directory sync.
 func TestAtomicCommitSyncsDir(t *testing.T) {
-	clock := pager.NewPowerClock(0)
-	fs := &pagertest.RecordFS{FS: pager.NewFaultFS(pager.OSFS{}, clock)}
+	clock := pagertest.NewPowerClock(0)
+	fs := &pagertest.RecordFS{FS: pagertest.NewFaultFS(pager.OSFS{}, clock)}
 	if err := pager.WriteFileAtomic(fs, filepath.Join(t.TempDir(), "f"), []byte("bytes")); err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +188,13 @@ func TestAtomicCommitSyncsDir(t *testing.T) {
 func TestFaultFSRenamesPendingUntilSyncDir(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
-		loss         pager.Loss
+		loss         pagertest.Loss
 		synced       bool
 		keepA, keepB bool
 	}{
-		{"lose-all", pager.LoseAll, false, false, false},
-		{"tear-last", pager.TearLast, false, false, true},
-		{"synced", pager.LoseAll, true, true, true},
+		{"lose-all", pagertest.LoseAll, false, false, false},
+		{"tear-last", pagertest.TearLast, false, false, true},
+		{"synced", pagertest.LoseAll, true, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -208,9 +208,9 @@ func TestFaultFSRenamesPendingUntilSyncDir(t *testing.T) {
 			if tc.synced {
 				cutAt++
 			}
-			clock := pager.NewPowerClock(cutAt)
+			clock := pagertest.NewPowerClock(cutAt)
 			clock.SetLoss(tc.loss, 1)
-			fs := pager.NewFaultFS(pager.OSFS{}, clock)
+			fs := pagertest.NewFaultFS(pager.OSFS{}, clock)
 			if err := fs.Rename(a+".tmp", a); err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func TestFaultFSRenamesPendingUntilSyncDir(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := fs.MkdirAll(filepath.Join(dir, "x")); !errors.Is(err, pager.ErrPowerCut) {
+			if err := fs.MkdirAll(filepath.Join(dir, "x")); !errors.Is(err, pagertest.ErrPowerCut) {
 				t.Fatalf("the cut operation returned %v, want ErrPowerCut", err)
 			}
 			wantA, wantTmpA := "old a", "new a"
@@ -257,25 +257,25 @@ func TestFaultFSRenamesPendingUntilSyncDir(t *testing.T) {
 func TestFaultFSWritesPendingUntilSync(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		loss   pager.Loss
+		loss   pagertest.Loss
 		synced bool
 		want   func(got string) bool
 	}{
-		{"lose-all", pager.LoseAll, false, func(got string) bool { return got == "durable" }},
-		{"lose-subset", pager.LoseSubset, false, func(got string) bool {
+		{"lose-all", pagertest.LoseAll, false, func(got string) bool { return got == "durable" }},
+		{"lose-subset", pagertest.LoseSubset, false, func(got string) bool {
 			return strings.HasPrefix("durable+pending+cutting", got) && strings.HasPrefix(got, "durable")
 		}},
-		{"tear-last", pager.TearLast, false, func(got string) bool { return got == "durable+pending+cut" }},
-		{"synced", pager.LoseAll, true, func(got string) bool { return got == "durable+pending" }},
+		{"tear-last", pagertest.TearLast, false, func(got string) bool { return got == "durable+pending+cut" }},
+		{"synced", pagertest.LoseAll, true, func(got string) bool { return got == "durable+pending" }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			clock := pager.NewPowerClock(6)
+			clock := pagertest.NewPowerClock(6)
 			if tc.synced {
-				clock = pager.NewPowerClock(7)
+				clock = pagertest.NewPowerClock(7)
 			}
 			clock.SetLoss(tc.loss, 3)
-			fs := pager.NewFaultFS(pager.OSFS{}, clock)
+			fs := pagertest.NewFaultFS(pager.OSFS{}, clock)
 			path := filepath.Join(dir, "f.tmp")
 			f, err := fs.Create(path) // write 1
 			if err != nil {
@@ -294,7 +294,7 @@ func TestFaultFSWritesPendingUntilSync(t *testing.T) {
 			}
 			for i, op := range ops {
 				err := op()
-				if cut := i == len(ops)-1; cut != errors.Is(err, pager.ErrPowerCut) {
+				if cut := i == len(ops)-1; cut != errors.Is(err, pagertest.ErrPowerCut) {
 					t.Fatalf("op %d returned %v (cut %v)", i+2, err, cut)
 				}
 			}

@@ -157,13 +157,6 @@ func LegacyJournalActive(page []byte) bool {
 		crc32.Checksum(page[:24], castagnoli) == getU32(page[24:28]) && page[9] == 1
 }
 
-// Active reports whether a transaction is open (header active on disk).
-func (j *Journal) Active() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.active
-}
-
 // RolledBack reports whether NewJournal rolled back a pending transaction.
 func (j *Journal) RolledBack() bool { return j.rolledBack }
 

@@ -1,27 +1,29 @@
-package pager
+package pager_test
 
 import (
 	"bytes"
 	"errors"
-	"hash/crc32"
 	"testing"
+
+	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 )
 
 // sealInto writes a sealed page with a recognizable payload into f.
-func sealInto(t *testing.T, f File, id PageID, fill byte) []byte {
+func sealInto(t *testing.T, f pager.File, id pager.PageID, fill byte) []byte {
 	t.Helper()
-	phys := make([]byte, PageSize)
-	for i := PageHeaderSize; i < PageSize; i++ {
+	phys := make([]byte, pager.PageSize)
+	for i := pager.PageHeaderSize; i < pager.PageSize; i++ {
 		phys[i] = fill
 	}
-	SealPage(id, phys)
+	pager.SealPage(id, phys)
 	if err := f.WritePage(id, phys); err != nil {
 		t.Fatal(err)
 	}
 	return phys
 }
 
-func allocN(t *testing.T, f File, n int) {
+func allocN(t *testing.T, f pager.File, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if _, err := f.Allocate(); err != nil {
@@ -32,25 +34,25 @@ func allocN(t *testing.T, f File, n int) {
 
 // committedFile returns a file of n sealed pages, page i filled with 'a'+i,
 // and their images.
-func committedFile(t *testing.T, n int) (*MemFile, [][]byte) {
+func committedFile(t *testing.T, n int) (*pager.MemFile, [][]byte) {
 	t.Helper()
-	main := NewMemFile()
+	main := pager.NewMemFile()
 	allocN(t, main, n)
 	var images [][]byte
-	for id := PageID(0); id < PageID(n); id++ {
+	for id := pager.PageID(0); id < pager.PageID(n); id++ {
 		images = append(images, sealInto(t, main, id, byte('a'+id)))
 	}
 	return main, images
 }
 
-func requireImages(t *testing.T, f File, images [][]byte) {
+func requireImages(t *testing.T, f pager.File, images [][]byte) {
 	t.Helper()
 	if got := f.NumPages(); got != uint32(len(images)) {
 		t.Errorf("NumPages = %d, want %d (orphan pages not truncated)", got, len(images))
 	}
-	buf := make([]byte, PageSize)
+	buf := make([]byte, pager.PageSize)
 	for id := range images {
-		if err := f.ReadPage(PageID(id), buf); err != nil {
+		if err := f.ReadPage(pager.PageID(id), buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, images[id]) {
@@ -60,7 +62,7 @@ func requireImages(t *testing.T, f File, images [][]byte) {
 }
 
 // tag dirties page id of bp with byte b.
-func tag(t *testing.T, bp *BufferPool, id PageID, b byte) {
+func tag(t *testing.T, bp *pager.BufferPool, id pager.PageID, b byte) {
 	t.Helper()
 	p, err := bp.Get(id)
 	if err != nil {
@@ -76,12 +78,12 @@ func tag(t *testing.T, bp *BufferPool, id PageID, b byte) {
 // restored, the file cut back to its committed length.
 func TestJournalRollbackRestoresBeforeImages(t *testing.T) {
 	main, images := committedFile(t, 3)
-	jf := NewMemFile()
-	j, err := NewJournal(jf, main)
+	jf := pager.NewMemFile()
+	j, err := pager.NewJournal(jf, main)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := NewJournaledPool(main, j, 2)
+	bp, err := pager.NewJournaledPool(main, j, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestJournalRollbackRestoresBeforeImages(t *testing.T) {
 		t.Fatalf("mid-transaction: journal active %v, file %d pages; want true, 4", j.Active(), main.NumPages())
 	}
 	// Crash: the pool is abandoned, the files reopened.
-	j2, err := NewJournal(jf, main)
+	j2, err := pager.NewJournal(jf, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +115,12 @@ func TestJournalRollbackRestoresBeforeImages(t *testing.T) {
 // nothing back.
 func TestJournalCommitIsDurablePoint(t *testing.T) {
 	main, _ := committedFile(t, 2)
-	jf := NewMemFile()
-	j, err := NewJournal(jf, main)
+	jf := pager.NewMemFile()
+	j, err := pager.NewJournal(jf, main)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := NewJournaledPool(main, j, 8)
+	bp, err := pager.NewJournaledPool(main, j, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,19 +131,19 @@ func TestJournalCommitIsDurablePoint(t *testing.T) {
 	if j.Active() {
 		t.Fatal("journal active after the commit")
 	}
-	want := make([]byte, PageSize)
+	want := make([]byte, pager.PageSize)
 	if err := main.ReadPage(1, want); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := NewJournal(jf, main)
+	j2, err := pager.NewJournal(jf, main)
 	if err != nil || j2.RolledBack() {
 		t.Fatalf("reopen after the commit: rolled back %v, %v", j2 != nil && j2.RolledBack(), err)
 	}
-	got := make([]byte, PageSize)
+	got := make([]byte, pager.PageSize)
 	if err := main.ReadPage(1, got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) || got[PageHeaderSize] != 'b' {
+	if !bytes.Equal(got, want) || got[pager.PageHeaderSize] != 'b' {
 		t.Error("committed image lost")
 	}
 }
@@ -151,18 +153,18 @@ func TestJournalCommitIsDurablePoint(t *testing.T) {
 // before it are restored, it and everything after it are not, and the
 // journal is still deactivated.
 func TestRecoverIgnoresUntrustedTail(t *testing.T) {
-	for name, damage := range map[string]func(jf *MemFile) error{
-		"flipped": func(jf *MemFile) error { return FlipBit(jf, 3, 9*8) },
-		"missing": func(jf *MemFile) error { return jf.Truncate(3) },
+	for name, damage := range map[string]func(jf *pager.MemFile) error{
+		"flipped": func(jf *pager.MemFile) error { return pagertest.FlipBit(jf, 3, 9*8) },
+		"missing": func(jf *pager.MemFile) error { return jf.Truncate(3) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			main, images := committedFile(t, 3)
-			jf := NewMemFile()
-			j, err := NewJournal(jf, main)
+			jf := pager.NewMemFile()
+			j, err := pager.NewJournal(jf, main)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bp, err := NewJournaledPool(main, j, 1)
+			bp, err := pager.NewJournaledPool(main, j, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,18 +174,18 @@ func TestRecoverIgnoresUntrustedTail(t *testing.T) {
 			if err := damage(jf); err != nil {
 				t.Fatal(err)
 			}
-			j2, err := NewJournal(jf, main)
+			j2, err := pager.NewJournal(jf, main)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !j2.RolledBack() || j2.Active() {
 				t.Fatalf("rolled back %v, active %v; want true, false", j2.RolledBack(), j2.Active())
 			}
-			buf := make([]byte, PageSize)
+			buf := make([]byte, pager.PageSize)
 			if err := main.ReadPage(0, buf); err != nil || !bytes.Equal(buf, images[0]) {
 				t.Errorf("page 0 (trusted record) not restored: %v", err)
 			}
-			if err := main.ReadPage(1, buf); err != nil || buf[PageHeaderSize] != 'Y' {
+			if err := main.ReadPage(1, buf); err != nil || buf[pager.PageHeaderSize] != 'Y' {
 				t.Errorf("page 1 (untrusted record) was replayed: %v", err)
 			}
 		})
@@ -195,31 +197,31 @@ func TestRecoverIgnoresUntrustedTail(t *testing.T) {
 func TestJournalTableSpills(t *testing.T) {
 	const n = 700
 	main, images := committedFile(t, n)
-	if tablePages(n, 1) != 2 {
-		t.Fatalf("a %d-record table takes %d pages; the test wants a spill", n, tablePages(n, 1))
+	if pager.TablePages(n, 1) != 2 {
+		t.Fatalf("a %d-record table takes %d pages; the test wants a spill", n, pager.TablePages(n, 1))
 	}
-	jf := NewMemFile()
-	j, err := NewJournal(jf, main)
+	jf := pager.NewMemFile()
+	j, err := pager.NewJournal(jf, main)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := NewFaultFile(main)
-	bp, err := NewJournaledPool(faulty, j, n)
+	faulty := pagertest.NewFaultFile(main)
+	bp, err := pager.NewJournaledPool(faulty, j, n)
 	if err == nil {
 		t.Fatal("a pool over a file the journal does not know was attached")
 	}
-	j, err = NewJournal(jf, faulty)
+	j, err = pager.NewJournal(jf, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bp, err = NewJournaledPool(faulty, j, n); err != nil {
+	if bp, err = pager.NewJournaledPool(faulty, j, n); err != nil {
 		t.Fatal(err)
 	}
-	for id := PageID(0); id < n; id++ {
+	for id := pager.PageID(0); id < n; id++ {
 		tag(t, bp, id, 'X')
 	}
 	faulty.FailWritesAfter(n / 2)
-	if err := bp.FlushAll(); !errors.Is(err, ErrInjected) {
+	if err := bp.FlushAll(); !errors.Is(err, pagertest.ErrInjected) {
 		t.Fatalf("FlushAll = %v, want ErrInjected", err)
 	}
 	if jf.NumPages() != 2+n {
@@ -229,7 +231,7 @@ func TestJournalTableSpills(t *testing.T) {
 	if err := faulty.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := NewJournal(jf, main)
+	j2, err := pager.NewJournal(jf, main)
 	if err != nil || !j2.RolledBack() {
 		t.Fatalf("reopen: rolled back %v, %v", j2 != nil && j2.RolledBack(), err)
 	}
@@ -241,17 +243,17 @@ func TestJournalTableSpills(t *testing.T) {
 func TestJournalCommitSpansFiles(t *testing.T) {
 	a, aImages := committedFile(t, 2)
 	b, bImages := committedFile(t, 2)
-	fb := NewFaultFile(b)
-	jf := NewMemFile()
-	j, err := NewJournal(jf, a, fb)
+	fb := pagertest.NewFaultFile(b)
+	jf := pager.NewMemFile()
+	j, err := pager.NewJournal(jf, a, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, err := NewJournaledPool(a, j, 8)
+	pa, err := pager.NewJournaledPool(a, j, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := NewJournaledPool(fb, j, 8)
+	pb, err := pager.NewJournaledPool(fb, j, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,17 +265,17 @@ func TestJournalCommitSpansFiles(t *testing.T) {
 	}
 	p.Unpin(true)
 	fb.FailWritesAfter(0)
-	if err := pa.FlushAll(); !errors.Is(err, ErrInjected) {
+	if err := pa.FlushAll(); !errors.Is(err, pagertest.ErrInjected) {
 		t.Fatalf("FlushAll = %v, want ErrInjected", err)
 	}
 	if a.NumPages() != 2 {
 		t.Fatal("file a grew")
 	}
-	buf := make([]byte, PageSize)
-	if err := a.ReadPage(0, buf); err != nil || buf[PageHeaderSize] != 'X' {
+	buf := make([]byte, pager.PageSize)
+	if err := a.ReadPage(0, buf); err != nil || buf[pager.PageHeaderSize] != 'X' {
 		t.Fatalf("file a was not written before the fault: %v", err)
 	}
-	j2, err := NewJournal(jf, a, b)
+	j2, err := pager.NewJournal(jf, a, b)
 	if err != nil || !j2.RolledBack() {
 		t.Fatalf("reopen: rolled back %v, %v", j2 != nil && j2.RolledBack(), err)
 	}
@@ -285,12 +287,12 @@ func TestJournalCommitSpansFiles(t *testing.T) {
 // the next open of the pair starts a fresh transaction from it. A journal
 // still active (the commit failed) is left whole for recovery.
 func TestCloseReleasesJournal(t *testing.T) {
-	main, jf := NewMemFile(), NewMemFile()
-	j, err := NewJournal(jf, main)
+	main, jf := pager.NewMemFile(), pager.NewMemFile()
+	j, err := pager.NewJournal(jf, main)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := NewJournaledPool(main, j, 8)
+	bp, err := pager.NewJournaledPool(main, j, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +324,11 @@ func TestCloseReleasesJournal(t *testing.T) {
 
 	// Reopen over the released journal and fail the next commit's in-place
 	// write: the transaction stays open, and Close leaves its journal whole.
-	faulty := NewFaultFile(main)
-	if j, err = NewJournal(jf, faulty); err != nil || j.Active() {
+	faulty := pagertest.NewFaultFile(main)
+	if j, err = pager.NewJournal(jf, faulty); err != nil || j.Active() {
 		t.Fatalf("a released journal reopens as %v, %v", j, err)
 	}
-	if bp, err = NewJournaledPool(faulty, j, 8); err != nil {
+	if bp, err = pager.NewJournaledPool(faulty, j, 8); err != nil {
 		t.Fatal(err)
 	}
 	tag(t, bp, 2, 7)
@@ -337,28 +339,7 @@ func TestCloseReleasesJournal(t *testing.T) {
 	if jf.NumPages() == 0 {
 		t.Fatal("a failed commit's journal was released")
 	}
-	if j, err = NewJournal(jf, main); err != nil || !j.RolledBack() {
+	if j, err = pager.NewJournal(jf, main); err != nil || !j.RolledBack() {
 		t.Fatalf("a failed commit's journal reopens rolled back %v, %v", j != nil && j.RolledBack(), err)
-	}
-}
-
-// A legacy header is recognised as active only when it is valid and marked
-// so.
-func TestLegacyJournalActive(t *testing.T) {
-	page := make([]byte, PageSize)
-	copy(page, legacyJournalMagic)
-	page[8], page[9] = 1, 1
-	putU32(page[24:28], crc32.Checksum(page[:24], castagnoli))
-	if !LegacyJournalActive(page) {
-		t.Error("an active legacy header is not recognised")
-	}
-	page[9] = 0
-	putU32(page[24:28], crc32.Checksum(page[:24], castagnoli))
-	if LegacyJournalActive(page) {
-		t.Error("an inactive legacy header reads as active")
-	}
-	page[9] = 1
-	if LegacyJournalActive(page) {
-		t.Error("a torn legacy header reads as active")
 	}
 }

@@ -1,4 +1,4 @@
-package pager
+package pager_test
 
 import (
 	"errors"
@@ -6,15 +6,18 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 )
 
 // noFillPool is a pool of capacity frames over n flushed pages whose first
 // payload byte is the page id.
-func noFillPool(t *testing.T, capacity, n int) (*BufferPool, *MemFile, []PageID) {
+func noFillPool(t *testing.T, capacity, n int) (*pager.BufferPool, *pager.MemFile, []pager.PageID) {
 	t.Helper()
-	file := NewMemFile()
-	bp := NewBufferPool(file, capacity)
-	ids := make([]PageID, n)
+	file := pager.NewMemFile()
+	bp := pager.NewBufferPool(file, capacity)
+	ids := make([]pager.PageID, n)
 	for i := range ids {
 		p, err := bp.NewPage()
 		if err != nil {
@@ -48,7 +51,7 @@ func TestNoFillReadsResidentFrame(t *testing.T) {
 
 	before := bp.Stats()
 	for _, c := range []struct {
-		id   PageID
+		id   pager.PageID
 		want byte
 	}{{ids[0], byte(ids[0])}, {ids[1], 0xEE}} {
 		p, err := bp.GetNoFill(c.id)
@@ -94,14 +97,14 @@ func TestNoFillMissLeavesNoFrame(t *testing.T) {
 		t.Errorf("a no-fill miss left a frame: Contains %v, Resident %d", bp.Contains(ids[0]), st.Resident)
 	}
 
-	if err := FlipBit(file, ids[1], (PageHeaderSize+100)*8); err != nil {
+	if err := pagertest.FlipBit(file, ids[1], (pager.PageHeaderSize+100)*8); err != nil {
 		t.Fatal(err)
 	}
-	for _, get := range []func(PageID) (Page, error){bp.Get, bp.GetNoFill} {
+	for _, get := range []func(pager.PageID) (pager.Page, error){bp.Get, bp.GetNoFill} {
 		corrupt := bp.Stats().Corruptions
 		_, err := get(ids[1])
-		var cpe *CorruptPageError
-		if !errors.As(err, &cpe) || !errors.Is(err, ErrCorrupt) || cpe.Page != ids[1] {
+		var cpe *pager.CorruptPageError
+		if !errors.As(err, &cpe) || !errors.Is(err, pager.ErrCorrupt) || cpe.Page != ids[1] {
 			t.Errorf("corrupt page read returned %T %v, want a *CorruptPageError for page %d", err, err, ids[1])
 		}
 		if got := bp.Stats().Corruptions; got != corrupt+1 {
@@ -161,7 +164,7 @@ func TestNoFillConcurrentWithGet(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				id := ids[rng.Intn(len(ids))]
 				noFill := g%2 == 0
-				var p Page
+				var p pager.Page
 				var err error
 				if noFill {
 					p, err = bp.GetNoFill(id)

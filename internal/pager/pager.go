@@ -297,9 +297,6 @@ func (c *counters) reset() {
 	// gauge of the pool's contents, not of work done.
 }
 
-// Hits returns the number of Get calls served from the pool.
-func (s Stats) Hits() uint64 { return s.LogicalReads - s.PhysicalReads }
-
 // Page is a pinned buffer-pool frame. Data aliases the frame's buffer, so
 // it is valid only until Unpin; mutate it only if you pass dirty=true.
 // Data is the page's payload (PageDataSize bytes): the physical integrity
@@ -445,9 +442,6 @@ func NewJournaledPool(file File, journal *Journal, capacity int) (*BufferPool, e
 	bp.journaled = make(map[PageID]bool)
 	return bp, nil
 }
-
-// Journal returns the attached journal (nil without one).
-func (bp *BufferPool) Journal() *Journal { return bp.journal }
 
 // File exposes the underlying page file.
 func (bp *BufferPool) File() File { return bp.file }

@@ -1,25 +1,29 @@
-package pager
+package pager_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 )
 
 func osWriteFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
 
-func files(t *testing.T) map[string]File {
+func files(t *testing.T) map[string]pager.File {
 	t.Helper()
-	osf, err := OpenOSFile(filepath.Join(t.TempDir(), "pages.db"))
+	osf, err := pager.OpenOSFile(filepath.Join(t.TempDir(), "pages.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { osf.Close() })
-	return map[string]File{"mem": NewMemFile(), "os": osf}
+	return map[string]pager.File{"mem": pager.NewMemFile(), "os": osf}
 }
 
 func TestFileReadWrite(t *testing.T) {
@@ -39,12 +43,12 @@ func TestFileReadWrite(t *testing.T) {
 			if f.NumPages() != 2 {
 				t.Fatalf("NumPages = %d", f.NumPages())
 			}
-			buf := make([]byte, PageSize)
+			buf := make([]byte, pager.PageSize)
 			copy(buf, "hello page")
 			if err := f.WritePage(id1, buf); err != nil {
 				t.Fatal(err)
 			}
-			got := make([]byte, PageSize)
+			got := make([]byte, pager.PageSize)
 			if err := f.ReadPage(id1, got); err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +59,7 @@ func TestFileReadWrite(t *testing.T) {
 			if err := f.ReadPage(id0, got); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, make([]byte, PageSize)) {
+			if !bytes.Equal(got, make([]byte, pager.PageSize)) {
 				t.Error("page 0 not zeroed")
 			}
 			// Out-of-range access errors.
@@ -71,12 +75,12 @@ func TestFileReadWrite(t *testing.T) {
 
 func TestOSFilePersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	f, err := OpenOSFile(path)
+	f, err := pager.OpenOSFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id, _ := f.Allocate()
-	buf := make([]byte, PageSize)
+	buf := make([]byte, pager.PageSize)
 	copy(buf, "persisted")
 	if err := f.WritePage(id, buf); err != nil {
 		t.Fatal(err)
@@ -87,7 +91,7 @@ func TestOSFilePersistence(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f2, err := OpenOSFile(path)
+	f2, err := pager.OpenOSFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +99,7 @@ func TestOSFilePersistence(t *testing.T) {
 	if f2.NumPages() != 1 {
 		t.Fatalf("NumPages after reopen = %d", f2.NumPages())
 	}
-	got := make([]byte, PageSize)
+	got := make([]byte, pager.PageSize)
 	if err := f2.ReadPage(id, got); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func TestOSFilePersistence(t *testing.T) {
 }
 
 func TestBufferPoolHitAndMiss(t *testing.T) {
-	bp := NewBufferPool(NewMemFile(), 4)
+	bp := pager.NewBufferPool(pager.NewMemFile(), 4)
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +155,7 @@ func TestBufferPoolHitAndMiss(t *testing.T) {
 }
 
 func TestBufferPoolPinnedPagesNotEvicted(t *testing.T) {
-	bp := NewBufferPool(NewMemFile(), 2)
+	bp := pager.NewBufferPool(pager.NewMemFile(), 2)
 	a, _ := bp.NewPage()
 	b, _ := bp.NewPage()
 	// Pool full with both pinned: a third page must fail.
@@ -169,8 +173,8 @@ func TestBufferPoolPinnedPagesNotEvicted(t *testing.T) {
 }
 
 func TestBufferPoolLRUOrder(t *testing.T) {
-	bp := NewBufferPool(NewMemFile(), 2)
-	var ids []PageID
+	bp := pager.NewBufferPool(pager.NewMemFile(), 2)
+	var ids []pager.PageID
 	for i := 0; i < 2; i++ {
 		p, _ := bp.NewPage()
 		ids = append(ids, p.ID)
@@ -196,7 +200,7 @@ func TestBufferPoolLRUOrder(t *testing.T) {
 }
 
 func TestDropAllColdStart(t *testing.T) {
-	bp := NewBufferPool(NewMemFile(), 8)
+	bp := pager.NewBufferPool(pager.NewMemFile(), 8)
 	p, _ := bp.NewPage()
 	copy(p.Data, "warm")
 	id := p.ID
@@ -219,7 +223,7 @@ func TestDropAllColdStart(t *testing.T) {
 }
 
 func TestDropAllRefusesPinned(t *testing.T) {
-	bp := NewBufferPool(NewMemFile(), 2)
+	bp := pager.NewBufferPool(pager.NewMemFile(), 2)
 	p, _ := bp.NewPage()
 	if err := bp.DropAll(); err == nil {
 		t.Error("DropAll succeeded with a pinned page")
@@ -231,7 +235,7 @@ func TestDropAllRefusesPinned(t *testing.T) {
 }
 
 func TestDoubleUnpinPanics(t *testing.T) {
-	bp := NewBufferPool(NewMemFile(), 2)
+	bp := pager.NewBufferPool(pager.NewMemFile(), 2)
 	p, _ := bp.NewPage()
 	p.Unpin(false)
 	defer func() {
@@ -246,10 +250,10 @@ func TestDoubleUnpinPanics(t *testing.T) {
 // exceed logical reads and data written is always read back intact.
 func TestBufferPoolRandomTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	file := NewMemFile()
-	bp := NewBufferPool(file, 8)
-	content := map[PageID]byte{}
-	var ids []PageID
+	file := pager.NewMemFile()
+	bp := pager.NewBufferPool(file, 8)
+	content := map[pager.PageID]byte{}
+	var ids []pager.PageID
 	for i := 0; i < 32; i++ {
 		p, err := bp.NewPage()
 		if err != nil {
@@ -288,22 +292,22 @@ func TestBufferPoolRandomTraffic(t *testing.T) {
 	}
 	// Verify through the raw file, bypassing the pool. On disk the payload
 	// starts after the page header, and every flushed page must verify.
-	buf := make([]byte, PageSize)
+	buf := make([]byte, pager.PageSize)
 	for id, v := range content {
 		if err := file.ReadPage(id, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyPage(id, buf); err != nil {
+		if err := pager.VerifyPage(id, buf); err != nil {
 			t.Errorf("page %d on file: %v", id, err)
 		}
-		if buf[PageHeaderSize] != v {
-			t.Errorf("page %d on file: got %d want %d", id, buf[PageHeaderSize], v)
+		if buf[pager.PageHeaderSize] != v {
+			t.Errorf("page %d on file: got %d want %d", id, buf[pager.PageHeaderSize], v)
 		}
 	}
 }
 
 func BenchmarkBufferPoolGetHit(b *testing.B) {
-	bp := NewBufferPool(NewMemFile(), 16)
+	bp := pager.NewBufferPool(pager.NewMemFile(), 16)
 	p, _ := bp.NewPage()
 	id := p.ID
 	p.Unpin(false)
@@ -315,8 +319,8 @@ func BenchmarkBufferPoolGetHit(b *testing.B) {
 }
 
 func BenchmarkBufferPoolGetMiss(b *testing.B) {
-	bp := NewBufferPool(NewMemFile(), 2)
-	var ids [3]PageID
+	bp := pager.NewBufferPool(pager.NewMemFile(), 2)
+	var ids [3]pager.PageID
 	for i := range ids {
 		p, _ := bp.NewPage()
 		ids[i] = p.ID
@@ -329,47 +333,12 @@ func BenchmarkBufferPoolGetMiss(b *testing.B) {
 	}
 }
 
-func TestFaultFilePassthroughAndHeal(t *testing.T) {
-	f := NewFaultFile(NewMemFile())
-	id, err := f.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	copy(buf, "data")
-	if err := f.WritePage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	f.FailReadsAfter(0)
-	if err := f.ReadPage(id, buf); err == nil {
-		t.Error("scheduled read fault did not fire")
-	}
-	f.Heal()
-	if err := f.ReadPage(id, buf); err != nil {
-		t.Errorf("read after heal: %v", err)
-	}
-	f.FailWritesAfter(1)
-	if err := f.WritePage(id, buf); err != nil {
-		t.Errorf("first write should pass: %v", err)
-	}
-	if err := f.Sync(); err == nil {
-		t.Error("second write op (sync) should fail")
-	}
-	f.Heal()
-	if f.NumPages() != 1 {
-		t.Errorf("NumPages = %d", f.NumPages())
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOpenOSFileRejectsPartialPage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.db")
-	if err := osWriteFile(path, make([]byte, PageSize+1)); err != nil {
+	if err := osWriteFile(path, make([]byte, pager.PageSize+1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenOSFile(path); err == nil {
+	if _, err := pager.OpenOSFile(path); err == nil {
 		t.Error("OpenOSFile accepted a torn file")
 	}
 }
@@ -380,12 +349,12 @@ func TestOpenOSFileRejectsPartialPage(t *testing.T) {
 // of handing out zeroes that verify as "allocated, never written".
 func TestShortReadIsAnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	f, err := OpenOSFile(path)
+	f, err := pager.OpenOSFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	bp := NewBufferPool(f, 8)
+	bp := pager.NewBufferPool(f, 8)
 	for i := 0; i < 3; i++ {
 		p, err := bp.NewPage()
 		if err != nil {
@@ -397,11 +366,11 @@ func TestShortReadIsAnError(t *testing.T) {
 	if err := bp.DropAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, PageSize); err != nil {
+	if err := os.Truncate(path, pager.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	for name, get := range map[string]func(PageID) (Page, error){"Get": bp.Get, "GetNoFill": bp.GetNoFill} {
-		for _, id := range []PageID{1, 2} {
+	for name, get := range map[string]func(pager.PageID) (pager.Page, error){"Get": bp.Get, "GetNoFill": bp.GetNoFill} {
+		for _, id := range []pager.PageID{1, 2} {
 			p, err := get(id)
 			if err == nil {
 				t.Errorf("%s(%d) of a truncated page returned a page (first byte %#x) and no error", name, id, p.Data[0])
@@ -426,8 +395,8 @@ func TestShortReadIsAnError(t *testing.T) {
 // Stats and ResetStats must be callable while other goroutines drive the
 // pool: the serving layer samples PagesRead on every request.
 func TestConcurrentStatsReaders(t *testing.T) {
-	bp := NewBufferPool(NewMemFile(), 8)
-	var ids []PageID
+	bp := pager.NewBufferPool(pager.NewMemFile(), 8)
+	var ids []pager.PageID
 	for i := 0; i < 32; i++ {
 		p, err := bp.NewPage()
 		if err != nil {
@@ -466,5 +435,62 @@ func TestConcurrentStatsReaders(t *testing.T) {
 	bp.ResetStats()
 	if got := bp.Stats(); got.LogicalReads != 0 || got.PhysicalReads != 0 {
 		t.Errorf("ResetStats left counters: %+v", got)
+	}
+}
+
+// Corruption surfaces through the pool as a typed error (never a panic),
+// counts in Stats, and a healthy page is still readable afterwards.
+func TestBufferPoolDetectsBitFlip(t *testing.T) {
+	file := pager.NewMemFile()
+	bp := pager.NewBufferPool(file, 4)
+	var ids []pager.PageID
+	for i := 0; i < 2; i++ {
+		p, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Data[0] = byte(0xA0 + i)
+		ids = append(ids, p.ID)
+		p.Unpin(true)
+	}
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pagertest.FlipBit(file, ids[0], (pager.PageHeaderSize+100)*8); err != nil {
+		t.Fatal(err)
+	}
+	_, err := bp.Get(ids[0])
+	if err == nil {
+		t.Fatal("bit flip served as valid data")
+	}
+	var cpe *pager.CorruptPageError
+	if !errors.As(err, &cpe) || !errors.Is(err, pager.ErrCorrupt) {
+		t.Fatalf("wrong error type %T: %v", err, err)
+	}
+	if cpe.Page != ids[0] {
+		t.Errorf("error names page %d, corrupted %d", cpe.Page, ids[0])
+	}
+	if got := bp.Stats().Corruptions; got != 1 {
+		t.Errorf("Corruptions = %d, want 1", got)
+	}
+	// The healthy neighbor is unaffected.
+	p, err := bp.Get(ids[1])
+	if err != nil {
+		t.Fatalf("healthy page unreadable: %v", err)
+	}
+	if p.Data[0] != 0xA1 {
+		t.Errorf("healthy page payload %x", p.Data[0])
+	}
+	p.Unpin(false)
+	// Retrying the corrupt page keeps failing (and keeps counting) rather
+	// than caching the bad frame.
+	if _, err := bp.Get(ids[0]); err == nil {
+		t.Fatal("corrupt page served on retry")
+	}
+	if got := bp.Stats().Corruptions; got != 2 {
+		t.Errorf("Corruptions after retry = %d, want 2", got)
 	}
 }

@@ -1,13 +1,17 @@
-package pager
+package pagertest
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
+
+	"repro/internal/pager"
 )
 
 // FaultFile wraps a File and fails operations on command. It exists for
@@ -40,7 +44,7 @@ import (
 // instead.
 type FaultFile struct {
 	mu    sync.Mutex
-	inner File
+	inner pager.File
 	// failReadAfter / failWriteAfter count down; when they reach zero the
 	// corresponding operation fails until the budget is reset. Negative
 	// means "never fail".
@@ -58,7 +62,7 @@ type FaultFile struct {
 	// Sync in issue order; view is each pending page's latest content and
 	// size the page count they leave. Reads go through both.
 	pending []pendingOp
-	view    map[PageID][]byte
+	view    map[pager.PageID][]byte
 	size    uint32
 }
 
@@ -66,7 +70,7 @@ type FaultFile struct {
 // in id.
 type pendingOp struct {
 	kind byte
-	id   PageID
+	id   pager.PageID
 	data []byte
 }
 
@@ -76,22 +80,28 @@ const (
 	opTruncate
 )
 
-// ErrInjected is the error returned by scheduled failures.
-var ErrInjected = fmt.Errorf("pager: injected fault")
+// ErrInjected is what a scheduled failure wraps (see Injected).
+var ErrInjected = errors.New("pagertest: injected fault")
+
+// Injected is the error a scheduled failure of op ("read" or "write")
+// returns: ErrInjected inside an *fs.PathError, the form an operating-system
+// read or write error takes, so the storage stack classifies it as one:
+// transient.
+func Injected(op string) error { return &fs.PathError{Op: op, Path: "faultfile", Err: ErrInjected} }
 
 // ErrPowerCut is the error returned by every operation at and after a
 // PowerClock's cut point: the simulated machine is off.
-var ErrPowerCut = fmt.Errorf("pager: simulated power cut")
+var ErrPowerCut = errors.New("pagertest: simulated power cut")
 
 // NewFaultFile wraps inner with no failures scheduled.
-func NewFaultFile(inner File) *FaultFile {
+func NewFaultFile(inner pager.File) *FaultFile {
 	return &FaultFile{inner: inner, failReadAfter: -1, failWriteAfter: -1,
-		view: map[PageID][]byte{}, size: inner.NumPages()}
+		view: map[pager.PageID][]byte{}, size: inner.NumPages()}
 }
 
 // Inner returns the wrapped File — after a power cut it holds the frozen
 // crash image a test reopens.
-func (f *FaultFile) Inner() File { return f.inner }
+func (f *FaultFile) Inner() pager.File { return f.inner }
 
 // FailReadsAfter schedules the n+1-th subsequent read to fail (0 = next).
 func (f *FaultFile) FailReadsAfter(n int) {
@@ -149,11 +159,11 @@ func (f *FaultFile) Heal() {
 
 // FlipBit flips a single bit of page id as reads see it, bypassing all
 // fault scheduling: it models silent media corruption, not an I/O error.
-func (f *FaultFile) FlipBit(id PageID, bit int) error {
+func (f *FaultFile) FlipBit(id pager.PageID, bit int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if data, ok := f.view[id]; ok {
-		if bit < 0 || bit >= PageSize*8 {
+		if bit < 0 || bit >= pager.PageSize*8 {
 			return fmt.Errorf("pager: FlipBit offset %d out of range", bit)
 		}
 		data[bit/8] ^= 1 << (bit % 8)
@@ -164,11 +174,11 @@ func (f *FaultFile) FlipBit(id PageID, bit int) error {
 
 // FlipBit flips one bit of page id in f (bit 0 is the lowest bit of the
 // page's first byte). Tests use it to simulate media corruption.
-func FlipBit(f File, id PageID, bit int) error {
-	if bit < 0 || bit >= PageSize*8 {
+func FlipBit(f pager.File, id pager.PageID, bit int) error {
+	if bit < 0 || bit >= pager.PageSize*8 {
 		return fmt.Errorf("pager: FlipBit offset %d out of range", bit)
 	}
-	var buf [PageSize]byte
+	var buf [pager.PageSize]byte
 	if err := f.ReadPage(id, buf[:]); err != nil {
 		return err
 	}
@@ -181,26 +191,26 @@ func (f *FaultFile) readFaultLocked() error {
 		return ErrPowerCut
 	}
 	if f.failReadAfter == 0 {
-		return ErrInjected
+		return Injected("read")
 	}
 	if f.failReadAfter > 0 {
 		f.failReadAfter--
 	}
 	if f.readRate > 0 && f.readRng.Float64() < f.readRate {
-		return ErrInjected
+		return Injected("read")
 	}
 	return nil
 }
 
 func (f *FaultFile) writeFaultLocked() error {
 	if f.failWriteAfter == 0 {
-		return ErrInjected
+		return Injected("write")
 	}
 	if f.failWriteAfter > 0 {
 		f.failWriteAfter--
 	}
 	if f.writeRate > 0 && f.writeRng.Float64() < f.writeRate {
-		return ErrInjected
+		return Injected("write")
 	}
 	return nil
 }
@@ -209,7 +219,7 @@ func (f *FaultFile) writeFaultLocked() error {
 // scheduled faults, then the power clock. At the cut point it applies the
 // power loss to every file on the clock — tearing page id with buf's
 // prefix when buf is set — and returns ErrPowerCut.
-func (f *FaultFile) writeOpLocked(id PageID, buf []byte) error {
+func (f *FaultFile) writeOpLocked(id pager.PageID, buf []byte) error {
 	if err := f.writeFaultLocked(); err != nil {
 		return err
 	}
@@ -223,7 +233,7 @@ func (f *FaultFile) writeOpLocked(id PageID, buf []byte) error {
 	if cutNow {
 		f.clock.powerLoss(f)
 		if torn > 0 && buf != nil && uint32(id) < f.inner.NumPages() {
-			var cur [PageSize]byte
+			var cur [pager.PageSize]byte
 			if f.inner.ReadPage(id, cur[:]) == nil {
 				copy(cur[:torn], buf[:torn])
 				_ = f.inner.WritePage(id, cur[:])
@@ -235,7 +245,7 @@ func (f *FaultFile) writeOpLocked(id PageID, buf []byte) error {
 }
 
 // ReadPage implements File.
-func (f *FaultFile) ReadPage(id PageID, buf []byte) error {
+func (f *FaultFile) ReadPage(id pager.PageID, buf []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.readFaultLocked(); err != nil {
@@ -254,7 +264,7 @@ func (f *FaultFile) ReadPage(id PageID, buf []byte) error {
 // WritePage implements File. The write is pending until the next Sync; at
 // the power-cut point the clock's torn-byte prefix of it reaches the inner
 // file (a torn write) before ErrPowerCut returns.
-func (f *FaultFile) WritePage(id PageID, buf []byte) error {
+func (f *FaultFile) WritePage(id pager.PageID, buf []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.writeOpLocked(id, buf); err != nil {
@@ -263,26 +273,26 @@ func (f *FaultFile) WritePage(id PageID, buf []byte) error {
 	if uint32(id) >= f.size {
 		return fmt.Errorf("pager: write of unallocated page %d (have %d)", id, f.size)
 	}
-	data := append([]byte(nil), buf[:PageSize]...)
+	data := append([]byte(nil), buf[:pager.PageSize]...)
 	f.pending = append(f.pending, pendingOp{kind: opWrite, id: id, data: data})
 	f.view[id] = data
 	return nil
 }
 
 // Allocate implements File.
-func (f *FaultFile) Allocate() (PageID, error) {
+func (f *FaultFile) Allocate() (pager.PageID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.writeOpLocked(0, nil); err != nil {
-		return InvalidPage, err
+		return pager.InvalidPage, err
 	}
-	if f.size >= uint32(InvalidPage) {
-		return InvalidPage, fmt.Errorf("pager: file full")
+	if f.size >= uint32(pager.InvalidPage) {
+		return pager.InvalidPage, fmt.Errorf("pager: file full")
 	}
-	id := PageID(f.size)
+	id := pager.PageID(f.size)
 	f.size++
 	f.pending = append(f.pending, pendingOp{kind: opAllocate, id: id})
-	f.view[id] = make([]byte, PageSize)
+	f.view[id] = make([]byte, pager.PageSize)
 	return id, nil
 }
 
@@ -303,7 +313,7 @@ func (f *FaultFile) Truncate(n uint32) error {
 	if n > f.size {
 		return fmt.Errorf("pager: truncate to %d pages, have %d", n, f.size)
 	}
-	f.pending = append(f.pending, pendingOp{kind: opTruncate, id: PageID(n)})
+	f.pending = append(f.pending, pendingOp{kind: opTruncate, id: pager.PageID(n)})
 	for id := range f.view {
 		if uint32(id) >= n {
 			delete(f.view, id)
@@ -400,9 +410,9 @@ func (f *FaultFile) loseLocked(loss Loss, rng *rand.Rand) {
 		}
 		op := f.pending[last]
 		_ = f.applyLocked(func(i int) bool { return i != last })
-		var cur [PageSize]byte
+		var cur [pager.PageSize]byte
 		if uint32(op.id) < f.inner.NumPages() && f.inner.ReadPage(op.id, cur[:]) == nil {
-			copy(cur[:PageSize/2], op.data)
+			copy(cur[:pager.PageSize/2], op.data)
 			_ = f.inner.WritePage(op.id, cur[:])
 		}
 	}
@@ -464,8 +474,8 @@ func NewPowerClock(cutAfter int64) *PowerClock {
 // instead of nothing.
 func (c *PowerClock) SetTornBytes(n int) {
 	c.mu.Lock()
-	if n > PageSize {
-		n = PageSize
+	if n > pager.PageSize {
+		n = pager.PageSize
 	}
 	c.torn = n
 	c.mu.Unlock()
@@ -503,8 +513,8 @@ func (c *PowerClock) powerLoss(locked *FaultFile) {
 			f.mu.Unlock()
 		}
 	}
-	for _, fs := range fss {
-		fs.lose(loss, rng)
+	for _, ffs := range fss {
+		ffs.lose(loss, rng)
 	}
 }
 
@@ -578,7 +588,7 @@ func (c *PowerClock) tick() (torn int, cutNow bool, err error) {
 // sync therefore shows as a rename the crash image lost. Creates and
 // removes still reach the inner FS for good.
 type FaultFS struct {
-	inner FS
+	inner pager.FS
 	clock *PowerClock
 
 	mu      sync.Mutex
@@ -607,7 +617,7 @@ type pendingRename struct {
 }
 
 // NewFaultFS wraps inner with the given power clock.
-func NewFaultFS(inner FS, clock *PowerClock) *FaultFS {
+func NewFaultFS(inner pager.FS, clock *PowerClock) *FaultFS {
 	f := &FaultFS{inner: inner, clock: clock}
 	clock.mu.Lock()
 	clock.fss = append(clock.fss, f)
@@ -626,7 +636,7 @@ func (f *FaultFS) tick() error {
 	return nil
 }
 
-func (f *FaultFS) Create(path string) (FSFile, error) {
+func (f *FaultFS) Create(path string) (pager.FSFile, error) {
 	if err := f.tick(); err != nil {
 		return nil, err
 	}
@@ -800,7 +810,7 @@ func (f *FaultFS) rewrite(path string, data []byte) {
 }
 
 type faultFSFile struct {
-	inner FSFile
+	inner pager.FSFile
 	fs    *FaultFS
 	c     *createdFile
 }

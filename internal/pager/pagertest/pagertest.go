@@ -1,5 +1,7 @@
-// Package pagertest is the power-cut crash-sweep driver shared by the
-// storage packages' tests. It is imported only by _test.go files.
+// Package pagertest holds the storage packages' test infrastructure: the
+// fault-injecting page file and file system (FaultFile, FaultFS), the power
+// clock that cuts them at a write ordinal, and the crash-sweep driver that
+// runs a workload under every cut. It is imported only by _test.go files.
 package pagertest
 
 import (
@@ -17,20 +19,20 @@ import (
 // FaultOpen returns a prix.Options.OpenFile hook that opens each page file
 // from the OS and attaches clock to it, so page writes tick the same
 // ordinals as the FaultFS artifacts beside them.
-func FaultOpen(clock *pager.PowerClock) func(string) (pager.File, error) {
+func FaultOpen(clock *PowerClock) func(string) (pager.File, error) {
 	return func(path string) (pager.File, error) {
 		f, err := pager.OpenOSFilePadded(path)
 		if err != nil {
 			return nil, err
 		}
-		ff := pager.NewFaultFile(f)
+		ff := NewFaultFile(f)
 		ff.SetPowerClock(clock)
 		return ff, nil
 	}
 }
 
 // Sweep cuts power at every write point of a workload under each of the
-// three ways a cut can treat what no Sync made durable (pager.LoseAll,
+// three ways a cut can treat what no Sync made durable (LoseAll,
 // LoseSubset, TearLast). It runs the workload once on a counting clock to
 // learn its write count W (k = 0), failing if W is below minWrites; then,
 // for each k in 1..3W, in a "cut=k" subtest, it runs the workload on a clock
@@ -40,10 +42,10 @@ func FaultOpen(clock *pager.PowerClock) func(string) (pager.File, error) {
 // recovered to check the crash image it left. run tells the counting run
 // from a cut by k; a cut's k is unique.
 func Sweep(t *testing.T, minWrites int64, tear func(k int64) int,
-	run func(t *testing.T, k int64, clock *pager.PowerClock) error,
+	run func(t *testing.T, k int64, clock *PowerClock) error,
 	recovered func(t *testing.T, k int64)) {
 	t.Helper()
-	counting := pager.NewPowerClock(0)
+	counting := NewPowerClock(0)
 	if err := run(t, 0, counting); err != nil {
 		t.Fatalf("counting run: %v", err)
 	}
@@ -53,9 +55,9 @@ func Sweep(t *testing.T, minWrites int64, tear func(k int64) int,
 		t.Fatalf("the workload performs %d writes, want at least %d", w, minWrites)
 	}
 	for k := int64(1); k <= 3*w; k++ {
-		at, loss := (k-1)%w+1, pager.Loss((k-1)/w)
+		at, loss := (k-1)%w+1, Loss((k-1)/w)
 		t.Run(fmt.Sprintf("cut=%d", k), func(t *testing.T) {
-			clock := pager.NewPowerClock(at)
+			clock := NewPowerClock(at)
 			clock.SetLoss(loss, k)
 			if tear != nil {
 				clock.SetTornBytes(tear(k))
@@ -67,7 +69,7 @@ func Sweep(t *testing.T, minWrites int64, tear func(k int64) int,
 			if !clock.DidCut() {
 				t.Fatalf("the workload failed before the cut at write %d/%d: %v", at, w, err)
 			}
-			if !errors.Is(err, pager.ErrPowerCut) {
+			if !errors.Is(err, ErrPowerCut) {
 				t.Fatalf("the workload died of %v at the cut at write %d/%d, want ErrPowerCut", err, at, w)
 			}
 			recovered(t, k)

@@ -91,9 +91,6 @@ func (b *Builder) Add(doc *xmltree.Document) error {
 	return nil
 }
 
-// NumAdded returns how many documents have been staged.
-func (b *Builder) NumAdded() int { return int(b.nextID) }
-
 // Finalize labels the virtual trie, writes all index structures and returns
 // the queryable Index: FinalizeBulk with its sorted chunks kept in memory.
 // The builder cannot be reused afterwards.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func TestBuilderStreaming(t *testing.T) {
@@ -13,12 +14,12 @@ func TestBuilderStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if err := b.Add(xmltree.MustFromSExpr(i, `(a (b (c)) (d))`)); err != nil {
+		if err := b.Add(xmltreetest.MustFromSExpr(i, `(a (b (c)) (d))`)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if b.NumAdded() != 30 {
-		t.Errorf("NumAdded = %d", b.NumAdded())
+	if b.nextID != 30 {
+		t.Errorf("staged %d documents, want 30", b.nextID)
 	}
 	ix, err := b.Finalize()
 	if err != nil {
@@ -29,7 +30,7 @@ func TestBuilderStreaming(t *testing.T) {
 		t.Errorf("matches = %d, want 30", len(ms))
 	}
 	// Builder is single-shot.
-	if err := b.Add(xmltree.MustFromSExpr(31, `(a)`)); err == nil {
+	if err := b.Add(xmltreetest.MustFromSExpr(31, `(a)`)); err == nil {
 		t.Error("Add after Finalize accepted")
 	}
 	if _, err := b.Finalize(); err == nil {
@@ -39,8 +40,8 @@ func TestBuilderStreaming(t *testing.T) {
 
 func TestBuilderEquivalentToBuild(t *testing.T) {
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)) (d))`),
-		xmltree.MustFromSExpr(1, `(a (b (x)))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)) (d))`),
+		xmltreetest.MustFromSExpr(1, `(a (b (x)))`),
 	}
 	built := build(t, false, docs...)
 	b, err := NewBuilder(Options{BufferPoolPages: 64})
@@ -67,8 +68,8 @@ func TestBuilderEquivalentToBuild(t *testing.T) {
 
 func TestSingleNodeQueries(t *testing.T) {
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (a)) (c "a"))`),
-		xmltree.MustFromSExpr(1, `(b (a))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (a)) (c "a"))`),
+		xmltreetest.MustFromSExpr(1, `(b (a))`),
 	}
 	for _, extended := range []bool{false, true} {
 		ix := build(t, extended, docs...)
@@ -96,7 +97,7 @@ func TestSingleNodeQueries(t *testing.T) {
 
 func TestSingleNodeAgainstBruteForce(t *testing.T) {
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (a (a)) (b "v"))`),
+		xmltreetest.MustFromSExpr(0, `(a (a (a)) (b "v"))`),
 	}
 	ix := build(t, false, docs...)
 	for _, qs := range []string{`//a`, `/a`, `//b`} {

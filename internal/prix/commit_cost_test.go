@@ -132,7 +132,8 @@ func TestVersionPersistAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	encoded := len(di.ix.versions.Encode())
+	blob, _ := di.ix.versions.AppendEncode(nil, nil)
+	encoded := len(blob)
 	di.ix.repairMu.Lock()
 	persist := testing.AllocsPerRun(20, func() {
 		di.ix.versions.Counter++ // a changed map, so the blob is restaged

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // A built index is read-only; concurrent Match calls with WarmCache must
@@ -15,7 +16,7 @@ import (
 func TestConcurrentQueries(t *testing.T) {
 	var docs []*xmltree.Document
 	for i := 0; i < 100; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
 	}
 	ix := build(t, false, docs...)
 	queries := []string{`//a[./b/c]/d`, `//a//d/e`, `//d/e`, `//a/b`}
@@ -69,7 +70,7 @@ func (e *mismatchError) Error() string {
 func TestWarmCacheReusesPages(t *testing.T) {
 	var docs []*xmltree.Document
 	for i := 0; i < 200; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)) (d))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d))`))
 	}
 	ix := build(t, false, docs...)
 	q := twig.MustParse(`//a[./b/c]/d`)
@@ -95,7 +96,7 @@ func TestWarmCacheReusesPages(t *testing.T) {
 func TestDynamicIndexQueriesRaceInserts(t *testing.T) {
 	var initial []*xmltree.Document
 	for i := 0; i < 8; i++ {
-		initial = append(initial, xmltree.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
+		initial = append(initial, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
 	}
 	di, err := NewDynamicIndex(initial, Options{}, DynamicOptions{Alpha: 3})
 	if err != nil {
@@ -134,7 +135,7 @@ func TestDynamicIndexQueriesRaceInserts(t *testing.T) {
 		}()
 	}
 	for i := 0; i < inserts; i++ {
-		if err := di.Insert(xmltree.MustFromSExpr(1000+i, `(a (b (c)) (d (e)))`)); err != nil {
+		if err := di.Insert(xmltreetest.MustFromSExpr(1000+i, `(a (b (c)) (d (e)))`)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +162,7 @@ func TestDynamicIndexQueriesRaceInserts(t *testing.T) {
 func TestMatchContextCancellation(t *testing.T) {
 	var docs []*xmltree.Document
 	for i := 0; i < 50; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
 	}
 	ix := build(t, false, docs...)
 	q := twig.MustParse(`//a[./b/c]/d`)

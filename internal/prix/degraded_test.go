@@ -9,13 +9,14 @@ import (
 	"repro/internal/pager"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func degradedDocs() []*xmltree.Document {
 	return []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)))`),
-		xmltree.MustFromSExpr(1, `(a (b (c)) (d))`),
-		xmltree.MustFromSExpr(2, `(a (d (e)))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)))`),
+		xmltreetest.MustFromSExpr(1, `(a (b (c)) (d))`),
+		xmltreetest.MustFromSExpr(2, `(a (d (e)))`),
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/docstore"
 	"repro/internal/vtrie"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // The compaction drain derives a document's DocSeq straight from its stored
@@ -74,7 +75,7 @@ type drainFixture struct {
 
 func newDrainFixture(t testing.TB, extended bool) *drainFixture {
 	t.Helper()
-	ix, err := Build([]*xmltree.Document{xmltree.MustFromSExpr(0, `(a (b (c "v")) (d))`)}, Options{Extended: extended})
+	ix, err := Build([]*xmltree.Document{xmltreetest.MustFromSExpr(0, `(a (b (c "v")) (d))`)}, Options{Extended: extended})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,15 +171,6 @@ func (di *DynamicIndex) Match(q *twig.Query, opts MatchOptions) ([]Match, *Query
 	return di.ix.Match(q, opts)
 }
 
-// Count is Match returning only the number of occurrences.
-func (di *DynamicIndex) Count(q *twig.Query, opts MatchOptions) (int, *QueryStats, error) {
-	ms, stats, err := di.Match(q, opts)
-	if err != nil {
-		return 0, nil, err
-	}
-	return len(ms), stats, nil
-}
-
 // PagesRead proxies the index's physical-read counter (lock-free).
 func (di *DynamicIndex) PagesRead() uint64 { return di.ix.PagesRead() }
 

@@ -6,12 +6,13 @@ import (
 
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func TestDynamicIndexInsertAndQuery(t *testing.T) {
 	initial := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)) (d))`),
-		xmltree.MustFromSExpr(1, `(a (b (x)))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)) (d))`),
+		xmltreetest.MustFromSExpr(1, `(a (b (x)))`),
 	}
 	di, err := NewDynamicIndex(initial, Options{BufferPoolPages: 64}, DynamicOptions{Alpha: 2})
 	if err != nil {
@@ -23,7 +24,7 @@ func TestDynamicIndexInsertAndQuery(t *testing.T) {
 	}
 	// Insert more matching documents; they must be visible immediately.
 	for i := 0; i < 20; i++ {
-		if err := di.Insert(xmltree.MustFromSExpr(0, `(a (b (c)) (d))`)); err != nil {
+		if err := di.Insert(xmltreetest.MustFromSExpr(0, `(a (b (c)) (d))`)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,7 +32,7 @@ func TestDynamicIndexInsertAndQuery(t *testing.T) {
 		t.Errorf("after inserts: matches = %d, want 21", n)
 	}
 	// Insert a structurally new document (fresh trie path).
-	if err := di.Insert(xmltree.MustFromSExpr(0, `(z (y (w)))`)); err != nil {
+	if err := di.Insert(xmltreetest.MustFromSExpr(0, `(z (y (w)))`)); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(mustMatch(t, ix, `//z/y/w`, MatchOptions{})); n != 1 {
@@ -53,7 +54,7 @@ func TestDynamicEqualsStatic(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		var docs []*xmltree.Document
 		for d := 0; d < 12; d++ {
-			docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+			docs = append(docs, xmltreetest.RandomDocument(rng, d, xmltreetest.RandomConfig{
 				Nodes: 3 + rng.Intn(20), Alphabet: []string{"a", "b", "c", "d"},
 				MaxFanout: 4, ValueProb: 0.3, Values: []string{"v1", "v2"},
 			}))
@@ -94,10 +95,10 @@ func TestDynamicIndexSingleNodeDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := di.Insert(xmltree.MustFromSExpr(0, `(lonely)`)); err != nil {
+	if err := di.Insert(xmltreetest.MustFromSExpr(0, `(lonely)`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := di.Insert(xmltree.MustFromSExpr(0, `(a (b))`)); err != nil {
+	if err := di.Insert(xmltreetest.MustFromSExpr(0, `(a (b))`)); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(mustMatch(t, di.Index(), `//a/b`, MatchOptions{})); n != 1 {
@@ -115,14 +116,14 @@ func TestDynamicIndexSingleNodeDoc(t *testing.T) {
 func TestValueUpdateRelabelsOnlyOnEP(t *testing.T) {
 	for _, extended := range []bool{false, true} {
 		docs := []*xmltree.Document{
-			xmltree.MustFromSExpr(0, `(a (b (c "v1")) (x))`),
-			xmltree.MustFromSExpr(1, `(a (b (c "v1")) (y))`),
+			xmltreetest.MustFromSExpr(0, `(a (b (c "v1")) (x))`),
+			xmltreetest.MustFromSExpr(1, `(a (b (c "v1")) (y))`),
 		}
 		di, err := NewDynamicIndex(docs, Options{Extended: extended, BufferPoolPages: 64}, DynamicOptions{Alpha: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := di.Update(0, xmltree.MustFromSExpr(0, `(a (b (c "v2")) (x))`))
+		res, err := di.Update(0, xmltreetest.MustFromSExpr(0, `(a (b (c "v2")) (x))`))
 		if err != nil {
 			t.Fatal(err)
 		}

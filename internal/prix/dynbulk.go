@@ -56,18 +56,27 @@ func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
 	return &DynamicIndex{ix: ix, nextID: uint32(ix.store.NumDocs())}, nil
 }
 
-// survivingRecords reads every document's record in docid order and picks
-// them by the one rule a relabeling follows: a record that reads and passes
-// its Prüfer round trip (checkRecord) is labeled; any other is skipped, and
-// its docid returned. A forest rebuild labels what this returns and
-// quarantines what it skips; OpenDynamic's replay takes the same records,
-// so it retraces the rebuild's labeling.
+// labelableRecord reads docID's current record by the one rule every
+// relabeling follows: a record that reads and passes its Prüfer round trip
+// (checkRecord) is labeled; any other is skipped. A forest rebuild labels
+// the records it returns and quarantines the rest, and both of OpenDynamic's
+// replays take the records it returns, so a replay retraces the rebuild.
+func (ix *Index) labelableRecord(docID uint32) (*docstore.Record, error) {
+	rec, err := ix.store.GetAny(docID)
+	if err == nil {
+		err = checkRecord(ix.store.Dict(), rec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// survivingRecords returns every labelable record in docid order, and the
+// docids of the records it skipped.
 func (ix *Index) survivingRecords() (recs []*docstore.Record, skipped []uint32) {
 	for id := 0; id < ix.store.NumDocs(); id++ {
-		rec, err := ix.store.GetAny(uint32(id))
-		if err == nil {
-			err = checkRecord(ix.store.Dict(), rec)
-		}
+		rec, err := ix.labelableRecord(uint32(id))
 		if err != nil {
 			skipped = append(skipped, uint32(id))
 			continue
@@ -149,10 +158,10 @@ func (ix *Index) replayVersioned() error {
 		if len(ivs) == 0 {
 			// Legacy document, never mutated: its one report used the
 			// current record, before any label existed.
-			rec, err := ix.store.GetAny(uint32(id))
+			rec, err := ix.labelableRecord(uint32(id))
 			if err != nil || len(rec.LPS) == 0 {
-				// Unreadable records were quarantined (and skipped) exactly
-				// like this by the rebuild; empty sequences never reported.
+				// The rebuild skipped (and quarantined) the records
+				// labelableRecord refuses; empty sequences never reported.
 				continue
 			}
 			events = append(events, event{0, uint32(id), rec.LPS})

@@ -10,13 +10,14 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func dynbulkDocs(n int, seed int64) []*xmltree.Document {
 	rng := rand.New(rand.NewSource(seed))
 	var docs []*xmltree.Document
 	for d := 0; d < n; d++ {
-		docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, d, xmltreetest.RandomConfig{
 			Nodes: 3 + rng.Intn(16), Alphabet: []string{"a", "b", "c", "d", "e"},
 			MaxFanout: 4, ValueProb: 0.2, Values: []string{"v1", "v2"},
 		}))

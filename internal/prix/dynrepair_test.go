@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/btree"
-	"repro/internal/pager"
+	"repro/internal/docstore"
 	"repro/internal/pager/pagertest"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
@@ -213,6 +213,59 @@ func TestRepairDocOfDynamicIndexThenInserts(t *testing.T) {
 	assertDynOracle(t, "after RepairDoc and inserts", di, docs)
 }
 
+// A versioned index's legacy record that still reads but fails its Prüfer
+// round trip is skipped (and quarantined) by the forest rebuild, so
+// OpenDynamic's versioned replay must skip it too: labeling it would carve
+// a trie path the rebuilt forest never held and shift every later
+// document's scopes, and the inserts after the reopen would land on ranges
+// the forest's postings already use.
+func TestVersionedReplaySkipsWhatTheRebuildSkipped(t *testing.T) {
+	docs := dynbulkDocs(120, 7)
+	const deleted, damaged = 0, 5
+	dir := t.TempDir()
+	di, err := NewDynamicIndex(docs[:60], Options{Dir: dir}, DynamicOptions{Alpha: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.Delete(deleted); err != nil { // the version map starts here
+		t.Fatal(err)
+	}
+	if err := di.Close(); err != nil {
+		t.Fatal(err)
+	}
+	editStore(t, dir, func(store *docstore.Store) {
+		rec, err := store.GetAny(damaged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Leaves = rec.Leaves[1:] // the sequences intact, one leaf lost
+		if err := store.Rewrite(rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec, err = store.GetAny(damaged); err != nil || checkRecord(store.Dict(), rec) == nil {
+			t.Fatalf("the damaged record reads (%v) and passes its round trip", err)
+		}
+	})
+	ix, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped, err := ix.RepairForest(); err != nil || len(skipped) != 1 || skipped[0] != damaged {
+		t.Fatalf("RepairForest skipped %v, %v; want [%d]", skipped, err, damaged)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	di, err = OpenDynamic(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	insertAll(t, di, docs[60:])
+	live := append(docs[deleted+1:damaged:damaged], docs[damaged+1:]...) // a copy: the cap ends at damaged
+	assertDynOracle(t, "rebuild, OpenDynamic, inserts", di, live)
+}
+
 // A power cut at any write of a dynamic index's forest rebuild recovers the
 // pre-rebuild or the post-rebuild image, and either reopens with
 // OpenDynamic, answers oracle-exact and takes inserts oracle-exact: the
@@ -267,7 +320,7 @@ func TestCrashSweepOverDynamicForestRebuild(t *testing.T) {
 	}
 
 	cutDir := func(k int64) string { return filepath.Join(base, fmt.Sprintf("cut%d", k)) }
-	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+	run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 		copyIndexDir(t, pristine, cutDir(k))
 		o := opts
 		o.OpenFile = pagertest.FaultOpen(clock)

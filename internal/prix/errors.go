@@ -59,7 +59,7 @@ func Classify(err error) ErrorClass {
 		// A document over a parse limit blows the same limit on every
 		// retry; reject it for good.
 		return ClassPermanent
-	case errors.Is(err, pager.ErrInjected), isOSIOError(err):
+	case isOSIOError(err):
 		return ClassTransient
 	default:
 		return ClassPermanent
@@ -74,7 +74,8 @@ func IsCorruption(err error) bool { return Classify(err) == ClassCorruption }
 func IsTransient(err error) bool { return Classify(err) == ClassTransient }
 
 // isOSIOError recognises operating-system read/write failures (wrapped
-// *fs.PathError, as os.File methods return).
+// *fs.PathError, as os.File methods return; injected test faults take the
+// same form).
 func isOSIOError(err error) bool {
 	var pe *fs.PathError
 	return errors.As(err, &pe)

@@ -9,10 +9,12 @@ import (
 
 	"repro/internal/docstore"
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/xmltree"
 )
 
 func TestClassify(t *testing.T) {
+	injected := pagertest.Injected("read") // a FaultFile's, as an OS read error comes
 	cases := []struct {
 		err  error
 		want ErrorClass
@@ -24,8 +26,8 @@ func TestClassify(t *testing.T) {
 		{&pager.CorruptPageError{Page: 3, Reason: "checksum mismatch"}, ClassCorruption},
 		{fmt.Errorf("docstore: document 2: %w: bad varint", docstore.ErrBadRecord), ClassCorruption},
 		{fmt.Errorf("docstore: document 2: %w", docstore.ErrQuarantined), ClassCorruption},
-		{pager.ErrInjected, ClassTransient},
-		{fmt.Errorf("wrapped: %w", pager.ErrInjected), ClassTransient},
+		{injected, ClassTransient},
+		{fmt.Errorf("wrapped: %w", injected), ClassTransient},
 		{fmt.Errorf("prix: something else"), ClassPermanent},
 		// Multi-error chains (errors.Join) must be unwrapped down both arms.
 		{errors.Join(io.EOF, context.Canceled), ClassCanceled},
@@ -43,10 +45,10 @@ func TestClassify(t *testing.T) {
 			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
 		}
 	}
-	if !IsCorruption(pager.ErrCorrupt) || IsCorruption(pager.ErrInjected) {
+	if !IsCorruption(pager.ErrCorrupt) || IsCorruption(injected) {
 		t.Error("IsCorruption misclassifies")
 	}
-	if !IsTransient(pager.ErrInjected) || IsTransient(pager.ErrCorrupt) {
+	if !IsTransient(injected) || IsTransient(pager.ErrCorrupt) {
 		t.Error("IsTransient misclassifies")
 	}
 }

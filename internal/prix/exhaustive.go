@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/docstore"
 	"repro/internal/twig"
+	"repro/internal/xmltree"
 )
 
 // RiskOfFalseDismissal reports whether the query falls into the published
@@ -196,4 +198,29 @@ func (ix *Index) candidateDocs(q *twig.Query, asOf uint64, stats *QueryStats) ([
 		}
 	}
 	return out, nil
+}
+
+// reconstructAsOf is the version-aware twin of ReconstructDocument used by
+// the exhaustive matcher: it resolves the record image visible at asOf and
+// returns (nil, nil) for documents that are quarantined or not visible at
+// that version, so callers can simply skip them.
+func (ix *Index) reconstructAsOf(docID uint32, asOf uint64, stats *QueryStats) (*xmltree.Document, error) {
+	ix.repairMu.RLock()
+	defer ix.repairMu.RUnlock()
+	rec, err := ix.getRecordAsOf(docID, asOf, stats)
+	if err != nil || rec == nil {
+		return nil, err
+	}
+	return ix.reconstructRecord(docID, rec)
+}
+
+// getRecordAsOf resolves the whole record image of docID visible at asOf,
+// for the exhaustive fallback's whole-record reads. The record is always a
+// fresh one; nil with a nil error means "skip this document".
+func (ix *Index) getRecordAsOf(docID uint32, asOf uint64, stats *QueryStats) (*docstore.Record, error) {
+	loc, visible := ix.imageAt(docID, asOf)
+	if !visible {
+		return nil, nil
+	}
+	return ix.readImage(docID, loc, stats, new(docstore.Record))
 }

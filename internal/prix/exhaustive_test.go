@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func TestRiskOfFalseDismissal(t *testing.T) {
@@ -31,7 +32,7 @@ func TestRiskOfFalseDismissal(t *testing.T) {
 // path must agree exactly with brute force.
 func TestExhaustiveClosesWildcardCorner(t *testing.T) {
 	// The counterexample found by the property suite.
-	doc := xmltree.MustFromSExpr(0,
+	doc := xmltreetest.MustFromSExpr(0,
 		`(a (a (c (d) (c (d (a (a (c) (c "v1")))) (d)) (b "v2")) (d (b "v2") (c "v2"))) (d (c)) (b (d)) (d "v1"))`)
 	q := twig.MustParse(`//a[.//b]//c`)
 	want := len(twig.MatchBruteForce(q, doc))
@@ -56,7 +57,7 @@ func TestExhaustiveAgreesWithBruteForceRandom(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		var docs []*xmltree.Document
 		for d := 0; d < 6; d++ {
-			docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+			docs = append(docs, xmltreetest.RandomDocument(rng, d, xmltreetest.RandomConfig{
 				Nodes: 3 + rng.Intn(25), Alphabet: []string{"a", "b", "c", "d"},
 				MaxFanout: 4, ValueProb: 0.3, Values: []string{"v1", "v2"},
 			}))
@@ -83,7 +84,7 @@ func TestExhaustiveAgreesWithBruteForceRandom(t *testing.T) {
 }
 
 func TestExhaustiveUnordered(t *testing.T) {
-	doc := xmltree.MustFromSExpr(0, `(a (c (x)) (b (y)))`)
+	doc := xmltreetest.MustFromSExpr(0, `(a (c (x)) (b (y)))`)
 	ix := build(t, true, doc)
 	q := twig.MustParse(`//a[.//b]//c`) // ordered: b before c fails; unordered matches
 	ms, _, err := ix.MatchExhaustive(q, MatchOptions{Unordered: true})
@@ -99,7 +100,7 @@ func BenchmarkExhaustiveVsIndexOnly(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	var docs []*xmltree.Document
 	for i := 0; i < 300; i++ {
-		docs = append(docs, xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes: 25, Alphabet: []string{"a", "b", "c", "d", "e"}, MaxFanout: 4,
 		}))
 	}

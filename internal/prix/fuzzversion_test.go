@@ -8,6 +8,7 @@ import (
 	"repro/internal/twig"
 	"repro/internal/vtrie"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // FuzzAsOfVersionMap drives a script of insert/delete/update ops over a
@@ -32,9 +33,9 @@ var fuzzAsOfTemplates = []string{
 func fuzzAsOfApply(t *testing.T, script []byte, n int) *DynamicIndex {
 	t.Helper()
 	seed := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, fuzzAsOfTemplates[0]),
-		xmltree.MustFromSExpr(1, fuzzAsOfTemplates[1]),
-		xmltree.MustFromSExpr(2, fuzzAsOfTemplates[2]),
+		xmltreetest.MustFromSExpr(0, fuzzAsOfTemplates[0]),
+		xmltreetest.MustFromSExpr(1, fuzzAsOfTemplates[1]),
+		xmltreetest.MustFromSExpr(2, fuzzAsOfTemplates[2]),
 	}
 	di, err := NewDynamicIndex(seed, Options{Extended: true, BufferPoolPages: 64}, DynamicOptions{Alpha: 4})
 	if err != nil {
@@ -47,7 +48,7 @@ func fuzzAsOfApply(t *testing.T, script []byte, n int) *DynamicIndex {
 		arg := int(b >> 2)
 		switch op {
 		case 0: // insert a template clone
-			d := xmltree.MustFromSExpr(docs, fuzzAsOfTemplates[arg%len(fuzzAsOfTemplates)])
+			d := xmltreetest.MustFromSExpr(docs, fuzzAsOfTemplates[arg%len(fuzzAsOfTemplates)])
 			if err := di.Insert(d); err != nil {
 				if errors.Is(err, vtrie.ErrScopeUnderflow) {
 					continue
@@ -64,7 +65,7 @@ func fuzzAsOfApply(t *testing.T, script []byte, n int) *DynamicIndex {
 			}
 		default: // update to a (salted) template variant
 			id := arg % docs
-			d := xmltree.MustFromSExpr(id, fuzzAsOfTemplates[(arg+op)%len(fuzzAsOfTemplates)])
+			d := xmltreetest.MustFromSExpr(id, fuzzAsOfTemplates[(arg+op)%len(fuzzAsOfTemplates)])
 			for _, node := range d.Nodes {
 				if node.IsValue {
 					node.Label = node.Label + strconv.Itoa(arg%7)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/twig"
 	"repro/internal/vtrie"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // buildHot is build() with a hot-tier budget.
@@ -278,7 +279,7 @@ func TestHotEvictionUnderPressure(t *testing.T) {
 // TestHotStatsJSONShape pins the exported stats surface the server's
 // /stats block marshals.
 func TestHotStatsJSONShape(t *testing.T) {
-	ix := buildHot(t, false, 1<<20, xmltree.PaperTree(0))
+	ix := buildHot(t, false, 1<<20, xmltreetest.PaperTree(0))
 	st := ix.HotStats()
 	if !st.Enabled {
 		t.Fatal("tier disabled")

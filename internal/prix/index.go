@@ -44,7 +44,7 @@ type Options struct {
 	Dir string
 	// OpenFile optionally intercepts every page-file open (the two page
 	// files and their shared journal). Crash-sweep tests inject
-	// pagertest.FaultOpen here so a PowerClock can cut power inside a
+	// pagertest.FaultOpen here so a power clock can cut power inside a
 	// mutation, a compaction or the merge phase of a streaming build; nil
 	// means plain OS files.
 	OpenFile func(path string) (pager.File, error)
@@ -488,9 +488,6 @@ func (ix *Index) Store() *docstore.Store { return ix.store }
 // Forest exposes the B+-tree forest (read-only use; the scrubber walks its
 // pages and invariants).
 func (ix *Index) Forest() *btree.Forest { return ix.forest }
-
-// MaxGap returns the catalog value for a symbol (0 if unseen).
-func (ix *Index) MaxGap(s vtrie.Symbol) int64 { return ix.maxGap[s] }
 
 // commit stages the store's meta and the forest's directory and commits
 // both files' dirty pages as one transaction through their shared journal:

@@ -19,6 +19,7 @@ import (
 	"repro/internal/twig"
 	"repro/internal/vtrie"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // Tests of the single postings tree: key-prefix ranges at their boundaries,
@@ -477,8 +478,8 @@ func TestOldStoreMagicRefused(t *testing.T) {
 func TestUnpostedLevelIssuesNoRangeQuery(t *testing.T) {
 	dir := t.TempDir()
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)))`),
-		xmltree.MustFromSExpr(1, `(a (c))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)))`),
+		xmltreetest.MustFromSExpr(1, `(a (c))`),
 	}
 	di, err := NewDynamicIndex(docs, Options{Dir: dir}, DynamicOptions{Alpha: 2})
 	if err != nil {
@@ -502,7 +503,7 @@ func TestUnpostedLevelIssuesNoRangeQuery(t *testing.T) {
 	// never in an LPS.
 	check(di, `//c/b`, 0, false)
 	check(di, `//b/c`, 1, true)
-	if _, err := di.Update(1, xmltree.MustFromSExpr(1, `(a (c (b)))`)); err != nil {
+	if _, err := di.Update(1, xmltreetest.MustFromSExpr(1, `(a (c (b)))`)); err != nil {
 		t.Fatal(err)
 	}
 	check(di, `//c/b`, 1, true)

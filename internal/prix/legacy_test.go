@@ -105,7 +105,7 @@ func TestOpenRefusesPendingOp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc = m.Encode()
+		enc, _ = m.AppendEncode(nil, nil)
 		// The byte after the magic and the three counters is the pending-op
 		// kind: a delete of document 1 at version 2, terminal 0.
 		at := len("MVC1")

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // TestMatchIntoEqualsOwned: an answer packed into a lent buffer equals the one
@@ -72,7 +73,7 @@ func TestMatchBufKeepBound(t *testing.T) {
 	}
 	var docs []*xmltree.Document
 	for i := 0; i < 1200; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b) (c))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b) (c))`))
 	}
 	ix, err := Build(docs, Options{Extended: true})
 	if err != nil {

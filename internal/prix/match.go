@@ -36,9 +36,6 @@ type Match struct {
 	Root int32
 }
 
-// Mapping returns the full embedding, an alias of Images.
-func (m *Match) Mapping() []int32 { return m.Images }
-
 // QueryStats reports the work one Match call performed.
 type QueryStats struct {
 	// RangeQueries counts B+-tree range queries issued by Algorithm 1.
@@ -224,7 +221,7 @@ func (s *QueryStats) merge(o *QueryStats) {
 }
 
 // Match finds all ordered (or unordered, per opts) occurrences of the query.
-// Results are sorted by MatchLess: (DocID, Positions, Images, Root).
+// Results are sorted by compareMatches: (DocID, Positions, Images, Root).
 func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, error) {
 	// Queries run under the repair read-lock: a concurrent repair or forest
 	// rebuild (write-locked) can rewrite structures wholesale, and a query
@@ -294,26 +291,14 @@ func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, 
 	return out, stats, nil
 }
 
-// Count is Match returning only the number of occurrences.
-func (ix *Index) Count(q *twig.Query, opts MatchOptions) (int, *QueryStats, error) {
-	ms, stats, err := ix.Match(q, opts)
-	if err != nil {
-		return 0, nil, err
-	}
-	return len(ms), stats, nil
-}
-
-// MatchLess is the engine's canonical result order: (DocID, Positions,
-// Images, Root), exactly the comparator of Match's final sort. It is a
-// TOTAL order over distinct matches — Positions alone does not suffice
-// (single-node queries carry no positions, and dedup keys on Images) —
-// which is what lets the scatter-gather coordinator merge per-shard result
-// lists with this same comparator and produce output byte-identical to a
-// single index's: docids are globally unique, so the cross-shard merge
-// (MergeMatches) meets no ties.
-func MatchLess(a, b Match) bool { return compareMatches(a, b) < 0 }
-
-// compareMatches is MatchLess as a three-way comparison.
+// compareMatches is the engine's canonical result order: (DocID, Positions,
+// Images, Root), the comparator of Match's final sort. It is a TOTAL order
+// over distinct matches — Positions alone does not suffice (single-node
+// queries carry no positions, and dedup keys on Images) — which is what lets
+// the scatter-gather coordinator merge per-shard result lists in this same
+// order (MergeMatches) and produce output byte-identical to a single
+// index's: docids are globally unique, so the cross-shard merge meets no
+// ties.
 func compareMatches(a, b Match) int {
 	if c := cmp.Compare(a.DocID, b.DocID); c != 0 {
 		return c
@@ -351,7 +336,7 @@ func compareInt32s(a, b []int32) int {
 	return 0
 }
 
-// MergeMatches merges runs, each in MatchLess order, into one answer in that
+// MergeMatches merges runs, each in compareMatches order, into one answer in that
 // order, copying every match with its positions and images into dst; a nil
 // dst merges them into memory of their own, one exactly sized block and one
 // exactly sized []Match, as an unlent Match packs its answer. The answer
@@ -1175,18 +1160,6 @@ func (ix *Index) degrade(docID uint32, current bool, err error, stats *QueryStat
 	}
 	stats.Degraded = true
 	return nil
-}
-
-// getRecordAsOf resolves the whole record image of docID visible at asOf,
-// for the paths that read whole records (the single-node scan, the
-// exhaustive fallback, reconstruction). The record is always a fresh one;
-// nil with a nil error means "skip this document".
-func (ix *Index) getRecordAsOf(docID uint32, asOf uint64, stats *QueryStats) (*docstore.Record, error) {
-	loc, visible := ix.imageAt(docID, asOf)
-	if !visible {
-		return nil, nil
-	}
-	return ix.readImage(docID, loc, stats, new(docstore.Record))
 }
 
 // Quarantined returns the docids currently quarantined in the document

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // The metamorphic mutation suite: every mutation path (Delete, Update,
@@ -275,7 +276,7 @@ func TestMetamorphicAsOfReplay(t *testing.T) {
 		step()
 	}
 	mustInsert := func(id int) {
-		d := xmltree.MustFromSExpr(id, fmt.Sprintf(`(a (b (c "x%d")) (d (e)))`, id))
+		d := xmltreetest.MustFromSExpr(id, fmt.Sprintf(`(a (b (c "x%d")) (d (e)))`, id))
 		if err := di.Insert(d); err != nil {
 			t.Fatalf("insert %d: %v", id, err)
 		}

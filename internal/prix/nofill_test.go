@@ -10,9 +10,11 @@ import (
 	"testing"
 
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/twig"
 	"repro/internal/vtrie"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // residencyCorpus is parallelCorpus's alphabet over enough documents that the
@@ -22,7 +24,7 @@ func residencyCorpus() []*xmltree.Document {
 	rng := rand.New(rand.NewSource(11))
 	docs := make([]*xmltree.Document, 4000)
 	for i := range docs {
-		docs[i] = xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		docs[i] = xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes:     30,
 			Alphabet:  []string{"a", "b", "c", "d", "e"},
 			MaxFanout: 4,
@@ -248,7 +250,7 @@ func TestHotLazyRebuildLeavesNoFrames(t *testing.T) {
 	// Both twins take the same Insert; the tiered one's clean frames are
 	// then dropped, so a rebuild that filled the pool would show.
 	plain, tiered := open(dirs[0], Options{}), open(dirs[1], Options{HotBudget: 1 << 30})
-	extra := xmltree.MustFromSExpr(0, `(a (b (c "x")) (d (e)) (b (c)))`)
+	extra := xmltreetest.MustFromSExpr(0, `(a (b (c "x")) (d (e)) (b (c)))`)
 	for _, d := range []*DynamicIndex{plain, tiered} {
 		if err := d.Insert(extra); err != nil {
 			t.Fatal(err)
@@ -344,7 +346,7 @@ func TestPreloadHotStopsAtCorruptLeaf(t *testing.T) {
 	if victim == pager.InvalidPage {
 		t.Fatal("no symbol's list spans two leaves")
 	}
-	if err := pager.FlipBit(f, victim, (pager.PageHeaderSize+100)*8); err != nil {
+	if err := pagertest.FlipBit(f, victim, (pager.PageHeaderSize+100)*8); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // parallelCorpus is a mixed document set: the paper's running example, a
@@ -22,16 +23,16 @@ import (
 // many candidates and witnesses.
 func parallelCorpus() []*xmltree.Document {
 	docs := []*xmltree.Document{
-		xmltree.PaperTree(0),
-		xmltree.MustFromSExpr(1, `(a (b (c)) (d (e)))`),
-		xmltree.MustFromSExpr(2, `(a (b (c "x")) (d))`),
-		xmltree.MustFromSExpr(3, `(a (d (e)) (b (c)))`),
-		xmltree.MustFromSExpr(4, `(a (a (b (c)) (d (e))))`),
-		xmltree.MustFromSExpr(5, `(r)`),
+		xmltreetest.PaperTree(0),
+		xmltreetest.MustFromSExpr(1, `(a (b (c)) (d (e)))`),
+		xmltreetest.MustFromSExpr(2, `(a (b (c "x")) (d))`),
+		xmltreetest.MustFromSExpr(3, `(a (d (e)) (b (c)))`),
+		xmltreetest.MustFromSExpr(4, `(a (a (b (c)) (d (e))))`),
+		xmltreetest.MustFromSExpr(5, `(r)`),
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 6; i < 40; i++ {
-		docs = append(docs, xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes:     30,
 			Alphabet:  []string{"a", "b", "c", "d", "e"},
 			MaxFanout: 4,
@@ -300,7 +301,7 @@ func TestParallelDegradedQuarantine(t *testing.T) {
 func TestConcurrentColdCachePagesRead(t *testing.T) {
 	var docs []*xmltree.Document
 	for i := 0; i < 150; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
 	}
 	ix := build(t, false, docs...)
 	q := twig.MustParse(`//a[./b/c]/d`)
@@ -396,7 +397,7 @@ func BenchmarkUnorderedArrangements(b *testing.B) {
 		values[i] = fmt.Sprintf("v%d", i)
 	}
 	for i := 0; i < 400; i++ {
-		docs = append(docs, xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes:     60,
 			Alphabet:  []string{"a", "b", "c", "d", "e"},
 			MaxFanout: 4,
@@ -434,7 +435,7 @@ func BenchmarkAsOfCold(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	var docs []*xmltree.Document
 	for i := 0; i < 1000; i++ {
-		docs = append(docs, xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes:     40,
 			Alphabet:  []string{"a", "b", "c", "d", "e"},
 			MaxFanout: 4,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/prufer"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func build(t testing.TB, extended bool, docs ...*xmltree.Document) *Index {
@@ -30,7 +31,7 @@ func mustMatch(t testing.TB, ix *Index, q string, opts MatchOptions) []Match {
 
 func TestPaperExampleEndToEnd(t *testing.T) {
 	// Example 2/6: query twig of Figure 2(b) against tree T of Figure 2(a).
-	doc := xmltree.PaperTree(0)
+	doc := xmltreetest.PaperTree(0)
 	for _, extended := range []bool{false, true} {
 		ix := build(t, extended, doc)
 		ms := mustMatch(t, ix, `//A[./B/C]/D/E/F`, MatchOptions{})
@@ -52,7 +53,7 @@ func TestPaperSubsequencePositions(t *testing.T) {
 	// Both position sets are enumerated during filtering; refinement keeps
 	// only consistent ones. Check the surviving matches' positions are
 	// plausible: every position list is strictly increasing.
-	ix := build(t, false, xmltree.PaperTree(0))
+	ix := build(t, false, xmltreetest.PaperTree(0))
 	ms := mustMatch(t, ix, `//A[./B/C]/D/E/F`, MatchOptions{})
 	for _, m := range ms {
 		for i := 1; i < len(m.Positions); i++ {
@@ -70,8 +71,8 @@ func TestNoFalseAlarmsVsViSTExample(t *testing.T) {
 	// Figure 1(b): Q = B[./A]/D occurs in Doc1 = B(A D) but not in
 	// Doc2 = B(A(D)) — ViST's subsequence matching reports both; PRIX's
 	// refinement must reject Doc2.
-	doc1 := xmltree.MustFromSExpr(0, `(B (A) (D))`)
-	doc2 := xmltree.MustFromSExpr(1, `(B (A (D)))`)
+	doc1 := xmltreetest.MustFromSExpr(0, `(B (A) (D))`)
+	doc2 := xmltreetest.MustFromSExpr(1, `(B (A (D)))`)
 	for _, extended := range []bool{false, true} {
 		ix := build(t, extended, doc1, doc2)
 		ms := mustMatch(t, ix, `//B[./A]/D`, MatchOptions{})
@@ -83,7 +84,7 @@ func TestNoFalseAlarmsVsViSTExample(t *testing.T) {
 
 func TestValueQueries(t *testing.T) {
 	doc := func(id int, author, year string) *xmltree.Document {
-		return xmltree.MustFromSExpr(id, fmt.Sprintf(
+		return xmltreetest.MustFromSExpr(id, fmt.Sprintf(
 			`(inproceedings (author %q) (year %q))`, author, year))
 	}
 	docs := []*xmltree.Document{
@@ -107,7 +108,7 @@ func TestValueQueries(t *testing.T) {
 
 func TestWildcardDescendant(t *testing.T) {
 	// §4.5 example shape: //A//C with intermediate nodes.
-	doc := xmltree.MustFromSExpr(0, `(A (B (C (x))) (C (y)))`)
+	doc := xmltreetest.MustFromSExpr(0, `(A (B (C (x))) (C (y)))`)
 	for _, extended := range []bool{false, true} {
 		ix := build(t, extended, doc)
 		// C is internal (has a child), so //A//C/x works on both indexes.
@@ -127,7 +128,7 @@ func TestWildcardDescendant(t *testing.T) {
 }
 
 func TestWildcardLeafEdgeNeedsEPIndex(t *testing.T) {
-	doc := xmltree.MustFromSExpr(0, `(Entry (Ref (Author (v))) (from (w)))`)
+	doc := xmltreetest.MustFromSExpr(0, `(Entry (Ref (Author (v))) (from (w)))`)
 	rp := build(t, false, doc)
 	// "from" is a twig leaf attached by //: RPIndex must refuse.
 	if _, _, err := rp.Match(twig.MustParse(`//Entry[./Ref]//from`), MatchOptions{}); err == nil {
@@ -142,7 +143,7 @@ func TestWildcardLeafEdgeNeedsEPIndex(t *testing.T) {
 
 func TestAnchoredQueries(t *testing.T) {
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (a (c))))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (a (c))))`),
 	}
 	for _, extended := range []bool{false, true} {
 		ix := build(t, extended, docs...)
@@ -171,7 +172,7 @@ func TestAnchoredQueries(t *testing.T) {
 }
 
 func TestUnorderedMatching(t *testing.T) {
-	doc := xmltree.MustFromSExpr(0, `(a (c (x)) (b (y)))`)
+	doc := xmltreetest.MustFromSExpr(0, `(a (c (x)) (b (y)))`)
 	for _, extended := range []bool{false, true} {
 		ix := build(t, extended, doc)
 		q := `//a[./b/y]/c/x` // ordered: b before c required; data has c first
@@ -188,9 +189,9 @@ func TestMultipleDocsAndSharing(t *testing.T) {
 	// Many identical documents share one trie path; all must match.
 	var docs []*xmltree.Document
 	for i := 0; i < 50; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(r (a (b)) (c))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(r (a (b)) (c))`))
 	}
-	docs = append(docs, xmltree.MustFromSExpr(50, `(r (a (z)) (c))`))
+	docs = append(docs, xmltreetest.MustFromSExpr(50, `(r (a (z)) (c))`))
 	ix := build(t, false, docs...)
 	ms := mustMatch(t, ix, `//r[./a/b]/c`, MatchOptions{})
 	if len(ms) != 50 {
@@ -206,7 +207,7 @@ func TestMultipleDocsAndSharing(t *testing.T) {
 }
 
 func TestAbsentLabelShortCircuit(t *testing.T) {
-	ix := build(t, false, xmltree.MustFromSExpr(0, `(a (b))`))
+	ix := build(t, false, xmltreetest.MustFromSExpr(0, `(a (b))`))
 	ms, stats, err := ix.Match(twig.MustParse(`//nosuch/b`), MatchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestAgreesWithBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		var docs []*xmltree.Document
 		for d := 0; d < 8; d++ {
-			docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+			docs = append(docs, xmltreetest.RandomDocument(rng, d, xmltreetest.RandomConfig{
 				Nodes:     3 + rng.Intn(25),
 				Alphabet:  alphabet,
 				MaxFanout: 4,
@@ -341,7 +342,7 @@ func TestMaxGapPruningActuallyPrunes(t *testing.T) {
 	var docs []*xmltree.Document
 	for i := 0; i < 30; i++ {
 		// r(q(x) filler... q(x)): MaxGap(q)=0 since q has one child.
-		docs = append(docs, xmltree.MustFromSExpr(i,
+		docs = append(docs, xmltreetest.MustFromSExpr(i,
 			`(r (q (x)) (f1 (f2) (f3)) (p (q (x))))`))
 	}
 	ix := build(t, false, docs...)
@@ -368,8 +369,8 @@ func TestMaxGapPruningActuallyPrunes(t *testing.T) {
 func TestPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)) (d))`),
-		xmltree.MustFromSExpr(1, `(a (b (x)) (d))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)) (d))`),
+		xmltreetest.MustFromSExpr(1, `(a (b (x)) (d))`),
 	}
 	ix, err := Build(docs, Options{Dir: dir, BufferPoolPages: 32})
 	if err != nil {
@@ -393,7 +394,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 func TestQueryStatsPopulated(t *testing.T) {
 	var docs []*xmltree.Document
 	for i := 0; i < 20; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)) (d))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d))`))
 	}
 	ix := build(t, false, docs...)
 	_, stats, err := ix.Match(twig.MustParse(`//a[./b/c]/d`), MatchOptions{})
@@ -415,8 +416,8 @@ func TestSingleNodeDocument(t *testing.T) {
 	// A one-node document has an empty LPS; it must be indexable and
 	// simply never match multi-node queries.
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(lonely)`),
-		xmltree.MustFromSExpr(1, `(a (b))`),
+		xmltreetest.MustFromSExpr(0, `(lonely)`),
+		xmltreetest.MustFromSExpr(1, `(a (b))`),
 	}
 	ix := build(t, false, docs...)
 	ms := mustMatch(t, ix, `//a/b`, MatchOptions{})
@@ -429,7 +430,7 @@ func BenchmarkMatchSmallCollection(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var docs []*xmltree.Document
 	for i := 0; i < 200; i++ {
-		docs = append(docs, xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes: 30, Alphabet: []string{"a", "b", "c", "d", "e"}, MaxFanout: 4,
 		}))
 	}

@@ -29,20 +29,6 @@ func (ix *Index) ReconstructDocument(docID uint32) (*xmltree.Document, error) {
 	return ix.reconstructRecord(docID, rec)
 }
 
-// reconstructAsOf is the version-aware twin of ReconstructDocument used by
-// the exhaustive matcher: it resolves the record image visible at asOf and
-// returns (nil, nil) for documents that are quarantined or not visible at
-// that version, so callers can simply skip them.
-func (ix *Index) reconstructAsOf(docID uint32, asOf uint64, stats *QueryStats) (*xmltree.Document, error) {
-	ix.repairMu.RLock()
-	defer ix.repairMu.RUnlock()
-	rec, err := ix.getRecordAsOf(docID, asOf, stats)
-	if err != nil || rec == nil {
-		return nil, err
-	}
-	return ix.reconstructRecord(docID, rec)
-}
-
 // reconstructRecord rebuilds the document tree from an already-fetched
 // record image. Callers hold repairMu.
 func (ix *Index) reconstructRecord(docID uint32, rec *docstore.Record) (*xmltree.Document, error) {

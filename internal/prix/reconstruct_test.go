@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // The index is lossless: every document can be rebuilt exactly from the
@@ -14,7 +15,7 @@ func TestReconstructDocumentRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var docs []*xmltree.Document
 	for i := 0; i < 25; i++ {
-		docs = append(docs, xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes:     1 + rng.Intn(40),
 			Alphabet:  []string{"a", "b", "c", "d"},
 			ValueProb: 0.4,
@@ -37,7 +38,7 @@ func TestReconstructDocumentRoundTrip(t *testing.T) {
 }
 
 func TestReconstructDocumentErrors(t *testing.T) {
-	ix := build(t, false, xmltree.MustFromSExpr(0, `(a (b))`))
+	ix := build(t, false, xmltreetest.MustFromSExpr(0, `(a (b))`))
 	if _, err := ix.ReconstructDocument(99); err == nil {
 		t.Error("reconstructing an absent document succeeded")
 	}
@@ -47,7 +48,7 @@ func TestReconstructDocumentErrors(t *testing.T) {
 // refuses it with ErrDocDeleted instead of returning the tombstoned image,
 // and the surviving document still rebuilds.
 func TestReconstructDeletedDocument(t *testing.T) {
-	docs := []*xmltree.Document{xmltree.MustFromSExpr(0, `(a (b))`), xmltree.MustFromSExpr(1, `(a (c))`)}
+	docs := []*xmltree.Document{xmltreetest.MustFromSExpr(0, `(a (b))`), xmltreetest.MustFromSExpr(1, `(a (c))`)}
 	di, err := NewDynamicIndex(docs, Options{Extended: true}, DynamicOptions{Alpha: 2})
 	if err != nil {
 		t.Fatal(err)

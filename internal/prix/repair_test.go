@@ -10,8 +10,9 @@ import (
 	"repro/internal/btree"
 	"repro/internal/docstore"
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/twig"
-	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // corruptPage flips one payload bit of page id through the File interface
@@ -20,7 +21,7 @@ import (
 // frames.
 func corruptPage(t *testing.T, ix *Index, f pager.File, id pager.PageID) {
 	t.Helper()
-	if err := pager.FlipBit(f, id, (pager.PageHeaderSize+11)*8+2); err != nil {
+	if err := pagertest.FlipBit(f, id, (pager.PageHeaderSize+11)*8+2); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.ResetIOStats(); err != nil {
@@ -352,7 +353,7 @@ func TestDynamicRepairForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := di.Insert(xmltree.MustFromSExpr(3, `(a (b (c)))`)); err != nil {
+	if err := di.Insert(xmltreetest.MustFromSExpr(3, `(a (b (c)))`)); err != nil {
 		t.Fatal(err)
 	}
 	ix := di.Index()
@@ -374,7 +375,7 @@ func TestDynamicRepairForest(t *testing.T) {
 	if len(ms) != 3 {
 		t.Errorf("post-rebuild //a/b = %d matches, want 3", len(ms))
 	}
-	if err := di.Insert(xmltree.MustFromSExpr(4, `(a (b (c)) (d))`)); err != nil {
+	if err := di.Insert(xmltreetest.MustFromSExpr(4, `(a (b (c)) (d))`)); err != nil {
 		t.Fatalf("insert after rebuild: %v", err)
 	}
 	ms, _, err = di.Match(twig.MustParse(`//a/b`), MatchOptions{})
@@ -395,8 +396,8 @@ func TestDynamicRepairForest(t *testing.T) {
 	}
 	defer di.Close()
 	docs := append(degradedDocs(),
-		xmltree.MustFromSExpr(3, `(a (b (c)))`),
-		xmltree.MustFromSExpr(4, `(a (b (c)) (d))`))
+		xmltreetest.MustFromSExpr(3, `(a (b (c)))`),
+		xmltreetest.MustFromSExpr(4, `(a (b (c)) (d))`))
 	more := dynbulkDocs(40, 3)
 	insertAll(t, di, more)
 	assertDynOracle(t, "rebuild, close, OpenDynamic, inserts", di, append(docs, more...))
@@ -410,7 +411,7 @@ func TestVersionDeleteAfterRebuildWritesTombstone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := di.Update(1, xmltree.MustFromSExpr(1, `(a (b (c)) (e))`)); err != nil {
+	if _, err := di.Update(1, xmltreetest.MustFromSExpr(1, `(a (b (c)) (e))`)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := di.Index().RepairForest(); err != nil {

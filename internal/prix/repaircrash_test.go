@@ -9,7 +9,7 @@ import (
 	"repro/internal/pager"
 	"repro/internal/pager/pagertest"
 	"repro/internal/vtrie"
-	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // The crash-sweep-over-repair property: a power cut at ANY write point of an
@@ -79,8 +79,8 @@ func crashIndexImages(t *testing.T) [3][][]byte {
 	// flush writes only the pages it changed, three no longer span the write
 	// ordinals this sweep used to cover.
 	docs := append(degradedDocs(),
-		xmltree.MustFromSExpr(3, `(a (b (e)))`),
-		xmltree.MustFromSExpr(4, `(a (d (c)))`))
+		xmltreetest.MustFromSExpr(3, `(a (b (e)))`),
+		xmltreetest.MustFromSExpr(4, `(a (d (c)))`))
 	for _, doc := range docs {
 		if err := b.Add(doc); err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func crashIndexImages(t *testing.T) [3][][]byte {
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := pager.FlipBit(docsMem, pages[0], (pager.PageHeaderSize+5)*8); err != nil {
+	if err := pagertest.FlipBit(docsMem, pages[0], (pager.PageHeaderSize+5)*8); err != nil {
 		t.Fatal(err)
 	}
 	return [3][][]byte{captureFile(t, docsMem), captureFile(t, forestMem), captureFile(t, jnl)}
@@ -186,11 +186,11 @@ func TestCrashSweepOverRecordRepair(t *testing.T) {
 	}
 
 	var mems [3]*pager.MemFile // docs, forest, journal
-	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
-		var ff [3]*pager.FaultFile
+	run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
+		var ff [3]*pagertest.FaultFile
 		for i := range mems {
 			mems[i] = cloneMem(t, init[i])
-			ff[i] = pager.NewFaultFile(mems[i])
+			ff[i] = pagertest.NewFaultFile(mems[i])
 			ff[i].SetPowerClock(clock)
 		}
 		_, err := runRepairSteps(ff[0], ff[1], ff[2], 1<<30)

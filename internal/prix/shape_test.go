@@ -14,6 +14,7 @@ import (
 	"repro/internal/pager/pagertest"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // storeReads is the docs.db pool's logical read counter.
@@ -99,7 +100,7 @@ func TestRefinementReadsSupersededRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := di.VersionStats().Current
-		if _, err := di.Update(2, xmltree.MustFromSExpr(2, `(a (d (e)))`)); err != nil {
+		if _, err := di.Update(2, xmltreetest.MustFromSExpr(2, `(a (d (e)))`)); err != nil {
 			t.Fatal(err)
 		}
 		q := twig.MustParse(`//a/b[./c="x"]`)
@@ -323,7 +324,7 @@ func TestShapeInternCrashSweep(t *testing.T) {
 	if err := di.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fresh := xmltree.MustFromSExpr(20, `(a (b (c "x") (c "y") (c "z")) (d (e) (e) (e) (e)))`)
+	fresh := xmltreetest.MustFromSExpr(20, `(a (b (c "x") (c "y") (c "z")) (d (e) (e) (e) (e)))`)
 	probe := []string{`//a/b/c`, `//a[./d/e]`, `//a[./b/c="z"]`}
 	counts := func(t *testing.T, di *DynamicIndex) []int {
 		out := make([]int, len(probe))
@@ -362,7 +363,7 @@ func TestShapeInternCrashSweep(t *testing.T) {
 
 	cutDir := func(k int64) string { return filepath.Join(base, fmt.Sprintf("cut%d", k)) }
 	acked := false // the insert's Flush returned before the cut
-	run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+	run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 		acked = false
 		copyIndexDir(t, pristine, cutDir(k))
 		fdi, err := OpenDynamic(cutDir(k), Options{Extended: true, BufferPoolPages: 64, OpenFile: pagertest.FaultOpen(clock)})
@@ -453,7 +454,7 @@ func TestOpenDynamicCorruptDocidLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pager.FlipBit(f, leaf, (pager.PageHeaderSize+11)*8+2); err != nil {
+	if err := pagertest.FlipBit(f, leaf, (pager.PageHeaderSize+11)*8+2); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

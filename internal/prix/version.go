@@ -242,11 +242,6 @@ func (ix *Index) VersionStats() VersionStats {
 	}
 }
 
-// Versions exposes the live map (nil when versioning is off). Callers must
-// hold the repair lock or own the index exclusively; prixcheck and the
-// compactor use it.
-func (ix *Index) Versions() *mvcc.Map { return ix.versions }
-
 // VersionStats proxies the inner index under the dynamic read lock.
 func (di *DynamicIndex) VersionStats() VersionStats {
 	di.mu.RLock()
@@ -288,7 +283,9 @@ func (ix *Index) docVisibleAt(docID uint32, asOf uint64) bool {
 // reported as !ok and skipped, mirroring the quarantine semantics.
 func (ix *Index) intervalLPS(docID uint32, iv mvcc.Interval) ([]vtrie.Symbol, bool) {
 	if iv.Loc.Zero() {
-		rec, err := ix.store.GetAny(docID)
+		// The current record, under the rule a rebuild labels by: a record
+		// the rebuild skipped (and quarantined) is skipped here too.
+		rec, err := ix.labelableRecord(docID)
 		if err != nil {
 			return nil, false
 		}

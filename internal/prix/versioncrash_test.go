@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/mvcc"
-	"repro/internal/pager"
 	"repro/internal/pager/pagertest"
 	"repro/internal/twig"
 )
@@ -172,7 +171,7 @@ func TestVersionCrashSweepMutations(t *testing.T) {
 			// pre image).
 			cutDir := func(k int64) string { return filepath.Join(base, fmt.Sprintf("%s-cut%d", mut.name, k)) }
 			acked := false // the mutation returned before the cut
-			run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+			run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 				acked = false
 				copyIndexDir(t, pristine, cutDir(k))
 				fdi, err := OpenDynamic(cutDir(k), Options{

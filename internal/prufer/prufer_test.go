@@ -6,11 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func TestExample1PaperSequences(t *testing.T) {
-	d := xmltree.PaperTree(0)
+	d := xmltreetest.PaperTree(0)
 	s := Build(d)
 	wantLPS := []string{"A", "C", "B", "C", "C", "B", "A", "C", "A", "E", "E", "E", "D", "A"}
 	wantNPS := []int{15, 3, 7, 6, 6, 7, 15, 9, 15, 13, 13, 13, 14, 15}
@@ -26,7 +26,7 @@ func TestExample1PaperSequences(t *testing.T) {
 }
 
 func TestExample2QuerySequences(t *testing.T) {
-	q := xmltree.PaperQuery(0)
+	q := xmltreetest.PaperQuery(0)
 	s := Build(q)
 	wantLPS := []string{"B", "A", "E", "D", "A"}
 	wantNPS := []int{2, 6, 4, 5, 6}
@@ -43,7 +43,7 @@ func TestExample2QuerySequences(t *testing.T) {
 func TestLemma1BuildEqualsSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {
-		d := xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		d := xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes: 1 + rng.Intn(80), Alphabet: []string{"a", "b", "c", "d", "e"},
 		})
 		got, want := Build(d), BuildBySimulation(d)
@@ -55,7 +55,7 @@ func TestLemma1BuildEqualsSimulation(t *testing.T) {
 }
 
 func TestSingleNodeTree(t *testing.T) {
-	d := xmltree.MustFromSExpr(0, `(only)`)
+	d := xmltreetest.MustFromSExpr(0, `(only)`)
 	s := Build(d)
 	if s.Len() != 0 || s.N != 1 {
 		t.Errorf("single node: len=%d n=%d", s.Len(), s.N)
@@ -74,7 +74,7 @@ func TestSingleNodeTree(t *testing.T) {
 func TestReconstructRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 200; i++ {
-		d := xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		d := xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes: 1 + rng.Intn(60), Alphabet: []string{"w", "x", "y", "z"},
 		})
 		s := Build(d)
@@ -120,10 +120,10 @@ func TestTheorem1NoFalseDismissals(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tried := 0
 	for i := 0; i < 500 && tried < 300; i++ {
-		d := xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		d := xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes: 5 + rng.Intn(60), Alphabet: []string{"a", "b", "c"},
 		})
-		q := xmltree.RandomSubtreePattern(rng, d, 2+rng.Intn(6))
+		q := xmltreetest.RandomSubtreePattern(rng, d, 2+rng.Intn(6))
 		if q == nil || q.Size() < 2 {
 			continue
 		}
@@ -142,8 +142,8 @@ func TestTheorem1NoFalseDismissals(t *testing.T) {
 func TestPaperSubsequenceExample(t *testing.T) {
 	// Example 2: LPS(Q) = B A E D A matches LPS(T) at positions (6,7,11,13,14)
 	// with postorder number sequence 7 15 13 14 15.
-	tSeq := Build(xmltree.PaperTree(0))
-	qSeq := Build(xmltree.PaperQuery(0))
+	tSeq := Build(xmltreetest.PaperTree(0))
+	qSeq := Build(xmltreetest.PaperQuery(0))
 	found := false
 	SubsequenceMatches(qSeq.Labels, tSeq.Labels, func(pos []int) bool {
 		if reflect.DeepEqual(pos, []int{6, 7, 11, 13, 14}) {
@@ -166,13 +166,13 @@ func TestPaperSubsequenceExample(t *testing.T) {
 func TestExtendedSequenceContainsAllLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 60; i++ {
-		d := xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		d := xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes: 1 + rng.Intn(40), Alphabet: []string{"a", "b", "c"},
 			ValueProb: 0.5, Values: []string{"v1", "v2"},
 		})
 		s := BuildExtended(d)
-		if s.N != d.Size()+len(d.Leaves()) {
-			t.Fatalf("extended N = %d, want %d", s.N, d.Size()+len(d.Leaves()))
+		if s.N != d.Size()+len(LeafMap(d)) {
+			t.Fatalf("extended N = %d, want %d", s.N, d.Size()+len(LeafMap(d)))
 		}
 		// Every original node's label must appear in the extended LPS.
 		have := map[string]int{}
@@ -189,7 +189,7 @@ func TestExtendedSequenceContainsAllLabels(t *testing.T) {
 }
 
 func TestExtendTreeShape(t *testing.T) {
-	d := xmltree.MustFromSExpr(0, `(a (b) (c "v"))`)
+	d := xmltreetest.MustFromSExpr(0, `(a (b) (c "v"))`)
 	ext := ExtendTree(d)
 	// Leaves of d: b and the value v. Extended adds 2 dummies.
 	if ext.Size() != d.Size()+2 {
@@ -262,7 +262,7 @@ func TestSubsequenceMatchesCountsAll(t *testing.T) {
 func TestQuickSequenceInvariants(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		d := xmltree.RandomDocument(rng, 0, xmltree.RandomConfig{
+		d := xmltreetest.RandomDocument(rng, 0, xmltreetest.RandomConfig{
 			Nodes: int(sz%70) + 1, Alphabet: []string{"m", "n", "o"},
 		})
 		s := Build(d)
@@ -285,7 +285,7 @@ func TestQuickSequenceInvariants(t *testing.T) {
 }
 
 func TestLeafMapPaperTree(t *testing.T) {
-	got := LeafMap(xmltree.PaperTree(0))
+	got := LeafMap(xmltreetest.PaperTree(0))
 	// Example 6 lists (D,2),(D,4),(E,5),(G,10),(F,11),(F,12); the figure's
 	// full leaf set also includes (C,1) and (G,8).
 	want := map[int]string{1: "C", 2: "D", 4: "D", 5: "E", 8: "G", 10: "G", 11: "F", 12: "F"}
@@ -296,7 +296,7 @@ func TestLeafMapPaperTree(t *testing.T) {
 
 func BenchmarkBuildRegular(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	d := xmltree.RandomDocument(rng, 0, xmltree.RandomConfig{
+	d := xmltreetest.RandomDocument(rng, 0, xmltreetest.RandomConfig{
 		Nodes: 10000, Alphabet: []string{"a", "b", "c", "d", "e", "f"},
 	})
 	b.ResetTimer()
@@ -307,7 +307,7 @@ func BenchmarkBuildRegular(b *testing.B) {
 
 func BenchmarkBuildExtended(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	d := xmltree.RandomDocument(rng, 0, xmltree.RandomConfig{
+	d := xmltreetest.RandomDocument(rng, 0, xmltreetest.RandomConfig{
 		Nodes: 10000, Alphabet: []string{"a", "b", "c", "d", "e", "f"},
 	})
 	b.ResetTimer()
@@ -319,7 +319,7 @@ func BenchmarkBuildExtended(b *testing.B) {
 func TestExtendedValueAtFlags(t *testing.T) {
 	// ValueAt marks positions contributed by deleting the dummy child of a
 	// value node — exactly the positions whose LPS entry is a value string.
-	d := xmltree.MustFromSExpr(0, `(a (b "v") (c))`)
+	d := xmltreetest.MustFromSExpr(0, `(a (b "v") (c))`)
 	s := BuildExtended(d)
 	if len(s.ValueAt) != s.Len() {
 		t.Fatalf("ValueAt length %d, want %d", len(s.ValueAt), s.Len())

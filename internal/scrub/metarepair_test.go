@@ -8,6 +8,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/docstore"
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
 )
 
@@ -46,7 +47,7 @@ func corruptMetaHeads(t *testing.T, ix *prix.Index, bit int) []pager.PageID {
 		if bp.Contains(sec.Head) {
 			t.Fatalf("meta %s head page %d is resident: Open kept its frame", sec.Name, sec.Head)
 		}
-		if err := pager.FlipBit(bp.File(), sec.Head, pager.PageHeaderSize*8+bit); err != nil {
+		if err := pagertest.FlipBit(bp.File(), sec.Head, pager.PageHeaderSize*8+bit); err != nil {
 			t.Fatal(err)
 		}
 		heads = append(heads, sec.Head)
@@ -107,7 +108,7 @@ func TestRepairMetaWithoutFrames(t *testing.T) {
 	// header is rewritten from the meta state.
 	ix.Store().BufferPool().DropClean()
 	corruptMetaHeads(t, ix, 100*8+5)
-	if err := pager.FlipBit(ix.Store().BufferPool().File(), 0, pager.PageHeaderSize*8+20); err != nil {
+	if err := pagertest.FlipBit(ix.Store().BufferPool().File(), 0, pager.PageHeaderSize*8+20); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := New(ix, Config{Throttle: -1}).RepairNow(context.Background())

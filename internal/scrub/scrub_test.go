@@ -11,18 +11,20 @@ import (
 	"time"
 
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // scrubDocs mirrors the prix degradation suite: `//a/b` matches docs 0 and 1
 // but not 2, so a quarantined document visibly shrinks the result set.
 func scrubDocs() []*xmltree.Document {
 	return []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)))`),
-		xmltree.MustFromSExpr(1, `(a (b (c)) (d))`),
-		xmltree.MustFromSExpr(2, `(a (d (e)))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)))`),
+		xmltreetest.MustFromSExpr(1, `(a (b (c)) (d))`),
+		xmltreetest.MustFromSExpr(2, `(a (d (e)))`),
 	}
 }
 
@@ -112,7 +114,7 @@ func TestScrubStopWithoutStart(t *testing.T) {
 func TestScrubDetectsAndRepairsRecordDamage(t *testing.T) {
 	ix := buildMem(t)
 	page := recordPage(t, ix)
-	if err := pager.FlipBit(ix.Store().BufferPool().File(), page, (pager.PageHeaderSize+9)*8+1); err != nil {
+	if err := pagertest.FlipBit(ix.Store().BufferPool().File(), page, (pager.PageHeaderSize+9)*8+1); err != nil {
 		t.Fatal(err)
 	}
 	resetIO(t, ix)
@@ -175,7 +177,7 @@ func TestScrubDetectsAndRepairsRecordDamage(t *testing.T) {
 func TestScrubAutoRepairForestDamage(t *testing.T) {
 	ix := buildMem(t)
 	f := ix.Forest().BufferPool().File()
-	if err := pager.FlipBit(f, pager.PageID(f.NumPages()-1), (pager.PageHeaderSize+3)*8); err != nil {
+	if err := pagertest.FlipBit(f, pager.PageID(f.NumPages()-1), (pager.PageHeaderSize+3)*8); err != nil {
 		t.Fatal(err)
 	}
 	resetIO(t, ix)
@@ -244,7 +246,7 @@ func TestScrubConcurrentStress(t *testing.T) {
 				return
 			default:
 			}
-			doc := xmltree.MustFromSExpr(100+i, `(a (b (c)) (d))`)
+			doc := xmltreetest.MustFromSExpr(100+i, `(a (b (c)) (d))`)
 			if err := di.Insert(doc); err != nil {
 				insertErr.Store(err)
 				return

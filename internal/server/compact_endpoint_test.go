@@ -12,6 +12,7 @@ import (
 	"repro/internal/compact"
 	"repro/internal/prix"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // buildCompactRoot makes an on-disk dynamic index and opens it as a
@@ -21,7 +22,7 @@ func buildCompactRoot(t *testing.T, n int) *compact.Root {
 	dir := t.TempDir()
 	var docs []*xmltree.Document
 	for i := 0; i < n; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
 	}
 	seed := docs[:4]
 	di, err := prix.NewDynamicIndex(seed, prix.Options{Dir: dir}, prix.DynamicOptions{Alpha: 2})

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
 	"repro/internal/twig"
 )
@@ -111,7 +111,7 @@ type faultySource struct {
 func (s *faultySource) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match, *prix.QueryStats, error) {
 	if s.failures > 0 {
 		s.failures--
-		return nil, nil, pager.ErrInjected
+		return nil, nil, pagertest.Injected("read")
 	}
 	return s.Index.Match(q, opts)
 }

@@ -116,9 +116,6 @@ func NewExecutor(src Source, cacheCapacity, cacheShards int, m *Metrics) *Execut
 // Source returns the executor's index.
 func (e *Executor) Source() Source { return e.src }
 
-// Metrics returns the registry the executor reports into.
-func (e *Executor) Metrics() *Metrics { return e.metrics }
-
 // CacheLen returns the number of cached results.
 func (e *Executor) CacheLen() int { return e.cache.Len() }
 

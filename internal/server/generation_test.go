@@ -9,7 +9,7 @@ import (
 	"repro/internal/mvcc"
 	"repro/internal/prix"
 	"repro/internal/twig"
-	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // afterMatch holds one mutation to land right after the engine answers,
@@ -86,7 +86,7 @@ func TestCacheNeverServesPreMutationResult(t *testing.T) {
 		{"DynamicIndex/Insert", func(t *testing.T) (Source, *afterMatch, func()) {
 			s := dynamic(t)
 			return s, &s.afterMatch, func() {
-				if err := s.Insert(xmltree.MustFromSExpr(10, `(a (b (c)) (d (e)))`)); err != nil {
+				if err := s.Insert(xmltreetest.MustFromSExpr(10, `(a (b (c)) (d (e)))`)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -94,7 +94,7 @@ func TestCacheNeverServesPreMutationResult(t *testing.T) {
 		{"DynamicIndex/Update", func(t *testing.T) (Source, *afterMatch, func()) {
 			s := dynamic(t)
 			return s, &s.afterMatch, func() {
-				if _, err := s.Update(0, xmltree.MustFromSExpr(0, `(r (x))`)); err != nil {
+				if _, err := s.Update(0, xmltreetest.MustFromSExpr(0, `(r (x))`)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -128,7 +128,7 @@ func TestCacheNeverServesPreMutationResult(t *testing.T) {
 		{"Root/Insert", func(t *testing.T) (Source, *afterMatch, func()) {
 			s := &racingRoot{Root: buildCompactRoot(t, 12)}
 			return s, &s.afterMatch, func() {
-				if err := s.Insert(xmltree.MustFromSExpr(12, `(a (b (c)) (d (e)))`)); err != nil {
+				if err := s.Insert(xmltreetest.MustFromSExpr(12, `(a (b (c)) (d (e)))`)); err != nil {
 					t.Error(err)
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // The oracle differential through the serving tier: the query shapes of
@@ -39,16 +40,16 @@ var oracleShapes = []string{
 // positions, so a sharded layout assigns the same global docids.
 func oracleCorpus() []*xmltree.Document {
 	docs := []*xmltree.Document{
-		xmltree.PaperTree(0),
-		xmltree.MustFromSExpr(1, `(a (b (c)) (d (e)))`),
-		xmltree.MustFromSExpr(2, `(a (b (c "x")) (d))`),
-		xmltree.MustFromSExpr(3, `(a (d (e)) (b (c)))`),
-		xmltree.MustFromSExpr(4, `(a (a (b (c)) (d (e))))`),
-		xmltree.MustFromSExpr(5, `(r)`),
+		xmltreetest.PaperTree(0),
+		xmltreetest.MustFromSExpr(1, `(a (b (c)) (d (e)))`),
+		xmltreetest.MustFromSExpr(2, `(a (b (c "x")) (d))`),
+		xmltreetest.MustFromSExpr(3, `(a (d (e)) (b (c)))`),
+		xmltreetest.MustFromSExpr(4, `(a (a (b (c)) (d (e))))`),
+		xmltreetest.MustFromSExpr(5, `(r)`),
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 6; i < 40; i++ {
-		docs = append(docs, xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes:     30,
 			Alphabet:  []string{"a", "b", "c", "d", "e"},
 			MaxFanout: 4,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/scrub"
 )
 
@@ -104,7 +105,7 @@ func TestRepairEndpointHealsDegradedService(t *testing.T) {
 	if !found {
 		t.Fatal("no record pages")
 	}
-	if err := pager.FlipBit(f, page, (pager.PageHeaderSize+7)*8); err != nil {
+	if err := pagertest.FlipBit(f, page, (pager.PageHeaderSize+7)*8); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.ResetIOStats(); err != nil {

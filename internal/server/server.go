@@ -153,16 +153,8 @@ func New(src Source, cfg Config) *Server {
 	}
 }
 
-// Executor returns the server's execution path (shared with CLIs/benches).
-func (s *Server) Executor() *Executor { return s.exec }
-
 // Metrics returns the server's registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// SetScrubber attaches a background scrubber, enabling GET /scrub and
-// POST /repair. Call before serving; the server does not start or stop the
-// scrubber, it only reports on it and triggers repair passes.
-func (s *Server) SetScrubber(sc *scrub.Scrubber) { s.scrs = []*scrub.Scrubber{sc} }
 
 // SetScrubbers attaches one scrubber per backing index — the sharded
 // deployment shape, where every shard replica scrubs (and repairs)

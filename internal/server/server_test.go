@@ -17,8 +17,10 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/prix"
+	"repro/internal/scrub"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // buildIndex makes an in-memory index over n copies of a small twig-rich
@@ -27,10 +29,10 @@ func buildIndex(t *testing.T, n int) *prix.Index {
 	t.Helper()
 	var docs []*xmltree.Document
 	for i := 0; i < n; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
 	}
-	docs = append(docs, xmltree.MustFromSExpr(n, `(a (b (c)) (x))`))
-	docs = append(docs, xmltree.MustFromSExpr(n+1, `(r (a (d (e))))`))
+	docs = append(docs, xmltreetest.MustFromSExpr(n, `(a (b (c)) (x))`))
+	docs = append(docs, xmltreetest.MustFromSExpr(n+1, `(r (a (d (e))))`))
 	ix, err := prix.Build(docs, prix.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -507,7 +509,7 @@ func TestSingleflightCollapse(t *testing.T) {
 func TestCacheInvalidatedOnInsert(t *testing.T) {
 	var initial []*xmltree.Document
 	for i := 0; i < 10; i++ {
-		initial = append(initial, xmltree.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
+		initial = append(initial, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
 	}
 	di, err := prix.NewDynamicIndex(initial, prix.Options{}, prix.DynamicOptions{Alpha: 3})
 	if err != nil {
@@ -530,7 +532,7 @@ func TestCacheInvalidatedOnInsert(t *testing.T) {
 	if !res.Cached {
 		t.Error("second execution missed the cache")
 	}
-	if err := di.Insert(xmltree.MustFromSExpr(100, `(a (b (c)) (d (e)))`)); err != nil {
+	if err := di.Insert(xmltreetest.MustFromSExpr(100, `(a (b (c)) (d (e)))`)); err != nil {
 		t.Fatal(err)
 	}
 	res, err = exec.Execute(context.Background(), q, QueryOptions{})
@@ -631,7 +633,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHotTierSurfaces(t *testing.T) {
 	var docs []*xmltree.Document
 	for i := 0; i < 20; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
 	}
 	hotIx, err := prix.Build(docs, prix.Options{HotBudget: 4 << 20})
 	if err != nil {
@@ -682,3 +684,14 @@ func TestHotTierSurfaces(t *testing.T) {
 		t.Errorf("uncompressed index reports hot block: %+v", snap.Hot)
 	}
 }
+
+// Metrics returns the registry the executor reports into.
+func (e *Executor) Metrics() *Metrics { return e.metrics }
+
+// Executor returns the server's execution path (shared with CLIs/benches).
+func (s *Server) Executor() *Executor { return s.exec }
+
+// SetScrubber attaches a background scrubber, enabling GET /scrub and
+// POST /repair. Call before serving; the server does not start or stop the
+// scrubber, it only reports on it and triggers repair passes.
+func (s *Server) SetScrubber(sc *scrub.Scrubber) { s.scrs = []*scrub.Scrubber{sc} }

@@ -9,10 +9,12 @@ import (
 	"testing"
 
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
 	"repro/internal/scrub"
 	"repro/internal/shard"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // shardCorpus spreads twig-rich documents across the docid space so every
@@ -20,10 +22,10 @@ import (
 func shardCorpus(n int) []*xmltree.Document {
 	var docs []*xmltree.Document
 	for i := 0; i < n; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`))
 	}
-	docs = append(docs, xmltree.MustFromSExpr(n, `(a (b (c)) (x))`))
-	docs = append(docs, xmltree.MustFromSExpr(n+1, `(r (a (d (e))))`))
+	docs = append(docs, xmltreetest.MustFromSExpr(n, `(a (b (c)) (x))`))
+	docs = append(docs, xmltreetest.MustFromSExpr(n+1, `(r (a (d (e))))`))
 	return docs
 }
 
@@ -58,7 +60,7 @@ func corruptShardRecordPage(t *testing.T, ix *prix.Index) {
 	f := ix.Store().BufferPool().File()
 	for id := uint32(0); id < f.NumPages(); id++ {
 		if len(ix.Store().DocsOnPage(pager.PageID(id))) > 0 {
-			if err := pager.FlipBit(f, pager.PageID(id), (pager.PageHeaderSize+7)*8); err != nil {
+			if err := pagertest.FlipBit(f, pager.PageID(id), (pager.PageHeaderSize+7)*8); err != nil {
 				t.Fatal(err)
 			}
 			if err := ix.ResetIOStats(); err != nil {

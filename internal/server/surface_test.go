@@ -16,6 +16,7 @@ import (
 	"repro/internal/prix"
 	"repro/internal/shard"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // statsBase is every /stats key the service renders for any source.
@@ -202,7 +203,7 @@ func TestSurfaceParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := di.Update(13, xmltree.MustFromSExpr(13, `(r (a (d (e))) (x))`)); err != nil {
+	if _, err := di.Update(13, xmltreetest.MustFromSExpr(13, `(r (a (d (e))) (x))`)); err != nil {
 		t.Fatal(err)
 	}
 	root := openRootOver(t, docs, prix.Options{Extended: true, HotBudget: hotBudget})

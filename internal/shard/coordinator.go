@@ -184,8 +184,8 @@ func (c *Coordinator) Close() error {
 //   - Results are byte-identical to a single index over the same
 //     documents, at every shard count: docids are globally unique and the
 //     per-shard engine is deterministic, so the merge of the shards' sorted
-//     answers under the engine's own comparator (prix.MatchLess) is the
-//     single index's order.
+//     answers under the engine's own comparator (prix's compareMatches) is
+//     the single index's order.
 //   - A shard whose every replica fails degrades alone: its matches are
 //     missing, stats.Degraded is set and stats.DegradedShards names it —
 //     the query still succeeds over the healthy shards. Only when every
@@ -293,10 +293,11 @@ func (c *Coordinator) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match
 	if len(runs) == 0 {
 		return nil, nil, fmt.Errorf("shard: all %d shards failed: %w", len(c.shards), lastErr)
 	}
-	// Deterministic global order: each shard's answer is in MatchLess order
-	// under its global docids (Shard.Match maps them in place, and a shard's
-	// docid map rises), and shards partition the docid space, so merging
-	// them reproduces the single index's (DocID, Positions) order exactly.
+	// Deterministic global order: each shard's answer is in the engine's
+	// compareMatches order under its global docids (Shard.Match maps them
+	// in place, and a shard's docid map rises), and shards partition the
+	// docid space, so merging them reproduces the single index's (DocID,
+	// Positions) order exactly.
 	out := prix.MergeMatches(nil, runs...)
 	merged.Matches = len(out)
 	merged.PagesRead = c.PagesRead() - pagesBefore
@@ -344,13 +345,4 @@ func (c *Coordinator) locate(global uint32) (shard int, local uint32) {
 	shard = Owner(global, c.topo.Shards)
 	k, _ := slices.BinarySearch(c.shards[shard].toGlobal, global)
 	return shard, uint32(k)
-}
-
-// Count is Match returning only the cardinality.
-func (c *Coordinator) Count(q *twig.Query, opts prix.MatchOptions) (int, *prix.QueryStats, error) {
-	ms, stats, err := c.Match(q, opts)
-	if err != nil {
-		return 0, nil, err
-	}
-	return len(ms), stats, nil
 }

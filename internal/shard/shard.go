@@ -104,9 +104,6 @@ func NewShard(id int, toGlobal []uint32, replicas []prix.Source, maxInFlight int
 // serves queries (it is not synchronized against in-flight Matches).
 func (s *Shard) SetRetry(p RetryPolicy) { s.retry = p }
 
-// ID returns the shard's ordinal in the topology.
-func (s *Shard) ID() int { return s.id }
-
 // NumDocs returns the documents this shard owns.
 func (s *Shard) NumDocs() int { return len(s.toGlobal) }
 
@@ -167,7 +164,7 @@ func (s *Shard) Stats() prix.ShardStats {
 // buffer holds one answer, so failover and hedged attempts answer into
 // memory of their own. The docids are mapped in place, in whichever memory
 // the answer is in; a shard's docid map rises, so the answer stays in
-// prix.MatchLess order.
+// the engine's match order (prix's compareMatches).
 func (s *Shard) Match(ctx context.Context, q *twig.Query, opts prix.MatchOptions) ([]prix.Match, *prix.QueryStats, error) {
 	// A free slot is taken without a select on ctx.Done(): a request
 	// context may build its Done channel on first use, and an uncontended

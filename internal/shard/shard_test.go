@@ -11,9 +11,11 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pager"
+	"repro/internal/pager/pagertest"
 	"repro/internal/prix"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // corpus is a mixed document set: the paper's running example, hand-written
@@ -22,16 +24,16 @@ import (
 // shards at every shard count).
 func corpus() []*xmltree.Document {
 	docs := []*xmltree.Document{
-		xmltree.PaperTree(0),
-		xmltree.MustFromSExpr(1, `(a (b (c)) (d (e)))`),
-		xmltree.MustFromSExpr(2, `(a (b (c "x")) (d))`),
-		xmltree.MustFromSExpr(3, `(a (d (e)) (b (c)))`),
-		xmltree.MustFromSExpr(4, `(a (a (b (c)) (d (e))))`),
-		xmltree.MustFromSExpr(5, `(r)`),
+		xmltreetest.PaperTree(0),
+		xmltreetest.MustFromSExpr(1, `(a (b (c)) (d (e)))`),
+		xmltreetest.MustFromSExpr(2, `(a (b (c "x")) (d))`),
+		xmltreetest.MustFromSExpr(3, `(a (d (e)) (b (c)))`),
+		xmltreetest.MustFromSExpr(4, `(a (a (b (c)) (d (e))))`),
+		xmltreetest.MustFromSExpr(5, `(r)`),
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 6; i < 40; i++ {
-		docs = append(docs, xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes:     30,
 			Alphabet:  []string{"a", "b", "c", "d", "e"},
 			MaxFanout: 4,
@@ -188,7 +190,7 @@ func corruptOneRecordPage(t *testing.T, ix *prix.Index) {
 	f := ix.Store().BufferPool().File()
 	for id := uint32(0); id < f.NumPages(); id++ {
 		if len(ix.Store().DocsOnPage(pager.PageID(id))) > 0 {
-			if err := pager.FlipBit(f, pager.PageID(id), (pager.PageHeaderSize+7)*8); err != nil {
+			if err := pagertest.FlipBit(f, pager.PageID(id), (pager.PageHeaderSize+7)*8); err != nil {
 				t.Fatal(err)
 			}
 			if err := ix.ResetIOStats(); err != nil {

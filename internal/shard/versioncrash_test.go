@@ -200,7 +200,7 @@ func TestVersionCrashSweepSharded(t *testing.T) {
 			// The sweep cuts the mutation against shard 0 alone.
 			cutRoot := func(k int64) string { return filepath.Join(base, fmt.Sprintf("%s-cut%d", mut.name, k)) }
 			acked := false // the mutation returned before the cut
-			run := func(t *testing.T, k int64, clock *pager.PowerClock) error {
+			run := func(t *testing.T, k int64, clock *pagertest.PowerClock) error {
 				acked = false
 				vcCopyTree(t, pristine, cutRoot(k))
 				fo := dopts

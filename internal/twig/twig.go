@@ -156,41 +156,6 @@ func (n *Node) leaves() int {
 	return s
 }
 
-// HasValues reports whether the query contains any value predicates; the
-// paper's query optimizer routes such queries to the EPIndex (§5.6).
-func (q *Query) HasValues() bool {
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
-		if n.IsValue {
-			return true
-		}
-		for _, c := range n.Children {
-			if walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(q.Root)
-}
-
-// HasWildcards reports whether any edge is not a plain child edge.
-func (q *Query) HasWildcards() bool {
-	if !q.RootEdge.Exact() {
-		return true
-	}
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
-		for _, c := range n.Children {
-			if !c.Edge.Exact() || walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(q.Root)
-}
-
 // Clone returns a deep copy of the query.
 func (q *Query) Clone() *Query {
 	var cp func(n *Node) *Node

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func TestParseQ1(t *testing.T) {
@@ -27,11 +28,8 @@ func TestParseQ1(t *testing.T) {
 	if year.Label != "year" || year.Children[0].Label != "1990" {
 		t.Errorf("year = %+v", year)
 	}
-	if !q.HasValues() {
-		t.Error("HasValues false")
-	}
-	if q.HasWildcards() == false {
-		t.Error("leading // is a wildcard")
+	if q.RootEdge.Exact() {
+		t.Error("leading // parsed as a child edge")
 	}
 	if q.Size() != 5 {
 		t.Errorf("Size = %d, want 5", q.Size())
@@ -233,7 +231,7 @@ func TestArrangements(t *testing.T) {
 func TestBruteForcePaperExample(t *testing.T) {
 	// Example 2: Q occurs in T. The match found in the paper maps
 	// B->7, A->15, E->13, D->14 with leaves C->f(1..) and F.
-	doc := xmltree.PaperTree(1)
+	doc := xmltreetest.PaperTree(1)
 	q := MustParse(`//A[./B/C]/D/E/F`)
 	embs := MatchBruteForce(q, doc)
 	if len(embs) == 0 {
@@ -265,7 +263,7 @@ func TestBruteForcePaperExample(t *testing.T) {
 }
 
 func TestBruteForceOrderedSemantics(t *testing.T) {
-	doc := xmltree.MustFromSExpr(1, `(a (b) (c))`)
+	doc := xmltreetest.MustFromSExpr(1, `(a (b) (c))`)
 	// Ordered: b before c matches, c before b does not.
 	if n := len(MatchBruteForce(MustParse(`//a[./b]/c`), doc)); n != 1 {
 		t.Errorf("a[b]/c = %d, want 1", n)
@@ -285,7 +283,7 @@ func TestBruteForceOrderedSemantics(t *testing.T) {
 }
 
 func TestBruteForceDescendantAndStars(t *testing.T) {
-	doc := xmltree.MustFromSExpr(1, `(a (x (b)) (b))`)
+	doc := xmltreetest.MustFromSExpr(1, `(a (x (b)) (b))`)
 	if n := len(MatchBruteForce(MustParse(`//a/b`), doc)); n != 1 {
 		t.Errorf("a/b = %d, want 1", n)
 	}
@@ -309,7 +307,7 @@ func TestBruteForceDescendantAndStars(t *testing.T) {
 func TestBruteForceParentChildSubOptimalityCase(t *testing.T) {
 	// The §2 example: P common ancestor (not parent) of Q and R must NOT
 	// match P[/Q][/R] with child edges, but must match with // edges.
-	doc := xmltree.MustFromSExpr(1, `(P (x (Q) (R)))`)
+	doc := xmltreetest.MustFromSExpr(1, `(P (x (Q) (R)))`)
 	if n := len(MatchBruteForce(MustParse(`//P[./Q]/R`), doc)); n != 0 {
 		t.Errorf("child-edge query matched ancestor structure: %d", n)
 	}
@@ -319,7 +317,7 @@ func TestBruteForceParentChildSubOptimalityCase(t *testing.T) {
 }
 
 func TestBruteForceValues(t *testing.T) {
-	doc := xmltree.MustFromSExpr(1,
+	doc := xmltreetest.MustFromSExpr(1,
 		`(dblp (inproceedings (author "Jim Gray") (year "1990")) (inproceedings (author "Jim Gray") (year "1991")))`)
 	q := MustParse(`//inproceedings[./author="Jim Gray"][./year="1990"]`)
 	if n := len(MatchBruteForce(q, doc)); n != 1 {
@@ -333,7 +331,7 @@ func TestBruteForceValues(t *testing.T) {
 
 func TestBruteForceCountsAllEmbeddings(t *testing.T) {
 	// Two authors and two froms: 4 embeddings of //e[.//a]//f.
-	doc := xmltree.MustFromSExpr(1, `(e (r (a) (a)) (f) (f))`)
+	doc := xmltreetest.MustFromSExpr(1, `(e (r (a) (a)) (f) (f))`)
 	q := MustParse(`//e[.//a]//f`)
 	if n := len(MatchBruteForce(q, doc)); n != 4 {
 		t.Errorf("embeddings = %d, want 4", n)
@@ -343,12 +341,12 @@ func TestBruteForceCountsAllEmbeddings(t *testing.T) {
 func TestBruteForceDisjointBranchImages(t *testing.T) {
 	// Nested b's: //a[.//b][.//b] needs two b images that are disjoint
 	// subtrees in order; with b nested inside b there is no such pair.
-	doc := xmltree.MustFromSExpr(1, `(a (b (b)))`)
+	doc := xmltreetest.MustFromSExpr(1, `(a (b (b)))`)
 	q := MustParse(`//a[.//b][.//b]`)
 	if n := len(MatchBruteForce(q, doc)); n != 0 {
 		t.Errorf("nested branch images accepted: %d", n)
 	}
-	doc2 := xmltree.MustFromSExpr(1, `(a (b) (b))`)
+	doc2 := xmltreetest.MustFromSExpr(1, `(a (b) (b))`)
 	if n := len(MatchBruteForce(q, doc2)); n != 1 {
 		t.Errorf("sibling branch images = %d, want 1", n)
 	}
@@ -356,9 +354,9 @@ func TestBruteForceDisjointBranchImages(t *testing.T) {
 
 func TestCountBruteForce(t *testing.T) {
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b))`),
-		xmltree.MustFromSExpr(1, `(a (b) (b))`),
-		xmltree.MustFromSExpr(2, `(z)`),
+		xmltreetest.MustFromSExpr(0, `(a (b))`),
+		xmltreetest.MustFromSExpr(1, `(a (b) (b))`),
+		xmltreetest.MustFromSExpr(2, `(z)`),
 	}
 	if n := CountBruteForce(MustParse(`//a/b`), docs); n != 3 {
 		t.Errorf("count = %d, want 3", n)
@@ -381,7 +379,7 @@ func TestParseAttributeSugar(t *testing.T) {
 		t.Errorf("isbn step = %+v", isbn)
 	}
 	// Equivalent to the element form against real data.
-	doc := xmltree.MustFromSExpr(0, `(book (year "1990") (isbn "x"))`)
+	doc := xmltreetest.MustFromSExpr(0, `(book (year "1990") (isbn "x"))`)
 	if n := len(MatchBruteForce(q, doc)); n != 1 {
 		t.Errorf("attribute query matches = %d, want 1", n)
 	}

@@ -32,9 +32,6 @@ type Entry struct {
 // contains reports whether e is a proper ancestor of d.
 func (e Entry) contains(d Entry) bool { return e.L < d.L && d.R < e.R }
 
-// DocID recovers the document a global position belongs to.
-func DocID(pos uint64) uint32 { return uint32(pos >> 32) }
-
 // globalPos builds a global position from a document id and region number.
 func globalPos(doc uint32, region int) uint64 { return uint64(doc)<<32 | uint64(uint32(region)) }
 
@@ -49,8 +46,6 @@ type Store struct {
 	bp   *pager.BufferPool
 	dict *docstore.Dict
 	segs map[vtrie.Symbol]*segment
-	// meta kept for stats
-	numDocs int
 }
 
 // segment describes one label's stream and its XB-tree.
@@ -66,16 +61,9 @@ type segment struct {
 // values behind a NUL prefix, so the same twig queries run on both engines.
 func Build(docs []*xmltree.Document, bp *pager.BufferPool, dict *docstore.Dict) (*Store, error) {
 	if bp.NumPages() != 0 {
-		return nil, fmt.Errorf("twigstack: Build over a non-empty file; use Open")
+		return nil, fmt.Errorf("twigstack: Build over a non-empty file")
 	}
-	s := &Store{bp: bp, dict: dict, segs: map[vtrie.Symbol]*segment{}, numDocs: len(docs)}
-	// Reserve page 0 for the persistence header written by Flush.
-	hdr, err := bp.NewPage()
-	if err != nil {
-		return nil, err
-	}
-	copy(hdr.Data, streamMagic)
-	hdr.Unpin(true)
+	s := &Store{bp: bp, dict: dict, segs: map[vtrie.Symbol]*segment{}}
 	// Gather entries per label. Documents are processed in id order and
 	// nodes in Left order, so per-label slices come out sorted by L.
 	byLabel := map[vtrie.Symbol][]Entry{}
@@ -208,25 +196,6 @@ func (s *Store) writeSegment(entries []Entry) (*segment, error) {
 		seg.xbRoot = pager.InvalidPage // single leaf: no internal levels
 	}
 	return seg, nil
-}
-
-// BufferPool exposes the pool for I/O accounting.
-func (s *Store) BufferPool() *pager.BufferPool { return s.bp }
-
-// Dict exposes the label dictionary.
-func (s *Store) Dict() *docstore.Dict { return s.dict }
-
-// StreamLen returns the number of instances of a label.
-func (s *Store) StreamLen(label string, isValue bool) int {
-	sym, ok := lookupSym(s.dict, label, isValue)
-	if !ok {
-		return 0
-	}
-	seg := s.segs[sym]
-	if seg == nil {
-		return 0
-	}
-	return seg.count
 }
 
 // readLeaf loads leaf page idx of a segment.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/pager"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func buildStore(t testing.TB, docs ...*xmltree.Document) *Store {
@@ -30,7 +31,7 @@ func count(t testing.TB, s *Store, q string, algo Algorithm) int {
 }
 
 func TestBasicTwigMatch(t *testing.T) {
-	doc := xmltree.MustFromSExpr(0, `(a (b (c)) (d))`)
+	doc := xmltreetest.MustFromSExpr(0, `(a (b (c)) (d))`)
 	s := buildStore(t, doc)
 	for _, algo := range []Algorithm{TwigStack, TwigStackXB} {
 		if n := count(t, s, `//a[./b/c]/d`, algo); n != 1 {
@@ -49,7 +50,7 @@ func TestParentChildSubOptimality(t *testing.T) {
 	// §2's example: P common ancestor (not parent) of Q and R. The stack
 	// phase produces partial path solutions that the merge step discards;
 	// the final count must still be 0.
-	doc := xmltree.MustFromSExpr(0, `(P (x (Q) (R)))`)
+	doc := xmltreetest.MustFromSExpr(0, `(P (x (Q) (R)))`)
 	s := buildStore(t, doc)
 	for _, algo := range []Algorithm{TwigStack, TwigStackXB} {
 		n, stats, err := s.Match(twig.MustParse(`//P[./Q]/R`), algo)
@@ -66,7 +67,7 @@ func TestParentChildSubOptimality(t *testing.T) {
 }
 
 func TestPaperTreeAgainstOracle(t *testing.T) {
-	doc := xmltree.PaperTree(0)
+	doc := xmltreetest.PaperTree(0)
 	s := buildStore(t, doc)
 	queries := []string{
 		`//A[./B/C]/D/E/F`, `//A//F`, `//B/C/D`, `//A[./C]/B`,
@@ -84,9 +85,9 @@ func TestPaperTreeAgainstOracle(t *testing.T) {
 
 func TestValuesAndAnchoring(t *testing.T) {
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(inproceedings (author "Jim Gray") (year "1990"))`),
-		xmltree.MustFromSExpr(1, `(inproceedings (author "Jim Gray") (year "1991"))`),
-		xmltree.MustFromSExpr(2, `(article (author "Jim Gray") (year "1990"))`),
+		xmltreetest.MustFromSExpr(0, `(inproceedings (author "Jim Gray") (year "1990"))`),
+		xmltreetest.MustFromSExpr(1, `(inproceedings (author "Jim Gray") (year "1991"))`),
+		xmltreetest.MustFromSExpr(2, `(article (author "Jim Gray") (year "1990"))`),
 	}
 	s := buildStore(t, docs...)
 	for _, algo := range []Algorithm{TwigStack, TwigStackXB} {
@@ -108,8 +109,8 @@ func TestValuesAndAnchoring(t *testing.T) {
 func TestMultiDocumentIsolation(t *testing.T) {
 	// a in doc0, b in doc1: //a//b must not match across documents.
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (x))`),
-		xmltree.MustFromSExpr(1, `(r (b))`),
+		xmltreetest.MustFromSExpr(0, `(a (x))`),
+		xmltreetest.MustFromSExpr(1, `(r (b))`),
 	}
 	s := buildStore(t, docs...)
 	for _, algo := range []Algorithm{TwigStack, TwigStackXB} {
@@ -130,7 +131,7 @@ func TestAgreesWithBruteForceRandom(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		var docs []*xmltree.Document
 		for d := 0; d < 6; d++ {
-			docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+			docs = append(docs, xmltreetest.RandomDocument(rng, d, xmltreetest.RandomConfig{
 				Nodes:     3 + rng.Intn(22),
 				Alphabet:  []string{"a", "b", "c", "d"},
 				MaxFanout: 4,
@@ -163,9 +164,9 @@ func TestXBSkipsRegions(t *testing.T) {
 	// XB variant must skip whole regions the plain variant scans.
 	var docs []*xmltree.Document
 	for i := 0; i < 4000; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(r (p (f)) (p (f)))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(r (p (f)) (p (f)))`))
 	}
-	docs = append(docs, xmltree.MustFromSExpr(4000, `(r (p (needle)))`))
+	docs = append(docs, xmltreetest.MustFromSExpr(4000, `(r (p (needle)))`))
 	s := buildStore(t, docs...)
 	q := `//p/needle`
 	nPlain, statPlain, err := s.Match(twig.MustParse(q), TwigStack)
@@ -192,8 +193,8 @@ func TestXBSkipsRegions(t *testing.T) {
 
 func TestPathStack(t *testing.T) {
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)) (b (x)))`),
-		xmltree.MustFromSExpr(1, `(a (b (c (b (c)))))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)) (b (x)))`),
+		xmltreetest.MustFromSExpr(1, `(a (b (c (b (c)))))`),
 	}
 	s := buildStore(t, docs...)
 	q := twig.MustParse(`//a//b/c`)
@@ -211,7 +212,7 @@ func TestPathStack(t *testing.T) {
 }
 
 func TestAbsentLabel(t *testing.T) {
-	s := buildStore(t, xmltree.MustFromSExpr(0, `(a (b))`))
+	s := buildStore(t, xmltreetest.MustFromSExpr(0, `(a (b))`))
 	for _, algo := range []Algorithm{TwigStack, TwigStackXB} {
 		n, stats, err := s.Match(twig.MustParse(`//zz/b`), algo)
 		if err != nil {
@@ -225,7 +226,7 @@ func TestAbsentLabel(t *testing.T) {
 
 func TestStreamLen(t *testing.T) {
 	s := buildStore(t,
-		xmltree.MustFromSExpr(0, `(a (b "v") (b "v"))`),
+		xmltreetest.MustFromSExpr(0, `(a (b "v") (b "v"))`),
 	)
 	if n := s.StreamLen("b", false); n != 2 {
 		t.Errorf("StreamLen(b) = %d", n)
@@ -245,7 +246,7 @@ func BenchmarkTwigStackVsXB(b *testing.B) {
 	var docs []*xmltree.Document
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 2000; i++ {
-		docs = append(docs, xmltree.RandomDocument(rng, i, xmltree.RandomConfig{
+		docs = append(docs, xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes: 20, Alphabet: []string{"a", "b", "c", "d", "e", "f", "g", "h"}, MaxFanout: 4,
 		}))
 	}
@@ -263,4 +264,27 @@ func BenchmarkTwigStackVsXB(b *testing.B) {
 			}
 		})
 	}
+}
+
+func TestBuildRejectsNonEmptyFile(t *testing.T) {
+	mem := pager.NewMemFile()
+	if _, err := mem.Allocate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(nil, pager.NewBufferPool(mem, 8), &docstore.Dict{}); err == nil {
+		t.Error("Build over non-empty file accepted")
+	}
+}
+
+// StreamLen returns the number of instances of a label.
+func (s *Store) StreamLen(label string, isValue bool) int {
+	sym, ok := lookupSym(s.dict, label, isValue)
+	if !ok {
+		return 0
+	}
+	seg := s.segs[sym]
+	if seg == nil {
+		return 0
+	}
+	return seg.count
 }

@@ -130,54 +130,7 @@ func Build(docs []*xmltree.Document, bp *pager.BufferPool, dict *docstore.Dict) 
 	if err != nil {
 		return nil, err
 	}
-	// Persist the dictionary alongside the trees so Open can rebuild it.
-	dt, err := forest.Tree("dict")
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range dict.Names() {
-		if err := dt.Insert(btree.KeyUint64(uint64(i)), []byte(name)); err != nil {
-			return nil, err
-		}
-	}
 	return ix, forest.Flush()
-}
-
-// Open loads an index persisted by Build over a file-backed pool.
-func Open(bp *pager.BufferPool) (*Index, error) {
-	forest, err := btree.Open(bp)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{forest: forest, dict: &docstore.Dict{}}
-	if ix.danc = forest.Lookup("dancestor"); ix.danc == nil {
-		return nil, fmt.Errorf("vist: missing D-Ancestorship tree")
-	}
-	if ix.docid = forest.Lookup("docid"); ix.docid == nil {
-		return nil, fmt.Errorf("vist: missing docid tree")
-	}
-	dt := forest.Lookup("dict")
-	if dt == nil {
-		return nil, fmt.Errorf("vist: missing dictionary tree")
-	}
-	next := uint64(0)
-	var scanErr error
-	err = dt.Scan(nil, nil, true, true, func(k, v []byte) bool {
-		if btree.Uint64Key(k) != next {
-			scanErr = fmt.Errorf("vist: dictionary has a gap at symbol %d", next)
-			return false
-		}
-		ix.dict.Intern(string(v))
-		next++
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	return ix, nil
 }
 
 func symbolFor(dict *docstore.Dict, n *xmltree.Node) vtrie.Symbol {

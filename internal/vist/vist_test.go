@@ -8,6 +8,7 @@ import (
 	"repro/internal/pager"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func buildIx(t testing.TB, docs ...*xmltree.Document) *Index {
@@ -31,8 +32,8 @@ func candidates(t testing.TB, ix *Index, q string) []uint32 {
 func TestFigure1bFalseAlarm(t *testing.T) {
 	// The PRIX paper's Figure 1(b): Q occurs only in Doc1, but ViST's
 	// subsequence matching also reports Doc2 — a false alarm we reproduce.
-	doc1 := xmltree.MustFromSExpr(0, `(B (A) (D))`)
-	doc2 := xmltree.MustFromSExpr(1, `(B (A (D)))`)
+	doc1 := xmltreetest.MustFromSExpr(0, `(B (A) (D))`)
+	doc2 := xmltreetest.MustFromSExpr(1, `(B (A (D)))`)
 	ix := buildIx(t, doc1, doc2)
 	got := candidates(t, ix, `//B[./A]/D`)
 	if len(got) != 2 {
@@ -51,7 +52,7 @@ func TestTrueMatchesAlwaysIncluded(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		var docs []*xmltree.Document
 		for d := 0; d < 6; d++ {
-			docs = append(docs, xmltree.RandomDocument(rng, d, xmltree.RandomConfig{
+			docs = append(docs, xmltreetest.RandomDocument(rng, d, xmltreetest.RandomConfig{
 				Nodes:     3 + rng.Intn(20),
 				Alphabet:  []string{"a", "b", "c", "d"},
 				MaxFanout: 4,
@@ -84,9 +85,9 @@ func TestTrueMatchesAlwaysIncluded(t *testing.T) {
 
 func TestExactAnchoredQueries(t *testing.T) {
 	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(a (b (c)))`),
-		xmltree.MustFromSExpr(1, `(a (x (b (c))))`),
-		xmltree.MustFromSExpr(2, `(b (c))`),
+		xmltreetest.MustFromSExpr(0, `(a (b (c)))`),
+		xmltreetest.MustFromSExpr(1, `(a (x (b (c))))`),
+		xmltreetest.MustFromSExpr(2, `(b (c))`),
 	}
 	ix := buildIx(t, docs...)
 	got := candidates(t, ix, `/a/b/c`)
@@ -104,7 +105,7 @@ func TestWildcardScansWholeSymbol(t *testing.T) {
 	// behaviour the paper measures on TREEBANK.
 	var docs []*xmltree.Document
 	for i := 0; i < 50; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(S (NP (SYM)) (VP (NP (x))))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(S (NP (SYM)) (VP (NP (x))))`))
 	}
 	ix := buildIx(t, docs...)
 	_, stats, err := ix.Match(twig.MustParse(`//S//NP/SYM`))
@@ -121,7 +122,7 @@ func TestWildcardScansWholeSymbol(t *testing.T) {
 }
 
 func TestAbsentLabel(t *testing.T) {
-	ix := buildIx(t, xmltree.MustFromSExpr(0, `(a (b))`))
+	ix := buildIx(t, xmltreetest.MustFromSExpr(0, `(a (b))`))
 	got := candidates(t, ix, `//zz/b`)
 	if len(got) != 0 {
 		t.Errorf("candidates = %v", got)
@@ -129,7 +130,7 @@ func TestAbsentLabel(t *testing.T) {
 }
 
 func TestValueNamespacing(t *testing.T) {
-	ix := buildIx(t, xmltree.MustFromSExpr(0, `(a (b "b"))`))
+	ix := buildIx(t, xmltreetest.MustFromSExpr(0, `(a (b "b"))`))
 	// Element b has a value child "b": value predicate must match, element
 	// chain b/b must not.
 	if got := candidates(t, ix, `//a[./b="b"]`); len(got) != 1 {
@@ -143,7 +144,7 @@ func TestValueNamespacing(t *testing.T) {
 func TestStatsPopulated(t *testing.T) {
 	var docs []*xmltree.Document
 	for i := 0; i < 30; i++ {
-		docs = append(docs, xmltree.MustFromSExpr(i, `(a (b (c)))`))
+		docs = append(docs, xmltreetest.MustFromSExpr(i, `(a (b (c)))`))
 	}
 	ix := buildIx(t, docs...)
 	_, stats, err := ix.Match(twig.MustParse(`//a/b/c`))
@@ -152,35 +153,5 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	if stats.PagesRead == 0 || stats.Elapsed <= 0 || stats.Candidates != 30 {
 		t.Errorf("stats = %+v", stats)
-	}
-}
-
-func TestPersistence(t *testing.T) {
-	path := t.TempDir() + "/vist.db"
-	file, err := pager.OpenOSFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := []*xmltree.Document{
-		xmltree.MustFromSExpr(0, `(B (A) (D))`),
-		xmltree.MustFromSExpr(1, `(B (A (D)))`),
-	}
-	if _, err := Build(docs, pager.NewBufferPool(file, 32), &docstore.Dict{}); err != nil {
-		t.Fatal(err)
-	}
-	file.Close()
-
-	file2, err := pager.OpenOSFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file2.Close()
-	ix, err := Open(pager.NewBufferPool(file2, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := candidates(t, ix, `//B[./A]/D`)
-	if len(got) != 2 {
-		t.Errorf("candidates after reopen = %v, want both docs", got)
 	}
 }

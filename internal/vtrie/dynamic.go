@@ -253,12 +253,3 @@ func (d *DynamicLabeler) Nodes() int { return int(d.t.n) - 1 }
 
 // Bytes returns the heap the labeler's trie occupies.
 func (d *DynamicLabeler) Bytes() int { return d.t.bytes() }
-
-// Emit walks the dynamic trie like Builder.Emit. Only successfully labeled
-// paths are present.
-func (d *DynamicLabeler) Emit(fn func(p Posting, docs []uint32) error) error {
-	return d.t.emit(fn)
-}
-
-// Validate checks containment and disjointness like Builder.Validate.
-func (d *DynamicLabeler) Validate() error { return d.t.validate() }

@@ -43,7 +43,7 @@ func TestFinalizeProportionalWidths(t *testing.T) {
 	// totalW = 50*11 + 50*1 = 600 > avail = 500: the truncating math
 	// would hand both children width 1.
 	d.Finalize()
-	if err := d.Validate(); err != nil {
+	if err := d.t.validate(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +80,7 @@ func TestFinalizeExhaustedScopeValidates(t *testing.T) {
 		}
 	}
 	d.Finalize()
-	if err := d.Validate(); err != nil {
+	if err := d.t.validate(); err != nil {
 		t.Fatalf("Validate after exhausted-scope Finalize: %v", err)
 	}
 	for _, k := range d.t.kids(d.t.at(0), nil) {
@@ -95,7 +95,7 @@ func TestFinalizeExhaustedScopeValidates(t *testing.T) {
 	} else if !errors.Is(err, ErrScopeUnderflow) {
 		t.Fatalf("Add error = %v; want ErrScopeUnderflow", err)
 	}
-	if err := d.Validate(); err != nil {
+	if err := d.t.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -121,7 +121,7 @@ func TestFinalizeLargeWeightsNoOverflow(t *testing.T) {
 		}
 	}
 	d.Finalize()
-	if err := d.Validate(); err != nil {
+	if err := d.t.validate(); err != nil {
 		t.Fatal(err)
 	}
 	c1, c7 := rootKid(d, 1), rootKid(d, 7)
@@ -159,7 +159,7 @@ func FuzzDynamicLabeler(f *testing.F) {
 			}
 		}
 		d.Finalize()
-		if err := d.Validate(); err != nil {
+		if err := d.t.validate(); err != nil {
 			t.Fatalf("Validate after Finalize: %v", err)
 		}
 		for i := prep; i < total; i++ {
@@ -168,7 +168,7 @@ func FuzzDynamicLabeler(f *testing.F) {
 				t.Fatalf("Add: %v", err)
 			}
 		}
-		if err := d.Validate(); err != nil {
+		if err := d.t.validate(); err != nil {
 			t.Fatalf("Validate after Adds: %v", err)
 		}
 	})
@@ -230,14 +230,14 @@ func TestDynamicPostingEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := d.Validate(); err != nil {
+			if err := d.t.validate(); err != nil {
 				t.Fatal(err)
 			}
 
 			emitted := map[Posting]int{}
 			dynShape := map[string]int{}
 			dynDocs := map[string][]uint32{}
-			if err := d.Emit(func(p Posting, docs []uint32) error {
+			if err := d.t.emit(func(p Posting, docs []uint32) error {
 				emitted[p]++
 				dynShape[fmt.Sprintf("%d@%d", p.Symbol, p.Level)]++
 				if len(docs) > 0 {

@@ -101,8 +101,8 @@ func TestSlabTrieAgainstMapTrie(t *testing.T) {
 			if !errors.Is(d.Prepare(seqs[0]), ErrPrepared) {
 				t.Fatalf("%s/%d: Prepare after Finalize accepted", sh.name, seed)
 			}
-			if (d.Validate() == nil) != (m.Validate() == nil) {
-				t.Fatalf("%s/%d: Validate after Finalize: slab %v, model %v", sh.name, seed, d.Validate(), m.Validate())
+			if (d.t.validate() == nil) != (m.Validate() == nil) {
+				t.Fatalf("%s/%d: Validate after Finalize: slab %v, model %v", sh.name, seed, d.t.validate(), m.Validate())
 			}
 			var dp, mp []Posting
 			d.EmitPrefix(func(p Posting) error { dp = append(dp, p); return nil })
@@ -135,10 +135,10 @@ func TestSlabTrieAgainstMapTrie(t *testing.T) {
 				t.Fatalf("%s/%d: underflows %d/%d, sequences %d/%d", sh.name, seed,
 					d.Underflows(), m.Underflows(), d.Sequences(), m.Sequences())
 			}
-			if (d.Validate() == nil) != (m.Validate() == nil) {
-				t.Fatalf("%s/%d: Validate: slab %v, model %v", sh.name, seed, d.Validate(), m.Validate())
+			if (d.t.validate() == nil) != (m.Validate() == nil) {
+				t.Fatalf("%s/%d: Validate: slab %v, model %v", sh.name, seed, d.t.validate(), m.Validate())
 			}
-			if got, want := collectEmit(t, d.Emit), collectEmit(t, m.Emit); !reflect.DeepEqual(got, want) {
+			if got, want := collectEmit(t, d.t.emit), collectEmit(t, m.Emit); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s/%d: dynamic Emit differs (%d vs %d nodes)", sh.name, seed, len(got), len(want))
 			}
 			if sh.wide > 0 && seed == 1 && len(d.t.wide) == 0 {

@@ -240,7 +240,7 @@ func TestDynamicLabelerNoUnderflowSmall(t *testing.T) {
 	if d.Underflows() != 0 {
 		t.Errorf("underflows = %d", d.Underflows())
 	}
-	if err := d.Validate(); err != nil {
+	if err := d.t.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if d.Sequences() != len(seqs) {
@@ -275,7 +275,7 @@ func TestDynamicLabelerUnderflows(t *testing.T) {
 		t.Error("Underflows() not incremented")
 	}
 	// Labeled part must still be a valid trie.
-	if err := d.Validate(); err != nil {
+	if err := d.t.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -355,7 +355,7 @@ func TestEmitErrorPropagates(t *testing.T) {
 	}
 	d := NewDynamicLabeler(0, 0)
 	d.Add(seq(1, 2), 1)
-	if err := d.Emit(func(p Posting, docs []uint32) error { return sentinel }); err != sentinel {
+	if err := d.t.emit(func(p Posting, docs []uint32) error { return sentinel }); err != sentinel {
 		t.Errorf("dynamic Emit error = %v", err)
 	}
 	if err := d.EmitPrefix(func(p Posting) error { return sentinel }); err != nil && err != sentinel {

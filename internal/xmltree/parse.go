@@ -110,9 +110,6 @@ func newTreeBuilder(opts ParseOptions) *treeBuilder {
 	return &treeBuilder{opts: opts, maxDepth: opts.maxDepth()}
 }
 
-// depth returns the number of currently open elements.
-func (tb *treeBuilder) depth() int { return len(tb.stack) }
-
 func (tb *treeBuilder) start(t xml.StartElement) error {
 	if tb.maxDepth > 0 && len(tb.stack) >= tb.maxDepth {
 		return &LimitError{What: "element depth", Limit: int64(tb.maxDepth)}

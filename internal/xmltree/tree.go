@@ -7,7 +7,6 @@ package xmltree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -136,33 +135,6 @@ func (d *Document) CountElements() int {
 
 // CountValues returns the number of value (character data) nodes.
 func (d *Document) CountValues() int { return len(d.Nodes) - d.CountElements() }
-
-// Leaves returns the leaf nodes in postorder.
-func (d *Document) Leaves() []*Node {
-	var out []*Node
-	for _, n := range d.Nodes {
-		if n.IsLeaf() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Tags returns the distinct element tags in the document, sorted.
-func (d *Document) Tags() []string {
-	set := map[string]bool{}
-	for _, n := range d.Nodes {
-		if !n.IsValue {
-			set[n.Label] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Clone returns a deep copy of the document with numbering reapplied.
 func (d *Document) Clone() *Document {

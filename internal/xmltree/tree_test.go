@@ -1,14 +1,17 @@
-package xmltree
+package xmltree_test
 
 import (
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 func TestPaperTreePostorder(t *testing.T) {
-	d := PaperTree(7)
+	d := xmltreetest.PaperTree(7)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +36,7 @@ func TestPaperTreePostorder(t *testing.T) {
 }
 
 func TestNumberAssignsContiguousPostorder(t *testing.T) {
-	d := MustFromSExpr(1, `(a (b (c) (d)) (e))`)
+	d := xmltreetest.MustFromSExpr(1, `(a (b (c) (d)) (e))`)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +56,12 @@ func TestNumberAssignsContiguousPostorder(t *testing.T) {
 }
 
 func TestRegionContainment(t *testing.T) {
-	d := MustFromSExpr(1, `(a (b (c) (d)) (e))`)
-	byLabel := map[string]*Node{}
+	d := xmltreetest.MustFromSExpr(1, `(a (b (c) (d)) (e))`)
+	byLabel := map[string]*xmltree.Node{}
 	for _, n := range d.Nodes {
 		byLabel[n.Label] = n
 	}
-	anc := func(x, y *Node) bool { return x.Left < y.Left && y.Right < x.Right }
+	anc := func(x, y *xmltree.Node) bool { return x.Left < y.Left && y.Right < x.Right }
 	if !anc(byLabel["a"], byLabel["c"]) {
 		t.Error("a should contain c")
 	}
@@ -74,7 +77,7 @@ func TestRegionContainment(t *testing.T) {
 }
 
 func TestParseBasics(t *testing.T) {
-	doc, err := ParseString(3, `<book year="1990"><author>Jim Gray</author><title>Tx</title></book>`)
+	doc, err := xmltree.ParseString(3, `<book year="1990"><author>Jim Gray</author><title>Tx</title></book>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +108,14 @@ func TestParseErrors(t *testing.T) {
 		`text only`,
 	}
 	for _, src := range cases {
-		if _, err := ParseString(0, src); err == nil {
+		if _, err := xmltree.ParseString(0, src); err == nil {
 			t.Errorf("ParseString(%q) succeeded, want error", src)
 		}
 	}
 }
 
 func TestParseDropValues(t *testing.T) {
-	doc, err := Parse(0, strings.NewReader(`<a><b>secret</b></a>`), ParseOptions{DropValues: true})
+	doc, err := xmltree.Parse(0, strings.NewReader(`<a><b>secret</b></a>`), xmltree.ParseOptions{DropValues: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +126,12 @@ func TestParseDropValues(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	src := `(dblp (inproceedings (author "Jim Gray") (year "1990")))`
-	d := MustFromSExpr(0, src)
+	d := xmltreetest.MustFromSExpr(0, src)
 	var sb strings.Builder
 	if err := d.WriteXML(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseString(0, sb.String())
+	back, err := xmltree.ParseString(0, sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +146,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 func TestSExprRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 50; i++ {
-		d := RandomDocument(rng, i, RandomConfig{
+		d := xmltreetest.RandomDocument(rng, i, xmltreetest.RandomConfig{
 			Nodes: 1 + rng.Intn(40), Alphabet: []string{"a", "b", "c", "d"},
 			ValueProb: 0.3, Values: []string{"x", "y z", `q"u`},
 		})
-		back, err := FromSExpr(i, d.String())
+		back, err := xmltreetest.FromSExpr(i, d.String())
 		if err != nil {
 			t.Fatalf("FromSExpr(%s): %v", d.String(), err)
 		}
@@ -160,15 +163,15 @@ func TestSExprRoundTrip(t *testing.T) {
 func TestDeepTreeIterativeNumbering(t *testing.T) {
 	// A pathological unary chain far deeper than any recursive walk with
 	// default stack limits would like; Number must be iterative.
-	root := &Node{Label: "r"}
+	root := &xmltree.Node{Label: "r"}
 	cur := root
 	const depth = 200000
 	for i := 0; i < depth; i++ {
-		n := &Node{Label: "x"}
+		n := &xmltree.Node{Label: "x"}
 		cur.AddChild(n)
 		cur = n
 	}
-	d := NewDocument(0, root)
+	d := xmltree.NewDocument(0, root)
 	if d.Size() != depth+1 {
 		t.Fatalf("size = %d", d.Size())
 	}
@@ -181,7 +184,7 @@ func TestDeepTreeIterativeNumbering(t *testing.T) {
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
-	d := MustFromSExpr(0, `(a (b) (c))`)
+	d := xmltreetest.MustFromSExpr(0, `(a (b) (c))`)
 	d.Nodes[0].Post = 99
 	if err := d.Validate(); err == nil {
 		t.Error("Validate accepted corrupted postorder")
@@ -189,7 +192,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	d := MustFromSExpr(1, `(a (b "v"))`)
+	d := xmltreetest.MustFromSExpr(1, `(a (b "v"))`)
 	c := d.Clone()
 	c.Root.Label = "z"
 	if d.Root.Label != "a" {
@@ -207,7 +210,7 @@ func TestQuickNumberingInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(seed int64, sz uint8) bool {
 		r2 := rand.New(rand.NewSource(seed))
-		d := RandomDocument(r2, 0, RandomConfig{Nodes: int(sz%60) + 1, Alphabet: []string{"p", "q", "r"}})
+		d := xmltreetest.RandomDocument(r2, 0, xmltreetest.RandomConfig{Nodes: int(sz%60) + 1, Alphabet: []string{"p", "q", "r"}})
 		if err := d.Validate(); err != nil {
 			return false
 		}
@@ -225,32 +228,14 @@ func TestQuickNumberingInvariants(t *testing.T) {
 	}
 }
 
-func TestLeavesAndTags(t *testing.T) {
-	d := MustFromSExpr(0, `(a (b (c)) (b "v"))`)
-	leaves := d.Leaves()
-	if len(leaves) != 2 {
-		t.Fatalf("leaves = %d, want 2 (c and the value)", len(leaves))
-	}
-	tags := d.Tags()
-	want := []string{"a", "b", "c"}
-	if len(tags) != len(want) {
-		t.Fatalf("tags = %v", tags)
-	}
-	for i := range want {
-		if tags[i] != want[i] {
-			t.Fatalf("tags = %v, want %v", tags, want)
-		}
-	}
-}
-
 func TestRandomSubtreePatternEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d := MustFromSExpr(0, `(a)`)
-	if p := RandomSubtreePattern(rng, d, 0); p != nil {
+	d := xmltreetest.MustFromSExpr(0, `(a)`)
+	if p := xmltreetest.RandomSubtreePattern(rng, d, 0); p != nil {
 		t.Error("want nil for zero budget")
 	}
-	empty := &Document{}
-	if p := RandomSubtreePattern(rng, empty, 3); p != nil {
+	empty := &xmltree.Document{}
+	if p := xmltreetest.RandomSubtreePattern(rng, empty, 3); p != nil {
 		t.Error("want nil for empty document")
 	}
 }
@@ -258,14 +243,14 @@ func TestRandomSubtreePatternEmpty(t *testing.T) {
 func TestFromSExprErrors(t *testing.T) {
 	bad := []string{``, `(`, `(a`, `(a))`, `("v")`, `(a "unterminated)`, `()`}
 	for _, src := range bad {
-		if _, err := FromSExpr(0, src); err == nil {
+		if _, err := xmltreetest.FromSExpr(0, src); err == nil {
 			t.Errorf("FromSExpr(%q) succeeded", src)
 		}
 	}
 }
 
 func TestWriteXMLEscapes(t *testing.T) {
-	d := MustFromSExpr(0, `(a "x<y&z")`)
+	d := xmltreetest.MustFromSExpr(0, `(a "x<y&z")`)
 	var sb strings.Builder
 	if err := d.WriteXML(&sb); err != nil {
 		t.Fatal(err)
@@ -274,7 +259,7 @@ func TestWriteXMLEscapes(t *testing.T) {
 	if strings.Contains(out, "x<y") {
 		t.Errorf("unescaped output: %s", out)
 	}
-	back, err := ParseString(0, out)
+	back, err := xmltree.ParseString(0, out)
 	if err != nil {
 		t.Fatal(err)
 	}

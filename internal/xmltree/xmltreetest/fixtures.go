@@ -1,4 +1,10 @@
-package xmltree
+// Package xmltreetest holds the tree fixtures the repository's tests build
+// their cases from: the paper's Figure 2 tree and twig, an s-expression form
+// for small trees, and seeded random trees and subtree patterns for property
+// tests. It is imported only by _test.go files.
+package xmltreetest
+
+import "repro/internal/xmltree"
 
 // PaperTree builds the tree T of Figure 2(a) in the PRIX paper,
 // reconstructed exactly from Example 1's sequences:
@@ -10,7 +16,7 @@ package xmltree
 // every non-leaf label; the leaf labels come from Example 6's leaf list.
 // The tree is used throughout the test suites to check the paper's worked
 // examples verbatim.
-func PaperTree(id int) *Document {
+func PaperTree(id int) *xmltree.Document {
 	return MustFromSExpr(id, `(A (C) (B (C (D)) (C (D) (E))) (C (G)) (D (E (G) (F) (F))))`)
 }
 
@@ -24,6 +30,6 @@ func PaperTree(id int) *Document {
 //	└── D(5)
 //	    └── E(4)
 //	        └── F(3)
-func PaperQuery(id int) *Document {
+func PaperQuery(id int) *xmltree.Document {
 	return MustFromSExpr(id, `(A (B (C)) (D (E (F))))`)
 }

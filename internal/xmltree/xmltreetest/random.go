@@ -1,6 +1,10 @@
-package xmltree
+package xmltreetest
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/xmltree"
+)
 
 // RandomConfig bounds the shape of trees produced by RandomDocument.
 type RandomConfig struct {
@@ -20,7 +24,7 @@ type RandomConfig struct {
 
 // RandomDocument generates a uniformly shaped random ordered tree with the
 // given configuration. It is used by property-based tests across the repo.
-func RandomDocument(rng *rand.Rand, id int, cfg RandomConfig) *Document {
+func RandomDocument(rng *rand.Rand, id int, cfg RandomConfig) *xmltree.Document {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 1
 	}
@@ -28,11 +32,11 @@ func RandomDocument(rng *rand.Rand, id int, cfg RandomConfig) *Document {
 		cfg.Alphabet = []string{"a", "b", "c"}
 	}
 	pick := func() string { return cfg.Alphabet[rng.Intn(len(cfg.Alphabet))] }
-	root := &Node{Label: pick()}
-	nodes := []*Node{root}
+	root := &xmltree.Node{Label: pick()}
+	nodes := []*xmltree.Node{root}
 	for len(nodes) < cfg.Nodes {
 		// Attach to a random existing node that still has fanout budget.
-		var parent *Node
+		var parent *xmltree.Node
 		for tries := 0; tries < 32; tries++ {
 			cand := nodes[rng.Intn(len(nodes))]
 			if cfg.MaxFanout == 0 || len(cand.Children) < cfg.MaxFanout {
@@ -43,18 +47,18 @@ func RandomDocument(rng *rand.Rand, id int, cfg RandomConfig) *Document {
 		if parent == nil {
 			parent = nodes[len(nodes)-1]
 		}
-		n := &Node{Label: pick()}
+		n := &xmltree.Node{Label: pick()}
 		parent.AddChild(n)
 		nodes = append(nodes, n)
 	}
 	if cfg.ValueProb > 0 && len(cfg.Values) > 0 {
 		for _, n := range nodes {
 			if n.IsLeaf() && rng.Float64() < cfg.ValueProb {
-				n.AddChild(&Node{Label: cfg.Values[rng.Intn(len(cfg.Values))], IsValue: true})
+				n.AddChild(&xmltree.Node{Label: cfg.Values[rng.Intn(len(cfg.Values))], IsValue: true})
 			}
 		}
 	}
-	return NewDocument(id, root)
+	return xmltree.NewDocument(id, root)
 }
 
 // RandomSubtreePattern extracts a random connected, order-preserving
@@ -62,16 +66,16 @@ func RandomDocument(rng *rand.Rand, id int, cfg RandomConfig) *Document {
 // The result is a labeled subgraph of d in the paper's Theorem 1 sense, so
 // its LPS is guaranteed to be a subsequence of LPS(d). Returns nil when the
 // document is empty.
-func RandomSubtreePattern(rng *rand.Rand, d *Document, want int) *Document {
+func RandomSubtreePattern(rng *rand.Rand, d *xmltree.Document, want int) *xmltree.Document {
 	if len(d.Nodes) == 0 || want < 1 {
 		return nil
 	}
 	src := d.Nodes[rng.Intn(len(d.Nodes))]
 	// Walk down from src keeping a random subset of children at each step,
 	// preserving their relative order (ordered twig semantics).
-	var cp func(n *Node, budget *int) *Node
-	cp = func(n *Node, budget *int) *Node {
-		m := &Node{Label: n.Label, IsValue: n.IsValue}
+	var cp func(n *xmltree.Node, budget *int) *xmltree.Node
+	cp = func(n *xmltree.Node, budget *int) *xmltree.Node {
+		m := &xmltree.Node{Label: n.Label, IsValue: n.IsValue}
 		for _, c := range n.Children {
 			if *budget <= 0 {
 				break
@@ -84,5 +88,5 @@ func RandomSubtreePattern(rng *rand.Rand, d *Document, want int) *Document {
 		return m
 	}
 	budget := want - 1
-	return NewDocument(0, cp(src, &budget))
+	return xmltree.NewDocument(0, cp(src, &budget))
 }

@@ -1,16 +1,18 @@
-package xmltree
+package xmltreetest
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
 	"unicode"
+
+	"repro/internal/xmltree"
 )
 
 // FromSExpr builds a document from the compact s-expression form emitted by
 // Document.String, e.g. `(a (b "v") (c))`. It exists so tests and examples
 // can state small trees without XML boilerplate.
-func FromSExpr(id int, s string) (*Document, error) {
+func FromSExpr(id int, s string) (*xmltree.Document, error) {
 	p := &sexprParser{src: s}
 	p.skipSpace()
 	root, err := p.parseNode()
@@ -21,11 +23,11 @@ func FromSExpr(id int, s string) (*Document, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("xmltree: trailing input at %d in %q", p.pos, s)
 	}
-	return NewDocument(id, root), nil
+	return xmltree.NewDocument(id, root), nil
 }
 
 // MustFromSExpr is FromSExpr that panics on malformed input; for tests.
-func MustFromSExpr(id int, s string) *Document {
+func MustFromSExpr(id int, s string) *xmltree.Document {
 	d, err := FromSExpr(id, s)
 	if err != nil {
 		panic(err)
@@ -44,7 +46,7 @@ func (p *sexprParser) skipSpace() {
 	}
 }
 
-func (p *sexprParser) parseNode() (*Node, error) {
+func (p *sexprParser) parseNode() (*xmltree.Node, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) {
 		return nil, fmt.Errorf("xmltree: unexpected end of s-expression")
@@ -57,7 +59,7 @@ func (p *sexprParser) parseNode() (*Node, error) {
 		if label == "" {
 			return nil, fmt.Errorf("xmltree: missing label at %d", p.pos)
 		}
-		n := &Node{Label: label}
+		n := &xmltree.Node{Label: label}
 		for {
 			p.skipSpace()
 			if p.pos >= len(p.src) {
@@ -90,14 +92,14 @@ func (p *sexprParser) parseNode() (*Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: bad string literal %s: %w", p.src[start:p.pos], err)
 		}
-		return &Node{Label: val, IsValue: true}, nil
+		return &xmltree.Node{Label: val, IsValue: true}, nil
 	default:
 		// Bare atom: a leaf element with no children.
 		label := p.parseAtom()
 		if label == "" {
 			return nil, fmt.Errorf("xmltree: unexpected character %q at %d", p.src[p.pos], p.pos)
 		}
-		return &Node{Label: label}, nil
+		return &xmltree.Node{Label: label}, nil
 	}
 }
 
