@@ -280,8 +280,8 @@ func BenchmarkAblationAlphaDepth(b *testing.B) {
 					}
 				}
 				d.Finalize()
-				for j, s := range seqs {
-					_ = d.Add(s, uint32(j))
+				for _, s := range seqs {
+					_ = d.Add(s)
 				}
 				underflows = d.Underflows()
 			}

@@ -853,6 +853,22 @@ func (bp *BufferPool) Close() error {
 	return journalErr
 }
 
+// Abandon closes the file without writing back a dirty frame: the open
+// transaction is left to the journal, as a crash would leave it, and the
+// next open rolls it back. cause is recorded as the journal's failure, so
+// the pools still attached to it refuse to commit and the last to close
+// keeps the journal. Without a journal, pages the pool evicted since its
+// last flush stay in the file.
+func (bp *BufferPool) Abandon(cause error) error {
+	err := bp.file.Close()
+	if bp.journal != nil {
+		if jerr := bp.journal.detach(bp, cause); err == nil {
+			err = jerr
+		}
+	}
+	return err
+}
+
 // RepairPage stages a rewrite of one on-disk page whose stored image is
 // corrupt. If the pool holds a frame for the page — content that was
 // checksum-verified when read, or was produced by this process — the frame

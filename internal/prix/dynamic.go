@@ -108,7 +108,7 @@ func (di *DynamicIndex) insertLocked(doc *xmltree.Document) error {
 		di.nextID++
 		return nil
 	}
-	created, terminal, err := di.ix.labeler.AddReport(syms, id)
+	created, terminal, err := di.ix.labeler.AddReport(syms)
 	if err != nil {
 		return fmt.Errorf("prix: dynamic insert of document %d: %w", id, err)
 	}
@@ -193,8 +193,9 @@ func (di *DynamicIndex) Underflows() int {
 	return di.ix.labeler.Underflows()
 }
 
-// LabelerStats reports the resident labeler trie: how many nodes it holds
-// (one per posting it handed out) and the heap they occupy.
+// LabelerStats reports the resident labeler trie: how many nodes it stands
+// for (one per posting it handed out, materialized or in a tail) and the
+// heap it occupies.
 func (di *DynamicIndex) LabelerStats() (nodes, bytes int) {
 	di.ix.repairMu.RLock()
 	defer di.ix.repairMu.RUnlock()

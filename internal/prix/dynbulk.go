@@ -114,7 +114,7 @@ func (ix *Index) relabel(recs []*docstore.Record, prep int, write bool) error {
 		if len(rec.LPS) == 0 {
 			continue
 		}
-		created, terminal, err := lab.AddReport(rec.LPS, rec.DocID)
+		created, terminal, err := lab.AddReport(rec.LPS)
 		if err != nil {
 			return fmt.Errorf("prix: dynamic relabel of document %d: %w", rec.DocID, err)
 		}
@@ -201,7 +201,7 @@ func (ix *Index) replayVersioned() error {
 		return events[i].docID < events[j].docID
 	})
 	for _, e := range events {
-		if _, _, err := lab.AddReport(e.lps, e.docID); err != nil {
+		if err := lab.Add(e.lps); err != nil {
 			return fmt.Errorf("prix: versioned replay of document %d (label %d): %w", e.docID, e.label, err)
 		}
 	}
@@ -300,7 +300,7 @@ func bulkLoadDynamic(ix *Index, dopts DynamicOptions, bo BulkOptions, version ui
 		if len(syms) == 0 {
 			return ix.putRecord(&rec)
 		}
-		created, terminal, err := lab.AddReport(syms, ds.DocID)
+		created, terminal, err := lab.AddReport(syms)
 		if err != nil {
 			return fmt.Errorf("prix: bulk dynamic label of document %d: %w", ds.DocID, err)
 		}

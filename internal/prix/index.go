@@ -234,7 +234,20 @@ type Index struct {
 	alpha    int
 	spread   uint64
 	prepared int
+	// halfWritten is set when a RepairForest fails after it reset the
+	// forest, and cleared when one succeeds: while it is set, commit refuses
+	// with it and Close abandons both pools, so the half-written forest never
+	// becomes durable and the next open rolls it back. Under repairMu
+	// (write).
+	halfWritten error
 }
+
+// ErrForestHalfWritten is what every commit of an Index returns, Close's
+// included, after a forest rebuild failed part-way: the forest holds part
+// of the rebuilt trie, which must not become durable. A RepairForest that
+// succeeds lifts the refusal; closing without one leaves the rebuild to the
+// journal, and the next open rolls it back.
+var ErrForestHalfWritten = errors.New("prix: forest rebuild failed; the forest is half-written and the index refuses to commit")
 
 // valuePrefix namespaces value strings away from element tags in the
 // shared symbol dictionary (a tag can never start with NUL).
@@ -466,9 +479,15 @@ func Open(dir string, opts Options) (*Index, error) {
 // Close flushes every dirty page (committing the open transaction, if any)
 // and closes both page files and their journal. It stages no directory
 // metadata: the Index's own writers (repair) commit as they go, and
-// DynamicIndex.Close commits what its Flush commits first. The index must
-// not be used afterwards.
+// DynamicIndex.Close commits what its Flush commits first. After a failed
+// forest rebuild it commits nothing (see ErrForestHalfWritten). The index
+// must not be used afterwards.
 func (ix *Index) Close() error {
+	if ix.halfWritten != nil {
+		ix.forest.BufferPool().Abandon(ix.halfWritten)
+		ix.store.BufferPool().Abandon(ix.halfWritten)
+		return ix.halfWritten
+	}
 	err := ix.forest.BufferPool().Close()
 	if e := ix.store.BufferPool().Close(); err == nil {
 		err = e
@@ -493,8 +512,12 @@ func (ix *Index) Forest() *btree.Forest { return ix.forest }
 // both files' dirty pages as one transaction through their shared journal:
 // every mutation, flush and repair is atomic across the two files. A dynamic
 // index's labeler parameters ride every commit, so the forest a commit makes
-// durable is always replayed with the labeler that labeled it.
+// durable is always replayed with the labeler that labeled it. After a
+// failed forest rebuild it refuses (ErrForestHalfWritten).
 func (ix *Index) commit() error {
+	if ix.halfWritten != nil {
+		return ix.halfWritten
+	}
 	ix.stageLabeler()
 	if err := ix.store.Stage(); err != nil {
 		return err

@@ -615,18 +615,23 @@ func (ix *Index) pathSymbolsTo(left uint64, n int) ([]vtrie.Symbol, error) {
 // ranges the rebuilt forest holds. Documents whose records are damaged are
 // quarantined and reported; they need RestoreSnapshot. After the rebuild
 // commits, orphaned pages that still fail their checksum are zeroed so the
-// file verifies clean end to end.
+// file verifies clean end to end. A rebuild that fails part-way leaves the
+// index refusing every commit, Close's included (ErrForestHalfWritten),
+// until a RepairForest succeeds.
 func (ix *Index) RepairForest() ([]uint32, error) {
 	ix.repairMu.Lock()
 	defer ix.repairMu.Unlock()
 	// Every list may describe pre-rebuild structures; start the tier over.
 	ix.hotInvalidateAll()
 	// The old shape tree is about to go: first restore from it whatever
-	// shapes the store lost, so the rebuild writes them back.
-	for _, id := range ix.store.MissingShapes() {
-		if data, err := ix.readShape(id); err == nil && ix.store.RestoreShape(id, data) == nil {
-			if err := ix.commit(); err != nil {
-				return nil, err
+	// shapes the store lost, so the rebuild writes them back. After a
+	// failed rebuild there is no old tree to restore from.
+	if ix.halfWritten == nil {
+		for _, id := range ix.store.MissingShapes() {
+			if data, err := ix.readShape(id); err == nil && ix.store.RestoreShape(id, data) == nil {
+				if err := ix.commit(); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -638,34 +643,11 @@ func (ix *Index) RepairForest() ([]uint32, error) {
 		ix.store.Quarantine(id)
 	}
 	ix.forest.Reset()
-	if err := ix.openTrees(); err != nil {
-		return nil, err
+	if err := ix.rebuildForest(recs); err != nil {
+		ix.halfWritten = fmt.Errorf("%w: %w", ErrForestHalfWritten, err)
+		return nil, ix.halfWritten
 	}
-	var err error
-	if ix.dynamic() {
-		// Every surviving sequence is prepared, so the relabeling cannot
-		// underflow short of spread exhaustion; prepared then covers every
-		// document, so the commit below records what OpenDynamic replays.
-		if err = ix.relabel(recs, ix.store.NumDocs(), true); err == nil {
-			ix.prepared = ix.store.NumDocs()
-		}
-	} else {
-		err = ix.emitExactRebuild(recs)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("prix: forest rebuild failed; the forest is half-written (a commit, Close included, would make it durable; reopening without one rolls it back): %w", err)
-	}
-	ix.shapesInTree = 0
-	if err := ix.writeShapes(); err != nil {
-		return nil, err
-	}
-	// Version history references the old forest's terminals and labels,
-	// both gone: fold it down to the rebuilt world (tombstones re-marked at
-	// the new terminals) in the same commit, so the flushed image and the map
-	// agree.
-	if err := ix.collapseVersionsAfterRebuildLocked(); err != nil {
-		return nil, err
-	}
+	ix.halfWritten = nil
 	if err := ix.commit(); err != nil {
 		return nil, err
 	}
@@ -680,6 +662,35 @@ func (ix *Index) RepairForest() ([]uint32, error) {
 		}
 	}
 	return skipped, nil
+}
+
+// rebuildForest writes RepairForest's new forest into the reset one: the
+// trees, the relabeled trie over recs, the shape tree, and the version
+// history folded down to the rebuilt world (tombstones re-marked at the new
+// terminals), so the commit that follows flushes an image the map agrees
+// with.
+func (ix *Index) rebuildForest(recs []*docstore.Record) error {
+	if err := ix.openTrees(); err != nil {
+		return err
+	}
+	if ix.dynamic() {
+		// Every surviving sequence is prepared, so the relabeling cannot
+		// underflow short of spread exhaustion; prepared then covers every
+		// document, so the commit records what OpenDynamic replays.
+		if err := ix.relabel(recs, ix.store.NumDocs(), true); err != nil {
+			return err
+		}
+		ix.prepared = ix.store.NumDocs()
+	} else if err := ix.emitExactRebuild(recs); err != nil {
+		return err
+	}
+	ix.shapesInTree = 0
+	if err := ix.writeShapes(); err != nil {
+		return err
+	}
+	// Version history references the old forest's terminals and labels,
+	// both gone.
+	return ix.collapseVersionsAfterRebuildLocked()
 }
 
 // emitExactRebuild is the static-index trie writer for RepairForest: a

@@ -19,6 +19,9 @@ import (
 func (ix *Index) Snapshot(dir string) error {
 	ix.repairMu.RLock()
 	defer ix.repairMu.RUnlock()
+	if ix.halfWritten != nil {
+		return ix.halfWritten
+	}
 	// One commit covers both pools: they share the journal.
 	if err := ix.forest.BufferPool().FlushAll(); err != nil {
 		return err

@@ -501,7 +501,7 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 		var terminal vtrie.Posting
 		// AddReport runs before any durable write: a scope underflow aborts
 		// the whole mutation with nothing committed.
-		created, terminal, err = di.ix.labeler.AddReport(syms, docID)
+		created, terminal, err = di.ix.labeler.AddReport(syms)
 		if err != nil {
 			return nil, fmt.Errorf("prix: dynamic update of document %d: %w", docID, err)
 		}

@@ -8,16 +8,7 @@ import "repro/internal/xmltree"
 // (conceptually) extended with one dummy child under every leaf, so the
 // label of every original node — including leaves and values — appears in
 // the LPS. The NPS numbers refer to postorder numbers in the extended tree.
-func BuildExtended(d *xmltree.Document) *Sequence {
-	ext := ExtendTree(d)
-	s := Build(ext)
-	s.Extended = true
-	s.ValueAt = make([]bool, s.Len())
-	for i := 1; i < ext.Size(); i++ {
-		s.ValueAt[i-1] = ext.Node(i).Parent.IsValue
-	}
-	return s
-}
+func BuildExtended(d *xmltree.Document) *Sequence { return Build(ExtendTree(d)) }
 
 // BuildBySimulation constructs the sequence by literally simulating the
 // paper's node-removal process (§3.1): repeatedly delete the leaf with the

@@ -27,17 +27,10 @@ type Sequence struct {
 	Labels []string
 	// Numbers is the Numbered Prüfer Sequence.
 	Numbers []int
-	// Extended records whether this sequence was built from the
-	// leaf-extended tree of §5.6.
-	Extended bool
 	// N is the number of nodes of the tree the sequence was built from
-	// (the extended tree when Extended is set); len(Labels) == N-1.
+	// (for an Extended-Prüfer sequence, the leaf-extended tree of §5.6);
+	// len(Labels) == N-1.
 	N int
-	// ValueAt reports, for extended sequences, which positions were
-	// contributed by deleting a dummy child of a value node — i.e. the
-	// positions whose Labels entry is a value string rather than a tag.
-	// Nil for regular sequences.
-	ValueAt []bool
 }
 
 // Len returns the sequence length (N - 1).

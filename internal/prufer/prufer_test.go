@@ -317,16 +317,17 @@ func BenchmarkBuildExtended(b *testing.B) {
 }
 
 func TestExtendedValueAtFlags(t *testing.T) {
-	// ValueAt marks positions contributed by deleting the dummy child of a
-	// value node — exactly the positions whose LPS entry is a value string.
+	// The positions contributed by deleting the dummy child of a value node
+	// are exactly the positions whose LPS entry is a value string.
 	d := xmltreetest.MustFromSExpr(0, `(a (b "v") (c))`)
 	s := BuildExtended(d)
-	if len(s.ValueAt) != s.Len() {
-		t.Fatalf("ValueAt length %d, want %d", len(s.ValueAt), s.Len())
+	ext := ExtendTree(d)
+	if ext.Size()-1 != s.Len() {
+		t.Fatalf("extended tree has %d nodes, sequence length %d", ext.Size(), s.Len())
 	}
-	for i, isVal := range s.ValueAt {
-		if isVal != (s.Labels[i] == "v") {
-			t.Errorf("ValueAt[%d] = %v for label %q", i, isVal, s.Labels[i])
+	for i := 1; i < ext.Size(); i++ {
+		if isVal := ext.Node(i).Parent.IsValue; isVal != (s.Labels[i-1] == "v") {
+			t.Errorf("position %d: value parent %v for label %q", i-1, isVal, s.Labels[i-1])
 		}
 	}
 }

@@ -17,14 +17,21 @@ import (
 //
 // It is the labeler of prix.DynamicIndex and of every dynamic compaction:
 // an insertable index keeps one resident for its whole life (rebuilt by
-// replay at every OpenDynamic), so what a node costs here is what a posting
-// costs in heap — see Nodes and Bytes. Static builds use the exact Builder.
+// replay at every OpenDynamic), so its heap grows with the postings it
+// hands out — see Nodes and Bytes. Only the nodes an insert can branch at
+// are materialized. When an Add creates nodes from some depth to the end of
+// its sequence, it allocates the first, the head, and keeps the rest as a
+// tail: a run of 4-byte symbols. Their labels are recomputed, not stored:
+// each was carved from a parent whose free slot still stood at its left
+// end, so each follows from the one above it (trie.below). A later Add that
+// leaves a tail materializes it down to where it leaves; one that ends
+// inside it, or repeats it, allocates nothing. Static builds use the exact
+// Builder.
 type DynamicLabeler struct {
-	// Alpha is the depth of the pre-allocated prefix trie.
-	Alpha int
-	// Spread is the number of range slots reserved per expected future
-	// symbol when a child scope is carved dynamically.
-	Spread uint64
+	// alpha is the depth of the pre-allocated prefix trie. Spread, the
+	// range slots reserved per expected future symbol when a child scope is
+	// carved dynamically, is t.spread: tail labels are recomputed with it.
+	alpha int
 
 	t trie
 	// prep holds the preparatory pass's statistics, indexed by node (only
@@ -50,7 +57,9 @@ func NewDynamicLabeler(alpha int, spread uint64) *DynamicLabeler {
 	if spread == 0 {
 		spread = 1024
 	}
-	return &DynamicLabeler{Alpha: alpha, Spread: spread, t: newTrie(), prep: make([]prepStat, 1)}
+	d := &DynamicLabeler{alpha: alpha, t: newTrie(), prep: make([]prepStat, 1)}
+	d.t.spread = spread
+	return d
 }
 
 // ErrPrepared reports a Prepare call after Finalize: the prefix trie's
@@ -66,7 +75,7 @@ func (d *DynamicLabeler) Prepare(seq []Symbol) error {
 	}
 	t := &d.t
 	cur := uint32(0)
-	for i := 0; i < len(seq) && i < d.Alpha; i++ {
+	for i := 0; i < len(seq) && i < d.alpha; i++ {
 		p := t.at(cur)
 		next := t.child(p, seq[i])
 		if next == 0 {
@@ -155,76 +164,180 @@ func (d *DynamicLabeler) Finalize() {
 // as needed. It returns ErrScopeUnderflow (wrapped) when a node's scope is
 // exhausted; the sequence is then only partially labeled and the caller
 // should fall back to exact labeling.
-func (d *DynamicLabeler) Add(seq []Symbol, docID uint32) error {
-	_, _, err := d.add(seq, docID, false)
+func (d *DynamicLabeler) Add(seq []Symbol) error {
+	_, _, err := d.add(seq, false)
 	return err
 }
 
 // AddReport is Add, additionally returning the postings of trie nodes
 // created by this sequence (the only ones an incremental index needs to
-// write) and the terminal posting the document id attaches to. created is
-// the labeler's own buffer: it is valid only until the next AddReport.
-func (d *DynamicLabeler) AddReport(seq []Symbol, docID uint32) (created []Posting, terminal Posting, err error) {
-	created, terminal, err = d.add(seq, docID, true)
+// write) and the terminal posting the document attaches to. created is the
+// labeler's own buffer: it is valid only until the next AddReport.
+func (d *DynamicLabeler) AddReport(seq []Symbol) (created []Posting, terminal Posting, err error) {
+	created, terminal, err = d.add(seq, true)
 	if created != nil {
 		d.created = created[:0] // keep what it grew to
 	}
 	return created, terminal, err
 }
 
-func (d *DynamicLabeler) add(seq []Symbol, docID uint32, report bool) (created []Posting, terminal Posting, err error) {
+// carve is the width of the scope a new child takes out of remaining free
+// slots when rest symbols of its sequence, its own included, are still to
+// be labeled: Spread slots per future symbol, capped at half the remaining
+// scope (to leave room for future siblings), with a floor of two slots per
+// future symbol so a pure chain can always finish inside the scope it was
+// granted. A width below rest is a scope underflow.
+func carve(rest, remaining, spread uint64) uint64 {
+	width := rest * spread
+	if width > remaining/2 {
+		width = remaining / 2
+	}
+	if width < 2*rest {
+		width = 2 * rest
+	}
+	if width > remaining {
+		width = remaining
+	}
+	return width
+}
+
+// below is the scope of the child an Add created under a node it had just
+// created with scope (left, right], the child having rest symbols of the
+// sequence left, its own included: that node's free slot still stood at
+// left. This is how a tail's labels are
+// recomputed. Only a chain's first node can underflow: a parent's scope of
+// width w ≥ rest leaves w-1 ≥ rest-1 for the child, so below never does.
+func (t *trie) below(left, right uint64, rest int) (uint64, uint64) {
+	return left + 1, left + carve(uint64(rest), right-left, t.spread)
+}
+
+// tailRun is the symbols of tail head h's tail.
+func (t *trie) tailRun(h *node) []Symbol {
+	tl := t.tails[h.kid]
+	return t.syms[tl.off : tl.off+tl.n]
+}
+
+func (d *DynamicLabeler) add(seq []Symbol, report bool) (created []Posting, terminal Posting, err error) {
 	if !d.prepared {
 		d.Finalize()
 	}
 	t := &d.t
 	cur := uint32(0)
-	for i, s := range seq {
+	for i := 0; i < len(seq); {
 		p := t.at(cur)
-		next := t.child(p, s)
+		if p.fan == tailFan {
+			var ended bool
+			if cur, i, terminal, ended = d.followTail(cur, seq, i); ended {
+				d.seqs++
+				return nil, terminal, nil
+			}
+			continue
+		}
+		next := t.child(p, seq[i])
 		if next == 0 {
 			rest := uint64(len(seq) - i)
 			remaining := p.right - p.free
-			// Ask for Spread slots per future symbol, capped at half the
-			// remaining scope (to leave room for future siblings), with a
-			// floor of two slots per future symbol so a pure chain can
-			// always finish inside the scope it was granted.
-			width := rest * d.Spread
-			if width > remaining/2 {
-				width = remaining / 2
-			}
-			if width < 2*rest {
-				width = 2 * rest
-			}
-			if width > remaining {
-				width = remaining
-			}
+			width := carve(rest, remaining, t.spread)
 			if width < rest {
 				// Not even one slot per future symbol: scope underflow.
 				d.underflows++
-				return created, Posting{}, fmt.Errorf("vtrie: %w at depth %d (remaining %d, need %d)",
+				return nil, Posting{}, fmt.Errorf("vtrie: %w at depth %d (remaining %d, need %d)",
 					ErrScopeUnderflow, i+1, remaining, rest)
 			}
-			next = t.add(s)
-			c := t.at(next)
-			c.left = p.free + 1
-			c.right = p.free + width
-			c.free = c.left
-			p.free += width
-			t.link(p, next)
-			if report {
-				if created == nil {
-					// A fresh node has no children, so the rest of the
-					// sequence is all new: one block that holds it.
-					created = slices.Grow(d.created[:0], len(seq)-i)
-				}
-				created = append(created, t.posting(next, uint32(i+1)))
-			}
+			created, terminal = d.grow(p, seq, i, width, report)
+			d.seqs++
+			return created, terminal, nil
 		}
 		cur = next
+		i++
 	}
-	t.end(cur, docID)
 	d.seqs++
-	return created, t.posting(cur, uint32(len(seq))), nil
+	return nil, t.posting(cur, uint32(len(seq))), nil
+}
+
+// grow hangs seq[i:] below p, which has no child labeled seq[i]: a head
+// taking width slots of p's free scope and, when seq goes on, a tail below
+// it holding the rest. It returns the last posting it stands for and, when
+// report is set, all of them — the head's and each tail node's, exactly the
+// labels a node per symbol would have carved.
+func (d *DynamicLabeler) grow(p *node, seq []Symbol, i int, width uint64, report bool) (created []Posting, terminal Posting) {
+	t := &d.t
+	h := t.add(seq[i])
+	hn := t.at(h)
+	hn.left, hn.right = p.free+1, p.free+width
+	hn.free = hn.left
+	p.free += width
+	t.link(p, h)
+	terminal = t.posting(h, uint32(i+1))
+	if report {
+		// The sequence is all new from i on: one block that holds it.
+		created = append(slices.Grow(d.created[:0], len(seq)-i), terminal)
+	}
+	run := seq[i+1:]
+	if len(run) == 0 {
+		return created, terminal
+	}
+	hn.fan, hn.kid = tailFan, uint32(len(t.tails))
+	t.tails = append(t.tails, tail{uint32(len(t.syms)), uint32(len(run))})
+	t.syms = append(t.syms, run...)
+	t.tailSyms += len(run)
+	l, r := hn.left, hn.right
+	for k, s := range run {
+		l, r = t.below(l, r, len(run)-k)
+		terminal = Posting{Symbol: s, Left: l, Right: r, Level: uint32(i + 2 + k)}
+		if report {
+			created = append(created, terminal)
+		}
+	}
+	return created, terminal
+}
+
+// followTail walks seq on from depth i into the tail below head h. A
+// sequence that ends inside the tail, or at its end, allocates nothing: its
+// terminal posting is recomputed (ended). Otherwise seq leaves the tail
+// below some node n, at depth; followTail materializes the tail down to n
+// and, when the tail goes on past n, n's one child, which takes over the
+// rest of the tail. Every materialized node's free slot is where a node per
+// symbol would have it: at its child's right end, or at its own left end
+// on a leaf. (A tail head's free slot is never read: it is set here, when
+// the head's first child is materialized.)
+func (d *DynamicLabeler) followTail(h uint32, seq []Symbol, i int) (n uint32, depth int, terminal Posting, ended bool) {
+	t := &d.t
+	hn := t.at(h)
+	run := t.tailRun(hn)
+	m := 0
+	for m < len(run) && i+m < len(seq) && run[m] == seq[i+m] {
+		m++
+	}
+	if i+m == len(seq) {
+		l, r := hn.left, hn.right
+		for k := 0; k < m; k++ {
+			l, r = t.below(l, r, len(run)-k)
+		}
+		return 0, 0, Posting{Symbol: run[m-1], Left: l, Right: r, Level: uint32(i + m)}, true
+	}
+	ti, tl := hn.kid, t.tails[hn.kid]
+	hn.fan, hn.kid = 0, 0
+	upto := min(m+1, len(run))
+	n, last := h, h
+	for k := 0; k < upto; k++ {
+		c := t.add(run[k])
+		pn, cn := t.at(last), t.at(c)
+		cn.left, cn.right = t.below(pn.left, pn.right, len(run)-k)
+		cn.free, pn.free = cn.left, cn.right
+		t.link(pn, c)
+		if k < m {
+			n = c
+		}
+		last = c
+	}
+	t.tailSyms -= upto
+	if rest := len(run) - upto; rest > 0 {
+		ln := t.at(last)
+		t.tails[ti] = tail{tl.off + uint32(upto), uint32(rest)}
+		ln.fan, ln.kid = tailFan, ti
+	}
+	return n, i + m, Posting{}, false
 }
 
 // EmitPrefix invokes fn for every node of the prepared prefix trie (the
@@ -235,7 +348,7 @@ func (d *DynamicLabeler) EmitPrefix(fn func(p Posting) error) error {
 	if !d.prepared {
 		d.Finalize()
 	}
-	return d.t.walk(func(i, level uint32) error { return fn(d.t.posting(i, level)) })
+	return d.t.walk(func(_ uint32, p Posting) error { return fn(p) })
 }
 
 // ErrScopeUnderflow reports that dynamic labeling ran out of range slots.
@@ -247,9 +360,10 @@ func (d *DynamicLabeler) Underflows() int { return d.underflows }
 // Sequences returns how many sequences were labeled successfully.
 func (d *DynamicLabeler) Sequences() int { return d.seqs }
 
-// Nodes returns the number of trie nodes the labeler holds (excluding the
-// root): one per posting it has handed out.
-func (d *DynamicLabeler) Nodes() int { return int(d.t.n) - 1 }
+// Nodes returns the number of trie nodes the labeler stands for (excluding
+// the root), materialized or in a tail: one per posting it has handed out.
+func (d *DynamicLabeler) Nodes() int { return int(d.t.n) - 1 + d.t.tailSyms }
 
-// Bytes returns the heap the labeler's trie occupies.
+// Bytes returns the heap the labeler's trie occupies: its node slabs, child
+// indexes, tail table and tail arena.
 func (d *DynamicLabeler) Bytes() int { return d.t.bytes() }

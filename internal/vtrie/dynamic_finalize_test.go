@@ -90,7 +90,7 @@ func TestFinalizeExhaustedScopeValidates(t *testing.T) {
 	}
 	// The dropped child is re-added dynamically; with the root full it
 	// must report scope underflow rather than corrupt the trie.
-	if err := d.Add([]Symbol{4}, 99); err == nil {
+	if err := d.Add([]Symbol{4}); err == nil {
 		t.Fatal("Add into exhausted scope succeeded; want underflow")
 	} else if !errors.Is(err, ErrScopeUnderflow) {
 		t.Fatalf("Add error = %v; want ErrScopeUnderflow", err)
@@ -132,8 +132,12 @@ func TestFinalizeLargeWeightsNoOverflow(t *testing.T) {
 }
 
 // FuzzDynamicLabeler feeds random Prepare/Add interleavings through the
-// labeler and demands that Validate always passes and nothing panics,
-// whatever mix of underflows and unprepared symbols comes up.
+// labeler and its map-trie model (model_test.go) and demands that nothing
+// panics, Validate always passes, and every AddReport, the underflow count
+// and the EmitPrefix walk match the model, whatever mix of underflows and
+// unprepared symbols comes up. Most sequences are drawn from earlier ones —
+// a duplicate, a prefix, or a prefix that goes on differently — so they end
+// inside, run past, or leave the tails earlier Adds left.
 func FuzzDynamicLabeler(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(8), uint16(40))
 	f.Add(int64(7), uint8(0), uint8(1), uint16(5))
@@ -141,33 +145,47 @@ func FuzzDynamicLabeler(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, alpha uint8, spread uint8, n uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		d := NewDynamicLabeler(int(alpha%8), uint64(spread))
+		m := newMapLabeler(int(alpha%8), uint64(spread))
 		// A tiny root scope makes exhaustion reachable.
-		shrinkRoot(d, 1+uint64(rng.Intn(1<<uint(rng.Intn(20)))))
+		right := 1 + uint64(rng.Intn(1<<uint(rng.Intn(20))))
+		shrinkRoot(d, right)
+		m.root.right = right
 
+		var seen [][]Symbol
 		mkSeq := func() []Symbol {
-			seq := make([]Symbol, 1+rng.Intn(12))
-			for i := range seq {
-				seq[i] = Symbol(rng.Intn(6))
+			var seq []Symbol
+			if len(seen) > 0 && rng.Intn(4) != 0 {
+				prev := seen[rng.Intn(len(seen))]
+				seq = append(seq, prev[:1+rng.Intn(len(prev))]...)
+				if rng.Intn(3) == 0 {
+					return seq
+				}
 			}
+			for n := rng.Intn(12 - len(seq) + 1); n > 0 || len(seq) == 0; n-- {
+				seq = append(seq, Symbol(rng.Intn(6)))
+			}
+			seen = append(seen, seq)
 			return seq
 		}
 		total := int(n%256) + 1
 		prep := rng.Intn(total + 1)
 		for i := 0; i < prep; i++ {
-			if err := d.Prepare(mkSeq()); err != nil {
+			s := mkSeq()
+			if err := d.Prepare(s); err != nil {
 				t.Fatal(err)
 			}
+			m.Prepare(s)
 		}
 		d.Finalize()
+		m.Finalize()
 		if err := d.t.validate(); err != nil {
 			t.Fatalf("Validate after Finalize: %v", err)
 		}
-		for i := prep; i < total; i++ {
-			err := d.Add(mkSeq(), uint32(i))
-			if err != nil && !errors.Is(err, ErrScopeUnderflow) {
-				t.Fatalf("Add: %v", err)
-			}
+		seqs := make([][]Symbol, total-prep)
+		for i := range seqs {
+			seqs[i] = mkSeq()
 		}
+		addAgainstModel(t, "fuzz", d, m, seqs)
 		if err := d.t.validate(); err != nil {
 			t.Fatalf("Validate after Adds: %v", err)
 		}
@@ -175,12 +193,14 @@ func FuzzDynamicLabeler(f *testing.F) {
 }
 
 // TestDynamicPostingEquivalence pins the incremental emission contract
-// against the exact Builder on small corpora: EmitPrefix plus the
-// AddReport-created postings must equal the labeler's own Emit walk
-// (nothing double-written, nothing missed), terminal postings must carry
-// the sequence's last symbol at its length, and the trie must be
-// structurally identical to the exact Builder's — same (symbol, level)
-// node multiset, same documents at the same terminal paths.
+// against the exact Builder on small corpora: EmitPrefix right after
+// Finalize plus the AddReport-created postings must equal the labeler's
+// whole walk, EmitPrefix after the Adds (nothing double-written, nothing
+// missed), terminal postings must carry the sequence's last symbol at its
+// length, and the trie must be structurally identical to the exact
+// Builder's — same (symbol, level) node multiset, same documents at the
+// same terminal paths (the dynamic labeler keeps no document lists: a
+// document sits at the terminal AddReport gave it).
 func TestDynamicPostingEquivalence(t *testing.T) {
 	corpora := map[string][][]Symbol{
 		"shared-prefix": {
@@ -209,6 +229,7 @@ func TestDynamicPostingEquivalence(t *testing.T) {
 			d.Finalize()
 
 			incremental := map[Posting]int{}
+			dynDocs := map[string][]uint32{}
 			if err := d.EmitPrefix(func(p Posting) error {
 				incremental[p]++
 				return nil
@@ -216,7 +237,7 @@ func TestDynamicPostingEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, s := range seqs {
-				created, term, err := d.AddReport(s, uint32(i))
+				created, term, err := d.AddReport(s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -226,6 +247,8 @@ func TestDynamicPostingEquivalence(t *testing.T) {
 				if term.Symbol != s[len(s)-1] || term.Level != uint32(len(s)) {
 					t.Fatalf("terminal %+v for seq %v", term, s)
 				}
+				key := fmt.Sprintf("%d@%d", term.Symbol, term.Level)
+				dynDocs[key] = append(dynDocs[key], uint32(i))
 				if err := b.Add(s, uint32(i)); err != nil {
 					t.Fatal(err)
 				}
@@ -236,13 +259,9 @@ func TestDynamicPostingEquivalence(t *testing.T) {
 
 			emitted := map[Posting]int{}
 			dynShape := map[string]int{}
-			dynDocs := map[string][]uint32{}
-			if err := d.t.emit(func(p Posting, docs []uint32) error {
+			if err := d.EmitPrefix(func(p Posting) error {
 				emitted[p]++
 				dynShape[fmt.Sprintf("%d@%d", p.Symbol, p.Level)]++
-				if len(docs) > 0 {
-					dynDocs[fmt.Sprintf("%d@%d", p.Symbol, p.Level)] = append([]uint32(nil), docs...)
-				}
 				return nil
 			}); err != nil {
 				t.Fatal(err)
@@ -252,11 +271,11 @@ func TestDynamicPostingEquivalence(t *testing.T) {
 					t.Fatalf("posting %+v written %d times by EmitPrefix+AddReport", p, n)
 				}
 				if emitted[p] != 1 {
-					t.Fatalf("posting %+v from incremental emission absent from Emit", p)
+					t.Fatalf("posting %+v from incremental emission absent from the walk", p)
 				}
 			}
 			if len(incremental) != len(emitted) {
-				t.Fatalf("incremental emitted %d postings, Emit walk has %d", len(incremental), len(emitted))
+				t.Fatalf("incremental emitted %d postings, the walk has %d", len(incremental), len(emitted))
 			}
 
 			b.Label()

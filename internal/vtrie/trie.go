@@ -19,14 +19,28 @@ import (
 // node that outgrows the chain is promoted once to a kidIndex in wide: value
 // symbols under one tag fan out in the thousands, and a chain walk there
 // would make every insert linear in the fan-out.
+//
+// In the DynamicLabeler's trie an unbranched path down to a leaf is not
+// nodes at all: its top node (the head) keeps the symbols below it as a
+// tail, a run in the shared syms arena, and their labels are recomputed from
+// the head's (dynamic.go). A tail node costs 4 bytes, not 40.
 type trie struct {
 	slabs []*[slabSize]node
 	n     uint32 // nodes allocated, root included
 	wide  []kidIndex
 	// terms lists (terminal node, document) in arrival order: the documents
-	// whose sequence ends at a node. Only Emit reads it, so it stays out of
-	// the node.
+	// whose sequence ends at a node. Only the Builder records them, for
+	// Emit; it stays out of the node.
 	terms []term
+	// tails indexes the runs of syms that tail heads own; tailSyms counts
+	// the symbols of the runs still in use (a split leaves the materialized
+	// part of a run behind in syms). spread is the DynamicLabeler's
+	// slots-per-symbol, which the tail labels are recomputed with; a
+	// Builder's trie has no tails.
+	tails    []tail
+	syms     []Symbol
+	tailSyms int
+	spread   uint64
 }
 
 const (
@@ -42,12 +56,16 @@ const (
 	runCap = 128
 	// wideFan in node.fan marks a promoted node: kid then indexes trie.wide.
 	wideFan = 0xff
+	// tailFan in node.fan marks a tail head: kid then indexes trie.tails,
+	// and the head has no other child.
+	tailFan = 0xfe
 )
 
 type node struct {
 	left, right uint64
 	// free is the owning labeler's word: the DynamicLabeler's last assigned
-	// slot within (left, right], the Builder's subtree size during Label.
+	// slot within (left, right] (unset on a tail head until its tail is
+	// left), the Builder's subtree size during Label.
 	free uint64
 	sym  Symbol
 	kid  uint32 // first child in symbol order, 0 = none; the wide index once promoted
@@ -55,6 +73,9 @@ type node struct {
 	fan  uint8  // children on the chain, or wideFan
 	term bool   // some sequence ends here (its documents are in trie.terms)
 }
+
+// tail is the run syms[off:off+n] below a tail head, top down.
+type tail struct{ off, n uint32 }
 
 const nodeBytes = int(unsafe.Sizeof(node{}))
 
@@ -187,8 +208,12 @@ func (t *trie) link(p *node, c uint32) {
 	t.wide = append(t.wide, kidIndex{run})
 }
 
-// kids appends p's children to buf in symbol order.
+// kids appends p's children to buf in symbol order: none for a tail head,
+// whose path below is walked by tailPostings.
 func (t *trie) kids(p *node, buf []uint32) []uint32 {
+	if p.fan == tailFan {
+		return buf
+	}
 	if p.fan == wideFan {
 		for _, run := range t.wide[p.kid] {
 			for _, ref := range run {
@@ -244,22 +269,45 @@ func (t *trie) posting(i, level uint32) Posting {
 }
 
 // walk visits every node but the root in preorder, children in symbol order,
-// with the node's depth (== its position in the sequence, 1-based).
-func (t *trie) walk(fn func(i, level uint32) error) error {
+// handing fn the node's index and its posting, whose level is the node's
+// depth (== its position in the sequence, 1-based). A tail's nodes follow
+// their head, with index 0.
+func (t *trie) walk(fn func(i uint32, p Posting) error) error {
 	type frame struct{ i, level uint32 }
 	stack := []frame{{0, 0}}
 	var kids []uint32
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		n := t.at(f.i)
 		if f.i != 0 {
-			if err := fn(f.i, f.level); err != nil {
+			if err := fn(f.i, t.posting(f.i, f.level)); err != nil {
 				return err
 			}
+			if n.fan == tailFan {
+				if err := t.tailPostings(n, f.level, func(p Posting) error { return fn(0, p) }); err != nil {
+					return err
+				}
+				continue
+			}
 		}
-		kids = t.kids(t.at(f.i), kids[:0])
+		kids = t.kids(n, kids[:0])
 		for k := len(kids) - 1; k >= 0; k-- {
 			stack = append(stack, frame{kids[k], f.level + 1})
+		}
+	}
+	return nil
+}
+
+// tailPostings hands fn the postings of head h's tail, top down; level is
+// h's depth.
+func (t *trie) tailPostings(h *node, level uint32, fn func(p Posting) error) error {
+	run := t.tailRun(h)
+	l, r := h.left, h.right
+	for k, s := range run {
+		l, r = t.below(l, r, len(run)-k)
+		if err := fn(Posting{Symbol: s, Left: l, Right: r, Level: level + 1 + uint32(k)}); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -274,7 +322,7 @@ func (t *trie) emit(fn func(p Posting, docs []uint32) error) error {
 	for i, tm := range t.terms {
 		docs[i] = tm.doc
 	}
-	return t.walk(func(i, level uint32) error {
+	return t.walk(func(i uint32, p Posting) error {
 		var ends []uint32
 		if t.at(i).term {
 			lo := sort.Search(len(t.terms), func(k int) bool { return t.terms[k].node >= i })
@@ -284,12 +332,13 @@ func (t *trie) emit(fn func(p Posting, docs []uint32) error) error {
 			}
 			ends = docs[lo:hi:hi]
 		}
-		return fn(t.posting(i, level), ends)
+		return fn(p, ends)
 	})
 }
 
 // validate checks the containment property: every child range is non-empty,
-// inside its parent's open interval, and disjoint from its siblings'.
+// inside its parent's open interval, and disjoint from its siblings'. A
+// tail's recomputed labels are checked like stored ones.
 func (t *trie) validate() error {
 	stack := []uint32{0}
 	var kids []uint32
@@ -297,21 +346,25 @@ func (t *trie) validate() error {
 	for len(stack) > 0 {
 		n := t.at(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
+		if n.fan == tailFan {
+			parent := Posting{Left: n.left, Right: n.right}
+			if err := t.tailPostings(n, 0, func(c Posting) error {
+				err := checkChild(c.Left, c.Right, parent.Left, parent.Right, parent.Left)
+				parent = c
+				return err
+			}); err != nil {
+				return err
+			}
+			continue
+		}
 		// Exact labels ascend with the symbol, dynamic ones with arrival.
 		kids = t.kids(n, kids[:0])
 		slices.SortFunc(kids, byLeft)
 		prevRight := n.left
 		for _, k := range kids {
 			c := t.at(k)
-			if c.left <= n.left || c.right > n.right {
-				return fmt.Errorf("vtrie: child range (%d,%d] escapes parent (%d,%d]",
-					c.left, c.right, n.left, n.right)
-			}
-			if c.left > c.right {
-				return fmt.Errorf("vtrie: empty range (%d,%d]", c.left, c.right)
-			}
-			if c.left <= prevRight {
-				return fmt.Errorf("vtrie: sibling ranges overlap at %d", c.left)
+			if err := checkChild(c.left, c.right, n.left, n.right, prevRight); err != nil {
+				return err
 			}
 			prevRight = c.right
 		}
@@ -320,10 +373,27 @@ func (t *trie) validate() error {
 	return nil
 }
 
-// bytes is the heap the trie holds: slabs, promoted indexes, terminal list.
+// checkChild checks one child range (left, right] against its parent's and
+// the right end of the sibling before it.
+func checkChild(left, right, pLeft, pRight, prevRight uint64) error {
+	if left <= pLeft || right > pRight {
+		return fmt.Errorf("vtrie: child range (%d,%d] escapes parent (%d,%d]", left, right, pLeft, pRight)
+	}
+	if left > right {
+		return fmt.Errorf("vtrie: empty range (%d,%d]", left, right)
+	}
+	if left <= prevRight {
+		return fmt.Errorf("vtrie: sibling ranges overlap at %d", left)
+	}
+	return nil
+}
+
+// bytes is the heap the trie holds: slabs, promoted indexes, terminal list,
+// tail table and arena.
 func (t *trie) bytes() int {
 	b := len(t.slabs)*slabSize*nodeBytes + cap(t.slabs)*int(unsafe.Sizeof(t.slabs[0])) +
-		cap(t.terms)*int(unsafe.Sizeof(term{})) + cap(t.wide)*int(unsafe.Sizeof(t.wide[0]))
+		cap(t.terms)*int(unsafe.Sizeof(term{})) + cap(t.wide)*int(unsafe.Sizeof(t.wide[0])) +
+		cap(t.tails)*int(unsafe.Sizeof(tail{})) + cap(t.syms)*int(unsafe.Sizeof(Symbol(0)))
 	for _, x := range t.wide {
 		b += cap(x) * int(unsafe.Sizeof(x[0]))
 		for _, run := range x {

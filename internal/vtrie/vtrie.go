@@ -16,7 +16,8 @@
 //     the fly as sequences arrive, helped by an α-deep prefix trie whose
 //     ranges are pre-allocated by frequency and length (§5.2.1). It can
 //     suffer scope underflow. Insertable indexes and their compactions use
-//     it, and keep it resident.
+//     it, and keep it resident, each unbranched path to a leaf as a tail of
+//     symbols whose labels are recomputed.
 package vtrie
 
 import (

@@ -233,7 +233,7 @@ func TestDynamicLabelerNoUnderflowSmall(t *testing.T) {
 	}
 	d.Finalize()
 	for i, s := range seqs {
-		if err := d.Add(s, uint32(i)); err != nil {
+		if err := d.Add(s); err != nil {
 			t.Fatalf("seq %d: %v", i, err)
 		}
 	}
@@ -261,7 +261,7 @@ func TestDynamicLabelerUnderflows(t *testing.T) {
 		for j := 1; j < n; j++ {
 			s[j] = Symbol(rng.Intn(1 << 16))
 		}
-		if err := d.Add(s, uint32(i)); err != nil {
+		if err := d.Add(s); err != nil {
 			if !errors.Is(err, ErrScopeUnderflow) {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -305,8 +305,8 @@ func TestDynamicAlphaReducesUnderflow(t *testing.T) {
 			}
 		}
 		d.Finalize()
-		for i, s := range ss {
-			_ = d.Add(s, uint32(i))
+		for _, s := range ss {
+			_ = d.Add(s)
 		}
 		return d.Underflows()
 	}
@@ -354,7 +354,7 @@ func TestEmitErrorPropagates(t *testing.T) {
 		t.Errorf("Emit error = %v", err)
 	}
 	d := NewDynamicLabeler(0, 0)
-	d.Add(seq(1, 2), 1)
+	d.Add(seq(1, 2))
 	if err := d.t.emit(func(p Posting, docs []uint32) error { return sentinel }); err != sentinel {
 		t.Errorf("dynamic Emit error = %v", err)
 	}
