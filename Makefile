@@ -198,7 +198,9 @@ benchmark-module:
 # the POST /query reply appender against encoding/json's Encoder over
 # fuzzed responses (FuzzQueryReply: HTML metacharacters, U+2028, control
 # bytes and invalid UTF-8 in the query and shard names, nil and empty
-# images, degraded shards, quarantined ids, trace trees).
+# images, degraded shards, quarantined ids, trace trees); and Match itself
+# against the brute-force oracle over random twigs and seeded random corpora
+# (FuzzMatchOracle: EP and RP, Parallelism 1 and 4, ordered and unordered).
 # -fuzzminimizetime bounds the minimization of each new interesting input
 # (60 s by default): with it unbounded both workers sat minimizing from
 # 9-12 s to the end of the 30 s budget, "execs: … (0/sec)", and
@@ -222,9 +224,10 @@ fuzz:
 	$(GO) test ./internal/btree -run FuzzPackedLeaf -fuzz FuzzPackedLeaf -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/prix -run FuzzRecordDocSeq -fuzz FuzzRecordDocSeq -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/server -run FuzzQueryReply -fuzz FuzzQueryReply -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/prix -run FuzzMatchOracle -fuzz FuzzMatchOracle -fuzztime 30s -fuzzminimizetime 2s
 
 # The oracle-backed differential suite: every engine (PRIX serial/parallel,
-# MatchExhaustive, TwigStack, TwigStackXB, ViST) against the brute-force
+# TwigStack, TwigStackXB, ViST) against the brute-force
 # embedding oracle, ordered and unordered, on generated and sample docs.
 differential:
 	$(GO) test ./internal/prix -run Differential -count=1

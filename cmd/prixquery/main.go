@@ -139,10 +139,8 @@ func run(args []string, stdout, stderr *os.File) int {
 		return fail(exitError, err)
 	}
 	ms, stats := res.Matches, res.Stats
-	// complete: false marks a twig in the algorithm's incompleteness corner
-	// (several // or * branches): the matches are real, some may be missing.
-	fmt.Fprintf(stdout, "%d matches in %v (%d range queries, %d candidates, %d pages read, complete: %t)\n",
-		len(ms), stats.Elapsed, stats.RangeQueries, stats.Candidates, stats.PagesRead, res.Complete)
+	fmt.Fprintf(stdout, "%d matches in %v (%d range queries, %d candidates, %d pages read)\n",
+		len(ms), stats.Elapsed, stats.RangeQueries, stats.Candidates, stats.PagesRead)
 	if !*countOnly {
 		for i, m := range ms {
 			if i >= *limit {

@@ -16,32 +16,42 @@ import (
 )
 
 // The oracle-backed differential suite: every engine in the repository —
-// PRIX Match (serial and parallel), PRIX MatchExhaustive, TwigStack,
-// TwigStackXB and ViST — is run over one corpus and checked against the
-// brute-force embedding oracle in internal/twig, under both ordered and
-// unordered semantics. The suite's value is the cross-product: a bug in
-// any one engine (or in the oracle) shows up as a disagreement here even
-// when that engine's own unit tests pass.
+// PRIX Match (serial and parallel), TwigStack, TwigStackXB and ViST — is run
+// over one corpus and checked against the brute-force embedding oracle in
+// internal/twig, under both ordered and unordered semantics. The suite's
+// value is the cross-product: a bug in any one engine (or in the oracle)
+// shows up as a disagreement here even when that engine's own unit tests
+// pass. FuzzMatchOracle runs the same shapes, and random ones, over random
+// corpora.
 
-// diffShapes are the query shapes the suite exercises. `exact` marks
-// child-edge-only queries, for which PRIX Match is complete; shapes with
-// interior descendant edges go through MatchExhaustive, which closes the
-// §4.5 wildcard corner. `branches` marks queries with at least two branch
-// children, for which unordered semantics differ from ordered.
+// diffShapes are the query shapes the suite exercises. `branches` marks
+// queries with at least two branch children, for which unordered semantics
+// differ from ordered.
 var diffShapes = []struct {
 	src      string
-	exact    bool
 	branches bool
 }{
-	{`//a/b`, true, false},
-	{`/a/b/c`, true, false},
-	{`//a[./b/c]/d`, true, true},
-	{`//a[./b][./d]`, true, true},
-	{`//a[./b/c="x"]/d`, true, true},
-	{`//b[./c]`, true, false},
-	{`//a//d/e`, false, false},
-	{`//a[.//b]//c`, false, true},
-	{`//a`, true, false},
+	{`//a/b`, false},
+	{`/a/b/c`, false},
+	{`//a[./b/c]/d`, true},
+	{`//a[./b][./d]`, true},
+	{`//a[./b/c="x"]/d`, true},
+	{`//b[./c]`, false},
+	{`//a//d/e`, false},
+	{`//a[.//b]//c`, true},
+	{`//a`, false},
+}
+
+// rpShapes parses the diffShapes an RPIndex answers: those without a
+// non-exact edge directly above a leaf.
+func rpShapes() []*twig.Query {
+	var qs []*twig.Query
+	for _, sh := range diffShapes {
+		if q := twig.MustParse(sh.src); wildcardLeaf(q.Root) == nil {
+			qs = append(qs, q)
+		}
+	}
+	return qs
 }
 
 // bruteOrderedCount is the ordered oracle: total embeddings over the corpus.
@@ -93,15 +103,7 @@ func TestDifferentialPRIXOrdered(t *testing.T) {
 		for name, ix := range map[string]*Index{"rp": rp, "ep": ep} {
 			for _, par := range []int{1, 4} {
 				opts := MatchOptions{WarmCache: true, Parallelism: par}
-				var (
-					ms  []Match
-					err error
-				)
-				if sh.exact {
-					ms, _, err = ix.Match(q, opts)
-				} else {
-					ms, _, err = ix.MatchExhaustive(q, opts)
-				}
+				ms, _, err := ix.Match(q, opts)
 				if errors.Is(err, ErrNeedsExtendedIndex) && !ix.Extended() {
 					continue // RPIndex legitimately refuses this class
 				}
@@ -132,15 +134,7 @@ func TestDifferentialPRIXUnordered(t *testing.T) {
 		for name, ix := range map[string]*Index{"rp": rp, "ep": ep} {
 			for _, par := range []int{1, 4} {
 				opts := MatchOptions{WarmCache: true, Unordered: true, Parallelism: par}
-				var (
-					ms  []Match
-					err error
-				)
-				if sh.exact {
-					ms, _, err = ix.Match(q, opts)
-				} else {
-					ms, _, err = ix.MatchExhaustive(q, opts)
-				}
+				ms, _, err := ix.Match(q, opts)
 				if errors.Is(err, ErrNeedsExtendedIndex) && !ix.Extended() {
 					continue
 				}

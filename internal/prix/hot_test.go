@@ -1,6 +1,7 @@
 package prix
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -66,16 +67,8 @@ func TestHotDifferential(t *testing.T) {
 			for _, unordered := range modes {
 				for _, par := range []int{1, 4} {
 					opts := MatchOptions{WarmCache: true, Unordered: unordered, Parallelism: par}
-					var wantMS, gotMS []Match
-					var wantStats, gotStats *QueryStats
-					var wantErr, gotErr error
-					if sh.exact || extended {
-						wantMS, wantStats, wantErr = cold.Match(q, opts)
-						gotMS, gotStats, gotErr = hotIx.Match(q, opts)
-					} else {
-						wantMS, wantStats, wantErr = cold.MatchExhaustive(q, opts)
-						gotMS, gotStats, gotErr = hotIx.MatchExhaustive(q, opts)
-					}
+					wantMS, wantStats, wantErr := cold.Match(q, opts)
+					gotMS, gotStats, gotErr := hotIx.Match(q, opts)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("ext=%v %s unordered=%v par=%d: hot err %v, cold err %v",
 							extended, sh.src, unordered, par, gotErr, wantErr)
@@ -91,7 +84,7 @@ func TestHotDifferential(t *testing.T) {
 						t.Errorf("ext=%v %s unordered=%v par=%d: hot stats = %+v, cold %+v",
 							extended, sh.src, unordered, par, got, want)
 					}
-					if par == 1 && (sh.exact || extended) {
+					if par == 1 {
 						// Multi-node shapes descend the trie (posting hits);
 						// the single-node shape scans resident images.
 						if q.Size() > 1 && gotStats.HotPostingHits == 0 {
@@ -107,10 +100,10 @@ func TestHotDifferential(t *testing.T) {
 		// Fully hot-resident: the whole query path must run without a single
 		// physical page read (the cold twin, same shapes, reads plenty).
 		for _, sh := range diffShapes {
-			if !sh.exact && !extended {
+			_, stats, err := hotIx.Match(twig.MustParse(sh.src), MatchOptions{Parallelism: 1})
+			if errors.Is(err, ErrNeedsExtendedIndex) && !extended {
 				continue
 			}
-			_, stats, err := hotIx.Match(twig.MustParse(sh.src), MatchOptions{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,18 +121,6 @@ func TestHotDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// hotE2EQueries are the exact-edge differential shapes DynamicIndex.Match
-// answers directly (value, branch, single-node and chain classes included).
-func hotE2EQueries() []*twig.Query {
-	var qs []*twig.Query
-	for _, sh := range diffShapes {
-		if sh.exact {
-			qs = append(qs, twig.MustParse(sh.src))
-		}
-	}
-	return qs
 }
 
 // TestHotE2E drives the dynamic write path against the tier: a hot dynamic
@@ -161,7 +142,7 @@ func TestHotE2E(t *testing.T) {
 	}
 	cold := mk(0)
 	hotDi := mk(8 << 20)
-	queries := hotE2EQueries()
+	queries := rpShapes()
 
 	compare := func(label string) {
 		t.Helper()
@@ -253,11 +234,7 @@ func TestHotEvictionUnderPressure(t *testing.T) {
 	cold := build(t, false, docs...)
 	// A few KiB: some summaries and small lists fit, the rest thrash.
 	hotIx := buildHot(t, false, 4<<10, docs...)
-	for _, sh := range diffShapes {
-		if !sh.exact {
-			continue
-		}
-		q := twig.MustParse(sh.src)
+	for _, q := range rpShapes() {
 		wantMS, _, err := cold.Match(q, MatchOptions{WarmCache: true, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -267,7 +244,7 @@ func TestHotEvictionUnderPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(gotMS, wantMS) {
-			t.Errorf("%s: matches diverge under tier pressure", sh.src)
+			t.Errorf("%s: matches diverge under tier pressure", q)
 		}
 	}
 	st := hotIx.HotStats()

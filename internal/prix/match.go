@@ -26,7 +26,8 @@ type Match struct {
 	DocID uint32
 	// Positions is S — the 1-based positions in LPS(D) where LPS(Q)
 	// matched (one witness; wildcard queries can have several witnesses
-	// per embedding, all reduced to the same Images).
+	// per embedding, all reduced to the same Images). Nil for a match the
+	// parts of a split twig were joined into, which has no single witness.
 	Positions []int32
 	// Images is the canonical embedding: Images[i] is the postorder
 	// number (in the sequenced, possibly extended tree) of the image of
@@ -82,9 +83,22 @@ type QueryStats struct {
 // ErrNeedsExtendedIndex marks queries an RPIndex cannot filter: a
 // descendant or star edge directly above a twig leaf (the leaf's parent
 // label cannot appear at the required sequence position in regular
-// sequences). Use an EPIndex, or MatchExhaustive which falls back to a
-// document-store pass.
+// sequences). The paper answers them with an EPIndex (§5.6), and so must
+// the caller.
 var ErrNeedsExtendedIndex = errors.New("query needs an EPIndex")
+
+// wildcardLeaf returns a leaf of n's subtree whose edge is not exact, or nil.
+func wildcardLeaf(n *twig.Node) *twig.Node {
+	for _, c := range n.Children {
+		if len(c.Children) == 0 && !c.Edge.Exact() {
+			return c
+		}
+		if l := wildcardLeaf(c); l != nil {
+			return l
+		}
+	}
+	return nil
+}
 
 // arrangementLimit caps the branch arrangements an unordered match runs.
 const arrangementLimit = 720
@@ -220,7 +234,8 @@ func (s *QueryStats) merge(o *QueryStats) {
 	s.Degraded = s.Degraded || o.Degraded
 }
 
-// Match finds all ordered (or unordered, per opts) occurrences of the query.
+// Match finds all ordered (or unordered, per opts) occurrences of the query,
+// splitting a twig the descent alone could miss occurrences of (split.go).
 // Results are sorted by compareMatches: (DocID, Positions, Images, Root).
 func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, error) {
 	// Queries run under the repair read-lock: a concurrent repair or forest
@@ -231,6 +246,14 @@ func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, 
 	start := time.Now()
 	if err := opts.context().Err(); err != nil {
 		return nil, nil, fmt.Errorf("prix: match %q: %w", q, err)
+	}
+	if !ix.opts.Extended {
+		// Regular-Prüfer matching verifies a twig leaf's edge implicitly
+		// as a parent-child edge; descendant edges above leaves need the
+		// EPIndex (§5.6 makes every node internal).
+		if l := wildcardLeaf(q.Root); l != nil {
+			return nil, nil, fmt.Errorf("prix: query %q has a wildcard edge above leaf %q (%w)", q, l.Label, ErrNeedsExtendedIndex)
+		}
 	}
 	// Per-query I/O accounting is a before/after delta of the monotonic
 	// physical-read counters. A cold start evicts clean cached pages first
@@ -251,39 +274,28 @@ func (ix *Index) Match(q *twig.Query, opts MatchOptions) ([]Match, *QueryStats, 
 	} else {
 		stats = new(QueryStats)
 	}
-	if q.Size() == 1 {
-		ms, err := ix.matchSingleNode(q, opts, stats, sp)
-		if err != nil {
-			sp.End()
-			return nil, nil, err
-		}
-		stats.Matches = len(ms)
-		stats.PagesRead = ix.PagesRead() - pagesBefore
-		stats.Elapsed = time.Since(start)
-		finishMatchSpan(sp, stats)
-		return ms, stats, nil
-	}
 	var out []Match
 	var err error
-	if opts.Unordered {
-		arr, truncated := q.Arrangements(arrangementLimit)
-		if truncated {
-			sp.End()
-			return nil, nil, fmt.Errorf("prix: too many branch arrangements for unordered match of %q", q)
-		}
-		out, err = ix.matchArrangements(arr, opts, stats, sp)
-	} else {
+	switch {
+	case q.Size() == 1:
+		out, err = ix.matchSingleNode(q, opts, stats, sp) // sorted as scanned
+	case !opts.Unordered:
 		// One arrangement: no fan-out and no image-set dedup, so the query
-		// goes straight to its walk, with the whole worker budget.
-		out, err = ix.matchOrdered(q, opts, stats, opts.workers(), sp)
+		// goes straight to its walk (or its parts'), with the whole worker
+		// budget.
+		out, err = ix.matchSplit(q, opts, stats, opts.workers(), sp)
+	default:
+		out, err = ix.matchArrangements(q, opts, stats, sp)
 	}
 	if err != nil {
 		sp.End()
 		return nil, nil, err
 	}
-	t0 := sp.Start()
-	slices.SortFunc(out, compareMatches)
-	sp.Stage(obs.StageReduce, t0)
+	if q.Size() > 1 {
+		t0 := sp.Start()
+		slices.SortFunc(out, compareMatches)
+		sp.Stage(obs.StageReduce, t0)
+	}
 	stats.Matches = len(out)
 	stats.PagesRead = ix.PagesRead() - pagesBefore
 	stats.Elapsed = time.Since(start)
@@ -303,37 +315,13 @@ func compareMatches(a, b Match) int {
 	if c := cmp.Compare(a.DocID, b.DocID); c != 0 {
 		return c
 	}
-	if c := compareInt32s(a.Positions, b.Positions); c != 0 {
+	if c := slices.Compare(a.Positions, b.Positions); c != 0 {
 		return c
 	}
-	if c := compareInt32s(a.Images, b.Images); c != 0 {
+	if c := slices.Compare(a.Images, b.Images); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.Root, b.Root)
-}
-
-// compareInt32s three-way-compares two position/image lists
-// lexicographically, shorter first on a shared prefix.
-func compareInt32s(a, b []int32) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for k := 0; k < n; k++ {
-		if a[k] != b[k] {
-			if a[k] < b[k] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }
 
 // MergeMatches merges runs, each in compareMatches order, into one answer in that
@@ -484,17 +472,6 @@ func (ix *Index) compile(q *twig.Query, pat *twig.Pattern, p *plan) (ok bool, er
 	if err := q.PrepareInto(pat, ix.opts.Extended); err != nil {
 		return false, err
 	}
-	if !ix.opts.Extended {
-		// Regular-Prüfer matching verifies a twig leaf's edge implicitly
-		// as a parent-child edge; descendant edges above leaves need the
-		// EPIndex (§5.6 makes every node internal).
-		for _, n := range pat.Doc.Nodes {
-			if n.Parent != nil && n.IsLeaf() && !pat.Edges[n.Post-1].Exact() {
-				return false, fmt.Errorf(
-					"prix: query %q has a wildcard edge above leaf %q (%w)", q, n.Label, ErrNeedsExtendedIndex)
-			}
-		}
-	}
 	dict := ix.store.Dict()
 	levels := pat.Seq.Len()
 	p.anchored, p.rootEdge, p.m, p.edges = pat.Anchored, q.RootEdge, pat.Doc.Size(), pat.Edges
@@ -600,12 +577,13 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 	if err != nil {
 		return nil, err
 	}
+	t1 := sp.Start()
 	if d.sem != nil {
-		t1 := sp.Start()
 		sc.reduce()
-		sp.Stage(obs.StageReduce, t1)
 	}
-	return sc.stage.pack(opts.Into), nil
+	out := sc.stage.pack(opts.Into)
+	sp.Stage(obs.StageReduce, t1)
+	return out, nil
 }
 
 // scratch is the working memory of one goroutine's share of a query: the
@@ -959,11 +937,14 @@ func (d *descent) run(stats *QueryStats, sc *scratch) error {
 	for _, ks := range d.kids {
 		stats.merge(ks)
 	}
-	for _, e := range d.errs {
-		if e == nil {
-			continue
-		}
-		if err == nil || isSecondaryErr(err) && !isSecondaryErr(e) {
+	return cause(err, d.errs)
+}
+
+// cause returns err, or the first of errs if err is nil, preferring a real
+// failure over the cancellations it caused.
+func cause(err error, errs []error) error {
+	for _, e := range errs {
+		if e != nil && (err == nil || isSecondaryErr(err) && !isSecondaryErr(e)) {
 			err = e
 		}
 	}
@@ -1278,7 +1259,7 @@ func refineStructure(p *plan, N []int32) bool {
 			return false
 		case dataGap*queryGap < 0:
 			return false
-		case abs64(queryGap) > abs64(dataGap):
+		case max(queryGap, -queryGap) > max(dataGap, -dataGap):
 			return false
 		}
 	}
@@ -1356,11 +1337,4 @@ func rootDepth(doc docShape, post int32) int {
 		depth++
 	}
 	return depth
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -58,21 +58,11 @@ func dynCorpusIndex(t testing.TB, dir string, extended bool, docs []*xmltree.Doc
 	return di
 }
 
-// metamorphicCount runs one differential shape against the dynamic index
-// (Match for exact shapes, MatchExhaustive otherwise); skipped=true when
-// the RP index legitimately refuses the query class.
-func metamorphicCount(t *testing.T, di *DynamicIndex, src string, exact bool, opts MatchOptions) (int, bool) {
+// metamorphicCount runs one differential shape against the dynamic index;
+// skipped=true when the RP index legitimately refuses the query class.
+func metamorphicCount(t *testing.T, di *DynamicIndex, src string, opts MatchOptions) (int, bool) {
 	t.Helper()
-	q := twig.MustParse(src)
-	var (
-		ms  []Match
-		err error
-	)
-	if exact {
-		ms, _, err = di.Match(q, opts)
-	} else {
-		ms, _, err = di.Index().MatchExhaustive(q, opts)
-	}
+	ms, _, err := di.Match(twig.MustParse(src), opts)
 	if errors.Is(err, ErrNeedsExtendedIndex) && !di.Index().Extended() {
 		return 0, true
 	}
@@ -91,7 +81,7 @@ func assertOracleEquivalent(t *testing.T, label string, di *DynamicIndex, effect
 		wantOrd := bruteOrderedCount(q, effective)
 		for _, par := range []int{1, 4} {
 			opts := MatchOptions{WarmCache: true, Parallelism: par, AsOf: asOf}
-			if got, skipped := metamorphicCount(t, di, sh.src, sh.exact, opts); !skipped && got != wantOrd {
+			if got, skipped := metamorphicCount(t, di, sh.src, opts); !skipped && got != wantOrd {
 				t.Errorf("%s: %s par=%d asOf=%d: %d matches, oracle %d",
 					label, sh.src, par, asOf, got, wantOrd)
 			}
@@ -102,7 +92,7 @@ func assertOracleEquivalent(t *testing.T, label string, di *DynamicIndex, effect
 		wantUn := bruteUnorderedCount(q, effective)
 		for _, par := range []int{1, 4} {
 			opts := MatchOptions{WarmCache: true, Unordered: true, Parallelism: par, AsOf: asOf}
-			if got, skipped := metamorphicCount(t, di, sh.src, sh.exact, opts); !skipped && got != wantUn {
+			if got, skipped := metamorphicCount(t, di, sh.src, opts); !skipped && got != wantUn {
 				t.Errorf("%s: unordered %s par=%d asOf=%d: %d matches, oracle %d",
 					label, sh.src, par, asOf, got, wantUn)
 			}
@@ -161,8 +151,8 @@ func TestMetamorphicUpdate(t *testing.T) {
 		fresh := dynCorpusIndex(t, "", extended, effective)
 		for _, sh := range diffShapes {
 			opts := MatchOptions{WarmCache: true}
-			got, skipA := metamorphicCount(t, di, sh.src, sh.exact, opts)
-			want, skipB := metamorphicCount(t, fresh, sh.src, sh.exact, opts)
+			got, skipA := metamorphicCount(t, di, sh.src, opts)
+			want, skipB := metamorphicCount(t, fresh, sh.src, opts)
 			if skipA != skipB || (!skipA && got != want) {
 				t.Errorf("%s: %s: updated index %d matches, fresh-from-B %d", name, sh.src, got, want)
 			}

@@ -265,7 +265,7 @@ func TestHotLazyRebuildLeavesNoFrames(t *testing.T) {
 		t.Fatalf("%d forest pages resident after dropping clean frames", got)
 	}
 	noFill := forest.Stats().NoFillReads
-	for _, q := range hotE2EQueries() {
+	for _, q := range rpShapes() {
 		wantMS, wantStats, err := plain.Match(q, MatchOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)

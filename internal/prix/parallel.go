@@ -3,7 +3,7 @@ package prix
 import (
 	"context"
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -30,46 +30,80 @@ import (
 // Walkers write only their own QueryStats slot; the slots are merged after
 // the walk joins.
 
-// matchArrangements runs every arranged query and applies the unordered
-// image-set deduplication in arrangement order. With one arrangement (or one
-// worker) the arrangements run in turn, each walk with the whole worker
-// budget; with several they fan out across workers (fanOutArrangements).
-func (ix *Index) matchArrangements(queries []*twig.Query, opts MatchOptions, stats *QueryStats, sp *obs.Span) ([]Match, error) {
+// matchArrangements runs every branch arrangement of q (§5.7), refusing
+// more than arrangementLimit, and applies the unordered image-set
+// deduplication in arrangement order. With one arrangement (or one worker)
+// the arrangements run in turn; with several they fan out over
+// min(workers, arrangements) goroutines, and the first failure cancels the
+// rest through a derived context. Either way every arrangement's walk keeps
+// the whole worker budget: the descent subtree fan-out is where a cold
+// query's I/O waits actually overlap (nearly all pages are forest pages),
+// and arrangements alone overlap poorly — they touch near-identical page
+// sets in near-identical order, so the coalescing pager chains their waits
+// instead of spreading them. The extra goroutines are I/O-parked almost
+// always and cost no meaningful CPU.
+func (ix *Index) matchArrangements(q *twig.Query, opts MatchOptions, stats *QueryStats, sp *obs.Span) ([]Match, error) {
+	queries, truncated := q.Arrangements(arrangementLimit)
+	if truncated {
+		return nil, fmt.Errorf("prix: too many branch arrangements for unordered match of %q", q)
+	}
+	ctx, cancel := context.WithCancel(opts.context())
+	defer cancel()
 	// Every arrangement packs into memory of its own, which the image-set
 	// dedup below keeps.
-	opts.Into = nil
+	opts.Into, opts.Ctx = nil, ctx
 	workers := opts.workers()
 	perArrangement := make([][]Match, len(queries))
-	// One span per arrangement (keyed by arrangement index, so concurrent
-	// completion order never reorders the trace); a single-arrangement
-	// query skips the extra level and hangs filter/refine off sp directly.
-	arrSpans := make([]*obs.Span, len(queries))
-	if sp != nil && len(queries) > 1 {
-		for qi, qq := range queries {
-			arrSpans[qi] = sp.ChildKeyed("arrangement", obs.OrdinalKey(qi))
-			arrSpans[qi].SetStringer("query", qq)
+	astats := make([]QueryStats, len(queries))
+	errs := make([]error, len(queries))
+	run := func(qi int) {
+		// One span per arrangement (keyed by arrangement index, so
+		// concurrent completion order never reorders the trace); a
+		// single-arrangement query hangs filter/refine off sp directly.
+		asp := sp
+		if sp != nil && len(queries) > 1 {
+			asp = sp.ChildKeyed("arrangement", obs.OrdinalKey(qi))
+			asp.SetStringer("query", queries[qi])
 		}
-	}
-	spanFor := func(qi int) *obs.Span {
-		if arrSpans[qi] != nil {
-			return arrSpans[qi]
+		perArrangement[qi], errs[qi] = ix.matchSplit(queries[qi], opts, &astats[qi], workers, asp)
+		if asp != sp {
+			asp.End()
 		}
-		return sp
+		if errs[qi] != nil {
+			cancel()
+		}
 	}
 	if len(queries) == 1 || workers <= 1 {
-		for qi, qq := range queries {
-			ms, err := ix.matchOrdered(qq, opts, stats, workers, spanFor(qi))
-			arrSpans[qi].End()
-			if err != nil {
-				return nil, err
+		for qi := range queries {
+			if run(qi); errs[qi] != nil {
+				break
 			}
-			perArrangement[qi] = ms
 		}
-	} else if err := ix.fanOutArrangements(queries, opts, stats, workers, perArrangement, arrSpans); err != nil {
-		return nil, err
+	} else {
+		idxCh := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < min(workers, len(queries)); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for qi := range idxCh {
+					run(qi)
+				}
+			}()
+		}
+		for qi := range queries {
+			idxCh <- qi
+		}
+		close(idxCh)
+		wg.Wait()
 	}
-	if !opts.Unordered {
-		return perArrangement[0], nil
+	for qi := range astats {
+		stats.merge(&astats[qi])
+	}
+	// Among several failures the lowest arrangement index wins, so the
+	// reported error is deterministic.
+	if err := cause(nil, errs); err != nil {
+		return nil, err
 	}
 	t0 := sp.Start()
 	seen := map[string]bool{}
@@ -92,80 +126,6 @@ func (ix *Index) matchArrangements(queries []*twig.Query, opts MatchOptions, sta
 	return out, nil
 }
 
-// fanOutArrangements distributes the arranged queries over min(workers,
-// len(queries)) goroutines, each arrangement running matchOrdered. The first
-// failure cancels the rest through a derived context.
-func (ix *Index) fanOutArrangements(queries []*twig.Query, opts MatchOptions, stats *QueryStats,
-	workers int, perArrangement [][]Match, arrSpans []*obs.Span) error {
-	ctx, cancel := context.WithCancel(opts.context())
-	defer cancel()
-	aopts := opts
-	aopts.Ctx = ctx
-	aw := workers
-	if len(queries) < aw {
-		aw = len(queries)
-	}
-	// Every arrangement keeps the full worker budget for its own walk:
-	// the descent subtree fan-out is where a cold query's I/O waits
-	// actually overlap (nearly all pages are forest pages), and
-	// arrangements alone overlap poorly — they touch near-identical page
-	// sets in near-identical order, so the coalescing pager chains their
-	// waits instead of spreading them. The extra goroutines (aw·inner >
-	// workers) are I/O-parked almost always and cost no meaningful CPU.
-	inner := workers
-	astats := make([]QueryStats, len(queries))
-	errs := make([]error, len(queries))
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < aw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for qi := range idxCh {
-				ms, err := ix.matchOrdered(queries[qi], aopts, &astats[qi], inner, arrSpans[qi])
-				arrSpans[qi].End()
-				if err != nil {
-					errs[qi] = err
-					cancel()
-					continue
-				}
-				perArrangement[qi] = ms
-			}
-		}()
-	}
-	for qi := range queries {
-		idxCh <- qi
-	}
-	close(idxCh)
-	wg.Wait()
-	for qi := range astats {
-		stats.merge(&astats[qi])
-	}
-	// Prefer the real failure over the cancellations it caused in the
-	// other arrangements; among several, the lowest arrangement index wins
-	// so the reported error is deterministic.
-	var ctxErr, realErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		switch {
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			if ctxErr == nil {
-				ctxErr = err
-			}
-		default:
-			if realErr == nil {
-				realErr = err
-			}
-		}
-	}
-	if realErr != nil {
-		return realErr
-	}
-	return ctxErr
-}
-
 // reduce merges the survivors of a walk that could spawn onto sc's stage:
 // the branches' (handed to sc.found as each finished) and the root walk's own.
 // Each walker kept the first of its own duplicate embeddings; restaging them
@@ -180,7 +140,7 @@ func (sc *scratch) reduce() {
 		order = append(order, int32(k))
 	}
 	slices.SortFunc(order, func(a, b int32) int {
-		return compareInt32s(all.paths[int(a)*w:int(a+1)*w], all.paths[int(b)*w:int(b+1)*w])
+		return slices.Compare(all.paths[int(a)*w:int(a+1)*w], all.paths[int(b)*w:int(b+1)*w])
 	})
 	st.reset(st.ls, st.m)
 	for _, k := range order {

@@ -133,12 +133,7 @@ func TestScratchIsolation(t *testing.T) {
 				t.Fatalf("doc %d at version %d: interval %+v (visible %v) does not point at an old image", id, asOf, iv, ok)
 			}
 		}
-		var queries []*twig.Query
-		for _, sh := range diffShapes {
-			if sh.exact {
-				queries = append(queries, twig.MustParse(sh.src))
-			}
-		}
+		queries := rpShapes()
 		// One round: these twigs over random trees have candidates by the
 		// hundred, and the suite runs ten times under the race detector. The
 		// corpus is random, so no planted counts: the reference is the serial

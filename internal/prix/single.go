@@ -25,10 +25,7 @@ func (ix *Index) matchSingleNode(q *twig.Query, opts MatchOptions, stats *QueryS
 		return nil, nil
 	}
 	n := ix.store.NumDocs()
-	workers := opts.workers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(opts.workers(), n)
 	if workers <= 1 {
 		var ssp *obs.Span
 		if sp != nil {
@@ -60,17 +57,13 @@ func (ix *Index) matchSingleNode(q *twig.Query, opts MatchOptions, stats *QueryS
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	var out []Match
-	for w := 0; w < workers; w++ {
+	for w := range wstats {
 		stats.merge(&wstats[w])
 	}
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-		out = append(out, outs[w]...)
+	if err := cause(nil, errs); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return slices.Concat(outs...), nil
 }
 
 // scanSingleNode scans the docid range [lo, hi) for the labeled nodes,

@@ -87,7 +87,8 @@ func TestHandleQueryAllocs(t *testing.T) {
 // allocates through the handler (the TotalAlloc delta over 200 serial
 // requests, collector off), for a small reply (Q5: 5 matches) and a large
 // one (Q6: 158 matches). The bounds are the measured 1,192 B and 1,080 B plus
-// 10 %: with the cache off the answer is packed into a pooled buffer, so a
+// 10 % (Q6 reads 1,176 B since it is split in two parts, whose spans render
+// their twigs): with the cache off the answer is packed into a pooled buffer, so a
 // request's bytes no longer grow with its answer (1,928 B and 21,144 B while
 // the engine packed every answer into fresh memory the reply then dropped;
 // 4,104 B and 29,640 B while the reply also went through a []MatchJSON copy

@@ -61,12 +61,6 @@ type Result struct {
 	// Query is the query's canonical form, rendered once per request: the
 	// cache key starts with it, and the response and the slow log echo it.
 	Query string
-	// Complete reports that the answer is guaranteed to hold every
-	// occurrence. It is false exactly for queries in the published
-	// algorithm's incompleteness corner (prix.RiskOfFalseDismissal), which
-	// the executor still answers with Match: what is there is right, but an
-	// occurrence may be missing.
-	Complete bool
 	// Matches are the twig occurrences. The slice may be shared with the
 	// cache and other requests: treat it as immutable. It is valid until
 	// Release.
@@ -135,7 +129,7 @@ func (e *Executor) Execute(ctx context.Context, q *twig.Query, qo QueryOptions) 
 	b = qo.appendKey(append(b, 0))
 	b = strconv.AppendUint(append(b, 0), e.src.Generation(), 16)
 	key := string(b)
-	res := Result{Query: key[:n], Complete: !prix.RiskOfFalseDismissal(q)}
+	res := Result{Query: key[:n]}
 	if ent, ok := e.cache.Get(key); ok {
 		e.metrics.CacheHits.Inc()
 		res.Matches, res.Stats, res.Cached = ent.matches, ent.stats, true

@@ -17,11 +17,10 @@ import (
 // internal/prix's differential suite, POSTed through Server.Handler() over
 // a plain RP and EP index and over scatter-gather coordinators, each answer
 // checked against the brute-force embedding oracle rather than against
-// another engine. `complete` on the wire is the contract under test: true
-// means the count is every occurrence, false that it is a sound subset.
+// another engine: every count must equal the oracle's.
 
-// oracleShapes is internal/prix's diffShapes (test-private there) plus the
-// two-branch risk twig the complete-label tests use.
+// oracleShapes is internal/prix's diffShapes (test-private there) plus a
+// twig with two // branches under one node, on an RPIndex too.
 var oracleShapes = []string{
 	`//a/b`,
 	`/a/b/c`,
@@ -32,7 +31,7 @@ var oracleShapes = []string{
 	`//a//d/e`,
 	`//a[.//b]//c`,
 	`//a`,
-	riskyTwig,
+	`//a[.//b/c]//d/e`,
 }
 
 // oracleCorpus is internal/prix's parallelCorpus: hand-picked twigs plus
@@ -97,14 +96,8 @@ func TestServerOracleDifferential(t *testing.T) {
 			if code != http.StatusOK {
 				t.Fatalf("%s %s: %d %s", b.name, shape, code, raw)
 			}
-			if want := !prix.RiskOfFalseDismissal(q); qr.Complete != want {
-				t.Errorf("%s %s: complete = %v, want %v", b.name, shape, qr.Complete, want)
-			}
-			switch {
-			case qr.Complete && qr.Count != oracle:
+			if qr.Count != oracle {
 				t.Errorf("%s %s: count %d, oracle %d", b.name, shape, qr.Count, oracle)
-			case !qr.Complete && qr.Count > oracle:
-				t.Errorf("%s %s: incomplete count %d exceeds oracle %d", b.name, shape, qr.Count, oracle)
 			}
 		}
 		ts.Close()

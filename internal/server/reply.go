@@ -19,7 +19,6 @@ import (
 func appendReply(b []byte, r *QueryResponse, ms []prix.Match) ([]byte, error) {
 	b = appendJSONString(append(b, `{"query":`...), r.Query)
 	b = strconv.AppendInt(append(b, `,"count":`...), int64(r.Count), 10)
-	b = strconv.AppendBool(append(b, `,"complete":`...), r.Complete)
 	b = strconv.AppendBool(append(b, `,"cached":`...), r.Cached)
 	if r.Shared {
 		b = append(b, `,"shared":true`...)

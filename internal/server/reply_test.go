@@ -41,7 +41,7 @@ func TestReplySchema(t *testing.T) {
 		v    any
 		tags []string
 	}{
-		{QueryResponse{}, []string{"query", "count", "complete", "cached", "shared,omitempty",
+		{QueryResponse{}, []string{"query", "count", "cached", "shared,omitempty",
 			"truncated,omitempty", "degraded,omitempty", "degraded_shards,omitempty",
 			"quarantined,omitempty", "matches,omitempty", "stats", "trace,omitempty"}},
 		{ResponseStat{}, []string{"elapsed_us", "range_queries", "candidates", "pages_read",
@@ -122,9 +122,8 @@ func TestReplyByteParity(t *testing.T) {
 					t.Errorf("%s %s %s: Content-Type %q", c.name, qs.ID, v.name, ct)
 				}
 				want := QueryResponse{
-					Query:    q.String(),
-					Count:    len(ms),
-					Complete: !prix.RiskOfFalseDismissal(q),
+					Query: q.String(),
+					Count: len(ms),
 					Stats: ResponseStat{
 						ElapsedUS:     back.Stats.ElapsedUS,
 						RangeQueries:  st.RangeQueries,
@@ -214,7 +213,6 @@ func FuzzQueryReply(f *testing.F) {
 		r := QueryResponse{
 			Query:     query,
 			Count:     int(int32(in.u32())),
-			Complete:  flags&1 != 0,
 			Cached:    flags&2 != 0,
 			Shared:    flags&4 != 0,
 			Truncated: flags&8 != 0,

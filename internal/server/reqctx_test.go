@@ -245,8 +245,8 @@ func TestRequestContextMatchesStdlib(t *testing.T) {
 			if code != http.StatusOK {
 				t.Fatalf("%s: %d %s", shape, code, raw)
 			}
-			if oracle := twig.CountBruteForce(q, docs); qr.Complete && qr.Count != oracle || qr.Count > oracle {
-				t.Errorf("%s: count %d (complete %v), oracle %d", shape, qr.Count, qr.Complete, oracle)
+			if oracle := twig.CountBruteForce(q, docs); qr.Count != oracle {
+				t.Errorf("%s: count %d, oracle %d", shape, qr.Count, oracle)
 			}
 		}
 

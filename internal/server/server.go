@@ -244,17 +244,11 @@ type QueryRequest struct {
 
 // QueryResponse is the POST /query response.
 type QueryResponse struct {
-	Query string `json:"query"`
-	Count int    `json:"count"`
-	// Complete reports that the matches are guaranteed to be every
-	// occurrence. False marks a twig in the algorithm's known incompleteness
-	// corner (two or more branches under // or * edges; DESIGN.md "Known
-	// algorithmic corner") answered by the index's fast path: every match
-	// returned is real, but some may be missing.
-	Complete  bool `json:"complete"`
-	Cached    bool `json:"cached"`
-	Shared    bool `json:"shared,omitempty"`
-	Truncated bool `json:"truncated,omitempty"`
+	Query     string `json:"query"`
+	Count     int    `json:"count"`
+	Cached    bool   `json:"cached"`
+	Shared    bool   `json:"shared,omitempty"`
+	Truncated bool   `json:"truncated,omitempty"`
 	// Degraded reports that quarantined (corrupt) documents were skipped:
 	// the answer is complete over every healthy document but may miss
 	// matches in the quarantined ones. Mirrored in the X-Prix-Degraded
@@ -519,7 +513,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				Candidates:  res.Stats.Candidates,
 				PagesRead:   res.Stats.PagesRead,
 				Degraded:    res.Stats.Degraded,
-				Complete:    res.Complete,
 				Trace:       tree,
 			})
 		}
@@ -531,7 +524,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp := QueryResponse{
 		Query:    res.Query,
 		Count:    len(res.Matches),
-		Complete: res.Complete,
 		Cached:   res.Cached,
 		Shared:   res.Shared,
 		Degraded: res.Stats.Degraded,

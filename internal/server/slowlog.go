@@ -12,19 +12,16 @@ import (
 // traced the request, so a slow query can be diagnosed stage by stage after
 // the fact without reproducing it.
 type SlowEntry struct {
-	Time        string `json:"time"`
-	Query       string `json:"query"`
-	Unordered   bool   `json:"unordered,omitempty"`
-	Parallelism int    `json:"parallelism,omitempty"`
-	ElapsedUS   int64  `json:"elapsed_us"`
-	Count       int    `json:"count"`
-	Candidates  int    `json:"candidates"`
-	PagesRead   uint64 `json:"pages_read"`
-	Degraded    bool   `json:"degraded,omitempty"`
-	// Complete is the response's "complete": false marks an answer that may
-	// be missing occurrences.
-	Complete bool          `json:"complete"`
-	Trace    *obs.SpanJSON `json:"trace,omitempty"`
+	Time        string        `json:"time"`
+	Query       string        `json:"query"`
+	Unordered   bool          `json:"unordered,omitempty"`
+	Parallelism int           `json:"parallelism,omitempty"`
+	ElapsedUS   int64         `json:"elapsed_us"`
+	Count       int           `json:"count"`
+	Candidates  int           `json:"candidates"`
+	PagesRead   uint64        `json:"pages_read"`
+	Degraded    bool          `json:"degraded,omitempty"`
+	Trace       *obs.SpanJSON `json:"trace,omitempty"`
 }
 
 // SlowLog is a fixed-capacity ring buffer of the most recent slow queries.

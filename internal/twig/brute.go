@@ -1,7 +1,7 @@
 package twig
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/xmltree"
 )
@@ -35,7 +35,7 @@ func MatchBruteForce(q *Query, doc *xmltree.Document) []Embedding {
 		// Single-node query: every node with the right label matches.
 		var out []Embedding
 		for _, n := range doc.Nodes {
-			if nodeMatches(q.Root, n) && rootPlacementOK(q, n, doc) {
+			if sameLabel(q.Root.Label, q.Root.IsValue, n) && rootPlacementOK(q, n, doc) {
 				out = append(out, Embedding{n.Post})
 			}
 		}
@@ -76,7 +76,7 @@ func matchPattern(p *Pattern, doc *xmltree.Document) []Embedding {
 		var candidates []*xmltree.Node
 		if qn.Parent == nil {
 			for _, dn := range doc.Nodes {
-				if nodeMatches2(qn, dn) && rootPlacementOK(p.Query, dn, doc) {
+				if sameLabel(qn.Label, qn.IsValue, dn) && rootPlacementOK(p.Query, dn, doc) {
 					candidates = append(candidates, dn)
 				}
 			}
@@ -85,7 +85,7 @@ func matchPattern(p *Pattern, doc *xmltree.Document) []Embedding {
 			edge := p.Edges[qn.Post-1]
 			// Descendants of parentImg at an allowed depth.
 			for _, dn := range doc.Nodes {
-				if !nodeMatches2(qn, dn) {
+				if !sameLabel(qn.Label, qn.IsValue, dn) {
 					continue
 				}
 				steps := dn.Level - parentImg.Level
@@ -137,20 +137,9 @@ func consistent(qdoc *xmltree.Document, assign []*xmltree.Node, qn *xmltree.Node
 	return true
 }
 
-// nodeMatches reports label compatibility for the query-model node.
-func nodeMatches(qn *Node, dn *xmltree.Node) bool {
-	if qn.IsValue != dn.IsValue {
-		return false
-	}
-	return qn.Label == dn.Label
-}
-
-// nodeMatches2 reports label compatibility for the prepared-pattern node.
-func nodeMatches2(qn, dn *xmltree.Node) bool {
-	if qn.IsValue != dn.IsValue {
-		return false
-	}
-	return qn.Label == dn.Label
+// sameLabel reports whether dn carries a query node's label and kind.
+func sameLabel(label string, isValue bool, dn *xmltree.Node) bool {
+	return isValue == dn.IsValue && label == dn.Label
 }
 
 // rootPlacementOK checks the query's root edge: anchored queries must map
@@ -164,15 +153,7 @@ func rootPlacementOK(q *Query, dn *xmltree.Node, doc *xmltree.Document) bool {
 }
 
 func sortEmbeddings(es []Embedding) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(es, func(a, b Embedding) int { return slices.Compare(a, b) })
 }
 
 // CountBruteForce sums embeddings of q over a collection of documents.
