@@ -179,7 +179,7 @@ benchmark-module:
 # Short fuzz passes over the parsing/encoding boundaries: the query parser
 # (the service boundary), the docstore record decoder (the corruption
 # boundary), the trace/slow-log JSON encoder (the ?trace=1 boundary) and the
-# dynamic labeler's range-allocation invariants (the insert boundary); the
+# chain labels' nesting over an exact base (the insert boundary); the
 # hot lists' binary-searched range scans against a naive filter; the hot
 # tier's Add/TryAdd/Get/Invalidate sequences against a container/list LRU
 # model, views held across arena repacks included (FuzzTier); the
@@ -200,7 +200,10 @@ benchmark-module:
 # bytes and invalid UTF-8 in the query and shard names, nil and empty
 # images, degraded shards, quarantined ids, trace trees); and Match itself
 # against the brute-force oracle over random twigs and seeded random corpora
-# (FuzzMatchOracle: EP and RP, Parallelism 1 and 4, ordered and unordered).
+# (FuzzMatchOracle: EP and RP, Parallelism 1 and 4, ordered and unordered),
+# and the write path against the same oracle: random inserts, updates,
+# patches and deletes on a Build output, a compaction, more writes, every
+# retained AS OF version checked (FuzzDynamicOracle).
 # -fuzzminimizetime bounds the minimization of each new interesting input
 # (60 s by default): with it unbounded both workers sat minimizing from
 # 9-12 s to the end of the 30 s budget, "execs: … (0/sec)", and
@@ -217,6 +220,7 @@ fuzz:
 	$(GO) test ./internal/vtrie -run FuzzDynamicLabeler -fuzz FuzzDynamicLabeler -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/mvcc -run FuzzSeqDiffPatch -fuzz FuzzSeqDiffPatch -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/prix -run FuzzAsOfVersionMap -fuzz FuzzAsOfVersionMap -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/compact -run FuzzDynamicOracle -fuzz FuzzDynamicOracle -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/hot -run FuzzPostingsScan -fuzz FuzzPostingsScan -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/hot -run FuzzDocIDsScan -fuzz FuzzDocIDsScan -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/hot -run FuzzTier -fuzz FuzzTier -fuzztime 30s -fuzzminimizetime 2s

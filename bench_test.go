@@ -13,11 +13,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/datagen"
-	"repro/internal/docstore"
 	"repro/internal/prix"
-	"repro/internal/prufer"
 	"repro/internal/twigstack"
-	"repro/internal/vtrie"
 )
 
 var (
@@ -246,47 +243,6 @@ func BenchmarkAblationExtendedVsRegular(b *testing.B) {
 				}, qs.Want)
 			})
 		}
-	}
-}
-
-// BenchmarkAblationAlphaDepth measures the dynamic labeling scheme's scope
-// underflows as the pre-allocated prefix depth α varies (§5.2.1).
-func BenchmarkAblationAlphaDepth(b *testing.B) {
-	ds, err := datagen.ByName("TREEBANK", 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dict := &docstore.Dict{}
-	var seqs [][]vtrie.Symbol
-	for _, doc := range ds.Docs {
-		seq := prufer.Build(doc)
-		syms := make([]vtrie.Symbol, seq.Len())
-		for i, lbl := range seq.Labels {
-			syms[i] = dict.Intern(lbl)
-		}
-		if len(syms) > 0 {
-			seqs = append(seqs, syms)
-		}
-	}
-	for _, alpha := range []int{0, 2, 4, 8} {
-		alpha := alpha
-		b.Run(fmt.Sprintf("alpha=%d", alpha), func(b *testing.B) {
-			var underflows int
-			for i := 0; i < b.N; i++ {
-				d := vtrie.NewDynamicLabeler(alpha, 1<<20)
-				for _, s := range seqs {
-					if err := d.Prepare(s); err != nil {
-						b.Fatal(err)
-					}
-				}
-				d.Finalize()
-				for _, s := range seqs {
-					_ = d.Add(s)
-				}
-				underflows = d.Underflows()
-			}
-			b.ReportMetric(float64(underflows), "underflows")
-		})
 	}
 }
 

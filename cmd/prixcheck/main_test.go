@@ -121,15 +121,16 @@ func TestCleanIndexPrintsSizeReport(t *testing.T) {
 // The size report names each tree's leaf cell format and what its leaves
 // cost per entry. A bulk-built EPIndex packs its dense-labeled postings into
 // bit-packed cells: a scale-1 SWISSPROT one measured 10+15+9+7-bit cells at
-// 4.4 B per entry, where fixed 12+12 cells cost 24.05. A dynamic one packs
-// its spread labels too, at 64-bit Left deltas in cells a whole number of
-// bytes wide: the same documents inserted one by one measured
-// 9+64+61+13-bit cells at 24.1 B per entry (49 leaves 56.4 % full); in
-// fixed cells they took 86 leaves 56.8 % full, 42.3 B per entry. The docid
-// tree packs too: the 600 terminals fit one leaf on both sides, in
-// 15+10+0-bit cells (static; LeftPos, docID, no tombstone) and 64+16+0-bit
-// ones (dynamic, whose spread LeftPos deltas need 64 bits), 13.6 B per entry
-// where slotted cells took two leaves (27.3 B) and three (40.9 B).
+// 4.4 B per entry, where fixed 12+12 cells cost 24.05. A dynamic one built
+// over half the documents, the other half inserted as chains, keeps dense
+// labels: 10+15+8+13-bit cells at 7.4 B per entry (15 leaves 60.5 % full;
+// its inserts widen the cells of the leaves they land in, and split them).
+// The spread labels of the labeler chains replaced took 9+64+61+13-bit cells
+// at 24.1 B per entry. The docid tree packs too: the 600 terminals fit one
+// leaf on both sides, in 15+10+0-bit cells (static; LeftPos, docID, no
+// tombstone) and 15+17+0-bit ones (dynamic, whose leaves keep room for
+// tombstones), 13.6 B per entry where slotted cells took two leaves (27.3 B)
+// and three (40.9 B).
 func TestSizeReportShowsPackedPostings(t *testing.T) {
 	docs := datagen.SwissProt(1, 1).Docs
 	for _, tc := range []struct {
@@ -160,7 +161,7 @@ func TestSizeReportShowsPackedPostings(t *testing.T) {
 				return err
 			}
 			return di.Close()
-		}, 64, 30, 80},
+		}, 15, 8, 32}, // chains keep labels dense: no wider Left deltas
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -384,8 +385,8 @@ func TestActiveJournalRolledBackInMemory(t *testing.T) {
 }
 
 // prixcheck -repair on a dynamic directory whose forest page fails its
-// checksum rebuilds the forest with dynamic labels and records the
-// labeler's replay parameters: OpenDynamic then takes inserts that stay
+// checksum rebuilds the forest with exact labels: OpenDynamic then takes
+// inserts, chained on from the rebuilt forest's last label, that stay
 // oracle-exact.
 func TestRepairDynamicDirThenInserts(t *testing.T) {
 	dir := t.TempDir()

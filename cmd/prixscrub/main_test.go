@@ -104,9 +104,9 @@ func TestCompactEpochRootWithInserts(t *testing.T) {
 }
 
 // prixscrub -repair on a dynamic directory whose forest page fails its
-// checksum rebuilds the forest with dynamic labels and records the
-// labeler's replay parameters: the directory then reopens insertable, and
-// the inserts stay oracle-exact.
+// checksum rebuilds the forest with exact labels: the directory then reopens
+// insertable, and the inserts, chained on from the rebuilt forest's last
+// label, stay oracle-exact.
 func TestRepairDynamicDirThenInserts(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))

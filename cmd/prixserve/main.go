@@ -7,7 +7,7 @@
 // GET /debug/slowlog serves the slow-query ring buffer and /debug/pprof/
 // exposes the runtime profiler.
 //
-// A dynamic (insertable) index is served through a compaction root:
+// A single index — any build's — is served through a compaction root:
 // -compact-interval runs a rate-limited background pass that rewrites the
 // accumulated inserts into the packed bulk layout and swaps epochs with
 // zero downtime (queries never pause; inserts pause only for the final
@@ -76,7 +76,7 @@ func main() {
 		retryN    = flag.Int("retry-budget", 0, "total replica attempts per query on a sharded layout (0 = one per replica)")
 		retryBase = flag.Duration("retry-backoff", 5*time.Millisecond, "base backoff before the second replica attempt (doubles, jittered)")
 		retryMax  = flag.Duration("retry-backoff-max", 250*time.Millisecond, "cap on the exponential replica backoff")
-		compactIv = flag.Duration("compact-interval", 0, "background compaction pass interval on a dynamic index (0 disables the loop; POST /compact still works)")
+		compactIv = flag.Duration("compact-interval", 0, "background compaction pass interval on a single index (0 disables the loop; POST /compact still works)")
 		compactMB = flag.Int64("compact-budget", 0, "compaction memory budget in bytes (default 32 MiB)")
 		hotBudget = flag.Int64("hot-budget", 0, "compressed in-memory hot tier budget in bytes (0 disables; results stay byte-identical)")
 	)
@@ -85,10 +85,9 @@ func main() {
 		log.Fatal("usage: prixserve -index DIR [-addr :8080]")
 	}
 	// A topology.json in the index directory selects the sharded serving
-	// tier; otherwise the directory is a plain single index — served
-	// through a compaction root when it is dynamic (insertable), read-only
-	// otherwise. All three are the same QuerySource, so everything below is
-	// shared.
+	// tier; otherwise the directory is a plain single index, served through
+	// a compaction root. Both are the same QuerySource, so everything below
+	// is shared.
 	var (
 		src      core.QuerySource
 		indexes  []*core.Index
@@ -115,30 +114,16 @@ func main() {
 	} else if errors.Is(err, core.ErrNoTopology) {
 		// OpenCompactRoot deletes what an interrupted compaction left, then
 		// follows the epoch pointer and serves the index insertable with
-		// zero-downtime epoch swaps. A bulk-built index without dynamic
-		// labeler state falls back to the plain read-only path.
+		// zero-downtime epoch swaps, whichever build wrote it.
 		r, err := core.OpenCompactRoot(*dir, core.Options{BufferPoolPages: *pool, HotBudget: *hotBudget})
-		switch {
-		case err == nil:
-			root = r
-			src = r
-			indexes = []*core.Index{r.Index().Index()}
-			if e := r.Epoch(); e > 0 {
-				topoNote = fmt.Sprintf(" (compaction epoch %d)", e)
-			}
-		case errors.Is(err, core.ErrNotDynamic):
-			resolved, rerr := core.ResolveIndexDir(*dir)
-			if rerr != nil {
-				log.Fatal(rerr)
-			}
-			ix, oerr := core.OpenIndex(resolved, core.Options{BufferPoolPages: *pool, HotBudget: *hotBudget})
-			if oerr != nil {
-				log.Fatal(oerr)
-			}
-			src = ix
-			indexes = []*core.Index{ix}
-		default:
+		if err != nil {
 			log.Fatal(err)
+		}
+		root = r
+		src = r
+		indexes = []*core.Index{r.Index().Index()}
+		if e := r.Epoch(); e > 0 {
+			topoNote = fmt.Sprintf(" (compaction epoch %d)", e)
 		}
 	} else {
 		log.Fatal(err)

@@ -54,6 +54,10 @@ type Tree struct {
 // Name returns the tree's name within its forest.
 func (t *Tree) Name() string { return t.name }
 
+// Len returns the number of entries in the tree. It is kept in the forest's
+// directory, so it commits with the entries it counts.
+func (t *Tree) Len() uint64 { return t.count }
+
 // decoded page representations (splits and bulk-built internal nodes) ----------
 
 type leafCell struct {

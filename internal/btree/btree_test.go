@@ -530,9 +530,6 @@ func BenchmarkRangeScan100(b *testing.B) {
 	}
 }
 
-// Len returns the number of entries in the tree.
-func (t *Tree) Len() uint64 { return t.count }
-
 // ScanNoFill is Scan for a caller that copies what it visits into a structure
 // of its own (the hot tier's flat lists): every page is read through
 // pager.BufferPool.GetNoFill, so pages the pool does not already hold are

@@ -1,7 +1,6 @@
 package compact
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -70,8 +69,6 @@ type Report struct {
 	// Epoch / Dir identify the committed epoch.
 	Epoch uint64 `json:"epoch"`
 	Dir   string `json:"dir"`
-	// Dynamic reports the build mode (insertable dynamic vs static bulk).
-	Dynamic bool `json:"dynamic"`
 	// Pause is the online freeze window (inserts blocked, swap performed).
 	Pause time.Duration `json:"pause_ns,omitempty"`
 	// Elapsed is the whole compaction's wall time; DrainElapsed,
@@ -142,15 +139,15 @@ func Run(o Options) (*Report, error) {
 		return nil, &Aborted{Phase: phaseDrain, Err: err}
 	}
 	sp := newSpool(src, o)
-	rep := &Report{Epoch: srcEpoch + 1, Dir: filepath.Join(root, EpochDirName(srcEpoch+1)), Dynamic: sp.dynamic}
-	docs, vm := src.snapshot()
+	rep := &Report{Epoch: srcEpoch + 1, Dir: filepath.Join(root, EpochDirName(srcEpoch+1))}
+	docs, vm := src.dyn.VersionSnapshot()
 	rep.SourceDocs = docs
 	reclaimed := sp.pin(vm, o.Retain)
 	if err := sp.drain(fs, workdir, src, uint32(docs), reclaimed, rep, nil); err != nil {
-		src.close()
+		src.dyn.Close()
 		return nil, &Aborted{Phase: phaseDrain, Err: err}
 	}
-	if err := src.close(); err != nil {
+	if err := src.dyn.Close(); err != nil {
 		return nil, &Aborted{Phase: phaseBuild, Err: err}
 	}
 	rep.Docs, rep.Runs = sp.docs, len(sp.runs)
@@ -160,7 +157,7 @@ func Run(o Options) (*Report, error) {
 	if err != nil {
 		return nil, &Aborted{Phase: phaseBuild, Err: err}
 	}
-	if err := built.close(); err != nil {
+	if err := built.Close(); err != nil {
 		return nil, &Aborted{Phase: phaseBuild, Err: err}
 	}
 	rep.BuildElapsed = time.Since(buildStart)
@@ -179,49 +176,22 @@ func Run(o Options) (*Report, error) {
 	return rep, nil
 }
 
-// source is an open compaction source: always an inner *prix.Index, plus
-// the dynamic wrapper when the index carries labeler replay state.
+// source is an open compaction source and the drain that reads it.
 type source struct {
 	dyn   *prix.DynamicIndex
-	ix    *prix.Index
 	drain *prix.Drain
 }
 
 func openSource(dir string, o Options) (*source, error) {
-	popts := prix.Options{BufferPoolPages: o.BufferPoolPages, OpenFile: o.OpenFile, HotBudget: o.HotBudget}
-	dyn, err := prix.OpenDynamic(dir, popts)
-	if err == nil {
-		return newSource(dyn, dyn.Index()), nil
-	}
-	if !errors.Is(err, prix.ErrNotDynamic) {
-		return nil, err
-	}
-	ix, err := prix.Open(dir, popts)
+	dyn, err := prix.OpenDynamic(dir, prix.Options{BufferPoolPages: o.BufferPoolPages, OpenFile: o.OpenFile, HotBudget: o.HotBudget})
 	if err != nil {
 		return nil, err
 	}
-	return newSource(nil, ix), nil
+	return newSource(dyn), nil
 }
 
-func newSource(dyn *prix.DynamicIndex, ix *prix.Index) *source {
-	return &source{dyn: dyn, ix: ix, drain: ix.NewDrain()}
-}
-
-func (s *source) close() error {
-	if s.dyn != nil {
-		return s.dyn.Close()
-	}
-	return s.ix.Close()
-}
-
-// snapshot atomically pairs the source's document count with a deep copy
-// of its version map (nil when versioning is off), so the drain watermark
-// and the pinned map describe the same instant even under live writers.
-func (s *source) snapshot() (int, *mvcc.Map) {
-	if s.dyn != nil {
-		return s.dyn.VersionSnapshot()
-	}
-	return s.ix.NumDocs(), s.ix.CloneVersions()
+func newSource(dyn *prix.DynamicIndex) *source {
+	return &source{dyn: dyn, drain: dyn.Index().NewDrain()}
 }
 
 // spool is what one compaction drained: the build configuration read off
@@ -229,11 +199,7 @@ func (s *source) snapshot() (int, *mvcc.Map) {
 // cover, and the version map pinned with them. It lives only as long as
 // the compaction — a crash leaves its runs as debris for recoverRoot.
 type spool struct {
-	dynamic, extended bool
-	// alpha / spread are the dynamic labeler parameters carried into the
-	// compacted index.
-	alpha  int
-	spread uint64
+	extended bool
 	// budget decides run and spill-chunk boundaries.
 	budget int64
 	runs   []string
@@ -248,11 +214,7 @@ type spool struct {
 }
 
 func newSpool(src *source, o Options) *spool {
-	sp := &spool{dynamic: src.dyn != nil, extended: src.ix.Extended(), budget: o.MemBudget}
-	if src.dyn != nil {
-		sp.alpha, sp.spread = src.dyn.Alpha(), src.dyn.Spread()
-	}
-	return sp
+	return &spool{extended: src.dyn.Index().Extended(), budget: o.MemBudget}
 }
 
 // pin collapses a snapshot's version map under the retention window and
@@ -378,25 +340,12 @@ func (sp *spool) drain(fs pager.FS, workdir string, src *source, total uint32, r
 	return nil
 }
 
-// built is the output of the build phase: exactly one of dyn/ix is set.
-type built struct {
-	dyn *prix.DynamicIndex
-	ix  *prix.Index
-}
-
-func (b *built) close() error {
-	if b.dyn != nil {
-		return b.dyn.Close()
-	}
-	return b.ix.Close()
-}
-
 // build replays the sealed runs into a fresh bulk-loaded index under
 // workdir/next. It always starts from scratch — next/ and spill/ are
 // removed first — and the bulk load is deterministic, so a rerun after a
 // crash rebuilds the same index. pace, when set, throttles the replay (the
 // online compactor's rate limit).
-func (sp *spool) build(fs pager.FS, workdir string, o Options, pace func() error) (*built, error) {
+func (sp *spool) build(fs pager.FS, workdir string, o Options, pace func() error) (*prix.DynamicIndex, error) {
 	nextDir := filepath.Join(workdir, nextDirName)
 	spillDir := filepath.Join(workdir, spillDirName)
 	for _, dir := range []string{nextDir, spillDir} {
@@ -458,46 +407,31 @@ func (sp *spool) build(fs pager.FS, workdir string, o Options, pace func() error
 		}
 		return nil
 	}
-	if sp.dynamic {
-		var version uint64
-		if sp.versions != nil {
-			version = sp.versions.Counter
-		}
-		di, err := prix.BulkLoadDynamic(popts, prix.DynamicOptions{Alpha: sp.alpha, Spread: sp.spread}, bo, version, replay)
-		if err != nil {
-			return nil, err
-		}
-		if err := sp.adopt(di.Index()); err != nil {
-			di.Close()
-			return nil, err
-		}
-		if err := fs.RemoveAll(spillDir); err != nil {
-			di.Close()
-			return nil, err
-		}
-		return &built{dyn: di}, nil
-	}
 	b, err := prix.NewBuilder(popts)
 	if err != nil {
 		return nil, err
 	}
-	if err := replay(func(ds *prix.DocSeq) error { return b.AddSeq(ds) }); err != nil {
+	if err := replay(b.AddSeq); err != nil {
 		b.Abort()
 		return nil, err
 	}
-	ix, err := b.FinalizeBulk(bo)
+	var version uint64
+	if sp.versions != nil {
+		version = sp.versions.Counter
+	}
+	di, err := b.FinalizeDynamic(bo, version)
 	if err != nil {
 		return nil, err
 	}
-	if err := sp.adopt(ix); err != nil {
-		ix.Close()
+	if err := sp.adopt(di.Index()); err != nil {
+		di.Close()
 		return nil, err
 	}
 	if err := fs.RemoveAll(spillDir); err != nil {
-		ix.Close()
+		di.Close()
 		return nil, err
 	}
-	return &built{ix: ix}, nil
+	return di, nil
 }
 
 // adopt installs the pinned version map onto the freshly built epoch

@@ -183,8 +183,8 @@ func TestOfflineCompactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Epoch != 1 || !rep.Dynamic || rep.Docs != 40 || rep.Runs < 1 || rep.RunBytes == 0 {
-		t.Fatalf("report: %+v (want epoch 1, dynamic, 40 docs, a sealed run)", rep)
+	if rep.Epoch != 1 || rep.Docs != 40 || rep.Runs < 1 || rep.RunBytes == 0 {
+		t.Fatalf("report: %+v (want epoch 1, 40 docs, a sealed run)", rep)
 	}
 	// The plain page files are gone; everything lives under the epoch dir.
 	if _, err := os.Stat(filepath.Join(dir, prix.ForestFileName)); !os.IsNotExist(err) {
@@ -231,8 +231,8 @@ func TestOfflineCompactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOfflineCompactStatic: a statically built (non-dynamic) index
-// compacts through the builder path and keeps answering identically.
+// TestOfflineCompactStatic: a Build output compacts like any index, keeps
+// answering identically, and its compacted epoch takes writes.
 func TestOfflineCompactStatic(t *testing.T) {
 	dir := t.TempDir()
 	docs := corpus(20)
@@ -260,21 +260,38 @@ func TestOfflineCompactStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Dynamic {
-		t.Fatal("static source reported as dynamic")
+	if rep.Epoch != 1 || rep.Docs != 20 {
+		t.Fatalf("report: %+v (want epoch 1, 20 docs)", rep)
 	}
 	resolved, err := ResolveDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := prix.Open(resolved, prix.Options{})
+	after, err := prix.OpenDynamic(resolved, prix.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer after.Close()
 	for _, qs := range testQueries {
-		if got := querySig(t, after, qs); got != want[qs] {
+		if got := querySig(t, after.Index(), qs); got != want[qs] {
 			t.Fatalf("%s answers differently after static compaction", qs)
+		}
+	}
+	more := corpus(24)[20:]
+	for _, doc := range more {
+		if err := after.Insert(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := append(docs, more...)
+	for _, qs := range testQueries {
+		q := twig.MustParse(qs)
+		ms, _, err := after.Match(q, prix.MatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := twig.CountBruteForce(q, all); len(ms) != want {
+			t.Fatalf("%s after inserts into the compacted epoch: %d matches, oracle %d", qs, len(ms), want)
 		}
 	}
 }

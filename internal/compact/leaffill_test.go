@@ -12,19 +12,23 @@ import (
 	"repro/internal/xmltree"
 )
 
-// TestDynamicLeafFill guards the slack BulkLoad leaves in the trees of an
-// insertable index. A dynamic index over DBLP and SWISSPROT is compacted
-// once, so its post and docid trees are bulk loaded, then takes a seeded
-// batch of inserts and updates about the size of the mutate_mixed
-// benchmark's writes after its last compaction. Its post leaves must be
-// packed, stay at least 80 % full and cost at most 20 B a posting (83.8 %
-// and 18.0 B measured; fixed 24-byte cells cost 28.5 B at 84.4 %), and its
-// docid leaves must be packed too, at most 15 B an entry and at least 80 %
-// full (11.3 B and 89.0 % measured; slotted cells cost 19.7 B at 91.3 %,
-// and 53.3 % fill when only the post tree's load left slack, since each
-// loaded-full leaf's first scattered insert split it into two half-empty
-// ones). The index is compacted before any mutation, at version 0, so its
-// docid leaves keep no room for tombstone versions (btree.Fill).
+// TestDynamicLeafFill guards what the trees of an insertable index cost
+// after the writes that follow its bulk load. A dynamic index over DBLP and
+// SWISSPROT is compacted once, so its post and docid trees are bulk loaded
+// with slack, then takes a seeded batch of inserts and updates about the
+// size of the mutate_mixed benchmark's writes after its last compaction.
+// Its post leaves must be packed, cost at most 8 B a posting (6.2 B
+// measured; spread labels cost 18.0 B, fixed 24-byte cells 28.5 B) and stay
+// at least 65 % full (68.7 % measured), and its docid leaves must be packed
+// too, at most 8 B an entry and at least 65 % full (5.6 B and 71.2 %
+// measured over its two leaves, the last one filling by appends). Writes are
+// labeled as chains above every label of the load, so a symbol's new
+// postings land at the end of its run and the first one a leaf takes widens
+// its cells: half the loaded post leaves split once (9 of 18), which is why
+// the fill is lower than the 83.8 % spread labels scattered into the load's
+// slack kept, at a third of their bytes. The index is compacted before any
+// mutation, at version 0, so its docid leaves keep no room for tombstone
+// versions (btree.Fill).
 func TestDynamicLeafFill(t *testing.T) {
 	seed, inserts := fillSeed(), mixDocs(7778)
 	root := openFillRoot(t, seed)
@@ -69,8 +73,8 @@ func TestDynamicLeafFill(t *testing.T) {
 	perPosting := float64(s.Pages[len(s.Pages)-1]*pager.PageDataSize) / float64(s.Entries)
 	t.Logf("post: %d leaves at %.1f %% fill after the compaction's load, %d leaves at %.1f %% after %d writes (%d leaf splits), %.1f B a posting",
 		loaded.Pages[len(loaded.Pages)-1], 100*loaded.LeafFill, s.Pages[len(s.Pages)-1], 100*s.LeafFill, writes, forest.LeafSplits(), perPosting)
-	if !strings.HasPrefix(s.LeafFormat, "packed ") || s.LeafFill < 0.80 || perPosting > 20 {
-		t.Errorf("post leaves are %q at %.1f %% fill and %.1f B a posting, want packed at ≥ 80 %% and ≤ 20 B", s.LeafFormat, 100*s.LeafFill, perPosting)
+	if !strings.HasPrefix(s.LeafFormat, "packed ") || s.LeafFill < 0.65 || perPosting > 8 {
+		t.Errorf("post leaves are %q at %.1f %% fill and %.1f B a posting, want packed at ≥ 65 %% and ≤ 8 B", s.LeafFormat, 100*s.LeafFill, perPosting)
 	}
 	d, err := forest.Lookup("docid").Shape()
 	if err != nil {
@@ -78,8 +82,8 @@ func TestDynamicLeafFill(t *testing.T) {
 	}
 	perEntry := float64(d.Pages[len(d.Pages)-1]*pager.PageDataSize) / float64(d.Entries)
 	t.Logf("docid: %d leaves at %.1f %% fill after %d writes, %s, %.1f B an entry", d.Pages[len(d.Pages)-1], 100*d.LeafFill, writes, d.LeafFormat, perEntry)
-	if !strings.HasPrefix(d.LeafFormat, "packed ") || d.LeafFill < 0.80 || perEntry > 15 {
-		t.Errorf("docid leaves are %q at %.1f %% fill and %.1f B an entry, want packed at ≥ 80 %% and ≤ 15 B", d.LeafFormat, 100*d.LeafFill, perEntry)
+	if !strings.HasPrefix(d.LeafFormat, "packed ") || d.LeafFill < 0.65 || perEntry > 8 {
+		t.Errorf("docid leaves are %q at %.1f %% fill and %.1f B an entry, want packed at ≥ 65 %% and ≤ 8 B", d.LeafFormat, 100*d.LeafFill, perEntry)
 	}
 }
 

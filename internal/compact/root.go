@@ -62,7 +62,8 @@ type Root struct {
 // OpenRoot opens dir for live serving, first deleting whatever a
 // compaction a crash interrupted left behind (see recoverRoot); the
 // interrupted compaction itself is not finished — the next one simply
-// runs. The directory may be a plain dynamic index or an epoch root; opts
+// runs. The directory may be a plain index directory — any build's — or an
+// epoch root; opts
 // follows prix.Open semantics (Dir is taken from dir).
 func OpenRoot(dir string, opts prix.Options) (*Root, error) {
 	epoch, err := recoverRoot(pager.OSFS{}, dir)
@@ -180,8 +181,9 @@ func (r *Root) Epoch() uint64 {
 // Compacting reports whether a compaction is currently running.
 func (r *Root) Compacting() bool { return r.compacting.Load() }
 
-// LabelerStats reports the current epoch's resident labeler trie.
-func (r *Root) LabelerStats() (nodes, bytes int) { return r.Index().LabelerStats() }
+// ChainedDocs reports how many documents the current epoch labeled as
+// chains since it was built (prix.DynamicIndex.ChainedDocs).
+func (r *Root) ChainedDocs() (int, error) { return r.Index().ChainedDocs() }
 
 // Index returns the current epoch's DynamicIndex for callers that need the
 // raw handle (the scrubber's Source hook). The handle is only valid until
@@ -308,7 +310,7 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 	r.mu.RLock()
 	old, srcEpoch := r.di, r.epoch
 	r.mu.RUnlock()
-	src := newSource(old, old.Index())
+	src := newSource(old)
 	nextEpoch := srcEpoch + 1
 
 	var paced int
@@ -344,7 +346,7 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 		return nil, &Aborted{Phase: phaseDrain, Err: err}
 	}
 	sp := newSpool(src, o)
-	rep := &Report{Epoch: nextEpoch, Dir: filepath.Join(r.dir, EpochDirName(nextEpoch)), Dynamic: true}
+	rep := &Report{Epoch: nextEpoch, Dir: filepath.Join(r.dir, EpochDirName(nextEpoch))}
 	rep.SourceDocs = old.NumDocs()
 
 	// Phases 1–3 may restart when a versioned mutation (delete/update)
@@ -361,7 +363,7 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 		// snapshot taken at its start; inserts landing during the round
 		// feed the next.
 		for rounds := 0; ; rounds++ {
-			docs, vm := src.snapshot()
+			docs, vm := old.VersionSnapshot()
 			total := uint32(docs)
 			muts := uint64(0)
 			if vm != nil {
@@ -387,12 +389,12 @@ func (r *Root) Compact(ctx context.Context, co CompactOptions) (*Report, error) 
 		// files live in .compact/next and follow the directory through the
 		// publish rename, so the swap needs no reopen.
 		buildStart := time.Now()
-		built, err := sp.build(fs, workdir, o, pace)
+		var err error
+		next, err = sp.build(fs, workdir, o, pace)
 		rep.BuildElapsed += time.Since(buildStart)
 		if err != nil {
 			return nil, &Aborted{Phase: phaseBuild, Err: err}
 		}
-		next = built.dyn
 
 		// Phase 3: freeze. The swap gate goes pending first so a scrubber
 		// pass cannot start mid-swap (and an in-flight one finishes before

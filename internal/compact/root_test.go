@@ -3,17 +3,23 @@ package compact
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/docstore"
+	"repro/internal/ingest"
 	"repro/internal/pager"
 	"repro/internal/prix"
 	"repro/internal/scrub"
+	"repro/internal/twig"
+	"repro/internal/xmltree"
 	"repro/internal/xmltree/xmltreetest"
 )
 
@@ -331,5 +337,102 @@ func TestOpenRootRefusesOldLayout(t *testing.T) {
 		if _, err := OpenRoot(dir, prix.Options{}); !errors.Is(err, prix.ErrOldLayout) {
 			t.Fatalf("stamp %d: OpenRoot = %v, want prix.ErrOldLayout", stamp, err)
 		}
+	}
+}
+
+// Every index accepts writes: a Build output and a prixload -stream output
+// (ingest.Run) open under OpenRoot as they are, take inserts, updates and
+// deletes, compact, and answer like the brute-force oracle throughout.
+func TestOpenRootAcceptsWritesOnEveryBuild(t *testing.T) {
+	var xml strings.Builder
+	xml.WriteString("<collection>\n")
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&xml, "<a><b><c>v%d</c></b><d><e>w%d</e></d></a>\n", i%3, i%4)
+	}
+	xml.WriteString("</collection>\n")
+	var docs []*xmltree.Document
+	cur := xmltree.NewCursor(strings.NewReader(xml.String()), xmltree.CursorOptions{Split: true})
+	for {
+		d, err := cur.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, d)
+	}
+	builds := map[string]func(dir string) error{
+		"build": func(dir string) error {
+			ix, err := prix.Build(docs, prix.Options{Dir: dir, Extended: true})
+			if err != nil {
+				return err
+			}
+			return ix.Close()
+		},
+		"stream": func(dir string) error {
+			input := filepath.Join(t.TempDir(), "in.xml")
+			if err := os.WriteFile(input, []byte(xml.String()), 0o644); err != nil {
+				return err
+			}
+			_, err := ingest.Run(ingest.Options{Input: input, Dir: dir, Split: true, Extended: true})
+			return err
+		},
+	}
+	twigs := []string{`//a/b/c`, `//a[./b/c="v1"]/d`, `//d/e`, `//a[./d/e="w2"]`}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := build(dir); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenRoot(dir, prix.Options{})
+			if err != nil {
+				t.Fatalf("OpenRoot on a %s output: %v", name, err)
+			}
+			defer r.Close()
+			model := append([]*xmltree.Document{}, docs...)
+			check := func(label string) {
+				t.Helper()
+				var live []*xmltree.Document
+				for _, d := range model {
+					if d != nil {
+						live = append(live, d)
+					}
+				}
+				for _, src := range twigs {
+					q := twig.MustParse(src)
+					ms, _, err := r.Match(q, prix.MatchOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := twig.CountBruteForce(q, live); len(ms) != want {
+						t.Errorf("%s: %s: %d matches, oracle %d", label, src, len(ms), want)
+					}
+				}
+			}
+			check("as built")
+			for i := 0; i < 6; i++ {
+				d := xmltreetest.MustFromSExpr(len(model), fmt.Sprintf(`(a (b (c "v%d")) (d (e "w2")))`, i%3))
+				if err := r.Insert(d); err != nil {
+					t.Fatalf("insert into a %s output: %v", name, err)
+				}
+				model = append(model, d)
+			}
+			u := xmltreetest.MustFromSExpr(3, `(a (b (c "v1")) (d (e "w2")))`)
+			if _, err := r.Update(3, u); err != nil {
+				t.Fatal(err)
+			}
+			model[3] = u
+			if _, err := r.Delete(5); err != nil {
+				t.Fatal(err)
+			}
+			model[5] = nil
+			check("after writes")
+			if _, err := r.Compact(context.Background(), CompactOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			check("after a compaction")
+		})
 	}
 }

@@ -213,8 +213,7 @@ func TestDeleteAfterCompactionWritesTombstone(t *testing.T) {
 		t.Errorf("AS OF %d after the delete = %v, want %v", preDeleteVersion, got, preDelete)
 	}
 
-	// The tombstone and the map survive a reopen, whose OpenDynamic replays
-	// the labeler from the carried interval.
+	// The tombstone and the map survive a reopen.
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -95,11 +95,12 @@ func NewIndexBuilder(opts Options) (*IndexBuilder, error) {
 	return prix.NewBuilder(opts)
 }
 
-// DynamicIndex accepts document insertions after construction using the
-// §5.2.1 dynamic labeling scheme.
+// DynamicIndex accepts document writes after construction, each labeled as
+// a private chain under the trie root.
 type DynamicIndex = prix.DynamicIndex
 
-// DynamicOptions tunes the dynamic labeler (prefix depth, scope spread).
+// DynamicOptions is kept for callers that pass one; chain labeling ignores
+// it.
 type DynamicOptions = prix.DynamicOptions
 
 // NewDynamicIndex builds an insertable index seeded with initial documents.
@@ -260,12 +261,8 @@ type CompactionOptions = compact.Options
 // CompactionReport summarizes one compaction.
 type CompactionReport = compact.Report
 
-// ErrNotDynamic reports an on-disk index without dynamic labeler state; it
-// cannot be served insertable (open it read-only via OpenIndex instead).
-var ErrNotDynamic = prix.ErrNotDynamic
-
 // OpenCompactRoot opens a directory for live serving with online
-// compaction: a plain dynamic index or an epoch root, first deleting what a
+// compaction: a plain index directory or an epoch root, first deleting what a
 // compaction a crash interrupted left behind.
 func OpenCompactRoot(dir string, opts Options) (*CompactRoot, error) {
 	return compact.OpenRoot(dir, opts)

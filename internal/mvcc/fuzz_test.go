@@ -80,7 +80,7 @@ func (m *Map) Encode() []byte {
 // FuzzDecodeMapNeverPanics: arbitrary bytes either decode to a map that
 // re-encodes decodably, or fail cleanly.
 func FuzzDecodeMapNeverPanics(f *testing.F) {
-	f.Add([]byte("MVC1"))
+	f.Add([]byte(mapMagic))
 	f.Add(script(&testing.T{}).Encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeMap(b)

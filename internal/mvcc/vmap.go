@@ -34,11 +34,6 @@ type Interval struct {
 	// accepts at any key. A rebuilt forest re-anchors it
 	// (prix.Index.AdoptVersions).
 	Terminal uint64
-	// Label is the AddReport ordinal of the labeling event that opened this
-	// interval (0 = none: the interval did not relabel). Replay sorts
-	// labeling events by Label to reconstruct the writer's exact dynamic
-	// labeler state.
-	Label uint64
 	// Loc points at the superseded record bytes when this interval was
 	// closed by an update; zero when the current record serves this
 	// interval (open intervals, delete-closed intervals, retained
@@ -64,19 +59,18 @@ func (iv Interval) Marker() bool { return iv.To != 0 && iv.From == iv.To }
 // and has no redo for it.
 var ErrPendingOp = errors.New("mvcc: version map holds a pending op of an older build")
 
-// Map is the version state of one index: the mutation counter, the
-// AddReport ordinal counter and per-document interval lists. A nil *Map (or an absent document entry) means legacy
-// always-visible semantics — indexes never mutated pay nothing.
+// Map is the version state of one index: the mutation counter and
+// per-document interval lists. A nil *Map (or an absent document entry)
+// means legacy always-visible semantics — indexes never mutated pay nothing.
 type Map struct {
-	Counter   uint64 // last assigned version; versions start at 1
-	NextLabel uint64 // next AddReport ordinal; labels start at 1
-	MutOps    uint64 // deletes+updates (not inserts); compaction drift check
-	Docs      map[uint32][]Interval
+	Counter uint64 // last assigned version; versions start at 1
+	MutOps  uint64 // deletes+updates (not inserts); compaction drift check
+	Docs    map[uint32][]Interval
 }
 
-// NewMap returns an empty version map with counters initialized.
+// NewMap returns an empty version map.
 func NewMap() *Map {
-	return &Map{NextLabel: 1, Docs: map[uint32][]Interval{}}
+	return &Map{Docs: map[uint32][]Interval{}}
 }
 
 // At finds the interval covering version v (0 = latest). ok is false when
@@ -120,7 +114,7 @@ func (m *Map) Versioned() int {
 
 // Clone deep-copies the map (compaction snapshots it at drain time).
 func (m *Map) Clone() *Map {
-	out := &Map{Counter: m.Counter, NextLabel: m.NextLabel, MutOps: m.MutOps, Docs: map[uint32][]Interval{}}
+	out := &Map{Counter: m.Counter, MutOps: m.MutOps, Docs: map[uint32][]Interval{}}
 	for id, ivs := range m.Docs {
 		out.Docs[id] = append([]Interval(nil), ivs...)
 	}
@@ -128,7 +122,7 @@ func (m *Map) Clone() *Map {
 }
 
 // Collapse folds history for a rebuilt epoch: live documents keep a single
-// open interval (Loc and Label dropped, Terminal reset — the rebuilt forest
+// open interval (Loc dropped, Terminal reset — the rebuilt forest
 // relabels everything, and prix's AdoptVersions fills in the new terminal),
 // tombstones older than the watermark become reclaimable (the caller
 // replaces the record with a stub; the map keeps a
@@ -161,7 +155,11 @@ func (m *Map) Collapse(watermark uint64) (*Map, []uint32, int) {
 	return out, reclaimed, retained
 }
 
-const mapMagic = "MVC1"
+// mapMagic heads an encoded map. MVC1, the encoding before it, also carried
+// the dynamic labeler's replay order (a label counter, and a label per
+// interval); an index directory that holds one is refused before its map is
+// read (prix.ErrOldLayout).
+const mapMagic = "MVC2"
 
 // noPendingOp is the byte after the counters. Older builds wrote a pending
 // op's kind there (1 delete, 2 update) followed by the op; this one writes
@@ -175,7 +173,6 @@ const noPendingOp = 0
 func (m *Map) AppendEncode(buf []byte, ids []uint32) ([]byte, []uint32) {
 	buf = append(buf, mapMagic...)
 	buf = binary.AppendUvarint(buf, m.Counter)
-	buf = binary.AppendUvarint(buf, m.NextLabel)
 	buf = binary.AppendUvarint(buf, m.MutOps)
 	buf = append(buf, noPendingOp)
 	ids = ids[:0]
@@ -192,7 +189,6 @@ func (m *Map) AppendEncode(buf []byte, ids []uint32) ([]byte, []uint32) {
 			buf = binary.AppendUvarint(buf, iv.From)
 			buf = binary.AppendUvarint(buf, iv.To)
 			buf = binary.AppendUvarint(buf, iv.Terminal)
-			buf = binary.AppendUvarint(buf, iv.Label)
 			buf = binary.AppendUvarint(buf, uint64(iv.Loc.Page))
 			buf = binary.AppendUvarint(buf, uint64(iv.Loc.Off))
 			buf = binary.AppendUvarint(buf, uint64(iv.Loc.Len))
@@ -245,7 +241,6 @@ func DecodeMap(b []byte) (*Map, error) {
 	r := &byteReader{b: b, pos: len(mapMagic)}
 	m := NewMap()
 	m.Counter = r.uvarint()
-	m.NextLabel = r.uvarint()
 	m.MutOps = r.uvarint()
 	if kind := r.byte(); kind != noPendingOp && r.err == nil {
 		op := map[byte]string{1: "delete", 2: "update"}[kind]
@@ -268,7 +263,7 @@ func DecodeMap(b []byte) (*Map, error) {
 		ivs := make([]Interval, 0, n)
 		for j := uint64(0); j < n && r.err == nil; j++ {
 			ivs = append(ivs, Interval{
-				From: r.uvarint(), To: r.uvarint(), Terminal: r.uvarint(), Label: r.uvarint(),
+				From: r.uvarint(), To: r.uvarint(), Terminal: r.uvarint(),
 				Loc: Loc{Page: uint32(r.uvarint()), Off: uint16(r.uvarint()), Len: uint32(r.uvarint())},
 			})
 		}

@@ -15,18 +15,15 @@ func script(t *testing.T) *Map {
 	m := NewMap()
 	// doc 0: insert v1, update v3, delete v5
 	m.Counter = 1
-	m.Docs[0] = []Interval{{From: 1, Terminal: 100, Label: 1}}
-	m.NextLabel = 2
+	m.Docs[0] = []Interval{{From: 1, Terminal: 100}}
 	// doc 1: insert v2
 	m.Counter = 2
-	m.Docs[1] = []Interval{{From: 2, Terminal: 200, Label: 2}}
-	m.NextLabel = 3
+	m.Docs[1] = []Interval{{From: 2, Terminal: 200}}
 	// update doc 0 at v3 (relabeled)
 	m.Counter = 3
 	m.Docs[0][0].To = 3
 	m.Docs[0][0].Loc = Loc{Page: 7, Off: 64, Len: 500}
-	m.Docs[0] = append(m.Docs[0], Interval{From: 3, Terminal: 150, Label: 3})
-	m.NextLabel = 4
+	m.Docs[0] = append(m.Docs[0], Interval{From: 3, Terminal: 150})
 	m.MutOps = 1
 	// delete doc 0 at v5
 	m.Counter = 5
@@ -92,7 +89,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestAppendEncodeAllocs(t *testing.T) {
 	m := script(t)
 	for id := uint32(100); id < 1100; id++ {
-		m.Docs[id] = []Interval{{From: 1, Terminal: uint64(id) << 8, Label: uint64(id)}}
+		m.Docs[id] = []Interval{{From: 1, Terminal: uint64(id) << 8}}
 	}
 	buf, ids := m.AppendEncode(nil, nil)
 	if string(buf) != string(m.Encode()) {
@@ -107,7 +104,7 @@ func TestAppendEncodeAllocs(t *testing.T) {
 // update or delete it may never have written — is refused, naming the op.
 func TestDecodeMapRefusesPendingOp(t *testing.T) {
 	b := []byte(mapMagic)
-	for _, v := range []uint64{3, 2, 3} { // counter, next label, mutation ops
+	for _, v := range []uint64{3, 3} { // counter, mutation ops
 		b = binary.AppendUvarint(b, v)
 	}
 	b = append(b, 2)                 // an update
@@ -124,7 +121,7 @@ func TestDecodeMapRefusesPendingOp(t *testing.T) {
 }
 
 func TestDecodeMapRejectsGarbage(t *testing.T) {
-	for _, b := range [][]byte{nil, []byte("nope"), []byte("MVC1"), append([]byte("MVC1"), 1, 1, 1, 9)} {
+	for _, b := range [][]byte{nil, []byte("nope"), []byte("MVC1"), append([]byte("MVC1"), 1, 1, 1, 9), append([]byte(mapMagic), 1, 1, 9)} {
 		if _, err := DecodeMap(b); err == nil {
 			t.Fatalf("decoded garbage %v", b)
 		}

@@ -52,6 +52,24 @@ func (bo *BulkOptions) budget() int64 {
 // spiller, which is what lets a crash-interrupted streaming ingest re-run
 // this phase from scratch and converge on the same index.
 func (b *Builder) FinalizeBulk(bo BulkOptions) (*Index, error) {
+	return b.finalize(bo, btree.Fill{})
+}
+
+// FinalizeDynamic is FinalizeBulk for an index that takes writes at once —
+// NewDynamicIndex's and every compaction's: the loaded leaves keep room for
+// the chains and tombstones that follow (btree.Fill), the Docid leaves for
+// tombstones of versions up to twice version, the counter of the version
+// history the caller adopts onto the index (Index.AdoptVersions; 0 for
+// none).
+func (b *Builder) FinalizeDynamic(bo BulkOptions, version uint64) (*DynamicIndex, error) {
+	ix, err := b.finalize(bo, btree.Fill{Insertable: true, Version: version})
+	if err != nil {
+		return nil, err
+	}
+	return &DynamicIndex{ix: ix, nextID: b.nextID}, nil
+}
+
+func (b *Builder) finalize(bo BulkOptions, fill btree.Fill) (*Index, error) {
 	if b.done {
 		return nil, fmt.Errorf("prix: Finalize called twice")
 	}
@@ -59,10 +77,11 @@ func (b *Builder) FinalizeBulk(bo BulkOptions) (*Index, error) {
 		return nil, fmt.Errorf("prix: Finalize after failed Add: %w", b.buildEr)
 	}
 	b.done = true
-	if err := b.ix.finishBulk(b.trie, &b.stats, bo); err != nil {
+	if err := b.ix.finishBulk(b.trie, &b.stats, bo, fill); err != nil {
 		// The bulk path is driven by restartable callers (streaming ingest's
-		// merge phase, which redoes it from scratch after a crash), so the
-		// half-written index is released rather than left open.
+		// merge phase and compaction, which redo it from scratch after a
+		// crash), so the half-written index is released rather than left
+		// open.
 		b.ix.Close()
 		return nil, err
 	}
@@ -152,8 +171,7 @@ func (bs *bulkSorter) grow(n int64) error {
 	return nil
 }
 
-// flush sorts and spills what is buffered. A static build's docid entries
-// arrive sorted already (DFS emit order); a dynamic labeler's do not.
+// flush sorts and spills what is buffered.
 func (bs *bulkSorter) flush() error {
 	if len(bs.posts) > 0 {
 		sort.Slice(bs.posts, func(i, j int) bool {
@@ -220,8 +238,8 @@ func (bs *bulkSorter) load() error {
 
 // finishBulk labels the trie, writes all postings through the sorter and
 // persists the store.
-func (ix *Index) finishBulk(builder *vtrie.Builder, bs *buildStats, bo BulkOptions) error {
-	if err := ix.emitTrie(builder, bo); err != nil {
+func (ix *Index) finishBulk(builder *vtrie.Builder, bs *buildStats, bo BulkOptions, fill btree.Fill) error {
+	if err := ix.emitTrie(builder, bo, fill); err != nil {
 		return err
 	}
 	ix.stageCatalogs()
@@ -229,8 +247,6 @@ func (ix *Index) finishBulk(builder *vtrie.Builder, bs *buildStats, bo BulkOptio
 	ix.store.SetStat("values", bs.values)
 	ix.store.SetStat("maxdepth", bs.maxDepth)
 	ix.store.SetStat("seqlen", bs.seqLen)
-	ix.store.SetStat("trienodes", int64(builder.Nodes()))
-	ix.store.SetStat("sequences", int64(builder.Sequences()))
 	if err := ix.commit(); err != nil {
 		return err
 	}
@@ -239,14 +255,15 @@ func (ix *Index) finishBulk(builder *vtrie.Builder, bs *buildStats, bo BulkOptio
 }
 
 // emitTrie labels the trie exactly and bulk-loads its postings, plus the
-// docid entries of each sequence's terminal node, into the empty trees.
-// Shared by the initial build and the static forest rebuild.
-func (ix *Index) emitTrie(builder *vtrie.Builder, bo BulkOptions) error {
+// docid entries of each sequence's terminal node, into the empty trees at
+// fill, and stages its node and sequence counts. Shared by the initial build
+// and the forest rebuild.
+func (ix *Index) emitTrie(builder *vtrie.Builder, bo BulkOptions, fill btree.Fill) error {
 	builder.Label()
 	if err := builder.Validate(); err != nil {
 		return fmt.Errorf("prix: trie labeling: %w", err)
 	}
-	sorter := ix.newBulkSorter(bo, btree.Fill{}, builder.Nodes(), builder.Sequences())
+	sorter := ix.newBulkSorter(bo, fill, builder.Nodes(), builder.Sequences())
 	err := builder.Emit(func(p vtrie.Posting, docs []uint32) error {
 		if err := sorter.addPosting(p); err != nil {
 			return err
@@ -261,7 +278,12 @@ func (ix *Index) emitTrie(builder *vtrie.Builder, bo BulkOptions) error {
 	if err != nil {
 		return err
 	}
-	return sorter.load()
+	if err := sorter.load(); err != nil {
+		return err
+	}
+	ix.store.SetStat(trieNodesStat, int64(builder.Nodes()))
+	ix.store.SetStat(sequencesStat, int64(builder.Sequences()))
+	return nil
 }
 
 func writePostChunk(spill Spiller, name string, posts []bulkPosting) error {

@@ -145,8 +145,10 @@ func TestDynamicIndexQueriesRaceInserts(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := di.Generation(); got != uint64(len(initial)+inserts) {
-		t.Errorf("Generation = %d, want %d", got, len(initial)+inserts)
+	// NewDynamicIndex bulk-loads the initial documents; only the Insert
+	// calls move the generation.
+	if got := di.Generation(); got != inserts {
+		t.Errorf("Generation = %d, want %d", got, inserts)
 	}
 	ms, _, err := di.Match(twig.MustParse(`//a[./b/c]/d`), MatchOptions{})
 	if err != nil {

@@ -1,7 +1,6 @@
 package prix
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -13,13 +12,19 @@ import (
 	"repro/internal/xmltree"
 )
 
-// DynamicIndex is an Index that keeps accepting documents after
-// construction, using the paper's dynamic labeling scheme (§5.2.1): trie
-// node ranges are carved out of their parents' scopes as sequences arrive,
-// so only the postings of newly created trie nodes need to be written —
-// no global relabeling. The price is the possibility of scope underflow on
-// pathological insertion orders, surfaced as ErrScopeUnderflow; the remedy
-// is a rebuild with exact labeling (Build) or a deeper prepared prefix.
+// DynamicIndex is an Index that keeps accepting writes after construction.
+// Its documents are labeled in two steps. A bulk build — NewDynamicIndex's,
+// a compaction's, a forest rebuild's — labels every document exactly, as
+// Build does, with room left in the leaves. Each later Insert, and each
+// Update that changes a document's sequence, hangs the whole sequence under
+// the trie root as a private chain numbered from the first free label on
+// (vtrie.Chain): only its own postings and docid entry are written, nothing
+// of the trie is kept in memory or replayed at open, and no write can run
+// out of range. A chain shares no prefix with other documents; the next
+// compaction labels them all exactly again.
+//
+// Any index directory opens as one (OpenDynamic): a Build or a prixload
+// output takes writes too.
 type DynamicIndex struct {
 	// mu serializes Insert (write) against queries (read): Insert mutates
 	// B+-trees and the document store in place, so a racing reader could
@@ -31,53 +36,41 @@ type DynamicIndex struct {
 	gen atomic.Uint64
 }
 
-// DynamicOptions tunes the labeler.
+// DynamicOptions is what tuned §5.2.1's on-the-fly labeler (its prefix depth
+// and per-symbol range spread). Chain labeling has nothing to tune, so its
+// fields are ignored; it stays for callers that still pass one.
 type DynamicOptions struct {
-	// Alpha is the depth of the pre-allocated prefix trie built from the
-	// initial documents (§5.2.1). Deeper prefixes reduce underflows.
-	Alpha int
-	// Spread is the number of range slots reserved per expected future
-	// symbol (default 1 << 20).
+	Alpha  int
 	Spread uint64
 }
 
-// NewDynamicIndex builds an insertable index. The initial documents seed
-// the α-prefix pre-allocation pass and are inserted immediately; more can
-// follow via Insert at any time.
+// NewDynamicIndex builds an insertable index: the initial documents are
+// labeled exactly and bulk-loaded, with room left in the leaves for the
+// writes that follow (Builder.FinalizeDynamic), and committed. More can
+// follow via Insert at any time. dopts is ignored.
 func NewDynamicIndex(initial []*xmltree.Document, opts Options, dopts DynamicOptions) (*DynamicIndex, error) {
-	ix, err := newEmptyIndex(opts)
+	b, err := NewBuilder(opts)
 	if err != nil {
 		return nil, err
 	}
-	ix.makeDynamic(dopts, len(initial))
-	di := &DynamicIndex{ix: ix}
-	// Preparatory pass over the initial documents' sequences (the id
-	// passed here is irrelevant: no state is stored during Prepare).
 	for _, doc := range initial {
-		_, syms, err := ix.prepareDocument(0, doc)
-		if err != nil {
-			return nil, err
-		}
-		if err := ix.labeler.Prepare(syms); err != nil {
+		if err := b.Add(doc); err != nil {
+			b.Abort()
 			return nil, err
 		}
 	}
-	ix.labeler.Finalize()
-	// The prepared prefix trie's postings must be written once; Add only
-	// reports nodes it creates below (or beside) the prefix.
-	if err := ix.labeler.EmitPrefix(ix.insertPosting); err != nil {
+	return b.FinalizeDynamic(BulkOptions{}, 0)
+}
+
+// OpenDynamic reopens an on-disk index — any one this build reads — ready to
+// take writes. There is nothing to rebuild: the next chain's first label is
+// one past the postings the directory holds (Index.nextLabel).
+func OpenDynamic(dir string, opts Options) (*DynamicIndex, error) {
+	ix, err := Open(dir, opts)
+	if err != nil {
 		return nil, err
 	}
-	for _, doc := range initial {
-		if err := di.Insert(doc); err != nil {
-			return nil, err
-		}
-	}
-	// Commit what was built, as bulkLoadDynamic does.
-	if err := di.Flush(); err != nil {
-		return nil, err
-	}
-	return di, nil
+	return &DynamicIndex{ix: ix, nextID: uint32(ix.store.NumDocs())}, nil
 }
 
 // Insert adds one document to the index; it becomes queryable immediately,
@@ -100,55 +93,36 @@ func (di *DynamicIndex) insertLocked(doc *xmltree.Document) error {
 	if err != nil {
 		return err
 	}
-	if len(syms) == 0 {
-		if err := di.ix.putRecord(rec); err != nil {
+	terminal := uint64(0)
+	if len(syms) > 0 {
+		if terminal, err = di.ix.insertChain(syms); err != nil {
 			return err
 		}
-		di.recordInsertVersion(id, 0, false)
-		di.nextID++
-		return nil
-	}
-	created, terminal, err := di.ix.labeler.AddReport(syms)
-	if err != nil {
-		return fmt.Errorf("prix: dynamic insert of document %d: %w", id, err)
-	}
-	for _, p := range created {
-		if err := di.ix.insertPosting(p); err != nil {
+		if err := di.ix.docid.Insert(btree.KeyUint64(terminal), btree.DocIDValue(id, 0)); err != nil {
 			return err
 		}
+		di.ix.hotInvalidateDocid()
 	}
-	if err := di.ix.docid.Insert(btree.KeyUint64(terminal.Left), btree.DocIDValue(id, 0)); err != nil {
-		return err
-	}
-	di.ix.hotInvalidateDocid()
 	if err := di.ix.putRecord(rec); err != nil {
 		return err
 	}
-	di.recordInsertVersion(id, terminal.Left, true)
+	di.recordInsertVersion(id, terminal)
 	di.nextID++
 	return nil
 }
 
 // recordInsertVersion stamps a freshly inserted document into the version
 // map when versioning is enabled (the map only exists once the first
-// mutation ran). Labeled inserts record the AddReport order so a reopen can
-// replay the exact labeler history; structure-only documents (empty LPS)
-// have no postings, no docid entry and no replay event, so they carry
-// neither terminal nor label. The updated map rides the next commit,
-// exactly like the record it describes.
-func (di *DynamicIndex) recordInsertVersion(id uint32, terminal uint64, labeled bool) {
+// mutation ran), with the terminal its chain ends at (0 for a
+// structure-only document, which has no postings and no docid entry). The
+// updated map rides the next commit, exactly like the record it describes.
+func (di *DynamicIndex) recordInsertVersion(id uint32, terminal uint64) {
 	m := di.ix.versions
 	if m == nil {
 		return
 	}
 	m.Counter++
-	iv := mvcc.Interval{From: m.Counter}
-	if labeled {
-		iv.Terminal = terminal
-		iv.Label = m.NextLabel
-		m.NextLabel++
-	}
-	m.Docs[id] = []mvcc.Interval{iv}
+	m.Docs[id] = []mvcc.Interval{{From: m.Counter, Terminal: terminal}}
 	di.ix.persistVersionsLocked()
 }
 
@@ -186,27 +160,21 @@ func (di *DynamicIndex) NumDocs() int {
 // call too, since it may have left some of its writes in place.
 func (di *DynamicIndex) Generation() uint64 { return di.gen.Load() }
 
-// Underflows reports how many insertions failed with scope underflow.
-func (di *DynamicIndex) Underflows() int {
+// Underflows is 0: a chain is numbered from the first free label, so no
+// write runs out of range (§5.2.1's scope underflow, which the labeler chains
+// replaced could hit). It stays for callers that report it.
+func (di *DynamicIndex) Underflows() int { return 0 }
+
+// ChainedDocs reports how many documents inserts and updates labeled as
+// chains since the index was last built: the prefix sharing the next
+// compaction restores.
+func (di *DynamicIndex) ChainedDocs() (int, error) {
+	di.mu.RLock()
+	defer di.mu.RUnlock()
 	di.ix.repairMu.RLock()
 	defer di.ix.repairMu.RUnlock()
-	return di.ix.labeler.Underflows()
+	return di.ix.chainedDocs()
 }
-
-// LabelerStats reports the resident labeler trie: how many nodes it stands
-// for (one per posting it handed out, materialized or in a tail) and the
-// heap it occupies.
-func (di *DynamicIndex) LabelerStats() (nodes, bytes int) {
-	di.ix.repairMu.RLock()
-	defer di.ix.repairMu.RUnlock()
-	return di.ix.labeler.Nodes(), di.ix.labeler.Bytes()
-}
-
-// Alpha returns the labeler's prepared-prefix depth.
-func (di *DynamicIndex) Alpha() int { return di.ix.alpha }
-
-// Spread returns the labeler's per-symbol range reservation.
-func (di *DynamicIndex) Spread() uint64 { return di.ix.spread }
 
 // Close commits what Flush commits and closes the underlying index's
 // storage: a dynamic index closed without a Flush reopens.
@@ -232,23 +200,11 @@ func (di *DynamicIndex) flushLocked() error {
 	di.ix.repairMu.Lock()
 	defer di.ix.repairMu.Unlock()
 	di.ix.stageCatalogs()
-	di.ix.store.SetStat("sequences", int64(di.ix.labeler.Sequences()))
 	return di.ix.commit()
 }
 
-// makeDynamic gives a fresh index a dynamic labeler tuned by dopts whose
-// preparatory pass covers the first prepared documents.
-func (ix *Index) makeDynamic(dopts DynamicOptions, prepared int) {
-	if dopts.Spread == 0 {
-		dopts.Spread = 1 << 20
-	}
-	ix.alpha, ix.spread, ix.prepared = dopts.Alpha, dopts.Spread, prepared
-	ix.labeler = vtrie.NewDynamicLabeler(ix.alpha, ix.spread)
-}
-
 // prepareDocument computes the docstore record and interned sequence of a
-// document, updating the in-memory MaxGap catalog and build statistics. It
-// is shared by the static builder and the dynamic index.
+// document written to a built index, updating the in-memory MaxGap catalog.
 func (ix *Index) prepareDocument(id uint32, doc *xmltree.Document) (*docstore.Record, []vtrie.Symbol, error) {
 	ds, err := Transform(id, doc, ix.opts.Extended)
 	if err != nil {

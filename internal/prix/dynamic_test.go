@@ -1,9 +1,12 @@
 package prix
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
 	"repro/internal/xmltree/xmltreetest"
@@ -111,7 +114,7 @@ func TestDynamicIndexSingleNodeDoc(t *testing.T) {
 
 // A value-only Update relabels on an EPIndex and is record-only on an
 // RPIndex. An EPIndex gives every value an extension dummy child (§5.6), so
-// the value is a label in the LPS and its rewrite carves a new trie path; an
+// the value is a label in the LPS and its rewrite writes a new chain; an
 // RPIndex keeps values as leaves, out of the LPS.
 func TestValueUpdateRelabelsOnlyOnEP(t *testing.T) {
 	for _, extended := range []bool{false, true} {
@@ -134,5 +137,118 @@ func TestValueUpdateRelabelsOnlyOnEP(t *testing.T) {
 			t.Errorf("extended=%v: patch %d bytes against a %d-byte rewrite", extended, res.PatchBytes, res.FullBytes)
 		}
 		di.Close()
+	}
+}
+
+// Every TREEBANK scale-1 document is inserted into an empty dynamic index
+// and none is refused: the deepest sequences get chains like any other. The
+// on-the-fly labeler chains replaced refused 9 of the 400 with a scope
+// underflow. Every planted query then answers like the brute-force oracle,
+// on an EPIndex and an RPIndex.
+func TestInsertEveryTreebankDocument(t *testing.T) {
+	ds, err := datagen.ByName("TREEBANK", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Docs) != 400 || len(ds.Queries) == 0 {
+		t.Fatalf("TREEBANK scale 1: %d documents, %d queries", len(ds.Docs), len(ds.Queries))
+	}
+	for _, extended := range []bool{true, false} {
+		di, err := NewDynamicIndex(nil, Options{Extended: extended}, DynamicOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, doc := range ds.Docs {
+			if err := di.Insert(doc); err != nil {
+				t.Fatalf("extended=%v: insert of document %d of %d refused: %v", extended, i, len(ds.Docs), err)
+			}
+		}
+		if n, err := di.ChainedDocs(); err != nil || n != len(ds.Docs) {
+			t.Fatalf("extended=%v: %d chained documents (%v), want %d", extended, n, err, len(ds.Docs))
+		}
+		for _, qs := range ds.Queries {
+			q := qs.Query()
+			ms, _, err := di.Match(q, MatchOptions{})
+			if !extended && errors.Is(err, ErrNeedsExtendedIndex) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("extended=%v %s: %v", extended, qs.ID, err)
+			}
+			if want := twig.CountBruteForce(q, ds.Docs); len(ms) != want {
+				t.Errorf("extended=%v %s %s: %d matches, oracle %d", extended, qs.ID, qs.XPath, len(ms), want)
+			}
+		}
+		di.Close()
+	}
+}
+
+// 3,000 value updates on an EPIndex over DBLP and SWISSPROT documents, one
+// document at a time and no compaction, are all accepted. An EPIndex value
+// is an LPS label (§5.6), so each writes a chain; the labeler chains
+// replaced refused the first at update 1,667, having run out of range under
+// the shared prefixes. The planted queries then answer like the brute-force
+// oracle over the updated documents, and a value each update wrote is found
+// in exactly its document.
+func TestValueUpdatesWithoutCompaction(t *testing.T) {
+	dblp, sp := datagen.DBLP(1, 1), datagen.SwissProt(2, 1)
+	docs := append(append([]*xmltree.Document{}, dblp.Docs...), sp.Docs...)
+	if len(docs) < 3000 {
+		t.Fatalf("%d documents, want 3,000", len(docs))
+	}
+	docs = docs[:3000]
+	di, err := NewDynamicIndex(docs, Options{Extended: true}, DynamicOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	model := append([]*xmltree.Document{}, docs...)
+	for i := range model {
+		d := model[i].Clone()
+		d.Number()
+		for _, n := range d.Nodes {
+			if n.IsValue {
+				n.Label = fmt.Sprintf("%s (update %d)", n.Label, i)
+				break
+			}
+		}
+		res, err := di.Update(uint32(i), d)
+		if err != nil {
+			t.Fatalf("update %d of %d refused: %v", i+1, len(model), err)
+		}
+		if !res.Relabeled {
+			t.Fatalf("update %d rewrote a value but not the LPS", i+1)
+		}
+		model[i] = d
+	}
+	if n, err := di.ChainedDocs(); err != nil || n != len(model) {
+		t.Fatalf("%d chained documents (%v), want %d", n, err, len(model))
+	}
+	for _, qs := range append(append([]datagen.QuerySpec{}, dblp.Queries...), sp.Queries...) {
+		q := qs.Query()
+		ms, _, err := di.Match(q, MatchOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", qs.ID, err)
+		}
+		if want := twig.CountBruteForce(q, model); len(ms) != want {
+			t.Errorf("%s %s: %d matches, oracle %d", qs.ID, qs.XPath, len(ms), want)
+		}
+	}
+	for _, i := range []int{0, 1667, 2999} {
+		var first *xmltree.Node
+		for _, n := range model[i].Nodes {
+			if n.IsValue {
+				first = n
+				break
+			}
+		}
+		src := fmt.Sprintf(`//%s[text()=%q]`, first.Parent.Label, first.Label)
+		ms, _, err := di.Match(twig.MustParse(src), MatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != 1 || ms[0].DocID != uint32(i) {
+			t.Errorf("%s: %v, want one match in document %d", src, ms, i)
+		}
 	}
 }

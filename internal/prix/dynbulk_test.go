@@ -1,7 +1,6 @@
 package prix
 
 import (
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -49,9 +48,9 @@ func sameMatches(t *testing.T, label, qs string, want, got []Match) {
 	}
 }
 
-// TestOpenDynamicReplay: a dynamic index closed on disk reopens with its
-// labeler replayed from the stored records and persisted stats — answering
-// identically, and still accepting inserts without underflow.
+// TestOpenDynamicReplay: a dynamic index closed on disk reopens with nothing
+// replayed — answering identically, and still accepting inserts, whose
+// chains continue from the label after the last posting on disk.
 func TestOpenDynamicReplay(t *testing.T) {
 	dir := t.TempDir()
 	docs := dynbulkDocs(24, 5)
@@ -86,7 +85,7 @@ func TestOpenDynamicReplay(t *testing.T) {
 	for _, qs := range dynbulkQueries {
 		sameMatches(t, "reopened", qs, want[qs], matchSet(t, re.Index(), qs))
 	}
-	// Still insertable: the replayed labeler continues where it left off.
+	// Still insertable: chains continue where the closed index left off.
 	extra := dynbulkDocs(6, 99)
 	for _, doc := range extra {
 		if err := re.Insert(doc); err != nil {
@@ -96,20 +95,28 @@ func TestOpenDynamicReplay(t *testing.T) {
 	if re.NumDocs() != len(docs)+len(extra) {
 		t.Fatalf("docs after reopened inserts = %d", re.NumDocs())
 	}
-	if re.Underflows() != 0 {
-		t.Fatalf("underflows after reopen = %d", re.Underflows())
+	all := append(append([]*xmltree.Document{}, docs...), extra...)
+	for _, qs := range dynbulkQueries {
+		want := twig.CountBruteForce(twig.MustParse(qs), all)
+		if got := len(matchSet(t, re.Index(), qs)); got != want {
+			t.Fatalf("%s after reopened inserts: %d matches, brute force %d", qs, got, want)
+		}
+	}
+	if n, err := re.ChainedDocs(); err != nil || n != len(docs)-8+len(extra) {
+		t.Fatalf("ChainedDocs = %d, %v; want %d", n, err, len(docs)-8+len(extra))
 	}
 }
 
-// TestOpenDynamicRejectsStatic: a bulk-built index has no labeler state to
-// replay; OpenDynamic must refuse with ErrNotDynamic, not guess.
-func TestOpenDynamicRejectsStatic(t *testing.T) {
+// TestOpenDynamicAcceptsStatic: every index accepts writes. A Build output
+// reopens insertable, and its inserts chain on from its last exact label.
+func TestOpenDynamicAcceptsStatic(t *testing.T) {
 	dir := t.TempDir()
+	docs := dynbulkDocs(12, 3)
 	b, err := NewBuilder(Options{Dir: dir, BufferPoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range dynbulkDocs(5, 3) {
+	for _, doc := range docs[:5] {
 		if err := b.Add(doc); err != nil {
 			t.Fatal(err)
 		}
@@ -121,25 +128,46 @@ func TestOpenDynamicRejectsStatic(t *testing.T) {
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDynamic(dir, Options{}); !errors.Is(err, ErrNotDynamic) {
-		t.Fatalf("OpenDynamic on a static index: err = %v, want ErrNotDynamic", err)
+	di, err := OpenDynamic(dir, Options{})
+	if err != nil {
+		t.Fatalf("OpenDynamic on a Build output: %v", err)
+	}
+	defer di.Close()
+	for _, doc := range docs[5:] {
+		if err := di.Insert(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, qs := range dynbulkQueries {
+		want := twig.CountBruteForce(twig.MustParse(qs), docs)
+		if got := len(matchSet(t, di.Index(), qs)); got != want {
+			t.Fatalf("%s: %d matches, brute force %d", qs, got, want)
+		}
 	}
 }
 
-// replaySeqs adapts a document slice to BulkLoadDynamic's source callback.
-func replaySeqs(docs []*xmltree.Document, extended bool) func(fn func(*DocSeq) error) error {
-	return func(fn func(*DocSeq) error) error {
-		for id, doc := range docs {
-			ds, err := Transform(uint32(id), doc, extended)
-			if err != nil {
-				return err
-			}
-			if err := fn(ds); err != nil {
-				return err
-			}
-		}
-		return nil
+// bulkLoadDynamic builds an insertable index from docs the way a compaction
+// does: a streamed exact build finalized with room for writes.
+func bulkLoadDynamic(t testing.TB, opts Options, bo BulkOptions, docs []*xmltree.Document) *DynamicIndex {
+	t.Helper()
+	b, err := NewBuilder(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for id, doc := range docs {
+		ds, err := Transform(uint32(id), doc, opts.Extended)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddSeq(ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	di, err := b.FinalizeDynamic(bo, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return di
 }
 
 // TestBulkLoadDynamicEqualsInserted: bulk-loading a document stream yields
@@ -148,8 +176,7 @@ func replaySeqs(docs []*xmltree.Document, extended bool) func(fn func(*DocSeq) e
 // compaction swap relies on.
 func TestBulkLoadDynamicEqualsInserted(t *testing.T) {
 	docs := dynbulkDocs(30, 11)
-	dopts := DynamicOptions{Alpha: 3}
-	twin, err := NewDynamicIndex(docs[:10], Options{BufferPoolPages: 64}, dopts)
+	twin, err := NewDynamicIndex(docs[:10], Options{BufferPoolPages: 64}, DynamicOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +185,7 @@ func TestBulkLoadDynamicEqualsInserted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Match the labeler shape the compactor pins in its manifest: same
-	// alpha/spread, preparatory pass over the full stream.
-	bulk, err := BulkLoadDynamic(Options{BufferPoolPages: 64}, dopts, BulkOptions{MemBudget: 16 << 10}, 0, replaySeqs(docs, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	bulk := bulkLoadDynamic(t, Options{BufferPoolPages: 64}, BulkOptions{MemBudget: 16 << 10}, docs)
 	if bulk.NumDocs() != twin.NumDocs() {
 		t.Fatalf("bulk docs = %d, twin = %d", bulk.NumDocs(), twin.NumDocs())
 	}
@@ -181,9 +203,6 @@ func TestBulkLoadDynamicEqualsInserted(t *testing.T) {
 	for _, qs := range dynbulkQueries {
 		sameMatches(t, "after post-bulk inserts", qs, matchSet(t, twin.Index(), qs), matchSet(t, bulk.Index(), qs))
 	}
-	if bulk.Underflows() != 0 {
-		t.Fatalf("bulk underflows = %d", bulk.Underflows())
-	}
 }
 
 // TestBulkLoadDynamicDeterministic: the same stream under the same budget
@@ -192,11 +211,7 @@ func TestBulkLoadDynamicEqualsInserted(t *testing.T) {
 func TestBulkLoadDynamicDeterministic(t *testing.T) {
 	docs := dynbulkDocs(25, 23)
 	build := func(dir string) {
-		di, err := BulkLoadDynamic(Options{Dir: dir, BufferPoolPages: 64},
-			DynamicOptions{Alpha: 3}, BulkOptions{MemBudget: 16 << 10}, 0, replaySeqs(docs, false))
-		if err != nil {
-			t.Fatal(err)
-		}
+		di := bulkLoadDynamic(t, Options{Dir: dir, BufferPoolPages: 64}, BulkOptions{MemBudget: 16 << 10}, docs)
 		if err := di.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -223,12 +238,10 @@ func TestBulkLoadDynamicDeterministic(t *testing.T) {
 }
 
 // TestBulkLoadDynamicAllocs bounds what a compaction's bulk load allocates
-// per document (≈ 0.4 objects, 10.9 when each pass interned into fresh
-// slices). Both passes intern into one reused record, the labeler reports the
-// nodes it created in a buffer it keeps, Finalize walks the prefix trie with
-// one child buffer and the sorter is sized once from the prepare pass's
-// counts; what is left is the fixed cost of an index (pools, trees,
-// dictionaries) spread over the 2,000 documents.
+// per document. AddSeq interns into one reused record, the Builder's trie
+// lives in slabs, and the sorter is sized once from the trie's counts; what is
+// left is the fixed cost of an index (pools, trees, dictionaries) spread over
+// the 2,000 documents.
 func TestBulkLoadDynamicAllocs(t *testing.T) {
 	docs := datagen.DBLP(1, 1).Docs
 	seqs := make([]*DocSeq, len(docs))
@@ -239,24 +252,25 @@ func TestBulkLoadDynamicAllocs(t *testing.T) {
 		}
 		seqs[id] = ds
 	}
-	source := func(fn func(*DocSeq) error) error {
+	load := func() {
+		b, err := NewBuilder(Options{Extended: true, BufferPoolPages: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, ds := range seqs {
-			if err := fn(ds); err != nil {
-				return err
+			if err := b.AddSeq(ds); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return nil
-	}
-	load := func() {
-		di, err := BulkLoadDynamic(Options{Extended: true, BufferPoolPages: 4096}, DynamicOptions{Alpha: 4}, BulkOptions{}, 0, source)
+		di, err := b.FinalizeDynamic(BulkOptions{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		di.Close()
 	}
 	perDoc := testing.AllocsPerRun(2, load) / float64(len(docs))
-	t.Logf("BulkLoadDynamic: %.2f objects a document over %d documents", perDoc, len(docs))
+	t.Logf("insertable bulk load: %.2f objects a document over %d documents", perDoc, len(docs))
 	if perDoc > 1 {
-		t.Fatalf("BulkLoadDynamic allocates %.2f objects a document, want <= 1", perDoc)
+		t.Fatalf("insertable bulk load allocates %.2f objects a document, want <= 1", perDoc)
 	}
 }

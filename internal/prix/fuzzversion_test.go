@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/twig"
-	"repro/internal/vtrie"
 	"repro/internal/xmltree"
 	"repro/internal/xmltree/xmltreetest"
 )
@@ -50,9 +49,6 @@ func fuzzAsOfApply(t *testing.T, script []byte, n int) *DynamicIndex {
 		case 0: // insert a template clone
 			d := xmltreetest.MustFromSExpr(docs, fuzzAsOfTemplates[arg%len(fuzzAsOfTemplates)])
 			if err := di.Insert(d); err != nil {
-				if errors.Is(err, vtrie.ErrScopeUnderflow) {
-					continue
-				}
 				t.Fatal(err)
 			}
 			docs++
@@ -73,7 +69,7 @@ func fuzzAsOfApply(t *testing.T, script []byte, n int) *DynamicIndex {
 				}
 			}
 			if _, err := di.Update(uint32(id), d); err != nil {
-				if errors.Is(err, ErrDocDeleted) || errors.Is(err, vtrie.ErrScopeUnderflow) {
+				if errors.Is(err, ErrDocDeleted) {
 					continue
 				}
 				t.Fatal(err)

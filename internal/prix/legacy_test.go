@@ -106,10 +106,10 @@ func TestOpenRefusesPendingOp(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc, _ = m.AppendEncode(nil, nil)
-		// The byte after the magic and the three counters is the pending-op
+		// The byte after the magic and the two counters is the pending-op
 		// kind: a delete of document 1 at version 2, terminal 0.
-		at := len("MVC1")
-		for i := 0; i < 3; i++ {
+		at := len("MVC2")
+		for i := 0; i < 2; i++ {
 			_, n := binary.Uvarint(enc[at:])
 			at += n
 		}

@@ -128,7 +128,7 @@ func TestMetamorphicInsertDelete(t *testing.T) {
 }
 
 // TestMetamorphicUpdate: update(A→B) answers like a fresh index built
-// from B, including after a close/reopen (versioned labeler replay).
+// from B, including after a close/reopen.
 func TestMetamorphicUpdate(t *testing.T) {
 	corpus := parallelCorpus()
 	updated := []int{1, 3, 5, 11, 20, 33}
@@ -159,7 +159,7 @@ func TestMetamorphicUpdate(t *testing.T) {
 		}
 		fresh.Close()
 
-		// Reopen: the labeler replay must reproduce the updated world.
+		// Reopen: the committed chains must reproduce the updated world.
 		if err := di.Flush(); err != nil {
 			t.Fatal(err)
 		}

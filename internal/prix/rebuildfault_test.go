@@ -22,20 +22,16 @@ import (
 // pre-rebuild files byte for byte — unless a second RepairForest succeeded
 // first, which lifts the refusal (tried at every other write point). Either
 // way the reopened index answers like the brute-force oracle. It runs on a
-// dynamic index, relabeled by a fresh dynamic labeler and closed through
-// its DynamicIndex (whose Close commits what its Flush stages), and on a
-// static one, relabeled exactly.
+// dynamic index, most of its documents chained, closed through its
+// DynamicIndex (whose Close commits what its Flush stages), and on a Build
+// output; both are relabeled exactly.
 func TestFailedForestRebuildNeverCommits(t *testing.T) {
 	for _, dynamic := range []bool{true, false} {
 		t.Run(fmt.Sprintf("dynamic=%v", dynamic), func(t *testing.T) {
 			// Enough documents that the rebuild, through a 4-page pool,
-			// writes pages before its commit, and that a dynamic forest
-			// committed half-written would answer short; a static forest
-			// is about a quarter of a dynamic one's size.
+			// writes pages before its commit, and that a forest committed
+			// half-written would answer short.
 			docs := dynbulkDocs(200, 7)
-			if dynamic {
-				docs = docs[:100]
-			}
 			base := t.TempDir()
 			pristine := filepath.Join(base, "pristine")
 			opts := Options{Extended: true, BufferPoolPages: 16}

@@ -164,11 +164,11 @@ func TestRepairMissingDocidEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	left, err := ix.walkPostings(rec)
-	if err != nil {
-		t.Fatal(err)
+	lefts, err := ix.walkPostings(rec)
+	if err != nil || len(lefts) != 1 {
+		t.Fatalf("walk of an exact index: %v, %v", lefts, err)
 	}
-	if ok, err := ix.docid.Delete(btree.KeyUint64(left), btree.DocIDValue(1, 0)); err != nil || !ok {
+	if ok, err := ix.docid.Delete(btree.KeyUint64(lefts[0]), btree.DocIDValue(1, 0)); err != nil || !ok {
 		t.Fatalf("deleting docid entry: %v %v", ok, err)
 	}
 	err = ix.VerifyDoc(1)
@@ -343,10 +343,9 @@ func TestRepairForestAfterTrieDamage(t *testing.T) {
 	}
 }
 
-// Index.RepairForest on a DynamicIndex's Index replaces the labeler
-// alongside the postings, so inserts keep working after the repair — and
-// the rebuild's commit records the labeler's replay parameters, so they
-// keep working after a close and OpenDynamic too.
+// Index.RepairForest on a DynamicIndex's Index relabels its chains exactly
+// with the rest, so inserts keep working after the repair — chaining on from
+// the rebuilt forest's last label — and after a close and OpenDynamic too.
 func TestDynamicRepairForest(t *testing.T) {
 	dir := t.TempDir()
 	di, err := NewDynamicIndex(degradedDocs(), Options{Dir: dir}, DynamicOptions{})

@@ -184,17 +184,6 @@ func (ix *Index) terminalsByDoc() (map[uint32]uint64, error) {
 	return out, nil
 }
 
-// CloneVersions returns a deep copy of the version map under the read lock
-// (nil when versioning is off) — a compaction pins it for its drain.
-func (ix *Index) CloneVersions() *mvcc.Map {
-	ix.repairMu.RLock()
-	defer ix.repairMu.RUnlock()
-	if ix.versions == nil {
-		return nil
-	}
-	return ix.versions.Clone()
-}
-
 // VersionSnapshot atomically pairs the document count with a deep copy of
 // the version map (nil when versioning is off), so a compaction drain
 // watermark and its pinned map describe the same instant even under
@@ -276,28 +265,6 @@ func (ix *Index) docVisibleAt(docID uint32, asOf uint64) bool {
 	return ok
 }
 
-// intervalLPS resolves the label sequence of the record image an interval
-// describes: the superseded image at its back-pointer when one is recorded,
-// the current record otherwise (open intervals, and deletes, leave the
-// record in place). Used by the versioned labeler replay; a lost image is
-// reported as !ok and skipped, mirroring the quarantine semantics.
-func (ix *Index) intervalLPS(docID uint32, iv mvcc.Interval) ([]vtrie.Symbol, bool) {
-	if iv.Loc.Zero() {
-		// The current record, under the rule a rebuild labels by: a record
-		// the rebuild skipped (and quarantined) is skipped here too.
-		rec, err := ix.labelableRecord(docID)
-		if err != nil {
-			return nil, false
-		}
-		return rec.LPS, true
-	}
-	rec, err := ix.store.GetAtLoc(docID, toStoreLoc(iv.Loc))
-	if err != nil {
-		return nil, false
-	}
-	return rec.LPS, true
-}
-
 // forest-side helpers ----------------------------------------------------------
 
 // writeTombstoneLocked inserts the delete marker at the terminal key,
@@ -316,7 +283,7 @@ func (ix *Index) writeTombstoneLocked(term uint64, docID uint32, version uint64)
 // collapseVersionsAfterRebuildLocked folds version history for a rebuilt
 // forest: the rebuild relabels every surviving record in docid order, so
 // update-history back-pointers (whose postings are gone) are dropped, every
-// interval's Label reset and its Terminal moved to the rebuilt forest's, and
+// interval's Terminal moved to the rebuilt forest's, and
 // tombstones are re-marked there. Retention follows the repair semantics of a
 // Retain-0 compaction for update history while every delete span survives —
 // the deleted documents' records were rebuilt into the forest, so AS OF
@@ -334,11 +301,9 @@ func (ix *Index) collapseVersionsAfterRebuildLocked() error {
 		if !last.Marker() {
 			last.Loc = mvcc.Loc{}
 			last.Terminal = 0
-			last.Label = 0
 		}
 		vs.Docs[id] = []mvcc.Interval{last}
 	}
-	vs.NextLabel = 1
 	if err := ix.anchorVersionsLocked(); err != nil {
 		return err
 	}
@@ -435,8 +400,8 @@ func (di *DynamicIndex) deleteLocked(docID uint32) (uint64, error) {
 
 // Update replaces a document's content as of a new version. The old image
 // stays resolvable for AS OF reads through a back-pointer; when the new
-// Prüfer sequence differs, the dynamic labeler carves a fresh trie path and
-// the old docid entry keeps serving history.
+// Prüfer sequence differs, it is labeled as a fresh chain and the old docid
+// entry keeps serving history.
 func (di *DynamicIndex) Update(docID uint32, doc *xmltree.Document) (*UpdateResult, error) {
 	defer di.gen.Add(1)
 	return di.updateLocked(docID, doc, nil)
@@ -492,24 +457,13 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 	fullBytes := mvcc.RewriteSize(newPairs, newLeaves, newRec.NumNodes)
 	relabel := !lpsEqual(oldRec.LPS, newRec.LPS) && len(syms) > 0
 
-	var created []vtrie.Posting
-	newTerm := uint64(0)
-	label := uint64(0)
 	legacy := len(vs.Docs[docID]) == 0
 	oldTerm := di.openTerminalLocked(docID, iv, legacy)
+	newTerm := oldTerm
 	if relabel {
-		var terminal vtrie.Posting
-		// AddReport runs before any durable write: a scope underflow aborts
-		// the whole mutation with nothing committed.
-		created, terminal, err = di.ix.labeler.AddReport(syms)
-		if err != nil {
-			return nil, fmt.Errorf("prix: dynamic update of document %d: %w", docID, err)
+		if newTerm, err = di.ix.insertChain(syms); err != nil {
+			return nil, err
 		}
-		newTerm = terminal.Left
-		label = vs.NextLabel
-		vs.NextLabel++
-	} else {
-		newTerm = oldTerm
 	}
 
 	oldLoc, err := di.ix.store.RewriteKeepOld(newRec)
@@ -526,14 +480,9 @@ func (di *DynamicIndex) updateLocked(docID uint32, doc *xmltree.Document, patch 
 		ivs[len(ivs)-1].Loc = fromStoreLoc(oldLoc)
 		vs.Docs[docID] = ivs
 	}
-	vs.Docs[docID] = append(vs.Docs[docID], mvcc.Interval{From: v, Terminal: newTerm, Label: label})
+	vs.Docs[docID] = append(vs.Docs[docID], mvcc.Interval{From: v, Terminal: newTerm})
 	vs.MutOps++
 	vs.Counter = v
-	for _, p := range created {
-		if err := di.ix.insertPosting(p); err != nil {
-			return nil, err
-		}
-	}
 	if relabel {
 		if err := di.ix.docid.Insert(btree.KeyUint64(newTerm), btree.DocIDValue(docID, 0)); err != nil {
 			return nil, err

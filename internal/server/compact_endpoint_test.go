@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -103,6 +102,13 @@ func TestCompactEndpointSwapsEpoch(t *testing.T) {
 		t.Fatalf("compaction changed the answer: %d vs %d matches", len(after.Matches), len(before.Matches))
 	}
 
+	// Writes after the swap are labeled as chains until the next one.
+	for i := 12; i < 15; i++ {
+		if err := root.Insert(xmltreetest.MustFromSExpr(i, `(a (b (c)) (d (e)))`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	// The gauges follow: /stats carries the compaction block, /metrics the
 	// epoch and run counters.
 	sresp, err := http.Get(ts.URL + "/stats")
@@ -120,14 +126,14 @@ func TestCompactEndpointSwapsEpoch(t *testing.T) {
 		t.Fatalf("/stats compaction block = %+v, want 1 run at epoch 1", stats.Compaction)
 	}
 	// The write side is visible too: where the last compaction spent its
-	// time, and what the serving epoch's labeler holds in memory.
+	// time, and how many documents it left labeled as chains since.
 	if c := stats.Compaction; c.LastDrain <= 0 || c.LastBuild <= 0 || c.LastPublish <= 0 ||
 		c.LastDrain+c.LastBuild+c.LastPublish > c.LastElapsed {
 		t.Fatalf("/stats phase split drain %v + build %v + publish %v of %v elapsed, want three positive parts",
 			c.LastDrain, c.LastBuild, c.LastPublish, c.LastElapsed)
 	}
-	if c := stats.Compaction; c.LabelerNodes <= 0 || c.LabelerBytes < 40*c.LabelerNodes {
-		t.Fatalf("/stats labeler = %d nodes, %d bytes", c.LabelerNodes, c.LabelerBytes)
+	if c := stats.Compaction; c.ChainedDocs != 3 {
+		t.Fatalf("/stats chained_docs = %d after 3 inserts into the compacted epoch, want 3", c.ChainedDocs)
 	}
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -140,8 +146,7 @@ func TestCompactEndpointSwapsEpoch(t *testing.T) {
 	for _, want := range []string{
 		"prix_compaction_epoch 1", "prix_compactions_total 1",
 		"prix_compaction_last_drain_seconds ", "prix_compaction_last_build_seconds ", "prix_compaction_last_publish_seconds ",
-		fmt.Sprintf("prix_labeler_nodes %d\n", stats.Compaction.LabelerNodes),
-		fmt.Sprintf("prix_labeler_bytes %d\n", stats.Compaction.LabelerBytes),
+		"prix_chained_docs 3\n",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics missing %q", want)

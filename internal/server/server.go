@@ -695,10 +695,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				"# TYPE prix_compaction_last_%[1]s_seconds gauge\nprix_compaction_last_%[1]s_seconds %[2]g\n",
 				phase.name, phase.d.Seconds())
 		}
-		fmt.Fprintf(w, "# HELP prix_labeler_nodes Postings the serving epoch's dynamic labeler has handed out (trie nodes, materialized or held as tail symbols).\n"+
-			"# TYPE prix_labeler_nodes gauge\nprix_labeler_nodes %d\n", cs.LabelerNodes)
-		fmt.Fprintf(w, "# HELP prix_labeler_bytes Heap bytes the dynamic labeler's trie occupies.\n"+
-			"# TYPE prix_labeler_bytes gauge\nprix_labeler_bytes %d\n", cs.LabelerBytes)
+		fmt.Fprintf(w, "# HELP prix_chained_docs Documents the serving epoch labeled as chains since it was built: the prefix sharing the next compaction restores.\n"+
+			"# TYPE prix_chained_docs gauge\nprix_chained_docs %d\n", cs.ChainedDocs)
 	}
 }
 

@@ -68,7 +68,7 @@ var (
 		"prix_compaction_epoch", "prix_compaction_running",
 		"prix_compaction_last_pause_seconds", "prix_compaction_last_drain_seconds",
 		"prix_compaction_last_build_seconds", "prix_compaction_last_publish_seconds",
-		"prix_labeler_nodes", "prix_labeler_bytes",
+		"prix_chained_docs",
 	}
 	// shardRowKeys are a healthy shard row's /stats keys (down and
 	// quarantined are omitempty).

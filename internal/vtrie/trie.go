@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"unsafe"
 )
 
-// trie is the node store both labelers share: nodes live in fixed-size
-// slabs and name each other by index, so a node costs its 40 bytes and no
+// trie is the Builder's node store: nodes live in fixed-size slabs and name each other by index, so a node costs its 40 bytes and no
 // heap object, map or pointer of its own. Index 0 is the root; it is nobody's
 // child, which lets 0 double as "none" in the child and sibling links.
 //
@@ -19,28 +17,13 @@ import (
 // node that outgrows the chain is promoted once to a kidIndex in wide: value
 // symbols under one tag fan out in the thousands, and a chain walk there
 // would make every insert linear in the fan-out.
-//
-// In the DynamicLabeler's trie an unbranched path down to a leaf is not
-// nodes at all: its top node (the head) keeps the symbols below it as a
-// tail, a run in the shared syms arena, and their labels are recomputed from
-// the head's (dynamic.go). A tail node costs 4 bytes, not 40.
 type trie struct {
 	slabs []*[slabSize]node
 	n     uint32 // nodes allocated, root included
 	wide  []kidIndex
 	// terms lists (terminal node, document) in arrival order: the documents
-	// whose sequence ends at a node. Only the Builder records them, for
-	// Emit; it stays out of the node.
+	// whose sequence ends at a node, for Emit; it stays out of the node.
 	terms []term
-	// tails indexes the runs of syms that tail heads own; tailSyms counts
-	// the symbols of the runs still in use (a split leaves the materialized
-	// part of a run behind in syms). spread is the DynamicLabeler's
-	// slots-per-symbol, which the tail labels are recomputed with; a
-	// Builder's trie has no tails.
-	tails    []tail
-	syms     []Symbol
-	tailSyms int
-	spread   uint64
 }
 
 const (
@@ -56,16 +39,11 @@ const (
 	runCap = 128
 	// wideFan in node.fan marks a promoted node: kid then indexes trie.wide.
 	wideFan = 0xff
-	// tailFan in node.fan marks a tail head: kid then indexes trie.tails,
-	// and the head has no other child.
-	tailFan = 0xfe
 )
 
 type node struct {
 	left, right uint64
-	// free is the owning labeler's word: the DynamicLabeler's last assigned
-	// slot within (left, right] (unset on a tail head until its tail is
-	// left), the Builder's subtree size during Label.
+	// free is the node's subtree size during Label.
 	free uint64
 	sym  Symbol
 	kid  uint32 // first child in symbol order, 0 = none; the wide index once promoted
@@ -73,11 +51,6 @@ type node struct {
 	fan  uint8  // children on the chain, or wideFan
 	term bool   // some sequence ends here (its documents are in trie.terms)
 }
-
-// tail is the run syms[off:off+n] below a tail head, top down.
-type tail struct{ off, n uint32 }
-
-const nodeBytes = int(unsafe.Sizeof(node{}))
 
 // kidRef is one entry of a promoted node's child index.
 type kidRef struct {
@@ -208,12 +181,8 @@ func (t *trie) link(p *node, c uint32) {
 	t.wide = append(t.wide, kidIndex{run})
 }
 
-// kids appends p's children to buf in symbol order: none for a tail head,
-// whose path below is walked by tailPostings.
+// kids appends p's children to buf in symbol order.
 func (t *trie) kids(p *node, buf []uint32) []uint32 {
-	if p.fan == tailFan {
-		return buf
-	}
 	if p.fan == wideFan {
 		for _, run := range t.wide[p.kid] {
 			for _, ref := range run {
@@ -226,34 +195,6 @@ func (t *trie) kids(p *node, buf []uint32) []uint32 {
 		buf = append(buf, c)
 	}
 	return buf
-}
-
-// keepKids cuts p's children down to the first keep in symbol order. The
-// dropped subtrees stay allocated but unreachable.
-func (t *trie) keepKids(p *node, keep int) {
-	if p.fan == wideFan {
-		x := t.wide[p.kid]
-		t.wide[p.kid] = nil
-		for r := 0; keep > 0; r++ {
-			if keep <= len(x[r]) {
-				x[r] = x[r][:keep]
-				t.wide[p.kid] = x[:r+1]
-				break
-			}
-			keep -= len(x[r])
-		}
-		return
-	}
-	if keep == 0 {
-		p.kid, p.fan = 0, 0
-		return
-	}
-	c := p.kid
-	for i := 1; i < keep; i++ {
-		c = t.at(c).sib
-	}
-	t.at(c).sib = 0
-	p.fan = uint8(keep)
 }
 
 // end records that docID's sequence ends at node i.
@@ -270,8 +211,7 @@ func (t *trie) posting(i, level uint32) Posting {
 
 // walk visits every node but the root in preorder, children in symbol order,
 // handing fn the node's index and its posting, whose level is the node's
-// depth (== its position in the sequence, 1-based). A tail's nodes follow
-// their head, with index 0.
+// depth (== its position in the sequence, 1-based).
 func (t *trie) walk(fn func(i uint32, p Posting) error) error {
 	type frame struct{ i, level uint32 }
 	stack := []frame{{0, 0}}
@@ -284,30 +224,10 @@ func (t *trie) walk(fn func(i uint32, p Posting) error) error {
 			if err := fn(f.i, t.posting(f.i, f.level)); err != nil {
 				return err
 			}
-			if n.fan == tailFan {
-				if err := t.tailPostings(n, f.level, func(p Posting) error { return fn(0, p) }); err != nil {
-					return err
-				}
-				continue
-			}
 		}
 		kids = t.kids(n, kids[:0])
 		for k := len(kids) - 1; k >= 0; k-- {
 			stack = append(stack, frame{kids[k], f.level + 1})
-		}
-	}
-	return nil
-}
-
-// tailPostings hands fn the postings of head h's tail, top down; level is
-// h's depth.
-func (t *trie) tailPostings(h *node, level uint32, fn func(p Posting) error) error {
-	run := t.tailRun(h)
-	l, r := h.left, h.right
-	for k, s := range run {
-		l, r = t.below(l, r, len(run)-k)
-		if err := fn(Posting{Symbol: s, Left: l, Right: r, Level: level + 1 + uint32(k)}); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -337,8 +257,7 @@ func (t *trie) emit(fn func(p Posting, docs []uint32) error) error {
 }
 
 // validate checks the containment property: every child range is non-empty,
-// inside its parent's open interval, and disjoint from its siblings'. A
-// tail's recomputed labels are checked like stored ones.
+// inside its parent's open interval, and disjoint from its siblings'.
 func (t *trie) validate() error {
 	stack := []uint32{0}
 	var kids []uint32
@@ -346,18 +265,6 @@ func (t *trie) validate() error {
 	for len(stack) > 0 {
 		n := t.at(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		if n.fan == tailFan {
-			parent := Posting{Left: n.left, Right: n.right}
-			if err := t.tailPostings(n, 0, func(c Posting) error {
-				err := checkChild(c.Left, c.Right, parent.Left, parent.Right, parent.Left)
-				parent = c
-				return err
-			}); err != nil {
-				return err
-			}
-			continue
-		}
-		// Exact labels ascend with the symbol, dynamic ones with arrival.
 		kids = t.kids(n, kids[:0])
 		slices.SortFunc(kids, byLeft)
 		prevRight := n.left
@@ -386,19 +293,4 @@ func checkChild(left, right, pLeft, pRight, prevRight uint64) error {
 		return fmt.Errorf("vtrie: sibling ranges overlap at %d", left)
 	}
 	return nil
-}
-
-// bytes is the heap the trie holds: slabs, promoted indexes, terminal list,
-// tail table and arena.
-func (t *trie) bytes() int {
-	b := len(t.slabs)*slabSize*nodeBytes + cap(t.slabs)*int(unsafe.Sizeof(t.slabs[0])) +
-		cap(t.terms)*int(unsafe.Sizeof(term{})) + cap(t.wide)*int(unsafe.Sizeof(t.wide[0])) +
-		cap(t.tails)*int(unsafe.Sizeof(tail{})) + cap(t.syms)*int(unsafe.Sizeof(Symbol(0)))
-	for _, x := range t.wide {
-		b += cap(x) * int(unsafe.Sizeof(x[0]))
-		for _, run := range x {
-			b += cap(run) * int(unsafe.Sizeof(kidRef{}))
-		}
-	}
-	return b
 }

@@ -7,17 +7,18 @@
 // identifiers ending there. All subsequence matching then runs as range
 // queries over those B+-trees (Algorithm 1 in the paper).
 //
-// Two labeling schemes are provided, over one node store (trie.go):
+// One labeling scheme serves every index, in two steps:
 //
-//   - exact (Builder): a transient in-memory trie is built over all sequences
-//     at index time and ranges are assigned by a single DFS, sized exactly to
-//     each subtree. Static builds use it; the trie is gone once they finish.
-//   - dynamic (DynamicLabeler): the paper's scheme — ranges are subdivided on
-//     the fly as sequences arrive, helped by an α-deep prefix trie whose
-//     ranges are pre-allocated by frequency and length (§5.2.1). It can
-//     suffer scope underflow. Insertable indexes and their compactions use
-//     it, and keep it resident, each unbranched path to a leaf as a tail of
-//     symbols whose labels are recomputed.
+//   - Builder labels a collection exactly: a transient in-memory trie over
+//     all its sequences gets dense ranges from a single DFS, each sized to
+//     its subtree, so labels run 1..Nodes(). Every bulk build, rebuild and
+//     compaction uses it; the trie is gone once it finishes.
+//   - Chain labels one sequence written after that: its whole path hangs
+//     under the root as a private chain numbered from the first free label
+//     on. A chain nests like any trie path, so queries read it like one; it
+//     shares no prefix with the rest, which the next exact build restores.
+//     It keeps no state, so a write can never run out of range (the scope
+//     underflow of §5.2.1's on-the-fly subdivision, which this replaces).
 package vtrie
 
 import (
@@ -40,6 +41,23 @@ type Posting struct {
 // MaxRange is the RightPos of the trie root (the paper's MAX_INT for 8-byte
 // number ranges).
 const MaxRange = uint64(math.MaxUint64)
+
+// Chain is the posting of node k (0-based) of the private chain that labels
+// seq from label next on, where next is one past the largest label the
+// trie has handed out. Node k of n takes Left = next+k and Right = next+n-1
+// at level k+1: each node's range holds exactly the nodes below it, and the
+// chain as a whole sits above every label before it, inside the root's
+// range, so it nests like a trie path of n nodes numbered in preorder. The
+// terminal is node n-1, a leaf (Left == Right); the next chain starts at
+// next+n, so labels stay dense.
+func Chain(seq []Symbol, next uint64, k int) Posting {
+	return Posting{
+		Symbol: seq[k],
+		Left:   next + uint64(k),
+		Right:  next + uint64(len(seq)) - 1,
+		Level:  uint32(k + 1),
+	}
+}
 
 // Builder accumulates sequences into a transient in-memory trie.
 type Builder struct {
