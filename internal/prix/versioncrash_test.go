@@ -2,6 +2,7 @@ package prix
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,7 +10,22 @@ import (
 	"repro/internal/mvcc"
 	"repro/internal/pager/pagertest"
 	"repro/internal/twig"
+	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
+
+// versionCrashDoc draws a document of n nodes over tags, its values from a
+// few hundred strings, so its postings spread over many runs of the postings
+// tree.
+func versionCrashDoc(rng *rand.Rand, id, n int, tags ...string) *xmltree.Document {
+	values := make([]string, 300)
+	for i := range values {
+		values[i] = fmt.Sprintf("w%d", i)
+	}
+	return xmltreetest.RandomDocument(rng, id, xmltreetest.RandomConfig{
+		Nodes: n, Alphabet: tags, MaxFanout: 4, ValueProb: 0.4, Values: values,
+	})
+}
 
 // The crash-sweep-over-mutations property: a power cut at ANY write
 // ordinal of a Delete, Update or Patch commit sequence must recover, on
@@ -70,14 +86,24 @@ func intsEqual(a, b []int) bool {
 
 // versionCrashBaseline builds the swept index: the corpus plus one update,
 // so the version map already exists and the pre-mutation state has an
-// addressable version of its own. 33 documents, so the postings tree spans
-// several leaves: with one leaf, the forest half of a commit would be a single
-// page and the sweep would cross no multi-page commit at all. (Fixed-width
-// leaves hold 340 postings where slotted ones held 272; 33 documents give the
-// update the 82 write ordinals 26 gave it over slotted leaves.)
+// addressable version of its own. The postings tree must span many leaves:
+// with one leaf, the forest half of a commit would be a single page and the
+// sweep would cross no multi-page commit at all. (Fixed-width leaves hold 340
+// postings where slotted ones held 272; 33 documents gave the update the 82
+// write ordinals 26 gave it over slotted leaves. Dense labels pack postings
+// three times tighter than the spread labels before them, so 33 documents
+// then gave the update 31 ordinals where it had 48, the patch 28 where it had
+// 33. 40 more documents over tags no probe names, their values drawn from 300
+// strings, spread the runs over more leaves without slowing the probes: the
+// update crosses 53 ordinals, the patch 34.)
 func versionCrashBaseline(t *testing.T, dir string) {
 	t.Helper()
 	docs := parallelCorpus()[:33]
+	rng := rand.New(rand.NewSource(33))
+	docs = append(docs, versionCrashDoc(rng, 33, 150, "f", "g", "h", "i")) // the patch's content
+	for id := 34; id < 73; id++ {
+		docs = append(docs, versionCrashDoc(rng, id, 30, "f", "g", "h", "i"))
+	}
 	di, err := NewDynamicIndex(docs, Options{
 		Dir:             dir,
 		Extended:        true,
@@ -102,7 +128,7 @@ func TestVersionCrashSweepMutations(t *testing.T) {
 	pristine := filepath.Join(base, "pristine")
 	versionCrashBaseline(t, pristine)
 
-	// The patch workload ships doc 6 the content of doc 7, computed offline
+	// The patch workload ships doc 6 the content of doc 33, computed offline
 	// from the baseline records so every symbol is already interned.
 	var patch *mvcc.Patch
 	{
@@ -114,7 +140,7 @@ func TestVersionCrashSweepMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ix.store.Get(7)
+		b, err := ix.store.Get(33)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,9 +150,9 @@ func TestVersionCrashSweepMutations(t *testing.T) {
 		}
 	}
 
-	// A 30-node replacement, so the update's new trie path lands postings in
-	// most leaves of the postings tree.
-	updated := variantDoc(parallelCorpus()[20], 3)
+	// A 120-node replacement, so the update's chain lands postings in many
+	// leaves of the postings tree.
+	updated := versionCrashDoc(rand.New(rand.NewSource(20)), 4, 120, "a", "b", "c")
 	muts := []struct {
 		name string
 		run  func(di *DynamicIndex) error

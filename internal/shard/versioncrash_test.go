@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/prix"
 	"repro/internal/twig"
 	"repro/internal/xmltree"
+	"repro/internal/xmltree/xmltreetest"
 )
 
 // The sharded half of the mutation crash sweep: a 2-shard × 2-replica
@@ -87,6 +89,17 @@ func vcVariant(d *xmltree.Document) *xmltree.Document {
 	return c
 }
 
+// vcDoc draws a document of n nodes over tags, its values from 300 strings.
+func vcDoc(rng *rand.Rand, id, n int, tags ...string) *xmltree.Document {
+	values := make([]string, 300)
+	for i := range values {
+		values[i] = fmt.Sprintf("w%d", i)
+	}
+	return xmltreetest.RandomDocument(rng, id, xmltreetest.RandomConfig{
+		Nodes: n, Alphabet: tags, MaxFanout: 4, ValueProb: 0.4, Values: values,
+	})
+}
+
 // vcBuildLayout writes a 2×2 sharded layout whose shards are dynamic
 // indexes grown over the partition, shard 0 already carrying one update so
 // its pre-mutation state has an addressable version.
@@ -133,13 +146,23 @@ func vcBuildLayout(t *testing.T, root string, docs []*xmltree.Document) {
 
 func TestVersionCrashSweepSharded(t *testing.T) {
 	base := t.TempDir()
-	// Two copies of the corpus, the second relabelled, so each shard's
-	// postings tree spans several leaves and one update commit dirties most
+	// Two copies of the corpus, the second relabelled, and 80 documents over
+	// tags no probe names with values from 300 strings, so each shard's
+	// postings tree spans several leaves and one update commit dirties many
 	// of them (with one leaf per shard the sweep would cross a single page).
+	// The update's content is a 120-node document over those values: dense
+	// labels pack postings three times tighter than the spread labels the
+	// two copies were sized for, and a 30-node update that crossed 51 write
+	// ordinals over them crosses 31 over dense ones; this one crosses 58.
 	docs := corpus()
 	for _, d := range corpus() {
 		docs = append(docs, vcVariant(d))
 	}
+	rng := rand.New(rand.NewSource(80))
+	for i := 0; i < 80; i++ {
+		docs = append(docs, vcDoc(rng, len(docs), 30, "f", "g", "h", "i"))
+	}
+	updated := vcDoc(rng, 1, 120, "a", "b", "c")
 	pristine := filepath.Join(base, "pristine")
 	vcBuildLayout(t, pristine, docs)
 
@@ -152,8 +175,7 @@ func TestVersionCrashSweepSharded(t *testing.T) {
 	}{
 		{"delete", func(di *prix.DynamicIndex) error { _, err := di.Delete(3); return err }},
 		{"update", func(di *prix.DynamicIndex) error {
-			parts := Partition(docs, 2)
-			_, err := di.Update(1, vcVariant(parts[0][len(parts[0])-1]))
+			_, err := di.Update(1, updated)
 			return err
 		}},
 	}
