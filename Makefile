@@ -307,7 +307,7 @@ bench:
 # (docs/s, -benchmem).
 bench-smoke:
 	$(GO) run ./cmd/prixbench -table parallel -datasets SWISSPROT
-	$(GO) test ./internal/prix -run XXX -bench 'UnorderedArrangements|MatchResident|MatchPaged|CommitUpdate' -benchtime 1x -benchmem
+	$(GO) test ./internal/prix -run XXX -bench 'UnorderedSplit|MatchResident|MatchPaged|CommitUpdate' -benchtime 1x -benchmem
 	$(GO) test ./internal/docstore -run XXX -bench 'StoreFlushOneDoc|DictLookup' -benchtime 1x -benchmem
 	$(GO) test ./internal/hot -run XXX -bench 'PostingsSeek|DocIDsSeek|SummaryRefine' -benchtime 1x -benchmem
 	$(GO) test ./internal/pager -run XXX -bench 'PoolGet' -benchtime 1x -benchmem
@@ -323,8 +323,8 @@ bench-smoke:
 # level, leaf fill, leaf cell format and bytes per entry per tree; shapes,
 # documents per shape, NPS entries and bytes per copy; bytes per XML byte) is
 # printed for a freshly loaded one. A compacted dynamic index's post tree must
-# keep packed leaves at ≥ 80 % fill and ≤ 20 B a posting, and its docid tree
-# packed leaves at ≥ 80 % fill and ≤ 15 B an entry, through a
+# keep packed leaves at ≥ 65 % fill and ≤ 8 B a posting, and its docid tree
+# packed leaves at ≥ 65 % fill and ≤ 8 B an entry, through a
 # mutate_mixed-sized batch of inserts and updates
 # (TestDynamicLeafFill: BulkLoad's slack in every tree that takes inserts).
 size:

@@ -37,10 +37,9 @@ func (c ParallelConfig) withDefaults() ParallelConfig {
 // Parallel prints the parallel-pipeline table: every bundled query runs
 // cold-cache at Parallelism 1 (the walk on one goroutine) and at
 // Parallelism N, under the injected device latency. Queries whose twigs
-// have several branch arrangements additionally run unordered, which is
-// where the arrangement fan-out engages. Match counts are asserted
-// identical between the two settings — the table doubles as a differential
-// check on the bundled datasets.
+// branch additionally run unordered, split into root-to-leaf parts. Match
+// counts are asserted identical between the two settings — the table
+// doubles as a differential check on the bundled datasets.
 func (s *Session) Parallel(w io.Writer, cfg ParallelConfig) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(w, "\nParallel pipeline: cold-cache, %v per physical read, serial vs %d workers\n",
@@ -71,11 +70,11 @@ func (s *Session) parallelDataset(w io.Writer, e *Engines, cfg ParallelConfig) e
 			label     string
 			unordered bool
 		}{{"ordered", false}}
-		if arr, _ := qs.Query().Arrangements(720); len(arr) > 1 {
+		if qs.Query().Root.Leaves() > 1 {
 			modes = append(modes, struct {
 				label     string
 				unordered bool
-			}{fmt.Sprintf("unordered·%d-arr", len(arr)), true})
+			}{"unordered", true})
 		}
 		for _, mode := range modes {
 			// Every run gets its own MatchOptions copy: options now carry

@@ -3,15 +3,15 @@ package compact
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/docstore"
 	"repro/internal/mvcc"
 	"repro/internal/prix"
 	"repro/internal/twig"
+	"repro/internal/twig/twigtest"
 	"repro/internal/xmltree"
 	"repro/internal/xmltree/xmltreetest"
 )
@@ -22,67 +22,6 @@ func oracleDoc(rng *rand.Rand, id int) *xmltree.Document {
 		Nodes: 3 + rng.Intn(25), Alphabet: []string{"a", "b", "c", "d"},
 		MaxFanout: 4, ValueProb: 0.3, Values: []string{"v1", "v2"},
 	})
-}
-
-// oracleTwig draws a twig of 2–7 nodes over the documents' alphabet:
-// nested branches, /, // and /*/ edges, value leaves, an anchored root now
-// and then. It goes through the parser, so it is a twig Parse produces.
-func oracleTwig(rng *rand.Rand) *twig.Query {
-	labels, values := []string{"a", "b", "c", "d"}, []string{"v1", "v2"}
-	root := &twig.Node{Label: labels[rng.Intn(len(labels))]}
-	nodes := []*twig.Node{root}
-	for size, tries := 2+rng.Intn(6), 0; len(nodes) < size && tries < 50; tries++ {
-		p := nodes[rng.Intn(len(nodes))]
-		if p.IsValue || len(p.Children) == 3 {
-			continue
-		}
-		n := &twig.Node{Label: values[rng.Intn(len(values))], IsValue: true, Edge: twig.Edge{Min: 1, Max: 1}}
-		if rng.Intn(5) > 0 {
-			n = &twig.Node{Label: labels[rng.Intn(len(labels))], Edge: twig.Edge{Min: 1, Max: 1}}
-			switch r := rng.Intn(6); {
-			case r < 2:
-				n.Edge.Max = twig.Unbounded
-			case r == 2:
-				n.Edge = twig.Edge{Min: 2, Max: 2}
-			}
-		}
-		p.Children = append(p.Children, n)
-		nodes = append(nodes, n)
-	}
-	q := &twig.Query{Root: root, RootEdge: twig.Edge{Min: 1, Max: twig.Unbounded}}
-	if rng.Intn(6) == 0 {
-		q.RootEdge.Max = 1
-	}
-	return twig.MustParse(q.String())
-}
-
-// unorderedCount is the unordered oracle: embeddings of every branch
-// arrangement, deduplicated by document and image set.
-func unorderedCount(q *twig.Query, docs []*xmltree.Document) int {
-	arr, _ := q.Arrangements(720)
-	seen := map[string]bool{}
-	for _, a := range arr {
-		for _, d := range docs {
-			for _, e := range twig.MatchBruteForce(a, d) {
-				imgs := append([]int(nil), e...)
-				sort.Ints(imgs)
-				seen[fmt.Sprintf("%d:%v", d.ID, imgs)] = true
-			}
-		}
-	}
-	return len(seen)
-}
-
-func branches(n *twig.Node) bool {
-	if len(n.Children) >= 2 {
-		return true
-	}
-	for _, c := range n.Children {
-		if branches(c) {
-			return true
-		}
-	}
-	return false
 }
 
 func pairsOf(rec *docstore.Record) []mvcc.Pair {
@@ -198,9 +137,10 @@ func (m *oracleModel) mutate(t *testing.T, rng *rand.Rand, r *Root) {
 // check holds r to the brute-force oracle on every twig, at the latest
 // version and at every version from since on, ordered and (for twigs with
 // branches) unordered, at Parallelism 1 and 4. An RPIndex may refuse a twig
-// only with ErrNeedsExtendedIndex.
+// only with ErrNeedsExtendedIndex. First it checks r's labels.
 func (m *oracleModel) check(t *testing.T, label string, r *Root, extended bool, since uint64, qs []*twig.Query) {
 	t.Helper()
+	checkDense(t, label, r)
 	versions := []uint64{0}
 	for v := range m.snaps {
 		if v >= since {
@@ -214,8 +154,8 @@ func (m *oracleModel) check(t *testing.T, label string, r *Root, extended bool, 
 		}
 		for _, q := range qs {
 			want := map[bool]int{false: twig.CountBruteForce(q, docs)}
-			if branches(q.Root) {
-				want[true] = unorderedCount(q, docs)
+			if twigtest.HasBranches(q.Root) {
+				want[true] = twigtest.UnorderedCount(q, docs)
 			}
 			for unordered, n := range want {
 				for _, par := range []int{1, 4} {
@@ -232,6 +172,31 @@ func (m *oracleModel) check(t *testing.T, label string, r *Root, extended bool, 
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkDense holds r's post tree to what chain labeling relies on: its
+// Lefts are exactly 1..entries, so the next chain's first label is one past
+// the entry count. An answer can hold while a label is off by one.
+func checkDense(t *testing.T, label string, r *Root) {
+	t.Helper()
+	post := r.Index().Index().Forest().Lookup("post")
+	var lefts []uint64
+	err := post.ScanPostings(nil, nil, true, true, func(_ uint32, left, _ uint64, _ uint32) bool {
+		lefts = append(lefts, left)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(lefts)
+	if uint64(len(lefts)) != post.Len() {
+		t.Fatalf("%s: the post tree scans %d entries, counts %d", label, len(lefts), post.Len())
+	}
+	for i, l := range lefts {
+		if l != uint64(i+1) {
+			t.Fatalf("%s: the post tree's Lefts are not 1..%d: entry %d has Left %d", label, len(lefts), i+1, l)
 		}
 	}
 }
@@ -258,7 +223,7 @@ func FuzzDynamicOracle(f *testing.F) {
 			}
 			var qs []*twig.Query
 			for k := 0; k < 4; k++ {
-				qs = append(qs, oracleTwig(rng))
+				qs = append(qs, twigtest.RandomTwig(rng))
 			}
 			dir := t.TempDir()
 			ix, err := prix.Build(m.model, prix.Options{Dir: dir, Extended: extended, BufferPoolPages: 64})

@@ -15,7 +15,7 @@
 // while child-span creation is serialized through the trace mutex, so
 // concurrent workers can hang their spans off a shared parent. Children
 // are ordered deterministically at read time: sorted by their explicit
-// ordering key (descent path, shard or arrangement index), not by
+// ordering key (descent path, shard or part index), not by
 // the scheduling-dependent creation order, so span trees from concurrent
 // workers merge identically run to run.
 package obs
@@ -382,7 +382,7 @@ var ordinals = func() string {
 }()
 
 // OrdinalKey is the ChildKeyed key of the i-th of a fan-out's sibling spans
-// (shard, replica, arrangement, scan worker): i in at least three decimal
+// (shard, replica, part, scan worker): i in at least three decimal
 // digits, so up to a thousand siblings sort in ordinal order. Keys below
 // 256 are slices of one precomputed string and allocate nothing.
 func OrdinalKey(i int) string {

@@ -2,14 +2,13 @@ package prix
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/docstore"
 	"repro/internal/pager"
 	"repro/internal/twig"
+	"repro/internal/twig/twigtest"
 	"repro/internal/twigstack"
 	"repro/internal/vist"
 	"repro/internal/xmltree"
@@ -59,26 +58,6 @@ func bruteOrderedCount(q *twig.Query, docs []*xmltree.Document) int {
 	return twig.CountBruteForce(q, docs)
 }
 
-// bruteUnorderedCount is the unordered oracle: the union of embeddings over
-// every branch arrangement (§5.7), deduplicated by image set — the same key
-// the engine's arrangement reduction uses. Within one arrangement the image
-// set determines the embedding (postorder monotonicity), so this collapses
-// exactly the cross-arrangement duplicates.
-func bruteUnorderedCount(q *twig.Query, docs []*xmltree.Document) int {
-	arr, _ := q.Arrangements(720)
-	seen := map[string]bool{}
-	for _, a := range arr {
-		for _, d := range docs {
-			for _, e := range twig.MatchBruteForce(a, d) {
-				imgs := append([]int(nil), e...)
-				sort.Ints(imgs)
-				seen[fmt.Sprintf("%d:%v", d.ID, imgs)] = true
-			}
-		}
-	}
-	return len(seen)
-}
-
 // bruteDocSet is the document-level oracle: ids of documents containing at
 // least one ordered embedding.
 func bruteDocSet(q *twig.Query, docs []*xmltree.Document) map[uint32]bool {
@@ -120,7 +99,7 @@ func TestDifferentialPRIXOrdered(t *testing.T) {
 }
 
 // TestDifferentialPRIXUnordered: same contract under unordered semantics,
-// against the arrangement-union oracle.
+// against the arrangement-union oracle (twigtest.UnorderedCount).
 func TestDifferentialPRIXUnordered(t *testing.T) {
 	docs := parallelCorpus()
 	rp := build(t, false, docs...)
@@ -130,7 +109,7 @@ func TestDifferentialPRIXUnordered(t *testing.T) {
 			continue // without branches, unordered == ordered (covered above)
 		}
 		q := twig.MustParse(sh.src)
-		want := bruteUnorderedCount(q, docs)
+		want := twigtest.UnorderedCount(q, docs)
 		for name, ix := range map[string]*Index{"rp": rp, "ep": ep} {
 			for _, par := range []int{1, 4} {
 				opts := MatchOptions{WarmCache: true, Unordered: true, Parallelism: par}

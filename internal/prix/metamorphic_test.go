@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/twig"
+	"repro/internal/twig/twigtest"
 	"repro/internal/xmltree"
 	"repro/internal/xmltree/xmltreetest"
 )
@@ -89,7 +90,7 @@ func assertOracleEquivalent(t *testing.T, label string, di *DynamicIndex, effect
 		if !sh.branches {
 			continue // unordered == ordered without branches
 		}
-		wantUn := bruteUnorderedCount(q, effective)
+		wantUn := twigtest.UnorderedCount(q, effective)
 		for _, par := range []int{1, 4} {
 			opts := MatchOptions{WarmCache: true, Unordered: true, Parallelism: par, AsOf: asOf}
 			if got, skipped := metamorphicCount(t, di, sh.src, opts); !skipped && got != wantUn {

@@ -44,7 +44,7 @@ func parallelCorpus() []*xmltree.Document {
 }
 
 // parallelQueries spans the query classes the schedulers touch: ordered,
-// wildcard edges, unordered multi-arrangement, values and single-node.
+// wildcard edges, unordered split into parts, values and single-node.
 var parallelQueries = []struct {
 	src       string
 	unordered bool
@@ -362,7 +362,7 @@ func FuzzParallelMatch(f *testing.F) {
 			t.Skip()
 		}
 		if q.Size() > 8 {
-			t.Skip() // keep arrangements and refinement bounded
+			t.Skip() // keep the parts and refinement bounded
 		}
 		for _, m := range ms {
 			checkParallel(t, m, q, unordered, int(par%8)+2)
@@ -373,16 +373,15 @@ func FuzzParallelMatch(f *testing.F) {
 	})
 }
 
-// BenchmarkUnorderedArrangements measures the parallel schedulers on the
-// workload they exist for: cold-cache queries against a seek-dominated
-// device (2 ms per physical read, the paper's 2004-era disk), where serial
-// execution pays every page wait back to back and the schedulers overlap
-// them — descent subtrees and branch arrangements fan out across workers
-// and B+-tree range scans are prefetched. An unordered
-// two-branch value query (2 arrangements) over the corpus, serial vs four
-// workers. `make bench-smoke` runs the cmd/prixbench variant of this
+// BenchmarkUnorderedSplit measures the parallel scheduler on the workload it
+// exists for: cold-cache queries against a seek-dominated device (2 ms per
+// physical read, the paper's 2004-era disk), where serial execution pays
+// every page wait back to back and the scheduler overlaps them — descent
+// subtrees fan out across workers and B+-tree range scans are prefetched. An
+// unordered two-branch value query (two parts) over the corpus, serial vs
+// four workers. `make bench-smoke` runs the cmd/prixbench variant of this
 // comparison on the bundled datasets.
-func BenchmarkUnorderedArrangements(b *testing.B) {
+func BenchmarkUnorderedSplit(b *testing.B) {
 	// A selective query over a corpus several times the differential-test
 	// one, with the pool size the bundled-dataset benchmarks use: every
 	// Match starts cold (clean pages dropped), page waits dominate — the

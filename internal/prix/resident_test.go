@@ -40,8 +40,8 @@ var residentOpts = MatchOptions{WarmCache: true, Parallelism: 1}
 // against the packed summaries in place (57 and 378 after that), both cost 17
 // once surviving matches were staged in the scratch and left as one block,
 // and both cost 3 — the QueryStats and the result's block and []Match — since
-// the pattern is compiled into the scratch and an ordered query walks without
-// an arrangement fan-out or an emit closure: nothing is left per range query,
+// the pattern is compiled into the scratch and a query walks without
+// per-query slices around it or an emit closure: nothing is left per range query,
 // per candidate, per match or for the plan. With a warmed MatchOptions.Into
 // lending the answer's memory and holding the QueryStats both cost 0. Under
 // the race detector sync.Pool sheds scratches, so only the old

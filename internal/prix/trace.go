@@ -11,14 +11,12 @@ import (
 //	<trace root>
 //	└── match(rp|ep)             — one per Index.Match; samples this
 //	    │                          index's pools for I/O attribution
-//	    ├── [arrangement(NNN)]   — only for multi-arrangement unordered
-//	    │   │                      queries; otherwise filter/refine hang
-//	    │   │                      off match directly
 //	    ├── [part(NNN)]          — one per part of a split twig (split.go),
 //	    │   │                      nested when a part splits again; each
 //	    │   │                      holds its part's filter/refine, the
 //	    │   │                      cut is charged to compile, the join to
-//	    │   │                      reduce
+//	    │   │                      reduce; otherwise filter/refine hang
+//	    │   │                      off match directly
 //	    │   ├── filter           — Algorithm 1, the root walk: descent/
 //	    │   │   │                  prefetch
 //	    │   │   └── branch(hex)  — subtrees of the one walk that a free

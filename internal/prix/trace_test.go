@@ -177,7 +177,7 @@ func TestTraceSpanTreeShape(t *testing.T) {
 		t.Errorf("par=4 fetch windows = %d, want one per candidate (%d)", fetches, pstats.Candidates)
 	}
 
-	// Unordered multi-arrangement: one keyed arrangement span each.
+	// Unordered with two branches: one keyed part span each.
 	tr = obs.NewTrace("q")
 	_, _, err = ix.Match(twig.MustParse(`//a[./b/c]/d`), MatchOptions{
 		Unordered: true, Parallelism: 2, WarmCache: true, Trace: tr,
@@ -187,17 +187,17 @@ func TestTraceSpanTreeShape(t *testing.T) {
 	}
 	tr.Finish()
 	match = tr.Root().Children()[0]
-	arr := 0
+	parts := 0
 	for _, c := range match.Children() {
-		if c.Name() == "arrangement" {
-			if c.Key() != fmt.Sprintf("%03d", arr) {
-				t.Errorf("arrangement %d key = %q", arr, c.Key())
+		if c.Name() == "part" {
+			if c.Key() != fmt.Sprintf("%03d", parts) {
+				t.Errorf("part %d key = %q", parts, c.Key())
 			}
-			arr++
+			parts++
 		}
 	}
-	if arr < 2 {
-		t.Errorf("arrangement spans = %d, want >= 2", arr)
+	if parts != 2 {
+		t.Errorf("part spans = %d, want 2", parts)
 	}
 }
 

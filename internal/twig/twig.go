@@ -2,9 +2,8 @@
 // labeled trees with child ("/") and descendant ("//") edges, wildcard
 // ("*") steps and equality value predicates. It parses the XPath subset
 // used in the paper's evaluation (Table 3), transforms twigs into Prüfer
-// sequences with per-edge structural constraints (§4.5), enumerates branch
-// arrangements for unordered matching (§5.7), and provides a brute-force
-// matcher used as ground truth by the test suites.
+// sequences with per-edge structural constraints (§4.5), and provides a
+// brute-force matcher used as ground truth by the test suites.
 package twig
 
 import (
@@ -144,29 +143,17 @@ func (n *Node) size() int {
 	return s
 }
 
-// leaves counts the childless nodes under (and including) n.
-func (n *Node) leaves() int {
+// Leaves counts the childless nodes under (and including) n: more than one
+// when some node of n's subtree has two or more children.
+func (n *Node) Leaves() int {
 	if len(n.Children) == 0 {
 		return 1
 	}
 	s := 0
 	for _, c := range n.Children {
-		s += c.leaves()
+		s += c.Leaves()
 	}
 	return s
-}
-
-// Clone returns a deep copy of the query.
-func (q *Query) Clone() *Query {
-	var cp func(n *Node) *Node
-	cp = func(n *Node) *Node {
-		m := &Node{Label: n.Label, IsValue: n.IsValue, Edge: n.Edge}
-		for _, c := range n.Children {
-			m.Children = append(m.Children, cp(c))
-		}
-		return m
-	}
-	return &Query{Root: cp(q.Root), RootEdge: q.RootEdge, Source: q.Source}
 }
 
 // Pattern is a query twig prepared for PRIX matching: the twig as a plain
@@ -217,7 +204,7 @@ func (q *Query) Prepare(extended bool) (*Pattern, error) {
 func (q *Query) PrepareInto(p *Pattern, extended bool) error {
 	total := q.Root.size()
 	if extended {
-		total += q.Root.leaves()
+		total += q.Root.Leaves()
 	}
 	// The pattern tree is a handful of nodes: they come from one slab laid out
 	// in postorder (so a node's slab index is its postorder number minus one,
@@ -281,70 +268,4 @@ func (b *patternBuilder) conv(n *Node) *xmltree.Node {
 		c.Parent = x
 	}
 	return x
-}
-
-// Arrangements enumerates the branch arrangements of the query (§5.7):
-// every permutation of every node's child list, deduplicated by canonical
-// form. It returns at most limit queries (the original first) and reports
-// whether the enumeration was truncated.
-func (q *Query) Arrangements(limit int) ([]*Query, bool) {
-	seen := map[string]bool{}
-	var out []*Query
-	truncated := false
-	var emit func(cur *Query) bool // returns false when limit reached
-	emit = func(cur *Query) bool {
-		s := cur.String()
-		if seen[s] {
-			return true
-		}
-		seen[s] = true
-		out = append(out, cur)
-		return len(out) < limit
-	}
-	// Depth-first over permutation choices: permute children node by node.
-	var nodes []*Node
-	var collect func(n *Node)
-	collect = func(n *Node) {
-		nodes = append(nodes, n)
-		for _, c := range n.Children {
-			collect(c)
-		}
-	}
-	base := q.Clone()
-	collect(base.Root)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(nodes) {
-			return emit(base.Clone())
-		}
-		n := nodes[i]
-		if len(n.Children) < 2 {
-			return rec(i + 1)
-		}
-		orig := append([]*Node(nil), n.Children...)
-		ok := permute(n.Children, 0, func() bool { return rec(i + 1) })
-		copy(n.Children, orig)
-		return ok
-	}
-	if !rec(0) {
-		truncated = true
-	}
-	return out, truncated
-}
-
-// permute generates all permutations of s in place (Heap's algorithm),
-// invoking fn for each; stops early when fn returns false.
-func permute(s []*Node, k int, fn func() bool) bool {
-	if k == len(s)-1 {
-		return fn()
-	}
-	for i := k; i < len(s); i++ {
-		s[k], s[i] = s[i], s[k]
-		if !permute(s, k+1, fn) {
-			s[k], s[i] = s[i], s[k]
-			return false
-		}
-		s[k], s[i] = s[i], s[k]
-	}
-	return true
 }

@@ -194,40 +194,6 @@ func TestPrepareSingleNodeFails(t *testing.T) {
 	}
 }
 
-func TestArrangements(t *testing.T) {
-	q := MustParse(`//a[./b][./c]/d`)
-	arr, truncated := q.Arrangements(100)
-	if truncated {
-		t.Error("unexpected truncation")
-	}
-	// Three children permute into 6 arrangements.
-	if len(arr) != 6 {
-		t.Fatalf("arrangements = %d, want 6", len(arr))
-	}
-	if arr[0].String() != q.String() {
-		t.Error("original arrangement must come first")
-	}
-	seen := map[string]bool{}
-	for _, a := range arr {
-		if seen[a.String()] {
-			t.Errorf("duplicate arrangement %s", a)
-		}
-		seen[a.String()] = true
-	}
-	// Identical branches collapse.
-	q2 := MustParse(`//a[./b][./b]`)
-	arr2, _ := q2.Arrangements(100)
-	if len(arr2) != 1 {
-		t.Errorf("identical branches gave %d arrangements, want 1", len(arr2))
-	}
-	// Truncation.
-	q3 := MustParse(`//a[./b][./c][./d][./e][./f]/g`)
-	arr3, trunc3 := q3.Arrangements(10)
-	if !trunc3 || len(arr3) != 10 {
-		t.Errorf("truncation failed: %d %v", len(arr3), trunc3)
-	}
-}
-
 func TestBruteForcePaperExample(t *testing.T) {
 	// Example 2: Q occurs in T. The match found in the paper maps
 	// B->7, A->15, E->13, D->14 with leaves C->f(1..) and F.
@@ -270,15 +236,6 @@ func TestBruteForceOrderedSemantics(t *testing.T) {
 	}
 	if n := len(MatchBruteForce(MustParse(`//a[./c]/b`), doc)); n != 0 {
 		t.Errorf("a[c]/b = %d, want 0 (ordered)", n)
-	}
-	// Unordered via arrangements.
-	total := 0
-	arr, _ := MustParse(`//a[./c]/b`).Arrangements(10)
-	for _, a := range arr {
-		total += len(MatchBruteForce(a, doc))
-	}
-	if total != 1 {
-		t.Errorf("unordered a[c]/b = %d, want 1", total)
 	}
 }
 
