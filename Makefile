@@ -128,7 +128,7 @@ sched:
 # insert its widths hold moves the cells after it, a delete re-encodes through
 # a pooled packer, 0 objects, postings and Docid entries), a range scan across
 # packed leaves (TestPackedScanAllocs: 0, the decode buffer pooled, Scan,
-# ScanPostings and ScanDocIDs), a range scan of a bit-packed hot-tier list
+# ScanPostings and ScanDocIDs), a range scan of a bit-packed posting list
 # (TestScanAllocs: 0, narrow and wide cells), a slotted leaf split (a few objects, not one a cell), a record
 # decoded into a sized destination, a Match resident and paged, on one
 # goroutine and at Parallelism 4, a trace, the nil span API, a canonical query string,
@@ -158,10 +158,11 @@ sched:
 # dictionary name (TestDictBytesPerName), of a shape-dictionary shape, a
 # directory entry and a resident LPS entry (TestShapeBytesPerShape: MIX's 787
 # shapes in a few objects, accounted bytes equal to heap bytes, ≤ 1.8 B per
-# LPS entry), of a hot-tier structure (TestTierBytesPerStructure: a
-# MIX-shaped tier in at most 16 objects, its packed lists ≤ 4.5 B a posting)
-# and of a hot-tier posting on the MIX index itself
-# (TestHotTierBytesPerPosting: HotStats().Tier.Bytes ≤ 7.7 B a posting), and
+# LPS entry), of a hot-tier leaf (TestTierBytesPerStructure: a MIX-shaped
+# tier of 55 leaf images in at most 16 objects, ≤ 90 B a leaf beyond its
+# 8,176-byte image) and of a hot-tier posting on the MIX index itself
+# (TestHotTierBytesPerPosting: HotStats().Tier.Bytes, 51 leaves, ≤ 4.8 B a
+# posting), and
 # the dictionary's allocation-free hits (TestDictLookupAllocs) and the shape
 # dictionary's (TestShapeInternAllocs: a Put of a known shape allocates 0).
 # -count=1 so a cached pass never stands in for a run; an allocation regression

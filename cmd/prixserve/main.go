@@ -78,7 +78,7 @@ func main() {
 		retryMax  = flag.Duration("retry-backoff-max", 250*time.Millisecond, "cap on the exponential replica backoff")
 		compactIv = flag.Duration("compact-interval", 0, "background compaction pass interval on a single index (0 disables the loop; POST /compact still works)")
 		compactMB = flag.Int64("compact-budget", 0, "compaction memory budget in bytes (default 32 MiB)")
-		hotBudget = flag.Int64("hot-budget", 0, "compressed in-memory hot tier budget in bytes (0 disables; results stay byte-identical)")
+		hotBudget = flag.Int64("hot-budget", 0, "in-memory hot tier budget in bytes: copies of the postings and Docid leaves, one 8 KiB page each, so a budget under 8192 admits nothing (0 disables; results stay byte-identical)")
 	)
 	flag.Parse()
 	if *dir == "" {

@@ -336,22 +336,12 @@ func (t *Tree) ScanPostings(lo, hi []byte, loIncl, hiIncl bool, fn func(sym uint
 	return t.scan(lo, hi, loIncl, hiIncl, false, visitor{posting: fn})
 }
 
-// ScanPostingsNoFill is ScanPostings reading pages as ScanNoFill does.
-func (t *Tree) ScanPostingsNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) error {
-	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{posting: fn})
-}
-
 // ScanDocIDs is ScanPostings' twin over a PackedDocIDTree — 8-byte
 // big-endian terminal LeftPos keys, DocIDValue values — handing
 // fn each entry's terminal, docID and, for a tombstone, the version the
 // document was deleted at (0 for a live entry).
 func (t *Tree) ScanDocIDs(lo, hi []byte, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) error {
 	return t.scan(lo, hi, loIncl, hiIncl, false, visitor{docID: fn})
-}
-
-// ScanDocIDsNoFill is ScanDocIDs reading pages as ScanNoFill does.
-func (t *Tree) ScanDocIDsNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) error {
-	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{docID: fn})
 }
 
 // visitor is what a scan hands each entry to: entry as key and value bytes,
@@ -376,29 +366,42 @@ func (fn visitor) layout() *packedLayout {
 }
 
 func (t *Tree) scan(lo, hi []byte, loIncl, hiIncl, noFill bool, fn visitor) error {
-	id := t.root
+	p, _, err := t.descend(lo, loIncl, noFill)
+	if err != nil {
+		return err
+	}
+	return t.scanLeaves(p, lo, hi, loIncl, hiIncl, noFill, fn)
+}
+
+// get pins page id, around the pool (GetNoFill) when noFill is set.
+func (t *Tree) get(id pager.PageID, noFill bool) (pager.Page, error) {
+	if noFill {
+		return t.forest.bp.GetNoFill(id)
+	}
+	return t.forest.bp.Get(id)
+}
+
+// descend returns the pinned leaf a scan from lo starts at, the first leaf
+// for a nil lo, and whether it is the tree's first leaf.
+func (t *Tree) descend(lo []byte, loIncl, noFill bool) (p pager.Page, first bool, err error) {
+	id, first := t.root, true
 	for {
-		var p pager.Page
-		var err error
-		if noFill {
-			p, err = t.forest.bp.GetNoFill(id)
-		} else {
-			p, err = t.forest.bp.Get(id)
-		}
-		if err != nil {
-			return err
+		if p, err = t.get(id, noFill); err != nil {
+			return p, false, err
 		}
 		if isLeaf(pageKind(p.Data)) {
-			return t.scanLeaves(p, lo, hi, loIncl, hiIncl, noFill, fn)
+			return p, first, nil
 		}
+		ci := 0
 		switch {
 		case lo == nil:
-			id = pageChildAt(p.Data, 0)
 		case loIncl:
-			id = pageChildAt(p.Data, innerChildIndexLower(p.Data, lo))
+			ci = innerChildIndexLower(p.Data, lo)
 		default:
-			id = pageChildAt(p.Data, innerChildIndex(p.Data, lo))
+			ci = innerChildIndex(p.Data, lo)
 		}
+		first = first && ci == 0
+		id = pageChildAt(p.Data, ci)
 		p.Unpin(false)
 	}
 }
@@ -503,107 +506,123 @@ func (t *Tree) Prefetch(lo, hi []byte, loIncl bool, par int) int {
 }
 
 // scanLeaves iterates leaf pages starting at the pinned page p (ownership
-// of the pin transfers to scanLeaves). Packed leaves are decoded entry by
-// entry — for fn.entry into one pooled buffer, which it sees for the
-// callback only — and held to a hi of their layout's key length as the
-// fields it encodes; a visitor of fields gets an error for a leaf that is
-// not a packed leaf of its layout.
+// of the pin transfers to scanLeaves), one leafScan visit a leaf.
 func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bool, fn visitor) error {
-	var (
-		dec  *[packedEntryLen]byte
-		leaf packedLeaf
-		// hiKey is hi's key fields when hi is a key of the leaf's layout.
-		hiKey packedEntry
-		ly    = fn.layout()
-	)
-	defer func() {
-		if dec != nil {
-			decodeBufs.Put(dec)
-		}
-	}()
+	var s leafScan
+	defer s.release()
 	for {
-		data := p.Data
-		var packed *packedLeaf
-		hiNumeric := false
-		if ly != nil && packedLayoutOf(pageKind(data)) != ly {
-			p.Unpin(false)
-			return fmt.Errorf("btree: a scan of %s entries reached a leaf of %s cells", ly.entries, leafFormat(data))
-		}
-		if isPacked(pageKind(data)) {
-			leaf.parse(data)
-			packed = &leaf
-			if hiNumeric = len(hi) == leaf.ly.keyLen; hiNumeric {
-				hiKey = leaf.ly.parseKey(hi)
-			}
-			if dec == nil && (fn.entry != nil || hi != nil && !hiNumeric) {
-				dec = decodeBufs.Get().(*[packedEntryLen]byte)
-			}
-		}
-		start := 0
-		if lo != nil {
-			if loIncl {
-				start = leafSearch(data, packed, lo, 0)
-			} else {
-				start = leafSearch(data, packed, lo, 1)
-			}
-		}
-		num := pageNumKeys(data)
-		for i := start; i < num; i++ {
-			var (
-				k, v []byte
-				e    packedEntry
-				c    int // the key against hi
-			)
-			if packed != nil {
-				e = packed.entry(i)
-				if hiNumeric {
-					c = packed.compareKey(&e, &hiKey)
-				}
-				if fn.entry != nil || hi != nil && !hiNumeric {
-					k, v = packed.ly.put(e, dec)
-				}
-			} else {
-				k, v = leafCellAt(data, i)
-			}
-			if hi != nil && !hiNumeric {
-				c = bytes.Compare(k, hi)
-			}
-			if hi != nil && (c > 0 || c == 0 && !hiIncl) {
-				p.Unpin(false)
-				return nil
-			}
-			var more bool
-			switch {
-			case fn.entry != nil:
-				more = fn.entry(k, v)
-			case fn.posting != nil:
-				more = fn.posting(uint32(e[0]), e[1], e[1]+e[2], uint32(e[3]))
-			default:
-				more = fn.docID(e[0], uint32(e[1]), e[2])
-			}
-			if !more {
-				p.Unpin(false)
-				return nil
-			}
-		}
-		next := pageExtra(data)
+		more, err := s.visit(p.Data, 0, pageNumKeys(p.Data), lo, hi, loIncl, hiIncl, fn)
+		// Page 0 is the forest meta page, never a leaf, so a zero next
+		// means "no next leaf".
+		next := pageExtra(p.Data)
 		p.Unpin(false)
-		if next == 0 {
-			// Page 0 is the forest meta page, never a leaf, so zero
-			// means "no next leaf".
-			return nil
+		if err != nil || !more || next == 0 {
+			return err
 		}
-		var err error
-		if noFill {
-			p, err = t.forest.bp.GetNoFill(pager.PageID(next))
-		} else {
-			p, err = t.forest.bp.Get(pager.PageID(next))
-		}
-		if err != nil {
+		if p, err = t.get(pager.PageID(next), noFill); err != nil {
 			return err
 		}
 		lo = nil // subsequent leaves start from their beginning
 	}
+}
+
+// leafScan is what a range scan decodes the leaves it visits with. Pool
+// frames (scanLeaves) and leaf images held outside the pool
+// (ScanPostingsImage, ScanDocIDsImage) go through the same visit. The
+// bounds and the visitor stay out of it: fn sees entries decoded into dec,
+// so whatever dec's holder points at escapes, and a visitor kept beside it
+// would be allocated on every scan.
+type leafScan struct {
+	// dec is the buffer packed entries decode into for fn.entry, or to be
+	// compared with bounds of another length than the layout's keys.
+	dec  *[packedEntryLen]byte
+	leaf packedLeaf
+}
+
+// release returns the decode buffer to its pool.
+func (s *leafScan) release() {
+	if s.dec != nil {
+		decodeBufs.Put(s.dec)
+		s.dec = nil
+	}
+}
+
+// visit hands fn the entries among cells from to to of the leaf data, from
+// the first at or past lo (nil: from cell from) while they stay within hi.
+// A visitor of fields over a packed leaf, with bounds that are keys of its
+// layout, runs the leaf's scanFields as a leaf image's scan does; otherwise
+// packed leaves are decoded entry by entry — for fn.entry into the one
+// pooled buffer, which it sees for the callback only. more reports that the
+// range goes on into the next leaf: no entry passed hi and fn asked for
+// more. A visitor of fields gets an error for a leaf that is not a packed
+// leaf of its layout.
+func (s *leafScan) visit(data []byte, from, to int, lo, hi []byte, loIncl, hiIncl bool, fn visitor) (more bool, err error) {
+	var packed *packedLeaf
+	if ly := fn.layout(); ly != nil {
+		if packedLayoutOf(pageKind(data)) != ly {
+			return false, fmt.Errorf("btree: a scan of %s entries reached a leaf of %s cells", ly.entries, leafFormat(data))
+		}
+		if (lo == nil || len(lo) == ly.keyLen) && (hi == nil || len(hi) == ly.keyLen) {
+			s.leaf.parse(data)
+			var lk, hk packedEntry
+			var lp, hp *packedEntry
+			if lo != nil {
+				lk, lp = ly.parseKey(lo), &lk
+			}
+			if hi != nil {
+				hk, hp = ly.parseKey(hi), &hk
+			}
+			return s.leaf.scanFields(from, to, lp, hp, loIncl, hiIncl, fn), nil
+		}
+	}
+	if isPacked(pageKind(data)) {
+		s.leaf.parse(data)
+		packed = &s.leaf
+		if s.dec == nil {
+			s.dec = decodeBufs.Get().(*[packedEntryLen]byte)
+		}
+	}
+	start := from
+	if lo != nil {
+		above := 1
+		if loIncl {
+			above = 0
+		}
+		if packed != nil {
+			start = packed.search(lo, above, from, to)
+		} else {
+			start = leafSearch(data, nil, lo, above)
+		}
+	}
+	for i := start; i < to; i++ {
+		var (
+			k, v []byte
+			e    packedEntry
+		)
+		if packed != nil {
+			e = packed.entry(i)
+			k, v = packed.ly.put(e, s.dec)
+		} else {
+			k, v = leafCellAt(data, i)
+		}
+		if hi != nil {
+			if c := bytes.Compare(k, hi); c > 0 || c == 0 && !hiIncl {
+				return false, nil
+			}
+		}
+		switch {
+		case fn.entry != nil:
+			more = fn.entry(k, v)
+		case fn.posting != nil:
+			more = fn.posting(uint32(e[0]), e[1], e[1]+e[2], uint32(e[3]))
+		default:
+			more = fn.docID(e[0], uint32(e[1]), e[2])
+		}
+		if !more {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // Delete removes the first entry equal to (key, val); with val == nil it

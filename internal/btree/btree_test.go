@@ -531,9 +531,19 @@ func BenchmarkRangeScan100(b *testing.B) {
 }
 
 // ScanNoFill is Scan for a caller that copies what it visits into a structure
-// of its own (the hot tier's flat lists): every page is read through
+// of its own (the hot tier's leaf images): every page is read through
 // pager.BufferPool.GetNoFill, so pages the pool does not already hold are
 // read and counted but not left resident.
 func (t *Tree) ScanNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(key, val []byte) bool) error {
 	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{entry: fn})
+}
+
+// ScanPostingsNoFill is ScanPostings reading pages as ScanNoFill does.
+func (t *Tree) ScanPostingsNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) error {
+	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{posting: fn})
+}
+
+// ScanDocIDsNoFill is ScanDocIDs reading pages as ScanNoFill does.
+func (t *Tree) ScanDocIDsNoFill(lo, hi []byte, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) error {
+	return t.scan(lo, hi, loIncl, hiIncl, true, visitor{docID: fn})
 }

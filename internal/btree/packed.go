@@ -276,35 +276,93 @@ func (l *packedLeaf) parse(data []byte) {
 	l.base = ly.bases(data)
 }
 
-// search is leafSearch on a packed leaf of hi cells. A key of the layout's
-// length is compared as the fields it encodes, each probed cell's next field
-// decoded only where the ones before it are equal; any other key with the
-// cell's encoding.
-func (l *packedLeaf) search(key []byte, above, hi int) int {
-	numeric := len(key) == l.ly.keyLen
-	var k packedEntry
-	if numeric {
-		k = l.ly.parseKey(key)
+// search is leafSearch on cells lo to hi of a packed leaf. A key of the
+// layout's length is compared as the fields it encodes (searchKey); any
+// other key with the cell's encoding.
+func (l *packedLeaf) search(key []byte, above, lo, hi int) int {
+	if len(key) == l.ly.keyLen {
+		k := l.ly.parseKey(key)
+		return l.searchKey(&k, above, lo, hi)
 	}
-	lo := 0
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		var c int
-		if numeric {
-			if c = cmp.Compare(l.field(mid, 0), k[0]); c == 0 && l.twoKeys {
-				c = cmp.Compare(l.field(mid, 1), k[1])
-			}
-		} else {
-			var buf [packedKeyLen]byte
-			c = bytes.Compare(l.ly.putKey(l.entry(mid), &buf), key)
-		}
-		if c < above {
+		var buf [packedKeyLen]byte
+		if bytes.Compare(l.ly.putKey(l.entry(mid), &buf), key) < above {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	return lo
+}
+
+// searchKey is search for the key fields k: each probed cell's next field
+// is decoded only where the ones before it are equal, and a cell of at most
+// bitpack.MaxWindow bits gives up both from one load.
+func (l *packedLeaf) searchKey(k *packedEntry, above, lo, hi int) int {
+	if l.width > bitpack.MaxWindow {
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			c := cmp.Compare(l.field(mid, 0), k[0])
+			if c == 0 && l.twoKeys {
+				c = cmp.Compare(l.field(mid, 1), k[1])
+			}
+			if c < above {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	cells, width, two, incl := l.cells, l.width, l.twoKeys, above == 1
+	b0, m0, b1, o1, m1 := l.base[0], l.mask[0], l.base[1], l.off[1], l.mask[1]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		x := bitpack.Window(cells, uint(mid)*width)
+		f, kf := b0+x&m0, k[0]
+		if f == kf && two {
+			f, kf = b1+x>>o1&m1, k[1]
+		}
+		if f < kf || f == kf && incl {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// scanFields hands fn, a visitor of fields, the entries among cells from to
+// to, from the first at or past lo (> lo without loIncl; every one for a
+// nil lo) while they stay within hi (a nil hi bounds nothing), the bounds
+// given as key fields. It reports whether the range goes on past cell to.
+func (l *packedLeaf) scanFields(from, to int, lo, hi *packedEntry, loIncl, hiIncl bool, fn visitor) bool {
+	if lo != nil {
+		above := 1
+		if loIncl {
+			above = 0
+		}
+		from = l.searchKey(lo, above, from, to)
+	}
+	for i := from; i < to; i++ {
+		e := l.entry(i)
+		if hi != nil {
+			if c := l.compareKey(&e, hi); c > 0 || c == 0 && !hiIncl {
+				return false
+			}
+		}
+		var more bool
+		if fn.posting != nil {
+			more = fn.posting(uint32(e[0]), e[1], e[1]+e[2], uint32(e[3]))
+		} else {
+			more = fn.docID(e[0], uint32(e[1]), e[2])
+		}
+		if !more {
+			return false
+		}
+	}
+	return true
 }
 
 // entry decodes cell i. A cell of at most bitpack.MaxWindow bits — dense
@@ -616,7 +674,7 @@ func (t *Tree) insertPacked(p pager.Page, key, val []byte) ([]childRef, error) {
 		return nil, l.ly.notEntry(key, val)
 	}
 	num := pageNumKeys(data)
-	pos := l.search(key, 1, num)
+	pos := l.search(key, 1, 0, num)
 	if num < maxPackedCells && uint(num+1)*l.width <= l.ly.cellBits && l.holds(e) {
 		off := uint(pos) * l.width
 		moveBitsUp(l.cells, off, uint(num-pos)*l.width, l.width)

@@ -31,7 +31,7 @@ type Options struct {
 	// OpenFile optionally intercepts page-file opens (fault injection for
 	// the rebuilt index's pages); nil means plain OS files.
 	OpenFile func(path string) (pager.File, error)
-	// HotBudget enables the compressed in-memory hot tier on the source and
+	// HotBudget enables the in-memory hot tier on the source and
 	// every rebuilt epoch (see prix.Options.HotBudget); 0 disables it.
 	HotBudget int64
 	// Retain is the version-retention window: tombstones (deleted

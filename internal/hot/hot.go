@@ -1,31 +1,36 @@
-// Package hot is the in-memory hot tier: bit-packed posting lists mirroring
-// the Trie-Symbol and Docid B+-trees. They shrink the Algorithm 1 descent to
-// in-place reads of resident memory: a range scan binary-searches the packed
-// cells themselves, so hot queries touch no pager pages and decode only the
-// cells they visit (Algorithm 2 reads the document store's resident shape
-// dictionary, with or without a tier). The tier is strictly a cache: every
-// list is built from the authoritative B+-tree image, evicted LRU under a
-// byte budget, and invalidated by writers, so results stay byte-identical to
-// the paged path. Summary, a bit-packed whole-record encoding, is kept beside
-// it.
+// Package hot is the in-memory hot tier: verbatim images of the packed
+// leaves of the Trie-Symbol (postings) and Docid B+-trees. A query resolves
+// each range it will scan to the run of leaf images that covers it, once,
+// and then runs the B+-tree's own packed-leaf search and cell loop over
+// those bytes (btree.ScanPostingsImage), so a hot query touches no pager
+// page and decodes only the cells it visits (Algorithm 2 reads the document
+// store's resident shape dictionary, with or without a tier). The tier is
+// strictly a cache: every image is copied from the authoritative tree,
+// evicted LRU under a byte budget, and invalidated by writers, so results
+// stay byte-identical to the paged path.
 //
-// Readers get value views (Postings, DocIDs) whose slices alias the tier's
-// arena. Arena bytes below len are never rewritten, so a view stays valid for
-// as long as its holder keeps it, whatever the tier does meanwhile.
+// Readers get Runs whose images alias the tier's arena. Arena bytes below
+// len are never rewritten, so a Run stays valid for as long as its holder
+// keeps it, whatever the tier does meanwhile.
+//
+// Postings, a bit-packed posting-list codec, and Summary, a bit-packed
+// whole-record encoding, are kept beside the tier for the benchmark's
+// decode probes; no query runs them.
 package hot
 
 import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"repro/internal/bitpack"
 )
 
-// packedList is a parsed list encoding, the view both Postings and DocIDs
-// wrap. A list is frame-of-reference (FOR) coded: a header, then one
+// Postings is a read-only bit-packed posting list: entries (Left, Right,
+// Level) in the order they were added, the source B+-tree's Scan order
+// (ascending Left, duplicates in insertion order). The zero value is the
+// empty list. A list is frame-of-reference (FOR) coded: a header, then one
 // fixed-width cell per entry holding three unsigned deltas, each least
 // significant bit first —
 //
@@ -34,15 +39,13 @@ import (
 //
 // base is the first entry's Left (lists are sorted by Left) and min the
 // smallest Level; each width is what the list's largest delta in that field
-// needs. A docid list has the same layout with a zero-width middle field and
-// DocID − min last. Every cell has the same width, so cell i starts at bit
+// needs. Every cell has the same width, so cell i starts at bit
 // i × width and a seek binary-searches cell indexes, decoding only the Left
 // field of each probe. The empty list is encoded as no bytes, and an
 // encoding shorter than 8 bytes is padded to 8, the least bitpack reads. On
 // the benchmark's MIX index (96,004 postings in 9,230 lists) a cell averages
-// 3.35 B and a header 7.7 B, 4.09 B a posting in all, and the 6,000-entry
-// docid list takes 3.75 B an entry.
-type packedList struct {
+// 3.35 B and a header 7.7 B, 4.09 B a posting in all.
+type Postings struct {
 	data  []byte // the whole encoding: header, then cells
 	base  uint64
 	n     uint32
@@ -53,8 +56,8 @@ type packedList struct {
 }
 
 // parseList reads the header of an encoding made by encodeList.
-func parseList(data []byte) packedList {
-	l := packedList{data: data}
+func parseList(data []byte) *Postings {
+	l := &Postings{data: data}
 	if len(data) == 0 {
 		return l
 	}
@@ -71,12 +74,12 @@ func parseList(data []byte) packedList {
 }
 
 // offset returns the bit offset of cell i in data.
-func (l *packedList) offset(i int) uint { return uint(l.hdr)*8 + uint(i)*uint(l.width) }
+func (l *Postings) offset(i int) uint { return uint(l.hdr)*8 + uint(i)*uint(l.width) }
 
 // at decodes cell i field by field: Left, the middle field and the last
 // field, bases added. Cells of at most bitpack.MaxWindow bits are read whole
 // instead, by the scans.
-func (l *packedList) at(i int) (left, mid uint64, last uint32) {
+func (l *Postings) at(i int) (left, mid uint64, last uint32) {
 	off := l.offset(i)
 	w0, w1, w2 := uint(l.w[0]), uint(l.w[1]), uint(l.w[2])
 	return l.base + bitpack.Get(l.data, off, w0), bitpack.Get(l.data, off+w0, w1), l.min + uint32(bitpack.Get(l.data, off+w0+w1, w2))
@@ -86,7 +89,7 @@ func (l *packedList) at(i int) (left, mid uint64, last uint32) {
 // loIncl is false); cells are sorted by Left, so none is below base. A
 // probe decodes the Left field alone and compares it as Left − base: one
 // 8-byte load, a shift and a mask when the field fits bitpack.MaxWindow.
-func (l *packedList) seek(lo uint64, loIncl bool) int {
+func (l *Postings) seek(lo uint64, loIncl bool) int {
 	if lo < l.base || (lo == l.base && loIncl) {
 		return 0
 	}
@@ -120,11 +123,10 @@ type cell struct {
 	last      uint32
 }
 
-// encodeList appends the encoding of cells to dst[:0] and returns it.
-func encodeList(dst []byte, cells []cell) []byte {
-	dst = dst[:0]
+// encodeList returns the encoding of cells.
+func encodeList(cells []cell) []byte {
 	if len(cells) == 0 {
-		return dst
+		return nil
 	}
 	base, lo := cells[0].left, cells[0].last
 	for _, c := range cells {
@@ -137,7 +139,7 @@ func encodeList(dst []byte, cells []cell) []byte {
 	}
 	w0, w1, w2 := uint(bits.Len64(span)), uint(bits.Len64(mid)), uint(bits.Len32(top))
 	width := w0 + w1 + w2
-	dst = binary.AppendUvarint(dst, uint64(len(cells)))
+	dst := binary.AppendUvarint(nil, uint64(len(cells)))
 	dst = binary.AppendUvarint(dst, base)
 	dst = binary.AppendUvarint(dst, uint64(lo))
 	dst = append(dst, byte(w0), byte(w1), byte(w2))
@@ -156,39 +158,8 @@ func encodeList(dst []byte, cells []cell) []byte {
 	return dst
 }
 
-// builder gathers a list's entries in scan order and encodes them on demand.
-type builder struct {
-	cells []cell
-	enc   []byte // the encoding the last view was made of
-}
-
-// Len returns the number of entries added so far.
-func (b *builder) Len() int { return len(b.cells) }
-
-// Reset empties the builder, keeping its buffers for the next list.
-func (b *builder) Reset() { b.cells = b.cells[:0] }
-
-// view encodes the entries added so far into the builder's own buffer.
-func (b *builder) view() packedList {
-	b.enc = encodeList(b.enc, b.cells)
-	return parseList(b.enc)
-}
-
-// build encodes the entries added so far into an exactly sized buffer of
-// their own.
-func (b *builder) build() packedList {
-	b.enc = encodeList(b.enc, b.cells)
-	return parseList(slices.Clone(b.enc))
-}
-
-// Postings is a read-only view of a Trie-Symbol posting list: entries (Left,
-// Right, Level) in exactly the order the source B+-tree's Scan visits them
-// (ascending Left, duplicates in insertion order). The zero value is the
-// empty list.
-type Postings struct{ packedList }
-
 // PostingsBuilder accumulates entries in scan order.
-type PostingsBuilder struct{ builder }
+type PostingsBuilder struct{ cells []cell }
 
 // NewPostingsBuilder returns an empty builder.
 func NewPostingsBuilder() *PostingsBuilder { return &PostingsBuilder{} }
@@ -198,24 +169,13 @@ func (b *PostingsBuilder) Add(left, right uint64, level uint32) {
 	b.cells = append(b.cells, cell{left, right - left, level})
 }
 
-// View returns the list of the entries added so far, encoded into the
-// builder's buffer; it is valid until the builder's next Add, Reset, View
-// or Build.
-func (b *PostingsBuilder) View() Postings { return Postings{b.view()} }
-
-// Build freezes the builder into a list of its own, clipped to size.
-func (b *PostingsBuilder) Build() *Postings { return &Postings{b.build()} }
-
-// Len returns the number of entries.
-func (p Postings) Len() int { return int(p.n) }
-
-// Entry returns the list as a tier entry.
-func (p Postings) Entry() Entry { return Entry{kind: KindPostings, list: p.data} }
+// Build encodes the entries added so far into a list of their own.
+func (b *PostingsBuilder) Build() *Postings { return parseList(encodeList(b.cells)) }
 
 // Scan visits entries with Left in the given bounds, in list order,
 // mirroring btree.Tree.Scan semantics. fn returning false stops the scan. A
 // cell of at most bitpack.MaxWindow bits is decoded from one 8-byte load.
-func (p Postings) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left, right uint64, level uint32) bool) {
+func (p *Postings) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left, right uint64, level uint32) bool) {
 	w0, w1, width := uint(p.w[0]), uint(p.w[1]), uint(p.width)
 	m0, m1, m2 := bitpack.Mask(w0), bitpack.Mask(w1), bitpack.Mask(uint(p.w[2]))
 	for i := p.seek(lo, loIncl); i < int(p.n); i++ {
@@ -228,52 +188,6 @@ func (p Postings) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left, right u
 			left, scope, level = p.at(i)
 		}
 		if left > hi || (left == hi && !hiIncl) || !fn(left, left+scope, level) {
-			return
-		}
-	}
-}
-
-// DocIDs is a read-only view of the Docid-index list: (Left, DocID) pairs in
-// B+-tree Scan order.
-type DocIDs struct{ packedList }
-
-// DocIDsBuilder accumulates docid entries in scan order.
-type DocIDsBuilder struct{ builder }
-
-// NewDocIDsBuilder returns an empty builder.
-func NewDocIDsBuilder() *DocIDsBuilder { return &DocIDsBuilder{} }
-
-// Add appends one (Left, DocID) entry in B+-tree Scan order.
-func (b *DocIDsBuilder) Add(left uint64, docID uint32) {
-	b.cells = append(b.cells, cell{left: left, last: docID})
-}
-
-// View returns the list of the entries added so far, encoded into the
-// builder's buffer; it is valid until the builder's next Add, Reset, View
-// or Build.
-func (b *DocIDsBuilder) View() DocIDs { return DocIDs{b.view()} }
-
-// Len returns the number of entries.
-func (d DocIDs) Len() int { return int(d.n) }
-
-// Entry returns the list as a tier entry.
-func (d DocIDs) Entry() Entry { return Entry{kind: KindDocIDs, list: d.data} }
-
-// Scan visits entries with Left in the given bounds, in list order, as
-// Postings.Scan does.
-func (d DocIDs) Scan(lo, hi uint64, loIncl, hiIncl bool, fn func(left uint64, docID uint32) bool) {
-	w0, width := uint(d.w[0]), uint(d.width) // the middle field is empty
-	m0, m2 := bitpack.Mask(w0), bitpack.Mask(uint(d.w[2]))
-	for i := d.seek(lo, loIncl); i < int(d.n); i++ {
-		var left uint64
-		var docID uint32
-		if width <= bitpack.MaxWindow {
-			x := bitpack.Window(d.data, d.offset(i))
-			left, docID = d.base+x&m0, d.min+uint32(x>>w0&m2)
-		} else {
-			left, _, docID = d.at(i)
-		}
-		if left > hi || (left == hi && !hiIncl) || !fn(left, docID) {
 			return
 		}
 	}

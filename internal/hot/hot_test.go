@@ -1,11 +1,15 @@
 package hot
 
 import (
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/docstore"
+	"repro/internal/pager"
 	"repro/internal/vtrie"
 )
 
@@ -48,8 +52,8 @@ func TestPostingsScanMatchesOracle(t *testing.T) {
 		b.Add(e.left, e.right, e.level)
 	}
 	p := b.Build()
-	if p.Len() != len(entries) || b.Len() != len(entries) {
-		t.Fatalf("Len = %d, want %d", p.Len(), len(entries))
+	if int(p.n) != len(entries) {
+		t.Fatalf("%d entries, want %d", p.n, len(entries))
 	}
 	maxLeft := entries[len(entries)-1].left
 	for trial := 0; trial < 500; trial++ {
@@ -102,54 +106,108 @@ func TestPostingsFullRange(t *testing.T) {
 	}
 }
 
+// docEntry is one Docid-tree entry: a terminal LeftPos, a docID and, for a
+// tombstone, the version the document was deleted at.
+type docEntry struct {
+	left  uint64
+	docID uint32
+	tomb  uint64
+}
+
+// docidRun loads entries, in key order, into a Docid tree of their own,
+// preloads its leaves into a tier and returns the tier's run of the whole
+// tree and the number of leaves.
+func docidRun(t testing.TB, entries []docEntry) (Run, int) {
+	t.Helper()
+	f, err := btree.Open(pager.NewBufferPool(pager.NewMemFile(), 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := f.PackedDocIDTree("docid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	err = tree.BulkLoad(btree.Fill{}, func() ([]byte, []byte, error) {
+		if next == len(entries) {
+			return nil, nil, io.EOF
+		}
+		e := entries[next]
+		next++
+		return btree.KeyUint64(e.left), btree.DocIDValue(e.docID, e.tomb), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTier(1 << 30)
+	if !tr.Preload(tree, KindDocIDs) {
+		t.Fatal("docid leaves not admitted")
+	}
+	run, ok := tr.Run(KindDocIDs, Key{}, maxKey, nil)
+	if !ok {
+		t.Fatal("docid run not resident")
+	}
+	return run, tr.Stats().Items
+}
+
+// scanDocIDs is what Run.ScanDocIDs visits over [lo, hi].
+func scanDocIDs(r Run, lo, hi uint64, loIncl, hiIncl bool) []docEntry {
+	var got []docEntry
+	r.ScanDocIDs(Key{Left: lo}, Key{Left: hi}, loIncl, hiIncl, func(l uint64, id uint32, tomb uint64) bool {
+		got = append(got, docEntry{l, id, tomb})
+		return true
+	})
+	return got
+}
+
+// refDocIDs is the oracle: linear filtering with B+-tree Scan bound
+// semantics.
+func refDocIDs(entries []docEntry, lo, hi uint64, loIncl, hiIncl bool) []docEntry {
+	var out []docEntry
+	for _, e := range entries {
+		if (e.left > lo || e.left == lo && loIncl) && (e.left < hi || e.left == hi && hiIncl) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// A run of Docid leaf images scans like the tree it was copied from: over
+// several leaves, with a tombstone after some live entries under the same
+// key, every range returns exactly the oracle's entries in key order.
 func TestDocIDsScanMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	type pair struct {
-		left  uint64
-		docID uint32
-	}
-	var entries []pair
+	var entries []docEntry
 	left := uint64(0)
-	for len(entries) < 700 {
-		left += uint64(rng.Intn(4))
-		entries = append(entries, pair{left: left, docID: uint32(rng.Intn(1 << 20))})
+	for len(entries) < 20000 {
+		left += 1 + uint64(rng.Intn(4))
+		e := docEntry{left: left, docID: uint32(rng.Intn(1 << 20))}
+		entries = append(entries, e)
+		if rng.Intn(8) == 0 {
+			e.tomb = 1 + uint64(rng.Intn(1000))
+			entries = append(entries, e)
+		}
 	}
-	b := NewDocIDsBuilder()
-	for _, e := range entries {
-		b.Add(e.left, e.docID)
-	}
-	d := b.Build()
-	if d.Len() != len(entries) || b.Len() != len(entries) {
-		t.Fatal("len bookkeeping")
+	run, leaves := docidRun(t, entries)
+	if leaves < 3 || len(run) != leaves {
+		t.Fatalf("%d entries in %d leaves, a run of %d: want a run over several", len(entries), leaves, len(run))
 	}
 	maxLeft := entries[len(entries)-1].left
 	for trial := 0; trial < 300; trial++ {
 		lo := uint64(rng.Intn(int(maxLeft) + 2))
-		hi := lo + uint64(rng.Intn(int(maxLeft)+2))
-		var want []pair
-		for _, e := range entries {
-			if e.left >= lo && e.left <= hi {
-				want = append(want, e)
-			}
-		}
-		var got []pair
-		d.Scan(lo, hi, true, true, func(l uint64, id uint32) bool {
-			got = append(got, pair{l, id})
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("scan [%d,%d]: %d entries, want %d", lo, hi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("scan [%d,%d]: entry %d = %+v, want %+v", lo, hi, i, got[i], want[i])
-			}
+		hi := lo + uint64(rng.Intn(int(maxLeft)/(1+rng.Intn(100))+2))
+		loIncl, hiIncl := rng.Intn(2) == 0, rng.Intn(2) == 0
+		if got, want := scanDocIDs(run, lo, hi, loIncl, hiIncl), refDocIDs(entries, lo, hi, loIncl, hiIncl); !slices.Equal(got, want) {
+			t.Fatalf("scan %d..%d incl(%v,%v): %d entries, want %d", lo, hi, loIncl, hiIncl, len(got), len(want))
 		}
 	}
-	NewDocIDsBuilder().Build().Scan(0, math.MaxUint64, true, true, func(uint64, uint32) bool {
-		t.Fatal("empty list emitted")
-		return false
-	})
+	if got := scanDocIDs(run, 0, math.MaxUint64, true, true); !slices.Equal(got, entries) {
+		t.Fatalf("full scan: %d entries, want %d", len(got), len(entries))
+	}
+	empty, _ := docidRun(t, nil)
+	if got := scanDocIDs(empty, 0, math.MaxUint64, true, true); len(got) != 0 {
+		t.Fatalf("empty tree scanned %d entries", len(got))
+	}
 }
 
 // chainRecord builds the record of a path a/b/c/... with n nodes: node i's
@@ -293,8 +351,8 @@ func TestFuzzSeedWidths(t *testing.T) {
 		for _, e := range entries {
 			b.Add(e.left, e.right, e.level)
 		}
-		if p := b.Build(); p.Len() != want.n || p.w != want.w {
-			t.Errorf("seed %d: %d entries in cells of %v bits, want %d in %v", i, p.Len(), p.w, want.n, want.w)
+		if p := b.Build(); int(p.n) != want.n || p.w != want.w {
+			t.Errorf("seed %d: %d entries in cells of %v bits, want %d in %v", i, p.n, p.w, want.n, want.w)
 		}
 	}
 }
@@ -328,33 +386,27 @@ func FuzzPostingsScan(f *testing.F) {
 	})
 }
 
-// FuzzDocIDsScan is FuzzPostingsScan for the docid list: the entries'
-// Levels, up to 32 bits wide, stand in as DocIDs, and every hit's Left and
-// DocID must match.
+// FuzzDocIDsScan is FuzzPostingsScan for a run of Docid leaf images: the
+// entries' Levels, up to 32 bits wide, stand in as DocIDs, every third Right
+// marks a tombstone, and every hit must match.
 func FuzzDocIDsScan(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
 	}
 	f.Add([]byte{0x82, 1, 7, 7, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, lo, hi, loIncl, hiIncl := fuzzList(data)
-		b := NewDocIDsBuilder()
-		for _, e := range entries {
-			b.Add(e.left, e.level)
-		}
-		var got []tripleEntry
-		b.Build().Scan(lo, hi, loIncl, hiIncl, func(l uint64, id uint32) bool {
-			got = append(got, tripleEntry{left: l, level: id})
-			return true
-		})
-		want := refScan(entries, lo, hi, loIncl, hiIncl)
-		if len(got) != len(want) {
-			t.Fatalf("scan %d..%d incl(%v,%v) over %d entries: %d hits, want %d", lo, hi, loIncl, hiIncl, len(entries), len(got), len(want))
-		}
-		for i := range got {
-			if got[i].left != want[i].left || got[i].level != want[i].level {
-				t.Fatalf("hit %d = (Left %d, DocID %d), want (Left %d, DocID %d)", i, got[i].left, got[i].level, want[i].left, want[i].level)
+		list, lo, hi, loIncl, hiIncl := fuzzList(data)
+		entries := make([]docEntry, len(list))
+		for i, e := range list {
+			entries[i] = docEntry{left: e.left, docID: e.level}
+			if e.right%3 == 0 {
+				entries[i].tomb = e.right | 1
 			}
+		}
+		run, _ := docidRun(t, entries)
+		got, want := scanDocIDs(run, lo, hi, loIncl, hiIncl), refDocIDs(entries, lo, hi, loIncl, hiIncl)
+		if !slices.Equal(got, want) {
+			t.Fatalf("scan %d..%d incl(%v,%v) over %d entries: %d hits, want %d", lo, hi, loIncl, hiIncl, len(entries), len(got), len(want))
 		}
 	})
 }
@@ -457,22 +509,20 @@ func seekList() (lefts []uint64, los []uint64) {
 // 64-bit Left field, 73-bit cells).
 func TestScanAllocs(t *testing.T) {
 	for _, shift := range []uint{3, 52} {
-		pb, db := NewPostingsBuilder(), NewDocIDsBuilder()
+		pb := NewPostingsBuilder()
 		for i := 0; i < 4096; i++ {
 			l := uint64(i) << shift
 			pb.Add(l, l+7, uint32(i%40))
-			db.Add(l, uint32(i))
 		}
-		p, d := pb.Build(), db.Build()
+		p := pb.Build()
 		hits, k := 0, 0
 		n := testing.AllocsPerRun(100, func() {
 			k = k%4000 + 1
 			lo := uint64(k)<<shift - 1
 			p.Scan(lo, lo+3<<shift, false, true, func(uint64, uint64, uint32) bool { hits++; return true })
-			d.Scan(lo, lo+3<<shift, false, true, func(uint64, uint32) bool { hits++; return true })
 		})
-		if n != 0 || hits != 6*101 {
-			t.Errorf("shift %d: a scan allocates %.0f objects (%d hits, want %d), want 0", shift, n, hits, 6*101)
+		if n != 0 || hits != 3*101 {
+			t.Errorf("shift %d: a scan allocates %.0f objects (%d hits, want %d), want 0", shift, n, hits, 3*101)
 		}
 	}
 }
@@ -490,25 +540,6 @@ func BenchmarkPostingsSeek(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := los[i%len(los)]
 		p.Scan(lo, lo+24, false, true, func(uint64, uint64, uint32) bool { hits++; return true })
-	}
-	if hits != 3*b.N {
-		b.Fatalf("%d hits over %d scans", hits, b.N)
-	}
-}
-
-func BenchmarkDocIDsSeek(b *testing.B) {
-	lefts, los := seekList()
-	db := NewDocIDsBuilder()
-	for i, l := range lefts {
-		db.Add(l, uint32(i))
-	}
-	d := db.Build()
-	b.ReportAllocs()
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		lo := los[i%len(los)]
-		d.Scan(lo, lo+24, false, true, func(uint64, uint32) bool { hits++; return true })
 	}
 	if hits != 3*b.N {
 		b.Fatalf("%d hits over %d scans", hits, b.N)
@@ -542,6 +573,3 @@ func BenchmarkSummaryRefine(b *testing.B) {
 		b.Fatal("nothing navigated")
 	}
 }
-
-// Build freezes the builder into a list of its own, clipped to size.
-func (b *DocIDsBuilder) Build() *DocIDs { return &DocIDs{b.build()} }

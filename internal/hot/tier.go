@@ -1,72 +1,63 @@
 package hot
 
 import (
+	"errors"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/btree"
 )
 
-// Kind says which structure a Key names.
+// Kind says which tree a leaf image belongs to.
 type Kind uint8
 
 const (
-	KindPostings Kind = iota // ID is the Trie-Symbol tree's symbol
-	KindDocIDs               // the one Docid list; ID is 0
+	KindPostings Kind = iota // the Trie-Symbol (postings) tree
+	KindDocIDs               // the Docid tree
+	kinds
 )
 
-// Key names one resident structure. It is comparable, so the engine builds
-// it per lookup without allocating.
-type Key struct {
-	Kind Kind
-	ID   uint32
-}
+// Key is a leaf bound in its tree's key order: a posting key's symbol and
+// Left, or a Docid key's terminal LeftPos with Sym 0.
+type Key = btree.LeafKey
 
-// Entry is one structure on its way into the tier, made by the Entry method
-// of a Postings or DocIDs. Add copies it into the arena, so the memory it
-// points at may be reused as soon as Add returns.
-type Entry struct {
-	kind Kind
-	list []byte // a posting or docid list's encoding
-}
+// maxKey orders after every key.
+var maxKey = Key{Sym: math.MaxUint32, Left: math.MaxUint64}
 
-// slotBytes is what a resident structure costs beyond its payload: its slot
-// and its index cell.
+// slotBytes is what a resident leaf costs beyond its payload: its slot and
+// its cell in its tree's order.
 const slotBytes = int64(unsafe.Sizeof(slot{})) + 4
 
-// size is what the tier charges for e.
-func (e Entry) size() int64 { return int64(len(e.list)) + slotBytes }
-
-// Slot states.
-const (
-	slotFree     uint8 = iota // on the free list, or slot 0
-	slotResident              // payload in an arena, on the LRU list
-	slotRejected              // no payload: marked by Reject
-)
-
-// slot is one key's bookkeeping: where its payload lies and where it sits in
-// the LRU order. A slot holds no pointer, so the collector never looks
-// inside the slab.
+// slot is one resident leaf's bookkeeping: the key range it covers (see
+// btree.Tree.LeavesNoFill), where its image lies and where it sits in the
+// LRU order. A slot holds no pointer, so the collector never looks inside
+// the slab.
 type slot struct {
-	id         uint32 // the key's ID
-	off        uint32 // payload offset into the arena
-	n          uint32 // the list's length in bytes
+	lo, hi     Key
+	off, n     uint32 // the image's offset into the arena and its length
 	prev, next int32  // LRU links through slot 0; next also chains free slots
 	kind       Kind
-	state      uint8
+	resident   bool
+	last       bool // the tree's last leaf: hi bounds nothing
 }
 
-// charge is what the slot's structure costs the budget.
+// charge is what the slot's leaf costs the budget.
 func (s *slot) charge() int64 { return int64(s.n) + slotBytes }
 
+// before reports whether every key s covers orders before k.
+func (s *slot) before(k Key) bool { return !s.last && s.hi.Less(k) }
+
 // arena is an append-only payload store. Nothing below len(buf) is ever
-// rewritten: a payload stays where it was put until the tier moves every
-// live payload into a fresh array, and a view handed out earlier keeps the
-// old array alive for as long as its holder needs it.
+// rewritten: an image stays where it was put until the tier moves every
+// live image into a fresh array, and a Run handed out earlier keeps the old
+// array alive for as long as its holder needs it.
 type arena struct {
 	buf  []byte
-	live int // bytes resident structures still use; the rest are holes
+	live int // bytes resident leaves still use; the rest are holes
 }
 
 // put appends p and returns its offset.
@@ -77,19 +68,19 @@ func (a *arena) put(p []byte) uint32 {
 	return uint32(off)
 }
 
-// view returns slot s's payload, capped so no append can reach past it.
+// view returns slot s's image, capped so no append can reach past it.
 func (a *arena) view(s *slot) []byte {
 	end := int(s.off) + int(s.n)
 	return a.buf[s.off:end:end]
 }
 
-// repack copies the payload of every resident slot into a fresh, exactly
+// repack copies the image of every resident slot into a fresh, exactly
 // sized array and re-points the slots.
 func (a *arena) repack(slots []slot) {
 	fresh := make([]byte, 0, a.live)
 	for i := range slots {
 		s := &slots[i]
-		if s.state == slotResident {
+		if s.resident {
 			off := len(fresh)
 			fresh = append(fresh, a.view(s)...)
 			s.off = uint32(off)
@@ -101,72 +92,35 @@ func (a *arena) repack(slots []slot) {
 // holey reports whether the arena's holes outgrow half of its live payload.
 func (a *arena) holey() bool { return len(a.buf)-a.live > a.live/2 }
 
-// Tier is the budgeted cache: posting lists and the docid list share one
-// byte budget with LRU demotion. Its state is a handful of pointer-free
-// arrays: one slot slab whose int32 links form the LRU list, a dense slot
-// index over symbols, and one append-only arena holding every payload. All
-// methods are safe for concurrent use: the tier's mutex orders every touch of
-// its bookkeeping, and readers scan the views it hands out without it.
+// Tier is the budgeted cache: verbatim images of the postings and Docid
+// trees' packed leaves under one byte budget with LRU demotion. Each image
+// keeps the key range its leaf covers, and a key range is resident when
+// every leaf it spans is (Run). Its state is a handful of pointer-free
+// arrays: one slot slab whose int32 links form the LRU list, each tree's
+// resident slots in key order, and one append-only arena holding every
+// image. All methods are safe for concurrent use: the tier's mutex orders
+// every touch of its bookkeeping, and readers scan the Runs it hands out
+// without it.
 type Tier struct {
 	mu     sync.Mutex
 	budget int64
-	bytes  int64 // charged to resident structures: payload plus slotBytes each
+	bytes  int64 // charged to resident leaves: image plus slotBytes each
 	items  int
-	slots  []slot  // slots[0] heads the LRU list: its next is the most recently used
-	free   int32   // first free slot, chained through next; 0 when none
-	post   []int32 // symbol → its posting list's slot; 0 for none
-	docids int32   // the docid list's slot
-	lists  arena
+	slots  []slot // slots[0] heads the LRU list: its next is the most recently used
+	free   int32  // first free slot, chained through next; 0 when none
+	// order[k] is tree k's resident slots by key. Their ranges never
+	// overlap, so they are ordered by hi as well.
+	order [kinds][]int32
+	arena arena
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
 
-// NewTier returns a tier with the given byte budget (> 0).
+// NewTier returns a tier with the given byte budget (> 0). Its unit is a
+// leaf, one page: a budget below a page admits nothing.
 func NewTier(budget int64) *Tier { return &Tier{budget: budget, slots: make([]slot, 1)} }
-
-// slotOf returns key's slot, 0 when it has none.
-func (t *Tier) slotOf(key Key) int32 {
-	if key.Kind != KindPostings {
-		return t.docids
-	}
-	if int(key.ID) < len(t.post) {
-		return t.post[key.ID]
-	}
-	return 0
-}
-
-// setSlot points key's index cell at slot i, growing the index as needed.
-// Symbols are dense, so the index is as long as the largest symbol.
-func (t *Tier) setSlot(key Key, i int32) {
-	if key.Kind != KindPostings {
-		t.docids = i
-		return
-	}
-	if n := int(key.ID) + 1; n > len(t.post) {
-		if i == 0 {
-			return
-		}
-		t.post = append(t.post, make([]int32, n-len(t.post))...)
-	}
-	t.post[key.ID] = i
-}
-
-// newSlot takes a slot for key in the given state, from the free list when
-// it has one.
-func (t *Tier) newSlot(key Key, state uint8) int32 {
-	i := t.free
-	if i != 0 {
-		t.free = t.slots[i].next
-	} else {
-		i = int32(len(t.slots))
-		t.slots = append(t.slots, slot{})
-	}
-	t.slots[i] = slot{id: key.ID, kind: key.Kind, state: state}
-	t.setSlot(key, i)
-	return i
-}
 
 // pushFront links resident slot i in as the most recently used.
 func (t *Tier) pushFront(i int32) {
@@ -181,170 +135,289 @@ func (t *Tier) unlink(i int32) {
 	t.slots[s.prev].next, t.slots[s.next].prev = s.next, s.prev
 }
 
-// drop frees slot i. A resident structure leaves the LRU list and the
-// budget, and its payload becomes a hole.
+// touch moves resident slot i to the front of the LRU order.
+func (t *Tier) touch(i int32) {
+	if t.slots[0].next != i {
+		t.unlink(i)
+		t.pushFront(i)
+	}
+}
+
+// reaching returns the position in ord of the first slot that may hold k
+// or a key after it.
+func (t *Tier) reaching(ord []int32, k Key) int {
+	return sort.Search(len(ord), func(j int) bool { return !t.slots[ord[j]].before(k) })
+}
+
+// drop frees resident slot i: its leaf leaves the LRU list, its tree's order
+// and the budget, and its image becomes a hole.
 func (t *Tier) drop(i int32) {
 	s := &t.slots[i]
-	if s.state == slotResident {
-		t.unlink(i)
-		t.bytes -= s.charge()
-		t.items--
-		t.lists.live -= int(s.n)
+	ord := t.order[s.kind]
+	j := sort.Search(len(ord), func(j int) bool { return !t.slots[ord[j]].lo.Less(s.lo) })
+	for ord[j] != i {
+		j++
 	}
-	t.setSlot(Key{s.kind, s.id}, 0)
+	t.order[s.kind] = slices.Delete(ord, j, j+1)
+	t.unlink(i)
+	t.bytes -= s.charge()
+	t.items--
+	t.arena.live -= int(s.n)
 	*s = slot{next: t.free}
 	t.free = i
 }
 
 // tidy repacks the arena when the last drops left it holey.
 func (t *Tier) tidy() {
-	if t.lists.holey() {
-		t.lists.repack(t.slots)
+	if t.arena.holey() {
+		t.arena.repack(t.slots)
 	}
 }
 
-// Len returns the number of resident structures.
-func (t *Tier) Len() int {
+// Run is a key range's resident leaf images in key order, as Tier.Run
+// resolves it. Its images alias arena bytes the tier never rewrites, so a
+// Run stays valid for as long as its holder keeps it, whatever the tier
+// evicts, invalidates or repacks meanwhile.
+type Run []Image
+
+// Image is one leaf of a Run: its image parsed for the run's range, and the
+// key its keys stay at or below.
+type Image struct {
+	leaf btree.Image
+	hi   Key
+	last bool
+}
+
+// from returns the index of the first image that may hold lo or a key after
+// it.
+func (r Run) from(lo Key) int {
+	for i := range r {
+		if r[i].last || !r[i].hi.Less(lo) {
+			return i
+		}
+	}
+	return len(r)
+}
+
+// ScanPostings is btree.Tree.ScanPostings over the run, the bounds given as
+// key fields: it visits the same entries in the same order. The bounds must
+// lie within the key range the run was resolved for.
+func (r Run) ScanPostings(lo, hi Key, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) {
+	for i := r.from(lo); i < len(r); i++ {
+		if !r[i].leaf.ScanPostings(lo, hi, loIncl, hiIncl, fn) {
+			return
+		}
+	}
+}
+
+// ScanDocIDs is ScanPostings for a run of Docid leaves: btree.Tree.ScanDocIDs
+// over the run, tombstones included.
+func (r Run) ScanDocIDs(lo, hi Key, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) {
+	for i := r.from(lo); i < len(r); i++ {
+		if !r[i].leaf.ScanDocIDs(lo, hi, loIncl, hiIncl, fn) {
+			return
+		}
+	}
+}
+
+// Run appends to dst the images of tree kind's key range [lo, hi], each
+// marked most recently used, and counts the lookup as a hit; when a leaf of
+// the range is not resident it counts a miss and returns dst as it was and
+// false.
+func (t *Tier) Run(kind Kind, lo, hi Key, dst Run) (Run, bool) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.items
-}
-
-// lookup returns key's slot, moved to the front of the LRU order, or 0 when
-// key is not resident. The caller holds mu.
-func (t *Tier) lookup(key Key) int32 {
-	i := t.slotOf(key)
-	if i == 0 || t.slots[i].state != slotResident {
-		return 0
-	}
-	if t.slots[0].next != i {
-		t.unlink(i)
-		t.pushFront(i)
-	}
-	return i
-}
-
-// counted records a lookup's outcome.
-func (t *Tier) counted(i int32) bool {
-	if i == 0 {
-		t.misses.Add(1)
-		return false
-	}
-	t.hits.Add(1)
-	return true
-}
-
-// get returns key's resident payload, marking it most recently used, and
-// counts the lookup as a hit or a miss.
-func (t *Tier) get(key Key) ([]byte, bool) {
-	var b []byte
-	t.mu.Lock()
-	i := t.lookup(key)
-	if i != 0 {
-		b = t.lists.view(&t.slots[i])
-	}
+	dst, ok := t.run(kind, lo, hi, dst)
 	t.mu.Unlock()
-	return b, t.counted(i)
-}
-
-// Postings returns the resident list of symbol sym, marking it most recently
-// used.
-func (t *Tier) Postings(sym uint32) (Postings, bool) {
-	b, ok := t.get(Key{KindPostings, sym})
-	return Postings{parseList(b)}, ok
-}
-
-// DocIDs returns the resident docid list, marking it most recently used.
-func (t *Tier) DocIDs() (DocIDs, bool) {
-	b, ok := t.get(Key{Kind: KindDocIDs})
-	return DocIDs{parseList(b)}, ok
-}
-
-// Resident reports whether key is resident, without counting a lookup or
-// touching the LRU order: a probe for a preload, not a read.
-func (t *Tier) Resident(key Key) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i := t.slotOf(key)
-	return i != 0 && t.slots[i].state == slotResident
-}
-
-// Add admits e under key, evicting least-recently-used structures until it
-// fits, and replaces whatever key held. A structure larger than the whole
-// budget is not admitted, and a failed Add leaves the tier as it was.
-func (t *Tier) Add(key Key, e Entry) bool { return t.add(key, e, true) }
-
-// TryAdd admits e only if it fits without evicting anything. Preload uses
-// it so filling the tier in priority order stops at the budget instead of
-// demoting what was just loaded. A failed TryAdd leaves the tier as it was.
-func (t *Tier) TryAdd(key Key, e Entry) bool { return t.add(key, e, false) }
-
-func (t *Tier) add(key Key, e Entry, evict bool) bool {
-	if e.kind != key.Kind {
-		panic("hot: entry kind does not match its key")
+	if ok {
+		t.hits.Add(1)
+	} else {
+		t.misses.Add(1)
 	}
-	size := e.size()
+	return dst, ok
+}
+
+// run is Run without the count. The caller holds mu.
+func (t *Tier) run(kind Kind, lo, hi Key, dst Run) (Run, bool) {
+	span, ok := t.span(kind, lo, hi)
+	for _, i := range span {
+		s := &t.slots[i]
+		dst = append(dst, Image{leaf: btree.ParseImage(t.arena.view(s), lo, hi), hi: s.hi, last: s.last})
+		t.touch(i)
+	}
+	return dst, ok
+}
+
+// span returns the resident slots the key range [lo, hi] of tree kind
+// spans, in key order, and false when one of its leaves is not resident:
+// from the first leaf that may hold lo, each next one starting where the one
+// before ends, to the tree's last leaf or one whose next leaf starts past hi. A
+// next leaf that starts at hi itself may hold hi, so it is spanned too. The
+// caller holds mu.
+func (t *Tier) span(kind Kind, lo, hi Key) ([]int32, bool) {
+	ord := t.order[kind]
+	start := t.reaching(ord, lo)
+	if start == len(ord) {
+		return nil, false
+	}
+	if first := t.slots[ord[start]].lo; lo.Less(first) || first == lo && lo != (Key{}) {
+		// The leaf lo lies in is not resident, or the one before it, which
+		// may end in duplicates of lo, is not.
+		return nil, false
+	}
+	for j := start; j < len(ord); j++ {
+		s := &t.slots[ord[j]]
+		if j > start && s.lo != t.slots[ord[j-1]].hi {
+			return nil, false
+		}
+		if s.last || hi.Less(s.hi) {
+			return ord[start : j+1], true
+		}
+	}
+	return nil, false
+}
+
+// leaf is one leaf on its way into the tier; add copies its image.
+type leaf struct {
+	kind   Kind
+	lo, hi Key
+	last   bool
+	image  []byte
+}
+
+// add admits l, replacing whatever resident leaves its range overlaps: with
+// evict, by demoting least-recently-used leaves until it fits, else only
+// into free room. A leaf already resident with l's range is kept as it is
+// and marked most recently used: every write to a leaf invalidates it
+// first. A leaf larger than the whole budget is not admitted, and a failed
+// add leaves the tier as it was.
+func (t *Tier) add(l leaf, evict bool) bool {
+	size := int64(len(l.image)) + slotBytes
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := t.slotOf(key)
+	ord := t.order[l.kind]
+	i := t.reaching(ord, l.lo)
+	if i < len(ord) && !t.slots[ord[i]].last && t.slots[ord[i]].hi == l.lo {
+		i++ // it ends where l starts
+	}
+	j := i
+	for j < len(ord) && (l.last || t.slots[ord[j]].lo.Less(l.hi)) {
+		j++
+	}
+	if j == i+1 {
+		if s := &t.slots[ord[i]]; s.lo == l.lo && s.hi == l.hi && s.last == l.last {
+			t.touch(ord[i])
+			return true
+		}
+	}
 	room := t.budget - t.bytes
-	if old != 0 && t.slots[old].state == slotResident {
-		room += t.slots[old].charge()
+	for _, k := range ord[i:j] {
+		room += t.slots[k].charge()
 	}
 	// Offsets are 32-bit: an arena whose live payload would pass 4 GiB
-	// refuses the structure.
-	addressable := int64(t.lists.live+len(e.list)) <= math.MaxUint32
+	// refuses the leaf.
+	addressable := int64(t.arena.live+len(l.image)) <= math.MaxUint32
 	if size > t.budget || (!evict && size > room) || !addressable {
 		return false
 	}
-	if old != 0 {
-		t.drop(old)
+	for k := j - 1; k >= i; k-- {
+		t.drop(ord[k]) // from the last, so the positions before stay put
 	}
 	for t.bytes+size > t.budget {
 		t.drop(t.slots[0].prev)
 		t.evictions.Add(1)
 	}
 	t.tidy()
-	if int64(len(t.lists.buf)+len(e.list)) > math.MaxUint32 {
-		t.lists.repack(t.slots)
+	if int64(len(t.arena.buf)+len(l.image)) > math.MaxUint32 {
+		t.arena.repack(t.slots)
 	}
-	i := t.newSlot(key, slotResident)
-	s := &t.slots[i]
-	s.off, s.n = t.lists.put(e.list), uint32(len(e.list))
-	t.pushFront(i)
+	n := t.free
+	if n != 0 {
+		t.free = t.slots[n].next
+	} else {
+		n = int32(len(t.slots))
+		t.slots = append(t.slots, slot{})
+	}
+	t.slots[n] = slot{lo: l.lo, hi: l.hi, last: l.last, kind: l.kind, resident: true,
+		off: t.arena.put(l.image), n: uint32(len(l.image))}
+	ord = t.order[l.kind]
+	at := sort.Search(len(ord), func(j int) bool { return l.lo.Less(t.slots[ord[j]].lo) })
+	t.order[l.kind] = slices.Insert(ord, at, n)
+	t.pushFront(n)
 	t.bytes += size
 	t.items++
 	return true
 }
 
-// Reject marks key as built and found not to fit, so a miss need not
-// rebuild it; Rejected reports the mark and an invalidation clears it. A
-// resident key stays resident.
-func (t *Tier) Reject(key Key) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.slotOf(key) == 0 {
-		t.newSlot(key, slotRejected)
+// errFull ends a fill at a leaf that does not fit.
+var errFull = errors.New("hot: leaf does not fit the budget")
+
+// fill admits tree's leaves from the one key lo lies in until the range
+// [lo, hi] is covered, read around the buffer pool
+// (btree.Tree.LeavesNoFill), as add does with evict. It stops at the first
+// leaf that fails to read or to fit.
+func (t *Tier) fill(tree *btree.Tree, kind Kind, lo, hi Key, evict bool) error {
+	full := false
+	err := tree.LeavesNoFill(lo, kind == KindDocIDs, func(image []byte, llo, lhi Key, last bool) bool {
+		if !t.add(leaf{kind: kind, lo: llo, hi: lhi, last: last, image: image}, evict) {
+			full = true
+			return false
+		}
+		return !last && !hi.Less(lhi) // the next leaf may hold keys up to hi
+	})
+	if err == nil && full {
+		err = errFull
 	}
+	return err
 }
 
-// Rejected reports whether key carries Reject's mark.
-func (t *Tier) Rejected(key Key) bool {
+// Load admits the leaves of tree's key range [lo, hi], read around the
+// buffer pool and demoting least-recently-used leaves to make room, and
+// then resolves the range as Run does without counting a lookup. It returns
+// dst as it was and false when the range still is not resident: a leaf
+// failed to read, or the range outgrows the budget. A query then scans the
+// tree, which reports the read error itself.
+func (t *Tier) Load(tree *btree.Tree, kind Kind, lo, hi Key, dst Run) (Run, bool) {
+	if t.fill(tree, kind, lo, hi, true) != nil {
+		return dst, false
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := t.slotOf(key)
-	return i != 0 && t.slots[i].state == slotRejected
+	return t.run(kind, lo, hi, dst)
 }
 
-// Invalidate drops the structure under key, if resident, and its rejection
-// mark, if any.
-func (t *Tier) Invalidate(key Key) {
+// Preload copies every leaf of tree into the tier in key order, taking free
+// room only, and reports whether all are resident: it stops at the first
+// leaf that does not fit or fails to read. Its admissions count no hit or
+// miss.
+func (t *Tier) Preload(tree *btree.Tree, kind Kind) bool {
+	return t.fill(tree, kind, Key{}, maxKey, false) == nil
+}
+
+// Invalidate drops the resident leaves of tree kind whose range holds k: an
+// insert of k may have rewritten them, or split one.
+func (t *Tier) Invalidate(kind Kind, k Key) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i := t.slotOf(key); i != 0 {
-		t.drop(i)
-		t.tidy()
+	ord := t.order[kind]
+	i := t.reaching(ord, k)
+	j := i
+	for j < len(ord) && !k.Less(t.slots[ord[j]].lo) {
+		j++
 	}
+	for s := j - 1; s >= i; s-- {
+		t.drop(ord[s])
+	}
+	t.tidy()
+}
+
+// InvalidateKind drops every resident leaf of tree kind.
+func (t *Tier) InvalidateKind(kind Kind) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for ord := t.order[kind]; len(ord) > 0; ord = t.order[kind] {
+		t.drop(ord[len(ord)-1])
+	}
+	t.tidy()
 }
 
 // InvalidateAll drops everything (forest rebuild, epoch swap).
@@ -352,22 +425,26 @@ func (t *Tier) InvalidateAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.slots, t.free = make([]slot, 1), 0
-	t.post, t.docids = nil, 0
-	t.lists = arena{}
+	t.order = [kinds][]int32{}
+	t.arena = arena{}
 	t.bytes, t.items = 0, 0
 }
 
-// Trim copies every resident payload into an exactly sized arena and clips
-// the slot slab and the index to their length, so a tier that is done filling
-// holds no append slack. PreloadHot calls it when it finishes.
+// Trim copies every resident image into an exactly sized arena and clips
+// the slot slab and the orders to their length, so a tier that is done
+// filling holds no append slack. PreloadHot calls it when it finishes.
 func (t *Tier) Trim() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.lists.repack(t.slots)
-	t.slots, t.post = slices.Clone(t.slots), slices.Clone(t.post)
+	t.arena.repack(t.slots)
+	t.slots = slices.Clone(t.slots)
+	for k := range t.order {
+		t.order[k] = slices.Clone(t.order[k])
+	}
 }
 
-// Stats is a point-in-time snapshot of the tier's counters.
+// Stats is a point-in-time snapshot of the tier's counters. Items counts
+// resident leaves.
 type Stats struct {
 	Budget    int64  `json:"budget_bytes"`
 	Bytes     int64  `json:"bytes"`

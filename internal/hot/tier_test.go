@@ -2,309 +2,374 @@ package hot
 
 import (
 	"container/list"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/btree"
+	"repro/internal/pager"
 )
 
-// listEntry is a list entry of kind k whose payload is n copies of fill.
-func listEntry(k Kind, n int, fill byte) Entry {
-	data := make([]byte, n)
-	for i := range data {
-		data[i] = fill
+// posting is one postings-tree entry.
+type posting struct {
+	sym         uint32
+	left, right uint64
+	level       uint32
+}
+
+// fixture is a postings tree in memory, its leaves as the tier admits them
+// (images copied) and its entries in key order.
+type fixture struct {
+	tree   *btree.Tree
+	leaves []leaf
+	posts  []posting
+}
+
+// postingsFixture bulk-loads syms symbols of per postings each, Lefts dense
+// within a symbol and scopes and levels small, as a MIX index's are.
+func postingsFixture(t testing.TB, syms, per int) *fixture {
+	t.Helper()
+	f, err := btree.Open(pager.NewBufferPool(pager.NewMemFile(), 64))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return Entry{kind: k, list: data}
+	tree, err := f.PackedTree("post")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := &fixture{tree: tree}
+	rng := rand.New(rand.NewSource(1))
+	for s := 0; s < syms; s++ {
+		left := uint64(rng.Intn(1000))
+		for i := 0; i < per; i++ {
+			left += 1 + uint64(rng.Intn(3))
+			fx.posts = append(fx.posts, posting{uint32(s), left, left + uint64(rng.Intn(1<<rng.Intn(14))), uint32(rng.Intn(40))})
+		}
+	}
+	next := 0
+	err = tree.BulkLoad(btree.Fill{}, func() ([]byte, []byte, error) {
+		if next == len(fx.posts) {
+			return nil, nil, io.EOF
+		}
+		p := fx.posts[next]
+		next++
+		key := binary.BigEndian.AppendUint32(nil, p.sym)
+		key = binary.BigEndian.AppendUint64(key, p.left)
+		val := binary.BigEndian.AppendUint64(nil, p.right)
+		return key, binary.LittleEndian.AppendUint32(val, p.level), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tree.LeavesNoFill(Key{}, false, func(image []byte, lo, hi Key, last bool) bool {
+		fx.leaves = append(fx.leaves, leaf{kind: KindPostings, lo: lo, hi: hi, last: last, image: slices.Clone(image)})
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fx
 }
 
-// entryFor is an entry of key's kind with payload n bytes.
-func entryFor(key Key, n int, fill byte) Entry { return listEntry(key.Kind, n, fill) }
-
-// view is what a public view of a resident structure reads: a list's bytes,
-// aliasing the tier's arena.
-type view struct{ list []byte }
-
-func (v view) bytes() []byte { return v.list }
-
-// payloadOf reads key's resident payload through the counted lookup the
-// public views are made by.
-func payloadOf(tr *Tier, key Key) (view, bool) {
-	b, ok := tr.get(key)
-	return view{list: b}, ok
+// span is a key range a run over leaves i to j (inclusive) resolves: from
+// just past leaf i's first key (the zero key for leaf 0; a range from leaf
+// i's first key itself also spans leaf i-1, which may end in duplicates of
+// it) to just past leaf j's.
+func (fx *fixture) span(i, j int) (lo, hi Key) {
+	if i > 0 {
+		lo = fx.leaves[i].lo
+		lo.Left++
+	}
+	hi = fx.leaves[j].lo
+	hi.Left += 2
+	return lo, hi
 }
 
-// entryBytes is what payloadOf returns for e once resident.
-func entryBytes(e Entry) []byte { return slices.Clone(e.list) }
+// want is what a scan of the postings in [lo, hi] returns.
+func (fx *fixture) want(lo, hi Key) []posting {
+	var out []posting
+	for _, p := range fx.posts {
+		k := Key{Sym: p.sym, Left: p.left}
+		if !k.Less(lo) && !hi.Less(k) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
-// lruOrder walks the tier's LRU list from the most recently used end.
+// scan is what a run returns for [lo, hi].
+func scan(r Run, lo, hi Key) []posting {
+	var out []posting
+	r.ScanPostings(lo, hi, true, true, func(sym uint32, left, right uint64, level uint32) bool {
+		out = append(out, posting{sym, left, right, level})
+		return true
+	})
+	return out
+}
+
+// leafBytes is what the tier charges for one of the fixture's leaves.
+const leafBytes = pager.PageDataSize + slotBytes
+
+// lruOrder walks the tier's LRU list from the most recently used end and
+// names each leaf by its first key.
 func lruOrder(tr *Tier) []Key {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	var out []Key
 	for i := tr.slots[0].next; i != 0; i = tr.slots[i].next {
-		out = append(out, Key{tr.slots[i].kind, tr.slots[i].id})
+		out = append(out, tr.slots[i].lo)
 	}
 	return out
 }
 
 func TestTierBudgetAndLRU(t *testing.T) {
-	ka, kb, kc, kd, ke := Key{KindPostings, 20}, Key{KindPostings, 21}, Key{KindPostings, 0}, Key{KindPostings, 1}, Key{KindDocIDs, 0}
-	khuge := Key{KindPostings, 9}
-	// Room for three 40-byte payloads' slots but only two of the payloads.
-	budget := 100 + 3*slotBytes
-	tr := NewTier(budget)
-	if tr.budget != budget {
-		t.Fatal("budget")
+	fx := postingsFixture(t, 40, 800)
+	if len(fx.leaves) < 8 {
+		t.Fatalf("fixture has %d leaves, want 8 or more", len(fx.leaves))
 	}
-	if !tr.Add(ka, entryFor(ka, 40, 1)) || !tr.Add(kb, entryFor(kb, 40, 2)) {
+	l := fx.leaves
+	// Room for two leaves.
+	budget := 2*leafBytes + leafBytes/2
+	tr := NewTier(budget)
+	if !tr.add(l[0], true) || !tr.add(l[1], true) {
 		t.Fatal("admission under budget failed")
 	}
-	if _, ok := payloadOf(tr, ka); !ok { // a becomes MRU
-		t.Fatal("a missing")
+	lo, hi := fx.span(0, 0)
+	if _, ok := tr.Run(KindPostings, lo, hi, nil); !ok { // leaf 0 becomes MRU
+		t.Fatal("leaf 0 not resident")
 	}
-	if !tr.Add(kc, entryFor(kc, 40, 3)) { // evicts b (LRU)
-		t.Fatal("c rejected")
+	if !tr.add(l[2], true) { // evicts leaf 1 (LRU)
+		t.Fatal("leaf 2 rejected")
 	}
-	if _, ok := payloadOf(tr, kb); ok {
-		t.Fatal("b survived eviction")
+	if got, want := lruOrder(tr), []Key{l[2].lo, l[0].lo}; !slices.Equal(got, want) {
+		t.Fatalf("LRU order %v, want %v", got, want)
 	}
-	if _, ok := payloadOf(tr, ka); !ok {
-		t.Fatal("a evicted out of LRU order")
+	lo, hi = fx.span(1, 1)
+	if _, ok := tr.Run(KindPostings, lo, hi, nil); ok {
+		t.Fatal("leaf 1 survived eviction")
 	}
 	st := tr.Stats()
-	if st.Evictions != 1 || st.Bytes != 80+2*slotBytes || st.Items != 2 || st.Budget != budget {
+	if st.Evictions != 1 || st.Bytes != 2*leafBytes || st.Items != 2 || st.Budget != budget || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.Hits < 2 || st.Misses < 1 {
-		t.Fatalf("hit accounting %+v", st)
+	// A run over leaves 0 and 1 misses while 1 is out, and its keys' scan
+	// after a Load matches the tree.
+	lo, hi = fx.span(0, 1)
+	if _, ok := tr.Run(KindPostings, lo, hi, nil); ok {
+		t.Fatal("run across a missing leaf resolved")
 	}
-	// Oversized item rejected outright.
-	if tr.Add(khuge, entryFor(khuge, int(budget-slotBytes)+1, 9)) {
-		t.Fatal("oversized admitted")
+	run, ok := tr.Load(fx.tree, KindPostings, lo, hi, nil)
+	if !ok || len(run) != 2 {
+		t.Fatalf("Load resolved %d leaves, %v", len(run), ok)
+	}
+	if got, want := scan(run, lo, hi), fx.want(lo, hi); !slices.Equal(got, want) {
+		t.Fatalf("run scans %d postings, want %d", len(got), len(want))
+	}
+	// A leaf already resident is kept as it is.
+	if !tr.add(l[0], false) || tr.Stats().Items != 2 {
+		t.Fatal("re-adding a resident leaf changed the tier")
 	}
 	// TryAdd never evicts.
-	if tr.TryAdd(kd, entryFor(kd, 40, 4)) {
+	if tr.add(l[5], false) {
 		t.Fatal("TryAdd evicted")
 	}
-	if !tr.TryAdd(ke, entryFor(ke, 10, 5)) {
-		t.Fatal("TryAdd rejected a fitting item")
+	// A leaf larger than the whole budget is refused.
+	if NewTier(leafBytes-1).add(l[0], true) {
+		t.Fatal("oversized leaf admitted")
 	}
-	// Replacement frees the old size.
-	if !tr.Add(ka, entryFor(ka, 16, 6)) {
-		t.Fatal("replace failed")
+	// Invalidating a key inside leaf 1 drops leaf 1 alone; leaf 1's first
+	// key also lies at leaf 0's end, so it drops both.
+	inside := Key{Sym: l[1].lo.Sym, Left: l[1].lo.Left + 1}
+	tr.Invalidate(KindPostings, inside)
+	if got := lruOrder(tr); !slices.Equal(got, []Key{l[0].lo}) {
+		t.Fatalf("after invalidating inside leaf 1: %v resident", got)
 	}
-	if want := 16 + 40 + 10 + 3*slotBytes; tr.Bytes() != want {
-		t.Fatalf("bytes after replace = %d, want %d", tr.Bytes(), want)
+	tr.add(l[1], true)
+	tr.Invalidate(KindPostings, l[1].lo)
+	if tr.Stats().Items != 0 {
+		t.Fatalf("invalidating leaf 1's first key left %v", lruOrder(tr))
 	}
-	tr.Invalidate(ka)
-	if _, ok := payloadOf(tr, ka); ok {
-		t.Fatal("a survived Invalidate")
+	tr.add(l[3], true)
+	tr.InvalidateKind(KindDocIDs)
+	if tr.Stats().Items != 1 {
+		t.Fatal("InvalidateKind dropped another tree's leaves")
 	}
-	tr.Reject(kb)
-	if !tr.Rejected(kb) || tr.Rejected(kc) {
-		t.Fatal("rejection marks")
-	}
-	tr.Invalidate(kb)
-	if tr.Rejected(kb) {
-		t.Fatal("Invalidate kept the rejection mark")
-	}
+	tr.InvalidateKind(KindPostings)
+	tr.add(l[4], true)
 	tr.InvalidateAll()
-	if tr.Len() != 0 || tr.Bytes() != 0 {
-		t.Fatal("InvalidateAll left residue")
+	if st := tr.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("InvalidateAll left %+v", st)
 	}
 }
 
-// A failed Add or TryAdd leaves the tier exactly as it was — the key's old
-// structure resident, readable and unmarked — and a successful one replaces.
+// A failed admission leaves the tier exactly as it was — what was resident
+// stays resident and readable — and a run handed out earlier keeps scanning
+// what it scanned.
 func TestTierFailedAdmissionLeavesResident(t *testing.T) {
-	key := Key{KindPostings, 7}
-	other := Key{KindPostings, 8}
-	tr := NewTier(200 + 2*slotBytes)
-	old := entryFor(key, 60, 1)
-	if !tr.Add(key, old) || !tr.Add(other, entryFor(other, 100, 2)) {
+	fx := postingsFixture(t, 40, 800)
+	l := fx.leaves
+	tr := NewTier(2*leafBytes + 100)
+	if !tr.add(l[0], true) || !tr.add(l[1], true) {
 		t.Fatal("setup admissions failed")
 	}
-	held, _ := tr.Postings(key.ID)
-	check := func(step string, want Entry) {
-		t.Helper()
-		got, ok := payloadOf(tr, key)
-		if !ok || !slices.Equal(got.bytes(), entryBytes(want)) {
-			t.Fatalf("%s: key resident=%v with %d bytes, want the %d-byte entry", step, ok, len(got.list), len(want.list))
-		}
-		if tr.Rejected(key) {
-			t.Fatalf("%s: key marked rejected", step)
-		}
-		if !slices.Equal(held.data, entryBytes(old)) {
-			t.Fatalf("%s: a view handed out earlier changed", step)
-		}
+	lo, hi := fx.span(0, 1)
+	held, ok := tr.Run(KindPostings, lo, hi, nil)
+	if !ok {
+		t.Fatal("leaves 0 and 1 not resident")
 	}
+	want := fx.want(lo, hi)
 	before := tr.Stats()
-
 	// TryAdd that fits only by evicting: refused, nothing dropped.
-	if tr.TryAdd(key, entryFor(key, 120, 3)) {
-		t.Fatal("TryAdd admitted an entry that needs an eviction")
+	if tr.add(l[2], false) {
+		t.Fatal("TryAdd admitted a leaf that needs an eviction")
 	}
-	check("failed TryAdd", old)
-	// Add larger than the whole budget: refused, the old entry stays.
-	if tr.Add(key, entryFor(key, 300, 4)) {
-		t.Fatal("Add admitted an entry over the whole budget")
-	}
-	tr.Reject(key) // what the engine does after a failed Add: no effect on a resident key
-	check("failed Add", old)
-	if _, ok := payloadOf(tr, other); !ok {
-		t.Fatal("a failed admission evicted another key")
+	// Preload stops at the first leaf that does not fit.
+	if tr.Preload(fx.tree, KindPostings) {
+		t.Fatal("Preload of more leaves than fit reported success")
 	}
 	after := tr.Stats()
 	if after.Bytes != before.Bytes || after.Items != before.Items || after.Evictions != before.Evictions {
 		t.Fatalf("failed admissions changed the stats: %+v → %+v", before, after)
 	}
-
-	// Successful ones replace.
-	fit := entryFor(key, 90, 5)
-	if !tr.TryAdd(key, fit) {
-		t.Fatal("TryAdd of an entry that fits in the freed room failed")
+	if _, ok := tr.Run(KindPostings, lo, hi, nil); !ok {
+		t.Fatal("a failed admission dropped a resident leaf")
 	}
-	check("TryAdd replace", fit)
-	bigger := entryFor(key, 150, 6)
-	if !tr.Add(key, bigger) {
-		t.Fatal("Add replace failed")
+	// An evicting Load replaces; the held run still reads its leaves.
+	lo2, hi2 := fx.span(2, 3)
+	if _, ok := tr.Load(fx.tree, KindPostings, lo2, hi2, nil); !ok {
+		t.Fatal("Load of two leaves into a two-leaf budget failed")
 	}
-	check("Add replace", bigger)
-	if _, ok := payloadOf(tr, other); ok {
-		t.Fatal("Add replace did not evict to make room")
+	if st := tr.Stats(); st.Items != 2 || st.Evictions != 2 {
+		t.Fatalf("stats after the Load %+v", st)
 	}
-	if st := tr.Stats(); st.Bytes != 150+slotBytes || st.Items != 1 || st.Evictions != 1 {
-		t.Fatalf("stats after replacements %+v", st)
+	if got := scan(held, lo, hi); !slices.Equal(got, want) {
+		t.Fatal("a run handed out earlier changed")
+	}
+	// A range larger than the budget is not resident after its Load.
+	lo3, hi3 := fx.span(0, 3)
+	if _, ok := tr.Load(fx.tree, KindPostings, lo3, hi3, nil); ok {
+		t.Fatal("a four-leaf range resolved in a two-leaf budget")
 	}
 }
 
-// tierModel is the reference the slot slab replaced: container/list over the
-// resident keys, front = most recently used, plus a rejection set.
+// tierModel is the reference the slot slab and orders replace:
+// container/list over the resident leaves (by index into the fixture),
+// front = most recently used.
 type tierModel struct {
 	budget, bytes           int64
 	hits, misses, evictions uint64
-	order                   *list.List // of Key
-	elems                   map[Key]*list.Element
-	payload                 map[Key][]byte
-	size                    map[Key]int64
-	rejected                map[Key]bool
+	order                   *list.List // of int
+	elems                   map[int]*list.Element
 }
 
-func newTierModel(budget int64) *tierModel {
-	return &tierModel{budget: budget, order: list.New(), elems: map[Key]*list.Element{},
-		payload: map[Key][]byte{}, size: map[Key]int64{}, rejected: map[Key]bool{}}
-}
-
-func (m *tierModel) remove(k Key) {
-	if el, ok := m.elems[k]; ok {
+func (m *tierModel) remove(i int) {
+	if el, ok := m.elems[i]; ok {
 		m.order.Remove(el)
-		m.bytes -= m.size[k]
-		delete(m.elems, k)
-		delete(m.payload, k)
-		delete(m.size, k)
+		m.bytes -= leafBytes
+		delete(m.elems, i)
 	}
-	delete(m.rejected, k)
 }
 
-func (m *tierModel) add(k Key, e Entry, evict bool) bool {
-	size := e.size()
-	room := m.budget - m.bytes + m.size[k]
-	if size > m.budget || (!evict && size > room) {
+func (m *tierModel) add(i int, evict bool) bool {
+	if el, ok := m.elems[i]; ok {
+		m.order.MoveToFront(el)
+		return true
+	}
+	if leafBytes > m.budget || (!evict && leafBytes > m.budget-m.bytes) {
 		return false
 	}
-	m.remove(k)
-	for m.bytes+size > m.budget {
-		m.remove(m.order.Back().Value.(Key))
+	for m.bytes+leafBytes > m.budget {
+		m.remove(m.order.Back().Value.(int))
 		m.evictions++
 	}
-	m.elems[k] = m.order.PushFront(k)
-	m.payload[k], m.size[k] = entryBytes(e), size
-	m.bytes += size
+	m.elems[i] = m.order.PushFront(i)
+	m.bytes += leafBytes
 	return true
 }
 
-func (m *tierModel) get(k Key) ([]byte, bool) {
-	el, ok := m.elems[k]
-	if !ok {
-		m.misses++
-		return nil, false
+func (m *tierModel) run(i, j int) bool {
+	for k := i; k <= j; k++ {
+		if _, ok := m.elems[k]; !ok {
+			m.misses++
+			return false
+		}
+	}
+	for k := i; k <= j; k++ {
+		m.order.MoveToFront(m.elems[k])
 	}
 	m.hits++
-	m.order.MoveToFront(el)
-	return m.payload[k], true
+	return true
 }
 
-// heldView is a view the test keeps across later operations with the bytes
-// it read when it was handed out.
-type heldView struct {
-	v    view
-	want []byte
-}
-
-// tierOp is one step of a model run.
+// tierOp is one step of a model run: op 0-3 add, 4 TryAdd, 5-7 Run of
+// leaves a to b, 8 Invalidate inside leaf a, 9 Invalidate at leaf a's first
+// key, 10 InvalidateAll.
 type tierOp struct {
-	op   byte // 0-3 Add, 4 TryAdd, 5-7 Get, 8 Invalidate, 9 Reject, 10 InvalidateAll
-	key  Key
-	size int
-	fill byte
+	op   byte
+	a, b int
 }
 
-// runTierModel drives a tier and the model through ops, checking after every
-// step the LRU order, the stats, the rejection marks, the arena accounting
-// and every view handed out so far. It returns the number of arena repacks
-// it saw.
-func runTierModel(t *testing.T, budget int64, ops []tierOp) (repacks int) {
-	tr, m := NewTier(budget), newTierModel(budget)
-	var held []heldView
-	keys := map[Key]bool{}
+// heldRun is a run the test keeps across later operations with the range it
+// was resolved for.
+type heldRun struct {
+	run    Run
+	lo, hi Key
+}
+
+// runTierModel drives a tier and the model through ops over the fixture's
+// leaves, checking after every step the LRU order, the stats and the arena
+// accounting, and now and then every run handed out so far. It returns the
+// number of arena repacks it saw.
+func runTierModel(t *testing.T, fx *fixture, budget int64, ops []tierOp) (repacks int) {
+	tr := NewTier(budget)
+	m := &tierModel{budget: budget, order: list.New(), elems: map[int]*list.Element{}}
+	var held []heldRun
 	for step, o := range ops {
-		keys[o.key] = true
-		lists := len(tr.lists.buf)
+		arenaLen := len(tr.arena.buf)
 		switch {
 		case o.op < 5:
-			e := entryFor(o.key, o.size, o.fill)
 			evict := o.op < 4
-			want := m.add(o.key, e, evict)
-			if got := tr.add(o.key, e, evict); got != want {
-				t.Fatalf("step %d: add(%v, %d B, evict=%v) = %v, model %v", step, o.key, o.size, evict, got, want)
+			if got, want := tr.add(fx.leaves[o.a], evict), m.add(o.a, evict); got != want {
+				t.Fatalf("step %d: add(leaf %d, evict=%v) = %v, model %v", step, o.a, evict, got, want)
 			}
-			clear(e.list) // the tier must have copied the entry
 		case o.op < 8:
-			want, wantOK := m.get(o.key)
-			got, ok := payloadOf(tr, o.key)
-			if b := got.bytes(); ok != wantOK || !slices.Equal(b, want) {
-				t.Fatalf("step %d: get(%v) = %d B %v, model %d B %v", step, o.key, len(b), ok, len(want), wantOK)
+			lo, hi := fx.span(o.a, o.b)
+			run, ok := tr.Run(KindPostings, lo, hi, nil)
+			if want := m.run(o.a, o.b); ok != want || ok && len(run) != o.b-o.a+1 {
+				t.Fatalf("step %d: Run(leaves %d..%d) = %d leaves %v, model %v", step, o.a, o.b, len(run), ok, want)
 			}
-			if ok {
-				hv := heldView{v: got, want: slices.Clone(got.bytes())}
-				if len(held) < 64 {
-					held = append(held, hv)
-				} else {
-					held[int(o.fill)%len(held)] = hv
-				}
+			if ok && len(held) < 8 {
+				held = append(held, heldRun{run, lo, hi})
+			} else if ok {
+				held[step%len(held)] = heldRun{run, lo, hi}
 			}
 		case o.op == 8:
-			m.remove(o.key)
-			tr.Invalidate(o.key)
+			l := fx.leaves[o.a]
+			tr.Invalidate(KindPostings, Key{Sym: l.lo.Sym, Left: l.lo.Left + 1})
+			m.remove(o.a)
 		case o.op == 9:
-			if _, ok := m.elems[o.key]; !ok {
-				m.rejected[o.key] = true
+			tr.Invalidate(KindPostings, fx.leaves[o.a].lo)
+			m.remove(o.a)
+			if o.a > 0 {
+				m.remove(o.a - 1)
 			}
-			tr.Reject(o.key)
 		default:
-			for k := range keys {
+			tr.InvalidateAll()
+			for k := range fx.leaves {
 				m.remove(k)
 			}
-			tr.InvalidateAll()
-			lists = 0
+			arenaLen = 0
 		}
-		if len(tr.lists.buf) < lists {
+		if len(tr.arena.buf) < arenaLen {
 			repacks++
 		}
 		var order []Key
 		for el := m.order.Front(); el != nil; el = el.Next() {
-			order = append(order, el.Value.(Key))
+			order = append(order, fx.leaves[el.Value.(int)].lo)
 		}
 		if got := lruOrder(tr); !slices.Equal(got, order) {
 			t.Fatalf("step %d: LRU order %v, model %v", step, got, order)
@@ -314,70 +379,61 @@ func runTierModel(t *testing.T, budget int64, ops []tierOp) (repacks int) {
 		if st != want {
 			t.Fatalf("step %d: stats %+v, model %+v", step, st, want)
 		}
-		for k := range keys {
-			if tr.Rejected(k) != m.rejected[k] {
-				t.Fatalf("step %d: %v rejected=%v, model %v", step, k, !m.rejected[k], m.rejected[k])
-			}
-		}
-		checkArenas(t, tr)
-		for i, hv := range held {
-			if !slices.Equal(hv.v.bytes(), hv.want) {
-				t.Fatalf("step %d: view %d handed out earlier now reads other bytes", step, i)
+		checkArena(t, tr)
+		if step%50 == 0 {
+			for i, h := range held {
+				if got, want := scan(h.run, h.lo, h.hi), fx.want(h.lo, h.hi); !slices.Equal(got, want) {
+					t.Fatalf("step %d: run %d handed out earlier scans %d postings, want %d", step, i, len(got), len(want))
+				}
 			}
 		}
 	}
 	return repacks
 }
 
-// checkArenas holds the arena accounting: live is what resident slots span,
+// checkArena holds the arena accounting: live is what resident slots span,
 // and holes never outgrow half of it.
-func checkArenas(t *testing.T, tr *Tier) {
+func checkArena(t *testing.T, tr *Tier) {
 	t.Helper()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	lists := 0
+	live := 0
 	for i := range tr.slots {
-		if s := &tr.slots[i]; s.state == slotResident {
-			lists += int(s.n)
+		if s := &tr.slots[i]; s.resident {
+			live += int(s.n)
 		}
 	}
-	if lists != tr.lists.live {
-		t.Fatalf("live %d, slots span %d", tr.lists.live, lists)
+	if live != tr.arena.live {
+		t.Fatalf("live %d, slots span %d", tr.arena.live, live)
 	}
-	if len(tr.lists.buf)-lists > lists/2 {
-		t.Fatalf("holes past half the live payload: %d of %d", len(tr.lists.buf), lists)
+	if len(tr.arena.buf)-live > live/2 {
+		t.Fatalf("holes past half the live payload: %d of %d", len(tr.arena.buf), live)
 	}
 }
 
-// randomTierOps draws a churn-heavy trace over a few keys of each kind.
-func randomTierOps(rng *rand.Rand, n int) []tierOp {
-	ops := make([]tierOp, n)
+// randomTierOps draws a churn-heavy trace over n leaves.
+func randomTierOps(rng *rand.Rand, n, steps int) []tierOp {
+	ops := make([]tierOp, steps)
 	for i := range ops {
-		var key Key
-		switch rng.Intn(5) {
-		case 0, 1:
-			key = Key{KindPostings, uint32(rng.Intn(12))}
-		case 2:
-			key = Key{Kind: KindDocIDs}
-		default:
-			key = Key{KindPostings, 12 + uint32(rng.Intn(20))}
-		}
+		a := rng.Intn(n)
+		b := min(n-1, a+rng.Intn(3))
 		op := byte(rng.Intn(10))
 		if rng.Intn(200) == 0 {
 			op = 10
 		}
-		ops[i] = tierOp{op: op, key: key, size: rng.Intn(300), fill: byte(rng.Intn(256))}
+		ops[i] = tierOp{op: op, a: a, b: b}
 	}
 	return ops
 }
 
 // TestTierAgainstModel runs seeded random traces against the reference LRU
-// under budgets from "one entry at a time" to "everything fits".
+// under budgets from "one leaf at a time" to "everything fits".
 func TestTierAgainstModel(t *testing.T) {
+	fx := postingsFixture(t, 40, 800)
 	repacks := 0
-	for seed, budget := range []int64{200, 900, 3000, 1 << 20} {
+	for seed, leaves := range []int64{1, 3, 6, int64(len(fx.leaves))} {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		repacks += runTierModel(t, budget, randomTierOps(rng, 4000))
+		repacks += runTierModel(t, fx, leaves*leafBytes+leafBytes/3, randomTierOps(rng, len(fx.leaves), 1500))
 	}
 	if repacks == 0 {
 		t.Fatal("no trace repacked an arena")
@@ -385,86 +441,73 @@ func TestTierAgainstModel(t *testing.T) {
 	t.Logf("%d arena repacks", repacks)
 }
 
-// FuzzTier decodes a budget and an operation trace from the input: four
-// bytes per step — operation, key, payload size, fill — up to 1,024 steps.
+// FuzzTier decodes a budget in leaves and an operation trace from the
+// input: three bytes per step — operation, leaf, run length — up to 1,024
+// steps.
 func FuzzTier(f *testing.F) {
-	f.Add([]byte{1, 0, 1, 40, 1, 0, 2, 40, 2, 5, 1, 0, 0, 0, 3, 40, 3, 8, 1, 0, 0})
-	f.Add([]byte{0, 0, 0, 200, 1, 1, 0, 200, 2, 8, 0, 0, 0, 0, 130, 100, 4, 6, 130, 0, 5})
+	fx := postingsFixture(f, 40, 800)
+	f.Add([]byte{2, 0, 0, 0, 0, 1, 0, 5, 0, 2, 0, 0, 8, 1, 0, 3, 2, 0, 9, 1, 0})
+	f.Add([]byte{1, 0, 0, 0, 1, 1, 0, 4, 2, 0, 6, 0, 1, 10, 0, 0, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
-		budget := 64 + 16*int64(data[0])
+		n := len(fx.leaves)
+		budget := int64(1+int(data[0])%n) * leafBytes
 		var ops []tierOp
-		for b := data[1:min(len(data), 1+4*1024)]; len(b) >= 4; b = b[4:] {
-			key := Key{Kind(b[1] >> 6 % 2), uint32(b[1] & 15)} // KindPostings or KindDocIDs
-			if key.Kind == KindDocIDs {
-				key.ID = 0
-			}
-			ops = append(ops, tierOp{op: b[0] % 11, key: key, size: int(b[2]) * 2, fill: b[3]})
+		for b := data[1:min(len(data), 1+3*1024)]; len(b) >= 3; b = b[3:] {
+			a := int(b[1]) % n
+			ops = append(ops, tierOp{op: b[0] % 11, a: a, b: min(n-1, a+int(b[2])%3)})
 		}
-		runTierModel(t, budget, ops)
+		runTierModel(t, fx, budget, ops)
 	})
 }
 
-// Readers scan views they hold while a writer replaces, invalidates and
-// re-admits lists under a budget small enough to keep evicting, so arenas
-// are repacked under them; every view must keep reading what it read when it
-// was handed out. Run under -race by make race.
+// Readers scan runs they hold while a writer invalidates and re-admits
+// leaves under a budget small enough to keep evicting, so the arena is
+// repacked under them; every run must keep scanning what its range holds.
+// Run under -race by make race.
 func TestTierViewsSurviveCompaction(t *testing.T) {
-	const syms, rounds = 16, 3000
-	tr := NewTier(8 << 10)
-	list := func(fill uint32, n int) Entry {
-		b := NewPostingsBuilder()
-		for i := 0; i < n; i++ {
-			b.Add(uint64(i), uint64(fill), fill)
-		}
-		return b.View().Entry()
-	}
+	const rounds = 3000
+	fx := postingsFixture(t, 40, 800)
+	n := len(fx.leaves)
+	tr := NewTier(4 * leafBytes)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			var held []Postings
+			var held []heldRun
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if p, ok := tr.Postings(uint32((i + r) % syms)); ok {
-					held = append(held, p)
-					if len(held) > 32 {
+				lo, hi := fx.span((i+r)%(n-1), (i+r)%(n-1)+1)
+				if run, ok := tr.Run(KindPostings, lo, hi, nil); ok {
+					held = append(held, heldRun{run, lo, hi})
+					if len(held) > 8 {
 						held = held[1:]
 					}
 				}
-				for _, p := range held {
-					var fill uint64
-					n := 0
-					p.Scan(0, ^uint64(0), true, true, func(left, right uint64, level uint32) bool {
-						if n == 0 {
-							fill = right
-						}
-						if left != uint64(n) || right != fill || uint64(level) != fill {
-							t.Errorf("reader %d: entry %d of a held view reads (%d, %d, %d), fill %d", r, n, left, right, level, fill)
-							return false
-						}
-						n++
-						return true
-					})
+				for _, h := range held {
+					if got, want := scan(h.run, h.lo, h.hi), fx.want(h.lo, h.hi); !slices.Equal(got, want) {
+						t.Errorf("reader %d: a held run scans %d postings, want %d", r, len(got), len(want))
+						return
+					}
 				}
 			}
 		}(r)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < rounds; i++ {
-		sym := uint32(rng.Intn(syms))
+		l := fx.leaves[rng.Intn(n)]
 		if rng.Intn(4) == 0 {
-			tr.Invalidate(Key{KindPostings, sym})
+			tr.Invalidate(KindPostings, l.lo)
 		} else {
-			tr.Add(Key{KindPostings, sym}, list(uint32(i), 1+rng.Intn(40)))
+			tr.add(l, true)
 		}
 	}
 	close(stop)
@@ -481,71 +524,39 @@ func liveHeap() (bytes, objects int64) {
 	return int64(ms.HeapAlloc), int64(ms.HeapObjects)
 }
 
-// A loaded tier costs its payload plus a small constant per structure, in a
+// A loaded tier costs its leaf images plus a small constant per leaf, in a
 // handful of objects, and Stats().Bytes says what it costs. The load is
-// MIX-shaped: 96,004 trie nodes with dense labels (Left the node's rank,
-// scopes up to 13 bits, levels below 40) dealt out to 9,230 posting lists,
-// each symbol's nodes clustered within a stretch of the trie as element
-// names are, and a 6,000-entry docid list. The packed lists must stay within
-// 10 % of the 4.18 B a posting, headers included, this load packs into.
+// MIX-shaped: 96,000 postings with dense Lefts, scopes up to 13 bits and
+// levels below 40 over 9,600 symbols, about the 48 leaves MIX's postings
+// tree packs into.
 func TestTierBytesPerStructure(t *testing.T) {
-	const lists, postings, docs = 9230, 96004, 6000
-	rng := rand.New(rand.NewSource(1))
-	bySym := make([][]cell, lists)
-	for i := 0; i < postings; i++ {
-		sym := (i*lists/postings + rng.Intn(64)) % lists
-		bySym[sym] = append(bySym[sym], cell{uint64(i), uint64(rng.Intn(1 << rng.Intn(14))), uint32(rng.Intn(40))})
-	}
-	entries := make([]Entry, lists)
-	payload := int64(0)
-	pb := NewPostingsBuilder()
-	for sym, cs := range bySym {
-		pb.Reset()
-		for _, c := range cs {
-			pb.Add(c.left, c.left+c.mid, c.last)
-		}
-		entries[sym] = pb.Build().Entry()
-		payload += int64(len(entries[sym].list))
-	}
-	perPosting := float64(payload) / postings
-	db := NewDocIDsBuilder()
-	for d := 0; d < docs; d++ {
-		db.Add(uint64(d)*16, uint32(d*7919%docs))
-	}
-	docids := db.Build().Entry()
-	payload += int64(len(docids.list))
-	bySym, pb, db = nil, nil, nil
+	fx := postingsFixture(t, 9600, 10)
+	leaves := fx.leaves
+	fx = nil
+	payload := int64(len(leaves)) * pager.PageDataSize
 
 	bytes0, objects0 := liveHeap()
 	tr := NewTier(1 << 30)
-	if !tr.TryAdd(Key{Kind: KindDocIDs}, docids) {
-		t.Fatal("docid list not admitted")
-	}
-	for sym, e := range entries {
-		if !tr.TryAdd(Key{KindPostings, uint32(sym)}, e) {
-			t.Fatalf("list %d not admitted", sym)
+	for i, l := range leaves {
+		if !tr.add(l, false) {
+			t.Fatalf("leaf %d not admitted", i)
 		}
 	}
 	tr.Trim()
 	bytes1, objects1 := liveHeap()
 	runtime.KeepAlive(tr)
-	runtime.KeepAlive(entries)
-	runtime.KeepAlive(docids)
+	runtime.KeepAlive(leaves)
 
-	structures := int64(lists + 1)
 	heap, objects := bytes1-bytes0, objects1-objects0
-	perStructure := float64(heap-payload) / float64(structures)
+	perLeaf := float64(heap-payload) / float64(len(leaves))
 	st := tr.Stats()
-	t.Logf("%d structures, %d payload bytes (%.2f B a posting, docid list %d B): %d heap bytes in %d objects (%.1f B per structure beyond its payload), Stats().Bytes %d",
-		structures, payload, perPosting, len(docids.list), heap, objects, perStructure, st.Bytes)
-	if st.Items != int(structures) {
-		t.Fatalf("%d items resident, want %d", st.Items, structures)
+	t.Logf("%d leaves, %d payload bytes: %d heap bytes in %d objects (%.1f B per leaf beyond its image), Stats().Bytes %d",
+		len(leaves), payload, heap, objects, perLeaf, st.Bytes)
+	if st.Items != len(leaves) || len(leaves) < 40 {
+		t.Fatalf("%d items resident of %d leaves, want all of 40 or more", st.Items, len(leaves))
 	}
-	if perPosting > 4.5 {
-		t.Errorf("posting lists take %.2f B a posting, want ≤ 4.5", perPosting)
-	}
-	if perStructure > 32 {
-		t.Errorf("a structure costs %.1f bytes beyond its payload, want ≤ 32", perStructure)
+	if perLeaf > 90 {
+		t.Errorf("a leaf costs %.1f bytes beyond its image, want ≤ 90", perLeaf)
 	}
 	if objects > 16 {
 		t.Errorf("the tier is %d heap objects, want ≤ 16", objects)
@@ -553,11 +564,4 @@ func TestTierBytesPerStructure(t *testing.T) {
 	if st.Bytes < heap*95/100 || st.Bytes > heap*105/100 {
 		t.Errorf("Stats().Bytes = %d, measured heap %d: more than 5 %% apart", st.Bytes, heap)
 	}
-}
-
-// Bytes returns the bytes charged to resident structures.
-func (t *Tier) Bytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bytes
 }

@@ -7,12 +7,13 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/datagen"
 	"repro/internal/docstore"
 	"repro/internal/hot"
 	"repro/internal/mvcc"
+	"repro/internal/pager"
 	"repro/internal/twig"
-	"repro/internal/vtrie"
 	"repro/internal/xmltree"
 	"repro/internal/xmltree/xmltreetest"
 )
@@ -127,9 +128,18 @@ func TestHotDifferential(t *testing.T) {
 // index and its uncompressed twin ingest the same documents while queries
 // hammer the hot index concurrently (the -race run is the point), and at
 // every quiescent point both twins must return byte-identical matches at
-// serial and parallel settings — inserts invalidate exactly the lists and
-// summaries they touch, so a query can never see a stale structure.
+// serial and parallel settings — inserts invalidate the leaves whose range
+// holds their keys, so a query can never see a stale leaf. It runs with a
+// budget for the whole index and with one for half of its two leaves, where
+// the invalidations, the lazy admissions of missed leaves and the LRU's
+// evictions all happen together.
 func TestHotE2E(t *testing.T) {
+	for _, budget := range []int64{8 << 20, pager.PageDataSize + 1024} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) { testHotE2E(t, budget) })
+	}
+}
+
+func testHotE2E(t *testing.T, budget int64) {
 	docs := parallelCorpus()
 	initial, rest := docs[:6], docs[6:]
 	mk := func(budget int64) *DynamicIndex {
@@ -141,7 +151,7 @@ func TestHotE2E(t *testing.T) {
 		return di
 	}
 	cold := mk(0)
-	hotDi := mk(8 << 20)
+	hotDi := mk(budget)
 	queries := rpShapes()
 
 	compare := func(label string) {
@@ -218,6 +228,9 @@ func TestHotE2E(t *testing.T) {
 	if !st.Enabled || st.Tier.Hits == 0 {
 		t.Errorf("hot tier unused during e2e: %+v", st)
 	}
+	if budget < 2*pager.PageDataSize && st.Tier.Evictions == 0 {
+		t.Errorf("a one-leaf budget evicted nothing: %+v", st)
+	}
 	if cst := cold.Stats().Hot; cst.Enabled {
 		t.Errorf("uncompressed twin reports a tier: %+v", cst)
 	}
@@ -228,30 +241,38 @@ func TestHotE2E(t *testing.T) {
 	}
 }
 
-// TestHotEvictionUnderPressure pins LRU demotion: a budget too small for
-// the whole corpus keeps serving correct results while evicting, and never
-// admits a structure larger than the budget.
+// TestHotEvictionUnderPressure pins LRU demotion: a budget of about three
+// leaves, against an index of many more, keeps serving correct results
+// while it evicts, and the queries run partly from the tier and partly on
+// the paged path (a symbol whose range outgrows the budget never resolves).
 func TestHotEvictionUnderPressure(t *testing.T) {
-	docs := parallelCorpus()
+	docs := residencyCorpus()[:800]
 	cold := build(t, false, docs...)
-	// A few KiB: some summaries and small lists fit, the rest thrash.
-	hotIx := buildHot(t, false, 4<<10, docs...)
+	hotIx := buildHot(t, false, 3*pager.PageDataSize+1024, docs...)
+	if leaves := treeLeaves(t, hotIx); leaves < 8 {
+		t.Fatalf("the index has %d leaves; too few to press a three-leaf budget", leaves)
+	}
+	var hits, ranges int
 	for _, q := range rpShapes() {
 		wantMS, _, err := cold.Match(q, MatchOptions{WarmCache: true, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMS, _, err := hotIx.Match(q, MatchOptions{WarmCache: true, Parallelism: 1})
+		gotMS, stats, err := hotIx.Match(q, MatchOptions{WarmCache: true, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(gotMS, wantMS) {
 			t.Errorf("%s: matches diverge under tier pressure", q)
 		}
+		hits, ranges = hits+stats.HotPostingHits, ranges+stats.RangeQueries
 	}
 	st := hotIx.HotStats()
-	if st.Tier.Bytes > st.Tier.Budget {
-		t.Errorf("tier over budget: %+v", st)
+	if st.Tier.Bytes > st.Tier.Budget || st.Tier.Evictions == 0 {
+		t.Errorf("tier over budget or never evicting: %+v", st)
+	}
+	if hits == 0 || hits >= ranges {
+		t.Errorf("%d of %d range queries served from the tier, want some and not all", hits, ranges)
 	}
 }
 
@@ -436,27 +457,48 @@ func mixDocs(t testing.TB) []*xmltree.Document {
 	return docs
 }
 
-// postingLists counts the postings tree's entries and distinct symbols.
-func postingLists(t testing.TB, ix *Index) (postings, lists int) {
+// postingCount counts the postings tree's entries.
+func postingCount(t testing.TB, ix *Index) int {
 	t.Helper()
-	var last vtrie.Symbol
-	err := ix.postings.ScanPostings(nil, nil, true, true, func(s uint32, _, _ uint64, _ uint32) bool {
-		if sym := vtrie.Symbol(s); postings == 0 || sym != last {
-			last = sym
-			lists++
-		}
-		postings++
+	n := 0
+	err := ix.postings.ScanPostings(nil, nil, true, true, func(uint32, uint64, uint64, uint32) bool {
+		n++
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return postings, lists
+	return n
+}
+
+// treeLeaves is the leaf count of the postings and Docid trees: what a
+// whole-index tier holds, one image a leaf.
+func treeLeaves(t testing.TB, ix *Index) int {
+	t.Helper()
+	n := 0
+	for _, tree := range []*btree.Tree{ix.postings, ix.docid} {
+		sh, err := tree.Shape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += sh.Pages[len(sh.Pages)-1]
+	}
+	return n
+}
+
+// checkWholeTier fails unless ix's tier holds every leaf of the postings and
+// Docid trees and has evicted none.
+func checkWholeTier(t testing.TB, stage string, ix *Index) {
+	t.Helper()
+	if st, leaves := ix.HotStats().Tier, treeLeaves(t, ix); st.Items != leaves || st.Evictions != 0 {
+		t.Fatalf("after %s: %d leaves resident (%d evicted), want the trees' %d and none", stage, st.Items, st.Evictions, leaves)
+	}
 }
 
 // TestPreloadCountsNoLookups: filling the tier is not reading it. After a
-// build and after Open with a whole-index budget, every list is resident
-// and the tier has counted no hit and no miss.
+// build and after Open with a whole-index budget, every leaf of the postings
+// and Docid trees is resident — 51 on MIX — and the tier has counted no hit
+// and no miss.
 func TestPreloadCountsNoLookups(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Extended: true, HotBudget: 64 << 20}
@@ -466,14 +508,14 @@ func TestPreloadCountsNoLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, lists := postingLists(t, ix)
 	check := func(stage string, ix *Index) {
 		st := ix.HotStats().Tier
 		if st.Hits != 0 || st.Misses != 0 {
 			t.Errorf("after %s: %d hits and %d misses before any query, want 0 and 0", stage, st.Hits, st.Misses)
 		}
-		if st.Items != lists+1 || st.Evictions != 0 {
-			t.Errorf("after %s: %d structures resident (%d evicted), want %d lists and the docid list", stage, st.Items, st.Evictions, lists)
+		checkWholeTier(t, stage, ix)
+		if st.Items != 51 {
+			t.Errorf("after %s: %d leaves resident, want MIX's 51", stage, st.Items)
 		}
 	}
 	check("Build", ix)
@@ -488,25 +530,23 @@ func TestPreloadCountsNoLookups(t *testing.T) {
 	check("Open", ix)
 }
 
-// TestHotTierBytesPerPosting bounds what the packed tier charges on the
-// benchmark's MIX index: its 96,004 postings in 9,230 lists and the
-// 6,000-entry docid list, payload and per-structure bookkeeping together,
-// come to 673,641 B, 7.02 B a posting (raw 20-byte entries took 23.4). The
-// bound leaves 10 % headroom.
+// TestHotTierBytesPerPosting bounds what the tier charges on the benchmark's
+// MIX index: its 96,004 postings in 48 postings leaves and its 6,000 docid
+// entries in 3 Docid leaves, whole pages and per-leaf bookkeeping together,
+// come to 420,036 B, 4.38 B a posting (the per-symbol lists it held before
+// took 7.02 B, and raw 20-byte entries 23.4). The bound leaves 10 %
+// headroom.
 func TestHotTierBytesPerPosting(t *testing.T) {
 	ix, err := Build(mixDocs(t), Options{Extended: true, HotBudget: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	postings, lists := postingLists(t, ix)
-	st := ix.HotStats().Tier
-	if st.Items != lists+1 {
-		t.Fatalf("%d structures resident, want %d lists and the docid list", st.Items, lists)
-	}
+	checkWholeTier(t, "Build", ix)
+	postings, st := postingCount(t, ix), ix.HotStats().Tier
 	per := float64(st.Bytes) / float64(postings)
-	t.Logf("%d postings in %d lists: tier charges %d B, %.2f B a posting", postings, lists, st.Bytes, per)
-	if per > 7.7 {
-		t.Errorf("the tier charges %.2f B a posting, want ≤ 7.7", per)
+	t.Logf("%d postings: tier charges %d B for %d leaves, %.2f B a posting", postings, st.Bytes, st.Items, per)
+	if per > 4.8 {
+		t.Errorf("the tier charges %.2f B a posting, want ≤ 4.8", per)
 	}
 }

@@ -49,10 +49,11 @@ type Options struct {
 	// means plain OS files.
 	OpenFile func(path string) (pager.File, error)
 	// HotBudget, when positive, enables the in-memory hot tier
-	// (internal/hot) with that many bytes: flat posting lists serve the
-	// Algorithm 1 descent without touching the buffer pools, demoted LRU
-	// under the budget (refinement reads the resident shape dictionary
-	// either way).
+	// (internal/hot) with that many bytes: verbatim images of the postings
+	// and Docid trees' leaves serve the Algorithm 1 descent without
+	// touching the buffer pools, demoted LRU under the budget (refinement
+	// reads the resident shape dictionary either way). The tier's unit is
+	// one leaf, an 8 KiB page, so a budget below that admits nothing.
 	// Results are byte-identical to the paged path. 0 disables it.
 	HotBudget int64
 }
@@ -622,7 +623,7 @@ func (ix *Index) insertPosting(p vtrie.Posting) error {
 		return err
 	}
 	ix.markPosted(p.Symbol)
-	ix.hotInvalidateTree(p.Symbol)
+	ix.hotInvalidatePosting(p.Symbol, p.Left)
 	return nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/datagen"
 	"repro/internal/docstore"
+	"repro/internal/hot"
 	"repro/internal/pager"
 	"repro/internal/twig"
 	"repro/internal/vtrie"
@@ -27,11 +28,12 @@ import (
 // that keeps empty levels free.
 
 // levelScan runs one Algorithm-1 range query (ql, qr] for sym exactly as a
-// query level would, hot list or paged tree, serial or with readahead.
+// query level would, hot leaf images or paged tree, serial or with readahead.
 func levelScan(t *testing.T, ix *Index, sym vtrie.Symbol, ql, qr uint64, par int) []hit {
 	t.Helper()
 	p := &plan{levels: []levelSource{{tree: ix.postings, sym: sym}}}
-	p.levels[0].hot, p.levels[0].resident = ix.hotPostings(sym)
+	lo, hi := symRange(sym)
+	p.levels[0].run, p.levels[0].resident = ix.hotRun(ix.postings, hot.KindPostings, lo, hi, &p.images)
 	sc := getScratch()
 	sc.levels(1)
 	defer putScratch(sc)

@@ -396,9 +396,11 @@ type plan struct {
 	// levels[i] is where level i's range queries go and docids where the
 	// terminal docid scans go, resolved once per query: the index is
 	// read-locked for the whole Match, so the trees stay valid, and a hot
-	// view reads bytes the tier never rewrites.
+	// run reads bytes the tier never rewrites. images holds every run's
+	// leaf images.
 	levels []levelSource
 	docids docidSource
+	images hot.Run
 	// leaves lists query leaves for the refinement-by-leaf phase.
 	leaves []docstore.Leaf
 	// dummy[p-1] marks extended-pattern dummy nodes (excluded from the
@@ -424,19 +426,21 @@ func (r pruneRule) pruned(gap int64) bool {
 
 // levelSource is one query level's posting source: the symbol's key-prefix
 // range of the postings tree (tree is nil when the symbol heads no sequence
-// position, known from the posted set without a probe) and, when resident,
-// a view of its hot list, which then serves every range query of the level.
+// position, known from the posted set without a probe) and, when every leaf
+// of that range is resident, their images in the hot tier, which then serve
+// every range query of the level.
 type levelSource struct {
 	tree     *btree.Tree
 	sym      vtrie.Symbol
-	hot      hot.Postings
+	run      hot.Run
 	resident bool
 }
 
-// docidSource is the Docid index and, when resident, a view of its hot list.
+// docidSource is the Docid index and, when every leaf of it is resident,
+// their images.
 type docidSource struct {
 	tree     *btree.Tree
-	hot      hot.DocIDs
+	run      hot.Run
 	resident bool
 }
 
@@ -472,7 +476,7 @@ func (ix *Index) compile(q *twig.Query, pat *twig.Pattern, p *plan) (ok bool, er
 	p.dummy = sized(p.dummy, p.m)
 	p.syms, p.npsQ = sized(p.syms, levels), sized(p.npsQ, levels)
 	p.levels, p.lastOcc, p.prune = sized(p.levels, levels), sized(p.lastOcc, levels), sized(p.prune, levels)
-	p.leaves = p.leaves[:0]
+	p.leaves, p.images = p.leaves[:0], p.images[:0]
 	for _, n := range pat.Doc.Nodes {
 		if prufer.IsDummy(n) {
 			p.dummy[n.Post-1] = true
@@ -486,13 +490,20 @@ func (ix *Index) compile(q *twig.Query, pat *twig.Pattern, p *plan) (ok bool, er
 		}
 		p.syms[i] = sym
 		p.npsQ[i] = int32(pat.Seq.Numbers[i])
-		if ix.posted.has(sym) {
-			p.levels[i] = levelSource{tree: ix.postings, sym: sym}
-			p.levels[i].hot, p.levels[i].resident = ix.hotPostings(sym)
+		if !ix.posted.has(sym) {
+			continue
+		}
+		p.levels[i] = levelSource{tree: ix.postings, sym: sym}
+		if j := slices.Index(p.syms[:i], sym); j >= 0 {
+			p.levels[i] = p.levels[j] // LPS repeats a label once a child
+		} else {
+			lo, hi := symRange(sym)
+			p.levels[i].run, p.levels[i].resident = ix.hotRun(ix.postings, hot.KindPostings, lo, hi, &p.images)
 		}
 	}
+	lo, hi := docidRange()
 	p.docids = docidSource{tree: ix.docid}
-	p.docids.hot, p.docids.resident = ix.hotDocIDs()
+	p.docids.run, p.docids.resident = ix.hotRun(ix.docid, hot.KindDocIDs, lo, hi, &p.images)
 	for i := range p.npsQ {
 		p.lastOcc[i] = isLastOccurrence(p.npsQ, i)
 	}
@@ -657,6 +668,7 @@ func putScratch(sc *scratch) {
 		sc.pattern = twig.Pattern{}
 	}
 	clear(sc.plan.levels)
+	clear(sc.plan.images)
 	sc.plan.docids, sc.plan.edges = docidSource{}, nil
 	sc.walk = descent{}
 	sc.view = docstore.View{}
@@ -799,7 +811,7 @@ func (st *matchStage) pack(dst *MatchBuf) []Match {
 }
 
 // scanLevel is Algorithm 1's range query (ql, qr] at query level i, the one
-// place a hot list and a B+-tree are told apart: it fills sc.hits[i] and
+// place hot leaf images and a B+-tree are told apart: it fills sc.hits[i] and
 // returns it. par > 1 (a walk that can spawn) warms a paged range first.
 func scanLevel(p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, par int, sp *obs.Span) ([]hit, error) {
 	src := &p.levels[i]
@@ -808,20 +820,18 @@ func scanLevel(p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, pa
 		return hits, nil
 	}
 	stats.RangeQueries++
+	visit := func(_ uint32, left, right uint64, level uint32) bool {
+		hits = append(hits, hit{left: left, right: right, level: level})
+		return true
+	}
 	var err error
 	if src.resident {
 		stats.HotPostingHits++
-		src.hot.Scan(ql, qr, false, true, func(l, r uint64, lvl uint32) bool {
-			hits = append(hits, hit{left: l, right: r, level: lvl})
-			return true
-		})
+		src.run.ScanPostings(hot.Key{Sym: uint32(src.sym), Left: ql}, hot.Key{Sym: uint32(src.sym), Left: qr}, false, true, visit)
 	} else {
 		lo, hi := postingKey(src.sym, ql), postingKey(src.sym, qr)
 		prefetch(src.tree, lo[:], hi[:], false, par, sp)
-		err = src.tree.ScanPostings(lo[:], hi[:], false, true, func(_ uint32, left, right uint64, level uint32) bool {
-			hits = append(hits, hit{left: left, right: right, level: level})
-			return true
-		})
+		err = src.tree.ScanPostings(lo[:], hi[:], false, true, visit)
 	}
 	sc.hits[i] = hits // keep the grown buffer for the level's next range query
 	return hits, err
@@ -834,8 +844,9 @@ func (ix *Index) scanDocIDs(p *plan, opts *MatchOptions, left, right uint64, sta
 	par int, sp *obs.Span, emit func(docID uint32) error) error {
 	stats.RangeQueries++
 	var emitErr error
-	visit := func(term uint64, id uint32) bool {
-		if !ix.visibleAt(id, term, opts.AsOf) {
+	visit := func(term uint64, id uint32, tomb uint64) bool {
+		// Tombstones ride in the same tree.
+		if tomb != 0 || !ix.visibleAt(id, term, opts.AsOf) {
 			return true
 		}
 		emitErr = emit(id)
@@ -843,16 +854,12 @@ func (ix *Index) scanDocIDs(p *plan, opts *MatchOptions, left, right uint64, sta
 	}
 	if p.docids.resident {
 		stats.HotPostingHits++
-		p.docids.hot.Scan(left, right, true, true, visit)
+		p.docids.run.ScanDocIDs(hot.Key{Left: left}, hot.Key{Left: right}, true, true, visit)
 		return emitErr
 	}
 	lo, hi := btree.KeyUint64(left), btree.KeyUint64(right)
 	prefetch(p.docids.tree, lo, hi, true, par, sp)
-	err := p.docids.tree.ScanDocIDs(lo, hi, true, true, func(term uint64, id uint32, tomb uint64) bool {
-		// Tombstones ride in the same tree.
-		return tomb != 0 || visit(term, id)
-	})
-	if err != nil {
+	if err := p.docids.tree.ScanDocIDs(lo, hi, true, true, visit); err != nil {
 		return err
 	}
 	return emitErr

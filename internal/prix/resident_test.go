@@ -14,7 +14,7 @@ import (
 )
 
 // residentSwissprot builds a SWISSPROT EPIndex whose hot tier holds every
-// posting list and the docid list, and returns it with the dataset's planted
+// leaf of its postings and Docid trees, and returns it with the dataset's planted
 // queries.
 func residentSwissprot(tb testing.TB) (*Index, []datagen.QuerySpec) {
 	tb.Helper()
@@ -24,9 +24,7 @@ func residentSwissprot(tb testing.TB) (*Index, []datagen.QuerySpec) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { ix.Close() })
-	if st := ix.HotStats(); st.Tier.Evictions != 0 || st.Tier.Items < len(ds.Docs) {
-		tb.Fatalf("tier not fully resident: %+v", st)
-	}
+	checkWholeTier(tb, "Build", ix)
 	return ix, ds.Queries
 }
 

@@ -647,11 +647,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"# TYPE prix_degraded_shards gauge\nprix_degraded_shards %d\n", len(st.DegradedShards()))
 	}
 	if hot := st.Hot; hot.Enabled {
-		fmt.Fprintf(w, "# HELP prix_hot_bytes Bytes resident in the compressed in-memory hot tier.\n"+
+		fmt.Fprintf(w, "# HELP prix_hot_bytes Bytes resident in the in-memory hot tier.\n"+
 			"# TYPE prix_hot_bytes gauge\nprix_hot_bytes %d\n", hot.Tier.Bytes)
 		fmt.Fprintf(w, "# HELP prix_hot_budget_bytes Configured hot-tier byte budget.\n"+
 			"# TYPE prix_hot_budget_bytes gauge\nprix_hot_budget_bytes %d\n", hot.Tier.Budget)
-		fmt.Fprintf(w, "# HELP prix_hot_items Structures resident in the hot tier.\n"+
+		fmt.Fprintf(w, "# HELP prix_hot_items B+-tree leaves (postings and Docid) resident in the hot tier.\n"+
 			"# TYPE prix_hot_items gauge\nprix_hot_items %d\n", hot.Tier.Items)
 		fmt.Fprintf(w, "# HELP prix_hot_hits_total Lookups served from the hot tier.\n"+
 			"# TYPE prix_hot_hits_total counter\nprix_hot_hits_total %d\n", hot.Tier.Hits)
@@ -746,7 +746,7 @@ type StatsSnapshot struct {
 	Shards         []prix.ShardStats `json:"shards,omitempty"`
 	// Compaction is present when a background compactor is attached.
 	Compaction *compact.Stats `json:"compaction,omitempty"`
-	// Hot is present when the backend serves from a compressed in-memory
+	// Hot is present when the backend serves from an in-memory
 	// hot tier (prix.Options.HotBudget > 0): residency and hit counters.
 	Hot *prix.HotStats `json:"hot,omitempty"`
 	// Versions is present when the backend carries MVCC version state:
