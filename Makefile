@@ -159,10 +159,10 @@ sched:
 # directory entry and a resident LPS entry (TestShapeBytesPerShape: MIX's 787
 # shapes in a few objects, accounted bytes equal to heap bytes, ≤ 1.8 B per
 # LPS entry), of a hot-tier leaf (TestTierBytesPerStructure: a MIX-shaped
-# tier of 55 leaf images in at most 16 objects, ≤ 90 B a leaf beyond its
-# 8,176-byte image) and of a hot-tier posting on the MIX index itself
-# (TestHotTierBytesPerPosting: HotStats().Tier.Bytes, 51 leaves, ≤ 4.8 B a
-# posting), and
+# tier of 55 leaf images in at most 16 objects, ≤ 300 B a leaf beyond its
+# 8,176-byte image: slot, parsed header, order cell) and of a hot-tier
+# posting on the MIX index itself (TestHotTierBytesPerPosting:
+# HotStats().Tier.Bytes, 51 leaves, ≤ 4.9 B a posting), and
 # the dictionary's allocation-free hits (TestDictLookupAllocs) and the shape
 # dictionary's (TestShapeInternAllocs: a Put of a known shape allocates 0).
 # -count=1 so a cached pass never stands in for a run; an allocation regression

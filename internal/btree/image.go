@@ -122,51 +122,56 @@ func (t *Tree) LeavesNoFill(from LeafKey, docIDs bool, fn func(data []byte, lo, 
 	return err
 }
 
-// Image is a leaf image parsed for scans within one key range: the bytes of
-// a packed leaf held outside the pool, and the cells among them that hold
-// the range's keys.
+// Image is a parsed leaf image: the bytes of a packed leaf held outside the
+// pool, its header decoded once. Nothing writes to it after ParseImage, so
+// any number of scans may share it.
 type Image struct {
-	leaf     packedLeaf
-	from, to int
+	leaf packedLeaf
+	n    int // cells
 }
 
-// ParseImage parses image, a packed leaf, for scans of keys within [lo, hi]:
-// a scan over a symbol's range then searches and compares that symbol's
-// cells only.
-func ParseImage(image []byte, lo, hi LeafKey) (im Image) {
-	l := &im.leaf
-	l.parse(image)
-	im.to = pageNumKeys(image)
-	if im.to == 0 {
-		return im
-	}
-	first, last := l.entry(0), l.entry(im.to-1)
-	if k := l.ly.entryOf(hi); l.compareKey(&k, &last) < 0 {
-		im.to = l.searchKey(&k, 1, 0, im.to)
-	}
-	if k := l.ly.entryOf(lo); l.compareKey(&k, &first) > 0 {
-		im.from = l.searchKey(&k, 0, 0, im.to)
-	}
+// ParseImage parses image, a packed leaf.
+func ParseImage(image []byte) (im Image) {
+	im.leaf.parse(image)
+	im.n = pageNumKeys(image)
 	return im
 }
 
-// ScanPostings is ScanPostings over the image, with the bounds given as key
-// fields; they must lie within the range the image was parsed for. more
-// reports that the range may go on into the next leaf. It panics on an
-// image of another layout.
-func (im *Image) ScanPostings(lo, hi LeafKey, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) (more bool) {
-	return im.scan(postingsLayout, lo, hi, loIncl, hiIncl, visitor{posting: fn})
+// Span returns the cells [from, to) of the image that hold the keys in
+// [lo, hi], searching only the ends that need it: cutLo when lo may lie past
+// the image's first cell, cutHi when hi may lie before its last. A scan of a
+// range within [lo, hi] needs no other cell, and one over a symbol's span
+// searches that symbol's cells only.
+func (im *Image) Span(lo, hi LeafKey, cutLo, cutHi bool) (from, to int) {
+	l, to := &im.leaf, im.n
+	if cutHi {
+		k := l.ly.entryOf(hi)
+		to = l.searchKey(&k, 1, 0, to)
+	}
+	if cutLo {
+		k := l.ly.entryOf(lo)
+		from = l.searchKey(&k, 0, 0, to)
+	}
+	return from, to
 }
 
-// ScanDocIDs is ScanPostings for a Docid leaf: ScanDocIDs over the image.
-func (im *Image) ScanDocIDs(lo, hi LeafKey, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) (more bool) {
-	return im.scan(docIDLayout, lo, hi, loIncl, hiIncl, visitor{docID: fn})
+// ScanPostings is ScanPostings over cells [from, to) of the image, with the
+// bounds given as key fields. more reports that the range may go on past
+// cell to. It panics on an image of another layout.
+func (im *Image) ScanPostings(from, to int, lo, hi LeafKey, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) (more bool) {
+	return im.scan(postingsLayout, from, to, lo, hi, loIncl, hiIncl, visitor{posting: fn})
 }
 
-func (im *Image) scan(ly *packedLayout, lo, hi LeafKey, loIncl, hiIncl bool, fn visitor) bool {
+// ScanDocIDs is ScanPostings for a Docid leaf: ScanDocIDs over cells
+// [from, to) of the image.
+func (im *Image) ScanDocIDs(from, to int, lo, hi LeafKey, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) (more bool) {
+	return im.scan(docIDLayout, from, to, lo, hi, loIncl, hiIncl, visitor{docID: fn})
+}
+
+func (im *Image) scan(ly *packedLayout, from, to int, lo, hi LeafKey, loIncl, hiIncl bool, fn visitor) bool {
 	if im.leaf.ly != ly {
 		panic("btree: a scan of " + ly.entries + " entries over another layout's leaf image")
 	}
 	l, h := ly.entryOf(lo), ly.entryOf(hi)
-	return im.leaf.scanFields(im.from, im.to, &l, &h, loIncl, hiIncl, fn)
+	return im.leaf.scanFields(from, to, &l, &h, loIncl, hiIncl, fn)
 }

@@ -28,9 +28,9 @@ type Key = btree.LeafKey
 // maxKey orders after every key.
 var maxKey = Key{Sym: math.MaxUint32, Left: math.MaxUint64}
 
-// slotBytes is what a resident leaf costs beyond its payload: its slot and
-// its cell in its tree's order.
-const slotBytes = int64(unsafe.Sizeof(slot{})) + 4
+// slotBytes is what a resident leaf costs beyond its payload: its slot, its
+// parsed header and its cell in its tree's order.
+const slotBytes = int64(unsafe.Sizeof(slot{})+unsafe.Sizeof(btree.Image{})) + 4
 
 // slot is one resident leaf's bookkeeping: the key range it covers (see
 // btree.Tree.LeavesNoFill), where its image lies and where it sits in the
@@ -108,6 +108,10 @@ type Tier struct {
 	items  int
 	slots  []slot // slots[0] heads the LRU list: its next is the most recently used
 	free   int32  // first free slot, chained through next; 0 when none
+	// parsed[i] is resident slot i's image with its header decoded, what a
+	// Run points at. Runs share it, so it is never written in place: every
+	// change makes a new slab.
+	parsed []btree.Image
 	// order[k] is tree k's resident slots by key. Their ranges never
 	// overlap, so they are ordered by hi as well.
 	order [kinds][]int32
@@ -120,7 +124,9 @@ type Tier struct {
 
 // NewTier returns a tier with the given byte budget (> 0). Its unit is a
 // leaf, one page: a budget below a page admits nothing.
-func NewTier(budget int64) *Tier { return &Tier{budget: budget, slots: make([]slot, 1)} }
+func NewTier(budget int64) *Tier {
+	return &Tier{budget: budget, slots: make([]slot, 1), parsed: make([]btree.Image, 1)}
+}
 
 // pushFront links resident slot i in as the most recently used.
 func (t *Tier) pushFront(i int32) {
@@ -170,8 +176,21 @@ func (t *Tier) drop(i int32) {
 // tidy repacks the arena when the last drops left it holey.
 func (t *Tier) tidy() {
 	if t.arena.holey() {
-		t.arena.repack(t.slots)
+		t.repack()
 	}
+}
+
+// repack repacks the arena and parses every resident image anew, into a
+// fresh slab.
+func (t *Tier) repack() {
+	t.arena.repack(t.slots)
+	parsed := make([]btree.Image, len(t.slots))
+	for i := range t.slots {
+		if s := &t.slots[i]; s.resident {
+			parsed[i] = btree.ParseImage(t.arena.view(s))
+		}
+	}
+	t.parsed = parsed
 }
 
 // Run is a key range's resident leaf images in key order, as Tier.Run
@@ -180,12 +199,13 @@ func (t *Tier) tidy() {
 // evicts, invalidates or repacks meanwhile.
 type Run []Image
 
-// Image is one leaf of a Run: its image parsed for the run's range, and the
-// key its keys stay at or below.
+// Image is one leaf of a Run: its parsed image, the cells [from, to) that
+// hold keys of the run's range, and the key its keys stay at or below.
 type Image struct {
-	leaf btree.Image
-	hi   Key
-	last bool
+	leaf     *btree.Image
+	from, to int32
+	hi       Key
+	last     bool
 }
 
 // from returns the index of the first image that may hold lo or a key after
@@ -204,7 +224,7 @@ func (r Run) from(lo Key) int {
 // lie within the key range the run was resolved for.
 func (r Run) ScanPostings(lo, hi Key, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) {
 	for i := r.from(lo); i < len(r); i++ {
-		if !r[i].leaf.ScanPostings(lo, hi, loIncl, hiIncl, fn) {
+		if !r[i].leaf.ScanPostings(int(r[i].from), int(r[i].to), lo, hi, loIncl, hiIncl, fn) {
 			return
 		}
 	}
@@ -214,7 +234,7 @@ func (r Run) ScanPostings(lo, hi Key, loIncl, hiIncl bool, fn func(sym uint32, l
 // over the run, tombstones included.
 func (r Run) ScanDocIDs(lo, hi Key, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) {
 	for i := r.from(lo); i < len(r); i++ {
-		if !r[i].leaf.ScanDocIDs(lo, hi, loIncl, hiIncl, fn) {
+		if !r[i].leaf.ScanDocIDs(int(r[i].from), int(r[i].to), lo, hi, loIncl, hiIncl, fn) {
 			return
 		}
 	}
@@ -240,8 +260,9 @@ func (t *Tier) Run(kind Kind, lo, hi Key, dst Run) (Run, bool) {
 func (t *Tier) run(kind Kind, lo, hi Key, dst Run) (Run, bool) {
 	span, ok := t.span(kind, lo, hi)
 	for _, i := range span {
-		s := &t.slots[i]
-		dst = append(dst, Image{leaf: btree.ParseImage(t.arena.view(s), lo, hi), hi: s.hi, last: s.last})
+		s, im := &t.slots[i], &t.parsed[i]
+		from, to := im.Span(lo, hi, s.lo.Less(lo), !s.last && hi.Less(s.hi))
+		dst = append(dst, Image{leaf: im, from: int32(from), to: int32(to), hi: s.hi, last: s.last})
 		t.touch(i)
 	}
 	return dst, ok
@@ -328,7 +349,7 @@ func (t *Tier) add(l leaf, evict bool) bool {
 	}
 	t.tidy()
 	if int64(len(t.arena.buf)+len(l.image)) > math.MaxUint32 {
-		t.arena.repack(t.slots)
+		t.repack()
 	}
 	n := t.free
 	if n != 0 {
@@ -339,6 +360,10 @@ func (t *Tier) add(l leaf, evict bool) bool {
 	}
 	t.slots[n] = slot{lo: l.lo, hi: l.hi, last: l.last, kind: l.kind, resident: true,
 		off: t.arena.put(l.image), n: uint32(len(l.image))}
+	parsed := make([]btree.Image, len(t.slots))
+	copy(parsed, t.parsed)
+	parsed[n] = btree.ParseImage(t.arena.view(&t.slots[n]))
+	t.parsed = parsed
 	ord = t.order[l.kind]
 	at := sort.Search(len(ord), func(j int) bool { return l.lo.Less(t.slots[ord[j]].lo) })
 	t.order[l.kind] = slices.Insert(ord, at, n)
@@ -425,6 +450,7 @@ func (t *Tier) InvalidateAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.slots, t.free = make([]slot, 1), 0
+	t.parsed = make([]btree.Image, 1)
 	t.order = [kinds][]int32{}
 	t.arena = arena{}
 	t.bytes, t.items = 0, 0
@@ -436,7 +462,7 @@ func (t *Tier) InvalidateAll() {
 func (t *Tier) Trim() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.arena.repack(t.slots)
+	t.repack()
 	t.slots = slices.Clone(t.slots)
 	for k := range t.order {
 		t.order[k] = slices.Clone(t.order[k])

@@ -533,7 +533,7 @@ func TestPreloadCountsNoLookups(t *testing.T) {
 // TestHotTierBytesPerPosting bounds what the tier charges on the benchmark's
 // MIX index: its 96,004 postings in 48 postings leaves and its 6,000 docid
 // entries in 3 Docid leaves, whole pages and per-leaf bookkeeping together,
-// come to 420,036 B, 4.38 B a posting (the per-symbol lists it held before
+// come to 429,420 B, 4.47 B a posting (the per-symbol lists it held before
 // took 7.02 B, and raw 20-byte entries 23.4). The bound leaves 10 %
 // headroom.
 func TestHotTierBytesPerPosting(t *testing.T) {
@@ -546,7 +546,7 @@ func TestHotTierBytesPerPosting(t *testing.T) {
 	postings, st := postingCount(t, ix), ix.HotStats().Tier
 	per := float64(st.Bytes) / float64(postings)
 	t.Logf("%d postings: tier charges %d B for %d leaves, %.2f B a posting", postings, st.Bytes, st.Items, per)
-	if per > 4.8 {
-		t.Errorf("the tier charges %.2f B a posting, want ≤ 4.8", per)
+	if per > 4.9 {
+		t.Errorf("the tier charges %.2f B a posting, want ≤ 4.9", per)
 	}
 }
