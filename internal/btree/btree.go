@@ -511,7 +511,7 @@ func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bo
 	var s leafScan
 	defer s.release()
 	for {
-		more, err := s.visit(p.Data, 0, pageNumKeys(p.Data), lo, hi, loIncl, hiIncl, fn)
+		more, err := s.visit(p.Data, lo, hi, loIncl, hiIncl, fn)
 		// Page 0 is the forest meta page, never a leaf, so a zero next
 		// means "no next leaf".
 		next := pageExtra(p.Data)
@@ -526,9 +526,7 @@ func (t *Tree) scanLeaves(p pager.Page, lo, hi []byte, loIncl, hiIncl, noFill bo
 	}
 }
 
-// leafScan is what a range scan decodes the leaves it visits with. Pool
-// frames (scanLeaves) and leaf images held outside the pool
-// (ScanPostingsImage, ScanDocIDsImage) go through the same visit. The
+// leafScan is what a range scan decodes the leaves it visits with. The
 // bounds and the visitor stay out of it: fn sees entries decoded into dec,
 // so whatever dec's holder points at escapes, and a visitor kept beside it
 // would be allocated on every scan.
@@ -547,16 +545,17 @@ func (s *leafScan) release() {
 	}
 }
 
-// visit hands fn the entries among cells from to to of the leaf data, from
-// the first at or past lo (nil: from cell from) while they stay within hi.
-// A visitor of fields over a packed leaf, with bounds that are keys of its
-// layout, runs the leaf's scanFields as a leaf image's scan does; otherwise
+// visit hands fn the entries of the leaf data from the first at or past lo
+// (nil: from its first) while they stay within hi. A visitor of fields over
+// a packed leaf, with bounds that are keys of its layout, runs the leaf's
+// scanFields, as a scan of a leaf image held outside the pool (Image) does;
+// otherwise
 // packed leaves are decoded entry by entry — for fn.entry into the one
 // pooled buffer, which it sees for the callback only. more reports that the
 // range goes on into the next leaf: no entry passed hi and fn asked for
 // more. A visitor of fields gets an error for a leaf that is not a packed
 // leaf of its layout.
-func (s *leafScan) visit(data []byte, from, to int, lo, hi []byte, loIncl, hiIncl bool, fn visitor) (more bool, err error) {
+func (s *leafScan) visit(data, lo, hi []byte, loIncl, hiIncl bool, fn visitor) (more bool, err error) {
 	var packed *packedLeaf
 	if ly := fn.layout(); ly != nil {
 		if packedLayoutOf(pageKind(data)) != ly {
@@ -572,7 +571,7 @@ func (s *leafScan) visit(data []byte, from, to int, lo, hi []byte, loIncl, hiInc
 			if hi != nil {
 				hk, hp = ly.parseKey(hi), &hk
 			}
-			return s.leaf.scanFields(from, to, lp, hp, loIncl, hiIncl, fn), nil
+			return s.leaf.scanFields(0, pageNumKeys(data), lp, hp, loIncl, hiIncl, fn), nil
 		}
 	}
 	if isPacked(pageKind(data)) {
@@ -582,19 +581,15 @@ func (s *leafScan) visit(data []byte, from, to int, lo, hi []byte, loIncl, hiInc
 			s.dec = decodeBufs.Get().(*[packedEntryLen]byte)
 		}
 	}
-	start := from
+	start := 0
 	if lo != nil {
 		above := 1
 		if loIncl {
 			above = 0
 		}
-		if packed != nil {
-			start = packed.search(lo, above, from, to)
-		} else {
-			start = leafSearch(data, nil, lo, above)
-		}
+		start = leafSearch(data, packed, lo, above)
 	}
-	for i := start; i < to; i++ {
+	for i, num := start, pageNumKeys(data); i < num; i++ {
 		var (
 			k, v []byte
 			e    packedEntry

@@ -9,8 +9,8 @@ import (
 
 // A leaf image is the bytes of one packed leaf held outside the buffer pool,
 // as the hot tier keeps them (internal/hot): LeavesNoFill hands them out with
-// the key range each covers, and ScanPostingsImage and ScanDocIDsImage scan
-// them with the same per-leaf visit a Scan runs over a pool frame.
+// the key range each covers, and an Image scans them with the cell loop a
+// ScanPostings or ScanDocIDs runs over a pool frame (scanFields).
 
 // LeafKey is a packed leaf's key as numbers: a posting key's symbol and
 // Left, or a Docid key's terminal LeftPos with Sym 0. Keys order as

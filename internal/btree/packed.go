@@ -276,14 +276,15 @@ func (l *packedLeaf) parse(data []byte) {
 	l.base = ly.bases(data)
 }
 
-// search is leafSearch on cells lo to hi of a packed leaf. A key of the
-// layout's length is compared as the fields it encodes (searchKey); any
-// other key with the cell's encoding.
-func (l *packedLeaf) search(key []byte, above, lo, hi int) int {
+// search is leafSearch on a packed leaf of hi cells. A key of the layout's
+// length is compared as the fields it encodes (searchKey); any other key
+// with the cell's encoding.
+func (l *packedLeaf) search(key []byte, above, hi int) int {
 	if len(key) == l.ly.keyLen {
 		k := l.ly.parseKey(key)
-		return l.searchKey(&k, above, lo, hi)
+		return l.searchKey(&k, above, 0, hi)
 	}
+	lo := 0
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		var buf [packedKeyLen]byte
@@ -674,7 +675,7 @@ func (t *Tree) insertPacked(p pager.Page, key, val []byte) ([]childRef, error) {
 		return nil, l.ly.notEntry(key, val)
 	}
 	num := pageNumKeys(data)
-	pos := l.search(key, 1, 0, num)
+	pos := l.search(key, 1, num)
 	if num < maxPackedCells && uint(num+1)*l.width <= l.ly.cellBits && l.holds(e) {
 		off := uint(pos) * l.width
 		moveBitsUp(l.cells, off, uint(num-pos)*l.width, l.width)

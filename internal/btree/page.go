@@ -190,7 +190,7 @@ func leafSearch(data []byte, l *packedLeaf, key []byte, above int) int {
 			l = new(packedLeaf)
 			l.parse(data)
 		}
-		return l.search(key, above, 0, hi)
+		return l.search(key, above, hi)
 	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

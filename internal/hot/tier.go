@@ -95,10 +95,10 @@ func (a *arena) holey() bool { return len(a.buf)-a.live > a.live/2 }
 // Tier is the budgeted cache: verbatim images of the postings and Docid
 // trees' packed leaves under one byte budget with LRU demotion. Each image
 // keeps the key range its leaf covers, and a key range is resident when
-// every leaf it spans is (Run). Its state is a handful of pointer-free
-// arrays: one slot slab whose int32 links form the LRU list, each tree's
-// resident slots in key order, and one append-only arena holding every
-// image. All methods are safe for concurrent use: the tier's mutex orders
+// every leaf it spans is (Run). Its state is a handful of arrays: one
+// pointer-free slot slab whose int32 links form the LRU list, each tree's
+// resident slots in key order, one append-only arena holding every image,
+// and one slab of the images' parsed headers. All methods are safe for concurrent use: the tier's mutex orders
 // every touch of its bookkeeping, and readers scan the Runs it hands out
 // without it.
 type Tier struct {
