@@ -39,14 +39,6 @@ func (ly *packedLayout) leafKey(e packedEntry) LeafKey {
 	return LeafKey{Left: e[0]}
 }
 
-// layoutFor is the Docid layout with docIDs set, else the postings layout.
-func layoutFor(docIDs bool) *packedLayout {
-	if docIDs {
-		return docIDLayout
-	}
-	return postingsLayout
-}
-
 // checkLeaf reports an error for data unless it is a packed leaf of layout
 // ly.
 func checkLeaf(data []byte, ly *packedLayout) error {
@@ -84,7 +76,10 @@ func firstKey(data []byte, ly *packedLayout) (LeafKey, error) {
 // The bounds are the routing bounds Insert descends by as long as the tree
 // takes no Delete: a leaf's first key is then the separator before it.
 func (t *Tree) LeavesNoFill(from LeafKey, docIDs bool, fn func(data []byte, lo, hi LeafKey, last bool) bool) error {
-	ly := layoutFor(docIDs)
+	ly := postingsLayout
+	if docIDs {
+		ly = docIDLayout
+	}
 	var kb [packedKeyLen]byte
 	p, first, err := t.descend(ly.putKey(ly.entryOf(from), &kb), true, true)
 	if err != nil {

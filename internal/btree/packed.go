@@ -339,6 +339,10 @@ func (l *packedLeaf) searchKey(k *packedEntry, above, lo, hi int) int {
 // nil lo) while they stay within hi (a nil hi bounds nothing), the bounds
 // given as key fields. It reports whether the range goes on past cell to.
 func (l *packedLeaf) scanFields(from, to int, lo, hi *packedEntry, loIncl, hiIncl bool, fn visitor) bool {
+	if l.twoKeys && lo != nil && hi != nil && lo[0] == hi[0] && fn.posting != nil && l.width <= bitpack.MaxWindow &&
+		from < to && l.field(from, 0) == lo[0] && l.field(to-1, 0) == lo[0] {
+		return l.scanLefts(from, to, uint32(lo[0]), lo[1], hi[1], loIncl, hiIncl, fn.posting)
+	}
 	if lo != nil {
 		above := 1
 		if loIncl {
@@ -360,6 +364,31 @@ func (l *packedLeaf) scanFields(from, to int, lo, hi *packedEntry, loIncl, hiInc
 			more = fn.docID(e[0], uint32(e[1]), e[2])
 		}
 		if !more {
+			return false
+		}
+	}
+	return true
+}
+
+// scanLefts is scanFields over cells that all hold one symbol, a span of
+// one symbol's postings: it searches and bounds their Lefts alone, as a
+// list of that symbol's postings would, one load a cell.
+func (l *packedLeaf) scanLefts(from, to int, sym uint32, lo, hi uint64, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) bool {
+	cells, width := l.cells, l.width
+	b1, o1, m1 := l.base[1], l.off[1], l.mask[1]
+	for j := to; from < j; {
+		h := int(uint(from+j) >> 1)
+		if left := b1 + bitpack.Window(cells, uint(h)*width)>>o1&m1; left < lo || left == lo && !loIncl {
+			from = h + 1
+		} else {
+			j = h
+		}
+	}
+	b2, o2, m2, b3, o3, m3 := l.base[2], l.off[2], l.mask[2], l.base[3], l.off[3], l.mask[3]
+	for i := from; i < to; i++ {
+		x := bitpack.Window(cells, uint(i)*width)
+		left := b1 + x>>o1&m1
+		if left > hi || left == hi && !hiIncl || !fn(sym, left, left+(b2+x>>o2&m2), uint32(b3+x>>o3&m3)) {
 			return false
 		}
 	}
