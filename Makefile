@@ -131,7 +131,9 @@ sched:
 # ScanPostings and ScanDocIDs), a range scan of a bit-packed posting list
 # (TestScanAllocs: 0, narrow and wide cells), a slotted leaf split (a few objects, not one a cell), a record
 # decoded into a sized destination, a Match resident and paged, on one
-# goroutine and at Parallelism 4, a trace, the nil span API, a canonical query string,
+# goroutine and at Parallelism 4 (TestPagedMatchAllocs also runs
+# //S[./NP]/NN on MIX, 16,020 range queries through level cursors whose page
+# buffers stay in the pooled scratch: 3 objects, 0 into a lent buffer), a trace, the nil span API, a canonical query string,
 # a parsed query (TestParseAllocs: two objects up to 16 nodes), one POST /query
 # through the handler on a resident index (TestHandleQueryAllocs: the pooled
 # deadline, body buffer and trace, the one-slab parse, the pattern compiled
@@ -201,10 +203,13 @@ benchmark-module:
 # bytes and invalid UTF-8 in the query and shard names, nil and empty
 # images, degraded shards, quarantined ids, trace trees); and Match itself
 # against the brute-force oracle over random twigs and seeded random corpora
-# (FuzzMatchOracle: EP and RP, Parallelism 1 and 4, ordered and unordered),
+# (FuzzMatchOracle: EP and RP, Parallelism 1 and 4, ordered and unordered,
+# and an EPIndex of two postings leaves behind an eight-frame pool and a
+# one-leaf hot tier, where level cursors mix resident and paged leaves),
 # and the write path against the same oracle: random inserts, updates,
 # patches and deletes on a Build output, a compaction, more writes, every
-# retained AS OF version checked (FuzzDynamicOracle).
+# retained AS OF version checked, behind an eight-frame pool and a one-leaf
+# tier (FuzzDynamicOracle).
 # -fuzzminimizetime bounds the minimization of each new interesting input
 # (60 s by default): with it unbounded both workers sat minimizing from
 # 9-12 s to the end of the 30 s budget, "execs: … (0/sec)", and

@@ -4,13 +4,16 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bitpack"
 	"repro/internal/pager"
 )
 
-// A leaf image is the bytes of one packed leaf held outside the buffer pool,
-// as the hot tier keeps them (internal/hot): LeavesNoFill hands them out with
-// the key range each covers, and an Image scans them with the cell loop a
-// ScanPostings or ScanDocIDs runs over a pool frame (scanFields).
+// A leaf image is the bytes of one packed leaf held outside the buffer pool:
+// the hot tier keeps them (internal/hot), LeavesNoFill handing them out with
+// the key range each covers, and a query's level cursor copies the leaf it
+// stands on into a LeafCopy (SeekLeaf, NextLeaf). An Image scans them with
+// the search and cell loop a ScanPostings or ScanDocIDs runs over a pool
+// frame (seek, visitFrom), and its Seek gallops a cursor forward.
 
 // LeafKey is a packed leaf's key as numbers: a posting key's symbol and
 // Left, or a Docid key's terminal LeftPos with Sym 0. Keys order as
@@ -150,23 +153,123 @@ func (im *Image) Span(lo, hi LeafKey, cutLo, cutHi bool) (from, to int) {
 	return from, to
 }
 
-// ScanPostings is ScanPostings over cells [from, to) of the image, with the
-// bounds given as key fields. more reports that the range may go on past
-// cell to. It panics on an image of another layout.
-func (im *Image) ScanPostings(from, to int, lo, hi LeafKey, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) (more bool) {
-	return im.scan(postingsLayout, from, to, lo, hi, loIncl, hiIncl, visitor{posting: fn})
+// Len returns the image's cell count.
+func (im *Image) Len() int { return im.n }
+
+// Seek returns the first of cells [lo, to) whose key lies past k — at or
+// past k with incl — for a cursor at cell at. Over narrow cells ordered by
+// one key field — a Docid leaf's, or a span of one symbol's postings, on
+// Left — it gallops forward from at when the cell before at lies before k
+// (gallopField), so a window that starts where the last one stopped, or a
+// few cells on, costs a load or a few, and searches [lo, at) when the
+// window went back; other cells it searches whole.
+func (im *Image) Seek(lo, at, to int, k LeafKey, incl bool) int {
+	l, e := &im.leaf, im.leaf.ly.entryOf(k)
+	switch {
+	case l.oneSymbol(lo, to, e[0]):
+		return l.gallopField(1, e[1], incl, lo, at, to)
+	case !l.twoKeys && l.width <= bitpack.MaxWindow && lo < to:
+		return l.gallopField(0, e[0], incl, lo, at, to)
+	}
+	return l.seek(&e, incl, lo, to)
 }
 
-// ScanDocIDs is ScanPostings for a Docid leaf: ScanDocIDs over cells
-// [from, to) of the image.
-func (im *Image) ScanDocIDs(from, to int, lo, hi LeafKey, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) (more bool) {
-	return im.scan(docIDLayout, from, to, lo, hi, loIncl, hiIncl, visitor{docID: fn})
+// ScanPostingsFrom hands fn the postings of cells [from, to) while their
+// keys stay at or below hi (below hi without hiIncl), with no lower bound:
+// Seek has placed from. It returns the first cell fn was not handed and
+// whether the range may go on past cell to. It panics on an image of
+// another layout.
+func (im *Image) ScanPostingsFrom(from, to int, hi LeafKey, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) (stop int, more bool) {
+	return im.visit(postingsLayout, from, to, hi, hiIncl, visitor{posting: fn})
 }
 
-func (im *Image) scan(ly *packedLayout, from, to int, lo, hi LeafKey, loIncl, hiIncl bool, fn visitor) bool {
+// ScanDocIDsFrom is ScanPostingsFrom for a Docid leaf, tombstones
+// included.
+func (im *Image) ScanDocIDsFrom(from, to int, hi LeafKey, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) (stop int, more bool) {
+	return im.visit(docIDLayout, from, to, hi, hiIncl, visitor{docID: fn})
+}
+
+func (im *Image) visit(ly *packedLayout, from, to int, hi LeafKey, hiIncl bool, fn visitor) (int, bool) {
 	if im.leaf.ly != ly {
 		panic("btree: a scan of " + ly.entries + " entries over another layout's leaf image")
 	}
-	l, h := ly.entryOf(lo), ly.entryOf(hi)
-	return im.leaf.scanFields(from, to, &l, &h, loIncl, hiIncl, fn)
+	h := ly.entryOf(hi)
+	return im.leaf.visitFrom(from, to, &h, hiIncl, fn)
+}
+
+// LeafCopy is a packed leaf copied out of its pool frame, parsed, with the
+// bounds a cursor moves by: a range-query cursor holds one between range
+// queries where it would otherwise hold a pin, so a query pins no page
+// between two of its scans however many levels it keeps a leaf at. Its
+// buffer is reused by every copy after the first.
+type LeafCopy struct {
+	im   Image
+	buf  []byte
+	lo   LeafKey
+	next uint32 // the next leaf's page; 0 for the tree's last leaf
+}
+
+// Image returns the copied leaf's parsed image.
+func (c *LeafCopy) Image() *Image { return &c.im }
+
+// Lo returns the leaf's lower bound, as LeavesNoFill gives it: its first
+// key, or the zero key for the tree's first leaf. No leaf before it holds a
+// key past its lower bound.
+func (c *LeafCopy) Lo() LeafKey { return c.lo }
+
+// Last reports whether the leaf is the tree's last.
+func (c *LeafCopy) Last() bool { return c.next == 0 }
+
+// take copies the pinned leaf p into c and unpins it.
+func (c *LeafCopy) take(p pager.Page, lo LeafKey) {
+	c.buf = append(c.buf[:0], p.Data...)
+	c.im, c.lo, c.next = ParseImage(c.buf), lo, pageExtra(p.Data)
+	p.Unpin(false)
+}
+
+// SeekLeaf copies into c the leaf a scan of keys past k (at or past k with
+// incl) starts at, the one Scan's descent finds. The tree must hold packed
+// leaves of the Docid layout with docIDs set, else of the postings layout;
+// a leaf of another codec or layout, or one past the first that holds no
+// entry, is an error. No pin outlives the call.
+func (t *Tree) SeekLeaf(c *LeafCopy, k LeafKey, incl, docIDs bool) error {
+	ly := postingsLayout
+	if docIDs {
+		ly = docIDLayout
+	}
+	var kb [packedKeyLen]byte
+	p, first, err := t.descend(ly.putKey(ly.entryOf(k), &kb), incl, false)
+	if err != nil {
+		return err
+	}
+	var lo LeafKey
+	if first {
+		err = checkLeaf(p.Data, ly)
+	} else {
+		lo, err = firstKey(p.Data, ly)
+	}
+	if err != nil {
+		p.Unpin(false)
+		return err
+	}
+	c.take(p, lo)
+	return nil
+}
+
+// NextLeaf reads the first key of the leaf after c's, hi, which bounds c's
+// keys from above, and copies that leaf into c when hi is at most limit —
+// when it may hold a key at or below limit. It reports hi and whether c
+// moved. c must hold a leaf SeekLeaf or NextLeaf copied, not the tree's
+// last. No pin outlives the call.
+func (t *Tree) NextLeaf(c *LeafCopy, limit LeafKey) (hi LeafKey, moved bool, err error) {
+	p, err := t.forest.bp.Get(pager.PageID(c.next))
+	if err != nil {
+		return hi, false, err
+	}
+	if hi, err = firstKey(p.Data, c.im.leaf.ly); err != nil || limit.Less(hi) {
+		p.Unpin(false)
+		return hi, false, err
+	}
+	c.take(p, hi)
+	return hi, true, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/docstore"
 	"repro/internal/mvcc"
+	"repro/internal/pager"
 	"repro/internal/prix"
 	"repro/internal/twig"
 	"repro/internal/twig/twigtest"
@@ -208,7 +209,10 @@ func checkDense(t *testing.T, label string, r *Root) {
 // then more writes. At each stage every twig is checked at the latest
 // version and at every version the epoch retains: all of them before the
 // compaction, those from the compaction's on after it (a compaction folds
-// the history before it). EPIndex and RPIndex both; an input is a seed, a
+// the history before it). EPIndex and RPIndex both, opened behind a pool of
+// eight frames with a hot tier of one leaf, half the corpus's two, so the
+// postings and Docid scans mix resident and paged leaves and every write's
+// invalidation and every lazy admission interleave; an input is a seed, a
 // write count and a retention window.
 func FuzzDynamicOracle(f *testing.F) {
 	for seed := int64(1); seed <= 10; seed++ {
@@ -233,7 +237,7 @@ func FuzzDynamicOracle(f *testing.F) {
 			if err := ix.Close(); err != nil {
 				t.Fatal(err)
 			}
-			r, err := OpenRoot(dir, prix.Options{BufferPoolPages: 64})
+			r, err := OpenRoot(dir, prix.Options{BufferPoolPages: 8, HotBudget: pager.PageDataSize + 512})
 			if err != nil {
 				t.Fatal(err)
 			}

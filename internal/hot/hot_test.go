@@ -150,12 +150,14 @@ func docidRun(t testing.TB, entries []docEntry) (Run, int) {
 	return run, tr.Stats().Items
 }
 
-// scanDocIDs is what Run.ScanDocIDs visits over [lo, hi].
+// scanDocIDs is what a scan of the Docid run visits over [lo, hi].
 func scanDocIDs(r Run, lo, hi uint64, loIncl, hiIncl bool) []docEntry {
 	var got []docEntry
-	r.ScanDocIDs(Key{Left: lo}, Key{Left: hi}, loIncl, hiIncl, func(l uint64, id uint32, tomb uint64) bool {
-		got = append(got, docEntry{l, id, tomb})
-		return true
+	scanRun(r, Key{Left: lo}, loIncl, func(im *btree.Image, from, to int) (int, bool) {
+		return im.ScanDocIDsFrom(from, to, Key{Left: hi}, hiIncl, func(l uint64, id uint32, tomb uint64) bool {
+			got = append(got, docEntry{l, id, tomb})
+			return true
+		})
 	})
 	return got
 }

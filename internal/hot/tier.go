@@ -1,7 +1,6 @@
 package hot
 
 import (
-	"errors"
 	"math"
 	"slices"
 	"sort"
@@ -116,6 +115,9 @@ type Tier struct {
 	// overlap, so they are ordered by hi as well.
 	order [kinds][]int32
 	arena arena
+	// refused holds the key ranges Load found to outgrow the budget, until
+	// the next invalidation.
+	refused map[refusal]struct{}
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -199,45 +201,34 @@ func (t *Tier) repack() {
 // evicts, invalidates or repacks meanwhile.
 type Run []Image
 
-// Image is one leaf of a Run: its parsed image, the cells [from, to) that
-// hold keys of the run's range, and the key its keys stay at or below.
+// Image is one leaf of a Run: its parsed image, the cells [From, To) that
+// hold keys of the run's range, and the bounds btree.Tree.LeavesNoFill gave
+// the leaf: Lo, its first key (the zero key for the tree's first leaf), and
+// Hi, the next leaf's first key, which its keys stay at or below; Last marks
+// the tree's last leaf, which Hi bounds nothing for. Nothing may write
+// through Leaf.
 type Image struct {
-	leaf     *btree.Image
-	from, to int32
-	hi       Key
-	last     bool
+	Leaf     *btree.Image
+	From, To int32
+	Lo, Hi   Key
+	Last     bool
 }
 
-// from returns the index of the first image that may hold lo or a key after
-// it.
-func (r Run) from(lo Key) int {
-	for i := range r {
-		if r[i].last || !r[i].hi.Less(lo) {
-			return i
+// Seek returns the index of the image a scan of keys past k (at or past k
+// with incl) starts at, the leaf a descent of the tree finds: the first
+// whose next leaf starts past k (at or past k with incl), else the run's
+// last. k must lie within the key range the run was resolved for.
+func (r Run) Seek(k Key, incl bool) int {
+	lo, hi := 0, len(r)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r[mid].Last || k.Less(r[mid].Hi) || incl && k == r[mid].Hi {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return len(r)
-}
-
-// ScanPostings is btree.Tree.ScanPostings over the run, the bounds given as
-// key fields: it visits the same entries in the same order. The bounds must
-// lie within the key range the run was resolved for.
-func (r Run) ScanPostings(lo, hi Key, loIncl, hiIncl bool, fn func(sym uint32, left, right uint64, level uint32) bool) {
-	for i := r.from(lo); i < len(r); i++ {
-		if !r[i].leaf.ScanPostings(int(r[i].from), int(r[i].to), lo, hi, loIncl, hiIncl, fn) {
-			return
-		}
-	}
-}
-
-// ScanDocIDs is ScanPostings for a run of Docid leaves: btree.Tree.ScanDocIDs
-// over the run, tombstones included.
-func (r Run) ScanDocIDs(lo, hi Key, loIncl, hiIncl bool, fn func(term uint64, docID uint32, tombVersion uint64) bool) {
-	for i := r.from(lo); i < len(r); i++ {
-		if !r[i].leaf.ScanDocIDs(int(r[i].from), int(r[i].to), lo, hi, loIncl, hiIncl, fn) {
-			return
-		}
-	}
+	return lo
 }
 
 // Run appends to dst the images of tree kind's key range [lo, hi], each
@@ -262,7 +253,7 @@ func (t *Tier) run(kind Kind, lo, hi Key, dst Run) (Run, bool) {
 	for _, i := range span {
 		s, im := &t.slots[i], &t.parsed[i]
 		from, to := im.Span(lo, hi, s.lo.Less(lo), !s.last && hi.Less(s.hi))
-		dst = append(dst, Image{leaf: im, from: int32(from), to: int32(to), hi: s.hi, last: s.last})
+		dst = append(dst, Image{Leaf: im, From: int32(from), To: int32(to), Lo: s.lo, Hi: s.hi, Last: s.last})
 		t.touch(i)
 	}
 	return dst, ok
@@ -312,9 +303,14 @@ type leaf struct {
 // first. A leaf larger than the whole budget is not admitted, and a failed
 // add leaves the tier as it was.
 func (t *Tier) add(l leaf, evict bool) bool {
-	size := int64(len(l.image)) + slotBytes
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.addLocked(l, evict)
+}
+
+// addLocked is add. The caller holds mu.
+func (t *Tier) addLocked(l leaf, evict bool) bool {
+	size := int64(len(l.image)) + slotBytes
 	ord := t.order[l.kind]
 	i := t.reaching(ord, l.lo)
 	if i < len(ord) && !t.slots[ord[i]].last && t.slots[ord[i]].hi == l.lo {
@@ -373,49 +369,75 @@ func (t *Tier) add(l leaf, evict bool) bool {
 	return true
 }
 
-// errFull ends a fill at a leaf that does not fit.
-var errFull = errors.New("hot: leaf does not fit the budget")
-
-// fill admits tree's leaves from the one key lo lies in until the range
-// [lo, hi] is covered, read around the buffer pool
-// (btree.Tree.LeavesNoFill), as add does with evict. It stops at the first
-// leaf that fails to read or to fit.
-func (t *Tier) fill(tree *btree.Tree, kind Kind, lo, hi Key, evict bool) error {
-	full := false
-	err := tree.LeavesNoFill(lo, kind == KindDocIDs, func(image []byte, llo, lhi Key, last bool) bool {
-		if !t.add(leaf{kind: kind, lo: llo, hi: lhi, last: last, image: image}, evict) {
-			full = true
-			return false
-		}
-		return !last && !hi.Less(lhi) // the next leaf may hold keys up to hi
-	})
-	if err == nil && full {
-		err = errFull
-	}
-	return err
+// refusal is a key range of one tree that Load found to outgrow the budget.
+type refusal struct {
+	kind   Kind
+	lo, hi Key
 }
 
 // Load admits the leaves of tree's key range [lo, hi], read around the
-// buffer pool and demoting least-recently-used leaves to make room, and
-// then resolves the range as Run does without counting a lookup. It returns
-// dst as it was and false when the range still is not resident: a leaf
-// failed to read, or the range outgrows the budget. A query then scans the
-// tree, which reports the read error itself.
+// buffer pool, and then resolves the range as Run does without counting a
+// lookup. The range is admitted whole or not at all: its leaves are read
+// first, and only when they fit the budget together do they go in,
+// demoting least-recently-used leaves to make room, under one hold of the
+// lock, so no concurrent Load can evict a leaf of the range before it
+// resolves. A range that outgrows the budget admits nothing, evicts
+// nothing, and is marked refused: a later Load of it returns at once,
+// reading nothing, until an invalidation, the only change that can alter
+// which leaves the range spans (admissions and evictions leave the trees as
+// they are). It returns dst as it was and false when the range is not
+// resident: refused, or a leaf failed to read, in which case a query scans
+// the tree, which reports the read error itself.
 func (t *Tier) Load(tree *btree.Tree, kind Kind, lo, hi Key, dst Run) (Run, bool) {
-	if t.fill(tree, kind, lo, hi, true) != nil {
+	r := refusal{kind: kind, lo: lo, hi: hi}
+	t.mu.Lock()
+	_, refused := t.refused[r]
+	t.mu.Unlock()
+	if refused {
 		return dst, false
 	}
+	var staged []leaf
+	var charge int64
+	over := false
+	err := tree.LeavesNoFill(lo, kind == KindDocIDs, func(image []byte, llo, lhi Key, last bool) bool {
+		if charge += int64(len(image)) + slotBytes; charge > t.budget {
+			over = true
+			return false
+		}
+		staged = append(staged, leaf{kind: kind, lo: llo, hi: lhi, last: last, image: slices.Clone(image)})
+		return !last && !hi.Less(lhi) // the next leaf may hold keys up to hi
+	})
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err != nil {
+		return dst, false
+	}
+	if over {
+		if t.refused == nil {
+			t.refused = map[refusal]struct{}{}
+		}
+		t.refused[r] = struct{}{}
+		return dst, false
+	}
+	for _, l := range staged {
+		if !t.addLocked(l, true) {
+			return dst, false
+		}
+	}
 	return t.run(kind, lo, hi, dst)
 }
 
-// Preload copies every leaf of tree into the tier in key order, taking free
-// room only, and reports whether all are resident: it stops at the first
-// leaf that does not fit or fails to read. Its admissions count no hit or
-// miss.
+// Preload copies every leaf of tree into the tier in key order, read around
+// the buffer pool (btree.Tree.LeavesNoFill), taking free room only, and
+// reports whether all are resident: it stops at the first leaf that does
+// not fit or fails to read. Its admissions count no hit or miss.
 func (t *Tier) Preload(tree *btree.Tree, kind Kind) bool {
-	return t.fill(tree, kind, Key{}, maxKey, false) == nil
+	all := true
+	err := tree.LeavesNoFill(Key{}, kind == KindDocIDs, func(image []byte, lo, hi Key, last bool) bool {
+		all = t.add(leaf{kind: kind, lo: lo, hi: hi, last: last, image: image}, false)
+		return all
+	})
+	return err == nil && all
 }
 
 // Invalidate drops the resident leaves of tree kind whose range holds k: an
@@ -423,6 +445,7 @@ func (t *Tier) Preload(tree *btree.Tree, kind Kind) bool {
 func (t *Tier) Invalidate(kind Kind, k Key) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	clear(t.refused)
 	ord := t.order[kind]
 	i := t.reaching(ord, k)
 	j := i
@@ -439,6 +462,7 @@ func (t *Tier) Invalidate(kind Kind, k Key) {
 func (t *Tier) InvalidateKind(kind Kind) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	clear(t.refused)
 	for ord := t.order[kind]; len(ord) > 0; ord = t.order[kind] {
 		t.drop(ord[len(ord)-1])
 	}
@@ -454,6 +478,7 @@ func (t *Tier) InvalidateAll() {
 	t.order = [kinds][]int32{}
 	t.arena = arena{}
 	t.bytes, t.items = 0, 0
+	clear(t.refused)
 }
 
 // Trim copies every resident image into an exactly sized arena and clips

@@ -24,6 +24,7 @@ type posting struct {
 // fixture is a postings tree in memory, its leaves as the tier admits them
 // (images copied) and its entries in key order.
 type fixture struct {
+	bp     *pager.BufferPool
 	tree   *btree.Tree
 	leaves []leaf
 	posts  []posting
@@ -33,7 +34,8 @@ type fixture struct {
 // within a symbol and scopes and levels small, as a MIX index's are.
 func postingsFixture(t testing.TB, syms, per int) *fixture {
 	t.Helper()
-	f, err := btree.Open(pager.NewBufferPool(pager.NewMemFile(), 64))
+	bp := pager.NewBufferPool(pager.NewMemFile(), 64)
+	f, err := btree.Open(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func postingsFixture(t testing.TB, syms, per int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &fixture{tree: tree}
+	fx := &fixture{bp: bp, tree: tree}
 	rng := rand.New(rand.NewSource(1))
 	for s := 0; s < syms; s++ {
 		left := uint64(rng.Intn(1000))
@@ -104,11 +106,27 @@ func (fx *fixture) want(lo, hi Key) []posting {
 // scan is what a run returns for [lo, hi].
 func scan(r Run, lo, hi Key) []posting {
 	var out []posting
-	r.ScanPostings(lo, hi, true, true, func(sym uint32, left, right uint64, level uint32) bool {
-		out = append(out, posting{sym, left, right, level})
-		return true
+	scanRun(r, lo, true, func(im *btree.Image, from, to int) (int, bool) {
+		return im.ScanPostingsFrom(from, to, hi, true, func(sym uint32, left, right uint64, level uint32) bool {
+			out = append(out, posting{sym, left, right, level})
+			return true
+		})
 	})
 	return out
+}
+
+// scanRun scans the run from lo (past lo without loIncl) the
+// way a query's level cursor scans a resident run: from the image Seek
+// finds, each image's cells [From, To) from the first past lo, handed to
+// visit (a ScanPostingsFrom or ScanDocIDsFrom bounded by the range's hi)
+// until it reports the range ends.
+func scanRun(r Run, lo Key, loIncl bool, visit func(im *btree.Image, from, to int) (int, bool)) {
+	for i := r.Seek(lo, loIncl); i < len(r); i++ {
+		from, to := int(r[i].From), int(r[i].To)
+		if _, more := visit(r[i].Leaf, r[i].Leaf.Seek(from, from, to, lo, loIncl), to); !more {
+			return
+		}
+	}
 }
 
 // leafBytes is what the tier charges for one of the fixture's leaves.
@@ -203,6 +221,40 @@ func TestTierBudgetAndLRU(t *testing.T) {
 	tr.InvalidateAll()
 	if st := tr.Stats(); st.Items != 0 || st.Bytes != 0 {
 		t.Fatalf("InvalidateAll left %+v", st)
+	}
+}
+
+// A key range that outgrows the budget is admitted whole or not at all: Load
+// admits none of its leaves and evicts nothing, and once refused it reads
+// none of them again — not one page — until an invalidation, while a range
+// that fits still loads.
+func TestTierLoadRefusesOverBudget(t *testing.T) {
+	fx := postingsFixture(t, 40, 800)
+	tr := NewTier(2*leafBytes + 100)
+	if !tr.add(fx.leaves[0], true) {
+		t.Fatal("setup admission failed")
+	}
+	reads := func() uint64 { return fx.bp.Stats().LogicalReads }
+	lo, hi := fx.span(2, 4) // three leaves
+	before := reads()
+	if _, ok := tr.Load(fx.tree, KindPostings, lo, hi, nil); ok {
+		t.Fatal("a range of three leaves resolved under a two-leaf budget")
+	}
+	if st := tr.Stats(); st.Items != 1 || st.Evictions != 0 || reads() == before {
+		t.Fatalf("the refused Load left %+v after %d page reads, want leaf 0 alone, no eviction, some reads", st, reads()-before)
+	}
+	before = reads()
+	if _, ok := tr.Load(fx.tree, KindPostings, lo, hi, nil); ok || reads() != before {
+		t.Fatalf("a refused range loaded again: resolved %v after %d page reads", ok, reads()-before)
+	}
+	fits, fitsHi := fx.span(1, 2)
+	if run, ok := tr.Load(fx.tree, KindPostings, fits, fitsHi, nil); !ok || len(run) != 2 {
+		t.Fatalf("a two-leaf range resolved %d leaves, %v", len(run), ok)
+	}
+	tr.Invalidate(KindPostings, fx.leaves[5].lo)
+	before = reads()
+	if _, ok := tr.Load(fx.tree, KindPostings, lo, hi, nil); ok || reads() == before {
+		t.Fatalf("after an invalidation the range resolved %v after %d page reads, want a refusal read anew", ok, reads()-before)
 	}
 }
 

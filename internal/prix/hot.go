@@ -27,10 +27,11 @@ import (
 //
 // Tier reads and lazy admissions happen under repairMu.RLock; every
 // structural writer holds repairMu.Lock, so an admission always copies a
-// stable image. A query resolves its runs once (compile) and keeps them for
-// its whole run: a run aliases bytes the tier never rewrites, so it stays
-// valid even if the tier evicts, invalidates or repacks its leaves
-// meanwhile.
+// stable image. A query's level cursor resolves its level's run on its first
+// range query (levelCursor.resolve), so a level the walk never reaches costs
+// no tier lookup, and keeps it for the rest of the walk: a run aliases bytes
+// the tier never rewrites, so it stays valid even if the tier evicts,
+// invalidates or repacks its leaves meanwhile.
 //
 // Every admission reads its pages without filling the buffer pool
 // (btree.Tree.LeavesNoFill): a page read only to be copied into the tier is
@@ -68,22 +69,19 @@ func (ix *Index) HotStats() HotStats {
 	return HotStats{Enabled: true, Tier: ix.hot.Stats()}
 }
 
-// hotRun resolves the tier's run of tree's key range [lo, hi], appending its
-// images to *images, the plan's scratch, and returning them; on a miss it
-// admits the range's leaves. ok false means the scan must go to the tree:
-// no tier, a range larger than the budget, or a read error the tree path
-// will surface itself.
-func (ix *Index) hotRun(tree *btree.Tree, kind hot.Kind, lo, hi hot.Key, images *hot.Run) (hot.Run, bool) {
+// hotRun resolves the tier's run of tree's key range [lo, hi] into dst, a
+// level cursor's buffer; on a miss it admits the range's leaves. ok false
+// means the scan must go to the tree: no tier, a range larger than the
+// budget, or a read error the tree path will surface itself.
+func (ix *Index) hotRun(tree *btree.Tree, kind hot.Kind, lo, hi hot.Key, dst hot.Run) (hot.Run, bool) {
 	if ix.hot == nil || tree == nil {
-		return nil, false
+		return dst, false
 	}
-	n := len(*images)
-	run, ok := ix.hot.Run(kind, lo, hi, *images)
+	run, ok := ix.hot.Run(kind, lo, hi, dst)
 	if !ok {
-		run, ok = ix.hot.Load(tree, kind, lo, hi, *images)
+		run, ok = ix.hot.Load(tree, kind, lo, hi, dst)
 	}
-	*images = run
-	return run[n:], ok
+	return run, ok
 }
 
 // hotInvalidatePosting drops the resident postings leaves an insert of key

@@ -30,12 +30,15 @@ func buildHot(t testing.TB, extended bool, budget int64, docs ...*xmltree.Docume
 
 // hotComparable strips the stats fields that legitimately differ between a
 // hot and an uncompressed run of the same query: page reads (the tier's
-// whole point), tier hit counters, and timing. Everything the descent and
-// refinement count — range queries, prunes, candidates, matches, record
-// fetches — must be identical.
+// whole point), tier hit counters, timing, and re-seeks, which at
+// Parallelism above 1 depend on which subtrees spawned (at Parallelism 1
+// the two sources re-seek alike: TestCursorReseeks, TestNestedTwigReseeks).
+// Everything the descent and refinement count — range queries, prunes,
+// candidates, matches, record fetches — must be identical.
 func hotComparable(s *QueryStats) QueryStats {
 	c := *s
 	c.PagesRead = 0
+	c.Reseeks = 0
 	c.HotPostingHits = 0
 	c.HotRecordHits = 0
 	c.Elapsed = 0
@@ -244,7 +247,8 @@ func testHotE2E(t *testing.T, budget int64) {
 // TestHotEvictionUnderPressure pins LRU demotion: a budget of about three
 // leaves, against an index of many more, keeps serving correct results
 // while it evicts, and the queries run partly from the tier and partly on
-// the paged path (a symbol whose range outgrows the budget never resolves).
+// the paged path (a symbol whose range outgrows the budget never resolves,
+// and once refused is not read for the tier again).
 func TestHotEvictionUnderPressure(t *testing.T) {
 	docs := residencyCorpus()[:800]
 	cold := build(t, false, docs...)
@@ -273,6 +277,51 @@ func TestHotEvictionUnderPressure(t *testing.T) {
 	}
 	if hits == 0 || hits >= ranges {
 		t.Errorf("%d of %d range queries served from the tier, want some and not all", hits, ranges)
+	}
+	// A symbol whose postings span more leaves than the budget holds is
+	// refused once, admitting and evicting nothing, and not read for the
+	// tier again: a second query over it admits no leaf.
+	wide := ""
+	for _, label := range []string{"a", "b", "c", "d", "e"} {
+		sym, _ := LookupSymbol(hotIx.store.Dict(), label, false)
+		lo, hi := symRange(sym)
+		n := 0
+		err := hotIx.postings.LeavesNoFill(lo, false, func(_ []byte, _, lhi btree.LeafKey, last bool) bool {
+			n++
+			return !last && !hi.Less(lhi)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(n)*pager.PageDataSize > st.Tier.Budget {
+			wide = label
+			break
+		}
+	}
+	if wide == "" {
+		t.Fatal("no symbol's postings outgrow the budget")
+	}
+	q := twig.MustParse("//" + wide + "/a")
+	wantMS, _, err := cold.Match(q, MatchOptions{WarmCache: true, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		before := hotIx.HotStats().Tier
+		gotMS, stats, err := hotIx.Match(q, MatchOptions{WarmCache: true, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := hotIx.HotStats().Tier
+		if !reflect.DeepEqual(gotMS, wantMS) {
+			t.Errorf("%s run %d: matches diverge under tier pressure", q, run)
+		}
+		if stats.HotPostingHits >= stats.RangeQueries {
+			t.Errorf("%s run %d: %d of %d range queries from the tier, want the wide level paged", q, run, stats.HotPostingHits, stats.RangeQueries)
+		}
+		if run == 1 && (after.Items != before.Items || after.Bytes != before.Bytes || after.Evictions != before.Evictions) {
+			t.Errorf("%s again: the tier went from %+v to %+v, want no admission", q, before, after)
+		}
 	}
 }
 

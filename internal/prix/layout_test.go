@@ -15,7 +15,6 @@ import (
 	"repro/internal/btree"
 	"repro/internal/datagen"
 	"repro/internal/docstore"
-	"repro/internal/hot"
 	"repro/internal/pager"
 	"repro/internal/twig"
 	"repro/internal/vtrie"
@@ -31,13 +30,12 @@ import (
 // query level would, hot leaf images or paged tree, serial or with readahead.
 func levelScan(t *testing.T, ix *Index, sym vtrie.Symbol, ql, qr uint64, par int) []hit {
 	t.Helper()
-	p := &plan{levels: []levelSource{{tree: ix.postings, sym: sym}}}
-	lo, hi := symRange(sym)
-	p.levels[0].run, p.levels[0].resident = ix.hotRun(ix.postings, hot.KindPostings, lo, hi, &p.images)
+	p := &plan{levels: []levelSource{{tree: ix.postings, sym: sym}}, docids: ix.docid}
 	sc := getScratch()
 	sc.levels(1)
+	sc.bind(p)
 	defer putScratch(sc)
-	hits, err := scanLevel(p, 0, ql, qr, &QueryStats{}, sc, par, nil)
+	hits, err := scanLevel(ix, p, 0, ql, qr, &QueryStats{}, sc, par, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,8 +533,9 @@ func TestUnpostedLevelIssuesNoRangeQuery(t *testing.T) {
 }
 
 // BenchmarkMatchPaged is BenchmarkMatchResident without the tier: the two
-// planted SWISSPROT twigs with real descents (Q5, Q6) through a warm 64-page
-// pool, where every range query pins pages of the one postings tree.
+// planted SWISSPROT twigs with real descents (Q5, Q6) and heavyTreebank on
+// MIX, through a warm 64-page pool, where each level's cursor copies the
+// leaves it enters out of the pool.
 func BenchmarkMatchPaged(b *testing.B) {
 	ix, queries := pagedSwissprot(b)
 	for _, qs := range queries[1:3] {
@@ -551,4 +550,5 @@ func BenchmarkMatchPaged(b *testing.B) {
 			}
 		})
 	}
+	benchHeavyTreebank(b, Options{Extended: true, BufferPoolPages: 64})
 }

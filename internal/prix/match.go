@@ -41,6 +41,14 @@ type Match struct {
 type QueryStats struct {
 	// RangeQueries counts B+-tree range queries issued by Algorithm 1.
 	RangeQueries int
+	// Reseeks counts range queries whose level cursor went back to the top
+	// — the B+-tree's root, or the start of the level's resident run —
+	// because the window started before the leaf the cursor stood on or
+	// past the leaf after it; the rest moved on from where the level's
+	// last range query stopped. A cursor's first range query is not one. It
+	// depends on which subtrees a walk at Parallelism above 1 spawns, each
+	// on cursors of its own.
+	Reseeks int
 	// TriePathsPruned counts candidates discarded by the MaxGap metric.
 	TriePathsPruned int
 	// Candidates counts (document, subsequence) pairs entering refinement.
@@ -224,6 +232,7 @@ func (o *MatchOptions) workers() int {
 // once at the end.
 func (s *QueryStats) merge(o *QueryStats) {
 	s.RangeQueries += o.RangeQueries
+	s.Reseeks += o.Reseeks
 	s.TriePathsPruned += o.TriePathsPruned
 	s.Candidates += o.Candidates
 	s.RecordFetches += o.RecordFetches
@@ -394,13 +403,11 @@ type plan struct {
 	// prune[i] describes the Theorem 4 rule for the pair (i-1, i).
 	prune []pruneRule
 	// levels[i] is where level i's range queries go and docids where the
-	// terminal docid scans go, resolved once per query: the index is
-	// read-locked for the whole Match, so the trees stay valid, and a hot
-	// run reads bytes the tier never rewrites. images holds every run's
-	// leaf images.
+	// terminal docid scans go: the index is read-locked for the whole
+	// Match, so the trees stay valid. Each walker's level cursors resolve
+	// them against the hot tier on first use.
 	levels []levelSource
-	docids docidSource
-	images hot.Run
+	docids *btree.Tree
 	// leaves lists query leaves for the refinement-by-leaf phase.
 	leaves []docstore.Leaf
 	// dummy[p-1] marks extended-pattern dummy nodes (excluded from the
@@ -426,22 +433,10 @@ func (r pruneRule) pruned(gap int64) bool {
 
 // levelSource is one query level's posting source: the symbol's key-prefix
 // range of the postings tree (tree is nil when the symbol heads no sequence
-// position, known from the posted set without a probe) and, when every leaf
-// of that range is resident, their images in the hot tier, which then serve
-// every range query of the level.
+// position, known from the posted set without a probe).
 type levelSource struct {
-	tree     *btree.Tree
-	sym      vtrie.Symbol
-	run      hot.Run
-	resident bool
-}
-
-// docidSource is the Docid index and, when every leaf of it is resident,
-// their images.
-type docidSource struct {
-	tree     *btree.Tree
-	run      hot.Run
-	resident bool
+	tree *btree.Tree
+	sym  vtrie.Symbol
 }
 
 // hit is one posting a level's range query returned.
@@ -476,7 +471,7 @@ func (ix *Index) compile(q *twig.Query, pat *twig.Pattern, p *plan) (ok bool, er
 	p.dummy = sized(p.dummy, p.m)
 	p.syms, p.npsQ = sized(p.syms, levels), sized(p.npsQ, levels)
 	p.levels, p.lastOcc, p.prune = sized(p.levels, levels), sized(p.lastOcc, levels), sized(p.prune, levels)
-	p.leaves, p.images = p.leaves[:0], p.images[:0]
+	p.leaves = p.leaves[:0]
 	for _, n := range pat.Doc.Nodes {
 		if prufer.IsDummy(n) {
 			p.dummy[n.Post-1] = true
@@ -494,16 +489,8 @@ func (ix *Index) compile(q *twig.Query, pat *twig.Pattern, p *plan) (ok bool, er
 			continue
 		}
 		p.levels[i] = levelSource{tree: ix.postings, sym: sym}
-		if j := slices.Index(p.syms[:i], sym); j >= 0 {
-			p.levels[i] = p.levels[j] // LPS repeats a label once a child
-		} else {
-			lo, hi := symRange(sym)
-			p.levels[i].run, p.levels[i].resident = ix.hotRun(ix.postings, hot.KindPostings, lo, hi, &p.images)
-		}
 	}
-	lo, hi := docidRange()
-	p.docids = docidSource{tree: ix.docid}
-	p.docids.run, p.docids.resident = ix.hotRun(ix.docid, hot.KindDocIDs, lo, hi, &p.images)
+	p.docids = ix.docid
 	for i := range p.npsQ {
 		p.lastOcc[i] = isLastOccurrence(p.npsQ, i)
 	}
@@ -567,6 +554,7 @@ func (ix *Index) matchOrdered(q *twig.Query, opts MatchOptions, stats *QueryStat
 		return nil, err
 	}
 	sc.levels(len(p.syms))
+	sc.bind(p)
 	sc.stage.reset(len(p.syms), p.m)
 	fsp := sp.Child("filter")
 	rsp := sp.Child("refine")
@@ -614,7 +602,11 @@ type scratch struct {
 	// until run has joined them.
 	walk descent
 	hits [][]hit
-	S, N []int32
+	// cursors[i] is level i's place in its postings, docs the terminal
+	// docid scans' place in the Docid tree.
+	cursors []levelCursor
+	docs    levelCursor
+	S, N    []int32
 	// path[i] is the index, among level i's hits, of the hit the walk is
 	// under; path[len(S)] counts the documents the current terminal docid
 	// scan has emitted. Paths compare in depth-first emission order.
@@ -642,10 +634,38 @@ func (sc *scratch) levels(n int) {
 	for len(sc.hits) < n {
 		sc.hits = append(sc.hits, nil)
 	}
+	sc.cursors = sc.cursors[:min(n, cap(sc.cursors))]
+	for len(sc.cursors) < n {
+		sc.cursors = append(sc.cursors, levelCursor{})
+	}
 	if cap(sc.S) < n {
 		sc.S, sc.N, sc.path = make([]int32, n), make([]int32, n), make([]int32, n+1)
 	}
 	sc.S, sc.N, sc.path = sc.S[:n], sc.N[:n], sc.path[:n+1]
+}
+
+// bind points the scratch's cursors at the plan's sources, unplaced.
+func (sc *scratch) bind(p *plan) {
+	for i, src := range p.levels {
+		lo, hi := symRange(src.sym)
+		sc.cursors[i].bind(src.tree, hot.KindPostings, lo, hi)
+	}
+	lo, hi := docidRange()
+	sc.docs.bind(p.docids, hot.KindDocIDs, lo, hi)
+}
+
+// resolve resolves level i's cursor against the hot tier, or, when an
+// earlier level of the same symbol has resolved (LPS repeats a label once a
+// child), takes its run.
+func (sc *scratch) resolve(ix *Index, i int) {
+	c := &sc.cursors[i]
+	for j := range i {
+		if o := &sc.cursors[j]; o.resolved && o.tree == c.tree && o.lo == c.lo {
+			c.run, c.resident, c.resolved = append(c.run[:0], o.run...), o.resident, true
+			return
+		}
+	}
+	c.resolve(ix)
 }
 
 // scratchKeep bounds what a pooled scratch retains per buffer: one query
@@ -659,17 +679,21 @@ const scratchKeep = 64 << 10
 const patternNodeBytes = 160
 
 // putScratch returns sc to the pool without what it borrowed from the query
-// (the pattern's query, the plan's pointers into the index, its views of the
-// hot tier, the walk) and without any pattern, record or result buffer above
-// scratchKeep.
+// (the pattern's query, the plan's pointers into the index, the cursors'
+// trees and views of the hot tier, the walk) and without any pattern,
+// record or result buffer above scratchKeep. The cursors keep their page
+// buffers, one page each.
 func putScratch(sc *scratch) {
 	sc.pattern.Query = nil
 	if cap(sc.pattern.Edges)*patternNodeBytes > scratchKeep {
 		sc.pattern = twig.Pattern{}
 	}
 	clear(sc.plan.levels)
-	clear(sc.plan.images)
-	sc.plan.docids, sc.plan.edges = docidSource{}, nil
+	sc.plan.docids, sc.plan.edges = nil, nil
+	for i := range sc.cursors {
+		sc.cursors[i].bind(nil, 0, btree.LeafKey{}, btree.LeafKey{})
+	}
+	sc.docs.bind(nil, 0, btree.LeafKey{}, btree.LeafKey{})
 	sc.walk = descent{}
 	sc.view = docstore.View{}
 	if (cap(sc.rec.NPS)+cap(sc.rec.LPS)+2*cap(sc.rec.Leaves))*4 > scratchKeep {
@@ -810,56 +834,60 @@ func (st *matchStage) pack(dst *MatchBuf) []Match {
 	return dst.matches
 }
 
-// scanLevel is Algorithm 1's range query (ql, qr] at query level i, the one
-// place hot leaf images and a B+-tree are told apart: it fills sc.hits[i] and
-// returns it. par > 1 (a walk that can spawn) warms a paged range first.
-func scanLevel(p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, par int, sp *obs.Span) ([]hit, error) {
+// scanLevel is Algorithm 1's range query (ql, qr] at query level i, run by
+// the level's cursor in sc: it fills sc.hits[i] and returns it. par > 1 (a
+// walk that can spawn) warms a paged range first.
+func scanLevel(ix *Index, p *plan, i int, ql, qr uint64, stats *QueryStats, sc *scratch, par int, sp *obs.Span) ([]hit, error) {
 	src := &p.levels[i]
 	hits := sc.hits[i][:0]
 	if src.tree == nil {
 		return hits, nil
 	}
 	stats.RangeQueries++
-	visit := func(_ uint32, left, right uint64, level uint32) bool {
-		hits = append(hits, hit{left: left, right: right, level: level})
-		return true
+	c := &sc.cursors[i]
+	if !c.resolved {
+		sc.resolve(ix, i)
 	}
-	var err error
-	if src.resident {
+	if c.resident {
 		stats.HotPostingHits++
-		src.run.ScanPostings(hot.Key{Sym: uint32(src.sym), Left: ql}, hot.Key{Sym: uint32(src.sym), Left: qr}, false, true, visit)
-	} else {
+	} else if par > 1 {
 		lo, hi := postingKey(src.sym, ql), postingKey(src.sym, qr)
 		prefetch(src.tree, lo[:], hi[:], false, par, sp)
-		err = src.tree.ScanPostings(lo[:], hi[:], false, true, visit)
 	}
+	err := c.scanPostings(hot.Key{Sym: uint32(src.sym), Left: ql}, hot.Key{Sym: uint32(src.sym), Left: qr}, stats,
+		func(_ uint32, left, right uint64, level uint32) bool {
+			hits = append(hits, hit{left: left, right: right, level: level})
+			return true
+		})
 	sc.hits[i] = hits // keep the grown buffer for the level's next range query
 	return hits, err
 }
 
 // scanDocIDs is scanLevel's docid twin: the terminal range query
-// [left, right] over the Docid index, calling emit for every document
-// visible at opts.AsOf whose sequence ends in the range.
+// [left, right] over the Docid index, run by sc's docid cursor, calling emit
+// for every document visible at opts.AsOf whose sequence ends in the range.
 func (ix *Index) scanDocIDs(p *plan, opts *MatchOptions, left, right uint64, stats *QueryStats,
-	par int, sp *obs.Span, emit func(docID uint32) error) error {
+	sc *scratch, par int, sp *obs.Span, emit func(docID uint32) error) error {
 	stats.RangeQueries++
+	c := &sc.docs
+	if !c.resolved {
+		c.resolve(ix)
+	}
+	if c.resident {
+		stats.HotPostingHits++
+	} else if par > 1 {
+		prefetch(p.docids, btree.KeyUint64(left), btree.KeyUint64(right), true, par, sp)
+	}
 	var emitErr error
-	visit := func(term uint64, id uint32, tomb uint64) bool {
+	err := c.scanDocIDs(hot.Key{Left: left}, hot.Key{Left: right}, stats, func(term uint64, id uint32, tomb uint64) bool {
 		// Tombstones ride in the same tree.
 		if tomb != 0 || !ix.visibleAt(id, term, opts.AsOf) {
 			return true
 		}
 		emitErr = emit(id)
 		return emitErr == nil
-	}
-	if p.docids.resident {
-		stats.HotPostingHits++
-		p.docids.run.ScanDocIDs(hot.Key{Left: left}, hot.Key{Left: right}, true, true, visit)
-		return emitErr
-	}
-	lo, hi := btree.KeyUint64(left), btree.KeyUint64(right)
-	prefetch(p.docids.tree, lo, hi, true, par, sp)
-	if err := p.docids.tree.ScanDocIDs(lo, hi, true, true, visit); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	return emitErr
@@ -965,10 +993,13 @@ func isSecondaryErr(err error) bool {
 // goroutines and spans, so they are in neither, and run joins them after the
 // root's walk has been credited: the join is idle time, not walking.
 func (d *descent) walk(stats *QueryStats, sp, rsp *obs.Span, sc *scratch, i int, ql, qr uint64) error {
-	w0 := sp.Start()
+	w0, r0 := sp.Start(), stats.Reseeks
 	sc.refineNS = 0
 	err := d.step(stats, sp, rsp, sc, i, ql, qr)
 	sp.AddStage(obs.StageDescent, time.Duration(sp.Now()-w0-sp.StageNS(obs.StagePrefetch)-sc.refineNS), 1)
+	if n := stats.Reseeks - r0; n > 0 {
+		sp.AddInt("reseeks", int64(n))
+	}
 	return err
 }
 
@@ -982,7 +1013,7 @@ func (d *descent) step(stats *QueryStats, sp, rsp *obs.Span, sc *scratch, i int,
 	if err := d.opts.context().Err(); err != nil {
 		return fmt.Errorf("prix: match canceled: %w", err)
 	}
-	hits, err := scanLevel(d.p, i, ql, qr, stats, sc, d.par, sp)
+	hits, err := scanLevel(d.ix, d.p, i, ql, qr, stats, sc, d.par, sp)
 	if err != nil {
 		return err
 	}
@@ -997,7 +1028,7 @@ func (d *descent) step(stats *QueryStats, sp, rsp *obs.Span, sc *scratch, i int,
 		if last {
 			// Fetch documents whose sequences end at or below this node.
 			path[i+1] = 0
-			err = d.ix.scanDocIDs(d.p, &d.opts, h.left, h.right, stats, d.par, sp, func(docID uint32) error {
+			err = d.ix.scanDocIDs(d.p, &d.opts, h.left, h.right, stats, sc, d.par, sp, func(docID uint32) error {
 				stats.Candidates++
 				e0 := sp.Start()
 				err := d.refineInline(sc, docID, stats, rsp)
@@ -1028,6 +1059,7 @@ func (d *descent) spawn(sc *scratch, i int, h hit) bool {
 	}
 	bsc := getScratch()
 	bsc.levels(len(sc.S))
+	bsc.bind(d.p)
 	bsc.stage.reset(len(sc.S), d.p.m)
 	copy(bsc.S, sc.S[:i+1])
 	copy(bsc.path, sc.path[:i+1])

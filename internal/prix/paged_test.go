@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/docstore"
+	"repro/internal/twig"
 )
 
 // Tests of the paged read path's memory: who owns a decoded record on each
@@ -40,7 +41,10 @@ func pagedSwissprot(tb testing.TB) (*Index, []datagen.QuerySpec) {
 // pool with its dedup key and ordering block and the query's record cache
 // held a fresh record per document (268 and 1,215 while the pattern was
 // fresh slabs, 294 and 1,543 while a candidate was a slice, a dedup entry
-// and an ordering string).
+// and an ordering string). The level cursors' page buffers live in the
+// pooled scratch, so heavyTreebank on MIX — 16,020 range queries through
+// four level cursors and the docid cursor, each copying the leaves it
+// enters — costs the same 3 objects on one goroutine, and 0 into a buffer.
 func TestPagedMatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds scratches under the race detector")
@@ -75,6 +79,27 @@ func TestPagedMatchAllocs(t *testing.T) {
 		if got > tc.bound {
 			t.Errorf("%s at parallelism %d, into a buffer %v: paged Match allocates %.0f objects per run, want <= %.0f",
 				qs.ID, tc.par, tc.into != nil, got, tc.bound)
+		}
+	}
+	mix, err := Build(mixDocs(t), Options{Extended: true, BufferPoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mix.Close()
+	q := twig.MustParse(heavyTreebank)
+	for _, tc := range []struct {
+		bound float64
+		into  *MatchBuf
+	}{{3, nil}, {0, into}} {
+		opts := MatchOptions{WarmCache: true, Parallelism: 1, Into: tc.into}
+		run := func() {
+			if ms, st, err := mix.Match(q, opts); err != nil || len(ms) != 2 || st.RangeQueries != 16020 {
+				t.Fatalf("%s: %d matches, %v; want 2 from 16,020 range queries", heavyTreebank, len(ms), err)
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(5, run); got > tc.bound {
+			t.Errorf("%s into a buffer %v: paged Match allocates %.0f objects per run, want <= %.0f", heavyTreebank, tc.into != nil, got, tc.bound)
 		}
 	}
 }

@@ -61,12 +61,15 @@ var parallelQueries = []struct {
 }
 
 // statsComparable strips the fields that legitimately vary between runs:
-// timing, and PagesRead, which depends on cache state. Every counter,
-// RecordFetches included, must come out the same at every Parallelism.
+// timing, PagesRead, which depends on cache state, and Reseeks, which
+// depends on which subtrees found a free worker (a spawned subtree walks on
+// level cursors of its own). Every other counter, RecordFetches included,
+// must come out the same at every Parallelism.
 func statsComparable(s *QueryStats) QueryStats {
 	c := *s
 	c.PagesRead = 0
 	c.Elapsed = 0
+	c.Reseeks = 0
 	c.DegradedShards = nil // slice field; engine-internal paths never set it
 	return c
 }

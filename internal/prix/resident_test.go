@@ -269,7 +269,8 @@ func poisonPattern(pat *twig.Pattern) {
 }
 
 // BenchmarkMatchResident is the resident read path end to end below the
-// server: every planted SWISSPROT query, hot tier fully loaded, serial.
+// server: every planted SWISSPROT query, hot tier fully loaded, serial; and
+// heavyTreebank on the benchmark's MIX index.
 func BenchmarkMatchResident(b *testing.B) {
 	ix, queries := residentSwissprot(b)
 	for _, qs := range queries {
@@ -284,4 +285,29 @@ func BenchmarkMatchResident(b *testing.B) {
 			}
 		})
 	}
+	benchHeavyTreebank(b, Options{Extended: true, BufferPoolPages: 2000, HotBudget: 64 << 20})
+}
+
+// heavyTreebank is a twig of TREEBANK's ubiquitous tags: on the benchmark's
+// MIX index it issues 16,020 range queries for two matches.
+const heavyTreebank = `//S[./NP]/NN`
+
+// benchHeavyTreebank runs heavyTreebank as a sub-benchmark on a MIX index
+// built with opts.
+func benchHeavyTreebank(b *testing.B, opts Options) {
+	ix, err := Build(mixDocs(b), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	q := twig.MustParse(heavyTreebank)
+	b.Run("TREEBANK-heavy", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ms, st, err := ix.Match(q, residentOpts)
+			if err != nil || len(ms) != 2 || st.RangeQueries != 16020 {
+				b.Fatalf("%d matches, %v, %d range queries; want 2 and 16,020", len(ms), err, st.RangeQueries)
+			}
+		}
+	})
 }

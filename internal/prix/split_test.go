@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/hot"
 	"repro/internal/obs"
+	"repro/internal/pager"
 	"repro/internal/twig"
 	"repro/internal/twig/twigtest"
 	"repro/internal/xmltree"
@@ -213,9 +216,12 @@ func TestSplitTracesParts(t *testing.T) {
 }
 
 // oracleDocs is a seeded random corpus over the twigs' alphabet.
-func oracleDocs(rng *rand.Rand) []*xmltree.Document {
-	var docs []*xmltree.Document
-	for d := 0; d < 6; d++ {
+func oracleDocs(rng *rand.Rand) []*xmltree.Document { return moreOracleDocs(rng, nil, 6) }
+
+// moreOracleDocs appends n seeded random documents over the twigs' alphabet
+// to docs, numbered on from them.
+func moreOracleDocs(rng *rand.Rand, docs []*xmltree.Document, n int) []*xmltree.Document {
+	for d := len(docs); n > 0; d, n = d+1, n-1 {
 		docs = append(docs, xmltreetest.RandomDocument(rng, d, xmltreetest.RandomConfig{
 			Nodes: 3 + rng.Intn(25), Alphabet: []string{"a", "b", "c", "d"},
 			MaxFanout: 4, ValueProb: 0.3, Values: []string{"v1", "v2"},
@@ -224,12 +230,31 @@ func oracleDocs(rng *rand.Rand) []*xmltree.Document {
 	return docs
 }
 
+// mixedSourceIndex builds an EPIndex over docs behind a pool of eight
+// frames, with a hot tier of about half its leaves: a query's level cursors
+// then mix resident and paged sources, the tier admits and evicts under the
+// walk, and on a corpus of several leaves a tree windows cross leaf
+// boundaries.
+func mixedSourceIndex(t testing.TB, docs []*xmltree.Document) *Index {
+	t.Helper()
+	ix, err := Build(docs, Options{Extended: true, BufferPoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.hot = hot.NewTier(int64(max(treeLeaves(t, ix)/2, 1)) * (pager.PageDataSize + 512))
+	ix.PreloadHot()
+	return ix
+}
+
 // FuzzMatchOracle holds Match to the brute-force oracle over seeded random
 // corpora: an EPIndex and an RPIndex, Parallelism 1 and 4, ordered and (for
-// twigs with branches) unordered. An input is a seed, which draws the corpus,
-// and a twig; an empty twig draws eight twigs from the seed instead. An
-// RPIndex may refuse a twig only for a non-exact edge directly above a leaf,
-// and must then.
+// twigs with branches) unordered; and an EPIndex over the corpus and 100
+// more documents — two postings leaves and a Docid leaf — behind a pool of
+// eight frames and a tier of one leaf (mixedSourceIndex), where the level
+// cursors mix resident and paged leaves and cross leaf boundaries. An input is
+// a seed, which draws the corpora, and a twig; an empty twig draws eight
+// twigs from the seed instead. An RPIndex may refuse a twig only for a
+// non-exact edge directly above a leaf, and must then.
 func FuzzMatchOracle(f *testing.F) {
 	for _, sh := range diffShapes {
 		f.Add(int64(1), sh.src)
@@ -253,6 +278,9 @@ func FuzzMatchOracle(f *testing.F) {
 		ep, rp := build(t, true, docs...), build(t, false, docs...)
 		defer ep.Close()
 		defer rp.Close()
+		many := moreOracleDocs(rand.New(rand.NewSource(seed)), slices.Clone(docs), 100)
+		mixed := mixedSourceIndex(t, many)
+		defer mixed.Close()
 		for _, q := range qs {
 			want := map[bool]int{false: twig.CountBruteForce(q, docs)}
 			if twigtest.HasBranches(q.Root) {
@@ -270,6 +298,19 @@ func FuzzMatchOracle(f *testing.F) {
 							t.Fatalf("seed %d extended=%v unordered=%v par=%d %s: %d matches, oracle %d",
 								seed, ix.Extended(), unordered, par, q, len(ms), n)
 						}
+					}
+				}
+			}
+			for unordered := range want {
+				n := twig.CountBruteForce(q, many)
+				if unordered {
+					n = twigtest.UnorderedCount(q, many)
+				}
+				for _, par := range []int{1, 4} {
+					ms, _, err := mixed.Match(q, MatchOptions{WarmCache: true, Unordered: unordered, Parallelism: par})
+					if err != nil || len(ms) != n {
+						t.Fatalf("seed %d mixed sources unordered=%v par=%d %s: %d matches, %v; oracle %d",
+							seed, unordered, par, q, len(ms), err, n)
 					}
 				}
 			}

@@ -282,6 +282,7 @@ func (c *Coordinator) Match(q *twig.Query, opts prix.MatchOptions) ([]prix.Match
 		}
 		runs = append(runs, r.ms)
 		merged.RangeQueries += r.stats.RangeQueries
+		merged.Reseeks += r.stats.Reseeks
 		merged.TriePathsPruned += r.stats.TriePathsPruned
 		merged.Candidates += r.stats.Candidates
 		merged.RecordFetches += r.stats.RecordFetches
